@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all test-slow lint sanitize bench profile sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
+.PHONY: test test-all test-slow lint sanitize bench ledger profile sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
 
 ## Packages held to the ruff + strict-mypy bar (CI `lint` job).
 TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/trace src/repro/feedback
@@ -13,7 +13,7 @@ TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/t
 test:
 	$(PYTEST) -x -q
 
-## Everything, including the full event/scan parity grid.
+## Everything, including the full frontend/clock/backend parity grids.
 test-all:
 	$(PYTEST) -x -q -m ""
 
@@ -42,14 +42,16 @@ sanitize:
 bench:
 	$(PYTEST) benchmarks/ -q -m "" --benchmark-only -s
 
+## Performance-ledger smoke: the harness's own tests, then one short
+## narrow_figs pass (benchmarks/ledger/README.md).
+ledger:
+	$(PYTEST) benchmarks/ledger/test_ledger.py -q
+	$(PYTHON) benchmarks/ledger/run.py --seconds 2 --workload narrow_figs
+
 ## Hot-spot profile of the reference cell (override: make profile ARGS="kmeans rr").
 ARGS ?= bfs cawa
 profile:
 	PYTHONPATH=src $(PYTHON) -m repro profile $(ARGS)
-
-## Compare the event and scan issue cores on the reference cell.
-profile-compare:
-	PYTHONPATH=src $(PYTHON) -m repro profile $(ARGS) --compare
 
 ## Full workload x scheme IPC sweep.
 sweep:

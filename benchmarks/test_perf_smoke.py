@@ -1,21 +1,16 @@
 """Simulator-throughput smoke benchmark (host performance, not paper data).
 
-Records **simulated cycles per host CPU second** for the event-driven issue
-core on the bfs x cawa cell (the ISSUE's reference cell), the
-event-vs-scan core speedup, the trace-replay-vs-execute speedup, and the
-skip-clock-vs-cycle-clock speedup, all into pytest-benchmark's
-``extra_info`` so ``--benchmark-json`` output can be tracked across
-commits.  The skip-clock benchmarks additionally write their numbers to
-``BENCH_pr4.json`` at the repo root (override with ``BENCH_PR4_PATH``)
-and the vector-backend benchmarks to ``BENCH_pr6.json`` (override with
-``BENCH_PR6_PATH``); CI uploads both as artifacts and fails if the
-vector backend's speedup drops below its floor.
+Records **simulated cycles per host CPU second** on the bfs x cawa cell
+(the ISSUE's reference cell), the trace-replay-vs-execute speedup, and the
+skip-clock-vs-cycle-clock and vector-vs-python speedups, all into
+pytest-benchmark's ``extra_info`` (``--benchmark-json``).  These are CI
+*gates* — each asserts its floor; the numbers tracked across commits live
+in the performance ledger (``benchmarks/ledger/README.md``).
 
 Result caches are bypassed throughout — these measure simulation (or
 trace replay), never the result cache.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -36,54 +31,17 @@ SCALE = 0.5
 WIDE_SMS = 64
 
 
-def _record_bench(key, payload, pr="pr4"):
-    """Merge one benchmark's numbers into ``BENCH_<pr>.json`` at the repo
-    root (override the location with ``BENCH_<PR>_PATH``)."""
-    default = Path(__file__).resolve().parent.parent / f"BENCH_{pr}.json"
-    path = Path(os.environ.get(f"BENCH_{pr.upper()}_PATH", default))
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:
-            data = {}
-    data[key] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
 @pytest.mark.slow
 def test_event_core_throughput(benchmark):
     clear_cache()
     result, seconds = run_once(
         benchmark, profiling.timed_run, "bfs", "cawa", scale=SCALE,
-        core="event",
     )
     assert result.cycles > 0 and seconds > 0
     benchmark.extra_info["workload"] = "bfs"
     benchmark.extra_info["scheme"] = "cawa"
-    benchmark.extra_info["issue_core"] = "event"
     benchmark.extra_info["simulated_cycles"] = result.cycles
     benchmark.extra_info["cycles_per_second"] = result.cycles / seconds
-
-
-@pytest.mark.slow
-def test_event_vs_scan_speedup(benchmark):
-    clear_cache()
-    report = run_once(
-        benchmark, profiling.compare_cores, "bfs", "cawa", scale=SCALE,
-        repeats=2,
-    )
-    # Bit-identical simulation outcomes are the hard invariant; wall-clock
-    # speedup is recorded for tracking, not asserted (CI machines vary).
-    assert report["event"]["cycles"] == report["scan"]["cycles"]
-    benchmark.extra_info["event_cycles_per_second"] = (
-        report["event"]["cycles_per_second"]
-    )
-    benchmark.extra_info["scan_cycles_per_second"] = (
-        report["scan"]["cycles_per_second"]
-    )
-    benchmark.extra_info["event_speedup"] = report["event_speedup"]["wall"]
 
 
 @pytest.mark.slow
@@ -210,7 +168,6 @@ def test_skip_clock_speedup_strcltr(benchmark):
         "skip_jumps": skip_result.skip_jumps,
     }
     benchmark.extra_info.update(payload)
-    _record_bench("strcltr_mid_skip_clock", payload)
     assert speedup >= 2.5, (
         f"skip clock speedup {speedup:.2f}x on strcltr_mid is below the "
         "2.5x acceptance floor"
@@ -243,7 +200,6 @@ def test_skip_clock_not_slower_bfs(benchmark):
         "skip_jumps": skip_result.skip_jumps,
     }
     benchmark.extra_info.update(payload)
-    _record_bench("bfs_skip_clock", payload)
     assert report["skip"]["seconds"] <= report["cycle"]["seconds"], (
         f"skip clock ({report['skip']['seconds']:.2f}s) slower than cycle "
         f"clock ({report['cycle']['seconds']:.2f}s) on bfs"
@@ -304,7 +260,6 @@ def test_events_disabled_overhead(benchmark):
         "events_recorded": on_result.extra["events_recorded"],
     }
     benchmark.extra_info.update(payload)
-    _record_bench("events_overhead", payload)
     assert off_seconds <= on_seconds * 1.02, (
         f"disabled-events run ({off_seconds:.2f}s) more than 2% slower than "
         f"the recording run ({on_seconds:.2f}s): the off path is paying "
@@ -322,7 +277,7 @@ VECTOR_WORKLOAD = "synthetic_memstress"
 VECTOR_SCALE = 64.0
 
 #: CI floor for the vector-vs-python speedup on the headline cell.  The
-#: measured result (recorded in BENCH_pr6.json) is ~5x; the gate leaves
+#: measured result is ~5x; the gate leaves
 #: headroom for loaded CI machines.
 VECTOR_SPEEDUP_FLOOR = 3.0
 
@@ -370,8 +325,7 @@ def test_vector_backend_speedup(benchmark):
 
     Bit-identical results are the hard invariant (re-checked here on the
     wide device); the vector engine must beat the scalar engine by at
-    least ``VECTOR_SPEEDUP_FLOOR`` wall-clock.  The measured numbers land
-    in ``BENCH_pr6.json`` for tracking across commits.
+    least ``VECTOR_SPEEDUP_FLOOR`` wall-clock.
     """
 
     def measure():
@@ -396,7 +350,6 @@ def test_vector_backend_speedup(benchmark):
         "simulated_cycles": vector_result.cycles,
     }
     benchmark.extra_info.update(payload)
-    _record_bench("vector_backend_memstress", payload, pr="pr6")
     assert speedup >= VECTOR_SPEEDUP_FLOOR, (
         f"vector backend speedup {speedup:.2f}x on {VECTOR_WORKLOAD} is "
         f"below the {VECTOR_SPEEDUP_FLOOR}x CI floor"
@@ -427,7 +380,6 @@ def test_vector_backend_not_slower_strcltr(benchmark):
         "simulated_cycles": vector_result.cycles,
     }
     benchmark.extra_info.update(payload)
-    _record_bench("vector_backend_strcltr", payload, pr="pr6")
     assert report["vector"]["seconds"] <= report["python"]["seconds"], (
         f"vector backend ({report['vector']['seconds']:.2f}s) slower than "
         f"python ({report['python']['seconds']:.2f}s) on strcltr_mid"
@@ -447,7 +399,7 @@ def test_events_chrome_artifact(tmp_path):
     from repro.obs import record_events, write_chrome_trace
 
     clear_cache()
-    result, bus = record_events("bfs", "cawa", scale=SCALE)
+    _result, bus = record_events("bfs", "cawa", scale=SCALE)
     events = bus.events()
     assert events
 
@@ -457,8 +409,3 @@ def test_events_chrome_artifact(tmp_path):
     doc = _json.loads(path.read_text(encoding="utf-8"))
     assert doc["traceEvents"], "empty Chrome trace artifact"
     assert any(e.get("ph") == "X" for e in doc["traceEvents"])
-    _record_bench("events_chrome_artifact", {
-        "path": str(path),
-        "trace_events": len(doc["traceEvents"]),
-        "simulated_cycles": result.cycles,
-    })

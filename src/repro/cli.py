@@ -270,97 +270,50 @@ def _print_stall_columns(top) -> None:
     print(cells)
 
 
+def _print_compare(knob: str, values, report) -> None:
+    """The one ``profile --compare`` table: throughput rows, speedup,
+    top stalls, per-component self time with a delta column."""
+    print(f"{knob:<8} {'cycles':>10} {'CPU s':>8} {'cycles/s':>13} "
+          f"{'skipped':>9} {'jumps':>7}")
+    for value in values:
+        row = report[value]["throughput"]
+        print(
+            f"{value:<8} {row['cycles']:>10.0f} {row['seconds']:>8.2f} "
+            f"{row['cycles_per_second']:>13,.0f} "
+            f"{row['cycles_skipped']:>9.0f} {row['skip_jumps']:>7.0f}"
+        )
+    print(f"{values[-1]}-{knob} speedup over {values[0]}: "
+          f"{report['speedup']:.2f}x")
+    _print_stall_columns(report["stalls"])
+    print("\nper-component self time (one profiled run):")
+    print(f"{'component':<18}" + "".join(f"{v:>10}" for v in values)
+          + f"{'delta':>10}")
+    for comp, delta in report["component_delta"].items():
+        cells = "".join(
+            f"{report[v]['components'].get(comp, 0.0):>10.3f}" for v in values
+        )
+        print(f"{comp:<18}{cells}{delta:>+10.3f}")
+
+
 def cmd_profile(args) -> int:
     from .experiments import profiling
 
     if args.compare:
-        kind, _, values = args.compare.partition("=")
-        if kind in ("clock", "clocks"):
-            clocks = tuple(v.strip() for v in values.split(",") if v.strip()) \
-                or ("cycle", "skip")
-            report = profiling.compare_clocks(
-                args.workload, args.scheme, scale=args.scale,
-                config=_base_config(args), repeats=args.repeats, clocks=clocks,
-            )
-            print(f"{'clock':<7} {'cycles':>10} {'CPU s':>8} {'cycles/s':>13} "
-                  f"{'skipped':>9} {'jumps':>7}")
-            for clock in clocks:
-                row = report[clock]["throughput"]
-                print(
-                    f"{clock:<7} {row['cycles']:>10.0f} {row['seconds']:>8.2f} "
-                    f"{row['cycles_per_second']:>13,.0f} "
-                    f"{row['cycles_skipped']:>9.0f} {row['skip_jumps']:>7.0f}"
-                )
-            print(f"{clocks[-1]}-clock speedup over {clocks[0]}: "
-                  f"{report['speedup']['wall']:.2f}x")
-            _print_stall_columns(report.get("stalls"))
-            components = sorted(
-                {c for clock in clocks for c in report[clock]["components"]}
-            )
-            print("\nper-component self time (one profiled run):")
-            header = f"{'component':<18}" + "".join(f"{c:>10}" for c in clocks)
-            print(header)
-            for comp in components:
-                cells = "".join(
-                    f"{report[clock]['components'].get(comp, 0.0):>10.3f}"
-                    for clock in clocks
-                )
-                print(f"{comp:<18}{cells}")
-            return 0
-        if kind in ("backend", "backends"):
-            backends = tuple(v.strip() for v in values.split(",") if v.strip()) \
-                or ("python", "vector")
-            report = profiling.compare_backends(
-                args.workload, args.scheme, scale=args.scale,
-                config=_base_config(args), repeats=args.repeats,
-                backends=backends,
-            )
-            print(f"{'backend':<8} {'cycles':>10} {'CPU s':>8} {'cycles/s':>13}")
-            for backend in backends:
-                row = report[backend]["throughput"]
-                print(
-                    f"{backend:<8} {row['cycles']:>10.0f} "
-                    f"{row['seconds']:>8.2f} "
-                    f"{row['cycles_per_second']:>13,.0f}"
-                )
-            print(f"{backends[-1]}-backend speedup over {backends[0]}: "
-                  f"{report['speedup']['wall']:.2f}x")
-            _print_stall_columns(report.get("stalls"))
-            delta = report["component_delta"]
-            print("\nper-component self time (one profiled run):")
-            header = (f"{'component':<18}"
-                      + "".join(f"{b:>10}" for b in backends)
-                      + f"{'delta':>10}")
-            print(header)
-            for comp in sorted(delta):
-                cells = "".join(
-                    f"{report[b]['components'].get(comp, 0.0):>10.3f}"
-                    for b in backends
-                )
-                print(f"{comp:<18}{cells}{delta[comp]:>+10.3f}")
-            return 0
-        if kind in ("core", "cores"):
-            report = profiling.compare_cores(
-                args.workload, args.scheme, scale=args.scale,
-                config=_base_config(args), repeats=args.repeats,
-            )
-            for core in ("event", "scan"):
-                row = report[core]
-                print(
-                    f"{core:<6} {row['cycles']:>10.0f} cycles  "
-                    f"{row['seconds']:>7.2f}s CPU  "
-                    f"{row['cycles_per_second']:>12,.0f} cycles/s"
-                )
-            print(f"event-core speedup: {report['event_speedup']['wall']:.2f}x")
-            _print_stall_columns(report.get("stalls"))
-            return 0
-        print(f"unknown --compare spec {args.compare!r}; use 'core', "
-              "'clock=cycle,skip', or 'backend=python,vector'")
-        return 2
+        knob, _, spec = args.compare.partition("=")
+        values = [v.strip() for v in spec.split(",") if v.strip()]
+        if knob not in ("clock", "backend") or len(values) < 2:
+            print(f"bad --compare spec {args.compare!r}; use "
+                  "'clock=cycle,skip' or 'backend=python,vector'")
+            return 2
+        report = profiling.compare(
+            args.workload, args.scheme, knob, values, scale=args.scale,
+            config=_base_config(args), repeats=args.repeats,
+        )
+        _print_compare(knob, values, report)
+        return 0
     profiling.profile_run(
         args.workload, args.scheme, scale=args.scale,
-        config=_base_config(args), core=args.core,
-        sort=args.sort, top=args.top,
+        config=_base_config(args), sort=args.sort, top=args.top,
     )
     return 0
 
@@ -891,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser(
         "profile",
-        help="cProfile one run, or compare the event/scan issue cores",
+        help="cProfile one run, or compare device clocks / backends",
     )
     p_prof.add_argument("workload",
                         choices=workload_names(include_synthetic=True))
@@ -899,20 +852,16 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(SCHEMES))
     p_prof.add_argument("--scale", type=float, default=1.0)
     p_prof.add_argument("--fermi", action="store_true")
-    p_prof.add_argument("--core", choices=["event", "scan"], default=None,
-                        help="issue core to profile (default: config default)")
     p_prof.add_argument("--sort", default="cumulative",
                         choices=["cumulative", "tottime", "ncalls"])
     p_prof.add_argument("--top", type=int, default=25,
                         help="number of profile rows to print")
     p_prof.add_argument(
-        "--compare", nargs="?", const="core", default=None, metavar="SPEC",
-        help="comparison mode instead of profiling: 'core' (default when "
-        "the flag is bare) times the event/scan issue cores; "
-        "'clock=cycle,skip' times both device clocks and prints wall "
-        "time, cycles/s, and a per-component breakdown; "
-        "'backend=python,vector' times the scalar and vectorized engines "
-        "with a per-component self-time delta column",
+        "--compare", default=None, metavar="SPEC",
+        help="comparison mode instead of profiling: 'clock=cycle,skip' "
+        "times both device clocks, 'backend=python,vector' the scalar and "
+        "vectorized engines; prints CPU time, cycles/s, top stalls, and "
+        "per-component self time with a delta column",
     )
     p_prof.add_argument("--repeats", type=int, default=3,
                         help="best-of-N repeats for --compare")

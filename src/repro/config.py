@@ -127,13 +127,6 @@ class GPUConfig:
     critical_mshr_reserve: int = 0
     use_cpl: bool = True
     cpl_update_period: int = 64
-    #: Issue-loop implementation: ``"event"`` (default) uses the
-    #: event-driven ready-warp core (per-slot wake queues updated at the
-    #: moment completion times become known); ``"scan"`` keeps the original
-    #: O(warps)-per-cycle linear readiness scan.  Both produce bit-identical
-    #: cycle counts (see ``tests/test_event_core_parity.py``); the scan path
-    #: is retained as the golden reference.
-    issue_core: str = "event"
     #: Simulation frontend: ``"execute"`` (default) runs the functional
     #: executor at issue time; ``"trace"`` replays a previously recorded
     #: per-warp dynamic instruction stream through the same timing model,
@@ -151,7 +144,7 @@ class GPUConfig:
     #: at each event time and jumping the clock straight between events.
     #: Both clocks are bit-identical by contract
     #: (``tests/test_skip_clock_parity.py``) and therefore, like
-    #: ``issue_core``/``frontend``, excluded from :meth:`fingerprint`.
+    #: ``frontend``, excluded from :meth:`fingerprint`.
     #: See ``docs/timing_model.md`` ("Clock modes").
     clock: str = "cycle"
     #: Sharded multi-SM replay (trace frontend only): partition the SMs
@@ -168,7 +161,7 @@ class GPUConfig:
     #: static path-length envelope of :mod:`repro.analysis.pathlen` (raises
     #: :class:`repro.errors.CPLBoundsError` on violation).  Purely
     #: observational — scheduling stays bit-identical — and therefore, like
-    #: ``issue_core``/``frontend``, excluded from :meth:`fingerprint`.
+    #: ``frontend``, excluded from :meth:`fingerprint`.
     check_cpl_bounds: bool = False
     #: Observability event recording (:mod:`repro.obs`): ``"off"``
     #: (default, every probe reduced to one pointer test), ``"on"`` (ring
@@ -191,7 +184,7 @@ class GPUConfig:
     #: dependency — the numpy fallback is bit-identical).  Both backends
     #: produce bit-identical results by contract
     #: (``tests/test_vector_backend_parity.py``) and therefore, like
-    #: ``issue_core``/``clock``, the knob is excluded from
+    #: ``clock``, the knob is excluded from
     #: :meth:`fingerprint`.  See ``docs/backends.md``.
     backend: str = "python"
     #: Statistical sampling of the trace frontend (:mod:`repro.sampling`):
@@ -215,20 +208,6 @@ class GPUConfig:
     #: like ``sampling`` itself: two seeds select different subsets and
     #: therefore produce (slightly) different estimates.
     sampling_seed: int = 0
-    #: Scheduler–cache co-design coupling (:mod:`repro.feedback`):
-    #: ``"channel"`` (default) wires one FeedbackChannel per SM — caches
-    #: publish miss/fill/eviction signals, schedulers with declared
-    #: ``FEEDBACK_KINDS`` subscribe through it, and CAWA's CPL→CACP
-    #: criticality coupling rides the same channel; ``"direct"`` keeps the
-    #: original hand-wired CAWA coupling as the golden reference
-    #: (feedback-consuming schedulers like ccws/wasp/ciao are rejected
-    #: there).  Publish hooks arm only when a scheme subscribes, so
-    #: non-co-design schemes pay one pointer test per cache access.  Both
-    #: modes are bit-identical by contract
-    #: (``tests/test_feedback_parity.py``) and therefore, like
-    #: ``issue_core``/``clock``, the knob is excluded from
-    #: :meth:`fingerprint`.  See ``docs/schemes.md``.
-    feedback: str = "channel"
 
     #: Knobs *excluded* from :meth:`fingerprint`.  Every entry is
     #: bit-identical by contract — switching it changes how fast a result
@@ -241,14 +220,12 @@ class GPUConfig:
     #: fields must carry a waiver explaining why the read cannot perturb
     #: results.  See docs/static_analysis.md ("Sanitizing the simulator").
     FINGERPRINT_EXCLUDED: ClassVar[FrozenSet[str]] = frozenset({
-        "issue_core",
         "frontend",
         "check_cpl_bounds",
         "clock",
         "shards",
         "events",
         "backend",
-        "feedback",
     })
 
     #: The *included* set for :meth:`functional_fingerprint`: payload key
@@ -275,10 +252,6 @@ class GPUConfig:
             raise ConfigError("num_schedulers_per_sm must be positive")
         if self.l2_banks <= 0:
             raise ConfigError("l2_banks must be positive")
-        if self.issue_core not in ("event", "scan"):
-            raise ConfigError(
-                f"issue_core must be 'event' or 'scan', got {self.issue_core!r}"
-            )
         if self.frontend not in ("execute", "trace"):
             raise ConfigError(
                 f"frontend must be 'execute' or 'trace', got {self.frontend!r}"
@@ -290,10 +263,6 @@ class GPUConfig:
         if self.backend not in ("python", "vector"):
             raise ConfigError(
                 f"backend must be 'python' or 'vector', got {self.backend!r}"
-            )
-        if self.feedback not in ("channel", "direct"):
-            raise ConfigError(
-                f"feedback must be 'channel' or 'direct', got {self.feedback!r}"
             )
         # Validate the scheduler name eagerly against the registry (local
         # import: repro.scheduling never imports config, so no cycle) —
@@ -390,10 +359,6 @@ class GPUConfig:
         """Return a copy using L1D replacement policy ``policy``."""
         return replace(self, l1d_policy=policy)
 
-    def with_issue_core(self, core: str) -> "GPUConfig":
-        """Return a copy using issue-loop implementation ``core``."""
-        return replace(self, issue_core=core)
-
     def with_frontend(self, frontend: str) -> "GPUConfig":
         """Return a copy using simulation frontend ``frontend``."""
         return replace(self, frontend=frontend)
@@ -413,10 +378,6 @@ class GPUConfig:
     def with_backend(self, backend: str) -> "GPUConfig":
         """Return a copy using hot-path backend ``backend`` (python/vector)."""
         return replace(self, backend=backend)
-
-    def with_feedback(self, feedback: str) -> "GPUConfig":
-        """Return a copy using feedback coupling mode ``feedback``."""
-        return replace(self, feedback=feedback)
 
     def with_sampling(self, sampling: str, seed: Optional[int] = None) -> "GPUConfig":
         """Return a copy with trace-sampling spec ``sampling``.
@@ -441,11 +402,11 @@ class GPUConfig:
 
         Keys the persistent on-disk result cache: any change to the
         configuration (cache geometry, latencies, scheduler, ...) yields a
-        different fingerprint and therefore a cache miss.  ``issue_core``,
-        ``frontend``, ``clock`` and ``shards`` are deliberately *excluded*
-        — the event/scan cores, the execute/trace frontends, the
-        cycle/skip clocks and serial/sharded replay are all bit-identical
-        by contract, so results are shared between them.  ``sampling``
+        different fingerprint and therefore a cache miss.  The knobs in
+        :data:`FINGERPRINT_EXCLUDED` (frontend, clock, backend, shards,
+        events, CPL bounds checking) are deliberately left out — each
+        selects between implementations that are bit-identical by
+        contract, so results are shared between them.  ``sampling``
         (and ``sampling_seed``) are deliberately **included**: a sampled
         run reports statistical estimates, not the exact numbers, so it
         must never alias an exact run's cache entry.
@@ -464,7 +425,7 @@ class GPUConfig:
         (active masks, lane ids) and the L1D line size (which defines the
         coalescing granularity baked into the recorded line addresses), but
         **not** on timing-only knobs — scheduler, cache geometry beyond the
-        line size, latencies, CACP, issue core.  Sweeping schemes therefore
+        line size, latencies, CACP.  Sweeping schemes therefore
         reuses one trace per (workload, scale) instead of re-recording.
         """
         payload = {}

@@ -2,19 +2,21 @@
 
 Backs ``python -m repro profile`` and ``tools/profile_run.py``: wall-clock
 timing (best-of-N, cache-bypassed) plus optional cProfile hot-spot listings,
-and a side-by-side comparison of the two issue cores (``event`` vs
-``scan``).  The headline throughput metric is **simulated cycles per host
-second**, which is what the perf-regression smoke benchmark tracks.
+and a side-by-side comparison of one bit-identical engine knob's values
+(:func:`compare`: device clocks, backends).  The headline throughput metric
+is **simulated cycles per host second**, which is what the perf-regression
+smoke benchmark tracks.
 """
 
 from __future__ import annotations
 
 import cProfile
+import dataclasses
 import io
 import pstats
 import sys
 import time
-from typing import Dict, Optional, TextIO, Tuple
+from typing import Any, Dict, Optional, Sequence, TextIO, Tuple
 
 from ..config import GPUConfig
 from ..stats.counters import RunResult
@@ -26,17 +28,13 @@ def timed_run(
     scheme: str,
     scale: float = 1.0,
     config: Optional[GPUConfig] = None,
-    core: Optional[str] = None,
 ) -> Tuple[RunResult, float]:
     """Run one cell with every cache bypassed; return (result, seconds).
 
-    ``core`` selects the issue core ("event"/"scan"); ``None`` keeps the
-    config's default.  Uses CPU time (``process_time``) so measurements are
-    stable on loaded machines.
+    Uses CPU time (``process_time``) so measurements are stable on loaded
+    machines.
     """
     cfg = config or GPUConfig.default_sim()
-    if core is not None:
-        cfg = cfg.with_issue_core(core)
     start = time.process_time()
     result = runner.run_scheme(
         workload, scheme, scale=scale, config=cfg,
@@ -50,7 +48,6 @@ def throughput(
     scheme: str,
     scale: float = 1.0,
     config: Optional[GPUConfig] = None,
-    core: Optional[str] = None,
     repeats: int = 3,
 ) -> Dict[str, float]:
     """Best-of-``repeats`` throughput for one cell.
@@ -60,7 +57,7 @@ def throughput(
     best = float("inf")
     cycles = 0.0
     for _ in range(repeats):
-        result, seconds = timed_run(workload, scheme, scale, config, core)
+        result, seconds = timed_run(workload, scheme, scale, config)
         cycles = result.cycles
         if seconds < best:
             best = seconds
@@ -83,7 +80,7 @@ def stall_breakdown(
     One events-on run through :func:`repro.obs.harness.record_stalls`;
     ``share`` is the fraction of total warp-cycles (issue + all stalls),
     the paper's Fig 2c denominator.  Stall attribution is identical across
-    issue cores, device clocks, and shard counts (the event stream is part
+    device clocks, backends, and shard counts (the event stream is part
     of the bit-identical timing contract), so one recording serves every
     column of a comparison.
     """
@@ -91,23 +88,6 @@ def stall_breakdown(
 
     _result, acct = record_stalls(workload, scheme, scale=scale, config=config)
     return acct.top_reasons(n)
-
-
-def compare_cores(
-    workload: str,
-    scheme: str,
-    scale: float = 1.0,
-    config: Optional[GPUConfig] = None,
-    repeats: int = 3,
-) -> Dict[str, Dict[str, float]]:
-    """Measure both issue cores on one cell; adds an ``event_speedup`` key
-    and the cell's top-3 stall reasons (``"stalls"``)."""
-    event = throughput(workload, scheme, scale, config, "event", repeats)
-    scan = throughput(workload, scheme, scale, config, "scan", repeats)
-    speedup = (scan["seconds"] / event["seconds"]) if event["seconds"] > 0 else 0.0
-    return {"event": event, "scan": scan,
-            "event_speedup": {"wall": speedup},
-            "stalls": stall_breakdown(workload, scheme, scale, config)}
 
 
 def _component_of(filename: str) -> str:
@@ -138,94 +118,58 @@ def _component_breakdown(profiler: cProfile.Profile) -> Dict[str, float]:
     return totals
 
 
-def compare_clocks(
+def _profiled_run(
+    workload: str, scheme: str, scale: float, config: Optional[GPUConfig],
+) -> Tuple[RunResult, float, cProfile.Profile]:
+    """One cache-bypassed run under cProfile: (result, CPU seconds, profile)."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    result, seconds = timed_run(workload, scheme, scale, config)
+    profiler.disable()
+    return result, seconds, profiler
+
+
+def compare(
     workload: str,
     scheme: str,
+    knob: str,
+    values: Sequence[str],
     scale: float = 1.0,
     config: Optional[GPUConfig] = None,
     repeats: int = 3,
-    clocks: Tuple[str, ...] = ("cycle", "skip"),
-) -> Dict[str, Dict]:
-    """Measure the per-cycle and time-skipping clocks on one cell.
+) -> Dict[str, Any]:
+    """Measure one cell under each of ``values`` of config field ``knob``.
 
-    For each clock: best-of-``repeats`` wall/CPU throughput plus one
-    profiled run aggregated into a per-component self-time breakdown
-    (``repro.sm``, ``repro.memory``, ...).  The returned dict maps each
-    clock name to ``{"throughput": ..., "components": ...}`` and carries a
-    ``"speedup"`` entry (first clock's wall time over the last's — i.e.
-    how much the skip clock wins with the default pair).  Results are
-    bit-identical across clocks by contract, so the comparison is purely
-    about wall time.
+    ``knob`` is meant to be one of the bit-identical engine knobs (``clock``,
+    ``backend``): results are equal across its values by contract
+    (``tests/test_skip_clock_parity.py``,
+    ``tests/test_vector_backend_parity.py``), so the comparison is purely
+    about where the host time goes.  For each value: best-of-``repeats``
+    CPU throughput plus one profiled run, which supplies the skip-clock
+    provenance (``cycles_skipped``/``skip_jumps``) and a per-component
+    self-time breakdown (``repro.sm``, ``repro.memory``, ...).  The
+    returned dict maps each value to ``{"throughput", "components"}`` and
+    carries ``"speedup"`` (first value's CPU time over the last's — how much
+    the last value wins), ``"component_delta"`` (per-component self time,
+    ``last - first`` seconds, negative = the last value spends less there)
+    and the cell's top-3 ``"stalls"``.
     """
     base = config or GPUConfig.default_sim()
-    report: Dict[str, Dict] = {}
-    for clock in clocks:
-        cfg = base.with_clock(clock)
-        tp = throughput(workload, scheme, scale, cfg, None, repeats)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result = runner.run_scheme(
-            workload, scheme, scale=scale, config=cfg,
-            use_cache=False, persistent=False,
-        )
-        profiler.disable()
+    report: Dict[str, Any] = {}
+    for value in values:
+        cfg = dataclasses.replace(base, **{knob: value})
+        tp = throughput(workload, scheme, scale, cfg, repeats)
+        result, _seconds, profiler = _profiled_run(workload, scheme, scale, cfg)
         tp["cycles_skipped"] = result.cycles_skipped
         tp["skip_jumps"] = float(result.skip_jumps)
-        report[clock] = {
+        report[value] = {
             "throughput": tp,
             "components": _component_breakdown(profiler),
         }
-    first, last = clocks[0], clocks[-1]
-    first_s = report[first]["throughput"]["seconds"]
-    last_s = report[last]["throughput"]["seconds"]
-    report["speedup"] = {"wall": first_s / last_s if last_s > 0 else 0.0}
-    report["stalls"] = stall_breakdown(workload, scheme, scale, base)
-    return report
-
-
-def compare_backends(
-    workload: str,
-    scheme: str,
-    scale: float = 1.0,
-    config: Optional[GPUConfig] = None,
-    repeats: int = 3,
-    backends: Tuple[str, ...] = ("python", "vector"),
-) -> Dict[str, Dict]:
-    """Measure the scalar and vectorized engines on one cell.
-
-    For each backend: best-of-``repeats`` CPU throughput plus one profiled
-    run aggregated into a per-component self-time breakdown.  The returned
-    dict maps each backend name to ``{"throughput", "components"}`` and
-    carries a ``"speedup"`` entry (first backend's wall time over the
-    last's — how much the vector engine wins with the default pair) and a
-    ``"component_delta"`` map of per-component self-time differences
-    (``last - first`` seconds, negative = the vector backend spends less
-    self-time there).  Results are bit-identical across backends by
-    contract (``tests/test_vector_backend_parity.py``), so the comparison
-    is purely about where the host time goes.
-    """
-    base = config or GPUConfig.default_sim()
-    report: Dict[str, Dict] = {}
-    for backend in backends:
-        cfg = base.with_backend(backend)
-        tp = throughput(workload, scheme, scale, cfg, None, repeats)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        runner.run_scheme(
-            workload, scheme, scale=scale, config=cfg,
-            use_cache=False, persistent=False,
-        )
-        profiler.disable()
-        report[backend] = {
-            "throughput": tp,
-            "components": _component_breakdown(profiler),
-        }
-    first, last = backends[0], backends[-1]
-    first_s = report[first]["throughput"]["seconds"]
-    last_s = report[last]["throughput"]["seconds"]
-    report["speedup"] = {"wall": first_s / last_s if last_s > 0 else 0.0}
-    first_comp = report[first]["components"]
-    last_comp = report[last]["components"]
+    first, last = report[values[0]], report[values[-1]]
+    last_s = last["throughput"]["seconds"]
+    report["speedup"] = first["throughput"]["seconds"] / last_s if last_s > 0 else 0.0
+    first_comp, last_comp = first["components"], last["components"]
     report["component_delta"] = {
         comp: last_comp.get(comp, 0.0) - first_comp.get(comp, 0.0)
         for comp in sorted(set(first_comp) | set(last_comp))
@@ -239,32 +183,20 @@ def profile_run(
     scheme: str,
     scale: float = 1.0,
     config: Optional[GPUConfig] = None,
-    core: Optional[str] = None,
     sort: str = "cumulative",
     top: int = 25,
     stream: Optional[TextIO] = None,
 ) -> Tuple[RunResult, float]:
     """cProfile one cell and print the ``top`` hottest entries to ``stream``."""
     out = stream if stream is not None else sys.stdout
-    profiler = cProfile.Profile()
-    start = time.process_time()
-    profiler.enable()
-    cfg = config or GPUConfig.default_sim()
-    if core is not None:
-        cfg = cfg.with_issue_core(core)
-    result = runner.run_scheme(
-        workload, scheme, scale=scale, config=cfg,
-        use_cache=False, persistent=False,
-    )
-    profiler.disable()
-    seconds = time.process_time() - start
+    result, seconds, profiler = _profiled_run(workload, scheme, scale, config)
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
     print(buffer.getvalue(), file=out)
     cps = result.cycles / seconds if seconds > 0 else 0.0
     print(
-        f"{workload} x {scheme} (core={cfg.issue_core}): "
+        f"{workload} x {scheme}: "
         f"{result.cycles:.0f} cycles in {seconds:.2f}s CPU "
         f"-> {cps:,.0f} cycles/s",
         file=out,

@@ -62,16 +62,17 @@ def build_oracle(workload: str, scale: float = 1.0, config: Optional[GPUConfig] 
     warp's measured execution time, keyed by (block_id, warp_id_in_block) —
     the offline knowledge the paper says CAWS requires.
     """
-    key = (workload, scale)
-    if key in _ORACLE_CACHE:
-        return _ORACLE_CACHE[key]
     # The oracle must profile every warp of every block: a sampled
     # profiling run would only know the sampled subset and, for blocks
     # mode, under renumbered ids.  Always profile exactly; sampled CAWS
     # replays remap the full oracle onto their subset
     # (:func:`repro.sampling.replay.remap_oracle`).
-    if config is not None and config.sampling != "off":
-        config = config.with_sampling("off")
+    config = (config or GPUConfig.default_sim()).with_sampling("off")
+    # Per-warp times depend on the device profiled on, so the profiling
+    # config's fingerprint is part of the key (as in run_scheme's memo).
+    key = (workload, scale, config.fingerprint())
+    if key in _ORACLE_CACHE:
+        return _ORACLE_CACHE[key]
     result = run_scheme(workload, "rr", scale=scale, config=config)
     oracle: Dict[Tuple[int, int], float] = {}
     for block in result.blocks:

@@ -20,7 +20,6 @@ from .channel import (
     FeedbackChannel,
     SignalTap,
     attach_signal_tap,
-    require_no_subscribers,
     wire_gpu_feedback,
 )
 from .signals import (
@@ -55,7 +54,6 @@ __all__ = [
     "SignalTap",
     "wire_gpu_feedback",
     "attach_signal_tap",
-    "require_no_subscribers",
     "record_signals",
 ]
 

@@ -22,22 +22,19 @@ and only ever *recorded* (schedulers are per-SM and subscribe to L1
 locality, never to the shared L2), merged into global canonical order by
 :func:`repro.feedback.signals.merge_signal_streams`.
 
-Criticality re-wiring
----------------------
-CAWA's hand-wired scheduler→CACP coupling (the L1 policy asking "is this
-warp critical?") is re-routed through the channel: the channel carries a
-``criticality`` provider that the SM exposes to its caches' policies.  In
-``feedback='direct'`` mode the SM binds ``cpl.is_critical`` at
-construction time exactly as before; in ``feedback='channel'`` mode the
-same bound method flows through the channel — bit-identical by
-construction, and proven so by ``tests/test_feedback_parity.py``.
+Criticality
+-----------
+CAWA's scheduler→CACP coupling (the MSHR-reserve gate and the LSU asking
+"is this warp critical?") rides the channel too: it carries a
+``criticality`` provider — the CPL predictor's ``is_critical`` bound
+method — and :func:`wire_gpu_feedback` is the one place that binds the
+SM's ``_is_critical`` query from it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..errors import ConfigError
 from .signals import Sig, validate_signal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -139,17 +136,15 @@ class FeedbackChannel:
 def wire_gpu_feedback(gpu: "GPU") -> None:
     """Build per-SM channels and connect caches and schedulers.
 
-    Called by ``GPU.__init__`` after SM construction when
-    ``config.feedback == 'channel'``.  L1 publish hooks are only armed
-    when at least one scheduler on that SM declared an interest (or a tap
-    is attached later) so schemes that ignore feedback pay nothing.
+    Called by ``GPU.__init__`` after SM construction.  L1 publish hooks
+    are only armed when at least one scheduler on that SM declared an
+    interest (or a tap is attached later) so schemes that ignore feedback
+    pay nothing.
     """
     for sm in gpu.sms:
         ch = FeedbackChannel(sm.sm_id)
         sm.feedback = ch
         if sm.cpl is not None:
-            # Same bound method the direct mode binds at construction:
-            # routing it through the channel is bit-identical.
             ch.provide_criticality(sm.cpl.is_critical)
             sm._is_critical = ch.criticality
         subscribed = False
@@ -173,19 +168,10 @@ def _wire_l1(sm: object, ch: FeedbackChannel) -> None:
 def attach_signal_tap(gpu: "GPU", tap: SignalTap) -> FeedbackChannel:
     """Record every published signal (L1 of each SM + shared L2) to ``tap``.
 
-    Returns the device-level channel created for the L2.  Requires
-    ``feedback='channel'``; the direct mode has no channels to tap.
+    Returns the device-level channel created for the L2.
     """
-    if getattr(gpu.config, "feedback", "channel") != "channel":
-        raise ConfigError(
-            "attach_signal_tap requires feedback='channel' "
-            f"(got {gpu.config.feedback!r})"
-        )
     for sm in gpu.sms:
         ch = sm.feedback
-        if ch is None:  # pragma: no cover - wire_gpu_feedback precedes taps
-            ch = FeedbackChannel(sm.sm_id)
-            sm.feedback = ch
         ch.tap = tap
         _wire_l1(sm, ch)
     device_ch = FeedbackChannel(-1)
@@ -197,20 +183,3 @@ def attach_signal_tap(gpu: "GPU", tap: SignalTap) -> FeedbackChannel:
     gpu.fb_tap = tap
     return device_ch
 
-
-def require_no_subscribers(gpu: "GPU") -> None:
-    """Direct mode guard: feedback-consuming schedulers need the channel.
-
-    ``feedback='direct'`` exists as the golden reference for the CAWA
-    coupling only; running ccws/wasp/ciao there would silently starve
-    them of signals, so fail fast instead.
-    """
-    for sm in gpu.sms:
-        for sched in sm.schedulers:
-            kinds = getattr(sched, "FEEDBACK_KINDS", ())
-            if kinds:
-                raise ConfigError(
-                    f"scheduler {sched.name!r} subscribes to feedback "
-                    "signals and requires feedback='channel' "
-                    "(feedback='direct' is the CAWA golden-reference mode)"
-                )

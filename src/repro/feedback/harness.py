@@ -31,8 +31,7 @@ def record_signals(
 
     Signals are returned in the canonical ``(cycle, sm, kind, fields)``
     order so streams from different frontends / clocks / backends / shard
-    counts compare with ``==``.  Requires ``feedback='channel'`` (the
-    default); the config is upgraded automatically if needed.
+    counts compare with ``==``.
     """
     from ..core.cawa import apply_scheme
     from ..experiments.runner import build_oracle
@@ -40,8 +39,6 @@ def record_signals(
     from ..workloads import make_workload
 
     base = config or GPUConfig.default_sim()
-    if base.feedback != "channel":
-        base = base.with_feedback("channel")
     cfg = apply_scheme(base, scheme)
 
     tap = SignalTap()

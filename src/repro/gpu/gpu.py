@@ -160,17 +160,11 @@ class GPU:
 
             wire_gpu(self, obs)
         # Scheduler–cache co-design coupling (repro.feedback): build the
-        # per-SM channels and subscribe interested schedulers, or — in the
-        # golden-reference direct mode — verify no scheme needs them.
-        # sanitize: waive FPR001 -- feedback wirings are bit-identical by contract (tests/test_feedback_parity.py)
-        if self.config.feedback == "channel":
-            from ..feedback.channel import wire_gpu_feedback
+        # per-SM channels, subscribe interested schedulers, and bind each
+        # SM's criticality query.
+        from ..feedback.channel import wire_gpu_feedback
 
-            wire_gpu_feedback(self)
-        else:
-            from ..feedback.channel import require_no_subscribers
-
-            require_no_subscribers(self)
+        wire_gpu_feedback(self)
 
     # ------------------------------------------------------------------
     def _scheduler_factory(self):

@@ -3,7 +3,7 @@
 :class:`WarpStateStore` keeps the two per-warp fields the per-cycle issue
 loop actually scans — the wake cycle and the needs-global-memory flag —
 in preallocated numpy arrays indexed by ``warp.dynamic_id``.  The store
-turns the per-warp readiness probes of the scalar issue cores into one
+turns the per-warp readiness probes of the scalar issue core into one
 batched mask (``wake <= now``) per SM per cycle: the vectorized scoreboard
 check of :class:`repro.sm.vector.VectorSM`.
 
@@ -12,7 +12,7 @@ Design notes (see ``docs/backends.md``):
 * The index **is** the dynamic id.  Dynamic ids are assigned by a per-SM
   sequential counter in dispatch order, so ``store.warps[i].dynamic_id == i``
   holds by construction and ``id % num_slots`` reproduces the scheduler-slot
-  assignment of the scalar cores exactly.
+  assignment of the scalar core exactly.
 * ``wake`` holds :meth:`repro.simt.warp.Warp.schedule_info`'s ready cycle —
   ``inf`` for finished or barrier-parked warps, so one comparison handles
   both readiness and runnability.  The array is refreshed only at the
@@ -116,7 +116,7 @@ class WarpStateStore:
     # ------------------------------------------------------------------
     def due(self, now: float, count: int) -> np.ndarray:
         """Indices (ascending) of warps with ``wake <= now``; the batched
-        replacement for the scalar cores' per-warp readiness probes."""
+        replacement for the scalar core's per-warp readiness probes."""
         return np.flatnonzero(self._wake[:count] <= now)
 
     def min_wake(self, count: int) -> float:

@@ -7,22 +7,16 @@ instruction's lane results are computed immediately and its latency is
 recorded in the warp's scoreboard; readiness of later instructions follows
 from those recorded completion times.
 
-Two issue-loop implementations are provided (``GPUConfig.issue_core``):
-
-``"event"`` (default)
-    The event-driven ready-warp core.  Each scheduler slot keeps a min-heap
-    of ``(wake_cycle, warp)`` entries — updated incrementally the moment a
-    completion time becomes known (scoreboard writes at issue, barrier
-    releases, block dispatch) — plus a sorted *ready pool* of warps whose
-    wake time has passed.  ``tick`` only pops newly-awake warps and gates
-    the small pool on MSHR availability; ``next_wake_time`` is a heap peek
-    plus a pool walk.  See ``docs/timing_model.md`` ("Event-driven issue
-    loop") for the invariants.
-
-``"scan"``
-    The original O(warps)-per-cycle linear readiness scan, retained verbatim
-    as the golden reference.  ``tests/test_event_core_parity.py`` asserts
-    the two cores produce bit-identical cycle counts and issue statistics.
+The issue loop is event-driven.  Each scheduler slot keeps a min-heap of
+``(wake_cycle, warp)`` entries — updated incrementally the moment a
+completion time becomes known (scoreboard writes at issue, barrier
+releases, block dispatch) — plus a sorted *ready pool* of warps whose wake
+time has passed.  ``tick`` only pops newly-awake warps and gates the small
+pool on MSHR availability; ``next_wake_time`` is a heap peek plus a pool
+walk.  See ``docs/timing_model.md`` ("Event-driven issue loop") for the
+invariants.  The vector backend (:class:`repro.sm.vector.VectorSM`)
+derives the same ready set independently from a dense ``wake <= now``
+mask; ``tests/test_vector_backend_parity.py`` holds the two bit-identical.
 """
 
 from __future__ import annotations
@@ -96,18 +90,12 @@ class StreamingMultiprocessor:
         self.schedulers = [scheduler_factory() for _ in range(config.num_schedulers_per_sm)]
         self.cpl = cpl
         #: Warp-criticality query used by the MSHR-reserve gate and the LSU
-        #: issue path.  Bound to the CPL predictor's own method here — the
-        #: historical hand-wired CAWA coupling, which ``feedback='direct'``
-        #: keeps as the golden reference; in ``feedback='channel'`` mode
-        #: :func:`repro.feedback.wire_gpu_feedback` publishes the *same*
-        #: bound method on the SM's FeedbackChannel and re-binds this
-        #: attribute from it, so the two modes are bit-identical by
-        #: construction (``tests/test_feedback_parity.py``).
-        self._is_critical: Optional[Callable[[Warp], bool]] = (
-            cpl.is_critical if cpl is not None else None
-        )
-        #: Per-SM FeedbackChannel (``repro.feedback``) or ``None``; set by
-        #: ``wire_gpu_feedback`` when ``feedback='channel'``.
+        #: issue path: the CPL predictor's ``is_critical``, bound from the
+        #: SM's FeedbackChannel by :func:`repro.feedback.wire_gpu_feedback`
+        #: (``None`` without a CPL predictor).
+        self._is_critical: Optional[Callable[[Warp], bool]] = None
+        #: Per-SM FeedbackChannel (``repro.feedback``); set by
+        #: ``wire_gpu_feedback``.
         self.feedback = None
         # Hot-loop locals: the per-cycle tick and per-instruction issue
         # paths read these every iteration, and going through the frozen
@@ -152,15 +140,13 @@ class StreamingMultiprocessor:
         #: it can actually have changed).
         self._mshr_touched = False
         # ---- event-driven ready-warp core state -----------------------
-        # sanitize: waive FPR001 -- dispatch between bit-identical issue cores (event/scan parity grid)
-        self._event_core = config.issue_core == "event"
         #: Per-slot min-heaps of ``(wake_cycle, dynamic_id, warp)``.  A warp
         #: is queued here exactly when ``warp._queued`` is True; entries are
         #: unique per warp (no stale duplicates by construction).
         self._wake_heaps: List[list] = [[] for _ in self.schedulers]
         #: Per-slot sorted lists of ``(dynamic_id, warp)`` whose wake time
-        #: has passed; ordering matches the scan core's ``self.warps``
-        #: iteration (dispatch order), preserving issue-order parity.
+        #: has passed, kept in dispatch order (ascending dynamic id) —
+        #: the candidate order every scheduler's tie-breaks assume.
         self._ready_pools: List[list] = [[] for _ in self.schedulers]
 
     # ------------------------------------------------------------------
@@ -201,8 +187,7 @@ class StreamingMultiprocessor:
                     (_EV_WARP_START, now, self.sm_id, block.block_id, w)
                 )
             self.schedulers[warp.dynamic_id % self._num_slots].notify_warp_added(warp)
-            if self._event_core:
-                self._enqueue(warp)
+            self._enqueue(warp)
 
     # ------------------------------------------------------------------
     # Event-driven ready-warp core (wake queues)
@@ -231,9 +216,8 @@ class StreamingMultiprocessor:
             # can attribute the parked interval to the BARRIER bucket.
             for warp in released:
                 warp.obs_barrier_release = now
-        if self._event_core:
-            for warp in released:
-                self._enqueue(warp)
+        for warp in released:
+            self._enqueue(warp)
 
     @staticmethod
     def _pool_remove(pool: list, dynamic_id: int) -> None:
@@ -245,20 +229,14 @@ class StreamingMultiprocessor:
     # Cycle execution
     # ------------------------------------------------------------------
     def tick(self, now: float) -> bool:
-        """Give each scheduler slot one issue opportunity; True if issued."""
-        if self._event_core:
-            return self._tick_event(now)
-        return self._tick_scan(now)
+        """Give each scheduler slot one issue opportunity; True if issued.
 
-    def _tick_event(self, now: float) -> bool:
-        """Event-driven issue: pop newly-awake warps, gate the ready pool.
-
-        Per-tick cost is O(newly awake + pool size) instead of O(resident
-        warps).  The ready pool holds warps whose operands are ready but
-        which have not issued yet (typically because they are gated on MSHR
-        availability or lost arbitration); it is kept sorted by dynamic id
-        so the scheduler sees candidates in exactly the order the scan core
-        would have produced.
+        Pops newly-awake warps and gates the ready pool, so per-tick cost
+        is O(newly awake + pool size) instead of O(resident warps).  The
+        ready pool holds warps whose operands are ready but which have not
+        issued yet (typically because they are gated on MSHR availability
+        or lost arbitration); it is kept sorted by dynamic id so the
+        scheduler sees candidates in dispatch order.
         """
         issued = False
         reserve = self._reserve
@@ -318,42 +296,6 @@ class StreamingMultiprocessor:
                 # MSHR occupancy only moves when a memory instruction
                 # issued; skip the recompute otherwise (same value).
                 free_mshrs = mshr.free_entries(now)
-            issued = True
-        return issued
-
-    def _tick_scan(self, now: float) -> bool:
-        """Reference implementation: linear readiness scan over all warps."""
-        issued = False
-        num_slots = self._num_slots
-        reserve = self._reserve
-        crit_fn = self._is_critical
-        free_mshrs = self.mshr.free_entries(now)
-        for slot, scheduler in enumerate(self.schedulers):
-            ready = []
-            for w in self.warps:
-                if w.dynamic_id % num_slots != slot or w.status is not WarpStatus.RUNNING:
-                    continue
-                t, needs_mem = w.schedule_info()
-                if t > now:
-                    continue
-                if needs_mem:
-                    # Structural hazard: a new global access needs a free
-                    # MSHR entry.  With a critical reserve configured,
-                    # non-critical warps must additionally leave `reserve`
-                    # entries untouched for critical warps.
-                    if free_mshrs <= 0:
-                        continue
-                    if reserve and free_mshrs <= reserve and crit_fn is not None:
-                        if not crit_fn(w):
-                            continue
-                ready.append(w)
-            if not ready:
-                continue
-            warp = scheduler.select(ready, now)
-            if warp is None:
-                continue
-            self._issue(warp, scheduler, now)
-            free_mshrs = self.mshr.free_entries(now)
             issued = True
         return issued
 
@@ -534,14 +476,11 @@ class StreamingMultiprocessor:
     def next_wake_time(self, now: float = 0.0) -> float:
         """Earliest cycle any resident warp could issue (inf if none).
 
-        Event core: a heap peek per slot plus a walk of the (small) ready
-        pools — pool warps are operand-ready but MSHR-gated, so their wake
-        is bounded by the next MSHR free time, exactly as the scan computes.
-        Warps parked at a barrier sit in neither structure and contribute
-        nothing, matching the scan's ``inf`` for non-RUNNING warps.
+        A heap peek per slot plus a walk of the (small) ready pools — pool
+        warps are operand-ready but MSHR-gated, so their wake is bounded by
+        the next MSHR free time.  Warps parked at a barrier sit in neither
+        structure and contribute nothing.
         """
-        if not self._event_core:
-            return self._next_wake_scan(now)
         wake = math.inf
         mshr_free_at: Optional[float] = None
         for heap, pool in zip(self._wake_heaps, self._ready_pools):
@@ -570,22 +509,6 @@ class StreamingMultiprocessor:
         enforces.
         """
         return self.next_wake_time(now)
-
-    def _next_wake_scan(self, now: float) -> float:
-        """Reference implementation: scan every resident warp."""
-        wake = math.inf
-        mshr_free_at: Optional[float] = None
-        for warp in self.warps:
-            if warp.finished:
-                continue
-            t, needs_mem = warp.schedule_info()
-            if needs_mem:
-                if mshr_free_at is None:
-                    mshr_free_at = self.mshr.next_free_time(now)
-                t = max(t, mshr_free_at)
-            if t < wake:
-                wake = t
-        return wake
 
     @property
     def busy(self) -> bool:

@@ -1,12 +1,12 @@
 """The vectorized SM engine (``GPUConfig.backend='vector'``).
 
-:class:`VectorSM` replaces both scalar issue cores (the event-driven wake
-queues and the linear readiness scan of
-:class:`~repro.sm.sm.StreamingMultiprocessor`) with one batched pass over a
-columnar :class:`~repro.simt.warpstate.WarpStateStore`: the per-cycle
-"which warps are ready" question — per-warp ``schedule_info()`` probes in
-the scan core, heap pops in the event core — becomes a single
-``wake <= now`` mask over preallocated numpy arrays.
+:class:`VectorSM` replaces the scalar issue core (the event-driven wake
+queues of :class:`~repro.sm.sm.StreamingMultiprocessor`) with one batched
+pass over a columnar :class:`~repro.simt.warpstate.WarpStateStore`: the
+per-cycle "which warps are ready" question — heap pops in the event core —
+becomes a single ``wake <= now`` mask over preallocated numpy arrays.  It
+shares no ready-set bookkeeping with the heaps, which is what makes it the
+independent reference the event core is checked against.
 
 Everything *downstream* of warp selection is inherited unchanged — stall
 accounting, functional execution, LSU/cache walk, CPL updates, statistics,
@@ -16,13 +16,12 @@ loop itself, and the selection loop replicates the event core's semantics
 precisely:
 
 * candidates are presented to each scheduler slot in ascending dynamic-id
-  order (the event core's sorted ready pool == the scan core's dispatch
-  order);
+  order (the event core's sorted ready pool: dispatch order);
 * MSHR occupancy is computed lazily at the first slot with candidates and
   recomputed after an issue only when that issue touched the memory
   pipeline, preserving the event core's exact call pattern;
 * the ``critical_mshr_reserve`` gate applies to memory-bound candidates
-  exactly as in both scalar cores;
+  exactly as in the scalar core;
 * a barrier released *during* an issue re-exposes the released warps to the
   remaining scheduler slots of the same cycle (the event core's same-tick
   heap push), via a recompute of the due mask.
@@ -46,10 +45,6 @@ class VectorSM(StreamingMultiprocessor):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # The vector engine replaces both scalar issue cores; the base
-        # class's add_block/_release_barrier must not maintain the event
-        # core's wake heaps in parallel.
-        self._event_core = False
         self.store = WarpStateStore()
         #: Set when an issue releases a block barrier, so the remaining
         #: scheduler slots of the same cycle recompute the due mask (the
@@ -57,6 +52,10 @@ class VectorSM(StreamingMultiprocessor):
         self._barrier_released = False
 
     # ------------------------------------------------------------------
+    def _enqueue(self, warp) -> None:
+        """No wake heaps here: the due mask over ``store.wake`` is the
+        ready set, so the base class's queueing hook does nothing."""
+
     def add_block(self, block, now: float) -> None:
         super().add_block(block, now)
         add = self.store.add
@@ -92,7 +91,7 @@ class VectorSM(StreamingMultiprocessor):
 
     def tick(self, now: float) -> bool:
         """One issue opportunity per scheduler slot, selected from a
-        batched due mask instead of per-warp probes or heap pops."""
+        batched due mask instead of heap pops."""
         return self.tick_wake(now)[0]
 
     def tick_wake(self, now: float):
@@ -105,7 +104,7 @@ class VectorSM(StreamingMultiprocessor):
         unserved only because its scheduler slot picked a different warp
         (or a barrier released warps after its slot was processed) can
         issue next cycle, so ``now`` is returned directly — a permitted
-        under-estimate, exactly like the scalar cores returning a
+        under-estimate, exactly like the scalar core returning a
         still-past-due wake minimum.  Only the all-due-warps-memory-gated
         case pays the MSHR-bound scan of :meth:`next_wake_time`.
         """
@@ -205,7 +204,7 @@ class VectorSM(StreamingMultiprocessor):
         Vectorized with the event core's semantics: warps whose wake time
         has passed and whose next instruction needs an MSHR are bounded by
         the next MSHR free time; everything else contributes its own wake.
-        Like the scalar implementations this may *under*-estimate (reserve
+        Like the scalar implementation this may *under*-estimate (reserve
         gating, scheduler refusal) — the device loops re-tick one cycle
         later — but never over-estimates, the invariant the cycle/skip/
         backend parity grids enforce.

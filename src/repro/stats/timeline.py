@@ -16,16 +16,12 @@ timeline from ``WARP_START`` / ``WARP_ISSUE`` / ``WARP_FINISH`` events::
     gpu = GPU(config, obs=bus)
 
 or feed a stored recording after the fact with :meth:`TimelineProfiler.extend`.
-The pre-``repro.obs`` direct-hook registration
-(``sm.issue_observers.append(profiler)``) still works but is deprecated —
-it only sees issue events on the SMs it was manually attached to and
-cannot work under sharded replay, where collectors ride the event bus
-across process boundaries (``docs/observability.md``).
+Collectors ride the event bus across process boundaries, so the profiler
+works under sharded replay too (``docs/observability.md``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -51,15 +47,10 @@ class WarpTimeline:
 
 
 class TimelineProfiler:
-    """Event-bus collector recording every warp's issue cycles.
-
-    Also still accepts the legacy SM ``issue_observers`` hook
-    (:meth:`on_issue`), with a :class:`DeprecationWarning` on first use.
-    """
+    """Event-bus collector recording every warp's issue cycles."""
 
     def __init__(self) -> None:
         self.timelines: Dict[WarpKey, WarpTimeline] = {}
-        self._warned = False
 
     # -- event-bus collector protocol ----------------------------------
     def append(self, ev: Sequence) -> None:
@@ -86,33 +77,6 @@ class TimelineProfiler:
         for ev in events:
             self.append(ev)
         return self
-
-    # -- deprecated direct-hook protocol -------------------------------
-    def on_issue(self, sm, warp, inst, now: float) -> None:
-        """Legacy ``sm.issue_observers`` hook.
-
-        .. deprecated::
-            Attach the profiler to an :class:`~repro.obs.bus.EventBus`
-            instead; the direct hook cannot cross process boundaries under
-            sharded replay and misses ``WARP_START`` timestamps.
-        """
-        if not self._warned:
-            self._warned = True
-            warnings.warn(
-                "registering TimelineProfiler via sm.issue_observers is "
-                "deprecated; attach it to an event bus instead "
-                "(bus.attach(profiler), see docs/observability.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        key = (sm.sm_id, warp.block.block_id, warp.warp_id_in_block)
-        timeline = self.timelines.get(key)
-        if timeline is None:
-            timeline = WarpTimeline(start_cycle=warp.start_cycle)
-            self.timelines[key] = timeline
-        timeline.issue_cycles.append(now)
-        if warp.finished:
-            timeline.finish_cycle = now
 
     # ------------------------------------------------------------------
     def block_keys(self) -> List[Tuple[int, int]]:

@@ -164,8 +164,7 @@ def replay_program(
     ``bus`` is an optional :class:`repro.obs.bus.EventBus` the replay wires
     in place of the config-built one (callers attach collectors first).
     ``feedback_tap`` is an optional :class:`repro.feedback.SignalTap`
-    recording every published feedback signal (requires
-    ``feedback='channel'``); under sharding the per-worker streams and the
+    recording every published feedback signal; under sharding the per-worker streams and the
     coordinator's shared-L2 stream are merged into canonical order before
     landing in the tap.
 

@@ -71,6 +71,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table 1" in out and "Table 2" in out
 
+    @pytest.mark.parametrize("spec", ["clock=cycle,skip", "backend=python,vector"])
+    def test_profile_compare(self, capsys, spec):
+        code = main(["profile", "synthetic_imbalance", "rr", "--scale", "0.25",
+                     "--repeats", "1", "--compare", spec])
+        assert code == 0
+        out = capsys.readouterr().out
+        knob, first, last = spec.replace("=", ",").split(",")
+        assert f"{last}-{knob} speedup over {first}" in out
+        for column in ("skipped", "jumps", "top stall reasons", "delta"):
+            assert column in out
+        # Both rows simulate the same cell: equal cycle counts.
+        rows = [line.split() for line in out.splitlines()
+                if line.split()[:1] in ([first], [last])]
+        assert len(rows) == 2 and rows[0][1] == rows[1][1]
+
+    @pytest.mark.parametrize("spec", ["core", "clock", "clock=skip", "shards=1,2"])
+    def test_profile_compare_rejects_bad_spec(self, capsys, spec):
+        assert main(["profile", "bfs", "--compare", spec]) == 2
+        assert "bad --compare spec" in capsys.readouterr().out
+
 
 class TestLintCommand:
     def test_requires_workload_or_all(self):

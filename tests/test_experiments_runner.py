@@ -68,6 +68,22 @@ class TestOracle:
         assert set(oracle) == expected_keys
         assert all(t >= 0 for t in oracle.values())
 
+    def test_oracle_is_keyed_on_the_profiling_device(self):
+        """Per-warp times are a property of (workload, scale, device): a
+        second device must not be handed the first one's profile."""
+        narrow = GPUConfig.default_sim(num_sms=1, dram_latency=600)
+        default = build_oracle("synthetic_imbalance", SCALE, GPUConfig.default_sim())
+        slow = build_oracle("synthetic_imbalance", SCALE, narrow)
+        assert slow is not default
+        profiled = run_scheme("synthetic_imbalance", "rr", scale=SCALE, config=narrow)
+        warp = profiled.blocks[0].warps[0]
+        assert slow[(0, 0)] == warp.execution_time != default[(0, 0)]
+        # Fingerprint-excluded knobs and sampling still share one profile.
+        assert build_oracle("synthetic_imbalance", SCALE,
+                            narrow.with_clock("skip")) is slow
+        assert build_oracle("synthetic_imbalance", SCALE,
+                            narrow.with_sampling("blocks:0.5")) is slow
+
     def test_caws_scheme_uses_oracle(self):
         result = run_scheme("synthetic_imbalance", "caws", scale=SCALE)
         assert result.cycles > 0

@@ -1,16 +1,14 @@
-"""Unit tests for repro.feedback: schema, channel, wiring guards, schemes.
+"""Unit tests for repro.feedback: schema, channel, schemes.
 
-The runtime contracts (cross-mode stream identity, CAWA bit-identity) live
-in ``test_feedback_determinism.py`` / ``test_feedback_parity.py``; this
-file covers the pieces in isolation: the signal schema, the
-publish/subscribe channel, the eager config-time validation satellites,
-the direct-mode guard, and the three feedback-consuming schedulers driven
-by hand-crafted signal streams.
+The runtime contract (cross-mode stream identity) lives in
+``test_feedback_determinism.py``; this file covers the pieces in
+isolation: the signal schema, the publish/subscribe channel, the eager
+config-time validation satellites, and the three feedback-consuming
+schedulers driven by hand-crafted signal streams.
 """
 
 import pytest
 
-from repro import GPU
 from repro.config import GPUConfig
 from repro.errors import ConfigError
 from repro.feedback.channel import FeedbackChannel, SignalTap
@@ -140,7 +138,7 @@ class TestChannel:
 
 
 # ----------------------------------------------------------------------
-# Config-time validation satellites + direct-mode guard
+# Config-time validation satellites
 # ----------------------------------------------------------------------
 class TestConfigValidation:
     def test_unknown_scheduler_fails_at_config_time(self):
@@ -157,28 +155,6 @@ class TestConfigValidation:
     def test_every_registered_name_is_accepted(self):
         for name in scheduler_names():
             assert GPUConfig.default_sim().with_scheduler(name).scheduler_name == name
-
-    def test_feedback_mode_validated(self):
-        with pytest.raises(ConfigError, match="feedback"):
-            GPUConfig.default_sim(feedback="bogus")
-
-    def test_with_feedback_round_trip(self):
-        cfg = GPUConfig.default_sim()
-        assert cfg.feedback == "channel"
-        assert cfg.with_feedback("direct").feedback == "direct"
-
-    def test_feedback_mode_is_fingerprint_transparent(self):
-        cfg = GPUConfig.default_sim()
-        assert cfg.fingerprint() == cfg.with_feedback("direct").fingerprint()
-
-    @pytest.mark.parametrize("scheme", ["ccws", "wasp", "ciao"])
-    def test_direct_mode_rejects_feedback_consumers(self, scheme):
-        cfg = GPUConfig.default_sim(feedback="direct").with_scheduler(scheme)
-        with pytest.raises(ConfigError, match=scheme):
-            GPU(cfg)
-
-    def test_direct_mode_accepts_feedback_oblivious_schedulers(self):
-        GPU(GPUConfig.default_sim(feedback="direct").with_scheduler("gcaws"))
 
 
 # ----------------------------------------------------------------------

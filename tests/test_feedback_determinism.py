@@ -79,14 +79,6 @@ class TestSignalStreamFast:
         )
         assert l1_misses == result.l1_stats.misses
 
-    def test_direct_config_is_upgraded(self):
-        # record_signals flips feedback='direct' to 'channel' rather than
-        # failing the attach.
-        _, signals = _record("ccws")
-        cfg = GPUConfig.default_sim(feedback="direct")
-        _, upgraded = record_signals("backprop", "ccws", scale=0.25, config=cfg)
-        assert upgraded == signals
-
     def test_feedback_oblivious_scheme_streams_too(self):
         # The tap force-wires publish hooks even when no scheduler
         # subscribes, so gto is observable without behavior change.

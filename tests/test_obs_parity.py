@@ -8,11 +8,8 @@ the *event stream itself* must be identical across frontends and clocks
 not an exception to it.
 
 Also pins the stall-accounting identity on a real run (accounted
-warp-cycles == warp lifetime), the cache-bypass rule for recording runs,
-and the event-bus-fed TimelineProfiler against the deprecated direct hook.
+warp-cycles == warp lifetime) and the cache-bypass rule for recording runs.
 """
-
-import warnings
 
 import pytest
 
@@ -107,36 +104,6 @@ def test_recording_runs_bypass_result_caches():
     off = runner.run_scheme(WORKLOAD, "rr", scale=SCALE)
     assert off.events == "off"
     assert runner._CACHE
-
-
-def test_timeline_profiler_bus_matches_deprecated_hook():
-    """Event-bus-fed timelines == direct-hook timelines (and the hook warns)."""
-    from repro import GPU
-    from repro.workloads import make_workload
-
-    # Deprecated path.
-    gpu = GPU(GPUConfig.default_sim(num_sms=1))
-    legacy = TimelineProfiler()
-    for sm in gpu.sms:
-        sm.issue_observers.append(legacy)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        make_workload("synthetic_imbalance").run(gpu)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    # Bus path.
-    from repro.obs import bus_from_spec
-
-    bus = bus_from_spec("on")
-    modern = TimelineProfiler()
-    bus.attach(modern)
-    gpu2 = GPU(GPUConfig.default_sim(num_sms=1), obs=bus)
-    make_workload("synthetic_imbalance").run(gpu2)
-
-    assert set(modern.timelines) == set(legacy.timelines)
-    for key, timeline in legacy.timelines.items():
-        assert modern.timelines[key].issue_cycles == timeline.issue_cycles
-        assert modern.timelines[key].finish_cycle == timeline.finish_cycle
 
 
 def test_auto_bus_from_config_spec():

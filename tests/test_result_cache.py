@@ -71,10 +71,11 @@ class TestKeyInvalidation:
         assert (result_cache.cache_key(WL, "rr", 1.0, a)
                 != result_cache.cache_key(WL, "rr", 1.0, b))
 
-    def test_issue_core_does_not_change_fingerprint(self):
-        # The two cores are bit-identical, so they must share cache entries.
-        cfg = GPUConfig.default_sim()
-        assert cfg.fingerprint() == cfg.with_issue_core("scan").fingerprint()
+    def test_fingerprints_are_pinned(self):
+        # On-disk result-cache keys and serve coalescing keys embed these:
+        # adding or deleting a fingerprint-excluded field must not move them.
+        assert GPUConfig.default_sim().fingerprint() == "7a640cd6a2ca7459"
+        assert GPUConfig.fermi_gtx480().fingerprint() == "dc923f8c647f33f2"
 
     def test_clock_and_shards_do_not_change_fingerprint(self):
         # Both knobs are timing-transparent (bit-identical results), so

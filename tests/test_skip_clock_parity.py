@@ -110,16 +110,6 @@ class TestSkipParityFast:
         # trigger mid-run dispatches — the only cross-SM wake source.
         _assert_parity("strcltr_mid", "rr", "execute", scale=1.0)
 
-    @pytest.mark.parametrize("core", ["event", "scan"])
-    def test_parity_holds_on_both_issue_cores(self, core):
-        base = GPUConfig.default_sim().with_issue_core(core)
-        cycle = run_scheme("synthetic_imbalance", "gto", scale=SCALE,
-                           config=base, use_cache=False, persistent=False)
-        skip = run_scheme("synthetic_imbalance", "gto", scale=SCALE,
-                          config=base.with_clock("skip"),
-                          use_cache=False, persistent=False)
-        assert _signature(cycle) == _signature(skip)
-
 
 @pytest.mark.slow
 class TestSkipParityFullGrid:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro import GPU, GPUConfig
+from repro.obs import bus_from_spec
 from repro.stats.timeline import (
     TimelineProfiler,
     critical_tail_cycles,
@@ -12,10 +13,10 @@ from repro.workloads import make_workload
 
 
 def profile(workload="synthetic_imbalance", **kwargs):
-    gpu = GPU(GPUConfig.default_sim(num_sms=1))
+    bus = bus_from_spec("on")
     profiler = TimelineProfiler()
-    for sm in gpu.sms:
-        sm.issue_observers.append(profiler)
+    bus.attach(profiler)
+    gpu = GPU(GPUConfig.default_sim(num_sms=1), obs=bus)
     make_workload(workload, **kwargs).run(gpu)
     return profiler
 
