@@ -13,7 +13,7 @@ TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/t
 test:
 	$(PYTEST) -x -q
 
-## Everything, including the full frontend/clock/backend parity grids.
+## Everything, including the full frontend/clock parity grids.
 test-all:
 	$(PYTEST) -x -q -m ""
 
@@ -33,7 +33,7 @@ lint:
 	else echo "mypy not installed; skipping"; fi
 
 ## Sanitize the simulator's own source: fingerprint soundness,
-## determinism, probe parity, clock-protocol and shard-safety rules
+## determinism, probe coverage, clock-protocol and shard-safety rules
 ## (docs/static_analysis.md, "Sanitizing the simulator").
 sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro sanitize --all

@@ -2,8 +2,8 @@
 
 Records **simulated cycles per host CPU second** on the bfs x cawa cell
 (the ISSUE's reference cell), the trace-replay-vs-execute speedup, and the
-skip-clock-vs-cycle-clock and vector-vs-python speedups, all into
-pytest-benchmark's ``extra_info`` (``--benchmark-json``).  These are CI
+skip-clock-vs-cycle-clock speedup, all into pytest-benchmark's
+``extra_info`` (``--benchmark-json``).  These are CI
 *gates* — each asserts its floor; the numbers tracked across commits live
 in the performance ledger (``benchmarks/ledger/README.md``).
 
@@ -264,125 +264,6 @@ def test_events_disabled_overhead(benchmark):
         f"disabled-events run ({off_seconds:.2f}s) more than 2% slower than "
         f"the recording run ({on_seconds:.2f}s): the off path is paying "
         "observability costs"
-    )
-
-
-#: The vector backend's win, like the skip clock's, scales with device
-#: width (the scalar per-cycle loop pays O(SMs) per issuing cycle; the
-#: vector loop pays O(due SMs) via one numpy wake mask).  The headline
-#: cell is a wide-device, memory-stalled replay where scheduling overhead
-#: — not per-instruction issue work — dominates the scalar engine.
-VECTOR_SMS = 160
-VECTOR_WORKLOAD = "synthetic_memstress"
-VECTOR_SCALE = 64.0
-
-#: CI floor for the vector-vs-python speedup on the headline cell.  The
-#: measured result is ~5x; the gate leaves
-#: headroom for loaded CI machines.
-VECTOR_SPEEDUP_FLOOR = 3.0
-
-
-def _backend_compare(workload, scale, scheme, num_sms, repeats=2):
-    """Best-of-``repeats`` replay wall time under each backend.
-
-    Returns ``(report, python_result, vector_result)`` where ``report``
-    maps backend name to ``{"seconds", "cycles", "cycles_per_second"}``.
-    Trace replay on the per-cycle clock isolates the engines from
-    functional execution and from the skip clock's jump heuristics; CPU
-    time (``process_time``) keeps the numbers stable on loaded machines.
-    """
-    from repro import trace as trace_mod
-    from repro.config import GPUConfig
-    from repro.core.cawa import apply_scheme
-
-    clear_cache()
-    record_cfg = GPUConfig.default_sim(num_sms=num_sms)
-    _, program = trace_mod.record_workload(workload, scale=scale,
-                                           config=record_cfg, scheme=scheme)
-    base = record_cfg.with_frontend("trace")
-    report = {}
-    results = {}
-    for backend in ("python", "vector"):
-        cfg = apply_scheme(base.with_backend(backend), scheme)
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.process_time()
-            result = trace_mod.replay_program(program, cfg, scheme=scheme)[-1]
-            seconds = time.process_time() - start
-            best = min(best, seconds)
-        results[backend] = result
-        report[backend] = {
-            "seconds": best,
-            "cycles": result.cycles,
-            "cycles_per_second": result.cycles / best if best > 0 else 0.0,
-        }
-    return report, results["python"], results["vector"]
-
-
-@pytest.mark.slow
-def test_vector_backend_speedup(benchmark):
-    """The PR's headline cell and CI gate for the vector backend.
-
-    Bit-identical results are the hard invariant (re-checked here on the
-    wide device); the vector engine must beat the scalar engine by at
-    least ``VECTOR_SPEEDUP_FLOOR`` wall-clock.
-    """
-
-    def measure():
-        return _backend_compare(VECTOR_WORKLOAD, VECTOR_SCALE, "gto",
-                                VECTOR_SMS)
-
-    report, python_result, vector_result = run_once(benchmark, measure)
-    assert python_result.cycles == vector_result.cycles
-    assert python_result.l1_stats.misses == vector_result.l1_stats.misses
-    assert python_result.dram_accesses == vector_result.dram_accesses
-    speedup = report["python"]["seconds"] / report["vector"]["seconds"]
-    payload = {
-        "workload": VECTOR_WORKLOAD,
-        "scheme": "gto",
-        "scale": VECTOR_SCALE,
-        "num_sms": VECTOR_SMS,
-        "python_seconds": report["python"]["seconds"],
-        "vector_seconds": report["vector"]["seconds"],
-        "python_cycles_per_second": report["python"]["cycles_per_second"],
-        "vector_cycles_per_second": report["vector"]["cycles_per_second"],
-        "speedup": speedup,
-        "simulated_cycles": vector_result.cycles,
-    }
-    benchmark.extra_info.update(payload)
-    assert speedup >= VECTOR_SPEEDUP_FLOOR, (
-        f"vector backend speedup {speedup:.2f}x on {VECTOR_WORKLOAD} is "
-        f"below the {VECTOR_SPEEDUP_FLOOR}x CI floor"
-    )
-
-
-@pytest.mark.slow
-def test_vector_backend_not_slower_strcltr(benchmark):
-    """Tripwire on a second, issue-denser cell: the vector engine must
-    never lose to the scalar engine on the skip-clock headline cell."""
-
-    def measure():
-        return _backend_compare("strcltr_mid", 16.0, "gto", WIDE_SMS)
-
-    report, python_result, vector_result = run_once(benchmark, measure)
-    assert python_result.cycles == vector_result.cycles
-    speedup = report["python"]["seconds"] / report["vector"]["seconds"]
-    payload = {
-        "workload": "strcltr_mid",
-        "scheme": "gto",
-        "scale": 16.0,
-        "num_sms": WIDE_SMS,
-        "python_seconds": report["python"]["seconds"],
-        "vector_seconds": report["vector"]["seconds"],
-        "python_cycles_per_second": report["python"]["cycles_per_second"],
-        "vector_cycles_per_second": report["vector"]["cycles_per_second"],
-        "speedup": speedup,
-        "simulated_cycles": vector_result.cycles,
-    }
-    benchmark.extra_info.update(payload)
-    assert report["vector"]["seconds"] <= report["python"]["seconds"], (
-        f"vector backend ({report['vector']['seconds']:.2f}s) slower than "
-        f"python ({report['python']['seconds']:.2f}s) on strcltr_mid"
     )
 
 

@@ -3,7 +3,7 @@
 Two analyzers live in this codebase: :mod:`repro.analysis.lints` checks
 *kernels* (CFG/dataflow invariants of the PTX-like programs the simulator
 runs) and :mod:`repro.sanitize` checks the *simulator's own source*
-(fingerprint soundness, determinism, probe parity, protocol conformance).
+(fingerprint soundness, determinism, probe coverage, protocol conformance).
 Both need the same bookkeeping — stable rule IDs, severities, waivers that
 report-but-don't-fail, pass/fail summary logic, text/JSON rendering — and
 this module is the single implementation both import.

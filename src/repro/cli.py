@@ -301,9 +301,9 @@ def cmd_profile(args) -> int:
     if args.compare:
         knob, _, spec = args.compare.partition("=")
         values = [v.strip() for v in spec.split(",") if v.strip()]
-        if knob not in ("clock", "backend") or len(values) < 2:
+        if knob != "clock" or len(values) < 2:
             print(f"bad --compare spec {args.compare!r}; use "
-                  "'clock=cycle,skip' or 'backend=python,vector'")
+                  "'clock=cycle,skip'")
             return 2
         report = profiling.compare(
             args.workload, args.scheme, knob, values, scale=args.scale,
@@ -642,7 +642,7 @@ def _client_spec_from_args(args) -> dict:
     if args.priority != "auto":
         spec["priority"] = args.priority
     device = {}
-    for knob in ("backend", "clock", "frontend", "sampling"):
+    for knob in ("clock", "frontend", "sampling"):
         value = getattr(args, knob, None)
         if value:
             device[knob] = value
@@ -844,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser(
         "profile",
-        help="cProfile one run, or compare device clocks / backends",
+        help="cProfile one run, or compare the device clocks",
     )
     p_prof.add_argument("workload",
                         choices=workload_names(include_synthetic=True))
@@ -859,9 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--compare", default=None, metavar="SPEC",
         help="comparison mode instead of profiling: 'clock=cycle,skip' "
-        "times both device clocks, 'backend=python,vector' the scalar and "
-        "vectorized engines; prints CPU time, cycles/s, top stalls, and "
-        "per-component self time with a delta column",
+        "times both device clocks; prints CPU time, cycles/s, top stalls, "
+        "and per-component self time with a delta column",
     )
     p_prof.add_argument("--repeats", type=int, default=3,
                         help="best-of-N repeats for --compare")
@@ -883,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sanitize = sub.add_parser(
         "sanitize",
         help="statically check the simulator's own source (fingerprint "
-        "soundness, determinism, probe parity, protocol conformance); "
+        "soundness, determinism, probe coverage, protocol conformance); "
         "see docs/static_analysis.md",
     )
     p_sanitize.add_argument(
@@ -1065,8 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the result cache: recording runs always simulate)")
     p_csub.add_argument("--priority", choices=["auto", "interactive", "batch"],
                         default="auto")
-    p_csub.add_argument("--backend", choices=["python", "vector"],
-                        default=None)
     p_csub.add_argument("--clock", choices=["cycle", "skip"], default=None)
     p_csub.add_argument("--frontend", choices=["execute", "trace"],
                         default=None)

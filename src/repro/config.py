@@ -172,21 +172,6 @@ class GPUConfig:
     #: ``clock``/``shards`` — the spec is excluded from :meth:`fingerprint`.
     #: See ``docs/observability.md``.
     events: str = "off"
-    #: Hot-path implementation: ``"python"`` (default) keeps the original
-    #: pure-Python per-warp issue loop; ``"vector"`` swaps in the
-    #: numpy-vectorized engine (:class:`repro.sm.vector.VectorSM` plus the
-    #: batched cache/L2/DRAM primitives in :mod:`repro.memory.vector`):
-    #: per-SM warp wake times live in preallocated arrays, the per-cycle
-    #: ready set is one masked ``flatnonzero`` instead of a per-warp probe
-    #: loop, tag matching and victim selection are array operations, and a
-    #: feature-detected numba ``@njit`` path (:mod:`repro._jit`) compiles
-    #: the few remaining scalar loops when numba is installed (never a
-    #: dependency — the numpy fallback is bit-identical).  Both backends
-    #: produce bit-identical results by contract
-    #: (``tests/test_vector_backend_parity.py``) and therefore, like
-    #: ``clock``, the knob is excluded from
-    #: :meth:`fingerprint`.  See ``docs/backends.md``.
-    backend: str = "python"
     #: Statistical sampling of the trace frontend (:mod:`repro.sampling`):
     #: ``"off"`` (default, exact simulation), ``"blocks:P"`` (seeded
     #: stratified cluster sampling of thread blocks at rate ``P``), or
@@ -225,7 +210,6 @@ class GPUConfig:
         "clock",
         "shards",
         "events",
-        "backend",
     })
 
     #: The *included* set for :meth:`functional_fingerprint`: payload key
@@ -259,10 +243,6 @@ class GPUConfig:
         if self.clock not in ("cycle", "skip"):
             raise ConfigError(
                 f"clock must be 'cycle' or 'skip', got {self.clock!r}"
-            )
-        if self.backend not in ("python", "vector"):
-            raise ConfigError(
-                f"backend must be 'python' or 'vector', got {self.backend!r}"
             )
         # Validate the scheduler name eagerly against the registry (local
         # import: repro.scheduling never imports config, so no cycle) —
@@ -375,10 +355,6 @@ class GPUConfig:
         """Return a copy with observability event recording spec ``events``."""
         return replace(self, events=events)
 
-    def with_backend(self, backend: str) -> "GPUConfig":
-        """Return a copy using hot-path backend ``backend`` (python/vector)."""
-        return replace(self, backend=backend)
-
     def with_sampling(self, sampling: str, seed: Optional[int] = None) -> "GPUConfig":
         """Return a copy with trace-sampling spec ``sampling``.
 
@@ -403,8 +379,8 @@ class GPUConfig:
         Keys the persistent on-disk result cache: any change to the
         configuration (cache geometry, latencies, scheduler, ...) yields a
         different fingerprint and therefore a cache miss.  The knobs in
-        :data:`FINGERPRINT_EXCLUDED` (frontend, clock, backend, shards,
-        events, CPL bounds checking) are deliberately left out — each
+        :data:`FINGERPRINT_EXCLUDED` (frontend, clock, shards, events,
+        CPL bounds checking) are deliberately left out — each
         selects between implementations that are bit-identical by
         contract, so results are shared between them.  ``sampling``
         (and ``sampling_seed``) are deliberately **included**: a sampled

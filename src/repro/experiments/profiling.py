@@ -3,7 +3,7 @@
 Backs ``python -m repro profile`` and ``tools/profile_run.py``: wall-clock
 timing (best-of-N, cache-bypassed) plus optional cProfile hot-spot listings,
 and a side-by-side comparison of one bit-identical engine knob's values
-(:func:`compare`: device clocks, backends).  The headline throughput metric
+(:func:`compare`: the device clocks).  The headline throughput metric
 is **simulated cycles per host second**, which is what the perf-regression
 smoke benchmark tracks.
 """
@@ -80,8 +80,8 @@ def stall_breakdown(
     One events-on run through :func:`repro.obs.harness.record_stalls`;
     ``share`` is the fraction of total warp-cycles (issue + all stalls),
     the paper's Fig 2c denominator.  Stall attribution is identical across
-    device clocks, backends, and shard counts (the event stream is part
-    of the bit-identical timing contract), so one recording serves every
+    device clocks and shard counts (the event stream is part of the
+    bit-identical timing contract), so one recording serves every
     column of a comparison.
     """
     from ..obs.harness import record_stalls
@@ -140,10 +140,9 @@ def compare(
 ) -> Dict[str, Any]:
     """Measure one cell under each of ``values`` of config field ``knob``.
 
-    ``knob`` is meant to be one of the bit-identical engine knobs (``clock``,
-    ``backend``): results are equal across its values by contract
-    (``tests/test_skip_clock_parity.py``,
-    ``tests/test_vector_backend_parity.py``), so the comparison is purely
+    ``knob`` is meant to be a bit-identical engine knob (``clock``):
+    results are equal across its values by contract
+    (``tests/test_skip_clock_parity.py``), so the comparison is purely
     about where the host time goes.  For each value: best-of-``repeats``
     CPU throughput plus one profiled run, which supplies the skip-clock
     provenance (``cycles_skipped``/``skip_jumps``) and a per-component

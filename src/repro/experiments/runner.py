@@ -55,12 +55,19 @@ _CACHE: Dict[Tuple, RunResult] = {}
 _ORACLE_CACHE: Dict[Tuple, Dict] = {}
 
 
-def build_oracle(workload: str, scale: float = 1.0, config: Optional[GPUConfig] = None) -> Dict:
+def build_oracle(
+    workload: str,
+    scale: float = 1.0,
+    config: Optional[GPUConfig] = None,
+    **workload_kwargs,
+) -> Dict:
     """Profile per-warp execution times for the oracle CAWS scheduler.
 
     Runs the workload once under the baseline RR scheduler and records each
     warp's measured execution time, keyed by (block_id, warp_id_in_block) —
-    the offline knowledge the paper says CAWS requires.
+    the offline knowledge the paper says CAWS requires.  ``workload_kwargs``
+    are the workload constructor arguments of the run being scheduled: the
+    profile must be of that input (seed, balanced, ...), not the default's.
     """
     # The oracle must profile every warp of every block: a sampled
     # profiling run would only know the sampled subset and, for blocks
@@ -68,12 +75,15 @@ def build_oracle(workload: str, scale: float = 1.0, config: Optional[GPUConfig] 
     # replays remap the full oracle onto their subset
     # (:func:`repro.sampling.replay.remap_oracle`).
     config = (config or GPUConfig.default_sim()).with_sampling("off")
-    # Per-warp times depend on the device profiled on, so the profiling
-    # config's fingerprint is part of the key (as in run_scheme's memo).
-    key = (workload, scale, config.fingerprint())
+    # Per-warp times depend on the device profiled on and on the input, so
+    # the profiling config's fingerprint and the workload kwargs are part
+    # of the key (as in run_scheme's memo).
+    key = (workload, scale, config.fingerprint(),
+           tuple(sorted(workload_kwargs.items())))
     if key in _ORACLE_CACHE:
         return _ORACLE_CACHE[key]
-    result = run_scheme(workload, "rr", scale=scale, config=config)
+    result = run_scheme(workload, "rr", scale=scale, config=config,
+                        **workload_kwargs)
     oracle: Dict[Tuple[int, int], float] = {}
     for block in result.blocks:
         for warp in block.warps:
@@ -145,7 +155,10 @@ def run_scheme(
             _CACHE[key] = cached
             return cached
 
-    oracle = build_oracle(workload, scale, config) if cfg.scheduler_name == "caws" else None
+    oracle = (
+        build_oracle(workload, scale, config, **workload_kwargs)
+        if cfg.scheduler_name == "caws" else None
+    )
 
     accuracy_tracker = CriticalityAccuracyTracker() if with_accuracy else None
     reuse_profiler = ReuseDistanceProfiler() if with_reuse else None
@@ -419,8 +432,7 @@ def run_sweep(
     everywhere).  A spec string (``"blocks:0.25"``) applies one rate to
     every workload.  Sampled cells return
     :class:`~repro.stats.sampling.SampledRunResult` and compose with the
-    result cache, ``parallel=True`` dedupe, the vector backend, and the
-    skip clock.
+    result cache, ``parallel=True`` dedupe, and the skip clock.
 
     With ``parallel=True`` the grid fans out over a
     :class:`~concurrent.futures.ProcessPoolExecutor` (``max_workers``

@@ -11,11 +11,9 @@ Determinism contract
 --------------------
 Delivery order per SM is the cache access order of that SM's timing
 model, which the parity grid already pins down as identical across
-execute/trace frontends, cycle/skip clocks, and python/vector backends
-(the vector backend's ``TagMirror`` only accelerates way-finding; fills
-and evictions run the shared scalar code, so both backends publish the
-same records in the same order).  Handler order within one record is
-scheduler-slot order — a fixed function of the config.  Under sharding,
+execute/trace frontends and cycle/skip clocks.  Handler order within one
+record is scheduler-slot order — a fixed function of the config.  Under
+sharding,
 each worker owns its SMs' L1 channels outright (foreign SMs never tick),
 so local delivery is untouched; L2 signals are owned by the coordinator
 and only ever *recorded* (schedulers are per-SM and subscribe to L1

@@ -30,8 +30,8 @@ def record_signals(
     """Run one cell recording every feedback signal; return ``(result, signals)``.
 
     Signals are returned in the canonical ``(cycle, sm, kind, fields)``
-    order so streams from different frontends / clocks / backends / shard
-    counts compare with ``==``.
+    order so streams from different frontends / clocks / shard counts
+    compare with ``==``.
     """
     from ..core.cawa import apply_scheme
     from ..experiments.runner import build_oracle

@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from ..config import GPUConfig
 from ..core.cacp import CACPPolicy
 from ..core.cpl import CriticalityPredictor
@@ -111,11 +109,6 @@ class GPU:
             )
         else:
             _PredictorCls = CriticalityPredictor
-        # sanitize: waive FPR001 -- backend twins are bit-identical (vector parity grid)
-        if self.config.backend == "vector":
-            from ..sm.vector import VectorSM as _SMCls  # local: optional path
-        else:
-            _SMCls = StreamingMultiprocessor
         for sm_id in range(self.config.num_sms):
             cpl = (
                 _PredictorCls(self.config.cpl_update_period)
@@ -123,7 +116,7 @@ class GPU:
                 else None
             )
             self.sms.append(
-                _SMCls(
+                StreamingMultiprocessor(
                     sm_id=sm_id,
                     config=self.config,
                     hierarchy=self.hierarchy,
@@ -133,16 +126,6 @@ class GPU:
                     cpl=cpl,
                 )
             )
-        # sanitize: waive FPR001 -- backend twins are bit-identical (vector parity grid)
-        if self.config.backend == "vector":
-            # Numpy tag mirrors for every mirrorable cache (the line
-            # objects stay authoritative; unknown policies keep the
-            # scalar path — see repro.memory.vector).
-            from ..memory.vector import attach_mirror
-
-            for sm in self.sms:
-                attach_mirror(sm.l1d)
-            attach_mirror(self.hierarchy.l2.cache)
         #: Observability event bus (:mod:`repro.obs`), or ``None`` when
         #: ``config.events == "off"``.  An explicit ``obs=`` argument wins
         #: (callers attach collectors before launch); otherwise the GPU
@@ -274,9 +257,6 @@ class GPU:
             # sanitize: waive FPR001 -- clock modes are bit-identical (skip-clock parity grid)
             if self.config.clock == "skip":
                 cycle = self._run_skip_loop(dispatcher, start_cycle)
-            # sanitize: waive FPR001 -- backend twins are bit-identical (vector parity grid)
-            elif self.config.backend == "vector":
-                cycle = self._run_cycle_loop_vector(dispatcher, start_cycle)
             else:
                 cycle = self._run_cycle_loop(dispatcher, start_cycle)
         finally:
@@ -317,70 +297,6 @@ class GPU:
                 wake = min(sm.next_wake_time(cycle) for sm in self.sms)
                 if math.isinf(wake):
                     for sm in self.sms:
-                        sm.detect_deadlock(cycle)
-                    raise DeadlockError("no warp can make progress")
-                nxt = max(cycle + 1, wake)
-                if nxt > cycle + 1:
-                    self._launch_skip_jumps += 1
-                    self._launch_cycles_skipped += nxt - cycle - 1
-                cycle = nxt
-
-            if cycle - start_cycle > self.max_cycles:
-                raise DeadlockError(
-                    f"simulation exceeded {self.max_cycles:.0f} cycles; "
-                    "likely a runaway kernel"
-                )
-
-    def _run_cycle_loop_vector(
-        self, dispatcher: BlockDispatcher, start_cycle: float
-    ) -> float:
-        """Per-cycle clock for the vector backend: a numpy wake array
-        replaces the tick-every-SM sweep of :meth:`_run_cycle_loop`.
-
-        Each SM's :meth:`~repro.sm.vector.VectorSM.next_wake_time` is cached
-        in ``wakes`` and only the *due* SMs (``wakes <= cycle``, ascending —
-        the serial shared-L2/DRAM order) are ticked each cycle; non-due SMs
-        cannot issue, so skipping their no-op ticks changes nothing.  Cached
-        wakes may *under*-estimate (the SM re-ticks a cycle later, a no-op)
-        but never over-estimate: wake times only move early through an SM's
-        own issues — refreshed right after its tick — or through block
-        dispatch, refreshed below via the dynamic-id marks exactly as in
-        :meth:`_run_skip_loop`.  The busy scan runs only after a commit
-        (the one transition that can end the launch), mirroring the skip
-        loop's structure.  Bit-identical to :meth:`_run_cycle_loop` by the
-        parity grid in ``tests/test_vector_backend_parity.py``.
-        """
-        sms = self.sms
-        wakes = np.array(
-            [sm.next_wake_time(start_cycle) for sm in sms], dtype=np.float64
-        )
-        cycle = start_cycle
-        while True:
-            issued = False
-            for i in (wakes <= cycle).nonzero()[0].tolist():
-                # Fused tick + next-wake: the tick already knows why each
-                # due warp did or did not issue (see VectorSM.tick_wake).
-                did, wakes[i] = sms[i].tick_wake(cycle)
-                if did:
-                    issued = True
-
-            if self._commit_pending:
-                self._commit_pending = False
-                if not dispatcher.exhausted:
-                    marks = [sm._next_dynamic_id for sm in sms]
-                    dispatcher.try_dispatch(sms, cycle + 1)
-                    for i, (sm, mark) in enumerate(zip(sms, marks)):
-                        if sm._next_dynamic_id != mark:
-                            wakes[i] = sm.next_wake_time(cycle)
-                elif not any(sm.busy for sm in sms):
-                    return cycle
-
-            if issued:
-                cycle += 1
-            else:
-                wake = float(wakes.min())
-                if math.isinf(wake):
-                    for sm in sms:
                         sm.detect_deadlock(cycle)
                     raise DeadlockError("no warp can make progress")
                 nxt = max(cycle + 1, wake)
@@ -529,7 +445,6 @@ class GPU:
             clock=self.config.clock,  # sanitize: waive FPR001 -- reporting metadata only
             shards=self.config.shards,  # sanitize: waive FPR001 -- reporting metadata only
             events=self.config.events,  # sanitize: waive FPR001 -- reporting metadata only
-            backend=self.config.backend,  # sanitize: waive FPR001 -- reporting metadata only
             cycles_skipped=self._launch_cycles_skipped,
             skip_jumps=self._launch_skip_jumps,
         )

@@ -13,7 +13,6 @@ from .data import GlobalMemory
 from .hierarchy import MemoryHierarchy
 from .replacement import LRUPolicy, ReplacementPolicy, SHiPPolicy, SRRIPPolicy, make_policy
 from .request import MemRequest, make_signature
-from .vector import TagMirror, attach_mirror
 
 __all__ = [
     "Cache",
@@ -25,8 +24,6 @@ __all__ = [
     "ReplacementPolicy",
     "SHiPPolicy",
     "SRRIPPolicy",
-    "TagMirror",
-    "attach_mirror",
     "make_policy",
     "make_signature",
 ]

@@ -137,18 +137,11 @@ class Cache:
         #: SM id stamped on records, or -1 to derive it from the request's
         #: ``warp_key`` (shared caches serve every SM).
         self.obs_owner = -1
-        #: Numpy tag mirror (:class:`repro.memory.vector.TagMirror`) or
-        #: ``None``; attached by the vector backend via ``attach_mirror``.
-        #: The line objects stay authoritative — the mirror only replaces
-        #: the probe loops and victim searches with array operations.
-        self.mirror = None
         #: FeedbackChannel (``repro.feedback``) or ``None``; set by
         #: :func:`repro.feedback.wire_gpu_feedback` /
         #: :func:`~repro.feedback.attach_signal_tap` only when a scheme
         #: subscribes or a tap records, so the disabled cost is one
-        #: pointer test.  Both backends publish from the same scalar
-        #: fill/evict code (the TagMirror only changes way-finding), so
-        #: signal streams are backend-identical by construction.
+        #: pointer test.
         self.fb = None
         #: SM id stamped on published signals, or -1 to derive it from the
         #: request's ``warp_key`` (the shared L2 serves every SM).
@@ -172,41 +165,29 @@ class Cache:
         allocating keeps the model simple and preserves the contention the
         paper studies).
         """
-        set_idx = self.config.set_index(req.line_addr)
-        lines = self._sets[set_idx]
+        lines = self._sets[self.config.set_index(req.line_addr)]
         self.stats.accesses += 1
         if req.is_critical:
             self.stats.critical_accesses += 1
 
-        mirror = self.mirror
-        if mirror is not None:
-            way = mirror.find_way(set_idx, req.line_addr)
-            line = lines[way] if way >= 0 else None
-        else:
-            line = None
-            for cand in lines:
-                if cand.valid and cand.tag == req.line_addr:
-                    line = cand
-                    break
-        if line is not None:
-            self.stats.hits += 1
-            if req.is_critical:
-                self.stats.critical_hits += 1
-            line.reuse_count += 1
-            self.policy.on_hit(line, req)
-            if mirror is not None:
-                mirror.sync(set_idx, way, line)
-            for obs in self.observers:
-                obs.on_access(req, hit=True, line=line)
-            if self.obs is not None:
-                owner = self.obs_owner
-                self.obs.emit((
-                    _EV_CACHE_HIT, req.cycle,
-                    owner if owner >= 0 else req.warp_key[0],
-                    self.obs_level, req.pc, req.line_addr,
-                    1 if req.is_critical else 0,
-                ))
-            return True
+        for line in lines:
+            if line.valid and line.tag == req.line_addr:
+                self.stats.hits += 1
+                if req.is_critical:
+                    self.stats.critical_hits += 1
+                line.reuse_count += 1
+                self.policy.on_hit(line, req)
+                for obs in self.observers:
+                    obs.on_access(req, hit=True, line=line)
+                if self.obs is not None:
+                    owner = self.obs_owner
+                    self.obs.emit((
+                        _EV_CACHE_HIT, req.cycle,
+                        owner if owner >= 0 else req.warp_key[0],
+                        self.obs_level, req.pc, req.line_addr,
+                        1 if req.is_critical else 0,
+                    ))
+                return True
 
         self.stats.misses += 1
         fb = self.fb
@@ -233,7 +214,7 @@ class Cache:
                     self.obs_level, req.line_addr,
                 ))
         else:
-            self._fill(lines, req, set_idx)
+            self._fill(lines, req)
         for obs in self.observers:
             obs.on_access(req, hit=False, line=None)
         if self.obs is not None:
@@ -246,15 +227,9 @@ class Cache:
             ))
         return False
 
-    def _fill(self, lines: List[CacheLine], req: MemRequest, set_idx: int) -> None:
+    def _fill(self, lines: List[CacheLine], req: MemRequest) -> None:
         lo, hi = self.policy.way_range(lines, req, self.config.ways)
-        mirror = self.mirror
-        if mirror is not None:
-            # attach_mirror only mirrors policies whose victim choice the
-            # mirror replicates exactly (same way, same aging side effects).
-            way = mirror.choose_way(lines, set_idx, lo, hi)
-        else:
-            way = self.policy.choose_way(lines, req, lo, hi)
+        way = self.policy.choose_way(lines, req, lo, hi)
         line = lines[way]
         if line.valid:
             self._evict(line, req)
@@ -264,8 +239,6 @@ class Cache:
         boundary = getattr(self.policy, "critical_ways", self.config.critical_ways)
         line.in_critical_partition = way < boundary
         self.policy.on_fill(line, req)
-        if mirror is not None:
-            mirror.sync(set_idx, way, line)
         if self.obs is not None:
             owner = self.obs_owner
             self.obs.emit((
@@ -315,55 +288,12 @@ class Cache:
                 req.warp_key[1], req.warp_key[2],
             ))
 
-    def batch_hits(self, line_addrs: List[int], req: MemRequest) -> bool:
-        """All-hit probe + commit for one coalesced warp access.
-
-        Vector-backend fast path: when *every* address in ``line_addrs``
-        currently hits, applies the exact per-line bookkeeping the scalar
-        :meth:`access` sequence would have (stats, ``reuse_count``,
-        ``policy.on_hit`` in address order) and returns True; otherwise
-        returns False having mutated nothing, and the caller falls back to
-        the sequential walk.  Sound because hits never evict: "all hit now"
-        implies each access would still hit when performed one at a time.
-
-        ``req`` is shared across the lines, which is exact only because no
-        in-tree ``on_hit`` reads the per-line request fields (``line_addr``,
-        ``pc``, ``signature``, ``cycle``).  Observer hooks *do* read them,
-        so the LSU only takes this path with ``observers`` empty and every
-        ``obs`` bus (cache, policy, LSU) detached.  Feedback channels
-        (``self.fb``) need no such guard: the signal schema publishes only
-        misses, fills and evictions, and the all-hit path produces none.
-        """
-        mirror = self.mirror
-        if mirror is None or not mirror.all_hit(line_addrs):
-            return False
-        stats = self.stats
-        k = len(line_addrs)
-        stats.accesses += k
-        stats.hits += k
-        if req.is_critical:
-            stats.critical_accesses += k
-            stats.critical_hits += k
-        set_index = self.config.set_index
-        on_hit = self.policy.on_hit
-        sets = self._sets
-        for line_addr in line_addrs:
-            set_idx = set_index(line_addr)
-            way = mirror.find_way(set_idx, line_addr)
-            line = sets[set_idx][way]
-            line.reuse_count += 1
-            on_hit(line, req)
-            mirror.sync(set_idx, way, line)
-        return True
-
     def invalidate_all(self) -> None:
         """Drop all lines (used between kernel launches in tests)."""
         for lines in self._sets:
             for line in lines:
                 line.valid = False
                 line.tag = -1
-        if self.mirror is not None:
-            self.mirror.invalidate_all()
 
     def next_event_time(self, now: float) -> float:
         """Always ``inf``: the tag array is passive.

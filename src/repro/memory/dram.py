@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..obs.events import Ev
 
 _EV_DRAM_ENQ = int(Ev.DRAM_ENQ)
@@ -48,44 +46,6 @@ class DRAMModel:
             self.obs.emit((_EV_DRAM_SERVICE, start, sm_id,
                            start + self.latency))
         return start + self.latency
-
-    def access_batch(self, times, sm_id: int = -1) -> np.ndarray:
-        """Completion times for requests arriving at ``times``, in order.
-
-        Closed form of ``[self.access(t) for t in times]``:
-
-            ``start_i = i*svc + max(next_free, max_{j<=i}(t_j - j*svc))``
-
-        (each request starts no earlier than its arrival and no earlier
-        than ``svc`` after its predecessor's start).  Bit-exact versus the
-        sequential loop because every simulation time is an integer-valued
-        float below 2**53, so the subtractions and running max are exact.
-        Stats and per-access emits match the sequential walk; emits happen
-        per access, in order.  A vector-backend *primitive* — the hierarchy
-        walk itself stays sequential (see ``MSHRFile.lookup_batch``).
-        """
-        arr = np.asarray(times, dtype=np.float64)
-        n = arr.shape[0]
-        if n == 0:
-            return arr
-        svc = float(self.service_interval)
-        offsets = svc * np.arange(n, dtype=np.float64)
-        starts = offsets + np.maximum.accumulate(
-            np.maximum(arr - offsets, self._next_free)
-        )
-        self._next_free = float(starts[-1]) + svc
-        self.accesses += n
-        self.busy_cycles += svc * n
-        self.queue_cycles += float((starts - arr).sum())
-        if self.obs is not None:
-            latency = self.latency
-            for i in range(n):
-                now_i = float(arr[i])
-                start_i = float(starts[i])
-                self.obs.emit((_EV_DRAM_ENQ, now_i, sm_id, start_i - now_i))
-                self.obs.emit((_EV_DRAM_SERVICE, start_i, sm_id,
-                               start_i + latency))
-        return starts + self.latency
 
     def queue_delay(self, now: float) -> float:
         """Instantaneous backlog: how long a request arriving *now* waits.

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import List
 
-import numpy as np
-
 from ..config import CacheConfig
 from ..obs.events import Ev
 from .cache import Cache
@@ -43,22 +41,6 @@ class BankedL2:
 
     def bank_of(self, line_addr: int) -> int:
         return (line_addr // self.cache.config.line_size) % self.num_banks
-
-    def bank_of_batch(self, line_addrs) -> np.ndarray:
-        """Vectorized :meth:`bank_of` over an array of line addresses."""
-        arr = np.asarray(line_addrs, dtype=np.int64)
-        return (arr // self.cache.config.line_size) % self.num_banks
-
-    def queue_delays_batch(self, line_addrs, now: float) -> np.ndarray:
-        """Per-line bank backlogs at ``now`` (vectorized :meth:`queue_delay`).
-
-        Read-only diagnostic batching for the vector backend's profilers;
-        the access path itself stays sequential because each access moves
-        its bank's free time before the next one queries it.
-        """
-        banks = self.bank_of_batch(line_addrs)
-        free = np.asarray(self._bank_next_free, dtype=np.float64)
-        return np.maximum(0.0, free[banks] - now)
 
     def access(self, req: MemRequest, now: float):
         """Probe the L2; returns ``(hit, queued_start, data_ready_time)``.

@@ -53,29 +53,6 @@ class MSHRFile:
                                line_addr, completion))
         return completion
 
-    def lookup_batch(self, line_addrs, now: float) -> list:
-        """Batched :meth:`lookup`: one purge, then per-line probes.
-
-        Equivalent to sequential ``lookup`` calls at the same ``now`` —
-        the purge is the only time-dependent work and it is idempotent at
-        a fixed ``now`` — with merged-miss accounting and emits applied
-        per line in order.  A *primitive* for the vector backend: the full
-        hierarchy walk stays sequential (a fill for one line can evict
-        what the next line would have hit), but the probe itself batches.
-        """
-        self._purge(now)
-        inflight = self._inflight
-        out = []
-        for line_addr in line_addrs:
-            completion = inflight.get(line_addr)
-            if completion is not None:
-                self.merged_misses += 1
-                if self.obs is not None:
-                    self.obs.emit((_EV_MSHR_MERGE, now, self.obs_owner,
-                                   line_addr, completion))
-            out.append(completion)
-        return out
-
     def earliest_start(self, now: float) -> float:
         """Earliest time a new miss may begin service (capacity limit)."""
         self._purge(now)

@@ -5,7 +5,7 @@ PR 3 pointed AST/CFG analysis at the *kernels* the simulator runs
 rule IDs, severities, waivers, text/JSON reports, one shared registry
 design (:mod:`repro.analysis.common`) — at ``src/repro`` itself.  The
 correctness story of this codebase is a matrix of bit-identical modes
-(backend x frontend x clock x shards x events) guarded at runtime by
+(frontend x clock x shards x events) guarded at runtime by
 parity grids; these rules guard the *conventions* that keep the matrix
 honest, at lint time, without importing the analyzed tree:
 
@@ -19,11 +19,10 @@ DET001     error     unseeded randomness (global ``random``/``np.random``)
 DET002     error     wall-clock reads outside declared domains (serve/)
 DET003     error     order-unstable iteration: unsorted glob/listdir,
                      set iteration, id()-based ordering
-OBS001     error     probe parity: overrides dropping event emission;
-                     Ev kinds never emitted / unknown kinds emitted
-FBK001     error     feedback publish parity: overrides dropping signal
-                     publication; Sig kinds never published / unknown
-                     kinds published
+OBS001     error     probe coverage: Ev kinds never emitted / unknown
+                     kinds emitted
+FBK001     error     feedback publish coverage: Sig kinds never published
+                     / unknown kinds published
 CLK001     error     timing components invisible to the skip clock (no
                      next_event_time()/next_wake_time())
 SHD001     error     worker-closure modules touching coordinator-owned

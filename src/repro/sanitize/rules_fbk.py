@@ -1,26 +1,22 @@
-"""FBK001 — feedback-signal parity between scalar and vector cache twins.
+"""FBK001 — every feedback signal kind has a publish site, and vice versa.
 
 The scheduler–cache co-design contract (docs/schemes.md) is the same
-shape as the observability one: every mode of the bit-identical matrix
-must publish *byte-identical* feedback signal streams, because schedulers
-(ccws/wasp/ciao) change issue decisions based on them — a dropped publish
-is not a missing log line, it is a different simulation.
+shape as the observability one: schedulers (ccws/wasp/ciao) change issue
+decisions based on the signals the caches publish, so a kind nobody
+publishes is a scheme silently starved of its input, not a missing log
+line.
 
-This rule reuses the OBS001 parity engine
-(:func:`repro.sanitize.rules_obs.iter_parity_hits`) parameterized for the
+This rule reuses the OBS001 coverage engine
+(:func:`repro.sanitize.rules_obs.iter_coverage_hits`) parameterized for the
 channel idiom:
 
     fb.publish((_SIG_EVICT, ...))        # module-level alias
     ch.publish((Sig.FILL, ...))          # direct enum head
     _SIG_EVICT = int(Sig.EVICT)          # the alias declaration
 
-and enforces:
-
-1.  **Override parity** — a subclass overriding a method whose base
-    implementation publishes signal kinds (the scalar/vector cache twin
-    pattern) must call ``super()`` or publish the same kinds itself.
-2.  **Kind coverage** — when the tree defines ``Sig``, every member has
-    at least one publish site and every published kind is a member.
+and enforces **kind coverage** — when the tree defines ``Sig``, every
+member has at least one publish site and every published kind is a
+member.
 """
 
 from __future__ import annotations
@@ -29,13 +25,11 @@ from typing import Iterator
 
 from ..analysis.common import Severity
 from .registry import Hit, SanitizeContext, rule
-from .rules_obs import ParitySpec, iter_parity_hits
+from .rules_obs import KindSpec, iter_coverage_hits
 
-FBK_SPEC = ParitySpec(
+FBK_SPEC = KindSpec(
     enum_name="Sig",
     methods=frozenset({"publish", "publish_checked"}),
-    verb="publication",
-    stream="signal streams",
     dead_msg="dead schema entries rot the channel and its subscribers",
 )
 
@@ -43,7 +37,7 @@ FBK_SPEC = ParitySpec(
 @rule(
     "FBK001",
     Severity.ERROR,
-    "feedback publish parity broken between a cache and its twin",
+    "signal kind without a publish site, or publish of an unknown kind",
 )
-def check_feedback_parity(ctx: SanitizeContext) -> Iterator[Hit]:
-    yield from iter_parity_hits(ctx, FBK_SPEC)
+def check_signal_coverage(ctx: SanitizeContext) -> Iterator[Hit]:
+    yield from iter_coverage_hits(ctx, FBK_SPEC)

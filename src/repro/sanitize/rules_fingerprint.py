@@ -3,8 +3,8 @@
 The persistent result cache keys on :meth:`GPUConfig.fingerprint`, which
 hashes every field *except* the declared
 :data:`GPUConfig.FINGERPRINT_EXCLUDED` set — knobs that are bit-identical
-by contract (issue core, frontend, clock, shards, events, backend,
-CPL-bounds checking).  The soundness invariant is:
+by contract (frontend, clock, shards, events, CPL-bounds checking).  The
+soundness invariant is:
 
     **timing-path code may read fingerprinted fields freely, but every
     read of an excluded field must be waived with a written rationale** —

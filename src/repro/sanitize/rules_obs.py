@@ -1,22 +1,14 @@
-"""OBS001 — probe parity between scalar components and their twins.
+"""OBS001 — every event kind has an emission site, and vice versa.
 
 The observability contract (docs/observability.md) is that every mode of
-the bit-identical matrix produces *byte-identical* event streams.  Two
-static invariants keep that true:
+the bit-identical matrix produces *byte-identical* event streams.  Every
+component has exactly one implementation, so one static invariant is
+left to keep the schema and the probes in step:
 
-1.  **Override parity.**  If a subclass overrides a method whose base
-    implementation emits event kinds (the scalar/vector twin pattern:
-    ``VectorSM(StreamingMultiprocessor)``), the override must either call
-    ``super()`` (inheriting the emission) or emit the same kinds itself.
-    An override that silently drops an emission desynchronizes the
-    streams only when that subclass is selected — exactly the bug class
-    runtime parity tests catch late and expensively.
-
-2.  **Kind coverage.**  When the analyzed tree defines the ``Ev`` enum,
-    every member must have at least one emission site somewhere in the
-    tree (a kind nobody emits is dead schema), and every emitted kind
-    must be an ``Ev`` member (an unknown kind would fail schema
-    validation at runtime).
+**Kind coverage.**  When the analyzed tree defines the ``Ev`` enum, every
+member must have at least one emission site somewhere in the tree (a kind
+nobody emits is dead schema), and every emitted kind must be an ``Ev``
+member (an unknown kind would fail schema validation at runtime).
 
 Emission sites are recognized by the established probe idioms::
 
@@ -33,7 +25,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from ..analysis.common import Severity
 from .registry import Hit, SanitizeContext, hit, rule
@@ -41,19 +33,17 @@ from .source import SourceModule
 
 
 @dataclass(frozen=True)
-class ParitySpec:
-    """One (enum, call idiom) pairing the parity engine checks.
+class KindSpec:
+    """One (enum, call idiom) pairing the coverage engine checks.
 
     ``enum_name`` is the kind-enum class (``Ev``, ``Sig``); ``methods``
     the attribute/name call targets recognized as sites (``emit``,
-    ``publish``); ``verb``/``noun`` feed the finding messages.
+    ``publish``); ``dead_msg`` is the tail of the dead-schema finding.
     """
 
     enum_name: str
     methods: FrozenSet[str]
-    verb: str  # "emission" / "publication"
-    stream: str  # "event streams" / "signal streams"
-    dead_msg: str  # tail of the dead-schema finding
+    dead_msg: str
 
 
 def _kind_from_enum_attr(node: ast.expr, enum_name: str) -> Optional[str]:
@@ -90,7 +80,7 @@ def _module_aliases(module: SourceModule, enum_name: str) -> Dict[str, str]:
 
 
 def _site_kinds(
-    node: ast.AST, aliases: Dict[str, str], spec: ParitySpec
+    node: ast.AST, aliases: Dict[str, str], spec: KindSpec
 ) -> Iterator[Tuple[str, int]]:
     """``(kind, lineno)`` for every recognizable site under ``node``."""
     for sub in ast.walk(node):
@@ -113,78 +103,10 @@ def _site_kinds(
             yield kind, sub.lineno
 
 
-def _class_methods(cls_node: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
-    return {
-        stmt.name: stmt
-        for stmt in cls_node.body
-        if isinstance(stmt, ast.FunctionDef)
-    }
-
-
-def _calls_super(fn: ast.FunctionDef) -> bool:
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "super"
-        ):
-            return True
-    return False
-
-
-def iter_parity_hits(
-    ctx: SanitizeContext, spec: ParitySpec
+def iter_coverage_hits(
+    ctx: SanitizeContext, spec: KindSpec
 ) -> Iterator[Hit]:
-    """Override-parity + kind-coverage findings for one :class:`ParitySpec`."""
-    alias_cache: Dict[str, Dict[str, str]] = {}
-
-    def aliases_of(module: SourceModule) -> Dict[str, str]:
-        if module.rel not in alias_cache:
-            alias_cache[module.rel] = _module_aliases(module, spec.enum_name)
-        return alias_cache[module.rel]
-
-    # -- override parity -------------------------------------------------
-    for module in ctx.tree.modules:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            own = _class_methods(node)
-            if not own:
-                continue
-            checked: Set[str] = set()
-            for base_mod, base_cls in ctx.tree.resolve_bases(node):
-                base_aliases = aliases_of(base_mod)
-                for name, base_fn in _class_methods(base_cls).items():
-                    if name not in own or name in checked:
-                        continue
-                    checked.add(name)  # nearest base definition governs
-                    base_kinds = {
-                        k
-                        for k, _ in _site_kinds(base_fn, base_aliases, spec)
-                    }
-                    if not base_kinds:
-                        continue
-                    override = own[name]
-                    if _calls_super(override):
-                        continue
-                    mine = {
-                        k
-                        for k, _ in _site_kinds(
-                            override, aliases_of(module), spec
-                        )
-                    }
-                    missing = base_kinds - mine
-                    if missing:
-                        yield hit(
-                            module,
-                            override.lineno,
-                            f"override of {base_cls.name}.{name} drops "
-                            f"{spec.verb} of {sorted(missing)}; twins must "
-                            f"produce identical {spec.stream} — call "
-                            "super() or reproduce the same kinds",
-                        )
-
-    # -- kind coverage ---------------------------------------------------
+    """Kind-coverage findings for one :class:`KindSpec`."""
     enum_entry = ctx.tree.classes.get(spec.enum_name)
     if enum_entry is None:
         return
@@ -202,9 +124,8 @@ def iter_parity_hits(
 
     sites: Dict[str, Tuple[SourceModule, int]] = {}
     for module in ctx.tree.modules:
-        for kind, lineno in _site_kinds(
-            module.tree, aliases_of(module), spec
-        ):
+        aliases = _module_aliases(module, spec.enum_name)
+        for kind, lineno in _site_kinds(module.tree, aliases, spec):
             sites.setdefault(kind, (module, lineno))
 
     for kind, lineno in members.items():
@@ -225,11 +146,9 @@ def iter_parity_hits(
             )
 
 
-OBS_SPEC = ParitySpec(
+OBS_SPEC = KindSpec(
     enum_name="Ev",
     methods=frozenset({"emit"}),
-    verb="emission",
-    stream="event streams",
     dead_msg="dead schema entries rot the exporter and collectors",
 )
 
@@ -237,7 +156,7 @@ OBS_SPEC = ParitySpec(
 @rule(
     "OBS001",
     Severity.ERROR,
-    "probe parity broken between a component and its twin",
+    "event kind without an emission site, or emission of an unknown kind",
 )
-def check_probe_parity(ctx: SanitizeContext) -> Iterator[Hit]:
-    yield from iter_parity_hits(ctx, OBS_SPEC)
+def check_event_coverage(ctx: SanitizeContext) -> Iterator[Hit]:
+    yield from iter_coverage_hits(ctx, OBS_SPEC)

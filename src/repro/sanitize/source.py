@@ -9,7 +9,7 @@ the fingerprint ground truth parsed statically out of ``config.py``
 
 Waiver syntax (documented in ``docs/static_analysis.md``)::
 
-    x = self.config.backend == "vector"  # sanitize: waive FPR001 -- why
+    skip = self.config.clock == "skip"  # sanitize: waive FPR001 -- why
 
     # sanitize: waive DET003 -- order is irrelevant: every entry is removed
     for entry in directory.glob(pattern):
@@ -216,9 +216,8 @@ class SourceTree:
         """The in-tree base-class chain of ``cls_node`` (nearest first).
 
         Bases whose names are not defined anywhere in the tree are simply
-        absent from the result — callers decide whether that means
-        "external dependency, be lenient" (CLK001) or "nothing to
-        compare against" (OBS001).
+        absent from the result — the caller (CLK001) treats that as
+        "external dependency, be lenient".
         """
         out: List[Tuple[SourceModule, ast.ClassDef]] = []
         seen = {cls_node.name}

@@ -15,7 +15,7 @@ This implementation is a pure consumer of the FeedbackChannel: the L1
 publishes EVICT (feeding the VTAs) and MISS (the probe point) signals,
 and the scheduler never touches the cache.  Scores use only integer
 arithmetic scaled by ``DECAY_PERIOD`` division of integer cycle deltas,
-so the arithmetic is bit-deterministic across backends.
+so the arithmetic is bit-deterministic.
 """
 
 from __future__ import annotations

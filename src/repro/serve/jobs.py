@@ -46,14 +46,14 @@ PRIORITIES = ("interactive", "batch")
 #: Numeric priority values (lower dispatches first).
 _PRIORITY_VALUE = {"interactive": 0, "batch": 10}
 #: Device knobs a job payload may override on the base GPUConfig.
-#: ``backend``/``clock``/``shards``/``frontend`` are
-#: bit-identical-by-contract selectors (excluded from the result
-#: fingerprint), so they change how fast a job runs, never its answer.
+#: ``clock``/``shards``/``frontend`` are bit-identical-by-contract
+#: selectors (excluded from the result fingerprint), so they change how
+#: fast a job runs, never its answer.
 #: ``sampling`` is the exception: it trades accuracy for speed, *does*
 #: change the reported numbers, and is therefore part of the config
 #: fingerprint — jobs differing only in ``sampling`` never coalesce
 #: (the coalescing fingerprint is built from config fingerprints).
-DEVICE_KNOBS = ("backend", "clock", "shards", "frontend", "sampling")
+DEVICE_KNOBS = ("clock", "shards", "frontend", "sampling")
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -221,9 +221,7 @@ class JobSpec:
         cfg = GPUConfig.fermi_gtx480() if self.fermi else GPUConfig.default_sim()
         try:
             for knob, value in self.device:
-                if knob == "backend":
-                    cfg = cfg.with_backend(str(value))
-                elif knob == "clock":
+                if knob == "clock":
                     cfg = cfg.with_clock(str(value))
                 elif knob == "frontend":
                     cfg = cfg.with_frontend(str(value))

@@ -13,11 +13,9 @@ from .mask import full_mask, lanes_of, popcount
 from .registers import WarpRegisterFile
 from .stack import SIMTStack, StackEntry
 from .warp import Warp, WarpStatus
-from .warpstate import WarpStateStore
 
 __all__ = [
     "FunctionalExecutor",
-    "WarpStateStore",
     "SIMTStack",
     "StackEntry",
     "ThreadBlock",

@@ -170,8 +170,7 @@ class Warp:
 
         A warp's scoreboard, PC, and last-issue cycle only change when the
         warp itself issues, so the tuple is memoized on the issue count —
-        this keeps the wake-queue updates and the vector backend's
-        column refreshes cheap.
+        this keeps the wake-queue updates cheap.
         """
         if self.status is not WarpStatus.RUNNING:
             return np.inf, False

@@ -3,12 +3,5 @@
 from .dispatcher import BlockDispatcher
 from .lsu import LoadStoreUnit
 from .sm import SMStats, StreamingMultiprocessor
-from .vector import VectorSM
 
-__all__ = [
-    "BlockDispatcher",
-    "LoadStoreUnit",
-    "SMStats",
-    "StreamingMultiprocessor",
-    "VectorSM",
-]
+__all__ = ["BlockDispatcher", "LoadStoreUnit", "SMStats", "StreamingMultiprocessor"]

@@ -101,35 +101,6 @@ class LoadStoreUnit:
         self.global_accesses += 1
         completion = now + 1
         start = max(now, self._next_free)
-        l1d = self.l1d
-        if (
-            l1d.mirror is not None
-            and self.obs is None
-            and l1d.obs is None
-            and not l1d.observers
-            and getattr(l1d.policy, "obs", None) is None
-        ):
-            # Vector-backend all-hit fast path: one side-effect-free batch
-            # tag probe; commits the exact sequential bookkeeping only when
-            # every line hits (see Cache.batch_hits for the shared-request
-            # contract — the guards above keep per-line observer fields out
-            # of play).  Timing is the sequential walk's closed form: line i
-            # issues at start + i and completes l1_latency later.
-            req = MemRequest(
-                line_addr=lines[0],
-                pc=inst.pc,
-                warp_key=(self.sm_id, warp.block.block_id, warp.warp_id_in_block),
-                is_load=inst.is_load,
-                is_critical=is_critical,
-                cycle=start,
-                signature=make_signature(inst.pc, lines[0]),
-            )
-            if l1d.batch_hits(lines, req):
-                k = len(lines)
-                self.line_accesses += k
-                self._next_free = start + k
-                hit_done = start + (k - 1) + l1d.config.hit_latency
-                return (hit_done if hit_done > completion else completion), k
         for i, line_addr in enumerate(lines):
             issue_time = start + i  # one coalesced access per LSU cycle
             req = MemRequest(

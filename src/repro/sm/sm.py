@@ -14,9 +14,8 @@ releases, block dispatch) — plus a sorted *ready pool* of warps whose wake
 time has passed.  ``tick`` only pops newly-awake warps and gates the small
 pool on MSHR availability; ``next_wake_time`` is a heap peek plus a pool
 walk.  See ``docs/timing_model.md`` ("Event-driven issue loop") for the
-invariants.  The vector backend (:class:`repro.sm.vector.VectorSM`)
-derives the same ready set independently from a dense ``wake <= now``
-mask; ``tests/test_vector_backend_parity.py`` holds the two bit-identical.
+invariants; ``tests/test_wake_queue.py`` checks every tick's candidate
+list against a from-scratch scan of ``warps``.
 """
 
 from __future__ import annotations

@@ -160,12 +160,6 @@ class RunResult:
     #: perturb timing, so — like ``clock``/``shards`` — this is excluded
     #: from parity comparisons and the result-cache fingerprint.
     events: str = "off"
-    #: Provenance: which hot-path engine produced this result (``"python"``
-    #: or ``"vector"``).  Bit-identical by contract (the backend parity
-    #: grid, ``tests/test_vector_backend_parity.py``), so — like ``clock``
-    #: — excluded from parity comparisons and the result-cache fingerprint.
-    #: See docs/backends.md.
-    backend: str = "python"
     #: Provenance: the trace-sampling spec this result was produced under
     #: (``"off"`` for exact runs).  Unlike the provenance knobs above,
     #: sampling *changes the reported numbers* — sampled results are
@@ -250,7 +244,6 @@ class RunResult:
             "cycles_skipped": self.cycles_skipped,
             "skip_jumps": self.skip_jumps,
             "events": self.events,
-            "backend": self.backend,
             "sampling": self.sampling,
             "blocks": [dataclasses.asdict(b) for b in blocks],
             "extra": {k: v for k, v in self.extra.items() if _jsonable(v)},
@@ -288,7 +281,6 @@ class RunResult:
             cycles_skipped=data.get("cycles_skipped", 0.0),
             skip_jumps=data.get("skip_jumps", 0),
             events=data.get("events", "off"),
-            backend=data.get("backend", "python"),
             sampling=data.get("sampling", "off"),
         )
 
@@ -357,7 +349,6 @@ def merge_shard_results(parts: List["RunResult"], shards: int) -> "RunResult":
         clock=head.clock,
         shards=shards,
         events=head.events,
-        backend=head.backend,
         sampling=head.sampling,
         cycles_skipped=sum(p.cycles_skipped for p in parts),
         skip_jumps=sum(p.skip_jumps for p in parts),

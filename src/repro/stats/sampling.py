@@ -463,7 +463,6 @@ def estimate_sampled_result(
         cycles_skipped=replay_result.cycles_skipped,
         skip_jumps=replay_result.skip_jumps,
         events=replay_result.events,
-        backend=replay_result.backend,
         sampling=spec,
         ci=ci,
         info=info,

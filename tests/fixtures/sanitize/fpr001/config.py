@@ -11,8 +11,8 @@ from typing import ClassVar, FrozenSet
 @dataclass(frozen=True)
 class GPUConfig:
     num_sms: int = 2
-    backend: str = "python"
+    clock: str = "cycle"
 
     FINGERPRINT_EXCLUDED: ClassVar[FrozenSet[str]] = frozenset({
-        "backend",
+        "clock",
     })

@@ -71,7 +71,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table 1" in out and "Table 2" in out
 
-    @pytest.mark.parametrize("spec", ["clock=cycle,skip", "backend=python,vector"])
+    @pytest.mark.parametrize("spec", ["clock=cycle,skip"])
     def test_profile_compare(self, capsys, spec):
         code = main(["profile", "synthetic_imbalance", "rr", "--scale", "0.25",
                      "--repeats", "1", "--compare", spec])
@@ -86,7 +86,9 @@ class TestCommands:
                 if line.split()[:1] in ([first], [last])]
         assert len(rows) == 2 and rows[0][1] == rows[1][1]
 
-    @pytest.mark.parametrize("spec", ["core", "clock", "clock=skip", "shards=1,2"])
+    @pytest.mark.parametrize(
+        "spec", ["core", "clock", "clock=skip", "shards=1,2", "backend=python,vector"]
+    )
     def test_profile_compare_rejects_bad_spec(self, capsys, spec):
         assert main(["profile", "bfs", "--compare", spec]) == 2
         assert "bad --compare spec" in capsys.readouterr().out

@@ -97,23 +97,10 @@ class TestGPUConfig:
             GPUConfig(num_sms=0)
 
 
-class TestBackendKnob:
-    """``backend`` selects the hot-path engine; results are bit-identical
-    (tests/test_vector_backend_parity.py), so like clock/shards/events it
-    must not perturb the result-cache fingerprint."""
+class TestRemovedBackendKnob:
+    """There is one engine: the ``backend`` selector is gone, loudly."""
 
-    def test_default_is_python(self):
-        assert GPUConfig.default_sim().backend == "python"
-
-    def test_with_backend(self):
-        cfg = GPUConfig.default_sim().with_backend("vector")
-        assert cfg.backend == "vector"
-        assert cfg.with_backend("python").backend == "python"
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigError):
-            GPUConfig.default_sim().with_backend("fortran")
-
-    def test_backend_excluded_from_fingerprint(self):
-        base = GPUConfig.default_sim()
-        assert base.fingerprint() == base.with_backend("vector").fingerprint()
+    def test_backend_is_not_a_config_field(self):
+        assert not hasattr(GPUConfig.default_sim(), "with_backend")
+        with pytest.raises(TypeError, match="backend"):
+            GPUConfig(backend="vector")

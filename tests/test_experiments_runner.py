@@ -84,6 +84,30 @@ class TestOracle:
         assert build_oracle("synthetic_imbalance", SCALE,
                             narrow.with_sampling("blocks:0.5")) is slow
 
+    def test_oracle_profiles_the_workload_variant_being_run(self, monkeypatch):
+        """Workload kwargs reach the profiling run: the oracle handed to
+        the caws device is that input's own rr per-warp times."""
+        from repro.experiments import runner
+
+        oracles = []
+        real_gpu = runner.GPU
+
+        def spy(config, oracle=None, **kwargs):
+            if oracle is not None:
+                oracles.append(oracle)
+            return real_gpu(config, oracle=oracle, **kwargs)
+
+        monkeypatch.setattr(runner, "GPU", spy)
+        run_scheme("bfs", "caws", scale=SCALE, balanced=True)
+        own = run_scheme("bfs", "rr", scale=SCALE, balanced=True)
+        (oracle,) = oracles
+        assert oracle == {
+            (block.block_id, warp.warp_id_in_block): warp.execution_time
+            for block in own.blocks
+            for warp in block.warps
+        }
+        assert oracle != build_oracle("bfs", SCALE)
+
     def test_caws_scheme_uses_oracle(self):
         result = run_scheme("synthetic_imbalance", "caws", scale=SCALE)
         assert result.cycles > 0

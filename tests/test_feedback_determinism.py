@@ -3,7 +3,7 @@
 The FeedbackChannel determinism contract (docs/schemes.md): the canonical
 signal stream — every record, compared as ``(cycle, sm, kind, fields)``
 tuples — is identical across execute/trace frontends, cycle/skip clocks,
-python/vector backends, and shard counts; and because the consumer
+and shard counts; and because the consumer
 schemes (ccws/wasp/ciao) alter issue decisions based on those signals,
 their *cycle counts* must agree across modes too, which these tests pin
 alongside the streams themselves.
@@ -33,10 +33,10 @@ NUM_SMS = 4
 
 
 def _record(scheme, workload="backprop", scale=0.25, num_sms=None,
-            frontend="execute", clock="cycle", backend="python", shards=1):
+            frontend="execute", clock="cycle", shards=1):
     cfg = GPUConfig.default_sim(
         **({"num_sms": num_sms} if num_sms is not None else {})
-    ).with_clock(clock).with_backend(backend)
+    ).with_clock(clock)
     if frontend == "trace":
         cfg = cfg.with_frontend("trace").with_shards(shards)
     result, signals = record_signals(workload, scheme, scale=scale, config=cfg)
@@ -54,14 +54,12 @@ class TestSignalStreamFast:
         assert exec_signals == trace_signals
         assert validate_signals(exec_signals) > 0
 
-    def test_clock_and_backend_identical(self):
+    def test_frontend_and_clock_identical(self):
         _, reference = _record("ccws")
         _, skip = _record("ccws", clock="skip")
-        _, vector = _record("ccws", backend="vector")
-        _, skip_vector = _record("ccws", clock="skip", backend="vector")
+        _, trace_skip = _record("ccws", frontend="trace", clock="skip")
         assert skip == reference
-        assert vector == reference
-        assert skip_vector == reference
+        assert trace_skip == reference
 
     def test_stream_contents(self):
         result, signals = _record("ccws")
@@ -119,17 +117,14 @@ class TestShardedStreams:
 
 @pytest.mark.slow
 class TestSignalStreamFullGrid:
-    """Every consumer scheme x clock x backend, execute and trace."""
+    """Every consumer scheme x clock, execute and trace."""
 
     @pytest.mark.parametrize("scheme", CONSUMER_SCHEMES)
     def test_grid_cell(self, scheme):
         _, reference = _record(scheme)
         for frontend in ("execute", "trace"):
             for clock in ("cycle", "skip"):
-                for backend in ("python", "vector"):
-                    _, signals = _record(
-                        scheme, frontend=frontend, clock=clock, backend=backend
-                    )
-                    assert signals == reference, (
-                        f"{scheme}: {frontend}/{clock}/{backend} diverged"
-                    )
+                _, signals = _record(scheme, frontend=frontend, clock=clock)
+                assert signals == reference, (
+                    f"{scheme}: {frontend}/{clock} diverged"
+                )

@@ -136,6 +136,20 @@ class TestRobustness:
         again = run_scheme(WL, "rr", scale=SCALE)
         assert again.cycles == result.cycles
 
+    def test_entry_written_with_backend_key_still_loads(self):
+        # Entries stored while RunResult carried ``backend`` provenance
+        # must keep serving: the key is ignored, not a corrupt-entry miss.
+        result = run_scheme(WL, "rr", scale=SCALE)
+        (entry,) = result_cache.cache_dir().glob("*.json")
+        data = json.loads(entry.read_text(encoding="utf-8"))
+        assert "backend" not in data
+        data["backend"] = "vector"
+        entry.write_text(json.dumps(data), encoding="utf-8")
+        loaded = result_cache.load(entry.stem)
+        assert loaded is not None and entry.exists()
+        assert _metrics(loaded) == _metrics(result)
+        assert not hasattr(loaded, "backend")
+
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv(result_cache.ENV_ENABLE, "0")
         run_scheme(WL, "rr", scale=SCALE)

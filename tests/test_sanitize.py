@@ -125,14 +125,14 @@ class TestFingerprintSoundness:
         sm = tmp_path / "sm"
         sm.mkdir()
         (sm / "mod.py").write_text(
-            "def width(config):\n    return config.backend\n"
+            "def width(config):\n    return config.clock\n"
         )
         report = sanitize_tree(tmp_path, rules=["FPR001"])
         assert not report.ok
         (sm / "mod.py").write_text(
             "def width(config):\n"
             "    # sanitize: waive FPR001 -- mode dispatch, parity-gated\n"
-            "    return config.backend\n"
+            "    return config.clock\n"
         )
         report = sanitize_tree(tmp_path, rules=["FPR001"])
         assert report.ok
@@ -227,7 +227,6 @@ class TestFingerprintConstants:
 
     def test_excluded_knobs_do_not_perturb_fingerprint(self):
         base = GPUConfig.default_sim()
-        assert base.fingerprint() == base.with_backend("vector").fingerprint()
         assert base.fingerprint() == base.with_clock("skip").fingerprint()
         assert base.fingerprint() == base.with_events("on").fingerprint()
 

@@ -85,6 +85,11 @@ class TestBasicApi:
         with pytest.raises(ServeClientError) as exc:
             client.submit({"kind": "run", "workload": "bfs", "bogus": 1})
         assert exc.value.status == 400
+        with pytest.raises(ServeClientError) as exc:
+            client.submit({"kind": "run", "workload": "bfs",
+                           "device": {"backend": "vector"}})
+        assert exc.value.status == 400
+        assert "unsupported device knob(s): backend" in str(exc.value)
 
     def test_cancel_queued_job(self, serve_factory):
         client = ServeClient(serve_factory().base_url)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.serve.jobs import (
     CANCELLED,
+    DEVICE_KNOBS,
     DONE,
     FAILED,
     QUEUED,
@@ -73,16 +74,27 @@ class TestJobSpecValidation:
         ({"kind": "run", "workloads": ["bfs", "kmeans"]}, "exactly one"),
         ({"kind": "figure"}, "figure"),
         ({"kind": "figure", "figure": 999}, "no module"),
-        ({"kind": "run", "workload": "bfs", "device": ["backend"]},
+        ({"kind": "run", "workload": "bfs", "device": ["clock"]},
          "device"),
         ({"kind": "run", "workload": "bfs",
           "device": {"warps": 64}}, "device knob"),
         ({"kind": "run", "workload": "bfs",
-          "device": {"backend": "quantum"}}, "invalid device knob"),
+          "device": {"clock": "quantum"}}, "invalid device knob"),
     ])
     def test_bad_payloads_rejected(self, payload, fragment):
         with pytest.raises(JobSpecError, match=fragment):
             JobSpec.from_payload(payload)
+
+    def test_removed_backend_knob_is_a_named_error(self):
+        # There is one engine: the knob is rejected, not silently ignored,
+        # and the error lists what is still selectable.
+        with pytest.raises(JobSpecError) as exc:
+            spec(device={"backend": "vector"})
+        message = str(exc.value)
+        assert "unsupported device knob(s): backend" in message
+        for knob in DEVICE_KNOBS:
+            assert knob in message
+        assert "backend" not in DEVICE_KNOBS
 
     def test_non_dict_payload_rejected(self):
         with pytest.raises(JobSpecError):
@@ -99,9 +111,9 @@ class TestFingerprint:
                 == spec(priority="batch").fingerprint())
 
     def test_device_knobs_excluded(self):
-        # backend/clock/shards are bit-identical by contract.
+        # clock/shards/frontend are bit-identical by contract.
         a = spec()
-        b = spec(device={"backend": "vector"})
+        b = spec(device={"clock": "skip"})
         assert a.fingerprint() == b.fingerprint()
 
     def test_events_flag_included(self):

@@ -3,7 +3,9 @@
 Covers the three hazard paths called out in the design: stale heap entries
 (lazy invalidation), barrier releases re-queuing parked warps, and MSHR
 back-pressure keeping operand-ready warps in the ready pool until an entry
-frees up.
+frees up.  :class:`ReadySetOracle` is the event core's independent
+reference: it re-derives every tick's candidate lists from a plain scan of
+``sm.warps`` and shares no state with the wake heaps or ready pools.
 """
 
 import heapq
@@ -13,6 +15,7 @@ import pytest
 
 from repro import GPU, GPUConfig, KernelBuilder
 from repro.config import CacheConfig
+from repro.core.cawa import apply_scheme
 from repro.isa.instructions import CmpOp, Special
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import WarpStatus
@@ -55,6 +58,90 @@ def scattered_load_kernel(n, base, out_base, passes=4):
         b.add(p, p, 1.0)
     b.st(b.addr(tid, base=out_base, scale=8), acc)
     return b.build()
+
+
+class ReadySetOracle:
+    """Brute-force reference for the candidate lists ``tick`` hands out.
+
+    Wraps every scheduler's ``select`` on one SM and asserts, on every
+    call, that ``ready`` equals the list derived from scratch: RUNNING
+    warps of that slot whose ``schedule_info()`` wake has passed, minus
+    those the MSHR / critical-reserve gate holds back, in dispatch order.
+    A slot ``tick`` passes over without calling ``select`` must have an
+    empty list: nothing changes between a skipped slot's turn and the next
+    ``select`` call (or the end of the tick), so that is where skipped
+    slots are checked.
+    """
+
+    def __init__(self, sm):
+        self.sm = sm
+        self.select_calls = 0
+        # Candidates held back over all checks: no free MSHR / free entries
+        # inside the critical reserve and the warp is not critical.
+        self.gated_full = 0
+        self.gated_reserve = 0
+        self._next_slot = 0
+        for slot, scheduler in enumerate(sm.schedulers):
+            scheduler.select = self._checked_select(slot, scheduler.select)
+        real_tick = sm.tick
+
+        def tick(now):
+            self._next_slot = 0
+            issued = real_tick(now)
+            self._expect_skipped(len(sm.schedulers), now)
+            return issued
+
+        sm.tick = tick
+
+    def expected(self, slot, now):
+        sm = self.sm
+        num_slots = len(sm.schedulers)
+        free = sm.mshr.free_entries(now)
+        reserve = sm.config.critical_mshr_reserve
+        is_critical = sm._is_critical
+        ready = []
+        for warp in sm.warps:
+            if warp.status is not WarpStatus.RUNNING:
+                continue
+            if warp.dynamic_id % num_slots != slot:
+                continue
+            wake, needs_mem = warp.schedule_info()
+            if wake > now:
+                continue
+            if needs_mem:
+                if free <= 0:
+                    self.gated_full += 1
+                    continue
+                if (reserve and free <= reserve and is_critical is not None
+                        and not is_critical(warp)):
+                    self.gated_reserve += 1
+                    continue
+            ready.append(warp)
+        ready.sort(key=lambda w: w.dynamic_id)
+        return ready
+
+    def _expect_skipped(self, upto, now):
+        """Slots ``[_next_slot, upto)`` got no ``select`` call this tick."""
+        for slot in range(self._next_slot, upto):
+            missed = self.expected(slot, now)
+            assert not missed, (
+                f"cycle {now}: slot {slot} was passed over with ready warps "
+                f"{[w.dynamic_id for w in missed]}"
+            )
+
+    def _checked_select(self, slot, real_select):
+        def select(ready, now):
+            self._expect_skipped(slot, now)
+            self._next_slot = slot + 1
+            want = self.expected(slot, now)
+            assert [w.dynamic_id for w in ready] == [w.dynamic_id for w in want], (
+                f"cycle {now}: slot {slot} candidate list diverged"
+            )
+            assert ready, "select is never called with an empty list"
+            self.select_calls += 1
+            return real_select(ready, now)
+
+        return select
 
 
 def make_sm(num_warps=2):
@@ -149,33 +236,43 @@ class TestBarrierWake:
         assert not sm.busy
         assert sm.stats.barriers == 2
 
-    def test_barrier_cycles_match_vector_backend(self):
-        def run(backend):
-            cfg = GPUConfig.default_sim(
-                num_sms=1, num_schedulers_per_sm=1
-            ).with_backend(backend)
-            gpu = GPU(cfg)
-            return gpu.launch(barrier_kernel(), 1, 64).cycles
-
-        assert run("python") == run("vector")
+    @pytest.mark.parametrize("clock", ["cycle", "skip"])
+    @pytest.mark.parametrize("num_slots", [1, 2])
+    def test_barrier_ready_sets_match_oracle(self, clock, num_slots):
+        cfg = GPUConfig.default_sim(
+            num_sms=1, num_schedulers_per_sm=num_slots
+        ).with_clock(clock)
+        gpu = GPU(cfg)
+        oracle = ReadySetOracle(gpu.sms[0])
+        gpu.launch(barrier_kernel(), 1, 128)
+        # Every released warp went through a checked select after the
+        # barrier: 4 warps x (const + add + bar + add + exit).
+        assert gpu.sms[0].stats.barriers == 4
+        assert oracle.select_calls == gpu.sms[0].stats.warp_instructions
 
 
 class TestMSHRBackPressure:
-    def _run(self, backend="python"):
-        cfg = GPUConfig.default_sim(
-            num_sms=1,
-            l1d=CacheConfig(sets=8, ways=16, line_size=128, mshr_entries=2),
-        ).with_backend(backend)
+    def _run(self, scheme="rr", mshr_entries=2, clock="cycle", checked=False):
+        cfg = apply_scheme(
+            GPUConfig.default_sim(
+                num_sms=1,
+                l1d=CacheConfig(
+                    sets=8, ways=16, line_size=128, mshr_entries=mshr_entries
+                ),
+            ).with_clock(clock),
+            scheme,
+        )
         gpu = GPU(cfg)
+        oracle = ReadySetOracle(gpu.sms[0]) if checked else None
         n = 64
         words = n * 16 * 4 + n
         data = gpu.memory.alloc_array(np.ones(words))
         out = gpu.memory.alloc_array(np.zeros(n))
         result = gpu.launch(scattered_load_kernel(n, data, out), 1, n)
-        return gpu.sms[0], result
+        return gpu.sms[0], result, oracle
 
     def test_mshr_gated_warps_wait_in_pool_and_wake(self):
-        sm, result = self._run()
+        sm, result, _ = self._run()
         # Back-pressure must actually have engaged...
         assert sm.mshr.stall_inducing_misses > 0
         # ...and every warp still ran to completion (gated warps woke up).
@@ -183,11 +280,18 @@ class TestMSHRBackPressure:
         assert not sm.busy
         assert not any(sm._wake_heaps[0]) and not any(sm._ready_pools[0])
 
-    def test_mshr_pressure_cycles_match_vector_backend(self):
-        sm, event_result = self._run()
-        vector_sm, vector_result = self._run("vector")
-        # The comparison only means something if the gate engaged on both.
+    @pytest.mark.parametrize("clock", ["cycle", "skip"])
+    @pytest.mark.parametrize(
+        "scheme,mshr_entries", [("rr", 2), ("gto", 2), ("cawa+mshr", 4)]
+    )
+    def test_mshr_ready_sets_match_oracle(self, scheme, mshr_entries, clock):
+        sm, result, oracle = self._run(scheme, mshr_entries, clock, checked=True)
+        # The check only means something if the gate engaged: candidates
+        # were held back (under cawa+mshr by the critical reserve as well).
         assert sm.mshr.stall_inducing_misses > 0
-        assert vector_sm.mshr.stall_inducing_misses == sm.mshr.stall_inducing_misses
-        assert event_result.cycles == vector_result.cycles
-        assert event_result.l1_stats.misses == vector_result.l1_stats.misses
+        assert oracle.gated_full > 0
+        assert (oracle.gated_reserve > 0) == (scheme == "cawa+mshr")
+        assert oracle.select_calls >= result.warp_instructions
+        # The oracle only observes.
+        _, plain, _ = self._run(scheme, mshr_entries, clock)
+        assert result.cycles == plain.cycles
