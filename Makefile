@@ -43,10 +43,12 @@ bench:
 	$(PYTEST) benchmarks/ -q -m "" --benchmark-only -s
 
 ## Performance-ledger smoke: the harness's own tests, then one short
-## narrow_figs pass (benchmarks/ledger/README.md).
+## narrow_figs pass and one short wide_mem pass — the workload that drives
+## the default device loop at 64/160 SMs (benchmarks/ledger/README.md).
 ledger:
 	$(PYTEST) benchmarks/ledger/test_ledger.py -q
 	$(PYTHON) benchmarks/ledger/run.py --seconds 2 --workload narrow_figs
+	$(PYTHON) benchmarks/ledger/run.py --seconds 2 --workload wide_mem
 
 ## Hot-spot profile of the reference cell (override: make profile ARGS="kmeans rr").
 ARGS ?= bfs cawa

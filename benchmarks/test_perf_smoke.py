@@ -25,9 +25,10 @@ from repro.experiments.runner import clear_cache
 #: Smaller than BENCH_SCALE: throughput smoke, not a paper reproduction.
 SCALE = 0.5
 
-#: The skip clock's win scales with device width (the per-cycle loop pays
-#: O(SMs) per issuing cycle); the clock benchmarks use a paper-sized SM
-#: count instead of the scaled-down default_sim device.
+#: The skip clock (the default device loop) beats the per-cycle reference
+#: in proportion to device width (the reference pays O(SMs) per issuing
+#: cycle); the clock benchmarks use a paper-sized SM count instead of the
+#: scaled-down default_sim device.
 WIDE_SMS = 64
 
 
@@ -141,8 +142,9 @@ def _clock_compare(workload, scale, scheme, repeats=2):
 def test_skip_clock_speedup_strcltr(benchmark):
     """The headline skip-clock cell: strcltr_mid on a 64-SM device.
 
-    The PR's acceptance criterion: the skip clock must beat the per-cycle
-    clock by >= 2.5x wall-clock on this memory-bound cell, bit-identically.
+    Guards the reference comparison the default was chosen on: the skip
+    clock must beat the per-cycle reference loop by >= 2.5x wall-clock on
+    this memory-bound cell, bit-identically.
     """
 
     def measure():
@@ -176,8 +178,9 @@ def test_skip_clock_speedup_strcltr(benchmark):
 
 @pytest.mark.slow
 def test_skip_clock_not_slower_bfs(benchmark):
-    """Regression gate: the skip clock must never lose to the cycle clock
-    on bfs (the ISSUE's reference workload).  CI fails on violation."""
+    """Regression gate on the default path: the skip clock is what every
+    default caller runs, so it must never lose to the cycle reference on
+    bfs (the reference workload).  CI fails on violation."""
 
     def measure():
         return _clock_compare("bfs", 1.0, "gto")

@@ -296,6 +296,7 @@ def _print_compare(knob: str, values, report) -> None:
 
 
 def cmd_profile(args) -> int:
+    from .errors import ConfigError
     from .experiments import profiling
 
     if args.compare:
@@ -305,9 +306,16 @@ def cmd_profile(args) -> int:
             print(f"bad --compare spec {args.compare!r}; use "
                   "'clock=cycle,skip'")
             return 2
+        config = _base_config(args)
+        try:
+            for value in values:
+                config.with_clock(value)
+        except ConfigError as exc:
+            print(f"bad --compare spec {args.compare!r}: {exc}")
+            return 2
         report = profiling.compare(
             args.workload, args.scheme, knob, values, scale=args.scale,
-            config=_base_config(args), repeats=args.repeats,
+            config=config, repeats=args.repeats,
         )
         _print_compare(knob, values, report)
         return 0

@@ -135,18 +135,18 @@ class GPUConfig:
     #: and therefore shares result-cache entries with the execute frontend.
     #: See ``docs/trace_driven.md``.
     frontend: str = "execute"
-    #: Simulation clock: ``"cycle"`` (default) advances the device clock
-    #: one cycle at a time while any SM issues (jumping only when the whole
-    #: device is stalled); ``"skip"`` drives the clock from a global
-    #: min-heap of per-component next-event times (SM scoreboard/MSHR/
-    #: barrier wakes, L2 bank frees, DRAM completions — see
-    #: :mod:`repro.gpu.clock`), ticking only the SMs that can actually act
-    #: at each event time and jumping the clock straight between events.
+    #: Simulation clock: ``"skip"`` (default) drives the device from a
+    #: global min-heap of per-SM next-event times (scoreboard/MSHR/barrier
+    #: wakes — see :mod:`repro.gpu.clock`), ticking only the SMs that can
+    #: actually act at each event time and jumping the clock straight
+    #: between events; ``"cycle"`` is the independent reference loop the
+    #: parity suites compare against: it ticks every SM on every cycle
+    #: while any SM issues, jumping only when the whole device is stalled.
     #: Both clocks are bit-identical by contract
     #: (``tests/test_skip_clock_parity.py``) and therefore, like
     #: ``frontend``, excluded from :meth:`fingerprint`.
     #: See ``docs/timing_model.md`` ("Clock modes").
-    clock: str = "cycle"
+    clock: str = "skip"
     #: Sharded multi-SM replay (trace frontend only): partition the SMs
     #: across this many worker processes, synchronizing conservatively at
     #: every shared L2/DRAM interaction and block-dispatch boundary so the

@@ -1,9 +1,9 @@
-"""The time-skipping device clock (``GPUConfig.clock='skip'``).
+"""The time-skipping device clock (``GPUConfig.clock='skip'``, the default).
 
-The per-cycle run loop (``clock='cycle'``) ticks *every* SM at every cycle
-on which *any* SM can issue, and only jumps the clock when the whole device
-is stalled.  On memory-bound workloads most of those ticks are no-ops: a
-handful of warps issue while every other SM sits scoreboard- or
+The per-cycle reference loop (``clock='cycle'``) ticks *every* SM at every
+cycle on which *any* SM can issue, and only jumps the clock when the whole
+device is stalled.  On memory-bound workloads most of those ticks are
+no-ops: a handful of warps issue while every other SM sits scoreboard- or
 MSHR-blocked, yet each one still pays a Python call per cycle.
 
 The skip clock inverts the loop.  A :class:`DeviceEventHeap` holds one
@@ -57,12 +57,11 @@ class DeviceEventHeap:
     rescheduled (e.g. by a block dispatch).
     """
 
-    __slots__ = ("_heap", "_seq", "_times")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self, num_sources: int) -> None:
         self._heap: list = []  # (time, source, seq)
         self._seq: List[int] = [0] * num_sources
-        self._times: List[float] = [math.inf] * num_sources
 
     # ------------------------------------------------------------------
     def schedule(self, source: int, time: float) -> None:
@@ -73,13 +72,8 @@ class DeviceEventHeap:
         re-tick is what's meant; unit tests exercise raw past pushes.
         """
         self._seq[source] += 1
-        self._times[source] = time
         if not math.isinf(time):
             heapq.heappush(self._heap, (time, source, self._seq[source]))
-
-    def scheduled_time(self, source: int) -> float:
-        """The source's currently live event time (inf when parked)."""
-        return self._times[source]
 
     # ------------------------------------------------------------------
     def _skim(self) -> None:
@@ -95,16 +89,6 @@ class DeviceEventHeap:
         """Earliest live event time across all sources (inf when empty)."""
         self._skim()
         return self._heap[0][0] if self._heap else math.inf
-
-    def fast_forward(self, default: float) -> float:
-        """Next live event time, or ``default`` when no source is live.
-
-        The ``default`` is the caller's fallback boundary (e.g. the next
-        scheduled quantum edge): an empty heap fast-forwards the clock
-        there instead of stalling at the current cycle.
-        """
-        time = self.next_time()
-        return default if math.isinf(time) else time
 
     def pop_due(self, now: float) -> List[int]:
         """Pop every source whose live event time is ``<= now``.
@@ -123,11 +107,6 @@ class DeviceEventHeap:
             if time > now:
                 break
             heapq.heappop(heap)
-            self._times[source] = math.inf
             due.append(source)
         due.sort()
         return due
-
-    def __len__(self) -> int:
-        """Number of live sources (accurate, not counting stale entries)."""
-        return sum(1 for t in self._times if not math.isinf(t))

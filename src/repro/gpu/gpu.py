@@ -2,20 +2,22 @@
 
 Two device clocks are provided (``GPUConfig.clock``):
 
-``"cycle"`` (default)
-    Cycle-based with whole-device idle skipping: every completion time is
-    known the moment an instruction issues (scoreboard entries and memory
-    walk results are future cycles), so when *no* SM can issue the loop
-    jumps directly to the earliest wake-up.  While any SM issues, however,
-    every SM is ticked every cycle.
-
-``"skip"``
+``"skip"`` (default)
     The time-skipping clock (:mod:`repro.gpu.clock`): a global min-heap of
     per-SM next-event times drives the loop, so only the SMs that can
     actually act at an event time are ticked and the clock jumps straight
-    between events.  Bit-identical to the per-cycle clock by contract
-    (``tests/test_skip_clock_parity.py``); see ``docs/timing_model.md``
-    ("Clock modes").
+    between events.  Every caller that does not ask otherwise runs this
+    loop.
+
+``"cycle"``
+    The independent reference the parity suites compare the skip clock
+    against (``tests/test_skip_clock_parity.py``, bit-identical by
+    contract; see ``docs/timing_model.md`` "Clock modes"), reachable only
+    by an explicit ``with_clock("cycle")``.  Every completion time is
+    known the moment an instruction issues (scoreboard entries and memory
+    walk results are future cycles), so when *no* SM can issue the loop
+    jumps directly to the earliest wake-up; while any SM issues, however,
+    every SM is ticked every cycle.
 
 Both loops count their jumps: ``RunResult.skip_jumps`` is the number of
 clock advances larger than one cycle and ``RunResult.cycles_skipped`` the
@@ -273,8 +275,8 @@ class GPU:
     # Run loops (see module docstring; bit-identical by contract)
     # ------------------------------------------------------------------
     def _run_cycle_loop(self, dispatcher: BlockDispatcher, start_cycle: float) -> float:
-        """Per-cycle clock: tick every SM each cycle, jump only when the
-        whole device is stalled.  Returns the final cycle."""
+        """Per-cycle reference clock: tick every SM each cycle, jump only
+        when the whole device is stalled.  Returns the final cycle."""
         cycle = start_cycle
         while True:
             issued = False
@@ -311,12 +313,7 @@ class GPU:
                     "likely a runaway kernel"
                 )
 
-    def _run_skip_loop(
-        self,
-        dispatcher: BlockDispatcher,
-        start_cycle: float,
-        sms: Optional[List[StreamingMultiprocessor]] = None,
-    ) -> float:
+    def _run_skip_loop(self, dispatcher: BlockDispatcher, start_cycle: float) -> float:
         """Time-skipping clock: heap-driven event loop over per-SM wakes.
 
         Ticks only the SMs whose next-event time has arrived, in ``sm_id``
@@ -326,15 +323,8 @@ class GPU:
         cycle later, exactly as the per-cycle loop would; block dispatch —
         the only cross-SM waker — refreshes the heap entry of every SM that
         received warps.  Returns the final cycle.
-
-        ``sms`` restricts the loop to a subset of the device's SMs (heap
-        slots are positions in the list, which must be in ascending
-        ``sm_id`` order).  The sharded-replay workers
-        (:mod:`repro.gpu.sharded`) drive their shard's SMs this way; the
-        default is the whole device.
         """
-        if sms is None:
-            sms = self.sms
+        sms = self.sms
         heap = DeviceEventHeap(len(sms))
         for slot, sm in enumerate(sms):
             heap.schedule(slot, max(sm.next_event_time(start_cycle), start_cycle))
@@ -374,7 +364,7 @@ class GPU:
                     # earlier wake, detected via the monotonically
                     # increasing per-SM dynamic-warp-id counter.
                     marks = [sm._next_dynamic_id for sm in sms]
-                    dispatcher.try_dispatch(self.sms, t + 1.0)
+                    dispatcher.try_dispatch(sms, t + 1.0)
                     for slot, (sm, mark) in enumerate(zip(sms, marks)):
                         if sm._next_dynamic_id != mark:
                             wake = sm.next_wake_time(t)

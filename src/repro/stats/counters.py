@@ -142,11 +142,14 @@ class RunResult:
     #: execution-driven run.
     trace_id: Optional[str] = None
 
-    #: Provenance: which device clock produced this result (``"cycle"`` or
-    #: ``"skip"``) and how many replay shards ran it.  Timing-transparent by
-    #: contract — results must be bit-identical across clocks and shard
-    #: counts — so these are excluded from parity comparisons and from the
-    #: result-cache fingerprint (see :meth:`repro.config.GPUConfig.fingerprint`).
+    #: Provenance: which device clock produced this result (``"skip"``, the
+    #: default loop, or the ``"cycle"`` reference) and how many replay
+    #: shards ran it.  Timing-transparent by contract — results must be
+    #: bit-identical across clocks and shard counts — so these are excluded
+    #: from parity comparisons and from the result-cache fingerprint (see
+    #: :meth:`repro.config.GPUConfig.fingerprint`).  A stored payload with
+    #: no ``"clock"`` key predates the field and loads as ``"cycle"``, the
+    #: only loop there was.
     clock: str = "cycle"
     shards: int = 1
     #: Clock-advance telemetry (both clocks count them): ``skip_jumps`` is
@@ -346,7 +349,7 @@ def merge_shard_results(parts: List["RunResult"], shards: int) -> "RunResult":
         warp_size=head.warp_size,
         frontend=head.frontend,
         trace_id=head.trace_id,
-        clock=head.clock,
+        clock="skip",  # shard workers always run the skip loop
         shards=shards,
         events=head.events,
         sampling=head.sampling,

@@ -93,6 +93,14 @@ class TestCommands:
         assert main(["profile", "bfs", "--compare", spec]) == 2
         assert "bad --compare spec" in capsys.readouterr().out
 
+    def test_profile_compare_rejects_unknown_clock(self, capsys):
+        # Same mistake serve turns into a 400: one line naming the valid
+        # clocks, not a ConfigError traceback.
+        assert main(["profile", "bfs", "--compare", "clock=cycle,warp"]) == 2
+        out = capsys.readouterr().out.strip()
+        assert len(out.splitlines()) == 1
+        assert "'cycle' or 'skip'" in out and "'warp'" in out
+
 
 class TestLintCommand:
     def test_requires_workload_or_all(self):

@@ -160,14 +160,32 @@ class TestMultiBlockDispatch:
         assert sum(per_sm) == 8
         assert all(count > 0 for count in per_sm)
 
-    def test_runaway_kernel_detected(self, tiny_config):
-        gpu = GPU(tiny_config, max_cycles=10_000)
+    @pytest.mark.parametrize("clock", ["cycle", "skip"])
+    def test_runaway_kernel_detected(self, tiny_config, clock):
+        gpu = GPU(tiny_config.with_clock(clock), max_cycles=10_000)
         b = KernelBuilder("forever")
         b.label("top")
         b.nop()
         b.bra("top")
-        with pytest.raises(DeadlockError):
+        with pytest.raises(DeadlockError, match="runaway kernel"):
             gpu.launch(b.build(), 1, 32)
+
+    @pytest.mark.parametrize("clock", ["cycle", "skip"])
+    def test_never_released_barrier_detected(self, tiny_config, clock):
+        # Warp 0 parks at a barrier that warp 1 (spinning) never reaches:
+        # a named error under either loop, never a hang.
+        gpu = GPU(tiny_config.with_clock(clock), max_cycles=10_000)
+        b = KernelBuilder("stuck_barrier")
+        spin = b.pred()
+        b.setp(spin, CmpOp.GE, b.sreg(Special.TID), 32.0)
+        with b.if_then(spin):
+            b.label("top")
+            b.nop()
+            b.bra("top")
+        b.bar()
+        with pytest.raises(DeadlockError, match="runaway kernel"):
+            gpu.launch(b.build(), 1, 64)
+        assert gpu.sms[0].stats.barriers == 1
 
 
 class TestSchemeEquivalence:

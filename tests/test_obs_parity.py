@@ -44,7 +44,7 @@ def assert_same_timing(a, b, what):
 def test_parity_grid(scheme):
     """events-on runs (all frontends/clocks, collectors attached) ==
     events-off baseline; event streams identical across modes."""
-    baseline = run_off(scheme)
+    baseline = run_off(scheme, GPUConfig.default_sim().with_clock("cycle"))
     assert baseline.events == "off"
 
     streams = {}

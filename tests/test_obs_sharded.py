@@ -50,8 +50,8 @@ def _program():
     return _PROGRAMS[key]
 
 
-def _replay_events(scheme, shards):
-    cfg = apply_scheme(_config().with_shards(shards), scheme)
+def _replay_events(scheme, shards, clock="skip"):
+    cfg = apply_scheme(_config().with_shards(shards).with_clock(clock), scheme)
     bus = bus_from_spec("on")
     result = trace_mod.replay_program(
         _program(), cfg, scheme=scheme, bus=bus
@@ -62,7 +62,7 @@ def _replay_events(scheme, shards):
 @needs_fork
 class TestShardedEventIdentity:
     def test_sharded_stream_matches_serial_bytes(self, tmp_path):
-        serial, serial_bus = _replay_events("gto", shards=1)
+        serial, serial_bus = _replay_events("gto", shards=1, clock="cycle")
         sharded, sharded_bus = _replay_events("gto", shards=2)
         assert sharded.cycles == serial.cycles
         assert sharded.extra["events_recorded"] == len(sharded_bus.events())
@@ -78,7 +78,7 @@ class TestShardedEventIdentity:
         assert a.read_bytes() == b.read_bytes()
 
     def test_three_shards_same_stream(self, tmp_path):
-        _, bus1 = _replay_events("rr", shards=1)
+        _, bus1 = _replay_events("rr", shards=1, clock="cycle")
         _, bus3 = _replay_events("rr", shards=3)
         a = write_chrome_trace(bus1.events(), tmp_path / "s1.json")
         b = write_chrome_trace(bus3.events(), tmp_path / "s3.json")

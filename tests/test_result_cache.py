@@ -81,25 +81,35 @@ class TestKeyInvalidation:
         # Both knobs are timing-transparent (bit-identical results), so
         # all clock/shard combinations must share one cache entry.
         cfg = GPUConfig.default_sim()
-        assert cfg.fingerprint() == cfg.with_clock("skip").fingerprint()
+        assert cfg.fingerprint() == cfg.with_clock("cycle").fingerprint()
         sharded = cfg.with_frontend("trace").with_shards(4)
         assert cfg.fingerprint() == sharded.fingerprint()
 
-    def test_cycle_entry_served_for_skip_request(self):
-        # A result simulated under clock='cycle' must satisfy a later
-        # clock='skip' request without re-simulating (and vice versa).
+    def _assert_entry_shared(self, stored_clock, requested_clock):
         cfg = GPUConfig.default_sim()
-        first = run_scheme(WL, "rr", scale=SCALE, config=cfg)
+        first = run_scheme(WL, "rr", scale=SCALE,
+                           config=cfg.with_clock(stored_clock))
         entries = list(result_cache.cache_dir().glob("*.json"))
         assert len(entries) == 1
         runner.clear_cache()  # memory only; the disk entry survives
         second = run_scheme(WL, "rr", scale=SCALE,
-                            config=cfg.with_clock("skip"))
-        # Same entry count (no new simulation stored) and a disk-shaped
-        # result (BlockSummary blocks) prove the cache hit.
+                            config=cfg.with_clock(requested_clock))
+        # Same entry count (no new simulation stored), a disk-shaped
+        # result (BlockSummary blocks) and the *storing* run's clock
+        # provenance prove the cache hit.
         assert len(list(result_cache.cache_dir().glob("*.json"))) == 1
         assert isinstance(second.blocks[0], BlockSummary)
+        assert second.clock == first.clock == stored_clock
         assert _metrics(second) == _metrics(first)
+
+    def test_cycle_entry_served_for_skip_request(self):
+        # A result simulated by the reference loop satisfies a later
+        # default-clock request without re-simulating ...
+        self._assert_entry_shared("cycle", "skip")
+
+    def test_skip_entry_served_for_cycle_request(self):
+        # ... and vice versa.
+        self._assert_entry_shared("skip", "cycle")
 
     def test_version_changes_key(self, monkeypatch):
         key = result_cache.cache_key(WL, "rr", 1.0, "abc")

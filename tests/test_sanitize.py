@@ -227,7 +227,7 @@ class TestFingerprintConstants:
 
     def test_excluded_knobs_do_not_perturb_fingerprint(self):
         base = GPUConfig.default_sim()
-        assert base.fingerprint() == base.with_clock("skip").fingerprint()
+        assert base.fingerprint() == base.with_clock("cycle").fingerprint()
         assert base.fingerprint() == base.with_events("on").fingerprint()
 
     def test_functional_fingerprint_follows_declared_fields(self):

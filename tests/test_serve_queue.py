@@ -113,7 +113,7 @@ class TestFingerprint:
     def test_device_knobs_excluded(self):
         # clock/shards/frontend are bit-identical by contract.
         a = spec()
-        b = spec(device={"clock": "skip"})
+        b = spec(device={"clock": "cycle"})
         assert a.fingerprint() == b.fingerprint()
 
     def test_events_flag_included(self):

@@ -3,10 +3,12 @@
 The sharded engine (:mod:`repro.gpu.sharded`) partitions SMs across
 fork-spawned worker processes and serializes every shared L2/DRAM access
 through a coordinator in ``(tick_cycle, sm_id)`` order — exactly the order
-the serial loop produces.  These tests pin that equivalence (cycles,
-instruction totals, the full cache/DRAM trace, per-warp execution times),
-the determinism of repeated sharded runs, and every guarded error path
-(execute frontend, live observers, non-resident grids, missing fork).
+the serial loop produces; the serial reference is pinned to the per-cycle
+loop, so the workers' skip loop is checked against the independent
+implementation, not against itself.  These tests pin that equivalence
+(cycles, instruction totals, the full cache/DRAM trace, per-warp execution
+times), the determinism of repeated sharded runs, and every guarded error
+path (execute frontend, live observers, non-resident grids, missing fork).
 """
 
 import multiprocessing
@@ -61,8 +63,8 @@ def _signature(result):
     )
 
 
-def _replay(workload, scale, scheme, shards):
-    cfg = apply_scheme(_config().with_shards(shards), scheme)
+def _replay(workload, scale, scheme, shards, clock="skip"):
+    cfg = apply_scheme(_config().with_shards(shards).with_clock(clock), scheme)
     return trace_mod.replay_program(
         _program(workload, scale), cfg, scheme=scheme
     )[-1]
@@ -72,12 +74,12 @@ def _replay(workload, scale, scheme, shards):
 class TestShardedBitIdentity:
     @pytest.mark.parametrize("scheme", ["gto", "cawa"])
     def test_strcltr_two_shards(self, scheme):
-        serial = _replay("strcltr_mid", 1.0, scheme, shards=1)
+        serial = _replay("strcltr_mid", 1.0, scheme, shards=1, clock="cycle")
         sharded = _replay("strcltr_mid", 1.0, scheme, shards=2)
         assert _signature(sharded) == _signature(serial)
 
     def test_bfs_three_shards(self):
-        serial = _replay("bfs", 0.25, "gto", shards=1)
+        serial = _replay("bfs", 0.25, "gto", shards=1, clock="cycle")
         sharded = _replay("bfs", 0.25, "gto", shards=3)
         assert _signature(sharded) == _signature(serial)
 
@@ -87,9 +89,10 @@ class TestShardedBitIdentity:
         assert _signature(first) == _signature(second)
 
     def test_merged_result_provenance(self):
-        result = _replay("strcltr_mid", 1.0, "gto", shards=2)
+        # Workers only have the skip loop, whatever the config asks for.
+        result = _replay("strcltr_mid", 1.0, "gto", shards=2, clock="cycle")
         assert result.shards == 2
-        assert result.clock == "skip" or result.clock == "cycle"
+        assert result.clock == "skip"
         # Blocks from all shards, merged in block-id order.
         ids = [block.block_id for block in result.blocks]
         assert ids == sorted(ids)
@@ -97,7 +100,7 @@ class TestShardedBitIdentity:
 
     def test_shards_capped_at_num_sms(self):
         # More shards than SMs degrades to one SM per worker, still exact.
-        serial = _replay("strcltr_mid", 1.0, "rr", shards=1)
+        serial = _replay("strcltr_mid", 1.0, "rr", shards=1, clock="cycle")
         sharded = _replay("strcltr_mid", 1.0, "rr", shards=NUM_SMS + 3)
         assert _signature(sharded) == _signature(serial)
 
@@ -107,7 +110,7 @@ class TestRunSchemeIntegration:
     def test_run_scheme_shards_flag_matches_serial(self):
         cfg = GPUConfig.default_sim(num_sms=NUM_SMS)
         serial = run_scheme("strcltr_mid", "gto", scale=1.0,
-                            config=cfg.with_frontend("trace"),
+                            config=cfg.with_frontend("trace").with_clock("cycle"),
                             use_cache=False, persistent=False)
         # Plain execute-frontend config: run_scheme flips to trace itself.
         sharded = run_scheme("strcltr_mid", "gto", scale=1.0, config=cfg,

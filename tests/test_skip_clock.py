@@ -1,7 +1,7 @@
 """Unit tests for the time-skipping clock's building blocks.
 
 Covers the :class:`~repro.gpu.clock.DeviceEventHeap` (duplicate times,
-past-time pushes, empty-heap fast-forward), the stale-``now`` clamping in
+past-time pushes, parking), the stale-``now`` clamping in
 the DRAM/L2 queue-delay accessors that skip boundaries exposed, and the
 skip-run provenance counters on :class:`~repro.stats.counters.RunResult`.
 The bit-identity guarantee itself lives in ``tests/test_skip_clock_parity.py``.
@@ -38,7 +38,6 @@ class TestDeviceEventHeap:
         heap.schedule(0, 5.0)
         heap.schedule(0, 9.0)  # supersedes the t=5 entry
         heap.schedule(1, 7.0)
-        assert heap.scheduled_time(0) == 9.0
         assert heap.pop_due(5.0) == []  # stale t=5 entry must not fire
         assert heap.next_time() == 7.0
         assert heap.pop_due(9.0) == [0, 1]
@@ -56,35 +55,18 @@ class TestDeviceEventHeap:
         heap.schedule(0, 4.0)
         heap.schedule(1, 2.0)
         heap.schedule(1, math.inf)  # park: no heap entry, stale one dies
-        assert len(heap) == 1
         assert heap.next_time() == 4.0
         assert heap.pop_due(10.0) == [0]
         assert math.isinf(heap.next_time())
-
-    def test_empty_heap_fast_forwards_to_default(self):
-        heap = DeviceEventHeap(3)
-        assert heap.fast_forward(123.0) == 123.0
-        heap.schedule(2, 50.0)
-        assert heap.fast_forward(123.0) == 50.0
-        heap.pop_due(50.0)
-        assert heap.fast_forward(999.0) == 999.0  # popped sources are parked
 
     def test_pop_due_parks_until_rescheduled(self):
         heap = DeviceEventHeap(1)
         heap.schedule(0, 1.0)
         assert heap.pop_due(1.0) == [0]
-        assert math.isinf(heap.scheduled_time(0))
+        assert math.isinf(heap.next_time())
         assert heap.pop_due(2.0) == []
         heap.schedule(0, 2.0)
         assert heap.pop_due(2.0) == [0]
-
-    def test_len_counts_live_sources_not_stale_entries(self):
-        heap = DeviceEventHeap(3)
-        assert len(heap) == 0
-        heap.schedule(0, 5.0)
-        heap.schedule(0, 6.0)  # stale entry remains in the raw heap
-        heap.schedule(1, 7.0)
-        assert len(heap) == 2
 
 
 class TestQueueDelayAtSkipBoundaries:
@@ -165,10 +147,17 @@ class TestSkipRunProvenance:
         assert result.skip_jumps > 0
         assert result.cycles_skipped > 0
 
-    def test_cycle_run_records_default_clock(self):
+    def test_default_run_records_skip_clock(self):
+        assert GPUConfig.default_sim().clock == "skip"
         result = run_scheme("synthetic_imbalance", "rr", scale=0.25,
                             config=GPUConfig.default_sim(),
                             use_cache=False, persistent=False)
+        assert result.clock == "skip"
+
+    def test_explicit_cycle_run_records_cycle_clock(self):
+        cfg = GPUConfig.default_sim().with_clock("cycle")
+        result = run_scheme("synthetic_imbalance", "rr", scale=0.25,
+                            config=cfg, use_cache=False, persistent=False)
         assert result.clock == "cycle"
 
     def test_round_trip_preserves_skip_counters(self):
@@ -181,6 +170,12 @@ class TestSkipRunProvenance:
         assert clone.clock == result.clock
         assert clone.cycles_skipped == result.cycles_skipped
         assert clone.skip_jumps == result.skip_jumps
+        # Entries stored before the provenance field existed *were*
+        # simulated by the cycle loop; the flipped default must not
+        # relabel them.
+        payload = result.to_dict()
+        del payload["clock"]
+        assert RunResult.from_dict(payload).clock == "cycle"
 
 
 class TestConfigValidation:
