@@ -33,7 +33,7 @@ lint:
 	else echo "mypy not installed; skipping"; fi
 
 ## Sanitize the simulator's own source: fingerprint soundness,
-## determinism, probe coverage, clock-protocol and shard-safety rules
+## determinism, probe/signal coverage and clock-protocol rules
 ## (docs/static_analysis.md, "Sanitizing the simulator").
 sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro sanitize --all

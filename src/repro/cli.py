@@ -654,8 +654,6 @@ def _client_spec_from_args(args) -> dict:
         value = getattr(args, knob, None)
         if value:
             device[knob] = value
-    if getattr(args, "shards", 0) and args.shards > 1:
-        device["shards"] = args.shards
     if device:
         spec["device"] = device
     return spec
@@ -1079,7 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sampled replay spec for run jobs, e.g. "
                         "'blocks:0.25' (changes the answer: never "
                         "coalesces with exact jobs)")
-    p_csub.add_argument("--shards", type=int, default=0)
     p_csub.add_argument("--watch", action="store_true",
                         help="stream progress, then print the summary")
     p_csub.add_argument("--wait", action="store_true",

@@ -147,14 +147,6 @@ class GPUConfig:
     #: ``frontend``, excluded from :meth:`fingerprint`.
     #: See ``docs/timing_model.md`` ("Clock modes").
     clock: str = "skip"
-    #: Sharded multi-SM replay (trace frontend only): partition the SMs
-    #: across this many worker processes, synchronizing conservatively at
-    #: every shared L2/DRAM interaction and block-dispatch boundary so the
-    #: merged result is bit-identical to a serial replay (see
-    #: :mod:`repro.gpu.sharded` and ``docs/trace_driven.md``).  ``1``
-    #: (default) keeps replay in-process.  Timing-transparent by contract,
-    #: hence excluded from :meth:`fingerprint`.
-    shards: int = 1
     #: Debug mode: install :class:`repro.analysis.CheckedCriticalityPredictor`
     #: in place of the plain CPL predictor, asserting at every resolved
     #: branch that the dynamic Algorithm-2 ``nInst`` delta lies inside the
@@ -169,7 +161,7 @@ class GPUConfig:
     #: N events) or ``"spill:N"`` (unbounded recording, zlib-spilled in
     #: N-event chunks under ``.repro_cache/events/spill/``).  Collectors
     #: never perturb timing (``tests/test_obs_parity.py``), so — like
-    #: ``clock``/``shards`` — the spec is excluded from :meth:`fingerprint`.
+    #: ``clock`` — the spec is excluded from :meth:`fingerprint`.
     #: See ``docs/observability.md``.
     events: str = "off"
     #: Statistical sampling of the trace frontend (:mod:`repro.sampling`):
@@ -208,7 +200,6 @@ class GPUConfig:
         "frontend",
         "check_cpl_bounds",
         "clock",
-        "shards",
         "events",
     })
 
@@ -254,14 +245,6 @@ class GPUConfig:
             raise ConfigError(
                 f"unknown scheduler {self.scheduler_name!r}; expected one "
                 f"of {sorted(SCHEDULERS)}"
-            )
-        if self.shards <= 0:
-            raise ConfigError(f"shards must be positive, got {self.shards}")
-        if self.shards > 1 and self.frontend != "trace":
-            raise ConfigError(
-                "sharded replay (shards > 1) requires frontend='trace'; "
-                "the execute frontend mutates global memory and cannot be "
-                "partitioned across worker processes"
             )
         # Validate the events spec through the one shared parser (local
         # import: repro.obs.bus is a leaf, but keeping it out of module
@@ -347,10 +330,6 @@ class GPUConfig:
         """Return a copy using simulation clock ``clock`` (cycle/skip)."""
         return replace(self, clock=clock)
 
-    def with_shards(self, shards: int) -> "GPUConfig":
-        """Return a copy replaying across ``shards`` worker processes."""
-        return replace(self, shards=shards)
-
     def with_events(self, events: str) -> "GPUConfig":
         """Return a copy with observability event recording spec ``events``."""
         return replace(self, events=events)
@@ -379,8 +358,8 @@ class GPUConfig:
         Keys the persistent on-disk result cache: any change to the
         configuration (cache geometry, latencies, scheduler, ...) yields a
         different fingerprint and therefore a cache miss.  The knobs in
-        :data:`FINGERPRINT_EXCLUDED` (frontend, clock, shards, events,
-        CPL bounds checking) are deliberately left out — each
+        :data:`FINGERPRINT_EXCLUDED` (frontend, clock, events, CPL
+        bounds checking) are deliberately left out — each
         selects between implementations that are bit-identical by
         contract, so results are shared between them.  ``sampling``
         (and ``sampling_seed``) are deliberately **included**: a sampled

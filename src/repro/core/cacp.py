@@ -109,7 +109,7 @@ class CACPPolicy(ReplacementPolicy):
         self._partition_hits = [0, 0]  # [critical partition, non-critical]
         self._tune_interval = 1024
         self._accesses_since_tune = 0
-        #: Event bus (``repro.obs``) or ``None``; set by ``wire_sms``.
+        #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
 
     # ------------------------------------------------------------------

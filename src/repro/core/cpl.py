@@ -43,7 +43,7 @@ class CriticalityPredictor:
         self.update_period = update_period
         self._block_threshold: Dict[int, float] = {}
         self._block_issue_count: Dict[int, int] = {}
-        #: Event bus (``repro.obs``) or ``None``; set by ``wire_sms``.
+        #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
         #: SM id stamped on emitted :data:`~repro.obs.events.Ev.CPL_DELTA`
         #: records (the predictor itself is per-SM but does not know it).

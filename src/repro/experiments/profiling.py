@@ -80,9 +80,8 @@ def stall_breakdown(
     One events-on run through :func:`repro.obs.harness.record_stalls`;
     ``share`` is the fraction of total warp-cycles (issue + all stalls),
     the paper's Fig 2c denominator.  Stall attribution is identical across
-    device clocks and shard counts (the event stream is part of the
-    bit-identical timing contract), so one recording serves every
-    column of a comparison.
+    device clocks (the event stream is part of the bit-identical timing
+    contract), so one recording serves every column of a comparison.
     """
     from ..obs.harness import record_stalls
 

@@ -103,7 +103,6 @@ def run_scheme(
     use_cache: bool = True,
     observers: Optional[list] = None,
     persistent: bool = True,
-    shards: int = 1,
     **workload_kwargs,
 ) -> RunResult:
     """Run one (workload, scheme) cell and return its :class:`RunResult`.
@@ -112,11 +111,6 @@ def run_scheme(
     ``with_reuse`` attaches the Fig 3 reuse-distance profiler.  Their
     outputs land in ``result.extra``.  ``observers`` are additional SM
     issue observers (e.g. the Fig 12 priority tracer).
-
-    ``shards > 1`` replays the cell across that many worker processes
-    (trace frontend only — see :mod:`repro.gpu.sharded`); like ``clock``
-    it is timing-transparent, so cached results are shared across shard
-    counts (both knobs are excluded from the config fingerprint).
 
     ``persistent`` enables the on-disk result cache for plain runs (no
     workload kwargs, no observers, no reuse profiler — those carry live
@@ -138,11 +132,6 @@ def run_scheme(
     if cacheable and key in _CACHE:
         return _CACHE[key]
 
-    if shards > 1:
-        # Frontend first: config validation rejects shards > 1 off-trace.
-        if base.frontend != "trace":
-            base = base.with_frontend("trace")
-        base = base.with_shards(shards)
     cfg = apply_scheme(base, scheme)
 
     disk_key = None
@@ -241,11 +230,10 @@ def _trace_frontend_run(
     # attached.  Any scheme records the same functional streams (they are
     # schedule-invariant), so recording under the requested scheme yields
     # this cell's execute-frontend result for free.
-    # Shards only apply to replay; the recording run is a plain serial
-    # execute-frontend run (shards=1 first: validation rejects sharded
-    # non-trace configs; sampling=off likewise — the execute frontend
-    # cannot sample, and the recording must cover every block).
-    exec_cfg = cfg.with_shards(1).with_sampling("off").with_frontend("execute")
+    # The recording run is a plain execute-frontend run (sampling=off
+    # first: validation rejects sampled non-trace configs — the execute
+    # frontend cannot sample, and the recording must cover every block).
+    exec_cfg = cfg.with_sampling("off").with_frontend("execute")
     recorder = trace_mod.TraceRecorder(exec_cfg)
     gpu = GPU(exec_cfg, oracle=oracle)
     gpu.attach_recorder(recorder)
@@ -273,6 +261,40 @@ def _trace_frontend_run(
             issue_observers, l1_observers,
         )
     return result
+
+
+def load_or_record_program(
+    workload: str,
+    scheme: str,
+    scale: float,
+    config: GPUConfig,
+    check: bool = True,
+):
+    """The stored trace of ``(workload, scale)`` under the trace-frontend
+    ``config``, recorded first if the store misses.
+
+    For harnesses that drive :func:`repro.trace.replay_program` themselves
+    (:func:`repro.obs.harness.record_events`,
+    :func:`repro.feedback.harness.record_signals`).  The recording run goes
+    through :func:`run_scheme` with events and sampling off — its event
+    stream would be the execute frontend's, not the replay the caller is
+    about to observe, and a recording must cover every block.
+    """
+    from .. import trace as trace_mod
+
+    program = trace_mod.load_program(workload, scale, config, None)
+    if program is None:
+        run_scheme(
+            workload, scheme, scale=scale,
+            config=config.with_events("off").with_sampling("off"),
+            check=check, use_cache=False, persistent=False,
+        )
+        program = trace_mod.load_program(workload, scale, config, None)
+    if program is None:  # pragma: no cover - store failure
+        raise RuntimeError(
+            f"could not record a trace for {workload!r} at scale {scale}"
+        )
+    return program
 
 
 def _sampled_replay(
@@ -305,7 +327,7 @@ def _sampled_replay(
 #: ``**kwargs`` is a workload kwarg and disables disk-cache fan-out.
 _RUN_SCHEME_KWARGS = frozenset(
     ("check", "with_accuracy", "with_reuse", "use_cache", "observers",
-     "persistent", "shards")
+     "persistent")
 )
 
 
@@ -417,7 +439,7 @@ def run_sweep(
 
     Extra keyword arguments split two ways: names in
     ``("check", "with_accuracy", "with_reuse", "use_cache", "observers",
-    "persistent", "shards")`` forward to :func:`run_scheme` as options;
+    "persistent")`` forward to :func:`run_scheme` as options;
     anything else forwards as a workload constructor kwarg (e.g.
     ``balanced=True`` for bfs).  A name that is neither raises
     :class:`TypeError` naming the offending key up front, instead of

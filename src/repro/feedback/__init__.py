@@ -29,7 +29,6 @@ from .signals import (
     SIGNAL_FIELDS,
     Sig,
     SignalSchemaError,
-    merge_signal_streams,
     schema_table,
     signal_to_dict,
     sort_signals,
@@ -49,7 +48,6 @@ __all__ = [
     "signal_to_dict",
     "schema_table",
     "sort_signals",
-    "merge_signal_streams",
     "FeedbackChannel",
     "SignalTap",
     "wire_gpu_feedback",

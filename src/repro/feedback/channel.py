@@ -12,13 +12,9 @@ Determinism contract
 Delivery order per SM is the cache access order of that SM's timing
 model, which the parity grid already pins down as identical across
 execute/trace frontends and cycle/skip clocks.  Handler order within one
-record is scheduler-slot order — a fixed function of the config.  Under
-sharding,
-each worker owns its SMs' L1 channels outright (foreign SMs never tick),
-so local delivery is untouched; L2 signals are owned by the coordinator
-and only ever *recorded* (schedulers are per-SM and subscribe to L1
-locality, never to the shared L2), merged into global canonical order by
-:func:`repro.feedback.signals.merge_signal_streams`.
+record is scheduler-slot order — a fixed function of the config.  L2
+signals are only ever *recorded* (schedulers are per-SM and subscribe to
+L1 locality, never to the shared L2).
 
 Criticality
 -----------
@@ -47,11 +43,8 @@ CriticalityFn = Callable[["Warp"], bool]
 
 
 class SignalTap:
-    """Passive recorder attached to channels (tests, ``record_signals``).
-
-    Appends are O(1) on the hot path; :meth:`drain` hands the buffer off
-    (used by sharded workers to ship per-launch signal batches).
-    """
+    """Passive recorder attached to channels (tests, ``record_signals``);
+    appends are O(1) on the hot path."""
 
     __slots__ = ("records",)
 
@@ -60,11 +53,6 @@ class SignalTap:
 
     def append(self, record: tuple) -> None:
         self.records.append(record)
-
-    def drain(self) -> List[tuple]:
-        out = self.records
-        self.records = []
-        return out
 
     def __len__(self) -> int:
         return len(self.records)
@@ -178,6 +166,5 @@ def attach_signal_tap(gpu: "GPU", tap: SignalTap) -> FeedbackChannel:
     l2.fb = device_ch
     l2.fb_owner = -1  # L2 signals carry the *requesting* SM id
     l2.fb_level = 1
-    gpu.fb_tap = tap
     return device_ch
 

@@ -30,15 +30,27 @@ def record_signals(
     """Run one cell recording every feedback signal; return ``(result, signals)``.
 
     Signals are returned in the canonical ``(cycle, sm, kind, fields)``
-    order so streams from different frontends / clocks / shard counts
-    compare with ``==``.
+    order so streams from different frontends / clocks compare with
+    ``==``.
+
+    A sampled config (``config.sampling != "off"``) raises
+    :class:`~repro.errors.ConfigError`: nothing taps a sampled replay, and
+    replaying the whole trace instead would return exact numbers under a
+    config that asked for estimates.
     """
     from ..core.cawa import apply_scheme
-    from ..experiments.runner import build_oracle
+    from ..errors import ConfigError
+    from ..experiments.runner import build_oracle, load_or_record_program
     from ..gpu import GPU
     from ..workloads import make_workload
 
     base = config or GPUConfig.default_sim()
+    if base.sampling != "off":
+        raise ConfigError(
+            f"record_signals cannot tap a sampled replay (sampling="
+            f"{base.sampling!r}); record signals from an exact run "
+            "(config.with_sampling('off'))"
+        )
     cfg = apply_scheme(base, scheme)
 
     tap = SignalTap()
@@ -47,21 +59,8 @@ def record_signals(
 
     if cfg.frontend == "trace":
         from .. import trace as trace_mod
-        from ..experiments.runner import run_scheme
 
-        program = trace_mod.load_program(workload, scale, cfg, None)
-        if program is None:
-            # Record the trace once through the standard runner path.
-            run_scheme(
-                workload, scheme, scale=scale,
-                config=base.with_shards(1).with_sampling("off"),
-                check=check, use_cache=False, persistent=False,
-            )
-            program = trace_mod.load_program(workload, scale, cfg, None)
-        if program is None:  # pragma: no cover - store failure
-            raise RuntimeError(
-                f"could not record a trace for {workload!r} at scale {scale}"
-            )
+        program = load_or_record_program(workload, scheme, scale, base, check)
         results = trace_mod.replay_program(
             program, cfg, scheme=scheme, oracle=oracle, feedback_tap=tap
         )

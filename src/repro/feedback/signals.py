@@ -20,12 +20,11 @@ appending new kinds or new trailing fields and bumping
 
 Determinism contract (``tests/test_feedback_determinism.py``): the signal
 multiset and the per-SM delivery order are identical across execute/trace
-frontends, cycle/skip clocks, and shard counts.
-Cross-stream comparisons go through :func:`sort_signals` /
-:func:`merge_signal_streams` — the same canonical ``(cycle, sm, kind,
-fields)`` order the obs layer uses — because serial emission order is not
-cycle-sorted (signals are stamped with the LSU issue time, which can run
-ahead of the emitting tick).
+frontends and cycle/skip clocks.
+Cross-stream comparisons go through :func:`sort_signals` — the same
+canonical ``(cycle, sm, kind, fields)`` order the obs layer uses —
+because serial emission order is not cycle-sorted (signals are stamped
+with the LSU issue time, which can run ahead of the emitting tick).
 """
 
 from __future__ import annotations
@@ -126,23 +125,6 @@ def _sort_key(record: Sequence[object]) -> Tuple[object, ...]:
 def sort_signals(records: Iterable[Sequence[object]]) -> List[tuple]:
     """Canonical deterministic order: ``(cycle, sm, kind, fields)``."""
     return sorted((tuple(r) for r in records), key=_sort_key)
-
-
-def merge_signal_streams(
-    streams: Iterable[Iterable[Sequence[object]]],
-) -> List[tuple]:
-    """Merge per-shard signal streams into one canonical list.
-
-    Defined as the canonical sort of the concatenation — independent of
-    shard count and worker scheduling as long as the emitted multiset
-    matches, which the sharded bit-identity contract guarantees (the same
-    definition :func:`repro.obs.collect.merge_event_streams` uses).
-    """
-    merged: List[tuple] = []
-    for stream in streams:
-        merged.extend(tuple(r) for r in stream)
-    merged.sort(key=_sort_key)
-    return merged
 
 
 def schema_table() -> str:

@@ -1,10 +1,10 @@
 """Advisory file locking and atomic-write helpers for the on-disk stores.
 
 The persistent stores under ``.repro_cache/`` (results, traces, event
-streams) are shared by concurrent writers: parallel sweep workers, sharded
-replay coordinators, and — with :mod:`repro.serve` — a long-lived server's
-executor processes, all racing against interactive CLI invocations.  Three
-primitives keep that safe:
+streams) are shared by concurrent writers: parallel sweep workers and —
+with :mod:`repro.serve` — a long-lived server's executor processes, all
+racing against interactive CLI invocations.  Three primitives keep that
+safe:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_json` — temp file in the
   destination directory + ``os.replace``, so a reader only ever sees either

@@ -80,11 +80,6 @@ class GPU:
         #: Optional :class:`~repro.trace.recorder.TraceRecorder` capturing
         #: this GPU's issues (see :meth:`attach_recorder`).
         self._recorder = None
-        #: Optional :class:`~repro.feedback.SignalTap` recording every
-        #: published feedback signal; set by
-        #: :func:`repro.feedback.attach_signal_tap` (sharded workers drain
-        #: it per launch).
-        self.fb_tap = None
         # sanitize: waive FPR001 -- frontend selection is bit-identical by contract (trace parity grid)
         if self.config.frontend == "trace":
             if trace is None:
@@ -376,20 +371,6 @@ class GPU:
         self._commit_pending = True
 
     # ------------------------------------------------------------------
-    def next_event_time(self, now: float) -> float:
-        """Earliest event anywhere on the device after ``now``.
-
-        Minimum over every SM's wake time and the shared hierarchy's
-        bank/channel frees.  The skip loop itself heaps only the SM wakes
-        (the hierarchy terms shape latencies, never issue eligibility); this
-        aggregate exists for diagnostics and external drivers such as the
-        sharded-replay coordinator (:mod:`repro.gpu.sharded`).
-        """
-        times = [sm.next_event_time(now) for sm in self.sms]
-        times.append(self.hierarchy.next_event_time(now))
-        return min(times)
-
-    # ------------------------------------------------------------------
     def _snapshot_stats(self):
         """Capture cumulative counters so per-launch deltas can be reported."""
         return {
@@ -433,7 +414,6 @@ class GPU:
             dram_accesses=self.hierarchy.dram.accesses - snap["dram"],
             warp_size=self.config.warp_size,
             clock=self.config.clock,  # sanitize: waive FPR001 -- reporting metadata only
-            shards=self.config.shards,  # sanitize: waive FPR001 -- reporting metadata only
             events=self.config.events,  # sanitize: waive FPR001 -- reporting metadata only
             cycles_skipped=self._launch_cycles_skipped,
             skip_jumps=self._launch_skip_jumps,

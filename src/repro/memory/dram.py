@@ -27,7 +27,7 @@ class DRAMModel:
         #: Cumulative cycles requests spent waiting for the channel (the
         #: ``start - now`` queueing component of every access).
         self.queue_cycles = 0.0
-        #: Event bus (``repro.obs``) or ``None``; set by ``wire_hierarchy``.
+        #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
 
     def access(self, now: float, sm_id: int = -1) -> float:

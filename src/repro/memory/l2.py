@@ -36,7 +36,7 @@ class BankedL2:
         self._bank_next_free: List[float] = [0.0] * num_banks
         #: Cumulative cycles requests spent queued behind busy banks.
         self.queue_cycles = 0.0
-        #: Event bus (``repro.obs``) or ``None``; set by ``wire_hierarchy``.
+        #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
 
     def bank_of(self, line_addr: int) -> int:

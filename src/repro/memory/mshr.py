@@ -30,7 +30,7 @@ class MSHRFile:
         self._completions: list = []  # heap of (completion, line_addr)
         self.merged_misses = 0
         self.stall_inducing_misses = 0
-        #: Event bus (``repro.obs``) or ``None``; set by ``wire_sms``.
+        #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
         #: Owning SM id stamped on emitted MSHR records.
         self.obs_owner = -1

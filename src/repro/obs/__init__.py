@@ -2,7 +2,7 @@
 
 A typed, versioned event schema (:mod:`~repro.obs.events`), a
 near-zero-cost probe/event bus (:mod:`~repro.obs.bus`), bounded
-collectors with deterministic sharded merging (:mod:`~repro.obs.collect`),
+collectors and the canonical event order (:mod:`~repro.obs.collect`),
 per-warp stall attribution (:mod:`~repro.obs.stalls`), a persistent store
 (:mod:`~repro.obs.store`), and Chrome-trace / CSV exporters
 (:mod:`~repro.obs.export`).  See ``docs/observability.md``.
@@ -14,8 +14,8 @@ experiment runner, so it is exposed via module ``__getattr__`` instead.
 
 from __future__ import annotations
 
-from .bus import EventBus, bus_from_spec, parse_spec, wire_gpu, wire_hierarchy, wire_sms
-from .collect import RingCollector, merge_event_streams, sort_events
+from .bus import EventBus, bus_from_spec, parse_spec, wire_gpu
+from .collect import RingCollector, sort_events
 from .events import (
     EVENT_FIELDS,
     SCHEMA_VERSION,
@@ -46,11 +46,8 @@ __all__ = [
     "bus_from_spec",
     "parse_spec",
     "wire_gpu",
-    "wire_sms",
-    "wire_hierarchy",
     "RingCollector",
     "sort_events",
-    "merge_event_streams",
     "StallAccounting",
     "format_top_reasons",
     "chrome_trace",

@@ -19,7 +19,7 @@ retained recording) and fans every event out to any *attached* collectors
 :class:`~repro.stats.timeline.TimelineProfiler`.  Attaching collectors
 never perturbs timing: probes only ever append to Python lists
 (``tests/test_obs_parity.py`` pins bit-identical cycles with collectors
-on/off across every frontend x clock combination and ``shards=2``).
+on/off across every frontend x clock combination).
 
 Buffer specs (``GPUConfig.events``):
 
@@ -119,16 +119,6 @@ class EventBus:
         """Retained events in emission order."""
         return self.ring.events()
 
-    def drain(self) -> List[tuple]:
-        """Return retained events and reset the ring (sharded hand-off)."""
-        return self.ring.drain()
-
-    def ingest(self, events) -> None:
-        """Feed pre-recorded events (e.g. a merged sharded stream) through
-        every sink, exactly as if they had been emitted live."""
-        for ev in events:
-            self.emit(ev)
-
 
 def bus_from_spec(spec: str) -> Optional[EventBus]:
     """Build an :class:`EventBus` from a ``GPUConfig.events`` spec.
@@ -150,13 +140,11 @@ def bus_from_spec(spec: str) -> Optional[EventBus]:
 # ----------------------------------------------------------------------
 # Wiring
 # ----------------------------------------------------------------------
-def wire_sms(sms, bus: EventBus) -> None:
-    """Point every per-SM probe (SM, LSU, L1D, MSHR, CPL, CACP) at ``bus``.
-
-    Split out from :func:`wire_gpu` because sharded-replay workers own
-    only their SMs — the shared hierarchy lives with the coordinator.
-    """
-    for sm in sms:
+def wire_gpu(gpu, bus: EventBus) -> None:
+    """Point every probe on the device at ``bus``: per SM (SM, LSU, L1D,
+    MSHR, CPL, CACP) and on the shared hierarchy (L2 banks + tag array,
+    DRAM channel)."""
+    for sm in gpu.sms:
         sm.obs = bus
         sm.lsu.obs = bus
         sm.l1d.obs = bus
@@ -170,20 +158,9 @@ def wire_sms(sms, bus: EventBus) -> None:
         policy = sm.l1d.policy
         if getattr(policy, "name", "") == "cacp":
             policy.obs = bus
-
-
-def wire_hierarchy(hierarchy, bus: EventBus) -> None:
-    """Point the shared-memory-side probes (L2 banks + tag array, DRAM
-    channel) at ``bus``.  The sharded coordinator calls this on its
-    authoritative hierarchy; serial runs get it via :func:`wire_gpu`."""
+    hierarchy = gpu.hierarchy
     hierarchy.l2.obs = bus
     hierarchy.l2.cache.obs = bus
     hierarchy.l2.cache.obs_level = 1  # LEVEL_L2
     hierarchy.l2.cache.obs_owner = -1
     hierarchy.dram.obs = bus
-
-
-def wire_gpu(gpu, bus: EventBus) -> None:
-    """Wire a whole serial device (every SM plus the shared hierarchy)."""
-    wire_sms(gpu.sms, bus)
-    wire_hierarchy(gpu.hierarchy, bus)

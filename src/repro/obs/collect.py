@@ -1,4 +1,4 @@
-"""Bounded ring-buffer collectors and deterministic event-stream merging.
+"""Bounded ring-buffer collectors and the canonical event order.
 
 The primary sink of every :class:`~repro.obs.bus.EventBus` is a
 :class:`RingCollector`: a bounded buffer that either *drops oldest* (plain
@@ -11,14 +11,11 @@ Canonical ordering
 
 Serial emission order is **not** cycle-sorted: cache/CACP events are
 stamped with the request's LSU issue time (``req.cycle``), which can run
-ahead of the tick that emitted them, and sharded replay produces one
-stream per worker plus the coordinator's L2/DRAM stream.  Every consumer
-that needs a deterministic order therefore goes through
-:func:`sort_events` — a stable sort on ``(cycle, sm, kind, fields...)`` —
-and sharded merging (:func:`merge_event_streams`) is defined as the
-canonical sort of the concatenation.  Two runs that emit the same event
-*multiset* thus export byte-identical artifacts regardless of shard count
-(``tests/test_obs_sharded.py``).
+ahead of the tick that emitted them.  Every consumer that needs a
+deterministic order therefore goes through :func:`sort_events` — a stable
+sort on ``(cycle, sm, kind, fields...)``.  Two runs that emit the same
+event *multiset* thus export byte-identical artifacts whichever frontend
+or clock produced them (``tests/test_obs_parity.py``).
 """
 
 from __future__ import annotations
@@ -43,21 +40,6 @@ def _sort_key(ev: Sequence) -> Tuple:
 def sort_events(events: Iterable[Sequence]) -> List[tuple]:
     """Canonical deterministic order: ``(cycle, sm, kind, fields)``."""
     return sorted((tuple(ev) for ev in events), key=_sort_key)
-
-
-def merge_event_streams(streams: Iterable[Iterable[Sequence]]) -> List[tuple]:
-    """Deterministically merge per-shard streams into one canonical list.
-
-    Defined as the canonical sort of the concatenation, so the result is
-    independent of shard count and worker scheduling as long as the union
-    of emitted events matches (which the sharded bit-identity contract
-    guarantees).
-    """
-    merged: List[tuple] = []
-    for stream in streams:
-        merged.extend(tuple(ev) for ev in stream)
-    merged.sort(key=_sort_key)
-    return merged
 
 
 class RingCollector:
@@ -116,22 +98,6 @@ class RingCollector:
         for path in self._chunks:
             out.extend(self._read_chunk(path))
         out.extend(self._buf)
-        return out
-
-    def drain(self) -> List[tuple]:
-        """Return all retained events and reset the buffer.
-
-        ``total`` keeps counting across drains (it is the emission count,
-        not the retention count); spill chunk files are deleted.
-        """
-        out = self.events()
-        self._buf.clear()
-        for path in self._chunks:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._chunks.clear()
         return out
 
     def __len__(self) -> int:

@@ -9,7 +9,6 @@ where ``kind`` is an :class:`Ev` code, ``cycle`` the device cycle the event
 is stamped with, and ``sm_id`` the originating SM (``-1`` for device-level
 components such as the shared L2 tag array).  Tuples — not dataclasses —
 keep emission near-free on the hot path and make records trivially
-picklable (sharded replay ships per-worker buffers through a pipe) and
 JSON-serializable (persistent store, Chrome-trace export).
 
 The schema is *versioned* (:data:`SCHEMA_VERSION`): the per-kind field

@@ -16,7 +16,7 @@ The Chrome trace maps the device onto the trace-viewer hierarchy:
 Byte determinism: :func:`write_chrome_trace` canonically sorts the events
 (:func:`~repro.obs.collect.sort_events`) and serializes with
 ``sort_keys=True`` and fixed separators, so two runs emitting the same
-event multiset export byte-identical files regardless of shard count.
+event multiset export byte-identical files.
 
 Timestamps are in microseconds per the trace format; we map **1 cycle ==
 1 µs** so Perfetto's time axis reads directly in cycles.

@@ -3,7 +3,7 @@
 :func:`record_events` is the programmatic counterpart of ``repro events
 record``: it builds an events-enabled config, attaches any caller
 collectors *before* launch, runs the cell under whichever frontend /
-clock / shards the config selects, and hands back ``(result, bus)``.
+clock the config selects, and hands back ``(result, bus)``.
 
 Kept in its own module (and exported lazily from ``repro.obs``) because
 it imports the GPU and the experiment runner — far too heavy for the
@@ -31,8 +31,7 @@ def record_events(
 
     If ``config`` has ``events == "off"`` it is upgraded to ``"on"`` —
     asking to record with events disabled is never what the caller meant.
-    Works under both frontends, both clocks, and ``shards > 1`` (the
-    coordinator feeds the merged worker streams back through this bus).
+    Works under both frontends and both clocks.
 
     With ``config.sampling != "off"`` the bus observes the *sampled*
     replay: the stream covers only the selected subset (under renumbered
@@ -41,7 +40,7 @@ def record_events(
     streams carry the sampling spec in their provenance metadata.
     """
     from ..core.cawa import apply_scheme
-    from ..experiments.runner import build_oracle
+    from ..experiments.runner import build_oracle, load_or_record_program
     from ..gpu import GPU
     from ..workloads import make_workload
 
@@ -60,24 +59,8 @@ def record_events(
 
     if cfg.frontend == "trace":
         from .. import trace as trace_mod
-        from ..experiments.runner import run_scheme
 
-        program = trace_mod.load_program(workload, scale, cfg, None)
-        if program is None:
-            # Record the trace once through the standard runner path
-            # (events off: the recording run's stream would be the
-            # execute frontend's, not the replay we are about to time).
-            run_scheme(
-                workload, scheme, scale=scale,
-                config=base.with_events("off").with_shards(1)
-                           .with_sampling("off"),
-                check=check, use_cache=False, persistent=False,
-            )
-            program = trace_mod.load_program(workload, scale, cfg, None)
-        if program is None:  # pragma: no cover - store failure
-            raise RuntimeError(
-                f"could not record a trace for {workload!r} at scale {scale}"
-            )
+        program = load_or_record_program(workload, scheme, scale, base, check)
         if cfg.sampling != "off":
             from ..sampling import calibrate as sampling_calibrate
             from ..sampling.replay import replay_sampled

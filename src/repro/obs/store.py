@@ -44,19 +44,20 @@ class EventStoreError(ReproError):
 
 
 def events_dir() -> Path:
-    """Root directory for event artifacts (created on demand)."""
+    """Root directory for event artifacts.
+
+    Only resolved here: :func:`save_events` and the collector's spill path
+    create it when they first write, so the read-only commands
+    (:func:`list_events`, :func:`stats`, :func:`gc`) never touch the disk.
+    """
     from ..experiments.result_cache import cache_dir  # lazy: import cycle
 
-    path = cache_dir() / EVENTS_SUBDIR
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return cache_dir() / EVENTS_SUBDIR
 
 
 def spill_dir() -> Path:
     """Directory for :class:`~repro.obs.collect.RingCollector` spill chunks."""
-    path = events_dir() / "spill"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return events_dir() / "spill"
 
 
 def event_key(workload: str, scheme: str, scale: float,
@@ -149,6 +150,8 @@ def gc(
     """Lock-safe garbage collection of stale event streams (and spill
     chunks), same contract as :func:`repro.experiments.result_cache.gc`."""
     root = events_dir()
+    if not root.is_dir():
+        return 0
     lock = fslock.lock_path(root)
 
     def _collect() -> int:

@@ -263,27 +263,3 @@ def terminal_name(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def walk_runtime(tree: ast.AST) -> Iterator[ast.AST]:
-    """Like :func:`ast.walk`, skipping ``if TYPE_CHECKING:`` bodies.
-
-    Typing-only imports never execute, so shard-safety (SHD001) must not
-    flag them.
-    """
-    queue: List[ast.AST] = [tree]
-    while queue:
-        node = queue.pop(0)
-        yield node
-        if isinstance(node, ast.If):
-            test = node.test
-            guard = (
-                isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
-            ) or (
-                isinstance(test, ast.Attribute)
-                and test.attr == "TYPE_CHECKING"
-            )
-            if guard:
-                queue.extend(node.orelse)
-                continue
-        queue.extend(ast.iter_child_nodes(node))

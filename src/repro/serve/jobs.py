@@ -46,14 +46,14 @@ PRIORITIES = ("interactive", "batch")
 #: Numeric priority values (lower dispatches first).
 _PRIORITY_VALUE = {"interactive": 0, "batch": 10}
 #: Device knobs a job payload may override on the base GPUConfig.
-#: ``clock``/``shards``/``frontend`` are bit-identical-by-contract
+#: ``clock``/``frontend`` are bit-identical-by-contract
 #: selectors (excluded from the result fingerprint), so they change how
 #: fast a job runs, never its answer.
 #: ``sampling`` is the exception: it trades accuracy for speed, *does*
 #: change the reported numbers, and is therefore part of the config
 #: fingerprint — jobs differing only in ``sampling`` never coalesce
 #: (the coalescing fingerprint is built from config fingerprints).
-DEVICE_KNOBS = ("clock", "shards", "frontend", "sampling")
+DEVICE_KNOBS = ("clock", "frontend", "sampling")
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -225,8 +225,6 @@ class JobSpec:
                     cfg = cfg.with_clock(str(value))
                 elif knob == "frontend":
                     cfg = cfg.with_frontend(str(value))
-                elif knob == "shards":
-                    cfg = cfg.with_shards(int(value)).with_frontend("trace")
                 elif knob == "sampling":
                     cfg = cfg.with_sampling(str(value))
         except (ConfigError, ValueError, TypeError) as exc:

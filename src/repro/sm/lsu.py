@@ -54,7 +54,7 @@ class LoadStoreUnit:
         self.hierarchy = hierarchy
         self.shared_latency = shared_latency
         self._next_free = 0.0
-        #: Event bus (``repro.obs``) or ``None``; set by ``wire_sms``.
+        #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
         # Statistics.
         self.global_accesses = 0

@@ -143,15 +143,13 @@ class RunResult:
     trace_id: Optional[str] = None
 
     #: Provenance: which device clock produced this result (``"skip"``, the
-    #: default loop, or the ``"cycle"`` reference) and how many replay
-    #: shards ran it.  Timing-transparent by contract — results must be
-    #: bit-identical across clocks and shard counts — so these are excluded
-    #: from parity comparisons and from the result-cache fingerprint (see
-    #: :meth:`repro.config.GPUConfig.fingerprint`).  A stored payload with
-    #: no ``"clock"`` key predates the field and loads as ``"cycle"``, the
-    #: only loop there was.
+    #: default loop, or the ``"cycle"`` reference).  Timing-transparent by
+    #: contract — results must be bit-identical across clocks — so it is
+    #: excluded from parity comparisons and from the result-cache
+    #: fingerprint (see :meth:`repro.config.GPUConfig.fingerprint`).  A
+    #: stored payload with no ``"clock"`` key predates the field and loads
+    #: as ``"cycle"``, the only loop there was.
     clock: str = "cycle"
-    shards: int = 1
     #: Clock-advance telemetry (both clocks count them): ``skip_jumps`` is
     #: the number of clock advances larger than one cycle, ``cycles_skipped``
     #: the total cycles those advances never visited.  Diagnostic only —
@@ -160,7 +158,7 @@ class RunResult:
     skip_jumps: int = 0
     #: Provenance: the observability events spec this run was produced
     #: under (``"off"`` unless the event bus was live).  Collectors never
-    #: perturb timing, so — like ``clock``/``shards`` — this is excluded
+    #: perturb timing, so — like ``clock`` — this is excluded
     #: from parity comparisons and the result-cache fingerprint.
     events: str = "off"
     #: Provenance: the trace-sampling spec this result was produced under
@@ -243,7 +241,6 @@ class RunResult:
             "frontend": self.frontend,
             "trace_id": self.trace_id,
             "clock": self.clock,
-            "shards": self.shards,
             "cycles_skipped": self.cycles_skipped,
             "skip_jumps": self.skip_jumps,
             "events": self.events,
@@ -280,7 +277,6 @@ class RunResult:
             frontend=data.get("frontend", "execute"),
             trace_id=data.get("trace_id"),
             clock=data.get("clock", "cycle"),
-            shards=data.get("shards", 1),
             cycles_skipped=data.get("cycles_skipped", 0.0),
             skip_jumps=data.get("skip_jumps", 0),
             events=data.get("events", "off"),
@@ -304,55 +300,3 @@ def result_from_dict(data: Dict) -> "RunResult":
 
         return SampledRunResult.from_dict(data)
     return RunResult.from_dict(data)
-
-
-def merge_shard_results(parts: List["RunResult"], shards: int) -> "RunResult":
-    """Deterministically merge per-shard results into one device result.
-
-    Each shard simulates a disjoint subset of SMs against the shared L2/DRAM
-    (see :mod:`repro.gpu.sharded`), so the merge is pure aggregation:
-
-    * scalar instruction / access counters **sum**;
-    * ``cycles`` is the **max** over shards (the device ran until its last
-      SM finished);
-    * cache stats sum field-wise (the coordinator supplies the single
-      authoritative L2 delta on ``parts[0]``; per-shard results carry only
-      their own SMs' L1 counters);
-    * ``blocks`` concatenate and re-sort by ``block_id`` — the same order
-      :meth:`repro.gpu.gpu.GPU._collect` produces serially, making the merge
-      independent of shard count and completion order.
-
-    ``parts`` must be passed in shard order; determinism of the output then
-    follows from determinism of each shard.
-    """
-    if not parts:
-        raise ValueError("merge_shard_results needs at least one shard result")
-    head = parts[0]
-    blocks: List = []
-    for part in parts:
-        blocks.extend(part.blocks)
-    blocks.sort(key=lambda b: b.block_id)
-    extra: Dict[str, object] = {}
-    for part in parts:
-        extra.update(part.extra)
-    return RunResult(
-        kernel_name=head.kernel_name,
-        scheme=head.scheme,
-        cycles=max(p.cycles for p in parts),
-        thread_instructions=sum(p.thread_instructions for p in parts),
-        warp_instructions=sum(p.warp_instructions for p in parts),
-        l1_stats=merge_cache_stats([p.l1_stats for p in parts]),
-        l2_stats=head.l2_stats,
-        blocks=blocks,
-        dram_accesses=head.dram_accesses,
-        extra=extra,
-        warp_size=head.warp_size,
-        frontend=head.frontend,
-        trace_id=head.trace_id,
-        clock="skip",  # shard workers always run the skip loop
-        shards=shards,
-        events=head.events,
-        sampling=head.sampling,
-        cycles_skipped=sum(p.cycles_skipped for p in parts),
-        skip_jumps=sum(p.skip_jumps for p in parts),
-    )

@@ -459,7 +459,6 @@ def estimate_sampled_result(
         frontend="trace",
         trace_id=replay_result.trace_id,
         clock=replay_result.clock,
-        shards=replay_result.shards,
         cycles_skipped=replay_result.cycles_skipped,
         skip_jumps=replay_result.skip_jumps,
         events=replay_result.events,

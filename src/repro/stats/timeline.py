@@ -15,9 +15,8 @@ timeline from ``WARP_START`` / ``WARP_ISSUE`` / ``WARP_FINISH`` events::
     bus.attach(profiler)
     gpu = GPU(config, obs=bus)
 
-or feed a stored recording after the fact with :meth:`TimelineProfiler.extend`.
-Collectors ride the event bus across process boundaries, so the profiler
-works under sharded replay too (``docs/observability.md``).
+or feed a stored recording after the fact with :meth:`TimelineProfiler.extend`
+(``docs/observability.md``).
 """
 
 from __future__ import annotations

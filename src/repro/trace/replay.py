@@ -164,46 +164,13 @@ def replay_program(
     ``bus`` is an optional :class:`repro.obs.bus.EventBus` the replay wires
     in place of the config-built one (callers attach collectors first).
     ``feedback_tap`` is an optional :class:`repro.feedback.SignalTap`
-    recording every published feedback signal; under sharding the per-worker streams and the
-    coordinator's shared-L2 stream are merged into canonical order before
-    landing in the tap.
-
-    With ``config.shards > 1`` the launches are replayed by the sharded
-    multi-process engine (:mod:`repro.gpu.sharded`): SMs are partitioned
-    across worker processes synchronizing at every shared L2/DRAM
-    interaction, bit-identical to the serial replay.  Live *issue/L1*
-    observers cannot cross process boundaries and raise
-    :class:`ConfigError` there — obs collectors are exempt, because the
-    event layer serializes per-worker buffers back through the
-    coordinator (see ``docs/observability.md``).
+    recording every published feedback signal.
     """
     from ..gpu import GPU  # local: avoid a gpu <-> trace import cycle
 
     cfg = config or GPUConfig.default_sim()
     if cfg.frontend != "trace":
         cfg = cfg.with_frontend("trace")
-    if cfg.shards > 1:
-        from ..errors import ConfigError
-        from ..gpu.sharded import replay_program_sharded
-
-        if observers or l1_observers:
-            blockers = sorted(
-                {type(obs).__name__
-                 for obs in list(observers or ()) + list(l1_observers or ())}
-            )
-            raise ConfigError(
-                "sharded replay (shards > 1) cannot attach live observers: "
-                f"{', '.join(blockers)} hold(s) Python state that cannot "
-                "cross process boundaries. Run with shards=1, or — for "
-                "event-stream analyses — attach an obs collector to an "
-                "EventBus instead: the observability layer ships per-worker "
-                "buffers back through the coordinator and merges them "
-                "deterministically (see docs/observability.md)"
-            )
-        return replay_program_sharded(
-            program, cfg, scheme=scheme, oracle=oracle, max_cycles=max_cycles,
-            bus=bus, feedback_tap=feedback_tap,
-        )
     gpu = GPU(cfg, oracle=oracle, max_cycles=max_cycles, trace=program,
               obs=bus)
     if feedback_tap is not None:

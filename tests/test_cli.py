@@ -206,3 +206,11 @@ class TestEventsCommand:
     def test_info_empty(self, capsys):
         assert main(["events", "info"]) == 0
         assert "no event recordings" in capsys.readouterr().out
+
+    def test_read_only_commands_write_nothing(self, capsys):
+        from repro.experiments.result_cache import cache_dir
+
+        assert main(["events", "info"]) == 0
+        assert main(["cache", "stats"]) == 0
+        capsys.readouterr()
+        assert not cache_dir().exists()

@@ -104,3 +104,23 @@ class TestRemovedBackendKnob:
         assert not hasattr(GPUConfig.default_sim(), "with_backend")
         with pytest.raises(TypeError, match="backend"):
             GPUConfig(backend="vector")
+
+
+class TestRemovedShardsKnob:
+    """One process per simulation: the ``shards`` selector is gone, loudly."""
+
+    def test_shards_is_not_a_config_field(self):
+        assert not hasattr(GPUConfig.default_sim(), "with_shards")
+        with pytest.raises(TypeError, match="shards"):
+            GPUConfig(shards=2)
+
+    def test_run_scheme_and_run_sweep_refuse_shards(self):
+        from repro.experiments.runner import run_scheme, run_sweep
+
+        # No longer a run_scheme option: it falls through to the workload
+        # constructor, which does not take it either.
+        with pytest.raises(TypeError, match="shards"):
+            run_scheme("bfs", "gto", scale=0.25, shards=2,
+                       use_cache=False, persistent=False)
+        with pytest.raises(TypeError, match="shards"):
+            run_sweep(["bfs"], ["gto"], scale=0.25, shards=2)

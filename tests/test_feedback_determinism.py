@@ -2,43 +2,28 @@
 
 The FeedbackChannel determinism contract (docs/schemes.md): the canonical
 signal stream — every record, compared as ``(cycle, sm, kind, fields)``
-tuples — is identical across execute/trace frontends, cycle/skip clocks,
-and shard counts; and because the consumer
-schemes (ccws/wasp/ciao) alter issue decisions based on those signals,
-their *cycle counts* must agree across modes too, which these tests pin
-alongside the streams themselves.
+tuples — is identical across execute/trace frontends and cycle/skip
+clocks; and because the consumer schemes (ccws/wasp/ciao) alter issue
+decisions based on those signals, their *cycle counts* must agree across
+modes too, which these tests pin alongside the streams themselves.
 
 Recording goes through :func:`repro.feedback.record_signals`, which taps
 every per-SM L1 channel plus the shared-L2 device channel.
 """
 
-import multiprocessing
-
 import pytest
 
 from repro.config import GPUConfig
+from repro.errors import ConfigError
 from repro.feedback import record_signals
 from repro.feedback.signals import LEVEL_L1D, LEVEL_L2, Sig, validate_signals
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharded replay requires the fork start method",
-)
-
 CONSUMER_SCHEMES = ["ccws", "wasp", "ciao"]
 
-#: Wide enough for strcltr_mid scale=1 (4 blocks) to be fully resident
-#: under sharding (same sizing as test_sharded_replay).
-NUM_SMS = 4
 
-
-def _record(scheme, workload="backprop", scale=0.25, num_sms=None,
-            frontend="execute", clock="cycle", shards=1):
-    cfg = GPUConfig.default_sim(
-        **({"num_sms": num_sms} if num_sms is not None else {})
-    ).with_clock(clock)
-    if frontend == "trace":
-        cfg = cfg.with_frontend("trace").with_shards(shards)
+def _record(scheme, workload="backprop", scale=0.25,
+            frontend="execute", clock="cycle"):
+    cfg = GPUConfig.default_sim().with_clock(clock).with_frontend(frontend)
     result, signals = record_signals(workload, scheme, scale=scale, config=cfg)
     return result, signals
 
@@ -85,34 +70,14 @@ class TestSignalStreamFast:
         assert result.cycles > 0
 
 
-@needs_fork
-class TestShardedStreams:
-    """Worker-local L1 + coordinator L2 signals merge to the serial stream."""
-
-    def test_two_shards_match_serial(self):
-        serial_result, serial = _record(
-            "ccws", workload="strcltr_mid", scale=1.0, num_sms=NUM_SMS,
-            frontend="trace", shards=1,
-        )
-        sharded_result, sharded = _record(
-            "ccws", workload="strcltr_mid", scale=1.0, num_sms=NUM_SMS,
-            frontend="trace", shards=2,
-        )
-        assert sharded_result.cycles == serial_result.cycles
-        assert sharded == serial
-        assert validate_signals(sharded) > 0
-
-    @pytest.mark.slow
-    def test_four_shards_match_serial(self):
-        _, serial = _record(
-            "ccws", workload="strcltr_mid", scale=1.0, num_sms=NUM_SMS,
-            frontend="trace", shards=1,
-        )
-        _, sharded = _record(
-            "ccws", workload="strcltr_mid", scale=1.0, num_sms=NUM_SMS,
-            frontend="trace", shards=4,
-        )
-        assert sharded == serial
+class TestSampledConfig:
+    def test_sampled_config_is_refused(self):
+        # record_signals used to ignore ``sampling`` and replay the whole
+        # trace, returning an exact RunResult under a config that asked
+        # for estimates (record_events on the same config samples).
+        sampled = GPUConfig.default_sim().with_sampling("blocks:0.25")
+        with pytest.raises(ConfigError, match="sampled replay"):
+            record_signals("bfs", "gto", scale=0.25, config=sampled)
 
 
 @pytest.mark.slow

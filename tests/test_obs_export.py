@@ -4,9 +4,10 @@ The Chrome Trace Format export must be loadable by Perfetto: a dict with a
 ``traceEvents`` list whose entries carry ``ph``/``pid``/``tid``/``ts``,
 process/thread naming metadata, duration slices for issues and stalls, and
 instants for memory events.  Byte determinism (same multiset of events →
-identical file, regardless of input order) is what makes the sharded
-equivalence test (``test_obs_sharded.py``) meaningful, so it is pinned
-here on synthetic streams, including a full golden file.
+identical file, regardless of input order) is what makes the
+cross-frontend / cross-clock stream-equality cells
+(``test_obs_parity.py``) meaningful, so it is pinned here on synthetic
+streams, including a full golden file.
 """
 
 import json

@@ -77,13 +77,19 @@ class TestKeyInvalidation:
         assert GPUConfig.default_sim().fingerprint() == "7a640cd6a2ca7459"
         assert GPUConfig.fermi_gtx480().fingerprint() == "dc923f8c647f33f2"
 
-    def test_clock_and_shards_do_not_change_fingerprint(self):
-        # Both knobs are timing-transparent (bit-identical results), so
-        # all clock/shard combinations must share one cache entry.
+    def test_fingerprint_excluded_set_is_pinned(self):
+        # The knobs whose product the parity suites enumerate; each entry
+        # is a column in every grid, so growing the set is a design change.
+        assert GPUConfig.FINGERPRINT_EXCLUDED == {
+            "frontend", "clock", "events", "check_cpl_bounds"}
+
+    def test_excluded_knobs_do_not_change_fingerprint(self):
+        # They are timing-transparent (bit-identical results), so every
+        # combination must share one cache entry.
         cfg = GPUConfig.default_sim()
         assert cfg.fingerprint() == cfg.with_clock("cycle").fingerprint()
-        sharded = cfg.with_frontend("trace").with_shards(4)
-        assert cfg.fingerprint() == sharded.fingerprint()
+        other = cfg.with_frontend("trace").with_events("on")
+        assert cfg.fingerprint() == other.fingerprint()
 
     def _assert_entry_shared(self, stored_clock, requested_clock):
         cfg = GPUConfig.default_sim()
@@ -146,19 +152,22 @@ class TestRobustness:
         again = run_scheme(WL, "rr", scale=SCALE)
         assert again.cycles == result.cycles
 
-    def test_entry_written_with_backend_key_still_loads(self):
-        # Entries stored while RunResult carried ``backend`` provenance
-        # must keep serving: the key is ignored, not a corrupt-entry miss.
+    @pytest.mark.parametrize("key, value", [("backend", "vector"),
+                                            ("shards", 2)])
+    def test_entry_written_with_removed_key_still_loads(self, key, value):
+        # Entries stored while RunResult carried ``backend`` / ``shards``
+        # provenance must keep serving: the key is ignored, not a
+        # corrupt-entry miss.
         result = run_scheme(WL, "rr", scale=SCALE)
         (entry,) = result_cache.cache_dir().glob("*.json")
         data = json.loads(entry.read_text(encoding="utf-8"))
-        assert "backend" not in data
-        data["backend"] = "vector"
+        assert key not in data
+        data[key] = value
         entry.write_text(json.dumps(data), encoding="utf-8")
         loaded = result_cache.load(entry.stem)
         assert loaded is not None and entry.exists()
         assert _metrics(loaded) == _metrics(result)
-        assert not hasattr(loaded, "backend")
+        assert not hasattr(loaded, key)
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv(result_cache.ENV_ENABLE, "0")

@@ -41,7 +41,6 @@ ALL_RULES = (
     "OBS001",
     "FBK001",
     "CLK001",
-    "SHD001",
 )
 
 
@@ -67,7 +66,7 @@ class TestRuleFixtures:
         assert unsuppressed_rules(report) == set()
 
     def test_all_rules_registered(self):
-        assert set(ALL_RULES) <= set(RULES)
+        assert set(ALL_RULES) == set(RULES)
         for rule_id in ALL_RULES:
             assert RULES[rule_id].severity is Severity.ERROR
 

@@ -90,6 +90,12 @@ class TestBasicApi:
                            "device": {"backend": "vector"}})
         assert exc.value.status == 400
         assert "unsupported device knob(s): backend" in str(exc.value)
+        with pytest.raises(ServeClientError) as exc:
+            client.submit({"kind": "run", "workload": "bfs",
+                           "device": {"shards": 2}})
+        assert exc.value.status == 400
+        assert "unsupported device knob(s): shards" in str(exc.value)
+        assert "supported: clock, frontend, sampling" in str(exc.value)
 
     def test_cancel_queued_job(self, serve_factory):
         client = ServeClient(serve_factory().base_url)

@@ -85,16 +85,19 @@ class TestJobSpecValidation:
         with pytest.raises(JobSpecError, match=fragment):
             JobSpec.from_payload(payload)
 
-    def test_removed_backend_knob_is_a_named_error(self):
-        # There is one engine: the knob is rejected, not silently ignored,
-        # and the error lists what is still selectable.
+    @pytest.mark.parametrize("knob, value", [("backend", "vector"),
+                                             ("shards", 2)])
+    def test_removed_knob_is_a_named_error(self, knob, value):
+        # One engine, one process per simulation: the knob is rejected,
+        # not silently ignored, and the error lists what is still
+        # selectable.
         with pytest.raises(JobSpecError) as exc:
-            spec(device={"backend": "vector"})
+            spec(device={knob: value})
         message = str(exc.value)
-        assert "unsupported device knob(s): backend" in message
-        for knob in DEVICE_KNOBS:
-            assert knob in message
-        assert "backend" not in DEVICE_KNOBS
+        assert f"unsupported device knob(s): {knob}" in message
+        for kept in DEVICE_KNOBS:
+            assert kept in message
+        assert DEVICE_KNOBS == ("clock", "frontend", "sampling")
 
     def test_non_dict_payload_rejected(self):
         with pytest.raises(JobSpecError):
@@ -111,7 +114,7 @@ class TestFingerprint:
                 == spec(priority="batch").fingerprint())
 
     def test_device_knobs_excluded(self):
-        # clock/shards/frontend are bit-identical by contract.
+        # clock/frontend are bit-identical by contract.
         a = spec()
         b = spec(device={"clock": "cycle"})
         assert a.fingerprint() == b.fingerprint()

@@ -141,7 +141,6 @@ class TestSkipRunProvenance:
         result = run_scheme("synthetic_imbalance", "rr", scale=0.25,
                             config=cfg, use_cache=False, persistent=False)
         assert result.clock == "skip"
-        assert result.shards == 1
         # A memory-bound cell stalls; the skip clock must jump over those
         # idle cycles rather than visiting them.
         assert result.skip_jumps > 0
@@ -182,16 +181,6 @@ class TestConfigValidation:
     def test_unknown_clock_rejected(self):
         with pytest.raises(ConfigError):
             GPUConfig.default_sim(clock="warp")
-
-    def test_shards_require_trace_frontend(self):
-        with pytest.raises(ConfigError):
-            GPUConfig.default_sim().with_shards(2)
-        cfg = GPUConfig.default_sim().with_frontend("trace").with_shards(2)
-        assert cfg.shards == 2
-
-    def test_nonpositive_shards_rejected(self):
-        with pytest.raises(ConfigError):
-            GPUConfig.default_sim().with_frontend("trace").with_shards(0)
 
 
 def test_profile_component_mapping():
