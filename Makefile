@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all test-slow lint sanitize bench ledger profile sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
+.PHONY: test test-all test-slow lint sanitize bench ledger ledger-pairs profile sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
 
 ## Packages held to the ruff + strict-mypy bar (CI `lint` job).
 TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/trace src/repro/feedback
@@ -49,6 +49,16 @@ ledger:
 	$(PYTEST) benchmarks/ledger/test_ledger.py -q
 	$(PYTHON) benchmarks/ledger/run.py --seconds 2 --workload narrow_figs
 	$(PYTHON) benchmarks/ledger/run.py --seconds 2 --workload wide_mem
+
+## Alternating base/change ledger pairs for a claimed gain, e.g.
+## `make ledger-pairs BASE=HEAD~1 WORKLOAD=narrow_figs PAIRS=10`
+## (tools/ledger_pairs.py: compare.py verdicts, medians, the base's
+## quartiles, pairs won, failed operations).
+BASE ?= HEAD~1
+WORKLOAD ?= narrow_figs
+PAIRS ?= 10
+ledger-pairs:
+	$(PYTHON) tools/ledger_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 ## Hot-spot profile of the reference cell (override: make profile ARGS="kmeans rr").
 ARGS ?= bfs cawa

@@ -87,16 +87,27 @@ class CriticalityPredictor:
 
     def on_issue(self, warp: Warp, stall_cycles: float) -> None:
         """Per-issue update: commit-decrement plus observed stall latency."""
-        if warp.cpl_inst_disparity > 0:
-            warp.cpl_inst_disparity -= 1
+        disparity = warp.cpl_inst_disparity
+        if disparity > 0:
+            disparity -= 1
+            warp.cpl_inst_disparity = disparity
         if stall_cycles > 0.0:
             warp.cpl_stall += stall_cycles
-        self._refresh(warp)
-        block_id = warp.block.block_id
-        count = self._block_issue_count.get(block_id, 0) + 1
-        self._block_issue_count[block_id] = count
+        # Eq. 1, as _refresh/_cpi compute it (inlined: once per instruction).
+        issued = warp.issued_instructions
+        cpi = 1.0
+        if issued > 0:
+            elapsed = warp.last_issue_cycle - warp.start_cycle
+            if elapsed > issued:
+                cpi = elapsed / issued
+        warp.criticality = disparity * cpi + warp.cpl_stall
+        block = warp.block
+        block_id = block.block_id
+        counts = self._block_issue_count
+        count = counts.get(block_id, 0) + 1
+        counts[block_id] = count
         if count % self.update_period == 0:
-            self._refresh_block_threshold(warp.block)
+            self._refresh_block_threshold(block)
 
     def _refresh(self, warp: Warp) -> None:
         cpi = self._cpi(warp)

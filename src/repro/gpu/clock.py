@@ -71,9 +71,10 @@ class DeviceEventHeap:
         accepted as-is — the run loop clamps to ``now + 1`` where a
         re-tick is what's meant; unit tests exercise raw past pushes.
         """
-        self._seq[source] += 1
-        if not math.isinf(time):
-            heapq.heappush(self._heap, (time, source, self._seq[source]))
+        seq = self._seq[source] + 1
+        self._seq[source] = seq
+        if time != math.inf:
+            heapq.heappush(self._heap, (time, source, seq))
 
     # ------------------------------------------------------------------
     def _skim(self) -> None:
@@ -108,5 +109,6 @@ class DeviceEventHeap:
                 break
             heapq.heappop(heap)
             due.append(source)
-        due.sort()
+        if len(due) > 1:
+            due.sort()
         return due

@@ -343,11 +343,9 @@ class GPU:
                 self._launch_cycles_skipped += t - last - 1.0
             cycle = t
             for slot in heap.pop_due(t):
-                sm = sms[slot]
-                sm.tick(t)
-                # next_wake_time *is* the SM's next_event_time; called
-                # directly because this is the simulator's hottest line.
-                wake = sm.next_wake_time(t)
+                # The tick reports the SM's next wake itself (what
+                # next_wake_time would answer, without a second walk).
+                wake = sms[slot].tick_wake(t)[1]
                 heap.schedule(slot, wake if wake > t else t + 1.0)
             last = t
             if self._commit_pending:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 
 class Opcode(enum.Enum):
@@ -127,6 +127,54 @@ def func_unit(op: Opcode) -> FuncUnit:
     return _OPCODE_UNIT.get(op, FuncUnit.ALU)
 
 
+class IssueKind(enum.IntEnum):
+    """What the SM's issue path does with an instruction once selected.
+
+    The register-writing kinds double as the latency class: ``ALU`` and
+    ``PRED`` complete after the ALU latency, ``SFU`` after the SFU latency.
+    """
+
+    NONE = 0  # no scoreboard write: NOP, RECONV
+    ALU = 1
+    SFU = 2
+    PRED = 3  # writes a predicate (SETP)
+    LOAD = 4
+    STORE = 5
+    BRANCH = 6
+    BARRIER = 7
+    EXIT = 8
+
+
+_CTRL_KIND = {Opcode.LD: IssueKind.LOAD, Opcode.ST: IssueKind.STORE,
+              Opcode.BRA: IssueKind.BRANCH, Opcode.BAR: IssueKind.BARRIER,
+              Opcode.EXIT: IssueKind.EXIT}
+
+
+@dataclass(slots=True)
+class Decoded:
+    """What the issue path needs about one static instruction, derived once
+    (:attr:`Instruction.decoded`) instead of from the opcode on every issue.
+
+    Attributes:
+        kind: an :class:`IssueKind` value, as a plain int.
+        needs_global_mem: global-space LD/ST — needs an MSHR to issue.
+        srcs, dst, pred, pred_is_dst: the scoreboard operands, as
+            :meth:`repro.simt.registers.WarpRegisterFile.operands_ready_detail`
+            takes them (``dst`` is ``None`` when nothing is written).
+        run: the functional handler ``run(executor, warp) -> ExecResult``;
+            :class:`repro.simt.executor.FunctionalExecutor` binds it (and
+            checks the operand shapes) at the first execution.
+    """
+
+    kind: int
+    needs_global_mem: bool
+    srcs: Tuple[int, ...]
+    dst: Optional[int]
+    pred: Optional[int]
+    pred_is_dst: bool
+    run: Optional[Callable] = None
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One static instruction.
@@ -196,6 +244,29 @@ class Instruction:
     @cached_property
     def writes_predicate(self) -> bool:
         return self.op is Opcode.SETP
+
+    @cached_property
+    def decoded(self) -> Decoded:
+        """The instruction's decode record (built on first use)."""
+        kind = _CTRL_KIND.get(self.op)
+        if kind is None:
+            if self.writes_predicate:
+                kind = IssueKind.PRED
+            elif not self.writes_register:
+                kind = IssueKind.NONE
+            elif self.unit is FuncUnit.SFU:
+                kind = IssueKind.SFU
+            else:
+                kind = IssueKind.ALU
+        writes = self.writes_register or self.writes_predicate
+        return Decoded(
+            kind=int(kind),
+            needs_global_mem=self.is_memory and self.space is MemSpace.GLOBAL,
+            srcs=self.srcs,
+            dst=self.dst if writes else None,
+            pred=self.pred,
+            pred_is_dst=self.writes_predicate,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         guard = ""

@@ -32,7 +32,7 @@ _SIG_FILL = int(Sig.FILL)
 _SIG_EVICT = int(Sig.EVICT)
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     """Tag-array entry plus policy and CAWA bookkeeping state."""
 
@@ -125,6 +125,9 @@ class Cache:
     def __init__(self, config: CacheConfig, policy: ReplacementPolicy) -> None:
         self.config = config
         self.policy = policy
+        #: The policy's optional L1-bypass predicate (CACP's extension).
+        self._should_bypass = getattr(policy, "should_bypass", None)
+        self._line_size = config.line_size
         self._sets: List[List[CacheLine]] = [
             [CacheLine() for _ in range(config.ways)] for _ in range(config.sets)
         ]
@@ -165,16 +168,20 @@ class Cache:
         allocating keeps the model simple and preserves the contention the
         paper studies).
         """
-        lines = self._sets[self.config.set_index(req.line_addr)]
-        self.stats.accesses += 1
-        if req.is_critical:
-            self.stats.critical_accesses += 1
+        line_addr = req.line_addr
+        sets = self._sets
+        lines = sets[(line_addr // self._line_size) % len(sets)]
+        stats = self.stats
+        stats.accesses += 1
+        critical = req.is_critical
+        if critical:
+            stats.critical_accesses += 1
 
         for line in lines:
-            if line.valid and line.tag == req.line_addr:
-                self.stats.hits += 1
-                if req.is_critical:
-                    self.stats.critical_hits += 1
+            if line.tag == line_addr and line.valid:
+                stats.hits += 1
+                if critical:
+                    stats.critical_hits += 1
                 line.reuse_count += 1
                 self.policy.on_hit(line, req)
                 for obs in self.observers:
@@ -189,7 +196,7 @@ class Cache:
                     ))
                 return True
 
-        self.stats.misses += 1
+        stats.misses += 1
         fb = self.fb
         if fb is not None:
             # Published *before* the fill so subscribers probe their victim
@@ -202,10 +209,10 @@ class Cache:
                 self.fb_level, req.warp_key[1], req.warp_key[2],
                 req.line_addr, req.pc,
             ))
-        if getattr(self.policy, "should_bypass", None) and self.policy.should_bypass(req):
+        if self._should_bypass is not None and self._should_bypass(req):
             # Bypass: the request is serviced from L2/DRAM without
             # allocating a line, so it cannot evict useful data.
-            self.stats.bypasses += 1
+            stats.bypasses += 1
             if self.obs is not None:
                 owner = self.obs_owner
                 self.obs.emit((

@@ -60,23 +60,24 @@ class GlobalMemory:
         return float(self._words[addr // _WORD])
 
     def load(self, addrs: np.ndarray, mask_bools: np.ndarray) -> np.ndarray:
-        """Gather one word per active lane; inactive lanes read as 0."""
+        """Gather one word per active lane; inactive lanes read as 0.
+
+        ``addrs`` are int64 byte addresses, one per lane.
+        """
         values = np.zeros(len(addrs), dtype=np.float64)
-        lanes = np.nonzero(mask_bools)[0]
-        if lanes.size:
-            idx = addrs[lanes] // _WORD
+        idx = addrs[mask_bools] // _WORD
+        if idx.size:
             self._check_indices(idx)
-            values[lanes] = self._words[idx]
+            values[mask_bools] = self._words[idx]
         return values
 
     def store(self, addrs: np.ndarray, values: np.ndarray, mask_bools: np.ndarray) -> None:
         """Scatter one word per active lane (lane order resolves conflicts)."""
-        lanes = np.nonzero(mask_bools)[0]
-        if lanes.size:
-            idx = addrs[lanes] // _WORD
+        idx = addrs[mask_bools] // _WORD
+        if idx.size:
             self._check_indices(idx)
             # Highest lane wins on conflicting addresses, deterministically.
-            self._words[idx] = values[lanes]
+            self._words[idx] = values[mask_bools]
 
     def _check_range(self, base: int, num_words: int) -> None:
         if base < 0 or base % _WORD != 0:
@@ -87,7 +88,9 @@ class GlobalMemory:
             )
 
     def _check_indices(self, idx: np.ndarray) -> None:
-        if idx.size and (idx.min() < 0 or idx.max() >= self._next_free_word):
+        # One reduction covers both bounds: read as unsigned, a negative
+        # int64 index is larger than every valid one.
+        if idx.size and idx.view(np.uint64).max() >= self._next_free_word:
             bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
             raise SimulationError(
                 f"out-of-bounds memory access at word {bad} "

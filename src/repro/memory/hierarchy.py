@@ -19,7 +19,7 @@ from .mshr import MSHRFile
 from .request import MemRequest
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessOutcome:
     """Result of one line access through the hierarchy."""
 
@@ -50,15 +50,15 @@ class MemoryHierarchy:
     def access(self, l1: Cache, mshr: MSHRFile, req: MemRequest, now: float) -> AccessOutcome:
         """Walk ``req`` through L1 -> (MSHR) -> L2 -> DRAM; returns timing."""
         l1_latency = l1.config.hit_latency
-        hit = l1.access(req)
-        if hit:
-            return AccessOutcome(l1_hit=True, completion=now + l1_latency)
+        if l1.access(req):
+            return AccessOutcome(True, now + l1_latency)
 
         # Merge with an in-flight fill of the same line, if any.
         merged_completion = mshr.lookup(req.line_addr, now)
         if merged_completion is not None:
+            floor = now + l1_latency
             return AccessOutcome(
-                l1_hit=False, completion=max(merged_completion, now + l1_latency), merged=True
+                False, merged_completion if merged_completion > floor else floor, True
             )
 
         start = mshr.earliest_start(now) + l1_latency
@@ -66,4 +66,4 @@ class MemoryHierarchy:
         completion = (l2_ready if l2_hit
                       else self.dram.access(queued_start, req.warp_key[0]))
         mshr.register(req.line_addr, completion, now=now)
-        return AccessOutcome(l1_hit=False, completion=completion)
+        return AccessOutcome(False, completion)

@@ -28,6 +28,10 @@ class MSHRFile:
         self._entries = entries
         self._inflight: Dict[int, float] = {}
         self._completions: list = []  # heap of (completion, line_addr)
+        #: ``next_free_time``'s over-subscribed answer, dropped by the next
+        #: ``register``: completions only ever remove the *earliest* fills,
+        #: which leaves the entry-freeing one in place.
+        self._free_at: Optional[float] = None
         self.merged_misses = 0
         self.stall_inducing_misses = 0
         #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
@@ -36,11 +40,13 @@ class MSHRFile:
         self.obs_owner = -1
 
     def _purge(self, now: float) -> None:
-        while self._completions and self._completions[0][0] <= now:
-            _, line_addr = heapq.heappop(self._completions)
-            done = self._inflight.get(line_addr)
+        completions = self._completions
+        inflight = self._inflight
+        while completions and completions[0][0] <= now:
+            _, line_addr = heapq.heappop(completions)
+            done = inflight.get(line_addr)
             if done is not None and done <= now:
-                del self._inflight[line_addr]
+                del inflight[line_addr]
 
     def lookup(self, line_addr: int, now: float) -> Optional[float]:
         """Completion time of an in-flight fill of ``line_addr``, if any."""
@@ -82,11 +88,21 @@ class MSHRFile:
         return len(self._inflight) >= self._entries
 
     def next_free_time(self, now: float) -> float:
-        """Earliest future cycle an entry frees up (now if one is free)."""
+        """Smallest ``t >= now`` with ``free_entries(t) > 0``.
+
+        ``now`` while an entry is free.  Otherwise the file may be
+        *over*-subscribed: :meth:`earliest_start` delays a miss that finds
+        the file full but :meth:`register` still admits it, so with
+        ``entries + k`` fills in flight an entry frees only at the
+        ``(k + 1)``-th completion, not the first.
+        """
         self._purge(now)
-        if len(self._inflight) < self._entries:
+        excess = len(self._inflight) - self._entries
+        if excess < 0:
             return now
-        return self._completions[0][0] if self._completions else now
+        if self._free_at is None:
+            self._free_at = heapq.nsmallest(excess + 1, self._inflight.values())[-1]
+        return self._free_at
 
     def next_event_time(self, now: float) -> float:
         """Next in-flight fill completion after ``now`` (inf when idle).
@@ -101,6 +117,7 @@ class MSHRFile:
     def register(self, line_addr: int, completion: float,
                  now: float = 0.0) -> None:
         self._inflight[line_addr] = completion
+        self._free_at = None
         heapq.heappush(self._completions, (completion, line_addr))
         if self.obs is not None:
             self.obs.emit((_EV_MSHR_ALLOC, now, self.obs_owner,

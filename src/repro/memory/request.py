@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def make_signature(pc: int, line_addr: int, bits: int = 8, region_shift: int = 12) -> int:
+#: Signature width and address-region granularity (see :func:`make_signature`).
+SIGNATURE_BITS = 8
+REGION_SHIFT = 12
+
+
+def make_signature(
+    pc: int, line_addr: int, bits: int = SIGNATURE_BITS, region_shift: int = REGION_SHIFT
+) -> int:
     """CACP signature: xor of the low bits of the PC and the address region.
 
     The paper (Section 3.3) combines the lower 8 bits of the instruction PC
@@ -18,7 +25,7 @@ def make_signature(pc: int, line_addr: int, bits: int = 8, region_shift: int = 1
     return (pc & mask) ^ ((line_addr >> region_shift) & mask)
 
 
-@dataclass
+@dataclass(slots=True)
 class MemRequest:
     """One cache-line access from one warp's memory instruction.
 

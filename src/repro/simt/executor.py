@@ -9,19 +9,23 @@ the Python inner loop proportional to issued instructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..errors import SimulationError
-from ..isa.instructions import CmpOp, Instruction, MemSpace, Opcode, Special
+from ..isa.instructions import CmpOp, Instruction, MemSpace, Opcode
 from .mask import bools_from_mask, mask_from_bools
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecResult:
     """Outcome of functionally executing one instruction for one warp.
+
+    Instructions with nothing to report (ALU/SFU/NOP, BAR, EXIT) all return
+    the shared :data:`NO_EFFECT`, which nobody may write to; a LD/ST or
+    branch result is a fresh record.
 
     Attributes:
         taken_mask: for branches, lanes (within the incoming active mask)
@@ -30,19 +34,23 @@ class ExecResult:
             only lanes in ``mem_mask`` are meaningful).
         mem_mask: lanes that actually access memory (active mask further
             restricted by the instruction's guard predicate).
-        mem_lines: pre-coalesced line addresses, supplied only by the
-            trace-replay frontend (:class:`repro.trace.replay.TraceExecutor`);
-            when set, the LSU skips coalescing and uses them directly.
-        is_exit: EXIT reached.
-        is_barrier: BAR reached.
+        mem_lines: pre-coalesced line addresses: supplied by the
+            trace-replay frontend (:class:`repro.trace.replay.TraceExecutor`),
+            or filled in by the SM while a trace is being recorded; when
+            set, the LSU skips coalescing and uses them directly.
     """
 
     taken_mask: int = 0
     mem_addrs: Optional[np.ndarray] = None
     mem_mask: int = 0
     mem_lines: Optional[list] = None
-    is_exit: bool = False
-    is_barrier: bool = False
+
+
+#: The shared payload-free result.
+NO_EFFECT = ExecResult()
+
+#: ``run(executor, warp) -> ExecResult``: one instruction's bound handler.
+Handler = Callable[["FunctionalExecutor", object], ExecResult]
 
 
 class FunctionalExecutor:
@@ -54,121 +62,141 @@ class FunctionalExecutor:
 
     def execute(self, inst: Instruction, warp) -> ExecResult:
         """Execute ``inst`` for ``warp``'s currently active lanes."""
-        op = inst.op
-        rf = warp.rf
-        active = warp.active_mask
-
-        # Guard predicate restricts effect lanes (except for BRA, where the
-        # predicate is the branch condition, and SELP, where it selects).
-        effect_mask = active
-        if inst.pred is not None and op not in (Opcode.BRA, Opcode.SELP):
-            pvals = rf.read_pred(inst.pred)
-            pmask = mask_from_bools(pvals)
-            if inst.pred_neg:
-                pmask = ~pmask & ((1 << self._warp_size) - 1)
-            effect_mask &= pmask
-
-        if op is Opcode.BRA:
-            if inst.pred is None:
-                return ExecResult(taken_mask=active)
-            pvals = rf.read_pred(inst.pred)
-            taken = mask_from_bools(pvals)
-            if inst.pred_neg:
-                taken = ~taken & ((1 << self._warp_size) - 1)
-            return ExecResult(taken_mask=taken & active)
-
-        if op in (Opcode.NOP, Opcode.RECONV):
-            return ExecResult()
-        if op is Opcode.BAR:
-            return ExecResult(is_barrier=True)
-        if op is Opcode.EXIT:
-            return ExecResult(is_exit=True)
-
-        mask_bools = bools_from_mask(effect_mask, self._warp_size)
-
-        if op is Opcode.LD or op is Opcode.ST:
-            base = rf.read(inst.srcs[0])
-            offset = 0.0 if inst.imm is None else inst.imm
-            addrs = base.astype(np.int64) + np.int64(offset)
-            if op is Opcode.LD:
-                if effect_mask:
-                    values = self._load(inst.space, addrs, mask_bools, warp)
-                    rf.write(inst.dst, values, mask_bools)
-            else:
-                if effect_mask:
-                    values = rf.read(inst.srcs[1])
-                    self._store(inst.space, addrs, values, mask_bools, warp)
-            return ExecResult(mem_addrs=addrs, mem_mask=effect_mask)
-
-        if op is Opcode.SETP:
-            a, b = self._binary_operands(inst, rf)
-            result = _COMPARES[inst.cmp](a, b)
-            rf.write_pred(inst.dst, result, mask_bools)
-            return ExecResult()
-
-        if op is Opcode.SELP:
-            a, b = self._binary_operands(inst, rf)
-            sel = rf.read_pred(inst.pred)
-            rf.write(inst.dst, np.where(sel, a, b), bools_from_mask(active, self._warp_size))
-            return ExecResult()
-
-        if op is Opcode.SREG:
-            values = warp.special_values(inst.special)
-            rf.write(inst.dst, values, mask_bools)
-            return ExecResult()
-
-        if op is Opcode.MAD:
-            a = rf.read(inst.srcs[0])
-            if inst.imm is not None and len(inst.srcs) == 2:
-                b = np.float64(inst.imm)
-                c = rf.read(inst.srcs[1])
-            elif len(inst.srcs) == 3:
-                b = rf.read(inst.srcs[1])
-                c = rf.read(inst.srcs[2])
-            else:
-                raise SimulationError(f"malformed MAD operands at pc={inst.pc}")
-            rf.write(inst.dst, a * b + c, mask_bools)
-            return ExecResult()
-
-        handler = _UNARY.get(op)
-        if handler is not None:
-            a = self._unary_operand(inst, rf)
-            rf.write(inst.dst, handler(a), mask_bools)
-            return ExecResult()
-
-        handler = _BINARY.get(op)
-        if handler is not None:
-            a, b = self._binary_operands(inst, rf)
-            rf.write(inst.dst, handler(a, b), mask_bools)
-            return ExecResult()
-
-        raise SimulationError(f"unimplemented opcode {op!r} at pc={inst.pc}")
+        decoded = inst.decoded
+        run = decoded.run
+        if run is None:
+            run = decoded.run = _bind(inst)
+        return run(self, warp)
 
     # ------------------------------------------------------------------
-    def _unary_operand(self, inst: Instruction, rf) -> np.ndarray:
-        if inst.srcs:
-            return rf.read(inst.srcs[0])
-        if inst.imm is None:
-            raise SimulationError(f"missing operand at pc={inst.pc}")
-        return np.full(self._warp_size, inst.imm, dtype=np.float64)
+    def _guard_mask(self, warp, pred: Optional[int], neg: bool) -> int:
+        """Active lanes further restricted by the guard predicate."""
+        active = warp.stack.active_mask
+        if pred is None:
+            return active
+        pmask = mask_from_bools(warp.rf.preds[pred])
+        if neg:
+            pmask = ~pmask & ((1 << self._warp_size) - 1)
+        return active & pmask
 
-    def _binary_operands(self, inst: Instruction, rf):
-        if len(inst.srcs) == 2:
-            return rf.read(inst.srcs[0]), rf.read(inst.srcs[1])
-        if len(inst.srcs) == 1 and inst.imm is not None:
-            return rf.read(inst.srcs[0]), np.float64(inst.imm)
-        raise SimulationError(f"malformed operands at pc={inst.pc}")
 
-    def _load(self, space: MemSpace, addrs, mask_bools, warp) -> np.ndarray:
-        if space is MemSpace.SHARED:
-            return warp.block.shared_load(addrs, mask_bools)
-        return self._mem.load(addrs, mask_bools)
+# ----------------------------------------------------------------------
+# Binding: one handler per static instruction, built at first execution.
+# Operand-shape errors are static facts and are raised here, once.
+# ----------------------------------------------------------------------
+def _bind(inst: Instruction) -> Handler:
+    op = inst.op
+    if op is Opcode.BRA:
+        return _bind_branch(inst)
+    if op in (Opcode.NOP, Opcode.RECONV, Opcode.BAR, Opcode.EXIT):
+        return lambda ex, warp: NO_EFFECT  # the SM acts on the decoded kind
+    if op is Opcode.LD or op is Opcode.ST:
+        return _bind_memory(inst)
+    return _bind_value(inst, _bind_compute(inst))
 
-    def _store(self, space: MemSpace, addrs, values, mask_bools, warp) -> None:
-        if space is MemSpace.SHARED:
-            warp.block.shared_store(addrs, values, mask_bools)
-        else:
-            self._mem.store(addrs, values, mask_bools)
+
+def _bind_branch(inst: Instruction) -> Handler:
+    pred, neg = inst.pred, inst.pred_neg
+    if pred is None:
+        return lambda ex, warp: ExecResult(taken_mask=warp.stack.active_mask)
+
+    def run(ex, warp) -> ExecResult:
+        # The predicate is the branch condition here, not a guard.
+        taken = mask_from_bools(warp.rf.preds[pred])
+        if neg:
+            taken = ~taken & ((1 << ex._warp_size) - 1)
+        return ExecResult(taken_mask=taken & warp.stack.active_mask)
+
+    return run
+
+
+def _bind_memory(inst: Instruction) -> Handler:
+    pred, neg, dst = inst.pred, inst.pred_neg, inst.dst
+    base = inst.srcs[0]
+    is_load = inst.op is Opcode.LD
+    shared = inst.space is MemSpace.SHARED
+    value_reg = None if is_load else inst.srcs[1]
+    offset = np.int64(0.0 if inst.imm is None else inst.imm)
+
+    def run(ex, warp) -> ExecResult:
+        rf = warp.rf
+        effect_mask = ex._guard_mask(warp, pred, neg)
+        addrs = rf.regs[base].astype(np.int64)
+        if offset:
+            addrs += offset
+        if effect_mask:
+            lanes = bools_from_mask(effect_mask, ex._warp_size)
+            if is_load:
+                values = (warp.block.shared_load(addrs, lanes) if shared
+                          else ex._mem.load(addrs, lanes))
+                rf.write(dst, values, lanes)
+            elif shared:
+                warp.block.shared_store(addrs, rf.regs[value_reg], lanes)
+            else:
+                ex._mem.store(addrs, rf.regs[value_reg], lanes)
+        return ExecResult(mem_addrs=addrs, mem_mask=effect_mask)
+
+    return run
+
+
+def _bind_value(inst: Instruction, compute: Callable) -> Handler:
+    """Handler writing ``compute(regs, ex, warp)`` to ``dst`` under the guard."""
+    pred, neg, dst = inst.pred, inst.pred_neg, inst.dst
+    if inst.op is Opcode.SELP:
+        pred = None  # the predicate selects; every active lane is written
+    to_pred = inst.op is Opcode.SETP
+
+    def run(ex, warp) -> ExecResult:
+        rf = warp.rf
+        lanes = bools_from_mask(warp.stack.active_mask, ex._warp_size)
+        if pred is not None:
+            pvals = rf.preds[pred]
+            lanes = lanes & ~pvals if neg else lanes & pvals
+        np.copyto((rf.preds if to_pred else rf.regs)[dst], compute(rf, ex, warp),
+                  where=lanes)
+        return NO_EFFECT
+
+    return run
+
+
+def _bind_compute(inst: Instruction) -> Callable:
+    """``compute(rf, ex, warp) -> lane values`` for a value-producing op."""
+    op, srcs, imm, pc = inst.op, inst.srcs, inst.imm, inst.pc
+    if op is Opcode.SREG:
+        special = inst.special
+        return lambda rf, ex, warp: warp.special_values(special)
+    if op is Opcode.MAD:
+        if imm is not None and len(srcs) == 2:
+            a, c, scale = srcs[0], srcs[1], np.float64(imm)
+            return lambda rf, ex, warp: rf.regs[a] * scale + rf.regs[c]
+        if len(srcs) == 3:
+            a, b, c = srcs
+            return lambda rf, ex, warp: rf.regs[a] * rf.regs[b] + rf.regs[c]
+        raise SimulationError(f"malformed MAD operands at pc={pc}")
+    fn = _UNARY.get(op)
+    if fn is not None:
+        if srcs:
+            a = srcs[0]
+            return lambda rf, ex, warp: fn(rf.regs[a])
+        if imm is None:
+            raise SimulationError(f"missing operand at pc={pc}")
+        const = np.float64(imm)  # broadcast over the lanes by the write
+        return lambda rf, ex, warp: fn(const)
+    select = op is Opcode.SELP
+    fn = _COMPARES[inst.cmp] if op is Opcode.SETP else _BINARY.get(op)
+    if fn is None and not select:
+        raise SimulationError(f"unimplemented opcode {op!r} at pc={pc}")
+    if len(srcs) == 2:
+        a, b, const = srcs[0], srcs[1], None
+    elif len(srcs) == 1 and imm is not None:
+        a, b, const = srcs[0], None, np.float64(imm)
+    else:
+        raise SimulationError(f"malformed operands at pc={pc}")
+    if select:
+        sel = inst.pred
+        return lambda rf, ex, warp: np.where(
+            rf.preds[sel], rf.regs[a], const if b is None else rf.regs[b])
+    return lambda rf, ex, warp: fn(rf.regs[a], const if b is None else rf.regs[b])
 
 
 def _to_int(x: np.ndarray) -> np.ndarray:
@@ -204,7 +232,7 @@ def _safe_unary(fn, domain_fix):
 _UNARY = {
     Opcode.MOV: lambda a: a,
     Opcode.ABS: np.abs,
-    Opcode.NEG: lambda a: -a,
+    Opcode.NEG: np.negative,
     Opcode.NOT: lambda a: (~_to_int(a)).astype(np.float64),
     Opcode.FLOOR: np.floor,
     Opcode.SQRT: _safe_unary(np.sqrt, lambda a: np.maximum(a, 0.0)),
@@ -217,9 +245,9 @@ _UNARY = {
 }
 
 _BINARY = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
+    Opcode.ADD: np.add,
+    Opcode.SUB: np.subtract,
+    Opcode.MUL: np.multiply,
     Opcode.DIV: _safe_div,
     Opcode.MOD: _safe_mod,
     Opcode.MIN: np.minimum,
@@ -232,10 +260,10 @@ _BINARY = {
 }
 
 _COMPARES = {
-    CmpOp.LT: lambda a, b: a < b,
-    CmpOp.LE: lambda a, b: a <= b,
-    CmpOp.GT: lambda a, b: a > b,
-    CmpOp.GE: lambda a, b: a >= b,
-    CmpOp.EQ: lambda a, b: a == b,
-    CmpOp.NE: lambda a, b: a != b,
+    CmpOp.LT: np.less,
+    CmpOp.LE: np.less_equal,
+    CmpOp.GT: np.greater,
+    CmpOp.GE: np.greater_equal,
+    CmpOp.EQ: np.equal,
+    CmpOp.NE: np.not_equal,
 }

@@ -18,17 +18,9 @@ def full_mask(width: int) -> int:
     return (1 << width) - 1
 
 
-if hasattr(int, "bit_count"):  # Python >= 3.10
-
-    def popcount(mask: int) -> int:
-        """Number of active lanes in ``mask``."""
-        return mask.bit_count()
-
-else:  # pragma: no cover - Python 3.9 fallback
-
-    def popcount(mask: int) -> int:
-        """Number of active lanes in ``mask``."""
-        return bin(mask).count("1")
+def popcount(mask: int) -> int:
+    """Number of active lanes in ``mask``."""
+    return mask.bit_count()
 
 
 def lanes_of(mask: int) -> Iterator[int]:

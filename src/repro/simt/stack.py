@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import SimulationError
-from .mask import popcount
 
 #: Sentinel reconvergence PC for the base stack entry (never popped by PC match).
 NO_RECONV = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class StackEntry:
     """One level of the reconvergence stack."""
 
@@ -74,11 +73,12 @@ class SIMTStack:
         Popping merges execution back into the parent entry, which by
         construction is parked at the same reconvergence PC.
         """
-        top = self.top
-        top.pc = next_pc
         entries = self._entries
-        while len(entries) > 1 and entries[-1].pc == entries[-1].reconv_pc:
-            entries.pop()
+        top = entries[-1]  # never empty: every pop keeps the base entry
+        top.pc = next_pc
+        if next_pc == top.reconv_pc:
+            while len(entries) > 1 and entries[-1].pc == entries[-1].reconv_pc:
+                entries.pop()
 
     def diverge(self, taken_pc: int, fallthrough_pc: int, taken_mask: int, reconv_pc: int) -> None:
         """Split the top entry on a divergent branch.
@@ -116,7 +116,7 @@ class SIMTStack:
             self._entries.pop()
 
     def active_lane_count(self) -> int:
-        return popcount(self.active_mask)
+        return self.active_mask.bit_count()
 
     def snapshot(self) -> List[StackEntry]:
         """Copy of the entries, bottom to top (for tests/debugging)."""

@@ -13,8 +13,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..isa.instructions import MemSpace, Special
-from .mask import full_mask, popcount
+from ..isa.instructions import Special
+from .mask import full_mask
 from .registers import WarpRegisterFile
 from .stack import SIMTStack
 
@@ -39,6 +39,8 @@ class Warp:
     ) -> None:
         self.warp_id_in_block = warp_id_in_block
         self.block = block
+        #: The kernel's static instruction list (indexed by PC).
+        self._insts = block.kernel.instructions
         self.warp_size = warp_size
         #: Monotonic dispatch-order id; GTO's "oldest" tie-break key.
         self.dynamic_id = dynamic_id
@@ -122,48 +124,25 @@ class Warp:
     def special_values(self, special: Special) -> np.ndarray:
         return self._specials[special]
 
-    def next_instruction(self):
-        """The static instruction at the warp's current PC."""
-        return self.block.kernel.instructions[self.pc]
+    def _refresh_sched_cache(self):
+        """Recompute readiness, memory-need, and load-provenance in one pass.
 
-    def operands_ready_at(self) -> float:
-        """Earliest cycle the next instruction's operands are available.
-
-        Returns ``inf`` while a needed register waits on an outstanding load
-        (the wake-up happens when the memory response arrives).
+        Returns the fresh ``(ready_cycle, next_needs_global_memory)``.
         """
-        inst = self.next_instruction()
-        pred_is_dst = inst.writes_predicate
-        dst = inst.dst if (inst.writes_register or pred_is_dst) else None
-        return self.rf.operands_ready_at(inst.srcs, dst, inst.pred, pred_is_dst)
-
-    def operands_ready_detail(self):
-        """``(ready_cycle, limited_by_load)`` for the next instruction.
-
-        Memoized together with :meth:`schedule_info` on the issue count: the
-        scoreboard only changes at this warp's own issue, so a fresh
-        scheduling cache already holds the answer.
-        """
-        if self._sched_cache_version != self.issued_instructions:
-            self._refresh_sched_cache()
-        return self._cached_opready, self._cached_by_load
-
-    def _refresh_sched_cache(self) -> None:
-        """Recompute readiness, memory-need, and load-provenance in one pass."""
-        self._sched_cache_version = self.issued_instructions
-        inst = self.block.kernel.instructions[self.stack.pc]
-        pred_is_dst = inst.writes_predicate
-        dst = inst.dst if (inst.writes_register or pred_is_dst) else None
+        issued = self.issued_instructions
+        self._sched_cache_version = issued
+        d = self._insts[self.stack.pc].decoded
         ready, by_load = self.rf.operands_ready_detail(
-            inst.srcs, dst, inst.pred, pred_is_dst
+            d.srcs, d.dst, d.pred, d.pred_is_dst
         )
-        floor = (
-            self.last_issue_cycle + 1 if self.issued_instructions else self.start_cycle
-        )
+        floor = self.last_issue_cycle + 1 if issued else self.start_cycle
         self._cached_opready = ready
         self._cached_by_load = by_load
-        self._cached_ready = ready if ready > floor else floor
-        self._cached_needs_mem = inst.is_memory and inst.space is MemSpace.GLOBAL
+        if ready < floor:
+            ready = floor
+        self._cached_ready = ready
+        self._cached_needs_mem = d.needs_global_mem
+        return ready, d.needs_global_mem
 
     def schedule_info(self):
         """``(ready_cycle, next_needs_global_memory)``, cached between issues.
@@ -175,7 +154,7 @@ class Warp:
         if self.status is not WarpStatus.RUNNING:
             return np.inf, False
         if self._sched_cache_version != self.issued_instructions:
-            self._refresh_sched_cache()
+            return self._refresh_sched_cache()
         return self._cached_ready, self._cached_needs_mem
 
     def issuable_at(self) -> float:
@@ -198,7 +177,7 @@ class Warp:
         return max(0.0, end - self.start_cycle)
 
     def active_lane_count(self) -> int:
-        return popcount(self.active_mask)
+        return self.stack.active_mask.bit_count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,12 +18,13 @@ from ..isa.instructions import Instruction, MemSpace
 from ..memory.cache import Cache
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.mshr import MSHRFile
-from ..memory.request import MemRequest, make_signature
+from ..memory.request import REGION_SHIFT, SIGNATURE_BITS, MemRequest
 from ..obs.events import Ev
 from ..simt.mask import bools_from_mask
 from ..simt.warp import Warp
 
 _EV_LSU_ISSUE = int(Ev.LSU_ISSUE)
+_SIG_MASK = (1 << SIGNATURE_BITS) - 1
 
 
 def coalesce_lines(addrs: np.ndarray, mask: int, line_size: int) -> List[int]:
@@ -33,8 +34,8 @@ def coalesce_lines(addrs: np.ndarray, mask: int, line_size: int) -> List[int]:
     *exactly* the LSU's coalescing rule into recorded traces.
     """
     active = bools_from_mask(mask, addrs.shape[0])
-    lines = np.unique(addrs[active].astype(np.int64) // line_size * line_size)
-    return lines.tolist()
+    lines = addrs[active].astype(np.int64) // line_size * line_size
+    return sorted(set(lines.tolist()))
 
 
 class LoadStoreUnit:
@@ -64,9 +65,12 @@ class LoadStoreUnit:
     def next_event_time(self, now: float) -> float:
         """When the LSU port drains (``inf`` when already free).
 
-        The port becoming free can unblock a warp whose next instruction is
-        a memory op, so this *is* a real wake source — the owning SM folds it
-        into its own ``next_event_time`` (see :meth:`repro.sm.sm.SM.next_wake_time`).
+        Diagnostic member of the ``next_event_time`` protocol, like the L2
+        banks and the DRAM channel: a busy port only delays the ``start``
+        of the next memory instruction's line accesses, it never gates
+        *issue*, so no SM wake depends on it and
+        :meth:`repro.sm.sm.StreamingMultiprocessor.next_wake_time` does not
+        fold it in.
         """
         return self._next_free if self._next_free > now else math.inf
 
@@ -100,28 +104,38 @@ class LoadStoreUnit:
             lines = self.coalesce(addrs, mask)
         self.global_accesses += 1
         completion = now + 1
-        start = max(now, self._next_free)
-        for i, line_addr in enumerate(lines):
-            issue_time = start + i  # one coalesced access per LSU cycle
+        next_free = self._next_free
+        start = now if now > next_free else next_free
+        # Everything but the line address is the same for every request of
+        # one warp instruction (the signature is make_signature(pc, line)).
+        pc = inst.pc
+        pc_bits = pc & _SIG_MASK
+        is_load = inst.is_load
+        block_id = warp.block.block_id
+        warp_id = warp.warp_id_in_block
+        warp_key = (self.sm_id, block_id, warp_id)
+        l1d = self.l1d
+        mshr = self.mshr
+        misses = 0
+        issue_time = start  # one coalesced access per LSU cycle
+        for line_addr in lines:
             req = MemRequest(
-                line_addr=line_addr,
-                pc=inst.pc,
-                warp_key=(self.sm_id, warp.block.block_id, warp.warp_id_in_block),
-                is_load=inst.is_load,
-                is_critical=is_critical,
-                cycle=issue_time,
-                signature=make_signature(inst.pc, line_addr),
+                line_addr, pc, warp_key, is_load, is_critical, issue_time,
+                (pc_bits ^ (line_addr >> REGION_SHIFT)) & _SIG_MASK,
             )
-            outcome = self.hierarchy.access(self.l1d, self.mshr, req, issue_time)
-            self.line_accesses += 1
+            outcome = self.hierarchy.access(l1d, mshr, req, issue_time)
             if not outcome.l1_hit:
-                self.l1_misses += 1
+                misses += 1
             if outcome.completion > completion:
                 completion = outcome.completion
-        self._next_free = start + len(lines)
+            issue_time += 1
+        num_lines = len(lines)
+        self.line_accesses += num_lines
+        self.l1_misses += misses
+        self._next_free = start + num_lines
         if self.obs is not None:
             self.obs.emit((
-                _EV_LSU_ISSUE, now, self.sm_id, warp.block.block_id,
-                warp.warp_id_in_block, inst.pc, len(lines), completion,
+                _EV_LSU_ISSUE, now, self.sm_id, block_id, warp_id, pc,
+                num_lines, completion,
             ))
-        return completion, len(lines)
+        return completion, num_lines

@@ -11,11 +11,15 @@ The issue loop is event-driven.  Each scheduler slot keeps a min-heap of
 ``(wake_cycle, warp)`` entries — updated incrementally the moment a
 completion time becomes known (scoreboard writes at issue, barrier
 releases, block dispatch) — plus a sorted *ready pool* of warps whose wake
-time has passed.  ``tick`` only pops newly-awake warps and gates the small
-pool on MSHR availability; ``next_wake_time`` is a heap peek plus a pool
-walk.  See ``docs/timing_model.md`` ("Event-driven issue loop") for the
-invariants; ``tests/test_wake_queue.py`` checks every tick's candidate
-list against a from-scratch scan of ``warps``.
+time has passed.  ``tick_wake`` only pops newly-awake warps, gates the
+small pool on MSHR availability, and returns the SM's next wake along with
+whether it issued; ``next_wake_time`` answers the same question from
+scratch (a heap peek plus a pool walk).  The issue path dispatches on each
+instruction's decode record (:class:`repro.isa.instructions.Decoded`), built
+once per static instruction.  See ``docs/timing_model.md`` ("Event-driven
+issue loop") for the invariants; ``tests/test_wake_queue.py`` checks every
+tick's candidate list and returned wake against a from-scratch scan of
+``warps``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..config import GPUConfig
 from ..errors import SimulationError
-from ..isa.instructions import FuncUnit, Opcode
+from ..isa.instructions import IssueKind
 from ..memory.cache import Cache
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.mshr import MSHRFile
@@ -36,9 +40,8 @@ from ..obs.events import Ev, Stall
 from ..scheduling.base import WarpScheduler
 from ..simt.block import ThreadBlock
 from ..simt.executor import FunctionalExecutor
-from ..simt.mask import popcount
 from ..simt.warp import Warp, WarpStatus
-from .lsu import LoadStoreUnit
+from .lsu import LoadStoreUnit, coalesce_lines
 
 # Pre-bound ints for the per-issue probe sites (IntEnum attribute access
 # costs a dict lookup; the issue path runs once per instruction).
@@ -50,6 +53,15 @@ _ST_SCOREBOARD = int(Stall.SCOREBOARD_DEP)
 _ST_NO_SLOT = int(Stall.NO_SLOT)
 _ST_MEM_PENDING = int(Stall.MEM_PENDING)
 _ST_BARRIER = int(Stall.BARRIER)
+_K_ALU = int(IssueKind.ALU)
+_K_SFU = int(IssueKind.SFU)
+_K_PRED = int(IssueKind.PRED)
+_K_LOAD = int(IssueKind.LOAD)
+_K_STORE = int(IssueKind.STORE)
+_K_BRANCH = int(IssueKind.BRANCH)
+_K_BARRIER = int(IssueKind.BARRIER)
+_K_EXIT = int(IssueKind.EXIT)
+_RUNNING = WarpStatus.RUNNING
 
 
 @dataclass
@@ -134,10 +146,6 @@ class StreamingMultiprocessor:
         #: to re-dispatch pending blocks without summing per-SM counters
         #: every cycle).
         self.on_commit: Optional[Callable[["StreamingMultiprocessor"], None]] = None
-        #: Set by ``_issue`` when the issued instruction touched the memory
-        #: pipeline (so the event tick only recomputes MSHR occupancy when
-        #: it can actually have changed).
-        self._mshr_touched = False
         # ---- event-driven ready-warp core state -----------------------
         #: Per-slot min-heaps of ``(wake_cycle, dynamic_id, warp)``.  A warp
         #: is queued here exactly when ``warp._queued`` is True; entries are
@@ -147,6 +155,8 @@ class StreamingMultiprocessor:
         #: has passed, kept in dispatch order (ascending dynamic id) —
         #: the candidate order every scheduler's tie-breaks assume.
         self._ready_pools: List[list] = [[] for _ in self.schedulers]
+        #: ``(scheduler, wake heap, ready pool)`` per slot, for the tick loop.
+        self._slots = tuple(zip(self.schedulers, self._wake_heaps, self._ready_pools))
 
     # ------------------------------------------------------------------
     # Occupancy / dispatch
@@ -200,12 +210,14 @@ class StreamingMultiprocessor:
         barrier-blocked warps are not queued — barrier release and block
         dispatch re-queue them when they become schedulable again.
         """
-        if warp._queued or warp.status is not WarpStatus.RUNNING:
+        if warp._queued or warp.status is not _RUNNING:
             return
-        wake, _ = warp.schedule_info()
+        # Every caller has just moved the warp's PC or scoreboard (issue,
+        # barrier release, dispatch), so the readiness cache is stale.
+        wake, _ = warp._refresh_sched_cache()
         warp._queued = True
-        slot = warp.dynamic_id % self._num_slots
-        heapq.heappush(self._wake_heaps[slot], (wake, warp.dynamic_id, warp))
+        dyn = warp.dynamic_id
+        heapq.heappush(self._wake_heaps[dyn % self._num_slots], (wake, dyn, warp))
 
     def _release_barrier(self, block: ThreadBlock, now: float) -> None:
         """Release ``block``'s barrier and re-queue the released warps."""
@@ -218,17 +230,15 @@ class StreamingMultiprocessor:
         for warp in released:
             self._enqueue(warp)
 
-    @staticmethod
-    def _pool_remove(pool: list, dynamic_id: int) -> None:
-        idx = bisect_left(pool, (dynamic_id,))
-        if idx < len(pool) and pool[idx][0] == dynamic_id:
-            del pool[idx]
-
     # ------------------------------------------------------------------
     # Cycle execution
     # ------------------------------------------------------------------
     def tick(self, now: float) -> bool:
-        """Give each scheduler slot one issue opportunity; True if issued.
+        """Give each scheduler slot one issue opportunity; True if issued."""
+        return self.tick_wake(now)[0]
+
+    def tick_wake(self, now: float):
+        """One tick; returns ``(issued, next_wake)``.
 
         Pops newly-awake warps and gates the ready pool, so per-tick cost
         is O(newly awake + pool size) instead of O(resident warps).  The
@@ -236,19 +246,23 @@ class StreamingMultiprocessor:
         issued yet (typically because they are gated on MSHR availability
         or lost arbitration); it is kept sorted by dynamic id so the
         scheduler sees candidates in dispatch order.
+
+        ``next_wake`` is exactly what :meth:`next_wake_time` would answer
+        after this tick, read off the heaps and pools the tick has just
+        walked (and the MSHR occupancy it already knows), so the skip loop
+        never asks twice.
         """
         issued = False
         reserve = self._reserve
         crit_fn = self._is_critical
         mshr = self.mshr
+        slots = self._slots
         free_mshrs = -1  # computed lazily: only slots with candidates pay
-        for slot, scheduler in enumerate(self.schedulers):
-            heap = self._wake_heaps[slot]
-            pool = self._ready_pools[slot]
+        for scheduler, heap, pool in slots:
             while heap and heap[0][0] <= now:
                 _, dyn, warp = heapq.heappop(heap)
                 warp._queued = False
-                if warp.status is not WarpStatus.RUNNING:
+                if warp.status is not _RUNNING:
                     continue  # finished/barrier entry invalidated lazily
                 t, needs_mem = warp.schedule_info()
                 if t > now:
@@ -284,31 +298,50 @@ class StreamingMultiprocessor:
             warp = scheduler.select(ready, now)
             if warp is None:
                 continue
-            self._pool_remove(pool, warp.dynamic_id)
-            self._mshr_touched = False
-            self._issue(warp, scheduler, now)
+            del pool[bisect_left(pool, (warp.dynamic_id,))]
+            if self._issue(warp, scheduler, now):
+                # MSHR occupancy only moves when a memory instruction
+                # issued; skip the recompute otherwise (same value).
+                free_mshrs = mshr.free_entries(now)
             # Re-queue at the post-issue wake time (no-op when the warp
             # finished, parked at a barrier, or was already re-queued by a
             # barrier release triggered by this very issue).
             self._enqueue(warp)
-            if self._mshr_touched and free_mshrs >= 0:
-                # MSHR occupancy only moves when a memory instruction
-                # issued; skip the recompute otherwise (same value).
-                free_mshrs = mshr.free_entries(now)
             issued = True
-        return issued
+        # The next wake, as next_wake_time() derives it.  A pooled warp
+        # that needs an MSHR implies its slot computed ``free_mshrs``.
+        wake = math.inf
+        mshr_free_at: Optional[float] = None
+        for _, heap, pool in slots:
+            if heap and heap[0][0] < wake:
+                wake = heap[0][0]
+            for _, _, t, needs_mem in pool:
+                if needs_mem:
+                    if mshr_free_at is None:
+                        mshr_free_at = now if free_mshrs > 0 else mshr.next_free_time(now)
+                    if mshr_free_at > t:
+                        t = mshr_free_at
+                if t < wake:
+                    wake = t
+        return issued, wake
 
-    def _issue(self, warp: Warp, scheduler: WarpScheduler, now: float) -> None:
-        inst = warp.next_instruction()
-        pc = warp.pc
-        active = warp.active_mask
-        lanes = popcount(active)
+    def _issue(self, warp: Warp, scheduler: WarpScheduler, now: float) -> bool:
+        """Issue ``warp``'s next instruction; True if it was a LD/ST."""
+        stack = warp.stack
+        pc = stack.pc
+        active = stack.active_mask
+        inst = warp._insts[pc]
+        decoded = inst.decoded
+        kind = decoded.kind
+        lanes = active.bit_count()
 
         # ---- stall accounting (Fig 2c / Fig 4 decomposition) ----------
         # Written with conditionals instead of min/max builtins: this runs
         # once per issued instruction and the call overhead shows up.
         base = warp.last_issue_cycle + 1 if warp.issued_instructions else warp.start_cycle
-        ready, limited_by_load = warp.operands_ready_detail()
+        # Fresh: every pooled warp went through schedule_info() in tick_wake.
+        ready = warp._cached_opready
+        limited_by_load = warp._cached_by_load
         gap = now - base
         if gap < 0.0:
             gap = 0.0
@@ -354,7 +387,8 @@ class StreamingMultiprocessor:
             emit((_EV_WARP_ISSUE, now, self.sm_id, bid, wid, pc,
                   inst.op.value))
 
-        if self.cpl is not None:
+        cpl = self.cpl
+        if cpl is not None:
             # Only data stalls (memory latency, dependency hazards) feed the
             # criticality counter.  Counting scheduler-induced wait (ready
             # but not selected) creates a fairness feedback loop under a
@@ -362,65 +396,72 @@ class StreamingMultiprocessor:
             # dissolving the working-set concentration gCAWS inherits from
             # GTO.  A genuinely slow warp is slow because its *data* is
             # late, and that is exactly what data_stall measures.
-            self.cpl.on_issue(warp, data_stall)
+            cpl.on_issue(warp, data_stall)
 
         # ---- functional execution -------------------------------------
         # (Trace replay swaps in a TraceExecutor that answers from the
         # warp's recorded stream instead of computing lane values.)
         result = self.executor.execute(inst, warp)
-        if self.trace_sink is not None:
-            self.trace_sink.record(warp, inst, active, result)
+        sink = self.trace_sink
+        if sink is not None:
+            if decoded.needs_global_mem and result.mem_mask and result.mem_lines is None:
+                # Coalesce once: the recorder stores these lines and the
+                # LSU below walks the same list.
+                result.mem_lines = coalesce_lines(
+                    result.mem_addrs, result.mem_mask, self.l1d.config.line_size
+                )
+            sink.record(warp, inst, active, result)
 
         # ---- timing + control state -----------------------------------
-        op = inst.op
-        if op is Opcode.BRA:
-            self._resolve_branch(warp, inst, result.taken_mask, active, now)
-            self.stats.branches += 1
-        elif op in (Opcode.LD, Opcode.ST):
-            self._mshr_touched = True
+        stats = self.stats
+        if kind == _K_ALU:
+            warp.rf.set_reg_ready(decoded.dst, now + self._alu_latency, False)
+            stack.advance(pc + 1)
+        elif kind == _K_LOAD or kind == _K_STORE:
             crit_fn = self._is_critical
             is_critical = crit_fn(warp) if crit_fn is not None else False
             completion, _ = self.lsu.issue(
                 warp, inst, result.mem_addrs, result.mem_mask, now, is_critical,
                 lines=result.mem_lines,
             )
-            if inst.is_load:
-                warp.rf.set_reg_ready(inst.dst, completion, from_load=True)
-                self.stats.loads += 1
+            if kind == _K_LOAD:
+                warp.rf.set_reg_ready(decoded.dst, completion, True)
+                stats.loads += 1
             else:
-                self.stats.stores += 1
-            warp.stack.advance(pc + 1)
-        elif op is Opcode.BAR:
-            self.stats.barriers += 1
-            warp.stack.advance(pc + 1)
+                stats.stores += 1
+            stack.advance(pc + 1)
+        elif kind == _K_BRANCH:
+            self._resolve_branch(warp, inst, result.taken_mask, active, now)
+            stats.branches += 1
+        elif kind == _K_PRED:
+            warp.rf.set_pred_ready(decoded.dst, now + self._alu_latency)
+            stack.advance(pc + 1)
+        elif kind == _K_SFU:
+            warp.rf.set_reg_ready(decoded.dst, now + self._sfu_latency, False)
+            stack.advance(pc + 1)
+        elif kind == _K_BARRIER:
+            stats.barriers += 1
+            stack.advance(pc + 1)
             if warp.block.barrier_arrive(warp):
                 self._release_barrier(warp.block, now)
-        elif op is Opcode.EXIT:
-            warp.stack.kill_lanes(active)
-            if warp.stack.empty:
+        elif kind == _K_EXIT:
+            stack.kill_lanes(active)
+            if stack.empty:
                 self._finish_warp(warp, scheduler, now)
-        else:
-            if inst.writes_predicate:
-                warp.rf.set_pred_ready(inst.dst, now + self._alu_latency)
-            elif inst.writes_register:
-                latency = (
-                    self._sfu_latency
-                    if inst.unit is FuncUnit.SFU
-                    else self._alu_latency
-                )
-                warp.rf.set_reg_ready(inst.dst, now + latency, from_load=False)
-            warp.stack.advance(pc + 1)
+        else:  # IssueKind.NONE: nothing to score
+            stack.advance(pc + 1)
 
         # ---- bookkeeping ----------------------------------------------
         warp.issued_instructions += 1
         warp.thread_instructions += lanes
         warp.last_issue_cycle = now
-        self.stats.warp_instructions += 1
-        self.stats.thread_instructions += lanes
-        self.stats.issue_events += 1
+        stats.warp_instructions += 1
+        stats.thread_instructions += lanes
+        stats.issue_events += 1
         scheduler.notify_issue(warp, now)
         for obs in self.issue_observers:
             obs.on_issue(self, warp, inst, now)
+        return kind == _K_LOAD or kind == _K_STORE
 
     def _resolve_branch(self, warp: Warp, inst, taken_mask: int, active: int,
                         now: float) -> None:
@@ -502,10 +543,13 @@ class StreamingMultiprocessor:
         could issue: scoreboard completions, MSHR frees for pooled
         memory-gated warps, and (implicitly) barrier releases and block
         commits, which only ever happen during one of this SM's own
-        issues.  May *under*-estimate (MSHR-reserve gating, scheduler
-        refusal) — the skip clock re-ticks one cycle later — but never
-        over-estimates, which is the invariant the cycle/skip parity grid
-        enforces.
+        issues.  Exact for scoreboard- and MSHR-gated warps
+        (:meth:`MSHRFile.next_free_time` accounts for over-subscription).
+        Still *under*-estimated: a pooled warp that is operand-ready but
+        lost arbitration, was declined by a throttling scheduler, or is
+        held back by the critical-MSHR reserve reports a wake in the past,
+        which the skip clock turns into a re-tick one cycle later.  Never
+        over-estimated — the invariant the cycle/skip parity grid enforces.
         """
         return self.next_wake_time(now)
 

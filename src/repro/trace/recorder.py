@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..config import GPUConfig
-from ..isa.instructions import MemSpace, Opcode
+from ..isa.instructions import Opcode
 from .format import LaunchTrace, TraceProgram
 
 
@@ -57,16 +57,10 @@ class TraceRecorder:
             stream = streams[key] = []
         op = inst.op
         if op is Opcode.LD or op is Opcode.ST:
-            mem_mask = result.mem_mask
-            if mem_mask and inst.space is MemSpace.GLOBAL:
-                # Defer to the LSU's coalescing rule so recorded lines are
-                # exactly what the execute frontend would access.
-                from ..sm.lsu import coalesce_lines
-
-                lines = coalesce_lines(result.mem_addrs, mem_mask, self.line_size)
-            else:
-                lines = None
-            stream.append([inst.pc, active_mask, [mem_mask, lines]])
+            # ``mem_lines`` is the SM's one coalescing of this access (the
+            # LSU walks the same list); ``None`` for shared-space and
+            # fully-predicated-off accesses.
+            stream.append([inst.pc, active_mask, [result.mem_mask, result.mem_lines]])
         elif op is Opcode.BRA and inst.pred is not None:
             stream.append([inst.pc, active_mask, result.taken_mask])
         else:

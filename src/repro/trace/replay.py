@@ -32,10 +32,15 @@ from typing import List, Optional
 
 from ..config import GPUConfig
 from ..errors import TraceFormatError
-from ..isa.instructions import Opcode
-from ..simt.executor import ExecResult
+from ..isa.instructions import IssueKind
+from ..simt.executor import NO_EFFECT, ExecResult
 from ..simt.warp import Warp
 from .format import LaunchTrace, TraceProgram
+
+
+_K_LOAD = int(IssueKind.LOAD)
+_K_STORE = int(IssueKind.STORE)
+_K_BRANCH = int(IssueKind.BRANCH)
 
 
 class TraceStack:
@@ -84,9 +89,7 @@ class TraceStack:
         self._idx += 1
 
     def active_lane_count(self) -> int:
-        from ..simt.mask import popcount
-
-        return popcount(self.active_mask)
+        return self.active_mask.bit_count()
 
 
 class TraceWarp(Warp):
@@ -101,8 +104,8 @@ class TraceExecutor:
     """Answers issue-time queries from the warp's current trace record."""
 
     def execute(self, inst, warp) -> ExecResult:
-        op = inst.op
-        if op is Opcode.LD or op is Opcode.ST:
+        kind = inst.decoded.kind
+        if kind == _K_LOAD or kind == _K_STORE:
             aux = warp.stack.aux
             if aux is None:
                 raise TraceFormatError(
@@ -110,9 +113,9 @@ class TraceExecutor:
                     "payload; trace is corrupt"
                 )
             return ExecResult(mem_mask=aux[0], mem_lines=aux[1])
-        if op is Opcode.BRA:
+        if kind == _K_BRANCH:
             if inst.pred is None:
-                return ExecResult(taken_mask=warp.active_mask)
+                return ExecResult(taken_mask=warp.stack.active_mask)
             taken = warp.stack.aux
             if taken is None:
                 raise TraceFormatError(
@@ -120,11 +123,7 @@ class TraceExecutor:
                     "mask; trace is corrupt"
                 )
             return ExecResult(taken_mask=taken)
-        if op is Opcode.BAR:
-            return ExecResult(is_barrier=True)
-        if op is Opcode.EXIT:
-            return ExecResult(is_exit=True)
-        return ExecResult()
+        return NO_EFFECT
 
 
 def make_warp_factory(launch: LaunchTrace):

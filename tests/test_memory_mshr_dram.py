@@ -1,6 +1,9 @@
 """Tests for MSHR merging/throttling and the DRAM/L2 timing models."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
 from repro.memory.dram import DRAMModel
@@ -39,6 +42,49 @@ class TestMSHR:
         assert mshr.next_free_time(0.0) == 0.0
         mshr.register(0, 100.0)
         assert mshr.next_free_time(5.0) == 100.0
+
+    def test_next_free_time_when_over_subscribed(self):
+        # earliest_start delays a miss that finds the file full, but
+        # register still admits it: with entries + k fills in flight an
+        # entry frees at the (k + 1)-th completion, not the first.
+        mshr = MSHRFile(entries=2)
+        for line, done in enumerate([100.0, 110.0, 120.0, 130.0]):
+            mshr.register(line * 128, done)
+        assert mshr.next_free_time(5.0) == 120.0
+        assert mshr.free_entries(110.0) == 0  # two fills done, still full
+        assert mshr.next_free_time(110.0) == 120.0
+        assert mshr.free_entries(120.0) == 1
+        assert mshr.next_free_time(125.0) == 125.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.integers(1, 4),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["register", "lookup", "earliest_start", "wait"]),
+                st.integers(0, 7),    # line index
+                st.integers(1, 40),   # fill latency / cycles waited
+            ),
+            max_size=40,
+        ),
+    )
+    def test_prop_next_free_time_is_first_cycle_with_a_free_entry(self, entries, ops):
+        mshr = MSHRFile(entries)
+        now = 0.0
+        for op, line, amount in ops:
+            if op == "register":  # admitted even when the file is full
+                mshr.register(line * 128, now + amount)
+            elif op == "lookup":
+                mshr.lookup(line * 128, now)
+            elif op == "earliest_start":
+                mshr.earliest_start(now)
+            else:
+                now += amount
+            # free_entries purges, so probe future cycles on copies.
+            candidates = [now] + sorted(t for t in mshr._inflight.values() if t > now)
+            expected = next(t for t in candidates
+                            if copy.deepcopy(mshr).free_entries(t) > 0)
+            assert mshr.next_free_time(now) == expected
 
     def test_earliest_start_throttles_when_full(self):
         mshr = MSHRFile(entries=1)

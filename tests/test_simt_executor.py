@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.isa.instructions import CmpOp, Instruction, MemSpace, Opcode, Special
 from repro.memory.data import GlobalMemory
+from repro.simt import executor as executor_mod
 from repro.simt.block import ThreadBlock
-from repro.simt.executor import FunctionalExecutor
+from repro.simt.executor import NO_EFFECT, ExecResult, FunctionalExecutor
 from repro.simt.warp import Warp
 from repro.isa.kernel import KernelBuilder
 
@@ -212,6 +214,51 @@ class TestMemoryOps:
             Instruction(Opcode.LD, dst=1, srcs=(0,), imm=0.0, pred=0, pc=0), warp
         )
         assert warp.rf.regs[1][0] == 1.0
+
+
+class TestBinding:
+    """Static operand-shape checks happen when the handler is bound."""
+
+    @pytest.mark.parametrize("inst", [
+        Instruction(Opcode.MAD, dst=2, srcs=(0,), pc=7),            # no multiplier
+        Instruction(Opcode.MAD, dst=2, srcs=(0, 1, 2, 3), pc=7),
+        Instruction(Opcode.ADD, dst=2, srcs=(), pc=7),
+        Instruction(Opcode.ADD, dst=2, srcs=(0,), pc=7),            # no second operand
+        Instruction(Opcode.SETP, dst=0, srcs=(0,), cmp=CmpOp.LT, pc=7),
+        Instruction(Opcode.SELP, dst=2, srcs=(0,), pred=0, pc=7),
+        Instruction(Opcode.MOV, dst=2, pc=7),                       # no operand at all
+    ], ids=lambda inst: f"{inst.op.value}{len(inst.srcs)}")
+    def test_malformed_operands_name_the_pc(self, env, inst):
+        _, execu, warp = env
+        with pytest.raises(SimulationError, match="pc=7"):
+            execu.execute(inst, warp)
+        with pytest.raises(SimulationError, match="pc=7"):  # and again: nothing was cached
+            execu.execute(inst, warp)
+
+    def test_unimplemented_opcode_names_the_pc(self, env, monkeypatch):
+        _, execu, warp = env
+        table = dict(executor_mod._BINARY)
+        del table[Opcode.XOR]
+        monkeypatch.setattr(executor_mod, "_BINARY", table)
+        with pytest.raises(SimulationError, match=r"unimplemented opcode .*XOR.* at pc=7"):
+            execu.execute(Instruction(Opcode.XOR, dst=2, srcs=(0, 1), pc=7), warp)
+
+    def test_handler_is_bound_once(self, env):
+        _, execu, warp = env
+        inst = Instruction(Opcode.ADD, dst=2, srcs=(0, 1), pc=0)
+        assert inst.decoded.run is None
+        execu.execute(inst, warp)
+        run = inst.decoded.run
+        execu.execute(inst, warp)
+        assert run is not None and inst.decoded.run is run
+
+    def test_payload_free_result_is_shared(self, env):
+        _, execu, warp = env
+        for inst in (Instruction(Opcode.NOP, pc=0), Instruction(Opcode.BAR, pc=0),
+                     Instruction(Opcode.EXIT, pc=0),
+                     Instruction(Opcode.ADD, dst=2, srcs=(0, 1), pc=0)):
+            assert execu.execute(inst, warp) is NO_EFFECT
+        assert NO_EFFECT == ExecResult()
 
 
 class TestSpecials:

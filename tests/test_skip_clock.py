@@ -177,6 +177,35 @@ class TestSkipRunProvenance:
         assert RunResult.from_dict(payload).clock == "cycle"
 
 
+class TestTickEconomy:
+    def test_needle_ticks_almost_only_to_issue(self):
+        """Exact counts on the ledger's worst cell (needle x rr, narrow_figs).
+
+        The skip loop reschedules an SM at the wake its own tick returned,
+        and an MSHR-gated warp's wake is the cycle an entry really frees
+        (over-subscription included), so few ticks issue nothing: 21,198
+        ticks before ``MSHRFile.next_free_time`` counted the excess fills.
+        """
+        from repro.core.cawa import apply_scheme
+        from repro.gpu import GPU
+        from repro.workloads import make_workload
+
+        gpu = GPU(apply_scheme(GPUConfig.default_sim(), "rr"))
+        ticks = []
+        for sm in gpu.sms:
+            def counted(now, real=sm.tick_wake):
+                outcome = real(now)
+                ticks.append(outcome[0])
+                return outcome
+
+            sm.tick_wake = counted
+        spec = make_workload("needle", scale=0.5, seed=1).build(gpu)
+        result = gpu.launch(spec.kernel, spec.grid_dim, spec.block_dim, scheme="rr")
+        assert result.cycles == 96_925
+        assert sum(ticks) == 10_780          # ticks that issued
+        assert len(ticks) <= 11_898
+
+
 class TestConfigValidation:
     def test_unknown_clock_rejected(self):
         with pytest.raises(ConfigError):

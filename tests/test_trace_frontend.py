@@ -84,6 +84,47 @@ class TestRecordReplay:
         assert prog_rr.trace_id == prog_gto.trace_id
 
 
+    def test_recording_coalesces_each_global_access_once(self, config, monkeypatch):
+        """The SM coalesces a recorded access once; the recorder stores that
+        list and the LSU walks it (it used to coalesce the same addresses
+        again)."""
+        from repro.isa.instructions import MemSpace
+        from repro.simt.executor import NO_EFFECT, ExecResult
+        from repro.sm import lsu as lsu_mod, sm as sm_mod
+        from repro.trace.recorder import TraceRecorder
+
+        coalesce = lsu_mod.coalesce_lines
+        runs = []
+
+        def counted(addrs, mask, line_size):
+            runs.append(mask)
+            return coalesce(addrs, mask, line_size)
+
+        monkeypatch.setattr(lsu_mod, "coalesce_lines", counted)
+        monkeypatch.setattr(sm_mod, "coalesce_lines", counted)
+        accesses = []
+        record = TraceRecorder.record
+
+        def checked(self, warp, inst, active_mask, result):
+            record(self, warp, inst, active_mask, result)
+            if inst.is_memory and inst.space is MemSpace.GLOBAL and result.mem_mask:
+                stored = self._current[(warp.block.block_id, warp.warp_id_in_block)][-1]
+                accesses.append(stored)
+                assert stored[2] == [result.mem_mask, coalesce(
+                    result.mem_addrs, result.mem_mask, self.line_size)]
+
+        monkeypatch.setattr(TraceRecorder, "record", checked)
+        _, program = _record(config=config)
+        assert len(accesses) > 100
+        assert len(runs) == len(accesses)
+        # The payload-free result every ALU/BAR/EXIT issue shares went
+        # through the recorder and the issue path untouched.
+        assert NO_EFFECT == ExecResult()
+        # And replay walks exactly the stored lines.
+        replayed = trace_mod.replay_program(program, config, scheme="rr")[0]
+        assert replayed.l1_stats.accesses == sum(len(a[2][1]) for a in accesses)
+
+
 # ----------------------------------------------------------------------
 # Serialization: bytes round trip, versioning, corruption
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.core.cawa import apply_scheme
 from repro.isa.instructions import CmpOp, Special
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import WarpStatus
+from repro.trace.recorder import TraceRecorder
 
 
 def alu_kernel(steps=4):
@@ -70,12 +71,15 @@ class ReadySetOracle:
     A slot ``tick`` passes over without calling ``select`` must have an
     empty list: nothing changes between a skipped slot's turn and the next
     ``select`` call (or the end of the tick), so that is where skipped
-    slots are checked.
+    slots are checked.  At the end of every tick the wake ``tick_wake``
+    returned must also equal ``next_wake_time(now)`` recomputed from
+    scratch.
     """
 
     def __init__(self, sm):
         self.sm = sm
         self.select_calls = 0
+        self.ticks = 0
         # Candidates held back over all checks: no free MSHR / free entries
         # inside the critical reserve and the warp is not critical.
         self.gated_full = 0
@@ -83,15 +87,20 @@ class ReadySetOracle:
         self._next_slot = 0
         for slot, scheduler in enumerate(sm.schedulers):
             scheduler.select = self._checked_select(slot, scheduler.select)
-        real_tick = sm.tick
+        real_tick_wake = sm.tick_wake  # ``tick`` goes through it too
 
-        def tick(now):
+        def tick_wake(now):
             self._next_slot = 0
-            issued = real_tick(now)
+            issued, wake = real_tick_wake(now)
             self._expect_skipped(len(sm.schedulers), now)
-            return issued
+            assert wake == sm.next_wake_time(now), (
+                f"cycle {now}: tick_wake returned wake {wake}, a from-scratch "
+                f"next_wake_time gives {sm.next_wake_time(now)}"
+            )
+            self.ticks += 1
+            return issued, wake
 
-        sm.tick = tick
+        sm.tick_wake = tick_wake
 
     def expected(self, slot, now):
         sm = self.sm
@@ -142,6 +151,20 @@ class ReadySetOracle:
             return real_select(ready, now)
 
         return select
+
+
+def replaying_gpu(cfg, build_kernel, grid_dim, block_dim):
+    """Record ``build_kernel(gpu)`` once, then a trace-frontend GPU for it.
+
+    Returns ``(gpu, kernel)``; launching ``kernel`` on ``gpu`` replays the
+    recorded streams through the same issue core.
+    """
+    recording = GPU(cfg)
+    kernel = build_kernel(recording)
+    recorder = TraceRecorder(cfg)
+    recording.attach_recorder(recorder)
+    recording.launch(kernel, grid_dim, block_dim)
+    return GPU(cfg.with_frontend("trace"), trace=recorder.finish()), kernel
 
 
 def make_sm(num_warps=2):
@@ -238,21 +261,30 @@ class TestBarrierWake:
 
     @pytest.mark.parametrize("clock", ["cycle", "skip"])
     @pytest.mark.parametrize("num_slots", [1, 2])
-    def test_barrier_ready_sets_match_oracle(self, clock, num_slots):
+    def test_barrier_ready_sets_match_oracle(self, clock, num_slots, replay=False):
         cfg = GPUConfig.default_sim(
             num_sms=1, num_schedulers_per_sm=num_slots
         ).with_clock(clock)
-        gpu = GPU(cfg)
+        if replay:
+            gpu, kernel = replaying_gpu(cfg, lambda _: barrier_kernel(), 1, 128)
+        else:
+            gpu, kernel = GPU(cfg), barrier_kernel()
         oracle = ReadySetOracle(gpu.sms[0])
-        gpu.launch(barrier_kernel(), 1, 128)
+        gpu.launch(kernel, 1, 128)
         # Every released warp went through a checked select after the
         # barrier: 4 warps x (const + add + bar + add + exit).
         assert gpu.sms[0].stats.barriers == 4
         assert oracle.select_calls == gpu.sms[0].stats.warp_instructions
+        assert oracle.ticks >= oracle.select_calls / num_slots
+
+    @pytest.mark.parametrize("clock", ["cycle", "skip"])
+    def test_barrier_ready_sets_match_oracle_under_replay(self, clock):
+        self.test_barrier_ready_sets_match_oracle(clock, 2, replay=True)
 
 
 class TestMSHRBackPressure:
-    def _run(self, scheme="rr", mshr_entries=2, clock="cycle", checked=False):
+    def _run(self, scheme="rr", mshr_entries=2, clock="cycle", checked=False,
+             replay=False):
         cfg = apply_scheme(
             GPUConfig.default_sim(
                 num_sms=1,
@@ -262,13 +294,20 @@ class TestMSHRBackPressure:
             ).with_clock(clock),
             scheme,
         )
-        gpu = GPU(cfg)
-        oracle = ReadySetOracle(gpu.sms[0]) if checked else None
         n = 64
-        words = n * 16 * 4 + n
-        data = gpu.memory.alloc_array(np.ones(words))
-        out = gpu.memory.alloc_array(np.zeros(n))
-        result = gpu.launch(scattered_load_kernel(n, data, out), 1, n)
+
+        def build_kernel(gpu):
+            data = gpu.memory.alloc_array(np.ones(n * 16 * 4 + n))
+            out = gpu.memory.alloc_array(np.zeros(n))
+            return scattered_load_kernel(n, data, out)
+
+        if replay:
+            gpu, kernel = replaying_gpu(cfg, build_kernel, 1, n)
+        else:
+            gpu = GPU(cfg)
+            kernel = build_kernel(gpu)
+        oracle = ReadySetOracle(gpu.sms[0]) if checked else None
+        result = gpu.launch(kernel, 1, n)
         return gpu.sms[0], result, oracle
 
     def test_mshr_gated_warps_wait_in_pool_and_wake(self):
@@ -284,14 +323,21 @@ class TestMSHRBackPressure:
     @pytest.mark.parametrize(
         "scheme,mshr_entries", [("rr", 2), ("gto", 2), ("cawa+mshr", 4)]
     )
-    def test_mshr_ready_sets_match_oracle(self, scheme, mshr_entries, clock):
-        sm, result, oracle = self._run(scheme, mshr_entries, clock, checked=True)
+    def test_mshr_ready_sets_match_oracle(self, scheme, mshr_entries, clock,
+                                          replay=False):
+        sm, result, oracle = self._run(scheme, mshr_entries, clock, checked=True,
+                                       replay=replay)
         # The check only means something if the gate engaged: candidates
         # were held back (under cawa+mshr by the critical reserve as well).
         assert sm.mshr.stall_inducing_misses > 0
         assert oracle.gated_full > 0
         assert (oracle.gated_reserve > 0) == (scheme == "cawa+mshr")
         assert oracle.select_calls >= result.warp_instructions
-        # The oracle only observes.
+        # The oracle only observes (and replay changes no cycle).
         _, plain, _ = self._run(scheme, mshr_entries, clock)
         assert result.cycles == plain.cycles
+
+    @pytest.mark.parametrize("clock", ["cycle", "skip"])
+    @pytest.mark.parametrize("scheme,mshr_entries", [("rr", 2), ("cawa+mshr", 4)])
+    def test_mshr_ready_sets_match_oracle_under_replay(self, scheme, mshr_entries, clock):
+        self.test_mshr_ready_sets_match_oracle(scheme, mshr_entries, clock, replay=True)
