@@ -43,12 +43,15 @@ bench:
 	$(PYTEST) benchmarks/ -q -m "" --benchmark-only -s
 
 ## Performance-ledger smoke: the harness's own tests, then one short
-## narrow_figs pass and one short wide_mem pass — the workload that drives
-## the default device loop at 64/160 SMs (benchmarks/ledger/README.md).
+## narrow_figs pass, one short wide_mem pass — the workload that drives
+## the default device loop at 64/160 SMs — and one short sweep_store pass,
+## the only workload that writes and reads the trace store
+## (benchmarks/ledger/README.md).
 ledger:
 	$(PYTEST) benchmarks/ledger/test_ledger.py -q
 	$(PYTHON) benchmarks/ledger/run.py --seconds 2 --workload narrow_figs
 	$(PYTHON) benchmarks/ledger/run.py --seconds 2 --workload wide_mem
+	$(PYTHON) benchmarks/ledger/run.py --seconds 2 --workload sweep_store
 
 ## Alternating base/change ledger pairs for a claimed gain, e.g.
 ## `make ledger-pairs BASE=HEAD~1 WORKLOAD=narrow_figs PAIRS=10`

@@ -1,9 +1,10 @@
 """Simulator-throughput smoke benchmark (host performance, not paper data).
 
 Records **simulated cycles per host CPU second** on the bfs x cawa cell
-(the ISSUE's reference cell), the trace-replay-vs-execute speedup, and the
-skip-clock-vs-cycle-clock speedup, all into pytest-benchmark's
-``extra_info`` (``--benchmark-json``).  These are CI
+(the ISSUE's reference cell), the trace-replay-vs-execute speedup, what
+the default record-then-replay path costs on a cold cell and saves on a
+sweep, and the skip-clock-vs-cycle-clock speedup, all into
+pytest-benchmark's ``extra_info`` (``--benchmark-json``).  These are CI
 *gates* — each asserts its floor; the numbers tracked across commits live
 in the performance ledger (``benchmarks/ledger/README.md``).
 
@@ -69,7 +70,8 @@ def test_trace_replay_speedup(benchmark):
     def execute_once():
         clear_cache()
         start = time.perf_counter()
-        result = run_scheme("bfs", "cawa", scale=SCALE, config=cfg,
+        result = run_scheme("bfs", "cawa", scale=SCALE,
+                            config=cfg.with_frontend("execute"),
                             use_cache=False, persistent=False)
         return result, time.perf_counter() - start
 
@@ -97,6 +99,99 @@ def test_trace_replay_speedup(benchmark):
     benchmark.extra_info["replay_seconds"] = replay_seconds
     benchmark.extra_info["replay_speedup"] = speedup
     benchmark.extra_info["trace_id"] = program.trace_id
+
+
+def _cold_cell_seconds(config, schemes=("rr",), scale=1.0):
+    """CPU seconds for ``schemes`` of bfs through ``run_scheme`` in a fresh
+    cache directory (so a default config starts with a recording)."""
+    import tempfile
+
+    from repro.experiments import result_cache
+    from repro.experiments.runner import run_scheme
+
+    with tempfile.TemporaryDirectory() as scratch:
+        result_cache.set_cache_dir(scratch)
+        try:
+            clear_cache()
+            start = time.process_time()
+            results = [run_scheme("bfs", scheme, scale=scale, config=config,
+                                  use_cache=False, persistent=False)
+                       for scheme in schemes]
+            return time.process_time() - start, results
+        finally:
+            result_cache.set_cache_dir(None)
+
+
+@pytest.mark.slow
+def test_record_overhead_ceiling(benchmark):
+    """A cold default ``run_scheme`` cell — execute with the recorder
+    attached, encode, store — costs at most 1.10x the same cell under
+    ``with_frontend("execute")`` (median of interleaved repeats)."""
+    import statistics
+
+    from repro.config import GPUConfig
+
+    default = GPUConfig.default_sim()
+    execute = default.with_frontend("execute")
+
+    def measure(repeats=7):
+        _cold_cell_seconds(execute), _cold_cell_seconds(default)  # warm-up
+        ratios = []
+        for repeat in range(repeats):
+            if repeat % 2:
+                executed_s, (executed,) = _cold_cell_seconds(execute)
+                recorded_s, (recorded,) = _cold_cell_seconds(default)
+            else:
+                recorded_s, (recorded,) = _cold_cell_seconds(default)
+                executed_s, (executed,) = _cold_cell_seconds(execute)
+            assert (recorded.frontend, executed.frontend) == ("execute", "execute")
+            assert recorded.trace_id and executed.trace_id is None
+            assert recorded.cycles == executed.cycles
+            ratios.append(recorded_s / executed_s)
+        return statistics.median(ratios), ratios
+
+    ratio, ratios = run_once(benchmark, measure)
+    benchmark.extra_info.update(
+        {"workload": "bfs", "scheme": "rr", "scale": 1.0,
+         "record_overhead_ratio": ratio, "ratios": ratios})
+    assert ratio <= 1.10, (
+        f"a cold default cell costs {ratio:.3f}x the executed one "
+        f"(ceiling 1.10x; repeats {[round(r, 3) for r in ratios]})"
+    )
+
+
+@pytest.mark.slow
+def test_default_path_sweep_speedup(benchmark):
+    """Three schemes of bfs in a fresh cache: the default path (one
+    recording, two replays) is at least 1.2x faster than three executions."""
+    from repro.config import GPUConfig
+
+    default = GPUConfig.default_sim()
+    schemes = ("rr", "gto", "cawa")
+
+    def measure(repeats=3):
+        best = {}
+        for _ in range(repeats):
+            for cfg in (default, default.with_frontend("execute")):
+                seconds, results = _cold_cell_seconds(cfg, schemes, scale=SCALE)
+                if seconds < best.get(cfg.frontend, (float("inf"),))[0]:
+                    best[cfg.frontend] = (seconds, results)
+        return best
+
+    best = run_once(benchmark, measure)
+    assert [r.frontend for r in best["trace"][1]] == ["execute", "trace", "trace"]
+    for ours, theirs in zip(best["trace"][1], best["execute"][1]):
+        assert (ours.cycles, ours.l1_stats.misses, ours.dram_accesses) == (
+            theirs.cycles, theirs.l1_stats.misses, theirs.dram_accesses)
+    speedup = best["execute"][0] / best["trace"][0]
+    benchmark.extra_info.update(
+        {"workload": "bfs", "schemes": list(schemes), "scale": SCALE,
+         "execute_seconds": best["execute"][0],
+         "default_seconds": best["trace"][0], "speedup": speedup})
+    assert speedup >= 1.2, (
+        f"default path {best['trace'][0]:.2f}s vs three executions "
+        f"{best['execute'][0]:.2f}s: {speedup:.2f}x is below the 1.2x floor"
+    )
 
 
 def _clock_compare(workload, scale, scheme, repeats=2):
@@ -223,7 +318,11 @@ def test_events_disabled_overhead(benchmark):
     from repro.experiments.runner import run_scheme
 
     def best_of(events_spec, repeats=3):
-        cfg = GPUConfig.default_sim().with_events(events_spec)
+        # Executed on both sides: the probes under test sit on the issue
+        # path either way, and a default config would record the first
+        # repeat and replay the rest.
+        cfg = (GPUConfig.default_sim().with_frontend("execute")
+               .with_events(events_spec))
         best = float("inf")
         result = None
         for _ in range(repeats):

@@ -53,6 +53,15 @@ def _base_config(args) -> GPUConfig:
     return GPUConfig.default_sim()
 
 
+def _trace_path_taken(result) -> str:
+    """``recorded trace <id>`` / ``replayed trace <id>`` / ``executed``:
+    how a result was produced (``RunResult.frontend`` and ``trace_id``)."""
+    if result.trace_id is None:
+        return "executed (no trace)"
+    verb = "replayed" if result.frontend == "trace" else "recorded"
+    return f"{verb} trace {result.trace_id}"
+
+
 def cmd_list(args) -> int:
     print("Workloads (Table 2):")
     for name in SENS_WORKLOADS:
@@ -129,6 +138,7 @@ def cmd_run(args) -> int:
         f"critical hit rate {result.critical_hit_rate:.1%}; "
         f"L2 hit rate {result.l2_stats.hit_rate:.1%}"
     )
+    print(_trace_path_taken(result))
     return 0
 
 
@@ -168,6 +178,10 @@ def cmd_sweep(args) -> int:
             rows.append(row)
         print(f"\nsampled 95% CI half-width ({args.metric}):")
         print(format_table(["workload"] + schemes, rows))
+    replayed = sum(r.frontend == "trace" for r in results.values())
+    recorded = sum(r.frontend != "trace" and r.trace_id is not None
+                   for r in results.values())
+    print(f"\nrecorded {recorded}, replayed {replayed}")
     return 0
 
 
@@ -239,7 +253,7 @@ def cmd_sample(args) -> int:
                   "sample at every candidate rate; pass --spec to override",
                   file=sys.stderr)
             return 2
-    cfg = _base_config(args).with_frontend("trace").with_sampling(spec)
+    cfg = _base_config(args).with_sampling(spec)
     result = run_scheme(args.workload, args.scheme, scale=args.scale,
                         config=cfg, use_cache=not args.force)
     info = getattr(result, "info", None)
@@ -405,7 +419,8 @@ def cmd_trace(args) -> int:
         print(
             f"recorded trace {program.trace_id}: "
             f"{len(program.launches)} launch(es), "
-            f"{program.record_count} records -> {path}"
+            f"{program.record_count} records -> "
+            f"{path or 'memory only (disk cache disabled or unwritable)'}"
         )
         return 0
 
@@ -419,7 +434,7 @@ def cmd_trace(args) -> int:
             return 2
         from .core.cawa import apply_scheme
 
-        cfg = apply_scheme(config, args.scheme).with_frontend("trace")
+        cfg = apply_scheme(config, args.scheme)
         oracle = None
         if cfg.scheduler_name == "caws":
             from .experiments.runner import build_oracle
@@ -439,20 +454,22 @@ def cmd_trace(args) -> int:
         print(f"no traces under {trace_mod.trace_dir()}")
         return 0
     rows = []
-    for path, program in entries:
-        if isinstance(program, Exception):
-            rows.append([path.name, "<unreadable>", "-", "-", "-", str(program)])
+    for path, info in entries:
+        if isinstance(info, Exception):
+            rows.append([path.name, "<unreadable>", "-", "-", "-", "-", str(info)])
             continue
         rows.append([
             path.name,
-            program.workload,
-            f"{program.scale:g}",
-            program.trace_id,
-            str(program.record_count),
-            program.meta.get("recorded_scheme", "?"),
+            info.workload,
+            f"{info.scale:g}",
+            info.trace_id,
+            str(info.record_count),
+            info.meta.get("recorded_scheme", "?"),
+            "yes" if info.meta.get("verified") else "no",
         ])
     print(format_table(
-        ["file", "workload", "scale", "trace_id", "records", "scheme"], rows
+        ["file", "workload", "scale", "trace_id", "records", "scheme",
+         "verified"], rows
     ))
     return 0
 
@@ -1072,7 +1089,10 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto")
     p_csub.add_argument("--clock", choices=["cycle", "skip"], default=None)
     p_csub.add_argument("--frontend", choices=["execute", "trace"],
-                        default=None)
+                        default=None,
+                        help="'execute' forces functional execution (the "
+                        "parity reference); default: replay a recorded "
+                        "trace, recording on a miss")
     p_csub.add_argument("--sampling", default=None, metavar="SPEC",
                         help="sampled replay spec for run jobs, e.g. "
                         "'blocks:0.25' (changes the answer: never "

@@ -127,14 +127,19 @@ class GPUConfig:
     critical_mshr_reserve: int = 0
     use_cpl: bool = True
     cpl_update_period: int = 64
-    #: Simulation frontend: ``"execute"`` (default) runs the functional
-    #: executor at issue time; ``"trace"`` replays a previously recorded
-    #: per-warp dynamic instruction stream through the same timing model,
-    #: skipping register files and lane math entirely.  Replay is
-    #: bit-identical to execution by contract (``tests/test_trace_parity.py``)
-    #: and therefore shares result-cache entries with the execute frontend.
-    #: See ``docs/trace_driven.md``.
-    frontend: str = "execute"
+    #: Whether the experiment runner may answer a cell from the trace
+    #: store: ``"trace"`` (default) replays a recorded per-warp dynamic
+    #: instruction stream through the timing model — skipping register
+    #: files and lane math entirely — and, when the store has none,
+    #: executes once with a recorder attached; ``"execute"`` is the parity
+    #: reference, which always runs the functional executor and never
+    #: consults the store.  Read only where a trace store exists
+    #: (:func:`repro.experiments.runner.run_scheme` and the harnesses built
+    #: on it); a :class:`repro.gpu.GPU` ignores it and replays exactly when
+    #: it is handed ``trace=``.  Replay is bit-identical to execution by
+    #: contract (``tests/test_trace_parity.py``), so both values share
+    #: result-cache entries.  See ``docs/trace_driven.md``.
+    frontend: str = "trace"
     #: Simulation clock: ``"skip"`` (default) drives the device from a
     #: global min-heap of per-SM next-event times (scoreboard/MSHR/barrier
     #: wakes — see :mod:`repro.gpu.clock`), ticking only the SMs that can
@@ -176,8 +181,8 @@ class GPUConfig:
     #: :meth:`fingerprint`: sampled and exact results never share a
     #: result-cache entry or a serve coalescing group.  Requires
     #: ``frontend='trace'`` (there is nothing to subsample without a
-    #: recorded trace); :meth:`with_sampling` and the experiment runner
-    #: switch the frontend automatically.  Selection is deterministic
+    #: recorded trace); :meth:`with_sampling` switches an ``"execute"``
+    #: config back automatically.  Selection is deterministic
     #: given the config: the sampler's RNG is seeded from ``(sampling,
     #: sampling_seed, trace identity)``.  See ``docs/sampling.md``.
     sampling: str = "off"
@@ -260,9 +265,9 @@ class GPUConfig:
         if sampling.enabled and self.frontend != "trace":
             raise ConfigError(
                 f"sampling={self.sampling!r} requires frontend='trace'; "
-                "sampled replay subsamples a recorded trace, which the "
-                "execute frontend does not have (use "
-                "with_sampling(), which switches the frontend for you)"
+                "sampled replay subsamples a recorded trace, which "
+                "frontend='execute' never consults (use with_sampling(), "
+                "which switches the frontend for you)"
             )
 
     @classmethod
@@ -323,7 +328,9 @@ class GPUConfig:
         return replace(self, l1d_policy=policy)
 
     def with_frontend(self, frontend: str) -> "GPUConfig":
-        """Return a copy using simulation frontend ``frontend``."""
+        """Return a copy with :attr:`frontend` set: ``"execute"`` for the
+        parity reference that never consults the trace store, ``"trace"``
+        (the default) for record-once-then-replay."""
         return replace(self, frontend=frontend)
 
     def with_clock(self, clock: str) -> "GPUConfig":

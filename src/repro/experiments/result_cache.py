@@ -20,12 +20,15 @@ Key design:
   individual entry writes stay lock-free.
 * The directory defaults to ``.repro_cache/`` under the current working
   directory; override with the ``REPRO_CACHE_DIR`` environment variable or
-  :func:`set_cache_dir`.  Set ``REPRO_DISK_CACHE=0`` to disable entirely.
+  :func:`set_cache_dir`.  Set ``REPRO_DISK_CACHE=0`` to disable entirely —
+  the trace store (below) honours the same switch.
 * The config fingerprint also excludes the ``frontend`` selector: trace
-  replay is bit-identical to execution (``docs/trace_driven.md``), so the
-  two frontends deliberately share cache entries.  The trace store itself
-  lives alongside the results, under ``traces/`` inside :func:`cache_dir`
-  (see :mod:`repro.trace.store`), and is cleared separately.
+  replay — what a default config gets — is bit-identical to execution
+  (``docs/trace_driven.md``), so a replayed result and one produced under
+  ``with_frontend("execute")`` deliberately share cache entries.  The
+  trace store itself lives alongside the results, under ``traces/``
+  inside :func:`cache_dir` (see :mod:`repro.trace.store`), and is cleared
+  separately.
 """
 
 from __future__ import annotations

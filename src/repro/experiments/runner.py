@@ -14,16 +14,16 @@ Results are memoized at two levels:
 :func:`run_sweep` can additionally fan the (workload x scheme) grid over a
 process pool (``parallel=True``); workers share the disk cache.
 
-With ``config.frontend == "trace"`` (see :mod:`repro.trace` and
-``docs/trace_driven.md``) a third layer joins in: on a **result**-cache miss
-the runner checks the persistent **trace** store
-(``.repro_cache/traces/``, keyed on the functional fingerprint only).  A
-trace hit replays the recorded per-warp streams through the timing model —
-bit-identical to execution, several times faster; a trace miss runs the
-workload once under the execute frontend *with a recorder attached*, so the
-cell's result and its trace are produced by the same simulation.  Because
-traces ignore timing-only knobs, a scheme sweep records once per workload
-and replays every other cell.
+A third layer sits under both: the persistent **trace** store
+(``.repro_cache/traces/``, keyed on the functional fingerprint only; see
+:mod:`repro.trace` and ``docs/trace_driven.md``).  Unless the config says
+``with_frontend("execute")`` — the parity reference, which never consults
+the store — a result-cache miss looks there first.  A trace hit replays the
+recorded per-warp streams through the timing model, bit-identical to
+execution and without the functional executor; a trace miss executes the
+workload once *with a recorder attached*, so the cell's result and its
+trace come from the same simulation.  Because traces ignore timing-only knobs, a
+scheme sweep executes once per workload and replays every other cell.
 
 With ``config.sampling != "off"`` (see :mod:`repro.sampling` and
 ``docs/sampling.md``) the trace path replays only the config-selected
@@ -41,6 +41,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .. import trace as trace_mod
 from ..config import GPUConfig
 from ..core.cawa import apply_scheme
 from ..gpu import GPU
@@ -156,21 +157,46 @@ def run_scheme(
         issue_observers.append(accuracy_tracker)
     l1_observers = [reuse_profiler] if reuse_profiler is not None else []
 
-    if cfg.frontend == "trace":
-        result = _trace_frontend_run(
-            workload, scheme, scale, cfg, oracle, check,
-            issue_observers, l1_observers, workload_kwargs,
-        )
-    else:
+    kwargs = dict(workload_kwargs) if workload_kwargs else None
+    # ``frontend`` is read here and nowhere below the runner: "execute" is
+    # the parity reference and never consults the trace store.
+    use_traces = cfg.frontend == "trace"
+    sampled = cfg.sampling != "off"
+    program = (
+        _load_program(workload, scale, cfg, kwargs, check) if use_traces else None
+    )
+    if program is None:
+        # Execute: the reference path, or a trace miss (no trace, a stale
+        # or corrupt one, or one nobody verified when this caller asked
+        # for verification).  On a miss the recorder rides along — streams
+        # are schedule-invariant, so recording under the requested scheme
+        # yields this cell's result for free.  The recording always covers
+        # every block; a sampled cell replays its subset from it below, and
+        # its observers attach to that replay, not to this run.
         gpu = GPU(cfg, oracle=oracle)
-        for observer in issue_observers:
-            for sm in gpu.sms:
-                sm.issue_observers.append(observer)
-        for observer in l1_observers:
-            for sm in gpu.sms:
-                sm.l1d.observers.append(observer)
+        recorder = None
+        if use_traces:
+            recorder = trace_mod.TraceRecorder(cfg)
+            gpu.attach_recorder(recorder)
+        if not sampled:
+            _attach_observers(gpu, issue_observers, l1_observers)
         wl = make_workload(workload, scale=scale, **workload_kwargs)
         result = wl.run(gpu, scheme=scheme, check=check)
+        if recorder is not None:
+            program = recorder.finish(workload=workload, scale=scale,
+                                      scheme=scheme, verified=check)
+            trace_mod.store_program(program, workload, scale, cfg, kwargs)
+            result.trace_id = program.trace_id
+    elif not sampled:
+        result = trace_mod.replay_program(
+            program, cfg, scheme=scheme, oracle=oracle,
+            observers=issue_observers, l1_observers=l1_observers,
+        )[-1]
+    if sampled:
+        result = _sampled_replay(
+            workload, program, cfg, scheme, oracle,
+            issue_observers, l1_observers,
+        )
 
     if accuracy_tracker is not None:
         result.extra["cpl_accuracy"] = accuracy_tracker.accuracy(result)
@@ -183,84 +209,27 @@ def run_scheme(
     return result
 
 
-def _trace_frontend_run(
+def _attach_observers(gpu: GPU, issue_observers: list, l1_observers: list) -> None:
+    for sm in gpu.sms:
+        sm.issue_observers.extend(issue_observers)
+        sm.l1d.observers.extend(l1_observers)
+
+
+def _load_program(
     workload: str,
-    scheme: str,
     scale: float,
     cfg: GPUConfig,
-    oracle,
+    kwargs: Optional[dict],
     check: bool,
-    issue_observers: list,
-    l1_observers: list,
-    workload_kwargs: dict,
 ):
-    """One cell under the trace frontend: replay on a trace hit, else
-    execute-and-record (auto-record on miss).
-
-    Functional verification (``check``) only applies to the recording run —
-    replay computes no lane values, so there is nothing to verify; the
-    parity suite (``tests/test_trace_parity.py``) is the replay-side
-    correctness guarantee.
-
-    ``cfg.sampling != "off"`` replays only the config-selected subset of
-    the trace and extrapolates (:func:`repro.sampling.replay.replay_sampled`);
-    a trace miss still records the *full* trace (exactly, under the execute
-    frontend) before sampling it, so the subset is always drawn from the
-    complete stream.
-    """
-    # Local import: repro.trace pulls in result_cache and the GPU; keeping
-    # it out of module scope avoids an import cycle with repro.gpu.
-    from .. import trace as trace_mod
-
-    kwargs = dict(workload_kwargs) if workload_kwargs else None
+    """The stored trace for one cell, or ``None`` when it must be
+    (re-)recorded: a miss, or a ``check=True`` caller finding a trace
+    whose recording run skipped verification — replay computes no lane
+    values, so replaying it would hand back a result nobody verified."""
     program = trace_mod.load_program(workload, scale, cfg, kwargs)
-    if program is not None:
-        if cfg.sampling != "off":
-            return _sampled_replay(
-                workload, program, cfg, scheme, oracle,
-                issue_observers, l1_observers,
-            )
-        results = trace_mod.replay_program(
-            program, cfg, scheme=scheme, oracle=oracle,
-            observers=issue_observers, l1_observers=l1_observers,
-        )
-        return results[-1]
-
-    # Trace miss (or stale/corrupt trace): execute once with the recorder
-    # attached.  Any scheme records the same functional streams (they are
-    # schedule-invariant), so recording under the requested scheme yields
-    # this cell's execute-frontend result for free.
-    # The recording run is a plain execute-frontend run (sampling=off
-    # first: validation rejects sampled non-trace configs — the execute
-    # frontend cannot sample, and the recording must cover every block).
-    exec_cfg = cfg.with_sampling("off").with_frontend("execute")
-    recorder = trace_mod.TraceRecorder(exec_cfg)
-    gpu = GPU(exec_cfg, oracle=oracle)
-    gpu.attach_recorder(recorder)
-    # When the cell is sampled, observers attach to the sampled replay
-    # below (whose result is the one returned), not to the discarded
-    # recording run — attaching to both would double-count events.
-    sampled = cfg.sampling != "off"
-    for observer in issue_observers if not sampled else ():
-        for sm in gpu.sms:
-            sm.issue_observers.append(observer)
-    for observer in l1_observers if not sampled else ():
-        for sm in gpu.sms:
-            sm.l1d.observers.append(observer)
-    wl = make_workload(workload, scale=scale, **workload_kwargs)
-    result = wl.run(gpu, scheme=scheme, check=check)
-    program = recorder.finish(workload=workload, scale=scale, scheme=scheme)
-    trace_mod.store_program(program, workload, scale, cfg, kwargs)
-    result.trace_id = program.trace_id
-    if sampled:
-        # The caller asked for a sampled result; the exact recording run
-        # above was the price of the missing trace.  Replay the sampled
-        # subset so the returned (and cached) result matches the config.
-        return _sampled_replay(
-            workload, program, cfg, scheme, oracle,
-            issue_observers, l1_observers,
-        )
-    return result
+    if program is not None and check and not program.meta.get("verified"):
+        return None
+    return program
 
 
 def load_or_record_program(
@@ -270,19 +239,17 @@ def load_or_record_program(
     config: GPUConfig,
     check: bool = True,
 ):
-    """The stored trace of ``(workload, scale)`` under the trace-frontend
-    ``config``, recorded first if the store misses.
+    """The stored trace of ``(workload, scale)``, recorded first if the
+    store misses (or holds one ``check`` cannot accept).
 
     For harnesses that drive :func:`repro.trace.replay_program` themselves
     (:func:`repro.obs.harness.record_events`,
     :func:`repro.feedback.harness.record_signals`).  The recording run goes
     through :func:`run_scheme` with events and sampling off — its event
-    stream would be the execute frontend's, not the replay the caller is
+    stream would be the executing run's, not the replay the caller is
     about to observe, and a recording must cover every block.
     """
-    from .. import trace as trace_mod
-
-    program = trace_mod.load_program(workload, scale, config, None)
+    program = _load_program(workload, scale, config, None, check)
     if program is None:
         run_scheme(
             workload, scheme, scale=scale,
@@ -575,7 +542,8 @@ def sweep_table(
 
 
 def clear_cache(disk: bool = False) -> None:
-    """Drop memoized results (tests use this for isolation).
+    """Drop everything memoized in this process: results, oracles and
+    decoded trace programs (tests use this for isolation).
 
     ``disk=True`` also wipes the persistent on-disk result cache *and* the
     trace store; by default only the in-process memoization is dropped so a
@@ -583,8 +551,7 @@ def clear_cache(disk: bool = False) -> None:
     """
     _CACHE.clear()
     _ORACLE_CACHE.clear()
+    trace_mod.store.forget()
     if disk:
         result_cache.clear()
-        from ..trace import store as trace_store
-
-        trace_store.clear()
+        trace_mod.clear()

@@ -32,7 +32,7 @@ from typing import Callable, List, Optional
 from ..config import GPUConfig
 from ..core.cacp import CACPPolicy
 from ..core.cpl import CriticalityPredictor
-from ..errors import ConfigError, DeadlockError, LaunchError, TraceMismatchError
+from ..errors import DeadlockError, LaunchError, TraceMismatchError
 from ..memory.data import GlobalMemory
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.replacement import make_policy
@@ -72,22 +72,17 @@ class GPU:
         #: (DRAM/L2 queues, MSHR completions, scoreboards) are absolute, so
         #: a second launch must start where the first one ended.
         self.now: float = 0.0
-        #: Trace-driven frontend state (``config.frontend == "trace"``):
-        #: the loaded :class:`~repro.trace.format.TraceProgram` and the
-        #: index of the next launch to replay from it.
+        #: The :class:`~repro.trace.format.TraceProgram` this GPU replays
+        #: and the index of the next launch to take from it.  A GPU handed
+        #: ``trace=`` replays; one that was not executes — whatever
+        #: ``config.frontend`` says (that field is the experiment runner's:
+        #: it decides whether a trace store is consulted at all).
         self.trace_program = trace
         self._trace_launch_idx = 0
         #: Optional :class:`~repro.trace.recorder.TraceRecorder` capturing
         #: this GPU's issues (see :meth:`attach_recorder`).
         self._recorder = None
-        # sanitize: waive FPR001 -- frontend selection is bit-identical by contract (trace parity grid)
-        if self.config.frontend == "trace":
-            if trace is None:
-                raise ConfigError(
-                    "GPUConfig.frontend='trace' requires a recorded trace: "
-                    "pass GPU(config, trace=TraceProgram.load(path)) or use "
-                    "repro.trace.replay_program()"
-                )
+        if trace is not None:
             # Refuse traces recorded under a different functional config
             # (warp size / L1 line size) before any simulation happens.
             trace.validate(self.config.functional_fingerprint())
@@ -174,9 +169,9 @@ class GPU:
     def attach_recorder(self, recorder) -> None:
         """Record every subsequent launch into ``recorder``.
 
-        Recording is passive (the sink only appends to Python lists), so an
-        instrumented run's timing and statistics are identical to a plain
-        execution-driven run.
+        Recording is passive (the issue path only appends to each warp's
+        trace columns), so an instrumented run's timing and statistics are
+        identical to a plain execution-driven run.
         """
         self._recorder = recorder
         for sm in self.sms:
@@ -226,8 +221,7 @@ class GPU:
                 f"than the SM's {self.config.registers_per_sm}"
             )
 
-        # sanitize: waive FPR001 -- frontend selection is bit-identical by contract (trace parity grid)
-        if self.config.frontend == "trace":
+        if self.trace_program is not None:
             from ..trace.replay import make_warp_factory
 
             launch_trace = self._next_launch_trace(kernel, grid_dim, block_dim)
@@ -395,7 +389,7 @@ class GPU:
         return RunResult(
             kernel_name=kernel_name,
             scheme=scheme or self.config.scheduler_name,
-            frontend=self.config.frontend,  # sanitize: waive FPR001 -- reporting metadata only
+            frontend="trace" if self.trace_program is not None else "execute",
             trace_id=trace_id,
             cycles=cycles,
             thread_instructions=(

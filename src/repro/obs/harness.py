@@ -2,8 +2,9 @@
 
 :func:`record_events` is the programmatic counterpart of ``repro events
 record``: it builds an events-enabled config, attaches any caller
-collectors *before* launch, runs the cell under whichever frontend /
-clock the config selects, and hands back ``(result, bus)``.
+collectors *before* launch, runs the cell — a replay of the workload's
+trace (recorded first if need be) unless the config says
+``with_frontend("execute")`` — and hands back ``(result, bus)``.
 
 Kept in its own module (and exported lazily from ``repro.obs``) because
 it imports the GPU and the experiment runner — far too heavy for the
@@ -31,7 +32,8 @@ def record_events(
 
     If ``config`` has ``events == "off"`` it is upgraded to ``"on"`` —
     asking to record with events disabled is never what the caller meant.
-    Works under both frontends and both clocks.
+    The stream is identical whether the cell replays (the default) or
+    executes, and under both clocks (``tests/test_obs_parity.py``).
 
     With ``config.sampling != "off"`` the bus observes the *sampled*
     replay: the stream covers only the selected subset (under renumbered

@@ -10,8 +10,8 @@ Two modes (see ``docs/sampling.md``):
 
 ``blocks:P``
     Stratified cluster sampling of whole thread blocks.  Strata start from
-    each block's *record-stream signature* — the sorted tuple of its
-    per-warp dynamic record counts.  Blocks sharing a signature executed
+    each block's *stream signature* — the sorted tuple of its per-warp
+    dynamic record counts.  Blocks sharing a signature executed
     the same dynamic path lengths (a strictly stronger grouping than the
     static CPL envelope), so within-stratum variance is what the jackknife
     has to measure and between-stratum structure is covered by sampling at
@@ -23,7 +23,8 @@ Two modes (see ``docs/sampling.md``):
     realized rate honest while preserving the work-size stratification.
     Selected blocks are renumbered to a dense ``0..k-1`` grid (ascending
     original id, preserving dispatch order) and the derived launch shares
-    the original record lists — zero-copy.
+    the original :class:`~repro.trace.format.WarpStream` columns —
+    zero-copy.
 
 ``intervals:P``
     Deterministic truncation of every warp's stream to its leading
@@ -45,11 +46,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..isa.instructions import Opcode
-from ..trace.format import LaunchTrace, TraceProgram
+from ..trace.format import LaunchTrace, TraceProgram, WarpStream
 from .spec import SamplingSpec, derive_rng, parse_sampling_spec
 
 #: Attribute used to memoize per-program profiles (profiles are pure
-#: functions of the record streams, and loaded programs are shared).
+#: functions of the streams, and loaded programs are shared).
 _PROFILE_ATTR = "_sampling_profiles"
 
 
@@ -123,27 +124,23 @@ class LaunchPlan:
 # ----------------------------------------------------------------------
 # Profiling (exact functional totals)
 # ----------------------------------------------------------------------
+def _streams_by_block(launch: LaunchTrace) -> Dict[int, Dict[int, WarpStream]]:
+    per_block: Dict[int, Dict[int, WarpStream]] = {}
+    for (block_id, warp_id), stream in launch.warps.items():
+        per_block.setdefault(block_id, {})[warp_id] = stream
+    return per_block
+
+
 def profile_launch(launch: LaunchTrace) -> Dict[int, BlockProfile]:
     """One linear scan: per-block record and active-lane totals."""
-    per_block: Dict[int, Dict[int, List]] = {}
-    for (block_id, warp_id), records in launch.warps.items():
-        per_block.setdefault(block_id, {})[warp_id] = records
     profiles: Dict[int, BlockProfile] = {}
-    for block_id in sorted(per_block):
-        warps = per_block[block_id]
-        records = 0
-        threads = 0
-        counts = []
-        for warp_id in sorted(warps):
-            stream = warps[warp_id]
-            records += len(stream)
-            counts.append(len(stream))
-            threads += sum(int(rec[1]).bit_count() for rec in stream)
+    for block_id, warps in sorted(_streams_by_block(launch).items()):
+        counts = [len(stream) for stream in warps.values()]
         profiles[block_id] = BlockProfile(
             block_id=block_id,
             num_warps=len(warps),
-            records=records,
-            threads=threads,
+            records=sum(counts),
+            threads=sum(stream.threads() for stream in warps.values()),
             signature=tuple(sorted(counts)),
         )
     return profiles
@@ -242,11 +239,11 @@ def _subsample_blocks(
     strata = build_strata(profiles, spec.rate)
     rng = derive_rng("blocks", spec.rate, seed, launch.kernel_fp, launch_index)
     selected = _select_blocks(strata, spec.rate, rng)
-    warps: Dict[Tuple[int, int], List] = {}
+    per_block = _streams_by_block(launch)
+    warps: Dict[Tuple[int, int], WarpStream] = {}
     for new_id, original in enumerate(selected):
-        for (block_id, warp_id), records in launch.warps.items():
-            if block_id == original:
-                warps[(new_id, warp_id)] = records
+        for warp_id, stream in per_block[original].items():
+            warps[(new_id, warp_id)] = stream
     derived = LaunchTrace(
         kernel=launch.kernel,
         grid_dim=len(selected),
@@ -278,7 +275,7 @@ def _barrier_pcs(kernel) -> frozenset:
 
 
 def _interval_cuts(
-    block_warps: Dict[int, List], bar_pcs: frozenset, rate: float
+    block_warps: Dict[int, WarpStream], bar_pcs: frozenset, rate: float
 ) -> Dict[int, int]:
     """Per-warp cut index keeping the same barrier-epoch count block-wide.
 
@@ -290,20 +287,20 @@ def _interval_cuts(
     """
     naive: Dict[int, int] = {}
     bars: Dict[int, List[int]] = {}
-    for warp_id, records in block_warps.items():
-        naive[warp_id] = max(1, math.ceil(rate * len(records)))
+    for warp_id, stream in block_warps.items():
+        naive[warp_id] = max(1, math.ceil(rate * len(stream)))
         bars[warp_id] = [
-            index for index, rec in enumerate(records) if rec[0] in bar_pcs
+            index for index, pc in enumerate(stream.pcs) if pc in bar_pcs
         ]
     epoch = min(
         sum(1 for pos in bars[w] if pos < naive[w]) for w in block_warps
     )
     cuts: Dict[int, int] = {}
-    for warp_id, records in block_warps.items():
+    for warp_id, stream in block_warps.items():
         hi = (
             bars[warp_id][epoch]
             if epoch < len(bars[warp_id])
-            else len(records)
+            else len(stream)
         )
         cuts[warp_id] = min(naive[warp_id], hi)
     return cuts
@@ -317,10 +314,8 @@ def _subsample_intervals(
     launch_index: int,
 ) -> Tuple[LaunchTrace, LaunchPlan]:
     bar_pcs = _barrier_pcs(launch.kernel)
-    per_block: Dict[int, Dict[int, List]] = {}
-    for (block_id, warp_id), records in launch.warps.items():
-        per_block.setdefault(block_id, {})[warp_id] = records
-    warps: Dict[Tuple[int, int], List] = {}
+    per_block = _streams_by_block(launch)
+    warps: Dict[Tuple[int, int], WarpStream] = {}
     kept_records: Dict[int, int] = {}
     kept_threads: Dict[int, int] = {}
     for block_id in sorted(per_block):
@@ -328,18 +323,16 @@ def _subsample_intervals(
         cuts = _interval_cuts(block_warps, bar_pcs, spec.rate)
         records_kept = 0
         threads_kept = 0
-        for warp_id, records in block_warps.items():
+        for warp_id, stream in block_warps.items():
             cut = cuts[warp_id]
-            if cut >= len(records):
-                stream = records
-            else:
+            if cut < len(stream):
                 # The warp's own terminal record is its EXIT; appending it
                 # turns the truncated stream into a complete, replayable
                 # warp without inventing any instruction the kernel lacks.
-                stream = records[:cut] + [records[-1]]
+                stream = stream.prefix_plus_last(cut, launch.aux_kinds)
             warps[(block_id, warp_id)] = stream
             records_kept += len(stream)
-            threads_kept += sum(int(rec[1]).bit_count() for rec in stream)
+            threads_kept += stream.threads()
         kept_records[block_id] = records_kept
         kept_threads[block_id] = threads_kept
     selected = sorted(per_block)

@@ -48,7 +48,9 @@ _PRIORITY_VALUE = {"interactive": 0, "batch": 10}
 #: Device knobs a job payload may override on the base GPUConfig.
 #: ``clock``/``frontend`` are bit-identical-by-contract
 #: selectors (excluded from the result fingerprint), so they change how
-#: fast a job runs, never its answer.
+#: fast a job runs, never its answer.  A job that names neither gets the
+#: defaults: the skip clock, and record-once-then-replay against the
+#: server's trace store (``frontend="execute"`` forces execution).
 #: ``sampling`` is the exception: it trades accuracy for speed, *does*
 #: change the reported numbers, and is therefore part of the config
 #: fingerprint — jobs differing only in ``sampling`` never coalesce

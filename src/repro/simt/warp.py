@@ -84,6 +84,11 @@ class Warp:
         #: operand-dependence ones.
         self.obs_barrier_release: float = -1.0
 
+        #: The columns this warp's issues are recorded into
+        #: (:class:`repro.trace.format.WarpStream`) while a trace recorder
+        #: is attached to the SM; ``None`` otherwise.
+        self.recording = None
+
         # -- scheduling cache (invalidated by this warp's own issues) ---
         self._sched_cache_version: int = -1
         self._cached_ready: float = 0.0

@@ -133,10 +133,11 @@ class StreamingMultiprocessor:
         #: building :class:`~repro.trace.replay.TraceWarp` objects that
         #: follow recorded streams (set per launch by the GPU).
         self.warp_factory: Callable[..., Warp] = Warp
-        #: Optional trace recorder hook; when set, every issued instruction
-        #: is reported (with its pre-issue active mask and functional
-        #: result) so :class:`~repro.trace.recorder.TraceRecorder` can
-        #: capture the warp's dynamic stream.  Purely observational.
+        #: Optional :class:`~repro.trace.recorder.TraceRecorder`; when set,
+        #: each warp made resident is handed its own columns
+        #: (``warp.recording``) and ``_issue`` appends every issued
+        #: instruction's pc, pre-issue active mask and functional payload
+        #: to them.  Purely observational.
         self.trace_sink = None
         #: Incrementally maintained count of resident, unfinished warps;
         #: replaces the O(warps) ``any(not w.finished ...)`` scans that
@@ -188,6 +189,8 @@ class StreamingMultiprocessor:
             self._next_dynamic_id += 1
             warp.start_cycle = now
             warp.last_issue_cycle = now - 1
+            if self.trace_sink is not None:
+                warp.recording = self.trace_sink.open_stream(block.block_id, w)
             block.warps.append(warp)
             self.warps.append(warp)
             self._unfinished += 1
@@ -402,15 +405,12 @@ class StreamingMultiprocessor:
         # (Trace replay swaps in a TraceExecutor that answers from the
         # warp's recorded stream instead of computing lane values.)
         result = self.executor.execute(inst, warp)
-        sink = self.trace_sink
-        if sink is not None:
-            if decoded.needs_global_mem and result.mem_mask and result.mem_lines is None:
-                # Coalesce once: the recorder stores these lines and the
-                # LSU below walks the same list.
-                result.mem_lines = coalesce_lines(
-                    result.mem_addrs, result.mem_mask, self.l1d.config.line_size
-                )
-            sink.record(warp, inst, active, result)
+        rec = warp.recording
+        if rec is not None:
+            # The aux payload follows in the LD/ST and branch arms below,
+            # which already hold the kind.
+            rec.pcs.append(pc)
+            rec.masks.append(active)
 
         # ---- timing + control state -----------------------------------
         stats = self.stats
@@ -418,6 +418,15 @@ class StreamingMultiprocessor:
             warp.rf.set_reg_ready(decoded.dst, now + self._alu_latency, False)
             stack.advance(pc + 1)
         elif kind == _K_LOAD or kind == _K_STORE:
+            if rec is not None:
+                if (decoded.needs_global_mem and result.mem_mask
+                        and result.mem_lines is None):
+                    # Coalesce once: the trace stores these lines and the
+                    # LSU below walks the same list.
+                    result.mem_lines = coalesce_lines(
+                        result.mem_addrs, result.mem_mask, self.l1d.config.line_size
+                    )
+                rec.append_memory(result.mem_mask, result.mem_lines)
             crit_fn = self._is_critical
             is_critical = crit_fn(warp) if crit_fn is not None else False
             completion, _ = self.lsu.issue(
@@ -431,6 +440,8 @@ class StreamingMultiprocessor:
                 stats.stores += 1
             stack.advance(pc + 1)
         elif kind == _K_BRANCH:
+            if rec is not None and inst.pred is not None:
+                rec.aux.append(result.taken_mask)
             self._resolve_branch(warp, inst, result.taken_mask, active, now)
             stats.branches += 1
         elif kind == _K_PRED:
@@ -490,6 +501,7 @@ class StreamingMultiprocessor:
 
     def _finish_warp(self, warp: Warp, scheduler: WarpScheduler, now: float) -> None:
         warp.mark_finished(now)
+        warp.recording = None  # results keep warps; the recorder keeps the stream
         self._unfinished -= 1
         if self.obs is not None:
             self.obs.emit((_EV_WARP_FINISH, now, self.sm_id,

@@ -133,13 +133,15 @@ class RunResult:
     #: Lanes per warp, used by :attr:`simd_efficiency` (set at collection).
     warp_size: int = 32
 
-    #: Provenance: which simulation frontend produced this result —
-    #: ``"execute"`` (functional execution at issue time) or ``"trace"``
-    #: (trace replay; bit-identical by contract, see docs/trace_driven.md).
+    #: Provenance — the path taken, not the config's ``frontend`` field:
+    #: ``"execute"`` (functional execution at issue time, whether or not a
+    #: recorder rode along) or ``"trace"`` (trace replay; bit-identical by
+    #: contract, see docs/trace_driven.md).
     frontend: str = "execute"
-    #: Trace provenance: the replayed trace's content id, ``"recording"``
-    #: for an execute run that recorded a trace, or ``None`` for a plain
-    #: execution-driven run.
+    #: Trace provenance: the content id of the trace this run replayed
+    #: (``frontend == "trace"``) or recorded (``frontend == "execute"``),
+    #: or ``None`` for an execution that touched no trace.  A launch
+    #: result reads ``"recording"`` until the recorder is sealed.
     trace_id: Optional[str] = None
 
     #: Provenance: which device clock produced this result (``"skip"``, the

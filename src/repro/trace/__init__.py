@@ -8,9 +8,9 @@ of the cost — no register files, no lane math, no functional verification.
 See ``docs/trace_driven.md`` for the design, file format, invalidation
 keys, and the (narrow) conditions under which replay is *not* valid.
 
-Typical use is implicit — ``run_scheme(..., config=cfg.with_frontend("trace"))``
-auto-records on a trace miss and replays thereafter — but the pieces are
-public::
+Typical use is implicit — ``run_scheme`` records on a trace miss and
+replays thereafter unless the config says ``with_frontend("execute")`` —
+but the pieces are public::
 
     from repro.trace import TraceRecorder, TraceProgram, replay_program
     from repro.trace import record_workload
@@ -24,7 +24,9 @@ from .format import (
     TRACE_FORMAT_VERSION,
     TRACE_MAGIC,
     LaunchTrace,
+    TraceInfo,
     TraceProgram,
+    WarpStream,
     kernel_fingerprint,
 )
 from .recorder import TraceRecorder, record_workload
@@ -43,10 +45,12 @@ __all__ = [
     "TRACE_MAGIC",
     "LaunchTrace",
     "TraceExecutor",
+    "TraceInfo",
     "TraceProgram",
     "TraceRecorder",
     "TraceStack",
     "TraceWarp",
+    "WarpStream",
     "clear",
     "kernel_fingerprint",
     "list_traces",

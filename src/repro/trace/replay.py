@@ -28,65 +28,100 @@ existing timing machinery consume a trace instead of executing lanes:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from array import array
+from typing import Any, List, Optional, Tuple
 
 from ..config import GPUConfig
 from ..errors import TraceFormatError
 from ..isa.instructions import IssueKind
 from ..simt.executor import NO_EFFECT, ExecResult
 from ..simt.warp import Warp
-from .format import LaunchTrace, TraceProgram
+from .format import NO_LINES, LaunchTrace, TraceProgram, WarpStream
 
 
 _K_LOAD = int(IssueKind.LOAD)
 _K_STORE = int(IssueKind.STORE)
 _K_BRANCH = int(IssueKind.BRANCH)
+_RETIRED_AUX: "array[int]" = array("Q")
 
 
 class TraceStack:
-    """Trace-cursor stand-in for the SIMT reconvergence stack."""
+    """Trace-cursor stand-in for the SIMT reconvergence stack.
 
-    __slots__ = ("_records", "_idx")
+    The two columns every issue reads are materialised as plain lists when
+    the warp is created and dropped when it retires, so ``pc`` /
+    ``active_mask`` are one list index each and replay's resident memory
+    follows the resident warps, not the length of the program.  The aux
+    column is read in place: it is consumed once, in order, and only a
+    memory record's line addresses ever become Python objects.
+    """
 
-    def __init__(self, records: List) -> None:
-        if not records:
+    __slots__ = ("_pcs", "_masks", "_aux", "_idx", "_aux_pos", "_len")
+
+    def __init__(self, stream: WarpStream) -> None:
+        if not len(stream):
             raise TraceFormatError("warp trace has no records")
-        self._records = records
+        self._pcs: List[int] = stream.pcs.tolist()
+        self._masks: List[int] = stream.masks.tolist()
+        self._aux = stream.aux
+        self._len = len(self._pcs)
         self._idx = 0
+        self._aux_pos = 0
 
     # -- state the pipeline reads --------------------------------------
     @property
     def pc(self) -> int:
-        return self._records[self._idx][0]
+        return self._pcs[self._idx]
 
     @property
     def active_mask(self) -> int:
-        return self._records[self._idx][1]
-
-    @property
-    def aux(self):
-        """Record payload: branch taken-mask or ``[mem_mask, lines]``."""
-        record = self._records[self._idx]
-        return record[2] if len(record) > 2 else None
+        return self._masks[self._idx]
 
     @property
     def empty(self) -> bool:
         """True once the final (terminal EXIT) record has been consumed."""
-        return self._idx >= len(self._records)
+        return self._idx >= self._len
 
     @property
     def depth(self) -> int:  # pragma: no cover - debugging parity only
         return 0 if self.empty else 1
 
+    # -- the current record's aux payload, consumed in issue order -----
+    def take_taken_mask(self) -> int:
+        pos = self._aux_pos
+        self._aux_pos = pos + 1
+        return self._aux[pos]
+
+    def take_memory(self) -> Tuple[int, Optional[List[int]]]:
+        """``(mem_mask, lines)``; ``lines`` is ``None`` for an access
+        without line addresses (shared space, fully predicated off)."""
+        aux = self._aux
+        pos = self._aux_pos
+        count = aux[pos + 1]
+        if count == NO_LINES:
+            self._aux_pos = pos + 2
+            return aux[pos], None
+        end = pos + 2 + count
+        if end > len(aux):
+            raise IndexError(end)
+        self._aux_pos = end
+        return aux[pos], aux[pos + 2:end].tolist()
+
     # -- control-flow mutations: all advance the cursor ----------------
     def advance(self, next_pc: int) -> None:
         self._idx += 1
 
-    def diverge(self, taken_pc, fallthrough_pc, taken_mask, reconv_pc) -> None:
+    def diverge(self, taken_pc: int, fallthrough_pc: int, taken_mask: int,
+                reconv_pc: int) -> None:
         self._idx += 1
 
     def kill_lanes(self, mask: int) -> None:
         self._idx += 1
+        if self._idx >= self._len:
+            # Retired: results keep their warps, which must not keep the
+            # lists (or pin the program's aux column) alive.
+            self._pcs = self._masks = []
+            self._aux = _RETIRED_AUX
 
     def active_lane_count(self) -> int:
         return self.active_mask.bit_count()
@@ -95,49 +130,50 @@ class TraceStack:
 class TraceWarp(Warp):
     """A warp that follows a recorded dynamic stream instead of executing."""
 
-    def __init__(self, records: List, **kwargs) -> None:
+    def __init__(self, stream: WarpStream, **kwargs: Any) -> None:
         super().__init__(**kwargs)
-        self.stack = TraceStack(records)
+        self.stack = TraceStack(stream)
 
 
 class TraceExecutor:
     """Answers issue-time queries from the warp's current trace record."""
 
-    def execute(self, inst, warp) -> ExecResult:
+    def execute(self, inst: Any, warp: Any) -> ExecResult:
         kind = inst.decoded.kind
         if kind == _K_LOAD or kind == _K_STORE:
-            aux = warp.stack.aux
-            if aux is None:
+            try:
+                mem_mask, lines = warp.stack.take_memory()
+            except IndexError:
                 raise TraceFormatError(
                     f"memory record at pc={inst.pc} is missing its address "
                     "payload; trace is corrupt"
-                )
-            return ExecResult(mem_mask=aux[0], mem_lines=aux[1])
+                ) from None
+            return ExecResult(mem_mask=mem_mask, mem_lines=lines)
         if kind == _K_BRANCH:
             if inst.pred is None:
                 return ExecResult(taken_mask=warp.stack.active_mask)
-            taken = warp.stack.aux
-            if taken is None:
+            try:
+                return ExecResult(taken_mask=warp.stack.take_taken_mask())
+            except IndexError:
                 raise TraceFormatError(
                     f"branch record at pc={inst.pc} is missing its taken "
                     "mask; trace is corrupt"
-                )
-            return ExecResult(taken_mask=taken)
+                ) from None
         return NO_EFFECT
 
 
-def make_warp_factory(launch: LaunchTrace):
+def make_warp_factory(launch: LaunchTrace) -> Any:
     """Warp factory for one launch: builds :class:`TraceWarp` objects.
 
-    Installed on each SM by :meth:`repro.gpu.GPU.launch` when the trace
-    frontend is active.  Record lists are shared read-only, so one loaded
-    trace can feed many concurrent replays.
+    Installed on each SM by :meth:`repro.gpu.GPU.launch` when the GPU was
+    handed a trace.  Streams are shared read-only, so one loaded trace can
+    feed many concurrent replays.
     """
 
-    def factory(*, warp_id_in_block: int, block, **kwargs) -> TraceWarp:
-        records = launch.records_for(block.block_id, warp_id_in_block)
+    def factory(*, warp_id_in_block: int, block: Any, **kwargs: Any) -> TraceWarp:
+        stream = launch.stream_for(block.block_id, warp_id_in_block)
         return TraceWarp(
-            records, warp_id_in_block=warp_id_in_block, block=block, **kwargs
+            stream, warp_id_in_block=warp_id_in_block, block=block, **kwargs
         )
 
     return factory
@@ -167,11 +203,8 @@ def replay_program(
     """
     from ..gpu import GPU  # local: avoid a gpu <-> trace import cycle
 
-    cfg = config or GPUConfig.default_sim()
-    if cfg.frontend != "trace":
-        cfg = cfg.with_frontend("trace")
-    gpu = GPU(cfg, oracle=oracle, max_cycles=max_cycles, trace=program,
-              obs=bus)
+    gpu = GPU(config or GPUConfig.default_sim(), oracle=oracle,
+              max_cycles=max_cycles, trace=program, obs=bus)
     if feedback_tap is not None:
         from ..feedback.channel import attach_signal_tap
 

@@ -7,13 +7,18 @@ but are keyed on the **functional** config fingerprint only
 scheduler, scheme, cache sizes, latencies, issue core — do *not* invalidate
 a trace, so one recording serves the whole scheme sweep.  Workload identity,
 scale, and any workload kwargs are part of the key because they change the
-generated kernel and data.
+generated kernel and data, and so is the package version: an upgrade that
+changes a workload's generator or the ISA must not replay the old streams.
 
 Stale traces (wrong format version, wrong functional fingerprint, corrupt
 bytes) are refused by :mod:`repro.trace.format` at load; the non-strict
 :func:`load_program` used by the auto-record path converts that refusal
 into a miss (and drops the dead file) so the runner transparently
 re-records.
+
+``REPRO_DISK_CACHE=0`` disables the disk half, as it does for the result
+cache: nothing under ``traces/`` is read or written, and the in-process
+memo alone hands a recorded program to the cells that follow it.
 """
 
 from __future__ import annotations
@@ -22,28 +27,49 @@ import hashlib
 import json
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
-from .. import fslock
+from .. import __version__, fslock
 from ..config import GPUConfig
 from ..errors import TraceError, TraceFormatError, TraceMismatchError
-from ..experiments.result_cache import cache_dir
-from .format import TraceProgram
+from ..experiments.result_cache import cache_dir, enabled
+from .format import TraceInfo, TraceProgram, read_info
 
 #: Subdirectory of the result cache holding trace files.
 TRACE_SUBDIR = "traces"
-#: File extension for stored traces (zlib-compressed JSON).
+#: File extension for stored traces (format v2, see :mod:`repro.trace.format`).
 TRACE_SUFFIX = ".trace"
 
-#: In-process memo of parsed programs, LRU-bounded.  Decompressing and
-#: parsing a trace costs a noticeable fraction of a replay; a scheme
-#: sweep (and doubly so a *sampled* sweep, whose per-cell replay is tiny)
-#: loads the same file once per cell without this.  Entries validate
-#: against the file's (mtime_ns, size) on every hit, so an overwritten or
-#: deleted trace is never served stale.  Shared programs are read-only by
-#: contract: replay and subsampling never mutate record lists.
-_PROGRAM_MEMO: "OrderedDict[str, Tuple[int, int, TraceProgram]]" = OrderedDict()
+#: ``(mtime_ns, size)`` of a trace file; ``None`` when there is no file.
+_FileId = Optional[Tuple[int, int]]
+
+#: In-process memo of programs, LRU-bounded: what :func:`store_program`
+#: just wrote (so the cell after a recording never decodes what the
+#: process just built) and what :func:`load_program` decoded.  Entries
+#: validate against the file's identity on every hit, so a trace another
+#: process overwrote or deleted is never served stale; an entry whose
+#: file was never written (disk cache disabled, unwritable directory) is
+#: served as long as there is still no file.  Shared programs are
+#: read-only by contract: replay and subsampling never mutate streams.
+_PROGRAM_MEMO: "OrderedDict[str, Tuple[_FileId, TraceProgram]]" = OrderedDict()
 _PROGRAM_MEMO_CAP = 4
+
+
+def _file_id(path: Path) -> _FileId:
+    if not enabled():
+        return None
+    try:
+        info = path.stat()
+    except OSError:
+        return None
+    return (info.st_mtime_ns, info.st_size)
+
+
+def _remember(path: Path, file_id: _FileId, program: TraceProgram) -> None:
+    _PROGRAM_MEMO[str(path)] = (file_id, program)
+    _PROGRAM_MEMO.move_to_end(str(path))
+    while len(_PROGRAM_MEMO) > _PROGRAM_MEMO_CAP:
+        _PROGRAM_MEMO.popitem(last=False)
 
 
 def trace_dir() -> Path:
@@ -64,6 +90,7 @@ def trace_key(
             "scale": scale,
             "functional_fp": functional_fp,
             "kwargs": sorted((workload_kwargs or {}).items()),
+            "version": __version__,
         },
         sort_keys=True,
         default=str,
@@ -101,24 +128,18 @@ def load_program(
     explanation instead of silently re-simulating.
     """
     path = trace_path(workload, scale, config, workload_kwargs)
-    memo_key = str(path)
-    try:
-        info = path.stat()
-        file_id: Optional[Tuple[int, int]] = (info.st_mtime_ns, info.st_size)
-    except OSError:
-        file_id = None
-    cached = _PROGRAM_MEMO.get(memo_key)
+    file_id = _file_id(path)  # before the read: never newer than the bytes
+    cached = _PROGRAM_MEMO.get(str(path))
     if cached is not None:
-        if file_id is not None and (cached[0], cached[1]) == file_id:
-            _PROGRAM_MEMO.move_to_end(memo_key)
-            return cached[2]
-        _PROGRAM_MEMO.pop(memo_key, None)
+        if cached[0] == file_id:
+            _PROGRAM_MEMO.move_to_end(str(path))
+            return cached[1]
+        del _PROGRAM_MEMO[str(path)]
     try:
+        if file_id is None:
+            raise FileNotFoundError(path)
         program = TraceProgram.load(path, config.functional_fingerprint())
-        if file_id is not None:
-            _PROGRAM_MEMO[memo_key] = (file_id[0], file_id[1], program)
-            while len(_PROGRAM_MEMO) > _PROGRAM_MEMO_CAP:
-                _PROGRAM_MEMO.popitem(last=False)
+        _remember(path, file_id, program)
         return program
     except FileNotFoundError:
         if strict:
@@ -149,33 +170,44 @@ def store_program(
     config: GPUConfig,
     workload_kwargs: Optional[dict] = None,
 ) -> Optional[Path]:
-    """Persist ``program``; returns the path, or ``None`` if unwritable."""
+    """Persist ``program`` and seed the in-process memo with it; returns
+    the path, or ``None`` if nothing was written (disk cache disabled or
+    unwritable — the memo still serves the program)."""
     path = trace_path(workload, scale, config, workload_kwargs)
-    _PROGRAM_MEMO.pop(str(path), None)
-    try:
-        program.save(path)
-    except OSError:
-        # A read-only or full filesystem must never break a simulation run.
-        return None
-    return path
+    written = False
+    if enabled():
+        try:
+            program.save(path)
+            written = True
+        except OSError:
+            # A read-only or full filesystem must never break a simulation run.
+            pass
+    _remember(path, _file_id(path) if written else None, program)
+    return path if written else None
 
 
-def list_traces() -> list:
-    """``(path, TraceProgram | TraceError)`` for every stored trace file."""
+def list_traces() -> List[Tuple[Path, Union[TraceInfo, TraceError]]]:
+    """``(path, TraceInfo | TraceError)`` for every stored trace file,
+    from the headers alone."""
     directory = trace_dir()
-    entries = []
+    entries: List[Tuple[Path, Union[TraceInfo, TraceError]]] = []
     if directory.is_dir():
         for path in sorted(directory.glob(f"*{TRACE_SUFFIX}")):
             try:
-                entries.append((path, TraceProgram.load(path)))
+                entries.append((path, read_info(path)))
             except TraceError as exc:
                 entries.append((path, exc))
     return entries
 
 
+def forget() -> None:
+    """Drop the in-process program memo; the stored files stay."""
+    _PROGRAM_MEMO.clear()
+
+
 def clear() -> int:
     """Delete every stored trace; returns the number of files removed."""
-    _PROGRAM_MEMO.clear()
+    forget()
     directory = trace_dir()
     removed = 0
     if directory.is_dir():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -78,3 +81,33 @@ def build_loop_sum_kernel(n: int, trips_base: int, out_base: int):
             b.add(j, j, 1.0)
         b.st(b.addr(i, base=out_base, scale=8), acc)
     return b.build()
+
+
+def split_sections(blob: bytes):
+    """``(header dict, packed column bytes, crc bytes)`` of a v2 trace file."""
+    end = blob.index(b"\n")
+    return json.loads(blob[:end]), blob[end + 1:-4], blob[-4:]
+
+
+def join_sections(header: dict, packed: bytes) -> bytes:
+    """A v2 trace file with a correct checksum (header key order kept)."""
+    body = json.dumps(header, separators=(",", ":")).encode() + b"\n" + packed
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+
+_RECORDED = {}
+
+
+def record_once(workload, scale, config=None, **kwargs):
+    """``(result, program)`` of ``record_workload``, recorded once per
+    distinct request for the whole session: programs are read-only by
+    contract (replay and subsampling never mutate streams), so tests that
+    only read them share one recording."""
+    from repro import trace as trace_mod
+
+    config = config or GPUConfig.default_sim()
+    key = (workload, scale, config, tuple(sorted(kwargs.items())))
+    if key not in _RECORDED:
+        _RECORDED[key] = trace_mod.record_workload(
+            workload, scale=scale, config=config, **kwargs)
+    return _RECORDED[key]

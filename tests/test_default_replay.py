@@ -1,0 +1,282 @@
+"""Record once, replay the rest — what a caller who says nothing gets.
+
+``run_scheme`` with a default config executes a workload's functional side
+once (recorder attached) and replays every later cell; ``with_frontend(
+"execute")`` is the parity reference.  This file pins the economy of that
+default (how often the functional executor runs), its parity with the
+reference across the ways a cell can be asked for, and the three ways the
+default could otherwise go wrong: replaying a trace nobody verified,
+writing a cache the user disabled, and replaying streams an older version
+recorded.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+import repro
+from repro import trace as trace_mod
+from repro.cli import main
+from repro.config import GPUConfig
+from repro.experiments import runner
+from repro.experiments.runner import run_scheme, run_sweep
+from repro.simt.executor import FunctionalExecutor
+from repro.trace import store as trace_store
+
+SCALE = 0.25
+SCHEMES = ["rr", "gto", "cawa", "caws"]
+WORKLOADS = ["bfs", "kmeans", "needle"]
+EXECUTE = GPUConfig.default_sim().with_frontend("execute")
+#: Where only the path matters, not the workload: cells of a few
+#: milliseconds (tier-1 wall time is an acceptance criterion).
+SMALL = 0.1
+TINY, TINY_SCALE = "synthetic_imbalance", 0.5
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memo():
+    runner.clear_cache()
+    yield
+    runner.clear_cache()
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Counts ``FunctionalExecutor.execute`` calls from here on."""
+    calls = [0]
+    real = FunctionalExecutor.execute
+
+    def counted(self, inst, warp):
+        calls[0] += 1
+        return real(self, inst, warp)
+
+    monkeypatch.setattr(FunctionalExecutor, "execute", counted)
+    return calls
+
+
+def _stored_records(workload, scale=SCALE, **kwargs):
+    """Records in the stored trace: one per instruction its recording run
+    executed, i.e. one executed cell's worth of functional work."""
+    program = trace_mod.load_program(
+        workload, scale, GPUConfig.default_sim(), kwargs or None)
+    return program.record_count
+
+
+def signature(result):
+    """Everything the two paths must agree on, stall sums per warp included."""
+    return (
+        result.cycles, result.warp_instructions, result.thread_instructions,
+        dataclasses.astuple(result.l1_stats), dataclasses.astuple(result.l2_stats),
+        result.dram_accesses,
+        [(w.issued_instructions, w.total_stall_cycles, w.mem_stall_cycles,
+          w.sched_stall_cycles) for b in result.blocks for w in b.warps],
+    )
+
+
+def _reference(workload, scheme, scale, config=EXECUTE, **kwargs):
+    return run_scheme(workload, scheme, scale=scale, config=config,
+                      use_cache=False, persistent=False, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# Economy + parity of the default path
+# ----------------------------------------------------------------------
+class TestDefaultPath:
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_executor_runs_for_one_cell_and_every_cell_agrees(
+            self, workload, request):
+        # Memoised, so that caws' oracle profile is the rr cell, as below.
+        references = {
+            s: signature(run_scheme(workload, s, scale=SCALE, config=EXECUTE,
+                                    persistent=False))
+            for s in SCHEMES}
+        runner.clear_cache()  # frontend is not in the memo key
+
+        executions = request.getfixturevalue("executions")
+        results = {s: run_scheme(workload, s, scale=SCALE) for s in SCHEMES}
+        assert executions[0] == _stored_records(workload) > 0
+        assert [r.frontend for r in results.values()] == ["execute"] + ["trace"] * 3
+        assert len({r.trace_id for r in results.values()}) == 1
+        for scheme in SCHEMES:
+            assert signature(results[scheme]) == references[scheme], scheme
+
+    def test_sweep_records_once_per_workload(self, executions):
+        workloads = ["bfs", TINY]
+        results = run_sweep(workloads, ["gto", "rr", "cawa"], scale=SMALL)
+        recorded = [cell for cell, r in results.items() if r.frontend == "execute"]
+        assert recorded == [(w, "gto") for w in workloads]
+        assert executions[0] == sum(_stored_records(w, SMALL) for w in workloads)
+
+    def test_events_on(self, executions):
+        cfg = GPUConfig.default_sim().with_events("on")
+        recorded = run_scheme("bfs", "cawa", scale=SMALL, config=cfg)
+        replayed = run_scheme("bfs", "cawa", scale=SMALL, config=cfg)
+        reference = _reference("bfs", "cawa", SMALL,
+                               config=EXECUTE.with_events("on"))
+        assert (recorded.frontend, replayed.frontend) == ("execute", "trace")
+        assert signature(recorded) == signature(replayed) == signature(reference)
+        assert (recorded.extra["events_recorded"] == replayed.extra["events_recorded"]
+                == reference.extra["events_recorded"] > 0)
+
+    def test_accuracy_and_reuse_observers(self):
+        run_scheme("bfs", "rr", scale=SMALL)  # record
+        replayed = run_scheme("bfs", "cawa", scale=SMALL, with_accuracy=True,
+                              with_reuse=True)
+        reference = _reference("bfs", "cawa", SMALL, with_accuracy=True,
+                               with_reuse=True)
+        assert replayed.frontend == "trace"
+        assert signature(replayed) == signature(reference)
+        assert replayed.extra["cpl_accuracy"] == reference.extra["cpl_accuracy"]
+        ours, theirs = (r.extra["reuse_profiler"] for r in (replayed, reference))
+        assert ours.critical == theirs.critical
+        assert ours.non_critical == theirs.non_critical
+        assert ours.by_pc == theirs.by_pc and ours.by_pc
+
+    def test_workload_kwargs_get_their_own_trace(self, executions):
+        plain = run_scheme("bfs", "rr", scale=SMALL)
+        variant = run_scheme("bfs", "rr", scale=SMALL, seed=3, balanced=True)
+        assert variant.trace_id is not None and variant.frontend == "execute"
+        before = executions[0]
+        replayed = run_scheme("bfs", "gto", scale=SMALL, seed=3, balanced=True)
+        assert executions[0] == before and replayed.frontend == "trace"
+        reference = _reference("bfs", "gto", SMALL, seed=3, balanced=True)
+        assert executions[0] - before == _stored_records(
+            "bfs", SMALL, seed=3, balanced=True)
+        assert signature(replayed) == signature(reference)
+        assert signature(replayed) != signature(
+            run_scheme("bfs", "gto", scale=SMALL))
+        assert plain.warp_instructions != variant.warp_instructions
+        assert len(trace_mod.list_traces()) == 2
+
+    def test_sampled_config_records_the_whole_trace_once(self, executions):
+        cfg = GPUConfig.default_sim().with_sampling("blocks:0.5")
+        cold = run_scheme("bfs", "gto", scale=SCALE, config=cfg, use_cache=False)
+        one_cell = executions[0]
+        warm = run_scheme("bfs", "gto", scale=SCALE, config=cfg, use_cache=False)
+        exact = run_scheme("bfs", "gto", scale=SCALE)
+        assert executions[0] == one_cell == exact.warp_instructions
+        assert exact.frontend == "trace"
+        assert (cold.cycles, cold.info.replay_fraction) == (
+            warm.cycles, warm.info.replay_fraction)
+        assert 0 < cold.info.replay_fraction < 1
+
+
+# ----------------------------------------------------------------------
+# Satellite: a replay never stands in for a verification it did not do
+# ----------------------------------------------------------------------
+class TestVerified:
+    def test_unverified_trace_is_rerecorded_for_a_checking_caller(self, executions):
+        first = run_scheme(TINY, "rr", scale=TINY_SCALE, check=False, use_cache=False)
+        one_cell = executions[0]
+        ((_, info),) = trace_mod.list_traces()
+        assert info.meta["verified"] is False
+        # check=False callers replay it...
+        again = run_scheme(TINY, "gto", scale=TINY_SCALE, check=False, use_cache=False)
+        assert again.frontend == "trace" and executions[0] == one_cell
+        # ...a check=True caller executes, verifies and overwrites.
+        checked = run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False)
+        assert checked.frontend == "execute" and executions[0] == 2 * one_cell
+        ((_, info),) = trace_mod.list_traces()
+        assert info.meta["verified"] is True
+        assert info.trace_id == first.trace_id
+        # From here on everybody replays.
+        for check in (True, False):
+            result = run_scheme(TINY, "cawa", scale=TINY_SCALE, check=check,
+                                use_cache=False)
+            assert result.frontend == "trace"
+        assert executions[0] == 2 * one_cell
+
+    def test_failing_verification_raises_even_with_a_trace_present(self, monkeypatch):
+        from repro.workloads.base import LaunchSpec
+
+        monkeypatch.setattr(LaunchSpec, "verify", lambda self, gpu: False)
+        run_scheme(TINY, "rr", scale=TINY_SCALE, check=False, use_cache=False)
+        assert len(trace_mod.list_traces()) == 1
+        with pytest.raises(AssertionError, match="verification failed"):
+            run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False)
+        # The harnesses that drive replay themselves go through the same gate.
+        from repro.obs import record_events
+
+        with pytest.raises(AssertionError, match="verification failed"):
+            record_events(TINY, "gto", scale=TINY_SCALE)
+        result, _bus = record_events(TINY, "gto", scale=TINY_SCALE, check=False)
+        assert result.frontend == "trace"
+
+
+# ----------------------------------------------------------------------
+# Satellite: REPRO_DISK_CACHE=0 covers the trace store
+# ----------------------------------------------------------------------
+def test_disk_cache_disabled_means_no_trace_files(monkeypatch, tmp_path, executions):
+    cache = tmp_path / "repro_cache"
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    results = run_sweep([TINY], ["rr", "gto", "cawa"], scale=TINY_SCALE)
+    assert [r.frontend for r in results.values()] == ["execute", "trace", "trace"]
+    assert executions[0] == results[(TINY, "rr")].warp_instructions > 0
+    assert not cache.exists() or not [p for p in cache.rglob("*") if p.is_file()]
+    assert trace_mod.list_traces() == []
+    # A trace on disk is not read either.
+    monkeypatch.delenv("REPRO_DISK_CACHE")
+    runner.clear_cache()
+    run_scheme(TINY, "rr", scale=TINY_SCALE, use_cache=False)
+    assert len(trace_mod.list_traces()) == 1
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    trace_store.forget()
+    assert trace_mod.load_program(TINY, TINY_SCALE, GPUConfig.default_sim()) is None
+    assert run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False).frontend == "execute"
+
+
+# ----------------------------------------------------------------------
+# Satellite: a version bump misses the trace store
+# ----------------------------------------------------------------------
+def test_version_bump_misses_and_rerecords(monkeypatch, executions):
+    cfg = GPUConfig.default_sim()
+    run_scheme(TINY, "rr", scale=TINY_SCALE, use_cache=False)
+    one_cell = executions[0]
+    old_path = trace_mod.trace_path(TINY, TINY_SCALE, cfg)
+    assert old_path.exists()
+    monkeypatch.setattr(trace_store, "__version__", repro.__version__ + ".post1")
+    assert trace_mod.trace_path(TINY, TINY_SCALE, cfg) != old_path
+    result = run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False)
+    assert result.frontend == "execute" and executions[0] == 2 * one_cell
+    assert len(trace_mod.list_traces()) == 2
+
+
+def test_memo_hands_a_recording_to_the_next_cell_without_a_decode(monkeypatch):
+    from repro.trace.format import TraceProgram
+
+    assert trace_store._PROGRAM_MEMO_CAP == 4
+    monkeypatch.setattr(TraceProgram, "from_bytes",
+                        lambda *a, **k: pytest.fail("decoded its own recording"))
+    recorded = run_scheme(TINY, "rr", scale=TINY_SCALE, use_cache=False)
+    replayed = run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False)
+    assert (recorded.frontend, replayed.frontend) == ("execute", "trace")
+
+
+# ----------------------------------------------------------------------
+# Satellite: the CLI says which path a result took
+# ----------------------------------------------------------------------
+class TestCliReportsThePathTaken:
+    ARGS = ["--workload", TINY, "--scale", str(TINY_SCALE)]
+
+    def test_run_prints_recorded_then_replayed(self, capsys):
+        assert main(["run", *self.ARGS, "--scheme", "rr"]) == 0
+        first = capsys.readouterr().out.strip().splitlines()[-1]
+        assert main(["run", *self.ARGS, "--scheme", "gto"]) == 0
+        second = capsys.readouterr().out.strip().splitlines()[-1]
+        assert first.startswith("recorded trace ")
+        assert second == first.replace("recorded", "replayed")
+
+    def test_sweep_footer_counts_both(self, capsys):
+        assert main(["sweep", "--workloads", "synthetic_imbalance,synthetic_divergence",
+                     "--schemes", "rr,gto,cawa", "--scale", "0.5"]) == 0
+        assert capsys.readouterr().out.strip().endswith("recorded 2, replayed 4")
+
+    def test_trace_info_lists_headers(self, capsys):
+        assert main(["run", *self.ARGS, "--no-check"]) == 0
+        capsys.readouterr()
+        assert main(["trace", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "synthetic_imbalance" in out and "verified" in out
+        assert out.strip().splitlines()[-1].split()[-1] == "no"

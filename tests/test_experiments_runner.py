@@ -85,19 +85,20 @@ class TestOracle:
                             narrow.with_sampling("blocks:0.5")) is slow
 
     def test_oracle_profiles_the_workload_variant_being_run(self, monkeypatch):
-        """Workload kwargs reach the profiling run: the oracle handed to
-        the caws device is that input's own rr per-warp times."""
-        from repro.experiments import runner
+        """Workload kwargs reach the profiling run: the oracle the caws
+        schedulers are built with — whether the cell executes or replays —
+        is that input's own rr per-warp times."""
+        from repro.gpu import gpu as gpu_mod
 
         oracles = []
-        real_gpu = runner.GPU
+        real_make = gpu_mod.make_scheduler
 
-        def spy(config, oracle=None, **kwargs):
-            if oracle is not None:
-                oracles.append(oracle)
-            return real_gpu(config, oracle=oracle, **kwargs)
+        def spy(name, **kwargs):
+            if "oracle" in kwargs and kwargs["oracle"] not in oracles:
+                oracles.append(kwargs["oracle"])
+            return real_make(name, **kwargs)
 
-        monkeypatch.setattr(runner, "GPU", spy)
+        monkeypatch.setattr(gpu_mod, "make_scheduler", spy)
         run_scheme("bfs", "caws", scale=SCALE, balanced=True)
         own = run_scheme("bfs", "rr", scale=SCALE, balanced=True)
         (oracle,) = oracles

@@ -44,21 +44,22 @@ def assert_same_timing(a, b, what):
 def test_parity_grid(scheme):
     """events-on runs (all frontends/clocks, collectors attached) ==
     events-off baseline; event streams identical across modes."""
-    baseline = run_off(scheme, GPUConfig.default_sim().with_clock("cycle"))
-    assert baseline.events == "off"
+    baseline = run_off(
+        scheme,
+        GPUConfig.default_sim().with_clock("cycle").with_frontend("execute"))
+    assert baseline.events == "off" and baseline.frontend == "execute"
 
     streams = {}
     for frontend in ("execute", "trace"):
         for clock in ("cycle", "skip"):
-            cfg = GPUConfig.default_sim().with_clock(clock)
-            if frontend == "trace":
-                cfg = cfg.with_frontend("trace")
+            cfg = GPUConfig.default_sim().with_clock(clock).with_frontend(frontend)
             collectors = (StallAccounting(), TimelineProfiler())
             result, bus = record_events(
                 WORKLOAD, scheme, scale=SCALE, config=cfg,
                 collectors=collectors,
             )
             what = f"{scheme}/{frontend}/{clock}"
+            assert result.frontend == frontend, what
             assert_same_timing(result, baseline, what)
             assert result.extra["events_recorded"] == bus.emitted > 0, what
             # Collectors saw the full stream.

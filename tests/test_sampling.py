@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import trace as trace_mod
 from repro.config import GPUConfig
 from repro.errors import ConfigError
 from repro.experiments import runner
@@ -29,6 +28,8 @@ from repro.sampling import calibrate as sampling_calibrate
 from repro.stats import compare_results, max_rel_error
 from repro.stats.sampling import REPORT_METRICS, SampledRunResult
 
+from tests.conftest import record_once
+
 SCALE = 0.25
 WORKLOAD = "bfs"
 
@@ -42,11 +43,9 @@ def _fresh_memo():
 
 
 def _program(workload=WORKLOAD, scale=SCALE, config=None):
-    config = config or GPUConfig.default_sim()
-    _result, program = trace_mod.record_workload(
-        workload, scale=scale, config=config
-    )
-    return program
+    """Shared between tests (``record_once``): subsampling derives new
+    programs and never mutates the recorded one."""
+    return record_once(workload, scale, config)[1]
 
 
 # ----------------------------------------------------------------------
@@ -207,12 +206,16 @@ class TestPlanning:
         launch = derived.launches[-1]
         assert plan.selected == sorted({b for b, _w in original.warps})
         assert set(launch.warps) == set(original.warps)
-        for key, records in launch.warps.items():
-            full = original.warps[key]
-            assert 0 < len(records) <= len(full) + 1
-            # Truncated streams are re-terminated with the warp's own
+        kinds = original.aux_kinds
+        for key, stream in launch.warps.items():
+            full = list(original.warps[key].records(kinds))
+            kept = list(stream.records(kinds))
+            assert 0 < len(kept) <= len(full) + 1
+            # A truncated stream is a prefix of the warp's records
+            # (payloads included), re-terminated with the warp's own
             # terminal (EXIT) record, so every warp still retires.
-            assert records[-1] == full[-1]
+            assert kept[:-1] == full[:len(kept) - 1]
+            assert kept[-1] == full[-1]
 
     def test_intervals_reduce_the_replayed_records(self, config):
         program = _program(config=config)

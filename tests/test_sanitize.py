@@ -101,11 +101,18 @@ def live_facts() -> ConfigFacts:
     )
 
 
+#: Excluded knobs nothing on the timing path reads: ``frontend`` belongs to
+#: the experiment runner (a GPU replays exactly when it is handed a trace).
+RUNNER_ONLY = {"frontend"}
+
+
 class TestFingerprintSoundness:
-    @pytest.mark.parametrize("entry", sorted(GPUConfig.FINGERPRINT_EXCLUDED))
+    @pytest.mark.parametrize(
+        "entry", sorted(GPUConfig.FINGERPRINT_EXCLUDED - RUNNER_ONLY))
     def test_deleting_any_exclusion_entry_fails_fpr001(self, entry):
-        """Every excluded knob is read (waived) somewhere on the timing
-        path, so deleting its entry must turn a waiver stale and fail."""
+        """Every other excluded knob is read (waived) somewhere on the
+        timing path, so deleting its entry must turn a waiver stale and
+        fail."""
         facts = live_facts()
         doctored = dataclasses.replace(
             facts, excluded=facts.excluded - {entry}
@@ -116,6 +123,20 @@ class TestFingerprintSoundness:
         assert stale
         assert all(f.rule == "FPR001" for f in stale)
         assert any("stale" in f.message for f in stale)
+
+    def test_frontend_is_read_by_no_timing_path_module(self):
+        """No waiver mentions ``frontend`` any more, so fingerprinting it
+        would leave the shipped tree clean — and the waivers that remain
+        are the six for clock / events / check_cpl_bounds."""
+        facts = live_facts()
+        doctored = dataclasses.replace(
+            facts, excluded=facts.excluded - RUNNER_ONLY
+        )
+        report = sanitize_tree(rules=["FPR001"], config_facts=doctored)
+        assert report.ok
+        waived = [f for f in report.findings if f.suppressed]
+        assert len(waived) == 6
+        assert not any("'frontend'" in f.message for f in waived)
 
     def test_unwaived_excluded_read_fails(self, tmp_path):
         (tmp_path / "config.py").write_text(

@@ -66,7 +66,8 @@ def _run(workload, scheme, frontend, clock, scale=SCALE):
     if frontend == "execute":
         if scheme == "caws":
             clear_cache()
-        return run_scheme(workload, scheme, scale=scale, config=base,
+        return run_scheme(workload, scheme, scale=scale,
+                          config=base.with_frontend("execute"),
                           use_cache=False, persistent=False)
     cfg = apply_scheme(base, scheme)
     oracle = None

@@ -10,7 +10,7 @@ runner's auto-record-on-miss path, and result provenance serialization.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import zlib
 
 import pytest
@@ -24,8 +24,11 @@ from repro.trace.format import (
     TRACE_FORMAT_VERSION,
     TRACE_MAGIC,
     TraceProgram,
+    WarpStream,
     kernel_fingerprint,
 )
+
+from tests.conftest import join_sections, record_once, split_sections
 
 SCALE = 0.25
 
@@ -39,8 +42,8 @@ def _fresh_memo():
 
 
 def _record(workload="bfs", scale=SCALE, config=None, **kwargs):
-    config = config or GPUConfig.default_sim()
-    return trace_mod.record_workload(workload, scale=scale, config=config, **kwargs)
+    """``(result, program)``; shared between tests (``record_once``)."""
+    return record_once(workload, scale, config, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -69,8 +72,8 @@ class TestRecordReplay:
 
     def test_trace_id_is_content_addressed(self, config):
         _, a = _record(config=config)
-        _, b = _record(config=config)
-        assert a.trace_id == b.trace_id
+        _, b = trace_mod.record_workload("bfs", scale=SCALE, config=config)
+        assert a is not b and a.trace_id == b.trace_id
 
     def test_record_count_positive(self, config):
         _, program = _record(config=config)
@@ -85,44 +88,44 @@ class TestRecordReplay:
 
 
     def test_recording_coalesces_each_global_access_once(self, config, monkeypatch):
-        """The SM coalesces a recorded access once; the recorder stores that
+        """The SM coalesces a recorded access once; the trace stores that
         list and the LSU walks it (it used to coalesce the same addresses
         again)."""
-        from repro.isa.instructions import MemSpace
         from repro.simt.executor import NO_EFFECT, ExecResult
         from repro.sm import lsu as lsu_mod, sm as sm_mod
-        from repro.trace.recorder import TraceRecorder
 
         coalesce = lsu_mod.coalesce_lines
         runs = []
 
         def counted(addrs, mask, line_size):
-            runs.append(mask)
-            return coalesce(addrs, mask, line_size)
+            runs.append(coalesce(addrs, mask, line_size))
+            return runs[-1]
 
         monkeypatch.setattr(lsu_mod, "coalesce_lines", counted)
         monkeypatch.setattr(sm_mod, "coalesce_lines", counted)
         accesses = []
-        record = TraceRecorder.record
+        append_memory = WarpStream.append_memory
 
-        def checked(self, warp, inst, active_mask, result):
-            record(self, warp, inst, active_mask, result)
-            if inst.is_memory and inst.space is MemSpace.GLOBAL and result.mem_mask:
-                stored = self._current[(warp.block.block_id, warp.warp_id_in_block)][-1]
-                accesses.append(stored)
-                assert stored[2] == [result.mem_mask, coalesce(
-                    result.mem_addrs, result.mem_mask, self.line_size)]
+        def checked(self, mem_mask, lines):
+            append_memory(self, mem_mask, lines)
+            if lines is not None:
+                accesses.append(lines)
+                assert mem_mask and lines is runs[-1]
 
-        monkeypatch.setattr(TraceRecorder, "record", checked)
-        _, program = _record(config=config)
+        monkeypatch.setattr(WarpStream, "append_memory", checked)
+        _, program = trace_mod.record_workload("bfs", scale=SCALE, config=config)
         assert len(accesses) > 100
         assert len(runs) == len(accesses)
         # The payload-free result every ALU/BAR/EXIT issue shares went
-        # through the recorder and the issue path untouched.
+        # through the recording issue path untouched.
         assert NO_EFFECT == ExecResult()
-        # And replay walks exactly the stored lines.
+        # The stored program holds exactly those lines, and replay walks them.
+        stored = [payload[1] for launch in program.launches
+                  for _b, _w, (_pc, _mask, payload) in launch.records()
+                  if isinstance(payload, tuple) and payload[1] is not None]
+        assert sorted(stored) == sorted(accesses)
         replayed = trace_mod.replay_program(program, config, scheme="rr")[0]
-        assert replayed.l1_stats.accesses == sum(len(a[2][1]) for a in accesses)
+        assert replayed.l1_stats.accesses == sum(len(a) for a in accesses)
 
 
 # ----------------------------------------------------------------------
@@ -143,27 +146,36 @@ class TestFormat:
         )
         assert rep.cycles == exec_result.cycles
 
-    def test_blob_is_compressed_json(self, config):
+    def test_blob_is_json_header_then_compressed_columns(self, config):
         _, program = _record(config=config)
         blob = program.to_bytes()
-        header = json.loads(zlib.decompress(blob).decode("utf-8"))
+        header, packed, crc = split_sections(blob)
         assert header["magic"] == TRACE_MAGIC
         assert header["format_version"] == TRACE_FORMAT_VERSION
-        assert len(blob) < len(zlib.decompress(blob))
+        # The header's length table accounts for every column byte: one
+        # zlib section each for the pcs, the masks and the aux stream.
+        lengths = [w for lt in header["launches"] for w in lt["warps"]]
+        records = sum(n for _b, _w, n, _m in lengths)
+        assert records == program.record_count
+        expected = [4 * records, 8 * records, 8 * sum(m for *_, m in lengths)]
+        assert sum(header["sections"]) == len(packed)
+        offset = 0
+        for size, raw_size in zip(header["sections"], expected):
+            assert len(zlib.decompress(packed[offset:offset + size])) == raw_size
+            offset += size
+        assert len(packed) < sum(expected) / 10
+        assert int.from_bytes(crc, "big") == zlib.crc32(blob[:-4])
 
     def test_version_bump_rejected(self, config):
         _, program = _record(config=config)
-        payload = json.loads(zlib.decompress(program.to_bytes()).decode("utf-8"))
-        payload["format_version"] = TRACE_FORMAT_VERSION + 1
-        blob = zlib.compress(json.dumps(payload).encode("utf-8"))
+        header, packed, _ = split_sections(program.to_bytes())
+        header["format_version"] = TRACE_FORMAT_VERSION + 1
         with pytest.raises(TraceFormatError, match="version"):
-            TraceProgram.from_bytes(blob)
+            TraceProgram.from_bytes(join_sections(header, packed))
 
     def test_bad_magic_rejected(self):
-        blob = zlib.compress(
-            json.dumps({"magic": "nope", "format_version": 1}).encode()
-        )
-        with pytest.raises(TraceFormatError):
+        blob = join_sections({"magic": "nope", "format_version": 2}, b"")
+        with pytest.raises(TraceFormatError, match="magic"):
             TraceProgram.from_bytes(blob)
 
     def test_garbage_rejected(self):
@@ -250,15 +262,29 @@ class TestStore:
 class TestGuards:
     def test_fingerprint_mismatch(self, config):
         _, program = _record(config=config)
-        program.functional_fingerprint = "0" * 16
+        foreign = dataclasses.replace(program, functional_fingerprint="0" * 16)
         with pytest.raises(TraceMismatchError, match="fingerprint"):
-            trace_mod.replay_program(program, config)
+            trace_mod.replay_program(foreign, config)
 
-    def test_trace_frontend_requires_trace(self, config):
+    def test_gpu_replays_iff_handed_a_trace(self, config):
+        """``frontend`` is the runner's knob: a GPU executes unless it is
+        handed ``trace=``, whatever the config says."""
         from repro import GPU
+        from repro.simt.executor import FunctionalExecutor
+        from repro.trace import TraceExecutor
 
-        with pytest.raises(ConfigError, match="trace"):
-            GPU(config.with_frontend("trace"))
+        _, program = _record(config=config)
+        launch = program.launches[0]
+        for frontend in ("trace", "execute"):
+            cfg = config.with_frontend(frontend)
+            executing = GPU(cfg)
+            assert isinstance(executing.sms[0].executor, FunctionalExecutor)
+            replaying = GPU(cfg, trace=program)
+            assert isinstance(replaying.sms[0].executor, TraceExecutor)
+            result = replaying.launch(
+                launch.kernel, launch.grid_dim, launch.block_dim)
+            assert result.frontend == "trace"
+            assert result.trace_id == program.trace_id
 
     def test_invalid_frontend_name(self, config):
         with pytest.raises(ConfigError):
@@ -311,14 +337,17 @@ class TestRunnerIntegration:
         assert second.trace_id == first.trace_id
 
     def test_replay_matches_execute_frontend(self, config):
-        tcfg = config.with_frontend("trace")
-        runner.run_scheme("bfs", "rr", scale=SCALE, config=tcfg,
+        """A default config replays; ``with_frontend("execute")`` is the
+        reference that never touches the store."""
+        runner.run_scheme("bfs", "rr", scale=SCALE, config=config,
                           use_cache=False, persistent=False)  # record
-        rep = runner.run_scheme("bfs", "cawa", scale=SCALE, config=tcfg,
+        rep = runner.run_scheme("bfs", "cawa", scale=SCALE, config=config,
                                 use_cache=False, persistent=False)
-        ex = runner.run_scheme("bfs", "cawa", scale=SCALE, config=config,
+        ex = runner.run_scheme("bfs", "cawa", scale=SCALE,
+                               config=config.with_frontend("execute"),
                                use_cache=False, persistent=False)
-        assert rep.frontend == "trace" and ex.frontend == "execute"
+        assert rep.frontend == "trace" and rep.trace_id is not None
+        assert ex.frontend == "execute" and ex.trace_id is None
         assert rep.cycles == ex.cycles
         assert rep.l1_stats.misses == ex.l1_stats.misses
         assert rep.dram_accesses == ex.dram_accesses
@@ -326,10 +355,10 @@ class TestRunnerIntegration:
     def test_result_cache_shared_across_frontends(self, config):
         """fingerprint() excludes the frontend, so a trace-frontend result
         satisfies a later execute-frontend request from the disk cache."""
-        tcfg = config.with_frontend("trace")
-        first = runner.run_scheme("bfs", "gto", scale=SCALE, config=tcfg)
+        first = runner.run_scheme("bfs", "gto", scale=SCALE, config=config)
         runner.clear_cache()  # drop memoization, keep the disk cache
-        second = runner.run_scheme("bfs", "gto", scale=SCALE, config=config)
+        second = runner.run_scheme("bfs", "gto", scale=SCALE,
+                                   config=config.with_frontend("execute"))
         assert second.cycles == first.cycles
         assert second.trace_id == first.trace_id
 

@@ -8,11 +8,12 @@ bit-identical between the two frontends for every workload and scheme
 (``docs/trace_driven.md``).  A fast subset runs in tier 1; the full
 (workload x scheme) grid is marked ``slow``.
 
-Each cell records once under the execute frontend, then replays the same
-:class:`~repro.trace.TraceProgram` under the requested scheme.  Caches are
-bypassed: the result-cache key deliberately excludes the frontend selector,
-so a cached execute result could satisfy the replay run and mask a real
-divergence.
+Each cell executes under ``with_frontend("execute")`` — the reference that
+never consults the trace store (a default config would replay) — then
+replays a :class:`~repro.trace.TraceProgram` recorded once per workload
+under the requested scheme.  Caches are bypassed: the result-cache key
+deliberately excludes the frontend selector, so a cached execute result
+could satisfy the replay run and mask a real divergence.
 """
 
 import pytest
@@ -60,8 +61,10 @@ def _signature(result):
 
 def _run_both(workload, scheme, scale=SCALE):
     base = GPUConfig.default_sim()
-    execute = run_scheme(workload, scheme, scale=scale, config=base,
+    execute = run_scheme(workload, scheme, scale=scale,
+                         config=base.with_frontend("execute"),
                          use_cache=False, persistent=False)
+    assert execute.frontend == "execute" and execute.trace_id is None
     cfg = apply_scheme(base, scheme)
     oracle = None
     if cfg.scheduler_name == "caws":
@@ -97,7 +100,8 @@ class TestParityFast:
         base = GPUConfig.default_sim()
         results = trace_mod.replay_program(program, base, scheme="rr")
         assert len(results) == len(program.launches)
-        execute = run_scheme("kmeans", "rr", scale=0.125, config=base,
+        execute = run_scheme("kmeans", "rr", scale=0.125,
+                             config=base.with_frontend("execute"),
                              use_cache=False, persistent=False)
         assert _signature(results[-1]) == _signature(execute)
 

@@ -55,17 +55,22 @@ def main():
         _, program = trace_mod.record_workload(
             workload, scale=scale, config=GPUConfig.default_sim()
         )
+        trace_mod.store_program(program, workload, scale, GPUConfig.default_sim())
         print(f"[{workload} @ {scale}] trace recorded "
               f"({len(program.launches)} launch(es))")
         for scheme in SCHEMES:
             exec_result, exec_signals = record_signals(
                 workload, scheme, scale=scale,
-                config=GPUConfig.default_sim(),
+                config=GPUConfig.default_sim().with_frontend("execute"),
             )
             trace_result, trace_signals = record_signals(
                 workload, scheme, scale=scale,
-                config=GPUConfig.default_sim().with_frontend("trace"),
+                config=GPUConfig.default_sim(),
             )
+            if (exec_result.frontend, trace_result.frontend) != ("execute", "trace"):
+                fail(f"{workload} x {scheme}: expected an executed and a "
+                     f"replayed run, got {exec_result.frontend} / "
+                     f"{trace_result.frontend}")
             cell = f"{workload} x {scheme}"
             if exec_result.cycles != trace_result.cycles:
                 fail(f"{cell}: execute {exec_result.cycles} cycles != "
