@@ -63,7 +63,9 @@ PAIRS ?= 10
 ledger-pairs:
 	$(PYTHON) tools/ledger_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
-## Hot-spot profile of the reference cell (override: make profile ARGS="kmeans rr").
+## Hot-spot profile of the reference cell (override: make profile ARGS="kmeans rr");
+## ends with the call-budget gauge CI gates (profiled calls per replayed
+## warp instruction, bfs x gto at scale 0.5).
 ARGS ?= bfs cawa
 profile:
 	PYTHONPATH=src $(PYTHON) -m repro profile $(ARGS)

@@ -6,7 +6,9 @@ the default record-then-replay path costs on a cold cell and saves on a
 sweep, and the skip-clock-vs-cycle-clock speedup, all into
 pytest-benchmark's ``extra_info`` (``--benchmark-json``).  These are CI
 *gates* — each asserts its floor; the numbers tracked across commits live
-in the performance ledger (``benchmarks/ledger/README.md``).
+in the performance ledger (``benchmarks/ledger/README.md``).  One gate is
+not a timing at all: profiled Python calls per replayed warp instruction,
+which repeats exactly and so needs no quiet host.
 
 Result caches are bypassed throughout — these measure simulation (or
 trace replay), never the result cache.
@@ -191,6 +193,36 @@ def test_default_path_sweep_speedup(benchmark):
     assert speedup >= 1.2, (
         f"default path {best['trace'][0]:.2f}s vs three executions "
         f"{best['execute'][0]:.2f}s: {speedup:.2f}x is below the 1.2x floor"
+    )
+
+
+#: Profiled calls per replayed warp instruction on the budget cell
+#: (bfs x gto at scale 0.5): 44.6 before the residency index / stored
+#: readiness / ordered candidates / in-loop device heap, 26.9 after, on
+#: CPython 3.11.  The margin covers interpreter differences (3.12 inlines
+#: comprehensions), not regressions: one more Python call per instruction
+#: on the issue path is +1.0.
+CALL_BUDGET = 34.0
+
+
+@pytest.mark.slow
+def test_hot_path_call_budget(benchmark):
+    """Deterministic hot-path gate: the per-instruction path of a replay
+    stays within its budget of Python calls, whatever the host is doing."""
+    clear_cache()
+    workload, scheme, scale = profiling.CALL_BUDGET_CELL
+    calls, instructions = run_once(
+        benchmark, profiling.replay_call_count, workload, scheme, scale=scale)
+    again = profiling.replay_call_count(workload, scheme, scale=scale)
+    assert again == (calls, instructions), "the count must repeat exactly"
+    per_instruction = calls / instructions
+    benchmark.extra_info.update(
+        {"workload": workload, "scheme": scheme, "scale": scale,
+         "profiled_calls": calls, "warp_instructions": instructions,
+         "calls_per_instruction": per_instruction})
+    assert per_instruction <= CALL_BUDGET, (
+        f"{per_instruction:.1f} profiled calls per replayed warp instruction "
+        f"({calls:,} / {instructions:,}) exceeds the budget of {CALL_BUDGET}"
     )
 
 

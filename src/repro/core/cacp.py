@@ -140,16 +140,19 @@ class CACPPolicy(ReplacementPolicy):
             return 0, self.critical_ways
         return self.critical_ways, ways
 
-    def choose_way(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
+    def choose_way(self, lines: List, req: MemRequest, lo: int, hi: int,
+                   full: bool = False) -> int:
         # Prefer an invalid way in the eligible range, then an invalid way
         # anywhere (cold-start: an empty partition should not force
         # evictions in the other one), then the range's SRRIP victim.
-        for way in range(lo, hi):
-            if not lines[way].valid:
-                return way
-        for way in range(len(lines)):
-            if not lines[way].valid:
-                return way
+        # A ``full`` set has no invalid way to look for.
+        if not full:
+            for way in range(lo, hi):
+                if not lines[way].valid:
+                    return way
+            for way in range(len(lines)):
+                if not lines[way].valid:
+                    return way
         return self._victim(lines, req, lo, hi)
 
     def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:

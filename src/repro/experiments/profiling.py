@@ -5,7 +5,9 @@ timing (best-of-N, cache-bypassed) plus optional cProfile hot-spot listings,
 and a side-by-side comparison of one bit-identical engine knob's values
 (:func:`compare`: the device clocks).  The headline throughput metric
 is **simulated cycles per host second**, which is what the perf-regression
-smoke benchmark tracks.
+smoke benchmark tracks; :func:`replay_call_count` is its deterministic
+companion — profiled Python calls per replayed warp instruction, which
+repeats exactly on any host.
 """
 
 from __future__ import annotations
@@ -18,9 +20,15 @@ import sys
 import time
 from typing import Any, Dict, Optional, Sequence, TextIO, Tuple
 
+from .. import trace as trace_mod
 from ..config import GPUConfig
+from ..core.cawa import apply_scheme
 from ..stats.counters import RunResult
 from . import runner
+
+#: The cell whose :func:`replay_call_count` ``benchmarks/test_perf_smoke.py``
+#: gates and ``repro profile`` prints: ``(workload, scheme, scale)``.
+CALL_BUDGET_CELL = ("bfs", "gto", 0.5)
 
 
 def timed_run(
@@ -128,6 +136,39 @@ def _profiled_run(
     return result, seconds, profiler
 
 
+def replay_call_count(
+    workload: str,
+    scheme: str,
+    scale: float = 1.0,
+    config: Optional[GPUConfig] = None,
+) -> Tuple[int, int]:
+    """``(profiled calls, warp instructions)`` of one replayed cell.
+
+    Every call cProfile sees over :func:`repro.trace.replay_program` alone
+    (the trace is loaded, or recorded, beforehand, and replayed once
+    unprofiled: a kernel's decode records are built at first touch).  A
+    count, not a time:
+    it repeats exactly run to run and host to host, so calls per
+    instruction is a hot-path regression gauge that needs no quiet
+    machine.  It moves with the interpreter (3.12 inlines comprehensions).
+
+    Summed over the profiler's own entries: ``pstats`` keys functions by
+    ``(file, line, name)``, under which every dataclass ``__init__``
+    (``<string>:2``) collides and all but an arbitrary one are dropped, so
+    ``pstats.Stats.total_calls`` is neither the whole count nor stable.
+    """
+    cfg = config or GPUConfig.default_sim()
+    program = runner.load_or_record_program(workload, scheme, scale, cfg)
+    run_cfg = apply_scheme(cfg, scheme)
+    trace_mod.replay_program(program, run_cfg, scheme=scheme)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    result = trace_mod.replay_program(program, run_cfg, scheme=scheme)[-1]
+    profiler.disable()
+    calls = sum(entry.callcount for entry in profiler.getstats())
+    return calls, result.warp_instructions
+
+
 def compare(
     workload: str,
     scheme: str,
@@ -197,6 +238,13 @@ def profile_run(
         f"{workload} x {scheme}: "
         f"{result.cycles:.0f} cycles in {seconds:.2f}s CPU "
         f"-> {cps:,.0f} cycles/s",
+        file=out,
+    )
+    calls, instructions = replay_call_count(*CALL_BUDGET_CELL)
+    print(
+        "call budget ({} x {} @ {}, replayed): {:,} profiled calls / {:,} "
+        "warp instructions = {:.1f} per instruction".format(
+            *CALL_BUDGET_CELL, calls, instructions, calls / instructions),
         file=out,
     )
     return result, seconds

@@ -130,8 +130,12 @@ def run_scheme(
     # so recording runs bypass both cache layers entirely.
     cacheable = (use_cache and not workload_kwargs and observers is None
                  and base.events == "off")
-    if cacheable and key in _CACHE:
-        return _CACHE[key]
+    # ``check`` is not part of either key: a verified result serves every
+    # caller.  One that no run verified is a miss for a checking caller,
+    # who simulates (or replays a verified trace) and overwrites it.
+    memoised = _CACHE.get(key)
+    if cacheable and _serves(memoised, check):
+        return memoised
 
     cfg = apply_scheme(base, scheme)
 
@@ -141,7 +145,7 @@ def run_scheme(
             workload, scheme, scale, cfg.fingerprint(), with_accuracy
         )
         cached = result_cache.load(disk_key)
-        if cached is not None:
+        if _serves(cached, check):
             _CACHE[key] = cached
             return cached
 
@@ -198,6 +202,9 @@ def run_scheme(
             issue_observers, l1_observers,
         )
 
+    # Verified by this run, or by the recording run of the trace replayed.
+    result.verified = (check if program is None
+                       else bool(program.meta.get("verified")))
     if accuracy_tracker is not None:
         result.extra["cpl_accuracy"] = accuracy_tracker.accuracy(result)
     if reuse_profiler is not None:
@@ -207,6 +214,11 @@ def run_scheme(
     if disk_key is not None:
         result_cache.store(disk_key, result)
     return result
+
+
+def _serves(cached: Optional[RunResult], check: bool) -> bool:
+    """Whether a memoised / stored result may answer a ``check`` caller."""
+    return cached is not None and (cached.verified or not check)
 
 
 def _attach_observers(gpu: GPU, issue_observers: list, l1_observers: list) -> None:
@@ -473,10 +485,12 @@ def run_sweep(
                     kwargs.get("with_reuse", False), (),
                     _config_for(workload).fingerprint())
 
+        check = kwargs.get("check", True)
         pending: List[Tuple[str, str]] = []
         for workload, scheme in grid:
-            if use_cache and _cell_key(workload, scheme) in _CACHE:
-                results[(workload, scheme)] = _CACHE[_cell_key(workload, scheme)]
+            memoised = _CACHE.get(_cell_key(workload, scheme))
+            if use_cache and _serves(memoised, check):
+                results[(workload, scheme)] = memoised
             elif (workload, scheme) not in pending:
                 pending.append((workload, scheme))
         if pending:

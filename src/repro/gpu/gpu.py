@@ -3,11 +3,12 @@
 Two device clocks are provided (``GPUConfig.clock``):
 
 ``"skip"`` (default)
-    The time-skipping clock (:mod:`repro.gpu.clock`): a global min-heap of
-    per-SM next-event times drives the loop, so only the SMs that can
-    actually act at an event time are ticked and the clock jumps straight
-    between events.  Every caller that does not ask otherwise runs this
-    loop.
+    The time-skipping clock (:mod:`repro.gpu.clock` says why it is
+    sufficient): a min-heap of per-SM next-event times, owned by
+    :meth:`GPU._run_skip_loop` as a local, drives the loop, so only the
+    SMs that can actually act at an event time are ticked and the clock
+    jumps straight between events.  Every caller that does not ask
+    otherwise runs this loop.
 
 ``"cycle"``
     The independent reference the parity suites compare the skip clock
@@ -27,6 +28,7 @@ total number of cycles those advances never visited.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
 from ..config import GPUConfig
@@ -41,7 +43,6 @@ from ..simt.executor import FunctionalExecutor
 from ..sm.dispatcher import BlockDispatcher
 from ..sm.sm import StreamingMultiprocessor
 from ..stats.counters import RunResult, merge_cache_stats, replace_stats, subtract_stats
-from .clock import DeviceEventHeap
 
 
 class GPU:
@@ -312,35 +313,59 @@ class GPU:
         cycle later, exactly as the per-cycle loop would; block dispatch —
         the only cross-SM waker — refreshes the heap entry of every SM that
         received warps.  Returns the final cycle.
+
+        The device event heap lives here, as two locals.  ``heap`` holds
+        ``(time, sm, seq)`` entries and an SM has at most one *live* entry:
+        the one whose ``seq`` equals ``seqs[sm]``.  A tick pops its SM's
+        live entry and pushes the next, so the only superseded entries are
+        the ones a dispatch refresh leaves behind by bumping ``seqs[sm]``;
+        they are dropped when they surface.  An SM whose wake is ``inf``
+        gets no entry (parked) until a dispatch gives it warps.  Entries
+        order by ``(time, sm)``, so SMs due on the same cycle pop — and
+        tick — in ``sm_id`` order.
         """
         sms = self.sms
-        heap = DeviceEventHeap(len(sms))
+        # Bound once per launch, through the instance: whoever shadowed an
+        # SM's ``tick_wake`` before the launch (ledger, oracle) is called.
+        ticks = [sm.tick_wake for sm in sms]
+        max_cycles = self.max_cycles
+        inf = math.inf
+        heap: list = []
+        seqs = [0] * len(sms)
         for slot, sm in enumerate(sms):
-            heap.schedule(slot, max(sm.next_event_time(start_cycle), start_cycle))
+            wake = sm.next_event_time(start_cycle)
+            if wake != inf:
+                heappush(heap, (wake if wake > start_cycle else start_cycle, slot, 0))
         cycle = start_cycle
         last = start_cycle - 1.0
         while True:
-            t = heap.next_time()
-            if math.isinf(t):
+            while heap and heap[0][2] != seqs[heap[0][1]]:
+                heappop(heap)  # superseded by a dispatch refresh
+            if not heap:
                 # No SM can ever act again.  A completed launch breaks out
                 # at commit time below, so this is a deadlock.
                 for sm in sms:
                     sm.detect_deadlock(cycle)
                 raise DeadlockError("no warp can make progress")
-            if t - start_cycle > self.max_cycles:
+            t = heap[0][0]
+            if t - start_cycle > max_cycles:
                 raise DeadlockError(
-                    f"simulation exceeded {self.max_cycles:.0f} cycles; "
+                    f"simulation exceeded {max_cycles:.0f} cycles; "
                     "likely a runaway kernel"
                 )
             if t > last + 1.0:
                 self._launch_skip_jumps += 1
                 self._launch_cycles_skipped += t - last - 1.0
             cycle = t
-            for slot in heap.pop_due(t):
+            while heap and heap[0][0] == t:
+                _, slot, seq = heappop(heap)
+                if seq != seqs[slot]:
+                    continue
                 # The tick reports the SM's next wake itself (what
                 # next_wake_time would answer, without a second walk).
-                wake = sms[slot].tick_wake(t)[1]
-                heap.schedule(slot, wake if wake > t else t + 1.0)
+                wake = ticks[slot](t)[1]
+                if wake != inf:
+                    heappush(heap, (wake if wake > t else t + 1.0, slot, seq))
             last = t
             if self._commit_pending:
                 self._commit_pending = False
@@ -355,7 +380,9 @@ class GPU:
                     for slot, (sm, mark) in enumerate(zip(sms, marks)):
                         if sm._next_dynamic_id != mark:
                             wake = sm.next_wake_time(t)
-                            heap.schedule(slot, wake if wake > t else t + 1.0)
+                            seq = seqs[slot] = seqs[slot] + 1
+                            if wake != inf:
+                                heappush(heap, (wake if wake > t else t + 1.0, slot, seq))
                 elif not any(sm.busy for sm in sms):
                     return cycle
 

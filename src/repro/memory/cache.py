@@ -5,6 +5,14 @@ served by :class:`~repro.memory.data.GlobalMemory`).  Policies control the
 fill-way choice within a way range, which is how CACP's critical/non-critical
 partitioning plugs in without the cache knowing about criticality.
 
+The tag store is an index plus per-set ways.  The *residency index* maps
+``line_addr -> CacheLine`` for exactly the valid lines, so a probe
+(:meth:`Cache.access`, :meth:`Cache.lookup`) is one dict lookup whatever the
+associativity; the per-set way lists are what a *fill* works on (the
+policy's way range and victim choice), and a per-set count of valid ways
+tells the fill when no way is invalid.  Index and count change at the three
+places validity does: fill, eviction, :meth:`Cache.invalidate_all`.
+
 Observers can subscribe to access/evict events; the reuse-distance profiler
 (Fig 3) and zero-reuse accounting (Fig 15) are implemented that way.
 """
@@ -13,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..config import CacheConfig
 from ..feedback.signals import Sig
@@ -131,6 +139,10 @@ class Cache:
         self._sets: List[List[CacheLine]] = [
             [CacheLine() for _ in range(config.ways)] for _ in range(config.sets)
         ]
+        #: Residency index: ``line_addr -> CacheLine`` for every valid line.
+        self._index: Dict[int, CacheLine] = {}
+        #: Valid ways per set; a set at ``config.ways`` has no invalid way.
+        self._valid_ways: List[int] = [0] * config.sets
         self.stats = CacheStats()
         self.observers: List = []
         #: Event bus (``repro.obs``) or ``None``; set by the wire helpers.
@@ -155,10 +167,7 @@ class Cache:
     # ------------------------------------------------------------------
     def lookup(self, line_addr: int) -> Optional[CacheLine]:
         """Tag probe without side effects (no stats, no promotion)."""
-        for line in self._sets[self.config.set_index(line_addr)]:
-            if line.valid and line.tag == line_addr:
-                return line
-        return None
+        return self._index.get(line_addr)
 
     def access(self, req: MemRequest) -> bool:
         """Probe + fill-on-miss; returns True on hit.
@@ -168,33 +177,30 @@ class Cache:
         allocating keeps the model simple and preserves the contention the
         paper studies).
         """
-        line_addr = req.line_addr
-        sets = self._sets
-        lines = sets[(line_addr // self._line_size) % len(sets)]
         stats = self.stats
         stats.accesses += 1
         critical = req.is_critical
         if critical:
             stats.critical_accesses += 1
 
-        for line in lines:
-            if line.tag == line_addr and line.valid:
-                stats.hits += 1
-                if critical:
-                    stats.critical_hits += 1
-                line.reuse_count += 1
-                self.policy.on_hit(line, req)
-                for obs in self.observers:
-                    obs.on_access(req, hit=True, line=line)
-                if self.obs is not None:
-                    owner = self.obs_owner
-                    self.obs.emit((
-                        _EV_CACHE_HIT, req.cycle,
-                        owner if owner >= 0 else req.warp_key[0],
-                        self.obs_level, req.pc, req.line_addr,
-                        1 if req.is_critical else 0,
-                    ))
-                return True
+        line = self._index.get(req.line_addr)
+        if line is not None:
+            stats.hits += 1
+            if critical:
+                stats.critical_hits += 1
+            line.reuse_count += 1
+            self.policy.on_hit(line, req)
+            for obs in self.observers:
+                obs.on_access(req, hit=True, line=line)
+            if self.obs is not None:
+                owner = self.obs_owner
+                self.obs.emit((
+                    _EV_CACHE_HIT, req.cycle,
+                    owner if owner >= 0 else req.warp_key[0],
+                    self.obs_level, req.pc, req.line_addr,
+                    1 if req.is_critical else 0,
+                ))
+            return True
 
         stats.misses += 1
         fb = self.fb
@@ -221,7 +227,7 @@ class Cache:
                     self.obs_level, req.line_addr,
                 ))
         else:
-            self._fill(lines, req)
+            self._fill(req)
         for obs in self.observers:
             obs.on_access(req, hit=False, line=None)
         if self.obs is not None:
@@ -234,13 +240,23 @@ class Cache:
             ))
         return False
 
-    def _fill(self, lines: List[CacheLine], req: MemRequest) -> None:
-        lo, hi = self.policy.way_range(lines, req, self.config.ways)
-        way = self.policy.choose_way(lines, req, lo, hi)
+    def _fill(self, req: MemRequest) -> None:
+        line_addr = req.line_addr
+        sets = self._sets
+        set_idx = (line_addr // self._line_size) % len(sets)
+        lines = sets[set_idx]
+        ways = self.config.ways
+        lo, hi = self.policy.way_range(lines, req, ways)
+        way = self.policy.choose_way(
+            lines, req, lo, hi, self._valid_ways[set_idx] == ways
+        )
         line = lines[way]
         if line.valid:
             self._evict(line, req)
-        line.reset_for_fill(req.line_addr, req)
+        else:
+            self._valid_ways[set_idx] += 1
+        line.reset_for_fill(line_addr, req)
+        self._index[line_addr] = line
         # The policy may retune its partition at runtime, so prefer its
         # current boundary over the static config value.
         boundary = getattr(self.policy, "critical_ways", self.config.critical_ways)
@@ -264,6 +280,7 @@ class Cache:
             ))
 
     def _evict(self, line: CacheLine, req: MemRequest) -> None:
+        del self._index[line.line_addr]
         self.stats.evictions += 1
         if line.reuse_count == 0:
             self.stats.zero_reuse_evictions += 1
@@ -301,6 +318,8 @@ class Cache:
             for line in lines:
                 line.valid = False
                 line.tag = -1
+        self._index.clear()
+        self._valid_ways = [0] * len(self._sets)
 
     def next_event_time(self, now: float) -> float:
         """Always ``inf``: the tag array is passive.
@@ -312,6 +331,4 @@ class Cache:
         return math.inf
 
     def occupancy(self) -> float:
-        total = self.config.sets * self.config.ways
-        valid = sum(1 for lines in self._sets for line in lines if line.valid)
-        return valid / total
+        return len(self._index) / (self.config.sets * self.config.ways)

@@ -9,7 +9,7 @@ scoreboard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Tuple
 
 from ..config import GPUConfig
 from .cache import Cache
@@ -17,15 +17,6 @@ from .l2 import BankedL2
 from .dram import DRAMModel
 from .mshr import MSHRFile
 from .request import MemRequest
-
-
-@dataclass(slots=True)
-class AccessOutcome:
-    """Result of one line access through the hierarchy."""
-
-    l1_hit: bool
-    completion: float
-    merged: bool = False
 
 
 class MemoryHierarchy:
@@ -47,17 +38,23 @@ class MemoryHierarchy:
         :mod:`repro.gpu.clock` for why these never gate the skip clock."""
         return min(self.l2.next_event_time(now), self.dram.next_event_time(now))
 
-    def access(self, l1: Cache, mshr: MSHRFile, req: MemRequest, now: float) -> AccessOutcome:
-        """Walk ``req`` through L1 -> (MSHR) -> L2 -> DRAM; returns timing."""
+    def access(self, l1: Cache, mshr: MSHRFile, req: MemRequest,
+               now: float) -> Tuple[bool, float, bool]:
+        """Walk ``req`` through L1 -> (MSHR) -> L2 -> DRAM.
+
+        Returns ``(l1_hit, completion, merged)``: whether the L1 hit, the
+        cycle the line's data is available, and whether a miss merged with
+        an in-flight fill of the same line.
+        """
         l1_latency = l1.config.hit_latency
         if l1.access(req):
-            return AccessOutcome(True, now + l1_latency)
+            return True, now + l1_latency, False
 
         # Merge with an in-flight fill of the same line, if any.
         merged_completion = mshr.lookup(req.line_addr, now)
         if merged_completion is not None:
             floor = now + l1_latency
-            return AccessOutcome(
+            return (
                 False, merged_completion if merged_completion > floor else floor, True
             )
 
@@ -66,4 +63,4 @@ class MemoryHierarchy:
         completion = (l2_ready if l2_hit
                       else self.dram.access(queued_start, req.warp_key[0]))
         mshr.register(req.line_addr, completion, now=now)
-        return AccessOutcome(False, completion)
+        return False, completion, False

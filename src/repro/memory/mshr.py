@@ -40,6 +40,9 @@ class MSHRFile:
         self.obs_owner = -1
 
     def _purge(self, now: float) -> None:
+        """Retire every fill completed by ``now``.  The per-access and
+        per-tick queries call this only once the earliest completion has
+        passed: most of them find nothing to retire."""
         completions = self._completions
         inflight = self._inflight
         while completions and completions[0][0] <= now:
@@ -50,7 +53,9 @@ class MSHRFile:
 
     def lookup(self, line_addr: int, now: float) -> Optional[float]:
         """Completion time of an in-flight fill of ``line_addr``, if any."""
-        self._purge(now)
+        completions = self._completions
+        if completions and completions[0][0] <= now:
+            self._purge(now)
         completion = self._inflight.get(line_addr)
         if completion is not None:
             self.merged_misses += 1
@@ -61,11 +66,13 @@ class MSHRFile:
 
     def earliest_start(self, now: float) -> float:
         """Earliest time a new miss may begin service (capacity limit)."""
-        self._purge(now)
+        completions = self._completions
+        if completions and completions[0][0] <= now:
+            self._purge(now)
         if len(self._inflight) < self._entries:
             return now
         self.stall_inducing_misses += 1
-        free_at = self._completions[0][0] if self._completions else now
+        free_at = completions[0][0] if completions else now
         if self.obs is not None:
             self.obs.emit((_EV_MSHR_FULL, now, self.obs_owner,
                            len(self._inflight), free_at))
@@ -73,8 +80,11 @@ class MSHRFile:
 
     def free_entries(self, now: float) -> int:
         """Number of unoccupied MSHR entries at ``now``."""
-        self._purge(now)
-        return max(0, self._entries - len(self._inflight))
+        completions = self._completions
+        if completions and completions[0][0] <= now:
+            self._purge(now)
+        free = self._entries - len(self._inflight)
+        return free if free > 0 else 0
 
     def is_full(self, now: float) -> bool:
         """True when no MSHR entry is free at ``now``.
@@ -96,7 +106,9 @@ class MSHRFile:
         ``entries + k`` fills in flight an entry frees only at the
         ``(k + 1)``-th completion, not the first.
         """
-        self._purge(now)
+        completions = self._completions
+        if completions and completions[0][0] <= now:
+            self._purge(now)
         excess = len(self._inflight) - self._entries
         if excess < 0:
             return now

@@ -31,15 +31,18 @@ class ReplacementPolicy:
         """
         return 0, ways
 
-    def choose_way(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
+    def choose_way(self, lines: List, req: MemRequest, lo: int, hi: int,
+                   full: bool = False) -> int:
         """Pick the way in ``[lo, hi)`` to fill for ``req``.
 
         Invalid ways are preferred; subclasses implement the valid-victim
-        choice in :meth:`_victim`.
+        choice in :meth:`_victim`.  ``full`` is the cache's promise that
+        the set has no invalid way, so the scan for one is skipped.
         """
-        for way in range(lo, hi):
-            if not lines[way].valid:
-                return way
+        if not full:
+            for way in range(lo, hi):
+                if not lines[way].valid:
+                    return way
         return self._victim(lines, req, lo, hi)
 
     def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
@@ -63,18 +66,21 @@ class LRUPolicy(ReplacementPolicy):
     def __init__(self) -> None:
         self._clock = 0
 
-    def _touch(self, line) -> None:
-        self._clock += 1
-        line.last_use = self._clock
-
     def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
-        return min(range(lo, hi), key=lambda way: lines[way].last_use)
+        # First minimum: ties go to the lowest way.
+        victim = lo
+        oldest = lines[lo].last_use
+        for way in range(lo + 1, hi):
+            last_use = lines[way].last_use
+            if last_use < oldest:
+                victim, oldest = way, last_use
+        return victim
 
     def on_fill(self, line, req: MemRequest) -> None:
-        self._touch(line)
+        self._clock = line.last_use = self._clock + 1
 
     def on_hit(self, line, req: MemRequest) -> None:
-        self._touch(line)
+        self._clock = line.last_use = self._clock + 1
 
 
 class SRRIPPolicy(ReplacementPolicy):

@@ -1,9 +1,10 @@
 """CLK001 — clock-protocol conformance of timing components.
 
 The skip clock (``GPUConfig.clock='skip'``) advances the device between
-*events*: :class:`repro.gpu.clock.DeviceEventHeap` asks every component
-it drives for its ``next_event_time(now)`` (or an SM's
-``next_wake_time``), jumps to the minimum, and ticks only what can act.
+*events*: the skip loop (:meth:`repro.gpu.gpu.GPU._run_skip_loop`; design
+in :mod:`repro.gpu.clock`) asks every component it drives for its
+``next_event_time(now)`` (or an SM's ``next_wake_time``), jumps to the
+minimum, and ticks only what can act.
 A timing component that participates in simulation — anything defining
 ``tick`` or ``access`` in a timing-path module — but answers no
 next-event query is invisible to the heap: the skip clock would jump
@@ -91,5 +92,5 @@ def check_clock_protocol(ctx: SanitizeContext) -> Iterator[Hit]:
                 f"class {node.name} defines {sorted(triggers)} but "
                 "neither defines nor inherits next_event_time()/"
                 "next_wake_time(); the skip clock cannot schedule it "
-                "(see repro.gpu.clock.DeviceEventHeap)",
+                "(see repro.gpu.clock)",
             )

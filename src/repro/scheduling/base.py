@@ -15,6 +15,12 @@ class WarpScheduler:
     (round-robin pointers, greedy targets, criticality ranks) and are
     notified of issues and warp lifecycle events.
 
+    ``ready`` is in ascending ``dynamic_id`` (dispatch) order, so the
+    oldest candidate is ``ready[0]``, an order-preserving filter of it is
+    ordered too, and a first-best scan breaks ties oldest-first.
+    :meth:`select` neither mutates nor retains it: the SM may hand over
+    its own ready pool.
+
     Cache co-design schemes additionally declare the feedback signal kinds
     they consume in :attr:`FEEDBACK_KINDS`; the device wiring
     (:func:`repro.feedback.wire_gpu_feedback`) subscribes
@@ -37,7 +43,8 @@ class WarpScheduler:
         """Receive one subscribed feedback signal (publish order)."""
 
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
-        """Pick one warp from ``ready`` (non-empty) to issue at ``now``."""
+        """Pick one warp from ``ready`` (non-empty, ascending
+        ``dynamic_id``, read-only) to issue at ``now``."""
         raise NotImplementedError
 
     def notify_issue(self, warp: Warp, now: float) -> None:
@@ -48,8 +55,3 @@ class WarpScheduler:
 
     def notify_warp_finished(self, warp: Warp) -> None:
         """Called when ``warp`` exits."""
-
-    @staticmethod
-    def oldest(ready: List[Warp]) -> Warp:
-        """GTO's tie-break: smallest dynamic (dispatch-order) id."""
-        return min(ready, key=lambda w: w.dynamic_id)

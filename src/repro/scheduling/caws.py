@@ -30,5 +30,12 @@ class OracleCAWSScheduler(WarpScheduler):
         return self.oracle.get((warp.block.block_id, warp.warp_id_in_block), 0.0)
 
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
-        best = max(ready, key=lambda w: (self._criticality(w), -w.dynamic_id))
+        # Most critical first, oldest on ties: in dispatch order that is
+        # the first warp with the highest profiled time.
+        best = None
+        best_time = 0.0
+        for warp in ready:
+            time = self._criticality(warp)
+            if best is None or time > best_time:
+                best, best_time = warp, time
         return best

@@ -158,8 +158,13 @@ class CCWSScheduler(WarpScheduler):
                 # which eventually become ready or finish, and warps at a
                 # barrier leave the live set so throttled peers re-enter.
                 return None
-        after = [w for w in pool if w.dynamic_id > self._last_id]
-        return min(after if after else pool, key=lambda w: w.dynamic_id)
+        # Round-robin over the allowed warps (filtered in order, so still
+        # ascending): first id past the pointer, else wrap to the oldest.
+        last_id = self._last_id
+        for warp in pool:
+            if warp.dynamic_id > last_id:
+                return warp
+        return pool[0]
 
     def notify_issue(self, warp: Warp, now: float) -> None:
         self._last_id = warp.dynamic_id

@@ -109,20 +109,16 @@ class CIAOScheduler(WarpScheduler):
             if entry is None or not entry.is_throttled(now):
                 pool.append(warp)
         if not pool:
-            # Every ready warp is benched: let the least-interfering one
-            # issue anyway so the SM always makes progress.
+            # Every ready warp is benched (so each has an entry): let the
+            # least-interfering one issue anyway so the SM always makes
+            # progress — oldest on ties, i.e. the first minimum.
             return min(
                 ready,
-                key=lambda w: (
-                    self._warps[(w.block.block_id, w.warp_id_in_block)].score
-                    if (w.block.block_id, w.warp_id_in_block) in self._warps
-                    else 0.0,
-                    w.dynamic_id,
-                ),
+                key=lambda w: self._warps[(w.block.block_id, w.warp_id_in_block)].score,
             )
         if self._greedy_target is not None and self._greedy_target in pool:
             return self._greedy_target
-        return self.oldest(pool)
+        return pool[0]  # oldest: ``pool`` was filtered in dispatch order
 
     def notify_issue(self, warp: Warp, now: float) -> None:
         self._greedy_target = warp

@@ -59,8 +59,15 @@ class GCAWSScheduler(WarpScheduler):
         if self.greedy and self._greedy_target is not None and self._greedy_target in ready:
             return self._greedy_target
         # Highest criticality bucket first; oldest (smallest dynamic id)
-        # breaks ties, mirroring GTO.
-        return max(ready, key=lambda w: (self._bucket(w), -w.dynamic_id))
+        # breaks ties, mirroring GTO: in dispatch order that is the first
+        # warp of the best bucket.
+        best = None
+        best_bucket = -1  # buckets are >= 0
+        for warp in ready:
+            bucket = self._bucket(warp)
+            if bucket > best_bucket:
+                best, best_bucket = warp, bucket
+        return best
 
     def notify_issue(self, warp: Warp, now: float) -> None:
         if self.greedy:

@@ -23,7 +23,7 @@ class GTOScheduler(WarpScheduler):
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
         if self._greedy_target is not None and self._greedy_target in ready:
             return self._greedy_target
-        return self.oldest(ready)
+        return ready[0]  # oldest: candidates arrive in dispatch order
 
     def notify_issue(self, warp: Warp, now: float) -> None:
         self._greedy_target = warp

@@ -22,10 +22,13 @@ class LRRScheduler(WarpScheduler):
 
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
         # Rotate: the ready warp with the smallest id strictly greater than
-        # the last issued id; wrap to the smallest id if none.
-        after = [w for w in ready if w.dynamic_id > self._last_id]
-        pool = after if after else ready
-        return min(pool, key=lambda w: w.dynamic_id)
+        # the last issued id; wrap to the smallest id if none.  ``ready``
+        # is in ascending id order.
+        last_id = self._last_id
+        for warp in ready:
+            if warp.dynamic_id > last_id:
+                return warp
+        return ready[0]
 
     def notify_issue(self, warp: Warp, now: float) -> None:
         self._last_id = warp.dynamic_id

@@ -33,13 +33,15 @@ class TwoLevelScheduler(WarpScheduler):
         in_active = [w for w in ready if self._group_of(w) == self._active_group]
         if not in_active:
             # Rotate to the group owning the oldest ready warp.
-            oldest = self.oldest(ready)
-            self._active_group = self._group_of(oldest)
+            self._active_group = self._group_of(ready[0])
             in_active = [w for w in ready if self._group_of(w) == self._active_group]
-        # Round-robin within the active group.
-        after = [w for w in in_active if w.dynamic_id > self._last_id]
-        pool = after if after else in_active
-        return min(pool, key=lambda w: w.dynamic_id)
+        # Round-robin within the active group (filtered in order, so still
+        # ascending): first id past the pointer, else wrap to the oldest.
+        last_id = self._last_id
+        for warp in in_active:
+            if warp.dynamic_id > last_id:
+                return warp
+        return in_active[0]
 
     def notify_issue(self, warp: Warp, now: float) -> None:
         self._last_id = warp.dynamic_id

@@ -103,15 +103,12 @@ class WaSPScheduler(WarpScheduler):
         floor = self._follower_floor()
         if floor is not None:
             limit = floor + self._max_lead
-            runners = [
-                w for w in ready
-                if _is_prefetcher(w) and w.issued_instructions < limit
-            ]
-            if runners:
-                return self.oldest(runners)
+            for warp in ready:  # dispatch order: the first runner is the oldest
+                if _is_prefetcher(warp) and warp.issued_instructions < limit:
+                    return warp
         if self._greedy_target is not None and self._greedy_target in ready:
             return self._greedy_target
-        return self.oldest(ready)
+        return ready[0]
 
     def notify_issue(self, warp: Warp, now: float) -> None:
         self._greedy_target = warp

@@ -12,13 +12,7 @@ scoreboards track dependencies at warp granularity.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-#: Ready-cycle marker for a register waiting on an outstanding load whose
-#: completion time is not yet known.
-PENDING = np.inf
 
 
 class WarpRegisterFile:
@@ -30,7 +24,10 @@ class WarpRegisterFile:
         self.preds = np.zeros((num_preds, warp_size), dtype=bool)
         # The scoreboards are plain Python lists: they are read one scalar
         # at a time on the scheduler hot path, where list indexing is
-        # several times cheaper than numpy scalar indexing.
+        # several times cheaper than numpy scalar indexing.  The SM's
+        # issue path writes them directly (a completion cycle, and for a
+        # register whether a load produced it), in the arm that already
+        # holds the instruction's kind.
         self.reg_ready = [0.0] * num_regs
         self.pred_ready = [0.0] * num_preds
         #: True for registers whose last writer was a load; lets the stall
@@ -85,41 +82,23 @@ class WarpRegisterFile:
         """
         ready = 0.0
         by_load = False
+        reg_ready = self.reg_ready
+        from_load = self.reg_from_load
         for src in srcs:
-            value = self.reg_ready[src]
+            value = reg_ready[src]
             if value > ready:
                 ready = value
-                by_load = bool(self.reg_from_load[src])
-            elif value == ready and self.reg_from_load[src]:
+                by_load = from_load[src]
+            elif value == ready and from_load[src]:
                 by_load = True
         if dst is not None:
-            board = self.pred_ready if pred_is_dst else self.reg_ready
-            value = board[dst]
+            value = self.pred_ready[dst] if pred_is_dst else reg_ready[dst]
             if value > ready:
                 ready = value
-                by_load = bool(not pred_is_dst and self.reg_from_load[dst])
+                by_load = not pred_is_dst and from_load[dst]
         if pred is not None:
             value = self.pred_ready[pred]
             if value > ready:
                 ready = value
                 by_load = False
-        return float(ready), by_load
-
-    def set_reg_ready(self, reg: int, cycle: float, from_load: bool = False) -> None:
-        self.reg_ready[reg] = float(cycle)
-        self.reg_from_load[reg] = from_load
-
-    def set_pred_ready(self, pred: int, cycle: float) -> None:
-        self.pred_ready[pred] = float(cycle)
-
-    def mark_reg_pending(self, reg: int) -> None:
-        """Mark ``reg`` as waiting on an in-flight load."""
-        self.reg_ready[reg] = PENDING
-
-    def min_pending_free_cycle(self) -> float:
-        """Largest finite ready cycle (for idle-skip scheduling)."""
-        later = max(
-            (v for v in self.reg_ready if math.isfinite(v)), default=0.0
-        )
-        pred_max = max(self.pred_ready, default=0.0)
-        return max(later, pred_max)
+        return ready, by_load

@@ -9,6 +9,7 @@ counter) that feed the CAWA components.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Dict, Optional
 
 import numpy as np
@@ -89,12 +90,19 @@ class Warp:
         #: is attached to the SM; ``None`` otherwise.
         self.recording = None
 
-        # -- scheduling cache (invalidated by this warp's own issues) ---
-        self._sched_cache_version: int = -1
-        self._cached_ready: float = 0.0
-        self._cached_needs_mem: bool = False
-        self._cached_opready: float = 0.0
-        self._cached_by_load: bool = False
+        # -- readiness of the next instruction --------------------------
+        # Written by :meth:`refresh_readiness` wherever this warp's PC or
+        # scoreboard has just moved (its own issue, barrier release,
+        # dispatch) and frozen in between: nobody else writes either.
+        #: Earliest cycle the next instruction can issue: operands ready
+        #: and one cycle past the previous issue.
+        self.ready_at: float = 0.0
+        #: Cycle the next instruction's operands are all available.
+        self._opready: float = 0.0
+        #: True when a load-produced register is (one of) the latest operands.
+        self._by_load: bool = False
+        #: True when the next instruction needs an MSHR (global LD/ST).
+        self._needs_mem: bool = False
         #: True while this warp has an entry in its SM slot's wake heap
         #: (event-driven core).  Guards the one-entry-per-warp invariant.
         self._queued: bool = False
@@ -129,38 +137,25 @@ class Warp:
     def special_values(self, special: Special) -> np.ndarray:
         return self._specials[special]
 
-    def _refresh_sched_cache(self):
-        """Recompute readiness, memory-need, and load-provenance in one pass.
+    def refresh_readiness(self) -> None:
+        """Recompute the next instruction's readiness: the one scoreboard
+        walk per issue.
 
-        Returns the fresh ``(ready_cycle, next_needs_global_memory)``.
+        The SM calls this at the end of the warp's own issue — where the
+        scoreboard was written and the stack advanced — and when a barrier
+        release or a dispatch makes the warp schedulable; the wake heap,
+        the ready pool and the next issue's stall accounting all read the
+        stored result.
         """
-        issued = self.issued_instructions
-        self._sched_cache_version = issued
         d = self._insts[self.stack.pc].decoded
-        ready, by_load = self.rf.operands_ready_detail(
+        ready, self._by_load = self.rf.operands_ready_detail(
             d.srcs, d.dst, d.pred, d.pred_is_dst
         )
-        floor = self.last_issue_cycle + 1 if issued else self.start_cycle
-        self._cached_opready = ready
-        self._cached_by_load = by_load
-        if ready < floor:
-            ready = floor
-        self._cached_ready = ready
-        self._cached_needs_mem = d.needs_global_mem
-        return ready, d.needs_global_mem
-
-    def schedule_info(self):
-        """``(ready_cycle, next_needs_global_memory)``, cached between issues.
-
-        A warp's scoreboard, PC, and last-issue cycle only change when the
-        warp itself issues, so the tuple is memoized on the issue count —
-        this keeps the wake-queue updates cheap.
-        """
-        if self.status is not WarpStatus.RUNNING:
-            return np.inf, False
-        if self._sched_cache_version != self.issued_instructions:
-            return self._refresh_sched_cache()
-        return self._cached_ready, self._cached_needs_mem
+        self._opready = ready
+        floor = (self.last_issue_cycle + 1 if self.issued_instructions
+                 else self.start_cycle)
+        self.ready_at = ready if ready > floor else floor
+        self._needs_mem = d.needs_global_mem
 
     def issuable_at(self) -> float:
         """Earliest cycle this warp could issue, or ``inf`` if blocked.
@@ -168,7 +163,7 @@ class Warp:
         Accounts for operand readiness and the one-instruction-per-cycle
         issue limit (but not MSHR back-pressure; the SM layers that on).
         """
-        return self.schedule_info()[0]
+        return self.ready_at if self.status is WarpStatus.RUNNING else math.inf
 
     def mark_finished(self, cycle: float) -> None:
         self.status = WarpStatus.FINISHED

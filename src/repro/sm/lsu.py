@@ -116,6 +116,7 @@ class LoadStoreUnit:
         warp_key = (self.sm_id, block_id, warp_id)
         l1d = self.l1d
         mshr = self.mshr
+        access = self.hierarchy.access
         misses = 0
         issue_time = start  # one coalesced access per LSU cycle
         for line_addr in lines:
@@ -123,11 +124,11 @@ class LoadStoreUnit:
                 line_addr, pc, warp_key, is_load, is_critical, issue_time,
                 (pc_bits ^ (line_addr >> REGION_SHIFT)) & _SIG_MASK,
             )
-            outcome = self.hierarchy.access(l1d, mshr, req, issue_time)
-            if not outcome.l1_hit:
+            l1_hit, done, _ = access(l1d, mshr, req, issue_time)
+            if not l1_hit:
                 misses += 1
-            if outcome.completion > completion:
-                completion = outcome.completion
+            if done > completion:
+                completion = done
             issue_time += 1
         num_lines = len(lines)
         self.line_accesses += num_lines

@@ -7,27 +7,32 @@ instruction's lane results are computed immediately and its latency is
 recorded in the warp's scoreboard; readiness of later instructions follows
 from those recorded completion times.
 
-The issue loop is event-driven.  Each scheduler slot keeps a min-heap of
-``(wake_cycle, warp)`` entries — updated incrementally the moment a
-completion time becomes known (scoreboard writes at issue, barrier
-releases, block dispatch) — plus a sorted *ready pool* of warps whose wake
-time has passed.  ``tick_wake`` only pops newly-awake warps, gates the
-small pool on MSHR availability, and returns the SM's next wake along with
-whether it issued; ``next_wake_time`` answers the same question from
+The issue loop is event-driven.  A warp's readiness — when its next
+instruction's operands are available, whether a load produced the latest
+one, whether it needs an MSHR — is computed once, at the end of the issue
+that wrote the scoreboard (:meth:`repro.simt.warp.Warp.refresh_readiness`),
+and is frozen until the warp issues again.  Each scheduler slot keeps a
+min-heap of ``(wake_cycle, dynamic_id, warp)`` entries plus a *ready pool*:
+the warps whose wake time has passed, as a list in ascending
+``dynamic_id`` order — which is also the candidate list the scheduler is
+handed when nothing gates it.  ``tick_wake`` only pops newly-awake warps,
+gates the pool on MSHR availability, and returns the SM's next wake along
+with whether it issued; ``next_wake_time`` answers the same question from
 scratch (a heap peek plus a pool walk).  The issue path dispatches on each
 instruction's decode record (:class:`repro.isa.instructions.Decoded`), built
 once per static instruction.  See ``docs/timing_model.md`` ("Event-driven
 issue loop") for the invariants; ``tests/test_wake_queue.py`` checks every
-tick's candidate list and returned wake against a from-scratch scan of
-``warps``.
+tick's candidate list, stored readiness and returned wake against a
+from-scratch scan of ``warps``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from ..config import GPUConfig
@@ -62,6 +67,8 @@ _K_BRANCH = int(IssueKind.BRANCH)
 _K_BARRIER = int(IssueKind.BARRIER)
 _K_EXIT = int(IssueKind.EXIT)
 _RUNNING = WarpStatus.RUNNING
+#: Ready pools are kept in dispatch order.
+_DISPATCH_ORDER = attrgetter("dynamic_id")
 
 
 @dataclass
@@ -152,10 +159,11 @@ class StreamingMultiprocessor:
         #: is queued here exactly when ``warp._queued`` is True; entries are
         #: unique per warp (no stale duplicates by construction).
         self._wake_heaps: List[list] = [[] for _ in self.schedulers]
-        #: Per-slot sorted lists of ``(dynamic_id, warp)`` whose wake time
-        #: has passed, kept in dispatch order (ascending dynamic id) —
-        #: the candidate order every scheduler's tie-breaks assume.
-        self._ready_pools: List[list] = [[] for _ in self.schedulers]
+        #: Per-slot lists of the warps whose wake time has passed, kept in
+        #: dispatch order (ascending dynamic id) — the candidate order
+        #: ``WarpScheduler.select`` is promised.  With no MSHR back-pressure
+        #: the pool itself is the candidate list.
+        self._ready_pools: List[List[Warp]] = [[] for _ in self.schedulers]
         #: ``(scheduler, wake heap, ready pool)`` per slot, for the tick loop.
         self._slots = tuple(zip(self.schedulers, self._wake_heaps, self._ready_pools))
 
@@ -215,12 +223,12 @@ class StreamingMultiprocessor:
         """
         if warp._queued or warp.status is not _RUNNING:
             return
-        # Every caller has just moved the warp's PC or scoreboard (issue,
-        # barrier release, dispatch), so the readiness cache is stale.
-        wake, _ = warp._refresh_sched_cache()
+        # Both callers (barrier release, dispatch) have just made the warp
+        # schedulable at a PC its stored readiness does not describe.
+        warp.refresh_readiness()
         warp._queued = True
         dyn = warp.dynamic_id
-        heapq.heappush(self._wake_heaps[dyn % self._num_slots], (wake, dyn, warp))
+        heappush(self._wake_heaps[dyn % self._num_slots], (warp.ready_at, dyn, warp))
 
     def _release_barrier(self, block: ThreadBlock, now: float) -> None:
         """Release ``block``'s barrier and re-queue the released warps."""
@@ -263,33 +271,32 @@ class StreamingMultiprocessor:
         free_mshrs = -1  # computed lazily: only slots with candidates pay
         for scheduler, heap, pool in slots:
             while heap and heap[0][0] <= now:
-                _, dyn, warp = heapq.heappop(heap)
+                _, dyn, warp = heappop(heap)
                 warp._queued = False
                 if warp.status is not _RUNNING:
                     continue  # finished/barrier entry invalidated lazily
-                t, needs_mem = warp.schedule_info()
-                if t > now:
-                    # Stale wake time (defensive; scoreboards only move at
-                    # the warp's own issue): re-queue at the fresh time.
+                # The readiness stored at the warp's last issue (or its
+                # release / dispatch) is current: nothing else moves it.
+                if warp.ready_at > now:
+                    # The entry's wake was early: a barrier release queues
+                    # the releasing warp before its own issue is booked.
+                    # Re-queue at the stored time.
                     warp._queued = True
-                    heapq.heappush(heap, (t, dyn, warp))
+                    heappush(heap, (warp.ready_at, dyn, warp))
                     continue
-                # A warp's readiness tuple is frozen until it issues (and
-                # issuing removes it from the pool), so ``t``/``needs_mem``
-                # can be cached in the pool entry.
-                insort(pool, (dyn, warp, t, needs_mem))
+                insort(pool, warp, key=_DISPATCH_ORDER)
             if not pool:
                 continue
             if free_mshrs < 0:
                 free_mshrs = mshr.free_entries(now)
             if free_mshrs > 0 and not reserve:
                 # Fast path: no MSHR back-pressure, every pooled warp is
-                # eligible (the common case).
-                ready = [entry[1] for entry in pool]
+                # eligible (the common case) and the pool is the list.
+                ready = pool
             else:
                 ready = []
-                for _, w, _, needs_mem in pool:
-                    if needs_mem:  # next instruction needs an MSHR
+                for w in pool:
+                    if w._needs_mem:  # next instruction needs an MSHR
                         if free_mshrs <= 0:
                             continue
                         if reserve and free_mshrs <= reserve and crit_fn is not None:
@@ -301,15 +308,18 @@ class StreamingMultiprocessor:
             warp = scheduler.select(ready, now)
             if warp is None:
                 continue
-            del pool[bisect_left(pool, (warp.dynamic_id,))]
+            pool.remove(warp)
             if self._issue(warp, scheduler, now):
                 # MSHR occupancy only moves when a memory instruction
                 # issued; skip the recompute otherwise (same value).
                 free_mshrs = mshr.free_entries(now)
-            # Re-queue at the post-issue wake time (no-op when the warp
-            # finished, parked at a barrier, or was already re-queued by a
-            # barrier release triggered by this very issue).
-            self._enqueue(warp)
+            # Re-queue at the wake the issue just computed, on the heap
+            # this slot already holds (not when the warp finished, parked
+            # at a barrier, or was re-queued by a barrier release this
+            # very issue triggered).
+            if warp.status is _RUNNING and not warp._queued:
+                warp._queued = True
+                heappush(heap, (warp.ready_at, warp.dynamic_id, warp))
             issued = True
         # The next wake, as next_wake_time() derives it.  A pooled warp
         # that needs an MSHR implies its slot computed ``free_mshrs``.
@@ -318,8 +328,9 @@ class StreamingMultiprocessor:
         for _, heap, pool in slots:
             if heap and heap[0][0] < wake:
                 wake = heap[0][0]
-            for _, _, t, needs_mem in pool:
-                if needs_mem:
+            for w in pool:
+                t = w.ready_at
+                if w._needs_mem:
                     if mshr_free_at is None:
                         mshr_free_at = now if free_mshrs > 0 else mshr.next_free_time(now)
                     if mshr_free_at > t:
@@ -342,9 +353,9 @@ class StreamingMultiprocessor:
         # Written with conditionals instead of min/max builtins: this runs
         # once per issued instruction and the call overhead shows up.
         base = warp.last_issue_cycle + 1 if warp.issued_instructions else warp.start_cycle
-        # Fresh: every pooled warp went through schedule_info() in tick_wake.
-        ready = warp._cached_opready
-        limited_by_load = warp._cached_by_load
+        # Stored when the scoreboard last moved (refresh_readiness).
+        ready = warp._opready
+        limited_by_load = warp._by_load
         gap = now - base
         if gap < 0.0:
             gap = 0.0
@@ -415,7 +426,9 @@ class StreamingMultiprocessor:
         # ---- timing + control state -----------------------------------
         stats = self.stats
         if kind == _K_ALU:
-            warp.rf.set_reg_ready(decoded.dst, now + self._alu_latency, False)
+            rf = warp.rf
+            rf.reg_ready[decoded.dst] = now + self._alu_latency
+            rf.reg_from_load[decoded.dst] = False
             stack.advance(pc + 1)
         elif kind == _K_LOAD or kind == _K_STORE:
             if rec is not None:
@@ -434,7 +447,9 @@ class StreamingMultiprocessor:
                 lines=result.mem_lines,
             )
             if kind == _K_LOAD:
-                warp.rf.set_reg_ready(decoded.dst, completion, True)
+                rf = warp.rf
+                rf.reg_ready[decoded.dst] = completion
+                rf.reg_from_load[decoded.dst] = True
                 stats.loads += 1
             else:
                 stats.stores += 1
@@ -445,10 +460,12 @@ class StreamingMultiprocessor:
             self._resolve_branch(warp, inst, result.taken_mask, active, now)
             stats.branches += 1
         elif kind == _K_PRED:
-            warp.rf.set_pred_ready(decoded.dst, now + self._alu_latency)
+            warp.rf.pred_ready[decoded.dst] = now + self._alu_latency
             stack.advance(pc + 1)
         elif kind == _K_SFU:
-            warp.rf.set_reg_ready(decoded.dst, now + self._sfu_latency, False)
+            rf = warp.rf
+            rf.reg_ready[decoded.dst] = now + self._sfu_latency
+            rf.reg_from_load[decoded.dst] = False
             stack.advance(pc + 1)
         elif kind == _K_BARRIER:
             stats.barriers += 1
@@ -469,6 +486,11 @@ class StreamingMultiprocessor:
         stats.warp_instructions += 1
         stats.thread_instructions += lanes
         stats.issue_events += 1
+        if warp.status is _RUNNING:
+            # The scoreboard was written and the stack advanced just
+            # above: this is where the next instruction's readiness is
+            # known, and nothing moves it until the warp issues again.
+            warp.refresh_readiness()
         scheduler.notify_issue(warp, now)
         for obs in self.issue_observers:
             obs.on_issue(self, warp, inst, now)
@@ -538,8 +560,9 @@ class StreamingMultiprocessor:
         for heap, pool in zip(self._wake_heaps, self._ready_pools):
             if heap and heap[0][0] < wake:
                 wake = heap[0][0]
-            for _, _, t, needs_mem in pool:
-                if needs_mem:
+            for w in pool:
+                t = w.ready_at
+                if w._needs_mem:
                     if mshr_free_at is None:
                         mshr_free_at = self.mshr.next_free_time(now)
                     if mshr_free_at > t:

@@ -171,6 +171,14 @@ class RunResult:
     #: :meth:`repro.config.GPUConfig.fingerprint`) and never aliases an
     #: exact entry.
     sampling: str = "off"
+    #: Provenance: True when the functional outputs behind this result were
+    #: checked against the workload's reference, by the run itself or by
+    #: the recording run of the trace it replayed (set by
+    #: :func:`repro.experiments.runner.run_scheme`, whose ``check=True``
+    #: callers never get a memoised or stored result without it).  A
+    #: stored payload with no ``"verified"`` key predates the field and
+    #: loads as unverified.
+    verified: bool = False
 
     @property
     def ipc(self) -> float:
@@ -247,6 +255,7 @@ class RunResult:
             "skip_jumps": self.skip_jumps,
             "events": self.events,
             "sampling": self.sampling,
+            "verified": self.verified,
             "blocks": [dataclasses.asdict(b) for b in blocks],
             "extra": {k: v for k, v in self.extra.items() if _jsonable(v)},
         }
@@ -283,6 +292,7 @@ class RunResult:
             skip_jumps=data.get("skip_jumps", 0),
             events=data.get("events", "off"),
             sampling=data.get("sampling", "off"),
+            verified=data.get("verified", False),
         )
 
 

@@ -6,10 +6,10 @@ existing timing machinery consume a trace instead of executing lanes:
 
 :class:`TraceStack`
     Duck-types :class:`~repro.simt.stack.SIMTStack` for the pipeline's
-    consumption: ``pc`` and ``active_mask`` come from the current trace
+    consumption: ``pc`` and ``active_mask`` hold the current trace
     record, and every control-flow mutation (``advance``, ``diverge``,
-    ``kill_lanes``) simply moves the cursor to the next record — the
-    recorded stream already linearizes divergence exactly as the
+    ``kill_lanes``) simply moves the cursor and reads the next record —
+    the recorded stream already linearizes divergence exactly as the
     reconvergence stack did at record time.
 
 :class:`TraceWarp`
@@ -49,16 +49,20 @@ class TraceStack:
     """Trace-cursor stand-in for the SIMT reconvergence stack.
 
     The two columns every issue reads are materialised as plain lists when
-    the warp is created and dropped when it retires, so ``pc`` /
-    ``active_mask`` are one list index each and replay's resident memory
-    follows the resident warps, not the length of the program.  The aux
-    column is read in place: it is consumed once, in order, and only a
-    memory record's line addresses ever become Python objects.
+    the warp is created and dropped when it retires, so replay's resident
+    memory follows the resident warps, not the length of the program.
+    ``pc`` / ``active_mask`` are plain attributes holding the current
+    record, refreshed by whichever mutation moves the cursor (the issue
+    path reads them several times per instruction and moves the cursor
+    once).  The aux column is read in place: it is consumed once, in
+    order, and only a memory record's line addresses ever become Python
+    objects.
     """
 
-    __slots__ = ("_pcs", "_masks", "_aux", "_idx", "_aux_pos", "_len")
+    __slots__ = ("pc", "active_mask", "_pcs", "_masks", "_aux", "_idx",
+                 "_aux_pos", "_len", "_block_id", "_warp_id")
 
-    def __init__(self, stream: WarpStream) -> None:
+    def __init__(self, stream: WarpStream, block_id: int, warp_id: int) -> None:
         if not len(stream):
             raise TraceFormatError("warp trace has no records")
         self._pcs: List[int] = stream.pcs.tolist()
@@ -67,15 +71,12 @@ class TraceStack:
         self._len = len(self._pcs)
         self._idx = 0
         self._aux_pos = 0
-
-    # -- state the pipeline reads --------------------------------------
-    @property
-    def pc(self) -> int:
-        return self._pcs[self._idx]
-
-    @property
-    def active_mask(self) -> int:
-        return self._masks[self._idx]
+        #: Whose stream this is, for error messages only.
+        self._block_id = block_id
+        self._warp_id = warp_id
+        #: The current record: what the pipeline reads.
+        self.pc: int = self._pcs[0]
+        self.active_mask: int = self._masks[0]
 
     @property
     def empty(self) -> bool:
@@ -109,19 +110,33 @@ class TraceStack:
 
     # -- control-flow mutations: all advance the cursor ----------------
     def advance(self, next_pc: int) -> None:
-        self._idx += 1
+        idx = self._idx = self._idx + 1
+        try:
+            self.pc = self._pcs[idx]
+        except IndexError:
+            # Only an EXIT may be a stream's last record: the warp is
+            # still running and there is nothing left for it to issue.
+            raise TraceFormatError(
+                f"warp stream (block={self._block_id}, warp={self._warp_id}) "
+                f"has no record {idx}: it ends without its terminal EXIT; "
+                "trace is corrupt"
+            ) from None
+        self.active_mask = self._masks[idx]
 
     def diverge(self, taken_pc: int, fallthrough_pc: int, taken_mask: int,
                 reconv_pc: int) -> None:
-        self._idx += 1
+        self.advance(fallthrough_pc)
 
     def kill_lanes(self, mask: int) -> None:
-        self._idx += 1
-        if self._idx >= self._len:
-            # Retired: results keep their warps, which must not keep the
-            # lists (or pin the program's aux column) alive.
-            self._pcs = self._masks = []
-            self._aux = _RETIRED_AUX
+        idx = self._idx + 1
+        if idx < self._len:
+            self.advance(self._pcs[idx])
+            return
+        # Retired: results keep their warps, which must not keep the
+        # lists (or pin the program's aux column) alive.
+        self._idx = idx
+        self._pcs = self._masks = []
+        self._aux = _RETIRED_AUX
 
     def active_lane_count(self) -> int:
         return self.active_mask.bit_count()
@@ -132,7 +147,7 @@ class TraceWarp(Warp):
 
     def __init__(self, stream: WarpStream, **kwargs: Any) -> None:
         super().__init__(**kwargs)
-        self.stack = TraceStack(stream)
+        self.stack = TraceStack(stream, self.block.block_id, self.warp_id_in_block)
 
 
 class TraceExecutor:

@@ -13,6 +13,7 @@ recorded.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -203,6 +204,88 @@ class TestVerified:
             record_events(TINY, "gto", scale=TINY_SCALE)
         result, _bus = record_events(TINY, "gto", scale=TINY_SCALE, check=False)
         assert result.frontend == "trace"
+
+    def test_unverified_result_is_a_miss_for_a_checking_caller(self, executions, tmp_path):
+        """The result caches are keyed without ``check``: what they hold
+        says whether a run verified it, and only that serves ``check=True``."""
+        from repro.experiments import result_cache
+
+        def files():
+            return sorted((tmp_path / "repro_cache").glob("*.json"))
+
+        unchecked = run_scheme(TINY, "rr", scale=TINY_SCALE, check=False)
+        one_cell = executions[0]
+        assert one_cell and not unchecked.verified
+        (entry,) = files()
+        # Memo and disk entry both serve the next check=False caller...
+        assert run_scheme(TINY, "rr", scale=TINY_SCALE, check=False) is unchecked
+        runner.clear_cache()
+        from_disk = run_scheme(TINY, "rr", scale=TINY_SCALE, check=False)
+        assert executions[0] == one_cell and not from_disk.verified
+        # ...and neither serves check=True: it simulates a second time (the
+        # stored trace is unverified as well), verifies, and overwrites both.
+        checked = run_scheme(TINY, "rr", scale=TINY_SCALE)
+        assert executions[0] == 2 * one_cell
+        assert checked.verified and checked.frontend == "execute"
+        assert signature(checked) == signature(unchecked)
+        assert files() == [entry]
+        for check in (True, False):
+            assert run_scheme(TINY, "rr", scale=TINY_SCALE, check=check) is checked
+        for check in (True, False):
+            runner.clear_cache()
+            stored = run_scheme(TINY, "rr", scale=TINY_SCALE, check=check)
+            assert stored.verified and signature(stored) == signature(checked)
+        assert executions[0] == 2 * one_cell
+        # A replayed cell is as verified as the recording it replays.
+        replayed = run_scheme(TINY, "gto", scale=TINY_SCALE, check=False)
+        assert replayed.frontend == "trace" and replayed.verified
+        # An entry stored before the field existed loads, for check=False only.
+        key = entry.stem
+        payload = result_cache.load(key).to_dict()
+        del payload["verified"]
+        entry.write_text(json.dumps(payload))
+        runner.clear_cache()
+        old = run_scheme(TINY, "rr", scale=TINY_SCALE, check=False)
+        assert not old.verified and signature(old) == signature(checked)
+        runner.clear_cache()
+        assert run_scheme(TINY, "rr", scale=TINY_SCALE).frontend == "trace"
+        assert result_cache.load(key).verified
+
+    def test_failing_verification_raises_even_with_cached_results(self, monkeypatch, tmp_path):
+        from repro.workloads.base import LaunchSpec
+
+        monkeypatch.setattr(LaunchSpec, "verify", lambda self, gpu: False)
+        wrong = run_scheme(TINY, "rr", scale=TINY_SCALE, check=False)
+        assert len(list((tmp_path / "repro_cache").glob("*.json"))) == 1
+        # Memo present, disk entry present, trace present: still raises.
+        with pytest.raises(AssertionError, match="verification failed"):
+            run_scheme(TINY, "rr", scale=TINY_SCALE)
+        runner.clear_cache()
+        with pytest.raises(AssertionError, match="verification failed"):
+            run_scheme(TINY, "rr", scale=TINY_SCALE)
+        # The parallel sweep's own memo lookup goes through the same gate
+        # (its pool stubbed in-process: the patched ``verify`` must apply).
+        class InProcessPool:
+            def __init__(self, max_workers=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        memo = {s: run_scheme(TINY, s, scale=TINY_SCALE, check=False)
+                for s in ("rr", "gto")}
+        assert memo["rr"].cycles == wrong.cycles and not memo["rr"].verified
+        served = run_sweep([TINY], ["rr", "gto"], scale=TINY_SCALE, parallel=True,
+                           check=False)
+        assert all(served[(TINY, s)] is memo[s] for s in memo)
+        with pytest.raises(AssertionError, match="verification failed"):
+            run_sweep([TINY], ["rr", "gto"], scale=TINY_SCALE, parallel=True)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Tests for the composed memory hierarchy timing walk."""
+"""Tests for the composed memory hierarchy timing walk.
+
+``MemoryHierarchy.access`` returns ``(l1_hit, completion, merged)``; the
+literal tuples below are what the default device returned when the outcome
+was still an ``AccessOutcome`` object (recorded at that commit).
+"""
 
 import pytest
 
@@ -28,24 +33,27 @@ class TestTimingWalk:
     def test_l1_hit_is_fast(self, env):
         config, hierarchy, l1, mshr = env
         hierarchy.access(l1, mshr, req(0), 0.0)
-        out = hierarchy.access(l1, mshr, req(0), 1000.0)
-        assert out.l1_hit
-        assert out.completion == 1000.0 + config.l1d.hit_latency
+        l1_hit, completion, merged = hierarchy.access(l1, mshr, req(0), 1000.0)
+        assert l1_hit
+        assert completion == 1000.0 + config.l1d.hit_latency
+        assert (l1_hit, completion, merged) == (True, 1002.0, False)
 
     def test_cold_miss_goes_to_dram(self, env):
         config, hierarchy, l1, mshr = env
-        out = hierarchy.access(l1, mshr, req(0), 0.0)
-        assert not out.l1_hit
+        l1_hit, completion, merged = hierarchy.access(l1, mshr, req(0), 0.0)
+        assert not l1_hit
         # L1 probe + DRAM minimum latency, no queueing on an idle system.
-        assert out.completion == config.l1d.hit_latency + config.dram_latency
+        assert completion == config.l1d.hit_latency + config.dram_latency
+        assert (l1_hit, completion, merged) == (False, 222.0, False)
 
     def test_l2_hit_faster_than_dram(self, env):
         config, hierarchy, l1, mshr = env
         hierarchy.access(l1, mshr, req(0), 0.0)  # fills L2
         l1.invalidate_all()  # force L1 miss, L2 still holds the line
-        out = hierarchy.access(l1, mshr, req(0), 10_000.0)
-        assert not out.l1_hit
-        assert out.completion == 10_000.0 + config.l1d.hit_latency + config.l2_latency
+        l1_hit, completion, merged = hierarchy.access(l1, mshr, req(0), 10_000.0)
+        assert not l1_hit
+        assert completion == 10_000.0 + config.l1d.hit_latency + config.l2_latency
+        assert (l1_hit, completion, merged) == (False, 10_122.0, False)
 
     def test_mshr_merge_returns_same_completion(self, env):
         config, hierarchy, l1, mshr = env
@@ -55,16 +63,20 @@ class TestTimingWalk:
         # arriving from another warp while the line is in flight.
         l1.invalidate_all()
         second = hierarchy.access(l1, mshr, req(0), 5.0)
-        assert second.merged
-        assert second.completion == max(first.completion, 5.0 + config.l1d.hit_latency)
+        assert second[2]  # merged
+        assert second[1] == max(first[1], 5.0 + config.l1d.hit_latency)
         assert hierarchy.dram.accesses == 1  # no duplicate DRAM traffic
+        assert first == (False, 222.0, False)
+        assert second == (False, 222.0, True)
 
     def test_dram_queueing_composes(self, env):
         config, hierarchy, l1, mshr = env
         outs = [hierarchy.access(l1, mshr, req(i * 128), 0.0) for i in range(4)]
-        completions = [o.completion for o in outs]
+        completions = [completion for _, completion, _ in outs]
         assert completions == sorted(completions)
         assert completions[-1] > completions[0]
+        assert outs == [(False, 222.0, False), (False, 226.0, False),
+                        (False, 230.0, False), (False, 234.0, False)]
 
     def test_l2_stats_accumulate(self, env):
         config, hierarchy, l1, mshr = env

@@ -1,18 +1,24 @@
 """Property-based tests for scheduler, cache, and MSHR invariants."""
 
+import dataclasses
+import random
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
+from repro.feedback.signals import LEVEL_L1D, Sig
 from repro.isa.kernel import KernelBuilder
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, CacheLine, CacheStats
 from repro.memory.mshr import MSHRFile
 from repro.memory.replacement import make_policy
 from repro.memory.request import MemRequest, make_signature
 from repro.core.cacp import CACPPolicy
 from repro.scheduling import make_scheduler
+from repro.scheduling.registry import SCHEDULERS
 from repro.simt.block import ThreadBlock
-from repro.simt.warp import Warp
+from repro.simt.warp import Warp, WarpStatus
 
 
 def make_warps(count):
@@ -48,6 +54,293 @@ def test_prop_scheduler_always_picks_from_ready(scheduler_name, num_warps, data)
         pick = scheduler.select(ready, float(step))
         assert pick in ready
         scheduler.notify_issue(pick, float(step))
+
+
+# ----------------------------------------------------------------------
+# select() against the formulations it replaced
+# ----------------------------------------------------------------------
+def _dyn(warp):
+    return warp.dynamic_id
+
+
+def _round_robin(scheduler, pool):
+    after = [w for w in pool if w.dynamic_id > scheduler._last_id]
+    return min(after if after else pool, key=_dyn)
+
+
+def _greedy_then(scheduler, ready, fallback):
+    target = scheduler._greedy_target
+    if target is not None and target in ready:
+        return target
+    return fallback(ready)
+
+
+def _ref_two_level(s, ready, now):
+    in_active = [w for w in ready if s._group_of(w) == s._active_group]
+    if not in_active:
+        s._active_group = s._group_of(min(ready, key=_dyn))
+        in_active = [w for w in ready if s._group_of(w) == s._active_group]
+    return _round_robin(s, in_active)
+
+
+def _ref_gcaws(s, ready, now):
+    return _greedy_then(s, ready, lambda r: max(
+        r, key=lambda w: (s._bucket(w), -w.dynamic_id)))
+
+
+def _ref_ccws(s, ready, now):
+    allowed = s._allowed(now)
+    if allowed is None:
+        return _round_robin(s, ready)
+    pool = [w for w in ready if (w.block.block_id, w.warp_id_in_block) in allowed]
+    return _round_robin(s, pool) if pool else None
+
+
+def _ref_ciao(s, ready, now):
+    def key_of(w):
+        return (w.block.block_id, w.warp_id_in_block)
+
+    pool = [w for w in ready
+            if key_of(w) not in s._warps or not s._warps[key_of(w)].is_throttled(now)]
+    if not pool:
+        return min(ready, key=lambda w: (
+            s._warps[key_of(w)].score if key_of(w) in s._warps else 0.0,
+            w.dynamic_id))
+    return _greedy_then(s, pool, lambda r: min(r, key=_dyn))
+
+
+def _ref_wasp(s, ready, now):
+    floor = s._follower_floor()
+    if floor is not None:
+        limit = floor + s._max_lead
+        runners = [w for w in ready
+                   if w.dynamic_id % 4 == 0 and w.issued_instructions < limit]
+        if runners:
+            return min(runners, key=_dyn)
+    return _greedy_then(s, ready, lambda r: min(r, key=_dyn))
+
+
+#: Every registered scheduler's ``select`` as it was written before
+#: candidates were promised in ascending ``dynamic_id`` order: explicit
+#: ``min`` / ``max`` with keys, no ``ready[0]``.  The reference for
+#: :func:`test_prop_select_matches_its_min_max_formulation`.
+SELECT_REFERENCE = {
+    "lrr": lambda s, ready, now: _round_robin(s, ready),
+    "gto": lambda s, ready, now: _greedy_then(s, ready, lambda r: min(r, key=_dyn)),
+    "two_level": _ref_two_level,
+    "caws": lambda s, ready, now: max(
+        ready, key=lambda w: (s._criticality(w), -w.dynamic_id)),
+    "gcaws": _ref_gcaws,
+    "ccws": _ref_ccws,
+    "ciao": _ref_ciao,
+    "wasp": _ref_wasp,
+}
+SELECT_REFERENCE["rr"] = SELECT_REFERENCE["lrr"]
+SELECT_REFERENCE["2lev"] = SELECT_REFERENCE["two_level"]
+
+
+def test_every_registered_scheduler_has_a_select_reference():
+    assert set(SELECT_REFERENCE) == set(SCHEDULERS)
+
+
+def _feedback(rng, num_warps, now):
+    """A burst of L1 feedback records: cross-warp evictions (repeated, so
+    CIAO's interference score can cross its threshold) and lost-locality
+    pairs (a warp's line evicted, then missed by it: CCWS's VTA hit)."""
+    records = []
+    for _ in range(rng.randrange(5)):
+        victim = rng.randrange(num_warps)
+        line = 128 * rng.randrange(6)
+        if rng.random() < 0.5:
+            evictor = rng.randrange(num_warps)
+            reused = rng.randrange(2)
+            records += rng.randint(1, 6) * [
+                (int(Sig.EVICT), now, 0, LEVEL_L1D, 0, victim, line, reused, 0, evictor)]
+        else:
+            records += [
+                (int(Sig.EVICT), now, 0, LEVEL_L1D, 0, victim, line, 0, 0, victim),
+                (int(Sig.MISS), now, 0, LEVEL_L1D, 0, victim, line, 7)]
+    return records
+
+
+@pytest.mark.parametrize("scheduler_name", sorted(set(SELECT_REFERENCE) - {"rr", "2lev"}))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_prop_select_matches_its_min_max_formulation(scheduler_name, seed):
+    """Twin schedulers driven identically — random criticalities, oracle
+    times, greedy targets, block tail phases, eviction / miss feedback —
+    pick the same warp from random ascending candidate lists, one through
+    ``select`` and one through the formulation it replaced.  (One drawn
+    seed, then ``random``: a step is ~40 draws and hypothesis's cost per
+    draw would make this the slowest test of the tier.)"""
+    rng = random.Random(seed)
+    num_warps = rng.randint(2, 12)
+    warps = make_warps(num_warps)
+    block = warps[0].block
+    oracle = {(0, w.warp_id_in_block): rng.choice([0.0, 5.0, 9.0])
+              for w in warps if rng.random() < 0.5}
+    kwargs = {"oracle": oracle} if scheduler_name == "caws" else {}
+    real = make_scheduler(scheduler_name, **kwargs)
+    twin = make_scheduler(scheduler_name, **kwargs)
+    for scheduler in (real, twin):
+        for warp in warps:
+            scheduler.notify_warp_added(warp)
+    reference = SELECT_REFERENCE[scheduler_name]
+    now = 0.0
+    for _ in range(rng.randint(1, 30)):
+        now += rng.choice([0.0, 1.0, 40.0, 700.0])
+        # Tail phase for gCAWS: some warps of the block have finished.
+        block._finished_warps = rng.randrange(num_warps)
+        for warp in warps:
+            warp.criticality = rng.choice([0.0, 0.5, 1.0, 3.0, 64.0, 1e4])
+            warp.issued_instructions = rng.randint(0, 200)
+            warp.status = rng.choice(
+                [WarpStatus.RUNNING, WarpStatus.RUNNING, WarpStatus.AT_BARRIER])
+        for record in _feedback(rng, num_warps, now):
+            for scheduler in (real, twin):
+                if record[0] in scheduler.FEEDBACK_KINDS:
+                    scheduler.on_signal(record)
+        ready = sorted(rng.sample(warps, rng.randint(1, num_warps)), key=_dyn)
+        handed = list(ready)
+        got = real.select(handed, now)
+        assert handed == ready, "select mutated its candidate list"
+        want = reference(twin, ready, now)
+        assert got is want, (
+            f"{scheduler_name}: select picked "
+            f"{got and got.dynamic_id}, the min/max formulation "
+            f"{want and want.dynamic_id} from {[w.dynamic_id for w in ready]}"
+        )
+        if got is not None:
+            for scheduler in (real, twin):
+                scheduler.notify_issue(got, now)
+            if rng.randrange(10) == 0:
+                for scheduler in (real, twin):
+                    scheduler.notify_warp_finished(got)
+
+
+# ----------------------------------------------------------------------
+# The residency index against a way scan
+# ----------------------------------------------------------------------
+class WayScanCache:
+    """The tag store as a plain scan of a set's ways — probe, invalid-way
+    preference and all — which is how :class:`Cache` was written before it
+    kept a residency index.  Same policy protocol, same statistics; the
+    reference for :func:`test_prop_residency_index_matches_a_way_scan`."""
+
+    def __init__(self, config, policy):
+        self.config = config
+        self.policy = policy
+        self.sets = [[CacheLine() for _ in range(config.ways)]
+                     for _ in range(config.sets)]
+        self.stats = CacheStats()
+
+    def access(self, req):
+        lines = self.sets[self.config.set_index(req.line_addr)]
+        stats = self.stats
+        stats.accesses += 1
+        stats.critical_accesses += req.is_critical
+        for line in lines:
+            if line.valid and line.tag == req.line_addr:
+                stats.hits += 1
+                stats.critical_hits += req.is_critical
+                line.reuse_count += 1
+                self.policy.on_hit(line, req)
+                return True
+        stats.misses += 1
+        should_bypass = getattr(self.policy, "should_bypass", None)
+        if should_bypass is not None and should_bypass(req):
+            stats.bypasses += 1
+            return False
+        lo, hi = self.policy.way_range(lines, req, self.config.ways)
+        way = self.policy.choose_way(lines, req, lo, hi)  # scans for an invalid way
+        line = lines[way]
+        if line.valid:
+            stats.evictions += 1
+            stats.zero_reuse_evictions += line.reuse_count == 0
+            if line.filled_by_critical:
+                stats.critical_fill_evictions += 1
+                stats.critical_zero_reuse_evictions += line.reuse_count == 0
+            self.policy.on_evict(line, req)
+        line.reset_for_fill(req.line_addr, req)
+        boundary = getattr(self.policy, "critical_ways", self.config.critical_ways)
+        line.in_critical_partition = way < boundary
+        self.policy.on_fill(line, req)
+        return False
+
+    def invalidate_all(self):
+        for lines in self.sets:
+            for line in lines:
+                line.valid = False
+                line.tag = -1
+
+
+#: Small enough that a few dozen accesses over 16 lines fill both sets,
+#: pass through "one invalid way left" and evict.
+_INDEX_CONFIG = CacheConfig(sets=2, ways=4, line_size=128, critical_ways=2)
+
+
+def _index_policy(name):
+    if name.startswith("cacp"):
+        policy = CACPPolicy(
+            critical_ways=2, total_ways=4,
+            mode=name.split(":")[1].replace("+bypass", ""),
+            bypass_no_reuse=name.endswith("+bypass"),
+        )
+        policy._tune_interval = 8  # so the dynamic boundary really moves
+        return policy
+    if name == "drrip":
+        return make_policy("drrip", sets=2, line_size=128, leader_sets=1)
+    return make_policy(name)
+
+
+def _tags(sets):
+    """Which line sits in which way: equal tags mean equal victim ways."""
+    return [[(line.valid, line.line_addr if line.valid else None) for line in lines]
+            for lines in sets]
+
+
+_ACCESS = st.tuples(st.integers(0, 15), st.booleans(), st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    policy_name=st.sampled_from([
+        "lru", "srrip", "ship", "drrip", "cacp:priority", "cacp:static",
+        "cacp:dynamic", "cacp:priority+bypass",
+    ]),
+    # One step in sixteen is an invalidate_all (None).
+    steps=st.lists(st.one_of(*15 * [_ACCESS], st.none()), min_size=30, max_size=120),
+)
+def test_prop_residency_index_matches_a_way_scan(policy_name, steps):
+    """Random access / ``invalidate_all`` sequences: same hit/miss sequence,
+    same victim ways, same ``CacheStats``, and after every step the index
+    is exactly the valid lines."""
+    cache = Cache(_INDEX_CONFIG, _index_policy(policy_name))
+    model = WayScanCache(_INDEX_CONFIG, _index_policy(policy_name))
+    for step in steps:
+        if step is None:
+            cache.invalidate_all()
+            model.invalidate_all()
+        else:
+            token, critical, pc = step
+            line_addr = token * 128
+
+            def request():
+                return MemRequest(line_addr, pc, (0, 0, token % 3), True, critical,
+                                  0.0, make_signature(pc, line_addr))
+
+            assert cache.access(request()) == model.access(request())
+            assert (cache.lookup(line_addr) is not None) == any(
+                line.valid and line.tag == line_addr
+                for line in model.sets[_INDEX_CONFIG.set_index(line_addr)])
+        assert _tags(cache._sets) == _tags(model.sets)
+        assert dataclasses.astuple(cache.stats) == dataclasses.astuple(model.stats)
+        valid = {line.line_addr: line
+                 for lines in cache._sets for line in lines if line.valid}
+        assert cache._index == valid
+        assert all(cache._index[addr] is line for addr, line in valid.items())
+        assert cache._valid_ways == [sum(line.valid for line in lines)
+                                     for lines in cache._sets]
 
 
 @settings(max_examples=30, deadline=None)

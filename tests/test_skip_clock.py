@@ -1,9 +1,11 @@
 """Unit tests for the time-skipping clock's building blocks.
 
-Covers the :class:`~repro.gpu.clock.DeviceEventHeap` (duplicate times,
-past-time pushes, parking), the stale-``now`` clamping in
-the DRAM/L2 queue-delay accessors that skip boundaries exposed, and the
-skip-run provenance counters on :class:`~repro.stats.counters.RunResult`.
+Covers the device event heap as the skip loop keeps it (same-cycle order,
+superseded entries, past wakes, parking — asserted on the ticks
+``GPU._run_skip_loop`` makes over scripted SMs, since the heap is two of
+its locals), the stale-``now`` clamping in the DRAM/L2 queue-delay
+accessors that skip boundaries exposed, and the skip-run provenance
+counters on :class:`~repro.stats.counters.RunResult`.
 The bit-identity guarantee itself lives in ``tests/test_skip_clock_parity.py``.
 """
 
@@ -11,62 +13,187 @@ import math
 
 import pytest
 
+from repro import GPU, KernelBuilder
 from repro.config import CacheConfig, GPUConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DeadlockError
 from repro.experiments.runner import run_scheme
-from repro.gpu.clock import DeviceEventHeap
 from repro.memory.dram import DRAMModel
 from repro.memory.l2 import BankedL2
 
 
+class ScriptedSM:
+    """An SM as the skip loop sees it: it says when it is first due, logs
+    every tick, and answers each tick with the wake it was scripted with.
+
+    ``wakes`` maps the cycle of each expected tick to the wake that tick
+    returns; a tick at any other cycle is a ``KeyError``, so a script also
+    asserts *when* the loop ticks.  The SM is busy until its script runs
+    out and reports a block commit then, and at every cycle in ``commits``.
+    """
+
+    def __init__(self, sm_id, first, wakes, log, commits=()):
+        self.sm_id = sm_id
+        self.first = first
+        self.wakes = dict(wakes)
+        self.log = log
+        self.commits = set(commits)
+        self.busy = bool(self.wakes)
+        self.on_commit = None
+        self._next_dynamic_id = 0
+        #: What ``next_wake_time`` answers once a dispatch gave it warps.
+        self.dispatched_wake = math.inf
+
+    def next_event_time(self, now):
+        return self.first
+
+    def next_wake_time(self, now):
+        return self.dispatched_wake
+
+    def tick_wake(self, now):
+        self.log.append((now, self.sm_id))
+        wake = self.wakes.pop(now)
+        if not self.wakes:
+            self.busy = False
+        if not self.wakes or now in self.commits:
+            self.on_commit(self)
+        return True, wake
+
+    def detect_deadlock(self, now):
+        pass
+
+
+class NoBlocksLeft:
+    exhausted = True
+
+
+class OneDispatch:
+    """A dispatcher with one block left: the first ``try_dispatch`` hands
+    it to ``sm``, whose next wake then becomes ``wake``."""
+
+    def __init__(self, sm, wake):
+        self.sm, self.wake = sm, wake
+        self.exhausted = False
+        self.dispatched_at = None
+
+    def try_dispatch(self, sms, now):
+        self.exhausted = True
+        self.dispatched_at = now
+        self.sm._next_dynamic_id += 1
+        self.sm.dispatched_wake = self.wake
+
+
+def run_skip_loop(sms, dispatcher=None, start=0.0):
+    """``GPU._run_skip_loop`` over scripted SMs; returns ``(final cycle,
+    clock jumps)``."""
+    gpu = GPU(GPUConfig.default_sim(num_sms=len(sms)))
+    gpu.sms = sms
+    gpu._commit_pending = False
+    gpu._launch_cycles_skipped = 0.0
+    gpu._launch_skip_jumps = 0
+    for sm in sms:
+        sm.on_commit = gpu._note_commit
+    cycle = gpu._run_skip_loop(dispatcher or NoBlocksLeft(), start)
+    return cycle, gpu._launch_skip_jumps
+
+
 class TestDeviceEventHeap:
     def test_pop_due_returns_sources_in_id_order(self):
-        heap = DeviceEventHeap(4)
+        log = []
         # Duplicate times on purpose: 3 and 1 collide at t=5.
-        heap.schedule(3, 5.0)
-        heap.schedule(0, 7.0)
-        heap.schedule(1, 5.0)
-        heap.schedule(2, 6.0)
-        assert heap.next_time() == 5.0
-        assert heap.pop_due(5.0) == [1, 3]
-        assert heap.pop_due(6.5) == [2]
-        assert heap.pop_due(100.0) == [0]
-        assert heap.pop_due(1000.0) == []
+        sms = [ScriptedSM(0, 7.0, {7.0: math.inf}, log),
+               ScriptedSM(1, 5.0, {5.0: math.inf}, log),
+               ScriptedSM(2, 6.0, {6.0: math.inf}, log),
+               ScriptedSM(3, 5.0, {5.0: math.inf}, log)]
+        assert run_skip_loop(sms) == (7.0, 1)  # one jump: 0 -> 5
+        assert log == [(5.0, 1), (5.0, 3), (6.0, 2), (7.0, 0)]
+
+    def test_same_cycle_ticks_follow_sm_id_not_push_order(self):
+        log = []
+        # SM2 is rescheduled for t=9 first, SM0 last: push order 2, 1, 0.
+        sms = [ScriptedSM(0, 3.0, {3.0: 9.0, 9.0: math.inf}, log),
+               ScriptedSM(1, 2.0, {2.0: 9.0, 9.0: math.inf}, log),
+               ScriptedSM(2, 1.0, {1.0: 9.0, 9.0: math.inf}, log)]
+        run_skip_loop(sms)
+        assert log[3:] == [(9.0, 0), (9.0, 1), (9.0, 2)]
 
     def test_reschedule_replaces_previous_entry(self):
-        heap = DeviceEventHeap(2)
-        heap.schedule(0, 5.0)
-        heap.schedule(0, 9.0)  # supersedes the t=5 entry
-        heap.schedule(1, 7.0)
-        assert heap.pop_due(5.0) == []  # stale t=5 entry must not fire
-        assert heap.next_time() == 7.0
-        assert heap.pop_due(9.0) == [0, 1]
+        log = []
+        # SM0's tick at t=5 leaves a live entry at t=50.  SM1 commits a
+        # block at t=10; the dispatch hands SM0 warps that wake at t=12,
+        # which supersedes the t=50 entry: a tick at 50 is off-script.
+        sm0 = ScriptedSM(0, 5.0, {5.0: 50.0, 12.0: 60.0, 60.0: math.inf}, log)
+        sm1 = ScriptedSM(1, 10.0, {10.0: 70.0, 70.0: math.inf}, log, commits={10.0})
+        dispatcher = OneDispatch(sm0, 12.0)
+        # Five jumps: the superseded entry is not an event time either.
+        assert run_skip_loop([sm0, sm1], dispatcher) == (70.0, 5)
+        assert dispatcher.dispatched_at == 11.0
+        assert log == [(5.0, 0), (10.0, 1), (12.0, 0), (60.0, 0), (70.0, 1)]
+
+    def test_superseded_entry_is_skipped_among_due_ones(self):
+        log = []
+        # As above with the SMs swapped, and SM0 due at t=50 too: SM1's
+        # superseded entry surfaces behind a live one, mid-cycle.
+        sm0 = ScriptedSM(0, 10.0, {10.0: 50.0, 50.0: 70.0, 70.0: math.inf}, log,
+                         commits={10.0})
+        sm1 = ScriptedSM(1, 5.0, {5.0: 50.0, 12.0: 60.0, 60.0: math.inf}, log)
+        run_skip_loop([sm0, sm1], OneDispatch(sm1, 12.0))
+        assert log == [(5.0, 1), (10.0, 0), (12.0, 1), (50.0, 0), (60.0, 1), (70.0, 0)]
 
     def test_past_time_pushes_are_accepted_as_is(self):
-        # The heap does not clamp: a push into the past is immediately due.
-        heap = DeviceEventHeap(2)
-        heap.schedule(0, 10.0)
-        heap.schedule(1, 3.0)  # "past" relative to the device clock
-        assert heap.next_time() == 3.0
-        assert heap.pop_due(10.0) == [0, 1]
+        # The loop accepts a wake in the past — no error, no lost SM, no
+        # step back — and acts on it at the next cycle: this is how an
+        # under-estimated wake becomes a re-tick.
+        log = []
+        sm0 = ScriptedSM(0, 3.0, {10.0: 3.0, 11.0: 11.0, 12.0: math.inf}, log)
+        sm1 = ScriptedSM(1, 20.0, {20.0: math.inf}, log)
+        # First due "before" the launch began: clamped to its start.
+        run_skip_loop([sm0, sm1], start=10.0)
+        assert log == [(10.0, 0), (11.0, 0), (12.0, 0), (20.0, 1)]
 
     def test_inf_parks_a_source(self):
-        heap = DeviceEventHeap(2)
-        heap.schedule(0, 4.0)
-        heap.schedule(1, 2.0)
-        heap.schedule(1, math.inf)  # park: no heap entry, stale one dies
-        assert heap.next_time() == 4.0
-        assert heap.pop_due(10.0) == [0]
-        assert math.isinf(heap.next_time())
+        log = []
+        sms = [ScriptedSM(0, 4.0, {4.0: 8.0, 8.0: math.inf}, log),
+               ScriptedSM(1, 2.0, {2.0: math.inf}, log),   # parks itself
+               ScriptedSM(2, math.inf, {}, log)]           # never due
+        assert run_skip_loop(sms)[0] == 8.0
+        assert log == [(2.0, 1), (4.0, 0), (8.0, 0)]
+
+    def test_every_sm_parked_while_busy_is_a_deadlock(self):
+        log = []
+        # The script has a tick left that no wake ever leads to.
+        sm = ScriptedSM(0, 1.0, {1.0: math.inf, 99.0: math.inf}, log)
+        with pytest.raises(DeadlockError, match="no warp can make progress"):
+            run_skip_loop([sm])
+        assert log == [(1.0, 0)]
 
     def test_pop_due_parks_until_rescheduled(self):
-        heap = DeviceEventHeap(1)
-        heap.schedule(0, 1.0)
-        assert heap.pop_due(1.0) == [0]
-        assert math.isinf(heap.next_time())
-        assert heap.pop_due(2.0) == []
-        heap.schedule(0, 2.0)
-        assert heap.pop_due(2.0) == [0]
+        log = []
+        # SM0 ticks once and parks (busy, nothing to wake it).  It is off
+        # the heap until SM1's commit at t=5 dispatches it a block.
+        sm0 = ScriptedSM(0, 1.0, {1.0: math.inf, 6.0: math.inf}, log)
+        sm1 = ScriptedSM(1, 5.0, {5.0: 9.0, 9.0: math.inf}, log, commits={5.0})
+        run_skip_loop([sm0, sm1], OneDispatch(sm0, 6.0))
+        assert log == [(1.0, 0), (5.0, 1), (6.0, 0), (9.0, 1)]
+
+    def test_three_sm_launch_ticks_same_cycle_sms_in_id_order(self):
+        b = KernelBuilder("alu")
+        x = b.const(0.0)
+        for _ in range(6):
+            b.add(x, x, 1.0)
+        gpu = GPU(GPUConfig.default_sim(num_sms=3))
+        log = []
+        for sm in gpu.sms:
+            def logged(now, real=sm.tick_wake, sm_id=sm.sm_id):
+                log.append((now, sm_id))
+                return real(now)
+
+            sm.tick_wake = logged
+        gpu.launch(b.build(), 6, 64)
+        assert log == sorted(log)
+        per_cycle = {}
+        for now, sm_id in log:
+            per_cycle.setdefault(now, []).append(sm_id)
+        assert [0, 1, 2] in per_cycle.values()
 
 
 class TestQueueDelayAtSkipBoundaries:

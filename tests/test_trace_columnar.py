@@ -258,6 +258,22 @@ class TestFaultInjection:
         with pytest.raises(TraceFormatError, match="missing its"):
             trace_mod.replay_program(program, config, scheme="rr")
 
+    @pytest.mark.parametrize("workload", ["bfs", "needle"])
+    def test_replay_refuses_a_stream_without_its_terminal_exit(self, config, workload):
+        """A warp stream that just stops: the warp is still running with
+        nothing left to issue (used to be a bare ``IndexError`` from inside
+        the SM)."""
+        _, program = trace_mod.record_workload(workload, scale=SCALE, config=config)
+        (block_id, warp_id), stream = sorted(program.launches[0].warps.items())[3]
+        records = len(stream)
+        stream.pcs.pop()
+        stream.masks.pop()
+        with pytest.raises(TraceFormatError) as failure:
+            trace_mod.replay_program(program, config, scheme="rr")
+        message = str(failure.value)
+        assert f"block={block_id}, warp={warp_id}" in message
+        assert f"no record {records - 1}" in message and "terminal EXIT" in message
+
 
 # ----------------------------------------------------------------------
 # Footprint

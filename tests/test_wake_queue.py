@@ -5,7 +5,9 @@ Covers the three hazard paths called out in the design: stale heap entries
 back-pressure keeping operand-ready warps in the ready pool until an entry
 frees up.  :class:`ReadySetOracle` is the event core's independent
 reference: it re-derives every tick's candidate lists from a plain scan of
-``sm.warps`` and shares no state with the wake heaps or ready pools.
+``sm.warps`` — readiness included, which it walks off each warp's
+scoreboard itself — and shares no state with the wake heaps, the ready
+pools or the readiness the SM stores on a warp at issue.
 """
 
 import heapq
@@ -61,19 +63,35 @@ def scattered_load_kernel(n, base, out_base, passes=4):
     return b.build()
 
 
+def readiness_from_scratch(warp):
+    """``(wake, needs_mem)`` of ``warp``'s next instruction, re-derived
+    from its scoreboard, PC and last issue — the reference for the tuple
+    the SM stores at issue (``warp.ready_at`` / ``warp._needs_mem``) and
+    every heap pop trusts.  ``operands_ready_at`` is the register file's
+    plain walk; the issue path uses ``operands_ready_detail``."""
+    d = warp._insts[warp.stack.pc].decoded
+    operands = warp.rf.operands_ready_at(d.srcs, d.dst, d.pred, d.pred_is_dst)
+    floor = (warp.last_issue_cycle + 1 if warp.issued_instructions
+             else warp.start_cycle)
+    return max(operands, floor), d.needs_global_mem
+
+
 class ReadySetOracle:
     """Brute-force reference for the candidate lists ``tick`` hands out.
 
     Wraps every scheduler's ``select`` on one SM and asserts, on every
     call, that ``ready`` equals the list derived from scratch: RUNNING
-    warps of that slot whose ``schedule_info()`` wake has passed, minus
-    those the MSHR / critical-reserve gate holds back, in dispatch order.
-    A slot ``tick`` passes over without calling ``select`` must have an
-    empty list: nothing changes between a skipped slot's turn and the next
-    ``select`` call (or the end of the tick), so that is where skipped
-    slots are checked.  At the end of every tick the wake ``tick_wake``
-    returned must also equal ``next_wake_time(now)`` recomputed from
-    scratch.
+    warps of that slot whose :func:`readiness_from_scratch` wake has
+    passed, minus those the MSHR / critical-reserve gate holds back, in
+    dispatch order — strictly ascending ``dynamic_id``, and still the same
+    list when ``select`` returns (the contract that lets the SM hand over
+    its own pool).  Every candidate's stored readiness must equal the
+    from-scratch one.  A slot ``tick`` passes over without calling
+    ``select`` must have an empty list: nothing changes between a skipped
+    slot's turn and the next ``select`` call (or the end of the tick), so
+    that is where skipped slots are checked.  At the end of every tick the
+    wake ``tick_wake`` returned must equal ``next_wake_time(now)`` and must
+    not lie past the earliest from-scratch wake of any RUNNING warp.
     """
 
     def __init__(self, sm):
@@ -97,10 +115,28 @@ class ReadySetOracle:
                 f"cycle {now}: tick_wake returned wake {wake}, a from-scratch "
                 f"next_wake_time gives {sm.next_wake_time(now)}"
             )
+            assert wake <= self.earliest_wake(now), (
+                f"cycle {now}: tick_wake returned wake {wake}, but a warp "
+                f"can issue at {self.earliest_wake(now)}"
+            )
             self.ticks += 1
             return issued, wake
 
         sm.tick_wake = tick_wake
+
+    def earliest_wake(self, now):
+        """Earliest cycle >= ``now`` some RUNNING warp could issue, from
+        scratch: a wake the SM reports may be early, never later."""
+        sm = self.sm
+        earliest = float("inf")
+        for warp in sm.warps:
+            if warp.status is WarpStatus.RUNNING:
+                wake, needs_mem = readiness_from_scratch(warp)
+                wake = max(wake, now)
+                if needs_mem:
+                    wake = max(wake, sm.mshr.next_free_time(now))
+                earliest = min(earliest, wake)
+        return earliest
 
     def expected(self, slot, now):
         sm = self.sm
@@ -114,7 +150,7 @@ class ReadySetOracle:
                 continue
             if warp.dynamic_id % num_slots != slot:
                 continue
-            wake, needs_mem = warp.schedule_info()
+            wake, needs_mem = readiness_from_scratch(warp)
             if wake > now:
                 continue
             if needs_mem:
@@ -143,12 +179,27 @@ class ReadySetOracle:
             self._expect_skipped(slot, now)
             self._next_slot = slot + 1
             want = self.expected(slot, now)
-            assert [w.dynamic_id for w in ready] == [w.dynamic_id for w in want], (
+            ids = [w.dynamic_id for w in ready]
+            assert ids == [w.dynamic_id for w in want], (
                 f"cycle {now}: slot {slot} candidate list diverged"
             )
             assert ready, "select is never called with an empty list"
+            assert all(a < b for a, b in zip(ids, ids[1:])), (
+                f"cycle {now}: slot {slot} candidates out of dispatch order"
+            )
+            for warp in ready:
+                stored = (warp.ready_at, warp._needs_mem)
+                assert stored == readiness_from_scratch(warp), (
+                    f"cycle {now}: warp {warp.dynamic_id} carries a stale "
+                    f"readiness {stored}"
+                )
             self.select_calls += 1
-            return real_select(ready, now)
+            before = list(ready)
+            chosen = real_select(ready, now)
+            assert ready == before, (
+                f"cycle {now}: slot {slot}'s scheduler mutated its candidates"
+            )
+            return chosen
 
         return select
 
@@ -193,7 +244,7 @@ class TestWakeQueueInvariants:
         for cycle in range(6):
             sm.tick(float(cycle))
             queued = [e[2] for e in sm._wake_heaps[0]]
-            pooled = [e[1] for e in sm._ready_pools[0]]
+            pooled = sm._ready_pools[0]
             for warp in block.warps:
                 if warp.status is WarpStatus.RUNNING:
                     assert (warp in queued) + (warp in pooled) <= 1
@@ -208,7 +259,7 @@ class TestWakeQueueInvariants:
         sm.tick(0.0)
         # The stale entry was popped and dropped, never pooled.
         assert warp not in [e[2] for e in sm._wake_heaps[0]]
-        assert warp not in [e[1] for e in sm._ready_pools[0]]
+        assert warp not in sm._ready_pools[0]
         assert not warp._queued
 
     def test_early_entry_is_requeued_at_fresh_wake_time(self):
@@ -253,7 +304,7 @@ class TestBarrierWake:
                     saw_parked = True
                     # Parked warps sit in neither wake structure.
                     assert warp not in [e[2] for e in sm._wake_heaps[0]]
-                    assert warp not in [e[1] for e in sm._ready_pools[0]]
+                    assert warp not in sm._ready_pools[0]
             cycle = max(cycle + 1.0, sm.next_wake_time(cycle))
         assert saw_parked, "barrier kernel never parked a warp"
         assert not sm.busy
