@@ -226,6 +226,53 @@ def test_hot_path_call_budget(benchmark):
     )
 
 
+#: Ceiling on the median warm serve round trip, seconds.  6 ms measured on
+#: the 2-vCPU box; 107 ms while the client polled and the monitor slept.
+SERVE_WARM_CEILING = 0.040
+
+
+@pytest.mark.slow
+def test_serve_warm_round_trip(benchmark, tmp_path):
+    """A finished cell is answered at the cost of a lookup: submit -> wait
+    -> result on a result-cache hit is three HTTP requests and no sleep."""
+    import statistics
+
+    from repro.serve import ServeClient, ServerConfig, ServerThread
+
+    spec = {"kind": "run", "workload": "synthetic_imbalance",
+            "scheme": "rr", "scale": 0.25}
+    handle = ServerThread(ServerConfig(
+        port=0, workers=1, cache_dir=str(tmp_path / "cache"))).start()
+    try:
+        client = ServeClient(handle.base_url)
+        cold, _ = client.submit(spec)
+        assert client.wait(cold["id"], timeout=120)["state"] == "done"
+
+        def round_trip():
+            before = handle.server.requests
+            started = time.perf_counter()
+            job, _ = client.submit(spec)
+            state = client.wait(job["id"], timeout=60)["state"]
+            client.result(job["id"])
+            seconds = time.perf_counter() - started
+            assert state == "done"
+            return seconds, handle.server.requests - before
+
+        run_once(benchmark, round_trip)
+        samples = [round_trip() for _ in range(20)]
+    finally:
+        handle.stop()
+    median = statistics.median(seconds for seconds, _ in samples)
+    benchmark.extra_info.update({"warm_round_trip_median_s": median,
+                                 "repeats": len(samples)})
+    assert {requests for _, requests in samples} == {3}
+    assert median < SERVE_WARM_CEILING, (
+        f"median warm round trip {1e3 * median:.1f} ms >= "
+        f"{1e3 * SERVE_WARM_CEILING:.0f} ms: something on the hand-off "
+        "path waits on a timer again"
+    )
+
+
 def _clock_compare(workload, scale, scheme, repeats=2):
     """Best-of-``repeats`` replay wall time under each clock on a wide device.
 

@@ -54,3 +54,9 @@ class TraceMismatchError(TraceError):
     """Raised when a structurally valid trace does not match the current
     run: wrong functional config fingerprint, kernel, launch geometry, or
     an exhausted / missing launch sequence."""
+
+
+class WorkerCrashError(ReproError):
+    """A ``repro serve`` executor process died (or could not be handed a
+    job) while a job was assigned to it.  The job is failed with this
+    error's text, the pool is rebuilt, and the job may be resubmitted."""

@@ -2,7 +2,9 @@
 
 :class:`ServeClient` speaks the ``repro serve`` JSON API over
 ``http.client`` — one connection per request, plus a long-lived streaming
-connection for :meth:`ServeClient.watch` (Server-Sent Events).  The
+connection for :meth:`ServeClient.watch` (Server-Sent Events).  Nothing
+here sleeps: :meth:`ServeClient.wait` asks the server to hold a status
+request until the job ends (``GET /jobs/{id}?wait=S``).  The
 ``repro client`` CLI (see :mod:`repro.cli`) is a thin shell around this
 class; tests and scripts can use it directly.
 """
@@ -16,7 +18,8 @@ from typing import Dict, Iterator, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..errors import ReproError
-from .config import default_server_url
+from .config import MAX_HOLD, default_server_url
+from .jobs import TERMINAL
 
 
 class ServeClientError(ReproError):
@@ -50,13 +53,14 @@ class ServeClient:
         )
 
     def _request(self, method: str, path: str,
-                 payload: Optional[dict] = None) -> Tuple[int, dict]:
+                 payload: Optional[dict] = None,
+                 timeout: Optional[float] = None) -> Tuple[int, dict]:
         body = None
         headers = {"X-Repro-Tenant": self.tenant}
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        conn = self._connect()
+        conn = self._connect(timeout)
         try:
             try:
                 conn.request(method, path, body=body, headers=headers)
@@ -75,8 +79,9 @@ class ServeClient:
             conn.close()
 
     def _checked(self, method: str, path: str,
-                 payload: Optional[dict] = None) -> dict:
-        status, data = self._request(method, path, payload)
+                 payload: Optional[dict] = None,
+                 timeout: Optional[float] = None) -> dict:
+        status, data = self._request(method, path, payload, timeout)
         if status >= 400:
             raise ServeClientError(
                 data.get("error", f"HTTP {status}"), status=status
@@ -98,7 +103,17 @@ class ServeClient:
     def jobs(self) -> list:
         return self._checked("GET", "/jobs")["jobs"]
 
-    def status(self, job_id: str) -> dict:
+    def status(self, job_id: str, wait: float = 0.0) -> dict:
+        """The job's status record.
+
+        ``wait > 0`` lets the server hold the request for up to that many
+        seconds (it clamps to ``MAX_HOLD``) and answer the moment the job
+        turns terminal; the record returned is the current one either way.
+        """
+        if wait > 0:
+            # The socket allowance is the usual one on top of the hold.
+            return self._checked("GET", f"/jobs/{job_id}?wait={wait:.3f}",
+                                 timeout=wait + self.timeout)["job"]
         return self._checked("GET", f"/jobs/{job_id}")["job"]
 
     def result(self, job_id: str) -> dict:
@@ -118,20 +133,24 @@ class ServeClient:
         return self._checked("POST", "/shutdown", payload={"drain": drain})
 
     # -- waiting / streaming --------------------------------------------
-    def wait(self, job_id: str, timeout: float = 600.0,
-             poll: float = 0.1) -> dict:
-        """Poll until the job reaches a terminal state; returns its status."""
+    def wait(self, job_id: str, timeout: float = 600.0) -> dict:
+        """Block until the job is terminal; returns its status record.
+
+        A loop of held status requests, each answered by the server when
+        the job ends or the hold (at most ``MAX_HOLD`` seconds) runs out:
+        a job that finishes within one hold costs exactly one request.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            job = self.status(job_id)
-            if job["state"] in ("done", "failed", "cancelled"):
+            remaining = deadline - time.monotonic()
+            job = self.status(job_id, wait=min(remaining, MAX_HOLD))
+            if job["state"] in TERMINAL:
                 return job
-            if time.monotonic() > deadline:
+            if time.monotonic() >= deadline:
                 raise ServeClientError(
                     f"timed out after {timeout:g}s waiting for {job_id} "
                     f"(state {job['state']})"
                 )
-            time.sleep(poll)
 
     def watch(self, job_id: str,
               timeout: float = 600.0) -> Iterator[Dict]:

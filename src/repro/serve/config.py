@@ -18,6 +18,10 @@ from ..errors import ConfigError
 DEFAULT_PORT = 8642
 #: Environment variable the client CLI reads for the server base URL.
 ENV_SERVER_URL = "REPRO_SERVE_URL"
+#: Longest time, in seconds, one ``GET /jobs/{id}?wait=`` request is held
+#: open; larger values are clamped.  Kept below the client's default
+#: socket timeout (30 s) so a full hold never looks like a dead server.
+MAX_HOLD = 20.0
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,9 @@ class ServerConfig:
             jobs; beyond it submissions get HTTP 429.  Coalesced joins
             are free — they add no work.
         progress_poll: seconds between progress-file polls while relaying
-            worker progress to SSE subscribers.
+            worker progress to SSE subscribers.  Only the cadence of that
+            tail: a job's completion is an event from the executor future
+            and is not delayed by (or rounded up to) this interval.
         keep_finished: completed/failed jobs retained for status queries
             before being evicted oldest-first.
         cache_dir: explicit ``.repro_cache`` override handed to executor

@@ -32,9 +32,10 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import GPUConfig
 from ..errors import ReproError
@@ -322,6 +323,28 @@ class Job:
     def priority_value(self) -> int:
         return _PRIORITY_VALUE[self.priority]
 
+    @property
+    def queue_wait_s(self) -> Optional[float]:
+        """Seconds between admission and dispatch (``None``: never ran)."""
+        if self.started is None:
+            return None
+        return self.started - self.created
+
+    @property
+    def exec_s(self) -> Optional[float]:
+        """Seconds between dispatch and the recorded outcome."""
+        if self.started is None or self.finished is None:
+            return None
+        return self.finished - self.started
+
+    def timing(self) -> dict:
+        """Where the job's time went, plus how many submitters share it."""
+        return {
+            "queue_wait_s": self.queue_wait_s,
+            "exec_s": self.exec_s,
+            "fan_in": self.waiters + 1,
+        }
+
     def to_dict(self, with_progress: bool = False) -> dict:
         out = {
             "id": self.id,
@@ -339,6 +362,7 @@ class Job:
             "error": self.error,
             "has_result": self.result is not None,
         }
+        out.update(self.timing())
         if with_progress:
             out["progress"] = list(self.progress)
         return out
@@ -347,9 +371,14 @@ class Job:
 class JobQueue:
     """Priority queue with admission control, quotas, and coalescing."""
 
-    def __init__(self, max_queue: int = 64, tenant_quota: int = 8) -> None:
+    def __init__(self, max_queue: int = 64, tenant_quota: int = 8,
+                 on_terminal: Optional[Callable[[Job], None]] = None) -> None:
         self.max_queue = max_queue
         self.tenant_quota = tenant_quota
+        #: Called once per job, at the one place a job turns terminal
+        #: (:meth:`_retire`): the server releases held requests and emits
+        #: the ``complete`` record from it.
+        self.on_terminal = on_terminal
         self.jobs: Dict[str, Job] = {}
         #: Heap of (priority_value, seq, job_id); stale entries (priority
         #: escalated or job no longer queued) are skipped lazily on pop.
@@ -483,6 +512,8 @@ class JobQueue:
     def _retire(self, job: Job) -> None:
         if self._active_by_fp.get(job.fingerprint) == job.id:
             del self._active_by_fp[job.fingerprint]
+        if self.on_terminal is not None:
+            self.on_terminal(job)
 
     def evict_finished(self, keep: int) -> int:
         """Drop all but the newest ``keep`` terminal jobs; returns count."""
@@ -518,9 +549,27 @@ class JobQueue:
         for job in self.jobs.values():
             if job.state in (QUEUED, RUNNING):
                 tenants[job.tenant] = tenants.get(job.tenant, 0) + 1
+        ran = [j for j in self.jobs.values() if j.exec_s is not None]
         return {
             "queued": self.queued_count(),
             "running": self.running_count(),
             "tenants": tenants,
             "counters": dict(self.counters),
+            "latency": {
+                "queue_wait_s": _distribution([j.queue_wait_s for j in ran]),
+                "exec_s": _distribution([j.exec_s for j in ran]),
+            },
         }
+
+
+def _distribution(values: List[float]) -> dict:
+    """``n`` / ``p50`` / ``p90`` / ``max`` (nearest rank) of ``values``."""
+    if not values:
+        return {"n": 0, "p50": None, "p90": None, "max": None}
+    ordered = sorted(values)
+
+    def rank(q: float) -> float:
+        return ordered[max(0, math.ceil(len(ordered) * q) - 1)]
+
+    return {"n": len(ordered), "p50": rank(0.5), "p90": rank(0.9),
+            "max": ordered[-1]}

@@ -15,7 +15,8 @@ API (all JSON unless noted)::
 
     POST   /jobs              submit (or coalesce into) a job
     GET    /jobs              list known jobs
-    GET    /jobs/{id}         job status
+    GET    /jobs/{id}         job status; ``?wait=S`` holds the request until
+                              the job is terminal or S seconds pass
     GET    /jobs/{id}/result  result payload (409 until done)
     GET    /jobs/{id}/events  SSE progress stream (text/event-stream)
     DELETE /jobs/{id}         cancel a queued job
@@ -38,14 +39,17 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import json
+import math
 import multiprocessing
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
+from urllib.parse import parse_qsl
 
-from .config import ServerConfig
+from ..errors import WorkerCrashError
+from .config import MAX_HOLD, ServerConfig
 from .jobs import (
-    CANCELLED,
+    Job,
     JobQueue,
     JobSpec,
     JobSpecError,
@@ -67,6 +71,49 @@ _STATUS_TEXT = {
 _MAX_BODY = 8 * 1024 * 1024
 #: Seconds allowed for a client to present its request head and body.
 _READ_TIMEOUT = 30.0
+#: Seconds shutdown lets responses already under way reach their clients.
+_FLUSH_TIMEOUT = 5.0
+
+
+def _hold_seconds(query: Dict[str, str], accepts_wait: bool) -> float:
+    """Validate a request's query string; seconds to hold it (0: answer now).
+
+    ``wait`` is the only parameter the API has, and only job status takes
+    it.  Raises :class:`ValueError` naming the offending parameter; a value
+    above :data:`~repro.serve.config.MAX_HOLD` is clamped, not refused.
+    """
+    unknown = sorted(set(query) - ({"wait"} if accepts_wait else set()))
+    if unknown:
+        raise ValueError(f"unknown query parameter(s): {', '.join(unknown)}")
+    raw = query.get("wait")
+    if raw is None:
+        return 0.0
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not seconds >= 0:  # NaN compares false
+        raise ValueError(
+            f"query parameter 'wait' must be a non-negative number of "
+            f"seconds, got {raw!r}"
+        )
+    return min(seconds, MAX_HOLD)
+
+
+def _error_text(exc: Exception) -> str:
+    """``job.error`` form of an exception, the way the worker writes it."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _worker_died(job: Job) -> str:
+    """``job.error`` for a job whose executor process died under it."""
+    pid = next((r.get("pid") for r in reversed(job.progress)
+                if r.get("kind") == "started"), None)
+    who = f"worker process {pid}" if pid else "its worker process"
+    return _error_text(WorkerCrashError(
+        f"{who} died while running job {job.id}; the pool was rebuilt, "
+        f"resubmit the job"
+    ))
 
 
 class ReproServer:
@@ -77,7 +124,10 @@ class ReproServer:
         self.queue = JobQueue(
             max_queue=self.config.max_queue,
             tenant_quota=self.config.tenant_quota,
+            on_terminal=self._on_terminal,
         )
+        #: HTTP requests whose request line was read (``/stats`` reports it).
+        self.requests = 0
         self.paused = False
         self.draining = False
         self.started_at: Optional[float] = None
@@ -88,6 +138,9 @@ class ReproServer:
         self._scheduler_task: Optional[asyncio.Task] = None
         self._monitors: Dict[str, asyncio.Task] = {}
         self._subscribers: Dict[str, List[asyncio.Queue]] = {}
+        #: job id -> futures of the ``?wait=`` requests parked on it.
+        self._holders: Dict[str, List[asyncio.Future]] = {}
+        self._connections: set = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -97,6 +150,14 @@ class ReproServer:
         self.started_at = time.time()
         self._wake = asyncio.Event()
         self._stopped = asyncio.Event()
+        self._executor = self._new_executor()
+        self._server = await asyncio.start_server(
+            self._handle_connection, host=self.config.host,
+            port=self.config.port,
+        )
+        self._scheduler_task = asyncio.ensure_future(self._scheduler())
+
+    def _new_executor(self) -> concurrent.futures.ProcessPoolExecutor:
         try:
             # Fork keeps executor start-up cheap (workers inherit the
             # already-imported simulator); other platforms fall back to
@@ -104,14 +165,15 @@ class ReproServer:
             mp_context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX
             mp_context = None
-        self._executor = concurrent.futures.ProcessPoolExecutor(
+        return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.config.workers, mp_context=mp_context
         )
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host,
-            port=self.config.port,
-        )
-        self._scheduler_task = asyncio.ensure_future(self._scheduler())
+
+    def _rebuild_pool(self, broken) -> None:
+        """Replace ``broken`` — once, however many of its jobs report it."""
+        if self._executor is broken:
+            broken.shutdown(wait=False)
+            self._executor = self._new_executor()
 
     @property
     def port(self) -> int:
@@ -144,19 +206,23 @@ class ReproServer:
             for job in list(self.queue.jobs.values()):
                 if job.state == "queued":
                     self.queue.cancel(job.id)
-                    self._broadcast(job, {"kind": "complete",
-                                          "state": CANCELLED})
-        self._kick()
-        while any(j.state in ("queued", "running")
-                  for j in self.queue.jobs.values()):
-            await asyncio.sleep(self.config.progress_poll)
+        while True:
+            # Dispatch here rather than through the scheduler task, so
+            # "no monitors" below means "nothing left", not "not yet woken".
+            self._dispatch_ready()
+            if not self._monitors:
+                break
+            await asyncio.wait(list(self._monitors.values()),
+                               return_when=asyncio.FIRST_COMPLETED)
         if self._scheduler_task is not None:
             self._scheduler_task.cancel()
-        for task in list(self._monitors.values()):
-            task.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        if self._connections:
+            # Held waits were released and SSE feeds closed by the last
+            # ``complete``; let them be written before the loop goes away.
+            await asyncio.wait(set(self._connections), timeout=_FLUSH_TIMEOUT)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
         assert self._stopped is not None
@@ -200,40 +266,56 @@ class ReproServer:
             job = self.queue.pop(allow_batch=allow_batch)
             if job is None:
                 return
-            payload = job.spec.to_payload()
-            if job.spec.kind == "sweep" and self.config.sweep_parallel:
-                payload["_sweep_parallel"] = True
-            progress_path = self._progress_path(job.id)
-            loop = asyncio.get_event_loop()
-            future = loop.run_in_executor(
-                self._executor, execute_job, payload, str(progress_path),
-                self.config.cache_dir,
-            )
+            try:
+                future = self._submit(job)
+            except Exception as exc:  # the scheduler outlives any one job
+                self.queue.finish(job, error=_error_text(WorkerCrashError(
+                    f"job {job.id} could not be handed to a worker "
+                    f"({_error_text(exc)})"
+                )))
+                continue
             self._broadcast(job, {"kind": "dispatched", "job": job.id})
             self._monitors[job.id] = asyncio.ensure_future(
-                self._monitor(job, future, progress_path)
+                self._monitor(job, future, self._executor)
             )
 
-    async def _monitor(self, job, future, progress_path: Path) -> None:
+    def _submit(self, job) -> asyncio.Future:
+        """Hand ``job`` to the pool; a pool found broken is rebuilt first."""
+        payload = job.spec.to_payload()
+        if job.spec.kind == "sweep" and self.config.sweep_parallel:
+            payload["_sweep_parallel"] = True
+        args = (execute_job, payload, str(self._progress_path(job.id)),
+                self.config.cache_dir)
+        loop = asyncio.get_event_loop()
+        try:
+            return loop.run_in_executor(self._executor, *args)
+        except concurrent.futures.BrokenExecutor:
+            # (BrokenProcessPool's base class: naming the subclass would
+            # import multiprocessing along with this module.)
+            # A worker died while idle: no job was lost, so just go on.
+            self._rebuild_pool(self._executor)
+            return loop.run_in_executor(self._executor, *args)
+
+    async def _monitor(self, job, future, executor) -> None:
         """Tail the worker's progress file until the executor future
-        resolves, then record the outcome and notify subscribers."""
+        resolves — waking on the future, not on the next poll — then
+        record the outcome (:meth:`_on_terminal` announces it)."""
+        progress_path = self._progress_path(job.id)
         offset = 0
         try:
             while not future.done():
                 offset = self._relay(job, progress_path, offset)
-                await asyncio.sleep(self.config.progress_poll)
+                await asyncio.wait({future}, timeout=self.config.progress_poll)
             self._relay(job, progress_path, offset)
+            result = error = None
             try:
                 result = future.result()
-                self.queue.finish(job, result=result)
+            except concurrent.futures.BrokenExecutor:
+                self._rebuild_pool(executor)
+                error = _worker_died(job)
             except Exception as exc:
-                self.queue.finish(job, error=str(exc))
-            self._broadcast(job, {
-                "kind": "complete",
-                "state": job.state,
-                "error": job.error,
-                "seconds": (job.finished or 0) - (job.started or 0),
-            })
+                error = str(exc)
+            self.queue.finish(job, result=result, error=error)
         finally:
             self._monitors.pop(job.id, None)
             self._evict_finished()
@@ -244,6 +326,34 @@ class ReproServer:
         for record in records:
             self._broadcast(job, record)
         return offset
+
+    def _on_terminal(self, job) -> None:
+        """Announce a job's end — finish, failure, cancel — exactly once:
+        the SSE ``complete`` record, and every held ``?wait=`` request."""
+        self._broadcast(job, dict(
+            job.timing(), kind="complete", state=job.state, error=job.error,
+        ))
+        for released in self._holders.pop(job.id, ()):
+            if not released.done():
+                released.set_result(None)
+
+    async def _hold(self, job, seconds: float, reader) -> bool:
+        """Park a status request until ``job`` is terminal or ``seconds``
+        pass.  False when the client hung up meanwhile: nobody to answer."""
+        released = asyncio.get_event_loop().create_future()
+        holders = self._holders.setdefault(job.id, [])
+        holders.append(released)
+        # The request was read in full; all the peer can still send is EOF.
+        gone = asyncio.ensure_future(reader.read(1))
+        try:
+            await asyncio.wait({released, gone}, timeout=seconds,
+                               return_when=asyncio.FIRST_COMPLETED)
+            return not gone.done()
+        finally:
+            if not gone.cancel():
+                gone.exception()  # retrieved: a reset is a hang-up too
+            if released in holders:
+                holders.remove(released)
 
     def _broadcast(self, job, record: dict) -> None:
         job.progress.append(record)
@@ -265,6 +375,8 @@ class ReproServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             await self._handle_request(reader, writer)
         except (asyncio.TimeoutError, asyncio.IncompleteReadError,
@@ -281,6 +393,7 @@ class ReproServer:
                 await writer.wait_closed()
             except Exception:
                 pass
+            self._connections.discard(task)
 
     async def _handle_request(self, reader, writer) -> None:
         request_line = await asyncio.wait_for(
@@ -313,12 +426,21 @@ class ReproServer:
             body = await asyncio.wait_for(
                 reader.readexactly(length), timeout=_READ_TIMEOUT
             )
-        path = target.split("?", 1)[0]
-        await self._route(method.upper(), path, headers, body, writer)
+        self.requests += 1
+        path, _, raw_query = target.partition("?")
+        query = dict(parse_qsl(raw_query, keep_blank_values=True))
+        await self._route(method.upper(), path, query, headers, body,
+                          reader, writer)
 
-    async def _route(self, method: str, path: str, headers: dict,
-                     body: bytes, writer) -> None:
+    async def _route(self, method: str, path: str, query: Dict[str, str],
+                     headers: dict, body: bytes, reader, writer) -> None:
         parts = [p for p in path.split("/") if p]
+        is_status = method == "GET" and len(parts) == 2 and parts[0] == "jobs"
+        try:
+            hold = _hold_seconds(query, accepts_wait=is_status)
+        except ValueError as exc:
+            await self._send_json(writer, 400, {"error": str(exc)})
+            return
 
         if method == "GET" and path == "/healthz":
             await self._send_json(writer, 200, {"ok": True})
@@ -336,8 +458,12 @@ class ReproServer:
                 await self._send_json(
                     writer, 404, {"error": f"no job {parts[1]!r}"}
                 )
-            elif method == "GET" and len(parts) == 2:
-                await self._send_json(writer, 200, {"job": job.to_dict()})
+            elif is_status:
+                listening = True
+                if hold and job.state not in TERMINAL:
+                    listening = await self._hold(job, hold, reader)
+                if listening:
+                    await self._send_json(writer, 200, {"job": job.to_dict()})
             elif method == "DELETE" and len(parts) == 2:
                 await self._cancel(job, writer)
             elif method == "GET" and parts[2:] == ["result"]:
@@ -426,7 +552,6 @@ class ReproServer:
         except JobSpecError as exc:
             await self._send_json(writer, 409, {"error": str(exc)})
             return
-        self._broadcast(job, {"kind": "complete", "state": CANCELLED})
         await self._send_json(writer, 200, {"job": job.to_dict()})
 
     def _stats(self) -> dict:
@@ -435,7 +560,9 @@ class ReproServer:
         from ..trace import store as trace_store
 
         stats = self.queue.stats()
+        stats["holding"] = sum(len(h) for h in self._holders.values())
         stats["server"] = {
+            "requests": self.requests,
             "workers": self.config.workers,
             "batch_slots": self.config.batch_slots,
             "max_queue": self.config.max_queue,

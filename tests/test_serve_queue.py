@@ -340,3 +340,33 @@ class TestLifecycle:
         assert d["has_result"] is False
         assert "progress" not in d
         assert "progress" in job.to_dict(with_progress=True)
+
+    def test_on_terminal_fires_once_per_job_for_every_ending(self):
+        ended = []
+        q = JobQueue(on_terminal=lambda job: ended.append((job.id, job.state)))
+        done, _ = q.submit(spec())
+        failed, _ = q.submit(spec(scheme="gto"))
+        cancelled, _ = q.submit(spec(scheme="cawa"))
+        q.cancel(cancelled.id)
+        q.finish(q.pop(), result={})
+        q.finish(q.pop(), error="boom")
+        assert ended == [(cancelled.id, CANCELLED), (done.id, DONE),
+                         (failed.id, FAILED)]
+
+    def test_latency_block_is_nearest_rank_over_jobs_that_ran(self):
+        q = JobQueue()
+        for i, scheme in enumerate(("rr", "gto", "cawa", "two_level")):
+            job, _ = q.submit(spec(scheme=scheme))
+            q.pop()
+            job.created, job.started = 100.0, 100.0 + i
+            q.finish(job, result={})
+            job.finished = job.started + 10.0 * (i + 1)
+        never_ran, _ = q.submit(spec(scheme="gcaws"))
+        q.cancel(never_ran.id)
+        assert never_ran.timing() == {"queue_wait_s": None, "exec_s": None,
+                                      "fan_in": 1}
+        latency = q.stats()["latency"]
+        assert latency["queue_wait_s"] == {"n": 4, "p50": 1.0, "p90": 3.0,
+                                           "max": 3.0}
+        assert latency["exec_s"] == {"n": 4, "p50": 20.0, "p90": 40.0,
+                                     "max": 40.0}

@@ -2,14 +2,18 @@
 """CI smoke test for the simulation service (docs/serving.md).
 
 Boots ``repro serve`` as a real subprocess on an ephemeral port, drives
-it exclusively through the ``repro client`` CLI (the same path a user
-takes), and asserts the service's headline guarantees end to end:
+it through the ``repro client`` CLI (the same path a user takes) — and,
+where a process start per call would drown the thing measured, through
+the :class:`repro.serve.ServeClient` the CLI wraps — and asserts the
+service's headline guarantees end to end:
 
 1. two identical submissions coalesce into one job — exactly two
    simulations run for three submissions (the third is distinct);
 2. the SSE feed of an ``--events`` job carries live obs progress
    records (``obs`` snapshots + a terminal ``obs_summary``);
-3. a draining shutdown finishes every admitted job and the server
+3. a repeat submission of a finished cell — queue, worker, result-cache
+   hit, held ``?wait=`` request released — is back within 50 ms;
+4. a draining shutdown finishes every admitted job and the server
    process exits cleanly.
 
 Usage::
@@ -23,13 +27,21 @@ and exits non-zero.  Run via ``make serve-smoke``.
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+
+from repro.serve import ServeClient  # noqa: E402
+
 SCALE = "0.25"
+#: Ceiling on a warm submit -> wait -> result round trip, seconds (12 ms
+#: measured; 110 ms when completion was polled for).
+WARM_CEILING = 0.050
 JOB_ID = re.compile(r"\bjob (j\d{6}-[0-9a-f]{8})\b")
 LISTENING = re.compile(r"listening on (http://[\d.]+:\d+)")
 
@@ -66,14 +78,15 @@ def submit(env, url, *extra):
     return match.group(1), out.startswith("coalesced")
 
 
-def wait_done(env, url, job_id, timeout=180.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        status = json.loads(client(env, url, "status", job_id))
-        if status["state"] in ("done", "failed", "cancelled"):
-            return status
-        time.sleep(0.2)
-    raise AssertionError(f"timed out waiting for {job_id}")
+def warm_round_trip(api, spec):
+    """Seconds from submit to result in hand for an already-cached cell."""
+    started = time.perf_counter()
+    job, coalesced = api.submit(spec)
+    assert not coalesced, "a finished job must not coalesce"
+    state = api.wait(job["id"], timeout=60)["state"]
+    assert state == "done", f"warm job ended {state}"
+    api.result(job["id"])
+    return time.perf_counter() - started
 
 
 def main() -> int:
@@ -128,8 +141,9 @@ def main() -> int:
         print(f"serve-smoke: SSE feed ok ({len(kinds)} records, "
               f"{kinds.count('obs')} obs snapshots)")
 
-        assert wait_done(env, url, first)["state"] == "done"
-        assert wait_done(env, url, distinct)["state"] == "done"
+        api = ServeClient(url)
+        assert api.wait(first, timeout=180)["state"] == "done"
+        assert api.wait(distinct, timeout=180)["state"] == "done"
 
         # -- exactly two executions for three submissions -------------
         counters = json.loads(client(env, url, "stats"))["counters"]
@@ -138,6 +152,14 @@ def main() -> int:
         assert counters["executions"] == 2, counters
         assert counters["done"] == 2, counters
         print(f"serve-smoke: counters ok {counters}")
+
+        # -- a finished cell comes back at the cost of a lookup --------
+        spec = {"kind": "run", "workload": "synthetic_imbalance",
+                "scheme": "gto", "scale": float(SCALE)}
+        warm = statistics.median(warm_round_trip(api, spec) for _ in range(5))
+        assert warm < WARM_CEILING, \
+            f"warm round trip {1e3 * warm:.1f} ms >= {1e3 * WARM_CEILING:.0f} ms"
+        print(f"serve-smoke: warm round trip {1e3 * warm:.1f} ms")
 
         # -- graceful drain -------------------------------------------
         client(env, url, "shutdown")
