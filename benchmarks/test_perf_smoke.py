@@ -2,13 +2,14 @@
 
 Records **simulated cycles per host CPU second** on the bfs x cawa cell
 (the ISSUE's reference cell), the trace-replay-vs-execute speedup, what
-the default record-then-replay path costs on a cold cell and saves on a
-sweep, and the skip-clock-vs-cycle-clock speedup, all into
-pytest-benchmark's ``extra_info`` (``--benchmark-json``).  These are CI
-*gates* — each asserts its floor; the numbers tracked across commits live
-in the performance ledger (``benchmarks/ledger/README.md``).  One gate is
-not a timing at all: profiled Python calls per replayed warp instruction,
-which repeats exactly and so needs no quiet host.
+the default record-then-replay path costs on a cold cell (a functional
+pass plus a replay) and saves on a sweep, and the skip-clock-vs-cycle-clock
+speedup, all into pytest-benchmark's ``extra_info`` (``--benchmark-json``).
+These are CI *gates* — each asserts its floor; the numbers tracked across
+commits live in the performance ledger (``benchmarks/ledger/README.md``).
+Two gates are not timings at all: profiled Python calls per replayed warp
+instruction, and the functional pass's batched step count, which repeat
+exactly and so need no quiet host.
 
 Result caches are bypassed throughout — these measure simulation (or
 trace replay), never the result cache.
@@ -126,9 +127,11 @@ def _cold_cell_seconds(config, schemes=("rr",), scale=1.0):
 
 @pytest.mark.slow
 def test_record_overhead_ceiling(benchmark):
-    """A cold default ``run_scheme`` cell — execute with the recorder
-    attached, encode, store — costs at most 1.10x the same cell under
-    ``with_frontend("execute")`` (median of interleaved repeats)."""
+    """A cold default ``run_scheme`` cell — functional pass, verify,
+    encode, store, replay — costs at most 0.85x the same cell under
+    ``with_frontend("execute")`` (median of interleaved repeats; 0.70-0.74
+    measured: the pass is a fifth of a replay, and a replay two thirds of
+    an execution)."""
     import statistics
 
     from repro.config import GPUConfig
@@ -146,8 +149,8 @@ def test_record_overhead_ceiling(benchmark):
             else:
                 recorded_s, (recorded,) = _cold_cell_seconds(default)
                 executed_s, (executed,) = _cold_cell_seconds(execute)
-            assert (recorded.frontend, executed.frontend) == ("execute", "execute")
-            assert recorded.trace_id and executed.trace_id is None
+            assert (recorded.frontend, executed.frontend) == ("trace", "execute")
+            assert recorded.recorded and executed.trace_id is None
             assert recorded.cycles == executed.cycles
             ratios.append(recorded_s / executed_s)
         return statistics.median(ratios), ratios
@@ -156,16 +159,17 @@ def test_record_overhead_ceiling(benchmark):
     benchmark.extra_info.update(
         {"workload": "bfs", "scheme": "rr", "scale": 1.0,
          "record_overhead_ratio": ratio, "ratios": ratios})
-    assert ratio <= 1.10, (
+    assert ratio <= 0.85, (
         f"a cold default cell costs {ratio:.3f}x the executed one "
-        f"(ceiling 1.10x; repeats {[round(r, 3) for r in ratios]})"
+        f"(ceiling 0.85x; repeats {[round(r, 3) for r in ratios]})"
     )
 
 
 @pytest.mark.slow
 def test_default_path_sweep_speedup(benchmark):
     """Three schemes of bfs in a fresh cache: the default path (one
-    recording, two replays) is at least 1.2x faster than three executions."""
+    functional pass, three replays) is at least 1.4x faster than three
+    executions (~1.5x measured)."""
     from repro.config import GPUConfig
 
     default = GPUConfig.default_sim()
@@ -181,7 +185,8 @@ def test_default_path_sweep_speedup(benchmark):
         return best
 
     best = run_once(benchmark, measure)
-    assert [r.frontend for r in best["trace"][1]] == ["execute", "trace", "trace"]
+    assert [r.recorded for r in best["trace"][1]] == [True, False, False]
+    assert {r.frontend for r in best["trace"][1]} == {"trace"}
     for ours, theirs in zip(best["trace"][1], best["execute"][1]):
         assert (ours.cycles, ours.l1_stats.misses, ours.dram_accesses) == (
             theirs.cycles, theirs.l1_stats.misses, theirs.dram_accesses)
@@ -190,9 +195,9 @@ def test_default_path_sweep_speedup(benchmark):
         {"workload": "bfs", "schemes": list(schemes), "scale": SCALE,
          "execute_seconds": best["execute"][0],
          "default_seconds": best["trace"][0], "speedup": speedup})
-    assert speedup >= 1.2, (
+    assert speedup >= 1.4, (
         f"default path {best['trace'][0]:.2f}s vs three executions "
-        f"{best['execute'][0]:.2f}s: {speedup:.2f}x is below the 1.2x floor"
+        f"{best['execute'][0]:.2f}s: {speedup:.2f}x is below the 1.4x floor"
     )
 
 
@@ -223,6 +228,58 @@ def test_hot_path_call_budget(benchmark):
     assert per_instruction <= CALL_BUDGET, (
         f"{per_instruction:.1f} profiled calls per replayed warp instruction "
         f"({calls:,} / {instructions:,}) exceeds the budget of {CALL_BUDGET}"
+    )
+
+
+#: The functional pass of the budget cell's workload (bfs @ 0.5): batched
+#: steps — a count, host-independent, 1,337 measured for 25,543 warp
+#: instructions — and its cost against a replay of what it recorded
+#: (0.18-0.22 measured).
+PASS_STEP_BUDGET = 1600
+PASS_REPLAY_RATIO = 0.35
+
+
+@pytest.mark.slow
+def test_functional_pass_budget(benchmark):
+    """Recording stays a batched pass: few steps for many warp
+    instructions, and a fraction of the replay it feeds."""
+    import statistics
+
+    from repro import trace as trace_mod
+    from repro.config import GPUConfig
+    from repro.core.cawa import apply_scheme
+
+    clear_cache()
+    workload, scheme, scale = profiling.CALL_BUDGET_CELL
+    cfg = apply_scheme(GPUConfig.default_sim(), scheme)
+
+    def measure(repeats=5):
+        ratios = []
+        for _ in range(repeats):
+            start = time.process_time()
+            program = trace_mod.record_program(workload, scale=scale, config=cfg)
+            recorded = time.process_time()
+            trace_mod.replay_program(program, cfg, scheme=scheme)
+            ratios.append((recorded - start) / (time.process_time() - recorded))
+        return program, statistics.median(ratios), ratios
+
+    program, ratio, ratios = run_once(benchmark, measure)
+    steps = program.meta["steps"]
+    again = trace_mod.record_program(workload, scale=scale, config=cfg)
+    assert again.meta["steps"] == steps, "the count must repeat exactly"
+    benchmark.extra_info.update(
+        {"workload": workload, "scale": scale, "steps": steps,
+         "records": program.record_count,
+         "warps_per_step": program.record_count / steps,
+         "pass_over_replay": ratio, "ratios": ratios})
+    assert steps <= PASS_STEP_BUDGET, (
+        f"{steps:,} functional steps for {program.record_count:,} warp "
+        f"instructions exceeds the budget of {PASS_STEP_BUDGET:,}: warps "
+        "are no longer stepping together"
+    )
+    assert ratio <= PASS_REPLAY_RATIO, (
+        f"the functional pass costs {ratio:.2f}x its replay (ceiling "
+        f"{PASS_REPLAY_RATIO}x; repeats {[round(r, 2) for r in ratios]})"
     )
 
 

@@ -25,6 +25,7 @@ from .errors import (
     SimulationError,
     TraceError,
     TraceFormatError,
+    TraceInvarianceError,
     TraceMismatchError,
 )
 from .gpu import GPU
@@ -54,6 +55,7 @@ __all__ = [
     "Special",
     "TraceError",
     "TraceFormatError",
+    "TraceInvarianceError",
     "TraceMismatchError",
     "apply_scheme",
     "__version__",

@@ -54,12 +54,18 @@ def _base_config(args) -> GPUConfig:
 
 
 def _trace_path_taken(result) -> str:
-    """``recorded trace <id>`` / ``replayed trace <id>`` / ``executed``:
-    how a result was produced (``RunResult.frontend`` and ``trace_id``)."""
+    """``recorded trace <id> in ...`` / ``replayed trace <id>`` /
+    ``executed``: how a result was produced (``RunResult.frontend``,
+    ``trace_id`` and, for the cell that made the trace, ``recorded``)."""
     if result.trace_id is None:
         return "executed (no trace)"
-    verb = "replayed" if result.frontend == "trace" else "recorded"
-    return f"{verb} trace {result.trace_id}"
+    if not result.recorded:
+        return f"replayed trace {result.trace_id}"
+    return (
+        f"recorded trace {result.trace_id} in {1e3 * result.record_s:.0f} ms "
+        f"({result.record_steps} steps, {result.record_warps} warps), "
+        f"replayed in {1e3 * result.replay_s:.0f} ms"
+    )
 
 
 def cmd_list(args) -> int:
@@ -178,9 +184,8 @@ def cmd_sweep(args) -> int:
             rows.append(row)
         print(f"\nsampled 95% CI half-width ({args.metric}):")
         print(format_table(["workload"] + schemes, rows))
-    replayed = sum(r.frontend == "trace" for r in results.values())
-    recorded = sum(r.frontend != "trace" and r.trace_id is not None
-                   for r in results.values())
+    recorded = sum(r.recorded for r in results.values())
+    replayed = sum(r.frontend == "trace" for r in results.values()) - recorded
     print(f"\nrecorded {recorded}, replayed {replayed}")
     return 0
 
@@ -410,16 +415,20 @@ def cmd_trace(args) -> int:
 
     config = _base_config(args)
     if args.trace_command == "record":
-        result, program = trace_mod.record_workload(
-            args.workload, scale=args.scale, config=config,
-            scheme=args.scheme, check=not args.no_check,
-        )
+        try:
+            result, program = trace_mod.record_workload(
+                args.workload, scale=args.scale, config=config,
+                scheme=args.scheme, check=not args.no_check,
+            )
+        except TraceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         path = trace_mod.store_program(program, args.workload, args.scale, config)
         print(result.summary())
         print(
             f"recorded trace {program.trace_id}: "
             f"{len(program.launches)} launch(es), "
-            f"{program.record_count} records -> "
+            f"{program.record_count} records in {result.record_steps} steps -> "
             f"{path or 'memory only (disk cache disabled or unwritable)'}"
         )
         return 0
@@ -456,20 +465,25 @@ def cmd_trace(args) -> int:
     rows = []
     for path, info in entries:
         if isinstance(info, Exception):
-            rows.append([path.name, "<unreadable>", "-", "-", "-", "-", str(info)])
+            rows.append([path.name, "<unreadable>", "-", "-", "-", "-", "-",
+                         "-", str(info)])
             continue
+        # A trace from before the functional recorder has no step count.
+        steps = info.meta.get("steps")
         rows.append([
             path.name,
             info.workload,
             f"{info.scale:g}",
             info.trace_id,
             str(info.record_count),
+            str(steps) if steps else "?",
+            f"{info.record_count / steps:.1f}" if steps else "?",
             info.meta.get("recorded_scheme", "?"),
             "yes" if info.meta.get("verified") else "no",
         ])
     print(format_table(
-        ["file", "workload", "scale", "trace_id", "records", "scheme",
-         "verified"], rows
+        ["file", "workload", "scale", "trace_id", "records", "steps",
+         "warps/step", "scheme", "verified"], rows
     ))
     return 0
 
@@ -937,13 +951,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
     p_trec = trace_sub.add_parser(
-        "record", help="run a workload once and store its functional trace"
+        "record", help="run a workload's functional pass and store its trace"
     )
     p_trec.add_argument("--workload", required=True,
                         choices=workload_names(include_synthetic=True))
     p_trec.add_argument("--scheme", default="rr", choices=sorted(SCHEMES),
-                        help="scheme for the recording run (trace content is "
-                        "scheme-invariant; default rr)")
+                        help="scheme of the replay printed with the recording "
+                        "(the functional pass involves no scheduler; default rr)")
     p_trec.add_argument("--scale", type=float, default=1.0)
     p_trec.add_argument("--fermi", action="store_true")
     p_trec.add_argument("--no-check", action="store_true",

@@ -130,8 +130,9 @@ class GPUConfig:
     #: Whether the experiment runner may answer a cell from the trace
     #: store: ``"trace"`` (default) replays a recorded per-warp dynamic
     #: instruction stream through the timing model — skipping register
-    #: files and lane math entirely — and, when the store has none,
-    #: executes once with a recorder attached; ``"execute"`` is the parity
+    #: files and lane math entirely — and, when the store has none, first
+    #: makes one with the recorder's scheduler-free functional pass
+    #: (:mod:`repro.trace.functional`); ``"execute"`` is the parity
     #: reference, which always runs the functional executor and never
     #: consults the store.  Read only where a trace store exists
     #: (:func:`repro.experiments.runner.run_scheme` and the harnesses built

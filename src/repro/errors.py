@@ -56,6 +56,14 @@ class TraceMismatchError(TraceError):
     an exhausted / missing launch sequence."""
 
 
+class TraceInvarianceError(TraceError):
+    """Raised by the recorder's functional pass when a warp's stream
+    depends on another warp's timing — it loads a word another warp stored,
+    or stores to one another warp loaded, in the same launch with no
+    barrier of their block in between — so one recording could not stand
+    for every scheme.  Nothing is stored."""
+
+
 class WorkerCrashError(ReproError):
     """A ``repro serve`` executor process died (or could not be handed a
     job) while a job was assigned to it.  The job is failed with this

@@ -4,7 +4,7 @@ Results are memoized at two levels:
 
 * **per process** keyed on (workload, scheme, scale, observer set), because
   several figures slice the same underlying sweep (e.g. Fig 9's IPC and
-  Fig 10's MPKI come from identical runs);
+  Fig 10's MPKI come from identical runs) — bounded, see :data:`_CACHE`;
 * **on disk** under ``.repro_cache/`` (see
   :mod:`repro.experiments.result_cache`), so repeated benchmark/figure
   invocations across processes skip re-simulation.  Disk entries are keyed
@@ -20,10 +20,12 @@ A third layer sits under both: the persistent **trace** store
 ``with_frontend("execute")`` — the parity reference, which never consults
 the store — a result-cache miss looks there first.  A trace hit replays the
 recorded per-warp streams through the timing model, bit-identical to
-execution and without the functional executor; a trace miss executes the
-workload once *with a recorder attached*, so the cell's result and its
-trace come from the same simulation.  Because traces ignore timing-only knobs, a
-scheme sweep executes once per workload and replays every other cell.
+execution and without the functional executor; a trace miss first makes
+the trace — build the workload, run the scheduler-free functional pass
+(:mod:`repro.trace.functional`), verify its outputs, store it — and then
+replays it like any other cell.  Timing is therefore always a replay, and
+because traces ignore timing-only knobs a scheme sweep pays for one
+functional pass per workload.
 
 With ``config.sampling != "off"`` (see :mod:`repro.sampling` and
 ``docs/sampling.md``) the trace path replays only the config-selected
@@ -39,6 +41,7 @@ fingerprint.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import trace as trace_mod
@@ -52,8 +55,34 @@ from ..stats.reuse import ReuseDistanceProfiler
 from ..workloads import make_workload
 from . import result_cache
 
-_CACHE: Dict[Tuple, RunResult] = {}
+#: The per-process memo, bounded twice over so that a long-lived process (a
+#: ``repro serve`` pool worker never calls :func:`clear_cache`) cannot grow
+#: with the number of distinct cells it has run: an entry holds
+#: :class:`~repro.stats.counters.BlockSummary` snapshots — what a disk-cache
+#: hit returns, a few KB — never the launch's live ``ThreadBlock`` / ``Warp``
+#: graph (~0.6 MB for bfs @ 0.5), and the least recently used entry goes
+#: once there are more than :data:`_CACHE_CAP` (the 17 figures share far
+#: fewer cells than that).
+_CACHE: "OrderedDict[Tuple, RunResult]" = OrderedDict()
+_CACHE_CAP = 512
 _ORACLE_CACHE: Dict[Tuple, Dict] = {}
+
+
+def _memoised(key: Tuple, check: bool) -> Optional[RunResult]:
+    """The memo's entry for ``key`` if it may answer a ``check`` caller."""
+    cached = _CACHE.get(key)
+    if not _serves(cached, check):
+        return None
+    _CACHE.move_to_end(key)
+    return cached
+
+
+def _memoise(key: Tuple, result: RunResult) -> None:
+    result.blocks = result.block_summaries()
+    _CACHE[key] = result
+    _CACHE.move_to_end(key)
+    while len(_CACHE) > _CACHE_CAP:
+        _CACHE.popitem(last=False)
 
 
 def build_oracle(
@@ -133,8 +162,8 @@ def run_scheme(
     # ``check`` is not part of either key: a verified result serves every
     # caller.  One that no run verified is a miss for a checking caller,
     # who simulates (or replays a verified trace) and overwrites it.
-    memoised = _CACHE.get(key)
-    if cacheable and _serves(memoised, check):
+    memoised = _memoised(key, check) if cacheable else None
+    if memoised is not None:
         return memoised
 
     cfg = apply_scheme(base, scheme)
@@ -146,7 +175,7 @@ def run_scheme(
         )
         cached = result_cache.load(disk_key)
         if _serves(cached, check):
-            _CACHE[key] = cached
+            _memoise(key, cached)
             return cached
 
     oracle = (
@@ -164,45 +193,33 @@ def run_scheme(
     kwargs = dict(workload_kwargs) if workload_kwargs else None
     # ``frontend`` is read here and nowhere below the runner: "execute" is
     # the parity reference and never consults the trace store.
-    use_traces = cfg.frontend == "trace"
-    sampled = cfg.sampling != "off"
-    program = (
-        _load_program(workload, scale, cfg, kwargs, check) if use_traces else None
-    )
-    if program is None:
-        # Execute: the reference path, or a trace miss (no trace, a stale
-        # or corrupt one, or one nobody verified when this caller asked
-        # for verification).  On a miss the recorder rides along — streams
-        # are schedule-invariant, so recording under the requested scheme
-        # yields this cell's result for free.  The recording always covers
-        # every block; a sampled cell replays its subset from it below, and
-        # its observers attach to that replay, not to this run.
+    if cfg.frontend != "trace":
         gpu = GPU(cfg, oracle=oracle)
-        recorder = None
-        if use_traces:
-            recorder = trace_mod.TraceRecorder(cfg)
-            gpu.attach_recorder(recorder)
-        if not sampled:
-            _attach_observers(gpu, issue_observers, l1_observers)
+        _attach_observers(gpu, issue_observers, l1_observers)
         wl = make_workload(workload, scale=scale, **workload_kwargs)
         result = wl.run(gpu, scheme=scheme, check=check)
-        if recorder is not None:
-            program = recorder.finish(workload=workload, scale=scale,
-                                      scheme=scheme, verified=check)
-            trace_mod.store_program(program, workload, scale, cfg, kwargs)
-            result.trace_id = program.trace_id
-    elif not sampled:
-        result = trace_mod.replay_program(
-            program, cfg, scheme=scheme, oracle=oracle,
-            observers=issue_observers, l1_observers=l1_observers,
-        )[-1]
-    if sampled:
-        result = _sampled_replay(
-            workload, program, cfg, scheme, oracle,
-            issue_observers, l1_observers,
-        )
+        program = None
+    else:
+        program = _load_program(workload, scale, cfg, kwargs, check)
+        fresh = program is None
+        if fresh:
+            # The recording always covers every block; a sampled cell
+            # replays its subset from it.
+            program = _record_program(workload, scheme, scale, cfg, kwargs, check)
 
-    # Verified by this run, or by the recording run of the trace replayed.
+        def replay() -> RunResult:
+            if cfg.sampling != "off":
+                return _sampled_replay(workload, program, cfg, scheme, oracle,
+                                       issue_observers, l1_observers)
+            return trace_mod.replay_program(
+                program, cfg, scheme=scheme, oracle=oracle,
+                observers=issue_observers, l1_observers=l1_observers,
+            )[-1]
+
+        # Timing is a replay either way; a cold cell's says so.
+        result = trace_mod.replay_recorded(program, replay) if fresh else replay()
+
+    # Verified by this run, or by the functional pass of the trace replayed.
     result.verified = (check if program is None
                        else bool(program.meta.get("verified")))
     if accuracy_tracker is not None:
@@ -210,7 +227,7 @@ def run_scheme(
     if reuse_profiler is not None:
         result.extra["reuse_profiler"] = reuse_profiler
     if cacheable:
-        _CACHE[key] = result
+        _memoise(key, result)
     if disk_key is not None:
         result_cache.store(disk_key, result)
     return result
@@ -236,11 +253,28 @@ def _load_program(
 ):
     """The stored trace for one cell, or ``None`` when it must be
     (re-)recorded: a miss, or a ``check=True`` caller finding a trace
-    whose recording run skipped verification — replay computes no lane
+    whose functional pass skipped verification — replay computes no lane
     values, so replaying it would hand back a result nobody verified."""
     program = trace_mod.load_program(workload, scale, cfg, kwargs)
     if program is not None and check and not program.meta.get("verified"):
         return None
+    return program
+
+
+def _record_program(
+    workload: str,
+    scheme: str,
+    scale: float,
+    cfg: GPUConfig,
+    kwargs: Optional[dict],
+    check: bool,
+):
+    """What a trace miss (no trace, a stale or corrupt one, or one nobody
+    verified when the caller asked for verification) costs: build the
+    workload, run the functional pass, verify, store."""
+    program = trace_mod.record_program(
+        workload, scale, cfg, scheme, check, **(kwargs or {}))
+    trace_mod.store_program(program, workload, scale, cfg, kwargs)
     return program
 
 
@@ -256,24 +290,11 @@ def load_or_record_program(
 
     For harnesses that drive :func:`repro.trace.replay_program` themselves
     (:func:`repro.obs.harness.record_events`,
-    :func:`repro.feedback.harness.record_signals`).  The recording run goes
-    through :func:`run_scheme` with events and sampling off — its event
-    stream would be the executing run's, not the replay the caller is
-    about to observe, and a recording must cover every block.
+    :func:`repro.feedback.harness.record_signals`): a miss costs the
+    functional pass and no simulation.
     """
-    program = _load_program(workload, scale, config, None, check)
-    if program is None:
-        run_scheme(
-            workload, scheme, scale=scale,
-            config=config.with_events("off").with_sampling("off"),
-            check=check, use_cache=False, persistent=False,
-        )
-        program = trace_mod.load_program(workload, scale, config, None)
-    if program is None:  # pragma: no cover - store failure
-        raise RuntimeError(
-            f"could not record a trace for {workload!r} at scale {scale}"
-        )
-    return program
+    return (_load_program(workload, scale, config, None, check)
+            or _record_program(workload, scheme, scale, config, None, check))
 
 
 def _sampled_replay(
@@ -488,8 +509,9 @@ def run_sweep(
         check = kwargs.get("check", True)
         pending: List[Tuple[str, str]] = []
         for workload, scheme in grid:
-            memoised = _CACHE.get(_cell_key(workload, scheme))
-            if use_cache and _serves(memoised, check):
+            memoised = (_memoised(_cell_key(workload, scheme), check)
+                        if use_cache else None)
+            if memoised is not None:
                 results[(workload, scheme)] = memoised
             elif (workload, scheme) not in pending:
                 pending.append((workload, scheme))
@@ -516,7 +538,7 @@ def run_sweep(
                     for workload, scheme in group:
                         results[(workload, scheme)] = result
                         if use_cache:
-                            _CACHE[_cell_key(workload, scheme)] = result
+                            _memoise(_cell_key(workload, scheme), result)
                         if fan_disk and (workload, scheme) != cell:
                             result_cache.store(
                                 result_cache.cache_key(

@@ -45,6 +45,23 @@ from ..sm.sm import StreamingMultiprocessor
 from ..stats.counters import RunResult, merge_cache_stats, replace_stats, subtract_stats
 
 
+def check_launch(config: GPUConfig, kernel, grid_dim: int, block_dim: int) -> None:
+    """Refuse a launch no SM of ``config`` could ever hold."""
+    if grid_dim <= 0 or block_dim <= 0:
+        raise LaunchError("grid_dim and block_dim must be positive")
+    warps_per_block = (block_dim + config.warp_size - 1) // config.warp_size
+    if warps_per_block > config.max_warps_per_sm:
+        raise LaunchError(
+            f"block of {block_dim} threads needs {warps_per_block} warps, "
+            f"more than the SM limit of {config.max_warps_per_sm}"
+        )
+    if kernel.num_regs * block_dim > config.registers_per_sm:
+        raise LaunchError(
+            f"block needs {kernel.num_regs * block_dim} registers, more "
+            f"than the SM's {config.registers_per_sm}"
+        )
+
+
 class GPU:
     """A simulated GPU devoted to one kernel launch at a time.
 
@@ -80,9 +97,6 @@ class GPU:
         #: it decides whether a trace store is consulted at all).
         self.trace_program = trace
         self._trace_launch_idx = 0
-        #: Optional :class:`~repro.trace.recorder.TraceRecorder` capturing
-        #: this GPU's issues (see :meth:`attach_recorder`).
-        self._recorder = None
         if trace is not None:
             # Refuse traces recorded under a different functional config
             # (warp size / L1 line size) before any simulation happens.
@@ -167,17 +181,6 @@ class GPU:
         return make_policy(self.config.l1d_policy)
 
     # ------------------------------------------------------------------
-    def attach_recorder(self, recorder) -> None:
-        """Record every subsequent launch into ``recorder``.
-
-        Recording is passive (the issue path only appends to each warp's
-        trace columns), so an instrumented run's timing and statistics are
-        identical to a plain execution-driven run.
-        """
-        self._recorder = recorder
-        for sm in self.sms:
-            sm.trace_sink = recorder
-
     def _next_launch_trace(self, kernel, grid_dim: int, block_dim: int):
         """Pop and validate the trace for the next replayed launch."""
         from ..trace.format import kernel_fingerprint
@@ -208,20 +211,7 @@ class GPU:
     # ------------------------------------------------------------------
     def launch(self, kernel, grid_dim: int, block_dim: int, scheme: str = "") -> RunResult:
         """Run ``kernel`` over ``grid_dim`` blocks of ``block_dim`` threads."""
-        if grid_dim <= 0 or block_dim <= 0:
-            raise LaunchError("grid_dim and block_dim must be positive")
-        warps_per_block = (block_dim + self.config.warp_size - 1) // self.config.warp_size
-        if warps_per_block > self.config.max_warps_per_sm:
-            raise LaunchError(
-                f"block of {block_dim} threads needs {warps_per_block} warps, "
-                f"more than the SM limit of {self.config.max_warps_per_sm}"
-            )
-        if kernel.num_regs * block_dim > self.config.registers_per_sm:
-            raise LaunchError(
-                f"block needs {kernel.num_regs * block_dim} registers, more "
-                f"than the SM's {self.config.registers_per_sm}"
-            )
-
+        check_launch(self.config, kernel, grid_dim, block_dim)
         if self.trace_program is not None:
             from ..trace.replay import make_warp_factory
 
@@ -229,8 +219,6 @@ class GPU:
             factory = make_warp_factory(launch_trace)
             for sm in self.sms:
                 sm.warp_factory = factory
-        if self._recorder is not None:
-            self._recorder.begin_launch(kernel, grid_dim, block_dim)
 
         dispatcher = BlockDispatcher(kernel, grid_dim, block_dim, self.config.warp_size)
         start_cycle = self.now
@@ -408,16 +396,12 @@ class GPU:
         blocks.sort(key=lambda b: b.block_id)
         l1_now = merge_cache_stats([sm.l1d.stats for sm in self.sms])
         l1_before = merge_cache_stats(snap["l1"])
-        trace_id = None
-        if self.trace_program is not None:
-            trace_id = self.trace_program.trace_id
-        elif self._recorder is not None:
-            trace_id = "recording"
+        program = self.trace_program
         return RunResult(
             kernel_name=kernel_name,
             scheme=scheme or self.config.scheduler_name,
-            frontend="trace" if self.trace_program is not None else "execute",
-            trace_id=trace_id,
+            frontend="trace" if program is not None else "execute",
+            trace_id=program.trace_id if program is not None else None,
             cycles=cycles,
             thread_instructions=(
                 sum(sm.stats.thread_instructions for sm in self.sms)

@@ -62,9 +62,10 @@ class GlobalMemory:
     def load(self, addrs: np.ndarray, mask_bools: np.ndarray) -> np.ndarray:
         """Gather one word per active lane; inactive lanes read as 0.
 
-        ``addrs`` are int64 byte addresses, one per lane.
+        ``addrs`` are int64 byte addresses, one per lane (any shape: one
+        warp's lanes, or a ``(warps, lanes)`` group).
         """
-        values = np.zeros(len(addrs), dtype=np.float64)
+        values = np.zeros(addrs.shape, dtype=np.float64)
         idx = addrs[mask_bools] // _WORD
         if idx.size:
             self._check_indices(idx)

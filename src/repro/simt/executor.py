@@ -34,10 +34,9 @@ class ExecResult:
             only lanes in ``mem_mask`` are meaningful).
         mem_mask: lanes that actually access memory (active mask further
             restricted by the instruction's guard predicate).
-        mem_lines: pre-coalesced line addresses: supplied by the
-            trace-replay frontend (:class:`repro.trace.replay.TraceExecutor`),
-            or filled in by the SM while a trace is being recorded; when
-            set, the LSU skips coalescing and uses them directly.
+        mem_lines: pre-coalesced line addresses, supplied by the
+            trace-replay frontend (:class:`repro.trace.replay.TraceExecutor`);
+            when set, the LSU skips coalescing and uses them directly.
     """
 
     taken_mask: int = 0
@@ -92,7 +91,7 @@ def _bind(inst: Instruction) -> Handler:
         return lambda ex, warp: NO_EFFECT  # the SM acts on the decoded kind
     if op is Opcode.LD or op is Opcode.ST:
         return _bind_memory(inst)
-    return _bind_value(inst, _bind_compute(inst))
+    return _bind_value(inst, bind_compute(inst))
 
 
 def _bind_branch(inst: Instruction) -> Handler:
@@ -159,8 +158,15 @@ def _bind_value(inst: Instruction, compute: Callable) -> Handler:
     return run
 
 
-def _bind_compute(inst: Instruction) -> Callable:
-    """``compute(rf, ex, warp) -> lane values`` for a value-producing op."""
+def bind_compute(inst: Instruction) -> Callable:
+    """``compute(rf, ex, warp) -> lane values`` for a value-producing op.
+
+    Every binding is elementwise over whatever ``rf.regs[r]`` /
+    ``rf.preds[p]`` / ``warp.special_values(s)`` hand back, so the same
+    closures serve one warp's ``(warp_size,)`` rows here and a whole group
+    of warps' ``(G, warp_size)`` rows in the trace recorder's functional
+    pass (:mod:`repro.trace.functional`): opcode semantics live here only.
+    """
     op, srcs, imm, pc = inst.op, inst.srcs, inst.imm, inst.pc
     if op is Opcode.SREG:
         special = inst.special

@@ -85,11 +85,6 @@ class Warp:
         #: operand-dependence ones.
         self.obs_barrier_release: float = -1.0
 
-        #: The columns this warp's issues are recorded into
-        #: (:class:`repro.trace.format.WarpStream`) while a trace recorder
-        #: is attached to the SM; ``None`` otherwise.
-        self.recording = None
-
         # -- readiness of the next instruction --------------------------
         # Written by :meth:`refresh_readiness` wherever this warp's PC or
         # scoreboard has just moved (its own issue, barrier release,

@@ -30,8 +30,10 @@ _SIG_MASK = (1 << SIGNATURE_BITS) - 1
 def coalesce_lines(addrs: np.ndarray, mask: int, line_size: int) -> List[int]:
     """Distinct line addresses touched by the active lanes, ascending.
 
-    Module-level so the trace recorder (:mod:`repro.trace.recorder`) bakes
-    *exactly* the LSU's coalescing rule into recorded traces.
+    The rule recorded traces bake in: the functional pass
+    (:mod:`repro.trace.functional`) computes the same lists for a whole
+    group of warps as a row sort, and ``tests/test_trace_functional.py``
+    holds the two together.
     """
     active = bools_from_mask(mask, addrs.shape[0])
     lines = addrs[active].astype(np.int64) // line_size * line_size

@@ -46,7 +46,7 @@ from ..scheduling.base import WarpScheduler
 from ..simt.block import ThreadBlock
 from ..simt.executor import FunctionalExecutor
 from ..simt.warp import Warp, WarpStatus
-from .lsu import LoadStoreUnit, coalesce_lines
+from .lsu import LoadStoreUnit
 
 # Pre-bound ints for the per-issue probe sites (IntEnum attribute access
 # costs a dict lookup; the issue path runs once per instruction).
@@ -140,12 +140,6 @@ class StreamingMultiprocessor:
         #: building :class:`~repro.trace.replay.TraceWarp` objects that
         #: follow recorded streams (set per launch by the GPU).
         self.warp_factory: Callable[..., Warp] = Warp
-        #: Optional :class:`~repro.trace.recorder.TraceRecorder`; when set,
-        #: each warp made resident is handed its own columns
-        #: (``warp.recording``) and ``_issue`` appends every issued
-        #: instruction's pc, pre-issue active mask and functional payload
-        #: to them.  Purely observational.
-        self.trace_sink = None
         #: Incrementally maintained count of resident, unfinished warps;
         #: replaces the O(warps) ``any(not w.finished ...)`` scans that
         #: ``busy`` / ``can_accept`` used to perform every cycle.
@@ -197,8 +191,6 @@ class StreamingMultiprocessor:
             self._next_dynamic_id += 1
             warp.start_cycle = now
             warp.last_issue_cycle = now - 1
-            if self.trace_sink is not None:
-                warp.recording = self.trace_sink.open_stream(block.block_id, w)
             block.warps.append(warp)
             self.warps.append(warp)
             self._unfinished += 1
@@ -416,12 +408,6 @@ class StreamingMultiprocessor:
         # (Trace replay swaps in a TraceExecutor that answers from the
         # warp's recorded stream instead of computing lane values.)
         result = self.executor.execute(inst, warp)
-        rec = warp.recording
-        if rec is not None:
-            # The aux payload follows in the LD/ST and branch arms below,
-            # which already hold the kind.
-            rec.pcs.append(pc)
-            rec.masks.append(active)
 
         # ---- timing + control state -----------------------------------
         stats = self.stats
@@ -431,15 +417,6 @@ class StreamingMultiprocessor:
             rf.reg_from_load[decoded.dst] = False
             stack.advance(pc + 1)
         elif kind == _K_LOAD or kind == _K_STORE:
-            if rec is not None:
-                if (decoded.needs_global_mem and result.mem_mask
-                        and result.mem_lines is None):
-                    # Coalesce once: the trace stores these lines and the
-                    # LSU below walks the same list.
-                    result.mem_lines = coalesce_lines(
-                        result.mem_addrs, result.mem_mask, self.l1d.config.line_size
-                    )
-                rec.append_memory(result.mem_mask, result.mem_lines)
             crit_fn = self._is_critical
             is_critical = crit_fn(warp) if crit_fn is not None else False
             completion, _ = self.lsu.issue(
@@ -455,8 +432,6 @@ class StreamingMultiprocessor:
                 stats.stores += 1
             stack.advance(pc + 1)
         elif kind == _K_BRANCH:
-            if rec is not None and inst.pred is not None:
-                rec.aux.append(result.taken_mask)
             self._resolve_branch(warp, inst, result.taken_mask, active, now)
             stats.branches += 1
         elif kind == _K_PRED:
@@ -523,7 +498,6 @@ class StreamingMultiprocessor:
 
     def _finish_warp(self, warp: Warp, scheduler: WarpScheduler, now: float) -> None:
         warp.mark_finished(now)
-        warp.recording = None  # results keep warps; the recorder keeps the stream
         self._unfinished -= 1
         if self.obs is not None:
             self.obs.emit((_EV_WARP_FINISH, now, self.sm_id,

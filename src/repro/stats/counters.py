@@ -134,15 +134,23 @@ class RunResult:
     warp_size: int = 32
 
     #: Provenance — the path taken, not the config's ``frontend`` field:
-    #: ``"execute"`` (functional execution at issue time, whether or not a
-    #: recorder rode along) or ``"trace"`` (trace replay; bit-identical by
-    #: contract, see docs/trace_driven.md).
+    #: ``"execute"`` (functional execution at issue time: the parity
+    #: reference) or ``"trace"`` (trace replay; bit-identical by contract,
+    #: see docs/trace_driven.md).
     frontend: str = "execute"
-    #: Trace provenance: the content id of the trace this run replayed
-    #: (``frontend == "trace"``) or recorded (``frontend == "execute"``),
-    #: or ``None`` for an execution that touched no trace.  A launch
-    #: result reads ``"recording"`` until the recorder is sealed.
+    #: Trace provenance: the content id of the trace this run replayed, or
+    #: ``None`` for an execution (which touches no trace).
     trace_id: Optional[str] = None
+    #: Provenance of a cold cell: True when the run that produced this
+    #: result also made the trace it replayed (the functional pass of
+    #: :mod:`repro.trace.functional`), with what the pass and the replay
+    #: each cost on the host and the pass's batched-step and warp counts.
+    #: Host-side facts, so none of them takes part in equality.
+    recorded: bool = field(default=False, compare=False)
+    record_s: float = field(default=0.0, compare=False)
+    replay_s: float = field(default=0.0, compare=False)
+    record_steps: int = field(default=0, compare=False)
+    record_warps: int = field(default=0, compare=False)
 
     #: Provenance: which device clock produced this result (``"skip"``, the
     #: default loop, or the ``"cycle"`` reference).  Timing-transparent by
@@ -173,7 +181,7 @@ class RunResult:
     sampling: str = "off"
     #: Provenance: True when the functional outputs behind this result were
     #: checked against the workload's reference, by the run itself or by
-    #: the recording run of the trace it replayed (set by
+    #: the functional pass that made the trace it replayed (set by
     #: :func:`repro.experiments.runner.run_scheme`, whose ``check=True``
     #: callers never get a memoised or stored result without it).  A
     #: stored payload with no ``"verified"`` key predates the field and
@@ -227,6 +235,15 @@ class RunResult:
     # ------------------------------------------------------------------
     # Serialization (persistent result cache, cross-process sweeps)
     # ------------------------------------------------------------------
+    def block_summaries(self) -> List[BlockSummary]:
+        """``blocks`` as :class:`BlockSummary` snapshots: everything the
+        analyses read, none of the launch's ``ThreadBlock`` / ``Warp``
+        graph."""
+        return [
+            b if isinstance(b, BlockSummary) else BlockSummary.from_block(b)
+            for b in self.blocks
+        ]
+
     def to_dict(self) -> Dict:
         """Plain-data form of this result (JSON- and pickle-friendly).
 
@@ -234,10 +251,7 @@ class RunResult:
         :class:`BlockSummary`; ``extra`` entries that are not plain scalars
         (e.g. profiler objects) are dropped.
         """
-        blocks = [
-            b if isinstance(b, BlockSummary) else BlockSummary.from_block(b)
-            for b in self.blocks
-        ]
+        blocks = self.block_summaries()
         return {
             "kernel_name": self.kernel_name,
             "scheme": self.scheme,
@@ -250,6 +264,11 @@ class RunResult:
             "warp_size": self.warp_size,
             "frontend": self.frontend,
             "trace_id": self.trace_id,
+            "recorded": self.recorded,
+            "record_s": self.record_s,
+            "replay_s": self.replay_s,
+            "record_steps": self.record_steps,
+            "record_warps": self.record_warps,
             "clock": self.clock,
             "cycles_skipped": self.cycles_skipped,
             "skip_jumps": self.skip_jumps,
@@ -287,6 +306,11 @@ class RunResult:
             warp_size=data.get("warp_size", 32),
             frontend=data.get("frontend", "execute"),
             trace_id=data.get("trace_id"),
+            recorded=data.get("recorded", False),
+            record_s=data.get("record_s", 0.0),
+            replay_s=data.get("replay_s", 0.0),
+            record_steps=data.get("record_steps", 0),
+            record_warps=data.get("record_warps", 0),
             clock=data.get("clock", "cycle"),
             cycles_skipped=data.get("cycles_skipped", 0.0),
             skip_jumps=data.get("skip_jumps", 0),

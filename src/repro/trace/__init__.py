@@ -8,14 +8,15 @@ of the cost — no register files, no lane math, no functional verification.
 See ``docs/trace_driven.md`` for the design, file format, invalidation
 keys, and the (narrow) conditions under which replay is *not* valid.
 
-Typical use is implicit — ``run_scheme`` records on a trace miss and
-replays thereafter unless the config says ``with_frontend("execute")`` —
-but the pieces are public::
+Typical use is implicit — on a trace miss ``run_scheme`` runs the
+functional pass (:mod:`repro.trace.functional`: no SM, caches or clock),
+stores the trace and replays it, and replays thereafter, unless the config
+says ``with_frontend("execute")`` — but the pieces are public::
 
     from repro.trace import TraceRecorder, TraceProgram, replay_program
-    from repro.trace import record_workload
+    from repro.trace import record_program, record_workload
 
-    result, program = record_workload("bfs", scale=0.5)
+    result, program = record_workload("bfs", scale=0.5)   # record + replay
     program.save("bfs.trace")
     replayed = replay_program(TraceProgram.load("bfs.trace"), scheme="cawa")
 """
@@ -29,7 +30,12 @@ from .format import (
     WarpStream,
     kernel_fingerprint,
 )
-from .recorder import TraceRecorder, record_workload
+from .recorder import (
+    TraceRecorder,
+    record_program,
+    record_workload,
+    replay_recorded,
+)
 from .replay import TraceExecutor, TraceStack, TraceWarp, make_warp_factory, replay_program
 from .store import (
     clear,
@@ -56,7 +62,9 @@ __all__ = [
     "list_traces",
     "load_program",
     "make_warp_factory",
+    "record_program",
     "record_workload",
+    "replay_recorded",
     "replay_program",
     "store_program",
     "trace_dir",

@@ -188,8 +188,9 @@ def classify_aux(kernel: Kernel) -> List[int]:
 class WarpStream:
     """One warp's dynamic stream as three flat typed columns.
 
-    The recorder appends to the columns as the warp issues; afterwards they
-    are read-only, so one loaded :class:`TraceProgram` can feed many
+    The recorder's functional pass appends to the columns a few thousand
+    records at a time; afterwards they are read-only, so one loaded
+    :class:`TraceProgram` can feed many
     concurrent replays (each materialises its own cursor, see
     :class:`repro.trace.replay.TraceStack`) and derived sampled programs
     share streams zero-copy.
@@ -216,7 +217,7 @@ class WarpStream:
         return (self.pcs, self.masks, self.aux) == (other.pcs, other.masks, other.aux)
 
     def append_memory(self, mem_mask: int, lines: Optional[List[int]]) -> None:
-        """Append one LD/ST record's aux payload (recording)."""
+        """Append one LD/ST record's aux payload (hand-built streams)."""
         aux = self.aux
         aux.append(mem_mask)
         if lines is None:
@@ -360,10 +361,13 @@ class TraceProgram:
     scale: float = 1.0
     warp_size: int = 32
     line_size: int = 128
-    #: Free-form provenance (recording scheme, simulator version, whether
-    #: the recording run verified its results, ...).
+    #: Free-form provenance (requesting scheme, simulator version, whether
+    #: the functional pass's results were verified, its step count, ...).
     meta: Dict = field(default_factory=dict)
     launches: List[LaunchTrace] = field(default_factory=list)
+    #: Wall time of the functional pass that made this program, in the
+    #: process that made it (0.0 for a loaded one).  Not stored.
+    record_s: float = field(default=0.0, compare=False)
 
     @property
     def trace_id(self) -> str:
@@ -377,6 +381,10 @@ class TraceProgram:
     @property
     def record_count(self) -> int:
         return sum(lt.record_count for lt in self.launches)
+
+    @property
+    def warp_count(self) -> int:
+        return sum(len(lt.warps) for lt in self.launches)
 
     def validate(self, expected_functional_fp: str) -> None:
         """Refuse a trace recorded under a different functional config."""

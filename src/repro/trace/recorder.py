@@ -1,33 +1,41 @@
 """Recording half of the trace-driven frontend.
 
-A :class:`TraceRecorder` attaches to an executing :class:`~repro.gpu.GPU`
-(``gpu.attach_recorder(recorder)``).  Each warp is handed its own
-:class:`~repro.trace.format.WarpStream` when its block becomes resident
-(:meth:`TraceRecorder.open_stream`), and the SM's issue path appends to
-those columns itself — *after* functional execution, *before* timing, in
-the branch of ``_issue`` that already knows the instruction's kind — so a
-recorded instruction costs two or three typed-array appends and no call
-into this module.  Recording is passive: it never perturbs scheduling or
-timing, so the recording run's own
-:class:`~repro.stats.counters.RunResult` is a normal execution result.
+A trace is made one way: *build -> functional pass -> verify*.  A
+:class:`TraceRecorder` stands in for the device while a workload builds and
+launches — it owns a :class:`~repro.memory.data.GlobalMemory` for the
+inputs and answers ``launch`` with the functional pass of
+:mod:`repro.trace.functional`, which steps every warp of the launch through
+the kernel with no SM, scheduler, cache or clock and hands back the
+per-warp streams — and the workload's own NumPy reference then checks the
+memory it left behind.  Nothing on the timing model's issue path knows a
+trace is being made; timing is always a replay of the result
+(:func:`repro.trace.replay.replay_program`).
 
 The per-warp streams are *schedule-invariant* for race-free kernels (each
 thread reads inputs and writes its own outputs; the ISA has no atomics), so
-a trace recorded under any scheduler replays bit-identically under every
-scheme — ``tests/test_trace_parity.py`` asserts exactly this.
+one recording replays bit-identically under every scheme —
+``tests/test_trace_parity.py`` asserts exactly this against the execute
+frontend — and the functional pass refuses
+(:class:`~repro.errors.TraceInvarianceError`) a launch in which a warp
+loads what another warp stored, or stores what another loaded, with no
+barrier of their block in between.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import time
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..config import GPUConfig
 from ..errors import ConfigError
-from .format import LaunchTrace, TraceProgram, WarpStream
+from ..memory.data import GlobalMemory
+from .format import LaunchTrace, TraceProgram
+from .functional import record_launch
 
 
 class TraceRecorder:
-    """Hands out per-warp columns during execution and seals the program."""
+    """The device a workload is recorded on: global memory and ``launch``,
+    nothing else."""
 
     def __init__(self, config: GPUConfig) -> None:
         if config.warp_size > 64:
@@ -37,28 +45,27 @@ class TraceRecorder:
                 "config.with_frontend('execute'))"
             )
         self.config = config
+        self.memory = GlobalMemory()
         self.launches: List[LaunchTrace] = []
-        self._current: Optional[Dict[Tuple[int, int], WarpStream]] = None
+        #: Functional steps taken so far, all launches.
+        self.steps = 0
 
-    # ------------------------------------------------------------------
-    # GPU / SM hooks
-    # ------------------------------------------------------------------
-    def begin_launch(self, kernel: Any, grid_dim: int, block_dim: int) -> None:
-        """Called by :meth:`repro.gpu.GPU.launch` before dispatch."""
-        launch = LaunchTrace(kernel=kernel, grid_dim=grid_dim, block_dim=block_dim)
+    def launch(self, kernel: Any, grid_dim: int, block_dim: int,
+               scheme: str = "") -> LaunchTrace:
+        """Run ``kernel`` functionally and keep its streams (``scheme`` is
+        accepted for :meth:`repro.workloads.base.Workload.run`; no
+        scheduler takes part)."""
+        from ..gpu.gpu import check_launch  # local: gpu imports the executor stack
+
+        check_launch(self.config, kernel, grid_dim, block_dim)
+        launch, steps = record_launch(
+            kernel, grid_dim, block_dim, self.memory,
+            self.config.warp_size, self.config.l1d.line_size,
+        )
         self.launches.append(launch)
-        self._current = launch.warps
+        self.steps += steps
+        return launch
 
-    def open_stream(self, block_id: int, warp_id_in_block: int) -> Optional[WarpStream]:
-        """SM ``trace_sink`` hook: the columns a newly resident warp records
-        into (``None`` outside a launch window)."""
-        streams = self._current
-        if streams is None:
-            return None
-        stream = streams[(block_id, warp_id_in_block)] = WarpStream()
-        return stream
-
-    # ------------------------------------------------------------------
     def finish(
         self,
         workload: str = "",
@@ -69,8 +76,8 @@ class TraceRecorder:
         """Seal the recording into a saveable :class:`TraceProgram`."""
         from .. import __version__
 
-        self._current = None
-        info = {"recorded_scheme": scheme, "simulator_version": __version__}
+        info = {"recorded_scheme": scheme, "simulator_version": __version__,
+                "steps": self.steps}
         info.update(meta)
         return TraceProgram(
             functional_fingerprint=self.config.functional_fingerprint(),
@@ -83,6 +90,49 @@ class TraceRecorder:
         )
 
 
+def record_program(
+    workload: str,
+    scale: float = 1.0,
+    config: Optional[GPUConfig] = None,
+    scheme: str = "",
+    check: bool = True,
+    **workload_kwargs: Any,
+) -> TraceProgram:
+    """Build ``workload``, run its launches functionally and (``check``)
+    verify what they computed; returns the :class:`TraceProgram`.
+
+    ``meta["verified"]`` notes whether the outputs were checked and
+    ``meta["steps"]`` how many batched steps the pass took; ``scheme`` is
+    provenance only (``meta["recorded_scheme"]``).  The wall time of the
+    whole thing is left on the program (``record_s``, not stored).
+    """
+    from ..workloads import make_workload  # local: keep repro.trace light
+
+    started = time.perf_counter()  # sanitize: waive DET002 -- provenance (RunResult.record_s), never a result
+    recorder = TraceRecorder(config or GPUConfig.default_sim())
+    make_workload(workload, scale=scale, **workload_kwargs).run(
+        recorder, scheme=scheme, check=check)
+    program = recorder.finish(workload=workload, scale=scale, scheme=scheme,
+                              verified=check)
+    program.record_s = time.perf_counter() - started  # sanitize: waive DET002 -- as above
+    return program
+
+
+def replay_recorded(program: TraceProgram, replay: Callable[[], Any]) -> Any:
+    """Run ``replay`` — a replay of ``program``, which this process has
+    just recorded — and stamp the result's provenance with the recording:
+    ``recorded``, what the functional pass and the replay each cost, and
+    the pass's step and warp counts."""
+    started = time.perf_counter()  # sanitize: waive DET002 -- provenance (RunResult.replay_s), never a result
+    result = replay()
+    result.replay_s = time.perf_counter() - started  # sanitize: waive DET002 -- as above
+    result.recorded = True
+    result.record_s = program.record_s
+    result.record_steps = program.meta.get("steps", 0)
+    result.record_warps = program.warp_count
+    return result
+
+
 def record_workload(
     workload: str,
     scale: float = 1.0,
@@ -92,27 +142,18 @@ def record_workload(
     oracle: Optional[dict] = None,
     **workload_kwargs: Any,
 ) -> Tuple[Any, TraceProgram]:
-    """Record one workload end to end; returns ``(result, program)``.
+    """Record one workload and replay it once; returns ``(result, program)``.
 
-    Executes the workload once (baseline round-robin scheduler by default —
-    any scheme yields the same functional streams) with a recorder
-    attached.  The returned result is a normal execution-driven
-    :class:`~repro.stats.counters.RunResult`; the returned
-    :class:`TraceProgram` replays it bit-identically under any scheme and
-    notes in ``meta["verified"]`` whether the run checked its results.
+    The returned :class:`~repro.stats.counters.RunResult` is the replay of
+    the fresh recording under ``scheme`` (``recorded=True`` in its
+    provenance); the :class:`TraceProgram` replays bit-identically under
+    any other scheme.
     """
-    # Local imports: keep repro.trace importable without the full simulator.
     from ..core.cawa import apply_scheme
-    from ..gpu import GPU
-    from ..workloads import make_workload
+    from .replay import replay_program
 
     cfg = apply_scheme(config or GPUConfig.default_sim(), scheme)
-    recorder = TraceRecorder(cfg)
-    gpu = GPU(cfg, oracle=oracle)
-    gpu.attach_recorder(recorder)
-    wl = make_workload(workload, scale=scale, **workload_kwargs)
-    result = wl.run(gpu, scheme=scheme, check=check)
-    program = recorder.finish(workload=workload, scale=scale, scheme=scheme,
-                              verified=check)
-    result.trace_id = program.trace_id
+    program = record_program(workload, scale, cfg, scheme, check, **workload_kwargs)
+    result = replay_recorded(program, lambda: replay_program(
+        program, cfg, scheme=scheme, oracle=oracle)[-1])
     return result, program

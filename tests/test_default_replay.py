@@ -1,9 +1,10 @@
 """Record once, replay the rest — what a caller who says nothing gets.
 
-``run_scheme`` with a default config executes a workload's functional side
-once (recorder attached) and replays every later cell; ``with_frontend(
-"execute")`` is the parity reference.  This file pins the economy of that
-default (how often the functional executor runs), its parity with the
+``run_scheme`` with a default config runs a workload's functional side
+once — the recorder's scheduler-free functional pass — and every cell, the
+first included, is a replay; ``with_frontend("execute")`` is the parity
+reference.  This file pins the economy of that default (one functional
+pass per workload, the timing model's executor never), its parity with the
 reference across the ways a cell can be asked for, and the three ways the
 default could otherwise go wrong: replaying a trace nobody verified,
 writing a cache the user disabled, and replaying streams an older version
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.config import GPUConfig
 from repro.experiments import runner
 from repro.experiments.runner import run_scheme, run_sweep
 from repro.simt.executor import FunctionalExecutor
+from repro.trace import recorder as recorder_mod
 from repro.trace import store as trace_store
 
 SCALE = 0.25
@@ -43,23 +46,39 @@ def _fresh_memo():
     runner.clear_cache()
 
 
+class Functional:
+    """Functional work from here on: ``passes`` holds the record count of
+    every functional pass the recorder ran, ``executed`` counts the timing
+    model's ``FunctionalExecutor.execute`` calls (the execute frontend)."""
+
+    def __init__(self):
+        self.passes = []
+        self.executed = 0
+
+
 @pytest.fixture
 def executions(monkeypatch):
-    """Counts ``FunctionalExecutor.execute`` calls from here on."""
-    calls = [0]
-    real = FunctionalExecutor.execute
+    seen = Functional()
+    execute, record_launch = FunctionalExecutor.execute, recorder_mod.record_launch
 
     def counted(self, inst, warp):
-        calls[0] += 1
-        return real(self, inst, warp)
+        seen.executed += 1
+        return execute(self, inst, warp)
+
+    def recorded(*args, **kwargs):
+        launch, steps = record_launch(*args, **kwargs)
+        assert 0 < steps <= launch.record_count
+        seen.passes.append(launch.record_count)
+        return launch, steps
 
     monkeypatch.setattr(FunctionalExecutor, "execute", counted)
-    return calls
+    monkeypatch.setattr(recorder_mod, "record_launch", recorded)
+    return seen
 
 
 def _stored_records(workload, scale=SCALE, **kwargs):
-    """Records in the stored trace: one per instruction its recording run
-    executed, i.e. one executed cell's worth of functional work."""
+    """Records in the stored trace: one per warp instruction, i.e. one
+    cell's worth of functional work."""
     program = trace_mod.load_program(
         workload, scale, GPUConfig.default_sim(), kwargs or None)
     return program.record_count
@@ -97,18 +116,26 @@ class TestDefaultPath:
 
         executions = request.getfixturevalue("executions")
         results = {s: run_scheme(workload, s, scale=SCALE) for s in SCHEMES}
-        assert executions[0] == _stored_records(workload) > 0
-        assert [r.frontend for r in results.values()] == ["execute"] + ["trace"] * 3
+        assert executions.passes == [_stored_records(workload)]
+        assert executions.executed == 0
+        assert [r.recorded for r in results.values()] == [True] + [False] * 3
+        assert {r.frontend for r in results.values()} == {"trace"}
         assert len({r.trace_id for r in results.values()}) == 1
+        cold = results[SCHEMES[0]]
+        program = trace_mod.load_program(workload, SCALE, GPUConfig.default_sim())
+        assert cold.record_steps == program.meta["steps"] > 0
+        assert cold.record_warps == program.warp_count
+        assert cold.record_s > 0 and cold.replay_s > 0
         for scheme in SCHEMES:
             assert signature(results[scheme]) == references[scheme], scheme
 
     def test_sweep_records_once_per_workload(self, executions):
         workloads = ["bfs", TINY]
         results = run_sweep(workloads, ["gto", "rr", "cawa"], scale=SMALL)
-        recorded = [cell for cell, r in results.items() if r.frontend == "execute"]
+        recorded = [cell for cell, r in results.items() if r.recorded]
         assert recorded == [(w, "gto") for w in workloads]
-        assert executions[0] == sum(_stored_records(w, SMALL) for w in workloads)
+        assert executions.passes == [_stored_records(w, SMALL) for w in workloads]
+        assert executions.executed == 0
 
     def test_events_on(self, executions):
         cfg = GPUConfig.default_sim().with_events("on")
@@ -116,7 +143,9 @@ class TestDefaultPath:
         replayed = run_scheme("bfs", "cawa", scale=SMALL, config=cfg)
         reference = _reference("bfs", "cawa", SMALL,
                                config=EXECUTE.with_events("on"))
-        assert (recorded.frontend, replayed.frontend) == ("execute", "trace")
+        assert (recorded.recorded, replayed.recorded) == (True, False)
+        assert recorded.frontend == replayed.frontend == "trace"
+        assert len(executions.passes) == 1
         assert signature(recorded) == signature(replayed) == signature(reference)
         assert (recorded.extra["events_recorded"] == replayed.extra["events_recorded"]
                 == reference.extra["events_recorded"] > 0)
@@ -138,12 +167,13 @@ class TestDefaultPath:
     def test_workload_kwargs_get_their_own_trace(self, executions):
         plain = run_scheme("bfs", "rr", scale=SMALL)
         variant = run_scheme("bfs", "rr", scale=SMALL, seed=3, balanced=True)
-        assert variant.trace_id is not None and variant.frontend == "execute"
-        before = executions[0]
+        assert variant.trace_id != plain.trace_id and variant.recorded
+        assert len(executions.passes) == 2
         replayed = run_scheme("bfs", "gto", scale=SMALL, seed=3, balanced=True)
-        assert executions[0] == before and replayed.frontend == "trace"
+        assert len(executions.passes) == 2 and not replayed.recorded
+        assert executions.executed == 0
         reference = _reference("bfs", "gto", SMALL, seed=3, balanced=True)
-        assert executions[0] - before == _stored_records(
+        assert executions.executed == executions.passes[1] == _stored_records(
             "bfs", SMALL, seed=3, balanced=True)
         assert signature(replayed) == signature(reference)
         assert signature(replayed) != signature(
@@ -154,11 +184,10 @@ class TestDefaultPath:
     def test_sampled_config_records_the_whole_trace_once(self, executions):
         cfg = GPUConfig.default_sim().with_sampling("blocks:0.5")
         cold = run_scheme("bfs", "gto", scale=SCALE, config=cfg, use_cache=False)
-        one_cell = executions[0]
         warm = run_scheme("bfs", "gto", scale=SCALE, config=cfg, use_cache=False)
         exact = run_scheme("bfs", "gto", scale=SCALE)
-        assert executions[0] == one_cell == exact.warp_instructions
-        assert exact.frontend == "trace"
+        assert executions.passes == [exact.warp_instructions]
+        assert (cold.recorded, warm.recorded, exact.recorded) == (True, False, False)
         assert (cold.cycles, cold.info.replay_fraction) == (
             warm.cycles, warm.info.replay_fraction)
         assert 0 < cold.info.replay_fraction < 1
@@ -170,15 +199,15 @@ class TestDefaultPath:
 class TestVerified:
     def test_unverified_trace_is_rerecorded_for_a_checking_caller(self, executions):
         first = run_scheme(TINY, "rr", scale=TINY_SCALE, check=False, use_cache=False)
-        one_cell = executions[0]
+        assert len(executions.passes) == 1
         ((_, info),) = trace_mod.list_traces()
         assert info.meta["verified"] is False
         # check=False callers replay it...
         again = run_scheme(TINY, "gto", scale=TINY_SCALE, check=False, use_cache=False)
-        assert again.frontend == "trace" and executions[0] == one_cell
-        # ...a check=True caller executes, verifies and overwrites.
+        assert not again.recorded and len(executions.passes) == 1
+        # ...a check=True caller records again, verifies and overwrites.
         checked = run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False)
-        assert checked.frontend == "execute" and executions[0] == 2 * one_cell
+        assert checked.recorded and len(executions.passes) == 2
         ((_, info),) = trace_mod.list_traces()
         assert info.meta["verified"] is True
         assert info.trace_id == first.trace_id
@@ -186,8 +215,8 @@ class TestVerified:
         for check in (True, False):
             result = run_scheme(TINY, "cawa", scale=TINY_SCALE, check=check,
                                 use_cache=False)
-            assert result.frontend == "trace"
-        assert executions[0] == 2 * one_cell
+            assert result.frontend == "trace" and not result.recorded
+        assert len(executions.passes) == 2 and executions.executed == 0
 
     def test_failing_verification_raises_even_with_a_trace_present(self, monkeypatch):
         from repro.workloads.base import LaunchSpec
@@ -214,19 +243,18 @@ class TestVerified:
             return sorted((tmp_path / "repro_cache").glob("*.json"))
 
         unchecked = run_scheme(TINY, "rr", scale=TINY_SCALE, check=False)
-        one_cell = executions[0]
-        assert one_cell and not unchecked.verified
+        assert len(executions.passes) == 1 and not unchecked.verified
         (entry,) = files()
         # Memo and disk entry both serve the next check=False caller...
         assert run_scheme(TINY, "rr", scale=TINY_SCALE, check=False) is unchecked
         runner.clear_cache()
         from_disk = run_scheme(TINY, "rr", scale=TINY_SCALE, check=False)
-        assert executions[0] == one_cell and not from_disk.verified
-        # ...and neither serves check=True: it simulates a second time (the
+        assert len(executions.passes) == 1 and not from_disk.verified
+        # ...and neither serves check=True: it records a second time (the
         # stored trace is unverified as well), verifies, and overwrites both.
         checked = run_scheme(TINY, "rr", scale=TINY_SCALE)
-        assert executions[0] == 2 * one_cell
-        assert checked.verified and checked.frontend == "execute"
+        assert len(executions.passes) == 2
+        assert checked.verified and checked.recorded
         assert signature(checked) == signature(unchecked)
         assert files() == [entry]
         for check in (True, False):
@@ -235,7 +263,7 @@ class TestVerified:
             runner.clear_cache()
             stored = run_scheme(TINY, "rr", scale=TINY_SCALE, check=check)
             assert stored.verified and signature(stored) == signature(checked)
-        assert executions[0] == 2 * one_cell
+        assert len(executions.passes) == 2
         # A replayed cell is as verified as the recording it replays.
         replayed = run_scheme(TINY, "gto", scale=TINY_SCALE, check=False)
         assert replayed.frontend == "trace" and replayed.verified
@@ -248,7 +276,7 @@ class TestVerified:
         old = run_scheme(TINY, "rr", scale=TINY_SCALE, check=False)
         assert not old.verified and signature(old) == signature(checked)
         runner.clear_cache()
-        assert run_scheme(TINY, "rr", scale=TINY_SCALE).frontend == "trace"
+        assert not run_scheme(TINY, "rr", scale=TINY_SCALE).recorded
         assert result_cache.load(key).verified
 
     def test_failing_verification_raises_even_with_cached_results(self, monkeypatch, tmp_path):
@@ -295,8 +323,8 @@ def test_disk_cache_disabled_means_no_trace_files(monkeypatch, tmp_path, executi
     cache = tmp_path / "repro_cache"
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     results = run_sweep([TINY], ["rr", "gto", "cawa"], scale=TINY_SCALE)
-    assert [r.frontend for r in results.values()] == ["execute", "trace", "trace"]
-    assert executions[0] == results[(TINY, "rr")].warp_instructions > 0
+    assert [r.recorded for r in results.values()] == [True, False, False]
+    assert executions.passes == [results[(TINY, "rr")].warp_instructions]
     assert not cache.exists() or not [p for p in cache.rglob("*") if p.is_file()]
     assert trace_mod.list_traces() == []
     # A trace on disk is not read either.
@@ -307,7 +335,7 @@ def test_disk_cache_disabled_means_no_trace_files(monkeypatch, tmp_path, executi
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     trace_store.forget()
     assert trace_mod.load_program(TINY, TINY_SCALE, GPUConfig.default_sim()) is None
-    assert run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False).frontend == "execute"
+    assert run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False).recorded
 
 
 # ----------------------------------------------------------------------
@@ -316,13 +344,12 @@ def test_disk_cache_disabled_means_no_trace_files(monkeypatch, tmp_path, executi
 def test_version_bump_misses_and_rerecords(monkeypatch, executions):
     cfg = GPUConfig.default_sim()
     run_scheme(TINY, "rr", scale=TINY_SCALE, use_cache=False)
-    one_cell = executions[0]
     old_path = trace_mod.trace_path(TINY, TINY_SCALE, cfg)
     assert old_path.exists()
     monkeypatch.setattr(trace_store, "__version__", repro.__version__ + ".post1")
     assert trace_mod.trace_path(TINY, TINY_SCALE, cfg) != old_path
     result = run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False)
-    assert result.frontend == "execute" and executions[0] == 2 * one_cell
+    assert result.recorded and len(executions.passes) == 2
     assert len(trace_mod.list_traces()) == 2
 
 
@@ -334,7 +361,8 @@ def test_memo_hands_a_recording_to_the_next_cell_without_a_decode(monkeypatch):
                         lambda *a, **k: pytest.fail("decoded its own recording"))
     recorded = run_scheme(TINY, "rr", scale=TINY_SCALE, use_cache=False)
     replayed = run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False)
-    assert (recorded.frontend, replayed.frontend) == ("execute", "trace")
+    assert (recorded.recorded, replayed.recorded) == (True, False)
+    assert recorded.trace_id == replayed.trace_id
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +376,10 @@ class TestCliReportsThePathTaken:
         first = capsys.readouterr().out.strip().splitlines()[-1]
         assert main(["run", *self.ARGS, "--scheme", "gto"]) == 0
         second = capsys.readouterr().out.strip().splitlines()[-1]
-        assert first.startswith("recorded trace ")
-        assert second == first.replace("recorded", "replayed")
+        assert re.fullmatch(
+            r"recorded trace [0-9a-f]{12} in \d+ ms \(\d+ steps, \d+ warps\), "
+            r"replayed in \d+ ms", first), first
+        assert second == "replayed trace " + first.split()[2]
 
     def test_sweep_footer_counts_both(self, capsys):
         assert main(["sweep", "--workloads", "synthetic_imbalance,synthetic_divergence",
@@ -362,4 +392,8 @@ class TestCliReportsThePathTaken:
         assert main(["trace", "info"]) == 0
         out = capsys.readouterr().out
         assert "synthetic_imbalance" in out and "verified" in out
-        assert out.strip().splitlines()[-1].split()[-1] == "no"
+        header, row = (line.split() for line in out.strip().splitlines()[::2])
+        cell = dict(zip(header, row))
+        assert cell["verified"] == "no"
+        assert float(cell["warps/step"]) == pytest.approx(
+            int(cell["records"]) / int(cell["steps"]), abs=0.05)

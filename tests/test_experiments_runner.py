@@ -56,6 +56,75 @@ class TestRunScheme:
         assert profiler.critical.references + profiler.non_critical.references > 0
 
 
+class TestMemoIsBounded:
+    """``runner._CACHE`` in a process that never calls ``clear_cache`` (a
+    ``repro serve`` pool worker): entries are summaries, and there are at
+    most ``_CACHE_CAP`` of them."""
+
+    TINY = "synthetic_imbalance"
+
+    @staticmethod
+    def live(kind):
+        import gc
+
+        gc.collect()
+        return sum(isinstance(obj, kind) for obj in gc.get_objects())
+
+    def test_entries_hold_summaries_not_the_launch_graph(self):
+        from repro.simt.block import ThreadBlock
+        from repro.simt.warp import Warp
+        from repro.stats.counters import BlockSummary
+
+        blocks, warps = self.live(ThreadBlock), self.live(Warp)
+        results = [run_scheme(self.TINY, s, scale=SCALE) for s in ("rr", "gto", "cawa")]
+        for result in results:
+            assert result.blocks
+            assert all(type(b) is BlockSummary for b in result.blocks)
+        # Nothing memoised pins a ThreadBlock or a Warp (~0.6 MB a cell on
+        # bfs @ 0.5): the launches' graphs are garbage already.
+        assert (self.live(ThreadBlock), self.live(Warp)) == (blocks, warps)
+        assert list(runner._CACHE.values()) == results
+
+    def test_n_plus_k_distinct_cells_leave_n_entries(self, monkeypatch):
+        import pickle
+
+        monkeypatch.setattr(runner, "_CACHE_CAP", 4)
+        scales = [SCALE - i * 1e-6 for i in range(7)]  # N + K distinct cells
+        results = [run_scheme(self.TINY, "rr", scale=s, persistent=False)
+                   for s in scales]
+        assert len(runner._CACHE) == 4
+        assert list(runner._CACHE.values()) == results[-4:]
+        assert sum(len(pickle.dumps(r)) for r in runner._CACHE.values()) < 4 * 16384
+        # A repeated cell is still a hit, and a hit is the entry used last...
+        assert run_scheme(self.TINY, "rr", scale=scales[3], persistent=False) is results[3]
+        run_scheme(self.TINY, "gto", scale=SCALE, persistent=False)
+        assert results[3] in runner._CACHE.values()
+        assert results[4] not in runner._CACHE.values()
+        # ...while an evicted one is simply run again.
+        again = run_scheme(self.TINY, "rr", scale=scales[0], persistent=False)
+        assert again is not results[0] and again.cycles == results[0].cycles
+
+    def test_a_checking_caller_is_never_served_an_unverified_entry(self):
+        unchecked = run_scheme(self.TINY, "rr", scale=SCALE, check=False,
+                               persistent=False)
+        assert not unchecked.verified
+        assert run_scheme(self.TINY, "rr", scale=SCALE, check=False,
+                          persistent=False) is unchecked
+        checked = run_scheme(self.TINY, "rr", scale=SCALE, persistent=False)
+        assert checked is not unchecked and checked.verified
+        assert len(runner._CACHE) == 1
+        for check in (True, False):
+            assert run_scheme(self.TINY, "rr", scale=SCALE, check=check,
+                              persistent=False) is checked
+
+    def test_parallel_sweep_results_enter_the_same_bounded_memo(self, monkeypatch):
+        monkeypatch.setattr(runner, "_CACHE_CAP", 2)
+        results = run_sweep([self.TINY], ["rr", "gto", "cawa"], scale=SCALE,
+                            parallel=True, max_workers=2)
+        assert len(results) == 3 and len(runner._CACHE) == 2
+        assert run_scheme(self.TINY, "cawa", scale=SCALE) is results[(self.TINY, "cawa")]
+
+
 class TestOracle:
     def test_oracle_covers_all_warps(self):
         oracle = build_oracle("synthetic_imbalance", scale=SCALE)

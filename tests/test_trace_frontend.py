@@ -19,7 +19,7 @@ from repro import trace as trace_mod
 from repro.config import GPUConfig
 from repro.errors import ConfigError, TraceFormatError, TraceMismatchError
 from repro.experiments import runner
-from repro.stats.counters import RunResult
+from repro.stats.counters import RunResult, result_from_dict
 from repro.trace.format import (
     TRACE_FORMAT_VERSION,
     TRACE_MAGIC,
@@ -64,11 +64,20 @@ class TestRecordReplay:
 
     def test_provenance_fields(self, config):
         result, program = _record(config=config)
-        assert result.frontend == "execute"
+        assert result.frontend == "trace" and result.recorded
         assert result.trace_id == program.trace_id
-        rep = trace_mod.replay_program(program, config)[0]
-        assert rep.frontend == "trace"
+        assert result.record_steps == program.meta["steps"]
+        assert result.record_warps == program.warp_count
+        rep = trace_mod.replay_program(program, config, scheme="rr")[0]
+        assert rep.frontend == "trace" and not rep.recorded
         assert rep.trace_id == program.trace_id
+        # Provenance rides along in the serialised form and never decides
+        # whether two results are equal.
+        back = result_from_dict(result.to_dict())
+        assert (back.recorded, back.record_s, back.replay_s, back.record_steps,
+                back.record_warps) == (True, result.record_s, result.replay_s,
+                                       result.record_steps, result.record_warps)
+        assert result_from_dict(rep.to_dict()) == back
 
     def test_trace_id_is_content_addressed(self, config):
         _, a = _record(config=config)
@@ -88,11 +97,12 @@ class TestRecordReplay:
 
 
     def test_recording_coalesces_each_global_access_once(self, config, monkeypatch):
-        """The SM coalesces a recorded access once; the trace stores that
-        list and the LSU walks it (it used to coalesce the same addresses
-        again)."""
-        from repro.simt.executor import NO_EFFECT, ExecResult
-        from repro.sm import lsu as lsu_mod, sm as sm_mod
+        """The functional pass coalesces a recorded access (as a row sort
+        over the group's line matrix); the trace stores that list and the
+        replaying LSU walks it.  ``coalesce_lines`` — the execute
+        frontend's rule — is not called by either, and yields the same
+        lists when the execute frontend runs the workload."""
+        from repro.sm import lsu as lsu_mod
 
         coalesce = lsu_mod.coalesce_lines
         runs = []
@@ -102,30 +112,18 @@ class TestRecordReplay:
             return runs[-1]
 
         monkeypatch.setattr(lsu_mod, "coalesce_lines", counted)
-        monkeypatch.setattr(sm_mod, "coalesce_lines", counted)
-        accesses = []
-        append_memory = WarpStream.append_memory
-
-        def checked(self, mem_mask, lines):
-            append_memory(self, mem_mask, lines)
-            if lines is not None:
-                accesses.append(lines)
-                assert mem_mask and lines is runs[-1]
-
-        monkeypatch.setattr(WarpStream, "append_memory", checked)
-        _, program = trace_mod.record_workload("bfs", scale=SCALE, config=config)
-        assert len(accesses) > 100
-        assert len(runs) == len(accesses)
-        # The payload-free result every ALU/BAR/EXIT issue shares went
-        # through the recording issue path untouched.
-        assert NO_EFFECT == ExecResult()
-        # The stored program holds exactly those lines, and replay walks them.
+        result, program = trace_mod.record_workload("bfs", scale=SCALE, config=config)
+        assert runs == []
         stored = [payload[1] for launch in program.launches
                   for _b, _w, (_pc, _mask, payload) in launch.records()
                   if isinstance(payload, tuple) and payload[1] is not None]
-        assert sorted(stored) == sorted(accesses)
-        replayed = trace_mod.replay_program(program, config, scheme="rr")[0]
-        assert replayed.l1_stats.accesses == sum(len(a) for a in accesses)
+        assert len(stored) > 100
+        assert result.l1_stats.accesses == sum(len(lines) for lines in stored)
+        executed = runner.run_scheme(
+            "bfs", "rr", scale=SCALE, config=config.with_frontend("execute"),
+            use_cache=False, persistent=False)
+        assert executed.l1_stats.accesses == result.l1_stats.accesses
+        assert sorted(runs) == sorted(stored)
 
 
 # ----------------------------------------------------------------------
@@ -329,11 +327,11 @@ class TestRunnerIntegration:
         tcfg = config.with_frontend("trace")
         first = runner.run_scheme("bfs", "rr", scale=SCALE, config=tcfg,
                                   use_cache=False, persistent=False)
-        assert first.frontend == "execute"
-        assert first.trace_id not in (None, "recording")
+        assert first.frontend == "trace" and first.recorded
+        assert first.trace_id is not None
         second = runner.run_scheme("bfs", "gto", scale=SCALE, config=tcfg,
                                    use_cache=False, persistent=False)
-        assert second.frontend == "trace"
+        assert second.frontend == "trace" and not second.recorded
         assert second.trace_id == first.trace_id
 
     def test_replay_matches_execute_frontend(self, config):

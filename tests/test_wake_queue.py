@@ -210,11 +210,9 @@ def replaying_gpu(cfg, build_kernel, grid_dim, block_dim):
     Returns ``(gpu, kernel)``; launching ``kernel`` on ``gpu`` replays the
     recorded streams through the same issue core.
     """
-    recording = GPU(cfg)
-    kernel = build_kernel(recording)
     recorder = TraceRecorder(cfg)
-    recording.attach_recorder(recorder)
-    recording.launch(kernel, grid_dim, block_dim)
+    kernel = build_kernel(recorder)
+    recorder.launch(kernel, grid_dim, block_dim)
     return GPU(cfg.with_frontend("trace"), trace=recorder.finish()), kernel
 
 
