@@ -1,10 +1,11 @@
 """Simulator-throughput smoke benchmark (host performance, not paper data).
 
 Records **simulated cycles per host CPU second** on the bfs x cawa cell
-(the ISSUE's reference cell), the trace-replay-vs-execute speedup, what
-the default record-then-replay path costs on a cold cell (a functional
-pass plus a replay) and saves on a sweep, and the skip-clock-vs-cycle-clock
-speedup, all into pytest-benchmark's ``extra_info`` (``--benchmark-json``).
+(the ISSUE's reference cell), what recording once saves over recording per
+cell (every launch is timed from a recording: a stored trace's, or one the
+GPU makes in place), what the functional pass costs against the replay it
+feeds, and the skip-clock-vs-cycle-clock speedup, all into
+pytest-benchmark's ``extra_info`` (``--benchmark-json``).
 These are CI *gates* — each asserts its floor; the numbers tracked across
 commits live in the performance ledger (``benchmarks/ledger/README.md``).
 Two gates are not timings at all: profiled Python calls per replayed warp
@@ -51,14 +52,17 @@ def test_event_core_throughput(benchmark):
 
 @pytest.mark.slow
 def test_trace_replay_speedup(benchmark):
-    """Trace replay vs execution-driven simulation on the reference cell.
+    """Replaying a warm in-memory trace vs a store-less cell on the
+    reference cell.
 
-    Records the wall-clock speedup of replaying a warm in-memory trace
-    over a cold execute run (the cold-result/warm-trace sweep case).  The
-    bit-identical contract is the hard invariant; the speedup ratio is
-    recorded for tracking and only loosely asserted (CI machines vary,
-    but replay skips the functional executor entirely and must not be
-    slower than execution).
+    Both are timed from a recording; the store-less cell
+    (``with_frontend("execute")``) builds the workload, makes its own
+    recording in place and verifies, so a replay is faster by what
+    recording costs (~1.15x measured: the functional pass is about a
+    quarter of a replay).  The
+    bit-identical contract is the hard invariant; the ratio is recorded for
+    tracking and only loosely asserted (CI machines vary, but a replay does
+    strictly less work).
     """
     from repro import trace as trace_mod
     from repro.config import GPUConfig
@@ -70,7 +74,7 @@ def test_trace_replay_speedup(benchmark):
     _, program = trace_mod.record_workload("bfs", scale=SCALE, config=cfg,
                                            scheme="cawa")
 
-    def execute_once():
+    def in_place_once():
         clear_cache()
         start = time.perf_counter()
         result = run_scheme("bfs", "cawa", scale=SCALE,
@@ -85,7 +89,7 @@ def test_trace_replay_speedup(benchmark):
         )[-1]
         return result, time.perf_counter() - start
 
-    exec_result, exec_seconds = execute_once()
+    exec_result, exec_seconds = in_place_once()
     replay_result, replay_seconds = run_once(benchmark, replay_once)
 
     assert replay_result.cycles == exec_result.cycles
@@ -93,8 +97,8 @@ def test_trace_replay_speedup(benchmark):
     assert replay_result.dram_accesses == exec_result.dram_accesses
     speedup = exec_seconds / replay_seconds
     assert speedup > 1.0, (
-        f"trace replay ({replay_seconds:.2f}s) should beat execution "
-        f"({exec_seconds:.2f}s)"
+        f"trace replay ({replay_seconds:.2f}s) should beat a cell that "
+        f"records in place ({exec_seconds:.2f}s)"
     )
     benchmark.extra_info["workload"] = "bfs"
     benchmark.extra_info["scheme"] = "cawa"
@@ -125,51 +129,19 @@ def _cold_cell_seconds(config, schemes=("rr",), scale=1.0):
             result_cache.set_cache_dir(None)
 
 
-@pytest.mark.slow
-def test_record_overhead_ceiling(benchmark):
-    """A cold default ``run_scheme`` cell — functional pass, verify,
-    encode, store, replay — costs at most 0.85x the same cell under
-    ``with_frontend("execute")`` (median of interleaved repeats; 0.70-0.74
-    measured: the pass is a fifth of a replay, and a replay two thirds of
-    an execution)."""
-    import statistics
-
-    from repro.config import GPUConfig
-
-    default = GPUConfig.default_sim()
-    execute = default.with_frontend("execute")
-
-    def measure(repeats=7):
-        _cold_cell_seconds(execute), _cold_cell_seconds(default)  # warm-up
-        ratios = []
-        for repeat in range(repeats):
-            if repeat % 2:
-                executed_s, (executed,) = _cold_cell_seconds(execute)
-                recorded_s, (recorded,) = _cold_cell_seconds(default)
-            else:
-                recorded_s, (recorded,) = _cold_cell_seconds(default)
-                executed_s, (executed,) = _cold_cell_seconds(execute)
-            assert (recorded.frontend, executed.frontend) == ("trace", "execute")
-            assert recorded.recorded and executed.trace_id is None
-            assert recorded.cycles == executed.cycles
-            ratios.append(recorded_s / executed_s)
-        return statistics.median(ratios), ratios
-
-    ratio, ratios = run_once(benchmark, measure)
-    benchmark.extra_info.update(
-        {"workload": "bfs", "scheme": "rr", "scale": 1.0,
-         "record_overhead_ratio": ratio, "ratios": ratios})
-    assert ratio <= 0.85, (
-        f"a cold default cell costs {ratio:.3f}x the executed one "
-        f"(ceiling 0.85x; repeats {[round(r, 3) for r in ratios]})"
-    )
+#: Floor on (three store-less cells) / (one recording + three replays) of
+#: bfs @ 0.5.  With the pass at ~0.25 of a replay the ratio is
+#: (3 x 1.25) / (0.25 + 3) = 1.15 before the default path's encode and
+#: store; 1.12 measured (best of three, both sides).
+SWEEP_FLOOR = 1.05
 
 
 @pytest.mark.slow
 def test_default_path_sweep_speedup(benchmark):
-    """Three schemes of bfs in a fresh cache: the default path (one
-    functional pass, three replays) is at least 1.4x faster than three
-    executions (~1.5x measured)."""
+    """A sweep that records once beats one that records per cell: three
+    schemes of bfs in a fresh cache, the default path (one functional pass,
+    stored, three replays) against ``with_frontend("execute")`` (three
+    builds, three in-place passes, three verifications)."""
     from repro.config import GPUConfig
 
     default = GPUConfig.default_sim()
@@ -187,6 +159,7 @@ def test_default_path_sweep_speedup(benchmark):
     best = run_once(benchmark, measure)
     assert [r.recorded for r in best["trace"][1]] == [True, False, False]
     assert {r.frontend for r in best["trace"][1]} == {"trace"}
+    assert {r.frontend for r in best["execute"][1]} == {"execute"}
     for ours, theirs in zip(best["trace"][1], best["execute"][1]):
         assert (ours.cycles, ours.l1_stats.misses, ours.dram_accesses) == (
             theirs.cycles, theirs.l1_stats.misses, theirs.dram_accesses)
@@ -195,19 +168,22 @@ def test_default_path_sweep_speedup(benchmark):
         {"workload": "bfs", "schemes": list(schemes), "scale": SCALE,
          "execute_seconds": best["execute"][0],
          "default_seconds": best["trace"][0], "speedup": speedup})
-    assert speedup >= 1.4, (
-        f"default path {best['trace'][0]:.2f}s vs three executions "
-        f"{best['execute'][0]:.2f}s: {speedup:.2f}x is below the 1.4x floor"
+    assert speedup >= SWEEP_FLOOR, (
+        f"default path {best['trace'][0]:.2f}s vs three store-less cells "
+        f"{best['execute'][0]:.2f}s: {speedup:.2f}x is below the "
+        f"{SWEEP_FLOOR}x floor"
     )
 
 
 #: Profiled calls per replayed warp instruction on the budget cell
 #: (bfs x gto at scale 0.5): 44.6 before the residency index / stored
-#: readiness / ordered candidates / in-loop device heap, 26.9 after, on
-#: CPython 3.11.  The margin covers interpreter differences (3.12 inlines
-#: comprehensions), not regressions: one more Python call per instruction
-#: on the issue path is +1.0.
-CALL_BUDGET = 34.0
+#: readiness / ordered candidates / in-loop device heap, 26.5 after, 22.4
+#: since the SM issues from the stream itself (no executor, stack or
+#: readiness call per instruction), on CPython 3.11.  The ceiling is that
+#: x 1.2: the margin covers interpreter differences (3.12 inlines
+#: comprehensions), not regressions — one more Python call per
+#: instruction on the issue path is +1.0.
+CALL_BUDGET = 27.0
 
 
 @pytest.mark.slow
@@ -234,7 +210,7 @@ def test_hot_path_call_budget(benchmark):
 #: The functional pass of the budget cell's workload (bfs @ 0.5): batched
 #: steps — a count, host-independent, 1,337 measured for 25,543 warp
 #: instructions — and its cost against a replay of what it recorded
-#: (0.18-0.22 measured).
+#: (0.24-0.25 measured).
 PASS_STEP_BUDGET = 1600
 PASS_REPLAY_RATIO = 0.35
 

@@ -127,19 +127,21 @@ class GPUConfig:
     critical_mshr_reserve: int = 0
     use_cpl: bool = True
     cpl_update_period: int = 64
-    #: Whether the experiment runner may answer a cell from the trace
-    #: store: ``"trace"`` (default) replays a recorded per-warp dynamic
-    #: instruction stream through the timing model — skipping register
-    #: files and lane math entirely — and, when the store has none, first
-    #: makes one with the recorder's scheduler-free functional pass
-    #: (:mod:`repro.trace.functional`); ``"execute"`` is the parity
-    #: reference, which always runs the functional executor and never
-    #: consults the store.  Read only where a trace store exists
-    #: (:func:`repro.experiments.runner.run_scheme` and the harnesses built
-    #: on it); a :class:`repro.gpu.GPU` ignores it and replays exactly when
-    #: it is handed ``trace=``.  Replay is bit-identical to execution by
-    #: contract (``tests/test_trace_parity.py``), so both values share
-    #: result-cache entries.  See ``docs/trace_driven.md``.
+    #: Store or no store: whether the experiment runner may answer a cell
+    #: from the trace store.  ``"trace"`` (default) replays the workload's
+    #: stored per-warp dynamic instruction stream through the timing model
+    #: and, when the store has none, first makes one with the recorder's
+    #: scheduler-free functional pass (:mod:`repro.trace.functional`);
+    #: ``"execute"`` is the store-less reference: build, launch on a plain
+    #: GPU — which records each launch in place — verify, and never
+    #: consult the store (the name is historical: every launch is timed
+    #: from a recording, nothing executes at issue).  Read only where a
+    #: trace store exists (:func:`repro.experiments.runner.run_scheme` and
+    #: the harnesses built on it); a :class:`repro.gpu.GPU` ignores it and
+    #: replays a stored program exactly when it is handed ``trace=``.  The
+    #: two are bit-identical by contract (``tests/test_trace_parity.py``),
+    #: so both values share result-cache entries.  See
+    #: ``docs/trace_driven.md``.
     frontend: str = "trace"
     #: Simulation clock: ``"skip"`` (default) drives the device from a
     #: global min-heap of per-SM next-event times (scoreboard/MSHR/barrier
@@ -225,6 +227,11 @@ class GPUConfig:
             raise ConfigError("num_sms must be positive")
         if self.warp_size <= 0 or self.warp_size & (self.warp_size - 1):
             raise ConfigError("warp_size must be a power of two")
+        if self.warp_size > 64:
+            raise ConfigError(
+                f"warp_size={self.warp_size} is not supported: every launch "
+                "is timed from a recorded stream, whose lane masks are 64-bit"
+            )
         if self.max_warps_per_sm <= 0:
             raise ConfigError("max_warps_per_sm must be positive")
         if self.max_blocks_per_sm <= 0:
@@ -330,8 +337,9 @@ class GPUConfig:
 
     def with_frontend(self, frontend: str) -> "GPUConfig":
         """Return a copy with :attr:`frontend` set: ``"execute"`` for the
-        parity reference that never consults the trace store, ``"trace"``
-        (the default) for record-once-then-replay."""
+        store-less reference that never consults the trace store (every
+        launch recorded in place), ``"trace"`` (the default) for
+        record-once-then-replay."""
         return replace(self, frontend=frontend)
 
     def with_clock(self, clock: str) -> "GPUConfig":

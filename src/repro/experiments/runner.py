@@ -17,10 +17,10 @@ process pool (``parallel=True``); workers share the disk cache.
 A third layer sits under both: the persistent **trace** store
 (``.repro_cache/traces/``, keyed on the functional fingerprint only; see
 :mod:`repro.trace` and ``docs/trace_driven.md``).  Unless the config says
-``with_frontend("execute")`` — the parity reference, which never consults
-the store — a result-cache miss looks there first.  A trace hit replays the
-recorded per-warp streams through the timing model, bit-identical to
-execution and without the functional executor; a trace miss first makes
+``with_frontend("execute")`` — the store-less reference, whose GPU records
+every launch in place — a result-cache miss looks there first.  A trace hit
+replays the recorded per-warp streams through the timing model,
+bit-identical to the store-less cell; a trace miss first makes
 the trace — build the workload, run the scheduler-free functional pass
 (:mod:`repro.trace.functional`), verify its outputs, store it — and then
 replays it like any other cell.  Timing is therefore always a replay, and
@@ -192,7 +192,7 @@ def run_scheme(
 
     kwargs = dict(workload_kwargs) if workload_kwargs else None
     # ``frontend`` is read here and nowhere below the runner: "execute" is
-    # the parity reference and never consults the trace store.
+    # the store-less reference (its GPU records each launch in place).
     if cfg.frontend != "trace":
         gpu = GPU(cfg, oracle=oracle)
         _attach_observers(gpu, issue_observers, l1_observers)

@@ -1,5 +1,13 @@
 """The GPU device: SMs, shared L2 + DRAM, dispatcher, and the run loops.
 
+Timing always consumes a recorded stream.  A GPU handed ``trace=`` takes
+each launch's streams from that :class:`~repro.trace.format.TraceProgram`;
+one that was not runs the functional pass
+(:func:`repro.trace.functional.record_launch`) for the launch against its
+own ``memory`` and times what the pass recorded — so ``gpu.memory`` holds
+the kernel's results either way, and neither the SMs nor the run loops ever
+see a lane value.
+
 Two device clocks are provided (``GPUConfig.clock``):
 
 ``"skip"`` (default)
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..config import GPUConfig
 from ..core.cacp import CACPPolicy
@@ -39,7 +47,6 @@ from ..memory.data import GlobalMemory
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.replacement import make_policy
 from ..scheduling.registry import make_scheduler
-from ..simt.executor import FunctionalExecutor
 from ..sm.dispatcher import BlockDispatcher
 from ..sm.sm import StreamingMultiprocessor
 from ..stats.counters import RunResult, merge_cache_stats, replace_stats, subtract_stats
@@ -92,20 +99,16 @@ class GPU:
         self.now: float = 0.0
         #: The :class:`~repro.trace.format.TraceProgram` this GPU replays
         #: and the index of the next launch to take from it.  A GPU handed
-        #: ``trace=`` replays; one that was not executes — whatever
-        #: ``config.frontend`` says (that field is the experiment runner's:
-        #: it decides whether a trace store is consulted at all).
+        #: ``trace=`` times that recording; one that was not records each
+        #: launch in place — whatever ``config.frontend`` says (that field
+        #: is the experiment runner's: it decides whether a trace *store*
+        #: is consulted at all).
         self.trace_program = trace
         self._trace_launch_idx = 0
         if trace is not None:
             # Refuse traces recorded under a different functional config
             # (warp size / L1 line size) before any simulation happens.
             trace.validate(self.config.functional_fingerprint())
-            from ..trace.replay import TraceExecutor  # local: import cycle
-
-            executor = TraceExecutor()
-        else:
-            executor = FunctionalExecutor(self.memory, self.config.warp_size)
         self.sms: List[StreamingMultiprocessor] = []
         # sanitize: waive FPR001 -- observational debug mode: raises on violation, never alters scheduling
         if self.config.use_cpl and self.config.check_cpl_bounds:
@@ -127,7 +130,6 @@ class GPU:
                     sm_id=sm_id,
                     config=self.config,
                     hierarchy=self.hierarchy,
-                    executor=executor,
                     scheduler_factory=self._scheduler_factory,
                     l1_policy_factory=self._l1_policy_factory,
                     cpl=cpl,
@@ -183,7 +185,7 @@ class GPU:
     # ------------------------------------------------------------------
     def _next_launch_trace(self, kernel, grid_dim: int, block_dim: int):
         """Pop and validate the trace for the next replayed launch."""
-        from ..trace.format import kernel_fingerprint
+        from ..trace.format import kernel_fingerprint  # local: import cycle
 
         idx = self._trace_launch_idx
         launches = self.trace_program.launches
@@ -211,16 +213,25 @@ class GPU:
     # ------------------------------------------------------------------
     def launch(self, kernel, grid_dim: int, block_dim: int, scheme: str = "") -> RunResult:
         """Run ``kernel`` over ``grid_dim`` blocks of ``block_dim`` threads."""
-        check_launch(self.config, kernel, grid_dim, block_dim)
+        config = self.config
+        check_launch(config, kernel, grid_dim, block_dim)
         if self.trace_program is not None:
-            from ..trace.replay import make_warp_factory
-
             launch_trace = self._next_launch_trace(kernel, grid_dim, block_dim)
-            factory = make_warp_factory(launch_trace)
-            for sm in self.sms:
-                sm.warp_factory = factory
+        else:
+            # No recording was handed over: make this launch's in place.
+            from ..trace.functional import record_launch  # local: import cycle
 
-        dispatcher = BlockDispatcher(kernel, grid_dim, block_dim, self.config.warp_size)
+            # A launch that fits in ``max_cycles`` issues at most one warp
+            # instruction per scheduler slot per cycle, and a functional
+            # step issues at least one: a runaway kernel fails here, fast.
+            slots = config.num_sms * config.num_schedulers_per_sm
+            launch_trace, _ = record_launch(
+                kernel, grid_dim, block_dim, self.memory, config.warp_size,
+                config.l1d.line_size, max_steps=(self.max_cycles + 1) * slots,
+            )
+
+        dispatcher = BlockDispatcher(kernel, grid_dim, block_dim,
+                                     config.warp_size, launch_trace)
         start_cycle = self.now
         snapshots = self._snapshot_stats()
         events_before = self.obs.emitted if self.obs is not None else 0

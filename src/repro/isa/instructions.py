@@ -158,12 +158,13 @@ class Decoded:
     Attributes:
         kind: an :class:`IssueKind` value, as a plain int.
         needs_global_mem: global-space LD/ST — needs an MSHR to issue.
-        srcs, dst, pred, pred_is_dst: the scoreboard operands, as
-            :meth:`repro.simt.registers.WarpRegisterFile.operands_ready_detail`
-            takes them (``dst`` is ``None`` when nothing is written).
-        run: the functional handler ``run(executor, warp) -> ExecResult``;
-            :class:`repro.simt.executor.FunctionalExecutor` binds it (and
-            checks the operand shapes) at the first execution.
+        srcs, dst, pred, pred_is_dst: the scoreboard operands the SM's
+            readiness walk reads (``dst`` is ``None`` when nothing is
+            written; WAW hazards stall issue too).
+        run: the reference executor's handler ``run(executor, warp, lanes)
+            -> ExecResult``; :class:`repro.simt.executor.FunctionalExecutor`
+            binds it (and checks the operand shapes) at the first
+            execution.  The timing path never reads it.
     """
 
     kind: int

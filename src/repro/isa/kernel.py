@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import KernelBuildError
-from .instructions import CmpOp, Instruction, MemSpace, Opcode, Special
+from .instructions import CmpOp, Decoded, Instruction, MemSpace, Opcode, Special
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,12 @@ class Kernel:
 
     def __getitem__(self, pc: int) -> Instruction:
         return self.instructions[pc]
+
+    @cached_property
+    def decoded(self) -> List[Decoded]:
+        """Every instruction's decode record, indexed by PC: the table the
+        SM's issue path reads (built once per kernel)."""
+        return [inst.decoded for inst in self.instructions]
 
     # ------------------------------------------------------------------
     # Listing / source quoting

@@ -11,7 +11,9 @@ The tag store is an index plus per-set ways.  The *residency index* maps
 associativity; the per-set way lists are what a *fill* works on (the
 policy's way range and victim choice), and a per-set count of valid ways
 tells the fill when no way is invalid.  Index and count change at the three
-places validity does: fill, eviction, :meth:`Cache.invalidate_all`.
+places validity does: fill, eviction, :meth:`Cache.invalidate_all`.  A
+set's :class:`CacheLine` objects are made at its first fill — a wide device
+builds hundreds of caches, most of whose sets a small kernel never touches.
 
 Observers can subscribe to access/evict events; the reuse-distance profiler
 (Fig 3) and zero-reuse accounting (Fig 15) are implemented that way.
@@ -20,8 +22,8 @@ Observers can subscribe to access/evict events; the reuse-distance profiler
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..config import CacheConfig
 from ..feedback.signals import Sig
@@ -136,9 +138,8 @@ class Cache:
         #: The policy's optional L1-bypass predicate (CACP's extension).
         self._should_bypass = getattr(policy, "should_bypass", None)
         self._line_size = config.line_size
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(config.ways)] for _ in range(config.sets)
-        ]
+        #: Per-set way lists; ``()`` until the set's first fill.
+        self._sets: List[Sequence[CacheLine]] = [()] * config.sets
         #: Residency index: ``line_addr -> CacheLine`` for every valid line.
         self._index: Dict[int, CacheLine] = {}
         #: Valid ways per set; a set at ``config.ways`` has no invalid way.
@@ -244,8 +245,10 @@ class Cache:
         line_addr = req.line_addr
         sets = self._sets
         set_idx = (line_addr // self._line_size) % len(sets)
-        lines = sets[set_idx]
         ways = self.config.ways
+        lines = sets[set_idx]
+        if not lines:
+            lines = sets[set_idx] = [CacheLine() for _ in range(ways)]
         lo, hi = self.policy.way_range(lines, req, ways)
         way = self.policy.choose_way(
             lines, req, lo, hi, self._valid_ways[set_idx] == ways

@@ -1,10 +1,13 @@
 """SIMT execution state: warps, thread blocks, divergence, registers.
 
-This subpackage models the per-warp machinery of an SM: the reconvergence
-stack that serializes divergent branch paths, the register file with a
-ready-cycle scoreboard, and the functional executor that computes lane
-results at issue time (timing is handled by the SM pipeline in
-:mod:`repro.sm`).
+Two halves.  What the timing model keeps per warp and block: the timed
+:class:`Warp` (a recorded stream's columns, a cursor, the scoreboard
+lists, statistics) and :class:`ThreadBlock` (life-cycle, barriers).  And
+the *reference* value machinery the recorder's functional pass is tested
+against, one warp at a time: the reconvergence stack that serializes
+divergent branch paths, the register file with its scoreboard walk, and
+the functional executor, which owns its warps' lane state.  Nothing in
+:mod:`repro.sm` or :mod:`repro.gpu` imports the second half.
 """
 
 from .block import ThreadBlock

@@ -25,6 +25,7 @@ class ThreadBlock:
         grid_dim: int,
         kernel,
         warp_size: int,
+        trace=None,
     ) -> None:
         self.block_id = block_id
         self.block_dim = block_dim
@@ -33,7 +34,12 @@ class ThreadBlock:
         self.warp_size = warp_size
         self.num_warps = (block_dim + warp_size - 1) // warp_size
         self.warps: List = []  # filled by the dispatcher
+        #: The :class:`~repro.trace.format.LaunchTrace` this block's warps
+        #: follow; ``None`` for a block built by hand, whose warps can be
+        #: kept books on but never issue.
+        self.trace = trace
 
+        # Shared-memory values: the reference executor's, never timed.
         words = max(1, kernel.shared_mem_bytes // 8)
         self._shared = np.zeros(words, dtype=np.float64)
 

@@ -1,22 +1,28 @@
-"""Functional (value-level) execution of instructions.
+"""Functional (value-level) execution of instructions, one warp at a time.
 
-The executor computes architectural results for all active lanes of a warp
-at issue time using numpy; the SM pipeline separately accounts for *when*
-those results become visible (latency, memory system).  This split — values
-now, timing later — is the standard performance-simulator trade and keeps
-the Python inner loop proportional to issued instructions.
+This is the *reference* executor: it computes architectural results for the
+active lanes of one warp with numpy and owns that warp's lane state —
+register and predicate values and the reconvergence stack
+(:class:`WarpLanes`).  Nothing on the timing path calls it: the recorder's
+functional pass (:mod:`repro.trace.functional`) computes every value before
+timing starts, batched over all the warps at one PC, and
+``tests/test_trace_functional.py`` holds the pass to what this executor
+does warp by warp.  The two share one definition of the opcode semantics,
+:func:`bind_compute`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..isa.instructions import CmpOp, Instruction, MemSpace, Opcode
 from .mask import bools_from_mask, mask_from_bools
+from .registers import WarpRegisterFile
+from .stack import SIMTStack
 
 
 @dataclass(slots=True)
@@ -34,30 +40,46 @@ class ExecResult:
             only lanes in ``mem_mask`` are meaningful).
         mem_mask: lanes that actually access memory (active mask further
             restricted by the instruction's guard predicate).
-        mem_lines: pre-coalesced line addresses, supplied by the
-            trace-replay frontend (:class:`repro.trace.replay.TraceExecutor`);
-            when set, the LSU skips coalescing and uses them directly.
     """
 
     taken_mask: int = 0
     mem_addrs: Optional[np.ndarray] = None
     mem_mask: int = 0
-    mem_lines: Optional[list] = None
 
 
 #: The shared payload-free result.
 NO_EFFECT = ExecResult()
 
-#: ``run(executor, warp) -> ExecResult``: one instruction's bound handler.
-Handler = Callable[["FunctionalExecutor", object], ExecResult]
+
+class WarpLanes:
+    """One warp's architectural state: lane values and where its lanes are."""
+
+    __slots__ = ("rf", "stack")
+
+    def __init__(self, warp) -> None:
+        kernel = warp.block.kernel
+        self.rf = WarpRegisterFile(kernel.num_regs, kernel.num_preds, warp.warp_size)
+        self.stack = SIMTStack(entry_pc=0, mask=warp.initial_mask)
+
+
+#: ``run(executor, warp, lanes) -> ExecResult``: one instruction's bound handler.
+Handler = Callable[["FunctionalExecutor", object, WarpLanes], ExecResult]
 
 
 class FunctionalExecutor:
-    """Executes instructions against warp register state and data memory."""
+    """Executes instructions against per-warp lane state and data memory."""
 
     def __init__(self, global_mem, warp_size: int) -> None:
         self._mem = global_mem
         self._warp_size = warp_size
+        self._lanes: Dict[object, WarpLanes] = {}
+
+    def lanes(self, warp) -> WarpLanes:
+        """``warp``'s lane state (created, zeroed, at first use)."""
+        lanes = self._lanes.get(warp)
+        if lanes is None:
+            lanes = self._lanes[warp] = WarpLanes(warp)
+        return lanes
 
     def execute(self, inst: Instruction, warp) -> ExecResult:
         """Execute ``inst`` for ``warp``'s currently active lanes."""
@@ -65,15 +87,15 @@ class FunctionalExecutor:
         run = decoded.run
         if run is None:
             run = decoded.run = _bind(inst)
-        return run(self, warp)
+        return run(self, warp, self.lanes(warp))
 
     # ------------------------------------------------------------------
-    def _guard_mask(self, warp, pred: Optional[int], neg: bool) -> int:
+    def _guard_mask(self, lanes: WarpLanes, pred: Optional[int], neg: bool) -> int:
         """Active lanes further restricted by the guard predicate."""
-        active = warp.stack.active_mask
+        active = lanes.stack.active_mask
         if pred is None:
             return active
-        pmask = mask_from_bools(warp.rf.preds[pred])
+        pmask = mask_from_bools(lanes.rf.preds[pred])
         if neg:
             pmask = ~pmask & ((1 << self._warp_size) - 1)
         return active & pmask
@@ -88,7 +110,7 @@ def _bind(inst: Instruction) -> Handler:
     if op is Opcode.BRA:
         return _bind_branch(inst)
     if op in (Opcode.NOP, Opcode.RECONV, Opcode.BAR, Opcode.EXIT):
-        return lambda ex, warp: NO_EFFECT  # the SM acts on the decoded kind
+        return lambda ex, warp, lanes: NO_EFFECT  # control: the caller's move
     if op is Opcode.LD or op is Opcode.ST:
         return _bind_memory(inst)
     return _bind_value(inst, bind_compute(inst))
@@ -97,14 +119,14 @@ def _bind(inst: Instruction) -> Handler:
 def _bind_branch(inst: Instruction) -> Handler:
     pred, neg = inst.pred, inst.pred_neg
     if pred is None:
-        return lambda ex, warp: ExecResult(taken_mask=warp.stack.active_mask)
+        return lambda ex, warp, lanes: ExecResult(taken_mask=lanes.stack.active_mask)
 
-    def run(ex, warp) -> ExecResult:
+    def run(ex, warp, lanes) -> ExecResult:
         # The predicate is the branch condition here, not a guard.
-        taken = mask_from_bools(warp.rf.preds[pred])
+        taken = mask_from_bools(lanes.rf.preds[pred])
         if neg:
             taken = ~taken & ((1 << ex._warp_size) - 1)
-        return ExecResult(taken_mask=taken & warp.stack.active_mask)
+        return ExecResult(taken_mask=taken & lanes.stack.active_mask)
 
     return run
 
@@ -117,42 +139,42 @@ def _bind_memory(inst: Instruction) -> Handler:
     value_reg = None if is_load else inst.srcs[1]
     offset = np.int64(0.0 if inst.imm is None else inst.imm)
 
-    def run(ex, warp) -> ExecResult:
-        rf = warp.rf
-        effect_mask = ex._guard_mask(warp, pred, neg)
+    def run(ex, warp, lanes) -> ExecResult:
+        rf = lanes.rf
+        effect_mask = ex._guard_mask(lanes, pred, neg)
         addrs = rf.regs[base].astype(np.int64)
         if offset:
             addrs += offset
         if effect_mask:
-            lanes = bools_from_mask(effect_mask, ex._warp_size)
+            where = bools_from_mask(effect_mask, ex._warp_size)
             if is_load:
-                values = (warp.block.shared_load(addrs, lanes) if shared
-                          else ex._mem.load(addrs, lanes))
-                rf.write(dst, values, lanes)
+                values = (warp.block.shared_load(addrs, where) if shared
+                          else ex._mem.load(addrs, where))
+                rf.write(dst, values, where)
             elif shared:
-                warp.block.shared_store(addrs, rf.regs[value_reg], lanes)
+                warp.block.shared_store(addrs, rf.regs[value_reg], where)
             else:
-                ex._mem.store(addrs, rf.regs[value_reg], lanes)
+                ex._mem.store(addrs, rf.regs[value_reg], where)
         return ExecResult(mem_addrs=addrs, mem_mask=effect_mask)
 
     return run
 
 
 def _bind_value(inst: Instruction, compute: Callable) -> Handler:
-    """Handler writing ``compute(regs, ex, warp)`` to ``dst`` under the guard."""
+    """Handler writing ``compute(rf, ex, warp)`` to ``dst`` under the guard."""
     pred, neg, dst = inst.pred, inst.pred_neg, inst.dst
     if inst.op is Opcode.SELP:
         pred = None  # the predicate selects; every active lane is written
     to_pred = inst.op is Opcode.SETP
 
-    def run(ex, warp) -> ExecResult:
-        rf = warp.rf
-        lanes = bools_from_mask(warp.stack.active_mask, ex._warp_size)
+    def run(ex, warp, lanes) -> ExecResult:
+        rf = lanes.rf
+        where = bools_from_mask(lanes.stack.active_mask, ex._warp_size)
         if pred is not None:
             pvals = rf.preds[pred]
-            lanes = lanes & ~pvals if neg else lanes & pvals
+            where = where & ~pvals if neg else where & pvals
         np.copyto((rf.preds if to_pred else rf.regs)[dst], compute(rf, ex, warp),
-                  where=lanes)
+                  where=where)
         return NO_EFFECT
 
     return run

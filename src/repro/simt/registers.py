@@ -1,9 +1,12 @@
 """Per-warp register file with a ready-cycle scoreboard.
 
-Values are computed functionally at issue time; the scoreboard only tracks
-*when* each register's value would be available in hardware, which is what
-creates realistic stall behaviour (RAW hazards on long-latency loads are the
-dominant source of warp stalls the paper's CPL measures).
+The reference executor's (:mod:`repro.simt.executor`): lane values, plus
+the scoreboard walk written out as plain methods.  The scoreboard only
+tracks *when* each register's value would be available in hardware, which
+is what creates realistic stall behaviour (RAW hazards on long-latency
+loads are the dominant source of warp stalls the paper's CPL measures).
+A timed :class:`~repro.simt.warp.Warp` keeps the same three scoreboard
+lists without the values, and the SM's issue path walks them inline.
 
 Registers are warp-wide: one 64-bit float per lane.  The scoreboard is also
 warp-wide (one ready cycle per architectural register), matching how GPU
@@ -23,11 +26,9 @@ class WarpRegisterFile:
         self.regs = np.zeros((num_regs, warp_size), dtype=np.float64)
         self.preds = np.zeros((num_preds, warp_size), dtype=bool)
         # The scoreboards are plain Python lists: they are read one scalar
-        # at a time on the scheduler hot path, where list indexing is
-        # several times cheaper than numpy scalar indexing.  The SM's
-        # issue path writes them directly (a completion cycle, and for a
-        # register whether a load produced it), in the arm that already
-        # holds the instruction's kind.
+        # at a time, where list indexing is several times cheaper than
+        # numpy scalar indexing.  Writers store a completion cycle and,
+        # for a register, whether a load produced it.
         self.reg_ready = [0.0] * num_regs
         self.pred_ready = [0.0] * num_preds
         #: True for registers whose last writer was a load; lets the stall

@@ -1,23 +1,37 @@
-"""Warp runtime state.
+"""Warp runtime state: what the timing model keeps per resident warp.
 
-A :class:`Warp` bundles everything the SM pipeline needs to schedule and
-execute one warp: its SIMT stack, register file/scoreboard, barrier status,
-and the per-warp statistics (issue counts, stall cycles, criticality
-counter) that feed the CAWA components.
+A timed :class:`Warp` follows a recorded stream
+(:class:`repro.trace.format.WarpStream`): it holds the stream's columns and
+a cursor, the three scoreboard lists, its barrier status, and the per-warp
+statistics (issue counts, stall cycles, criticality counter) that feed the
+CAWA components.  It holds no lane values — registers, predicates and the
+reconvergence stack belong to whoever computes values (the recorder's
+functional pass, or the per-warp reference executor in
+:mod:`repro.simt.executor`) — and allocates no NumPy array.  The stream is
+optional: scheduler / CPL / LSU / statistics bookkeeping can be exercised
+on a warp that will never issue.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Dict, Optional
+from array import array
+from typing import Optional
 
 import numpy as np
 
+from ..errors import TraceFormatError
 from ..isa.instructions import Special
 from .mask import full_mask
-from .registers import WarpRegisterFile
-from .stack import SIMTStack
+
+#: ``n_lines`` of a memory record without line addresses (shared space, or
+#: every lane predicated off): -1 as the unsigned 64-bit value a stream's
+#: aux column stores.  Part of the trace format
+#: (:mod:`repro.trace.format` re-exports it) but defined down here, where
+#: the SM's issue path can import it.
+NO_LINES = (1 << 64) - 1
+_NO_AUX: "array[int]" = array("Q")
 
 
 class WarpStatus(enum.Enum):
@@ -37,11 +51,10 @@ class Warp:
         num_regs: int,
         num_preds: int,
         dynamic_id: int,
+        stream=None,
     ) -> None:
         self.warp_id_in_block = warp_id_in_block
         self.block = block
-        #: The kernel's static instruction list (indexed by PC).
-        self._insts = block.kernel.instructions
         self.warp_size = warp_size
         #: Monotonic dispatch-order id; GTO's "oldest" tie-break key.
         self.dynamic_id = dynamic_id
@@ -49,34 +62,51 @@ class Warp:
         first_thread = warp_id_in_block * warp_size
         active_threads = max(0, min(warp_size, block.block_dim - first_thread))
         self.initial_mask = full_mask(active_threads)
-
-        self.rf = WarpRegisterFile(num_regs, num_preds, warp_size)
-        self.stack = SIMTStack(entry_pc=0, mask=self.initial_mask)
         self.status = WarpStatus.RUNNING
 
-        lanes = np.arange(warp_size, dtype=np.float64)
-        tid = first_thread + lanes
-        self._specials: Dict[Special, np.ndarray] = {
-            Special.TID: tid,
-            Special.CTAID: np.full(warp_size, float(block.block_id)),
-            Special.NTID: np.full(warp_size, float(block.block_dim)),
-            Special.NCTAID: np.full(warp_size, float(block.grid_dim)),
-            Special.GTID: block.block_id * block.block_dim + tid,
-            Special.LANEID: lanes,
-            Special.WARPID: np.full(warp_size, float(warp_id_in_block)),
-        }
+        # -- scoreboard --------------------------------------------------
+        # Plain lists, written by the SM's issue path in the arm that holds
+        # the instruction's kind: the cycle each register / predicate is
+        # available, and whether a register's last writer was a load (lets
+        # the stall accounting attribute data stalls to memory).
+        self.reg_ready = [0.0] * num_regs
+        self.reg_from_load = [False] * num_regs
+        self.pred_ready = [0.0] * num_preds
+
+        # -- the recorded stream and the cursor into it -------------------
+        # ``issued_instructions`` is the cursor: record ``i`` is the
+        # ``i``-th instruction the warp issues.  The PC column is
+        # materialised as a list while the warp is resident and dropped
+        # when it retires; masks and the aux payload (consumed once, in
+        # order, from ``_aux_pos``) are read in place.
+        kernel = block.kernel
+        #: The kernel's static instructions and their decode records, by PC.
+        self._insts = kernel.instructions
+        self._decoded = kernel.decoded
+        self._stream = stream
+        self._pcs = ()
+        self._aux = _NO_AUX
+        self._aux_pos = 0
+        #: True when the next instruction needs an MSHR (global LD/ST).
+        self._needs_mem: bool = False
+        if stream is not None:
+            if not len(stream):
+                raise TraceFormatError("warp trace has no records")
+            self._pcs = stream.pcs.tolist()
+            self._aux = stream.aux
+            self._needs_mem = self._decoded[self._pcs[0]].needs_global_mem
 
         # -- timing / statistics ---------------------------------------
         self.start_cycle: float = 0.0
         self.finish_cycle: Optional[float] = None
         self.issued_instructions: int = 0
+        #: Summed active lanes over the stream; known when the warp retires.
         self.thread_instructions: int = 0
         self.divergent_branches: int = 0
         self.last_issue_cycle: float = 0.0
         self.total_stall_cycles: float = 0.0
         self.mem_stall_cycles: float = 0.0
         self.sched_stall_cycles: float = 0.0
-        self.pending_loads: int = 0
         #: Cycle this warp was last released from a block barrier, or -1.0.
         #: Written only when the event bus is live (see
         #: :meth:`repro.sm.sm.StreamingMultiprocessor._release_barrier`);
@@ -86,9 +116,10 @@ class Warp:
         self.obs_barrier_release: float = -1.0
 
         # -- readiness of the next instruction --------------------------
-        # Written by :meth:`refresh_readiness` wherever this warp's PC or
-        # scoreboard has just moved (its own issue, barrier release,
-        # dispatch) and frozen in between: nobody else writes either.
+        # Written at the end of the warp's own issue — where the scoreboard
+        # was written and the cursor moved — and frozen in between: nothing
+        # else moves either (a fresh warp's scoreboard is all zero, so its
+        # first instruction is ready at dispatch).
         #: Earliest cycle the next instruction can issue: operands ready
         #: and one cycle past the previous issue.
         self.ready_at: float = 0.0
@@ -96,8 +127,6 @@ class Warp:
         self._opready: float = 0.0
         #: True when a load-produced register is (one of) the latest operands.
         self._by_load: bool = False
-        #: True when the next instruction needs an MSHR (global LD/ST).
-        self._needs_mem: bool = False
         #: True while this warp has an entry in its SM slot's wake heap
         #: (event-driven core).  Guards the one-entry-per-warp invariant.
         self._queued: bool = False
@@ -115,42 +144,31 @@ class Warp:
     # ------------------------------------------------------------------
     @property
     def pc(self) -> int:
-        return self.stack.pc
-
-    @property
-    def active_mask(self) -> int:
-        return self.stack.active_mask
+        """PC of the next record (a warp without a stream has none)."""
+        return self._pcs[self.issued_instructions]
 
     @property
     def finished(self) -> bool:
         return self.status is WarpStatus.FINISHED
 
-    @property
-    def at_barrier(self) -> bool:
-        return self.status is WarpStatus.AT_BARRIER
-
     def special_values(self, special: Special) -> np.ndarray:
-        return self._specials[special]
-
-    def refresh_readiness(self) -> None:
-        """Recompute the next instruction's readiness: the one scoreboard
-        walk per issue.
-
-        The SM calls this at the end of the warp's own issue — where the
-        scoreboard was written and the stack advanced — and when a barrier
-        release or a dispatch makes the warp schedulable; the wake heap,
-        the ready pool and the next issue's stall accounting all read the
-        stored result.
-        """
-        d = self._insts[self.stack.pc].decoded
-        ready, self._by_load = self.rf.operands_ready_detail(
-            d.srcs, d.dst, d.pred, d.pred_is_dst
-        )
-        self._opready = ready
-        floor = (self.last_issue_cycle + 1 if self.issued_instructions
-                 else self.start_cycle)
-        self.ready_at = ready if ready > floor else floor
-        self._needs_mem = d.needs_global_mem
+        """Lane values of a special register, computed on demand: the
+        timing model never asks, the reference executor does."""
+        block = self.block
+        lanes = np.arange(self.warp_size, dtype=np.float64)
+        tid = self.warp_id_in_block * self.warp_size + lanes
+        if special is Special.TID:
+            return tid
+        if special is Special.GTID:
+            return block.block_id * block.block_dim + tid
+        if special is Special.LANEID:
+            return lanes
+        return np.full(self.warp_size, float({
+            Special.CTAID: block.block_id,
+            Special.NTID: block.block_dim,
+            Special.NCTAID: block.grid_dim,
+            Special.WARPID: self.warp_id_in_block,
+        }[special]))
 
     def issuable_at(self) -> float:
         """Earliest cycle this warp could issue, or ``inf`` if blocked.
@@ -163,6 +181,14 @@ class Warp:
     def mark_finished(self, cycle: float) -> None:
         self.status = WarpStatus.FINISHED
         self.finish_cycle = cycle
+        stream = self._stream
+        if stream is not None:
+            self.thread_instructions = stream.threads()
+            # Results keep their warps, which must not keep the PC list
+            # (or pin the program's columns) alive.
+            self._stream = None
+            self._pcs = ()
+            self._aux = _NO_AUX
         self.block.note_warp_finished(self, cycle)
 
     @property
@@ -171,12 +197,9 @@ class Warp:
         end = self.finish_cycle if self.finish_cycle is not None else self.last_issue_cycle
         return max(0.0, end - self.start_cycle)
 
-    def active_lane_count(self) -> int:
-        return self.stack.active_mask.bit_count()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Warp(block={self.block.block_id}, w={self.warp_id_in_block}, "
-            f"pc={self.pc if not self.finished else 'done'}, "
+            f"issued={self.issued_instructions}, "
             f"status={self.status.value}, crit={self.criticality:.1f})"
         )

@@ -18,12 +18,16 @@ from ..simt.block import ThreadBlock
 class BlockDispatcher:
     """Feeds a kernel launch's blocks onto SMs."""
 
-    def __init__(self, kernel, grid_dim: int, block_dim: int, warp_size: int) -> None:
+    def __init__(self, kernel, grid_dim: int, block_dim: int, warp_size: int,
+                 trace=None) -> None:
         self.kernel = kernel
         self.grid_dim = grid_dim
         self.block_dim = block_dim
+        #: ``trace`` is the launch's recording
+        #: (:class:`~repro.trace.format.LaunchTrace`): each block's warps
+        #: take their streams from it when the block becomes resident.
         self._pending: Deque[ThreadBlock] = deque(
-            ThreadBlock(block_id, block_dim, grid_dim, kernel, warp_size)
+            ThreadBlock(block_id, block_dim, grid_dim, kernel, warp_size, trace)
             for block_id in range(grid_dim)
         )
         self.dispatched = 0

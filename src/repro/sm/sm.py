@@ -1,42 +1,45 @@
 """The streaming multiprocessor pipeline.
 
 Each SM owns resident thread blocks, their warps, per-slot warp schedulers,
-an L1 data cache with MSHRs, and a load-store unit.  Execution is
-functional-at-issue: when a scheduler slot selects a ready warp, the
-instruction's lane results are computed immediately and its latency is
-recorded in the warp's scoreboard; readiness of later instructions follows
-from those recorded completion times.
+an L1 data cache with MSHRs, and a load-store unit.  It times a *recorded
+stream*: every resident warp follows the per-warp record sequence the
+functional pass (:mod:`repro.trace.functional`) produced for it — PCs,
+branch outcomes, coalesced memory lines — and the SM computes no values.
+When a scheduler slot selects a ready warp, :meth:`_issue` reads the warp's
+next record, books the instruction's latency in the warp's scoreboard and
+moves the cursor; readiness of later instructions follows from those
+recorded completion times.
 
 The issue loop is event-driven.  A warp's readiness — when its next
 instruction's operands are available, whether a load produced the latest
 one, whether it needs an MSHR — is computed once, at the end of the issue
-that wrote the scoreboard (:meth:`repro.simt.warp.Warp.refresh_readiness`),
-and is frozen until the warp issues again.  Each scheduler slot keeps a
-min-heap of ``(wake_cycle, dynamic_id, warp)`` entries plus a *ready pool*:
-the warps whose wake time has passed, as a list in ascending
-``dynamic_id`` order — which is also the candidate list the scheduler is
-handed when nothing gates it.  ``tick_wake`` only pops newly-awake warps,
-gates the pool on MSHR availability, and returns the SM's next wake along
+that wrote the scoreboard, and is frozen until the warp issues again.  Each
+scheduler slot keeps a min-heap of ``(wake_cycle, dynamic_id, warp)``
+entries, a *ready pool* — the warps whose wake time has passed, as a list
+in ascending ``dynamic_id`` order, which is also the candidate list the
+scheduler is handed when nothing gates it — and the pool's *ungated*
+sub-list: the pooled warps whose next instruction needs no MSHR, which is
+the candidate list while the MSHRs are full.  ``tick_wake`` only pops
+newly-awake warps, picks the list, and returns the SM's next wake along
 with whether it issued; ``next_wake_time`` answers the same question from
-scratch (a heap peek plus a pool walk).  The issue path dispatches on each
-instruction's decode record (:class:`repro.isa.instructions.Decoded`), built
-once per static instruction.  See ``docs/timing_model.md`` ("Event-driven
-issue loop") for the invariants; ``tests/test_wake_queue.py`` checks every
-tick's candidate list, stored readiness and returned wake against a
-from-scratch scan of ``warps``.
+scratch (a heap peek and two emptiness tests per slot).  See
+``docs/timing_model.md`` ("Event-driven issue loop") for the invariants;
+``tests/test_wake_queue.py`` checks every tick's candidate list, ungated
+sub-list, stored readiness and returned wake against a from-scratch scan of
+``warps``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..config import GPUConfig
-from ..errors import SimulationError
+from ..errors import SimulationError, TraceFormatError
 from ..isa.instructions import IssueKind
 from ..memory.cache import Cache
 from ..memory.hierarchy import MemoryHierarchy
@@ -44,8 +47,7 @@ from ..memory.mshr import MSHRFile
 from ..obs.events import Ev, Stall
 from ..scheduling.base import WarpScheduler
 from ..simt.block import ThreadBlock
-from ..simt.executor import FunctionalExecutor
-from ..simt.warp import Warp, WarpStatus
+from ..simt.warp import NO_LINES, Warp, WarpStatus
 from .lsu import LoadStoreUnit
 
 # Pre-bound ints for the per-issue probe sites (IntEnum attribute access
@@ -73,7 +75,12 @@ _DISPATCH_ORDER = attrgetter("dynamic_id")
 
 @dataclass
 class SMStats:
-    """Issue/stall counters for one SM."""
+    """Issue/stall counters for one SM.
+
+    ``warp_instructions`` / ``thread_instructions`` / ``issue_events`` are
+    the sums of the committed blocks' per-warp counters, added at block
+    commit; the rest are bumped by the issue arm that sees the event.
+    """
 
     warp_instructions: int = 0
     thread_instructions: int = 0
@@ -89,12 +96,16 @@ class SMStats:
 class StreamingMultiprocessor:
     """One SM: warps, schedulers, L1D, LSU."""
 
+    #: The issue-time executor this pipeline used to call per instruction.
+    #: Gone — values are computed by the functional pass, before timing —
+    #: and kept as a name because the frozen benchmark ledger reads it.
+    executor = None
+
     def __init__(
         self,
         sm_id: int,
         config: GPUConfig,
         hierarchy: MemoryHierarchy,
-        executor: FunctionalExecutor,
         scheduler_factory: Callable[[], WarpScheduler],
         l1_policy_factory: Callable[[], object],
         cpl=None,
@@ -104,7 +115,6 @@ class StreamingMultiprocessor:
         self.l1d = Cache(config.l1d, l1_policy_factory())
         self.mshr = MSHRFile(config.l1d.mshr_entries)
         self.lsu = LoadStoreUnit(sm_id, self.l1d, self.mshr, hierarchy)
-        self.executor = executor
         self.schedulers = [scheduler_factory() for _ in range(config.num_schedulers_per_sm)]
         self.cpl = cpl
         #: Warp-criticality query used by the MSHR-reserve gate and the LSU
@@ -136,10 +146,6 @@ class StreamingMultiprocessor:
         #: The entire disabled-path cost is one ``is not None`` test per
         #: probe site — see ``docs/observability.md``.
         self.obs = None
-        #: Warp constructor; the trace-replay frontend swaps in a factory
-        #: building :class:`~repro.trace.replay.TraceWarp` objects that
-        #: follow recorded streams (set per launch by the GPU).
-        self.warp_factory: Callable[..., Warp] = Warp
         #: Incrementally maintained count of resident, unfinished warps;
         #: replaces the O(warps) ``any(not w.finished ...)`` scans that
         #: ``busy`` / ``can_accept`` used to perform every cycle.
@@ -158,8 +164,14 @@ class StreamingMultiprocessor:
         #: ``WarpScheduler.select`` is promised.  With no MSHR back-pressure
         #: the pool itself is the candidate list.
         self._ready_pools: List[List[Warp]] = [[] for _ in self.schedulers]
-        #: ``(scheduler, wake heap, ready pool)`` per slot, for the tick loop.
-        self._slots = tuple(zip(self.schedulers, self._wake_heaps, self._ready_pools))
+        #: Per-slot sub-lists of the pools, same order: the pooled warps
+        #: whose next instruction needs no MSHR.  With the MSHRs full this
+        #: *is* the candidate list, so a tick never re-scans parked warps.
+        self._ungated_pools: List[List[Warp]] = [[] for _ in self.schedulers]
+        #: ``(scheduler, wake heap, ready pool, ungated)`` per slot, for the
+        #: tick loop.
+        self._slots = tuple(zip(self.schedulers, self._wake_heaps,
+                                self._ready_pools, self._ungated_pools))
 
     # ------------------------------------------------------------------
     # Occupancy / dispatch
@@ -178,18 +190,18 @@ class StreamingMultiprocessor:
         """Make ``block``'s warps resident and schedulable."""
         block.dispatch_cycle = now
         self.blocks.append(block)
-        self._regs_in_use += block.kernel.num_regs * block.block_dim
+        kernel = block.kernel
+        self._regs_in_use += kernel.num_regs * block.block_dim
+        # Results keep their blocks, which must not keep the recording.
+        trace, block.trace = block.trace, None
         for w in range(block.num_warps):
-            warp = self.warp_factory(
-                warp_id_in_block=w,
-                block=block,
-                warp_size=self.config.warp_size,
-                num_regs=block.kernel.num_regs,
-                num_preds=block.kernel.num_preds,
-                dynamic_id=self._next_dynamic_id,
+            warp = Warp(
+                w, block, self.config.warp_size, kernel.num_regs,
+                kernel.num_preds, self._next_dynamic_id,
+                None if trace is None else trace.stream_for(block.block_id, w),
             )
             self._next_dynamic_id += 1
-            warp.start_cycle = now
+            warp.start_cycle = warp.ready_at = now
             warp.last_issue_cycle = now - 1
             block.warps.append(warp)
             self.warps.append(warp)
@@ -211,13 +223,12 @@ class StreamingMultiprocessor:
         queued twice (``warp._queued`` guards the invariant that each warp
         lives in *at most one* of {wake heap, ready pool}).  Finished or
         barrier-blocked warps are not queued — barrier release and block
-        dispatch re-queue them when they become schedulable again.
+        dispatch re-queue them when they become schedulable again, at the
+        readiness their last issue (or their dispatch) stored: a parked
+        warp's scoreboard does not move.
         """
         if warp._queued or warp.status is not _RUNNING:
             return
-        # Both callers (barrier release, dispatch) have just made the warp
-        # schedulable at a PC its stored readiness does not describe.
-        warp.refresh_readiness()
         warp._queued = True
         dyn = warp.dynamic_id
         heappush(self._wake_heaps[dyn % self._num_slots], (warp.ready_at, dyn, warp))
@@ -243,16 +254,16 @@ class StreamingMultiprocessor:
     def tick_wake(self, now: float):
         """One tick; returns ``(issued, next_wake)``.
 
-        Pops newly-awake warps and gates the ready pool, so per-tick cost
-        is O(newly awake + pool size) instead of O(resident warps).  The
-        ready pool holds warps whose operands are ready but which have not
-        issued yet (typically because they are gated on MSHR availability
-        or lost arbitration); it is kept sorted by dynamic id so the
-        scheduler sees candidates in dispatch order.
+        Pops newly-awake warps into the slot's ready pool (and, when their
+        next instruction needs no MSHR, its ungated sub-list) and hands the
+        scheduler one of the two lists, so per-tick cost is O(newly awake)
+        plus the scheduler's own walk: warps parked on full MSHRs are not
+        visited.  Only the critical-MSHR reserve, while it bites, filters
+        the pool warp by warp.
 
         ``next_wake`` is exactly what :meth:`next_wake_time` would answer
-        after this tick, read off the heaps and pools the tick has just
-        walked (and the MSHR occupancy it already knows), so the skip loop
+        after this tick, read off the heaps and lists the tick has just
+        handled (and the MSHR occupancy it already knows), so the skip loop
         never asks twice.
         """
         issued = False
@@ -261,46 +272,40 @@ class StreamingMultiprocessor:
         mshr = self.mshr
         slots = self._slots
         free_mshrs = -1  # computed lazily: only slots with candidates pay
-        for scheduler, heap, pool in slots:
+        for scheduler, heap, pool, ungated in slots:
             while heap and heap[0][0] <= now:
-                _, dyn, warp = heappop(heap)
+                warp = heappop(heap)[2]
                 warp._queued = False
                 if warp.status is not _RUNNING:
                     continue  # finished/barrier entry invalidated lazily
                 # The readiness stored at the warp's last issue (or its
-                # release / dispatch) is current: nothing else moves it.
-                if warp.ready_at > now:
-                    # The entry's wake was early: a barrier release queues
-                    # the releasing warp before its own issue is booked.
-                    # Re-queue at the stored time.
-                    warp._queued = True
-                    heappush(heap, (warp.ready_at, dyn, warp))
-                    continue
+                # dispatch) is current, and it is what the entry was
+                # pushed with: nothing else moves it.
                 insort(pool, warp, key=_DISPATCH_ORDER)
+                if not warp._needs_mem:
+                    insort(ungated, warp, key=_DISPATCH_ORDER)
             if not pool:
                 continue
             if free_mshrs < 0:
                 free_mshrs = mshr.free_entries(now)
-            if free_mshrs > 0 and not reserve:
-                # Fast path: no MSHR back-pressure, every pooled warp is
-                # eligible (the common case) and the pool is the list.
+            if free_mshrs <= 0:
+                # MSHRs full: only warps that need none are eligible.
+                ready = ungated
+            elif free_mshrs > reserve or crit_fn is None:
+                # No back-pressure: every pooled warp is eligible (the
+                # common case) and the pool is the list.
                 ready = pool
             else:
-                ready = []
-                for w in pool:
-                    if w._needs_mem:  # next instruction needs an MSHR
-                        if free_mshrs <= 0:
-                            continue
-                        if reserve and free_mshrs <= reserve and crit_fn is not None:
-                            if not crit_fn(w):
-                                continue
-                    ready.append(w)
-                if not ready:
-                    continue
+                # The remaining entries are reserved for critical warps.
+                ready = [w for w in pool if not w._needs_mem or crit_fn(w)]
+            if not ready:
+                continue
             warp = scheduler.select(ready, now)
             if warp is None:
                 continue
             pool.remove(warp)
+            if not warp._needs_mem:
+                ungated.remove(warp)
             if self._issue(warp, scheduler, now):
                 # MSHR occupancy only moves when a memory instruction
                 # issued; skip the recompute otherwise (same value).
@@ -313,39 +318,41 @@ class StreamingMultiprocessor:
                 warp._queued = True
                 heappush(heap, (warp.ready_at, warp.dynamic_id, warp))
             issued = True
-        # The next wake, as next_wake_time() derives it.  A pooled warp
-        # that needs an MSHR implies its slot computed ``free_mshrs``.
+        # The next wake, as next_wake_time() derives it.  Pooled warps are
+        # past their ready time, so an ungated one can issue next cycle and
+        # gated ones when an MSHR frees; a pooled warp that needs an MSHR
+        # implies its slot computed ``free_mshrs``.  A heap entry may be due
+        # already — a barrier release queues warps on slots this tick has
+        # passed — hence the clamp.
         wake = math.inf
-        mshr_free_at: Optional[float] = None
-        for _, heap, pool in slots:
+        gated = False
+        for _, heap, pool, ungated in slots:
+            if ungated:
+                return issued, now
+            if pool:
+                gated = True
             if heap and heap[0][0] < wake:
                 wake = heap[0][0]
-            for w in pool:
-                t = w.ready_at
-                if w._needs_mem:
-                    if mshr_free_at is None:
-                        mshr_free_at = now if free_mshrs > 0 else mshr.next_free_time(now)
-                    if mshr_free_at > t:
-                        t = mshr_free_at
-                if t < wake:
-                    wake = t
-        return issued, wake
+        if gated:
+            mshr_free_at = now if free_mshrs > 0 else mshr.next_free_time(now)
+            if mshr_free_at < wake:
+                wake = mshr_free_at
+        return issued, wake if wake > now else now
 
     def _issue(self, warp: Warp, scheduler: WarpScheduler, now: float) -> bool:
-        """Issue ``warp``'s next instruction; True if it was a LD/ST."""
-        stack = warp.stack
-        pc = stack.pc
-        active = stack.active_mask
-        inst = warp._insts[pc]
-        decoded = inst.decoded
+        """Issue ``warp``'s next record; True if it was a LD/ST."""
+        idx = warp.issued_instructions
+        pcs = warp._pcs
+        pc = pcs[idx]
+        table = warp._decoded
+        decoded = table[pc]
         kind = decoded.kind
-        lanes = active.bit_count()
 
         # ---- stall accounting (Fig 2c / Fig 4 decomposition) ----------
         # Written with conditionals instead of min/max builtins: this runs
         # once per issued instruction and the call overhead shows up.
-        base = warp.last_issue_cycle + 1 if warp.issued_instructions else warp.start_cycle
-        # Stored when the scoreboard last moved (refresh_readiness).
+        base = warp.last_issue_cycle + 1 if idx else warp.start_cycle
+        # Stored when the scoreboard last moved (the tail of this function).
         ready = warp._opready
         limited_by_load = warp._by_load
         gap = now - base
@@ -391,7 +398,7 @@ class StreamingMultiprocessor:
                 emit((_EV_WARP_STALL, now, self.sm_id, bid, wid,
                       _ST_NO_SLOT, now - cursor, cursor))
             emit((_EV_WARP_ISSUE, now, self.sm_id, bid, wid, pc,
-                  inst.op.value))
+                  warp._insts[pc].op.value))
 
         cpl = self.cpl
         if cpl is not None:
@@ -404,97 +411,136 @@ class StreamingMultiprocessor:
             # late, and that is exactly what data_stall measures.
             cpl.on_issue(warp, data_stall)
 
-        # ---- functional execution -------------------------------------
-        # (Trace replay swaps in a TraceExecutor that answers from the
-        # warp's recorded stream instead of computing lane values.)
-        result = self.executor.execute(inst, warp)
-
-        # ---- timing + control state -----------------------------------
+        # ---- the record's effect: scoreboard write by kind -------------
+        # Memory lines and branch outcomes come straight from the stream's
+        # aux column, consumed in issue order.
         stats = self.stats
         if kind == _K_ALU:
-            rf = warp.rf
-            rf.reg_ready[decoded.dst] = now + self._alu_latency
-            rf.reg_from_load[decoded.dst] = False
-            stack.advance(pc + 1)
+            warp.reg_ready[decoded.dst] = now + self._alu_latency
+            warp.reg_from_load[decoded.dst] = False
         elif kind == _K_LOAD or kind == _K_STORE:
+            aux = warp._aux
+            pos = warp._aux_pos
+            try:
+                mem_mask = aux[pos]
+                count = aux[pos + 1]
+                if count == NO_LINES:
+                    lines = None  # shared space, or every lane predicated off
+                    end = pos + 2
+                else:
+                    end = pos + 2 + count
+                    if end > len(aux):
+                        raise IndexError(end)
+                    lines = aux[pos + 2:end].tolist()
+            except IndexError:
+                raise TraceFormatError(
+                    f"memory record at pc={pc} is missing its address "
+                    "payload; trace is corrupt"
+                ) from None
+            warp._aux_pos = end
             crit_fn = self._is_critical
-            is_critical = crit_fn(warp) if crit_fn is not None else False
             completion, _ = self.lsu.issue(
-                warp, inst, result.mem_addrs, result.mem_mask, now, is_critical,
-                lines=result.mem_lines,
+                warp, warp._insts[pc], None, mem_mask, now,
+                crit_fn(warp) if crit_fn is not None else False, lines,
             )
             if kind == _K_LOAD:
-                rf = warp.rf
-                rf.reg_ready[decoded.dst] = completion
-                rf.reg_from_load[decoded.dst] = True
+                warp.reg_ready[decoded.dst] = completion
+                warp.reg_from_load[decoded.dst] = True
                 stats.loads += 1
             else:
                 stats.stores += 1
-            stack.advance(pc + 1)
         elif kind == _K_BRANCH:
-            self._resolve_branch(warp, inst, result.taken_mask, active, now)
             stats.branches += 1
+            inst = warp._insts[pc]
+            if inst.pred is not None:
+                pos = warp._aux_pos
+                try:
+                    taken = warp._aux[pos]
+                except IndexError:
+                    raise TraceFormatError(
+                        f"branch record at pc={pc} is missing its taken "
+                        "mask; trace is corrupt"
+                    ) from None
+                warp._aux_pos = pos + 1
+                # The stream already linearizes the paths the way the
+                # reconvergence stack did; only the outcome is accounted.
+                diverged = all_taken = False
+                if taken:
+                    if warp._stream.masks[idx] & ~taken == 0:
+                        all_taken = True
+                    elif inst.target_pc != pc + 1:
+                        diverged = True
+                        warp.divergent_branches += 1
+                        stats.divergent_branches += 1
+                if cpl is not None:
+                    cpl.on_branch(warp, inst, diverged=diverged,
+                                  all_taken=all_taken, now=now)
         elif kind == _K_PRED:
-            warp.rf.pred_ready[decoded.dst] = now + self._alu_latency
-            stack.advance(pc + 1)
+            warp.pred_ready[decoded.dst] = now + self._alu_latency
         elif kind == _K_SFU:
-            rf = warp.rf
-            rf.reg_ready[decoded.dst] = now + self._sfu_latency
-            rf.reg_from_load[decoded.dst] = False
-            stack.advance(pc + 1)
-        elif kind == _K_BARRIER:
-            stats.barriers += 1
-            stack.advance(pc + 1)
-            if warp.block.barrier_arrive(warp):
-                self._release_barrier(warp.block, now)
-        elif kind == _K_EXIT:
-            stack.kill_lanes(active)
-            if stack.empty:
-                self._finish_warp(warp, scheduler, now)
-        else:  # IssueKind.NONE: nothing to score
-            stack.advance(pc + 1)
+            warp.reg_ready[decoded.dst] = now + self._sfu_latency
+            warp.reg_from_load[decoded.dst] = False
 
-        # ---- bookkeeping ----------------------------------------------
-        warp.issued_instructions += 1
-        warp.thread_instructions += lanes
+        # ---- cursor advance and the next instruction's readiness -------
+        idx += 1
+        warp.issued_instructions = idx
         warp.last_issue_cycle = now
-        stats.warp_instructions += 1
-        stats.thread_instructions += lanes
-        stats.issue_events += 1
-        if warp.status is _RUNNING:
-            # The scoreboard was written and the stack advanced just
-            # above: this is where the next instruction's readiness is
-            # known, and nothing moves it until the warp issues again.
-            warp.refresh_readiness()
-        scheduler.notify_issue(warp, now)
-        for obs in self.issue_observers:
-            obs.on_issue(self, warp, inst, now)
-        return kind == _K_LOAD or kind == _K_STORE
-
-    def _resolve_branch(self, warp: Warp, inst, taken_mask: int, active: int,
-                        now: float) -> None:
-        pc = inst.pc
-        if inst.pred is None:
-            warp.stack.advance(inst.target_pc)
-            return
-        not_taken = active & ~taken_mask
-        if taken_mask == 0:
-            warp.stack.advance(pc + 1)
-            diverged, all_taken = False, False
-        elif not_taken == 0:
-            warp.stack.advance(inst.target_pc)
-            diverged, all_taken = False, True
-        elif inst.target_pc == pc + 1:
-            warp.stack.advance(pc + 1)
-            diverged, all_taken = False, False
+        try:
+            pc_next = pcs[idx]
+        except IndexError:
+            # The stream is consumed; only an EXIT may be its last record.
+            if kind != _K_EXIT:
+                raise TraceFormatError(
+                    f"warp stream (block={warp.block.block_id}, "
+                    f"warp={warp.warp_id_in_block}) has no record {idx}: it "
+                    "ends without its terminal EXIT; trace is corrupt"
+                ) from None
+            self._finish_warp(warp, scheduler, now)
         else:
-            warp.stack.diverge(inst.target_pc, pc + 1, taken_mask, inst.reconv_pc)
-            warp.divergent_branches += 1
-            self.stats.divergent_branches += 1
-            diverged, all_taken = True, False
-        if self.cpl is not None:
-            self.cpl.on_branch(warp, inst, diverged=diverged,
-                               all_taken=all_taken, now=now)
+            # The scoreboard was written and the cursor moved just above:
+            # this is where the next instruction's readiness is known, and
+            # nothing moves it until the warp issues again — not a barrier
+            # it may be about to park at either.  One walk: the latest
+            # operand, and whether a load produced (one of) the latest.
+            ready = 0.0
+            by_load = False
+            decoded = table[pc_next]
+            reg_ready = warp.reg_ready
+            from_load = warp.reg_from_load
+            for src in decoded.srcs:
+                value = reg_ready[src]
+                if value > ready:
+                    ready = value
+                    by_load = from_load[src]
+                elif value == ready and from_load[src]:
+                    by_load = True
+            dst = decoded.dst
+            if dst is not None:  # WAW hazards stall issue as well
+                to_pred = decoded.pred_is_dst
+                value = warp.pred_ready[dst] if to_pred else reg_ready[dst]
+                if value > ready:
+                    ready = value
+                    by_load = not to_pred and from_load[dst]
+            pred = decoded.pred
+            if pred is not None:
+                value = warp.pred_ready[pred]
+                if value > ready:
+                    ready = value
+                    by_load = False
+            warp._opready = ready
+            warp._by_load = by_load
+            floor = now + 1  # one instruction per warp per cycle
+            warp.ready_at = ready if ready > floor else floor
+            warp._needs_mem = decoded.needs_global_mem
+            if kind == _K_BARRIER:
+                stats.barriers += 1
+                if warp.block.barrier_arrive(warp):
+                    self._release_barrier(warp.block, now)
+
+        scheduler.notify_issue(warp, now)
+        for observer in self.issue_observers:
+            observer.on_issue(self, warp, warp._insts[pc], now)
+        return kind == _K_LOAD or kind == _K_STORE
 
     def _finish_warp(self, warp: Warp, scheduler: WarpScheduler, now: float) -> None:
         warp.mark_finished(now)
@@ -512,7 +558,12 @@ class StreamingMultiprocessor:
     def _commit_block(self, block: ThreadBlock) -> None:
         self.blocks.remove(block)
         self.completed_blocks.append(block)
-        self.stats.blocks_committed += 1
+        stats = self.stats
+        stats.blocks_committed += 1
+        for warp in block.warps:
+            stats.warp_instructions += warp.issued_instructions
+            stats.thread_instructions += warp.thread_instructions
+        stats.issue_events = stats.warp_instructions
         self._regs_in_use -= block.kernel.num_regs * block.block_dim
         self.warps = [w for w in self.warps if w.block is not block]
         if self.cpl is not None:
@@ -522,28 +573,32 @@ class StreamingMultiprocessor:
 
     # ------------------------------------------------------------------
     def next_wake_time(self, now: float = 0.0) -> float:
-        """Earliest cycle any resident warp could issue (inf if none).
+        """Earliest cycle ``>= now`` any resident warp could issue (inf if
+        none).
 
-        A heap peek per slot plus a walk of the (small) ready pools — pool
-        warps are operand-ready but MSHR-gated, so their wake is bounded by
-        the next MSHR free time.  Warps parked at a barrier sit in neither
-        structure and contribute nothing.
+        A heap peek per slot plus two emptiness tests: pooled warps are
+        operand-ready, so an ungated one can issue at ``now`` and the gated
+        ones once an MSHR is free.  Warps parked at a barrier sit in no
+        structure and contribute nothing.  Anything due earlier than
+        ``now`` is reported as ``now`` — the loops clamp a wake into the
+        future anyway, and the clamped value is what :meth:`tick_wake`
+        can answer without walking its pools.
         """
         wake = math.inf
-        mshr_free_at: Optional[float] = None
-        for heap, pool in zip(self._wake_heaps, self._ready_pools):
+        gated = False
+        for heap, pool, ungated in zip(self._wake_heaps, self._ready_pools,
+                                       self._ungated_pools):
+            if ungated:
+                return now
+            if pool:
+                gated = True
             if heap and heap[0][0] < wake:
                 wake = heap[0][0]
-            for w in pool:
-                t = w.ready_at
-                if w._needs_mem:
-                    if mshr_free_at is None:
-                        mshr_free_at = self.mshr.next_free_time(now)
-                    if mshr_free_at > t:
-                        t = mshr_free_at
-                if t < wake:
-                    wake = t
-        return wake
+        if gated:
+            mshr_free_at = self.mshr.next_free_time(now)
+            if mshr_free_at < wake:
+                wake = mshr_free_at
+        return wake if wake > now else now
 
     def next_event_time(self, now: float = 0.0) -> float:
         """Uniform next-event hook (see ``docs/timing_model.md``).
@@ -556,8 +611,8 @@ class StreamingMultiprocessor:
         (:meth:`MSHRFile.next_free_time` accounts for over-subscription).
         Still *under*-estimated: a pooled warp that is operand-ready but
         lost arbitration, was declined by a throttling scheduler, or is
-        held back by the critical-MSHR reserve reports a wake in the past,
-        which the skip clock turns into a re-tick one cycle later.  Never
+        held back by the critical-MSHR reserve reports ``now``, which the
+        skip clock turns into a re-tick one cycle later.  Never
         over-estimated — the invariant the cycle/skip parity grid enforces.
         """
         return self.next_wake_time(now)

@@ -36,7 +36,7 @@ from .recorder import (
     record_workload,
     replay_recorded,
 )
-from .replay import TraceExecutor, TraceStack, TraceWarp, make_warp_factory, replay_program
+from .replay import replay_program
 from .store import (
     clear,
     list_traces,
@@ -50,18 +50,14 @@ __all__ = [
     "TRACE_FORMAT_VERSION",
     "TRACE_MAGIC",
     "LaunchTrace",
-    "TraceExecutor",
     "TraceInfo",
     "TraceProgram",
     "TraceRecorder",
-    "TraceStack",
-    "TraceWarp",
     "WarpStream",
     "clear",
     "kernel_fingerprint",
     "list_traces",
     "load_program",
-    "make_warp_factory",
     "record_program",
     "record_workload",
     "replay_recorded",

@@ -55,15 +55,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from ..errors import TraceFormatError, TraceMismatchError
 from ..isa.instructions import CmpOp, Instruction, IssueKind, MemSpace, Opcode, Special
 from ..isa.kernel import Kernel
+from ..simt.warp import NO_LINES  # the timed warp's: it reads the aux column
 
 #: File magic; anything else is not a repro trace.
 TRACE_MAGIC = "repro-trace"
 #: Bump on any incompatible change to the column or header layout.
 TRACE_FORMAT_VERSION = 2
-
-#: ``n_lines`` of a memory record without line addresses: -1 as the
-#: unsigned 64-bit value the aux column stores.
-NO_LINES = (1 << 64) - 1
 
 #: What a static instruction's records carry in the aux stream.
 AUX_NONE, AUX_BRANCH, AUX_MEM = 0, 1, 2

@@ -31,11 +31,11 @@ launch size.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import SimulationError, TraceInvarianceError
+from ..errors import DeadlockError, SimulationError, TraceInvarianceError
 from ..isa.instructions import MemSpace, Opcode, Special
 from ..memory.data import GlobalMemory
 from ..simt.executor import bind_compute
@@ -50,7 +50,9 @@ _NO_LINE = np.iinfo(np.int64).max
 #: The step log is scattered into the per-warp columns at this many records.
 _FLUSH_RECORDS = 4096
 #: A launch still stepping after this many steps is a runaway kernel (the
-#: timing model's ``max_cycles`` says the same of 5e7 cycles).
+#: timing model's ``max_cycles`` says the same of 5e7 cycles, and a caller
+#: with a cycle budget hands :func:`record_launch` the smaller cap that
+#: budget implies).
 MAX_STEPS = 50_000_000
 
 # An access's identity in _RaceCheck: ``block << 44 | generation << 24 |
@@ -195,8 +197,8 @@ class _RaceCheck:
             f"at address {int(word) * 8:#x} that {warp(other)} {did} in the "
             "same launch with no barrier of a shared block between the two "
             "accesses, so its stream depends on warp timing and a recording "
-            "cannot stand for every scheme; nothing was stored (run the "
-            "kernel with config.with_frontend('execute'))"
+            "cannot stand for every scheme; nothing was recorded or timed "
+            "(separate the two accesses with a barrier, or split the launch)"
         )
 
 
@@ -204,11 +206,13 @@ class _Pass:
     """One launch's functional pass (see the module docstring)."""
 
     def __init__(self, kernel, grid_dim: int, block_dim: int,
-                 memory: GlobalMemory, warp_size: int, line_size: int) -> None:
+                 memory: GlobalMemory, warp_size: int, line_size: int,
+                 max_steps: int) -> None:
         self.kernel = kernel
         self.memory = memory
         self.warp_size = warp_size
         self.line_size = line_size
+        self.max_steps = max_steps
         wpb = self.warps_per_block = (block_dim + warp_size - 1) // warp_size
         count = self.count = grid_dim * wpb
         if count > _ROW_MASK or grid_dim >= 1 << (62 - _BLOCK_SHIFT):
@@ -304,15 +308,16 @@ class _Pass:
             if self._pending >= _FLUSH_RECORDS:
                 self._flush()
             self.steps += 1
-            if self.steps > MAX_STEPS:
-                raise SimulationError(
+            if self.steps > self.max_steps:
+                raise DeadlockError(
                     f"kernel {self.kernel.name!r} is still running after "
-                    f"{MAX_STEPS} functional steps; likely a runaway kernel"
+                    f"{self.max_steps} functional steps; likely a runaway kernel"
                 )
         if self.unfinished:
-            raise SimulationError(
+            raise DeadlockError(
                 f"kernel {self.kernel.name!r}: functional deadlock, "
-                f"{self.unfinished} warp(s) can never step again"
+                f"{self.unfinished} warp(s) wait at a barrier that is never "
+                "released"
             )
         self._flush()
         wpb = self.warps_per_block
@@ -609,16 +614,19 @@ def record_launch(
     memory: GlobalMemory,
     warp_size: int,
     line_size: int,
+    max_steps: Optional[float] = None,
 ) -> Tuple[LaunchTrace, int]:
     """Run one launch functionally against ``memory``; returns its
     :class:`~repro.trace.format.LaunchTrace` and the number of steps taken.
 
     Raises :class:`~repro.errors.TraceInvarianceError` when a warp's stream
-    depends on another warp's timing, and
-    :class:`~repro.errors.SimulationError` for an out-of-bounds access, a
-    deadlock or a kernel still running after :data:`MAX_STEPS` steps.
+    depends on another warp's timing, :class:`~repro.errors.DeadlockError`
+    for a barrier that is never released or a kernel still running after
+    ``max_steps`` steps (at most, and by default, :data:`MAX_STEPS`), and
+    :class:`~repro.errors.SimulationError` for an out-of-bounds access.
     """
-    run = _Pass(kernel, grid_dim, block_dim, memory, warp_size, line_size)
+    cap = MAX_STEPS if max_steps is None else int(min(max_steps, MAX_STEPS))
+    run = _Pass(kernel, grid_dim, block_dim, memory, warp_size, line_size, cap)
     try:
         return run.run(), run.steps
     finally:

@@ -27,7 +27,6 @@ import time
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..config import GPUConfig
-from ..errors import ConfigError
 from ..memory.data import GlobalMemory
 from .format import LaunchTrace, TraceProgram
 from .functional import record_launch
@@ -38,12 +37,6 @@ class TraceRecorder:
     nothing else."""
 
     def __init__(self, config: GPUConfig) -> None:
-        if config.warp_size > 64:
-            raise ConfigError(
-                f"cannot record a trace at warp_size={config.warp_size}: "
-                "trace columns hold 64-bit lane masks (run it with "
-                "config.with_frontend('execute'))"
-            )
         self.config = config
         self.memory = GlobalMemory()
         self.launches: List[LaunchTrace] = []

@@ -3,9 +3,11 @@
 ``run_scheme`` with a default config runs a workload's functional side
 once — the recorder's scheduler-free functional pass — and every cell, the
 first included, is a replay; ``with_frontend("execute")`` is the parity
-reference.  This file pins the economy of that default (one functional
-pass per workload, the timing model's executor never), its parity with the
-reference across the ways a cell can be asked for, and the three ways the
+reference, which never consults the trace store: its GPU records every
+launch in place.  This file pins the economy of that default (one functional
+pass per workload, the per-warp reference executor never, on either path),
+its parity with the reference across the ways a cell can be asked for, and
+the three ways the
 default could otherwise go wrong: replaying a trace nobody verified,
 writing a cache the user disabled, and replaying streams an older version
 recorded.
@@ -26,6 +28,7 @@ from repro.config import GPUConfig
 from repro.experiments import runner
 from repro.experiments.runner import run_scheme, run_sweep
 from repro.simt.executor import FunctionalExecutor
+from repro.trace import functional as functional_mod
 from repro.trace import recorder as recorder_mod
 from repro.trace import store as trace_store
 
@@ -48,11 +51,14 @@ def _fresh_memo():
 
 class Functional:
     """Functional work from here on: ``passes`` holds the record count of
-    every functional pass the recorder ran, ``executed`` counts the timing
-    model's ``FunctionalExecutor.execute`` calls (the execute frontend)."""
+    every functional pass the recorder ran, ``in_place`` of every pass a
+    GPU without a trace ran for a launch of its own (the execute frontend),
+    and ``executed`` counts ``FunctionalExecutor.execute`` calls — the
+    per-warp reference, which no path may reach."""
 
     def __init__(self):
         self.passes = []
+        self.in_place = []
         self.executed = 0
 
 
@@ -65,14 +71,18 @@ def executions(monkeypatch):
         seen.executed += 1
         return execute(self, inst, warp)
 
-    def recorded(*args, **kwargs):
-        launch, steps = record_launch(*args, **kwargs)
-        assert 0 < steps <= launch.record_count
-        seen.passes.append(launch.record_count)
-        return launch, steps
+    def counting(into):
+        def recorded(*args, **kwargs):
+            launch, steps = record_launch(*args, **kwargs)
+            assert 0 < steps <= launch.record_count
+            into.append(launch.record_count)
+            return launch, steps
+        return recorded
 
     monkeypatch.setattr(FunctionalExecutor, "execute", counted)
-    monkeypatch.setattr(recorder_mod, "record_launch", recorded)
+    monkeypatch.setattr(recorder_mod, "record_launch", counting(seen.passes))
+    # GPU.launch looks the pass up in its module at each launch.
+    monkeypatch.setattr(functional_mod, "record_launch", counting(seen.in_place))
     return seen
 
 
@@ -171,10 +181,11 @@ class TestDefaultPath:
         assert len(executions.passes) == 2
         replayed = run_scheme("bfs", "gto", scale=SMALL, seed=3, balanced=True)
         assert len(executions.passes) == 2 and not replayed.recorded
-        assert executions.executed == 0
+        assert executions.in_place == []
         reference = _reference("bfs", "gto", SMALL, seed=3, balanced=True)
-        assert executions.executed == executions.passes[1] == _stored_records(
-            "bfs", SMALL, seed=3, balanced=True)
+        assert executions.in_place == [executions.passes[1]] == [_stored_records(
+            "bfs", SMALL, seed=3, balanced=True)]
+        assert len(executions.passes) == 2 and executions.executed == 0
         assert signature(replayed) == signature(reference)
         assert signature(replayed) != signature(
             run_scheme("bfs", "gto", scale=SMALL))

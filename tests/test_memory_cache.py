@@ -88,6 +88,20 @@ class TestBasicBehaviour:
         assert cache.lookup(0) is None
         assert cache.occupancy() == 0.0
 
+    def test_a_sets_lines_are_made_at_its_first_fill(self):
+        """A wide device builds hundreds of caches; most sets of most of
+        them are never touched."""
+        cache = small_cache(sets=4, ways=2)
+        assert [len(lines) for lines in cache._sets] == [0, 0, 0, 0]
+        assert cache.occupancy() == 0.0 and cache.lookup(0) is None
+        cache.invalidate_all()  # nothing to walk, nothing to break
+        assert not cache.access(req(128))  # set 1
+        assert [len(lines) for lines in cache._sets] == [0, 2, 0, 0]
+        assert cache.access(req(128)) and cache.occupancy() == 1 / 8
+        cache.invalidate_all()
+        assert cache.lookup(128) is None and cache.occupancy() == 0.0
+        assert not cache.access(req(128)) and cache.stats.evictions == 0
+
     def test_observer_callbacks(self):
         cache = small_cache()
         events = []

@@ -293,9 +293,11 @@ def _index_policy(name):
     return make_policy(name)
 
 
-def _tags(sets):
-    """Which line sits in which way: equal tags mean equal victim ways."""
+def _tags(sets, ways=None):
+    """Which line sits in which way: equal tags mean equal victim ways.
+    (``ways``: a set :class:`Cache` has not filled yet has no lines.)"""
     return [[(line.valid, line.line_addr if line.valid else None) for line in lines]
+            or [(False, None)] * (ways or 0)
             for lines in sets]
 
 
@@ -333,7 +335,7 @@ def test_prop_residency_index_matches_a_way_scan(policy_name, steps):
             assert (cache.lookup(line_addr) is not None) == any(
                 line.valid and line.tag == line_addr
                 for line in model.sets[_INDEX_CONFIG.set_index(line_addr)])
-        assert _tags(cache._sets) == _tags(model.sets)
+        assert _tags(cache._sets, _INDEX_CONFIG.ways) == _tags(model.sets)
         assert dataclasses.astuple(cache.stats) == dataclasses.astuple(model.stats)
         valid = {line.line_addr: line
                  for lines in cache._sets for line in lines if line.valid}

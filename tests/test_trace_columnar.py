@@ -19,6 +19,7 @@ import json
 import tracemalloc
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -258,6 +259,33 @@ class TestFaultInjection:
         with pytest.raises(TraceFormatError, match="missing its"):
             trace_mod.replay_program(program, config, scheme="rr")
 
+    @pytest.mark.parametrize("keep,guard", [
+        (0, "branch record at pc=2 is missing its taken mask"),
+        (1, "memory record at pc=5 is missing its address payload"),  # no mask
+        (2, "memory record at pc=5 is missing its address payload"),  # no count
+        (3, "memory record at pc=5 is missing its address payload"),  # no lines
+    ])
+    def test_each_payload_guard_names_its_record(self, config, keep, guard):
+        """The SM reads the aux column itself: a branch without its taken
+        mask and a LD cut anywhere inside ``mem_mask, n_lines, lines``."""
+        from repro import GPU
+        from tests.conftest import build_copy_kernel
+
+        recorder = trace_mod.TraceRecorder(config)
+        src = recorder.memory.alloc_array(np.arange(32.0))
+        dst = recorder.memory.alloc_array(np.zeros(32))
+        kernel = build_copy_kernel(32, src, dst)
+        assert [kernel.instructions[pc].op.value for pc in (2, 5)] == ["bra", "ld"]
+        recorder.launch(kernel, 1, 32)
+        program = recorder.finish()
+        (stream,) = program.launches[0].warps.values()
+        assert len(stream.aux) == 9  # taken | LD mask, 2, 2 lines | ST the same
+        intact = GPU(config, trace=program).launch(kernel, 1, 32)
+        assert intact.warp_instructions == len(stream)
+        del stream.aux[keep:]
+        with pytest.raises(TraceFormatError, match=guard):
+            GPU(config, trace=program).launch(kernel, 1, 32)
+
     @pytest.mark.parametrize("workload", ["bfs", "needle"])
     def test_replay_refuses_a_stream_without_its_terminal_exit(self, config, workload):
         """A warp stream that just stops: the warp is still running with
@@ -302,9 +330,12 @@ class TestFootprint:
     def test_replay_drops_a_warps_columns_when_it_retires(self, config):
         _, program = trace_mod.record_workload("bfs", scale=SCALE, config=config)
         result = trace_mod.replay_program(program, config, scheme="rr")[-1]
-        stacks = [w.stack for b in result.blocks for w in b.warps]
-        assert stacks and all(
-            s.empty and not s._pcs and not s._masks and not s._aux for s in stacks)
+        warps = [w for b in result.blocks for w in b.warps]
+        assert warps and all(
+            w.finished and w._stream is None and not w._pcs and not w._aux
+            for w in warps)
+        assert all(b.trace is None for b in result.blocks)
+        assert sum(w.thread_instructions for w in warps) == result.thread_instructions > 0
 
 
 def test_header_is_read_without_inflating_a_column(config, monkeypatch):

@@ -99,21 +99,15 @@ class TestRecordReplay:
     def test_recording_coalesces_each_global_access_once(self, config, monkeypatch):
         """The functional pass coalesces a recorded access (as a row sort
         over the group's line matrix); the trace stores that list and the
-        replaying LSU walks it.  ``coalesce_lines`` — the execute
-        frontend's rule — is not called by either, and yields the same
-        lists when the execute frontend runs the workload."""
+        LSU walks it.  ``coalesce_lines`` — the per-address rule the LSU
+        keeps for callers that hand it addresses — is called on neither
+        path: a store-less ``execute`` cell walks recorded lists too, the
+        ones its GPU's in-place pass made."""
         from repro.sm import lsu as lsu_mod
 
-        coalesce = lsu_mod.coalesce_lines
-        runs = []
-
-        def counted(addrs, mask, line_size):
-            runs.append(coalesce(addrs, mask, line_size))
-            return runs[-1]
-
-        monkeypatch.setattr(lsu_mod, "coalesce_lines", counted)
+        monkeypatch.setattr(lsu_mod, "coalesce_lines",
+                            lambda *a: pytest.fail("coalesced at issue"))
         result, program = trace_mod.record_workload("bfs", scale=SCALE, config=config)
-        assert runs == []
         stored = [payload[1] for launch in program.launches
                   for _b, _w, (_pc, _mask, payload) in launch.records()
                   if isinstance(payload, tuple) and payload[1] is not None]
@@ -123,7 +117,6 @@ class TestRecordReplay:
             "bfs", "rr", scale=SCALE, config=config.with_frontend("execute"),
             use_cache=False, persistent=False)
         assert executed.l1_stats.accesses == result.l1_stats.accesses
-        assert sorted(runs) == sorted(stored)
 
 
 # ----------------------------------------------------------------------
@@ -264,25 +257,40 @@ class TestGuards:
         with pytest.raises(TraceMismatchError, match="fingerprint"):
             trace_mod.replay_program(foreign, config)
 
-    def test_gpu_replays_iff_handed_a_trace(self, config):
-        """``frontend`` is the runner's knob: a GPU executes unless it is
-        handed ``trace=``, whatever the config says."""
+    def test_gpu_replays_iff_handed_a_trace(self, config, monkeypatch):
+        """``frontend`` is the runner's knob (store or no store): a GPU
+        records each launch in place unless it is handed ``trace=``,
+        whatever the config says — and neither kind executes at issue."""
         from repro import GPU
         from repro.simt.executor import FunctionalExecutor
-        from repro.trace import TraceExecutor
+        from repro.trace import functional as functional_mod
+        from repro.workloads import make_workload
 
+        monkeypatch.setattr(FunctionalExecutor, "execute",
+                            lambda *a: pytest.fail("executed at issue"))
+        passes = []
+        record_launch = functional_mod.record_launch
+        monkeypatch.setattr(
+            functional_mod, "record_launch",
+            lambda *a, **k: passes.append(a[0].name) or record_launch(*a, **k))
         _, program = _record(config=config)
+        assert passes == []  # the recorder holds its own reference
         launch = program.launches[0]
         for frontend in ("trace", "execute"):
             cfg = config.with_frontend(frontend)
-            executing = GPU(cfg)
-            assert isinstance(executing.sms[0].executor, FunctionalExecutor)
-            replaying = GPU(cfg, trace=program)
-            assert isinstance(replaying.sms[0].executor, TraceExecutor)
+            recording, replaying = GPU(cfg), GPU(cfg, trace=program)
+            assert recording.sms[0].executor is replaying.sms[0].executor is None
+            spec = make_workload("bfs", scale=SCALE).build(recording)
+            in_place = recording.launch(spec.kernel, spec.grid_dim, spec.block_dim)
+            assert passes.pop() == launch.kernel.name and not passes
+            assert spec.verify(recording)
+            assert (in_place.frontend, in_place.trace_id) == ("execute", None)
             result = replaying.launch(
                 launch.kernel, launch.grid_dim, launch.block_dim)
+            assert not passes
             assert result.frontend == "trace"
             assert result.trace_id == program.trace_id
+            assert result.cycles == in_place.cycles
 
     def test_invalid_frontend_name(self, config):
         with pytest.raises(ConfigError):

@@ -23,6 +23,7 @@ produce.  Three checks hold it to that:
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +53,10 @@ LINE = 128
 # The per-warp reference: FunctionalExecutor + SIMTStack, no pipeline
 # ----------------------------------------------------------------------
 def _issue(executor, warp, stream, line_size):
-    """One instruction of one warp: the functional and control half of
-    ``StreamingMultiprocessor._issue``, recording as the in-pipeline
-    recorder did."""
-    stack = warp.stack
+    """One instruction of one warp — executed, its stack moved, its record
+    appended — as the in-pipeline recorder did when the SM still executed
+    at issue.  Lane values and the stack are the executor's."""
+    stack = executor.lanes(warp).stack
     pc, active = stack.pc, stack.active_mask
     inst = warp._insts[pc]
     kind = inst.decoded.kind
@@ -387,6 +388,24 @@ def test_a_kernel_that_never_ends_is_an_error_not_a_hang(monkeypatch):
     assert recorder.launches == []
 
 
+def test_a_callers_step_cap_is_a_named_deadlock():
+    """``GPU.launch`` hands the pass the cap its ``max_cycles`` implies."""
+    from repro.errors import DeadlockError
+
+    b = KernelBuilder("forever")
+    b.label("top")
+    b.nop()
+    b.bra("top")
+    memory = GPU(GPUConfig.default_sim()).memory
+    with pytest.raises(DeadlockError, match="after 100 functional steps; likely "
+                                            "a runaway kernel"):
+        record_launch(b.build(), 2, 64, memory, 32, LINE, max_steps=100.5)
+    started = time.perf_counter()
+    with pytest.raises(DeadlockError, match="runaway kernel"):
+        GPU(GPUConfig.default_sim(), max_cycles=10_000).launch(b.build(), 2, 64)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_out_of_bounds_access_is_the_executors_error():
     def build(memory):
         memory.alloc_array(np.zeros(4))
@@ -525,12 +544,21 @@ class TestInvariance:
             racy_workload.RacyShiftWorkload().run(recorder)
         assert recorder.launches == []
 
-    def test_execute_frontend_still_runs_it(self, monkeypatch):
+    def test_refused_without_a_trace_store_as_well(self, monkeypatch):
+        """Every launch is timed from a recording, so there is no frontend
+        left that runs a racy kernel: a hand-built GPU and the runner's
+        store-less ``execute`` cells record in place, and refuse."""
         racy_workload.register(monkeypatch)
-        result = runner.run_scheme(
-            racy_workload.NAME, "rr",
-            config=GPUConfig.default_sim().with_frontend("execute"))
-        assert result.frontend == "execute" and result.cycles > 0
+        gpu = GPU(GPUConfig.default_sim())
+        with pytest.raises(TraceInvarianceError, match=self.MESSAGE) as refusal:
+            racy_workload.RacyShiftWorkload().run(gpu)
+        assert "with_frontend" not in str(refusal.value)
+        assert gpu.now == 0.0  # refused before the clock started
+        with pytest.raises(TraceInvarianceError, match=self.MESSAGE):
+            runner.run_scheme(
+                racy_workload.NAME, "rr",
+                config=GPUConfig.default_sim().with_frontend("execute"))
+        assert trace_mod.list_traces() == []
 
     def test_refused_from_run_scheme_and_nothing_is_stored(self, monkeypatch):
         racy_workload.register(monkeypatch)

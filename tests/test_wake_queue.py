@@ -7,10 +7,9 @@ frees up.  :class:`ReadySetOracle` is the event core's independent
 reference: it re-derives every tick's candidate lists from a plain scan of
 ``sm.warps`` — readiness included, which it walks off each warp's
 scoreboard itself — and shares no state with the wake heaps, the ready
-pools or the readiness the SM stores on a warp at issue.
+pools, their ungated sub-lists or the readiness the SM stores on a warp at
+issue.
 """
-
-import heapq
 
 import numpy as np
 import pytest
@@ -65,15 +64,19 @@ def scattered_load_kernel(n, base, out_base, passes=4):
 
 def readiness_from_scratch(warp):
     """``(wake, needs_mem)`` of ``warp``'s next instruction, re-derived
-    from its scoreboard, PC and last issue — the reference for the tuple
+    from its scoreboard, cursor and last issue — the reference for the pair
     the SM stores at issue (``warp.ready_at`` / ``warp._needs_mem``) and
-    every heap pop trusts.  ``operands_ready_at`` is the register file's
-    plain walk; the issue path uses ``operands_ready_detail``."""
-    d = warp._insts[warp.stack.pc].decoded
-    operands = warp.rf.operands_ready_at(d.srcs, d.dst, d.pred, d.pred_is_dst)
+    every heap pop trusts.  A plain ``max`` over the operands' scoreboard
+    entries; the issue path walks them inline, tracking load provenance."""
+    d = warp.block.kernel.instructions[warp.pc].decoded
+    pending = [warp.reg_ready[src] for src in d.srcs]
+    if d.dst is not None:
+        pending.append((warp.pred_ready if d.pred_is_dst else warp.reg_ready)[d.dst])
+    if d.pred is not None:
+        pending.append(warp.pred_ready[d.pred])
     floor = (warp.last_issue_cycle + 1 if warp.issued_instructions
              else warp.start_cycle)
-    return max(operands, floor), d.needs_global_mem
+    return max([floor, *pending]), d.needs_global_mem
 
 
 class ReadySetOracle:
@@ -89,8 +92,12 @@ class ReadySetOracle:
     from-scratch one.  A slot ``tick`` passes over without calling
     ``select`` must have an empty list: nothing changes between a skipped
     slot's turn and the next ``select`` call (or the end of the tick), so
-    that is where skipped slots are checked.  At the end of every tick the
-    wake ``tick_wake`` returned must equal ``next_wake_time(now)`` and must
+    that is where skipped slots are checked.  At every ``select`` and at the
+    end of every tick each slot's ungated sub-list must be its pool minus
+    the warps whose next instruction needs an MSHR, in pool order, and every
+    wake-heap entry must carry its warp's stored wake time.  At the end of
+    every tick the wake ``tick_wake`` returned must equal
+    ``next_wake_time(now)`` — both clamped: never before ``now`` — and must
     not lie past the earliest from-scratch wake of any RUNNING warp.
     """
 
@@ -111,6 +118,8 @@ class ReadySetOracle:
             self._next_slot = 0
             issued, wake = real_tick_wake(now)
             self._expect_skipped(len(sm.schedulers), now)
+            self._check_structures(now)
+            assert wake >= now, f"cycle {now}: wake {wake} lies in the past"
             assert wake == sm.next_wake_time(now), (
                 f"cycle {now}: tick_wake returned wake {wake}, a from-scratch "
                 f"next_wake_time gives {sm.next_wake_time(now)}"
@@ -165,6 +174,21 @@ class ReadySetOracle:
         ready.sort(key=lambda w: w.dynamic_id)
         return ready
 
+    def _check_structures(self, now):
+        """The ungated sub-lists and heap entries, against their definitions."""
+        sm = self.sm
+        for slot, (pool, ungated) in enumerate(zip(sm._ready_pools, sm._ungated_pools)):
+            assert ungated == [w for w in pool if not w._needs_mem], (
+                f"cycle {now}: slot {slot}'s ungated sub-list diverged from its pool"
+            )
+        for heap in sm._wake_heaps:
+            for wake, _, warp in heap:
+                if warp.status is WarpStatus.RUNNING:
+                    assert wake == warp.ready_at, (
+                        f"cycle {now}: warp {warp.dynamic_id} is queued for "
+                        f"{wake} but ready at {warp.ready_at}"
+                    )
+
     def _expect_skipped(self, upto, now):
         """Slots ``[_next_slot, upto)`` got no ``select`` call this tick."""
         for slot in range(self._next_slot, upto):
@@ -177,6 +201,7 @@ class ReadySetOracle:
     def _checked_select(self, slot, real_select):
         def select(ready, now):
             self._expect_skipped(slot, now)
+            self._check_structures(now)
             self._next_slot = slot + 1
             want = self.expected(slot, now)
             ids = [w.dynamic_id for w in ready]
@@ -216,12 +241,14 @@ def replaying_gpu(cfg, build_kernel, grid_dim, block_dim):
     return GPU(cfg.with_frontend("trace"), trace=recorder.finish()), kernel
 
 
-def make_sm(num_warps=2):
-    """One event-core SM with ``num_warps`` resident ALU warps at cycle 0."""
-    gpu = GPU(GPUConfig.default_sim(num_sms=1, num_schedulers_per_sm=1))
-    sm = gpu.sms[0]
-    kernel = alu_kernel()
-    block = ThreadBlock(0, 32 * num_warps, 1, kernel, warp_size=32)
+def make_sm(num_warps=2, kernel=None):
+    """One event-core SM with ``num_warps`` resident warps of ``kernel``
+    (default: the ALU kernel) at cycle 0, following their recorded streams."""
+    cfg = GPUConfig.default_sim(num_sms=1, num_schedulers_per_sm=1)
+    sm = GPU(cfg).sms[0]
+    kernel = kernel or alu_kernel()
+    trace = TraceRecorder(cfg).launch(kernel, 1, 32 * num_warps)
+    block = ThreadBlock(0, 32 * num_warps, 1, kernel, warp_size=32, trace=trace)
     sm.add_block(block, now=0.0)
     return sm, block
 
@@ -260,21 +287,18 @@ class TestWakeQueueInvariants:
         assert warp not in sm._ready_pools[0]
         assert not warp._queued
 
-    def test_early_entry_is_requeued_at_fresh_wake_time(self):
-        sm, block = make_sm(num_warps=1)
-        warp = block.warps[0]
-        assert sm.tick(0.0)  # first issue; warp re-queued for cycle >= 1
-        heap = sm._wake_heaps[0]
-        true_wake = heap[0][0]
-        assert true_wake > 0.0
-        # Forge an entry claiming the warp is ready *now*.
-        heapq.heappop(heap)
-        heapq.heappush(heap, (0.0, warp.dynamic_id, warp))
-        assert not sm.tick(0.0)  # nothing actually ready
-        # Lazy revalidation pushed it back at its true wake time.
-        assert heap[0][0] == true_wake
-        assert warp._queued
-        assert not sm._ready_pools[0]
+    def test_heap_entries_carry_their_warps_wake_time(self):
+        """No entry is ever early, so a pop never re-validates: readiness
+        is stored before a barrier release queues the releasing warp (the
+        one push that used to happen mid-issue, ahead of the bookkeeping)."""
+        sm, block = make_sm(num_warps=2, kernel=barrier_kernel())
+        oracle = ReadySetOracle(sm)  # checks every entry, every tick
+        cycle = 0.0
+        while sm.busy and cycle < 1000:
+            sm.tick_wake(cycle)
+            cycle = max(cycle + 1.0, sm.next_wake_time(cycle))
+        assert not sm.busy and sm.stats.barriers == 2
+        assert oracle.ticks > 0
 
     def test_unfinished_counter_tracks_busy(self):
         sm, block = make_sm(num_warps=2)
@@ -289,10 +313,7 @@ class TestWakeQueueInvariants:
 
 class TestBarrierWake:
     def test_barrier_release_requeues_parked_warps(self):
-        gpu = GPU(GPUConfig.default_sim(num_sms=1, num_schedulers_per_sm=1))
-        sm = gpu.sms[0]
-        block = ThreadBlock(0, 64, 1, barrier_kernel(), warp_size=32)
-        sm.add_block(block, now=0.0)
+        sm, block = make_sm(num_warps=2, kernel=barrier_kernel())
         cycle = 0.0
         saw_parked = False
         while sm.busy and cycle < 1000:

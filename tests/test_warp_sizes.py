@@ -55,3 +55,13 @@ def test_non_power_of_two_warp_size_rejected():
 
     with pytest.raises(ConfigError):
         GPUConfig.default_sim(warp_size=48)
+
+
+def test_warp_wider_than_the_stream_masks_is_refused_before_any_launch():
+    """Every launch is timed from a recorded stream, whose lane masks are
+    64-bit: 128 lanes is a configuration error, not a first-launch one."""
+    from repro.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="64-bit"):
+        GPU(GPUConfig.default_sim(warp_size=128))
+    assert GPUConfig.default_sim(warp_size=64).warp_size == 64
