@@ -13,11 +13,11 @@ TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/t
 test:
 	$(PYTEST) -x -q
 
-## Everything, including the full frontend/clock parity grids.
+## Everything, including the full frontend parity and skip-loop oracle grids.
 test-all:
 	$(PYTEST) -x -q -m ""
 
-## Only the slow suites (full parity grid etc.).
+## Only the slow suites (full parity and oracle grids etc.).
 test-slow:
 	$(PYTEST) -q -m slow
 
@@ -33,7 +33,7 @@ lint:
 	else echo "mypy not installed; skipping"; fi
 
 ## Sanitize the simulator's own source: fingerprint soundness,
-## determinism, probe/signal coverage and clock-protocol rules
+## determinism and probe/signal coverage rules
 ## (docs/static_analysis.md, "Sanitizing the simulator").
 sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro sanitize --all

@@ -3,9 +3,8 @@
 Records **simulated cycles per host CPU second** on the bfs x cawa cell
 (the ISSUE's reference cell), what recording once saves over recording per
 cell (every launch is timed from a recording: a stored trace's, or one the
-GPU makes in place), what the functional pass costs against the replay it
-feeds, and the skip-clock-vs-cycle-clock speedup, all into
-pytest-benchmark's ``extra_info`` (``--benchmark-json``).
+GPU makes in place) and what the functional pass costs against the replay
+it feeds, all into pytest-benchmark's ``extra_info`` (``--benchmark-json``).
 These are CI *gates* — each asserts its floor; the numbers tracked across
 commits live in the performance ledger (``benchmarks/ledger/README.md``).
 Two gates are not timings at all: profiled Python calls per replayed warp
@@ -29,12 +28,6 @@ from repro.experiments.runner import clear_cache
 
 #: Smaller than BENCH_SCALE: throughput smoke, not a paper reproduction.
 SCALE = 0.5
-
-#: The skip clock (the default device loop) beats the per-cycle reference
-#: in proportion to device width (the reference pays O(SMs) per issuing
-#: cycle); the clock benchmarks use a paper-sized SM count instead of the
-#: scaled-down default_sim device.
-WIDE_SMS = 64
 
 
 @pytest.mark.slow
@@ -303,116 +296,6 @@ def test_serve_warm_round_trip(benchmark, tmp_path):
         f"median warm round trip {1e3 * median:.1f} ms >= "
         f"{1e3 * SERVE_WARM_CEILING:.0f} ms: something on the hand-off "
         "path waits on a timer again"
-    )
-
-
-def _clock_compare(workload, scale, scheme, repeats=2):
-    """Best-of-``repeats`` replay wall time under each clock on a wide device.
-
-    Returns ``(report, cycle_result, skip_result)`` where ``report`` maps
-    clock name to ``{"seconds", "cycles", "cycles_per_second", ...}``.
-    CPU time (``process_time``) keeps the numbers stable on loaded CI
-    machines; trace replay isolates the clocks from functional-execution
-    noise (the loops are identical in both frontends).
-    """
-    from repro import trace as trace_mod
-    from repro.config import GPUConfig
-    from repro.core.cawa import apply_scheme
-
-    clear_cache()
-    record_cfg = GPUConfig.default_sim(num_sms=WIDE_SMS)
-    _, program = trace_mod.record_workload(workload, scale=scale,
-                                           config=record_cfg, scheme=scheme)
-    base = record_cfg.with_frontend("trace")
-    report = {}
-    results = {}
-    for clock in ("cycle", "skip"):
-        cfg = apply_scheme(base.with_clock(clock), scheme)
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.process_time()
-            result = trace_mod.replay_program(program, cfg, scheme=scheme)[-1]
-            seconds = time.process_time() - start
-            best = min(best, seconds)
-        results[clock] = result
-        report[clock] = {
-            "seconds": best,
-            "cycles": result.cycles,
-            "cycles_per_second": result.cycles / best if best > 0 else 0.0,
-            "cycles_skipped": result.cycles_skipped,
-            "skip_jumps": result.skip_jumps,
-        }
-    return report, results["cycle"], results["skip"]
-
-
-@pytest.mark.slow
-def test_skip_clock_speedup_strcltr(benchmark):
-    """The headline skip-clock cell: strcltr_mid on a 64-SM device.
-
-    Guards the reference comparison the default was chosen on: the skip
-    clock must beat the per-cycle reference loop by >= 2.5x wall-clock on
-    this memory-bound cell, bit-identically.
-    """
-
-    def measure():
-        return _clock_compare("strcltr_mid", 16.0, "gto")
-
-    report, cycle_result, skip_result = run_once(benchmark, measure)
-    assert cycle_result.cycles == skip_result.cycles
-    assert cycle_result.l1_stats.misses == skip_result.l1_stats.misses
-    assert cycle_result.dram_accesses == skip_result.dram_accesses
-    speedup = report["cycle"]["seconds"] / report["skip"]["seconds"]
-    payload = {
-        "workload": "strcltr_mid",
-        "scheme": "gto",
-        "scale": 16.0,
-        "num_sms": WIDE_SMS,
-        "cycle_seconds": report["cycle"]["seconds"],
-        "skip_seconds": report["skip"]["seconds"],
-        "cycle_cycles_per_second": report["cycle"]["cycles_per_second"],
-        "skip_cycles_per_second": report["skip"]["cycles_per_second"],
-        "speedup": speedup,
-        "simulated_cycles": skip_result.cycles,
-        "cycles_skipped": skip_result.cycles_skipped,
-        "skip_jumps": skip_result.skip_jumps,
-    }
-    benchmark.extra_info.update(payload)
-    assert speedup >= 2.5, (
-        f"skip clock speedup {speedup:.2f}x on strcltr_mid is below the "
-        "2.5x acceptance floor"
-    )
-
-
-@pytest.mark.slow
-def test_skip_clock_not_slower_bfs(benchmark):
-    """Regression gate on the default path: the skip clock is what every
-    default caller runs, so it must never lose to the cycle reference on
-    bfs (the reference workload).  CI fails on violation."""
-
-    def measure():
-        return _clock_compare("bfs", 1.0, "gto")
-
-    report, cycle_result, skip_result = run_once(benchmark, measure)
-    assert cycle_result.cycles == skip_result.cycles
-    speedup = report["cycle"]["seconds"] / report["skip"]["seconds"]
-    payload = {
-        "workload": "bfs",
-        "scheme": "gto",
-        "scale": 1.0,
-        "num_sms": WIDE_SMS,
-        "cycle_seconds": report["cycle"]["seconds"],
-        "skip_seconds": report["skip"]["seconds"],
-        "cycle_cycles_per_second": report["cycle"]["cycles_per_second"],
-        "skip_cycles_per_second": report["skip"]["cycles_per_second"],
-        "speedup": speedup,
-        "simulated_cycles": skip_result.cycles,
-        "cycles_skipped": skip_result.cycles_skipped,
-        "skip_jumps": skip_result.skip_jumps,
-    }
-    benchmark.extra_info.update(payload)
-    assert report["skip"]["seconds"] <= report["cycle"]["seconds"], (
-        f"skip clock ({report['skip']['seconds']:.2f}s) slower than cycle "
-        f"clock ({report['cycle']['seconds']:.2f}s) on bfs"
     )
 
 

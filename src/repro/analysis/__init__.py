@@ -32,9 +32,10 @@ simulation:
 
 :mod:`repro.analysis.pathlen`
     Static min/max remaining-instruction bounds per PC (interval analysis
-    over the CFG), exported both as a lint and as the
-    ``GPUConfig.check_cpl_bounds`` runtime debug mode that asserts the
-    dynamic CPL ``nInst`` term never escapes the static envelope.
+    over the CFG), exported both as a lint and as
+    :class:`~repro.analysis.pathlen.CheckedCriticalityPredictor`, a
+    drop-in CPL predictor that asserts at runtime that the dynamic
+    ``nInst`` term never escapes the static envelope.
 
 See ``docs/static_analysis.md`` for the rule catalogue and suppression
 syntax.

@@ -18,9 +18,10 @@ Two consumers:
 
 * the **PATH001 lint** (:mod:`repro.analysis.lints`) statically requires
   every Algorithm-2 arm size to lie inside its envelope, and
-* :class:`CheckedCriticalityPredictor`, installed by
-  ``GPUConfig.check_cpl_bounds``, re-verifies the same inequality on the
-  *dynamic* branch stream and additionally asserts that the ``nInst``
+* :class:`CheckedCriticalityPredictor`, a drop-in subclass of the CPL
+  predictor (``tests/test_cpl_bounds_runtime.py`` installs it in place of
+  the one :class:`repro.gpu.GPU` builds), re-verifies the same inequality
+  on the *dynamic* branch stream and additionally asserts that the ``nInst``
   disparity counter never goes negative — catching CPL accounting drift the
   moment it happens instead of as a mysteriously mis-ranked warp.
 """
@@ -271,7 +272,7 @@ def compute_path_bounds(kernel: "Kernel", cfg: Optional[CFG] = None) -> PathBoun
 class CheckedCriticalityPredictor(CriticalityPredictor):
     """CPL predictor that asserts the static path-length envelope at runtime.
 
-    Installed per-SM when ``GPUConfig.check_cpl_bounds`` is True.  On every
+    Installed per SM in place of the plain predictor.  On every
     resolved conditional branch the Algorithm-2 delta actually added to the
     warp's ``nInst`` disparity counter is compared against the static
     envelope of the committed path(s); on every issue the counter is

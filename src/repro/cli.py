@@ -278,66 +278,9 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _print_stall_columns(top) -> None:
-    """Top stall reasons as aligned columns (% of total warp-cycles)."""
-    if not top:
-        return
-    header = "".join(f"{name:>18}" for name, _c, _s in top)
-    cells = "".join(f"{share:>17.1%} " for _n, _c, share in top)
-    print("\ntop stall reasons (% of warp-cycles):")
-    print(header)
-    print(cells)
-
-
-def _print_compare(knob: str, values, report) -> None:
-    """The one ``profile --compare`` table: throughput rows, speedup,
-    top stalls, per-component self time with a delta column."""
-    print(f"{knob:<8} {'cycles':>10} {'CPU s':>8} {'cycles/s':>13} "
-          f"{'skipped':>9} {'jumps':>7}")
-    for value in values:
-        row = report[value]["throughput"]
-        print(
-            f"{value:<8} {row['cycles']:>10.0f} {row['seconds']:>8.2f} "
-            f"{row['cycles_per_second']:>13,.0f} "
-            f"{row['cycles_skipped']:>9.0f} {row['skip_jumps']:>7.0f}"
-        )
-    print(f"{values[-1]}-{knob} speedup over {values[0]}: "
-          f"{report['speedup']:.2f}x")
-    _print_stall_columns(report["stalls"])
-    print("\nper-component self time (one profiled run):")
-    print(f"{'component':<18}" + "".join(f"{v:>10}" for v in values)
-          + f"{'delta':>10}")
-    for comp, delta in report["component_delta"].items():
-        cells = "".join(
-            f"{report[v]['components'].get(comp, 0.0):>10.3f}" for v in values
-        )
-        print(f"{comp:<18}{cells}{delta:>+10.3f}")
-
-
 def cmd_profile(args) -> int:
-    from .errors import ConfigError
     from .experiments import profiling
 
-    if args.compare:
-        knob, _, spec = args.compare.partition("=")
-        values = [v.strip() for v in spec.split(",") if v.strip()]
-        if knob != "clock" or len(values) < 2:
-            print(f"bad --compare spec {args.compare!r}; use "
-                  "'clock=cycle,skip'")
-            return 2
-        config = _base_config(args)
-        try:
-            for value in values:
-                config.with_clock(value)
-        except ConfigError as exc:
-            print(f"bad --compare spec {args.compare!r}: {exc}")
-            return 2
-        report = profiling.compare(
-            args.workload, args.scheme, knob, values, scale=args.scale,
-            config=config, repeats=args.repeats,
-        )
-        _print_compare(knob, values, report)
-        return 0
     profiling.profile_run(
         args.workload, args.scheme, scale=args.scale,
         config=_base_config(args), sort=args.sort, top=args.top,
@@ -681,7 +624,7 @@ def _client_spec_from_args(args) -> dict:
     if args.priority != "auto":
         spec["priority"] = args.priority
     device = {}
-    for knob in ("clock", "frontend", "sampling"):
+    for knob in ("frontend", "sampling"):
         value = getattr(args, knob, None)
         if value:
             device[knob] = value
@@ -886,10 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--exact", action="store_true",
                          help="force exact replay (overrides --sampled)")
 
-    p_prof = sub.add_parser(
-        "profile",
-        help="cProfile one run, or compare the device clocks",
-    )
+    p_prof = sub.add_parser("profile", help="cProfile one run")
     p_prof.add_argument("workload",
                         choices=workload_names(include_synthetic=True))
     p_prof.add_argument("scheme", nargs="?", default="cawa",
@@ -900,14 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["cumulative", "tottime", "ncalls"])
     p_prof.add_argument("--top", type=int, default=25,
                         help="number of profile rows to print")
-    p_prof.add_argument(
-        "--compare", default=None, metavar="SPEC",
-        help="comparison mode instead of profiling: 'clock=cycle,skip' "
-        "times both device clocks; prints CPU time, cycles/s, top stalls, "
-        "and per-component self time with a delta column",
-    )
-    p_prof.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N repeats for --compare")
 
     p_lint = sub.add_parser(
         "lint",
@@ -1108,7 +1040,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the result cache: recording runs always simulate)")
     p_csub.add_argument("--priority", choices=["auto", "interactive", "batch"],
                         default="auto")
-    p_csub.add_argument("--clock", choices=["cycle", "skip"], default=None)
     p_csub.add_argument("--frontend", choices=["execute", "trace"],
                         default=None,
                         help="'execute' forces functional execution (the "

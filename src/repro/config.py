@@ -143,33 +143,13 @@ class GPUConfig:
     #: so both values share result-cache entries.  See
     #: ``docs/trace_driven.md``.
     frontend: str = "trace"
-    #: Simulation clock: ``"skip"`` (default) drives the device from a
-    #: global min-heap of per-SM next-event times (scoreboard/MSHR/barrier
-    #: wakes — see :mod:`repro.gpu.clock`), ticking only the SMs that can
-    #: actually act at each event time and jumping the clock straight
-    #: between events; ``"cycle"`` is the independent reference loop the
-    #: parity suites compare against: it ticks every SM on every cycle
-    #: while any SM issues, jumping only when the whole device is stalled.
-    #: Both clocks are bit-identical by contract
-    #: (``tests/test_skip_clock_parity.py``) and therefore, like
-    #: ``frontend``, excluded from :meth:`fingerprint`.
-    #: See ``docs/timing_model.md`` ("Clock modes").
-    clock: str = "skip"
-    #: Debug mode: install :class:`repro.analysis.CheckedCriticalityPredictor`
-    #: in place of the plain CPL predictor, asserting at every resolved
-    #: branch that the dynamic Algorithm-2 ``nInst`` delta lies inside the
-    #: static path-length envelope of :mod:`repro.analysis.pathlen` (raises
-    #: :class:`repro.errors.CPLBoundsError` on violation).  Purely
-    #: observational — scheduling stays bit-identical — and therefore, like
-    #: ``frontend``, excluded from :meth:`fingerprint`.
-    check_cpl_bounds: bool = False
     #: Observability event recording (:mod:`repro.obs`): ``"off"``
     #: (default, every probe reduced to one pointer test), ``"on"`` (ring
     #: buffer with the default capacity), ``"ring:N"`` (drop-oldest ring of
     #: N events) or ``"spill:N"`` (unbounded recording, zlib-spilled in
     #: N-event chunks under ``.repro_cache/events/spill/``).  Collectors
     #: never perturb timing (``tests/test_obs_parity.py``), so — like
-    #: ``clock`` — the spec is excluded from :meth:`fingerprint`.
+    #: ``frontend`` — the spec is excluded from :meth:`fingerprint`.
     #: See ``docs/observability.md``.
     events: str = "off"
     #: Statistical sampling of the trace frontend (:mod:`repro.sampling`):
@@ -206,8 +186,6 @@ class GPUConfig:
     #: results.  See docs/static_analysis.md ("Sanitizing the simulator").
     FINGERPRINT_EXCLUDED: ClassVar[FrozenSet[str]] = frozenset({
         "frontend",
-        "check_cpl_bounds",
-        "clock",
         "events",
     })
 
@@ -243,10 +221,6 @@ class GPUConfig:
         if self.frontend not in ("execute", "trace"):
             raise ConfigError(
                 f"frontend must be 'execute' or 'trace', got {self.frontend!r}"
-            )
-        if self.clock not in ("cycle", "skip"):
-            raise ConfigError(
-                f"clock must be 'cycle' or 'skip', got {self.clock!r}"
             )
         # Validate the scheduler name eagerly against the registry (local
         # import: repro.scheduling never imports config, so no cycle) —
@@ -342,10 +316,6 @@ class GPUConfig:
         record-once-then-replay."""
         return replace(self, frontend=frontend)
 
-    def with_clock(self, clock: str) -> "GPUConfig":
-        """Return a copy using simulation clock ``clock`` (cycle/skip)."""
-        return replace(self, clock=clock)
-
     def with_events(self, events: str) -> "GPUConfig":
         """Return a copy with observability event recording spec ``events``."""
         return replace(self, events=events)
@@ -374,9 +344,8 @@ class GPUConfig:
         Keys the persistent on-disk result cache: any change to the
         configuration (cache geometry, latencies, scheduler, ...) yields a
         different fingerprint and therefore a cache miss.  The knobs in
-        :data:`FINGERPRINT_EXCLUDED` (frontend, clock, events, CPL
-        bounds checking) are deliberately left out — each
-        selects between implementations that are bit-identical by
+        :data:`FINGERPRINT_EXCLUDED` (frontend, events) are deliberately
+        left out — each selects between paths that are bit-identical by
         contract, so results are shared between them.  ``sampling``
         (and ``sampling_seed``) are deliberately **included**: a sampled
         run reports statistical estimates, not the exact numbers, so it

@@ -26,7 +26,6 @@ inter-warp interference).  The ablation benches compare all three.
 
 from __future__ import annotations
 
-import math
 from typing import List, Tuple
 
 from ..memory.replacement import RRPV_MAX, RRPV_NEAR, ReplacementPolicy
@@ -219,18 +218,6 @@ class CACPPolicy(ReplacementPolicy):
             # lines are usually victims of churn (the thing CACP exists to
             # stop), not evidence the signature is streaming.
             self.ship.decrement(line.signature)
-
-    # ------------------------------------------------------------------
-    def next_event_time(self, now: float) -> float:
-        """Always ``inf``: CACP retune epochs are *access-indexed*.
-
-        The dynamic-mode boundary retune fires every ``_tune_interval`` cache
-        *hits* — state that only advances inside an L1 access, which only
-        happens inside an SM tick the skip clock already scheduled.  CACP
-        therefore contributes no wake-ups of its own (see
-        :mod:`repro.gpu.clock`).
-        """
-        return math.inf
 
     # ------------------------------------------------------------------
     def _retune(self) -> None:

@@ -24,7 +24,6 @@ block median — the paper's "slower than 50% of warps" definition).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 from ..isa.instructions import Instruction
@@ -157,17 +156,6 @@ class CriticalityPredictor:
         """
         peers = [w.criticality for w in warp.block.warps if not w.finished]
         return sum(1 for c in peers if c < warp.criticality)
-
-    def next_event_time(self, now: float) -> float:
-        """Always ``inf``: CPL quanta are *issue-indexed*, not timed.
-
-        The block-threshold refresh fires every ``update_period`` *issues*
-        (``count % update_period``), so it can only happen during an SM tick
-        that issues an instruction — an event the SM's own wake time already
-        covers.  The predictor never creates a wake-up of its own, which is
-        why the time-skipping clock (:mod:`repro.gpu.clock`) need not heap it.
-        """
-        return math.inf
 
     def forget_block(self, block_id: int) -> None:
         """Drop cached state for a committed block."""

@@ -24,9 +24,9 @@ class LintError(ReproError):
 
 
 class CPLBoundsError(SimulationError):
-    """Raised in ``GPUConfig.check_cpl_bounds`` debug mode when the dynamic
-    CPL ``nInst`` accounting escapes the static path-length envelope
-    computed by :mod:`repro.analysis.pathlen`."""
+    """Raised by :class:`repro.analysis.pathlen.CheckedCriticalityPredictor`
+    when the dynamic CPL ``nInst`` accounting escapes the static
+    path-length envelope computed by :mod:`repro.analysis.pathlen`."""
 
 
 class ConfigError(ReproError):

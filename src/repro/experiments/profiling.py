@@ -1,24 +1,21 @@
 """Performance instrumentation for simulator runs.
 
-Backs ``python -m repro profile`` and ``tools/profile_run.py``: wall-clock
-timing (best-of-N, cache-bypassed) plus optional cProfile hot-spot listings,
-and a side-by-side comparison of one bit-identical engine knob's values
-(:func:`compare`: the device clocks).  The headline throughput metric
-is **simulated cycles per host second**, which is what the perf-regression
-smoke benchmark tracks; :func:`replay_call_count` is its deterministic
-companion — profiled Python calls per replayed warp instruction, which
-repeats exactly on any host.
+Backs ``python -m repro profile`` and ``tools/profile_run.py``: one
+cache-bypassed run under cProfile — its hot-spot listing and simulated
+cycles per CPU second — plus :func:`replay_call_count`, profiled Python
+calls per replayed warp instruction: a deterministic hot-path gauge that
+repeats exactly on any host.  The perf-regression smoke benchmark times
+:func:`timed_run` and gates the call count.
 """
 
 from __future__ import annotations
 
 import cProfile
-import dataclasses
 import io
 import pstats
 import sys
 import time
-from typing import Any, Dict, Optional, Sequence, TextIO, Tuple
+from typing import Optional, TextIO, Tuple
 
 from .. import trace as trace_mod
 from ..config import GPUConfig
@@ -49,91 +46,6 @@ def timed_run(
         use_cache=False, persistent=False,
     )
     return result, time.process_time() - start
-
-
-def throughput(
-    workload: str,
-    scheme: str,
-    scale: float = 1.0,
-    config: Optional[GPUConfig] = None,
-    repeats: int = 3,
-) -> Dict[str, float]:
-    """Best-of-``repeats`` throughput for one cell.
-
-    Returns ``{"cycles", "seconds", "cycles_per_second"}``.
-    """
-    best = float("inf")
-    cycles = 0.0
-    for _ in range(repeats):
-        result, seconds = timed_run(workload, scheme, scale, config)
-        cycles = result.cycles
-        if seconds < best:
-            best = seconds
-    return {
-        "cycles": cycles,
-        "seconds": best,
-        "cycles_per_second": cycles / best if best > 0 else 0.0,
-    }
-
-
-def stall_breakdown(
-    workload: str,
-    scheme: str,
-    scale: float = 1.0,
-    config: Optional[GPUConfig] = None,
-    n: int = 3,
-):
-    """Top-``n`` stall reasons for one cell as ``(name, cycles, share)``.
-
-    One events-on run through :func:`repro.obs.harness.record_stalls`;
-    ``share`` is the fraction of total warp-cycles (issue + all stalls),
-    the paper's Fig 2c denominator.  Stall attribution is identical across
-    device clocks (the event stream is part of the bit-identical timing
-    contract), so one recording serves every column of a comparison.
-    """
-    from ..obs.harness import record_stalls
-
-    _result, acct = record_stalls(workload, scheme, scale=scale, config=config)
-    return acct.top_reasons(n)
-
-
-def _component_of(filename: str) -> str:
-    """Map a profiled filename onto a coarse simulator component.
-
-    ``repro`` sources aggregate by subpackage (``repro.sm``,
-    ``repro.memory``, ...); everything else (stdlib, numpy) lands in
-    ``other``.
-    """
-    marker = "repro" + ("/" if "/" in filename else "\\")
-    idx = filename.rfind(marker)
-    if idx < 0:
-        return "other"
-    parts = filename[idx:].replace("\\", "/").split("/")
-    if len(parts) >= 3:
-        return f"repro.{parts[1]}"
-    return "repro"
-
-
-def _component_breakdown(profiler: cProfile.Profile) -> Dict[str, float]:
-    """Aggregate a profile's self-time (tottime) by simulator component."""
-    stats = pstats.Stats(profiler)
-    totals: Dict[str, float] = {}
-    for (filename, _lineno, _func), entry in stats.stats.items():
-        tottime = entry[2]
-        comp = _component_of(filename)
-        totals[comp] = totals.get(comp, 0.0) + tottime
-    return totals
-
-
-def _profiled_run(
-    workload: str, scheme: str, scale: float, config: Optional[GPUConfig],
-) -> Tuple[RunResult, float, cProfile.Profile]:
-    """One cache-bypassed run under cProfile: (result, CPU seconds, profile)."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result, seconds = timed_run(workload, scheme, scale, config)
-    profiler.disable()
-    return result, seconds, profiler
 
 
 def replay_call_count(
@@ -169,54 +81,6 @@ def replay_call_count(
     return calls, result.warp_instructions
 
 
-def compare(
-    workload: str,
-    scheme: str,
-    knob: str,
-    values: Sequence[str],
-    scale: float = 1.0,
-    config: Optional[GPUConfig] = None,
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """Measure one cell under each of ``values`` of config field ``knob``.
-
-    ``knob`` is meant to be a bit-identical engine knob (``clock``):
-    results are equal across its values by contract
-    (``tests/test_skip_clock_parity.py``), so the comparison is purely
-    about where the host time goes.  For each value: best-of-``repeats``
-    CPU throughput plus one profiled run, which supplies the skip-clock
-    provenance (``cycles_skipped``/``skip_jumps``) and a per-component
-    self-time breakdown (``repro.sm``, ``repro.memory``, ...).  The
-    returned dict maps each value to ``{"throughput", "components"}`` and
-    carries ``"speedup"`` (first value's CPU time over the last's — how much
-    the last value wins), ``"component_delta"`` (per-component self time,
-    ``last - first`` seconds, negative = the last value spends less there)
-    and the cell's top-3 ``"stalls"``.
-    """
-    base = config or GPUConfig.default_sim()
-    report: Dict[str, Any] = {}
-    for value in values:
-        cfg = dataclasses.replace(base, **{knob: value})
-        tp = throughput(workload, scheme, scale, cfg, repeats)
-        result, _seconds, profiler = _profiled_run(workload, scheme, scale, cfg)
-        tp["cycles_skipped"] = result.cycles_skipped
-        tp["skip_jumps"] = float(result.skip_jumps)
-        report[value] = {
-            "throughput": tp,
-            "components": _component_breakdown(profiler),
-        }
-    first, last = report[values[0]], report[values[-1]]
-    last_s = last["throughput"]["seconds"]
-    report["speedup"] = first["throughput"]["seconds"] / last_s if last_s > 0 else 0.0
-    first_comp, last_comp = first["components"], last["components"]
-    report["component_delta"] = {
-        comp: last_comp.get(comp, 0.0) - first_comp.get(comp, 0.0)
-        for comp in sorted(set(first_comp) | set(last_comp))
-    }
-    report["stalls"] = stall_breakdown(workload, scheme, scale, base)
-    return report
-
-
 def profile_run(
     workload: str,
     scheme: str,
@@ -226,9 +90,13 @@ def profile_run(
     top: int = 25,
     stream: Optional[TextIO] = None,
 ) -> Tuple[RunResult, float]:
-    """cProfile one cell and print the ``top`` hottest entries to ``stream``."""
+    """cProfile one cell and print the ``top`` hottest entries to ``stream``,
+    then its throughput and the call budget."""
     out = stream if stream is not None else sys.stdout
-    result, seconds, profiler = _profiled_run(workload, scheme, scale, config)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    result, seconds = timed_run(workload, scheme, scale, config)
+    profiler.disable()
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.strip_dirs().sort_stats(sort).print_stats(top)

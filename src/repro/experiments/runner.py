@@ -454,7 +454,7 @@ def run_sweep(
     everywhere).  A spec string (``"blocks:0.25"``) applies one rate to
     every workload.  Sampled cells return
     :class:`~repro.stats.sampling.SampledRunResult` and compose with the
-    result cache, ``parallel=True`` dedupe, and the skip clock.
+    result cache and ``parallel=True`` dedupe.
 
     With ``parallel=True`` the grid fans out over a
     :class:`~concurrent.futures.ProcessPoolExecutor` (``max_workers``

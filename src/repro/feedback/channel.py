@@ -11,7 +11,7 @@ Determinism contract
 --------------------
 Delivery order per SM is the cache access order of that SM's timing
 model, which the parity grid already pins down as identical across
-execute/trace frontends and cycle/skip clocks.  Handler order within one
+execute/trace frontends.  Handler order within one
 record is scheduler-slot order — a fixed function of the config.  L2
 signals are only ever *recorded* (schedulers are per-SM and subscribe to
 L1 locality, never to the shared L2).

@@ -30,8 +30,7 @@ def record_signals(
     """Run one cell recording every feedback signal; return ``(result, signals)``.
 
     Signals are returned in the canonical ``(cycle, sm, kind, fields)``
-    order so streams from different frontends / clocks compare with
-    ``==``.
+    order so streams from different frontends compare with ``==``.
 
     A sampled config (``config.sampling != "off"``) raises
     :class:`~repro.errors.ConfigError`: nothing taps a sampled replay, and

@@ -20,7 +20,7 @@ appending new kinds or new trailing fields and bumping
 
 Determinism contract (``tests/test_feedback_determinism.py``): the signal
 multiset and the per-SM delivery order are identical across execute/trace
-frontends and cycle/skip clocks.
+frontends.
 Cross-stream comparisons go through :func:`sort_signals` — the same
 canonical ``(cycle, sm, kind, fields)`` order the obs layer uses —
 because serial emission order is not cycle-sorted (signals are stamped

@@ -1,36 +1,19 @@
-"""The GPU device: SMs, shared L2 + DRAM, dispatcher, and the run loops.
+"""The GPU device: SMs, shared L2 + DRAM, dispatcher, and the run loop.
 
 Timing always consumes a recorded stream.  A GPU handed ``trace=`` takes
 each launch's streams from that :class:`~repro.trace.format.TraceProgram`;
 one that was not runs the functional pass
 (:func:`repro.trace.functional.record_launch`) for the launch against its
 own ``memory`` and times what the pass recorded — so ``gpu.memory`` holds
-the kernel's results either way, and neither the SMs nor the run loops ever
+the kernel's results either way, and neither the SMs nor the run loop ever
 see a lane value.
 
-Two device clocks are provided (``GPUConfig.clock``):
-
-``"skip"`` (default)
-    The time-skipping clock (:mod:`repro.gpu.clock` says why it is
-    sufficient): a min-heap of per-SM next-event times, owned by
-    :meth:`GPU._run_skip_loop` as a local, drives the loop, so only the
-    SMs that can actually act at an event time are ticked and the clock
-    jumps straight between events.  Every caller that does not ask
-    otherwise runs this loop.
-
-``"cycle"``
-    The independent reference the parity suites compare the skip clock
-    against (``tests/test_skip_clock_parity.py``, bit-identical by
-    contract; see ``docs/timing_model.md`` "Clock modes"), reachable only
-    by an explicit ``with_clock("cycle")``.  Every completion time is
-    known the moment an instruction issues (scoreboard entries and memory
-    walk results are future cycles), so when *no* SM can issue the loop
-    jumps directly to the earliest wake-up; while any SM issues, however,
-    every SM is ticked every cycle.
-
-Both loops count their jumps: ``RunResult.skip_jumps`` is the number of
-clock advances larger than one cycle and ``RunResult.cycles_skipped`` the
-total number of cycles those advances never visited.
+One device loop, :meth:`GPU._run_skip_loop`, drives every launch: it ticks
+an SM only when its next wake arrives and jumps the clock straight between
+those events (its docstring says why per-SM wakes suffice).  It counts its
+jumps: ``RunResult.skip_jumps`` is the number of clock advances larger than
+one cycle and ``RunResult.cycles_skipped`` the total number of cycles those
+advances never visited.
 """
 
 from __future__ import annotations
@@ -110,18 +93,9 @@ class GPU:
             # (warp size / L1 line size) before any simulation happens.
             trace.validate(self.config.functional_fingerprint())
         self.sms: List[StreamingMultiprocessor] = []
-        # sanitize: waive FPR001 -- observational debug mode: raises on violation, never alters scheduling
-        if self.config.use_cpl and self.config.check_cpl_bounds:
-            # Debug mode: CPL predictor that cross-checks every dynamic
-            # Algorithm-2 delta against the static path-length envelope.
-            from ..analysis.pathlen import (  # local: analysis imports core
-                CheckedCriticalityPredictor as _PredictorCls,
-            )
-        else:
-            _PredictorCls = CriticalityPredictor
         for sm_id in range(self.config.num_sms):
             cpl = (
-                _PredictorCls(self.config.cpl_update_period)
+                CriticalityPredictor(self.config.cpl_update_period)
                 if self.config.use_cpl
                 else None
             )
@@ -238,18 +212,14 @@ class GPU:
         dispatcher.try_dispatch(self.sms, start_cycle)
 
         # Block commits are reported by the SMs via a callback flag, so the
-        # loops never sum per-SM commit counters every cycle.
+        # loop never sums per-SM commit counters.
         self._commit_pending = False
         self._launch_cycles_skipped = 0.0
         self._launch_skip_jumps = 0
         for sm in self.sms:
             sm.on_commit = self._note_commit
         try:
-            # sanitize: waive FPR001 -- clock modes are bit-identical (skip-clock parity grid)
-            if self.config.clock == "skip":
-                cycle = self._run_skip_loop(dispatcher, start_cycle)
-            else:
-                cycle = self._run_cycle_loop(dispatcher, start_cycle)
+            cycle = self._run_skip_loop(dispatcher, start_cycle)
         finally:
             for sm in self.sms:
                 sm.on_commit = None
@@ -261,59 +231,37 @@ class GPU:
         return result
 
     # ------------------------------------------------------------------
-    # Run loops (see module docstring; bit-identical by contract)
+    # The run loop
     # ------------------------------------------------------------------
-    def _run_cycle_loop(self, dispatcher: BlockDispatcher, start_cycle: float) -> float:
-        """Per-cycle reference clock: tick every SM each cycle, jump only
-        when the whole device is stalled.  Returns the final cycle."""
-        cycle = start_cycle
-        while True:
-            issued = False
-            for sm in self.sms:
-                if sm.tick(cycle):
-                    issued = True
-
-            if self._commit_pending:
-                self._commit_pending = False
-                if not dispatcher.exhausted:
-                    dispatcher.try_dispatch(self.sms, cycle + 1)
-
-            busy = any(sm.busy for sm in self.sms)
-            if not busy and dispatcher.exhausted:
-                return cycle
-
-            if issued:
-                cycle += 1
-            else:
-                wake = min(sm.next_wake_time(cycle) for sm in self.sms)
-                if math.isinf(wake):
-                    for sm in self.sms:
-                        sm.detect_deadlock(cycle)
-                    raise DeadlockError("no warp can make progress")
-                nxt = max(cycle + 1, wake)
-                if nxt > cycle + 1:
-                    self._launch_skip_jumps += 1
-                    self._launch_cycles_skipped += nxt - cycle - 1
-                cycle = nxt
-
-            if cycle - start_cycle > self.max_cycles:
-                raise DeadlockError(
-                    f"simulation exceeded {self.max_cycles:.0f} cycles; "
-                    "likely a runaway kernel"
-                )
-
     def _run_skip_loop(self, dispatcher: BlockDispatcher, start_cycle: float) -> float:
-        """Time-skipping clock: heap-driven event loop over per-SM wakes.
+        """Tick each SM at its own next wake; returns the final cycle.
 
-        Ticks only the SMs whose next-event time has arrived, in ``sm_id``
-        order (the serial shared-L2/DRAM access order), and jumps the clock
-        directly between event times.  Wake-time *under*-estimates (MSHR
-        reserve gating, a scheduler declining its ready set) re-tick one
-        cycle later, exactly as the per-cycle loop would; block dispatch —
-        the only cross-SM waker — refreshes the heap entry of every SM that
-        received warps.  Returns the final cycle.
+        The loop pops the earliest wake off a heap of per-SM wakes, ticks
+        exactly the SMs due then — in ``sm_id`` order, the order their
+        shared-L2/DRAM accesses are serialised in — reschedules each at the
+        wake its tick returned, and jumps the clock straight to the next
+        minimum.  Cycles on which no SM can issue are never visited.
 
-        The device event heap lives here, as two locals.  ``heap`` holds
+        Per-SM wakes are a *sufficient* event set.  Every completion time
+        is known the moment an instruction issues (scoreboard writes, MSHR
+        fills, LSU walks), so an SM that is not due cannot change state:
+        its warps' readiness is frozen until its own next issue, its MSHR
+        drains on a precomputed schedule, and barrier releases and block
+        commits happen only during one of its own issues.  Shared L2 bank
+        and DRAM channel frees shape the *latency* of later accesses, never
+        issue *eligibility*, and CAWA's CPL priority refreshes and CACP
+        retunes are issue- and access-indexed, not cycle-indexed.  The one
+        cross-SM waker is block dispatch after a commit, which refreshes
+        the entry of every SM that received warps.  A wake may
+        *under*-estimate (an MSHR-reserve-gated warp, a scheduler declining
+        its ready set): the SM ticks without issuing and is rescheduled one
+        cycle later.  It must never *over*-estimate.
+        ``tests/oracles.py::SkipOracle`` checks both halves of that claim
+        on every tick — no warp of the SM could have issued since its last
+        tick, and nothing but a dispatch changed the SM in between — and
+        ``docs/timing_model.md`` ("Run loop") has the longer form.
+
+        The heap lives here, as two locals.  ``heap`` holds
         ``(time, sm, seq)`` entries and an SM has at most one *live* entry:
         the one whose ``seq`` equals ``seqs[sm]``.  A tick pops its SM's
         live entry and pushes the next, so the only superseded entries are
@@ -332,7 +280,7 @@ class GPU:
         heap: list = []
         seqs = [0] * len(sms)
         for slot, sm in enumerate(sms):
-            wake = sm.next_event_time(start_cycle)
+            wake = sm.next_wake_time(start_cycle)
             if wake != inf:
                 heappush(heap, (wake if wake > start_cycle else start_cycle, slot, 0))
         cycle = start_cycle
@@ -427,7 +375,6 @@ class GPU:
             blocks=blocks,
             dram_accesses=self.hierarchy.dram.accesses - snap["dram"],
             warp_size=self.config.warp_size,
-            clock=self.config.clock,  # sanitize: waive FPR001 -- reporting metadata only
             events=self.config.events,  # sanitize: waive FPR001 -- reporting metadata only
             cycles_skipped=self._launch_cycles_skipped,
             skip_jumps=self._launch_skip_jumps,

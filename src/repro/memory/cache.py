@@ -21,7 +21,6 @@ Observers can subscribe to access/evict events; the reuse-distance profiler
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -323,15 +322,6 @@ class Cache:
                 line.tag = -1
         self._index.clear()
         self._valid_ways = [0] * len(self._sets)
-
-    def next_event_time(self, now: float) -> float:
-        """Always ``inf``: the tag array is passive.
-
-        A cache only changes state when *accessed*; it never spontaneously
-        wakes anything.  Defined so the cache is a uniform member of the
-        device-wide ``next_event_time`` protocol (see :mod:`repro.gpu.clock`).
-        """
-        return math.inf
 
     def occupancy(self) -> float:
         return len(self._index) / (self.config.sets * self.config.ways)

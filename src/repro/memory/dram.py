@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from ..obs.events import Ev
 
 _EV_DRAM_ENQ = int(Ev.DRAM_ENQ)
@@ -76,13 +74,3 @@ class DRAMModel:
         # A probe right after a burst must not under-report: the live
         # backlog is a floor on what the next request will actually wait.
         return max(mean, self.queue_delay(now))
-
-    def next_event_time(self, now: float) -> float:
-        """Next channel-free time after ``now`` (inf when already idle).
-
-        Diagnostic member of the device-wide ``next_event_time`` protocol:
-        channel frees change future access *latencies*, never issue
-        *eligibility*, so the skip clock does not heap them (see
-        :mod:`repro.gpu.clock`).
-        """
-        return self._next_free if self._next_free > now else math.inf

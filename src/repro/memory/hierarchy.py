@@ -32,12 +32,6 @@ class MemoryHierarchy:
         )
         self.dram = DRAMModel(config.dram_latency, config.dram_service_interval)
 
-    def next_event_time(self, now: float) -> float:
-        """Earliest shared-memory-side event after ``now`` (bank or
-        channel free; inf when both idle).  Diagnostic — see
-        :mod:`repro.gpu.clock` for why these never gate the skip clock."""
-        return min(self.l2.next_event_time(now), self.dram.next_event_time(now))
-
     def access(self, l1: Cache, mshr: MSHRFile, req: MemRequest,
                now: float) -> Tuple[bool, float, bool]:
         """Walk ``req`` through L1 -> (MSHR) -> L2 -> DRAM.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 from ..config import CacheConfig
@@ -79,19 +78,6 @@ class BankedL2:
         """Backlog a request to this line's bank would see at ``now``."""
         line_addr = getattr(req_or_line, "line_addr", req_or_line)
         return max(0.0, self._bank_next_free[self.bank_of(line_addr)] - now)
-
-    def next_event_time(self, now: float) -> float:
-        """Earliest bank-free time after ``now`` (inf when all idle).
-
-        Diagnostic member of the device-wide ``next_event_time`` protocol;
-        bank frees shape future access latencies, not issue eligibility,
-        so the skip clock never heaps them (see :mod:`repro.gpu.clock`).
-        """
-        earliest = math.inf
-        for next_free in self._bank_next_free:
-            if now < next_free < earliest:
-                earliest = next_free
-        return earliest
 
     @property
     def stats(self):

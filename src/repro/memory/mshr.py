@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Dict, Optional
 
 from ..obs.events import Ev
@@ -115,16 +114,6 @@ class MSHRFile:
         if self._free_at is None:
             self._free_at = heapq.nsmallest(excess + 1, self._inflight.values())[-1]
         return self._free_at
-
-    def next_event_time(self, now: float) -> float:
-        """Next in-flight fill completion after ``now`` (inf when idle).
-
-        Unlike :meth:`next_free_time` this reports the completion event
-        itself rather than the capacity condition, making the MSHR file a
-        uniform member of the device's ``next_event_time`` protocol.
-        """
-        self._purge(now)
-        return self._completions[0][0] if self._completions else math.inf
 
     def register(self, line_addr: int, completion: float,
                  now: float = 0.0) -> None:

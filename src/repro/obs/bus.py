@@ -19,7 +19,7 @@ retained recording) and fans every event out to any *attached* collectors
 :class:`~repro.stats.timeline.TimelineProfiler`.  Attaching collectors
 never perturbs timing: probes only ever append to Python lists
 (``tests/test_obs_parity.py`` pins bit-identical cycles with collectors
-on/off across every frontend x clock combination).
+on/off across both frontends).
 
 Buffer specs (``GPUConfig.events``):
 

@@ -15,7 +15,7 @@ ahead of the tick that emitted them.  Every consumer that needs a
 deterministic order therefore goes through :func:`sort_events` — a stable
 sort on ``(cycle, sm, kind, fields...)``.  Two runs that emit the same
 event *multiset* thus export byte-identical artifacts whichever frontend
-or clock produced them (``tests/test_obs_parity.py``).
+produced them (``tests/test_obs_parity.py``).
 """
 
 from __future__ import annotations

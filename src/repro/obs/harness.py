@@ -33,7 +33,7 @@ def record_events(
     If ``config`` has ``events == "off"`` it is upgraded to ``"on"`` —
     asking to record with events disabled is never what the caller meant.
     The stream is identical whether the cell replays (the default) or
-    executes, and under both clocks (``tests/test_obs_parity.py``).
+    records in place (``tests/test_obs_parity.py``).
 
     With ``config.sampling != "off"`` the bus observes the *sampled*
     replay: the stream covers only the selected subset (under renumbered

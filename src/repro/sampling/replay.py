@@ -4,7 +4,7 @@ extrapolate.
 :func:`replay_sampled` is the sampling counterpart of
 :func:`repro.trace.replay.replay_program`: it derives the sub-program the
 config's ``sampling`` spec selects, replays it through the ordinary replay
-machinery (any scheme, either clock), and hands the measured subset to
+machinery (any scheme), and hands the measured subset to
 the estimators
 (:func:`repro.stats.sampling.estimate_sampled_result`).  The timing model
 never learns it is being sampled — the derived program is a fully valid

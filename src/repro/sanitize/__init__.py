@@ -5,7 +5,7 @@ PR 3 pointed AST/CFG analysis at the *kernels* the simulator runs
 rule IDs, severities, waivers, text/JSON reports, one shared registry
 design (:mod:`repro.analysis.common`) — at ``src/repro`` itself.  The
 correctness story of this codebase is a matrix of bit-identical modes
-(frontend x clock x events) guarded at runtime by
+(frontend x events) guarded at runtime by
 parity grids; these rules guard the *conventions* that keep the matrix
 honest, at lint time, without importing the analyzed tree:
 
@@ -23,8 +23,6 @@ OBS001     error     probe coverage: Ev kinds never emitted / unknown
                      kinds emitted
 FBK001     error     feedback publish coverage: Sig kinds never published
                      / unknown kinds published
-CLK001     error     timing components invisible to the skip clock (no
-                     next_event_time()/next_wake_time())
 =========  ========  ======================================================
 
 Entry points: ``repro sanitize`` (CLI), ``make sanitize``,
@@ -50,7 +48,6 @@ from . import rules_fingerprint  # noqa: E402,F401  (registration)
 from . import rules_determinism  # noqa: E402,F401  (registration)
 from . import rules_obs  # noqa: E402,F401  (registration)
 from . import rules_fbk  # noqa: E402,F401  (registration)
-from . import rules_protocol  # noqa: E402,F401  (registration)
 
 __all__ = [
     "ConfigFacts",

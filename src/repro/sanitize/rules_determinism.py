@@ -1,6 +1,6 @@
 """DET001–DET003 — determinism of the simulator's own source.
 
-The bit-identical mode matrix (frontend x clock x events) and
+The bit-identical mode matrix (frontend x events) and
 the fingerprint-keyed result cache both assume a run's output is a pure
 function of its configuration.  Three classes of Python idiom
 silently break that:

@@ -3,7 +3,7 @@
 The persistent result cache keys on :meth:`GPUConfig.fingerprint`, which
 hashes every field *except* the declared
 :data:`GPUConfig.FINGERPRINT_EXCLUDED` set — knobs that are bit-identical
-by contract (frontend, clock, events, CPL-bounds checking).  The
+by contract (frontend, events).  The
 soundness invariant is:
 
     **timing-path code may read fingerprinted fields freely, but every

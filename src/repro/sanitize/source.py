@@ -1,15 +1,15 @@
 """Source-tree loading, waiver parsing, and shared AST facts.
 
 :mod:`repro.sanitize` rules all consume the same picture of the analyzed
-tree: every module parsed once (:class:`SourceModule`), a class index for
-name-based inheritance resolution, the ``# sanitize: waive`` comments, and
+tree: every module parsed once (:class:`SourceModule`), a class index by
+name, the ``# sanitize: waive`` comments, and
 the fingerprint ground truth parsed statically out of ``config.py``
 (:class:`ConfigFacts`).  This module builds that picture; the rules in the
 ``rules_*`` modules only read it.
 
 Waiver syntax (documented in ``docs/static_analysis.md``)::
 
-    skip = self.config.clock == "skip"  # sanitize: waive FPR001 -- why
+    if self.config.events != "off":  # sanitize: waive FPR001 -- why
 
     # sanitize: waive DET003 -- order is irrelevant: every entry is removed
     for entry in directory.glob(pattern):
@@ -30,8 +30,8 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 #: Module prefixes (relative to the analyzed root, ``/``-separated) that
-#: form the *timing path*: code here decides cycle counts, so FPR001 and
-#: CLK001 scope to it.
+#: form the *timing path*: code here decides cycle counts, so FPR001
+#: scopes to it.
 TIMING_PREFIXES: Tuple[str, ...] = (
     "sm/",
     "memory/",
@@ -209,35 +209,6 @@ class SourceTree:
             if module.rel == "config.py":
                 return parse_config_facts(module)
         return ConfigFacts()
-
-    def resolve_bases(
-        self, cls_node: ast.ClassDef
-    ) -> List[Tuple[SourceModule, ast.ClassDef]]:
-        """The in-tree base-class chain of ``cls_node`` (nearest first).
-
-        Bases whose names are not defined anywhere in the tree are simply
-        absent from the result — the caller (CLK001) treats that as
-        "external dependency, be lenient".
-        """
-        out: List[Tuple[SourceModule, ast.ClassDef]] = []
-        seen = {cls_node.name}
-        queue = list(cls_node.bases)
-        while queue:
-            base = queue.pop(0)
-            name: Optional[str] = None
-            if isinstance(base, ast.Name):
-                name = base.id
-            elif isinstance(base, ast.Attribute):
-                name = base.attr
-            if name is None or name in seen:
-                continue
-            seen.add(name)
-            entry = self.classes.get(name)
-            if entry is None:
-                continue
-            out.append(entry)
-            queue.extend(entry[1].bases)
-        return out
 
 
 def dotted_name(node: ast.expr) -> Optional[str]:

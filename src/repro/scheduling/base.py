@@ -26,7 +26,7 @@ class WarpScheduler:
     (:func:`repro.feedback.wire_gpu_feedback`) subscribes
     :meth:`on_signal` to the SM's FeedbackChannel for exactly those kinds,
     in scheduler-slot order.  ``select`` may return ``None`` to decline the
-    issue slot (active-warp throttling); every clock loop treats a decline
+    issue slot (active-warp throttling); the device loop treats a decline
     as "re-tick this SM next cycle".
     """
 

@@ -9,7 +9,6 @@ criticality.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -63,18 +62,6 @@ class LoadStoreUnit:
         self.global_accesses = 0
         self.line_accesses = 0
         self.l1_misses = 0
-
-    def next_event_time(self, now: float) -> float:
-        """When the LSU port drains (``inf`` when already free).
-
-        Diagnostic member of the ``next_event_time`` protocol, like the L2
-        banks and the DRAM channel: a busy port only delays the ``start``
-        of the next memory instruction's line accesses, it never gates
-        *issue*, so no SM wake depends on it and
-        :meth:`repro.sm.sm.StreamingMultiprocessor.next_wake_time` does not
-        fold it in.
-        """
-        return self._next_free if self._next_free > now else math.inf
 
     def coalesce(self, addrs: np.ndarray, mask: int) -> List[int]:
         """Distinct line addresses touched by the active lanes, ascending."""

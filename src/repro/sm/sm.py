@@ -247,12 +247,9 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
     # Cycle execution
     # ------------------------------------------------------------------
-    def tick(self, now: float) -> bool:
-        """Give each scheduler slot one issue opportunity; True if issued."""
-        return self.tick_wake(now)[0]
-
     def tick_wake(self, now: float):
-        """One tick; returns ``(issued, next_wake)``.
+        """One tick — each scheduler slot gets one issue opportunity;
+        returns ``(issued, next_wake)``.
 
         Pops newly-awake warps into the slot's ready pool (and, when their
         next instruction needs no MSHR, its ungated sub-list) and hands the
@@ -579,10 +576,16 @@ class StreamingMultiprocessor:
         A heap peek per slot plus two emptiness tests: pooled warps are
         operand-ready, so an ungated one can issue at ``now`` and the gated
         ones once an MSHR is free.  Warps parked at a barrier sit in no
-        structure and contribute nothing.  Anything due earlier than
-        ``now`` is reported as ``now`` — the loops clamp a wake into the
-        future anyway, and the clamped value is what :meth:`tick_wake`
-        can answer without walking its pools.
+        structure and contribute nothing; barrier releases and block
+        commits only happen during one of this SM's own issues.  Exact for
+        scoreboard- and MSHR-gated warps (:meth:`MSHRFile.next_free_time`
+        accounts for over-subscription); an operand-ready warp that lost
+        arbitration, was declined by a throttling scheduler or is held back
+        by the critical-MSHR reserve reports ``now`` — an under-estimate
+        the device loop turns into a re-tick one cycle later.  Anything
+        due earlier than ``now`` is reported as ``now``: the loop clamps a
+        wake into the future anyway, and the clamped value is what
+        :meth:`tick_wake` can answer without walking its pools.
         """
         wake = math.inf
         gated = False
@@ -599,23 +602,6 @@ class StreamingMultiprocessor:
             if mshr_free_at < wake:
                 wake = mshr_free_at
         return wake if wake > now else now
-
-    def next_event_time(self, now: float = 0.0) -> float:
-        """Uniform next-event hook (see ``docs/timing_model.md``).
-
-        For an SM the next event is the earliest cycle a resident warp
-        could issue: scoreboard completions, MSHR frees for pooled
-        memory-gated warps, and (implicitly) barrier releases and block
-        commits, which only ever happen during one of this SM's own
-        issues.  Exact for scoreboard- and MSHR-gated warps
-        (:meth:`MSHRFile.next_free_time` accounts for over-subscription).
-        Still *under*-estimated: a pooled warp that is operand-ready but
-        lost arbitration, was declined by a throttling scheduler, or is
-        held back by the critical-MSHR reserve reports ``now``, which the
-        skip clock turns into a re-tick one cycle later.  Never
-        over-estimated — the invariant the cycle/skip parity grid enforces.
-        """
-        return self.next_wake_time(now)
 
     @property
     def busy(self) -> bool:

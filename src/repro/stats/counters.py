@@ -152,24 +152,16 @@ class RunResult:
     record_steps: int = field(default=0, compare=False)
     record_warps: int = field(default=0, compare=False)
 
-    #: Provenance: which device clock produced this result (``"skip"``, the
-    #: default loop, or the ``"cycle"`` reference).  Timing-transparent by
-    #: contract — results must be bit-identical across clocks — so it is
-    #: excluded from parity comparisons and from the result-cache
-    #: fingerprint (see :meth:`repro.config.GPUConfig.fingerprint`).  A
-    #: stored payload with no ``"clock"`` key predates the field and loads
-    #: as ``"cycle"``, the only loop there was.
-    clock: str = "cycle"
-    #: Clock-advance telemetry (both clocks count them): ``skip_jumps`` is
-    #: the number of clock advances larger than one cycle, ``cycles_skipped``
+    #: Clock-advance telemetry of the device loop: ``skip_jumps`` is the
+    #: number of clock advances larger than one cycle, ``cycles_skipped``
     #: the total cycles those advances never visited.  Diagnostic only —
     #: excluded from parity comparisons.
     cycles_skipped: float = 0.0
     skip_jumps: int = 0
     #: Provenance: the observability events spec this run was produced
     #: under (``"off"`` unless the event bus was live).  Collectors never
-    #: perturb timing, so — like ``clock`` — this is excluded
-    #: from parity comparisons and the result-cache fingerprint.
+    #: perturb timing, so this is excluded from parity comparisons and the
+    #: result-cache fingerprint.
     events: str = "off"
     #: Provenance: the trace-sampling spec this result was produced under
     #: (``"off"`` for exact runs).  Unlike the provenance knobs above,
@@ -269,7 +261,6 @@ class RunResult:
             "replay_s": self.replay_s,
             "record_steps": self.record_steps,
             "record_warps": self.record_warps,
-            "clock": self.clock,
             "cycles_skipped": self.cycles_skipped,
             "skip_jumps": self.skip_jumps,
             "events": self.events,
@@ -311,7 +302,6 @@ class RunResult:
             replay_s=data.get("replay_s", 0.0),
             record_steps=data.get("record_steps", 0),
             record_warps=data.get("record_warps", 0),
-            clock=data.get("clock", "cycle"),
             cycles_skipped=data.get("cycles_skipped", 0.0),
             skip_jumps=data.get("skip_jumps", 0),
             events=data.get("events", "off"),

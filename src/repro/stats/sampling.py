@@ -458,7 +458,6 @@ def estimate_sampled_result(
         warp_size=replay_result.warp_size,
         frontend="trace",
         trace_id=replay_result.trace_id,
-        clock=replay_result.clock,
         cycles_skipped=replay_result.cycles_skipped,
         skip_jumps=replay_result.skip_jumps,
         events=replay_result.events,

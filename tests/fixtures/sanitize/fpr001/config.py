@@ -11,8 +11,8 @@ from typing import ClassVar, FrozenSet
 @dataclass(frozen=True)
 class GPUConfig:
     num_sms: int = 2
-    clock: str = "cycle"
+    events: str = "off"
 
     FINGERPRINT_EXCLUDED: ClassVar[FrozenSet[str]] = frozenset({
-        "clock",
+        "events",
     })

@@ -1,6 +1,6 @@
 """Seeded violation: an unwaived excluded-field read on the timing path.
 
-``clock`` is on the exclusion list, so reading it from ``sm/`` without
+``events`` is on the exclusion list, so reading it from ``sm/`` without
 a ``# sanitize: waive FPR001`` rationale must fire FPR001.  The
 ``num_sms`` read is fingerprinted and must stay silent.
 """
@@ -9,4 +9,4 @@ a ``# sanitize: waive FPR001`` rationale must fire FPR001.  The
 class Unit:
     def __init__(self, config):
         self.width = config.num_sms
-        self.fast = config.clock == "skip"
+        self.recording = config.events != "off"

@@ -124,3 +124,49 @@ class TestRemovedShardsKnob:
                        use_cache=False, persistent=False)
         with pytest.raises(TypeError, match="shards"):
             run_sweep(["bfs"], ["gto"], scale=0.25, shards=2)
+
+
+class TestRemovedClockKnob:
+    """One device loop: the ``clock`` selector and the ``check_cpl_bounds``
+    debug field are gone, loudly, and what they left behind still loads."""
+
+    def test_clock_is_not_a_config_field(self):
+        assert not hasattr(GPUConfig.default_sim(), "with_clock")
+        with pytest.raises(TypeError, match="clock"):
+            GPUConfig(clock="cycle")
+
+    def test_check_cpl_bounds_is_not_a_config_field(self):
+        # tests/test_cpl_bounds_runtime.py installs the checked predictor.
+        with pytest.raises(TypeError, match="check_cpl_bounds"):
+            GPUConfig(check_cpl_bounds=True)
+
+    def test_serve_device_clock_is_refused(self):
+        from repro.serve.jobs import JobSpec, JobSpecError
+
+        # The server answers a JobSpecError with a 400 carrying its text.
+        with pytest.raises(JobSpecError) as exc:
+            JobSpec.from_payload({"kind": "run", "workload": "bfs",
+                                  "device": {"clock": "cycle"}})
+        assert str(exc.value) == ("unsupported device knob(s): clock; "
+                                  "supported: frontend, sampling")
+
+    def test_profile_compare_is_an_argparse_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "bfs", "--compare", "clock=cycle,skip"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --compare" in capsys.readouterr().err
+
+    def test_result_payload_with_clock_loads(self):
+        from repro.experiments.runner import run_scheme
+        from repro.stats.counters import RunResult
+
+        result = run_scheme("synthetic_imbalance", "rr", scale=0.25,
+                            use_cache=False, persistent=False)
+        payload = result.to_dict()
+        assert "clock" not in payload
+        payload["clock"] = "cycle"
+        loaded = RunResult.from_dict(payload)
+        assert loaded == RunResult.from_dict(result.to_dict())
+        assert not hasattr(loaded, "clock")

@@ -1,17 +1,17 @@
-"""Runtime CPL-bounds checking (``GPUConfig.check_cpl_bounds``).
+"""Runtime CPL-bounds checking with the checked predictor installed.
 
-With the flag on, every SM's predictor is a
-:class:`~repro.analysis.pathlen.CheckedCriticalityPredictor`: each dynamic
-Algorithm-2 branch delta must lie inside the static path-length envelope and
-the ``nInst`` disparity counter must stay non-negative.  These tests run
-real workloads end-to-end under the flag — if CPL accounting ever drifts
-from what the CFG allows, they fail with a :class:`CPLBoundsError` instead
-of a silently mis-ranked warp.
+The ``install_checked_predictor`` fixture (the "flag" of the test names)
+makes every SM's predictor a
+:class:`~repro.analysis.pathlen.CheckedCriticalityPredictor` by patching
+the predictor class :mod:`repro.gpu.gpu` builds: each dynamic Algorithm-2
+branch delta must lie inside the static path-length envelope and the
+``nInst`` disparity counter must stay non-negative.  These tests run real
+workloads end-to-end under it — if CPL accounting ever drifts from what the
+CFG allows, they fail with a :class:`CPLBoundsError` instead of a silently
+mis-ranked warp.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -19,6 +19,7 @@ from repro import GPU, GPUConfig, apply_scheme
 from repro.analysis.pathlen import CheckedCriticalityPredictor
 from repro.core.cawa import SCHEMES
 from repro.core.cpl import CriticalityPredictor
+from repro.gpu import gpu as gpu_module
 from repro.workloads import make_workload, workload_names
 
 #: Scales matching tests/test_workloads.py (each cell well under ~1s).
@@ -50,19 +51,21 @@ FAST_GRID = [
 ]
 
 
+@pytest.fixture
+def install_checked_predictor(monkeypatch):
+    """Every GPU built in the test gets the checked predictor."""
+    monkeypatch.setattr(gpu_module, "CriticalityPredictor", CheckedCriticalityPredictor)
+
+
 def run_checked(name: str, scheme: str) -> GPU:
-    config = replace(
-        apply_scheme(GPUConfig.default_sim(), scheme),
-        check_cpl_bounds=True,
-    )
-    gpu = GPU(config)
+    gpu = GPU(apply_scheme(GPUConfig.default_sim(), scheme))
     wl = make_workload(name, scale=FAST_SCALE[name])
     wl.run(gpu, scheme=scheme, check=True)  # raises CPLBoundsError on drift
     return gpu
 
 
 @pytest.mark.parametrize("name,scheme", FAST_GRID)
-def test_cpl_deltas_stay_in_static_envelope(name, scheme):
+def test_cpl_deltas_stay_in_static_envelope(install_checked_predictor, name, scheme):
     gpu = run_checked(name, scheme)
     predictors = [sm.cpl for sm in gpu.sms]
     assert all(isinstance(p, CheckedCriticalityPredictor) for p in predictors)
@@ -78,30 +81,23 @@ def test_flag_off_installs_plain_predictor():
         assert type(sm.cpl) is CriticalityPredictor
 
 
-def test_flag_does_not_change_timing():
+def test_flag_does_not_change_timing(monkeypatch):
     # The checker is observational: cycle counts are bit-identical.
     results = {}
-    for flag in (False, True):
-        config = replace(
-            apply_scheme(GPUConfig.default_sim(), "gcaws"),
-            check_cpl_bounds=flag,
-        )
-        gpu = GPU(config)
+    for predictor in (CriticalityPredictor, CheckedCriticalityPredictor):
+        monkeypatch.setattr(gpu_module, "CriticalityPredictor", predictor)
+        gpu = GPU(apply_scheme(GPUConfig.default_sim(), "gcaws"))
+        assert type(gpu.sms[0].cpl) is predictor
         wl = make_workload("kmeans", scale=FAST_SCALE["kmeans"])
-        results[flag] = wl.run(gpu, scheme="gcaws", check=True)
-    assert results[False].cycles == results[True].cycles
-    assert results[False].ipc == results[True].ipc
-
-
-def test_flag_excluded_from_fingerprint():
-    base = GPUConfig.default_sim()
-    flagged = replace(base, check_cpl_bounds=True)
-    assert base.fingerprint() == flagged.fingerprint()
+        results[predictor] = wl.run(gpu, scheme="gcaws", check=True)
+    plain, checked = results.values()
+    assert plain.cycles == checked.cycles
+    assert plain.ipc == checked.ipc
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 @pytest.mark.parametrize("name", workload_names(include_synthetic=True))
-def test_full_grid_stays_in_envelope(name, scheme):
+def test_full_grid_stays_in_envelope(install_checked_predictor, name, scheme):
     gpu = run_checked(name, scheme)
     assert sum(sm.cpl.bound_checks for sm in gpu.sms) >= 0

@@ -149,7 +149,7 @@ class TestOracle:
         assert slow[(0, 0)] == warp.execution_time != default[(0, 0)]
         # Fingerprint-excluded knobs and sampling still share one profile.
         assert build_oracle("synthetic_imbalance", SCALE,
-                            narrow.with_clock("cycle")) is slow
+                            narrow.with_events("on")) is slow
         assert build_oracle("synthetic_imbalance", SCALE,
                             narrow.with_sampling("blocks:0.5")) is slow
 

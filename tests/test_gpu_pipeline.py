@@ -8,6 +8,7 @@ from repro.errors import DeadlockError, LaunchError
 from repro.isa.instructions import CmpOp, Special
 
 from tests.conftest import build_copy_kernel, build_loop_sum_kernel
+from tests.oracles import tick_every_cycle
 
 
 class TestLaunchValidation:
@@ -160,9 +161,11 @@ class TestMultiBlockDispatch:
         assert sum(per_sm) == 8
         assert all(count > 0 for count in per_sm)
 
-    @pytest.mark.parametrize("clock", ["cycle", "skip"])
-    def test_runaway_kernel_detected(self, tiny_config, clock):
-        gpu = GPU(tiny_config.with_clock(clock), max_cycles=10_000)
+    @pytest.mark.parametrize("ticks", ["cycle", "skip"])
+    def test_runaway_kernel_detected(self, tiny_config, ticks):
+        gpu = GPU(tiny_config, max_cycles=10_000)
+        if ticks == "cycle":
+            tick_every_cycle(gpu)
         b = KernelBuilder("forever")
         b.label("top")
         b.nop()
@@ -170,12 +173,15 @@ class TestMultiBlockDispatch:
         with pytest.raises(DeadlockError, match="runaway kernel"):
             gpu.launch(b.build(), 1, 32)
 
-    @pytest.mark.parametrize("clock", ["cycle", "skip"])
-    def test_never_released_barrier_detected(self, tiny_config, clock):
+    @pytest.mark.parametrize("ticks", ["cycle", "skip"])
+    def test_never_released_barrier_detected(self, tiny_config, ticks):
         # Warp 0 parks at a barrier that warp 1 (spinning) never reaches:
-        # a named error under either loop, never a hang — raised by the
-        # launch's functional pass, before the clock starts.
-        gpu = GPU(tiny_config.with_clock(clock), max_cycles=10_000)
+        # a named error whether the SM is ticked on every cycle or only at
+        # its wakes, never a hang — raised by the launch's functional
+        # pass, before the first tick.
+        gpu = GPU(tiny_config, max_cycles=10_000)
+        if ticks == "cycle":
+            tick_every_cycle(gpu)
         b = KernelBuilder("stuck_barrier")
         spin = b.pred()
         b.setp(spin, CmpOp.GE, b.sreg(Special.TID), 32.0)

@@ -1,11 +1,10 @@
 """Observability must never perturb timing — the subsystem's hard contract.
 
-One grid, every mode: {rr, gto, caws, cawa} x {execute, trace} x
-{cycle, skip}, with the event bus on (plus live collectors) and off.
-Cycles, instruction counts, and cache counters must be bit-identical, and
-the *event stream itself* must be identical across frontends and clocks
-(sorted canonically) — recording is part of the bit-identity contract,
-not an exception to it.
+One grid, every mode: {rr, gto, caws, cawa} x {execute, trace}, with the
+event bus on (plus live collectors) and off.  Cycles, instruction counts,
+and cache counters must be bit-identical, and the *event stream itself*
+must be identical across frontends (sorted canonically) — recording is
+part of the bit-identity contract, not an exception to it.
 
 Also pins the stall-accounting identity on a real run (accounted
 warp-cycles == warp lifetime) and the cache-bypass rule for recording runs.
@@ -42,37 +41,32 @@ def assert_same_timing(a, b, what):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_parity_grid(scheme):
-    """events-on runs (all frontends/clocks, collectors attached) ==
-    events-off baseline; event streams identical across modes."""
-    baseline = run_off(
-        scheme,
-        GPUConfig.default_sim().with_clock("cycle").with_frontend("execute"))
+    """events-on runs (both frontends, collectors attached) == events-off
+    baseline; event streams identical across frontends."""
+    baseline = run_off(scheme, GPUConfig.default_sim().with_frontend("execute"))
     assert baseline.events == "off" and baseline.frontend == "execute"
 
     streams = {}
     for frontend in ("execute", "trace"):
-        for clock in ("cycle", "skip"):
-            cfg = GPUConfig.default_sim().with_clock(clock).with_frontend(frontend)
-            collectors = (StallAccounting(), TimelineProfiler())
-            result, bus = record_events(
-                WORKLOAD, scheme, scale=SCALE, config=cfg,
-                collectors=collectors,
-            )
-            what = f"{scheme}/{frontend}/{clock}"
-            assert result.frontend == frontend, what
-            assert_same_timing(result, baseline, what)
-            assert result.extra["events_recorded"] == bus.emitted > 0, what
-            # Collectors saw the full stream.
-            acct, profiler = collectors
-            assert acct.issue_cycles() == result.warp_instructions, what
-            assert len(profiler.timelines) > 0, what
-            streams[(frontend, clock)] = sort_events(bus.events())
+        cfg = GPUConfig.default_sim().with_frontend(frontend)
+        collectors = (StallAccounting(), TimelineProfiler())
+        result, bus = record_events(
+            WORKLOAD, scheme, scale=SCALE, config=cfg,
+            collectors=collectors,
+        )
+        what = f"{scheme}/{frontend}"
+        assert result.frontend == frontend, what
+        assert_same_timing(result, baseline, what)
+        assert result.extra["events_recorded"] == bus.emitted > 0, what
+        # Collectors saw the full stream.
+        acct, profiler = collectors
+        assert acct.issue_cycles() == result.warp_instructions, what
+        assert len(profiler.timelines) > 0, what
+        streams[frontend] = sort_events(bus.events())
 
     # The event stream is part of the bit-identity contract: identical
-    # across frontends and clocks once canonically sorted.
-    reference = streams[("execute", "cycle")]
-    for mode, stream in streams.items():
-        assert stream == reference, f"{scheme}/{mode} event stream diverged"
+    # across frontends once canonically sorted.
+    assert streams["trace"] == streams["execute"], f"{scheme} event stream diverged"
 
 
 def test_stall_accounting_identity_on_real_run():

@@ -80,42 +80,31 @@ class TestKeyInvalidation:
     def test_fingerprint_excluded_set_is_pinned(self):
         # The knobs whose product the parity suites enumerate; each entry
         # is a column in every grid, so growing the set is a design change.
-        assert GPUConfig.FINGERPRINT_EXCLUDED == {
-            "frontend", "clock", "events", "check_cpl_bounds"}
+        assert GPUConfig.FINGERPRINT_EXCLUDED == {"frontend", "events"}
 
     def test_excluded_knobs_do_not_change_fingerprint(self):
         # They are timing-transparent (bit-identical results), so every
         # combination must share one cache entry.
         cfg = GPUConfig.default_sim()
-        assert cfg.fingerprint() == cfg.with_clock("cycle").fingerprint()
-        other = cfg.with_frontend("trace").with_events("on")
+        other = cfg.with_frontend("execute").with_events("on")
         assert cfg.fingerprint() == other.fingerprint()
 
-    def _assert_entry_shared(self, stored_clock, requested_clock):
-        cfg = GPUConfig.default_sim()
-        first = run_scheme(WL, "rr", scale=SCALE,
-                           config=cfg.with_clock(stored_clock))
-        entries = list(result_cache.cache_dir().glob("*.json"))
-        assert len(entries) == 1
-        runner.clear_cache()  # memory only; the disk entry survives
-        second = run_scheme(WL, "rr", scale=SCALE,
-                            config=cfg.with_clock(requested_clock))
-        # Same entry count (no new simulation stored), a disk-shaped
-        # result (BlockSummary blocks) and the *storing* run's clock
-        # provenance prove the cache hit.
-        assert len(list(result_cache.cache_dir().glob("*.json"))) == 1
-        assert isinstance(second.blocks[0], BlockSummary)
-        assert second.clock == first.clock == stored_clock
-        assert _metrics(second) == _metrics(first)
-
     def test_cycle_entry_served_for_skip_request(self):
-        # A result simulated by the reference loop satisfies a later
-        # default-clock request without re-simulating ...
-        self._assert_entry_shared("cycle", "skip")
-
-    def test_skip_entry_served_for_cycle_request(self):
-        # ... and vice versa.
-        self._assert_entry_shared("skip", "cycle")
+        # An entry the retired per-cycle loop stored (it says so in its
+        # ``clock`` key) satisfies a request today without re-simulating.
+        first = run_scheme(WL, "rr", scale=SCALE)
+        (entry,) = result_cache.cache_dir().glob("*.json")
+        data = json.loads(entry.read_text(encoding="utf-8"))
+        data["clock"] = "cycle"
+        entry.write_text(json.dumps(data), encoding="utf-8")
+        runner.clear_cache()  # memory only; the disk entry survives
+        second = run_scheme(WL, "rr", scale=SCALE)
+        # Same entry, untouched, and a disk-shaped result (BlockSummary
+        # blocks) prove the cache hit.
+        assert list(result_cache.cache_dir().glob("*.json")) == [entry]
+        assert json.loads(entry.read_text(encoding="utf-8"))["clock"] == "cycle"
+        assert isinstance(second.blocks[0], BlockSummary)
+        assert _metrics(second) == _metrics(first)
 
     def test_version_changes_key(self, monkeypatch):
         key = result_cache.cache_key(WL, "rr", 1.0, "abc")
@@ -157,7 +146,7 @@ class TestRobustness:
     def test_entry_written_with_removed_key_still_loads(self, key, value):
         # Entries stored while RunResult carried ``backend`` / ``shards``
         # provenance must keep serving: the key is ignored, not a
-        # corrupt-entry miss.
+        # corrupt-entry miss (``clock``: test_cycle_entry_served_for_skip_request).
         result = run_scheme(WL, "rr", scale=SCALE)
         (entry,) = result_cache.cache_dir().glob("*.json")
         data = json.loads(entry.read_text(encoding="utf-8"))

@@ -40,7 +40,6 @@ ALL_RULES = (
     "DET003",
     "OBS001",
     "FBK001",
-    "CLK001",
 )
 
 
@@ -127,7 +126,7 @@ class TestFingerprintSoundness:
     def test_frontend_is_read_by_no_timing_path_module(self):
         """No waiver mentions ``frontend`` any more, so fingerprinting it
         would leave the shipped tree clean — and the waivers that remain
-        are the six for clock / events / check_cpl_bounds."""
+        are the three for ``events`` in ``gpu/gpu.py``."""
         facts = live_facts()
         doctored = dataclasses.replace(
             facts, excluded=facts.excluded - RUNNER_ONLY
@@ -135,7 +134,8 @@ class TestFingerprintSoundness:
         report = sanitize_tree(rules=["FPR001"], config_facts=doctored)
         assert report.ok
         waived = [f for f in report.findings if f.suppressed]
-        assert len(waived) == 6
+        assert len(waived) == 3
+        assert {f.path for f in waived} == {"gpu/gpu.py"}
         assert not any("'frontend'" in f.message for f in waived)
 
     def test_unwaived_excluded_read_fails(self, tmp_path):
@@ -145,14 +145,14 @@ class TestFingerprintSoundness:
         sm = tmp_path / "sm"
         sm.mkdir()
         (sm / "mod.py").write_text(
-            "def width(config):\n    return config.clock\n"
+            "def width(config):\n    return config.events\n"
         )
         report = sanitize_tree(tmp_path, rules=["FPR001"])
         assert not report.ok
         (sm / "mod.py").write_text(
             "def width(config):\n"
-            "    # sanitize: waive FPR001 -- mode dispatch, parity-gated\n"
-            "    return config.clock\n"
+            "    # sanitize: waive FPR001 -- recording only, parity-gated\n"
+            "    return config.events\n"
         )
         report = sanitize_tree(tmp_path, rules=["FPR001"])
         assert report.ok
@@ -247,7 +247,7 @@ class TestFingerprintConstants:
 
     def test_excluded_knobs_do_not_perturb_fingerprint(self):
         base = GPUConfig.default_sim()
-        assert base.fingerprint() == base.with_clock("cycle").fingerprint()
+        assert base.fingerprint() == base.with_frontend("execute").fingerprint()
         assert base.fingerprint() == base.with_events("on").fingerprint()
 
     def test_functional_fingerprint_follows_declared_fields(self):
@@ -326,12 +326,12 @@ class TestCLI:
         from repro.cli import main
 
         rc = main(
-            ["sanitize", "--rule", "CLK001", "--root",
-             str(FIXTURES / "clk001")]
+            ["sanitize", "--rule", "DET002", "--root",
+             str(FIXTURES / "det002")]
         )
         assert rc == 1
         out = capsys.readouterr().out
-        assert "CLK001" in out
+        assert "DET002" in out
 
     def test_sanitize_unknown_rule(self, capsys):
         from repro.cli import main

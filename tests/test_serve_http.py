@@ -95,7 +95,7 @@ class TestBasicApi:
                            "device": {"shards": 2}})
         assert exc.value.status == 400
         assert "unsupported device knob(s): shards" in str(exc.value)
-        assert "supported: clock, frontend, sampling" in str(exc.value)
+        assert "supported: frontend, sampling" in str(exc.value)
 
     def test_cancel_queued_job(self, serve_factory):
         client = ServeClient(serve_factory().base_url)

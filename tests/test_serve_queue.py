@@ -79,7 +79,7 @@ class TestJobSpecValidation:
         ({"kind": "run", "workload": "bfs",
           "device": {"warps": 64}}, "device knob"),
         ({"kind": "run", "workload": "bfs",
-          "device": {"clock": "quantum"}}, "invalid device knob"),
+          "device": {"frontend": "quantum"}}, "invalid device knob"),
     ])
     def test_bad_payloads_rejected(self, payload, fragment):
         with pytest.raises(JobSpecError, match=fragment):
@@ -90,14 +90,14 @@ class TestJobSpecValidation:
     def test_removed_knob_is_a_named_error(self, knob, value):
         # One engine, one process per simulation: the knob is rejected,
         # not silently ignored, and the error lists what is still
-        # selectable.
+        # selectable (``clock``: tests/test_config.py).
         with pytest.raises(JobSpecError) as exc:
             spec(device={knob: value})
         message = str(exc.value)
         assert f"unsupported device knob(s): {knob}" in message
         for kept in DEVICE_KNOBS:
             assert kept in message
-        assert DEVICE_KNOBS == ("clock", "frontend", "sampling")
+        assert DEVICE_KNOBS == ("frontend", "sampling")
 
     def test_non_dict_payload_rejected(self):
         with pytest.raises(JobSpecError):
@@ -114,9 +114,9 @@ class TestFingerprint:
                 == spec(priority="batch").fingerprint())
 
     def test_device_knobs_excluded(self):
-        # clock/frontend are bit-identical by contract.
+        # frontend is bit-identical by contract.
         a = spec()
-        b = spec(device={"clock": "cycle"})
+        b = spec(device={"frontend": "execute"})
         assert a.fingerprint() == b.fingerprint()
 
     def test_events_flag_included(self):

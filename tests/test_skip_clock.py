@@ -1,12 +1,12 @@
-"""Unit tests for the time-skipping clock's building blocks.
+"""Unit tests for the time-skipping device loop's building blocks.
 
 Covers the device event heap as the skip loop keeps it (same-cycle order,
 superseded entries, past wakes, parking — asserted on the ticks
 ``GPU._run_skip_loop`` makes over scripted SMs, since the heap is two of
 its locals), the stale-``now`` clamping in the DRAM/L2 queue-delay
-accessors that skip boundaries exposed, and the skip-run provenance
-counters on :class:`~repro.stats.counters.RunResult`.
-The bit-identity guarantee itself lives in ``tests/test_skip_clock_parity.py``.
+accessors that skip boundaries exposed, and the skip counters on
+:class:`~repro.stats.counters.RunResult`.  That skipped cycles were idle
+is checked tick by tick in ``tests/test_skip_clock_parity.py``.
 """
 
 import math
@@ -15,7 +15,7 @@ import pytest
 
 from repro import GPU, KernelBuilder
 from repro.config import CacheConfig, GPUConfig
-from repro.errors import ConfigError, DeadlockError
+from repro.errors import DeadlockError
 from repro.experiments.runner import run_scheme
 from repro.memory.dram import DRAMModel
 from repro.memory.l2 import BankedL2
@@ -33,21 +33,18 @@ class ScriptedSM:
 
     def __init__(self, sm_id, first, wakes, log, commits=()):
         self.sm_id = sm_id
-        self.first = first
+        #: What ``next_wake_time`` answers: at the launch's set-up, then
+        #: once a dispatch gave the SM warps.
+        self.wake = first
         self.wakes = dict(wakes)
         self.log = log
         self.commits = set(commits)
         self.busy = bool(self.wakes)
         self.on_commit = None
         self._next_dynamic_id = 0
-        #: What ``next_wake_time`` answers once a dispatch gave it warps.
-        self.dispatched_wake = math.inf
-
-    def next_event_time(self, now):
-        return self.first
 
     def next_wake_time(self, now):
-        return self.dispatched_wake
+        return self.wake
 
     def tick_wake(self, now):
         self.log.append((now, self.sm_id))
@@ -79,7 +76,7 @@ class OneDispatch:
         self.exhausted = True
         self.dispatched_at = now
         self.sm._next_dynamic_id += 1
-        self.sm.dispatched_wake = self.wake
+        self.sm.wake = self.wake
 
 
 def run_skip_loop(sms, dispatcher=None, start=0.0):
@@ -223,13 +220,6 @@ class TestQueueDelayAtSkipBoundaries:
         assert dram.queue_delay_estimate() == 0.0
         assert dram.queue_delay_estimate(now=5.0) == 0.0
 
-    def test_dram_next_event_time(self):
-        dram = DRAMModel(latency=100, service_interval=4)
-        assert math.isinf(dram.next_event_time(0.0))
-        dram.access(10.0)  # channel busy until t=14
-        assert dram.next_event_time(10.0) == 14.0
-        assert math.isinf(dram.next_event_time(14.0))
-
     def _l2(self, num_banks=2):
         return BankedL2(CacheConfig(sets=4, ways=2), num_banks=num_banks,
                         latency=10, service_interval=4)
@@ -250,58 +240,26 @@ class TestQueueDelayAtSkipBoundaries:
         assert l2.bank_busy_cycles(6.0) == 2.0
         assert l2.bank_busy_cycles(100.0) == 0.0
 
-    def test_l2_next_event_time(self):
-        from repro.memory.request import MemRequest
-
-        l2 = self._l2()
-        assert math.isinf(l2.next_event_time(0.0))
-        req = MemRequest(line_addr=0, pc=0, warp_key=(0, 0, 0),
-                         is_load=True, is_critical=False, cycle=0.0)
-        l2.access(req, 0.0)  # bank 0 busy until t=4
-        assert l2.next_event_time(0.0) == 4.0
-        assert math.isinf(l2.next_event_time(4.0))
-
 
 class TestSkipRunProvenance:
-    def test_skip_run_records_clock_and_skip_counters(self):
-        cfg = GPUConfig.default_sim().with_clock("skip")
-        result = run_scheme("synthetic_imbalance", "rr", scale=0.25,
-                            config=cfg, use_cache=False, persistent=False)
-        assert result.clock == "skip"
-        # A memory-bound cell stalls; the skip clock must jump over those
-        # idle cycles rather than visiting them.
-        assert result.skip_jumps > 0
-        assert result.cycles_skipped > 0
-
     def test_default_run_records_skip_clock(self):
-        assert GPUConfig.default_sim().clock == "skip"
         result = run_scheme("synthetic_imbalance", "rr", scale=0.25,
                             config=GPUConfig.default_sim(),
                             use_cache=False, persistent=False)
-        assert result.clock == "skip"
-
-    def test_explicit_cycle_run_records_cycle_clock(self):
-        cfg = GPUConfig.default_sim().with_clock("cycle")
-        result = run_scheme("synthetic_imbalance", "rr", scale=0.25,
-                            config=cfg, use_cache=False, persistent=False)
-        assert result.clock == "cycle"
+        # A memory-bound cell stalls; the loop must jump over those idle
+        # cycles rather than visiting them, and say how far it jumped.
+        assert result.skip_jumps > 0
+        assert result.cycles_skipped > 0
 
     def test_round_trip_preserves_skip_counters(self):
         from repro.stats.counters import RunResult
 
-        cfg = GPUConfig.default_sim().with_clock("skip")
         result = run_scheme("synthetic_imbalance", "gto", scale=0.25,
-                            config=cfg, use_cache=False, persistent=False)
+                            config=GPUConfig.default_sim(),
+                            use_cache=False, persistent=False)
         clone = RunResult.from_dict(result.to_dict())
-        assert clone.clock == result.clock
         assert clone.cycles_skipped == result.cycles_skipped
         assert clone.skip_jumps == result.skip_jumps
-        # Entries stored before the provenance field existed *were*
-        # simulated by the cycle loop; the flipped default must not
-        # relabel them.
-        payload = result.to_dict()
-        del payload["clock"]
-        assert RunResult.from_dict(payload).clock == "cycle"
 
 
 class TestTickEconomy:
@@ -335,13 +293,7 @@ class TestTickEconomy:
 
 class TestConfigValidation:
     def test_unknown_clock_rejected(self):
-        with pytest.raises(ConfigError):
+        # There is one device loop: no clock is known, through the
+        # factory's overrides either.
+        with pytest.raises(TypeError, match="clock"):
             GPUConfig.default_sim(clock="warp")
-
-
-def test_profile_component_mapping():
-    from repro.experiments.profiling import _component_of
-
-    assert _component_of("/x/src/repro/sm/sm.py") == "repro.sm"
-    assert _component_of("/x/src/repro/memory/cache.py") == "repro.memory"
-    assert _component_of("/usr/lib/python3.11/heapq.py") == "other"

@@ -5,7 +5,6 @@ Examples::
 
     python tools/profile_run.py bfs cawa
     python tools/profile_run.py bfs cawa --sort tottime --top 40
-    python tools/profile_run.py bfs gto --compare clock=cycle,skip  # device clocks
 
 Equivalent to ``python -m repro profile ...`` but bootstraps ``src/`` onto
 ``sys.path`` so it works straight from a checkout.
