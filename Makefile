@@ -22,9 +22,11 @@ test-slow:
 	$(PYTEST) -q -m slow
 
 ## Static analysis: lint every registry kernel (docs/static_analysis.md),
-## then ruff / strict mypy over the typed packages when installed.
+## resolve every annotation of the typed packages (stdlib only), then
+## ruff / strict mypy over them when installed.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro lint --all
+	PYTHONPATH=src $(PYTHON) tools/annotation_smoke.py $(TYPED_PACKAGES)
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check $(TYPED_PACKAGES); \
 	else echo "ruff not installed; skipping"; fi

@@ -14,6 +14,7 @@ from conftest import run_once
 
 from repro import GPU, GPUConfig, apply_scheme
 from repro.core.cacp import CACPPolicy
+from repro.simt.warp import Warp
 from repro.workloads import make_workload
 
 WORKLOAD = "kmeans"
@@ -71,21 +72,12 @@ def test_ablation_cacp_partition_modes(benchmark, mode):
     assert result.l1_stats.accesses > 0
 
 
-def test_ablation_cpl_stall_term(benchmark):
+def test_ablation_cpl_stall_term(benchmark, monkeypatch):
     """Disabling CPL's stall term must still produce a working scheduler."""
-
-    def zero_stall(gpu):
-        for sm in gpu.sms:
-            if sm.cpl is not None:
-                original = sm.cpl.on_issue
-
-                def on_issue(warp, stall_cycles, _orig=original):
-                    _orig(warp, 0.0)
-
-                sm.cpl.on_issue = on_issue
-
     full = run_once(benchmark, _run_with, "cawa")
-    inst_only = _run_with("cawa", zero_stall)
+    # Eq. 1 reads nStall through the warp: zero it for the second run.
+    monkeypatch.setattr(Warp, "cpl_stall", property(lambda warp: 0.0))
+    inst_only = _run_with("cawa")
     print(
         f"\nAblation (CPL stall term, {WORKLOAD}): "
         f"full IPC={full.ipc:.3f}, inst-only IPC={inst_only.ipc:.3f}"

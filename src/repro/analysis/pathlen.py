@@ -21,8 +21,7 @@ Two consumers:
 * :class:`CheckedCriticalityPredictor`, a drop-in subclass of the CPL
   predictor (``tests/test_cpl_bounds_runtime.py`` installs it in place of
   the one :class:`repro.gpu.GPU` builds), re-verifies the same inequality
-  on the *dynamic* branch stream and additionally asserts that the ``nInst``
-  disparity counter never goes negative — catching CPL accounting drift the
+  on the *dynamic* branch stream — catching CPL accounting drift the
   moment it happens instead of as a mysteriously mis-ranked warp.
 """
 
@@ -275,11 +274,12 @@ class CheckedCriticalityPredictor(CriticalityPredictor):
     Installed per SM in place of the plain predictor.  On every
     resolved conditional branch the Algorithm-2 delta actually added to the
     warp's ``nInst`` disparity counter is compared against the static
-    envelope of the committed path(s); on every issue the counter is
-    asserted non-negative.  Violations raise :class:`~repro.errors.\
-CPLBoundsError` immediately, turning silent criticality-accounting drift
-    into a hard failure.  Purely observational otherwise: scheduling
-    decisions are bit-identical to :class:`CriticalityPredictor`.
+    envelope of the committed path(s).  (The counter cannot go negative:
+    the warp derives it clamped at zero.)  Violations raise
+    :class:`~repro.errors.CPLBoundsError` immediately, turning silent
+    criticality-accounting drift into a hard failure.  Purely observational
+    otherwise: scheduling decisions are bit-identical to
+    :class:`CriticalityPredictor`.
     """
 
     def __init__(self, update_period: int = 64) -> None:
@@ -329,13 +329,4 @@ CPLBoundsError` immediately, turning silent criticality-accounting drift
                 f"the {outcome} branch at pc={inst.pc} (target "
                 f"{inst.target_pc}, reconv {inst.reconv_pc}) escapes the "
                 f"static envelope [{lo:g}, {hi:g}]"
-            )
-
-    def on_issue(self, warp: "Warp", stall_cycles: float) -> None:
-        super().on_issue(warp, stall_cycles)
-        if warp.cpl_inst_disparity < 0:
-            raise CPLBoundsError(
-                f"kernel {warp.block.kernel.name!r}: nInst disparity of "
-                f"warp {warp.dynamic_id} went negative "
-                f"({warp.cpl_inst_disparity})"
             )

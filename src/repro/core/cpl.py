@@ -1,6 +1,6 @@
 """Criticality Prediction Logic — CPL (paper Section 3.1).
 
-Maintains one criticality counter per warp (Eq. 1):
+One criticality counter per warp (Eq. 1):
 
     nCriticality = nInst * CPI_avg + nStall
 
@@ -11,20 +11,24 @@ Maintains one criticality counter per warp (Eq. 1):
   paths, accumulate both.  Every committed instruction decrements the term,
   balancing announced work against completed work, so warps that still owe
   more instructions rank higher.
-* ``nStall`` accumulates the stall cycles observed between two consecutive
-  issues of the warp (Algorithm 3) — memory latency, scoreboard hazards, and
-  scheduler-induced wait all land here.
+* ``nStall`` accumulates the data stall cycles observed between two
+  consecutive issues of the warp (Algorithm 3) — memory latency and
+  scoreboard hazards, not scheduler-induced wait.
 * ``CPI_avg`` is the warp's measured average cycles-per-instruction, scaling
   the instruction term into cycle units.
 
+Hardware updates the counter on every issue; here a warp keeps only its
+inputs and :attr:`repro.simt.warp.Warp.criticality` derives it when read.
+
 The scheduler (gCAWS) orders warps by the counter; CACP uses the derived
 binary verdict :meth:`CriticalityPredictor.is_critical` (counter above the
-block median — the paper's "slower than 50% of warps" definition).
+block median — the paper's "slower than 50% of warps" definition), which
+the SM refreshes every ``update_period`` issues of a block.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..isa.instructions import Instruction
 from ..obs.events import Ev
@@ -37,11 +41,10 @@ class CriticalityPredictor:
     """Tracks per-warp criticality counters for one SM."""
 
     def __init__(self, update_period: int = 64) -> None:
-        #: How often (in issues per block) the block-median threshold used by
-        #: :meth:`is_critical` is refreshed.
+        #: How often (in issues per block, ``ThreadBlock.cpl_issues``) the
+        #: block-median threshold used by :meth:`is_critical` is refreshed.
         self.update_period = update_period
         self._block_threshold: Dict[int, float] = {}
-        self._block_issue_count: Dict[int, int] = {}
         #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
         #: SM id stamped on emitted :data:`~repro.obs.events.Ev.CPL_DELTA`
@@ -77,56 +80,17 @@ class CriticalityPredictor:
             delta = taken_len
         else:
             delta = fallthrough_len
-        warp.cpl_inst_disparity += delta
-        self._refresh(warp)
+        warp._cpl_due = warp.cpl_inst_disparity + delta + warp._cpl_idx
+        warp._criticality = None
         if self.obs is not None:
             self.obs.emit((_EV_CPL_DELTA, now, self.obs_owner,
                            warp.block.block_id, warp.warp_id_in_block,
                            delta, warp.criticality))
 
-    def on_issue(self, warp: Warp, stall_cycles: float) -> None:
-        """Per-issue update: commit-decrement plus observed stall latency."""
-        disparity = warp.cpl_inst_disparity
-        if disparity > 0:
-            disparity -= 1
-            warp.cpl_inst_disparity = disparity
-        if stall_cycles > 0.0:
-            warp.cpl_stall += stall_cycles
-        # Eq. 1, as _refresh/_cpi compute it (inlined: once per instruction).
-        issued = warp.issued_instructions
-        cpi = 1.0
-        if issued > 0:
-            elapsed = warp.last_issue_cycle - warp.start_cycle
-            if elapsed > issued:
-                cpi = elapsed / issued
-        warp.criticality = disparity * cpi + warp.cpl_stall
-        block = warp.block
-        block_id = block.block_id
-        counts = self._block_issue_count
-        count = counts.get(block_id, 0) + 1
-        counts[block_id] = count
-        if count % self.update_period == 0:
-            self._refresh_block_threshold(block)
-
-    def _refresh(self, warp: Warp) -> None:
-        cpi = self._cpi(warp)
-        warp.criticality = warp.cpl_inst_disparity * cpi + warp.cpl_stall
-
-    @staticmethod
-    def _cpi(warp: Warp) -> float:
-        issued = warp.issued_instructions
-        if issued <= 0:
-            return 1.0
-        elapsed = warp.last_issue_cycle - warp.start_cycle
-        if elapsed < 1.0:
-            elapsed = 1.0
-        cpi = elapsed / issued
-        return cpi if cpi > 1.0 else 1.0
-
     # ------------------------------------------------------------------
     # Criticality verdicts
     # ------------------------------------------------------------------
-    def _refresh_block_threshold(self, block) -> None:
+    def refresh_block(self, block) -> None:
         """Recompute and latch per-warp slow-warp flags for ``block``.
 
         Flags are sticky between refreshes: CACP needs a verdict that is
@@ -146,7 +110,7 @@ class CriticalityPredictor:
     def is_critical(self, warp: Warp) -> bool:
         """Latched verdict: does the warp rank in the slower half of its block?"""
         if warp.block.block_id not in self._block_threshold:
-            self._refresh_block_threshold(warp.block)
+            self.refresh_block(warp.block)
         return warp.is_critical_flag
 
     def rank_in_block(self, warp: Warp) -> int:
@@ -160,4 +124,3 @@ class CriticalityPredictor:
     def forget_block(self, block_id: int) -> None:
         """Drop cached state for a committed block."""
         self._block_threshold.pop(block_id, None)
-        self._block_issue_count.pop(block_id, None)

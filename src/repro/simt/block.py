@@ -47,6 +47,8 @@ class ThreadBlock:
         self.commit_cycle: Optional[float] = None
         self._finished_warps = 0
         self._barrier_waiting = 0
+        #: Issues of this block's warps (CPL's verdict-refresh cadence).
+        self.cpl_issues = 0
 
     # -- shared memory -------------------------------------------------
     def shared_load(self, addrs: np.ndarray, mask_bools: np.ndarray) -> np.ndarray:
@@ -88,13 +90,11 @@ class ThreadBlock:
 
     # -- completion ------------------------------------------------------
     def note_warp_finished(self, warp, cycle: float) -> None:
+        # A finishing warp can also release a barrier the rest already
+        # reached: the SM polls ``barrier_pending_release`` for that.
         self._finished_warps += 1
         if self._finished_warps == self.num_warps:
             self.commit_cycle = cycle
-        elif self._barrier_waiting and self._barrier_waiting >= self.num_warps - self._finished_warps:
-            # A finishing warp can release a barrier the rest already reached.
-            # The SM polls `barrier_ready` to perform the release.
-            pass
 
     @property
     def barrier_pending_release(self) -> bool:

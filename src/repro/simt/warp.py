@@ -3,9 +3,9 @@
 A timed :class:`Warp` follows a recorded stream
 (:class:`repro.trace.format.WarpStream`): it holds the stream's columns and
 a cursor, the three scoreboard lists, its barrier status, and the per-warp
-statistics (issue counts, stall cycles, criticality counter) that feed the
-CAWA components.  It holds no lane values — registers, predicates and the
-reconvergence stack belong to whoever computes values (the recorder's
+statistics (issue counts, stall cycles, criticality counter inputs) that
+feed the CAWA components.  It holds no lane values — registers, predicates
+and the reconvergence stack belong to whoever computes values (the recorder's
 functional pass, or the per-warp reference executor in
 :mod:`repro.simt.executor`) — and allocates no NumPy array.  The stream is
 optional: scheduler / CPL / LSU / statistics bookkeeping can be exercised
@@ -131,13 +131,17 @@ class Warp:
         #: (event-driven core).  Guards the one-entry-per-warp invariant.
         self._queued: bool = False
 
-        # -- CPL state (Section 3.1) -----------------------------------
-        #: Relative dynamic-instruction disparity term (nInst in Eq. 1).
-        self.cpl_inst_disparity: float = 0.0
-        #: Accumulated stall cycles term (nStall in Eq. 1).
-        self.cpl_stall: float = 0.0
-        #: Cached criticality counter value (Eq. 1), kept current by CPL.
-        self.criticality: float = 0.0
+        # -- CPL inputs (Section 3.1, Eq. 1; the counter is derived) -----
+        #: Index of the latest issue CPL accounted (-1: none) and the
+        #: ``last_issue_cycle`` before it — the CPI inputs — written by the
+        #: SM's issue path when a CPL predictor is present.
+        self._cpl_idx: int = -1
+        self._cpl_prev_issue: float = 0.0
+        #: The nInst anchor ``D + at`` written by ``on_branch``: nInst ``D``
+        #: right after the latest conditional branch, at issue index ``at``.
+        self._cpl_due: float = -1.0
+        #: Eq. 1 as of the latest issue, or ``None`` until read.
+        self._criticality: Optional[float] = None
         #: Latched slow-warp verdict, refreshed periodically by CPL.
         self.is_critical_flag: bool = False
 
@@ -150,6 +154,35 @@ class Warp:
     @property
     def finished(self) -> bool:
         return self.status is WarpStatus.FINISHED
+
+    @property
+    def cpl_inst_disparity(self) -> float:
+        """nInst: the latest branch's disparity less one per later issue,
+        clamped at zero (as per-issue decrements clamped at zero are)."""
+        left = self._cpl_due - self._cpl_idx
+        return left if left > 0.0 else 0.0
+
+    @property
+    def cpl_stall(self) -> float:
+        """nStall: data stall cycles.  Each issue's gap is its data plus its
+        scheduler stall, so this difference is exact (cycles are whole)."""
+        if self._cpl_idx < 0:
+            return 0.0
+        return self.total_stall_cycles - self.sched_stall_cycles
+
+    @property
+    def criticality(self) -> float:
+        """``nInst * CPI_avg + nStall`` as of the latest issue, on read."""
+        value = self._criticality
+        if value is None:
+            idx = self._cpl_idx
+            cpi = 1.0
+            if idx > 0:
+                elapsed = self._cpl_prev_issue - self.start_cycle
+                if elapsed > idx:
+                    cpi = elapsed / idx
+            value = self._criticality = self.cpl_inst_disparity * cpi + self.cpl_stall
+        return value
 
     def special_values(self, special: Special) -> np.ndarray:
         """Lane values of a special register, computed on demand: the

@@ -1,10 +1,10 @@
-"""Load-store unit: memory coalescing and hierarchy timing per warp access.
+"""Load-store unit: hierarchy timing per warp memory access.
 
-The coalescer merges the active lanes' byte addresses into distinct cache
-lines (Fermi coalesces within 128B segments).  Each distinct line costs one
-LSU slot cycle and one L1D access; poorly-coalesced (irregular) access
-patterns therefore serialize — one of the paper's sources of warp
-criticality.
+Coalescing (done when a trace is recorded) merges the active lanes' byte
+addresses into distinct cache lines (Fermi coalesces within 128B segments).
+Each distinct line costs one LSU slot cycle and one L1D access;
+poorly-coalesced (irregular) access patterns therefore serialize — one of
+the paper's sources of warp criticality.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import TraceFormatError
 from ..isa.instructions import Instruction, MemSpace
 from ..memory.cache import Cache
 from ..memory.hierarchy import MemoryHierarchy
@@ -63,34 +64,31 @@ class LoadStoreUnit:
         self.line_accesses = 0
         self.l1_misses = 0
 
-    def coalesce(self, addrs: np.ndarray, mask: int) -> List[int]:
-        """Distinct line addresses touched by the active lanes, ascending."""
-        return coalesce_lines(addrs, mask, self.l1d.config.line_size)
-
     def issue(
         self,
         warp: Warp,
         inst: Instruction,
-        addrs: Optional[np.ndarray],
         mask: int,
         now: float,
         is_critical: bool,
-        lines: Optional[List[int]] = None,
+        lines: Optional[List[int]],
     ) -> Tuple[float, int]:
         """Perform the timing walk for one warp memory instruction.
 
-        Returns ``(completion_cycle, num_line_accesses)``.  Shared-memory
-        accesses bypass the cache hierarchy with a short fixed latency.
-        ``lines`` (trace replay) supplies pre-coalesced line addresses and
-        skips the coalescer; execution-driven callers leave it ``None``.
+        Returns ``(completion_cycle, num_line_accesses)``.  ``lines`` are
+        the recorded line addresses (:func:`coalesce_lines`), ``None`` only
+        for no live lane or shared space, which bypasses the hierarchy with
+        a short fixed latency.
         """
         if mask == 0:
             return now + 1, 0
         if inst.space is MemSpace.SHARED:
             return now + self.shared_latency, 0
-
         if lines is None:
-            lines = self.coalesce(addrs, mask)
+            raise TraceFormatError(
+                f"global memory record at pc={inst.pc} has live lanes but no "
+                "line addresses; trace is corrupt"
+            )
         self.global_accesses += 1
         completion = now + 1
         next_free = self._next_free

@@ -15,14 +15,14 @@ instruction's operands are available, whether a load produced the latest
 one, whether it needs an MSHR — is computed once, at the end of the issue
 that wrote the scoreboard, and is frozen until the warp issues again.  Each
 scheduler slot keeps a min-heap of ``(wake_cycle, dynamic_id, warp)``
-entries, a *ready pool* — the warps whose wake time has passed, as a list
-in ascending ``dynamic_id`` order, which is also the candidate list the
-scheduler is handed when nothing gates it — and the pool's *ungated*
-sub-list: the pooled warps whose next instruction needs no MSHR, which is
-the candidate list while the MSHRs are full.  ``tick_wake`` only pops
-newly-awake warps, picks the list, and returns the SM's next wake along
-with whether it issued; ``next_wake_time`` answers the same question from
-scratch (a heap peek and two emptiness tests per slot).  See
+entries, a *ready pool* — the warps whose wake time has passed by the SM's
+next tick, as a list in ascending ``dynamic_id`` order, which is also the
+candidate list the scheduler is handed when nothing gates it — and the
+pool's *ungated* sub-list: the pooled warps whose next instruction needs no
+MSHR, which is the candidate list while the MSHRs are full.  ``tick_wake``
+only pops newly-awake warps, picks the list, and returns the SM's next wake
+along with whether it issued; ``next_wake_time`` answers the same question
+from scratch (a heap peek and two emptiness tests per slot).  See
 ``docs/timing_model.md`` ("Event-driven issue loop") for the invariants;
 ``tests/test_wake_queue.py`` checks every tick's candidate list, ungated
 sub-list, stored readiness and returned wake against a from-scratch scan of
@@ -159,10 +159,10 @@ class StreamingMultiprocessor:
         #: is queued here exactly when ``warp._queued`` is True; entries are
         #: unique per warp (no stale duplicates by construction).
         self._wake_heaps: List[list] = [[] for _ in self.schedulers]
-        #: Per-slot lists of the warps whose wake time has passed, kept in
-        #: dispatch order (ascending dynamic id) — the candidate order
-        #: ``WarpScheduler.select`` is promised.  With no MSHR back-pressure
-        #: the pool itself is the candidate list.
+        #: Per-slot lists of the warps whose wake time has passed by the next
+        #: tick, in dispatch order (ascending dynamic id) — the candidate
+        #: order ``WarpScheduler.select`` is promised.  With no MSHR
+        #: back-pressure the pool itself is the candidate list.
         self._ready_pools: List[List[Warp]] = [[] for _ in self.schedulers]
         #: Per-slot sub-lists of the pools, same order: the pooled warps
         #: whose next instruction needs no MSHR.  With the MSHRs full this
@@ -256,7 +256,8 @@ class StreamingMultiprocessor:
         scheduler one of the two lists, so per-tick cost is O(newly awake)
         plus the scheduler's own walk: warps parked on full MSHRs are not
         visited.  Only the critical-MSHR reserve, while it bites, filters
-        the pool warp by warp.
+        the pool warp by warp.  An issuing warp leaves the pool unless it is
+        ungated and ready again next cycle.
 
         ``next_wake`` is exactly what :meth:`next_wake_time` would answer
         after this tick, read off the heaps and lists the tick has just
@@ -300,23 +301,28 @@ class StreamingMultiprocessor:
             warp = scheduler.select(ready, now)
             if warp is None:
                 continue
-            pool.remove(warp)
-            if not warp._needs_mem:
-                ungated.remove(warp)
+            was_gated = warp._needs_mem
             if self._issue(warp, scheduler, now):
                 # MSHR occupancy only moves when a memory instruction
                 # issued; skip the recompute otherwise (same value).
                 free_mshrs = mshr.free_entries(now)
-            # Re-queue at the wake the issue just computed, on the heap
-            # this slot already holds (not when the warp finished, parked
-            # at a barrier, or was re-queued by a barrier release this
-            # very issue triggered).
-            if warp.status is _RUNNING and not warp._queued:
+            issued = True
+            # Re-queue unless the warp finished, parked at a barrier, or was
+            # re-queued by a barrier release this very issue triggered; a
+            # warp ungated and ready next cycle just stays pooled.
+            requeue = warp.status is _RUNNING and not warp._queued
+            if requeue and warp.ready_at == now + 1 and not warp._needs_mem:
+                if was_gated:
+                    insort(ungated, warp, key=_DISPATCH_ORDER)
+                continue
+            pool.remove(warp)
+            if not was_gated:
+                ungated.remove(warp)
+            if requeue:
                 warp._queued = True
                 heappush(heap, (warp.ready_at, warp.dynamic_id, warp))
-            issued = True
         # The next wake, as next_wake_time() derives it.  Pooled warps are
-        # past their ready time, so an ungated one can issue next cycle and
+        # ready by the next tick, so an ungated one can issue then and
         # gated ones when an MSHR frees; a pooled warp that needs an MSHR
         # implies its slot computed ``free_mshrs``.  A heap entry may be due
         # already — a barrier release queues warps on slots this tick has
@@ -358,6 +364,7 @@ class StreamingMultiprocessor:
         data_stall = (now if now < ready else ready) - base
         if data_stall < 0.0:
             data_stall = 0.0
+        # gap == data_stall + sched_stall: Warp.cpl_stall relies on it.
         sched_stall = now - (ready if ready > base else base)
         if sched_stall < 0.0:
             sched_stall = 0.0
@@ -399,14 +406,21 @@ class StreamingMultiprocessor:
 
         cpl = self.cpl
         if cpl is not None:
-            # Only data stalls (memory latency, dependency hazards) feed the
-            # criticality counter.  Counting scheduler-induced wait (ready
-            # but not selected) creates a fairness feedback loop under a
-            # greedy scheduler: starved-but-ready warps would be promoted,
-            # dissolving the working-set concentration gCAWS inherits from
-            # GTO.  A genuinely slow warp is slow because its *data* is
-            # late, and that is exactly what data_stall measures.
-            cpl.on_issue(warp, data_stall)
+            # Eq. 1's CPI inputs; the counter is derived from them and the
+            # stall sums when read.  Only data stalls feed it: counting
+            # scheduler-induced wait would promote starved-but-ready warps
+            # under a greedy scheduler, dissolving the working-set
+            # concentration gCAWS inherits from GTO (DESIGN.md).  The
+            # block's verdicts refresh here, before the LSU reads this
+            # warp's and before a branch moves its counter.
+            warp._cpl_idx = idx
+            warp._cpl_prev_issue = warp.last_issue_cycle
+            warp._criticality = None
+            block = warp.block
+            count = block.cpl_issues + 1
+            block.cpl_issues = count
+            if count % cpl.update_period == 0:
+                cpl.refresh_block(block)
 
         # ---- the record's effect: scoreboard write by kind -------------
         # Memory lines and branch outcomes come straight from the stream's
@@ -437,7 +451,7 @@ class StreamingMultiprocessor:
             warp._aux_pos = end
             crit_fn = self._is_critical
             completion, _ = self.lsu.issue(
-                warp, warp._insts[pc], None, mem_mask, now,
+                warp, warp._insts[pc], mem_mask, now,
                 crit_fn(warp) if crit_fn is not None else False, lines,
             )
             if kind == _K_LOAD:
@@ -574,18 +588,19 @@ class StreamingMultiprocessor:
         none).
 
         A heap peek per slot plus two emptiness tests: pooled warps are
-        operand-ready, so an ungated one can issue at ``now`` and the gated
-        ones once an MSHR is free.  Warps parked at a barrier sit in no
-        structure and contribute nothing; barrier releases and block
-        commits only happen during one of this SM's own issues.  Exact for
-        scoreboard- and MSHR-gated warps (:meth:`MSHRFile.next_free_time`
-        accounts for over-subscription); an operand-ready warp that lost
-        arbitration, was declined by a throttling scheduler or is held back
-        by the critical-MSHR reserve reports ``now`` — an under-estimate
-        the device loop turns into a re-tick one cycle later.  Anything
-        due earlier than ``now`` is reported as ``now``: the loop clamps a
-        wake into the future anyway, and the clamped value is what
-        :meth:`tick_wake` can answer without walking its pools.
+        operand-ready by the next tick, so an ungated one can issue then
+        (reported as ``now``) and the gated ones once an MSHR is free.  Warps
+        parked at a barrier sit in no structure and contribute nothing;
+        barrier releases and block commits only happen during one of this
+        SM's own issues.  Exact for scoreboard- and MSHR-gated warps
+        (:meth:`MSHRFile.next_free_time` accounts for over-subscription); an
+        operand-ready warp that lost arbitration, was declined by a
+        throttling scheduler or is held back by the critical-MSHR reserve
+        reports ``now`` — an under-estimate the device loop turns into a
+        re-tick one cycle later.  Anything due earlier than ``now`` is
+        reported as ``now``: the loop clamps a wake into the future anyway,
+        and the clamped value is what :meth:`tick_wake` can answer without
+        walking its pools.
         """
         wake = math.inf
         gated = False

@@ -13,7 +13,9 @@ from scratch, each wrapping methods on the instances it is handed:
   ``sm.warps``.
 
 Both re-derive readiness with :func:`readiness_from_scratch` and share no
-state with the structures they check.
+state with the structures they check.  A third,
+:class:`CPLReferenceOracle`, checks the CPL counter the warp derives when
+read against the eager per-issue update it replaced.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ def mshr_free_time(mshr, now):
 def sm_state(sm):
     """What a tick of ``sm`` may change and nothing between its ticks may:
     per warp its status, cursor, stored wake and scoreboard lists; the
-    MSHR's fills; the CPL's block thresholds and issue counts; the CACP
-    policy's tune counters.  Scheduler state is left out: L2 feedback may
+    MSHR's fills; the CPL's block thresholds and the blocks' issue counts
+    (a freshly dispatched block has none); the CACP policy's tune counters.  Scheduler state is left out: L2 feedback may
     legitimately reach a scheduler between its SM's ticks."""
     cpl = sm.cpl
     policy = sm.l1d.policy
@@ -66,7 +68,8 @@ def sm_state(sm):
                   for w in sm.warps},
         "mshr": dict(sm.mshr._inflight),
         "cpl": None if cpl is None else (dict(cpl._block_threshold),
-                                         dict(cpl._block_issue_count)),
+                                         {b.block_id: b.cpl_issues for b in sm.blocks
+                                          if b.cpl_issues}),
         "cacp": ((policy.critical_ways, tuple(policy._partition_hits),
                   policy._accesses_since_tune)
                  if isinstance(policy, CACPPolicy) else None),
@@ -74,7 +77,29 @@ def sm_state(sm):
     }
 
 
-class SkipOracle:
+class _LaunchOracle:
+    """An oracle built per ``GPU`` instance, before its first launch."""
+
+    def __init__(self, gpu):
+        self.gpu = gpu
+
+    @classmethod
+    def on_every_launch(cls, monkeypatch):
+        """Check every GPU that launches while ``monkeypatch`` is active;
+        returns the list the oracles are appended to."""
+        oracles = []
+        real = GPU._run_skip_loop
+
+        def run(gpu, dispatcher, start_cycle):
+            if not any(oracle.gpu is gpu for oracle in oracles):
+                oracles.append(cls(gpu))
+            return real(gpu, dispatcher, start_cycle)
+
+        monkeypatch.setattr(GPU, "_run_skip_loop", run)
+        return oracles
+
+
+class SkipOracle(_LaunchOracle):
     """Brute-force check that the device loop's skipped cycles were idle.
 
     Wraps every SM's ``tick_wake`` on the instance, before launch (the loop
@@ -102,7 +127,7 @@ class SkipOracle:
     """
 
     def __init__(self, gpu):
-        self.gpu = gpu
+        super().__init__(gpu)
         self.ticks = 0
         #: Ticks that followed a gap of more than one cycle on their SM.
         self.jumps = 0
@@ -115,21 +140,6 @@ class SkipOracle:
         self._last = {}
         for sm in gpu.sms:
             sm.tick_wake = self._checked(sm, sm.tick_wake)
-
-    @classmethod
-    def on_every_launch(cls, monkeypatch):
-        """Check every GPU that launches while ``monkeypatch`` is active;
-        returns the list the oracles are appended to."""
-        oracles = []
-        real = GPU._run_skip_loop
-
-        def run(gpu, dispatcher, start_cycle):
-            if not any(oracle.gpu is gpu for oracle in oracles):
-                oracles.append(cls(gpu))
-            return real(gpu, dispatcher, start_cycle)
-
-        monkeypatch.setattr(GPU, "_run_skip_loop", run)
-        return oracles
 
     def _checked(self, sm, real_tick_wake):
         def tick_wake(now):
@@ -210,8 +220,9 @@ class ReadySetOracle:
     slot's turn and the next ``select`` call (or the end of the tick), so
     that is where skipped slots are checked.  At every ``select`` and at the
     end of every tick each slot's ungated sub-list must be its pool minus
-    the warps whose next instruction needs an MSHR, in pool order, and every
-    wake-heap entry must carry its warp's stored wake time.  At the end of
+    the warps whose next instruction needs an MSHR, in pool order, every
+    pooled warp must be RUNNING, unqueued and ready by the next tick, and
+    every wake-heap entry must carry its warp's stored wake time.  At the end of
     every tick the wake ``tick_wake`` returned must equal
     ``next_wake_time(now)`` — both clamped: never before ``now`` — and must
     not lie past the earliest from-scratch wake of any RUNNING warp.
@@ -297,6 +308,13 @@ class ReadySetOracle:
             assert ungated == [w for w in pool if not w._needs_mem], (
                 f"cycle {now}: slot {slot}'s ungated sub-list diverged from its pool"
             )
+            for warp in pool:
+                assert (warp.status is WarpStatus.RUNNING and not warp._queued
+                        and warp.ready_at <= now + 1.0), (
+                    f"cycle {now}: pooled warp {warp.dynamic_id} is not ready "
+                    f"by the next tick (ready at {warp.ready_at}, "
+                    f"{warp.status.value}, queued={warp._queued})"
+                )
         for heap in sm._wake_heaps:
             for wake, _, warp in heap:
                 if warp.status is WarpStatus.RUNNING:
@@ -343,3 +361,143 @@ class ReadySetOracle:
             return chosen
 
         return select
+
+
+def set_cpl_inputs(warp, *, idx=0, elapsed=0.0, disparity=0.0, stall=0.0):
+    """Give ``warp`` the Eq. 1 inputs of a latest issue: its index ``idx``
+    (CPI's instruction count), ``elapsed`` cycles from dispatch to the issue
+    before it, an nInst of ``disparity`` and ``stall`` data-stall cycles."""
+    warp._cpl_idx = idx
+    warp._cpl_prev_issue = warp.start_cycle + elapsed
+    warp._cpl_due = disparity + idx
+    warp.total_stall_cycles = warp.sched_stall_cycles + stall
+    warp._criticality = None
+
+
+def set_criticality(warp, value):
+    """Give ``warp`` the Eq. 1 inputs of a counter equal to ``value``."""
+    set_cpl_inputs(warp, stall=value)
+
+
+def eager_cpi(issued, elapsed):
+    """Eq. 1's CPI_avg as the per-issue update computed it."""
+    if issued <= 0:
+        return 1.0
+    cpi = (elapsed if elapsed >= 1.0 else 1.0) / issued
+    return cpi if cpi > 1.0 else 1.0
+
+
+class CPLReferenceOracle(_LaunchOracle):
+    """The eager per-issue CPL update, kept as a reference for the counter
+    the warp derives when read.
+
+    Wraps each SM's ``_issue`` and its predictor's ``on_branch`` and
+    ``refresh_block`` on the instances, before launch.  Before every issue
+    it applies the update CPL once ran there — decrement ``nInst`` (never
+    below zero), add the issue's data stall to ``nStall``, recompute Eq. 1
+    from the pre-issue cursor and last issue cycle — and counts the block's
+    issues.  After every branch it adds Algorithm 2's path length.  On
+    every branch and every block refresh it asserts that
+    ``cpl_inst_disparity``, ``cpl_stall`` and ``criticality`` of each warp
+    involved are bit-equal to the reference; after every issue, that a
+    refresh happened exactly when the block's issue count reached a
+    multiple of ``update_period``.
+    """
+
+    def __init__(self, gpu):
+        super().__init__(gpu)
+        self.issues = 0
+        self.branches = 0
+        self.refreshes = 0
+        #: Warp counters compared, over all checks.
+        self.warps_checked = 0
+        #: ``warp -> [nInst, nStall, criticality, cpi]`` of the reference.
+        self._ref = {}
+        self._block_issues = {}
+        self._refresh_due = None
+        for sm in gpu.sms:
+            cpl = sm.cpl
+            if cpl is None:
+                continue
+            sm._issue = self._checked_issue(cpl, sm._issue)
+            cpl.on_branch = self._checked_branch(cpl.on_branch)
+            cpl.refresh_block = self._checked_refresh(cpl.refresh_block)
+
+    def reference(self, warp):
+        return self._ref.setdefault(warp, [0.0, 0.0, 0.0, 1.0])
+
+    def check(self, warp, where):
+        disparity, stall, criticality, _ = self.reference(warp)
+        for name, derived, eager in (
+                ("cpl_inst_disparity", warp.cpl_inst_disparity, disparity),
+                ("cpl_stall", warp.cpl_stall, stall),
+                ("criticality", warp.criticality, criticality)):
+            assert derived == eager, (
+                f"{name} of warp {warp.dynamic_id} (block "
+                f"{warp.block.block_id}) {where}: derived {derived!r}, eager "
+                f"reference {eager!r}"
+            )
+        self.warps_checked += 1
+
+    def check_all(self):
+        """Every warp the GPU ever held, against the reference."""
+        for sm in self.gpu.sms:
+            if sm.cpl is not None:
+                for block in [*sm.completed_blocks, *sm.blocks]:
+                    for warp in block.warps:
+                        self.check(warp, "at the end")
+
+    def _checked_issue(self, cpl, real_issue):
+        def issue(warp, scheduler, now):
+            idx = warp.issued_instructions
+            base = warp.last_issue_cycle + 1 if idx else warp.start_cycle
+            data_stall = max(0.0, min(now, warp._opready) - base)
+            ref = self.reference(warp)
+            if ref[0] > 0:
+                ref[0] -= 1
+            if data_stall > 0.0:
+                ref[1] += data_stall
+            ref[3] = eager_cpi(idx, warp.last_issue_cycle - warp.start_cycle)
+            ref[2] = ref[0] * ref[3] + ref[1]
+            block = warp.block
+            count = self._block_issues.get(block, 0) + 1
+            self._block_issues[block] = count
+            if count % cpl.update_period == 0:
+                self._refresh_due = block
+            outcome = real_issue(warp, scheduler, now)
+            assert self._refresh_due is None, (
+                f"refresh cadence: block {block.block_id} reached {count} "
+                f"issues at cycle {now} without a refresh"
+            )
+            self.issues += 1
+            return outcome
+
+        return issue
+
+    def _checked_branch(self, real_on_branch):
+        def on_branch(warp, inst, diverged, all_taken, now=0.0):
+            real_on_branch(warp, inst, diverged=diverged, all_taken=all_taken, now=now)
+            if inst.pred is None or inst.reconv_pc < 0:
+                return
+            fallthrough = max(0, inst.target_pc - inst.pc - 1)
+            taken = max(0, inst.reconv_pc - inst.target_pc)
+            ref = self.reference(warp)
+            ref[0] += (fallthrough + taken if diverged
+                       else taken if all_taken else fallthrough)
+            ref[2] = ref[0] * ref[3] + ref[1]
+            self.branches += 1
+            self.check(warp, f"after the branch at pc={inst.pc}, cycle {now}")
+
+        return on_branch
+
+    def _checked_refresh(self, real_refresh):
+        def refresh_block(block):
+            for warp in block.warps:
+                if not warp.finished:
+                    self.check(warp, f"at a refresh of block {block.block_id}")
+            if self._refresh_due is block:
+                self._refresh_due = None
+            self.refreshes += 1
+            return real_refresh(block)
+
+        return refresh_block

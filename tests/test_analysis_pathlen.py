@@ -11,6 +11,8 @@ from repro.analysis.pathlen import CheckedCriticalityPredictor
 from repro.errors import CPLBoundsError
 from repro.isa.instructions import CmpOp, Special
 from repro.isa.kernel import KernelBuilder
+from repro.simt.block import ThreadBlock
+from repro.simt.warp import Warp
 
 
 def build_if_else():
@@ -169,33 +171,18 @@ class TestBranchEnvelope:
         assert env == (0.0, 0.0)
 
 
-class _FakeBlock:
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.block_id = 0
-        self.warps = []
-
-
-class _FakeWarp:
-    """Just enough surface for the predictor's counter bookkeeping."""
-
-    def __init__(self, kernel):
-        self.block = _FakeBlock(kernel)
-        self.cpl_inst_disparity = 0
-        self.cpl_stall = 0.0
-        self.criticality = 0.0
-        self.issued_instructions = 0
-        self.last_issue_cycle = 0.0
-        self.start_cycle = 0.0
-        self.finished = False
-        self.is_critical_flag = False
-        self.dynamic_id = 7
+def make_warp(kernel):
+    """A resident warp that never issues: enough for CPL bookkeeping."""
+    block = ThreadBlock(0, 32, 1, kernel, 32)
+    warp = Warp(0, block, 32, kernel.num_regs, kernel.num_preds, dynamic_id=7)
+    block.warps.append(warp)
+    return warp
 
 
 class TestCheckedCriticalityPredictor:
     def test_in_envelope_branch_passes(self):
         k = build_if_else()
-        warp = _FakeWarp(k)
+        warp = make_warp(k)
         site = [
             i
             for i in k.instructions
@@ -207,13 +194,26 @@ class TestCheckedCriticalityPredictor:
         assert predictor.finite_checks == 1
         assert warp.cpl_inst_disparity > 0
 
-    def test_negative_disparity_raises_on_issue(self):
+    def test_disparity_is_nonnegative_by_construction(self):
+        """nInst is derived from the latest branch's anchor, clamped at
+        zero: however many instructions commit after it, or however the
+        anchor is corrupted, it never reads negative."""
         k = build_if_else()
-        warp = _FakeWarp(k)
-        warp.cpl_inst_disparity = -1  # corrupted by hand
+        warp = make_warp(k)
+        site = [i for i in k.instructions
+                if i.op.value == "bra" and i.pred is not None][0]
         predictor = CheckedCriticalityPredictor()
-        with pytest.raises(CPLBoundsError):
-            predictor.on_issue(warp, stall_cycles=0.0)
+        predictor.on_branch(warp, site, diverged=False, all_taken=True)
+        announced = warp.cpl_inst_disparity
+        warp._cpl_idx += int(announced) + 5  # commits past the announced path
+        warp._criticality = None
+        assert warp.cpl_inst_disparity == 0.0
+        assert warp.criticality == 0.0
+        warp._cpl_due = warp._cpl_idx - 1.0  # corrupted by hand
+        assert warp.cpl_inst_disparity == 0.0
+        # The next branch charges from zero and stays in its envelope.
+        predictor.on_branch(warp, site, diverged=False, all_taken=True)
+        assert warp.cpl_inst_disparity == announced
 
     def test_envelope_violation_raises(self):
         # Tamper with the branch PCs so Algorithm 2's estimate (computed
@@ -221,7 +221,7 @@ class TestCheckedCriticalityPredictor:
         from dataclasses import replace
 
         k = build_if_else()
-        warp = _FakeWarp(k)
+        warp = make_warp(k)
         site = [
             i
             for i in k.instructions
@@ -236,7 +236,7 @@ class TestCheckedCriticalityPredictor:
 
     def test_bounds_cache_reuses_per_kernel(self):
         k = build_if_else()
-        warp = _FakeWarp(k)
+        warp = make_warp(k)
         predictor = CheckedCriticalityPredictor()
         b1 = predictor._bounds_for(warp)
         b2 = predictor._bounds_for(warp)

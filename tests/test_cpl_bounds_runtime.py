@@ -4,8 +4,8 @@ The ``install_checked_predictor`` fixture (the "flag" of the test names)
 makes every SM's predictor a
 :class:`~repro.analysis.pathlen.CheckedCriticalityPredictor` by patching
 the predictor class :mod:`repro.gpu.gpu` builds: each dynamic Algorithm-2
-branch delta must lie inside the static path-length envelope and the
-``nInst`` disparity counter must stay non-negative.  These tests run real
+branch delta must lie inside the static path-length envelope (the
+``nInst`` counter is non-negative by construction).  These tests run real
 workloads end-to-end under it — if CPL accounting ever drifts from what the
 CFG allows, they fail with a :class:`CPLBoundsError` instead of a silently
 mis-ranked warp.

@@ -19,6 +19,7 @@ from repro.scheduling import make_scheduler
 from repro.scheduling.registry import SCHEDULERS
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp, WarpStatus
+from tests.oracles import set_criticality
 
 
 def make_warps(count):
@@ -45,7 +46,7 @@ def test_prop_scheduler_always_picks_from_ready(scheduler_name, num_warps, data)
     scheduler = make_scheduler(scheduler_name)
     warps = make_warps(num_warps)
     for warp in warps:
-        warp.criticality = data.draw(st.floats(0, 1e6))
+        set_criticality(warp, data.draw(st.floats(0, 1e6)))
     for step in range(10):
         subset_idx = data.draw(
             st.lists(st.integers(0, num_warps - 1), min_size=1, max_size=num_warps)
@@ -192,7 +193,7 @@ def test_prop_select_matches_its_min_max_formulation(scheduler_name, seed):
         # Tail phase for gCAWS: some warps of the block have finished.
         block._finished_warps = rng.randrange(num_warps)
         for warp in warps:
-            warp.criticality = rng.choice([0.0, 0.5, 1.0, 3.0, 64.0, 1e4])
+            set_criticality(warp, rng.choice([0.0, 0.5, 1.0, 3.0, 64.0, 1e4]))
             warp.issued_instructions = rng.randint(0, 200)
             warp.status = rng.choice(
                 [WarpStatus.RUNNING, WarpStatus.RUNNING, WarpStatus.AT_BARRIER])

@@ -5,7 +5,8 @@ whose SM issued through the execute-era adapters (``TraceStack`` /
 ``TraceWarp`` / ``TraceExecutor``, PR 22), before they were deleted: per
 cell ``[cycles, warp instructions, L1 misses, DRAM accesses, digest of the
 per-block finish cycles and per-warp stall sums]``.  The SM that reads the
-recorded stream itself must reproduce all of them.
+recorded stream itself must reproduce all of them, and every cell's CPL
+counters must match the eager reference of ``tests/oracles.py``.
 
 Re-capture (only when a change is *meant* to move simulated numbers)::
 
@@ -21,6 +22,7 @@ import pytest
 from repro.config import GPUConfig
 from repro.core.cawa import SCHEMES
 from repro.experiments import runner
+from tests.oracles import CPLReferenceOracle
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "replay_signatures.json")
 
@@ -76,8 +78,14 @@ def test_fixture_covers_the_grid(pinned):
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_cell_reproduces_its_pinned_signature(cell, pinned, trace_store, monkeypatch):
+    """Each cell also runs under a :class:`CPLReferenceOracle`: the CPL
+    counters the warps derive match the eager per-issue update bit for bit."""
     monkeypatch.setenv("REPRO_CACHE_DIR", trace_store)
+    oracles = CPLReferenceOracle.on_every_launch(monkeypatch)
     assert signature(cell) == pinned[cell_id(cell)]
+    assert oracles and all(oracle.issues for oracle in oracles)
+    for oracle in oracles:
+        oracle.check_all()
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from repro.scheduling import (
 )
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp
+from tests.oracles import set_criticality
 
 
 def make_warps(count, block_dim=None, num_blocks=1):
@@ -129,13 +130,13 @@ class TestGCAWS:
         # Finish half the block: tail phase begins.
         warps[2].mark_finished(1.0)
         warps[3].mark_finished(1.0)
-        warps[1].criticality = 10_000.0
-        warps[0].criticality = 10.0
+        set_criticality(warps[1], 10_000.0)
+        set_criticality(warps[0], 10.0)
         assert sched_select(sched := GCAWSScheduler(), [warps[0], warps[1]]) is warps[1]
 
     def test_pre_tail_ignores_criticality(self):
         warps = make_warps(4)
-        warps[1].criticality = 10_000.0
+        set_criticality(warps[1], 10_000.0)
         sched = GCAWSScheduler()
         # No warp finished: concentration (oldest) wins despite criticality.
         assert sched.select(warps, 0.0) is warps[0]
@@ -158,13 +159,13 @@ class TestGCAWS:
         for w in warps[1:]:
             w.mark_finished(0.0)
         warp = warps[0]
-        warp.criticality = 0.0
+        set_criticality(warp, 0.0)
         assert sched._bucket(warp) == 0
-        warp.criticality = 1.0
+        set_criticality(warp, 1.0)
         b1 = sched._bucket(warp)
-        warp.criticality = 1.9
+        set_criticality(warp, 1.9)
         assert sched._bucket(warp) == b1
-        warp.criticality = 4.0
+        set_criticality(warp, 4.0)
         assert sched._bucket(warp) > b1
 
 

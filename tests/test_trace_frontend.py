@@ -99,10 +99,10 @@ class TestRecordReplay:
     def test_recording_coalesces_each_global_access_once(self, config, monkeypatch):
         """The functional pass coalesces a recorded access (as a row sort
         over the group's line matrix); the trace stores that list and the
-        LSU walks it.  ``coalesce_lines`` — the per-address rule the LSU
-        keeps for callers that hand it addresses — is called on neither
-        path: a store-less ``execute`` cell walks recorded lists too, the
-        ones its GPU's in-place pass made."""
+        LSU walks it.  ``coalesce_lines`` — the per-address rule, kept as
+        the reference the functional pass is tested against — is called on
+        neither path: a store-less ``execute`` cell walks recorded lists
+        too, the ones its GPU's in-place pass made."""
         from repro.sm import lsu as lsu_mod
 
         monkeypatch.setattr(lsu_mod, "coalesce_lines",

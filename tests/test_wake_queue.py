@@ -143,6 +143,25 @@ class TestWakeQueueInvariants:
         assert not sm.busy and sm.stats.barriers == 2
         assert oracle.ticks > 0
 
+    def test_warp_ready_next_cycle_stays_pooled(self):
+        """Independent ALU work: after each issue the warp is ready on the
+        next cycle, so it never leaves its pool for the wake heap."""
+        b = KernelBuilder("independent")
+        for i in range(4):
+            b.const(float(i))
+        sm, block = make_sm(num_warps=1, kernel=b.build())
+        oracle = ReadySetOracle(sm)
+        warp = block.warps[0]
+        for cycle in range(4):
+            sm.tick_wake(float(cycle))
+            assert warp.ready_at == cycle + 1.0
+            assert sm._ready_pools[0] == [warp] and not sm._wake_heaps[0]
+        while sm.busy:
+            cycle += 1
+            sm.tick_wake(float(cycle))
+        assert sm._ready_pools[0] == [] and sm._ungated_pools[0] == []
+        assert oracle.select_calls == warp.issued_instructions == 5
+
     def test_unfinished_counter_tracks_busy(self):
         sm, block = make_sm(num_warps=2)
         assert sm.busy and sm._unfinished == 2
