@@ -654,8 +654,10 @@ def cmd_client(args) -> int:
             submitted = time.perf_counter()  # sanitize: waive DET002 -- the caller's own wait, printed, never a result
             job, coalesced = client.submit(_client_spec_from_args(args))
             verb = "coalesced into" if coalesced else "submitted"
+            reused = (f", reused from {job['reused_from']}"
+                      if job.get("reused_from") else "")
             print(f"{verb} job {job['id']} ({job['describe']}, "
-                  f"priority {job['priority']})")
+                  f"priority {job['priority']}{reused})")
             if args.watch:
                 for record in client.watch(job["id"]):
                     _print_progress_record(record)
@@ -720,6 +722,8 @@ def cmd_client(args) -> int:
     except ServeClientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
 
 
 def cmd_cache(args) -> int:

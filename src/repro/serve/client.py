@@ -1,10 +1,10 @@
 """Thin standard-library client for the simulation service.
 
 :class:`ServeClient` speaks the ``repro serve`` JSON API over
-``http.client`` — one connection per request, plus a long-lived streaming
-connection for :meth:`ServeClient.watch` (Server-Sent Events).  Nothing
-here sleeps: :meth:`ServeClient.wait` asks the server to hold a status
-request until the job ends (``GET /jobs/{id}?wait=S``).  The
+``http.client`` — one kept-alive connection for all of its requests, plus
+a streaming connection per :meth:`ServeClient.watch` (Server-Sent
+Events).  Nothing here sleeps: :meth:`ServeClient.wait` asks the server to
+hold a status request until the job ends (``GET /jobs/{id}?wait=S``).  The
 ``repro client`` CLI (see :mod:`repro.cli`) is a thin shell around this
 class; tests and scripts can use it directly.
 """
@@ -31,7 +31,12 @@ class ServeClientError(ReproError):
 
 
 class ServeClient:
-    """Client for one ``repro serve`` endpoint."""
+    """Client for one ``repro serve`` endpoint.
+
+    Holds one connection open across requests (not thread-safe: give each
+    thread its own client); :meth:`close` it, or use it as a context
+    manager.
+    """
 
     def __init__(self, base_url: Optional[str] = None,
                  tenant: str = "anon", timeout: float = 30.0) -> None:
@@ -45,6 +50,19 @@ class ServeClient:
         self._port = split.port or 80
         self.tenant = tenant
         self.timeout = timeout
+        self._conn: Optional[http.client.HTTPConnection] = None
+
+    def close(self) -> None:
+        """Drop the kept-alive connection (the next request opens one)."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- plumbing --------------------------------------------------------
     def _connect(self, timeout: Optional[float] = None):
@@ -55,28 +73,46 @@ class ServeClient:
     def _request(self, method: str, path: str,
                  payload: Optional[dict] = None,
                  timeout: Optional[float] = None) -> Tuple[int, dict]:
+        """One request on the kept-alive connection.
+
+        Any error drops the connection.  A request that fails on a
+        *reused* connection before any response byte — the server closed
+        it while idle — goes once more on a fresh one.
+        """
         body = None
         headers = {"X-Repro-Tenant": self.tenant}
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        conn = self._connect(timeout)
-        try:
+        while True:
+            reused = self._conn is not None
+            if not reused:
+                self._conn = self._connect()
+            conn = self._conn
+            conn.timeout = timeout or self.timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(conn.timeout)
+            response = None
             try:
                 conn.request(method, path, body=body, headers=headers)
                 response = conn.getresponse()
                 raw = response.read()
             except (OSError, http.client.HTTPException) as exc:
+                self.close()
+                if (reused and response is None
+                        and isinstance(exc, ConnectionError)):
+                    continue
                 raise ServeClientError(
                     f"cannot reach {self.base_url}: {exc}"
                 ) from exc
-            try:
-                data = json.loads(raw) if raw else {}
-            except ValueError:
-                data = {"error": raw.decode("utf-8", "replace")}
-            return response.status, data
-        finally:
-            conn.close()
+            if response.will_close:
+                self.close()
+            break
+        try:
+            data = json.loads(raw) if raw else {}
+        except ValueError:
+            data = {"error": raw.decode("utf-8", "replace")}
+        return response.status, data
 
     def _checked(self, method: str, path: str,
                  payload: Optional[dict] = None,

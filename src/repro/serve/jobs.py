@@ -3,7 +3,7 @@
 Everything here is synchronous, single-threaded data-structure code — the
 asyncio server (:mod:`repro.serve.server`) calls it only from the event
 loop, and the unit tests (``tests/test_serve_queue.py``) exercise it with
-no sockets at all.  Three policies live in :class:`JobQueue`:
+no sockets at all.  Four policies live in :class:`JobQueue`:
 
 * **Admission control / back-pressure** — at most ``max_queue`` jobs may
   wait; beyond that submission raises :class:`QueueFull` (HTTP 503), which
@@ -19,6 +19,11 @@ no sockets at all.  Three policies live in :class:`JobQueue`:
   the same progress stream and receive the identical result payload.  A
   coalesced interactive join escalates a batch primary's priority (the
   work is now interactive for someone).
+* **Reuse of finished answers** — a spec whose fingerprint matches a
+  retained ``done`` job (and which does not stream ``events``) becomes a
+  new job that is born ``done``, sharing that job's payload, with
+  ``reused_from`` naming it.  Like a coalesced join it adds no work, so
+  it is checked before quotas and back-pressure, and it needs no worker.
 
 Priority is two-class — ``interactive`` before ``batch`` — with FIFO
 order inside each class.  The executor-slot reservation that stops batch
@@ -316,6 +321,8 @@ class Job:
     progress: List[dict] = field(default_factory=list)
     result: Optional[dict] = None
     error: Optional[str] = None
+    #: Id of the finished job whose answer this one was born with.
+    reused_from: Optional[str] = None
 
     @property
     def priority_value(self) -> int:
@@ -359,6 +366,7 @@ class Job:
             "events": self.spec.events,
             "error": self.error,
             "has_result": self.result is not None,
+            "reused_from": self.reused_from,
         }
         out.update(self.timing())
         if with_progress:
@@ -367,7 +375,7 @@ class Job:
 
 
 class JobQueue:
-    """Priority queue with admission control, quotas, and coalescing."""
+    """Priority queue with admission control, quotas, coalescing and reuse."""
 
     def __init__(self, max_queue: int = 64, tenant_quota: int = 8,
                  on_terminal: Optional[Callable[[Job], None]] = None) -> None:
@@ -384,10 +392,17 @@ class JobQueue:
         self._seq = 0
         #: fingerprint -> job id, for jobs still queued or running.
         self._active_by_fp: Dict[str, str] = {}
+        #: fingerprint -> id of the newest retained job that ran to ``done``
+        #: (never an ``events`` one): written at :meth:`finish`, dropped
+        #: when that job is evicted, so it is bounded by ``keep_finished``.
+        self._done_by_fp: Dict[str, str] = {}
+        #: ``executions`` counts jobs that produced their own answer (ran
+        #: in a worker, or were reused); ``reused`` the latter alone.
         self.counters: Dict[str, int] = {
             "submitted": 0,
             "coalesced": 0,
             "executions": 0,
+            "reused": 0,
             "done": 0,
             "failed": 0,
             "cancelled": 0,
@@ -399,9 +414,10 @@ class JobQueue:
     def submit(self, spec: JobSpec, tenant: str = "anon") -> Tuple[Job, bool]:
         """Admit ``spec``; returns ``(job, coalesced)``.
 
-        Coalescing is checked *before* quotas and back-pressure: joining
-        an active identical job adds no work, so it must never be
-        rejected for capacity reasons.
+        Coalescing and then reuse are checked *before* quotas and
+        back-pressure: joining an active identical job, or answering from
+        a finished one, adds no work, so it must never be rejected for
+        capacity reasons.  A reused job comes back already ``done``.
         """
         fingerprint = spec.fingerprint()
         active_id = self._active_by_fp.get(fingerprint)
@@ -416,6 +432,9 @@ class JobQueue:
                 job.priority = spec.priority
                 self._push(job)
             return job, True
+        twin_id = self._done_by_fp.get(fingerprint)
+        if twin_id is not None:
+            return self._reuse(spec, tenant, self.jobs[twin_id]), False
 
         if self.tenant_inflight(tenant) >= self.tenant_quota:
             self.counters["rejected_quota"] += 1
@@ -429,6 +448,12 @@ class JobQueue:
                 f"job queue is full ({self.max_queue} queued); retry later"
             )
 
+        job = self._new_job(spec, tenant, fingerprint)
+        self._active_by_fp[fingerprint] = job.id
+        self._push(job)
+        return job, False
+
+    def _new_job(self, spec: JobSpec, tenant: str, fingerprint: str) -> Job:
         self._seq += 1
         job = Job(
             id=f"j{self._seq:06d}-{fingerprint[:8]}",
@@ -438,10 +463,22 @@ class JobQueue:
             priority=spec.priority,
         )
         self.jobs[job.id] = job
-        self._active_by_fp[fingerprint] = job.id
-        self._push(job)
         self.counters["submitted"] += 1
-        return job, False
+        return job
+
+    def _reuse(self, spec: JobSpec, tenant: str, twin: Job) -> Job:
+        """A new job born ``done`` with ``twin``'s payload (shared, not
+        copied): sound because equal fingerprints mean equal outcomes."""
+        job = self._new_job(spec, tenant, twin.fingerprint)
+        job.created = job.started = job.finished = time.time()
+        job.reused_from = twin.id
+        job.progress.append({"kind": "reused", "job": job.id,
+                             "reused_from": twin.id})
+        job.state, job.result = DONE, twin.result
+        for counter in ("executions", "reused", "done"):
+            self.counters[counter] += 1
+        self._retire(job)
+        return job
 
     def _push(self, job: Job) -> None:
         self._seq += 1
@@ -485,6 +522,8 @@ class JobQueue:
             job.state = DONE
             job.result = result
             self.counters["done"] += 1
+            if not job.spec.events:  # its subscribers are promised a live run
+                self._done_by_fp[job.fingerprint] = job.id
         else:
             job.state = FAILED
             job.error = error
@@ -520,6 +559,8 @@ class JobQueue:
         evicted = 0
         for job in terminal[: max(0, len(terminal) - keep)]:
             del self.jobs[job.id]
+            if self._done_by_fp.get(job.fingerprint) == job.id:
+                del self._done_by_fp[job.fingerprint]
             evicted += 1
         return evicted
 
@@ -547,7 +588,8 @@ class JobQueue:
         for job in self.jobs.values():
             if job.state in (QUEUED, RUNNING):
                 tenants[job.tenant] = tenants.get(job.tenant, 0) + 1
-        ran = [j for j in self.jobs.values() if j.exec_s is not None]
+        ran = [j for j in self.jobs.values()
+               if j.exec_s is not None and j.reused_from is None]
         return {
             "queued": self.queued_count(),
             "running": self.running_count(),

@@ -1,5 +1,5 @@
 """Unit tests for the serve job model: spec validation, priority queue,
-request coalescing, quotas, and back-pressure.
+request coalescing, reuse of finished answers, quotas, and back-pressure.
 
 Everything here is pure data-structure code — no sockets, no asyncio, no
 executor processes (see tests/test_serve_http.py for the end-to-end
@@ -231,6 +231,88 @@ class TestCoalescing:
         # A distinct spec from the same tenant is over quota.
         with pytest.raises(QuotaExceeded):
             q.submit(spec(scheme="gto"), tenant="alice")
+
+
+class TestReuse:
+    """A repeat of a finished job is answered at admission."""
+
+    def finished(self, q, **overrides):
+        job, _ = q.submit(spec(**overrides))
+        q.finish(q.pop(), result={"cycles": 42.0})
+        return job
+
+    def test_repeat_is_born_done_with_the_twins_payload(self):
+        q = JobQueue()
+        twin = self.finished(q)
+        job, coalesced = q.submit(spec(), tenant="bob")
+        assert not coalesced and job.id != twin.id
+        assert job.state == DONE and job.reused_from == twin.id
+        assert job.result is twin.result          # shared, not copied
+        assert job.started == job.finished and job.exec_s == 0.0
+        assert job.to_dict()["reused_from"] == twin.id
+        assert job.progress == [{"kind": "reused", "job": job.id,
+                                 "reused_from": twin.id}]
+        assert q.pop() is None                    # no work was queued
+        counters = q.counters
+        assert (counters["submitted"], counters["executions"],
+                counters["done"], counters["reused"],
+                counters["coalesced"]) == (2, 2, 2, 1, 0)
+
+    def test_on_terminal_announces_a_reused_job(self):
+        ended = []
+        q = JobQueue(on_terminal=lambda job: ended.append(job.id))
+        self.finished(q)
+        job, _ = q.submit(spec())
+        assert ended[-1] == job.id
+
+    def test_events_spec_is_never_reused(self):
+        q = JobQueue()
+        self.finished(q, events=True)
+        job, coalesced = q.submit(spec(events=True))
+        assert not coalesced and job.state == QUEUED
+        assert job.reused_from is None and q.counters["reused"] == 0
+
+    def test_failed_twin_is_never_reused(self):
+        q = JobQueue()
+        job, _ = q.submit(spec())
+        q.finish(q.pop(), error="boom")
+        again, _ = q.submit(spec())
+        assert again.state == QUEUED and again.reused_from is None
+
+    def test_evicted_twin_reexecutes(self):
+        q = JobQueue()
+        self.finished(q)
+        q.evict_finished(keep=0)
+        job, _ = q.submit(spec())
+        assert job.state == QUEUED and job.reused_from is None
+        assert q.pop() is job
+
+    def test_twin_is_the_job_that_ran_however_often_reused(self):
+        q = JobQueue()
+        twin = self.finished(q)
+        repeats = [q.submit(spec())[0] for _ in range(3)]
+        assert {job.reused_from for job in repeats} == {twin.id}
+        # Once the twin is evicted the repeats stop answering: the next
+        # one runs and becomes the twin.
+        q.evict_finished(keep=3)
+        assert twin.id not in q.jobs
+        runs, _ = q.submit(spec())
+        assert runs.state == QUEUED
+
+    def test_tenant_at_quota_still_gets_a_reused_answer(self):
+        q = JobQueue(tenant_quota=1, max_queue=1)
+        self.finished(q, scheme="gto")
+        q.submit(spec(), tenant="alice")          # alice is at her quota
+        job, _ = q.submit(spec(scheme="gto"), tenant="alice")
+        assert job.state == DONE and job.reused_from is not None
+        with pytest.raises(QuotaExceeded):
+            q.submit(spec(scheme="cawa"), tenant="alice")
+
+    def test_latency_block_counts_only_jobs_that_ran(self):
+        q = JobQueue()
+        self.finished(q)
+        q.submit(spec())
+        assert q.stats()["latency"]["exec_s"]["n"] == 1
 
 
 class TestAdmissionControl:

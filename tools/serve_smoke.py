@@ -11,8 +11,10 @@ service's headline guarantees end to end:
    simulations run for three submissions (the third is distinct);
 2. the SSE feed of an ``--events`` job carries live obs progress
    records (``obs`` snapshots + a terminal ``obs_summary``);
-3. a repeat submission of a finished cell — queue, worker, result-cache
-   hit, held ``?wait=`` request released — is back within 50 ms;
+3. a repeat submission of a finished cell is answered at admission — the
+   submit response is already ``done``, with ``reused_from`` naming the
+   finished twin — and the whole submit -> wait -> result round trip is
+   back within 50 ms;
 4. a draining shutdown finishes every admitted job and the server
    process exits cleanly.
 
@@ -39,8 +41,9 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 from repro.serve import ServeClient  # noqa: E402
 
 SCALE = "0.25"
-#: Ceiling on a warm submit -> wait -> result round trip, seconds (12 ms
-#: measured; 110 ms when completion was polled for).
+#: Ceiling on a warm submit -> wait -> result round trip, seconds (about
+#: 1 ms measured; 12 ms when a repeat went through a worker; 110 ms when
+#: completion was polled for).
 WARM_CEILING = 0.050
 JOB_ID = re.compile(r"\bjob (j\d{6}-[0-9a-f]{8})\b")
 LISTENING = re.compile(r"listening on (http://[\d.]+:\d+)")
@@ -78,11 +81,13 @@ def submit(env, url, *extra):
     return match.group(1), out.startswith("coalesced")
 
 
-def warm_round_trip(api, spec):
-    """Seconds from submit to result in hand for an already-cached cell."""
+def warm_round_trip(api, spec, twin):
+    """Seconds from submit to result in hand for a finished cell."""
     started = time.perf_counter()
     job, coalesced = api.submit(spec)
     assert not coalesced, "a finished job must not coalesce"
+    assert job["state"] == "done" and job["reused_from"] == twin, \
+        f"a repeat of {twin} was not answered at admission: {job}"
     state = api.wait(job["id"], timeout=60)["state"]
     assert state == "done", f"warm job ended {state}"
     api.result(job["id"])
@@ -156,7 +161,8 @@ def main() -> int:
         # -- a finished cell comes back at the cost of a lookup --------
         spec = {"kind": "run", "workload": "synthetic_imbalance",
                 "scheme": "gto", "scale": float(SCALE)}
-        warm = statistics.median(warm_round_trip(api, spec) for _ in range(5))
+        warm = statistics.median(warm_round_trip(api, spec, distinct)
+                                 for _ in range(5))
         assert warm < WARM_CEILING, \
             f"warm round trip {1e3 * warm:.1f} ms >= {1e3 * WARM_CEILING:.0f} ms"
         print(f"serve-smoke: warm round trip {1e3 * warm:.1f} ms")
