@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all test-slow lint sanitize bench ledger ledger-pairs profile sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
+.PHONY: test test-all test-slow lint sanitize bench ledger ledger-pairs profile opcount sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
 
 ## Packages held to the ruff + strict-mypy bar (CI `lint` job).
 TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/trace src/repro/feedback
@@ -71,6 +71,14 @@ ledger-pairs:
 ARGS ?= bfs cawa
 profile:
 	PYTHONPATH=src $(PYTHON) -m repro profile $(ARGS)
+
+## CPython bytecodes and Python calls per replayed warp instruction, by
+## function, over the ledger's 15 narrow_figs cells (tools/opcount.py;
+## counts repeat exactly under one CPython minor — a report, not a gate).
+## One cell: make opcount OPCOUNT_ARGS="--budget-cell".
+OPCOUNT_ARGS ?=
+opcount:
+	$(PYTHON) tools/opcount.py $(OPCOUNT_ARGS)
 
 ## Full workload x scheme IPC sweep.
 sweep:

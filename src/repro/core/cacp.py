@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..memory.replacement import RRPV_MAX, RRPV_NEAR, ReplacementPolicy
+from ..memory.replacement import RRPV_MAX, RRPV_NEAR, ReplacementPolicy, srrip_victim
 from ..memory.request import MemRequest
 from ..obs.events import Ev
 from .ccbp import CriticalCacheBlockPredictor
@@ -152,16 +152,7 @@ class CACPPolicy(ReplacementPolicy):
             for way in range(len(lines)):
                 if not lines[way].valid:
                     return way
-        return self._victim(lines, req, lo, hi)
-
-    def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
-        # SRRIP victim search restricted to the eligible way range.
-        while True:
-            for way in range(lo, hi):
-                if lines[way].rrpv >= RRPV_MAX:
-                    return way
-            for way in range(lo, hi):
-                lines[way].rrpv += 1
+        return srrip_victim(lines, lo, hi)
 
     def on_fill(self, line, req: MemRequest) -> None:
         critical = self.classify_critical(req)

@@ -19,7 +19,7 @@ advances never visited.
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heapreplace
 from typing import List, Optional
 
 from ..config import GPUConfig
@@ -261,15 +261,13 @@ class GPU:
         tick, and nothing but a dispatch changed the SM in between — and
         ``docs/timing_model.md`` ("Run loop") has the longer form.
 
-        The heap lives here, as two locals.  ``heap`` holds
-        ``(time, sm, seq)`` entries and an SM has at most one *live* entry:
-        the one whose ``seq`` equals ``seqs[sm]``.  A tick pops its SM's
-        live entry and pushes the next, so the only superseded entries are
-        the ones a dispatch refresh leaves behind by bumping ``seqs[sm]``;
-        they are dropped when they surface.  An SM whose wake is ``inf``
-        gets no entry (parked) until a dispatch gives it warps.  Entries
-        order by ``(time, sm)``, so SMs due on the same cycle pop — and
-        tick — in ``sm_id`` order.
+        The heap is a local list holding exactly one ``(time, sm)`` entry
+        per SM with a finite wake, and none for an SM whose wake is ``inf``
+        (parked until a dispatch gives it warps).  A tick replaces its SM's
+        entry with the next wake, or drops it; a dispatch rebuilds the
+        entries of the SMs that received warps.  Entries order by
+        ``(time, sm)`` — no two are equal — so SMs due on the same cycle
+        pop, and tick, in ``sm_id`` order.
         """
         sms = self.sms
         # Bound once per launch, through the instance: whoever shadowed an
@@ -278,21 +276,18 @@ class GPU:
         max_cycles = self.max_cycles
         inf = math.inf
         heap: list = []
-        seqs = [0] * len(sms)
         for slot, sm in enumerate(sms):
             wake = sm.next_wake_time(start_cycle)
             if wake != inf:
-                heappush(heap, (wake if wake > start_cycle else start_cycle, slot, 0))
-        cycle = start_cycle
-        last = start_cycle - 1.0
+                heap.append((wake if wake > start_cycle else start_cycle, slot))
+        heapify(heap)
+        last = start_cycle - 1.0  # the latest tick's cycle
         while True:
-            while heap and heap[0][2] != seqs[heap[0][1]]:
-                heappop(heap)  # superseded by a dispatch refresh
             if not heap:
                 # No SM can ever act again.  A completed launch breaks out
                 # at commit time below, so this is a deadlock.
                 for sm in sms:
-                    sm.detect_deadlock(cycle)
+                    sm.detect_deadlock(last + 1.0)
                 raise DeadlockError("no warp can make progress")
             t = heap[0][0]
             if t - start_cycle > max_cycles:
@@ -303,16 +298,15 @@ class GPU:
             if t > last + 1.0:
                 self._launch_skip_jumps += 1
                 self._launch_cycles_skipped += t - last - 1.0
-            cycle = t
             while heap and heap[0][0] == t:
-                _, slot, seq = heappop(heap)
-                if seq != seqs[slot]:
-                    continue
+                slot = heap[0][1]
                 # The tick reports the SM's next wake itself (what
                 # next_wake_time would answer, without a second walk).
                 wake = ticks[slot](t)[1]
                 if wake != inf:
-                    heappush(heap, (wake if wake > t else t + 1.0, slot, seq))
+                    heapreplace(heap, (wake if wake > t else t + 1.0, slot))
+                else:
+                    heappop(heap)
             last = t
             if self._commit_pending:
                 self._commit_pending = False
@@ -324,14 +318,16 @@ class GPU:
                     # increasing per-SM dynamic-warp-id counter.
                     marks = [sm._next_dynamic_id for sm in sms]
                     dispatcher.try_dispatch(sms, t + 1.0)
-                    for slot, (sm, mark) in enumerate(zip(sms, marks)):
-                        if sm._next_dynamic_id != mark:
-                            wake = sm.next_wake_time(t)
-                            seq = seqs[slot] = seqs[slot] + 1
-                            if wake != inf:
-                                heappush(heap, (wake if wake > t else t + 1.0, slot, seq))
+                    fresh = {slot: sm.next_wake_time(t)
+                             for slot, (sm, mark) in enumerate(zip(sms, marks))
+                             if sm._next_dynamic_id != mark}
+                    if fresh:
+                        heap = [entry for entry in heap if entry[1] not in fresh]
+                        heap += [(wake if wake > t else t + 1.0, slot)
+                                 for slot, wake in fresh.items() if wake != inf]
+                        heapify(heap)
                 elif not any(sm.busy for sm in sms):
-                    return cycle
+                    return last
 
     def _note_commit(self, _sm) -> None:
         self._commit_pending = True

@@ -67,10 +67,6 @@ class CacheLine:
     nc_reuse: bool = False
     in_critical_partition: bool = False
 
-    @property
-    def reused(self) -> bool:
-        return self.reuse_count > 0
-
     def reset_for_fill(self, line_addr: int, req: MemRequest) -> None:
         self.valid = True
         self.tag = line_addr
@@ -144,6 +140,8 @@ class Cache:
         #: Valid ways per set; a set at ``config.ways`` has no invalid way.
         self._valid_ways: List[int] = [0] * config.sets
         self.stats = CacheStats()
+        #: ``on_access(req, hit, line)`` / ``on_evict(line)`` objects; a
+        #: request is valid only during the call (see MemRequest).
         self.observers: List = []
         #: Event bus (``repro.obs``) or ``None``; set by the wire helpers.
         self.obs = None

@@ -4,7 +4,7 @@ One :class:`MemoryHierarchy` serves every SM: it owns the shared L2 and the
 DRAM model, while each SM brings its own L1 data cache + MSHR file.  The
 timing walk happens at access time — hit/miss outcomes and queueing delays
 compose into a single completion cycle the LSU writes into the warp's
-scoreboard.
+scoreboard.  The LSU probes its L1 itself and calls :meth:`miss` on a miss.
 """
 
 from __future__ import annotations
@@ -34,27 +34,31 @@ class MemoryHierarchy:
 
     def access(self, l1: Cache, mshr: MSHRFile, req: MemRequest,
                now: float) -> Tuple[bool, float, bool]:
-        """Walk ``req`` through L1 -> (MSHR) -> L2 -> DRAM.
+        """Walk ``req`` through L1 -> (MSHR) -> L2 -> DRAM: an L1 probe,
+        then :meth:`miss` if it missed.
 
         Returns ``(l1_hit, completion, merged)``: whether the L1 hit, the
         cycle the line's data is available, and whether a miss merged with
         an in-flight fill of the same line.
         """
-        l1_latency = l1.config.hit_latency
         if l1.access(req):
-            return True, now + l1_latency, False
+            return True, now + l1.config.hit_latency, False
+        return (False, *self.miss(l1, mshr, req, now))
 
+    def miss(self, l1: Cache, mshr: MSHRFile, req: MemRequest,
+             now: float) -> Tuple[float, bool]:
+        """Serve ``req`` after its ``l1`` probe missed; returns
+        ``(completion, merged)``."""
+        l1_latency = l1.config.hit_latency
         # Merge with an in-flight fill of the same line, if any.
         merged_completion = mshr.lookup(req.line_addr, now)
         if merged_completion is not None:
             floor = now + l1_latency
-            return (
-                False, merged_completion if merged_completion > floor else floor, True
-            )
+            return (merged_completion if merged_completion > floor else floor), True
 
         start = mshr.earliest_start(now) + l1_latency
         l2_hit, queued_start, l2_ready = self.l2.access(req, start)
         completion = (l2_ready if l2_hit
                       else self.dram.access(queued_start, req.warp_key[0]))
         mshr.register(req.line_addr, completion, now=now)
-        return False, completion, False
+        return completion, False

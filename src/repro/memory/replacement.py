@@ -8,7 +8,7 @@ partitioning.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .request import MemRequest
 
@@ -16,6 +16,23 @@ from .request import MemRequest
 RRPV_MAX = 3
 RRPV_LONG = 2
 RRPV_NEAR = 0
+
+
+def srrip_victim(lines: List, lo: int, hi: int) -> int:
+    """SRRIP's victim in ways ``[lo, hi)``: the first way at ``RRPV_MAX``,
+    after aging the range until one is there — one step of ``RRPV_MAX -
+    max`` (no RRPV is ever above ``RRPV_MAX``), then the first way at the
+    old maximum."""
+    for way in range(lo, hi):
+        if lines[way].rrpv >= RRPV_MAX:
+            return way
+    window = lines[lo:hi]
+    rrpvs = [line.rrpv for line in window]
+    top = max(rrpvs)
+    step = RRPV_MAX - top
+    for line in window:
+        line.rrpv += step
+    return lo + rrpvs.index(top)
 
 
 class ReplacementPolicy:
@@ -89,13 +106,7 @@ class SRRIPPolicy(ReplacementPolicy):
     name = "srrip"
 
     def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
-        # Find an RRPV_MAX line, aging the range until one appears.
-        while True:
-            for way in range(lo, hi):
-                if lines[way].rrpv >= RRPV_MAX:
-                    return way
-            for way in range(lo, hi):
-                lines[way].rrpv += 1
+        return srrip_victim(lines, lo, hi)
 
     def on_fill(self, line, req: MemRequest) -> None:
         line.rrpv = RRPV_LONG
@@ -149,7 +160,7 @@ class SHiPPolicy(SRRIPPolicy):
         self.train_hit(line.signature)
 
     def on_evict(self, line, req: MemRequest) -> None:
-        if not line.reused:
+        if not line.reuse_count:
             self.train_no_reuse(line.signature)
 
 
@@ -215,7 +226,7 @@ class DRRIPPolicy(ReplacementPolicy):
         return self._brrip if self.psel > self._psel_max // 2 else self._srrip
 
     def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
-        return self._srrip._victim(lines, req, lo, hi)
+        return srrip_victim(lines, lo, hi)
 
     def on_fill(self, line, req: MemRequest) -> None:
         set_idx = self._set_of(req)

@@ -29,6 +29,9 @@ def make_signature(
 class MemRequest:
     """One cache-line access from one warp's memory instruction.
 
+    Valid only during the call it is passed to: the LSU rewrites one
+    request per instruction for each line, so keep fields, not requests.
+
     Attributes:
         line_addr: line-aligned byte address.
         pc: issuing instruction's PC (signature component).
@@ -36,7 +39,7 @@ class MemRequest:
         is_load: load vs. store.
         is_critical: CPL's criticality verdict for the issuing warp at issue
             time; consumed by CACP and by the per-criticality statistics.
-        cycle: issue cycle.
+        cycle: the line's LSU cycle (one line per cycle from the issue).
         signature: CACP/SHiP signature (filled by the LSU).
     """
 

@@ -103,10 +103,12 @@ class Warp:
         #: Summed active lanes over the stream; known when the warp retires.
         self.thread_instructions: int = 0
         self.divergent_branches: int = 0
-        self.last_issue_cycle: float = 0.0
-        self.total_stall_cycles: float = 0.0
+        #: ``start_cycle - 1`` until the first issue: gaps start one past it.
+        self.last_issue_cycle: float = -1.0
+        #: Gap cycles spent waiting on operands (the rest is scheduler
+        #: stall), and the part of them a load caused.
+        self.data_stall_cycles: float = 0.0
         self.mem_stall_cycles: float = 0.0
-        self.sched_stall_cycles: float = 0.0
         #: Cycle this warp was last released from a block barrier, or -1.0.
         #: Written only when the event bus is live (see
         #: :meth:`repro.sm.sm.StreamingMultiprocessor._release_barrier`);
@@ -163,12 +165,20 @@ class Warp:
         return left if left > 0.0 else 0.0
 
     @property
+    def total_stall_cycles(self) -> float:
+        """Summed gaps between issues (from dispatch, for the first): no gap
+        is negative, so the sum telescopes."""
+        return self.last_issue_cycle - self.start_cycle - (self.issued_instructions - 1)
+
+    @property
+    def sched_stall_cycles(self) -> float:
+        """Gap cycles with every operand ready: exact, as cycles are whole."""
+        return self.total_stall_cycles - self.data_stall_cycles
+
+    @property
     def cpl_stall(self) -> float:
-        """nStall: data stall cycles.  Each issue's gap is its data plus its
-        scheduler stall, so this difference is exact (cycles are whole)."""
-        if self._cpl_idx < 0:
-            return 0.0
-        return self.total_stall_cycles - self.sched_stall_cycles
+        """nStall: data stall cycles, once CPL has accounted an issue."""
+        return self.data_stall_cycles if self._cpl_idx >= 0 else 0.0
 
     @property
     def criticality(self) -> float:

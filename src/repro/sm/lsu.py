@@ -56,13 +56,10 @@ class LoadStoreUnit:
         self.mshr = mshr
         self.hierarchy = hierarchy
         self.shared_latency = shared_latency
+        self._hit_latency = l1d.config.hit_latency
         self._next_free = 0.0
         #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
-        # Statistics.
-        self.global_accesses = 0
-        self.line_accesses = 0
-        self.l1_misses = 0
 
     def issue(
         self,
@@ -89,37 +86,33 @@ class LoadStoreUnit:
                 f"global memory record at pc={inst.pc} has live lanes but no "
                 "line addresses; trace is corrupt"
             )
-        self.global_accesses += 1
         completion = now + 1
         next_free = self._next_free
         start = now if now > next_free else next_free
-        # Everything but the line address is the same for every request of
-        # one warp instruction (the signature is make_signature(pc, line)).
+        # One request per instruction, its line, LSU cycle and signature
+        # (make_signature(pc, line)) rewritten per line: nothing keeps it.
         pc = inst.pc
         pc_bits = pc & _SIG_MASK
-        is_load = inst.is_load
         block_id = warp.block.block_id
         warp_id = warp.warp_id_in_block
-        warp_key = (self.sm_id, block_id, warp_id)
+        req = MemRequest(0, pc, (self.sm_id, block_id, warp_id), inst.is_load,
+                         is_critical, start)
         l1d = self.l1d
+        probe = l1d.access
         mshr = self.mshr
-        access = self.hierarchy.access
-        misses = 0
+        miss = self.hierarchy.miss
+        hit_latency = self._hit_latency
         issue_time = start  # one coalesced access per LSU cycle
         for line_addr in lines:
-            req = MemRequest(
-                line_addr, pc, warp_key, is_load, is_critical, issue_time,
-                (pc_bits ^ (line_addr >> REGION_SHIFT)) & _SIG_MASK,
-            )
-            l1_hit, done, _ = access(l1d, mshr, req, issue_time)
-            if not l1_hit:
-                misses += 1
+            req.line_addr = line_addr
+            req.cycle = issue_time
+            req.signature = (pc_bits ^ (line_addr >> REGION_SHIFT)) & _SIG_MASK
+            done = (issue_time + hit_latency if probe(req)
+                    else miss(l1d, mshr, req, issue_time)[0])
             if done > completion:
                 completion = done
             issue_time += 1
         num_lines = len(lines)
-        self.line_accesses += num_lines
-        self.l1_misses += misses
         self._next_free = start + num_lines
         if self.obs is not None:
             self.obs.emit((

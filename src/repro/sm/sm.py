@@ -302,10 +302,9 @@ class StreamingMultiprocessor:
             if warp is None:
                 continue
             was_gated = warp._needs_mem
-            if self._issue(warp, scheduler, now):
-                # MSHR occupancy only moves when a memory instruction
-                # issued; skip the recompute otherwise (same value).
-                free_mshrs = mshr.free_entries(now)
+            self._issue(warp, scheduler, now)
+            if was_gated:
+                free_mshrs = -1  # a global LD/ST moved MSHR occupancy
             issued = True
             # Re-queue unless the warp finished, parked at a barrier, or was
             # re-queued by a barrier release this very issue triggered; a
@@ -323,10 +322,10 @@ class StreamingMultiprocessor:
                 heappush(heap, (warp.ready_at, warp.dynamic_id, warp))
         # The next wake, as next_wake_time() derives it.  Pooled warps are
         # ready by the next tick, so an ungated one can issue then and
-        # gated ones when an MSHR frees; a pooled warp that needs an MSHR
-        # implies its slot computed ``free_mshrs``.  A heap entry may be due
-        # already — a barrier release queues warps on slots this tick has
-        # passed — hence the clamp.
+        # gated ones when an MSHR frees (``free_mshrs`` is -1 when not
+        # known; next_free_time answers ``now`` while an entry is free).  A
+        # heap entry may be due already — a barrier release queues warps on
+        # slots this tick has passed — hence the clamp.
         wake = math.inf
         gated = False
         for _, heap, pool, ungated in slots:
@@ -342,8 +341,8 @@ class StreamingMultiprocessor:
                 wake = mshr_free_at
         return issued, wake if wake > now else now
 
-    def _issue(self, warp: Warp, scheduler: WarpScheduler, now: float) -> bool:
-        """Issue ``warp``'s next record; True if it was a LD/ST."""
+    def _issue(self, warp: Warp, scheduler: WarpScheduler, now: float) -> None:
+        """Issue ``warp``'s next record."""
         idx = warp.issued_instructions
         pcs = warp._pcs
         pc = pcs[idx]
@@ -352,26 +351,18 @@ class StreamingMultiprocessor:
         kind = decoded.kind
 
         # ---- stall accounting (Fig 2c / Fig 4 decomposition) ----------
-        # Written with conditionals instead of min/max builtins: this runs
-        # once per issued instruction and the call overhead shows up.
-        base = warp.last_issue_cycle + 1 if idx else warp.start_cycle
+        # The gap [base, now) splits at the operands' ready cycle into data
+        # and scheduler stall; only data stall is summed, the rest derives
+        # from the issue cycles (Warp.total_stall_cycles).
+        base = warp.last_issue_cycle + 1
         # Stored when the scoreboard last moved (the tail of this function).
         ready = warp._opready
         limited_by_load = warp._by_load
-        gap = now - base
-        if gap < 0.0:
-            gap = 0.0
         data_stall = (now if now < ready else ready) - base
-        if data_stall < 0.0:
-            data_stall = 0.0
-        # gap == data_stall + sched_stall: Warp.cpl_stall relies on it.
-        sched_stall = now - (ready if ready > base else base)
-        if sched_stall < 0.0:
-            sched_stall = 0.0
-        warp.total_stall_cycles += gap
-        warp.sched_stall_cycles += sched_stall
-        if limited_by_load:
-            warp.mem_stall_cycles += data_stall
+        if data_stall > 0.0:
+            warp.data_stall_cycles += data_stall
+            if limited_by_load:
+                warp.mem_stall_cycles += data_stall
 
         obs = self.obs
         if obs is not None:
@@ -407,7 +398,7 @@ class StreamingMultiprocessor:
         cpl = self.cpl
         if cpl is not None:
             # Eq. 1's CPI inputs; the counter is derived from them and the
-            # stall sums when read.  Only data stalls feed it: counting
+            # data-stall sum when read.  Only data stalls feed it: counting
             # scheduler-induced wait would promote starved-but-ready warps
             # under a greedy scheduler, dissolving the working-set
             # concentration gCAWS inherits from GTO (DESIGN.md).  The
@@ -551,7 +542,6 @@ class StreamingMultiprocessor:
         scheduler.notify_issue(warp, now)
         for observer in self.issue_observers:
             observer.on_issue(self, warp, warp._insts[pc], now)
-        return kind == _K_LOAD or kind == _K_STORE
 
     def _finish_warp(self, warp: Warp, scheduler: WarpScheduler, now: float) -> None:
         warp.mark_finished(now)

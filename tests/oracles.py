@@ -13,9 +13,10 @@ from scratch, each wrapping methods on the instances it is handed:
   ``sm.warps``.
 
 Both re-derive readiness with :func:`readiness_from_scratch` and share no
-state with the structures they check.  A third,
-:class:`CPLReferenceOracle`, checks the CPL counter the warp derives when
-read against the eager per-issue update it replaced.
+state with the structures they check.  Two more keep an eager per-issue
+update the warp no longer does as a reference for what it derives:
+:class:`CPLReferenceOracle` for the CPL counter, and
+:class:`StallReferenceOracle` for the stall sums.
 """
 
 from __future__ import annotations
@@ -370,7 +371,7 @@ def set_cpl_inputs(warp, *, idx=0, elapsed=0.0, disparity=0.0, stall=0.0):
     warp._cpl_idx = idx
     warp._cpl_prev_issue = warp.start_cycle + elapsed
     warp._cpl_due = disparity + idx
-    warp.total_stall_cycles = warp.sched_stall_cycles + stall
+    warp.data_stall_cycles = stall
     warp._criticality = None
 
 
@@ -501,3 +502,51 @@ class CPLReferenceOracle(_LaunchOracle):
             return real_refresh(block)
 
         return refresh_block
+
+
+class StallReferenceOracle(_LaunchOracle):
+    """The eager per-issue stall sums, kept as a reference for the ones the
+    warp derives.
+
+    Wraps each SM's ``_issue`` on the instance, before launch.  Before every
+    issue it adds what the issue path once added to three per-warp sums —
+    the gap since the cycle after the previous issue (since dispatch, for
+    the first), the part of it past the operands' ready cycle (scheduler
+    stall) and, when a load produced the latest operand, the part before it
+    (memory stall), each clamped at zero.  After every issue it asserts that
+    the warp's ``total_stall_cycles``, ``sched_stall_cycles`` and
+    ``mem_stall_cycles`` are bit-equal to them.
+    """
+
+    NAMES = ("total_stall_cycles", "sched_stall_cycles", "mem_stall_cycles")
+
+    def __init__(self, gpu):
+        super().__init__(gpu)
+        self.issues = 0
+        #: ``warp -> [total, sched, mem]`` of the reference.
+        self._ref = {}
+        for sm in gpu.sms:
+            sm._issue = self._checked_issue(sm._issue)
+
+    def _checked_issue(self, real_issue):
+        def issue(warp, scheduler, now):
+            base = (warp.last_issue_cycle + 1 if warp.issued_instructions
+                    else warp.start_cycle)
+            ready = warp._opready
+            ref = self._ref.setdefault(warp, [0.0, 0.0, 0.0])
+            ref[0] += max(0.0, now - base)
+            ref[1] += max(0.0, now - max(ready, base))
+            if warp._by_load:
+                ref[2] += max(0.0, min(now, ready) - base)
+            outcome = real_issue(warp, scheduler, now)
+            for name, eager in zip(self.NAMES, ref):
+                derived = getattr(warp, name)
+                assert derived == eager, (
+                    f"{name} of warp {warp.dynamic_id} (block "
+                    f"{warp.block.block_id}) after its issue at cycle {now}: "
+                    f"derived {derived!r}, eager reference {eager!r}"
+                )
+            self.issues += 1
+            return outcome
+
+        return issue

@@ -25,15 +25,16 @@ def make_block_with_warps(num_warps=4):
     return block
 
 
-def issue(warp, data_stall=0.0):
+def issue(warp, data_stall=0.0, sched_stall=0.0):
     """Record what the SM's issue path records for CPL: this issue's CPI
-    inputs and its stall (all of it data stall), then move the cursor."""
+    inputs and its data stall, then move the cursor past a gap of both
+    stalls."""
     warp._cpl_idx = warp.issued_instructions
     warp._cpl_prev_issue = warp.last_issue_cycle
     warp._criticality = None
-    warp.total_stall_cycles += data_stall
+    warp.data_stall_cycles += data_stall
     warp.issued_instructions += 1
-    warp.last_issue_cycle += 1.0 + data_stall
+    warp.last_issue_cycle += 1.0 + data_stall + sched_stall
 
 
 def branch(pc=0, target=10, reconv=20):
@@ -113,10 +114,11 @@ class TestStallTerm:
         stall sums counts, and a warp CPL never accounted has none."""
         block = make_block_with_warps()
         warp = block.warps[0]
-        warp.total_stall_cycles = warp.sched_stall_cycles = 5.0
+        issue(warp, sched_stall=5.0)
+        assert warp.total_stall_cycles == warp.sched_stall_cycles == 5.0
         assert warp.cpl_stall == 0.0
         fresh = block.warps[1]
-        fresh.total_stall_cycles = 5.0
+        fresh.data_stall_cycles = 5.0
         assert fresh.cpl_stall == 0.0 and fresh.criticality == 0.0
 
 
@@ -139,7 +141,7 @@ class TestEquationOne:
         warp = block.warps[0]
         issue(warp, data_stall=4.0)
         assert warp.criticality == 4.0
-        warp.total_stall_cycles += 1.0  # not an issue: the value stands
+        warp.data_stall_cycles += 1.0  # not an issue: the value stands
         assert warp.criticality == 4.0
         issue(warp)
         assert warp.criticality == 5.0

@@ -12,7 +12,7 @@ from repro.feedback.signals import LEVEL_L1D, Sig
 from repro.isa.kernel import KernelBuilder
 from repro.memory.cache import Cache, CacheLine, CacheStats
 from repro.memory.mshr import MSHRFile
-from repro.memory.replacement import make_policy
+from repro.memory.replacement import RRPV_MAX, make_policy
 from repro.memory.request import MemRequest, make_signature
 from repro.core.cacp import CACPPolicy
 from repro.scheduling import make_scheduler
@@ -344,6 +344,47 @@ def test_prop_residency_index_matches_a_way_scan(policy_name, steps):
         assert all(cache._index[addr] is line for addr, line in valid.items())
         assert cache._valid_ways == [sum(line.valid for line in lines)
                                      for lines in cache._sets]
+
+
+# ----------------------------------------------------------------------
+# The one-step SRRIP victim search against the loop it replaced
+# ----------------------------------------------------------------------
+def _srrip_aging_loop(lines, lo, hi):
+    """SRRIP's victim search as it was: age the range by one until a way
+    reaches ``RRPV_MAX``, then take the first such way."""
+    while True:
+        for way in range(lo, hi):
+            if lines[way].rrpv >= RRPV_MAX:
+                return way
+        for way in range(lo, hi):
+            lines[way].rrpv += 1
+
+
+@st.composite
+def _way_range(draw, ways):
+    lo = draw(st.integers(0, ways - 1))
+    return lo, draw(st.integers(lo + 1, ways))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ways=st.integers(1, 16),
+       policy_name=st.sampled_from(["srrip", "cacp"]))
+def test_prop_one_step_srrip_aging_matches_the_loop(data, ways, policy_name):
+    """One aging step by ``RRPV_MAX - max`` picks the loop's victim and
+    leaves every line — inside the range and out — at the loop's RRPV
+    (ties among ways at the maximum are common: four values, 16 ways)."""
+    rrpvs = data.draw(st.lists(st.integers(0, RRPV_MAX), min_size=ways, max_size=ways))
+    lo, hi = data.draw(_way_range(ways))
+    lines = [CacheLine(valid=True, rrpv=rrpv) for rrpv in rrpvs]
+    twin = [CacheLine(valid=True, rrpv=rrpv) for rrpv in rrpvs]
+    if policy_name == "cacp":
+        # A full set: straight to the victim search, whatever the mode.
+        policy = CACPPolicy(critical_ways=8, total_ways=16)
+        victim = policy.choose_way(lines, None, lo, hi, full=True)
+    else:
+        victim = make_policy("srrip")._victim(lines, None, lo, hi)
+    assert victim == _srrip_aging_loop(twin, lo, hi)
+    assert [line.rrpv for line in lines] == [line.rrpv for line in twin]
 
 
 @settings(max_examples=30, deadline=None)

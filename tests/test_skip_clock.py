@@ -1,8 +1,8 @@
 """Unit tests for the time-skipping device loop's building blocks.
 
 Covers the device event heap as the skip loop keeps it (same-cycle order,
-superseded entries, past wakes, parking — asserted on the ticks
-``GPU._run_skip_loop`` makes over scripted SMs, since the heap is two of
+entries a dispatch replaces, past wakes, parking — asserted on the ticks
+``GPU._run_skip_loop`` makes over scripted SMs, since the heap is one of
 its locals), the stale-``now`` clamping in the DRAM/L2 queue-delay
 accessors that skip boundaries exposed, and the skip counters on
 :class:`~repro.stats.counters.RunResult`.  That skipped cycles were idle
@@ -117,11 +117,11 @@ class TestDeviceEventHeap:
         log = []
         # SM0's tick at t=5 leaves a live entry at t=50.  SM1 commits a
         # block at t=10; the dispatch hands SM0 warps that wake at t=12,
-        # which supersedes the t=50 entry: a tick at 50 is off-script.
+        # which replaces the t=50 entry: a tick at 50 is off-script.
         sm0 = ScriptedSM(0, 5.0, {5.0: 50.0, 12.0: 60.0, 60.0: math.inf}, log)
         sm1 = ScriptedSM(1, 10.0, {10.0: 70.0, 70.0: math.inf}, log, commits={10.0})
         dispatcher = OneDispatch(sm0, 12.0)
-        # Five jumps: the superseded entry is not an event time either.
+        # Five jumps: the replaced entry is not an event time either.
         assert run_skip_loop([sm0, sm1], dispatcher) == (70.0, 5)
         assert dispatcher.dispatched_at == 11.0
         assert log == [(5.0, 0), (10.0, 1), (12.0, 0), (60.0, 0), (70.0, 1)]
@@ -129,7 +129,7 @@ class TestDeviceEventHeap:
     def test_superseded_entry_is_skipped_among_due_ones(self):
         log = []
         # As above with the SMs swapped, and SM0 due at t=50 too: SM1's
-        # superseded entry surfaces behind a live one, mid-cycle.
+        # replaced t=50 entry must not tick it beside SM0, mid-cycle.
         sm0 = ScriptedSM(0, 10.0, {10.0: 50.0, 50.0: 70.0, 70.0: math.inf}, log,
                          commits={10.0})
         sm1 = ScriptedSM(1, 5.0, {5.0: 50.0, 12.0: 60.0, 60.0: math.inf}, log)

@@ -83,7 +83,7 @@ class TestIssueTiming:
         _, lsu, warp = env
         with pytest.raises(TraceFormatError, match="no line addresses"):
             lsu.issue(warp, load_inst(), full_mask(32), 0.0, False, None)
-        assert lsu.global_accesses == 0
+        assert lsu.l1d.stats.accesses == 0
 
     def test_more_lines_take_longer(self, env):
         config, lsu, warp = env
@@ -110,9 +110,8 @@ class TestIssueTiming:
         _, lsu, warp = env
         lines = recorded_lines(lsu, np.arange(32, dtype=np.int64) * 128)
         lsu.issue(warp, load_inst(), full_mask(32), 0.0, False, lines)
-        assert lsu.global_accesses == 1
-        assert lsu.line_accesses == 32
-        assert lsu.l1_misses == 32
+        assert lsu.l1d.stats.accesses == 32
+        assert lsu.l1d.stats.misses == 32
 
     def test_critical_flag_propagates(self, env):
         _, lsu, warp = env

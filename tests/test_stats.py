@@ -76,8 +76,12 @@ class TestDisparity:
     def test_stall_shares(self):
         block = make_block([100.0])
         warp = block.warps[0]
-        warp.mem_stall_cycles = 40.0
-        warp.sched_stall_cycles = 10.0
+        # 51 issues over cycles 0..100: 50 stall cycles, 40 of them
+        # waiting on loads, the other 10 scheduler stall.
+        warp.issued_instructions = 51
+        warp.last_issue_cycle = 100.0
+        warp.data_stall_cycles = warp.mem_stall_cycles = 40.0
+        assert warp.sched_stall_cycles == 10.0
         assert memory_stall_share(warp) == pytest.approx(0.4)
         assert scheduler_stall_share(warp) == pytest.approx(0.1)
 
