@@ -38,9 +38,11 @@ def test_ablation_greedy_time_slice(benchmark):
     """
 
     def disable_greedy(gpu):
+        # The slice is ``WarpScheduler.greedy``: a slot that never finds its
+        # last warp among the candidates picks by criticality every time.
         for sm in gpu.sms:
             for sched in sm.schedulers:
-                sched.greedy = False
+                sched.greedy = lambda ready: None
 
     def run_both():
         full = _run_with("gcaws")

@@ -84,7 +84,7 @@ def cmd_list(args) -> int:
 
 def cmd_schemes(args) -> int:
     from .feedback.signals import Sig, schema_table
-    from .scheduling.registry import SCHEDULERS, scheduler_info
+    from .scheduling.registry import SCHEDULERS
 
     if args.signals:
         print(schema_table())
@@ -107,19 +107,17 @@ def cmd_schemes(args) -> int:
         print(format_head_to_head(results, workloads))
         return 0
     print("Registered warp schedulers (see docs/schemes.md):")
-    seen = {}
     for name in sorted(SCHEDULERS):
-        factory = SCHEDULERS[name]
-        if factory in seen:
-            print(f"  {name:<10} alias of {seen[factory]}")
+        scheduler = SCHEDULERS[name]
+        if name != scheduler.name:
+            print(f"  {name:<10} alias of {scheduler.name}")
             continue
-        seen[factory] = name
-        description, kinds = scheduler_info(name)
+        kinds = scheduler.FEEDBACK_KINDS
         signals = (
             "subscribes: " + ",".join(Sig(k).name for k in kinds)
             if kinds else "no feedback subscription"
         )
-        print(f"  {name:<10} {description}")
+        print(f"  {name:<10} {scheduler.DESCRIPTION}")
         print(f"  {'':<10} {signals}")
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..simt.warp import Warp
-from .base import WarpScheduler
+from .base import WarpScheduler, warp_key
 
 OracleTable = Dict[Tuple[int, int], float]
 
@@ -22,20 +22,14 @@ class OracleCAWSScheduler(WarpScheduler):
     DESCRIPTION = "oracle criticality priority from profiled per-warp times"
 
     def __init__(self, oracle: Optional[OracleTable] = None) -> None:
+        super().__init__()
         #: Measured per-warp execution times from a profiling run; larger
         #: means more critical.  Missing warps rank lowest.
         self.oracle: OracleTable = oracle or {}
 
     def _criticality(self, warp: Warp) -> float:
-        return self.oracle.get((warp.block.block_id, warp.warp_id_in_block), 0.0)
+        return self.oracle.get(warp_key(warp), 0.0)
 
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
-        # Most critical first, oldest on ties: in dispatch order that is
-        # the first warp with the highest profiled time.
-        best = None
-        best_time = 0.0
-        for warp in ready:
-            time = self._criticality(warp)
-            if best is None or time > best_time:
-                best, best_time = warp, time
-        return best
+        # Most critical first; the first maximum is the oldest on ties.
+        return max(ready, key=self._criticality)

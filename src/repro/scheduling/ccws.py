@@ -20,11 +20,11 @@ so the arithmetic is bit-deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..feedback.signals import LEVEL_L1D, Sig
 from ..simt.warp import Warp, WarpStatus
-from .base import WarpScheduler
+from .base import WarpScheduler, warp_key
 
 #: Every live warp's floor score; the cutoff is BASE_SCORE x live warps,
 #: so with no lost locality anywhere the prefix covers all warps and CCWS
@@ -88,10 +88,7 @@ class CCWSScheduler(WarpScheduler):
         "throttling (Rogers MICRO'12)"
     )
     FEEDBACK_KINDS = (_EVICT, _MISS)
-
-    def __init__(self) -> None:
-        self._warps: Dict[Tuple[int, int], _WarpLocality] = {}
-        self._last_id = -1
+    TRACK = _WarpLocality
 
     # -- feedback ----------------------------------------------------------
 
@@ -102,22 +99,14 @@ class CCWSScheduler(WarpScheduler):
         if kind == _EVICT:
             # (kind, cycle, sm, level, victim_block, victim_warp,
             #  line_addr, reused, evictor_block, evictor_warp)
-            loc = self._warps.get((record[4], record[5]))
+            loc = self.warps.get((record[4], record[5]))
             if loc is not None:
                 loc.record_victim(record[6])
         elif kind == _MISS:
             # (kind, cycle, sm, level, block, warp, line_addr, pc)
-            loc = self._warps.get((record[4], record[5]))
+            loc = self.warps.get((record[4], record[5]))
             if loc is not None:
                 loc.probe(record[6], record[1])
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def notify_warp_added(self, warp: Warp) -> None:
-        self._warps[(warp.block.block_id, warp.warp_id_in_block)] = _WarpLocality(warp)
-
-    def notify_warp_finished(self, warp: Warp) -> None:
-        self._warps.pop((warp.block.block_id, warp.warp_id_in_block), None)
 
     # -- selection ---------------------------------------------------------
 
@@ -125,7 +114,7 @@ class CCWSScheduler(WarpScheduler):
         """Keys of warps inside the LLS cutoff prefix (None = no throttle)."""
         live = [
             (key, loc.score(now), loc.warp.dynamic_id)
-            for key, loc in self._warps.items()
+            for key, loc in self.warps.items()
             if loc.warp.status is WarpStatus.RUNNING
         ]
         if not live:
@@ -148,10 +137,7 @@ class CCWSScheduler(WarpScheduler):
         if allowed is None:
             pool = ready
         else:
-            pool = [
-                w for w in ready
-                if (w.block.block_id, w.warp_id_in_block) in allowed
-            ]
+            pool = [w for w in ready if warp_key(w) in allowed]
             if not pool:
                 # Decline the slot: the SM re-ticks next cycle.  Liveness:
                 # the prefix always contains the top-score RUNNING warps,
@@ -159,12 +145,5 @@ class CCWSScheduler(WarpScheduler):
                 # barrier leave the live set so throttled peers re-enter.
                 return None
         # Round-robin over the allowed warps (filtered in order, so still
-        # ascending): first id past the pointer, else wrap to the oldest.
-        last_id = self._last_id
-        for warp in pool:
-            if warp.dynamic_id > last_id:
-                return warp
-        return pool[0]
-
-    def notify_issue(self, warp: Warp, now: float) -> None:
-        self._last_id = warp.dynamic_id
+        # ascending).
+        return self.rotate(pool)

@@ -14,11 +14,11 @@ least-interfering one issues anyway, so the scheme can never deadlock.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..feedback.signals import LEVEL_L1D, Sig
 from ..simt.warp import Warp
-from .base import WarpScheduler
+from .base import WarpScheduler, warp_key
 
 #: Interference points: evicting a reused line destroys proven locality.
 BUMP_REUSED = 2.0
@@ -69,10 +69,7 @@ class CIAOScheduler(WarpScheduler):
         "hysteresis throttling of heavy interferers"
     )
     FEEDBACK_KINDS = (_EVICT,)
-
-    def __init__(self) -> None:
-        self._warps: Dict[Tuple[int, int], _Interference] = {}
-        self._greedy_target: Optional[Warp] = None
+    TRACK = _Interference
 
     # -- feedback ----------------------------------------------------------
 
@@ -85,40 +82,24 @@ class CIAOScheduler(WarpScheduler):
         evictor_key = (record[8], record[9])
         if victim_key == evictor_key or victim_key[0] < 0 or evictor_key[0] < 0:
             return  # self-eviction or unattributed line: not interference
-        entry = self._warps.get(evictor_key)
+        entry = self.warps.get(evictor_key)
         if entry is None:
             return  # other slot's warp — its own scheduler instance scores it
         entry.bump(BUMP_REUSED if record[7] else BUMP_UNUSED, record[1])
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def notify_warp_added(self, warp: Warp) -> None:
-        self._warps[(warp.block.block_id, warp.warp_id_in_block)] = _Interference(warp)
-
-    def notify_warp_finished(self, warp: Warp) -> None:
-        self._warps.pop((warp.block.block_id, warp.warp_id_in_block), None)
-        if self._greedy_target is warp:
-            self._greedy_target = None
-
     # -- selection ---------------------------------------------------------
 
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
+        warps = self.warps
         pool = []
         for warp in ready:
-            entry = self._warps.get((warp.block.block_id, warp.warp_id_in_block))
+            entry = warps.get(warp_key(warp))
             if entry is None or not entry.is_throttled(now):
                 pool.append(warp)
         if not pool:
             # Every ready warp is benched (so each has an entry): let the
             # least-interfering one issue anyway so the SM always makes
             # progress — oldest on ties, i.e. the first minimum.
-            return min(
-                ready,
-                key=lambda w: self._warps[(w.block.block_id, w.warp_id_in_block)].score,
-            )
-        if self._greedy_target is not None and self._greedy_target in pool:
-            return self._greedy_target
-        return pool[0]  # oldest: ``pool`` was filtered in dispatch order
-
-    def notify_issue(self, warp: Warp, now: float) -> None:
-        self._greedy_target = warp
+            return min(ready, key=lambda w: warps[warp_key(w)].score)
+        # Greedy, else the oldest: ``pool`` was filtered in dispatch order.
+        return self.greedy(pool) or pool[0]

@@ -15,6 +15,14 @@ from typing import List, Optional
 from ..simt.warp import Warp
 from .base import WarpScheduler
 
+#: Criticality counters are compared as logarithmic buckets of this base (a
+#: hardware implementation compares the counters' leading-bit position).  A
+#: warp only outranks its peers when its counter is *proportionally* larger
+#: — the genuine tail-warp case — so near-equal warps fall through to the
+#: oldest-first tie-break and gCAWS keeps GTO's working-set concentration.
+RATIO = 2.0
+_LOG_RATIO = math.log(RATIO)
+
 
 class GCAWSScheduler(WarpScheduler):
     """greedy Criticality-Aware Warp Scheduler (paper Section 3.2).
@@ -26,20 +34,6 @@ class GCAWSScheduler(WarpScheduler):
 
     name = "gcaws"
     DESCRIPTION = "CAWA's online CPL criticality priority + GTO greedy slice"
-
-    def __init__(self, greedy: bool = True, ratio: float = 2.0) -> None:
-        #: Disabling ``greedy`` yields the pure criticality-priority ablation
-        #: (criticality order, no extended time slice).
-        self.greedy = greedy
-        #: Criticality counters are compared as logarithmic buckets of base
-        #: ``ratio`` (a hardware implementation compares the counters'
-        #: leading-bit position).  A warp only outranks its peers when its
-        #: counter is *proportionally* larger — the genuine tail-warp case —
-        #: so near-equal warps fall through to the oldest-first tie-break
-        #: and gCAWS keeps GTO's working-set concentration.
-        self.ratio = ratio
-        self._log_ratio = math.log(ratio)
-        self._greedy_target: Optional[Warp] = None
 
     def _bucket(self, warp: Warp) -> int:
         # Criticality only outranks age once the warp's block is in its
@@ -53,26 +47,8 @@ class GCAWSScheduler(WarpScheduler):
         criticality = warp.criticality
         if criticality < 1.0:
             return 0
-        return int(math.log(criticality) / self._log_ratio) + 1
+        return int(math.log(criticality) / _LOG_RATIO) + 1
 
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
-        if self.greedy and self._greedy_target is not None and self._greedy_target in ready:
-            return self._greedy_target
-        # Highest criticality bucket first; oldest (smallest dynamic id)
-        # breaks ties, mirroring GTO: in dispatch order that is the first
-        # warp of the best bucket.
-        best = None
-        best_bucket = -1  # buckets are >= 0
-        for warp in ready:
-            bucket = self._bucket(warp)
-            if bucket > best_bucket:
-                best, best_bucket = warp, bucket
-        return best
-
-    def notify_issue(self, warp: Warp, now: float) -> None:
-        if self.greedy:
-            self._greedy_target = warp
-
-    def notify_warp_finished(self, warp: Warp) -> None:
-        if self._greedy_target is warp:
-            self._greedy_target = None
+        # Highest bucket first; the first maximum is the oldest on ties.
+        return self.greedy(ready) or max(ready, key=self._bucket)

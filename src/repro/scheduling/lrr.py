@@ -17,18 +17,5 @@ class LRRScheduler(WarpScheduler):
     name = "lrr"
     DESCRIPTION = "loose round-robin: fair turns, criticality-oblivious baseline"
 
-    def __init__(self) -> None:
-        self._last_id: int = -1
-
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
-        # Rotate: the ready warp with the smallest id strictly greater than
-        # the last issued id; wrap to the smallest id if none.  ``ready``
-        # is in ascending id order.
-        last_id = self._last_id
-        for warp in ready:
-            if warp.dynamic_id > last_id:
-                return warp
-        return ready[0]
-
-    def notify_issue(self, warp: Warp, now: float) -> None:
-        self._last_id = warp.dynamic_id
+        return self.rotate(ready)

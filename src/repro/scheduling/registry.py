@@ -3,12 +3,13 @@
 Every warp scheduler is registered here by name; ``GPUConfig`` validates
 scheduler names eagerly against this table at construction time, so an
 unknown name fails when the config is built, not when the device is.
-``repro schemes`` renders :func:`scheduler_info` for every entry.
+A key equal to its class's ``name`` is the canonical name; any other key
+for the same class is an alias.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, Type
 
 from .base import WarpScheduler
 from .caws import OracleCAWSScheduler
@@ -20,7 +21,7 @@ from .lrr import LRRScheduler
 from .two_level import TwoLevelScheduler
 from .wasp import WaSPScheduler
 
-SCHEDULERS: Dict[str, Callable[..., WarpScheduler]] = {
+SCHEDULERS: Dict[str, Type[WarpScheduler]] = {
     "lrr": LRRScheduler,
     "rr": LRRScheduler,  # the paper calls the baseline "RR"
     "gto": GTOScheduler,
@@ -44,15 +45,3 @@ def make_scheduler(name: str, **kwargs) -> WarpScheduler:
         ) from None
     return factory(**kwargs)
 
-
-def scheduler_info(name: str) -> Tuple[str, Tuple[int, ...]]:
-    """Return ``(description, feedback_kinds)`` for one registry entry."""
-    factory = SCHEDULERS[name]
-    description = getattr(factory, "DESCRIPTION", "") or ""
-    kinds = tuple(getattr(factory, "FEEDBACK_KINDS", ()))
-    return description, kinds
-
-
-def scheduler_names() -> List[str]:
-    """Registered names, sorted (includes aliases like ``rr``/``2lev``)."""
-    return sorted(SCHEDULERS)

@@ -14,35 +14,23 @@ from typing import List, Optional
 from ..simt.warp import Warp
 from .base import WarpScheduler
 
+#: Warps per fetch group, by dynamic id.
+FETCH_GROUP_SIZE = 8
+
+
+def _in_group(ready: List[Warp], warp: Warp) -> List[Warp]:
+    """The candidates in ``warp``'s fetch group (still ascending)."""
+    group = warp.dynamic_id // FETCH_GROUP_SIZE
+    return [w for w in ready if w.dynamic_id // FETCH_GROUP_SIZE == group]
+
 
 class TwoLevelScheduler(WarpScheduler):
     name = "two_level"
     DESCRIPTION = "two-level fetch groups: round-robin inside one active group"
 
-    def __init__(self, fetch_group_size: int = 8) -> None:
-        if fetch_group_size <= 0:
-            raise ValueError("fetch_group_size must be positive")
-        self.fetch_group_size = fetch_group_size
-        self._active_group = 0
-        self._last_id = -1
-
-    def _group_of(self, warp: Warp) -> int:
-        return warp.dynamic_id // self.fetch_group_size
-
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
-        in_active = [w for w in ready if self._group_of(w) == self._active_group]
-        if not in_active:
-            # Rotate to the group owning the oldest ready warp.
-            self._active_group = self._group_of(ready[0])
-            in_active = [w for w in ready if self._group_of(w) == self._active_group]
-        # Round-robin within the active group (filtered in order, so still
-        # ascending): first id past the pointer, else wrap to the oldest.
-        last_id = self._last_id
-        for warp in in_active:
-            if warp.dynamic_id > last_id:
-                return warp
-        return in_active[0]
-
-    def notify_issue(self, warp: Warp, now: float) -> None:
-        self._last_id = warp.dynamic_id
-        self._active_group = self._group_of(warp)
+        # The active group is the last issued warp's; when none of it is
+        # ready, rotate to the group owning the oldest ready warp.
+        last = self.last
+        in_active = _in_group(ready, last) if last is not None else None
+        return self.rotate(in_active or _in_group(ready, ready[0]))

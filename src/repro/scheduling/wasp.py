@@ -18,7 +18,7 @@ up.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..feedback.signals import LEVEL_L1D, Sig
 from ..simt.warp import Warp, WarpStatus
@@ -49,8 +49,7 @@ class WaSPScheduler(WarpScheduler):
     FEEDBACK_KINDS = (_EVICT,)
 
     def __init__(self) -> None:
-        self._warps: Dict[Tuple[int, int], Warp] = {}
-        self._greedy_target: Optional[Warp] = None
+        super().__init__()
         self._max_lead = MAX_LEAD
         self._window_evictions = 0
         self._window_wasted = 0
@@ -62,7 +61,7 @@ class WaSPScheduler(WarpScheduler):
         #  reused, evictor_block, evictor_warp)
         if record[3] != LEVEL_L1D:
             return
-        victim = self._warps.get((record[4], record[5]))
+        victim = self.warps.get((record[4], record[5]))
         if victim is None or not _is_prefetcher(victim):
             return
         self._window_evictions += 1
@@ -76,22 +75,12 @@ class WaSPScheduler(WarpScheduler):
             self._window_evictions = 0
             self._window_wasted = 0
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def notify_warp_added(self, warp: Warp) -> None:
-        self._warps[(warp.block.block_id, warp.warp_id_in_block)] = warp
-
-    def notify_warp_finished(self, warp: Warp) -> None:
-        self._warps.pop((warp.block.block_id, warp.warp_id_in_block), None)
-        if self._greedy_target is warp:
-            self._greedy_target = None
-
     # -- selection ---------------------------------------------------------
 
     def _follower_floor(self) -> Optional[int]:
         """Fewest issued instructions among live follower warps."""
         floor: Optional[int] = None
-        for warp in self._warps.values():
+        for warp in self.warps.values():
             if _is_prefetcher(warp) or warp.status is not WarpStatus.RUNNING:
                 continue
             issued = warp.issued_instructions
@@ -106,9 +95,4 @@ class WaSPScheduler(WarpScheduler):
             for warp in ready:  # dispatch order: the first runner is the oldest
                 if _is_prefetcher(warp) and warp.issued_instructions < limit:
                     return warp
-        if self._greedy_target is not None and self._greedy_target in ready:
-            return self._greedy_target
-        return ready[0]
-
-    def notify_issue(self, warp: Warp, now: float) -> None:
-        self._greedy_target = warp
+        return self.greedy(ready) or ready[0]

@@ -539,7 +539,7 @@ class StreamingMultiprocessor:
                 if warp.block.barrier_arrive(warp):
                     self._release_barrier(warp.block, now)
 
-        scheduler.notify_issue(warp, now)
+        scheduler.last = warp
         for observer in self.issue_observers:
             observer.on_issue(self, warp, warp._insts[pc], now)
 

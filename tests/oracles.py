@@ -13,10 +13,11 @@ from scratch, each wrapping methods on the instances it is handed:
   ``sm.warps``.
 
 Both re-derive readiness with :func:`readiness_from_scratch` and share no
-state with the structures they check.  Two more keep an eager per-issue
-update the warp no longer does as a reference for what it derives:
-:class:`CPLReferenceOracle` for the CPL counter, and
-:class:`StallReferenceOracle` for the stall sums.
+state with the structures they check.  Three more keep eager bookkeeping
+the model no longer does as a reference for what it derives:
+:class:`CPLReferenceOracle` for the CPL counter,
+:class:`StallReferenceOracle` for the stall sums, and
+:class:`SelectReferenceOracle` for every scheduler's pick.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 
 from repro import GPU
 from repro.core.cacp import CACPPolicy
+from repro.scheduling.two_level import FETCH_GROUP_SIZE
 from repro.simt.warp import WarpStatus
 
 
@@ -550,3 +552,165 @@ class StallReferenceOracle(_LaunchOracle):
             return outcome
 
         return issue
+
+
+# ----------------------------------------------------------------------
+# select() against the bookkeeping the schedulers once kept
+# ----------------------------------------------------------------------
+class SelectBook:
+    """What each scheduler slot stored eagerly before it derived it from
+    ``WarpScheduler.last``: the greedy target (set by every pick, cleared
+    when its warp exits), the round-robin pointer, and two-level's active
+    group (set by every pick, rotated inside ``select``)."""
+
+    def __init__(self):
+        self.target = None
+        self.last_id = -1
+        self.group = 0
+
+    def issued(self, warp):
+        self.target = warp
+        self.last_id = warp.dynamic_id
+        self.group = warp.dynamic_id // FETCH_GROUP_SIZE
+
+    def finished(self, warp):
+        if self.target is warp:
+            self.target = None
+
+
+def _dyn(warp):
+    return warp.dynamic_id
+
+
+def _key(warp):
+    return (warp.block.block_id, warp.warp_id_in_block)
+
+
+def _oldest(ready):
+    return min(ready, key=_dyn)
+
+
+def _round_robin(book, pool):
+    after = [w for w in pool if w.dynamic_id > book.last_id]
+    return min(after if after else pool, key=_dyn)
+
+
+def _greedy_then(book, ready, fallback):
+    if book.target is not None and book.target in ready:
+        return book.target
+    return fallback(ready)
+
+
+def _ref_two_level(s, book, ready, now):
+    def group(warp):
+        return warp.dynamic_id // FETCH_GROUP_SIZE
+
+    in_active = [w for w in ready if group(w) == book.group]
+    if not in_active:
+        book.group = group(_oldest(ready))
+        in_active = [w for w in ready if group(w) == book.group]
+    return _round_robin(book, in_active)
+
+
+def _ref_ccws(s, book, ready, now):
+    allowed = s._allowed(now)
+    if allowed is None:
+        return _round_robin(book, ready)
+    pool = [w for w in ready if _key(w) in allowed]
+    return _round_robin(book, pool) if pool else None
+
+
+def _ref_ciao(s, book, ready, now):
+    table = s.warps
+    pool = [w for w in ready
+            if _key(w) not in table or not table[_key(w)].is_throttled(now)]
+    if not pool:
+        return min(ready, key=lambda w: (
+            table[_key(w)].score if _key(w) in table else 0.0, w.dynamic_id))
+    return _greedy_then(book, pool, _oldest)
+
+
+def _ref_wasp(s, book, ready, now):
+    floor = s._follower_floor()
+    if floor is not None:
+        limit = floor + s._max_lead
+        runners = [w for w in ready
+                   if w.dynamic_id % 4 == 0 and w.issued_instructions < limit]
+        if runners:
+            return _oldest(runners)
+    return _greedy_then(book, ready, _oldest)
+
+
+#: Every registered scheduler's ``select`` as it was written before it
+#: derived its order from ``last``: explicit ``min`` / ``max`` with keys over
+#: a :class:`SelectBook`, no ``ready[0]``.  ``reference(scheduler, book,
+#: ready, now)`` reads only scheme scores off the scheduler (``_allowed``,
+#: ``_bucket``, ``_criticality``, ``_follower_floor``, ``_max_lead``,
+#: ``warps``); call it after the real ``select`` at the same ``now``, so
+#: CIAO's lazily-decayed scores are already current.
+SELECT_REFERENCE = {
+    "lrr": lambda s, book, ready, now: _round_robin(book, ready),
+    "gto": lambda s, book, ready, now: _greedy_then(book, ready, _oldest),
+    "two_level": _ref_two_level,
+    "caws": lambda s, book, ready, now: max(
+        ready, key=lambda w: (s._criticality(w), -w.dynamic_id)),
+    "gcaws": lambda s, book, ready, now: _greedy_then(book, ready, lambda r: max(
+        r, key=lambda w: (s._bucket(w), -w.dynamic_id))),
+    "ccws": _ref_ccws,
+    "ciao": _ref_ciao,
+    "wasp": _ref_wasp,
+}
+SELECT_REFERENCE["rr"] = SELECT_REFERENCE["lrr"]
+SELECT_REFERENCE["2lev"] = SELECT_REFERENCE["two_level"]
+
+
+class SelectReferenceOracle(_LaunchOracle):
+    """The schedulers' eager bookkeeping, kept as a reference for the
+    order they derive from the slot's last issue.
+
+    Wraps every scheduler's ``select`` and ``notify_warp_finished`` on the
+    instances, before launch, and gives each slot a :class:`SelectBook`.
+    After every real ``select`` it asserts that the scheme's
+    :data:`SELECT_REFERENCE` formulation over the book picks the very same
+    warp (or declines too), then books the pick as issued — the SM issues
+    every warp ``select`` returns.  A warp's exit clears the book's greedy
+    target, as the schedulers once did.
+    """
+
+    def __init__(self, gpu):
+        super().__init__(gpu)
+        self.selects = 0
+        for sm in gpu.sms:
+            for slot, scheduler in enumerate(sm.schedulers):
+                book = SelectBook()
+                scheduler.select = self._checked_select(
+                    f"SM{sm.sm_id} slot {slot} ({scheduler.name})",
+                    scheduler, book, scheduler.select)
+                scheduler.notify_warp_finished = self._booked_finish(
+                    book, scheduler.notify_warp_finished)
+
+    def _checked_select(self, where, scheduler, book, real_select):
+        reference = SELECT_REFERENCE[scheduler.name]
+
+        def select(ready, now):
+            got = real_select(ready, now)
+            want = reference(scheduler, book, ready, now)
+            assert got is want, (
+                f"select of {where} at cycle {now}: picked "
+                f"{got and got.dynamic_id}, the eager reference "
+                f"{want and want.dynamic_id} from {[w.dynamic_id for w in ready]}"
+            )
+            if got is not None:
+                book.issued(got)
+            self.selects += 1
+            return got
+
+        return select
+
+    @staticmethod
+    def _booked_finish(book, real_finish):
+        def notify_warp_finished(warp):
+            book.finished(warp)
+            real_finish(warp)
+
+        return notify_warp_finished

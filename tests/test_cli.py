@@ -37,6 +37,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "bfs" in out and "cawa" in out and "Non-sens" in out
 
+    def test_schemes_names_aliases_by_their_canonical_scheduler(self, capsys):
+        assert main(["schemes"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  2lev       alias of two_level" in lines
+        assert "  rr         alias of lrr" in lines
+        assert sum("alias of" in line for line in lines) == 2
+
     def test_run_synthetic(self, capsys):
         code = main([
             "run", "--workload", "synthetic_divergence", "--scheme", "gto",

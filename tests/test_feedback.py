@@ -28,12 +28,7 @@ from repro.scheduling import ciao as ciao_mod
 from repro.scheduling import wasp as wasp_mod
 from repro.scheduling.ccws import CCWSScheduler
 from repro.scheduling.ciao import CIAOScheduler
-from repro.scheduling.registry import (
-    SCHEDULERS,
-    make_scheduler,
-    scheduler_info,
-    scheduler_names,
-)
+from repro.scheduling.registry import SCHEDULERS, make_scheduler
 from repro.scheduling.wasp import WaSPScheduler
 from repro.simt.warp import WarpStatus
 
@@ -146,7 +141,7 @@ class TestConfigValidation:
             GPUConfig.default_sim(scheduler_name="bogus")
 
     def test_every_registered_name_is_accepted(self):
-        for name in scheduler_names():
+        for name in SCHEDULERS:
             assert GPUConfig.default_sim().with_scheduler(name).scheduler_name == name
 
 
@@ -159,21 +154,19 @@ class TestRegistry:
             make_scheduler("bogus")
 
     def test_every_scheduler_has_a_description(self):
-        for name in SCHEDULERS:
-            description, _ = scheduler_info(name)
-            assert description, f"{name} has no DESCRIPTION"
+        for name, scheduler in SCHEDULERS.items():
+            assert scheduler.DESCRIPTION, f"{name} has no DESCRIPTION"
 
     def test_feedback_kinds_are_valid_sig_values(self):
-        for name in SCHEDULERS:
-            _, kinds = scheduler_info(name)
-            for kind in kinds:
+        for scheduler in SCHEDULERS.values():
+            for kind in scheduler.FEEDBACK_KINDS:
                 Sig(kind)  # raises on junk
 
     def test_consumer_subscriptions(self):
-        assert set(scheduler_info("ccws")[1]) == {int(Sig.EVICT), int(Sig.MISS)}
-        assert set(scheduler_info("wasp")[1]) == {int(Sig.EVICT)}
-        assert set(scheduler_info("ciao")[1]) == {int(Sig.EVICT)}
-        assert scheduler_info("gto")[1] == ()
+        assert set(SCHEDULERS["ccws"].FEEDBACK_KINDS) == {int(Sig.EVICT), int(Sig.MISS)}
+        assert set(SCHEDULERS["wasp"].FEEDBACK_KINDS) == {int(Sig.EVICT)}
+        assert set(SCHEDULERS["ciao"].FEEDBACK_KINDS) == {int(Sig.EVICT)}
+        assert SCHEDULERS["gto"].FEEDBACK_KINDS == ()
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +216,7 @@ class TestCCWSUnit:
     def test_no_lost_locality_degenerates_to_round_robin(self):
         sched, warps = self._scheduler()
         assert sched.select(warps, 1.0) is warps[0]
-        sched.notify_issue(warps[0], 1.0)
+        sched.last = warps[0]
         assert sched.select(warps, 2.0) is warps[1]
 
     def test_vta_hit_throttles_the_tail(self):
@@ -237,7 +230,7 @@ class TestCCWSUnit:
         # A slot offering only the throttled warp is declined ...
         assert sched.select([warps[3]], 2.0) is None
         # ... while the locality-heavy warp wins a mixed slot.
-        sched._last_id = -1
+        sched.last = None
         assert sched.select([warps[0], warps[3]], 2.0) is warps[0]
 
     def test_score_decays_back_to_baseline(self):
@@ -252,7 +245,7 @@ class TestCCWSUnit:
         sched, warps = self._scheduler(1)
         for i in range(ccws_mod.VTA_ENTRIES + 2):
             sched.on_signal(_evict(warps[0], warps[0], 0x1000 + i))
-        loc = sched._warps[(0, 0)]
+        loc = sched.warps[(0, 0)]
         assert len(loc.vta) == ccws_mod.VTA_ENTRIES
         assert 0x1000 not in loc.vta and 0x1001 not in loc.vta
 
@@ -260,7 +253,7 @@ class TestCCWSUnit:
         sched, warps = self._scheduler(1)
         stranger = _StubWarp(99, block_id=7)
         sched.on_signal(_miss(stranger, 0x400))  # other slot's warp
-        assert sched._warps[(0, 0)].bonus == 0.0
+        assert sched.warps[(0, 0)].bonus == 0.0
 
 
 class TestWaSPUnit:
@@ -332,7 +325,7 @@ class TestCIAOUnit:
     def test_hysteresis_releases_after_decay(self):
         sched, (w0, w1) = self._scheduler()
         self._saturate(sched, victim=w1, evictor=w0, cycle=1.0)
-        entry = sched._warps[(0, 0)]
+        entry = sched.warps[(0, 0)]
         assert entry.is_throttled(1.0)
         # Still benched above the low-water mark ...
         mid = 1.0 + ciao_mod.DECAY_PERIOD * (
@@ -348,7 +341,7 @@ class TestCIAOUnit:
     def test_self_eviction_is_not_interference(self):
         sched, (w0, w1) = self._scheduler()
         sched.on_signal(_evict(w0, w0, 0x400, reused=1))
-        assert sched._warps[(0, 0)].score == 0.0
+        assert sched.warps[(0, 0)].score == 0.0
 
     def test_unattributed_victim_ignored(self):
         sched, (w0, w1) = self._scheduler()
@@ -358,4 +351,4 @@ class TestCIAOUnit:
             w0.block.block_id, w0.warp_id_in_block,
         )
         sched.on_signal(record)
-        assert sched._warps[(0, 0)].score == 0.0
+        assert sched.warps[(0, 0)].score == 0.0

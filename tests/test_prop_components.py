@@ -19,7 +19,7 @@ from repro.scheduling import make_scheduler
 from repro.scheduling.registry import SCHEDULERS
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp, WarpStatus
-from tests.oracles import set_criticality
+from tests.oracles import SELECT_REFERENCE, SelectBook, set_criticality
 
 
 def make_warps(count):
@@ -54,7 +54,7 @@ def test_prop_scheduler_always_picks_from_ready(scheduler_name, num_warps, data)
         ready = [warps[i] for i in sorted(set(subset_idx))]
         pick = scheduler.select(ready, float(step))
         assert pick in ready
-        scheduler.notify_issue(pick, float(step))
+        scheduler.last = pick
 
 
 # ----------------------------------------------------------------------
@@ -62,82 +62,6 @@ def test_prop_scheduler_always_picks_from_ready(scheduler_name, num_warps, data)
 # ----------------------------------------------------------------------
 def _dyn(warp):
     return warp.dynamic_id
-
-
-def _round_robin(scheduler, pool):
-    after = [w for w in pool if w.dynamic_id > scheduler._last_id]
-    return min(after if after else pool, key=_dyn)
-
-
-def _greedy_then(scheduler, ready, fallback):
-    target = scheduler._greedy_target
-    if target is not None and target in ready:
-        return target
-    return fallback(ready)
-
-
-def _ref_two_level(s, ready, now):
-    in_active = [w for w in ready if s._group_of(w) == s._active_group]
-    if not in_active:
-        s._active_group = s._group_of(min(ready, key=_dyn))
-        in_active = [w for w in ready if s._group_of(w) == s._active_group]
-    return _round_robin(s, in_active)
-
-
-def _ref_gcaws(s, ready, now):
-    return _greedy_then(s, ready, lambda r: max(
-        r, key=lambda w: (s._bucket(w), -w.dynamic_id)))
-
-
-def _ref_ccws(s, ready, now):
-    allowed = s._allowed(now)
-    if allowed is None:
-        return _round_robin(s, ready)
-    pool = [w for w in ready if (w.block.block_id, w.warp_id_in_block) in allowed]
-    return _round_robin(s, pool) if pool else None
-
-
-def _ref_ciao(s, ready, now):
-    def key_of(w):
-        return (w.block.block_id, w.warp_id_in_block)
-
-    pool = [w for w in ready
-            if key_of(w) not in s._warps or not s._warps[key_of(w)].is_throttled(now)]
-    if not pool:
-        return min(ready, key=lambda w: (
-            s._warps[key_of(w)].score if key_of(w) in s._warps else 0.0,
-            w.dynamic_id))
-    return _greedy_then(s, pool, lambda r: min(r, key=_dyn))
-
-
-def _ref_wasp(s, ready, now):
-    floor = s._follower_floor()
-    if floor is not None:
-        limit = floor + s._max_lead
-        runners = [w for w in ready
-                   if w.dynamic_id % 4 == 0 and w.issued_instructions < limit]
-        if runners:
-            return min(runners, key=_dyn)
-    return _greedy_then(s, ready, lambda r: min(r, key=_dyn))
-
-
-#: Every registered scheduler's ``select`` as it was written before
-#: candidates were promised in ascending ``dynamic_id`` order: explicit
-#: ``min`` / ``max`` with keys, no ``ready[0]``.  The reference for
-#: :func:`test_prop_select_matches_its_min_max_formulation`.
-SELECT_REFERENCE = {
-    "lrr": lambda s, ready, now: _round_robin(s, ready),
-    "gto": lambda s, ready, now: _greedy_then(s, ready, lambda r: min(r, key=_dyn)),
-    "two_level": _ref_two_level,
-    "caws": lambda s, ready, now: max(
-        ready, key=lambda w: (s._criticality(w), -w.dynamic_id)),
-    "gcaws": _ref_gcaws,
-    "ccws": _ref_ccws,
-    "ciao": _ref_ciao,
-    "wasp": _ref_wasp,
-}
-SELECT_REFERENCE["rr"] = SELECT_REFERENCE["lrr"]
-SELECT_REFERENCE["2lev"] = SELECT_REFERENCE["two_level"]
 
 
 def test_every_registered_scheduler_has_a_select_reference():
@@ -168,12 +92,13 @@ def _feedback(rng, num_warps, now):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_prop_select_matches_its_min_max_formulation(scheduler_name, seed):
-    """Twin schedulers driven identically — random criticalities, oracle
-    times, greedy targets, block tail phases, eviction / miss feedback —
-    pick the same warp from random ascending candidate lists, one through
-    ``select`` and one through the formulation it replaced.  (One drawn
-    seed, then ``random``: a step is ~40 draws and hypothesis's cost per
-    draw would make this the slowest test of the tier.)"""
+    """A scheduler driven at random — criticalities, oracle times, issues,
+    exits, block tail phases, eviction / miss feedback — picks from random
+    ascending candidate lists what its min/max formulation picks over the
+    eager bookkeeping of a :class:`SelectBook`.  As on an SM, a warp that
+    exited is never a candidate again.  (One drawn seed, then ``random``: a
+    step is ~40 draws and hypothesis's cost per draw would make this the
+    slowest test of the tier.)"""
     rng = random.Random(seed)
     num_warps = rng.randint(2, 12)
     warps = make_warps(num_warps)
@@ -181,42 +106,43 @@ def test_prop_select_matches_its_min_max_formulation(scheduler_name, seed):
     oracle = {(0, w.warp_id_in_block): rng.choice([0.0, 5.0, 9.0])
               for w in warps if rng.random() < 0.5}
     kwargs = {"oracle": oracle} if scheduler_name == "caws" else {}
-    real = make_scheduler(scheduler_name, **kwargs)
-    twin = make_scheduler(scheduler_name, **kwargs)
-    for scheduler in (real, twin):
-        for warp in warps:
-            scheduler.notify_warp_added(warp)
+    scheduler = make_scheduler(scheduler_name, **kwargs)
+    for warp in warps:
+        scheduler.notify_warp_added(warp)
+    book = SelectBook()
     reference = SELECT_REFERENCE[scheduler_name]
+    live = list(warps)
     now = 0.0
     for _ in range(rng.randint(1, 30)):
         now += rng.choice([0.0, 1.0, 40.0, 700.0])
         # Tail phase for gCAWS: some warps of the block have finished.
         block._finished_warps = rng.randrange(num_warps)
-        for warp in warps:
+        for warp in live:
             set_criticality(warp, rng.choice([0.0, 0.5, 1.0, 3.0, 64.0, 1e4]))
             warp.issued_instructions = rng.randint(0, 200)
             warp.status = rng.choice(
                 [WarpStatus.RUNNING, WarpStatus.RUNNING, WarpStatus.AT_BARRIER])
         for record in _feedback(rng, num_warps, now):
-            for scheduler in (real, twin):
-                if record[0] in scheduler.FEEDBACK_KINDS:
-                    scheduler.on_signal(record)
-        ready = sorted(rng.sample(warps, rng.randint(1, num_warps)), key=_dyn)
+            if record[0] in scheduler.FEEDBACK_KINDS:
+                scheduler.on_signal(record)
+        ready = sorted(rng.sample(live, rng.randint(1, len(live))), key=_dyn)
         handed = list(ready)
-        got = real.select(handed, now)
+        got = scheduler.select(handed, now)
         assert handed == ready, "select mutated its candidate list"
-        want = reference(twin, ready, now)
+        want = reference(scheduler, book, ready, now)
         assert got is want, (
             f"{scheduler_name}: select picked "
             f"{got and got.dynamic_id}, the min/max formulation "
             f"{want and want.dynamic_id} from {[w.dynamic_id for w in ready]}"
         )
         if got is not None:
-            for scheduler in (real, twin):
-                scheduler.notify_issue(got, now)
-            if rng.randrange(10) == 0:
-                for scheduler in (real, twin):
-                    scheduler.notify_warp_finished(got)
+            scheduler.last = got
+            book.issued(got)
+            if rng.randrange(10) == 0 and len(live) > 1:
+                got.status = WarpStatus.FINISHED
+                live.remove(got)
+                scheduler.notify_warp_finished(got)
+                book.finished(got)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import GPU, GPUConfig
 from repro.isa.kernel import KernelBuilder
 from repro.scheduling import (
     GCAWSScheduler,
@@ -11,8 +12,10 @@ from repro.scheduling import (
     TwoLevelScheduler,
     make_scheduler,
 )
+from repro.scheduling.two_level import FETCH_GROUP_SIZE
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp
+from repro.trace.recorder import TraceRecorder
 from tests.oracles import set_criticality
 
 
@@ -39,14 +42,14 @@ class TestLRR:
         picks = []
         for _ in range(8):
             w = sched.select(warps, 0.0)
-            sched.notify_issue(w, 0.0)
+            sched.last = w
             picks.append(w.dynamic_id)
         assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_skips_missing_warps(self):
         sched = LRRScheduler()
         warps = make_warps(4)
-        sched.notify_issue(warps[1], 0.0)
+        sched.last = warps[1]
         assert sched.select([warps[0], warps[3]], 0.0) is warps[3]
 
 
@@ -55,54 +58,52 @@ class TestGTO:
         sched = GTOScheduler()
         warps = make_warps(4)
         first = sched.select(warps, 0.0)
-        sched.notify_issue(first, 0.0)
+        sched.last = first
         assert sched.select(warps, 1.0) is first
 
     def test_falls_back_to_oldest(self):
         sched = GTOScheduler()
         warps = make_warps(4)
-        sched.notify_issue(warps[2], 0.0)
+        sched.last = warps[2]
         # Greedy target (warp 2) not ready: oldest of the rest wins.
         assert sched.select([warps[1], warps[3]], 1.0) is warps[1]
 
-    def test_finished_target_cleared(self):
-        sched = GTOScheduler()
-        warps = make_warps(2)
-        sched.notify_issue(warps[1], 0.0)
-        sched.notify_warp_finished(warps[1])
-        assert sched.select(warps, 1.0) is warps[0]
-
 
 class TestTwoLevel:
+    # Two fetch groups: warps [0, G) and [G, 2G).
+    G = FETCH_GROUP_SIZE
+
     def test_prefers_active_group(self):
-        sched = TwoLevelScheduler(fetch_group_size=2)
-        warps = make_warps(4)
-        # Group 0 = warps 0,1; group 1 = warps 2,3.
-        assert sched.select(warps, 0.0).dynamic_id in (0, 1)
+        sched = TwoLevelScheduler()
+        warps = make_warps(2 * self.G)
+        sched.last = warps[self.G + 1]
+        assert sched.select(warps, 0.0) is warps[self.G + 2]
+
+    def test_first_pick_is_the_oldest(self):
+        warps = make_warps(2 * self.G)
+        assert TwoLevelScheduler().select(warps[1:], 0.0) is warps[1]
 
     def test_switches_group_when_active_stalls(self):
-        sched = TwoLevelScheduler(fetch_group_size=2)
-        warps = make_warps(4)
-        w = sched.select([warps[2], warps[3]], 0.0)
-        assert w.dynamic_id in (2, 3)
-        sched.notify_issue(w, 0.0)
-        # Group 1 is now active and keeps priority.
-        pick = sched.select(warps, 1.0)
-        assert pick.dynamic_id in (2, 3)
+        sched = TwoLevelScheduler()
+        warps = make_warps(2 * self.G)
+        sched.last = warps[1]
+        # Nothing of group 0 is ready: the oldest ready warp's group takes over.
+        w = sched.select(warps[self.G + 1:], 0.0)
+        assert w is warps[self.G + 1]
+        sched.last = w
+        # Group 1 is now active and keeps priority over the older group 0.
+        assert sched.select(warps, 1.0) is warps[self.G + 2]
 
     def test_round_robin_within_group(self):
-        sched = TwoLevelScheduler(fetch_group_size=4)
-        warps = make_warps(4)
+        sched = TwoLevelScheduler()
+        warps = make_warps(2 * self.G)
         picks = []
-        for _ in range(4):
+        for _ in range(self.G + 1):
             w = sched.select(warps, 0.0)
-            sched.notify_issue(w, 0.0)
+            sched.last = w
             picks.append(w.dynamic_id)
-        assert picks == [0, 1, 2, 3]
-
-    def test_rejects_bad_group_size(self):
-        with pytest.raises(ValueError):
-            TwoLevelScheduler(fetch_group_size=0)
+        # The group wraps to its oldest warp; group 1 never gets a turn.
+        assert picks == [*range(self.G), 0]
 
 
 class TestOracleCAWS:
@@ -144,17 +145,11 @@ class TestGCAWS:
     def test_greedy_persists(self):
         warps = make_warps(4)
         sched = GCAWSScheduler()
-        sched.notify_issue(warps[2], 0.0)
+        sched.last = warps[2]
         assert sched.select(warps, 1.0) is warps[2]
 
-    def test_non_greedy_ablation(self):
-        warps = make_warps(4)
-        sched = GCAWSScheduler(greedy=False)
-        sched.notify_issue(warps[2], 0.0)
-        assert sched.select(warps, 1.0) is warps[0]
-
     def test_log_ratio_buckets(self):
-        sched = GCAWSScheduler(ratio=2.0)
+        sched = GCAWSScheduler()
         warps = make_warps(4)
         for w in warps[1:]:
             w.mark_finished(0.0)
@@ -181,3 +176,37 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             make_scheduler("fifo")
+
+    @pytest.mark.parametrize("name, knob", [
+        ("gcaws", {"greedy": False}),
+        ("gcaws", {"ratio": 2.0}),
+        ("two_level", {"fetch_group_size": 8}),
+    ])
+    def test_removed_knobs_are_type_errors(self, name, knob):
+        with pytest.raises(TypeError):
+            make_scheduler(name, **knob)
+
+
+class TestLastIssueOnAnSM:
+    def test_exited_last_warp_yields_the_oldest(self):
+        """When a GTO slot's last-issued warp exits, the slot's next pick is
+        the oldest candidate: nothing clears ``last``, and the exited warp
+        is never a candidate again."""
+        cfg = GPUConfig.default_sim(num_sms=1, num_schedulers_per_sm=1).with_scheduler("gto")
+        sm = GPU(cfg).sms[0]
+        b = KernelBuilder("nops")
+        b.nop()
+        b.nop()
+        kernel = b.build()
+        trace = TraceRecorder(cfg).launch(kernel, 1, 3 * 32)
+        block = ThreadBlock(0, 3 * 32, 1, kernel, warp_size=32, trace=trace)
+        sm.add_block(block, now=0.0)
+        slot = sm.schedulers[0]
+        first, second, _ = block.warps
+        now = 0.0
+        while not first.finished:  # greedy: the oldest runs to its EXIT
+            sm.tick_wake(now)
+            now += 1.0
+        assert slot.last is first and second.issued_instructions == 0
+        sm.tick_wake(now)
+        assert slot.last is second
