@@ -39,12 +39,10 @@ from typing import List, Optional
 
 from .config import GPUConfig
 from .core.cawa import SCHEMES
+from .experiments import FIGURES
 from .experiments.runner import run_scheme, run_sweep, sweep_table
 from .stats.report import format_table
 from .workloads import NON_SENS_WORKLOADS, SENS_WORKLOADS, workload_names
-
-#: Figure numbers with a dedicated experiment module.
-FIGURES = (1, 2, 3, 4, 9, 10, 11, 12, 13, 14, 15, 16, 17)
 
 
 def _base_config(args) -> GPUConfig:

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import ClassVar, Dict, FrozenSet, Optional
 
 from .errors import ConfigError
@@ -350,10 +351,26 @@ class GPUConfig:
         (and ``sampling_seed``) are deliberately **included**: a sampled
         run reports statistical estimates, not the exact numbers, so it
         must never alias an exact run's cache entry.
+
+        Computed once per instance: the config is frozen, and the value is
+        kept in the instance ``__dict__``, which the generated ``__eq__``,
+        ``__hash__`` and :func:`dataclasses.replace` never read.
         """
-        payload = dataclasses.asdict(self)
-        for name in self.FINGERPRINT_EXCLUDED:
-            del payload[name]
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # A flat walk, not ``dataclasses.asdict`` (which deep-copies every
+        # leaf): the only nested values are CacheConfigs, whose fields are
+        # scalars.  The JSON blob is the same byte for byte.
+        payload = {}
+        for f in dataclasses.fields(self):
+            if f.name in self.FINGERPRINT_EXCLUDED:
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, CacheConfig):
+                value = dict(vars(value))
+            payload[f.name] = value
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

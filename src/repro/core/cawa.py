@@ -8,6 +8,7 @@ scheduler (criticality verdicts still come from CPL, as in the paper).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict
 
 from ..config import GPUConfig
@@ -37,19 +38,24 @@ SCHEMES: Dict[str, tuple] = {
 
 
 def apply_scheme(config: GPUConfig, scheme: str) -> GPUConfig:
-    """Return ``config`` reconfigured for the named scheme."""
-    from dataclasses import replace
+    """Return ``config`` reconfigured for the named scheme.
 
+    Equal to ``config.with_scheduler(s).with_cacp(c)`` plus the extension
+    knobs, built with one ``replace`` so validation runs once.
+    """
     try:
         scheduler, use_cacp = SCHEMES[scheme]
     except KeyError:
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {sorted(SCHEMES)}"
         ) from None
-    config = config.with_scheduler(scheduler).with_cacp(use_cacp)
+    l1d = config.l1d
+    critical_ways = l1d.ways // 2 if use_cacp else 0
+    if l1d.critical_ways != critical_ways:
+        l1d = replace(l1d, critical_ways=critical_ways)
+    changes = dict(scheduler_name=scheduler, use_cacp=use_cacp, l1d=l1d)
     if scheme.endswith("+bypass"):
-        config = replace(config, cacp_bypass=True)
+        changes["cacp_bypass"] = True
     if scheme.endswith("+mshr"):
-        reserve = max(1, config.l1d.mshr_entries // 4)
-        config = replace(config, critical_mshr_reserve=reserve)
-    return config
+        changes["critical_mshr_reserve"] = max(1, l1d.mshr_entries // 4)
+    return replace(config, **changes)

@@ -7,6 +7,10 @@ Events).  Nothing here sleeps: :meth:`ServeClient.wait` asks the server to
 hold a status request until the job ends (``GET /jobs/{id}?wait=S``).  The
 ``repro client`` CLI (see :mod:`repro.cli`) is a thin shell around this
 class; tests and scripts can use it directly.
+
+A repeat of a finished job is answered in its ``POST /jobs`` response; the
+client keeps that answer, so :meth:`ServeClient.wait` and
+:meth:`ServeClient.result` for it send nothing.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ class ServeClient:
     Holds one connection open across requests (not thread-safe: give each
     thread its own client); :meth:`close` it, or use it as a context
     manager.
+
+    Also holds the answer of its latest submission when that was born
+    ``done`` (a reuse), and only that one: :meth:`status`, :meth:`wait`
+    and :meth:`result` answer it without a request.  That is exact — a
+    born-done job's record never changes, and its payload is its twin's.
     """
 
     def __init__(self, base_url: Optional[str] = None,
@@ -51,6 +60,8 @@ class ServeClient:
         self.tenant = tenant
         self.timeout = timeout
         self._conn: Optional[http.client.HTTPConnection] = None
+        #: ``{job, payload}`` of the latest submission, if it was born done.
+        self._held: Optional[dict] = None
 
     def close(self) -> None:
         """Drop the kept-alive connection (the next request opens one)."""
@@ -132,9 +143,22 @@ class ServeClient:
         return self._checked("GET", "/stats")
 
     def submit(self, spec: dict) -> Tuple[dict, bool]:
-        """Submit a job payload; returns ``(job, coalesced)``."""
+        """Submit a job payload; returns ``(job, coalesced)``.
+
+        Drops the answer held for the previous submission, and holds this
+        one's when the response carries it.
+        """
+        self._held = None
         data = self._checked("POST", "/jobs", payload=spec)
+        if "payload" in data:
+            self._held = {"job": data["job"], "payload": data["payload"]}
         return data["job"], bool(data.get("coalesced"))
+
+    def _held_for(self, job_id: str) -> Optional[dict]:
+        held = self._held
+        if held is not None and held["job"]["id"] == job_id:
+            return held
+        return None
 
     def jobs(self) -> list:
         return self._checked("GET", "/jobs")["jobs"]
@@ -146,6 +170,9 @@ class ServeClient:
         seconds (it clamps to ``MAX_HOLD``) and answer the moment the job
         turns terminal; the record returned is the current one either way.
         """
+        held = self._held_for(job_id)
+        if held is not None:
+            return held["job"]
         if wait > 0:
             # The socket allowance is the usual one on top of the hold.
             return self._checked("GET", f"/jobs/{job_id}?wait={wait:.3f}",
@@ -153,7 +180,10 @@ class ServeClient:
         return self._checked("GET", f"/jobs/{job_id}")["job"]
 
     def result(self, job_id: str) -> dict:
-        """Result payload of a finished job (raises until it is done)."""
+        """``{job, payload}`` of a finished job (raises until it is done)."""
+        held = self._held_for(job_id)
+        if held is not None:
+            return held
         return self._checked("GET", f"/jobs/{job_id}/result")
 
     def cancel(self, job_id: str) -> dict:
@@ -174,7 +204,8 @@ class ServeClient:
 
         A loop of held status requests, each answered by the server when
         the job ends or the hold (at most ``MAX_HOLD`` seconds) runs out:
-        a job that finishes within one hold costs exactly one request.
+        a job that finishes within one hold costs exactly one request, and
+        a held answer (see :meth:`submit`) none.
         """
         deadline = time.monotonic() + timeout
         while True:

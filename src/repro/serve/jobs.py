@@ -150,7 +150,7 @@ class JobSpec:
             figure = payload.get("figure")
             if not isinstance(figure, int):
                 raise JobSpecError("figure jobs need an integer 'figure'")
-            from ..cli import FIGURES
+            from ..experiments import FIGURES
 
             if figure not in FIGURES:
                 raise JobSpecError(

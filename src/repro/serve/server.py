@@ -14,7 +14,8 @@ One process, one event loop, three moving parts:
 
 API (all JSON unless noted)::
 
-    POST   /jobs              submit (or coalesce into, or reuse) a job
+    POST   /jobs              submit (or coalesce into, or reuse) a job; a
+                              reused job's response carries its payload
     GET    /jobs              list known jobs
     GET    /jobs/{id}         job status; ``?wait=S`` holds the request until
                               the job is terminal or S seconds pass
@@ -554,14 +555,17 @@ class ReproServer:
             return 429, {"error": str(exc)}
         except QueueFull as exc:
             return 503, {"error": str(exc)}, {"Retry-After": "1"}
+        answer = {"job": job.to_dict(), "coalesced": coalesced}
         if job.reused_from is not None:
-            self._evict_finished()  # it was born terminal
+            # Born done: the answer rides the admission response.
+            answer["payload"] = job.result
+            self._evict_finished()
         else:
             if not coalesced:
                 self._broadcast(job, {"kind": "queued", "job": job.id,
                                       "priority": job.priority})
             self._kick()
-        return 200, {"job": job.to_dict(), "coalesced": coalesced}
+        return 200, answer
 
     def _cancel(self, job) -> tuple:
         try:

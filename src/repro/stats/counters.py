@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -310,6 +311,11 @@ class RunResult:
         )
 
 
+#: Headline counts :func:`result_from_dict` checks are numbers.
+_NUMERIC_KEYS = ("cycles", "warp_instructions", "thread_instructions",
+                 "dram_accesses")
+
+
 def result_from_dict(data: Dict) -> "RunResult":
     """Deserialize a result dict to its concrete type.
 
@@ -319,7 +325,16 @@ def result_from_dict(data: Dict) -> "RunResult":
     :class:`~repro.stats.sampling.SampledRunResult` so cache hits and
     cross-process sweep results keep their error bars.  Everything else is
     a plain :class:`RunResult`.
+
+    A headline count that is not a number (or is a boolean) raises
+    :class:`TypeError`: a stored entry that parses as JSON but carries,
+    say, ``"cycles": "x"`` must be refused, never served.
     """
+    for key in _NUMERIC_KEYS:
+        value = data[key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"result field {key!r} must be a number, "
+                            f"got {value!r}")
     if "sampled" in data:
         # Local import: stats.sampling builds on this module.
         from .sampling import SampledRunResult

@@ -1,9 +1,16 @@
 """Tests for repro.config (Table 1 parameters and validation)."""
 
+import dataclasses
+import hashlib
+import json
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig, GPUConfig
 from repro.errors import ConfigError
+from repro.scheduling.registry import SCHEDULERS
 
 
 class TestCacheConfig:
@@ -170,3 +177,79 @@ class TestRemovedClockKnob:
         loaded = RunResult.from_dict(payload)
         assert loaded == RunResult.from_dict(result.to_dict())
         assert not hasattr(loaded, "clock")
+
+
+def reference_fingerprint(cfg: GPUConfig) -> str:
+    """The fingerprint formula before it was cached: ``asdict``, then drop
+    the excluded knobs."""
+    payload = dataclasses.asdict(cfg)
+    for name in cfg.FINGERPRINT_EXCLUDED:
+        del payload[name]
+    blob = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+@st.composite
+def caches(draw):
+    ways = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    return CacheConfig(
+        sets=draw(st.integers(1, 512)),
+        ways=ways,
+        line_size=draw(st.sampled_from([32, 64, 128, 256])),
+        hit_latency=draw(st.integers(1, 8)),
+        replacement=draw(st.sampled_from(["lru", "srrip", "ship"])),
+        critical_ways=draw(st.integers(0, ways)),
+        mshr_entries=draw(st.integers(1, 64)),
+    )
+
+
+@st.composite
+def overrides(draw):
+    """A valid set of ``GPUConfig.default_sim`` overrides."""
+    sampling = draw(st.sampled_from(["off", "blocks:0.5", "intervals:0.25"]))
+    return {
+        "scheduler_name": draw(st.sampled_from(sorted(SCHEDULERS))),
+        "alu_latency": draw(st.integers(1, 32)),
+        "sfu_latency": draw(st.integers(1, 64)),
+        "l2_latency": draw(st.integers(1, 400)),
+        "dram_latency": draw(st.integers(1, 800)),
+        "l1d": draw(caches()),
+        "l2": draw(caches()),
+        "l2_banks": draw(st.integers(1, 8)),
+        "use_cacp": draw(st.booleans()),
+        "cacp_mode": draw(st.sampled_from(["priority", "static", "dynamic"])),
+        "cacp_bypass": draw(st.booleans()),
+        "sampling": sampling,
+        "sampling_seed": draw(st.integers(0, 9)),
+        "events": draw(st.sampled_from(["off", "on", "ring:64"])),
+        "frontend": ("trace" if sampling != "off"
+                     else draw(st.sampled_from(["trace", "execute"]))),
+    }
+
+
+class TestFingerprintCache:
+    """``fingerprint()`` is computed once per instance and must stay the
+    value the uncached formula gives, on every path a config takes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=overrides(), second=overrides())
+    def test_cached_value_is_the_formula(self, first, second):
+        cfg = GPUConfig.default_sim(**first)
+        fp = cfg.fingerprint()
+        assert fp == reference_fingerprint(cfg)
+        assert cfg.fingerprint() == fp
+        # A copy made after the value was cached hashes its own fields.
+        other = dataclasses.replace(cfg, **second)
+        assert other.fingerprint() == reference_fingerprint(other)
+        bumped = dataclasses.replace(cfg, dram_latency=cfg.dram_latency + 1)
+        assert bumped.fingerprint() == reference_fingerprint(bumped) != fp
+        for clone in (pickle.loads(pickle.dumps(cfg)),
+                      pickle.loads(pickle.dumps(bumped.with_scheduler("gto")))):
+            assert clone.fingerprint() == reference_fingerprint(clone)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    def test_cached_value_is_invisible_to_equality_and_hash(self):
+        cfg, twin = GPUConfig.default_sim(), GPUConfig.default_sim()
+        cfg.fingerprint()
+        assert cfg == twin and hash(cfg) == hash(twin)
+        assert dataclasses.asdict(cfg) == dataclasses.asdict(twin)

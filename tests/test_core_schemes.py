@@ -1,5 +1,7 @@
 """Tests for the scheme registry and configuration plumbing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import GPU, GPUConfig, apply_scheme
@@ -59,6 +61,35 @@ def test_bypass_scheme_sets_flag():
     assert not apply_scheme(GPUConfig.default_sim(), "cawa").cacp_bypass
     gpu = GPU(apply_scheme(GPUConfig.default_sim(), "cawa+bypass"))
     assert gpu.sms[0].l1d.policy.bypass_no_reuse
+
+
+def _chained(config, scheme):
+    """``apply_scheme`` as it was built before: one ``replace`` per knob."""
+    scheduler, use_cacp = SCHEMES[scheme]
+    config = config.with_scheduler(scheduler).with_cacp(use_cacp)
+    if scheme.endswith("+bypass"):
+        config = replace(config, cacp_bypass=True)
+    if scheme.endswith("+mshr"):
+        reserve = max(1, config.l1d.mshr_entries // 4)
+        config = replace(config, critical_mshr_reserve=reserve)
+    return config
+
+
+_BASES = {
+    "default_sim": GPUConfig.default_sim(),
+    "fermi": GPUConfig.fermi_gtx480(),
+    # Knobs a scheme leaves alone, or resets, already set on the base.
+    "cacp_quarter": GPUConfig.default_sim().with_cacp(True, critical_ways=4),
+    "bypass_reserve": GPUConfig.default_sim(cacp_bypass=True,
+                                            critical_mshr_reserve=3),
+}
+
+
+@pytest.mark.parametrize("base", sorted(_BASES))
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_single_replace_equals_the_chain(scheme, base):
+    config = _BASES[base]
+    assert apply_scheme(config, scheme) == _chained(config, scheme)
 
 
 def test_schemes_do_not_mutate_base_config():

@@ -82,3 +82,44 @@ class TestDocstrings:
                 assert inspect.getdoc(member), (
                     f"{cls.__name__}.{name} lacks a docstring"
                 )
+
+
+class TestLayering:
+    """The service and the library never depend on the command line."""
+
+    def test_serve_validates_a_figure_job_without_the_cli(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(repro.__file__).resolve().parent.parent
+        probe = (
+            "import sys, repro.serve\n"
+            "from repro.serve.jobs import JobSpec\n"
+            "JobSpec.from_payload({'kind': 'figure', 'figure': 9})\n"
+            "assert 'repro.cli' not in sys.modules, 'repro.cli was imported'\n"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True,
+                       env={"PYTHONPATH": str(src)}, timeout=120)
+
+    def test_only_main_imports_the_cli(self):
+        import ast
+        from pathlib import Path
+
+        package = Path(repro.__file__).resolve().parent
+        importers = set()
+        for path in package.rglob("*.py"):
+            here = ["repro", *path.relative_to(package).parent.parts]
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    targets = {a.name for a in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    parts = here[:len(here) - node.level + 1] if node.level else []
+                    module = ".".join(parts + [node.module or ""]).strip(".")
+                    targets = {module} | {f"{module}.{a.name}"
+                                          for a in node.names}
+                else:
+                    continue
+                if "repro.cli" in targets:
+                    importers.add(path.relative_to(package).as_posix())
+        assert importers == {"__main__.py"}

@@ -9,7 +9,8 @@ from repro.config import GPUConfig
 from repro.experiments import result_cache
 from repro.experiments import runner
 from repro.experiments.runner import run_scheme, run_sweep
-from repro.stats.counters import BlockSummary, RunResult, WarpSummary
+from repro.stats.counters import (BlockSummary, RunResult, WarpSummary,
+                                  result_from_dict)
 
 SCALE = 0.25
 WL = "synthetic_imbalance"
@@ -157,6 +158,24 @@ class TestRobustness:
         assert loaded is not None and entry.exists()
         assert _metrics(loaded) == _metrics(result)
         assert not hasattr(loaded, key)
+
+    @pytest.mark.parametrize("field", ["cycles", "warp_instructions",
+                                       "thread_instructions", "dram_accesses"])
+    @pytest.mark.parametrize("value", ["x", None, True])
+    def test_non_numeric_count_is_a_miss_and_removed(self, field, value):
+        # Valid JSON with a wrong-typed headline count is a corrupt entry,
+        # never a RunResult that gets served.
+        result = run_scheme(WL, "rr", scale=SCALE)
+        (entry,) = result_cache.cache_dir().glob("*.json")
+        data = json.loads(entry.read_text(encoding="utf-8"))
+        data[field] = value
+        entry.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(TypeError, match=field):
+            result_from_dict(data)
+        assert result_cache.load(entry.stem) is None
+        assert not entry.exists()
+        runner.clear_cache()
+        assert run_scheme(WL, "rr", scale=SCALE).cycles == result.cycles
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv(result_cache.ENV_ENABLE, "0")

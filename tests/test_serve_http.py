@@ -301,6 +301,67 @@ class TestReuse:
         out = capsys.readouterr().out
         assert json.loads(out)["reused_from"] == first["id"]
 
+    def test_warm_repeat_is_one_round_trip(self, serve_factory):
+        handle = serve_factory()
+        server = handle.server
+        first, _ = ServeClient(handle.base_url).submit(spec())
+        ServeClient(handle.base_url).wait(first["id"], timeout=120)
+
+        before = server.requests, server.connections
+        with ServeClient(handle.base_url) as bob:
+            job, coalesced = bob.submit(spec())
+            held = (bob.wait(job["id"], timeout=60), bob.status(job["id"]),
+                    bob.result(job["id"]))
+        assert (server.requests - before[0],
+                server.connections - before[1]) == (1, 1)
+        assert not coalesced and job["reused_from"] == first["id"]
+
+        # What the client answered itself is what the server says.
+        carol = ServeClient(handle.base_url)
+        asked = (carol.wait(job["id"], timeout=60), carol.status(job["id"]),
+                 carol.result(job["id"]))
+        for mine, theirs in zip(held, asked):
+            assert (json.dumps(mine, sort_keys=True)
+                    == json.dumps(theirs, sort_keys=True))
+
+    def test_cold_job_and_coalesced_join_still_ask(self, serve_factory):
+        handle = serve_factory()
+        server = handle.server
+        admin = ServeClient(handle.base_url)
+        admin.pause()
+        cold, joiner = (ServeClient(handle.base_url) for _ in range(2))
+        before = server.requests
+        job, _ = cold.submit(spec())
+        joined, coalesced = joiner.submit(spec())
+        assert coalesced and joined["id"] == job["id"]
+        assert server.requests - before == 2
+        admin.resume()
+        for client in (cold, joiner):
+            before = server.requests
+            assert client.wait(job["id"], timeout=120)["state"] == "done"
+            client.result(job["id"])
+            assert server.requests - before == 2   # 3 with its submit
+
+    def test_held_answer_is_only_the_latest_submissions(self, serve_factory):
+        handle = serve_factory()
+        server = handle.server
+        client = ServeClient(handle.base_url)
+        first, _ = client.submit(spec())
+        client.wait(first["id"], timeout=120)
+        repeat, _ = client.submit(spec())
+        assert repeat["reused_from"] == first["id"]
+
+        before = server.requests
+        assert client.wait(first["id"], timeout=60)["state"] == "done"
+        assert client.result(first["id"])["job"]["id"] == first["id"]
+        assert server.requests - before == 2   # any other id still asks
+
+        with pytest.raises(ServeClientError):
+            client.submit({"kind": "run", "workload": "no_such_workload"})
+        before = server.requests
+        assert client.status(repeat["id"])["state"] == "done"
+        assert server.requests - before == 1   # the next submit dropped it
+
     def test_events_job_is_never_reused(self, serve_factory):
         client = ServeClient(serve_factory().base_url)
         first, _ = client.submit(spec(events=True))

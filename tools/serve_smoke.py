@@ -13,8 +13,8 @@ service's headline guarantees end to end:
    records (``obs`` snapshots + a terminal ``obs_summary``);
 3. a repeat submission of a finished cell is answered at admission — the
    submit response is already ``done``, with ``reused_from`` naming the
-   finished twin — and the whole submit -> wait -> result round trip is
-   back within 50 ms;
+   finished twin, and carries the result payload — and the whole submit
+   -> wait -> result round trip is back within 50 ms;
 4. a draining shutdown finishes every admitted job and the server
    process exits cleanly.
 
@@ -26,6 +26,7 @@ Exit status 0 on success; any guarantee violation prints a diagnostic
 and exits non-zero.  Run via ``make serve-smoke``.
 """
 
+import http.client
 import json
 import os
 import re
@@ -34,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from urllib.parse import urlsplit
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -42,8 +44,9 @@ from repro.serve import ServeClient  # noqa: E402
 
 SCALE = "0.25"
 #: Ceiling on a warm submit -> wait -> result round trip, seconds (about
-#: 1 ms measured; 12 ms when a repeat went through a worker; 110 ms when
-#: completion was polled for).
+#: 1 ms measured, one request since the answer rides the submit response;
+#: 12 ms when a repeat went through a worker; 110 ms when completion was
+#: polled for).
 WARM_CEILING = 0.050
 JOB_ID = re.compile(r"\bjob (j\d{6}-[0-9a-f]{8})\b")
 LISTENING = re.compile(r"listening on (http://[\d.]+:\d+)")
@@ -92,6 +95,18 @@ def warm_round_trip(api, spec, twin):
     assert state == "done", f"warm job ended {state}"
     api.result(job["id"])
     return time.perf_counter() - started
+
+
+def post_job(url, spec):
+    """The raw ``POST /jobs`` answer, read without :class:`ServeClient`."""
+    split = urlsplit(url)
+    conn = http.client.HTTPConnection(split.hostname, split.port, timeout=60)
+    try:
+        conn.request("POST", "/jobs", body=json.dumps(spec).encode("utf-8"),
+                     headers={"Content-Type": "application/json"})
+        return json.load(conn.getresponse())
+    finally:
+        conn.close()
 
 
 def main() -> int:
@@ -161,6 +176,10 @@ def main() -> int:
         # -- a finished cell comes back at the cost of a lookup --------
         spec = {"kind": "run", "workload": "synthetic_imbalance",
                 "scheme": "gto", "scale": float(SCALE)}
+        answer = post_job(url, spec)
+        assert answer["job"]["reused_from"] == distinct, answer["job"]
+        assert answer.get("payload") == api.result(distinct)["payload"], \
+            f"the repeat's submit response carries no payload: {sorted(answer)}"
         warm = statistics.median(warm_round_trip(api, spec, distinct)
                                  for _ in range(5))
         assert warm < WARM_CEILING, \
