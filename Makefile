@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all test-slow lint sanitize bench ledger ledger-pairs profile opcount sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
+.PHONY: test test-all test-slow lint sanitize bench ledger ledger-pairs profile opcount sample-profile sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
 
 ## Packages held to the ruff + strict-mypy bar (CI `lint` job).
 TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/trace src/repro/feedback
@@ -79,6 +79,14 @@ profile:
 OPCOUNT_ARGS ?=
 opcount:
 	$(PYTHON) tools/opcount.py $(OPCOUNT_ARGS)
+
+## Where the replay kernel's CPU time goes: a SIGPROF stack sampler over the
+## same 15 cells, printing each function's self and inclusive share
+## (tools/sample_profile.py; statistical, a report).  One cell:
+## make sample-profile SAMPLE_ARGS="--budget-cell".
+SAMPLE_ARGS ?=
+sample-profile:
+	$(PYTHON) tools/sample_profile.py $(SAMPLE_ARGS)
 
 ## Full workload x scheme IPC sweep.
 sweep:

@@ -26,9 +26,15 @@ inter-warp interference).  The ablation benches compare all three.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from ..memory.replacement import RRPV_MAX, RRPV_NEAR, ReplacementPolicy, srrip_victim
+from ..memory.replacement import (
+    RRPV_MAX,
+    RRPV_NEAR,
+    ReplacementPolicy,
+    first_invalid,
+    srrip_victim,
+)
 from ..memory.request import MemRequest
 from ..obs.events import Ev
 from .ccbp import CriticalCacheBlockPredictor
@@ -132,26 +138,24 @@ class CACPPolicy(ReplacementPolicy):
             return False
         return self.ship.insertion_rrpv(req.signature) >= RRPV_MAX
 
-    def way_range(self, lines: List, req: MemRequest, ways: int) -> Tuple[int, int]:
+    def choose_way(self, lines: List, req: MemRequest, full: bool) -> int:
+        # The eligible range is the partition the fill is routed to (the
+        # whole set in priority mode).  Prefer an invalid way in it, then
+        # an invalid way anywhere (cold-start: an empty partition should
+        # not force evictions in the other one), then its SRRIP victim.
+        ways = len(lines)
         if self.mode == "priority":
-            return 0, ways
-        if self.classify_critical(req):
-            return 0, self.critical_ways
-        return self.critical_ways, ways
-
-    def choose_way(self, lines: List, req: MemRequest, lo: int, hi: int,
-                   full: bool = False) -> int:
-        # Prefer an invalid way in the eligible range, then an invalid way
-        # anywhere (cold-start: an empty partition should not force
-        # evictions in the other one), then the range's SRRIP victim.
-        # A ``full`` set has no invalid way to look for.
+            lo, hi = 0, ways
+        elif self.classify_critical(req):
+            lo, hi = 0, self.critical_ways
+        else:
+            lo, hi = self.critical_ways, ways
         if not full:
-            for way in range(lo, hi):
-                if not lines[way].valid:
-                    return way
-            for way in range(len(lines)):
-                if not lines[way].valid:
-                    return way
+            way = first_invalid(lines, lo, hi)
+            if way < 0:
+                way = first_invalid(lines, 0, ways)
+            if way >= 0:
+                return way
         return srrip_victim(lines, lo, hi)
 
     def on_fill(self, line, req: MemRequest) -> None:

@@ -48,6 +48,7 @@ from .. import trace as trace_mod
 from ..config import GPUConfig
 from ..core.cawa import apply_scheme
 from ..gpu import GPU
+from ..obs.bus import EventBus, bus_from_spec
 from ..stats.accuracy import CriticalityAccuracyTracker
 from ..stats.counters import RunResult, result_from_dict
 from ..stats.report import format_table
@@ -184,18 +185,24 @@ def run_scheme(
     )
 
     accuracy_tracker = CriticalityAccuracyTracker() if with_accuracy else None
-    reuse_profiler = ReuseDistanceProfiler() if with_reuse else None
     issue_observers = list(observers or ())
     if accuracy_tracker is not None:
         issue_observers.append(accuracy_tracker)
-    l1_observers = [reuse_profiler] if reuse_profiler is not None else []
+    reuse_profiler = bus = None
+    if with_reuse:
+        # The profiler reads the L1 probe records off an event bus: the
+        # config's own when it records events, else one retaining nothing.
+        reuse_profiler = ReuseDistanceProfiler()
+        bus = bus_from_spec(cfg.events) or EventBus(capacity=1)
+        bus.attach(reuse_profiler)
 
     kwargs = dict(workload_kwargs) if workload_kwargs else None
     # ``frontend`` is read here and nowhere below the runner: "execute" is
     # the store-less reference (its GPU records each launch in place).
     if cfg.frontend != "trace":
-        gpu = GPU(cfg, oracle=oracle)
-        _attach_observers(gpu, issue_observers, l1_observers)
+        gpu = GPU(cfg, oracle=oracle, obs=bus)
+        for sm in gpu.sms:
+            sm.issue_observers.extend(issue_observers)
         wl = make_workload(workload, scale=scale, **workload_kwargs)
         result = wl.run(gpu, scheme=scheme, check=check)
         program = None
@@ -210,10 +217,10 @@ def run_scheme(
         def replay() -> RunResult:
             if cfg.sampling != "off":
                 return _sampled_replay(workload, program, cfg, scheme, oracle,
-                                       issue_observers, l1_observers)
+                                       issue_observers, bus)
             return trace_mod.replay_program(
                 program, cfg, scheme=scheme, oracle=oracle,
-                observers=issue_observers, l1_observers=l1_observers,
+                observers=issue_observers, bus=bus,
             )[-1]
 
         # Timing is a replay either way; a cold cell's says so.
@@ -236,12 +243,6 @@ def run_scheme(
 def _serves(cached: Optional[RunResult], check: bool) -> bool:
     """Whether a memoised / stored result may answer a ``check`` caller."""
     return cached is not None and (cached.verified or not check)
-
-
-def _attach_observers(gpu: GPU, issue_observers: list, l1_observers: list) -> None:
-    for sm in gpu.sms:
-        sm.issue_observers.extend(issue_observers)
-        sm.l1d.observers.extend(l1_observers)
 
 
 def _load_program(
@@ -304,7 +305,7 @@ def _sampled_replay(
     scheme: str,
     oracle,
     issue_observers: list,
-    l1_observers: list,
+    bus,
 ):
     """Sampled replay of one cell, with the calibrated envelope applied.
 
@@ -318,7 +319,7 @@ def _sampled_replay(
     envelope, source = sampling_calibrate.envelope_for(workload, cfg.sampling)
     return replay_sampled(
         program, cfg, scheme=scheme, oracle=oracle,
-        observers=issue_observers, l1_observers=l1_observers,
+        observers=issue_observers, bus=bus,
         envelope_rel=envelope, envelope_source=source,
     )
 

@@ -1,22 +1,23 @@
 """Set-associative cache with pluggable replacement/partitioning policies.
 
 The cache models tags and replacement state only (data is functionally
-served by :class:`~repro.memory.data.GlobalMemory`).  Policies control the
-fill-way choice within a way range, which is how CACP's critical/non-critical
+served by :class:`~repro.memory.data.GlobalMemory`).  Policies choose the
+fill way — one call per fill — which is how CACP's critical/non-critical
 partitioning plugs in without the cache knowing about criticality.
 
 The tag store is an index plus per-set ways.  The *residency index* maps
 ``line_addr -> CacheLine`` for exactly the valid lines, so a probe
 (:meth:`Cache.access`, :meth:`Cache.lookup`) is one dict lookup whatever the
 associativity; the per-set way lists are what a *fill* works on (the
-policy's way range and victim choice), and a per-set count of valid ways
-tells the fill when no way is invalid.  Index and count change at the three
+policy's way choice), and a per-set count of valid ways tells the fill
+when no way is invalid.  Index and count change at the three
 places validity does: fill, eviction, :meth:`Cache.invalidate_all`.  A
 set's :class:`CacheLine` objects are made at its first fill — a wide device
 builds hundreds of caches, most of whose sets a small kernel never touches.
 
-Observers can subscribe to access/evict events; the reuse-distance profiler
-(Fig 3) and zero-reuse accounting (Fig 15) are implemented that way.
+What a probe, fill or eviction did reaches the rest of the simulator as
+event-bus records (``obs``) and feedback signals (``fb``); the
+reuse-distance profiler (Fig 3) is an event-bus collector.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class CacheLine:
     """Tag-array entry plus policy and CAWA bookkeeping state."""
 
     valid: bool = False
-    tag: int = -1
     line_addr: int = -1
     # Replacement-policy state.
     last_use: int = 0
@@ -55,8 +55,6 @@ class CacheLine:
     # Reuse bookkeeping.
     reuse_count: int = 0
     filled_by_critical: bool = False
-    fill_pc: int = -1
-    fill_cycle: float = 0.0
     # Warp attribution of the fill (``req.warp_key[1:]``): lets eviction
     # feedback signals name the *victim's* owner (CCWS victim tag arrays,
     # CIAO interference scores).  -1 when unattributed.
@@ -69,12 +67,9 @@ class CacheLine:
 
     def reset_for_fill(self, line_addr: int, req: MemRequest) -> None:
         self.valid = True
-        self.tag = line_addr
         self.line_addr = line_addr
         self.reuse_count = 0
         self.filled_by_critical = req.is_critical
-        self.fill_pc = req.pc
-        self.fill_cycle = req.cycle
         self.fill_block = req.warp_key[1]
         self.fill_warp = req.warp_key[2]
         self.c_reuse = False
@@ -133,6 +128,7 @@ class Cache:
         #: The policy's optional L1-bypass predicate (CACP's extension).
         self._should_bypass = getattr(policy, "should_bypass", None)
         self._line_size = config.line_size
+        self._ways = config.ways
         #: Per-set way lists; ``()`` until the set's first fill.
         self._sets: List[Sequence[CacheLine]] = [()] * config.sets
         #: Residency index: ``line_addr -> CacheLine`` for every valid line.
@@ -140,9 +136,6 @@ class Cache:
         #: Valid ways per set; a set at ``config.ways`` has no invalid way.
         self._valid_ways: List[int] = [0] * config.sets
         self.stats = CacheStats()
-        #: ``on_access(req, hit, line)`` / ``on_evict(line)`` objects; a
-        #: request is valid only during the call (see MemRequest).
-        self.observers: List = []
         #: Event bus (``repro.obs``) or ``None``; set by the wire helpers.
         self.obs = None
         #: ``LEVEL_L1D`` (0) or ``LEVEL_L2`` (1) stamped on emitted records.
@@ -188,8 +181,6 @@ class Cache:
                 stats.critical_hits += 1
             line.reuse_count += 1
             self.policy.on_hit(line, req)
-            for obs in self.observers:
-                obs.on_access(req, hit=True, line=line)
             if self.obs is not None:
                 owner = self.obs_owner
                 self.obs.emit((
@@ -226,8 +217,6 @@ class Cache:
                 ))
         else:
             self._fill(req)
-        for obs in self.observers:
-            obs.on_access(req, hit=False, line=None)
         if self.obs is not None:
             owner = self.obs_owner
             self.obs.emit((
@@ -242,26 +231,23 @@ class Cache:
         line_addr = req.line_addr
         sets = self._sets
         set_idx = (line_addr // self._line_size) % len(sets)
-        ways = self.config.ways
+        ways = self._ways
         lines = sets[set_idx]
         if not lines:
             lines = sets[set_idx] = [CacheLine() for _ in range(ways)]
-        lo, hi = self.policy.way_range(lines, req, ways)
-        way = self.policy.choose_way(
-            lines, req, lo, hi, self._valid_ways[set_idx] == ways
-        )
+        policy = self.policy
+        valid_ways = self._valid_ways
+        way = policy.choose_way(lines, req, valid_ways[set_idx] == ways)
         line = lines[way]
         if line.valid:
             self._evict(line, req)
         else:
-            self._valid_ways[set_idx] += 1
+            valid_ways[set_idx] += 1
         line.reset_for_fill(line_addr, req)
         self._index[line_addr] = line
-        # The policy may retune its partition at runtime, so prefer its
-        # current boundary over the static config value.
-        boundary = getattr(self.policy, "critical_ways", self.config.critical_ways)
-        line.in_critical_partition = way < boundary
-        self.policy.on_fill(line, req)
+        # Read per fill: CACP's dynamic mode retunes its boundary.
+        line.in_critical_partition = way < policy.critical_ways
+        policy.on_fill(line, req)
         if self.obs is not None:
             owner = self.obs_owner
             self.obs.emit((
@@ -281,16 +267,15 @@ class Cache:
 
     def _evict(self, line: CacheLine, req: MemRequest) -> None:
         del self._index[line.line_addr]
-        self.stats.evictions += 1
+        stats = self.stats
+        stats.evictions += 1
         if line.reuse_count == 0:
-            self.stats.zero_reuse_evictions += 1
+            stats.zero_reuse_evictions += 1
         if line.filled_by_critical:
-            self.stats.critical_fill_evictions += 1
+            stats.critical_fill_evictions += 1
             if line.reuse_count == 0:
-                self.stats.critical_zero_reuse_evictions += 1
+                stats.critical_zero_reuse_evictions += 1
         self.policy.on_evict(line, req)
-        for obs in self.observers:
-            obs.on_evict(line)
         if self.obs is not None:
             owner = self.obs_owner
             self.obs.emit((
@@ -317,7 +302,6 @@ class Cache:
         for lines in self._sets:
             for line in lines:
                 line.valid = False
-                line.tag = -1
         self._index.clear()
         self._valid_ways = [0] * len(self._sets)
 

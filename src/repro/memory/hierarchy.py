@@ -9,8 +9,6 @@ scoreboard.  The LSU probes its L1 itself and calls :meth:`miss` on a miss.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..config import GPUConfig
 from .cache import Cache
 from .l2 import BankedL2
@@ -31,34 +29,23 @@ class MemoryHierarchy:
             service_interval=config.l2_service_interval,
         )
         self.dram = DRAMModel(config.dram_latency, config.dram_service_interval)
-
-    def access(self, l1: Cache, mshr: MSHRFile, req: MemRequest,
-               now: float) -> Tuple[bool, float, bool]:
-        """Walk ``req`` through L1 -> (MSHR) -> L2 -> DRAM: an L1 probe,
-        then :meth:`miss` if it missed.
-
-        Returns ``(l1_hit, completion, merged)``: whether the L1 hit, the
-        cycle the line's data is available, and whether a miss merged with
-        an in-flight fill of the same line.
-        """
-        if l1.access(req):
-            return True, now + l1.config.hit_latency, False
-        return (False, *self.miss(l1, mshr, req, now))
+        #: Every SM's L1D has the config's geometry and latency.
+        self._l1_latency = config.l1d.hit_latency
 
     def miss(self, l1: Cache, mshr: MSHRFile, req: MemRequest,
-             now: float) -> Tuple[float, bool]:
-        """Serve ``req`` after its ``l1`` probe missed; returns
-        ``(completion, merged)``."""
-        l1_latency = l1.config.hit_latency
-        # Merge with an in-flight fill of the same line, if any.
+             now: float) -> float:
+        """Serve ``req`` after its ``l1`` probe missed; returns the cycle
+        the line's data is available.  A miss to a line already in flight
+        merges with its fill (``mshr.merged_misses`` counts those)."""
+        l1_latency = self._l1_latency
         merged_completion = mshr.lookup(req.line_addr, now)
         if merged_completion is not None:
             floor = now + l1_latency
-            return (merged_completion if merged_completion > floor else floor), True
+            return merged_completion if merged_completion > floor else floor
 
         start = mshr.earliest_start(now) + l1_latency
         l2_hit, queued_start, l2_ready = self.l2.access(req, start)
         completion = (l2_ready if l2_hit
                       else self.dram.access(queued_start, req.warp_key[0]))
-        mshr.register(req.line_addr, completion, now=now)
-        return completion, False
+        mshr.register(req.line_addr, completion, now)
+        return completion

@@ -29,17 +29,16 @@ class BankedL2:
         policy_name: str = "lru",
     ) -> None:
         self.cache = Cache(config, make_policy(policy_name))
+        self._line_size = config.line_size
         self.num_banks = num_banks
         self.latency = latency
         self.service_interval = service_interval
         self._bank_next_free: List[float] = [0.0] * num_banks
-        #: Cumulative cycles requests spent queued behind busy banks.
-        self.queue_cycles = 0.0
         #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
 
     def bank_of(self, line_addr: int) -> int:
-        return (line_addr // self.cache.config.line_size) % self.num_banks
+        return (line_addr // self._line_size) % self.num_banks
 
     def access(self, req: MemRequest, now: float):
         """Probe the L2; returns ``(hit, queued_start, data_ready_time)``.
@@ -49,11 +48,11 @@ class BankedL2:
         caller starts the DRAM trip from ``queued_start`` so the paper's
         minimum latencies (120 to L2, 220 to DRAM) hold end to end.
         """
-        bank = self.bank_of(req.line_addr)
-        busy_until = self._bank_next_free[bank]
+        bank = (req.line_addr // self._line_size) % self.num_banks
+        bank_next_free = self._bank_next_free
+        busy_until = bank_next_free[bank]
         start = now if now >= busy_until else busy_until
-        self._bank_next_free[bank] = start + self.service_interval
-        self.queue_cycles += start - now
+        bank_next_free[bank] = start + self.service_interval
         hit = self.cache.access(req)
         if self.obs is not None:
             self.obs.emit((_EV_L2_BANK, now, req.warp_key[0], bank,
@@ -73,11 +72,6 @@ class BankedL2:
             if next_free > now:
                 total += next_free - now
         return total
-
-    def queue_delay(self, req_or_line, now: float) -> float:
-        """Backlog a request to this line's bank would see at ``now``."""
-        line_addr = getattr(req_or_line, "line_addr", req_or_line)
-        return max(0.0, self._bank_next_free[self.bank_of(line_addr)] - now)
 
     @property
     def stats(self):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Optional
+from bisect import insort
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.events import Ev
 
@@ -21,16 +21,18 @@ class MSHRFile:
       * **throttling** — at most ``entries`` lines may be outstanding; when
         the file is full a new miss cannot begin service until the oldest
         in-flight fill completes (modeled by delaying its start time).
+
+    The in-flight fills are one list of ``(completion, line_addr)`` kept in
+    completion order, plus the ``line_addr -> completion`` index merging
+    probes.  Retiring fills deletes a prefix of the list; the cycle an entry
+    frees is read off it by position.
     """
 
     def __init__(self, entries: int) -> None:
         self._entries = entries
         self._inflight: Dict[int, float] = {}
-        self._completions: list = []  # heap of (completion, line_addr)
-        #: ``next_free_time``'s over-subscribed answer, dropped by the next
-        #: ``register``: completions only ever remove the *earliest* fills,
-        #: which leaves the entry-freeing one in place.
-        self._free_at: Optional[float] = None
+        #: ``(completion, line_addr)`` of every in-flight fill, ascending.
+        self._completions: List[Tuple[float, int]] = []
         self.merged_misses = 0
         self.stall_inducing_misses = 0
         #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
@@ -44,11 +46,13 @@ class MSHRFile:
         passed: most of them find nothing to retire."""
         completions = self._completions
         inflight = self._inflight
-        while completions and completions[0][0] <= now:
-            _, line_addr = heapq.heappop(completions)
-            done = inflight.get(line_addr)
-            if done is not None and done <= now:
-                del inflight[line_addr]
+        retired = 0
+        for done, line_addr in completions:
+            if done > now:
+                break
+            del inflight[line_addr]
+            retired += 1
+        del completions[:retired]
 
     def lookup(self, line_addr: int, now: float) -> Optional[float]:
         """Completion time of an in-flight fill of ``line_addr``, if any."""
@@ -68,13 +72,13 @@ class MSHRFile:
         completions = self._completions
         if completions and completions[0][0] <= now:
             self._purge(now)
-        if len(self._inflight) < self._entries:
+        if len(completions) < self._entries:
             return now
         self.stall_inducing_misses += 1
         free_at = completions[0][0] if completions else now
         if self.obs is not None:
             self.obs.emit((_EV_MSHR_FULL, now, self.obs_owner,
-                           len(self._inflight), free_at))
+                           len(completions), free_at))
         return free_at
 
     def free_entries(self, now: float) -> int:
@@ -82,7 +86,7 @@ class MSHRFile:
         completions = self._completions
         if completions and completions[0][0] <= now:
             self._purge(now)
-        free = self._entries - len(self._inflight)
+        free = self._entries - len(completions)
         return free if free > 0 else 0
 
     def is_full(self, now: float) -> bool:
@@ -93,8 +97,7 @@ class MSHRFile:
         (and lets greedy/criticality-aware policies shrink the set of warps
         competing for the L1).
         """
-        self._purge(now)
-        return len(self._inflight) >= self._entries
+        return self.free_entries(now) == 0
 
     def next_free_time(self, now: float) -> float:
         """Smallest ``t >= now`` with ``free_entries(t) > 0``.
@@ -108,22 +111,24 @@ class MSHRFile:
         completions = self._completions
         if completions and completions[0][0] <= now:
             self._purge(now)
-        excess = len(self._inflight) - self._entries
-        if excess < 0:
-            return now
-        if self._free_at is None:
-            self._free_at = heapq.nsmallest(excess + 1, self._inflight.values())[-1]
-        return self._free_at
+        excess = len(completions) - self._entries
+        return now if excess < 0 else completions[excess][0]
 
     def register(self, line_addr: int, completion: float,
                  now: float = 0.0) -> None:
-        self._inflight[line_addr] = completion
-        self._free_at = None
-        heapq.heappush(self._completions, (completion, line_addr))
+        """Admit a fill of ``line_addr``; one already in flight is
+        replaced (the timing walk registers only after a failed merge)."""
+        inflight = self._inflight
+        completions = self._completions
+        previous = inflight.get(line_addr)
+        if previous is not None:
+            completions.remove((previous, line_addr))
+        inflight[line_addr] = completion
+        insort(completions, (completion, line_addr))
         if self.obs is not None:
             self.obs.emit((_EV_MSHR_ALLOC, now, self.obs_owner,
-                           line_addr, completion, len(self._inflight)))
+                           line_addr, completion, len(completions)))
 
     @property
     def outstanding(self) -> int:
-        return len(self._inflight)
+        return len(self._completions)

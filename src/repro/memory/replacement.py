@@ -1,7 +1,7 @@
 """Cache replacement policies: LRU, SRRIP, and SHiP.
 
-Policies own the per-line recency/RRPV state and the victim choice within a
-candidate way range.  The CACP policy (the paper's contribution) lives in
+Policies own the per-line recency/RRPV state and the fill-way choice within
+a set.  The CACP policy (the paper's contribution) lives in
 :mod:`repro.core.cacp` and composes these building blocks with criticality
 partitioning.
 """
@@ -16,6 +16,14 @@ from .request import MemRequest
 RRPV_MAX = 3
 RRPV_LONG = 2
 RRPV_NEAR = 0
+
+
+def first_invalid(lines: List, lo: int, hi: int) -> int:
+    """The first invalid way in ``[lo, hi)``, or -1."""
+    for way in range(lo, hi):
+        if not lines[way].valid:
+            return way
+    return -1
 
 
 def srrip_victim(lines: List, lo: int, hi: int) -> int:
@@ -39,30 +47,15 @@ class ReplacementPolicy:
     """Interface: pick fill ways, maintain per-line promotion state."""
 
     name = "base"
+    #: Ways ``[0, critical_ways)`` are the critical partition: a fill into
+    #: one of them is marked ``in_critical_partition``.  Only CACP has one.
+    critical_ways = 0
 
-    def way_range(self, lines: List, req: MemRequest, ways: int):
-        """Way interval ``[lo, hi)`` eligible for filling ``req``.
-
-        The default is the whole set; partitioning policies (CACP) narrow
-        this to the partition their predictor selects.
-        """
-        return 0, ways
-
-    def choose_way(self, lines: List, req: MemRequest, lo: int, hi: int,
-                   full: bool = False) -> int:
-        """Pick the way in ``[lo, hi)`` to fill for ``req``.
-
-        Invalid ways are preferred; subclasses implement the valid-victim
-        choice in :meth:`_victim`.  ``full`` is the cache's promise that
-        the set has no invalid way, so the scan for one is skipped.
-        """
-        if not full:
-            for way in range(lo, hi):
-                if not lines[way].valid:
-                    return way
-        return self._victim(lines, req, lo, hi)
-
-    def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
+    def choose_way(self, lines: List, req: MemRequest, full: bool) -> int:
+        """The way of ``lines`` (one set) to fill for ``req``: an invalid
+        way if there is one, else the policy's victim.  ``full`` is the
+        cache's promise that the set has no invalid way, so the scan for
+        one is skipped."""
         raise NotImplementedError
 
     def on_fill(self, line, req: MemRequest) -> None:
@@ -83,11 +76,15 @@ class LRUPolicy(ReplacementPolicy):
     def __init__(self) -> None:
         self._clock = 0
 
-    def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
+    def choose_way(self, lines: List, req: MemRequest, full: bool) -> int:
+        if not full:
+            way = first_invalid(lines, 0, len(lines))
+            if way >= 0:
+                return way
         # First minimum: ties go to the lowest way.
-        victim = lo
-        oldest = lines[lo].last_use
-        for way in range(lo + 1, hi):
+        victim = 0
+        oldest = lines[0].last_use
+        for way in range(1, len(lines)):
             last_use = lines[way].last_use
             if last_use < oldest:
                 victim, oldest = way, last_use
@@ -105,8 +102,12 @@ class SRRIPPolicy(ReplacementPolicy):
 
     name = "srrip"
 
-    def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
-        return srrip_victim(lines, lo, hi)
+    def choose_way(self, lines: List, req: MemRequest, full: bool) -> int:
+        if not full:
+            way = first_invalid(lines, 0, len(lines))
+            if way >= 0:
+                return way
+        return srrip_victim(lines, 0, len(lines))
 
     def on_fill(self, line, req: MemRequest) -> None:
         line.rrpv = RRPV_LONG
@@ -183,7 +184,7 @@ class BRRIPPolicy(SRRIPPolicy):
         line.rrpv = RRPV_LONG if self._fills % self.long_interval == 0 else RRPV_MAX
 
 
-class DRRIPPolicy(ReplacementPolicy):
+class DRRIPPolicy(SRRIPPolicy):
     """Dynamic RRIP via set dueling [12, 29, 30].
 
     A few leader sets are dedicated to SRRIP and to BRRIP; misses in each
@@ -225,9 +226,6 @@ class DRRIPPolicy(ReplacementPolicy):
             return self._brrip
         return self._brrip if self.psel > self._psel_max // 2 else self._srrip
 
-    def _victim(self, lines: List, req: MemRequest, lo: int, hi: int) -> int:
-        return srrip_victim(lines, lo, hi)
-
     def on_fill(self, line, req: MemRequest) -> None:
         set_idx = self._set_of(req)
         # A fill is a miss: train PSEL on the leader sets.
@@ -236,9 +234,6 @@ class DRRIPPolicy(ReplacementPolicy):
         elif set_idx in self._brrip_leaders and self.psel > 0:
             self.psel -= 1
         self._insertion_policy(set_idx).on_fill(line, req)
-
-    def on_hit(self, line, req: MemRequest) -> None:
-        line.rrpv = RRPV_NEAR
 
 
 def make_policy(name: str, **kwargs) -> ReplacementPolicy:

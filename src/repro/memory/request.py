@@ -29,8 +29,8 @@ def make_signature(
 class MemRequest:
     """One cache-line access from one warp's memory instruction.
 
-    Valid only during the call it is passed to: the LSU rewrites one
-    request per instruction for each line, so keep fields, not requests.
+    Valid only during the call it is passed to: each LSU rewrites its one
+    request per instruction and per line, so keep fields, not requests.
 
     Attributes:
         line_addr: line-aligned byte address.

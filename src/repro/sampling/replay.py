@@ -50,7 +50,6 @@ def replay_sampled(
     oracle: Optional[dict] = None,
     max_cycles: float = 5e7,
     observers: Optional[list] = None,
-    l1_observers: Optional[list] = None,
     bus=None,
     envelope_rel: Optional[float] = None,
     envelope_source: str = "default",
@@ -79,7 +78,6 @@ def replay_sampled(
         oracle=remap_oracle(oracle, plans[-1]),
         max_cycles=max_cycles,
         observers=observers,
-        l1_observers=l1_observers,
         bus=bus,
     )
     return estimate_sampled_result(

@@ -58,6 +58,9 @@ class LoadStoreUnit:
         self.shared_latency = shared_latency
         self._hit_latency = l1d.config.hit_latency
         self._next_free = 0.0
+        #: The one request this port hands the caches: each instruction
+        #: rewrites its fields, each line its line, cycle and signature.
+        self._req = MemRequest(0, 0, (sm_id, -1, -1), True, False, 0.0)
         #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
 
@@ -89,14 +92,17 @@ class LoadStoreUnit:
         completion = now + 1
         next_free = self._next_free
         start = now if now > next_free else next_free
-        # One request per instruction, its line, LSU cycle and signature
-        # (make_signature(pc, line)) rewritten per line: nothing keeps it.
+        # The port's one request, rewritten for this instruction and then
+        # per line (LSU cycle, make_signature(pc, line)): nothing keeps it.
         pc = inst.pc
         pc_bits = pc & _SIG_MASK
         block_id = warp.block.block_id
         warp_id = warp.warp_id_in_block
-        req = MemRequest(0, pc, (self.sm_id, block_id, warp_id), inst.is_load,
-                         is_critical, start)
+        req = self._req
+        req.pc = pc
+        req.warp_key = (self.sm_id, block_id, warp_id)
+        req.is_load = inst.is_load
+        req.is_critical = is_critical
         l1d = self.l1d
         probe = l1d.access
         mshr = self.mshr
@@ -108,7 +114,7 @@ class LoadStoreUnit:
             req.cycle = issue_time
             req.signature = (pc_bits ^ (line_addr >> REGION_SHIFT)) & _SIG_MASK
             done = (issue_time + hit_latency if probe(req)
-                    else miss(l1d, mshr, req, issue_time)[0])
+                    else miss(l1d, mshr, req, issue_time))
             if done > completion:
                 completion = done
             issue_time += 1

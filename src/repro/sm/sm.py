@@ -336,9 +336,9 @@ class StreamingMultiprocessor:
             if heap and heap[0][0] < wake:
                 wake = heap[0][0]
         if gated:
-            mshr_free_at = now if free_mshrs > 0 else mshr.next_free_time(now)
-            if mshr_free_at < wake:
-                wake = mshr_free_at
+            mshr_wake = now if free_mshrs > 0 else mshr.next_free_time(now)
+            if mshr_wake < wake:
+                wake = mshr_wake
         return issued, wake if wake > now else now
 
     def _issue(self, warp: Warp, scheduler: WarpScheduler, now: float) -> None:
@@ -603,9 +603,9 @@ class StreamingMultiprocessor:
             if heap and heap[0][0] < wake:
                 wake = heap[0][0]
         if gated:
-            mshr_free_at = self.mshr.next_free_time(now)
-            if mshr_free_at < wake:
-                wake = mshr_free_at
+            mshr_wake = self.mshr.next_free_time(now)
+            if mshr_wake < wake:
+                wake = mshr_wake
         return wake if wake > now else now
 
     @property

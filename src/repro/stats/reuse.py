@@ -1,7 +1,10 @@
 """Reuse-distance (LRU stack distance) profiling — paper Figures 3 and 8.
 
-Subscribes to a cache's access stream and computes, per re-reference, the
-number of distinct lines touched since the previous access to the same line.
+An event-bus collector (:mod:`repro.obs`): it reads the L1 data caches'
+probe records — ``CACHE_HIT`` / ``CACHE_MISS`` at level 0, which carry the
+PC, line and the requester's criticality — and computes, per re-reference,
+the number of distinct lines touched since the previous access to the same
+line.
 A re-reference whose stack distance exceeds the cache's line capacity would
 miss in a fully-associative LRU cache of that size — the paper's "evicted
 before re-reference" criterion for critical warp data.
@@ -11,7 +14,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
+
+from ..obs.events import Ev
+
+_EV_CACHE_HIT = int(Ev.CACHE_HIT)
+_EV_CACHE_MISS = int(Ev.CACHE_MISS)
 
 #: Histogram bucket upper bounds (in distinct lines); the last bucket is
 #: unbounded and "no reuse" is tracked separately.
@@ -50,42 +58,44 @@ class ReuseProfile:
 
 
 class ReuseDistanceProfiler:
-    """Cache observer computing stack distances per criticality class and PC."""
+    """Bus collector computing stack distances per criticality class and PC
+    over every SM's L1D probes, in the order the LSUs made them."""
 
     def __init__(self) -> None:
         self._stack: "OrderedDict[int, None]" = OrderedDict()
-        self._last_owner_critical: Dict[int, bool] = {}
         self.critical = ReuseProfile()
         self.non_critical = ReuseProfile()
         self.by_pc: Dict[int, ReuseProfile] = {}
-        self._fill_pc: Dict[int, int] = {}
+        self._first_pc: Dict[int, int] = {}
 
-    # Cache observer interface -----------------------------------------
-    def on_access(self, req, hit: bool, line) -> None:
-        addr = req.line_addr
-        profile = self.critical if req.is_critical else self.non_critical
+    # Event-bus collector interface --------------------------------------
+    def append(self, ev: tuple) -> None:
+        """``(kind, cycle, sm, level, pc, line_addr, critical)`` probe
+        records of level 0 count; every other record is ignored."""
+        kind = ev[0]
+        if (kind == _EV_CACHE_HIT or kind == _EV_CACHE_MISS) and ev[3] == 0:
+            self.access(ev[5], ev[4], bool(ev[6]))
+
+    def access(self, addr: int, pc: int, critical: bool) -> None:
+        """One L1 probe of line ``addr`` by instruction ``pc``."""
+        profile = self.critical if critical else self.non_critical
         profile.references += 1
-        pc_profile = self.by_pc.setdefault(req.pc, ReuseProfile())
+        pc_profile = self.by_pc.setdefault(pc, ReuseProfile())
         pc_profile.references += 1
 
         if addr in self._stack:
             distance = self._distance(addr)
             profile.record(distance)
-            fill_pc = self._fill_pc.get(addr, req.pc)
-            self.by_pc.setdefault(fill_pc, ReuseProfile()).record(distance)
+            first_pc = self._first_pc.get(addr, pc)
+            self.by_pc.setdefault(first_pc, ReuseProfile()).record(distance)
             self._stack.move_to_end(addr)
         else:
             self._stack[addr] = None
-            self._fill_pc[addr] = req.pc
-        self._last_owner_critical[addr] = req.is_critical
+            self._first_pc[addr] = pc
         # Bound profiler memory on streaming workloads.
         while len(self._stack) > 65536:
             old, _ = self._stack.popitem(last=False)
-            self._fill_pc.pop(old, None)
-            self._last_owner_critical.pop(old, None)
-
-    def on_evict(self, line) -> None:  # stack distance ignores evictions
-        pass
+            self._first_pc.pop(old, None)
 
     def _distance(self, addr: int) -> int:
         # Position from the MRU end of the stack.

@@ -28,7 +28,6 @@ def replay_program(
     oracle: Optional[dict] = None,
     max_cycles: float = 5e7,
     observers: Optional[list] = None,
-    l1_observers: Optional[list] = None,
     bus=None,
     feedback_tap=None,
 ):
@@ -37,9 +36,10 @@ def replay_program(
     The kernel and launch geometry come from the trace itself, so replay
     needs no workload rebuild (and performs no functional verification —
     there are no computed values to verify).  ``observers`` join each SM's
-    ``issue_observers``; ``l1_observers`` join each L1D's observer list.
-    ``bus`` is an optional :class:`repro.obs.bus.EventBus` the replay wires
-    in place of the config-built one (callers attach collectors first).
+    ``issue_observers``.  ``bus`` is an optional
+    :class:`repro.obs.bus.EventBus` the replay wires in place of the
+    config-built one (callers attach collectors first, e.g. the Fig 3
+    reuse-distance profiler).
     ``feedback_tap`` is an optional :class:`repro.feedback.SignalTap`
     recording every published feedback signal.
     """
@@ -54,9 +54,6 @@ def replay_program(
     for observer in observers or ():
         for sm in gpu.sms:
             sm.issue_observers.append(observer)
-    for observer in l1_observers or ():
-        for sm in gpu.sms:
-            sm.l1d.observers.append(observer)
     results = []
     for launch in program.launches:
         results.append(

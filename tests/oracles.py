@@ -13,16 +13,20 @@ from scratch, each wrapping methods on the instances it is handed:
   ``sm.warps``.
 
 Both re-derive readiness with :func:`readiness_from_scratch` and share no
-state with the structures they check.  Three more keep eager bookkeeping
+state with the structures they check.  Four more keep eager bookkeeping
 the model no longer does as a reference for what it derives:
 :class:`CPLReferenceOracle` for the CPL counter,
-:class:`StallReferenceOracle` for the stall sums, and
-:class:`SelectReferenceOracle` for every scheduler's pick.
+:class:`StallReferenceOracle` for the stall sums,
+:class:`SelectReferenceOracle` for every scheduler's pick, and
+:class:`MSHRReferenceOracle` — the completion heap — for the MSHR file's
+sorted in-flight list.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 
 from repro import GPU
 from repro.core.cacp import CACPPolicy
@@ -714,3 +718,109 @@ class SelectReferenceOracle(_LaunchOracle):
             real_finish(warp)
 
         return notify_warp_finished
+
+# ----------------------------------------------------------------------
+# The MSHR file against the completion heap it once kept
+# ----------------------------------------------------------------------
+class HeapMSHR:
+    """The MSHR file as it was written before its in-flight fills became
+    one sorted list: a heap of ``(completion, line)`` popped while its top
+    is due, a ``line -> completion`` index, and :meth:`next_free_time` by
+    ``heapq.nsmallest`` over the index, memoised until the next register.
+    Answers only; no statistics, no events."""
+
+    def __init__(self, entries):
+        self._entries = entries
+        self._inflight = {}
+        self._completions = []
+        self._free_at = None
+
+    def _purge(self, now):
+        completions = self._completions
+        inflight = self._inflight
+        while completions and completions[0][0] <= now:
+            _, line_addr = heapq.heappop(completions)
+            done = inflight.get(line_addr)
+            if done is not None and done <= now:
+                del inflight[line_addr]
+
+    def lookup(self, line_addr, now):
+        self._purge(now)
+        return self._inflight.get(line_addr)
+
+    def earliest_start(self, now):
+        self._purge(now)
+        if len(self._inflight) < self._entries:
+            return now
+        return self._completions[0][0] if self._completions else now
+
+    def free_entries(self, now):
+        self._purge(now)
+        return max(0, self._entries - len(self._inflight))
+
+    def next_free_time(self, now):
+        self._purge(now)
+        excess = len(self._inflight) - self._entries
+        if excess < 0:
+            return now
+        if self._free_at is None:
+            self._free_at = heapq.nsmallest(excess + 1, self._inflight.values())[-1]
+        return self._free_at
+
+    def register(self, line_addr, completion, now=0.0):
+        self._inflight[line_addr] = completion
+        self._free_at = None
+        heapq.heappush(self._completions, (completion, line_addr))
+
+
+class MSHRReferenceOracle(_LaunchOracle):
+    """The completion heap, kept as a reference for the sorted in-flight
+    list of :class:`repro.memory.mshr.MSHRFile`.
+
+    Gives every SM's file a :class:`HeapMSHR` shadow and wraps the file's
+    methods on the instance, before launch: each ``register`` is mirrored
+    into the shadow, and each answer of ``lookup``, ``earliest_start``,
+    ``free_entries`` and ``next_free_time`` must equal the shadow's to the
+    same call — the same cycles, so both retire the same fills, including
+    at the LSU's per-line cycles, which run ahead of the SM's tick.
+    """
+
+    QUERIES = ("lookup", "earliest_start", "free_entries", "next_free_time")
+
+    def __init__(self, gpu):
+        super().__init__(gpu)
+        #: Checked answers per query name.
+        self.queries = Counter()
+        #: ``next_free_time`` calls that found the file over-subscribed.
+        self.over_subscribed = 0
+        for sm in gpu.sms:
+            mshr = sm.mshr
+            shadow = HeapMSHR(mshr._entries)
+            for name in self.QUERIES:
+                setattr(mshr, name, self._checked(
+                    f"SM{sm.sm_id}", name, mshr, getattr(mshr, name),
+                    getattr(shadow, name)))
+            mshr.register = self._mirrored(mshr.register, shadow.register)
+
+    def _checked(self, where, name, mshr, real, reference):
+        def query(*args):
+            got = real(*args)
+            want = reference(*args)
+            if name == "next_free_time" and len(mshr._inflight) > mshr._entries:
+                self.over_subscribed += 1
+            assert got == want, (
+                f"MSHR {name}{args} of {where}: the sorted list answered "
+                f"{got!r}, the heap reference {want!r}"
+            )
+            self.queries[name] += 1
+            return got
+
+        return query
+
+    @staticmethod
+    def _mirrored(real, reference):
+        def register(*args, **kwargs):
+            real(*args, **kwargs)
+            reference(*args, **kwargs)
+
+        return register

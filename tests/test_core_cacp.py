@@ -5,7 +5,7 @@ import pytest
 from repro.config import CacheConfig
 from repro.core.cacp import CACPPolicy, RRPV_PROTECTED
 from repro.core.ccbp import CriticalCacheBlockPredictor
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, CacheLine
 from repro.memory.replacement import RRPV_MAX
 from repro.memory.request import MemRequest, make_signature
 
@@ -57,14 +57,22 @@ class TestCACPModes:
         with pytest.raises(ValueError):
             CACPPolicy(critical_ways=8, total_ways=16, mode="magic")
 
+    @staticmethod
+    def full_set(distant_ways):
+        """16 valid ways, near-RRPV except ``distant_ways`` (the victims)."""
+        return [CacheLine(valid=True, rrpv=RRPV_MAX if way in distant_ways else 0)
+                for way in range(16)]
+
     def test_priority_mode_uses_full_set(self):
         policy = CACPPolicy(critical_ways=8, total_ways=16, mode="priority")
-        assert policy.way_range([], req(0), 16) == (0, 16)
+        assert policy.choose_way(self.full_set({12}), req(0, critical=True), True) == 12
+        assert policy.choose_way(self.full_set({3}), req(0), True) == 3
 
     def test_static_mode_routes_by_classification(self):
         policy = CACPPolicy(critical_ways=8, total_ways=16, mode="static")
-        assert policy.way_range([], req(0, critical=False), 16) == (8, 16)
-        assert policy.way_range([], req(0, critical=True), 16) == (0, 8)
+        lines = self.full_set({3, 12})
+        assert policy.choose_way(lines, req(0, critical=False), True) == 12
+        assert policy.choose_way(lines, req(0, critical=True), True) == 3
 
     def test_requester_criticality_is_a_prior(self):
         policy = CACPPolicy(critical_ways=8, total_ways=16)

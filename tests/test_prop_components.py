@@ -5,14 +5,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.config import CacheConfig
 from repro.feedback.signals import LEVEL_L1D, Sig
 from repro.isa.kernel import KernelBuilder
 from repro.memory.cache import Cache, CacheLine, CacheStats
 from repro.memory.mshr import MSHRFile
-from repro.memory.replacement import RRPV_MAX, make_policy
+from repro.memory.replacement import RRPV_MAX, make_policy, srrip_victim
 from repro.memory.request import MemRequest, make_signature
 from repro.core.cacp import CACPPolicy
 from repro.scheduling import make_scheduler
@@ -167,7 +167,7 @@ class WayScanCache:
         stats.accesses += 1
         stats.critical_accesses += req.is_critical
         for line in lines:
-            if line.valid and line.tag == req.line_addr:
+            if line.valid and line.line_addr == req.line_addr:
                 stats.hits += 1
                 stats.critical_hits += req.is_critical
                 line.reuse_count += 1
@@ -178,8 +178,7 @@ class WayScanCache:
         if should_bypass is not None and should_bypass(req):
             stats.bypasses += 1
             return False
-        lo, hi = self.policy.way_range(lines, req, self.config.ways)
-        way = self.policy.choose_way(lines, req, lo, hi)  # scans for an invalid way
+        way = self.policy.choose_way(lines, req, False)  # scans for an invalid way
         line = lines[way]
         if line.valid:
             stats.evictions += 1
@@ -189,8 +188,7 @@ class WayScanCache:
                 stats.critical_zero_reuse_evictions += line.reuse_count == 0
             self.policy.on_evict(line, req)
         line.reset_for_fill(req.line_addr, req)
-        boundary = getattr(self.policy, "critical_ways", self.config.critical_ways)
-        line.in_critical_partition = way < boundary
+        line.in_critical_partition = way < self.policy.critical_ways
         self.policy.on_fill(line, req)
         return False
 
@@ -198,7 +196,6 @@ class WayScanCache:
         for lines in self.sets:
             for line in lines:
                 line.valid = False
-                line.tag = -1
 
 
 #: Small enough that a few dozen accesses over 16 lines fill both sets,
@@ -260,7 +257,7 @@ def test_prop_residency_index_matches_a_way_scan(policy_name, steps):
 
             assert cache.access(request()) == model.access(request())
             assert (cache.lookup(line_addr) is not None) == any(
-                line.valid and line.tag == line_addr
+                line.valid and line.line_addr == line_addr
                 for line in model.sets[_INDEX_CONFIG.set_index(line_addr)])
         assert _tags(cache._sets, _INDEX_CONFIG.ways) == _tags(model.sets)
         assert dataclasses.astuple(cache.stats) == dataclasses.astuple(model.stats)
@@ -294,21 +291,30 @@ def _way_range(draw, ways):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), ways=st.integers(1, 16),
-       policy_name=st.sampled_from(["srrip", "cacp"]))
+       policy_name=st.sampled_from(["range", "srrip", "cacp"]))
 def test_prop_one_step_srrip_aging_matches_the_loop(data, ways, policy_name):
     """One aging step by ``RRPV_MAX - max`` picks the loop's victim and
     leaves every line — inside the range and out — at the loop's RRPV
-    (ties among ways at the maximum are common: four values, 16 ways)."""
+    (ties among ways at the maximum are common: four values, 16 ways).
+    ``range``: the shared search over any way range; ``srrip``: a full
+    set through ``SRRIPPolicy``; ``cacp``: a full set through a static
+    ``CACPPolicy``, whose range is the partition the fill is routed to."""
     rrpvs = data.draw(st.lists(st.integers(0, RRPV_MAX), min_size=ways, max_size=ways))
-    lo, hi = data.draw(_way_range(ways))
     lines = [CacheLine(valid=True, rrpv=rrpv) for rrpv in rrpvs]
     twin = [CacheLine(valid=True, rrpv=rrpv) for rrpv in rrpvs]
-    if policy_name == "cacp":
-        # A full set: straight to the victim search, whatever the mode.
-        policy = CACPPolicy(critical_ways=8, total_ways=16)
-        victim = policy.choose_way(lines, None, lo, hi, full=True)
+    if policy_name == "range":
+        lo, hi = data.draw(_way_range(ways))
+        victim = srrip_victim(lines, lo, hi)
+    elif policy_name == "srrip":
+        lo, hi = 0, ways
+        victim = make_policy("srrip").choose_way(lines, None, True)
     else:
-        victim = make_policy("srrip")._victim(lines, None, lo, hi)
+        assume(ways >= 2)
+        boundary = data.draw(st.integers(1, ways - 1))
+        policy = CACPPolicy(critical_ways=boundary, total_ways=ways, mode="static")
+        req = MemRequest(0, 0, (0, 0, 0), True, data.draw(st.booleans()), 0.0, 0)
+        lo, hi = (0, boundary) if policy.classify_critical(req) else (boundary, ways)
+        victim = policy.choose_way(lines, req, True)
     assert victim == _srrip_aging_loop(twin, lo, hi)
     assert [line.rrpv for line in lines] == [line.rrpv for line in twin]
 
@@ -333,7 +339,7 @@ def test_prop_cache_invariants(tokens, policy_name):
         resident.add(line)
         # Tag array must never hold duplicates or exceed capacity.
         tags = [
-            ln.tag
+            ln.line_addr
             for s in cache._sets
             for ln in s
             if ln.valid

@@ -6,8 +6,8 @@ whose SM issued through the execute-era adapters (``TraceStack`` /
 cell ``[cycles, warp instructions, L1 misses, DRAM accesses, digest of the
 per-block finish cycles and per-warp stall sums]``.  The SM that reads the
 recorded stream itself must reproduce all of them, and every cell's CPL
-counters, stall sums and scheduler picks must match the eager references of
-``tests/oracles.py``.
+counters, stall sums, scheduler picks and MSHR answers must match the eager
+references of ``tests/oracles.py``.
 
 Re-capture (only when a change is *meant* to move simulated numbers)::
 
@@ -23,7 +23,12 @@ import pytest
 from repro.config import GPUConfig
 from repro.core.cawa import SCHEMES
 from repro.experiments import runner
-from tests.oracles import CPLReferenceOracle, SelectReferenceOracle, StallReferenceOracle
+from tests.oracles import (
+    CPLReferenceOracle,
+    MSHRReferenceOracle,
+    SelectReferenceOracle,
+    StallReferenceOracle,
+)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "replay_signatures.json")
 
@@ -80,18 +85,21 @@ def test_fixture_covers_the_grid(pinned):
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_cell_reproduces_its_pinned_signature(cell, pinned, trace_store, monkeypatch):
     """Each cell also runs under a :class:`CPLReferenceOracle`, a
-    :class:`StallReferenceOracle` and a :class:`SelectReferenceOracle`: the
-    CPL counters and the stall sums the warps derive match the eager
-    per-issue updates bit for bit, and every scheduler pick matches the
-    eager bookkeeping's."""
+    :class:`StallReferenceOracle`, a :class:`SelectReferenceOracle` and an
+    :class:`MSHRReferenceOracle`: the CPL counters and the stall sums the
+    warps derive match the eager per-issue updates bit for bit, every
+    scheduler pick matches the eager bookkeeping's, and every MSHR answer
+    matches the completion heap's."""
     monkeypatch.setenv("REPRO_CACHE_DIR", trace_store)
     oracles = CPLReferenceOracle.on_every_launch(monkeypatch)
     stall_oracles = StallReferenceOracle.on_every_launch(monkeypatch)
     select_oracles = SelectReferenceOracle.on_every_launch(monkeypatch)
+    mshr_oracles = MSHRReferenceOracle.on_every_launch(monkeypatch)
     assert signature(cell) == pinned[cell_id(cell)]
     assert oracles and all(oracle.issues for oracle in oracles)
     assert stall_oracles and all(oracle.issues for oracle in stall_oracles)
     assert select_oracles and all(oracle.selects for oracle in select_oracles)
+    assert mshr_oracles and all(oracle.queries for oracle in mshr_oracles)
     for oracle in oracles:
         oracle.check_all()
 

@@ -1,15 +1,17 @@
-"""One ``MemRequest`` per warp memory instruction, rewritten per line.
+"""One ``MemRequest`` per LSU, rewritten per instruction and per line.
 
-The LSU builds one request for an instruction and rewrites its line, LSU
-cycle and signature before each line's L1 probe, so whatever reads a
-request must read it during the call it was handed in.  On bfs x cawa, with
-an L1 observer, an event collector and a feedback tap attached at once,
-every one of them must see each line's own ``line_addr``, ``cycle`` and
-``signature`` (where its records carry them) — in the order the LSU walked
-the lines.
+Each LSU owns one request; it rewrites its PC, warp and criticality per
+instruction and its line, LSU cycle and signature before each line's L1
+probe, so whatever reads a request must read it during the call it was
+handed in.  On bfs x cawa, with an L1 log, an event collector and a
+feedback tap attached at once, every one of them must see each line's own
+``line_addr``, ``cycle`` and ``signature`` (where its records carry them) —
+in the order the LSU walked the lines.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro import GPUConfig, apply_scheme
 from repro import trace as trace_mod
@@ -24,17 +26,20 @@ from repro.sm.lsu import LoadStoreUnit
 
 
 class L1Log:
-    """An L1 observer that copies what it is shown, during the call."""
+    """A bus collector of the L1D probes, the way the Fig 3 reuse profiler
+    reads them: level-0 ``CACHE_HIT`` / ``CACHE_MISS`` records, plus the
+    signature each CACP fill inserts with."""
 
     def __init__(self):
         self.accesses = []
+        self.inserts = []
 
-    def on_access(self, req, hit, line):
-        self.accesses.append((req.warp_key, req.line_addr, req.cycle, req.signature,
-                              req.pc, req.is_critical))
-
-    def on_evict(self, line):
-        pass
+    def append(self, ev):
+        if ev[0] in (Ev.CACHE_HIT, Ev.CACHE_MISS) and ev[3] == 0:
+            _, cycle, sm, _, pc, line, critical = ev
+            self.accesses.append((sm, line, cycle, pc, bool(critical)))
+        elif ev[0] == Ev.CACP_INSERT:
+            self.inserts.append((ev[2], ev[1], ev[3]))
 
 
 def test_every_consumer_sees_each_lines_own_request(monkeypatch):
@@ -57,31 +62,31 @@ def test_every_consumer_sees_each_lines_own_request(monkeypatch):
         return real_issue(self, warp, inst, mask, now, is_critical, lines)
 
     monkeypatch.setattr(LoadStoreUnit, "issue", issue)
-    observer, events, tap = L1Log(), [], SignalTap()
+    log, events, tap = L1Log(), [], SignalTap()
     bus = EventBus()
+    bus.attach(log)
     bus.attach(events)
     trace_mod.replay_program(program, apply_scheme(cfg, "cawa"), scheme="cawa",
-                             l1_observers=[observer], bus=bus, feedback_tap=tap)
+                             bus=bus, feedback_tap=tap)
 
-    assert walked and observer.accesses == walked
+    assert walked and log.accesses == [
+        (key[0], line, cycle, pc, critical)
+        for key, line, cycle, _, pc, critical in walked]
     # An SM's LSU walks one line per cycle: (sm, cycle) names a line.
     line_at = {(key[0], cycle): (key, line, signature, pc)
                for key, line, cycle, signature, pc, _ in walked}
     assert len(line_at) == len(walked)
+    assert log.inserts and all(  # each fill inserts with its line's signature
+        line_at[sm, cycle][2] == signature for sm, cycle, signature in log.inserts)
 
-    probes = [ev for ev in events if ev[0] in (Ev.CACHE_HIT, Ev.CACHE_MISS)]
-    assert [(ev[1], ev[2], ev[5], ev[4]) for ev in probes if ev[3] == 0] == [
-        (cycle, key[0], line, pc) for key, line, cycle, _, pc, _ in walked]
-    l2_probes = [ev for ev in probes if ev[3] == 1]
+    l2_probes = [ev for ev in events
+                 if ev[0] in (Ev.CACHE_HIT, Ev.CACHE_MISS) and ev[3] == 1]
     fills = [ev for ev in events if ev[0] == Ev.CACHE_FILL]
-    inserts = [ev for ev in events if ev[0] == Ev.CACP_INSERT]
-    assert l2_probes and fills and inserts
+    assert l2_probes and fills
     for ev in l2_probes:  # the L2 is probed with the same request
         assert line_at[ev[2], ev[1]][1:] == (ev[5], make_signature(ev[4], ev[5]), ev[4])
     for ev in fills:
         assert line_at[ev[2], ev[1]][1] == ev[4]
-    for ev in inserts:  # CACP fills the L1 only
-        assert line_at[ev[2], ev[1]][2] == ev[3]
 
     signals = [r for r in tap.records if r[3] == LEVEL_L1D]
     misses = [r for r in signals if r[0] == Sig.MISS]
@@ -93,3 +98,11 @@ def test_every_consumer_sees_each_lines_own_request(monkeypatch):
         if record[0] == Sig.FILL:
             key, line, _, _ = line_at[record[2], record[1]]
             assert (record[4], record[5], record[6]) == (key[1], key[2], line)
+
+
+def test_the_l1_observer_hook_is_gone():
+    """L1 probes reach collectors through the event bus only."""
+    cfg = GPUConfig.default_sim()
+    program = runner.load_or_record_program("bfs", "rr", 0.25, cfg)
+    with pytest.raises(TypeError, match="l1_observers"):
+        trace_mod.replay_program(program, cfg, l1_observers=[L1Log()])

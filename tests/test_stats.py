@@ -5,7 +5,7 @@ import pytest
 
 from repro.isa.kernel import KernelBuilder
 from repro.memory.cache import CacheStats
-from repro.memory.request import MemRequest, make_signature
+from repro.obs.events import Ev
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp
 from repro.stats.counters import RunResult, merge_cache_stats
@@ -36,9 +36,10 @@ def make_block(times):
     return block
 
 
-def req(line_addr, pc=0, critical=False):
-    return MemRequest(line_addr, pc, (0, 0, 0), True, critical, 0.0,
-                      make_signature(pc, line_addr))
+def probe(line_addr, pc=0, critical=False, hit=False, level=0):
+    """An L1 (level 0) probe record as the cache emits it on the bus."""
+    return (Ev.CACHE_HIT if hit else Ev.CACHE_MISS, 0.0, 0, level, pc,
+            line_addr, 1 if critical else 0)
 
 
 class TestDisparity:
@@ -89,30 +90,30 @@ class TestDisparity:
 class TestReuseDistance:
     def test_first_touch_is_not_rereference(self):
         profiler = ReuseDistanceProfiler()
-        profiler.on_access(req(0), hit=False, line=None)
+        profiler.append(probe(0))
         assert profiler.non_critical.references == 1
         assert profiler.non_critical.rereferences == 0
 
     def test_immediate_reuse_distance_zero(self):
         profiler = ReuseDistanceProfiler()
-        profiler.on_access(req(0), False, None)
-        profiler.on_access(req(0), True, None)
+        profiler.append(probe(0))
+        profiler.append(probe(0, hit=True))
         assert profiler.non_critical.histogram[0] == 1
 
     def test_stack_distance_counts_distinct_lines(self):
         profiler = ReuseDistanceProfiler()
-        profiler.on_access(req(0), False, None)
+        profiler.append(probe(0))
         for i in range(1, 10):
-            profiler.on_access(req(i * 128), False, None)
-        profiler.on_access(req(0), True, None)
+            profiler.append(probe(i * 128))
+        profiler.append(probe(0, hit=True))
         # 9 distinct lines in between: falls into the [8, 16) bucket.
         assert profiler.non_critical.histogram[1] == 1
 
     def test_critical_and_noncritical_separated(self):
         profiler = ReuseDistanceProfiler()
-        profiler.on_access(req(0, critical=True), False, None)
-        profiler.on_access(req(0, critical=True), True, None)
-        profiler.on_access(req(128), False, None)
+        profiler.append(probe(0, critical=True))
+        profiler.append(probe(0, critical=True, hit=True))
+        profiler.append(probe(128))
         assert profiler.critical.rereferences == 1
         assert profiler.non_critical.rereferences == 0
 
@@ -126,10 +127,20 @@ class TestReuseDistance:
 
     def test_per_pc_profiles(self):
         profiler = ReuseDistanceProfiler()
-        profiler.on_access(req(0, pc=3), False, None)
-        profiler.on_access(req(0, pc=5), True, None)
+        profiler.append(probe(0, pc=3))
+        profiler.append(probe(0, pc=5, hit=True))
         # Reuse is attributed to the PC that *filled* the line.
         assert profiler.by_pc[3].rereferences == 1
+
+    def test_reads_l1_probe_records_only(self):
+        profiler = ReuseDistanceProfiler()
+        profiler.append(probe(0, level=1))  # the L2's probe of the same line
+        profiler.append((Ev.CACHE_FILL, 0.0, 0, 0, 0, 0))
+        assert profiler.non_critical.references == 0
+        profiler.append(probe(0))
+        profiler.append(probe(0, hit=True))
+        assert profiler.non_critical.references == 2
+        assert profiler.non_critical.rereferences == 1
 
 
 class TestCountersAndReport:
