@@ -381,15 +381,12 @@ def cmd_trace(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         from .core.cawa import apply_scheme
+        from .experiments.runner import scheme_oracle
 
         cfg = apply_scheme(config, args.scheme)
-        oracle = None
-        if cfg.scheduler_name == "caws":
-            from .experiments.runner import build_oracle
-
-            oracle = build_oracle(args.workload, args.scale, config)
         results = trace_mod.replay_program(
-            program, cfg, scheme=args.scheme, oracle=oracle
+            program, cfg, scheme=args.scheme,
+            oracle=scheme_oracle(args.workload, args.scale, config, cfg),
         )
         for result in results:
             print(result.summary())
@@ -428,11 +425,13 @@ def cmd_trace(args) -> int:
 
 
 def _events_load_or_record(args, config: GPUConfig):
-    """Shared ``events stats``/``events export`` front half.
+    """Shared front half of ``events record`` / ``stats`` / ``export``.
 
-    Returns ``(events, meta)``: a stored recording for this exact
-    (workload, scheme, scale, config-fingerprint) cell when one exists,
-    else a fresh recording (stored for next time unless ``--no-store``).
+    Returns ``(events, meta, result, path)``: for ``stats`` / ``export``
+    without ``--force``, a stored recording for this exact (workload,
+    scheme, scale, config-fingerprint) cell when one exists — ``result`` is
+    then ``None`` — else (and always for ``record``) a fresh recording,
+    stored at ``path`` for next time unless ``--no-store``.
     """
     from .core.cawa import apply_scheme
     from .obs import harness, store
@@ -441,8 +440,10 @@ def _events_load_or_record(args, config: GPUConfig):
     key = store.event_key(args.workload, args.scheme, args.scale,
                           cfg.fingerprint())
     path = store.event_path(key)
-    if path.exists() and not getattr(args, "force", False):
-        return store.load_events(path)
+    if (args.events_command != "record" and path.exists()
+            and not getattr(args, "force", False)):
+        events, meta = store.load_events(path)
+        return events, meta, None, path
 
     result, bus = harness.record_events(
         args.workload, args.scheme, scale=args.scale, config=config,
@@ -459,7 +460,7 @@ def _events_load_or_record(args, config: GPUConfig):
     }
     if not getattr(args, "no_store", False):
         store.save_events(path, events, meta)
-    return events, meta
+    return events, meta, result, path
 
 
 def cmd_events(args) -> int:
@@ -492,27 +493,7 @@ def cmd_events(args) -> int:
     config = _base_config(args)
 
     if args.events_command == "record":
-        from .obs import harness, store
-        from .core.cawa import apply_scheme
-
-        result, bus = harness.record_events(
-            args.workload, args.scheme, scale=args.scale, config=config,
-        )
-        events = bus.events()
-        cfg = apply_scheme(config, args.scheme)
-        key = store.event_key(args.workload, args.scheme, args.scale,
-                              cfg.fingerprint())
-        path = store.event_path(key)
-        if not args.no_store:
-            store.save_events(path, events, {
-                "workload": args.workload,
-                "scheme": args.scheme,
-                "scale": args.scale,
-                "cycles": result.cycles,
-                "frontend": result.frontend,
-                "sampling": cfg.sampling,
-                "fingerprint": cfg.fingerprint(),
-            })
+        events, _meta, result, path = _events_load_or_record(args, config)
         print(result.summary())
         print(f"recorded {len(events)} events"
               + ("" if args.no_store else f" -> {path}"))
@@ -521,7 +502,7 @@ def cmd_events(args) -> int:
         return 0
 
     if args.events_command == "stats":
-        events, meta = _events_load_or_record(args, config)
+        events, meta = _events_load_or_record(args, config)[:2]
         acct = StallAccounting().extend(events)
         if args.format == "json":
             payload = acct.to_dict()
@@ -538,7 +519,7 @@ def cmd_events(args) -> int:
         return 0
 
     if args.events_command == "export":
-        events, _meta = _events_load_or_record(args, config)
+        events = _events_load_or_record(args, config)[0]
         out = args.output
         if args.format == "chrome":
             out = out or f"{args.workload}-{args.scheme}.trace.json"

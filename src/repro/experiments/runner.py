@@ -16,9 +16,13 @@ process pool (``parallel=True``); workers share the disk cache.
 
 A third layer sits under both: the persistent **trace** store
 (``.repro_cache/traces/``, keyed on the functional fingerprint only; see
-:mod:`repro.trace` and ``docs/trace_driven.md``).  Unless the config says
+:mod:`repro.trace` and ``docs/trace_driven.md``).  A result-cache miss
+simulates the cell through :func:`simulate_cell`, the one routine that
+times a cell — :func:`repro.obs.harness.record_events` and
+:func:`repro.feedback.harness.record_signals` call it too, so a cell's
+numbers cannot depend on who asked.  Unless the config says
 ``with_frontend("execute")`` — the store-less reference, whose GPU records
-every launch in place — a result-cache miss looks there first.  A trace hit
+every launch in place — it looks in the trace store first.  A trace hit
 replays the recorded per-warp streams through the timing model,
 bit-identical to the store-less cell; a trace miss first makes
 the trace — build the workload, run the scheduler-free functional pass
@@ -47,6 +51,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .. import trace as trace_mod
 from ..config import GPUConfig
 from ..core.cawa import apply_scheme
+from ..errors import ConfigError
+from ..feedback.channel import attach_signal_tap
 from ..gpu import GPU
 from ..obs.bus import EventBus, bus_from_spec
 from ..stats.accuracy import CriticalityAccuracyTracker
@@ -104,8 +110,10 @@ def build_oracle(
     # profiling run would only know the sampled subset and, for blocks
     # mode, under renumbered ids.  Always profile exactly; sampled CAWS
     # replays remap the full oracle onto their subset
-    # (:func:`repro.sampling.replay.remap_oracle`).
+    # (:func:`repro.sampling.replay.remap_oracle`).  Nothing reads the
+    # profiling run's events, and with them off its result is cacheable.
     config = (config or GPUConfig.default_sim()).with_sampling("off")
+    config = config.with_events("off")
     # Per-warp times depend on the device profiled on and on the input, so
     # the profiling config's fingerprint and the workload kwargs are part
     # of the key (as in run_scheme's memo).
@@ -123,6 +131,21 @@ def build_oracle(
     return oracle
 
 
+def scheme_oracle(
+    workload: str,
+    scale: float,
+    base: GPUConfig,
+    cfg: GPUConfig,
+    **workload_kwargs,
+) -> Optional[Dict]:
+    """The CAWS oracle a cell under ``cfg`` (``base`` with its scheme
+    applied) schedules with: :func:`build_oracle`'s profile when the
+    scheduler is ``caws``, else ``None``."""
+    if cfg.scheduler_name == "caws":
+        return build_oracle(workload, scale, base, **workload_kwargs)
+    return None
+
+
 def run_scheme(
     workload: str,
     scheme: str,
@@ -138,6 +161,7 @@ def run_scheme(
 ) -> RunResult:
     """Run one (workload, scheme) cell and return its :class:`RunResult`.
 
+    The caching shell around :func:`simulate_cell`, which times the cell.
     ``with_accuracy`` attaches the Fig 11 CPL accuracy tracker;
     ``with_reuse`` attaches the Fig 3 reuse-distance profiler.  Their
     outputs land in ``result.extra``.  ``observers`` are additional SM
@@ -167,22 +191,16 @@ def run_scheme(
     if memoised is not None:
         return memoised
 
-    cfg = apply_scheme(base, scheme)
-
     disk_key = None
     if cacheable and persistent and not with_reuse:
         disk_key = result_cache.cache_key(
-            workload, scheme, scale, cfg.fingerprint(), with_accuracy
+            workload, scheme, scale, apply_scheme(base, scheme).fingerprint(),
+            with_accuracy,
         )
         cached = result_cache.load(disk_key)
         if _serves(cached, check):
             _memoise(key, cached)
             return cached
-
-    oracle = (
-        build_oracle(workload, scale, config, **workload_kwargs)
-        if cfg.scheduler_name == "caws" else None
-    )
 
     accuracy_tracker = CriticalityAccuracyTracker() if with_accuracy else None
     issue_observers = list(observers or ())
@@ -193,42 +211,12 @@ def run_scheme(
         # The profiler reads the L1 probe records off an event bus: the
         # config's own when it records events, else one retaining nothing.
         reuse_profiler = ReuseDistanceProfiler()
-        bus = bus_from_spec(cfg.events) or EventBus(capacity=1)
+        bus = bus_from_spec(base.events) or EventBus(capacity=1)
         bus.attach(reuse_profiler)
 
-    kwargs = dict(workload_kwargs) if workload_kwargs else None
-    # ``frontend`` is read here and nowhere below the runner: "execute" is
-    # the store-less reference (its GPU records each launch in place).
-    if cfg.frontend != "trace":
-        gpu = GPU(cfg, oracle=oracle, obs=bus)
-        for sm in gpu.sms:
-            sm.issue_observers.extend(issue_observers)
-        wl = make_workload(workload, scale=scale, **workload_kwargs)
-        result = wl.run(gpu, scheme=scheme, check=check)
-        program = None
-    else:
-        program = _load_program(workload, scale, cfg, kwargs, check)
-        fresh = program is None
-        if fresh:
-            # The recording always covers every block; a sampled cell
-            # replays its subset from it.
-            program = _record_program(workload, scheme, scale, cfg, kwargs, check)
-
-        def replay() -> RunResult:
-            if cfg.sampling != "off":
-                return _sampled_replay(workload, program, cfg, scheme, oracle,
-                                       issue_observers, bus)
-            return trace_mod.replay_program(
-                program, cfg, scheme=scheme, oracle=oracle,
-                observers=issue_observers, bus=bus,
-            )[-1]
-
-        # Timing is a replay either way; a cold cell's says so.
-        result = trace_mod.replay_recorded(program, replay) if fresh else replay()
-
-    # Verified by this run, or by the functional pass of the trace replayed.
-    result.verified = (check if program is None
-                       else bool(program.meta.get("verified")))
+    result = simulate_cell(workload, scheme, scale, base, check=check,
+                           observers=issue_observers, bus=bus,
+                           **workload_kwargs)
     if accuracy_tracker is not None:
         result.extra["cpl_accuracy"] = accuracy_tracker.accuracy(result)
     if reuse_profiler is not None:
@@ -237,6 +225,85 @@ def run_scheme(
         _memoise(key, result)
     if disk_key is not None:
         result_cache.store(disk_key, result)
+    return result
+
+
+def simulate_cell(
+    workload: str,
+    scheme: str,
+    scale: float,
+    base: GPUConfig,
+    *,
+    check: bool,
+    observers: Iterable = (),
+    bus: Optional[EventBus] = None,
+    feedback_tap=None,
+    **workload_kwargs,
+) -> RunResult:
+    """Simulate one (workload, scheme) cell under ``base``, uncached.
+
+    :func:`run_scheme`, :func:`repro.obs.harness.record_events` and
+    :func:`repro.feedback.harness.record_signals` all time a cell here, so
+    they agree by construction.  ``observers`` (SM issue observers),
+    ``bus`` (in place of the config-built one) and ``feedback_tap`` attach
+    before the first launch.
+
+    The cell replays the workload's stored trace, recorded first on a miss
+    (``result.recorded``) — only its sampled subset under ``sampling !=
+    "off"``, returning a :class:`~repro.stats.sampling.SampledRunResult`.
+    Under ``with_frontend("execute")``, the store-less reference, the GPU
+    records each launch in place instead.
+    """
+    cfg = apply_scheme(base, scheme)
+    if feedback_tap is not None and cfg.sampling != "off":
+        raise ConfigError(
+            f"cannot tap a sampled replay (sampling={cfg.sampling!r}); "
+            "record signals from an exact run (config.with_sampling('off'))"
+        )
+    oracle = scheme_oracle(workload, scale, base, cfg, **workload_kwargs)
+    observers = list(observers)
+    if cfg.frontend != "trace":
+        gpu = GPU(cfg, oracle=oracle, obs=bus)
+        if feedback_tap is not None:
+            attach_signal_tap(gpu, feedback_tap)
+        for sm in gpu.sms:
+            sm.issue_observers.extend(observers)
+        wl = make_workload(workload, scale=scale, **workload_kwargs)
+        result = wl.run(gpu, scheme=scheme, check=check)
+        result.verified = check
+        return result
+
+    kwargs = dict(workload_kwargs) or None
+    program = _load_program(workload, scale, cfg, kwargs, check)
+    fresh = program is None
+    if fresh:
+        # The recording always covers every block; a sampled cell
+        # replays its subset from it.
+        program = _record_program(workload, scheme, scale, cfg, kwargs, check)
+
+    def replay() -> RunResult:
+        if cfg.sampling != "off":
+            from ..sampling import calibrate as sampling_calibrate
+            from ..sampling.replay import replay_sampled
+
+            # The workload's calibrated envelope at this rate, else the
+            # conservative default.
+            envelope, source = sampling_calibrate.envelope_for(
+                workload, cfg.sampling)
+            return replay_sampled(
+                program, cfg, scheme=scheme, oracle=oracle,
+                observers=observers, bus=bus,
+                envelope_rel=envelope, envelope_source=source,
+            )
+        return trace_mod.replay_program(
+            program, cfg, scheme=scheme, oracle=oracle,
+            observers=observers, bus=bus, feedback_tap=feedback_tap,
+        )[-1]
+
+    # Timing is a replay either way; a cold cell's says so.
+    result = trace_mod.replay_recorded(program, replay) if fresh else replay()
+    # Verified by the functional pass of the trace replayed.
+    result.verified = bool(program.meta.get("verified"))
     return result
 
 
@@ -289,39 +356,12 @@ def load_or_record_program(
     """The stored trace of ``(workload, scale)``, recorded first if the
     store misses (or holds one ``check`` cannot accept).
 
-    For harnesses that drive :func:`repro.trace.replay_program` themselves
-    (:func:`repro.obs.harness.record_events`,
-    :func:`repro.feedback.harness.record_signals`): a miss costs the
-    functional pass and no simulation.
+    For callers that drive :func:`repro.trace.replay_program` themselves
+    (:mod:`repro.experiments.profiling`, ``tools/opcount.py``): a miss
+    costs the functional pass and no simulation.
     """
     return (_load_program(workload, scale, config, None, check)
             or _record_program(workload, scheme, scale, config, None, check))
-
-
-def _sampled_replay(
-    workload: str,
-    program,
-    cfg: GPUConfig,
-    scheme: str,
-    oracle,
-    issue_observers: list,
-    bus,
-):
-    """Sampled replay of one cell, with the calibrated envelope applied.
-
-    The confidence envelope is looked up by workload name from the
-    persisted calibration table; an uncalibrated (or differently-rated)
-    cell falls back to the conservative default envelope.
-    """
-    from ..sampling import calibrate as sampling_calibrate
-    from ..sampling.replay import replay_sampled
-
-    envelope, source = sampling_calibrate.envelope_for(workload, cfg.sampling)
-    return replay_sampled(
-        program, cfg, scheme=scheme, oracle=oracle,
-        observers=issue_observers, bus=bus,
-        envelope_rel=envelope, envelope_source=source,
-    )
 
 
 #: ``run_scheme`` keyword parameters; anything else in ``run_sweep``'s

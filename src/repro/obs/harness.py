@@ -2,9 +2,10 @@
 
 :func:`record_events` is the programmatic counterpart of ``repro events
 record``: it builds an events-enabled config, attaches any caller
-collectors *before* launch, runs the cell — a replay of the workload's
-trace (recorded first if need be) unless the config says
-``with_frontend("execute")`` — and hands back ``(result, bus)``.
+collectors to its bus *before* launch, runs the cell through
+:func:`repro.experiments.runner.simulate_cell` — the routine
+:func:`~repro.experiments.runner.run_scheme` runs it with — and hands back
+``(result, bus)``.
 
 Kept in its own module (and exported lazily from ``repro.obs``) because
 it imports the GPU and the experiment runner — far too heavy for the
@@ -32,8 +33,8 @@ def record_events(
 
     If ``config`` has ``events == "off"`` it is upgraded to ``"on"`` —
     asking to record with events disabled is never what the caller meant.
-    The stream is identical whether the cell replays (the default) or
-    records in place (``tests/test_obs_parity.py``).
+    The result is the one :func:`~repro.experiments.runner.run_scheme`
+    returns for the cell, provenance included.
 
     With ``config.sampling != "off"`` the bus observes the *sampled*
     replay: the stream covers only the selected subset (under renumbered
@@ -41,49 +42,17 @@ def record_events(
     :class:`~repro.stats.sampling.SampledRunResult`.  Persisted event
     streams carry the sampling spec in their provenance metadata.
     """
-    from ..core.cawa import apply_scheme
-    from ..experiments.runner import build_oracle, load_or_record_program
-    from ..gpu import GPU
-    from ..workloads import make_workload
+    from ..experiments.runner import simulate_cell
 
     base = config or GPUConfig.default_sim()
     if base.events == "off":
         base = base.with_events("on")
-    cfg = apply_scheme(base, scheme)
-
-    bus = bus_from_spec(cfg.events)
+    bus = bus_from_spec(base.events)
     assert bus is not None  # events != "off" by construction
     for collector in collectors:
         bus.attach(collector)
-
-    oracle = (build_oracle(workload, scale, config)
-              if cfg.scheduler_name == "caws" else None)
-
-    if cfg.frontend == "trace":
-        from .. import trace as trace_mod
-
-        program = load_or_record_program(workload, scheme, scale, base, check)
-        if cfg.sampling != "off":
-            from ..sampling import calibrate as sampling_calibrate
-            from ..sampling.replay import replay_sampled
-
-            envelope, source = sampling_calibrate.envelope_for(
-                workload, cfg.sampling
-            )
-            result = replay_sampled(
-                program, cfg, scheme=scheme, oracle=oracle, bus=bus,
-                envelope_rel=envelope, envelope_source=source,
-            )
-            return result, bus
-        results = trace_mod.replay_program(
-            program, cfg, scheme=scheme, oracle=oracle, bus=bus
-        )
-        return results[-1], bus
-
-    gpu = GPU(cfg, oracle=oracle, obs=bus)
-    wl = make_workload(workload, scale=scale)
-    result = wl.run(gpu, scheme=scheme, check=check)
-    return result, bus
+    return simulate_cell(workload, scheme, scale, base, check=check,
+                         bus=bus), bus
 
 
 def record_stalls(

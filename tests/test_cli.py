@@ -1,8 +1,69 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Every parser's and subparser's arguments, captured from ``build_parser()``
+#: (``python tests/test_cli.py`` re-captures it — only when the command line
+#: is meant to change).
+PARSER_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                              "cli_parser.json")
+
+
+def _plain(value):
+    """``value`` as JSON can hold it; anything else by its ``repr``."""
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return repr(value)
+
+
+def parser_spec(parser=None, prog="repro", out=None):
+    """Each parser's actions as plain data, keyed by command path.
+
+    A structured dump, not the rendered ``--help``: argparse lays help out
+    differently from one Python minor to the next, this data does not.
+    """
+    parser = parser or build_parser()
+    out = {} if out is None else out
+    actions = []
+    for action in parser._actions:
+        entry = {
+            "option_strings": list(action.option_strings),
+            "dest": action.dest,
+            "default": _plain(action.default),
+            "nargs": _plain(action.nargs),
+            "required": action.required,
+            "help": action.help,
+        }
+        if isinstance(action, argparse._SubParsersAction):
+            entry["choices"] = sorted(action.choices)
+            entry["subcommands"] = {
+                choice.dest: choice.help for choice in action._choices_actions
+            }
+            for name, subparser in action.choices.items():
+                parser_spec(subparser, f"{prog} {name}", out)
+        else:
+            entry["choices"] = (None if action.choices is None
+                                else _plain(list(action.choices)))
+        actions.append(entry)
+    out[prog] = actions
+    return out
+
+
+def test_parser_matches_its_golden_dump():
+    with open(PARSER_FIXTURE) as handle:
+        golden = json.load(handle)
+    spec = json.loads(json.dumps(parser_spec()))
+    assert sorted(spec) == sorted(golden)
+    for prog in golden:
+        assert spec[prog] == golden[prog], prog
 
 
 class TestParser:
@@ -222,3 +283,10 @@ class TestEventsCommand:
         assert main(["cache", "stats"]) == 0
         capsys.readouterr()
         assert not cache_dir().exists()
+
+
+if __name__ == "__main__":
+    with open(PARSER_FIXTURE, "w") as handle:
+        json.dump(parser_spec(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"captured {len(parser_spec())} parsers -> {PARSER_FIXTURE}")
