@@ -6,8 +6,9 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test test-all test-slow lint sanitize bench ledger ledger-pairs profile opcount sample-profile sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
 
-## Packages held to the ruff + strict-mypy bar (CI `lint` job).
-TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/trace src/repro/feedback
+## Packages (and the CLI dispatcher) held to the ruff + strict-mypy bar (CI
+## `lint` job).
+TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/trace src/repro/feedback src/repro/cli.py
 
 ## Tier-1 suite: fast correctness tests (excludes `slow`-marked suites).
 test:

@@ -1,0 +1,281 @@
+"""``repro list | run | sweep | profile | figure | tables | schemes | cache``:
+the experiment harness's commands (registered by :mod:`repro.cli`)."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import sys
+
+from ..core.cawa import SCHEMES
+from ..stats.report import format_table
+from ..workloads import NON_SENS_WORKLOADS, SENS_WORKLOADS, workload_names
+from . import FIGURES, runner
+
+
+def register(subparsers, common) -> None:
+    sub = subparsers.add_parser("list", help="list workloads, schemes, and figures")
+    sub.set_defaults(handler=cmd_list)
+
+    sub = subparsers.add_parser("run", help="run one workload under one scheme")
+    common.cell(sub)
+    sub.add_argument("--no-check", action="store_true",
+                     help="skip functional verification")
+    sub.set_defaults(handler=cmd_run)
+
+    sub = subparsers.add_parser("sweep", help="run a workload x scheme grid")
+    sub.add_argument("--workloads", default="",
+                     help="comma-separated names (default: all of Table 2)")
+    sub.add_argument("--schemes", default="rr,gto,cawa")
+    sub.add_argument("--metric", default="ipc", choices=["ipc", "mpki", "cycles"])
+    common.scale(sub)
+    common.fermi(sub)
+    sub.add_argument(
+        "--sampled", nargs="?", const=True, default=False, metavar="SPEC",
+        help="statistical replay: estimate each cell from a sampled subset "
+        "of its trace with 95%% CIs (bare flag: per-workload calibrated "
+        "rates from 'repro sample calibrate'; a SPEC such as 'blocks:0.1' "
+        "forces one rate everywhere); see docs/sampling.md",
+    )
+    sub.add_argument("--exact", action="store_true",
+                     help="force exact replay (overrides --sampled)")
+    sub.set_defaults(handler=cmd_sweep)
+
+    sub = subparsers.add_parser("profile", help="cProfile one run")
+    common.cell(sub, positional=True, scheme="cawa")
+    sub.add_argument("--sort", default="cumulative",
+                     choices=["cumulative", "tottime", "ncalls"])
+    sub.add_argument("--top", type=int, default=25,
+                     help="number of profile rows to print")
+    sub.set_defaults(handler=cmd_profile)
+
+    sub = subparsers.add_parser(
+        "cache", help="inspect or garbage-collect the .repro_cache/ stores")
+    cache_sub = sub.add_subparsers(dest="cache_command", required=True)
+    sub = cache_sub.add_parser("stats", help="entry/byte counts per store")
+    sub.add_argument("--format", choices=["text", "json"], default="text")
+    sub.set_defaults(handler=cmd_cache_stats)
+    sub = cache_sub.add_parser("gc", help="lock-safe removal of stale entries")
+    sub.add_argument("--max-age-days", type=float, default=None,
+                     help="drop entries older than this many days")
+    sub.add_argument("--max-entries", type=int, default=None,
+                     help="keep at most this many newest entries per store")
+    sub.add_argument("--what", default=None,
+                     help="comma-separated stores (results,traces,events); "
+                     "default all")
+    sub.set_defaults(handler=cmd_cache_gc)
+
+    sub = subparsers.add_parser("figure", help="regenerate one paper figure")
+    sub.add_argument("number", type=int)
+    common.scale(sub)
+    common.fermi(sub)
+    sub.set_defaults(handler=cmd_figure)
+
+    sub = subparsers.add_parser("tables", help="print Tables 1 and 2")
+    common.fermi(sub)
+    sub.set_defaults(handler=cmd_tables)
+
+    sub = subparsers.add_parser(
+        "schemes", help="list registered schedulers and their feedback subscriptions")
+    sub.add_argument("--signals", action="store_true",
+                     help="print the feedback signal schema instead")
+    sub.add_argument("--compare", action="store_true", help="run the co-design "
+                     "head-to-head (IPC/MPKI vs gto/caws/cawa)")
+    sub.add_argument("--workloads", default="",
+                     help="comma-separated list for --compare")
+    common.scale(sub)
+    sub.add_argument("--parallel", action="store_true")
+    common.fermi(sub)
+    sub.set_defaults(handler=cmd_schemes)
+
+
+def cmd_list(args) -> int:
+    print("Workloads (Table 2):")
+    for name in SENS_WORKLOADS:
+        print(f"  {name:<16} [Sens]")
+    for name in NON_SENS_WORKLOADS:
+        print(f"  {name:<16} [Non-sens]")
+    print("\nSchemes:")
+    for scheme, (scheduler, cacp) in SCHEMES.items():
+        cacp_note = " + CACP" if cacp else ""
+        print(f"  {scheme:<16} scheduler={scheduler}{cacp_note}")
+    print(f"\nFigures: {', '.join(str(f) for f in FIGURES)} (plus 'tables')")
+    return 0
+
+
+def _trace_path_taken(result) -> str:
+    """How ``result`` was made: ``recorded trace <id> in ...`` (the cell
+    made its trace), ``replayed trace <id>`` or ``executed``."""
+    if result.trace_id is None:
+        return "executed (no trace)"
+    if not result.recorded:
+        return f"replayed trace {result.trace_id}"
+    return (
+        f"recorded trace {result.trace_id} in {1e3 * result.record_s:.0f} ms "
+        f"({result.record_steps} steps, {result.record_warps} warps), "
+        f"replayed in {1e3 * result.replay_s:.0f} ms"
+    )
+
+
+def cmd_run(args) -> int:
+    result = runner.run_scheme(args.workload, args.scheme, scale=args.scale,
+                               config=args.config, check=not args.no_check,
+                               use_cache=False)
+    print(result.summary())
+    print(f"warp instructions: {result.warp_instructions}, "
+          f"thread instructions: {result.thread_instructions}, "
+          f"DRAM accesses: {result.dram_accesses}")
+    print(f"L1D: {result.l1_stats.hits}/{result.l1_stats.accesses} hits, "
+          f"critical hit rate {result.critical_hit_rate:.1%}; "
+          f"L2 hit rate {result.l2_stats.hit_rate:.1%}")
+    print(_trace_path_taken(result))
+    return 0
+
+
+def cmd_sweep(args) -> int:
+    workloads = args.workloads.split(",") if args.workloads else workload_names()
+    schemes = args.schemes.split(",")
+    sampled = False if args.exact else args.sampled
+    start = runner.cells_simulated()
+    results = runner.run_sweep(workloads, schemes, scale=args.scale,
+                               config=args.config, sampled=sampled)
+    metric = {"ipc": lambda r: round(r.ipc, 3),
+              "mpki": lambda r: round(r.l1_mpki, 2),
+              "cycles": lambda r: int(r.cycles)}[args.metric]
+    print(runner.sweep_table(results, workloads, schemes, metric, "workload"))
+    if args.metric == "ipc" and "rr" in schemes:
+        rows = [[w] + [f"{results[(w, s)].ipc / results[(w, 'rr')].ipc:.2f}x"
+                       for s in schemes] for w in workloads]
+        print("\nSpeedup over rr:")
+        print(format_table(["workload"] + schemes, rows))
+    if sampled:
+        metric_key = {"ipc": "ipc", "mpki": "l1_mpki",
+                      "cycles": "cycles"}[args.metric]
+        rows = []
+        for workload in workloads:
+            row = [workload]
+            for scheme in schemes:
+                result = results[(workload, scheme)]
+                est = getattr(result, "ci", {}).get(metric_key)
+                row.append(f"+/-{100.0 * est.rel_half_width:.1f}%"
+                           if est is not None else "exact")
+            rows.append(row)
+        print(f"\nsampled 95% CI half-width ({args.metric}):")
+        print(format_table(["workload"] + schemes, rows))
+    # This invocation's work only: a cell the memo or the disk cache
+    # answered keeps the provenance of the run that made it.
+    ran = [r for r in results.values() if r.cell_serial > start]
+    recorded = sum(r.recorded for r in ran)
+    cached = len(results) - len(ran)
+    print(f"\nrecorded {recorded}, replayed {len(ran) - recorded}"
+          + (f", cached {cached}" if cached else ""))
+    return 0
+
+
+def cmd_profile(args) -> int:
+    from . import profiling
+
+    profiling.profile_run(args.workload, args.scheme, scale=args.scale,
+                          config=args.config, sort=args.sort, top=args.top)
+    return 0
+
+
+def _stores() -> dict:
+    from ..obs import store as event_store
+    from ..trace import store as trace_store
+    from . import result_cache
+
+    return {"results": result_cache, "traces": trace_store,
+            "events": event_store}
+
+
+def cmd_cache_stats(args) -> int:
+    """Entry and byte counts of the persistent ``.repro_cache/`` stores."""
+    payload = {name: store.stats() for name, store in _stores().items()}
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0
+    print(f"{'store':<8} {'entries':>8} {'bytes':>12}  dir")
+    for name, info in payload.items():
+        print(f"{name:<8} {info['entries']:>8} {info['bytes']:>12}  "
+              f"{info['dir']}")
+    return 0
+
+
+def cmd_cache_gc(args) -> int:
+    """Garbage-collect the persistent ``.repro_cache/`` stores."""
+    stores = _stores()
+    names = (args.what.split(",") if args.what else list(stores))
+    bad = [n for n in names if n not in stores]
+    if bad:
+        print(f"error: unknown store(s) {', '.join(bad)}; "
+              f"choose from {', '.join(stores)}", file=sys.stderr)
+        return 2
+    max_age = (args.max_age_days * 86400.0
+               if args.max_age_days is not None else None)
+    if max_age is None and args.max_entries is None:
+        print("error: give --max-age-days and/or --max-entries",
+              file=sys.stderr)
+        return 2
+    total = 0
+    for name in names:
+        removed = stores[name].gc(max_age_seconds=max_age,
+                                  max_entries=args.max_entries)
+        total += removed
+        print(f"{name:<8} removed {removed} entr"
+              f"{'y' if removed == 1 else 'ies'}")
+    print(f"total    removed {total}")
+    return 0
+
+
+def cmd_figure(args) -> int:
+    if args.number not in FIGURES:
+        print(f"no module for figure {args.number}; available: {FIGURES}",
+              file=sys.stderr)
+        return 2
+    module = importlib.import_module(f".fig{args.number:02d}", __package__)
+    data = module.run(scale=args.scale, config=args.config)
+    print(module.render(data))
+    return 0
+
+
+def cmd_tables(args) -> int:
+    from . import tables
+
+    print(tables.table1(args.config if args.fermi else None))
+    print()
+    print(tables.table2())
+    return 0
+
+
+def cmd_schemes(args) -> int:
+    from ..feedback.signals import Sig, schema_table
+    from ..scheduling.registry import SCHEDULERS
+
+    if args.signals:
+        print(schema_table())
+        return 0
+    if args.compare:
+        from . import schemes_table
+
+        workloads = (args.workloads.split(",") if args.workloads
+                     else list(schemes_table.DEFAULT_WORKLOADS))
+        results = schemes_table.schemes_head_to_head(
+            workloads, scale=args.scale, config=args.config,
+            parallel=args.parallel)
+        print(schemes_table.format_head_to_head(results, workloads))
+        return 0
+    print("Registered warp schedulers (see docs/schemes.md):")
+    for name in sorted(SCHEDULERS):
+        scheduler = SCHEDULERS[name]
+        if name != scheduler.name:
+            print(f"  {name:<10} alias of {scheduler.name}")
+            continue
+        kinds = scheduler.FEEDBACK_KINDS
+        signals = (
+            "subscribes: " + ",".join(Sig(k).name for k in kinds)
+            if kinds else "no feedback subscription"
+        )
+        print(f"  {name:<10} {scheduler.DESCRIPTION}")
+        print(f"  {'':<10} {signals}")
+    return 0

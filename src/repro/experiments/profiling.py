@@ -1,6 +1,6 @@
 """Performance instrumentation for simulator runs.
 
-Backs ``python -m repro profile`` and ``tools/profile_run.py``: one
+Backs ``python -m repro profile`` (``make profile``): one
 cache-bypassed run under cProfile — its hot-spot listing and simulated
 cycles per CPU second — plus :func:`replay_call_count`, profiled Python
 calls per replayed warp instruction: a deterministic hot-path gauge that

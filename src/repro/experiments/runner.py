@@ -73,6 +73,26 @@ from . import result_cache
 _CACHE: "OrderedDict[Tuple, RunResult]" = OrderedDict()
 _CACHE_CAP = 512
 _ORACLE_CACHE: Dict[Tuple, Dict] = {}
+#: Cells :func:`simulate_cell` has simulated in this process.
+_simulated = 0
+
+
+def cells_simulated() -> int:
+    """How many cells :func:`simulate_cell` has simulated in this process.
+
+    Each result it makes carries its number as ``RunResult.cell_serial``,
+    which a memo or disk-cache hit keeps (0 when another process made it):
+    read before a call, this count tells the cells that call simulated
+    from the ones a cache answered.
+    """
+    return _simulated
+
+
+def _numbered(result: RunResult) -> RunResult:
+    global _simulated
+    _simulated += 1
+    result.cell_serial = _simulated
+    return result
 
 
 def _memoised(key: Tuple, check: bool) -> Optional[RunResult]:
@@ -271,7 +291,7 @@ def simulate_cell(
         wl = make_workload(workload, scale=scale, **workload_kwargs)
         result = wl.run(gpu, scheme=scheme, check=check)
         result.verified = check
-        return result
+        return _numbered(result)
 
     kwargs = dict(workload_kwargs) or None
     program = _load_program(workload, scale, cfg, kwargs, check)
@@ -304,7 +324,7 @@ def simulate_cell(
     result = trace_mod.replay_recorded(program, replay) if fresh else replay()
     # Verified by the functional pass of the trace replayed.
     result.verified = bool(program.meta.get("verified"))
-    return result
+    return _numbered(result)
 
 
 def _serves(cached: Optional[RunResult], check: bool) -> bool:

@@ -152,6 +152,10 @@ class RunResult:
     replay_s: float = field(default=0.0, compare=False)
     record_steps: int = field(default=0, compare=False)
     record_warps: int = field(default=0, compare=False)
+    #: Which cell this process simulated to make the result
+    #: (:func:`repro.experiments.runner.cells_simulated`); 0 when it was
+    #: read from the disk cache.  Host bookkeeping, never stored.
+    cell_serial: int = field(default=0, compare=False)
 
     #: Clock-advance telemetry of the device loop: ``skip_jumps`` is the
     #: number of clock advances larger than one cycle, ``cycles_skipped``

@@ -64,11 +64,11 @@ NON_SENS_WORKLOADS: List[str] = [
 
 
 def workload_names(include_synthetic: bool = False) -> List[str]:
-    """Table 2 workload names, optionally with the synthetic extras."""
-    names = SENS_WORKLOADS + NON_SENS_WORKLOADS
+    """Table 2 workload names; ``include_synthetic`` gives every registered
+    workload, the synthetic extras after Table 2's."""
     if include_synthetic:
-        names += ["synthetic_imbalance", "synthetic_divergence", "synthetic_memstress"]
-    return names
+        return list(WORKLOADS)
+    return SENS_WORKLOADS + NON_SENS_WORKLOADS
 
 
 def make_workload(name: str, **kwargs) -> Workload:

@@ -52,12 +52,7 @@ class RacyShiftWorkload(Workload):
 
 
 def register(monkeypatch) -> None:
-    """Make ``racy_shift`` a registry workload (and a CLI choice) for one test."""
-    from repro import cli
+    """Make ``racy_shift`` a registry workload (and so a CLI choice) for one test."""
     from repro.workloads import registry
 
     monkeypatch.setitem(registry.WORKLOADS, NAME, RacyShiftWorkload)
-    names = cli.workload_names
-    monkeypatch.setattr(
-        cli, "workload_names",
-        lambda include_synthetic=False: names(include_synthetic) + [NAME])

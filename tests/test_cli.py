@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 
 import pytest
 
@@ -64,6 +65,21 @@ def test_parser_matches_its_golden_dump():
     assert sorted(spec) == sorted(golden)
     for prog in golden:
         assert spec[prog] == golden[prog], prog
+
+
+with open(PARSER_FIXTURE) as _handle:
+    #: Every command path, ``"repro"`` and ``"repro trace record"`` alike.
+    PROGS = sorted(json.load(_handle))
+
+
+@pytest.mark.parametrize("prog", PROGS)
+def test_every_parser_renders_its_help(prog, capsys):
+    """The golden dump never formats help text: a bare ``%`` in a help
+    string (argparse's format character) passes it and breaks ``--help``."""
+    with pytest.raises(SystemExit) as exc:
+        main([*prog.split()[1:], "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {prog} ")
 
 
 class TestParser:
@@ -169,6 +185,52 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "synthetic_imbalance x rr: " in out and "cycles/s" in out
         assert "call budget" in out
+
+
+def _cycles(out):
+    return float(re.search(r"cycles=\s*(\d+)", out).group(1))
+
+
+def test_trace_record_replays_caws_with_its_oracle(capsys):
+    """``trace record --scheme caws`` prints the cell ``run`` prints: its
+    replay schedules with the CAWS oracle like every other caws cell."""
+    cell = ["--workload", "synthetic_imbalance", "--scheme", "caws",
+            "--scale", "0.25"]
+    assert main(["trace", "record", *cell]) == 0
+    recorded = _cycles(capsys.readouterr().out)
+    assert main(["run", *cell]) == 0
+    assert recorded == _cycles(capsys.readouterr().out)
+
+
+def test_client_submit_watch_streams_within_the_timeout(monkeypatch, capsys):
+    seen = {}
+
+    class StubClient:
+        def __init__(self, server, tenant):
+            pass
+
+        def submit(self, spec):
+            return {"id": "j1", "describe": "run", "priority": "batch"}, False
+
+        def watch(self, job_id, timeout=600.0):
+            seen["watch"] = timeout
+            return iter([{"kind": "done"}])
+
+        def wait(self, job_id, timeout=600.0):
+            seen["wait"] = timeout
+            return {"state": "done"}
+
+        def result(self, job_id):
+            return {"payload": {"summary": "summary line"}}
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr("repro.serve.ServeClient", StubClient)
+    assert main(["client", "--timeout", "7", "submit", "--workload", "bfs",
+                 "--watch"]) == 0
+    assert seen == {"watch": 7.0, "wait": 7.0}
+    assert capsys.readouterr().out.splitlines()[1:] == ["  [done]", "summary line"]
 
 
 class TestLintCommand:

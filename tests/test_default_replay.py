@@ -397,6 +397,23 @@ class TestCliReportsThePathTaken:
                      "--schemes", "rr,gto,cawa", "--scale", "0.5"]) == 0
         assert capsys.readouterr().out.strip().endswith("recorded 2, replayed 4")
 
+    def test_sweep_footer_counts_cache_hits_apart(self, capsys):
+        """Only this invocation's work counts as recorded or replayed: a
+        cell the memo or the disk cache answered keeps the provenance of
+        the run that made it, and is counted as cached."""
+        grid = ["sweep", "--workloads", "synthetic_imbalance,synthetic_divergence",
+                "--scale", "0.5", "--schemes"]
+
+        def footer(schemes):
+            assert main([*grid, schemes]) == 0
+            return capsys.readouterr().out.strip().splitlines()[-1]
+
+        assert footer("rr,gto") == "recorded 2, replayed 2"
+        assert footer("rr,gto") == "recorded 0, replayed 0, cached 4"
+        runner.clear_cache()  # a new process: the disk cache answers
+        assert footer("rr,gto") == "recorded 0, replayed 0, cached 4"
+        assert footer("rr,gto,cawa") == "recorded 0, replayed 2, cached 4"
+
     def test_trace_info_lists_headers(self, capsys):
         assert main(["run", *self.ARGS, "--no-check"]) == 0
         capsys.readouterr()

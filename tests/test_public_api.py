@@ -124,6 +124,34 @@ class TestLayering:
                     importers.add(path.relative_to(package).as_posix())
         assert importers == {"__main__.py"}
 
+    def test_no_package_imports_its_commands(self):
+        """``repro.cli`` loads each package's ``commands`` module; the
+        package itself never does, so importing it stays as light as the
+        library needs (no argparse, no command modules)."""
+        import ast
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        package = Path(repro.__file__).resolve().parent
+        for init in sorted(package.glob("*/__init__.py")):
+            for node in ast.walk(ast.parse(init.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = {node.module or ""} | {a.name for a in node.names}
+                elif isinstance(node, ast.Import):
+                    names = {a.name for a in node.names}
+                else:
+                    continue
+                assert not any(n.split(".")[-1] == "commands" for n in names), init
+        probe = (
+            "import sys, repro.trace, repro.obs, repro.serve\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m == 'argparse' or m.endswith('.commands')]\n"
+            "assert not loaded, loaded\n"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True,
+                       env={"PYTHONPATH": str(package.parent)}, timeout=120)
+
     def test_only_the_runner_reads_the_frontend_knob(self):
         """``GPUConfig.frontend`` has one reader, so deleting the knob
         deletes one branch.  ``with_frontend(...)`` builds a config and is
@@ -149,7 +177,6 @@ class TestLayering:
         not_the_knob = {
             ("config.py", "self"),  # GPUConfig validates / copies its field
             ("stats/counters.py", "self"),  # RunResult.to_dict
-            ("cli.py", "r"),  # RunResult provenance
-            ("cli.py", "result"),  # RunResult provenance
+            ("obs/commands.py", "result"),  # RunResult provenance
         }
         assert reads - not_the_knob == {("experiments/runner.py", "cfg")}

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Annotation smoke for the strict-typed packages, standard library only.
 
-Imports every module under the given package directories and resolves the
-annotations of each module-level function and class (and the functions a
-class defines) with :func:`typing.get_type_hints`.  A name an annotation
+Imports every module under the given package directories (or the given
+module files) and resolves the annotations of each module-level function
+and class (and the functions, static and class methods a class defines)
+with :func:`typing.get_type_hints`.  A name an annotation
 uses but the module never binds — a missing import, a typo, a renamed
 class — fails here, without ruff or mypy installed.
 
@@ -15,7 +16,7 @@ subscriptable at runtime before Python 3.12; older interpreters resolve
 
 Run::
 
-    PYTHONPATH=src python tools/annotation_smoke.py src/repro/analysis ...
+    PYTHONPATH=src python tools/annotation_smoke.py src/repro/analysis src/repro/cli.py ...
 
 Exits 1 and lists every unresolvable annotation, else prints a count.
 """
@@ -39,12 +40,14 @@ class _SubscriptableArray(array):  # type: ignore[type-arg]
         return cls
 
 
-def _modules(package_dir: str) -> Iterator[ModuleType]:
-    parts = Path(package_dir).parts
+def _modules(path: str) -> Iterator[ModuleType]:
+    """The package at ``path`` and every module under it, or the one
+    module a ``.py`` path names."""
+    parts = Path(path).with_suffix("").parts
     name = ".".join(parts[parts.index("src") + 1:] if "src" in parts else parts)
     package = importlib.import_module(name)
     yield package
-    for info in pkgutil.walk_packages(package.__path__, name + "."):
+    for info in pkgutil.walk_packages(getattr(package, "__path__", []), name + "."):
         yield importlib.import_module(info.name)
 
 
@@ -73,12 +76,14 @@ def _targets(module: ModuleType) -> Iterator[Tuple[str, Any]]:
         elif inspect.isclass(obj):
             yield name, obj
             for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # static/class methods
                 if inspect.isfunction(member):
                     yield f"{name}.{attr}", member
 
 
 def check(package_dirs: List[str]) -> Tuple[int, List[str]]:
-    """``(objects checked, failure lines)`` over ``package_dirs``."""
+    """``(objects checked, failure lines)`` over ``package_dirs`` (package
+    directories or module files)."""
     checked = 0
     failures = []
     for package_dir in package_dirs:
