@@ -36,7 +36,7 @@ lint:
 	else echo "mypy not installed; skipping"; fi
 
 ## Sanitize the simulator's own source: fingerprint soundness,
-## determinism and probe/signal coverage rules
+## determinism and probe coverage rules
 ## (docs/static_analysis.md, "Sanitizing the simulator").
 sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro sanitize --all
@@ -116,7 +116,7 @@ sample-smoke:
 	$(PYTEST) benchmarks/test_sample_smoke.py -q -m slow --benchmark-only
 
 ## Co-design scheme smoke: every feedback-consuming scheme on two tier-1
-## workloads, execute-vs-trace cycle + signal-stream identity, one trace
+## workloads, execute-vs-trace cycle + cache-record-stream identity, one trace
 ## recording per workload reused across schemes (docs/schemes.md).
 schemes-smoke:
 	$(PYTHON) tools/schemes_smoke.py

@@ -38,45 +38,45 @@ simulation:
     ``nInst`` term never escapes the static envelope.
 
 See ``docs/static_analysis.md`` for the rule catalogue and suppression
-syntax.
+syntax.  The names below load on first use (module ``__getattr__``), so
+building the command line does not import the analyses.
 """
 
-from .cfg import CFG, BasicBlock, BranchSite, build_cfg, pc_successors
-from .common import BaseFinding, ReportBase, Rule, RuleRegistry
-from .dataflow import DataflowResult, analyze_dataflow
-from .lints import (
-    Finding,
-    LintReport,
-    LintRule,
-    RULES,
-    Severity,
-    lint_kernel,
-)
-from .pathlen import (
-    CheckedCriticalityPredictor,
-    PathBounds,
-    compute_path_bounds,
-)
+from __future__ import annotations
 
-__all__ = [
-    "BaseFinding",
-    "BasicBlock",
-    "BranchSite",
-    "CFG",
-    "CheckedCriticalityPredictor",
-    "DataflowResult",
-    "Finding",
-    "LintReport",
-    "LintRule",
-    "PathBounds",
-    "RULES",
-    "ReportBase",
-    "Rule",
-    "RuleRegistry",
-    "Severity",
-    "analyze_dataflow",
-    "build_cfg",
-    "compute_path_bounds",
-    "lint_kernel",
-    "pc_successors",
-]
+import importlib
+from typing import Any
+
+#: Public name -> the submodule defining it.
+_EXPORTS = {
+    "CFG": "cfg",
+    "BasicBlock": "cfg",
+    "BranchSite": "cfg",
+    "build_cfg": "cfg",
+    "pc_successors": "cfg",
+    "BaseFinding": "common",
+    "ReportBase": "common",
+    "Rule": "common",
+    "RuleRegistry": "common",
+    "DataflowResult": "dataflow",
+    "analyze_dataflow": "dataflow",
+    "Finding": "lints",
+    "LintReport": "lints",
+    "LintRule": "lints",
+    "RULES": "lints",
+    "Severity": "lints",
+    "lint_kernel": "lints",
+    "CheckedCriticalityPredictor": "pathlen",
+    "PathBounds": "pathlen",
+    "compute_path_bounds": "pathlen",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value

@@ -28,7 +28,7 @@ SCHEMES: Dict[str, tuple] = {
     "cawa+bypass": ("gcaws", True),
     # Extension: CAWA plus MSHR entries reserved for critical warps.
     "cawa+mshr": ("gcaws", True),
-    # Co-design schemes consuming L1 feedback signals (repro.feedback):
+    # Co-design schemes consuming L1 cache records (repro.feedback):
     # CCWS locality-aware throttling, WaSP prefetch-mimicking priority,
     # CIAO interference-aware throttling.  See docs/schemes.md.
     "ccws": ("ccws", False),

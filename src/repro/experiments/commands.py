@@ -77,8 +77,6 @@ def register(subparsers, common) -> None:
 
     sub = subparsers.add_parser(
         "schemes", help="list registered schedulers and their feedback subscriptions")
-    sub.add_argument("--signals", action="store_true",
-                     help="print the feedback signal schema instead")
     sub.add_argument("--compare", action="store_true", help="run the co-design "
                      "head-to-head (IPC/MPKI vs gto/caws/cawa)")
     sub.add_argument("--workloads", default="",
@@ -249,12 +247,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_schemes(args) -> int:
-    from ..feedback.signals import Sig, schema_table
+    from ..obs.events import Ev
     from ..scheduling.registry import SCHEDULERS
 
-    if args.signals:
-        print(schema_table())
-        return 0
     if args.compare:
         from . import schemes_table
 
@@ -272,10 +267,10 @@ def cmd_schemes(args) -> int:
             print(f"  {name:<10} alias of {scheduler.name}")
             continue
         kinds = scheduler.FEEDBACK_KINDS
-        signals = (
-            "subscribes: " + ",".join(Sig(k).name for k in kinds)
+        subscription = (
+            "subscribes: " + ",".join(Ev(k).name for k in kinds)
             if kinds else "no feedback subscription"
         )
         print(f"  {name:<10} {scheduler.DESCRIPTION}")
-        print(f"  {'':<10} {signals}")
+        print(f"  {'':<10} {subscription}")
     return 0

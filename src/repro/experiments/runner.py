@@ -18,9 +18,8 @@ A third layer sits under both: the persistent **trace** store
 (``.repro_cache/traces/``, keyed on the functional fingerprint only; see
 :mod:`repro.trace` and ``docs/trace_driven.md``).  A result-cache miss
 simulates the cell through :func:`simulate_cell`, the one routine that
-times a cell — :func:`repro.obs.harness.record_events` and
-:func:`repro.feedback.harness.record_signals` call it too, so a cell's
-numbers cannot depend on who asked.  Unless the config says
+times a cell — :func:`repro.obs.harness.record_events` calls it too, so a
+cell's numbers cannot depend on who asked.  Unless the config says
 ``with_frontend("execute")`` — the store-less reference, whose GPU records
 every launch in place — it looks in the trace store first.  A trace hit
 replays the recorded per-warp streams through the timing model,
@@ -51,8 +50,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .. import trace as trace_mod
 from ..config import GPUConfig
 from ..core.cawa import apply_scheme
-from ..errors import ConfigError
-from ..feedback.channel import attach_signal_tap
 from ..gpu import GPU
 from ..obs.bus import EventBus, bus_from_spec
 from ..stats.accuracy import CriticalityAccuracyTracker
@@ -257,15 +254,13 @@ def simulate_cell(
     check: bool,
     observers: Iterable = (),
     bus: Optional[EventBus] = None,
-    feedback_tap=None,
     **workload_kwargs,
 ) -> RunResult:
     """Simulate one (workload, scheme) cell under ``base``, uncached.
 
-    :func:`run_scheme`, :func:`repro.obs.harness.record_events` and
-    :func:`repro.feedback.harness.record_signals` all time a cell here, so
-    they agree by construction.  ``observers`` (SM issue observers),
-    ``bus`` (in place of the config-built one) and ``feedback_tap`` attach
+    :func:`run_scheme` and :func:`repro.obs.harness.record_events` both
+    time a cell here, so they agree by construction.  ``observers`` (SM
+    issue observers) and ``bus`` (in place of the config-built one) attach
     before the first launch.
 
     The cell replays the workload's stored trace, recorded first on a miss
@@ -275,17 +270,10 @@ def simulate_cell(
     records each launch in place instead.
     """
     cfg = apply_scheme(base, scheme)
-    if feedback_tap is not None and cfg.sampling != "off":
-        raise ConfigError(
-            f"cannot tap a sampled replay (sampling={cfg.sampling!r}); "
-            "record signals from an exact run (config.with_sampling('off'))"
-        )
     oracle = scheme_oracle(workload, scale, base, cfg, **workload_kwargs)
     observers = list(observers)
     if cfg.frontend != "trace":
         gpu = GPU(cfg, oracle=oracle, obs=bus)
-        if feedback_tap is not None:
-            attach_signal_tap(gpu, feedback_tap)
         for sm in gpu.sms:
             sm.issue_observers.extend(observers)
         wl = make_workload(workload, scale=scale, **workload_kwargs)
@@ -317,7 +305,7 @@ def simulate_cell(
             )
         return trace_mod.replay_program(
             program, cfg, scheme=scheme, oracle=oracle,
-            observers=observers, bus=bus, feedback_tap=feedback_tap,
+            observers=observers, bus=bus,
         )[-1]
 
     # Timing is a replay either way; a cold cell's says so.

@@ -1,7 +1,7 @@
 """Co-design scheme head-to-head: IPC / L1-MPKI table vs. the CAWA lineup.
 
-The comparison the feedback subsystem exists for: the three
-FeedbackChannel consumer schemes (``ccws``, ``wasp``, ``ciao``) against
+The comparison the feedback subsystem exists for: the three schemes that
+consume the L1's cache records (``ccws``, ``wasp``, ``ciao``) against
 the criticality lineup (``gto``, ``caws``, ``cawa``) on the same workload
 grid.  ``repro schemes --compare`` renders it from the CLI; the sweep
 goes through :func:`~repro.experiments.runner.run_sweep`, so cells land

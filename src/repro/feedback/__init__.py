@@ -1,62 +1,27 @@
-"""``repro.feedback`` — the scheduler–cache co-design plug-in subsystem.
+"""``repro.feedback`` — the scheduler–cache co-design coupling.
 
-A typed, versioned signal schema (:mod:`~repro.feedback.signals`) and a
-per-SM publish/subscribe :class:`FeedbackChannel`
-(:mod:`~repro.feedback.channel`): caches publish their miss / fill /
-eviction traffic with full warp attribution, schedulers subscribe by
-declaring ``FEEDBACK_KINDS``, and the CAWA criticality coupling
-(scheduler → CACP) rides the same channel.  CCWS, WaSP, and CIAO
-(``repro.scheduling.{ccws,wasp,ciao}``) are pure consumers of this API —
-see ``docs/schemes.md``.
+A cache decision (miss, fill, eviction) has one record: the
+:mod:`repro.obs` ``CACHE_*`` event, whose schema v2 names the warps
+involved.  Schedulers subscribe to those records by declaring
+``FEEDBACK_KINDS`` (``Ev`` codes) and receive them in ``on_signal``
+through their SM's L1 sink (:func:`l1_sink`).  CCWS, WaSP and CIAO
+(``repro.scheduling.{ccws,wasp,ciao}``) are pure consumers — see
+``docs/schemes.md``.
 
-Only the leaf modules are imported eagerly — the recording harness
-(:func:`record_signals`) pulls in the GPU and the experiment runner, so
-it is exposed via module ``__getattr__`` instead.
+The recording harness (:func:`record_signals`) pulls in the GPU and the
+experiment runner, so it is exposed via module ``__getattr__``.
 """
 
 from __future__ import annotations
 
-from .channel import (
-    FeedbackChannel,
-    SignalTap,
-    attach_signal_tap,
-    wire_gpu_feedback,
-)
-from .signals import (
-    LEVEL_L1D,
-    LEVEL_L2,
-    SCHEMA_VERSION,
-    SIGNAL_FIELDS,
-    Sig,
-    SignalSchemaError,
-    schema_table,
-    signal_to_dict,
-    sort_signals,
-    validate_signal,
-    validate_signals,
-)
+from typing import Any
 
-__all__ = [
-    "Sig",
-    "SignalSchemaError",
-    "SCHEMA_VERSION",
-    "SIGNAL_FIELDS",
-    "LEVEL_L1D",
-    "LEVEL_L2",
-    "validate_signal",
-    "validate_signals",
-    "signal_to_dict",
-    "schema_table",
-    "sort_signals",
-    "FeedbackChannel",
-    "SignalTap",
-    "wire_gpu_feedback",
-    "attach_signal_tap",
-    "record_signals",
-]
+from .fanout import L1Fanout, l1_sink
+
+__all__ = ["L1Fanout", "l1_sink", "record_signals"]
 
 
-def __getattr__(name: str):
+def __getattr__(name: str) -> Any:
     if name == "record_signals":
         from . import harness
 

@@ -1,16 +1,9 @@
-"""One-call signal recording: run a (workload, scheme) cell with a tap.
+"""One-call recording of a cell's cache records.
 
-:func:`record_signals` mirrors :func:`repro.obs.harness.record_events`
-for the feedback subsystem: it runs one cell through
-:func:`repro.experiments.runner.simulate_cell` — the routine
-:func:`~repro.experiments.runner.run_scheme` runs it with — with a
-:class:`SignalTap` attached to every FeedbackChannel (all SM L1 channels
-plus the shared-L2 device channel) and hands back ``(result, signals)``
-with the signals in canonical deterministic order.
-
-Kept in its own module (exported lazily from ``repro.feedback``) because
-it imports the GPU and the experiment runner — too heavy for the leaf
-modules the simulator hot paths import.
+:func:`record_signals` is :func:`repro.obs.harness.record_events` filtered
+to the three cache decisions schedulers subscribe to: miss, fill and
+eviction, at both levels.  Kept in its own module (exported lazily from
+``repro.feedback``) because it imports the GPU and the experiment runner.
 """
 
 from __future__ import annotations
@@ -18,8 +11,20 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..config import GPUConfig
-from .channel import SignalTap
-from .signals import sort_signals
+from ..obs.collect import sort_events
+from ..obs.events import Ev
+
+#: The kinds :func:`record_signals` keeps.
+CACHE_DECISIONS = frozenset(
+    int(kind) for kind in (Ev.CACHE_MISS, Ev.CACHE_FILL, Ev.CACHE_EVICT))
+
+
+class _CacheDecisions(list):
+    """A bus collector keeping the cache decisions only."""
+
+    def append(self, record: tuple) -> None:
+        if record[0] in CACHE_DECISIONS:
+            super().append(record)
 
 
 def record_signals(
@@ -29,20 +34,18 @@ def record_signals(
     config: Optional[GPUConfig] = None,
     check: bool = True,
 ) -> Tuple[object, List[tuple]]:
-    """Run one cell recording every feedback signal; return ``(result, signals)``.
+    """Run one cell recording its cache decisions; return ``(result, records)``.
 
-    Signals are returned in the canonical ``(cycle, sm, kind, fields)``
-    order so two recordings of one cell compare with ``==``.
-
-    A sampled config (``config.sampling != "off"``) raises
-    :class:`~repro.errors.ConfigError`: nothing taps a sampled replay, and
-    replaying the whole trace instead would return exact numbers under a
-    config that asked for estimates.
+    Records come in the canonical ``(cycle, sm, kind, fields)`` order
+    (:func:`~repro.obs.collect.sort_events`), so two recordings of one
+    cell compare with ``==``.  Like :func:`~repro.obs.harness.record_events`,
+    a sampled config records the sampled replay.  The bus retains a single
+    event: the records are the collector's.
     """
-    from ..experiments.runner import simulate_cell
+    from ..obs.harness import record_events
 
-    tap = SignalTap()
-    result = simulate_cell(workload, scheme, scale,
-                           config or GPUConfig.default_sim(), check=check,
-                           feedback_tap=tap)
-    return result, sort_signals(tap.records)
+    base = (config or GPUConfig.default_sim()).with_events("ring:1")
+    records = _CacheDecisions()
+    result, _ = record_events(workload, scheme, scale, base,
+                              collectors=(records,), check=check)
+    return result, sort_events(records)

@@ -26,6 +26,7 @@ from ..config import GPUConfig
 from ..core.cacp import CACPPolicy
 from ..core.cpl import CriticalityPredictor
 from ..errors import DeadlockError, LaunchError, TraceMismatchError
+from ..feedback import l1_sink
 from ..memory.data import GlobalMemory
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.replacement import make_policy
@@ -125,12 +126,10 @@ class GPU:
             from ..obs.bus import wire_gpu
 
             wire_gpu(self, obs)
-        # Scheduler–cache co-design coupling (repro.feedback): build the
-        # per-SM channels, subscribe interested schedulers, and bind each
-        # SM's criticality query.
-        from ..feedback.channel import wire_gpu_feedback
-
-        wire_gpu_feedback(self)
+        # Scheduler–cache co-design coupling (repro.feedback): each L1's
+        # records go to its subscribing schedulers, then the bus.
+        for sm in self.sms:
+            sm.l1d.obs = l1_sink(sm.schedulers, obs)
 
     # ------------------------------------------------------------------
     def _scheduler_factory(self):

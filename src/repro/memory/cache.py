@@ -16,8 +16,10 @@ set's :class:`CacheLine` objects are made at its first fill — a wide device
 builds hundreds of caches, most of whose sets a small kernel never touches.
 
 What a probe, fill or eviction did reaches the rest of the simulator as
-event-bus records (``obs``) and feedback signals (``fb``); the
-reuse-distance profiler (Fig 3) is an event-bus collector.
+one record per decision, handed to the cache's one sink (``obs``): the
+event bus, or an L1's scheduler fan-out (:mod:`repro.feedback`), which
+passes each record on to the bus.  The reuse-distance profiler (Fig 3) is
+an event-bus collector; CCWS, WaSP and CIAO read the same records.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..config import CacheConfig
-from ..feedback.signals import Sig
-from ..obs.events import Ev
+from ..obs.events import LEVEL_L1D, Ev
 from .replacement import ReplacementPolicy
 from .request import MemRequest
 
@@ -36,10 +37,6 @@ _EV_CACHE_MISS = int(Ev.CACHE_MISS)
 _EV_CACHE_FILL = int(Ev.CACHE_FILL)
 _EV_CACHE_EVICT = int(Ev.CACHE_EVICT)
 _EV_CACHE_BYPASS = int(Ev.CACHE_BYPASS)
-
-_SIG_MISS = int(Sig.MISS)
-_SIG_FILL = int(Sig.FILL)
-_SIG_EVICT = int(Sig.EVICT)
 
 
 @dataclass(slots=True)
@@ -56,8 +53,8 @@ class CacheLine:
     reuse_count: int = 0
     filled_by_critical: bool = False
     # Warp attribution of the fill (``req.warp_key[1:]``): lets eviction
-    # feedback signals name the *victim's* owner (CCWS victim tag arrays,
-    # CIAO interference scores).  -1 when unattributed.
+    # records name the *victim's* owner (CCWS victim tag arrays, CIAO
+    # interference scores).  -1 when unattributed.
     fill_block: int = -1
     fill_warp: int = -1
     # CACP per-line flags (Algorithm 4).
@@ -122,7 +119,8 @@ class CacheStats:
 class Cache:
     """One set-associative cache level."""
 
-    def __init__(self, config: CacheConfig, policy: ReplacementPolicy) -> None:
+    def __init__(self, config: CacheConfig, policy: ReplacementPolicy,
+                 owner: int = -1, level: int = LEVEL_L1D) -> None:
         self.config = config
         self.policy = policy
         #: The policy's optional L1-bypass predicate (CACP's extension).
@@ -136,24 +134,15 @@ class Cache:
         #: Valid ways per set; a set at ``config.ways`` has no invalid way.
         self._valid_ways: List[int] = [0] * config.sets
         self.stats = CacheStats()
-        #: Event bus (``repro.obs``) or ``None``; set by the wire helpers.
+        #: The sink of the cache's records — the event bus (``repro.obs``),
+        #: an L1's scheduler fan-out (:func:`repro.feedback.l1_sink`) or
+        #: ``None``, the disabled cost being one pointer test per record.
         self.obs = None
-        #: ``LEVEL_L1D`` (0) or ``LEVEL_L2`` (1) stamped on emitted records.
-        self.obs_level = 0
         #: SM id stamped on records, or -1 to derive it from the request's
-        #: ``warp_key`` (shared caches serve every SM).
-        self.obs_owner = -1
-        #: FeedbackChannel (``repro.feedback``) or ``None``; set by
-        #: :func:`repro.feedback.wire_gpu_feedback` /
-        #: :func:`~repro.feedback.attach_signal_tap` only when a scheme
-        #: subscribes or a tap records, so the disabled cost is one
-        #: pointer test.
-        self.fb = None
-        #: SM id stamped on published signals, or -1 to derive it from the
-        #: request's ``warp_key`` (the shared L2 serves every SM).
-        self.fb_owner = -1
-        #: ``LEVEL_L1D`` (0) or ``LEVEL_L2`` (1) on published signals.
-        self.fb_level = 0
+        #: ``warp_key`` (the shared L2 serves every SM).
+        self.owner = owner
+        #: ``LEVEL_L1D`` (0) or ``LEVEL_L2`` (1) stamped on records.
+        self.level = level
 
     # ------------------------------------------------------------------
     def lookup(self, line_addr: int) -> Optional[CacheLine]:
@@ -182,49 +171,40 @@ class Cache:
             line.reuse_count += 1
             self.policy.on_hit(line, req)
             if self.obs is not None:
-                owner = self.obs_owner
+                owner = self.owner
                 self.obs.emit((
                     _EV_CACHE_HIT, req.cycle,
                     owner if owner >= 0 else req.warp_key[0],
-                    self.obs_level, req.pc, req.line_addr,
-                    1 if req.is_critical else 0,
+                    self.level, req.pc, req.line_addr, 1 if critical else 0,
                 ))
             return True
 
         stats.misses += 1
-        fb = self.fb
-        if fb is not None:
-            # Published *before* the fill so subscribers probe their victim
+        obs = self.obs
+        if obs is not None:
+            # Emitted *before* the fill so a subscriber probes its victim
             # tag state as it stood when the miss was detected (the fill's
             # own eviction lands after this record).
-            owner = self.fb_owner
-            fb.publish((
-                _SIG_MISS, req.cycle,
-                owner if owner >= 0 else req.warp_key[0],
-                self.fb_level, req.warp_key[1], req.warp_key[2],
-                req.line_addr, req.pc,
+            key = req.warp_key
+            owner = self.owner
+            obs.emit((
+                _EV_CACHE_MISS, req.cycle, owner if owner >= 0 else key[0],
+                self.level, req.pc, req.line_addr, 1 if critical else 0,
+                key[1], key[2],
             ))
         if self._should_bypass is not None and self._should_bypass(req):
             # Bypass: the request is serviced from L2/DRAM without
             # allocating a line, so it cannot evict useful data.
             stats.bypasses += 1
-            if self.obs is not None:
-                owner = self.obs_owner
-                self.obs.emit((
+            if obs is not None:
+                owner = self.owner
+                obs.emit((
                     _EV_CACHE_BYPASS, req.cycle,
                     owner if owner >= 0 else req.warp_key[0],
-                    self.obs_level, req.line_addr,
+                    self.level, req.line_addr,
                 ))
         else:
             self._fill(req)
-        if self.obs is not None:
-            owner = self.obs_owner
-            self.obs.emit((
-                _EV_CACHE_MISS, req.cycle,
-                owner if owner >= 0 else req.warp_key[0],
-                self.obs_level, req.pc, req.line_addr,
-                1 if req.is_critical else 0,
-            ))
         return False
 
     def _fill(self, req: MemRequest) -> None:
@@ -249,20 +229,12 @@ class Cache:
         line.in_critical_partition = way < policy.critical_ways
         policy.on_fill(line, req)
         if self.obs is not None:
-            owner = self.obs_owner
+            key = req.warp_key
+            owner = self.owner
             self.obs.emit((
-                _EV_CACHE_FILL, req.cycle,
-                owner if owner >= 0 else req.warp_key[0],
-                self.obs_level, req.line_addr, 1 if req.is_critical else 0,
-            ))
-        fb = self.fb
-        if fb is not None:
-            owner = self.fb_owner
-            fb.publish((
-                _SIG_FILL, req.cycle,
-                owner if owner >= 0 else req.warp_key[0],
-                self.fb_level, req.warp_key[1], req.warp_key[2],
-                req.line_addr, 1 if req.is_critical else 0,
+                _EV_CACHE_FILL, req.cycle, owner if owner >= 0 else key[0],
+                self.level, line_addr, 1 if req.is_critical else 0,
+                key[1], key[2],
             ))
 
     def _evict(self, line: CacheLine, req: MemRequest) -> None:
@@ -277,24 +249,14 @@ class Cache:
                 stats.critical_zero_reuse_evictions += 1
         self.policy.on_evict(line, req)
         if self.obs is not None:
-            owner = self.obs_owner
-            self.obs.emit((
-                _EV_CACHE_EVICT, req.cycle,
-                owner if owner >= 0 else req.warp_key[0],
-                self.obs_level, line.line_addr,
-                1 if line.reuse_count > 0 else 0,
-            ))
-        fb = self.fb
-        if fb is not None:
             # Dual attribution: the victim's filler (from the line) and the
             # evicting requester (from the fill request being serviced).
-            owner = self.fb_owner
-            fb.publish((
-                _SIG_EVICT, req.cycle,
-                owner if owner >= 0 else req.warp_key[0],
-                self.fb_level, line.fill_block, line.fill_warp,
-                line.line_addr, 1 if line.reuse_count > 0 else 0,
-                req.warp_key[1], req.warp_key[2],
+            key = req.warp_key
+            owner = self.owner
+            self.obs.emit((
+                _EV_CACHE_EVICT, req.cycle, owner if owner >= 0 else key[0],
+                self.level, line.line_addr, 1 if line.reuse_count > 0 else 0,
+                line.fill_block, line.fill_warp, key[1], key[2],
             ))
 
     def invalidate_all(self) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List
 
 from ..config import CacheConfig
-from ..obs.events import Ev
+from ..obs.events import LEVEL_L2, Ev
 from .cache import Cache
 from .replacement import make_policy
 from .request import MemRequest
@@ -28,7 +28,7 @@ class BankedL2:
         service_interval: int,
         policy_name: str = "lru",
     ) -> None:
-        self.cache = Cache(config, make_policy(policy_name))
+        self.cache = Cache(config, make_policy(policy_name), level=LEVEL_L2)
         self._line_size = config.line_size
         self.num_banks = num_banks
         self.latency = latency

@@ -141,15 +141,13 @@ def bus_from_spec(spec: str) -> Optional[EventBus]:
 # Wiring
 # ----------------------------------------------------------------------
 def wire_gpu(gpu, bus: EventBus) -> None:
-    """Point every probe on the device at ``bus``: per SM (SM, LSU, L1D,
-    MSHR, CPL, CACP) and on the shared hierarchy (L2 banks + tag array,
-    DRAM channel)."""
+    """Point every probe on the device at ``bus``: per SM (SM, LSU, MSHR,
+    CPL, CACP) and on the shared hierarchy (L2 banks + tag array, DRAM
+    channel).  Each L1D's sink is :func:`repro.feedback.l1_sink`'s to
+    decide: the bus, or a scheduler fan-out in front of it."""
     for sm in gpu.sms:
         sm.obs = bus
         sm.lsu.obs = bus
-        sm.l1d.obs = bus
-        sm.l1d.obs_level = 0  # LEVEL_L1D
-        sm.l1d.obs_owner = sm.sm_id
         sm.mshr.obs = bus
         sm.mshr.obs_owner = sm.sm_id
         if sm.cpl is not None:
@@ -161,6 +159,4 @@ def wire_gpu(gpu, bus: EventBus) -> None:
     hierarchy = gpu.hierarchy
     hierarchy.l2.obs = bus
     hierarchy.l2.cache.obs = bus
-    hierarchy.l2.cache.obs_level = 1  # LEVEL_L2
-    hierarchy.l2.cache.obs_owner = -1
     hierarchy.dram.obs = bus

@@ -15,7 +15,10 @@ The schema is *versioned* (:data:`SCHEMA_VERSION`): the per-kind field
 lists below are a contract checked by :func:`validate_events`, round-
 tripped by :mod:`repro.obs.store`, and rendered by
 :mod:`repro.obs.export`.  Extending the schema means appending new kinds
-or new trailing fields and bumping the version.
+or new trailing fields and bumping the version.  v2 appended warp
+attribution to the cache miss / fill / evict records: they are the one
+record of a cache decision, read by the bus collectors and by the
+co-design schedulers alike (:mod:`repro.feedback`).
 
 See ``docs/observability.md`` for the full schema table and the
 stall-reason taxonomy.
@@ -27,7 +30,7 @@ import enum
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Bump on any change to event kinds or their field lists.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: ``level`` field values for cache events.
 LEVEL_L1D = 0
@@ -102,9 +105,13 @@ EVENT_FIELDS: Dict[Ev, Tuple[str, ...]] = {
     Ev.WARP_STALL: ("block", "warp", "reason", "cycles", "start"),
     Ev.WARP_FINISH: ("block", "warp"),
     Ev.CACHE_HIT: ("level", "pc", "line_addr", "critical"),
-    Ev.CACHE_MISS: ("level", "pc", "line_addr", "critical"),
-    Ev.CACHE_FILL: ("level", "line_addr", "critical"),
-    Ev.CACHE_EVICT: ("level", "line_addr", "reused"),
+    # ``block, warp``: the requesting warp.  An eviction names both the
+    # warp whose line is lost (``victim_*``, -1 when unattributed) and the
+    # warp whose fill displaced it (``evictor_*``).
+    Ev.CACHE_MISS: ("level", "pc", "line_addr", "critical", "block", "warp"),
+    Ev.CACHE_FILL: ("level", "line_addr", "critical", "block", "warp"),
+    Ev.CACHE_EVICT: ("level", "line_addr", "reused", "victim_block",
+                     "victim_warp", "evictor_block", "evictor_warp"),
     Ev.CACHE_BYPASS: ("level", "line_addr"),
     Ev.MSHR_ALLOC: ("line_addr", "completion", "outstanding"),
     Ev.MSHR_MERGE: ("line_addr", "completion"),

@@ -21,45 +21,49 @@ DET003     error     order-unstable iteration: unsorted glob/listdir,
                      set iteration, id()-based ordering
 OBS001     error     probe coverage: Ev kinds never emitted / unknown
                      kinds emitted
-FBK001     error     feedback publish coverage: Sig kinds never published
-                     / unknown kinds published
 =========  ========  ======================================================
 
 Entry points: ``repro sanitize`` (CLI), ``make sanitize``,
 :func:`sanitize_tree`.  See docs/static_analysis.md ("Sanitizing the
 simulator") for the waiver syntax and the FPR001 / new-config-field
 interaction.
+
+The names below load on first use (module ``__getattr__``), so building
+the command line does not parse the rule modules.
 """
 
-from .registry import (
-    REGISTRY,
-    RULES,
-    SanitizeContext,
-    SanitizeFinding,
-    SanitizeReport,
-    Severity,
-    default_root,
-    sanitize_tree,
-)
-from .source import ConfigFacts, SourceModule, SourceTree, parse_config_facts
+from __future__ import annotations
 
-# Import for effect: each module registers its rules in REGISTRY.
-from . import rules_fingerprint  # noqa: E402,F401  (registration)
-from . import rules_determinism  # noqa: E402,F401  (registration)
-from . import rules_obs  # noqa: E402,F401  (registration)
-from . import rules_fbk  # noqa: E402,F401  (registration)
+import importlib
+from typing import Any
 
-__all__ = [
-    "ConfigFacts",
-    "REGISTRY",
-    "RULES",
-    "SanitizeContext",
-    "SanitizeFinding",
-    "SanitizeReport",
-    "Severity",
-    "SourceModule",
-    "SourceTree",
-    "default_root",
-    "parse_config_facts",
-    "sanitize_tree",
-]
+#: Public name -> the submodule defining it.
+_EXPORTS = {
+    "REGISTRY": "registry",
+    "RULES": "registry",
+    "SanitizeContext": "registry",
+    "SanitizeFinding": "registry",
+    "SanitizeReport": "registry",
+    "Severity": "registry",
+    "default_root": "registry",
+    "sanitize_tree": "registry",
+    "ConfigFacts": "source",
+    "SourceModule": "source",
+    "SourceTree": "source",
+    "parse_config_facts": "source",
+}
+
+#: Modules that register their rules in ``REGISTRY`` when imported.
+_RULE_MODULES = ("rules_fingerprint", "rules_determinism", "rules_obs")
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module in _RULE_MODULES:
+        importlib.import_module(f"{__name__}.{module}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value

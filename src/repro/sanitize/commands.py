@@ -8,8 +8,6 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from . import RULES, sanitize_tree
-
 
 def register(subparsers: Any, common: Any) -> None:
     sub = subparsers.add_parser(
@@ -36,6 +34,8 @@ def register(subparsers: Any, common: Any) -> None:
 
 
 def cmd_sanitize(args: argparse.Namespace) -> int:
+    from . import RULES, sanitize_tree
+
     unknown = [r for r in args.rule or () if r not in RULES]
     if unknown:
         print(

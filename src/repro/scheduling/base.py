@@ -8,7 +8,7 @@ from ..simt.warp import Warp
 
 
 def warp_key(warp: Warp) -> Tuple[int, int]:
-    """``(block_id, warp_id_in_block)``: the warp identity feedback signals
+    """``(block_id, warp_id_in_block)``: the warp identity cache records
     and the CAWS oracle carry."""
     return warp.block.block_id, warp.warp_id_in_block
 
@@ -30,13 +30,13 @@ class WarpScheduler:
     its own ready pool.  Only RUNNING warps are candidates, so :attr:`last`
     may name a warp that has since exited without ever being picked again.
 
-    Cache co-design schemes additionally declare the feedback signal kinds
+    Cache co-design schemes additionally declare the L1 cache record kinds
     they consume in :attr:`FEEDBACK_KINDS`; the device wiring
-    (:func:`repro.feedback.wire_gpu_feedback`) subscribes
-    :meth:`on_signal` to the SM's FeedbackChannel for exactly those kinds,
-    in scheduler-slot order.  ``select`` may return ``None`` to decline the
-    issue slot (active-warp throttling); the device loop treats a decline
-    as "re-tick this SM next cycle".
+    (:func:`repro.feedback.l1_sink`) hands :meth:`on_signal` the SM's L1
+    records of exactly those kinds, in scheduler-slot order.  ``select``
+    may return ``None`` to decline the issue slot (active-warp
+    throttling); the device loop treats a decline as "re-tick this SM
+    next cycle".
     """
 
     name = "base"
@@ -44,8 +44,8 @@ class WarpScheduler:
     #: One-line human description shown by ``repro schemes``.
     DESCRIPTION: ClassVar[str] = ""
 
-    #: Feedback signal kinds (``repro.feedback.Sig`` values) this scheme
-    #: subscribes to; empty means the scheme never touches the channel.
+    #: L1 cache record kinds (``repro.obs.Ev`` codes) this scheme
+    #: subscribes to; empty means the scheme reads no cache records.
     FEEDBACK_KINDS: ClassVar[Tuple[int, ...]] = ()
 
     #: Builds a resident warp's entry in :attr:`warps`; ``None`` stores
@@ -59,7 +59,7 @@ class WarpScheduler:
         self.warps: Dict[Tuple[int, int], Any] = {}
 
     def on_signal(self, record: tuple) -> None:
-        """Receive one subscribed feedback signal (publish order)."""
+        """Receive one subscribed L1 record (schema v2), in decision order."""
 
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
         """Pick one warp from ``ready`` (non-empty, ascending

@@ -11,18 +11,18 @@ heavy lost locality therefore shrinks the active warp set around itself,
 protecting its working set, while scores decay back toward the baseline
 so throttling releases once locality is re-established.
 
-This implementation is a pure consumer of the FeedbackChannel: the L1
-publishes EVICT (feeding the VTAs) and MISS (the probe point) signals,
-and the scheduler never touches the cache.  Scores use only integer
-arithmetic scaled by ``DECAY_PERIOD`` division of integer cycle deltas,
-so the arithmetic is bit-deterministic.
+This implementation is a pure consumer of its SM's L1 records
+(:mod:`repro.feedback`): ``CACHE_EVICT`` feeds the VTAs and
+``CACHE_MISS`` is the probe point; the scheduler never touches the
+cache.  Scores use only integer arithmetic scaled by ``DECAY_PERIOD``
+division of integer cycle deltas, so the arithmetic is bit-deterministic.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from ..feedback.signals import LEVEL_L1D, Sig
+from ..obs.events import Ev
 from ..simt.warp import Warp, WarpStatus
 from .base import WarpScheduler, warp_key
 
@@ -37,8 +37,8 @@ DECAY_PERIOD = 8.0
 #: Victim Tag Array entries per warp (LRU replacement).
 VTA_ENTRIES = 8
 
-_EVICT = int(Sig.EVICT)
-_MISS = int(Sig.MISS)
+_EVICT = int(Ev.CACHE_EVICT)
+_MISS = int(Ev.CACHE_MISS)
 
 
 class _WarpLocality:
@@ -93,20 +93,17 @@ class CCWSScheduler(WarpScheduler):
     # -- feedback ----------------------------------------------------------
 
     def on_signal(self, record: tuple) -> None:
-        kind = record[0]
-        if record[3] != LEVEL_L1D:
-            return
-        if kind == _EVICT:
-            # (kind, cycle, sm, level, victim_block, victim_warp,
-            #  line_addr, reused, evictor_block, evictor_warp)
-            loc = self.warps.get((record[4], record[5]))
+        if record[0] == _EVICT:
+            # (kind, cycle, sm, level, line_addr, reused, victim_block,
+            #  victim_warp, evictor_block, evictor_warp)
+            loc = self.warps.get((record[6], record[7]))
             if loc is not None:
-                loc.record_victim(record[6])
-        elif kind == _MISS:
-            # (kind, cycle, sm, level, block, warp, line_addr, pc)
-            loc = self.warps.get((record[4], record[5]))
+                loc.record_victim(record[4])
+        else:
+            # (kind, cycle, sm, level, pc, line_addr, critical, block, warp)
+            loc = self.warps.get((record[7], record[8]))
             if loc is not None:
-                loc.probe(record[6], record[1])
+                loc.probe(record[5], record[1])
 
     # -- selection ---------------------------------------------------------
 

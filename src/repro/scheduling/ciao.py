@@ -1,9 +1,10 @@
 """CIAO: cache interference-aware warp scheduling and throttling.
 
-The FeedbackChannel's EVICT signals carry both the victim's and the
-evictor's warp identity, which makes cross-warp L1 interference directly
-observable: warp A evicting warp B's line is interference, and evicting a
-line B had already reused is worse (demonstrated locality destroyed).
+The L1's ``CACHE_EVICT`` records (:mod:`repro.feedback`) carry both the
+victim's and the evictor's warp identity, which makes cross-warp L1
+interference directly observable: warp A evicting warp B's line is
+interference, and evicting a line B had already reused is worse
+(demonstrated locality destroyed).
 CIAO accumulates a lazily-decaying interference score per warp and
 throttles the heavy interferers with hysteresis — a warp is benched when
 its score crosses the high-water mark and released only after decaying
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..feedback.signals import LEVEL_L1D, Sig
+from ..obs.events import Ev
 from ..simt.warp import Warp
 from .base import WarpScheduler, warp_key
 
@@ -29,7 +30,7 @@ DECAY_PERIOD = 64.0
 SCORE_HI = 8.0
 SCORE_LO = 2.0
 
-_EVICT = int(Sig.EVICT)
+_EVICT = int(Ev.CACHE_EVICT)
 
 
 class _Interference:
@@ -74,18 +75,16 @@ class CIAOScheduler(WarpScheduler):
     # -- feedback ----------------------------------------------------------
 
     def on_signal(self, record: tuple) -> None:
-        # (kind, cycle, sm, level, victim_block, victim_warp, line_addr,
-        #  reused, evictor_block, evictor_warp)
-        if record[3] != LEVEL_L1D:
-            return
-        victim_key = (record[4], record[5])
+        # (kind, cycle, sm, level, line_addr, reused, victim_block,
+        #  victim_warp, evictor_block, evictor_warp)
+        victim_key = (record[6], record[7])
         evictor_key = (record[8], record[9])
         if victim_key == evictor_key or victim_key[0] < 0 or evictor_key[0] < 0:
             return  # self-eviction or unattributed line: not interference
         entry = self.warps.get(evictor_key)
         if entry is None:
             return  # other slot's warp — its own scheduler instance scores it
-        entry.bump(BUMP_REUSED if record[7] else BUMP_UNUSED, record[1])
+        entry.bump(BUMP_REUSED if record[5] else BUMP_UNUSED, record[1])
 
     # -- selection ---------------------------------------------------------
 

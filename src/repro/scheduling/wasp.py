@@ -7,7 +7,7 @@ hardware prefetcher without issuing a single extra memory request.  The
 run-ahead distance is bounded by a lead limit (in issued instructions) so
 prefetched lines are not evicted again before the followers arrive.
 
-The lead limit adapts to eviction feedback from the FeedbackChannel:
+The lead limit adapts to the L1's eviction records (:mod:`repro.feedback`):
 every window of evictions of prefetcher-filled L1 lines, the scheduler
 checks how many were evicted *unreused* (the prefetch was wasted — the
 line died before any follower touched it).  A mostly-wasted window means
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..feedback.signals import LEVEL_L1D, Sig
+from ..obs.events import Ev
 from ..simt.warp import Warp, WarpStatus
 from .base import WarpScheduler
 
@@ -33,7 +33,7 @@ LEAD_STEP = 8
 #: Evictions of prefetcher-filled lines per adaptation window.
 ADAPT_WINDOW = 32
 
-_EVICT = int(Sig.EVICT)
+_EVICT = int(Ev.CACHE_EVICT)
 
 
 def _is_prefetcher(warp: Warp) -> bool:
@@ -57,15 +57,13 @@ class WaSPScheduler(WarpScheduler):
     # -- feedback ----------------------------------------------------------
 
     def on_signal(self, record: tuple) -> None:
-        # (kind, cycle, sm, level, victim_block, victim_warp, line_addr,
-        #  reused, evictor_block, evictor_warp)
-        if record[3] != LEVEL_L1D:
-            return
-        victim = self.warps.get((record[4], record[5]))
+        # (kind, cycle, sm, level, line_addr, reused, victim_block,
+        #  victim_warp, evictor_block, evictor_warp)
+        victim = self.warps.get((record[6], record[7]))
         if victim is None or not _is_prefetcher(victim):
             return
         self._window_evictions += 1
-        if not record[7]:
+        if not record[5]:
             self._window_wasted += 1
         if self._window_evictions >= ADAPT_WINDOW:
             if self._window_wasted * 2 > self._window_evictions:

@@ -17,43 +17,41 @@ Public surface:
 * :class:`JobSpec` / :class:`JobQueue` — the job model, importable
   without pulling in asyncio plumbing.
 
-See ``docs/serving.md`` for the API reference and semantics.
+See ``docs/serving.md`` for the API reference and semantics.  The names
+load on first use (module ``__getattr__``): the client pulls in
+``http.client`` and the server asyncio, neither of which building the
+command line needs.
 """
 
-from .client import ServeClient, ServeClientError
-from .config import DEFAULT_PORT, ServerConfig, default_server_url
-from .jobs import (
-    Job,
-    JobQueue,
-    JobSpec,
-    JobSpecError,
-    QueueFull,
-    QuotaExceeded,
-)
+from __future__ import annotations
 
-__all__ = [
-    "DEFAULT_PORT",
-    "Job",
-    "JobQueue",
-    "JobSpec",
-    "JobSpecError",
-    "QueueFull",
-    "QuotaExceeded",
-    "ReproServer",
-    "ServeClient",
-    "ServeClientError",
-    "ServerConfig",
-    "ServerThread",
-    "default_server_url",
-    "run_server",
-]
+import importlib
+from typing import Any
+
+#: Public name -> the submodule defining it.
+_EXPORTS = {
+    "ServeClient": "client",
+    "ServeClientError": "client",
+    "DEFAULT_PORT": "config",
+    "ServerConfig": "config",
+    "default_server_url": "config",
+    "Job": "jobs",
+    "JobQueue": "jobs",
+    "JobSpec": "jobs",
+    "JobSpecError": "jobs",
+    "QueueFull": "jobs",
+    "QuotaExceeded": "jobs",
+    "ReproServer": "server",
+    "ServerThread": "server",
+    "run_server": "server",
+}
+
+__all__ = sorted(_EXPORTS)
 
 
-def __getattr__(name):
-    # The server pulls in asyncio + concurrent.futures; load it lazily so
-    # `from repro.serve import ServeClient` stays light.
-    if name in ("ReproServer", "ServerThread", "run_server"):
-        from . import server
-
-        return getattr(server, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value

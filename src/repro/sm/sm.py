@@ -112,19 +112,15 @@ class StreamingMultiprocessor:
     ) -> None:
         self.sm_id = sm_id
         self.config = config
-        self.l1d = Cache(config.l1d, l1_policy_factory())
+        self.l1d = Cache(config.l1d, l1_policy_factory(), owner=sm_id)
         self.mshr = MSHRFile(config.l1d.mshr_entries)
         self.lsu = LoadStoreUnit(sm_id, self.l1d, self.mshr, hierarchy)
         self.schedulers = [scheduler_factory() for _ in range(config.num_schedulers_per_sm)]
         self.cpl = cpl
         #: Warp-criticality query used by the MSHR-reserve gate and the LSU
-        #: issue path: the CPL predictor's ``is_critical``, bound from the
-        #: SM's FeedbackChannel by :func:`repro.feedback.wire_gpu_feedback`
-        #: (``None`` without a CPL predictor).
-        self._is_critical: Optional[Callable[[Warp], bool]] = None
-        #: Per-SM FeedbackChannel (``repro.feedback``); set by
-        #: ``wire_gpu_feedback``.
-        self.feedback = None
+        #: issue path (``None`` without a CPL predictor).
+        self._is_critical: Optional[Callable[[Warp], bool]] = (
+            cpl.is_critical if cpl is not None else None)
         # Hot-loop locals: the per-cycle tick and per-instruction issue
         # paths read these every iteration, and going through the frozen
         # ``config`` dataclass costs two attribute lookups each time.

@@ -70,7 +70,7 @@ class ReuseDistanceProfiler:
 
     # Event-bus collector interface --------------------------------------
     def append(self, ev: tuple) -> None:
-        """``(kind, cycle, sm, level, pc, line_addr, critical)`` probe
+        """``(kind, cycle, sm, level, pc, line_addr, critical, ...)`` probe
         records of level 0 count; every other record is ignored."""
         kind = ev[0]
         if (kind == _EV_CACHE_HIT or kind == _EV_CACHE_MISS) and ev[3] == 0:

@@ -29,7 +29,6 @@ def replay_program(
     max_cycles: float = 5e7,
     observers: Optional[list] = None,
     bus=None,
-    feedback_tap=None,
 ):
     """Replay every launch of ``program``; returns the list of results.
 
@@ -40,17 +39,11 @@ def replay_program(
     :class:`repro.obs.bus.EventBus` the replay wires in place of the
     config-built one (callers attach collectors first, e.g. the Fig 3
     reuse-distance profiler).
-    ``feedback_tap`` is an optional :class:`repro.feedback.SignalTap`
-    recording every published feedback signal.
     """
     from ..gpu import GPU  # local: avoid a gpu <-> trace import cycle
 
     gpu = GPU(config or GPUConfig.default_sim(), oracle=oracle,
               max_cycles=max_cycles, trace=program, obs=bus)
-    if feedback_tap is not None:
-        from ..feedback.channel import attach_signal_tap
-
-        attach_signal_tap(gpu, feedback_tap)
     for observer in observers or ():
         for sm in gpu.sms:
             sm.issue_observers.append(observer)

@@ -82,6 +82,30 @@ def test_every_parser_renders_its_help(prog, capsys):
     assert capsys.readouterr().out.startswith(f"usage: {prog} ")
 
 
+def test_building_the_parser_leaves_the_heavy_packages_unloaded():
+    """``repro list`` pays for what it uses: building the command line
+    does not import the HTTP client or the analyses behind ``lint`` and
+    ``sanitize`` (each handler imports its own)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    probe = (
+        "import sys\n"
+        "from repro.cli import build_parser\n"
+        "build_parser()\n"
+        "loaded = [m for m in ('http.client', 'ssl', 'repro.serve.client',\n"
+        "                      'repro.analysis.lints', 'repro.sanitize.registry')\n"
+        "          if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = Path(repro.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env={"PYTHONPATH": str(src)}, timeout=120)
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -1,28 +1,29 @@
-"""Unit tests for repro.feedback: schema, channel, schemes.
+"""Unit tests for repro.feedback: the cache records, the L1 sink, schemes.
 
-The runtime contract (cross-mode stream identity) lives in
-``test_feedback_determinism.py``; this file covers the pieces in
-isolation: the signal schema, the publish/subscribe channel, the eager
-config-time validation satellites, and the three feedback-consuming
-schedulers driven by hand-crafted signal streams.
+The runtime contract (cross-frontend stream identity, consumers included)
+lives in ``test_obs_parity.py``; this file covers the pieces in
+isolation: the v2 cache records schedulers read, the L1 sink and its
+fan-out, the eager config-time validation satellites, and the three
+feedback-consuming schedulers driven by hand-crafted records.
 """
 
 import pytest
 
+from repro import GPU
 from repro.config import GPUConfig
 from repro.errors import ConfigError
-from repro.feedback.channel import FeedbackChannel, SignalTap
-from repro.feedback.signals import (
-    LEVEL_L1D,
-    LEVEL_L2,
-    Sig,
-    SignalSchemaError,
+from repro.experiments import runner
+from repro.feedback import L1Fanout, l1_sink
+from repro.obs import (
+    Ev,
+    SchemaError,
+    event_to_dict,
+    record_events,
     schema_table,
-    signal_to_dict,
-    sort_signals,
-    validate_signal,
-    validate_signals,
+    sort_events,
+    validate_events,
 )
+from repro.obs.events import LEVEL_L1D, LEVEL_L2
 from repro.scheduling import ccws as ccws_mod
 from repro.scheduling import ciao as ciao_mod
 from repro.scheduling import wasp as wasp_mod
@@ -32,38 +33,44 @@ from repro.scheduling.registry import SCHEDULERS, make_scheduler
 from repro.scheduling.wasp import WaSPScheduler
 from repro.simt.warp import WarpStatus
 
-MISS = (int(Sig.MISS), 10.0, 0, LEVEL_L1D, 1, 2, 0x400, 7)
-FILL = (int(Sig.FILL), 11.0, 0, LEVEL_L1D, 1, 2, 0x400, 0)
-EVICT = (int(Sig.EVICT), 12.0, 0, LEVEL_L1D, 0, 3, 0x200, 1, 1, 2)
+# (kind, cycle, sm, level, pc, line_addr, critical, block, warp)
+MISS = (int(Ev.CACHE_MISS), 10.0, 0, LEVEL_L1D, 7, 0x400, 0, 1, 2)
+# (kind, cycle, sm, level, line_addr, critical, block, warp)
+FILL = (int(Ev.CACHE_FILL), 11.0, 0, LEVEL_L1D, 0x400, 0, 1, 2)
+# (kind, cycle, sm, level, line_addr, reused, victim_block, victim_warp,
+#  evictor_block, evictor_warp)
+EVICT = (int(Ev.CACHE_EVICT), 12.0, 0, LEVEL_L1D, 0x200, 1, 0, 3, 1, 2)
 
 
 # ----------------------------------------------------------------------
-# Signal schema
+# The v2 cache records
 # ----------------------------------------------------------------------
 class TestSchema:
     @pytest.mark.parametrize("record", [MISS, FILL, EVICT])
     def test_valid_records_pass(self, record):
-        validate_signal(record)
+        assert validate_events([record]) == 1
 
     def test_too_short_rejected(self):
-        with pytest.raises(SignalSchemaError, match="too short"):
-            validate_signal((int(Sig.MISS), 1.0))
+        with pytest.raises(SchemaError, match="too short"):
+            validate_events([(int(Ev.CACHE_MISS), 1.0)])
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SignalSchemaError, match="unknown signal kind"):
-            validate_signal((99, 1.0, 0, LEVEL_L1D))
+        with pytest.raises(SchemaError, match="unknown event kind"):
+            validate_events([(99, 1.0, 0, LEVEL_L1D)])
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(SignalSchemaError, match="MISS"):
-            validate_signal(MISS + (123,))
+        # A v1 miss (no warp attribution) no longer fits.
+        with pytest.raises(SchemaError, match="CACHE_MISS"):
+            validate_events([MISS[:7]])
 
     def test_validate_signals_counts(self):
-        assert validate_signals([MISS, FILL, EVICT]) == 3
+        assert validate_events([MISS, FILL, EVICT]) == 3
 
     def test_signal_to_dict_names_fields(self):
-        d = signal_to_dict(EVICT)
-        assert d["kind"] == "EVICT"
+        d = event_to_dict(EVICT)
+        assert d["kind"] == "CACHE_EVICT"
         assert d["cycle"] == 12.0
+        assert d["line_addr"] == 0x200
         assert d["victim_block"] == 0
         assert d["victim_warp"] == 3
         assert d["reused"] == 1
@@ -71,58 +78,113 @@ class TestSchema:
         assert d["evictor_warp"] == 2
 
     def test_sort_is_cycle_sm_kind_order(self):
-        a = (int(Sig.MISS), 5.0, 1, LEVEL_L1D, 0, 0, 0x100, 0)
-        b = (int(Sig.MISS), 5.0, 0, LEVEL_L1D, 0, 0, 0x100, 0)
-        c = (int(Sig.FILL), 4.0, 2, LEVEL_L1D, 0, 0, 0x100, 0)
-        assert sort_signals([a, b, c]) == [c, b, a]
+        a = (int(Ev.CACHE_MISS), 5.0, 1, LEVEL_L1D, 0, 0x100, 0, 0, 0)
+        b = (int(Ev.CACHE_MISS), 5.0, 0, LEVEL_L1D, 0, 0x100, 0, 0, 0)
+        c = (int(Ev.CACHE_FILL), 4.0, 2, LEVEL_L1D, 0x100, 0, 0, 0)
+        assert sort_events([a, b, c]) == [c, b, a]
 
     def test_schema_table_lists_every_kind(self):
-        table = schema_table()
-        for kind in Sig:
-            assert kind.name in table
+        rows = {name: fields for name, _, fields in schema_table()}
+        assert rows["CACHE_MISS"][-2:] == ("block", "warp")
+        assert rows["CACHE_FILL"][-2:] == ("block", "warp")
+        assert rows["CACHE_EVICT"][-4:] == (
+            "victim_block", "victim_warp", "evictor_block", "evictor_warp")
 
     def test_l2_level_code_distinct(self):
         assert LEVEL_L1D != LEVEL_L2
 
 
 # ----------------------------------------------------------------------
-# Channel + tap
+# The L1 sink and its fan-out
 # ----------------------------------------------------------------------
+class _Subscriber:
+    def __init__(self, kinds, log, tag):
+        self.FEEDBACK_KINDS = kinds
+        self.log, self.tag = log, tag
+
+    def on_signal(self, record):
+        self.log.append((self.tag, record))
+
+
 class TestChannel:
     def test_publish_dispatches_by_kind_in_subscription_order(self):
-        ch = FeedbackChannel(0)
         got = []
-        ch.subscribe((Sig.MISS,), lambda r: got.append(("first", r)))
-        ch.subscribe((Sig.MISS, Sig.EVICT), lambda r: got.append(("second", r)))
-        ch.publish(MISS)
-        ch.publish(FILL)  # nobody subscribed
-        ch.publish(EVICT)
+        sink = l1_sink([_Subscriber((Ev.CACHE_MISS,), got, "first"),
+                        _Subscriber((Ev.CACHE_MISS, Ev.CACHE_EVICT), got, "second")])
+        sink.emit(MISS)
+        sink.emit(FILL)  # nobody subscribed
+        sink.emit(EVICT)
         assert got == [("first", MISS), ("second", MISS), ("second", EVICT)]
 
     def test_unknown_kind_subscription_fails_loudly(self):
         with pytest.raises(ValueError):
-            FeedbackChannel(0).subscribe((99,), lambda r: None)
+            l1_sink([_Subscriber((99,), [], "bad")])
 
     def test_tap_records_even_unsubscribed_kinds(self):
-        ch = FeedbackChannel(0)
-        ch.tap = tap = SignalTap()
-        ch.publish(MISS)
-        ch.publish(FILL)
-        assert tap.records == [MISS, FILL]
-        assert len(tap) == 2
+        # Handlers first, then the bus — which records every kind.
+        order, bus = [], []
 
-    def test_publish_checked_validates(self):
-        ch = FeedbackChannel(0)
-        ch.publish_checked(MISS)
-        with pytest.raises(SignalSchemaError):
-            ch.publish_checked((99, 1.0, 0))
+        class Bus:
+            def emit(self, record):
+                order.append(("bus", record))
+                bus.append(record)
+
+        sink = l1_sink([_Subscriber((Ev.CACHE_MISS,), order, "sched")], Bus())
+        sink.emit(MISS)
+        sink.emit(FILL)
+        assert bus == [MISS, FILL]
+        assert order == [("sched", MISS), ("bus", MISS), ("bus", FILL)]
 
     def test_subscription_introspection(self):
-        ch = FeedbackChannel(0)
-        assert not ch.has_subscribers()
-        ch.subscribe((Sig.EVICT, Sig.MISS), lambda r: None)
-        assert ch.has_subscribers()
-        assert ch.subscribed_kinds() == (int(Sig.MISS), int(Sig.EVICT))
+        # The sink is None without bus or subscriber, the bus without a
+        # subscriber, else a fan-out naming what each kind reaches.
+        bus = object()
+        assert l1_sink([make_scheduler("gto")]) is None
+        assert l1_sink([make_scheduler("gto")], bus) is bus
+        ccws = make_scheduler("ccws")
+        sink = l1_sink([ccws], bus)
+        assert isinstance(sink, L1Fanout) and sink.bus is bus
+        assert sorted(sink.handlers) == [int(Ev.CACHE_MISS), int(Ev.CACHE_EVICT)]
+        assert sink.handlers[int(Ev.CACHE_EVICT)] == [ccws.on_signal]
+
+    def test_gpu_wires_each_l1_and_leaves_the_l2_on_the_bus(self):
+        plain = GPU(GPUConfig.default_sim().with_scheduler("ccws"))
+        for sm in plain.sms:
+            assert sm.l1d.obs.bus is None
+            assert sm.l1d.owner == sm.sm_id and sm.l1d.level == LEVEL_L1D
+        assert plain.hierarchy.l2.cache.obs is None
+        recorded = GPU(GPUConfig.default_sim().with_scheduler("ccws").with_events("on"))
+        assert all(sm.l1d.obs.bus is recorded.obs for sm in recorded.sms)
+        assert recorded.hierarchy.l2.cache.obs is recorded.obs
+        assert recorded.hierarchy.l2.cache.level == LEVEL_L2
+
+    def test_one_record_two_readers(self, monkeypatch):
+        """Each slot of a subscribed scheduler receives the very tuples its
+        SM's L1 records on the bus as CACHE_MISS / CACHE_EVICT, in the
+        bus's order."""
+        runner.clear_cache()
+        received = {}
+        original = CCWSScheduler.on_signal
+
+        def on_signal(self, record):
+            received.setdefault(self, []).append(record)
+            original(self, record)
+
+        monkeypatch.setattr(CCWSScheduler, "on_signal", on_signal)
+        _, bus = record_events("backprop", "ccws", scale=0.25)
+        events = bus.events()
+        assert len(events) == bus.emitted  # the ring dropped nothing
+        kinds = (int(Ev.CACHE_MISS), int(Ev.CACHE_EVICT))
+        streams = {}
+        for ev in events:
+            if ev[0] in kinds and ev[3] == LEVEL_L1D:
+                streams.setdefault(ev[2], []).append(ev)
+        config = GPUConfig.default_sim()
+        assert len(received) == config.num_sms * config.num_schedulers_per_sm
+        for records in received.values():
+            stream = streams[records[0][2]]
+            assert len(records) == len(stream)
+            assert all(record is ev for record, ev in zip(records, stream))
 
 
 # ----------------------------------------------------------------------
@@ -160,17 +222,18 @@ class TestRegistry:
     def test_feedback_kinds_are_valid_sig_values(self):
         for scheduler in SCHEDULERS.values():
             for kind in scheduler.FEEDBACK_KINDS:
-                Sig(kind)  # raises on junk
+                Ev(kind)  # raises on junk
 
     def test_consumer_subscriptions(self):
-        assert set(SCHEDULERS["ccws"].FEEDBACK_KINDS) == {int(Sig.EVICT), int(Sig.MISS)}
-        assert set(SCHEDULERS["wasp"].FEEDBACK_KINDS) == {int(Sig.EVICT)}
-        assert set(SCHEDULERS["ciao"].FEEDBACK_KINDS) == {int(Sig.EVICT)}
+        evict, miss = int(Ev.CACHE_EVICT), int(Ev.CACHE_MISS)
+        assert set(SCHEDULERS["ccws"].FEEDBACK_KINDS) == {evict, miss}
+        assert set(SCHEDULERS["wasp"].FEEDBACK_KINDS) == {evict}
+        assert set(SCHEDULERS["ciao"].FEEDBACK_KINDS) == {evict}
         assert SCHEDULERS["gto"].FEEDBACK_KINDS == ()
 
 
 # ----------------------------------------------------------------------
-# Scheduler units, driven by hand-crafted signals
+# Scheduler units, driven by hand-crafted records
 # ----------------------------------------------------------------------
 class _Block:
     def __init__(self, block_id):
@@ -192,16 +255,16 @@ class _StubWarp:
 
 def _evict(victim, evictor, line_addr, reused=0, cycle=1.0):
     return (
-        int(Sig.EVICT), cycle, 0, LEVEL_L1D,
-        victim.block.block_id, victim.warp_id_in_block, line_addr, reused,
+        int(Ev.CACHE_EVICT), cycle, 0, LEVEL_L1D, line_addr, reused,
+        victim.block.block_id, victim.warp_id_in_block,
         evictor.block.block_id, evictor.warp_id_in_block,
     )
 
 
 def _miss(warp, line_addr, cycle=1.0):
     return (
-        int(Sig.MISS), cycle, 0, LEVEL_L1D,
-        warp.block.block_id, warp.warp_id_in_block, line_addr, 0,
+        int(Ev.CACHE_MISS), cycle, 0, LEVEL_L1D, 0, line_addr, 0,
+        warp.block.block_id, warp.warp_id_in_block,
     )
 
 
@@ -346,8 +409,7 @@ class TestCIAOUnit:
     def test_unattributed_victim_ignored(self):
         sched, (w0, w1) = self._scheduler()
         record = (
-            int(Sig.EVICT), 1.0, 0, LEVEL_L1D,
-            -1, -1, 0x400, 0,
+            int(Ev.CACHE_EVICT), 1.0, 0, LEVEL_L1D, 0x400, 0, -1, -1,
             w0.block.block_id, w0.warp_id_in_block,
         )
         sched.on_signal(record)

@@ -1,25 +1,25 @@
-"""Feedback signal streams are bit-identical across every simulator mode.
+"""Cache-decision streams are bit-identical across every simulator mode.
 
-The FeedbackChannel determinism contract (docs/schemes.md): the canonical
-signal stream — every record, compared as ``(cycle, sm, kind, fields)``
-tuples — is identical across execute/trace frontends; and because the
-consumer schemes (ccws/wasp/ciao) alter issue decisions based on those
-signals, their *cycle counts* must agree across modes too, which these
-tests pin alongside the streams themselves.  Signals may reach a consumer
-scheduler between its SM's ticks, so the consumers also run under
+The feedback determinism contract (docs/schemes.md): the cache records a
+scheduler may subscribe to — every miss, fill and eviction, compared as
+canonically sorted ``(kind, cycle, sm, fields)`` tuples — are identical
+across execute/trace frontends; and because the consumer schemes
+(ccws/wasp/ciao) alter issue decisions based on those records, their
+*cycle counts* must agree across modes too, which these tests pin
+alongside the streams themselves.  Records may reach a consumer scheduler
+between its SM's ticks, so the consumers also run under
 :class:`~tests.oracles.SkipOracle`: the device loop must still skip only
 idle cycles.
 
-Recording goes through :func:`repro.feedback.record_signals`, which taps
-every per-SM L1 channel plus the shared-L2 device channel.
+Recording goes through :func:`repro.feedback.record_signals`, which keeps
+the cache decisions of both levels off the event bus.
 """
 
 import pytest
 
 from repro.config import GPUConfig
-from repro.errors import ConfigError
 from repro.feedback import record_signals
-from repro.feedback.signals import LEVEL_L1D, LEVEL_L2, Sig, validate_signals
+from repro.obs.events import LEVEL_L1D, LEVEL_L2, Ev, validate_events
 from tests.oracles import SkipOracle
 
 CONSUMER_SCHEMES = ["ccws", "wasp", "ciao"]
@@ -40,7 +40,7 @@ class TestSignalStreamFast:
         trace_result, trace_signals = _record(scheme, frontend="trace")
         assert exec_result.cycles == trace_result.cycles
         assert exec_signals == trace_signals
-        assert validate_signals(exec_signals) > 0
+        assert validate_events(exec_signals) > 0
 
     def test_frontend_and_clock_identical(self, monkeypatch):
         # A throttling consumer, fed between ticks, replayed under the
@@ -54,36 +54,27 @@ class TestSignalStreamFast:
 
     def test_stream_contents(self):
         result, signals = _record("ccws")
-        # Every kind flows; L2 signals ride the device channel with the
-        # *requesting* SM id, so sm >= 0 everywhere.
+        # Every decision kind flows; L2 records carry the *requesting*
+        # SM id, so sm >= 0 everywhere.
         kinds = {record[0] for record in signals}
-        assert kinds == {int(Sig.MISS), int(Sig.FILL), int(Sig.EVICT)}
+        assert kinds == {int(Ev.CACHE_MISS), int(Ev.CACHE_FILL),
+                         int(Ev.CACHE_EVICT)}
         levels = {record[3] for record in signals}
         assert levels == {LEVEL_L1D, LEVEL_L2}
         assert all(record[2] >= 0 for record in signals)
         # L1 misses surface in both the stream and the counters.
         l1_misses = sum(
             1 for r in signals
-            if r[0] == int(Sig.MISS) and r[3] == LEVEL_L1D
+            if r[0] == int(Ev.CACHE_MISS) and r[3] == LEVEL_L1D
         )
         assert l1_misses == result.l1_stats.misses
 
     def test_feedback_oblivious_scheme_streams_too(self):
-        # The tap force-wires publish hooks even when no scheduler
+        # The cache records go to the bus whether or not a scheduler
         # subscribes, so gto is observable without behavior change.
         result, signals = _record("gto")
-        assert validate_signals(signals) > 0
+        assert validate_events(signals) > 0
         assert result.cycles > 0
-
-
-class TestSampledConfig:
-    def test_sampled_config_is_refused(self):
-        # record_signals used to ignore ``sampling`` and replay the whole
-        # trace, returning an exact RunResult under a config that asked
-        # for estimates (record_events on the same config samples).
-        sampled = GPUConfig.default_sim().with_sampling("blocks:0.25")
-        with pytest.raises(ConfigError, match="sampled replay"):
-            record_signals("bfs", "gto", scale=0.25, config=sampled)
 
 
 @pytest.mark.slow

@@ -58,7 +58,7 @@ SAMPLE = [
     ev_issue(1.0),
     ev_stall(3.0, stalled=1.0, start=2.0),
     ev_issue(3.0),
-    (int(Ev.CACHE_MISS), 3.0, 0, 0, 12, 0x80, 1),
+    (int(Ev.CACHE_MISS), 3.0, 0, 0, 12, 0x80, 1, 0, 0),
     (int(Ev.WARP_FINISH), 9.0, 0, 0, 0),
 ]
 
@@ -289,6 +289,18 @@ class TestStore:
         }).encode()
         path.write_bytes(zlib.compress(payload))
         with pytest.raises(EventStoreError, match="schema"):
+            load_events(path)
+
+    def test_v1_stream_is_refused(self, tmp_path):
+        # v1 cache records carry no warp attribution; v2 appended it.
+        assert SCHEMA_VERSION == 2
+        path = tmp_path / "v1.evt.z"
+        payload = json.dumps({
+            "format": "repro-events", "version": 1, "schema_version": 1,
+            "events": [[int(Ev.CACHE_MISS), 3.0, 0, 0, 12, 0x80, 1]],
+        }).encode()
+        path.write_bytes(zlib.compress(payload))
+        with pytest.raises(EventStoreError, match="schema v1"):
             load_events(path)
 
     def test_save_validates(self, tmp_path):

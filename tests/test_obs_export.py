@@ -20,12 +20,12 @@ EVENTS = [
     (int(Ev.WARP_ISSUE), 1.0, 0, 0, 0, 4, "ADD"),
     (int(Ev.WARP_STALL), 5.0, 0, 0, 0, int(Stall.MEM_PENDING), 3.0, 2.0),
     (int(Ev.WARP_ISSUE), 5.0, 0, 0, 0, 8, "LD"),
-    (int(Ev.CACHE_MISS), 5.0, 0, 0, 8, 0x80, 1),
+    (int(Ev.CACHE_MISS), 5.0, 0, 0, 8, 0x80, 1, 0, 0),
     (int(Ev.MSHR_ALLOC), 5.0, 0, 0x80, 205.0, 1),
     (int(Ev.L2_BANK), 6.0, 0, 2, 0, 0.0),
     (int(Ev.DRAM_ENQ), 16.0, 0, 0.0),
     (int(Ev.DRAM_SERVICE), 16.0, 0, 216.0),
-    (int(Ev.CACHE_FILL), 5.0, 0, 0, 0x80, 1),
+    (int(Ev.CACHE_FILL), 5.0, 0, 0, 0x80, 1, 0, 0),
     (int(Ev.WARP_FINISH), 220.0, 0, 0, 0),
     (int(Ev.WARP_ISSUE), 2.0, 1, 3, 1, 4, "ADD"),
 ]

@@ -1,10 +1,15 @@
 """Observability must never perturb timing — the subsystem's hard contract.
 
-One grid, every mode: {rr, gto, caws, cawa} x {execute, trace}, with the
-event bus on (plus live collectors) and off.  Cycles, instruction counts,
-and cache counters must be bit-identical, and the *event stream itself*
-must be identical across frontends (sorted canonically) — recording is
-part of the bit-identity contract, not an exception to it.
+One grid, every mode: {rr, gto, caws, cawa, ccws, wasp, ciao} x {execute,
+trace}, with the event bus on (plus live collectors) and off.  Cycles,
+instruction counts, and cache counters must be bit-identical, and the
+*event stream itself* must be identical across frontends (sorted
+canonically) — recording is part of the bit-identity contract, not an
+exception to it.  The co-design schemes (ccws, wasp, ciao) change issue
+decisions on the L1's cache records, which may reach them between their
+SM's ticks, so their trace runs also go under
+:class:`~tests.oracles.SkipOracle`: the device loop must still skip only
+idle cycles.
 
 Also pins the stall-accounting identity on a real run (accounted
 warp-cycles == warp lifetime) and the cache-bypass rule for recording runs.
@@ -14,12 +19,16 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.experiments import runner
-from repro.obs import StallAccounting, record_events, sort_events
+from repro.obs import Ev, StallAccounting, record_events, sort_events
+from repro.obs.events import LEVEL_L1D
 from repro.stats.timeline import TimelineProfiler
+from tests.oracles import SkipOracle
 
 WORKLOAD = "bfs"
 SCALE = 0.25
-SCHEMES = ("rr", "gto", "caws", "cawa")
+CONSUMERS = ("ccws", "wasp", "ciao")
+SCHEMES = ("rr", "gto", "caws", "cawa") + CONSUMERS
+CACHE_KINDS = {int(k) for k in Ev if k.name.startswith("CACHE_")}
 
 
 def run_off(scheme, config=None):
@@ -40,7 +49,7 @@ def assert_same_timing(a, b, what):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_parity_grid(scheme):
+def test_parity_grid(scheme, monkeypatch):
     """events-on runs (both frontends, collectors attached) == events-off
     baseline; event streams identical across frontends."""
     baseline = run_off(scheme, GPUConfig.default_sim().with_frontend("execute"))
@@ -48,6 +57,8 @@ def test_parity_grid(scheme):
 
     streams = {}
     for frontend in ("execute", "trace"):
+        if frontend == "trace" and scheme in CONSUMERS:
+            oracles = SkipOracle.on_every_launch(monkeypatch)
         cfg = GPUConfig.default_sim().with_frontend(frontend)
         collectors = (StallAccounting(), TimelineProfiler())
         result, bus = record_events(
@@ -63,10 +74,18 @@ def test_parity_grid(scheme):
         assert acct.issue_cycles() == result.warp_instructions, what
         assert len(profiler.timelines) > 0, what
         streams[frontend] = sort_events(bus.events())
+        # The cache records carry the requesting SM at both levels, and
+        # the L1 misses on record are the counters' misses.
+        cache = [ev for ev in streams[frontend] if ev[0] in CACHE_KINDS]
+        assert all(ev[2] >= 0 for ev in cache), what
+        assert sum(1 for ev in cache if ev[0] == Ev.CACHE_MISS
+                   and ev[3] == LEVEL_L1D) == result.l1_stats.misses, what
 
     # The event stream is part of the bit-identity contract: identical
     # across frontends once canonically sorted.
     assert streams["trace"] == streams["execute"], f"{scheme} event stream diverged"
+    if scheme in CONSUMERS:
+        assert sum(o.jumps for o in oracles) > 0
 
 
 def test_stall_accounting_identity_on_real_run():

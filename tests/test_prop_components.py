@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.config import CacheConfig
-from repro.feedback.signals import LEVEL_L1D, Sig
+from repro.obs.events import LEVEL_L1D, Ev
 from repro.isa.kernel import KernelBuilder
 from repro.memory.cache import Cache, CacheLine, CacheStats
 from repro.memory.mshr import MSHRFile
@@ -80,11 +80,11 @@ def _feedback(rng, num_warps, now):
             evictor = rng.randrange(num_warps)
             reused = rng.randrange(2)
             records += rng.randint(1, 6) * [
-                (int(Sig.EVICT), now, 0, LEVEL_L1D, 0, victim, line, reused, 0, evictor)]
+                (int(Ev.CACHE_EVICT), now, 0, LEVEL_L1D, line, reused, 0, victim, 0, evictor)]
         else:
             records += [
-                (int(Sig.EVICT), now, 0, LEVEL_L1D, 0, victim, line, 0, 0, victim),
-                (int(Sig.MISS), now, 0, LEVEL_L1D, 0, victim, line, 7)]
+                (int(Ev.CACHE_EVICT), now, 0, LEVEL_L1D, line, 0, 0, victim, 0, victim),
+                (int(Ev.CACHE_MISS), now, 0, LEVEL_L1D, 7, line, 0, 0, victim)]
     return records
 
 

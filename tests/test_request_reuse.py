@@ -3,10 +3,10 @@
 Each LSU owns one request; it rewrites its PC, warp and criticality per
 instruction and its line, LSU cycle and signature before each line's L1
 probe, so whatever reads a request must read it during the call it was
-handed in.  On bfs x cawa, with an L1 log, an event collector and a
-feedback tap attached at once, every one of them must see each line's own
-``line_addr``, ``cycle`` and ``signature`` (where its records carry them) —
-in the order the LSU walked the lines.
+handed in.  On bfs x cawa, with an L1 log and an event collector attached
+at once, each must see each line's own ``line_addr``, ``cycle``,
+``signature`` and warp (where its records carry them) — in the order the
+LSU walked the lines.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import pytest
 from repro import GPUConfig, apply_scheme
 from repro import trace as trace_mod
 from repro.experiments import runner
-from repro.feedback.channel import SignalTap
-from repro.feedback.signals import LEVEL_L1D, Sig
 from repro.isa.instructions import MemSpace
 from repro.memory.request import make_signature
 from repro.obs.bus import EventBus
@@ -36,7 +34,7 @@ class L1Log:
 
     def append(self, ev):
         if ev[0] in (Ev.CACHE_HIT, Ev.CACHE_MISS) and ev[3] == 0:
-            _, cycle, sm, _, pc, line, critical = ev
+            _, cycle, sm, _, pc, line, critical = ev[:7]
             self.accesses.append((sm, line, cycle, pc, bool(critical)))
         elif ev[0] == Ev.CACP_INSERT:
             self.inserts.append((ev[2], ev[1], ev[3]))
@@ -62,12 +60,12 @@ def test_every_consumer_sees_each_lines_own_request(monkeypatch):
         return real_issue(self, warp, inst, mask, now, is_critical, lines)
 
     monkeypatch.setattr(LoadStoreUnit, "issue", issue)
-    log, events, tap = L1Log(), [], SignalTap()
+    log, events = L1Log(), []
     bus = EventBus()
     bus.attach(log)
     bus.attach(events)
     trace_mod.replay_program(program, apply_scheme(cfg, "cawa"), scheme="cawa",
-                             bus=bus, feedback_tap=tap)
+                             bus=bus)
 
     assert walked and log.accesses == [
         (key[0], line, cycle, pc, critical)
@@ -82,22 +80,16 @@ def test_every_consumer_sees_each_lines_own_request(monkeypatch):
     l2_probes = [ev for ev in events
                  if ev[0] in (Ev.CACHE_HIT, Ev.CACHE_MISS) and ev[3] == 1]
     fills = [ev for ev in events if ev[0] == Ev.CACHE_FILL]
-    assert l2_probes and fills
+    misses = [ev for ev in events if ev[0] == Ev.CACHE_MISS]
+    assert l2_probes and fills and misses
     for ev in l2_probes:  # the L2 is probed with the same request
         assert line_at[ev[2], ev[1]][1:] == (ev[5], make_signature(ev[4], ev[5]), ev[4])
+    for ev in misses:  # ... and both levels name the line's warp
+        key, line, _, pc = line_at[ev[2], ev[1]]
+        assert (ev[4], ev[5], ev[7], ev[8]) == (pc, line, key[1], key[2])
     for ev in fills:
-        assert line_at[ev[2], ev[1]][1] == ev[4]
-
-    signals = [r for r in tap.records if r[3] == LEVEL_L1D]
-    misses = [r for r in signals if r[0] == Sig.MISS]
-    assert misses and any(r[0] == Sig.FILL for r in signals)
-    for record in misses:
-        key, line, _, pc = line_at[record[2], record[1]]
-        assert (record[4], record[5], record[6], record[7]) == (key[1], key[2], line, pc)
-    for record in signals:
-        if record[0] == Sig.FILL:
-            key, line, _, _ = line_at[record[2], record[1]]
-            assert (record[4], record[5], record[6]) == (key[1], key[2], line)
+        key, line, _, _ = line_at[ev[2], ev[1]]
+        assert (ev[4], ev[6], ev[7]) == (line, key[1], key[2])
 
 
 def test_the_l1_observer_hook_is_gone():

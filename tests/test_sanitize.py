@@ -39,7 +39,6 @@ ALL_RULES = (
     "DET002",
     "DET003",
     "OBS001",
-    "FBK001",
 )
 
 

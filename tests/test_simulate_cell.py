@@ -67,9 +67,11 @@ def test_sampled_estimates_agree():
     config = GPUConfig.default_sim().with_sampling("blocks:0.5")
     estimate = run_exact("gto", config)
     recorded, bus = record_events(WORKLOAD, "gto", scale=SCALE, config=config)
+    tapped, records = record_signals(WORKLOAD, "gto", scale=SCALE, config=config)
     assert isinstance(estimate, SampledRunResult)
-    assert isinstance(recorded, SampledRunResult)
-    assert bus.emitted > 0
-    assert signature(recorded) == signature(estimate)
-    assert recorded.ci == estimate.ci
-    assert recorded.info == estimate.info
+    assert bus.emitted > 0 and records
+    for result in (recorded, tapped):  # both record the sampled replay
+        assert isinstance(result, SampledRunResult)
+        assert signature(result) == signature(estimate)
+        assert result.ci == estimate.ci
+        assert result.info == estimate.info

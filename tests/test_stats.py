@@ -38,8 +38,9 @@ def make_block(times):
 
 def probe(line_addr, pc=0, critical=False, hit=False, level=0):
     """An L1 (level 0) probe record as the cache emits it on the bus."""
-    return (Ev.CACHE_HIT if hit else Ev.CACHE_MISS, 0.0, 0, level, pc,
-            line_addr, 1 if critical else 0)
+    record = (Ev.CACHE_HIT if hit else Ev.CACHE_MISS, 0.0, 0, level, pc,
+              line_addr, 1 if critical else 0)
+    return record if hit else record + (0, 0)  # a miss names its warp
 
 
 class TestDisparity:
@@ -135,7 +136,7 @@ class TestReuseDistance:
     def test_reads_l1_probe_records_only(self):
         profiler = ReuseDistanceProfiler()
         profiler.append(probe(0, level=1))  # the L2's probe of the same line
-        profiler.append((Ev.CACHE_FILL, 0.0, 0, 0, 0, 0))
+        profiler.append((Ev.CACHE_FILL, 0.0, 0, 0, 0, 0, 0, 0))
         assert profiler.non_critical.references == 0
         profiler.append(probe(0))
         profiler.append(probe(0, hit=True))

@@ -6,10 +6,10 @@ two tier-1 workloads and asserts the subsystem's headline guarantees
 end to end:
 
 1. each scheme completes on both the execute and trace frontends with
-   *identical* cycle counts and identical canonical signal streams
-   (the FeedbackChannel determinism contract);
-2. every recorded signal validates against the schema, and the stream's
-   L1 miss count agrees with the cache counters;
+   *identical* cycle counts and identical canonically sorted streams of
+   the cache records on the event bus — the records the schemes read;
+2. every cache record validates against the event schema, and the
+   stream's L1 miss count agrees with the cache counters;
 3. the trace store is hit, not re-recorded, across schemes — each
    workload's functional streams are recorded exactly once and replayed
    for every scheme (the cache-aware path CI depends on for speed).
@@ -45,10 +45,18 @@ def main():
 
     from repro import trace as trace_mod
     from repro.config import GPUConfig
-    from repro.feedback import record_signals
-    from repro.feedback.signals import LEVEL_L1D, Sig, validate_signals
+    from repro.obs import Ev, record_events, sort_events, validate_events
+    from repro.obs.events import LEVEL_L1D
 
-    sig_miss = int(Sig.MISS)
+    cache_kinds = {int(kind) for kind in Ev if kind.name.startswith("CACHE_")}
+    miss = int(Ev.CACHE_MISS)
+
+    def cache_stream(workload, scheme, scale, config):
+        result, bus = record_events(workload, scheme, scale=scale, config=config)
+        if len(bus.events()) != bus.emitted:
+            fail(f"{workload} x {scheme}: the event ring dropped records")
+        return result, sort_events(ev for ev in bus.events() if ev[0] in cache_kinds)
+
     started = time.time()
     for workload, scale in CELLS:
         # Record the functional streams once; every scheme replays them.
@@ -59,13 +67,12 @@ def main():
         print(f"[{workload} @ {scale}] trace recorded "
               f"({len(program.launches)} launch(es))")
         for scheme in SCHEMES:
-            exec_result, exec_signals = record_signals(
-                workload, scheme, scale=scale,
-                config=GPUConfig.default_sim().with_frontend("execute"),
+            exec_result, exec_records = cache_stream(
+                workload, scheme, scale,
+                GPUConfig.default_sim().with_frontend("execute"),
             )
-            trace_result, trace_signals = record_signals(
-                workload, scheme, scale=scale,
-                config=GPUConfig.default_sim(),
+            trace_result, trace_records = cache_stream(
+                workload, scheme, scale, GPUConfig.default_sim(),
             )
             if (exec_result.frontend, trace_result.frontend) != ("execute", "trace"):
                 fail(f"{workload} x {scheme}: expected an executed and a "
@@ -75,21 +82,21 @@ def main():
             if exec_result.cycles != trace_result.cycles:
                 fail(f"{cell}: execute {exec_result.cycles} cycles != "
                      f"trace {trace_result.cycles}")
-            if exec_signals != trace_signals:
-                fail(f"{cell}: signal streams diverge between frontends "
-                     f"({len(exec_signals)} vs {len(trace_signals)} records)")
-            count = validate_signals(exec_signals)
+            if exec_records != trace_records:
+                fail(f"{cell}: cache record streams diverge between frontends "
+                     f"({len(exec_records)} vs {len(trace_records)} records)")
+            count = validate_events(exec_records)
             if count == 0:
-                fail(f"{cell}: no feedback signals recorded")
+                fail(f"{cell}: no cache records")
             l1_misses = sum(
-                1 for r in exec_signals
-                if r[0] == sig_miss and r[3] == LEVEL_L1D
+                1 for r in exec_records
+                if r[0] == miss and r[3] == LEVEL_L1D
             )
             if l1_misses != exec_result.l1_stats.misses:
-                fail(f"{cell}: stream has {l1_misses} L1 MISS signals, "
+                fail(f"{cell}: stream has {l1_misses} L1 CACHE_MISS records, "
                      f"counters say {exec_result.l1_stats.misses}")
             print(f"  {cell}: {exec_result.cycles} cycles, "
-                  f"ipc {exec_result.ipc:.2f}, {count} signals — OK")
+                  f"ipc {exec_result.ipc:.2f}, {count} cache records — OK")
 
     print(f"schemes-smoke: all {len(CELLS) * len(SCHEMES)} cells passed "
           f"in {time.time() - started:.1f}s")
