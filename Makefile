@@ -14,7 +14,7 @@ TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/t
 test:
 	$(PYTEST) -x -q
 
-## Everything, including the full frontend parity and skip-loop oracle grids.
+## Everything, including the full replay parity and skip-loop oracle grids.
 test-all:
 	$(PYTEST) -x -q -m ""
 

@@ -30,6 +30,20 @@ from repro.experiments.runner import clear_cache
 SCALE = 0.5
 
 
+def _in_place(scheme, config, scale=SCALE, workload="bfs"):
+    """One cell without the trace store: build the workload and launch it
+    on a GPU handed no trace, which records each launch in place, times
+    that recording and verifies it."""
+    from repro import GPU
+    from repro.core.cawa import apply_scheme
+    from repro.experiments.runner import scheme_oracle
+    from repro.workloads import make_workload
+
+    cfg = apply_scheme(config, scheme)
+    gpu = GPU(cfg, oracle=scheme_oracle(workload, scale, config, cfg))
+    return make_workload(workload, scale=scale).run(gpu, scheme=scheme)
+
+
 @pytest.mark.slow
 def test_event_core_throughput(benchmark):
     clear_cache()
@@ -49,7 +63,7 @@ def test_trace_replay_speedup(benchmark):
     reference cell.
 
     Both are timed from a recording; the store-less cell
-    (``with_frontend("execute")``) builds the workload, makes its own
+    (``_in_place``) builds the workload, makes its own
     recording in place and verifies, so a replay is faster by what
     recording costs (~1.15x measured: the functional pass is about a
     quarter of a replay).  The
@@ -60,7 +74,6 @@ def test_trace_replay_speedup(benchmark):
     from repro import trace as trace_mod
     from repro.config import GPUConfig
     from repro.core.cawa import apply_scheme
-    from repro.experiments.runner import run_scheme
 
     clear_cache()
     cfg = GPUConfig.default_sim()
@@ -70,9 +83,7 @@ def test_trace_replay_speedup(benchmark):
     def in_place_once():
         clear_cache()
         start = time.perf_counter()
-        result = run_scheme("bfs", "cawa", scale=SCALE,
-                            config=cfg.with_frontend("execute"),
-                            use_cache=False, persistent=False)
+        result = _in_place("cawa", cfg)
         return result, time.perf_counter() - start
 
     def replay_once():
@@ -101,22 +112,19 @@ def test_trace_replay_speedup(benchmark):
     benchmark.extra_info["trace_id"] = program.trace_id
 
 
-def _cold_cell_seconds(config, schemes=("rr",), scale=1.0):
-    """CPU seconds for ``schemes`` of bfs through ``run_scheme`` in a fresh
-    cache directory (so a default config starts with a recording)."""
+def _cold_cell_seconds(run, schemes):
+    """CPU seconds for ``run(scheme)`` over ``schemes`` in a fresh cache
+    directory (so the runner starts with a recording)."""
     import tempfile
 
     from repro.experiments import result_cache
-    from repro.experiments.runner import run_scheme
 
     with tempfile.TemporaryDirectory() as scratch:
         result_cache.set_cache_dir(scratch)
         try:
             clear_cache()
             start = time.process_time()
-            results = [run_scheme("bfs", scheme, scale=scale, config=config,
-                                  use_cache=False, persistent=False)
-                       for scheme in schemes]
+            results = [run(scheme) for scheme in schemes]
             return time.process_time() - start, results
         finally:
             result_cache.set_cache_dir(None)
@@ -133,20 +141,27 @@ SWEEP_FLOOR = 1.05
 def test_default_path_sweep_speedup(benchmark):
     """A sweep that records once beats one that records per cell: three
     schemes of bfs in a fresh cache, the default path (one functional pass,
-    stored, three replays) against ``with_frontend("execute")`` (three
-    builds, three in-place passes, three verifications)."""
+    stored, three replays) against ``_in_place`` (three builds, three
+    in-place passes, three verifications)."""
     from repro.config import GPUConfig
+    from repro.experiments.runner import run_scheme
 
     default = GPUConfig.default_sim()
     schemes = ("rr", "gto", "cawa")
+    paths = {
+        "trace": lambda scheme: run_scheme(
+            "bfs", scheme, scale=SCALE, config=default,
+            use_cache=False, persistent=False),
+        "execute": lambda scheme: _in_place(scheme, default),
+    }
 
     def measure(repeats=3):
         best = {}
         for _ in range(repeats):
-            for cfg in (default, default.with_frontend("execute")):
-                seconds, results = _cold_cell_seconds(cfg, schemes, scale=SCALE)
-                if seconds < best.get(cfg.frontend, (float("inf"),))[0]:
-                    best[cfg.frontend] = (seconds, results)
+            for path, run in paths.items():
+                seconds, results = _cold_cell_seconds(run, schemes)
+                if seconds < best.get(path, (float("inf"),))[0]:
+                    best[path] = (seconds, results)
         return best
 
     best = run_once(benchmark, measure)
@@ -363,21 +378,18 @@ def test_events_disabled_overhead(benchmark):
     is recorded for tracking.
     """
     from repro.config import GPUConfig
-    from repro.experiments.runner import run_scheme
 
     def best_of(events_spec, repeats=3):
-        # Executed on both sides: the probes under test sit on the issue
-        # path either way, and a default config would record the first
+        # Recorded in place on both sides: the probes under test sit on the
+        # issue path either way, and the runner would record the first
         # repeat and replay the rest.
-        cfg = (GPUConfig.default_sim().with_frontend("execute")
-               .with_events(events_spec))
+        cfg = GPUConfig.default_sim().with_events(events_spec)
         best = float("inf")
         result = None
         for _ in range(repeats):
             clear_cache()
             start = time.process_time()
-            result = run_scheme("bfs", "cawa", scale=SCALE, config=cfg,
-                                use_cache=False, persistent=False)
+            result = _in_place("cawa", cfg)
             best = min(best, time.process_time() - start)
         return result, best
 

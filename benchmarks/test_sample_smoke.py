@@ -57,11 +57,10 @@ def test_sampled_sweep_speedup_and_coverage(benchmark, tmp_path, monkeypatch):
             config=cfg, target_rel_err=TARGET_REL_ERR,
         )
 
-        exact_cfg = cfg.with_frontend("trace")
         clear_cache()
         start = time.perf_counter()
         exact = run_sweep(WORKLOADS, SCHEMES, scale=SAMPLE_SCALE,
-                          config=exact_cfg, use_cache=False,
+                          config=cfg, use_cache=False,
                           persistent=False)
         exact_seconds = time.perf_counter() - start
 

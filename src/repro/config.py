@@ -128,47 +128,28 @@ class GPUConfig:
     critical_mshr_reserve: int = 0
     use_cpl: bool = True
     cpl_update_period: int = 64
-    #: Store or no store: whether the experiment runner may answer a cell
-    #: from the trace store.  ``"trace"`` (default) replays the workload's
-    #: stored per-warp dynamic instruction stream through the timing model
-    #: and, when the store has none, first makes one with the recorder's
-    #: scheduler-free functional pass (:mod:`repro.trace.functional`);
-    #: ``"execute"`` is the store-less reference: build, launch on a plain
-    #: GPU — which records each launch in place — verify, and never
-    #: consult the store (the name is historical: every launch is timed
-    #: from a recording, nothing executes at issue).  Read only where a
-    #: trace store exists (:func:`repro.experiments.runner.run_scheme` and
-    #: the harnesses built on it); a :class:`repro.gpu.GPU` ignores it and
-    #: replays a stored program exactly when it is handed ``trace=``.  The
-    #: two are bit-identical by contract (``tests/test_trace_parity.py``),
-    #: so both values share result-cache entries.  See
-    #: ``docs/trace_driven.md``.
-    frontend: str = "trace"
     #: Observability event recording (:mod:`repro.obs`): ``"off"``
     #: (default, every probe reduced to one pointer test), ``"on"`` (ring
     #: buffer with the default capacity), ``"ring:N"`` (drop-oldest ring of
     #: N events) or ``"spill:N"`` (unbounded recording, zlib-spilled in
     #: N-event chunks under ``.repro_cache/events/spill/``).  Collectors
-    #: never perturb timing (``tests/test_obs_parity.py``), so — like
-    #: ``frontend`` — the spec is excluded from :meth:`fingerprint`.
+    #: never perturb timing (``tests/test_obs_parity.py``), so the spec
+    #: is excluded from :meth:`fingerprint`.
     #: See ``docs/observability.md``.
     events: str = "off"
-    #: Statistical sampling of the trace frontend (:mod:`repro.sampling`):
+    #: Statistical sampling of the stored trace (:mod:`repro.sampling`):
     #: ``"off"`` (default, exact simulation), ``"blocks:P"`` (seeded
     #: stratified cluster sampling of thread blocks at rate ``P``), or
     #: ``"intervals:P"`` (barrier-aligned truncation of every warp stream
     #: to its leading fraction ``P``).  Sampled runs replay only the
     #: selected subset through the unchanged timing model and extrapolate
     #: the rest (:class:`repro.stats.sampling.SampledRunResult`), so —
-    #: unlike every knob in :data:`FINGERPRINT_EXCLUDED` — this one
-    #: **changes the reported numbers** and is deliberately *included* in
-    #: :meth:`fingerprint`: sampled and exact results never share a
-    #: result-cache entry or a serve coalescing group.  Requires
-    #: ``frontend='trace'`` (there is nothing to subsample without a
-    #: recorded trace); :meth:`with_sampling` switches an ``"execute"``
-    #: config back automatically.  Selection is deterministic
-    #: given the config: the sampler's RNG is seeded from ``(sampling,
-    #: sampling_seed, trace identity)``.  See ``docs/sampling.md``.
+    #: unlike ``events`` — this one **changes the reported numbers** and is
+    #: deliberately *included* in :meth:`fingerprint`: sampled and exact
+    #: results never share a result-cache entry or a serve coalescing
+    #: group.  Selection is deterministic given the config: the sampler's
+    #: RNG is seeded from ``(sampling, sampling_seed, trace identity)``.
+    #: See ``docs/sampling.md``.
     sampling: str = "off"
     #: Extra entropy for the sampling subset selection.  Fingerprinted,
     #: like ``sampling`` itself: two seeds select different subsets and
@@ -185,10 +166,7 @@ class GPUConfig:
     #: (:mod:`repro.sanitize`): any timing-path read of one of these
     #: fields must carry a waiver explaining why the read cannot perturb
     #: results.  See docs/static_analysis.md ("Sanitizing the simulator").
-    FINGERPRINT_EXCLUDED: ClassVar[FrozenSet[str]] = frozenset({
-        "frontend",
-        "events",
-    })
+    FINGERPRINT_EXCLUDED: ClassVar[FrozenSet[str]] = frozenset({"events"})
 
     #: The *included* set for :meth:`functional_fingerprint`: payload key
     #: -> dotted field path.  Only parameters that change the recorded
@@ -219,10 +197,6 @@ class GPUConfig:
             raise ConfigError("num_schedulers_per_sm must be positive")
         if self.l2_banks <= 0:
             raise ConfigError("l2_banks must be positive")
-        if self.frontend not in ("execute", "trace"):
-            raise ConfigError(
-                f"frontend must be 'execute' or 'trace', got {self.frontend!r}"
-            )
         # Validate the scheduler name eagerly against the registry (local
         # import: repro.scheduling never imports config, so no cycle) —
         # a typo fails when the config is built, not at device build time,
@@ -244,14 +218,7 @@ class GPUConfig:
         # leaf; the heavy sampling machinery never loads from here).
         from .sampling.spec import parse_sampling_spec
 
-        sampling = parse_sampling_spec(self.sampling)
-        if sampling.enabled and self.frontend != "trace":
-            raise ConfigError(
-                f"sampling={self.sampling!r} requires frontend='trace'; "
-                "sampled replay subsamples a recorded trace, which "
-                "frontend='execute' never consults (use with_sampling(), "
-                "which switches the frontend for you)"
-            )
+        parse_sampling_spec(self.sampling)
 
     @classmethod
     def fermi_gtx480(cls, **overrides) -> "GPUConfig":
@@ -311,31 +278,32 @@ class GPUConfig:
         return replace(self, l1d_policy=policy)
 
     def with_frontend(self, frontend: str) -> "GPUConfig":
-        """Return a copy with :attr:`frontend` set: ``"execute"`` for the
-        store-less reference that never consults the trace store (every
-        launch recorded in place), ``"trace"`` (the default) for
-        record-once-then-replay."""
-        return replace(self, frontend=frontend)
+        """Shim for the removed ``frontend`` knob: ``"trace"``, the one
+        path left (load the stored trace, or record and store it, then
+        replay), returns ``self``; any other value raises.
+
+        Kept only for the frozen benchmark ledger's two calls
+        (``benchmarks/ledger/workloads.py:400,447``); it goes with ROADMAP
+        item 1's ledger re-baseline, which drops them.
+        """
+        if frontend != "trace":
+            raise ConfigError(
+                f"frontend={frontend!r}: the frontend knob is gone; every "
+                "cell replays the stored trace (recorded first on a miss)"
+            )
+        return self
 
     def with_events(self, events: str) -> "GPUConfig":
         """Return a copy with observability event recording spec ``events``."""
         return replace(self, events=events)
 
     def with_sampling(self, sampling: str, seed: Optional[int] = None) -> "GPUConfig":
-        """Return a copy with trace-sampling spec ``sampling``.
-
-        Enabling sampling switches the frontend to ``"trace"`` (validation
-        rejects sampled execute-frontend configs); disabling it leaves the
-        frontend untouched.  ``seed`` optionally re-seeds the subset
-        selection (see :attr:`sampling_seed`).
+        """Return a copy with trace-sampling spec ``sampling``; ``seed``
+        optionally re-seeds the subset selection (see :attr:`sampling_seed`).
         """
-        frontend = self.frontend
-        if sampling != "off":
-            frontend = "trace"
         return replace(
             self,
             sampling=sampling,
-            frontend=frontend,
             sampling_seed=self.sampling_seed if seed is None else seed,
         )
 
@@ -344,10 +312,9 @@ class GPUConfig:
 
         Keys the persistent on-disk result cache: any change to the
         configuration (cache geometry, latencies, scheduler, ...) yields a
-        different fingerprint and therefore a cache miss.  The knobs in
-        :data:`FINGERPRINT_EXCLUDED` (frontend, events) are deliberately
-        left out — each selects between paths that are bit-identical by
-        contract, so results are shared between them.  ``sampling``
+        different fingerprint and therefore a cache miss.  The knob in
+        :data:`FINGERPRINT_EXCLUDED` (events) is deliberately left out —
+        collectors never perturb timing, so results are shared.  ``sampling``
         (and ``sampling_seed``) are deliberately **included**: a sampled
         run reports statistical estimates, not the exact numbers, so it
         must never alias an exact run's cache entry.

@@ -42,7 +42,7 @@ class LaunchError(ReproError):
 
 
 class TraceError(ReproError):
-    """Base class for trace-driven frontend errors (:mod:`repro.trace`)."""
+    """Base class for trace record, store and replay errors (:mod:`repro.trace`)."""
 
 
 class TraceFormatError(TraceError):

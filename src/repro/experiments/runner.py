@@ -19,14 +19,11 @@ A third layer sits under both: the persistent **trace** store
 :mod:`repro.trace` and ``docs/trace_driven.md``).  A result-cache miss
 simulates the cell through :func:`simulate_cell`, the one routine that
 times a cell — :func:`repro.obs.harness.record_events` calls it too, so a
-cell's numbers cannot depend on who asked.  Unless the config says
-``with_frontend("execute")`` — the store-less reference, whose GPU records
-every launch in place — it looks in the trace store first.  A trace hit
-replays the recorded per-warp streams through the timing model,
-bit-identical to the store-less cell; a trace miss first makes
-the trace — build the workload, run the scheduler-free functional pass
-(:mod:`repro.trace.functional`), verify its outputs, store it — and then
-replays it like any other cell.  Timing is therefore always a replay, and
+cell's numbers cannot depend on who asked.  It looks in the trace store
+first.  A trace hit replays the recorded per-warp streams through the
+timing model; a trace miss first makes the trace — build the workload,
+run the scheduler-free functional pass (:mod:`repro.trace.functional`),
+verify its outputs, store it — and then replays it like any other cell.  Timing is therefore always a replay, and
 because traces ignore timing-only knobs a scheme sweep pays for one
 functional pass per workload.
 
@@ -50,13 +47,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .. import trace as trace_mod
 from ..config import GPUConfig
 from ..core.cawa import apply_scheme
-from ..gpu import GPU
 from ..obs.bus import EventBus, bus_from_spec
 from ..stats.accuracy import CriticalityAccuracyTracker
 from ..stats.counters import RunResult, result_from_dict
 from ..stats.report import format_table
 from ..stats.reuse import ReuseDistanceProfiler
-from ..workloads import make_workload
 from . import result_cache
 
 #: The per-process memo, bounded twice over so that a long-lived process (a
@@ -266,21 +261,10 @@ def simulate_cell(
     The cell replays the workload's stored trace, recorded first on a miss
     (``result.recorded``) — only its sampled subset under ``sampling !=
     "off"``, returning a :class:`~repro.stats.sampling.SampledRunResult`.
-    Under ``with_frontend("execute")``, the store-less reference, the GPU
-    records each launch in place instead.
     """
     cfg = apply_scheme(base, scheme)
     oracle = scheme_oracle(workload, scale, base, cfg, **workload_kwargs)
     observers = list(observers)
-    if cfg.frontend != "trace":
-        gpu = GPU(cfg, oracle=oracle, obs=bus)
-        for sm in gpu.sms:
-            sm.issue_observers.extend(observers)
-        wl = make_workload(workload, scale=scale, **workload_kwargs)
-        result = wl.run(gpu, scheme=scheme, check=check)
-        result.verified = check
-        return _numbered(result)
-
     kwargs = dict(workload_kwargs) or None
     program = _load_program(workload, scale, cfg, kwargs, check)
     fresh = program is None
@@ -532,7 +516,7 @@ def run_sweep(
                 spec, _, _ = sampling_calibrate.lookup(workload)
             if spec is None:
                 # Calibration failed its target for this workload: exact.
-                configs[workload] = base.with_sampling("off").with_frontend("trace")
+                configs[workload] = base.with_sampling("off")
             else:
                 configs[workload] = base.with_sampling(spec)
         _config_for = configs.__getitem__
@@ -555,29 +539,47 @@ def run_sweep(
                     kwargs.get("with_reuse", False), (),
                     _config_for(workload).fingerprint())
 
+        # Disk entries are read and written under the same conditions
+        # run_scheme itself uses for persistence.
+        fan_disk = (use_cache
+                    and kwargs.get("persistent", True)
+                    and not kwargs.get("with_reuse", False)
+                    and base.events == "off"
+                    and all(k in _RUN_SCHEME_KWARGS for k in kwargs))
+
+        def _disk_key(workload: str, scheme: str) -> str:
+            return result_cache.cache_key(
+                workload, scheme, scale,
+                apply_scheme(_config_for(workload), scheme).fingerprint(),
+                with_accuracy,
+            )
+
         check = kwargs.get("check", True)
         pending: List[Tuple[str, str]] = []
         for workload, scheme in grid:
-            memoised = (_memoised(_cell_key(workload, scheme), check)
-                        if use_cache else None)
-            if memoised is not None:
-                results[(workload, scheme)] = memoised
-            elif (workload, scheme) not in pending:
-                pending.append((workload, scheme))
+            cell = (workload, scheme)
+            if cell in results or cell in pending:
+                continue
+            found = (_memoised(_cell_key(workload, scheme), check)
+                     if use_cache else None)
+            if found is None and fan_disk:
+                # A disk hit is a JSON read: this process does it, and
+                # only the misses are worth a worker.
+                found = result_cache.load(_disk_key(workload, scheme))
+                if _serves(found, check):
+                    _memoise(_cell_key(workload, scheme), found)
+                else:
+                    found = None
+            if found is not None:
+                results[cell] = found
+            else:
+                pending.append(cell)
         if pending:
             # Cells sharing an execution fingerprint (duplicates, scheme
             # aliases) run once; every member of the group gets the result.
             groups = _dedupe_parallel_cells(pending, _config_for)
             submit = [(g[0][0], g[0][1], scale, _config_for(g[0][0]), kwargs)
                       for g in groups]
-            # Alias cells also get their own disk-cache entries so later
-            # serial run_scheme calls hit, under the same conditions
-            # run_scheme itself uses for persistence.
-            fan_disk = (use_cache
-                        and kwargs.get("persistent", True)
-                        and not kwargs.get("with_reuse", False)
-                        and base.events == "off"
-                        and all(k in _RUN_SCHEME_KWARGS for k in kwargs))
             workers = max_workers or min(len(submit), os.cpu_count() or 1)
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 for group, (cell, data) in zip(
@@ -588,17 +590,11 @@ def run_sweep(
                         results[(workload, scheme)] = result
                         if use_cache:
                             _memoise(_cell_key(workload, scheme), result)
+                        # Alias cells also get their own disk-cache entries
+                        # so later serial run_scheme calls hit.
                         if fan_disk and (workload, scheme) != cell:
-                            result_cache.store(
-                                result_cache.cache_key(
-                                    workload, scheme, scale,
-                                    apply_scheme(
-                                        _config_for(workload), scheme
-                                    ).fingerprint(),
-                                    with_accuracy,
-                                ),
-                                result,
-                            )
+                            result_cache.store(_disk_key(workload, scheme),
+                                               result)
         return results
 
     for workload, scheme in grid:

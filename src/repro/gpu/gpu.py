@@ -84,9 +84,8 @@ class GPU:
         #: The :class:`~repro.trace.format.TraceProgram` this GPU replays
         #: and the index of the next launch to take from it.  A GPU handed
         #: ``trace=`` times that recording; one that was not records each
-        #: launch in place — whatever ``config.frontend`` says (that field
-        #: is the experiment runner's: it decides whether a trace *store*
-        #: is consulted at all).
+        #: launch in place (the experiment runner always hands one over:
+        #: it owns the trace *store*).
         self.trace_program = trace
         self._trace_launch_idx = 0
         if trace is not None:

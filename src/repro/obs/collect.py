@@ -14,7 +14,7 @@ stamped with the request's LSU issue time (``req.cycle``), which can run
 ahead of the tick that emitted them.  Every consumer that needs a
 deterministic order therefore goes through :func:`sort_events` — a stable
 sort on ``(cycle, sm, kind, fields...)``.  Two runs that emit the same
-event *multiset* thus export byte-identical artifacts whichever frontend
+event *multiset* thus export byte-identical artifacts whichever path
 produced them (``tests/test_obs_parity.py``).
 """
 

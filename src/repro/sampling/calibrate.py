@@ -179,9 +179,8 @@ def calibrate(
     schemes = list(schemes)
     rates = sorted(float(r) for r in rates)
     metrics = list(metrics)
-    base = (config or GPUConfig.default_sim()).with_sampling("off")
     # Exact runs replay full traces: record once, replay every scheme.
-    base = base.with_frontend("trace")
+    base = (config or GPUConfig.default_sim()).with_sampling("off")
 
     report: Dict = {
         "format": TABLE_FORMAT,

@@ -4,10 +4,10 @@ PR 3 pointed AST/CFG analysis at the *kernels* the simulator runs
 (:mod:`repro.analysis`); this package points the same machinery — stable
 rule IDs, severities, waivers, text/JSON reports, one shared registry
 design (:mod:`repro.analysis.common`) — at ``src/repro`` itself.  The
-correctness story of this codebase is a matrix of bit-identical modes
-(frontend x events) guarded at runtime by
-parity grids; these rules guard the *conventions* that keep the matrix
-honest, at lint time, without importing the analyzed tree:
+correctness story of this codebase is a bit-identical mode (events on
+or off) guarded at runtime by parity grids; these rules guard the
+*conventions* that keep it honest, at lint time, without importing the
+analyzed tree:
 
 =========  ========  ======================================================
 rule id    severity  what it catches

@@ -51,10 +51,6 @@ def register(subparsers, common) -> None:
                      "the result cache: recording runs always simulate)")
     sub.add_argument("--priority", choices=["auto", "interactive", "batch"],
                      default="auto")
-    sub.add_argument("--frontend", choices=["execute", "trace"], default=None,
-                     help="'execute' forces functional execution (the "
-                     "parity reference); default: replay a recorded "
-                     "trace, recording on a miss")
     sub.add_argument("--sampling", default=None, metavar="SPEC",
                      help="sampled replay spec for run jobs, e.g. "
                      "'blocks:0.25' (changes the answer: never "
@@ -125,13 +121,8 @@ def _spec_from_args(args) -> dict:
         spec["events"] = True
     if args.priority != "auto":
         spec["priority"] = args.priority
-    device = {}
-    for knob in ("frontend", "sampling"):
-        value = getattr(args, knob, None)
-        if value:
-            device[knob] = value
-    if device:
-        spec["device"] = device
+    if args.sampling:
+        spec["device"] = {"sampling": args.sampling}
     return spec
 
 

@@ -52,16 +52,12 @@ PRIORITIES = ("interactive", "batch")
 #: Numeric priority values (lower dispatches first).
 _PRIORITY_VALUE = {"interactive": 0, "batch": 10}
 #: Device knobs a job payload may override on the base GPUConfig.
-#: ``frontend`` is a bit-identical-by-contract selector (excluded from
-#: the result fingerprint), so it changes how fast a job runs, never its
-#: answer.  A job that does not name it gets record-once-then-replay
-#: against the server's trace store (``frontend="execute"`` records in
-#: place and never consults the store).
-#: ``sampling`` is the exception: it trades accuracy for speed, *does*
-#: change the reported numbers, and is therefore part of the config
-#: fingerprint — jobs differing only in ``sampling`` never coalesce
-#: (the coalescing fingerprint is built from config fingerprints).
-DEVICE_KNOBS = ("frontend", "sampling")
+#: ``sampling`` trades accuracy for speed, changes the reported numbers,
+#: and is therefore part of the config fingerprint — jobs differing only
+#: in ``sampling`` never coalesce (the coalescing fingerprint is built
+#: from config fingerprints).  Every job replays against the server's
+#: trace store, recording on a miss.
+DEVICE_KNOBS = ("sampling",)
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -229,9 +225,7 @@ class JobSpec:
         cfg = GPUConfig.fermi_gtx480() if self.fermi else GPUConfig.default_sim()
         try:
             for knob, value in self.device:
-                if knob == "frontend":
-                    cfg = cfg.with_frontend(str(value))
-                elif knob == "sampling":
+                if knob == "sampling":
                     cfg = cfg.with_sampling(str(value))
         except (ConfigError, ValueError, TypeError) as exc:
             raise JobSpecError(f"invalid device knob: {exc}") from exc
@@ -248,10 +242,9 @@ class JobSpec:
         so "identical request" here means exactly "identical simulated
         outcome".  Tenant and priority are deliberately excluded — two
         tenants asking the same question share one execution (that is the
-        multi-tenant shared cache) — as is the speed-only ``frontend``
-        knob, which is bit-identical by contract (``sampling`` is captured
+        multi-tenant shared cache).  ``sampling`` is captured
         automatically: it lives in the config fingerprint this identity
-        is built from).  The ``events`` flag *is* included:
+        is built from.  The ``events`` flag *is* included:
         subscribers of an obs-streaming job are promised obs records in
         their SSE feed, which a non-streaming execution would not emit.
         """

@@ -134,10 +134,11 @@ class RunResult:
     #: Lanes per warp, used by :attr:`simd_efficiency` (set at collection).
     warp_size: int = 32
 
-    #: Provenance — the path taken, not the config's ``frontend`` field:
-    #: ``"execute"`` (functional execution at issue time: the parity
-    #: reference) or ``"trace"`` (trace replay; bit-identical by contract,
-    #: see docs/trace_driven.md).
+    #: Provenance — the path the GPU took: ``"trace"`` (it replayed a
+    #: stored program, as every runner cell does) or ``"execute"`` (a GPU
+    #: handed no trace recorded each launch in place; bit-identical by
+    #: contract, see docs/trace_driven.md).  Kept so stored result
+    #: entries of either value load.
     frontend: str = "execute"
     #: Trace provenance: the content id of the trace this run replayed, or
     #: ``None`` for an execution (which touches no trace).

@@ -1,4 +1,4 @@
-"""repro.trace — the trace-driven simulation frontend.
+"""repro.trace — the trace store every simulated cell replays from.
 
 Record a workload's functional side once (per-warp dynamic instruction
 streams: PCs, active masks, branch outcomes, coalesced memory lines), then
@@ -10,8 +10,8 @@ keys, and the (narrow) conditions under which replay is *not* valid.
 
 Typical use is implicit — on a trace miss ``run_scheme`` runs the
 functional pass (:mod:`repro.trace.functional`: no SM, caches or clock),
-stores the trace and replays it, and replays thereafter, unless the config
-says ``with_frontend("execute")`` — but the pieces are public::
+stores the trace and replays it, and replays thereafter — but the pieces
+are public::
 
     from repro.trace import TraceRecorder, TraceProgram, replay_program
     from repro.trace import record_program, record_workload

@@ -1,6 +1,6 @@
 """Trace file format: versioned, fingerprinted, columnar kernel traces.
 
-A :class:`TraceProgram` is the on-disk unit of the trace-driven frontend
+A :class:`TraceProgram` is the on-disk unit of the trace store
 (see ``docs/trace_driven.md``).  It captures everything the timing model
 needs to replay a workload without functional execution:
 

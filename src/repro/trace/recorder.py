@@ -1,4 +1,4 @@
-"""Recording half of the trace-driven frontend.
+"""Recording half of the trace store: make a program to replay.
 
 A trace is made one way: *build -> functional pass -> verify*.  A
 :class:`TraceRecorder` stands in for the device while a workload builds and
@@ -14,8 +14,8 @@ trace is being made; timing is always a replay of the result
 The per-warp streams are *schedule-invariant* for race-free kernels (each
 thread reads inputs and writes its own outputs; the ISA has no atomics), so
 one recording replays bit-identically under every scheme —
-``tests/test_trace_parity.py`` asserts exactly this against the execute
-frontend — and the functional pass refuses
+``tests/test_trace_parity.py`` asserts exactly this against an in-place
+recording under the same scheme — and the functional pass refuses
 (:class:`~repro.errors.TraceInvarianceError`) a launch in which a warp
 loads what another warp stored, or stores what another loaded, with no
 barrier of their block in between.

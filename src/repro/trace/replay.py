@@ -1,4 +1,4 @@
-"""Replay half of the trace-driven frontend.
+"""Replay half of the trace store: time a recorded program.
 
 Replay hands a recorded program to the timing model, which reads recorded
 streams natively: a :class:`~repro.gpu.GPU` built with ``trace=`` gives each

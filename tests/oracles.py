@@ -20,6 +20,10 @@ the model no longer does as a reference for what it derives:
 :class:`SelectReferenceOracle` for every scheduler's pick, and
 :class:`MSHRReferenceOracle` — the completion heap — for the MSHR file's
 sorted in-flight list.
+
+:func:`run_in_place` is the store-less reference for a whole cell: the
+runner always replays a stored trace, and every parity test compares that
+replay with a GPU that records each launch in place.
 """
 
 from __future__ import annotations
@@ -30,8 +34,28 @@ from collections import Counter
 
 from repro import GPU
 from repro.core.cacp import CACPPolicy
+from repro.core.cawa import apply_scheme
+from repro.experiments.runner import scheme_oracle
 from repro.scheduling.two_level import FETCH_GROUP_SIZE
 from repro.simt.warp import WarpStatus
+from repro.workloads import make_workload
+
+
+def run_in_place(workload, scheme, scale, config, *, check=True, bus=None,
+                 observers=(), **workload_kwargs):
+    """One cell without the trace store: build the workload and launch it
+    on a GPU handed no trace, which records each launch in place and times
+    that recording.  What ``runner.simulate_cell``'s replay of the stored
+    trace must equal; nothing here reads or writes the store."""
+    cfg = apply_scheme(config, scheme)
+    oracle = scheme_oracle(workload, scale, config, cfg, **workload_kwargs)
+    gpu = GPU(cfg, oracle=oracle, obs=bus)
+    for sm in gpu.sms:
+        sm.issue_observers.extend(observers)
+    wl = make_workload(workload, scale=scale, **workload_kwargs)
+    result = wl.run(gpu, scheme=scheme, check=check)
+    result.verified = check
+    return result
 
 
 def readiness_from_scratch(warp):

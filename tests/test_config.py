@@ -155,7 +155,7 @@ class TestRemovedClockKnob:
             JobSpec.from_payload({"kind": "run", "workload": "bfs",
                                   "device": {"clock": "cycle"}})
         assert str(exc.value) == ("unsupported device knob(s): clock; "
-                                  "supported: frontend, sampling")
+                                  "supported: sampling")
 
     def test_profile_compare_is_an_argparse_error(self, capsys):
         from repro.cli import main
@@ -177,6 +177,50 @@ class TestRemovedClockKnob:
         loaded = RunResult.from_dict(payload)
         assert loaded == RunResult.from_dict(result.to_dict())
         assert not hasattr(loaded, "clock")
+
+
+class TestRemovedFrontendKnob:
+    """The trace store is the runner's only path: the ``frontend`` selector
+    is gone, loudly; the frozen ledger's ``with_frontend("trace")`` and
+    stored results of either provenance still work."""
+
+    @pytest.mark.parametrize("build", [GPUConfig, GPUConfig.default_sim,
+                                       GPUConfig.fermi_gtx480])
+    def test_frontend_is_not_a_config_field(self, build):
+        with pytest.raises(TypeError, match="frontend"):
+            build(frontend="trace")
+
+    def test_with_frontend_is_a_shim(self):
+        cfg = GPUConfig.default_sim()
+        assert cfg.with_frontend("trace") is cfg
+        for value in ("execute", "hybrid"):
+            with pytest.raises(ConfigError, match="frontend knob is gone"):
+                cfg.with_frontend(value)
+
+    def test_serve_device_frontend_is_refused(self):
+        from repro.serve.jobs import JobSpec, JobSpecError
+
+        # The server answers a JobSpecError with a 400 carrying its text.
+        with pytest.raises(JobSpecError) as exc:
+            JobSpec.from_payload({"kind": "run", "workload": "bfs",
+                                  "device": {"frontend": "execute"}})
+        assert str(exc.value) == ("unsupported device knob(s): frontend; "
+                                  "supported: sampling")
+
+    def test_result_payload_recorded_in_place_loads(self):
+        from repro.experiments.runner import run_scheme
+        from repro.stats.counters import RunResult
+
+        result = run_scheme("synthetic_imbalance", "rr", scale=0.25,
+                            use_cache=False, persistent=False)
+        payload = result.to_dict()
+        assert payload["frontend"] == "trace"
+        payload["frontend"] = "execute"
+        payload["trace_id"] = None
+        loaded = RunResult.from_dict(payload)
+        assert (loaded.frontend, loaded.trace_id) == ("execute", None)
+        assert loaded.cycles == result.cycles
+        assert loaded.l1_stats == result.l1_stats
 
 
 def reference_fingerprint(cfg: GPUConfig) -> str:
@@ -222,8 +266,6 @@ def overrides(draw):
         "sampling": sampling,
         "sampling_seed": draw(st.integers(0, 9)),
         "events": draw(st.sampled_from(["off", "on", "ring:64"])),
-        "frontend": ("trace" if sampling != "off"
-                     else draw(st.sampled_from(["trace", "execute"]))),
     }
 
 

@@ -2,7 +2,7 @@
 
 ``run_scheme`` with a default config runs a workload's functional side
 once — the recorder's scheduler-free functional pass — and every cell, the
-first included, is a replay; ``with_frontend("execute")`` is the parity
+first included, is a replay; ``tests.oracles.run_in_place`` is the parity
 reference, which never consults the trace store: its GPU records every
 launch in place.  This file pins the economy of that default (one functional
 pass per workload, the per-warp reference executor never, on either path),
@@ -27,15 +27,19 @@ from repro.cli import main
 from repro.config import GPUConfig
 from repro.experiments import runner
 from repro.experiments.runner import run_scheme, run_sweep
+from repro.obs.bus import EventBus
 from repro.simt.executor import FunctionalExecutor
+from repro.stats.accuracy import CriticalityAccuracyTracker
+from repro.stats.reuse import ReuseDistanceProfiler
 from repro.trace import functional as functional_mod
 from repro.trace import recorder as recorder_mod
 from repro.trace import store as trace_store
 
+from tests.oracles import run_in_place
+
 SCALE = 0.25
 SCHEMES = ["rr", "gto", "cawa", "caws"]
 WORKLOADS = ["bfs", "kmeans", "needle"]
-EXECUTE = GPUConfig.default_sim().with_frontend("execute")
 #: Where only the path matters, not the workload: cells of a few
 #: milliseconds (tier-1 wall time is an acceptance criterion).
 SMALL = 0.1
@@ -52,7 +56,7 @@ def _fresh_memo():
 class Functional:
     """Functional work from here on: ``passes`` holds the record count of
     every functional pass the recorder ran, ``in_place`` of every pass a
-    GPU without a trace ran for a launch of its own (the execute frontend),
+    GPU without a trace ran for a launch of its own (``run_in_place``),
     and ``executed`` counts ``FunctionalExecutor.execute`` calls — the
     per-warp reference, which no path may reach."""
 
@@ -105,9 +109,9 @@ def signature(result):
     )
 
 
-def _reference(workload, scheme, scale, config=EXECUTE, **kwargs):
-    return run_scheme(workload, scheme, scale=scale, config=config,
-                      use_cache=False, persistent=False, **kwargs)
+def _reference(workload, scheme, scale, config=None, **kwargs):
+    return run_in_place(workload, scheme, scale,
+                        config or GPUConfig.default_sim(), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -117,12 +121,10 @@ class TestDefaultPath:
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_executor_runs_for_one_cell_and_every_cell_agrees(
             self, workload, request):
-        # Memoised, so that caws' oracle profile is the rr cell, as below.
-        references = {
-            s: signature(run_scheme(workload, s, scale=SCALE, config=EXECUTE,
-                                    persistent=False))
-            for s in SCHEMES}
-        runner.clear_cache()  # frontend is not in the memo key
+        references = {s: signature(_reference(workload, s, SCALE))
+                      for s in SCHEMES}
+        # caws' oracle profile is a runner cell: it recorded the trace.
+        runner.clear_cache(disk=True)
 
         executions = request.getfixturevalue("executions")
         results = {s: run_scheme(workload, s, scale=SCALE) for s in SCHEMES}
@@ -151,8 +153,7 @@ class TestDefaultPath:
         cfg = GPUConfig.default_sim().with_events("on")
         recorded = run_scheme("bfs", "cawa", scale=SMALL, config=cfg)
         replayed = run_scheme("bfs", "cawa", scale=SMALL, config=cfg)
-        reference = _reference("bfs", "cawa", SMALL,
-                               config=EXECUTE.with_events("on"))
+        reference = _reference("bfs", "cawa", SMALL, config=cfg)
         assert (recorded.recorded, replayed.recorded) == (True, False)
         assert recorded.frontend == replayed.frontend == "trace"
         assert len(executions.passes) == 1
@@ -164,12 +165,14 @@ class TestDefaultPath:
         run_scheme("bfs", "rr", scale=SMALL)  # record
         replayed = run_scheme("bfs", "cawa", scale=SMALL, with_accuracy=True,
                               with_reuse=True)
-        reference = _reference("bfs", "cawa", SMALL, with_accuracy=True,
-                               with_reuse=True)
+        tracker, theirs = CriticalityAccuracyTracker(), ReuseDistanceProfiler()
+        bus = EventBus(capacity=1)
+        bus.attach(theirs)
+        reference = _reference("bfs", "cawa", SMALL, observers=[tracker], bus=bus)
         assert replayed.frontend == "trace"
         assert signature(replayed) == signature(reference)
-        assert replayed.extra["cpl_accuracy"] == reference.extra["cpl_accuracy"]
-        ours, theirs = (r.extra["reuse_profiler"] for r in (replayed, reference))
+        assert replayed.extra["cpl_accuracy"] == tracker.accuracy(reference)
+        ours = replayed.extra["reuse_profiler"]
         assert ours.critical == theirs.critical
         assert ours.non_critical == theirs.non_critical
         assert ours.by_pc == theirs.by_pc and ours.by_pc

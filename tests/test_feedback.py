@@ -1,6 +1,6 @@
 """Unit tests for repro.feedback: the cache records, the L1 sink, schemes.
 
-The runtime contract (cross-frontend stream identity, consumers included)
+The runtime contract (replayed = in-place stream identity, consumers included)
 lives in ``test_obs_parity.py``; this file covers the pieces in
 isolation: the v2 cache records schedulers read, the L1 sink and its
 fan-out, the eager config-time validation satellites, and the three

@@ -3,7 +3,8 @@
 The feedback determinism contract (docs/schemes.md): the cache records a
 scheduler may subscribe to — every miss, fill and eviction, compared as
 canonically sorted ``(kind, cycle, sm, fields)`` tuples — are identical
-across execute/trace frontends; and because the consumer schemes
+whether the cell replays its stored trace or records each launch in place;
+and because the consumer schemes
 (ccws/wasp/ciao) alter issue decisions based on those records, their
 *cycle counts* must agree across modes too, which these tests pin
 alongside the streams themselves.  Records may reach a consumer scheduler
@@ -11,24 +12,33 @@ between its SM's ticks, so the consumers also run under
 :class:`~tests.oracles.SkipOracle`: the device loop must still skip only
 idle cycles.
 
-Recording goes through :func:`repro.feedback.record_signals`, which keeps
-the cache decisions of both levels off the event bus.
+The replayed side goes through :func:`repro.feedback.record_signals`, which
+keeps the cache decisions of both levels off the event bus; the in-place
+side keeps the same records off :func:`tests.oracles.run_in_place`'s bus.
 """
 
 import pytest
 
 from repro.config import GPUConfig
 from repro.feedback import record_signals
+from repro.feedback.harness import CACHE_DECISIONS
+from repro.obs import EventBus, sort_events
 from repro.obs.events import LEVEL_L1D, LEVEL_L2, Ev, validate_events
-from tests.oracles import SkipOracle
+from tests.oracles import SkipOracle, run_in_place
 
 CONSUMER_SCHEMES = ["ccws", "wasp", "ciao"]
 
 
-def _record(scheme, workload="backprop", scale=0.25, frontend="execute"):
-    cfg = GPUConfig.default_sim().with_frontend(frontend)
-    result, signals = record_signals(workload, scheme, scale=scale, config=cfg)
-    return result, signals
+def _record(scheme, workload="backprop", scale=0.25, in_place=True):
+    """``(result, sorted cache decisions)`` of one cell: recorded in place
+    by default, else replayed from the stored trace."""
+    if not in_place:
+        return record_signals(workload, scheme, scale=scale)
+    bus, records = EventBus(capacity=1), []
+    bus.attach(records)
+    result = run_in_place(workload, scheme, scale,
+                          GPUConfig.default_sim().with_events("ring:1"), bus=bus)
+    return result, sort_events(r for r in records if r[0] in CACHE_DECISIONS)
 
 
 class TestSignalStreamFast:
@@ -36,19 +46,19 @@ class TestSignalStreamFast:
 
     @pytest.mark.parametrize("scheme", CONSUMER_SCHEMES)
     def test_execute_trace_identical(self, scheme):
-        exec_result, exec_signals = _record(scheme, frontend="execute")
-        trace_result, trace_signals = _record(scheme, frontend="trace")
+        exec_result, exec_signals = _record(scheme)
+        trace_result, trace_signals = _record(scheme, in_place=False)
         assert exec_result.cycles == trace_result.cycles
         assert exec_signals == trace_signals
         assert validate_events(exec_signals) > 0
 
-    def test_frontend_and_clock_identical(self, monkeypatch):
+    def test_in_place_and_stored_identical(self, monkeypatch):
         # A throttling consumer, fed between ticks, replayed under the
         # oracle: the stream matches the plain GPU's and no cycle the
         # device loop skipped could have issued.
         _, reference = _record("ccws")
         oracles = SkipOracle.on_every_launch(monkeypatch)
-        _, checked = _record("ccws", frontend="trace")
+        _, checked = _record("ccws", in_place=False)
         assert checked == reference
         assert sum(o.jumps for o in oracles) > 0
 
@@ -79,11 +89,11 @@ class TestSignalStreamFast:
 
 @pytest.mark.slow
 class TestSignalStreamFullGrid:
-    """Every consumer scheme, execute against trace under the oracle."""
+    """Every consumer scheme, in place against replayed under the oracle."""
 
     @pytest.mark.parametrize("scheme", CONSUMER_SCHEMES)
     def test_grid_cell(self, scheme, monkeypatch):
         _, reference = _record(scheme)
         SkipOracle.on_every_launch(monkeypatch)
-        _, signals = _record(scheme, frontend="trace")
+        _, signals = _record(scheme, in_place=False)
         assert signals == reference, f"{scheme}: trace diverged"

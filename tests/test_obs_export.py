@@ -5,7 +5,7 @@ The Chrome Trace Format export must be loadable by Perfetto: a dict with a
 process/thread naming metadata, duration slices for issues and stalls, and
 instants for memory events.  Byte determinism (same multiset of events →
 identical file, regardless of input order) is what makes the
-cross-frontend / cross-clock stream-equality cells
+replayed-vs-in-place stream-equality cells
 (``test_obs_parity.py``) meaningful, so it is pinned here on synthetic
 streams, including a full golden file.
 """

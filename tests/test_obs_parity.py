@@ -1,13 +1,13 @@
 """Observability must never perturb timing — the subsystem's hard contract.
 
-One grid, every mode: {rr, gto, caws, cawa, ccws, wasp, ciao} x {execute,
-trace}, with the event bus on (plus live collectors) and off.  Cycles,
-instruction counts, and cache counters must be bit-identical, and the
-*event stream itself* must be identical across frontends (sorted
-canonically) — recording is part of the bit-identity contract, not an
-exception to it.  The co-design schemes (ccws, wasp, ciao) change issue
-decisions on the L1's cache records, which may reach them between their
-SM's ticks, so their trace runs also go under
+One grid, every mode: {rr, gto, caws, cawa, ccws, wasp, ciao} x {recorded
+in place, replayed from the stored trace}, with the event bus on (plus
+live collectors) and off.  Cycles, instruction counts, and cache counters
+must be bit-identical, and the *event stream itself* must be identical
+across the two paths (sorted canonically) — recording is part of the
+bit-identity contract, not an exception to it.  The co-design schemes
+(ccws, wasp, ciao) change issue decisions on the L1's cache records, which
+may reach them between their SM's ticks, so their replays also go under
 :class:`~tests.oracles.SkipOracle`: the device loop must still skip only
 idle cycles.
 
@@ -19,10 +19,10 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.experiments import runner
-from repro.obs import Ev, StallAccounting, record_events, sort_events
+from repro.obs import Ev, StallAccounting, bus_from_spec, record_events, sort_events
 from repro.obs.events import LEVEL_L1D
 from repro.stats.timeline import TimelineProfiler
-from tests.oracles import SkipOracle
+from tests.oracles import SkipOracle, run_in_place
 
 WORKLOAD = "bfs"
 SCALE = 0.25
@@ -31,11 +31,13 @@ SCHEMES = ("rr", "gto", "caws", "cawa") + CONSUMERS
 CACHE_KINDS = {int(k) for k in Ev if k.name.startswith("CACHE_")}
 
 
-def run_off(scheme, config=None):
-    return runner.run_scheme(
-        WORKLOAD, scheme, scale=SCALE, config=config,
-        use_cache=False, persistent=False,
-    )
+def record_in_place(scheme, collectors):
+    """:func:`record_events`'s counterpart on :func:`run_in_place`."""
+    cfg = GPUConfig.default_sim().with_events("on")
+    bus = bus_from_spec(cfg.events)
+    for collector in collectors:
+        bus.attach(collector)
+    return run_in_place(WORKLOAD, scheme, SCALE, cfg, bus=bus), bus
 
 
 def assert_same_timing(a, b, what):
@@ -50,21 +52,21 @@ def assert_same_timing(a, b, what):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_parity_grid(scheme, monkeypatch):
-    """events-on runs (both frontends, collectors attached) == events-off
-    baseline; event streams identical across frontends."""
-    baseline = run_off(scheme, GPUConfig.default_sim().with_frontend("execute"))
+    """events-on runs (both paths, collectors attached) == events-off
+    baseline; event streams identical across the paths."""
+    baseline = run_in_place(WORKLOAD, scheme, SCALE, GPUConfig.default_sim())
     assert baseline.events == "off" and baseline.frontend == "execute"
 
     streams = {}
     for frontend in ("execute", "trace"):
-        if frontend == "trace" and scheme in CONSUMERS:
-            oracles = SkipOracle.on_every_launch(monkeypatch)
-        cfg = GPUConfig.default_sim().with_frontend(frontend)
         collectors = (StallAccounting(), TimelineProfiler())
-        result, bus = record_events(
-            WORKLOAD, scheme, scale=SCALE, config=cfg,
-            collectors=collectors,
-        )
+        if frontend == "execute":
+            result, bus = record_in_place(scheme, collectors)
+        else:
+            if scheme in CONSUMERS:
+                oracles = SkipOracle.on_every_launch(monkeypatch)
+            result, bus = record_events(WORKLOAD, scheme, scale=SCALE,
+                                        collectors=collectors)
         what = f"{scheme}/{frontend}"
         assert result.frontend == frontend, what
         assert_same_timing(result, baseline, what)
@@ -82,7 +84,7 @@ def test_parity_grid(scheme, monkeypatch):
                    and ev[3] == LEVEL_L1D) == result.l1_stats.misses, what
 
     # The event stream is part of the bit-identity contract: identical
-    # across frontends once canonically sorted.
+    # across the paths once canonically sorted.
     assert streams["trace"] == streams["execute"], f"{scheme} event stream diverged"
     if scheme in CONSUMERS:
         assert sum(o.jumps for o in oracles) > 0

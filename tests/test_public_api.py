@@ -152,31 +152,18 @@ class TestLayering:
         subprocess.run([sys.executable, "-c", probe], check=True,
                        env={"PYTHONPATH": str(package.parent)}, timeout=120)
 
-    def test_only_the_runner_reads_the_frontend_knob(self):
-        """``GPUConfig.frontend`` has one reader, so deleting the knob
-        deletes one branch.  ``with_frontend(...)`` builds a config and is
-        not a read; ``GPUConfig``'s own validation and ``RunResult``'s
-        provenance field of the same name are not reads of the knob."""
+    def test_nothing_in_the_package_calls_the_frontend_shim(self):
+        """``GPUConfig.with_frontend`` survives only for the frozen
+        benchmark ledger; the package itself has one path and never asks
+        for it."""
         import ast
         from pathlib import Path
 
         package = Path(repro.__file__).resolve().parent
-        reads = set()
-        for path in package.rglob("*.py"):
-            where = path.relative_to(package).as_posix()
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if (isinstance(node, ast.Attribute) and node.attr == "frontend"
-                        and isinstance(node.ctx, ast.Load)):
-                    reads.add((where, ast.unparse(node.value)))
-                elif (isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Name)
-                      and node.func.id == "getattr"
-                      and any(isinstance(a, ast.Constant)
-                              and a.value == "frontend" for a in node.args)):
-                    reads.add((where, ast.unparse(node)))
-        not_the_knob = {
-            ("config.py", "self"),  # GPUConfig validates / copies its field
-            ("stats/counters.py", "self"),  # RunResult.to_dict
-            ("obs/commands.py", "result"),  # RunResult provenance
-        }
-        assert reads - not_the_knob == {("experiments/runner.py", "cfg")}
+        calls = [
+            path.relative_to(package).as_posix()
+            for path in package.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "with_frontend"
+        ]
+        assert calls == []

@@ -81,13 +81,13 @@ class TestKeyInvalidation:
     def test_fingerprint_excluded_set_is_pinned(self):
         # The knobs whose product the parity suites enumerate; each entry
         # is a column in every grid, so growing the set is a design change.
-        assert GPUConfig.FINGERPRINT_EXCLUDED == {"frontend", "events"}
+        assert GPUConfig.FINGERPRINT_EXCLUDED == {"events"}
 
     def test_excluded_knobs_do_not_change_fingerprint(self):
         # They are timing-transparent (bit-identical results), so every
         # combination must share one cache entry.
         cfg = GPUConfig.default_sim()
-        other = cfg.with_frontend("execute").with_events("on")
+        other = cfg.with_events("on")
         assert cfg.fingerprint() == other.fingerprint()
 
     def test_cycle_entry_served_for_skip_request(self):
@@ -205,6 +205,24 @@ class TestParallelSweep:
             assert (parallel[cell].l1_stats.misses
                     == serial[cell].l1_stats.misses)
         assert isinstance(parallel[(WL, "rr")].blocks[0], BlockSummary)
+
+    def test_disk_warm_sweep_forks_no_pool(self, monkeypatch):
+        """Cells already on disk are JSON reads: the parent process loads
+        them, and only misses would be worth a worker."""
+        grid = ([WL, "synthetic_divergence"], ["rr", "gto"])
+        cold = run_sweep(*grid, scale=SCALE)
+        runner.clear_cache()  # memory only; every cell is on disk
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a disk-warm sweep forked a process pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        warm = run_sweep(*grid, scale=SCALE, parallel=True, max_workers=2)
+        assert list(warm) == list(cold)
+        for cell in cold:
+            assert _metrics(warm[cell]) == _metrics(cold[cell]), cell
+        # The loads are memoised like the workers' results.
+        assert run_scheme(WL, "gto", scale=SCALE) is warm[(WL, "gto")]
 
     def test_parallel_workers_populate_disk_cache(self):
         run_sweep([WL], ["rr", "gto"], scale=SCALE, parallel=True,

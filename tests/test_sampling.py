@@ -99,26 +99,14 @@ class TestConfigKnob:
     def test_default_is_off(self, config):
         assert config.sampling == "off"
 
-    def test_with_sampling_switches_frontend(self, config):
-        cfg = config.with_sampling("blocks:0.25")
-        assert cfg.sampling == "blocks:0.25"
-        assert cfg.frontend == "trace"
-        # Disabling leaves the frontend untouched.
-        assert cfg.with_sampling("off").frontend == "trace"
-
-    def test_sampling_requires_trace_frontend(self):
-        with pytest.raises(ConfigError, match="frontend"):
-            GPUConfig.default_sim(sampling="blocks:0.25", frontend="execute")
-
     def test_invalid_spec_rejected_at_construction(self, config):
         with pytest.raises(ConfigError):
             config.with_sampling("blocks:2.0")
 
     def test_fingerprint_includes_sampling(self, config):
         """A sampled run must never alias an exact run's cache entry."""
-        exact = config.with_frontend("trace")
         sampled = config.with_sampling("blocks:0.25")
-        assert exact.fingerprint() != sampled.fingerprint()
+        assert config.fingerprint() != sampled.fingerprint()
         assert (
             sampled.fingerprint()
             != config.with_sampling("blocks:0.5").fingerprint()
@@ -127,8 +115,7 @@ class TestConfigKnob:
             sampled.fingerprint()
             != config.with_sampling("blocks:0.25", seed=7).fingerprint()
         )
-        # The frontend itself stays excluded (bit-identical by contract).
-        assert exact.fingerprint() == config.fingerprint()
+        assert sampled.with_sampling("off").fingerprint() == config.fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +224,7 @@ class TestSampledRun:
         )
 
     def _exact(self):
-        cfg = GPUConfig.default_sim().with_frontend("trace")
+        cfg = GPUConfig.default_sim()
         return runner.run_scheme(
             WORKLOAD, "rr", scale=SCALE, config=cfg,
             use_cache=False, persistent=False,
@@ -363,7 +350,7 @@ class TestCalibration:
         )
         exact = runner.run_scheme(
             WORKLOAD, "rr", scale=SCALE,
-            config=GPUConfig.default_sim().with_frontend("trace"),
+            config=GPUConfig.default_sim(),
             use_cache=False, persistent=False,
         )
         results = runner.run_sweep([WORKLOAD], ["rr"], scale=SCALE,

@@ -99,18 +99,12 @@ def live_facts() -> ConfigFacts:
     )
 
 
-#: Excluded knobs nothing on the timing path reads: ``frontend`` belongs to
-#: the experiment runner (a GPU replays exactly when it is handed a trace).
-RUNNER_ONLY = {"frontend"}
-
-
 class TestFingerprintSoundness:
     @pytest.mark.parametrize(
-        "entry", sorted(GPUConfig.FINGERPRINT_EXCLUDED - RUNNER_ONLY))
+        "entry", sorted(GPUConfig.FINGERPRINT_EXCLUDED))
     def test_deleting_any_exclusion_entry_fails_fpr001(self, entry):
-        """Every other excluded knob is read (waived) somewhere on the
-        timing path, so deleting its entry must turn a waiver stale and
-        fail."""
+        """Every excluded knob is read (waived) somewhere on the timing
+        path, so deleting its entry must turn a waiver stale and fail."""
         facts = live_facts()
         doctored = dataclasses.replace(
             facts, excluded=facts.excluded - {entry}
@@ -121,21 +115,6 @@ class TestFingerprintSoundness:
         assert stale
         assert all(f.rule == "FPR001" for f in stale)
         assert any("stale" in f.message for f in stale)
-
-    def test_frontend_is_read_by_no_timing_path_module(self):
-        """No waiver mentions ``frontend`` any more, so fingerprinting it
-        would leave the shipped tree clean — and the waivers that remain
-        are the three for ``events`` in ``gpu/gpu.py``."""
-        facts = live_facts()
-        doctored = dataclasses.replace(
-            facts, excluded=facts.excluded - RUNNER_ONLY
-        )
-        report = sanitize_tree(rules=["FPR001"], config_facts=doctored)
-        assert report.ok
-        waived = [f for f in report.findings if f.suppressed]
-        assert len(waived) == 3
-        assert {f.path for f in waived} == {"gpu/gpu.py"}
-        assert not any("'frontend'" in f.message for f in waived)
 
     def test_unwaived_excluded_read_fails(self, tmp_path):
         (tmp_path / "config.py").write_text(
@@ -246,7 +225,6 @@ class TestFingerprintConstants:
 
     def test_excluded_knobs_do_not_perturb_fingerprint(self):
         base = GPUConfig.default_sim()
-        assert base.fingerprint() == base.with_frontend("execute").fingerprint()
         assert base.fingerprint() == base.with_events("on").fingerprint()
 
     def test_functional_fingerprint_follows_declared_fields(self):

@@ -105,7 +105,12 @@ class TestBasicApi:
                            "device": {"shards": 2}})
         assert exc.value.status == 400
         assert "unsupported device knob(s): shards" in str(exc.value)
-        assert "supported: frontend, sampling" in str(exc.value)
+        assert "supported: sampling" in str(exc.value)
+        with pytest.raises(ServeClientError) as exc:
+            client.submit({"kind": "run", "workload": "bfs",
+                           "device": {"frontend": "execute"}})
+        assert exc.value.status == 400
+        assert "unsupported device knob(s): frontend" in str(exc.value)
 
     def test_cancel_queued_job(self, serve_factory):
         client = ServeClient(serve_factory().base_url)

@@ -79,25 +79,26 @@ class TestJobSpecValidation:
         ({"kind": "run", "workload": "bfs",
           "device": {"warps": 64}}, "device knob"),
         ({"kind": "run", "workload": "bfs",
-          "device": {"frontend": "quantum"}}, "invalid device knob"),
+          "device": {"sampling": "quantum"}}, "invalid device knob"),
     ])
     def test_bad_payloads_rejected(self, payload, fragment):
         with pytest.raises(JobSpecError, match=fragment):
             JobSpec.from_payload(payload)
 
     @pytest.mark.parametrize("knob, value", [("backend", "vector"),
-                                             ("shards", 2)])
+                                             ("shards", 2),
+                                             ("frontend", "execute")])
     def test_removed_knob_is_a_named_error(self, knob, value):
-        # One engine, one process per simulation: the knob is rejected,
-        # not silently ignored, and the error lists what is still
-        # selectable (``clock``: tests/test_config.py).
+        # One engine, one process per simulation, one path (the trace
+        # store): the knob is rejected, not silently ignored, and the error
+        # lists what is still selectable (``clock``: tests/test_config.py).
         with pytest.raises(JobSpecError) as exc:
             spec(device={knob: value})
         message = str(exc.value)
         assert f"unsupported device knob(s): {knob}" in message
         for kept in DEVICE_KNOBS:
             assert kept in message
-        assert DEVICE_KNOBS == ("frontend", "sampling")
+        assert DEVICE_KNOBS == ("sampling",)
 
     def test_non_dict_payload_rejected(self):
         with pytest.raises(JobSpecError):
@@ -112,12 +113,6 @@ class TestFingerprint:
         # Coalescing is multi-tenant: priority does not change the answer.
         assert (spec(priority="interactive").fingerprint()
                 == spec(priority="batch").fingerprint())
-
-    def test_device_knobs_excluded(self):
-        # frontend is bit-identical by contract.
-        a = spec()
-        b = spec(device={"frontend": "execute"})
-        assert a.fingerprint() == b.fingerprint()
 
     def test_events_flag_included(self):
         # Subscribers of an obs-streaming job are promised obs records.

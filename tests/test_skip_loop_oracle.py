@@ -23,9 +23,9 @@ from repro import GPU
 from repro import trace as trace_mod
 from repro.config import GPUConfig
 from repro.core.cawa import SCHEMES, apply_scheme
-from repro.experiments.runner import build_oracle, clear_cache, run_scheme
+from repro.experiments.runner import build_oracle, clear_cache
 from repro.workloads import make_workload, workload_names
-from tests.oracles import SkipOracle
+from tests.oracles import SkipOracle, run_in_place
 
 #: ISSUE grid {lrr, gto, caws, cawa}; round-robin is registered as "rr".
 GRID_SCHEMES = ["rr", "gto", "caws", "cawa"]
@@ -52,9 +52,7 @@ def _plain(workload, scheme, scale=SCALE):
     """One cell on a plain GPU: built, recorded in place, launched."""
     if scheme == "caws":
         clear_cache()
-    cfg = GPUConfig.default_sim().with_frontend("execute")
-    return run_scheme(workload, scheme, scale=scale, config=cfg,
-                      use_cache=False, persistent=False)
+    return run_in_place(workload, scheme, scale, GPUConfig.default_sim())
 
 
 def _replay(workload, scheme, scale=SCALE):
@@ -88,11 +86,11 @@ class TestSkipParityFast:
     barrier, divergence and dispatch-wave paths."""
 
     @pytest.mark.parametrize("scheme", GRID_SCHEMES)
-    def test_execute_frontend(self, oracles, scheme):
+    def test_in_place(self, oracles, scheme):
         _assert_checked(oracles, _plain("synthetic_imbalance", scheme))
 
     @pytest.mark.parametrize("scheme", GRID_SCHEMES)
-    def test_trace_frontend(self, oracles, scheme):
+    def test_replayed(self, oracles, scheme):
         _assert_checked(oracles, _replay("synthetic_imbalance", scheme))
 
     def test_barrier_workload(self, oracles):

@@ -41,6 +41,7 @@ from repro.trace.format import (
 )
 
 from tests.conftest import join_sections, split_sections
+from tests.oracles import run_in_place
 
 SCALE = 0.25
 
@@ -213,9 +214,7 @@ class TestFaultInjection:
     def test_every_fault_is_a_named_error_and_an_eviction(self, blob, config):
         """Strict loads name the damage; the runner evicts the file and
         re-records instead of replaying it."""
-        reference = runner.run_scheme(
-            "bfs", "gto", scale=self.SCALE, config=config.with_frontend("execute"),
-            use_cache=False, persistent=False)
+        reference = run_in_place("bfs", "gto", self.SCALE, config)
         path = trace_mod.trace_path("bfs", self.SCALE, config)
         path.parent.mkdir(parents=True)
         faults = _faults(blob)
@@ -357,11 +356,10 @@ def test_recorder_refuses_masks_wider_than_the_columns():
         trace_mod.TraceRecorder(GPUConfig.default_sim(warp_size=128))
 
 
-def test_execute_frontend_never_consults_the_store(config, monkeypatch):
+def test_in_place_reference_never_consults_the_store(config, monkeypatch):
+    """What the parity tests compare replays with is not a replay."""
     for name in ("load_program", "store_program", "replay_program"):
         monkeypatch.setattr(trace_mod, name, lambda *a, **k: pytest.fail(name))
-    result = runner.run_scheme("bfs", "rr", scale=SCALE,
-                               config=config.with_frontend("execute"),
-                               use_cache=False, persistent=False)
+    result = run_in_place("bfs", "rr", SCALE, config)
     assert (result.frontend, result.trace_id) == ("execute", None)
     assert not trace_mod.list_traces()

@@ -44,6 +44,7 @@ from repro.trace.functional import record_launch
 from repro.trace.recorder import TraceRecorder
 from repro.workloads.registry import WORKLOADS
 from tests.fixtures import racy_workload
+from tests.oracles import run_in_place
 from tests.test_prop_programs import _blocks, _emit
 
 LINE = 128
@@ -545,9 +546,9 @@ class TestInvariance:
         assert recorder.launches == []
 
     def test_refused_without_a_trace_store_as_well(self, monkeypatch):
-        """Every launch is timed from a recording, so there is no frontend
-        left that runs a racy kernel: a hand-built GPU and the runner's
-        store-less ``execute`` cells record in place, and refuse."""
+        """Every launch is timed from a recording, so there is no path left
+        that runs a racy kernel: a hand-built GPU and the tests' store-less
+        ``run_in_place`` cells record in place, and refuse."""
         racy_workload.register(monkeypatch)
         gpu = GPU(GPUConfig.default_sim())
         with pytest.raises(TraceInvarianceError, match=self.MESSAGE) as refusal:
@@ -555,9 +556,7 @@ class TestInvariance:
         assert "with_frontend" not in str(refusal.value)
         assert gpu.now == 0.0  # refused before the clock started
         with pytest.raises(TraceInvarianceError, match=self.MESSAGE):
-            runner.run_scheme(
-                racy_workload.NAME, "rr",
-                config=GPUConfig.default_sim().with_frontend("execute"))
+            run_in_place(racy_workload.NAME, "rr", 1.0, GPUConfig.default_sim())
         assert trace_mod.list_traces() == []
 
     def test_refused_from_run_scheme_and_nothing_is_stored(self, monkeypatch):

@@ -1,19 +1,17 @@
-"""Golden determinism: trace replay must exactly match execution-driven
-simulation.
+"""Golden determinism: a stored trace's replay must exactly match the
+same cell recorded in place.
 
-The trace frontend swaps the functional executor for a stream cursor but
-leaves the issue core, scoreboard, LSU, caches, and DRAM untouched — so
-cycle counts, issue statistics, and the entire cache/DRAM trace must be
-bit-identical between the two frontends for every workload and scheme
+A GPU handed no trace records each launch in place and times that
+recording; the runner replays one stored recording under every scheme.
+Both go through the same issue core, scoreboard, LSU, caches and DRAM, so
+cycle counts, issue statistics and the entire cache/DRAM trace must be
+bit-identical between the two for every workload and scheme
 (``docs/trace_driven.md``).  A fast subset runs in tier 1; the full
 (workload x scheme) grid is marked ``slow``.
 
-Each cell executes under ``with_frontend("execute")`` — the reference that
-never consults the trace store (a default config would replay) — then
-replays a :class:`~repro.trace.TraceProgram` recorded once per workload
-under the requested scheme.  Caches are bypassed: the result-cache key
-deliberately excludes the frontend selector, so a cached execute result
-could satisfy the replay run and mask a real divergence.
+Each cell runs under :func:`tests.oracles.run_in_place` — the reference
+that never consults the trace store or the result cache — then replays a
+:class:`~repro.trace.TraceProgram` recorded once per workload.
 """
 
 import pytest
@@ -21,8 +19,9 @@ import pytest
 from repro import trace as trace_mod
 from repro.config import GPUConfig
 from repro.core.cawa import SCHEMES, apply_scheme
-from repro.experiments.runner import build_oracle, clear_cache, run_scheme
+from repro.experiments.runner import build_oracle, clear_cache
 from repro.workloads import workload_names
+from tests.oracles import run_in_place
 
 #: Every scheduling/prioritization scheme the grid covers.  ``caws``
 #: exercises the oracle path (profile run + priority replay) on top.
@@ -44,7 +43,7 @@ def _program(workload, scale=SCALE):
 
 
 def _signature(result):
-    """Everything that must not drift between the two frontends."""
+    """Everything that must not drift between the two paths."""
     return (
         result.cycles,
         result.warp_instructions,
@@ -61,9 +60,7 @@ def _signature(result):
 
 def _run_both(workload, scheme, scale=SCALE):
     base = GPUConfig.default_sim()
-    execute = run_scheme(workload, scheme, scale=scale,
-                         config=base.with_frontend("execute"),
-                         use_cache=False, persistent=False)
+    execute = run_in_place(workload, scheme, scale, base)
     assert execute.frontend == "execute" and execute.trace_id is None
     cfg = apply_scheme(base, scheme)
     oracle = None
@@ -95,14 +92,12 @@ class TestParityFast:
 
     def test_multi_launch_replay_order(self):
         """A multi-launch program replays launches in recorded order with
-        per-launch stats deltas matching execution."""
+        per-launch stats deltas matching the in-place recording."""
         program = _program("kmeans", 0.125)
         base = GPUConfig.default_sim()
         results = trace_mod.replay_program(program, base, scheme="rr")
         assert len(results) == len(program.launches)
-        execute = run_scheme("kmeans", "rr", scale=0.125,
-                             config=base.with_frontend("execute"),
-                             use_cache=False, persistent=False)
+        execute = run_in_place("kmeans", "rr", 0.125, base)
         assert _signature(results[-1]) == _signature(execute)
 
 
@@ -115,7 +110,7 @@ class TestParityFullGrid:
     def test_grid_cell(self, workload, scheme):
         execute, replay = _run_both(workload, scheme)
         assert _signature(execute) == _signature(replay), (
-            f"execute/trace divergence on {workload} x {scheme}"
+            f"in-place/replay divergence on {workload} x {scheme}"
         )
 
 

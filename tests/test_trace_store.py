@@ -1,8 +1,9 @@
-"""The trace-driven frontend: record/replay round trips, the persistent
-trace store, and its staleness guards.
+"""The trace store: record/replay round trips, the persistent store, and
+its staleness guards.
 
-The bit-identical parity contract (execute vs trace frontend over the full
-workload x scheme grid) lives in ``tests/test_trace_parity.py``; this file
+The bit-identical parity contract (stored-trace replay vs in-place
+recording over the full workload x scheme grid) lives in
+``tests/test_trace_parity.py``; this file
 covers the subsystem's plumbing — format versioning, compression,
 fingerprint/geometry/kernel mismatch errors, corruption recovery, the
 runner's auto-record-on-miss path, and result provenance serialization.
@@ -17,7 +18,7 @@ import pytest
 
 from repro import trace as trace_mod
 from repro.config import GPUConfig
-from repro.errors import ConfigError, TraceFormatError, TraceMismatchError
+from repro.errors import TraceFormatError, TraceMismatchError
 from repro.experiments import runner
 from repro.stats.counters import RunResult, result_from_dict
 from repro.trace.format import (
@@ -29,6 +30,7 @@ from repro.trace.format import (
 )
 
 from tests.conftest import join_sections, record_once, split_sections
+from tests.oracles import run_in_place
 
 SCALE = 0.25
 
@@ -101,8 +103,8 @@ class TestRecordReplay:
         over the group's line matrix); the trace stores that list and the
         LSU walks it.  ``coalesce_lines`` — the per-address rule, kept as
         the reference the functional pass is tested against — is called on
-        neither path: a store-less ``execute`` cell walks recorded lists
-        too, the ones its GPU's in-place pass made."""
+        neither path: an in-place cell walks recorded lists too, the ones
+        its GPU's own functional pass made."""
         from repro.sm import lsu as lsu_mod
 
         monkeypatch.setattr(lsu_mod, "coalesce_lines",
@@ -113,10 +115,8 @@ class TestRecordReplay:
                   if isinstance(payload, tuple) and payload[1] is not None]
         assert len(stored) > 100
         assert result.l1_stats.accesses == sum(len(lines) for lines in stored)
-        executed = runner.run_scheme(
-            "bfs", "rr", scale=SCALE, config=config.with_frontend("execute"),
-            use_cache=False, persistent=False)
-        assert executed.l1_stats.accesses == result.l1_stats.accesses
+        in_place = run_in_place("bfs", "rr", SCALE, config)
+        assert in_place.l1_stats.accesses == result.l1_stats.accesses
 
 
 # ----------------------------------------------------------------------
@@ -258,9 +258,8 @@ class TestGuards:
             trace_mod.replay_program(foreign, config)
 
     def test_gpu_replays_iff_handed_a_trace(self, config, monkeypatch):
-        """``frontend`` is the runner's knob (store or no store): a GPU
-        records each launch in place unless it is handed ``trace=``,
-        whatever the config says — and neither kind executes at issue."""
+        """A GPU records each launch in place unless it is handed
+        ``trace=`` — and neither kind executes at issue."""
         from repro import GPU
         from repro.simt.executor import FunctionalExecutor
         from repro.trace import functional as functional_mod
@@ -276,31 +275,25 @@ class TestGuards:
         _, program = _record(config=config)
         assert passes == []  # the recorder holds its own reference
         launch = program.launches[0]
-        for frontend in ("trace", "execute"):
-            cfg = config.with_frontend(frontend)
-            recording, replaying = GPU(cfg), GPU(cfg, trace=program)
-            assert recording.sms[0].executor is replaying.sms[0].executor is None
-            spec = make_workload("bfs", scale=SCALE).build(recording)
-            in_place = recording.launch(spec.kernel, spec.grid_dim, spec.block_dim)
-            assert passes.pop() == launch.kernel.name and not passes
-            assert spec.verify(recording)
-            assert (in_place.frontend, in_place.trace_id) == ("execute", None)
-            result = replaying.launch(
-                launch.kernel, launch.grid_dim, launch.block_dim)
-            assert not passes
-            assert result.frontend == "trace"
-            assert result.trace_id == program.trace_id
-            assert result.cycles == in_place.cycles
-
-    def test_invalid_frontend_name(self, config):
-        with pytest.raises(ConfigError):
-            config.with_frontend("hybrid")
+        recording, replaying = GPU(config), GPU(config, trace=program)
+        assert recording.sms[0].executor is replaying.sms[0].executor is None
+        spec = make_workload("bfs", scale=SCALE).build(recording)
+        in_place = recording.launch(spec.kernel, spec.grid_dim, spec.block_dim)
+        assert passes.pop() == launch.kernel.name and not passes
+        assert spec.verify(recording)
+        assert (in_place.frontend, in_place.trace_id) == ("execute", None)
+        result = replaying.launch(
+            launch.kernel, launch.grid_dim, launch.block_dim)
+        assert not passes
+        assert result.frontend == "trace"
+        assert result.trace_id == program.trace_id
+        assert result.cycles == in_place.cycles
 
     def test_trace_exhausted(self, config):
         from repro import GPU
 
         _, program = _record(config=config)
-        gpu = GPU(config.with_frontend("trace"), trace=program)
+        gpu = GPU(config, trace=program)
         launch = program.launches[0]
         gpu.launch(launch.kernel, launch.grid_dim, launch.block_dim)
         with pytest.raises(TraceMismatchError, match="exhausted"):
@@ -310,7 +303,7 @@ class TestGuards:
         from repro import GPU
 
         _, program = _record(config=config)
-        gpu = GPU(config.with_frontend("trace"), trace=program)
+        gpu = GPU(config, trace=program)
         launch = program.launches[0]
         with pytest.raises(TraceMismatchError, match="geometry"):
             gpu.launch(launch.kernel, launch.grid_dim + 1, launch.block_dim)
@@ -321,7 +314,7 @@ class TestGuards:
 
         _, program = _record(config=config)
         launch = program.launches[0]
-        gpu = GPU(config.with_frontend("trace"), trace=program)
+        gpu = GPU(config, trace=program)
         other = build_copy_kernel(8, 0, 4096)
         with pytest.raises(TraceMismatchError, match="kernel"):
             gpu.launch(other, launch.grid_dim, launch.block_dim)
@@ -332,55 +325,40 @@ class TestGuards:
 # ----------------------------------------------------------------------
 class TestRunnerIntegration:
     def test_miss_records_then_hit_replays(self, config):
-        tcfg = config.with_frontend("trace")
-        first = runner.run_scheme("bfs", "rr", scale=SCALE, config=tcfg,
+        first = runner.run_scheme("bfs", "rr", scale=SCALE, config=config,
                                   use_cache=False, persistent=False)
         assert first.frontend == "trace" and first.recorded
         assert first.trace_id is not None
-        second = runner.run_scheme("bfs", "gto", scale=SCALE, config=tcfg,
+        second = runner.run_scheme("bfs", "gto", scale=SCALE, config=config,
                                    use_cache=False, persistent=False)
         assert second.frontend == "trace" and not second.recorded
         assert second.trace_id == first.trace_id
 
-    def test_replay_matches_execute_frontend(self, config):
-        """A default config replays; ``with_frontend("execute")`` is the
-        reference that never touches the store."""
+    def test_replay_matches_in_place(self, config):
+        """The runner replays; ``run_in_place`` is the reference that never
+        touches the store."""
         runner.run_scheme("bfs", "rr", scale=SCALE, config=config,
                           use_cache=False, persistent=False)  # record
         rep = runner.run_scheme("bfs", "cawa", scale=SCALE, config=config,
                                 use_cache=False, persistent=False)
-        ex = runner.run_scheme("bfs", "cawa", scale=SCALE,
-                               config=config.with_frontend("execute"),
-                               use_cache=False, persistent=False)
+        ex = run_in_place("bfs", "cawa", SCALE, config)
         assert rep.frontend == "trace" and rep.trace_id is not None
         assert ex.frontend == "execute" and ex.trace_id is None
         assert rep.cycles == ex.cycles
         assert rep.l1_stats.misses == ex.l1_stats.misses
         assert rep.dram_accesses == ex.dram_accesses
 
-    def test_result_cache_shared_across_frontends(self, config):
-        """fingerprint() excludes the frontend, so a trace-frontend result
-        satisfies a later execute-frontend request from the disk cache."""
-        first = runner.run_scheme("bfs", "gto", scale=SCALE, config=config)
-        runner.clear_cache()  # drop memoization, keep the disk cache
-        second = runner.run_scheme("bfs", "gto", scale=SCALE,
-                                   config=config.with_frontend("execute"))
-        assert second.cycles == first.cycles
-        assert second.trace_id == first.trace_id
-
     def test_accuracy_observer_rides_replay(self, config):
-        tcfg = config.with_frontend("trace")
-        runner.run_scheme("bfs", "rr", scale=SCALE, config=tcfg,
+        runner.run_scheme("bfs", "rr", scale=SCALE, config=config,
                           use_cache=False, persistent=False)  # record
-        rep = runner.run_scheme("bfs", "cawa", scale=SCALE, config=tcfg,
+        rep = runner.run_scheme("bfs", "cawa", scale=SCALE, config=config,
                                 with_accuracy=True,
                                 use_cache=False, persistent=False)
         assert rep.frontend == "trace"
         assert "cpl_accuracy" in rep.extra
 
     def test_clear_cache_disk_wipes_traces(self, config):
-        tcfg = config.with_frontend("trace")
-        runner.run_scheme("bfs", "rr", scale=SCALE, config=tcfg,
+        runner.run_scheme("bfs", "rr", scale=SCALE, config=config,
                           use_cache=False, persistent=False)
         assert trace_mod.list_traces()
         runner.clear_cache(disk=True)

@@ -73,7 +73,7 @@ def scattered_load_kernel(n, base, out_base, passes=4):
 
 
 def replaying_gpu(cfg, build_kernel, grid_dim, block_dim):
-    """Record ``build_kernel(gpu)`` once, then a trace-frontend GPU for it.
+    """Record ``build_kernel(gpu)`` once, then a GPU replaying it.
 
     Returns ``(gpu, kernel)``; launching ``kernel`` on ``gpu`` replays the
     recorded streams through the same issue core.
@@ -81,7 +81,7 @@ def replaying_gpu(cfg, build_kernel, grid_dim, block_dim):
     recorder = TraceRecorder(cfg)
     kernel = build_kernel(recorder)
     recorder.launch(kernel, grid_dim, block_dim)
-    return GPU(cfg.with_frontend("trace"), trace=recorder.finish()), kernel
+    return GPU(cfg, trace=recorder.finish()), kernel
 
 
 def make_sm(num_warps=2, kernel=None):
