@@ -35,8 +35,8 @@ lint:
 		$(PYTHON) -m mypy --strict $(TYPED_PACKAGES); \
 	else echo "mypy not installed; skipping"; fi
 
-## Sanitize the simulator's own source: fingerprint soundness,
-## determinism and probe coverage rules
+## Sanitize the simulator's own source: determinism and probe
+## coverage rules
 ## (docs/static_analysis.md, "Sanitizing the simulator").
 sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro sanitize --all

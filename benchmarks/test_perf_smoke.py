@@ -30,17 +30,17 @@ from repro.experiments.runner import clear_cache
 SCALE = 0.5
 
 
-def _in_place(scheme, config, scale=SCALE, workload="bfs"):
+def _in_place(scheme, config, scale=SCALE, workload="bfs", bus=None):
     """One cell without the trace store: build the workload and launch it
-    on a GPU handed no trace, which records each launch in place, times
-    that recording and verifies it."""
+    on a GPU handed no trace (and the event bus ``bus``, if any), which
+    records each launch in place, times that recording and verifies it."""
     from repro import GPU
     from repro.core.cawa import apply_scheme
     from repro.experiments.runner import scheme_oracle
     from repro.workloads import make_workload
 
     cfg = apply_scheme(config, scheme)
-    gpu = GPU(cfg, oracle=scheme_oracle(workload, scale, config, cfg))
+    gpu = GPU(cfg, oracle=scheme_oracle(workload, scale, config, cfg), obs=bus)
     return make_workload(workload, scale=scale).run(gpu, scheme=scheme)
 
 
@@ -378,18 +378,19 @@ def test_events_disabled_overhead(benchmark):
     is recorded for tracking.
     """
     from repro.config import GPUConfig
+    from repro.obs import bus_from_spec
 
     def best_of(events_spec, repeats=3):
         # Recorded in place on both sides: the probes under test sit on the
         # issue path either way, and the runner would record the first
         # repeat and replay the rest.
-        cfg = GPUConfig.default_sim().with_events(events_spec)
+        cfg = GPUConfig.default_sim()
         best = float("inf")
         result = None
         for _ in range(repeats):
             clear_cache()
             start = time.process_time()
-            result = _in_place("cawa", cfg)
+            result = _in_place("cawa", cfg, bus=bus_from_spec(events_spec))
             best = min(best, time.process_time() - start)
         return result, best
 

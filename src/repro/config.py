@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import ClassVar, Dict, FrozenSet, Optional
+from typing import ClassVar, Dict, Optional
 
 from .errors import ConfigError
 
@@ -128,26 +128,16 @@ class GPUConfig:
     critical_mshr_reserve: int = 0
     use_cpl: bool = True
     cpl_update_period: int = 64
-    #: Observability event recording (:mod:`repro.obs`): ``"off"``
-    #: (default, every probe reduced to one pointer test), ``"on"`` (ring
-    #: buffer with the default capacity), ``"ring:N"`` (drop-oldest ring of
-    #: N events) or ``"spill:N"`` (unbounded recording, zlib-spilled in
-    #: N-event chunks under ``.repro_cache/events/spill/``).  Collectors
-    #: never perturb timing (``tests/test_obs_parity.py``), so the spec
-    #: is excluded from :meth:`fingerprint`.
-    #: See ``docs/observability.md``.
-    events: str = "off"
     #: Statistical sampling of the stored trace (:mod:`repro.sampling`):
     #: ``"off"`` (default, exact simulation), ``"blocks:P"`` (seeded
     #: stratified cluster sampling of thread blocks at rate ``P``), or
     #: ``"intervals:P"`` (barrier-aligned truncation of every warp stream
     #: to its leading fraction ``P``).  Sampled runs replay only the
     #: selected subset through the unchanged timing model and extrapolate
-    #: the rest (:class:`repro.stats.sampling.SampledRunResult`), so —
-    #: unlike ``events`` — this one **changes the reported numbers** and is
-    #: deliberately *included* in :meth:`fingerprint`: sampled and exact
-    #: results never share a result-cache entry or a serve coalescing
-    #: group.  Selection is deterministic given the config: the sampler's
+    #: the rest (:class:`repro.stats.sampling.SampledRunResult`), so it
+    #: **changes the reported numbers**, and :meth:`fingerprint` hashes
+    #: it like every field: sampled and exact results never share a
+    #: result-cache entry or a serve coalescing group.  Selection is deterministic given the config: the sampler's
     #: RNG is seeded from ``(sampling, sampling_seed, trace identity)``.
     #: See ``docs/sampling.md``.
     sampling: str = "off"
@@ -156,24 +146,12 @@ class GPUConfig:
     #: therefore produce (slightly) different estimates.
     sampling_seed: int = 0
 
-    #: Knobs *excluded* from :meth:`fingerprint`.  Every entry is
-    #: bit-identical by contract — switching it changes how fast a result
-    #: is produced, never what the result is — so configurations that
-    #: differ only here share result-cache entries.  The set is validated
-    #: against the dataclass field names at import time (a typo'd or
-    #: renamed knob fails immediately, not by silently hashing everything)
-    #: and read as ground truth by the FPR001 sanitize rule
-    #: (:mod:`repro.sanitize`): any timing-path read of one of these
-    #: fields must carry a waiver explaining why the read cannot perturb
-    #: results.  See docs/static_analysis.md ("Sanitizing the simulator").
-    FINGERPRINT_EXCLUDED: ClassVar[FrozenSet[str]] = frozenset({"events"})
-
     #: The *included* set for :meth:`functional_fingerprint`: payload key
     #: -> dotted field path.  Only parameters that change the recorded
     #: per-warp instruction streams belong here (warp width shapes active
     #: masks; the L1D line size defines the coalescing granularity baked
     #: into recorded line addresses).  Validated against the dataclass
-    #: field names at import time, like :data:`FINGERPRINT_EXCLUDED`.
+    #: field names at import time.
     FUNCTIONAL_FINGERPRINT_FIELDS: ClassVar[Dict[str, str]] = {
         "warp_size": "warp_size",
         "l1_line_size": "l1d.line_size",
@@ -208,14 +186,9 @@ class GPUConfig:
                 f"unknown scheduler {self.scheduler_name!r}; expected one "
                 f"of {sorted(SCHEDULERS)}"
             )
-        # Validate the events spec through the one shared parser (local
-        # import: repro.obs.bus is a leaf, but keeping it out of module
-        # scope avoids ordering constraints during package init).
-        from .obs.bus import parse_spec
-
-        parse_spec(self.events)
-        # Same pattern for the sampling spec (repro.sampling.spec is a
-        # leaf; the heavy sampling machinery never loads from here).
+        # Validate the sampling spec through its one parser (local import:
+        # repro.sampling.spec is a leaf; the heavy sampling machinery never
+        # loads from here).
         from .sampling.spec import parse_sampling_spec
 
         parse_sampling_spec(self.sampling)
@@ -293,10 +266,6 @@ class GPUConfig:
             )
         return self
 
-    def with_events(self, events: str) -> "GPUConfig":
-        """Return a copy with observability event recording spec ``events``."""
-        return replace(self, events=events)
-
     def with_sampling(self, sampling: str, seed: Optional[int] = None) -> "GPUConfig":
         """Return a copy with trace-sampling spec ``sampling``; ``seed``
         optionally re-seeds the subset selection (see :attr:`sampling_seed`).
@@ -312,12 +281,12 @@ class GPUConfig:
 
         Keys the persistent on-disk result cache: any change to the
         configuration (cache geometry, latencies, scheduler, ...) yields a
-        different fingerprint and therefore a cache miss.  The knob in
-        :data:`FINGERPRINT_EXCLUDED` (events) is deliberately left out —
-        collectors never perturb timing, so results are shared.  ``sampling``
-        (and ``sampling_seed``) are deliberately **included**: a sampled
-        run reports statistical estimates, not the exact numbers, so it
-        must never alias an exact run's cache entry.
+        different fingerprint and therefore a cache miss.  Every field is
+        hashed, so a new knob is fingerprinted by construction: the config
+        holds only what can change a result (event recording is a call
+        argument, :func:`repro.obs.record_events`).  ``sampling`` (and
+        ``sampling_seed``) included: a sampled run reports statistical
+        estimates, so it never aliases an exact run's cache entry.
 
         Computed once per instance: the config is frozen, and the value is
         kept in the instance ``__dict__``, which the generated ``__eq__``,
@@ -332,8 +301,6 @@ class GPUConfig:
         # scalars.  The JSON blob is the same byte for byte.
         payload = {}
         for f in dataclasses.fields(self):
-            if f.name in self.FINGERPRINT_EXCLUDED:
-                continue
             value = getattr(self, f.name)
             if isinstance(value, CacheConfig):
                 value = dict(vars(value))
@@ -363,21 +330,14 @@ class GPUConfig:
 
 
 def _validate_fingerprint_spec() -> None:
-    """Fail at import time if a fingerprint constant names a missing field.
+    """Fail at import time if :data:`GPUConfig.FUNCTIONAL_FINGERPRINT_FIELDS`
+    names a missing field.
 
-    Renaming or removing a config knob without updating
-    :data:`GPUConfig.FINGERPRINT_EXCLUDED` /
-    :data:`GPUConfig.FUNCTIONAL_FINGERPRINT_FIELDS` would otherwise change
-    what gets hashed silently — exactly the aliasing failure mode the
-    constants exist to rule out.
+    Renaming or removing a config knob without updating it would otherwise
+    change what the trace store hashes silently — exactly the aliasing
+    failure mode the constant exists to rule out.
     """
     gpu_fields = {f.name for f in dataclasses.fields(GPUConfig)}
-    unknown = GPUConfig.FINGERPRINT_EXCLUDED - gpu_fields
-    if unknown:
-        raise ConfigError(
-            "FINGERPRINT_EXCLUDED names unknown GPUConfig field(s): "
-            f"{sorted(unknown)}"
-        )
     cache_fields = {f.name for f in dataclasses.fields(CacheConfig)}
     for key, path in GPUConfig.FUNCTIONAL_FINGERPRINT_FIELDS.items():
         parts = path.split(".")

@@ -9,6 +9,7 @@ scheduler (criticality verdicts still come from CPL, as in the paper).
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from typing import Dict
 
 from ..config import GPUConfig
@@ -37,11 +38,15 @@ SCHEMES: Dict[str, tuple] = {
 }
 
 
+@lru_cache(maxsize=256)
 def apply_scheme(config: GPUConfig, scheme: str) -> GPUConfig:
     """Return ``config`` reconfigured for the named scheme.
 
     Equal to ``config.with_scheduler(s).with_cacp(c)`` plus the extension
-    knobs, built with one ``replace`` so validation runs once.
+    knobs, built with one ``replace`` so validation runs once.  Memoised:
+    configs are frozen, so one ``(config, scheme)`` returns one instance,
+    whose fingerprint is hashed once (a result-cache hit then costs no
+    rebuild).
     """
     try:
         scheduler, use_cacp = SCHEMES[scheme]

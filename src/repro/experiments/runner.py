@@ -47,7 +47,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .. import trace as trace_mod
 from ..config import GPUConfig
 from ..core.cawa import apply_scheme
-from ..obs.bus import EventBus, bus_from_spec
+from ..obs.bus import EventBus
 from ..stats.accuracy import CriticalityAccuracyTracker
 from ..stats.counters import RunResult, result_from_dict
 from ..stats.report import format_table
@@ -122,10 +122,8 @@ def build_oracle(
     # profiling run would only know the sampled subset and, for blocks
     # mode, under renumbered ids.  Always profile exactly; sampled CAWS
     # replays remap the full oracle onto their subset
-    # (:func:`repro.sampling.replay.remap_oracle`).  Nothing reads the
-    # profiling run's events, and with them off its result is cacheable.
+    # (:func:`repro.sampling.replay.remap_oracle`).
     config = (config or GPUConfig.default_sim()).with_sampling("off")
-    config = config.with_events("off")
     # Per-warp times depend on the device profiled on and on the input, so
     # the profiling config's fingerprint and the workload kwargs are part
     # of the key (as in run_scheme's memo).
@@ -191,11 +189,7 @@ def run_scheme(
     # would alias to the same in-process entry.
     key = (workload, scheme, scale, with_accuracy, with_reuse,
            tuple(sorted(workload_kwargs.items())), base.fingerprint())
-    # Event recording (config.events != "off") is excluded from the config
-    # fingerprint — a cached result could not carry the recorded stream —
-    # so recording runs bypass both cache layers entirely.
-    cacheable = (use_cache and not workload_kwargs and observers is None
-                 and base.events == "off")
+    cacheable = use_cache and not workload_kwargs and observers is None
     # ``check`` is not part of either key: a verified result serves every
     # caller.  One that no run verified is a miss for a checking caller,
     # who simulates (or replays a verified trace) and overwrites it.
@@ -220,10 +214,10 @@ def run_scheme(
         issue_observers.append(accuracy_tracker)
     reuse_profiler = bus = None
     if with_reuse:
-        # The profiler reads the L1 probe records off an event bus: the
-        # config's own when it records events, else one retaining nothing.
+        # The profiler reads the L1 probe records off an event bus whose
+        # own ring keeps a single record.
         reuse_profiler = ReuseDistanceProfiler()
-        bus = bus_from_spec(base.events) or EventBus(capacity=1)
+        bus = EventBus(capacity=1)
         bus.attach(reuse_profiler)
 
     result = simulate_cell(workload, scheme, scale, base, check=check,
@@ -255,8 +249,8 @@ def simulate_cell(
 
     :func:`run_scheme` and :func:`repro.obs.harness.record_events` both
     time a cell here, so they agree by construction.  ``observers`` (SM
-    issue observers) and ``bus`` (in place of the config-built one) attach
-    before the first launch.
+    issue observers) and ``bus`` (the event bus, if any) attach before the
+    first launch.
 
     The cell replays the workload's stored trace, recorded first on a miss
     (``result.recorded``) — only its sampled subset under ``sampling !=
@@ -544,7 +538,6 @@ def run_sweep(
         fan_disk = (use_cache
                     and kwargs.get("persistent", True)
                     and not kwargs.get("with_reuse", False)
-                    and base.events == "off"
                     and all(k in _RUN_SCHEME_KWARGS for k in kwargs))
 
         def _disk_key(workload: str, scheme: str) -> str:

@@ -44,8 +44,8 @@ def record_signals(
     """
     from ..obs.harness import record_events
 
-    base = (config or GPUConfig.default_sim()).with_events("ring:1")
     records = _CacheDecisions()
-    result, _ = record_events(workload, scheme, scale, base,
-                              collectors=(records,), check=check)
+    result, _ = record_events(workload, scheme, scale, config,
+                              collectors=(records,), check=check,
+                              events="ring:1")
     return result, sort_events(records)

@@ -109,17 +109,9 @@ class GPU:
                     cpl=cpl,
                 )
             )
-        #: Observability event bus (:mod:`repro.obs`), or ``None`` when
-        #: ``config.events == "off"``.  An explicit ``obs=`` argument wins
-        #: (callers attach collectors before launch); otherwise the GPU
-        #: builds one from the config spec, so CLI/runner paths get event
-        #: recording just by setting ``events=...``.
-        # sanitize: waive FPR001 -- collectors never perturb timing (obs parity grid)
-        if obs is None and self.config.events != "off":
-            from ..obs.bus import bus_from_spec  # local: keep GPU import light
-
-            # sanitize: waive FPR001 -- collectors never perturb timing (obs parity grid)
-            obs = bus_from_spec(self.config.events)
+        #: Observability event bus (:mod:`repro.obs`), or ``None``: callers
+        #: build one (:func:`~repro.obs.bus.bus_from_spec`) and attach
+        #: collectors before launch.
         self.obs = obs
         if obs is not None:
             from ..obs.bus import wire_gpu
@@ -369,7 +361,6 @@ class GPU:
             blocks=blocks,
             dram_accesses=self.hierarchy.dram.accesses - snap["dram"],
             warp_size=self.config.warp_size,
-            events=self.config.events,  # sanitize: waive FPR001 -- reporting metadata only
             cycles_skipped=self._launch_cycles_skipped,
             skip_jumps=self._launch_skip_jumps,
         )

@@ -8,9 +8,11 @@ one pointer test per probe site::
     if self.obs is not None:
         self.obs.emit((Ev.CACHE_HIT, cycle, sm, ...))
 
-— no closures, no no-op observers, no per-event allocation.  When
-``GPUConfig.events != "off"`` the GPU builds an :class:`EventBus` from the
-spec and :func:`wire_gpu` points every component's ``obs`` at it.
+— no closures, no no-op observers, no per-event allocation.  A caller
+that records builds an :class:`EventBus` from a buffer spec
+(:func:`bus_from_spec`; :func:`repro.obs.record_events` takes the spec as
+its ``events`` argument) and hands it to the GPU, whose :func:`wire_gpu`
+points every component's ``obs`` at it.
 
 The bus owns one primary :class:`~repro.obs.collect.RingCollector` (the
 retained recording) and fans every event out to any *attached* collectors
@@ -21,7 +23,7 @@ never perturbs timing: probes only ever append to Python lists
 (``tests/test_obs_parity.py`` pins bit-identical cycles with collectors
 on/off, replayed and recorded in place).
 
-Buffer specs (``GPUConfig.events``):
+Buffer specs (``record_events(events=...)``):
 
 ===============  ======================================================
 ``"off"``        no bus; every ``obs`` stays ``None`` (the default)
@@ -47,8 +49,8 @@ def parse_spec(spec: str):
     """Parse an events spec; returns ``(kind, capacity)`` or raises.
 
     ``kind`` is ``"off"``, ``"ring"`` or ``"spill"``; ``capacity`` is the
-    buffer/chunk size in events.  Shared by :class:`repro.config.GPUConfig`
-    validation and :func:`bus_from_spec`, so the two can never drift.
+    buffer/chunk size in events.  The one parser: :func:`bus_from_spec`
+    builds every bus through it.
     """
     spec = (spec or "off").strip()
     if spec == "off":
@@ -121,7 +123,7 @@ class EventBus:
 
 
 def bus_from_spec(spec: str) -> Optional[EventBus]:
-    """Build an :class:`EventBus` from a ``GPUConfig.events`` spec.
+    """Build an :class:`EventBus` from an events buffer spec.
 
     Returns ``None`` for ``"off"``.  Spill mode resolves its directory
     lazily through :func:`repro.obs.store.spill_dir` (kept out of module

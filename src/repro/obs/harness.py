@@ -1,8 +1,8 @@
 """One-call event recording: run a (workload, scheme) cell with a bus.
 
 :func:`record_events` is the programmatic counterpart of ``repro events
-record``: it builds an events-enabled config, attaches any caller
-collectors to its bus *before* launch, runs the cell through
+record``: it builds an event bus from a buffer spec, attaches any caller
+collectors to it *before* launch, runs the cell through
 :func:`repro.experiments.runner.simulate_cell` — the routine
 :func:`~repro.experiments.runner.run_scheme` runs it with — and hands back
 ``(result, bus)``.
@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from ..config import GPUConfig
+from ..errors import ConfigError
 from .bus import EventBus, bus_from_spec
 from .stalls import StallAccounting
 
@@ -28,13 +29,15 @@ def record_events(
     config: Optional[GPUConfig] = None,
     collectors: Iterable = (),
     check: bool = True,
+    events: str = "on",
 ) -> Tuple[object, EventBus]:
     """Run one cell with the event bus live; return ``(result, bus)``.
 
-    If ``config`` has ``events == "off"`` it is upgraded to ``"on"`` —
-    asking to record with events disabled is never what the caller meant.
-    The result is the one :func:`~repro.experiments.runner.run_scheme`
-    returns for the cell, provenance included.
+    ``events`` is the bus's buffer spec (:func:`~repro.obs.bus.parse_spec`:
+    ``"on"``, ``"ring:N"`` or ``"spill:N"``); a spec that does not parse,
+    or ``"off"``, raises :class:`~repro.errors.ConfigError`.  The result
+    is the one :func:`~repro.experiments.runner.run_scheme` returns for
+    the cell, provenance included.
 
     With ``config.sampling != "off"`` the bus observes the *sampled*
     replay: the stream covers only the selected subset (under renumbered
@@ -44,13 +47,12 @@ def record_events(
     """
     from ..experiments.runner import simulate_cell
 
-    base = config or GPUConfig.default_sim()
-    if base.events == "off":
-        base = base.with_events("on")
-    bus = bus_from_spec(base.events)
-    assert bus is not None  # events != "off" by construction
+    bus = bus_from_spec(events)
+    if bus is None:
+        raise ConfigError("record_events needs a bus: events='off' records nothing")
     for collector in collectors:
         bus.attach(collector)
+    base = config or GPUConfig.default_sim()
     return simulate_cell(workload, scheme, scale, base, check=check,
                          bus=bus), bus
 

@@ -3,18 +3,13 @@
 PR 3 pointed AST/CFG analysis at the *kernels* the simulator runs
 (:mod:`repro.analysis`); this package points the same machinery — stable
 rule IDs, severities, waivers, text/JSON reports, one shared registry
-design (:mod:`repro.analysis.common`) — at ``src/repro`` itself.  The
-correctness story of this codebase is a bit-identical mode (events on
-or off) guarded at runtime by parity grids; these rules guard the
-*conventions* that keep it honest, at lint time, without importing the
-analyzed tree:
+design (:mod:`repro.analysis.common`) — at ``src/repro`` itself.  These
+rules guard the *conventions* that keep the simulator deterministic and
+its probes covered, at lint time, without importing the analyzed tree:
 
 =========  ========  ======================================================
 rule id    severity  what it catches
 =========  ========  ======================================================
-FPR001     error     GPUConfig reads on the timing path that are neither
-                     fingerprinted nor waived-excluded (result-cache
-                     aliasing), plus stale FPR001 waivers
 DET001     error     unseeded randomness (global ``random``/``np.random``)
 DET002     error     wall-clock reads outside declared domains (serve/)
 DET003     error     order-unstable iteration: unsorted glob/listdir,
@@ -25,8 +20,9 @@ OBS001     error     probe coverage: Ev kinds never emitted / unknown
 
 Entry points: ``repro sanitize`` (CLI), ``make sanitize``,
 :func:`sanitize_tree`.  See docs/static_analysis.md ("Sanitizing the
-simulator") for the waiver syntax and the FPR001 / new-config-field
-interaction.
+simulator") for the waiver syntax.  There is no fingerprint rule:
+:meth:`repro.config.GPUConfig.fingerprint` hashes every field, so a new
+config knob is fingerprinted by construction.
 
 The names below load on first use (module ``__getattr__``), so building
 the command line does not parse the rule modules.
@@ -47,14 +43,12 @@ _EXPORTS = {
     "Severity": "registry",
     "default_root": "registry",
     "sanitize_tree": "registry",
-    "ConfigFacts": "source",
     "SourceModule": "source",
     "SourceTree": "source",
-    "parse_config_facts": "source",
 }
 
 #: Modules that register their rules in ``REGISTRY`` when imported.
-_RULE_MODULES = ("rules_fingerprint", "rules_determinism", "rules_obs")
+_RULE_MODULES = ("rules_determinism", "rules_obs")
 
 __all__ = sorted(_EXPORTS)
 

@@ -7,9 +7,8 @@ takes one finalized kernel, :func:`sanitize_tree` takes a source-tree
 root and hands every registered checker one shared
 :class:`SanitizeContext`.
 
-Checkers yield :func:`hit` tuples; ``hit(..., waivable=False)`` marks a
-finding that a ``# sanitize: waive`` comment must *not* suppress
-(FPR001's stale-waiver findings: a waiver cannot vouch for itself).
+Checkers yield :func:`hit` tuples; a ``# sanitize: waive`` comment on
+the hit's line (or the line above) suppresses it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..analysis.common import BaseFinding, ReportBase, Rule, RuleRegistry, Severity
-from .source import ConfigFacts, SourceModule, SourceTree
+from .source import SourceModule, SourceTree
 
 __all__ = [
     "Severity",
@@ -80,19 +79,16 @@ class SanitizeContext:
     """Everything a rule checker may consult."""
 
     tree: SourceTree
-    config: ConfigFacts
 
 
-#: ``(module, lineno, message, waivable)`` as built by :func:`hit`.
-Hit = Tuple[SourceModule, int, str, bool]
+#: ``(module, lineno, message)`` as built by :func:`hit`.
+Hit = Tuple[SourceModule, int, str]
 Checker = Callable[[SanitizeContext], Iterator[Hit]]
 
 
-def hit(
-    module: SourceModule, lineno: int, message: str, *, waivable: bool = True
-) -> Hit:
-    """Build one checker hit; ``waivable=False`` defeats waiver comments."""
-    return (module, lineno, message, waivable)
+def hit(module: SourceModule, lineno: int, message: str) -> Hit:
+    """Build one checker hit."""
+    return (module, lineno, message)
 
 REGISTRY: RuleRegistry[Checker] = RuleRegistry("sanitize")
 
@@ -112,7 +108,6 @@ def sanitize_tree(
     root: Optional[Path] = None,
     *,
     rules: Optional[Iterable[str]] = None,
-    config_facts: Optional[ConfigFacts] = None,
 ) -> SanitizeReport:
     """Run the sanitize rule catalogue over the tree at ``root``.
 
@@ -120,20 +115,16 @@ def sanitize_tree(
         root: directory to analyze (default: the installed ``repro``
             package source).
         rules: restrict to these rule IDs (default: every registered rule).
-        config_facts: override the fingerprint ground truth instead of
-            parsing it from the tree's ``config.py`` — used by tests to
-            simulate exclusion-list edits.
 
     Returns:
         A :class:`SanitizeReport`; ``report.ok`` is False when any
         unsuppressed ERROR-severity finding exists.
     """
     tree = SourceTree.load(root if root is not None else default_root())
-    facts = config_facts if config_facts is not None else tree.config_facts()
-    ctx = SanitizeContext(tree=tree, config=facts)
+    ctx = SanitizeContext(tree=tree)
     report = SanitizeReport(root=str(tree.root))
     for rule_def in REGISTRY.select(rules).values():
-        for module, lineno, message, waivable in rule_def.check(ctx):
+        for module, lineno, message in rule_def.check(ctx):
             report.findings.append(
                 SanitizeFinding(
                     rule=rule_def.rule_id,
@@ -142,8 +133,7 @@ def sanitize_tree(
                     path=module.rel,
                     line=lineno,
                     source=module.source_line(lineno),
-                    suppressed=waivable
-                    and module.waived(rule_def.rule_id, lineno),
+                    suppressed=module.waived(rule_def.rule_id, lineno),
                 )
             )
     report.findings.sort(key=lambda f: (f.path, f.line, f.rule))

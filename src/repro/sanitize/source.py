@@ -2,23 +2,19 @@
 
 :mod:`repro.sanitize` rules all consume the same picture of the analyzed
 tree: every module parsed once (:class:`SourceModule`), a class index by
-name, the ``# sanitize: waive`` comments, and
-the fingerprint ground truth parsed statically out of ``config.py``
-(:class:`ConfigFacts`).  This module builds that picture; the rules in the
-``rules_*`` modules only read it.
+name, and the ``# sanitize: waive`` comments.  This module builds that
+picture; the rules in the ``rules_*`` modules only read it.
 
 Waiver syntax (documented in ``docs/static_analysis.md``)::
 
-    if self.config.events != "off":  # sanitize: waive FPR001 -- why
+    stamp = time.time()  # sanitize: waive DET002 -- host bookkeeping
 
     # sanitize: waive DET003 -- order is irrelevant: every entry is removed
     for entry in directory.glob(pattern):
 
 A waiver on line *L* applies to line *L* (inline form) and to line *L+1*
 (comment-above form).  Waived findings are still reported — with
-``suppressed=True`` — but do not fail the run; rules may declare specific
-findings unwaivable (FPR001's stale-waiver check is, by design: a waiver
-cannot vouch for itself).
+``suppressed=True`` — but do not fail the run.
 """
 
 from __future__ import annotations
@@ -27,19 +23,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
-
-#: Module prefixes (relative to the analyzed root, ``/``-separated) that
-#: form the *timing path*: code here decides cycle counts, so FPR001
-#: scopes to it.
-TIMING_PREFIXES: Tuple[str, ...] = (
-    "sm/",
-    "memory/",
-    "gpu/",
-    "core/",
-    "scheduling/",
-    "simt/",
-)
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 _WAIVER_RE = re.compile(
     r"#\s*sanitize:\s*waive\s+"
@@ -91,9 +75,6 @@ class SourceModule:
             )
         return module
 
-    def in_timing_path(self) -> bool:
-        return self.rel.startswith(TIMING_PREFIXES)
-
     def waived(self, rule_id: str, lineno: int) -> bool:
         """True when a waiver for ``rule_id`` covers ``lineno``."""
         for waiver_line in (lineno, lineno - 1):
@@ -106,72 +87,6 @@ class SourceModule:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
-
-
-@dataclass(frozen=True)
-class ConfigFacts:
-    """Fingerprint ground truth, parsed statically from ``config.py``.
-
-    ``fields`` are the ``GPUConfig`` dataclass field names; ``excluded``
-    is the declared :data:`GPUConfig.FINGERPRINT_EXCLUDED` set.  Parsed
-    from the *analyzed* tree's AST (never imported) so fixture trees can
-    carry their own miniature ``config.py`` and tests can doctor the
-    facts to simulate exclusion-list edits.
-    """
-
-    fields: FrozenSet[str] = frozenset()
-    excluded: FrozenSet[str] = frozenset()
-
-    @property
-    def fingerprinted(self) -> FrozenSet[str]:
-        return self.fields - self.excluded
-
-
-def _is_classvar(annotation: ast.expr) -> bool:
-    node = annotation
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id == "ClassVar"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "ClassVar"
-    return False
-
-
-def _string_elements(node: ast.expr) -> FrozenSet[str]:
-    """The string constants inside a set/list/tuple display."""
-    if isinstance(node, (ast.Set, ast.List, ast.Tuple)):
-        return frozenset(
-            e.value
-            for e in node.elts
-            if isinstance(e, ast.Constant) and isinstance(e.value, str)
-        )
-    return frozenset()
-
-
-def parse_config_facts(module: SourceModule) -> ConfigFacts:
-    """Extract :class:`ConfigFacts` from a ``config.py`` module."""
-    for node in module.tree.body:
-        if not (isinstance(node, ast.ClassDef) and node.name == "GPUConfig"):
-            continue
-        fields: List[str] = []
-        excluded: FrozenSet[str] = frozenset()
-        for stmt in node.body:
-            if not isinstance(stmt, ast.AnnAssign):
-                continue
-            if not isinstance(stmt.target, ast.Name):
-                continue
-            if _is_classvar(stmt.annotation):
-                if (
-                    stmt.target.id == "FINGERPRINT_EXCLUDED"
-                    and isinstance(stmt.value, ast.Call)
-                    and stmt.value.args
-                ):
-                    excluded = _string_elements(stmt.value.args[0])
-                continue
-            fields.append(stmt.target.id)
-        return ConfigFacts(fields=frozenset(fields), excluded=excluded)
-    return ConfigFacts()
 
 
 class SourceTree:
@@ -199,17 +114,6 @@ class SourceTree:
         ]
         return cls(root, modules)
 
-    def timing_modules(self) -> Iterator[SourceModule]:
-        for module in self.modules:
-            if module.in_timing_path():
-                yield module
-
-    def config_facts(self) -> ConfigFacts:
-        for module in self.modules:
-            if module.rel == "config.py":
-                return parse_config_facts(module)
-        return ConfigFacts()
-
 
 def dotted_name(node: ast.expr) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
@@ -221,16 +125,3 @@ def dotted_name(node: ast.expr) -> Optional[str]:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
-
-
-def terminal_name(node: ast.expr) -> Optional[str]:
-    """The last component of a receiver expression.
-
-    ``self.config`` -> "config", ``cfg`` -> "cfg", ``gpu.config`` ->
-    "config"; anything else (calls, subscripts) -> None.
-    """
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None

@@ -43,6 +43,23 @@ class WarpStatus(enum.Enum):
 class Warp:
     """One hardware warp resident on an SM."""
 
+    # Exactly the attributes ``__init__`` sets.  Past ~30 instance
+    # attributes CPython stops keeping them inline, and the issue path's
+    # loads and stores take the slower dict-hint forms.
+    __slots__ = (
+        "warp_id_in_block", "block", "warp_size", "dynamic_id",
+        "initial_mask", "status",
+        "reg_ready", "reg_from_load", "pred_ready",
+        "_insts", "_decoded", "_stream", "_pcs", "_aux", "_aux_pos",
+        "_needs_mem",
+        "start_cycle", "finish_cycle", "issued_instructions",
+        "thread_instructions", "divergent_branches", "last_issue_cycle",
+        "data_stall_cycles", "mem_stall_cycles", "obs_barrier_release",
+        "ready_at", "_opready", "_by_load", "_queued",
+        "_cpl_idx", "_cpl_prev_issue", "_cpl_due", "_criticality",
+        "is_critical_flag",
+    )
+
     def __init__(
         self,
         warp_id_in_block: int,

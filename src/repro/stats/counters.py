@@ -164,11 +164,6 @@ class RunResult:
     #: excluded from parity comparisons.
     cycles_skipped: float = 0.0
     skip_jumps: int = 0
-    #: Provenance: the observability events spec this run was produced
-    #: under (``"off"`` unless the event bus was live).  Collectors never
-    #: perturb timing, so this is excluded from parity comparisons and the
-    #: result-cache fingerprint.
-    events: str = "off"
     #: Provenance: the trace-sampling spec this result was produced under
     #: (``"off"`` for exact runs).  Unlike the provenance knobs above,
     #: sampling *changes the reported numbers* — sampled results are
@@ -269,7 +264,6 @@ class RunResult:
             "record_warps": self.record_warps,
             "cycles_skipped": self.cycles_skipped,
             "skip_jumps": self.skip_jumps,
-            "events": self.events,
             "sampling": self.sampling,
             "verified": self.verified,
             "blocks": [dataclasses.asdict(b) for b in blocks],
@@ -310,7 +304,6 @@ class RunResult:
             record_warps=data.get("record_warps", 0),
             cycles_skipped=data.get("cycles_skipped", 0.0),
             skip_jumps=data.get("skip_jumps", 0),
-            events=data.get("events", "off"),
             sampling=data.get("sampling", "off"),
             verified=data.get("verified", False),
         )

@@ -460,7 +460,6 @@ def estimate_sampled_result(
         trace_id=replay_result.trace_id,
         cycles_skipped=replay_result.cycles_skipped,
         skip_jumps=replay_result.skip_jumps,
-        events=replay_result.events,
         sampling=spec,
         ci=ci,
         info=info,

@@ -223,12 +223,36 @@ class TestRemovedFrontendKnob:
         assert loaded.l1_stats == result.l1_stats
 
 
+class TestRemovedEventsKnob:
+    """Event recording is a call argument (``record_events(events=)``), not
+    a config field: the ``events`` knob is gone, loudly, and stored results
+    that carry it still load."""
+
+    @pytest.mark.parametrize("build", [GPUConfig, GPUConfig.default_sim,
+                                       GPUConfig.fermi_gtx480])
+    def test_events_is_not_a_config_field(self, build):
+        with pytest.raises(TypeError, match="events"):
+            build(events="on")
+        assert not hasattr(GPUConfig, "with_events")
+
+    def test_result_payload_with_events_loads(self):
+        from repro.experiments.runner import run_scheme
+        from repro.stats.counters import RunResult
+
+        result = run_scheme("synthetic_imbalance", "rr", scale=0.25,
+                            use_cache=False, persistent=False)
+        payload = result.to_dict()
+        assert "events" not in payload
+        payload["events"] = "on"
+        loaded = RunResult.from_dict(payload)
+        assert loaded == RunResult.from_dict(result.to_dict())
+        assert not hasattr(loaded, "events")
+
+
 def reference_fingerprint(cfg: GPUConfig) -> str:
-    """The fingerprint formula before it was cached: ``asdict``, then drop
-    the excluded knobs."""
+    """The fingerprint formula before it was cached: ``asdict`` of every
+    field."""
     payload = dataclasses.asdict(cfg)
-    for name in cfg.FINGERPRINT_EXCLUDED:
-        del payload[name]
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -265,7 +289,6 @@ def overrides(draw):
         "cacp_bypass": draw(st.booleans()),
         "sampling": sampling,
         "sampling_seed": draw(st.integers(0, 9)),
-        "events": draw(st.sampled_from(["off", "on", "ring:64"])),
     }
 
 

@@ -92,6 +92,17 @@ def test_single_replace_equals_the_chain(scheme, base):
     assert apply_scheme(config, scheme) == _chained(config, scheme)
 
 
+def test_apply_scheme_is_memoised():
+    # One instance per (config, scheme), equal configs included, so its
+    # fingerprint is hashed once; a miss still validates the scheme.
+    first = apply_scheme(GPUConfig.default_sim(), "cawa")
+    assert apply_scheme(GPUConfig.default_sim(), "cawa") is first
+    assert apply_scheme(GPUConfig.default_sim(), "gto") is not first
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            apply_scheme(GPUConfig.default_sim(), "magic")
+
+
 def test_schemes_do_not_mutate_base_config():
     base = GPUConfig.default_sim()
     apply_scheme(base, "cawa")

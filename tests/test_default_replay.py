@@ -27,7 +27,8 @@ from repro.cli import main
 from repro.config import GPUConfig
 from repro.experiments import runner
 from repro.experiments.runner import run_scheme, run_sweep
-from repro.obs.bus import EventBus
+from repro.obs import record_events
+from repro.obs.bus import EventBus, bus_from_spec
 from repro.simt.executor import FunctionalExecutor
 from repro.stats.accuracy import CriticalityAccuracyTracker
 from repro.stats.reuse import ReuseDistanceProfiler
@@ -150,10 +151,9 @@ class TestDefaultPath:
         assert executions.executed == 0
 
     def test_events_on(self, executions):
-        cfg = GPUConfig.default_sim().with_events("on")
-        recorded = run_scheme("bfs", "cawa", scale=SMALL, config=cfg)
-        replayed = run_scheme("bfs", "cawa", scale=SMALL, config=cfg)
-        reference = _reference("bfs", "cawa", SMALL, config=cfg)
+        recorded, _ = record_events("bfs", "cawa", scale=SMALL)
+        replayed, _ = record_events("bfs", "cawa", scale=SMALL)
+        reference = _reference("bfs", "cawa", SMALL, bus=bus_from_spec("on"))
         assert (recorded.recorded, replayed.recorded) == (True, False)
         assert recorded.frontend == replayed.frontend == "trace"
         assert len(executions.passes) == 1

@@ -17,6 +17,7 @@ from repro.feedback import L1Fanout, l1_sink
 from repro.obs import (
     Ev,
     SchemaError,
+    bus_from_spec,
     event_to_dict,
     record_events,
     schema_table,
@@ -153,7 +154,8 @@ class TestChannel:
             assert sm.l1d.obs.bus is None
             assert sm.l1d.owner == sm.sm_id and sm.l1d.level == LEVEL_L1D
         assert plain.hierarchy.l2.cache.obs is None
-        recorded = GPU(GPUConfig.default_sim().with_scheduler("ccws").with_events("on"))
+        recorded = GPU(GPUConfig.default_sim().with_scheduler("ccws"),
+                       obs=bus_from_spec("on"))
         assert all(sm.l1d.obs.bus is recorded.obs for sm in recorded.sms)
         assert recorded.hierarchy.l2.cache.obs is recorded.obs
         assert recorded.hierarchy.l2.cache.level == LEVEL_L2

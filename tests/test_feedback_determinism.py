@@ -36,8 +36,8 @@ def _record(scheme, workload="backprop", scale=0.25, in_place=True):
         return record_signals(workload, scheme, scale=scale)
     bus, records = EventBus(capacity=1), []
     bus.attach(records)
-    result = run_in_place(workload, scheme, scale,
-                          GPUConfig.default_sim().with_events("ring:1"), bus=bus)
+    result = run_in_place(workload, scheme, scale, GPUConfig.default_sim(),
+                          bus=bus)
     return result, sort_events(r for r in records if r[0] in CACHE_DECISIONS)
 
 

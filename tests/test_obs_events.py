@@ -11,7 +11,6 @@ import zlib
 
 import pytest
 
-from repro.config import GPUConfig
 from repro.errors import ConfigError
 from repro.obs import (
     EVENT_FIELDS,
@@ -27,6 +26,7 @@ from repro.obs import (
     event_to_dict,
     format_top_reasons,
     parse_spec,
+    record_events,
     schema_table,
     sort_events,
     validate_events,
@@ -122,13 +122,11 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             parse_spec(spec)
 
-    def test_config_validates_events_spec(self):
+    @pytest.mark.parametrize("spec", ["bogus", "off"])
+    def test_record_events_validates_events_spec(self, spec):
+        # Refused before anything is simulated.
         with pytest.raises(ConfigError):
-            GPUConfig.default_sim().with_events("bogus")
-
-    def test_events_excluded_from_fingerprint(self):
-        base = GPUConfig.default_sim()
-        assert base.fingerprint() == base.with_events("on").fingerprint()
+            record_events("bfs", "cawa", scale=0.25, events=spec)
 
     def test_bus_from_spec_off_is_none(self):
         assert bus_from_spec("off") is None

@@ -33,11 +33,11 @@ CACHE_KINDS = {int(k) for k in Ev if k.name.startswith("CACHE_")}
 
 def record_in_place(scheme, collectors):
     """:func:`record_events`'s counterpart on :func:`run_in_place`."""
-    cfg = GPUConfig.default_sim().with_events("on")
-    bus = bus_from_spec(cfg.events)
+    bus = bus_from_spec("on")
     for collector in collectors:
         bus.attach(collector)
-    return run_in_place(WORKLOAD, scheme, SCALE, cfg, bus=bus), bus
+    return run_in_place(WORKLOAD, scheme, SCALE, GPUConfig.default_sim(),
+                        bus=bus), bus
 
 
 def assert_same_timing(a, b, what):
@@ -55,7 +55,8 @@ def test_parity_grid(scheme, monkeypatch):
     """events-on runs (both paths, collectors attached) == events-off
     baseline; event streams identical across the paths."""
     baseline = run_in_place(WORKLOAD, scheme, SCALE, GPUConfig.default_sim())
-    assert baseline.events == "off" and baseline.frontend == "execute"
+    assert baseline.frontend == "execute"
+    assert "events_recorded" not in baseline.extra
 
     streams = {}
     for frontend in ("execute", "trace"):
@@ -109,25 +110,24 @@ def test_stall_accounting_identity_on_real_run():
 
 
 def test_recording_runs_bypass_result_caches():
-    """events != off is fingerprint-excluded, so it must never be cached."""
+    """A recording simulates: a cached result could not carry its stream."""
     runner.clear_cache()
-    cfg = GPUConfig.default_sim().with_events("on")
-    result = runner.run_scheme(WORKLOAD, "rr", scale=SCALE, config=cfg)
-    assert result.events == "on"
+    result, _ = record_events(WORKLOAD, "rr", scale=SCALE)
     assert result.extra["events_recorded"] > 0
     assert runner._CACHE == {}
-    # The same cell with events off is cacheable again.
+    # The same cell without a bus is cacheable.
     off = runner.run_scheme(WORKLOAD, "rr", scale=SCALE)
-    assert off.events == "off"
+    assert "events_recorded" not in off.extra
     assert runner._CACHE
 
 
-def test_auto_bus_from_config_spec():
-    """GPU builds its own bus when config.events != 'off' and none is given."""
+def test_gpu_takes_a_bus_never_a_spec():
+    """The GPU records on the bus it is handed, and builds none itself."""
     from repro import GPU
 
-    gpu = GPU(GPUConfig.default_sim().with_events("ring:256"))
-    assert gpu.obs is not None and gpu.obs.ring.capacity == 256
+    bus = bus_from_spec("ring:256")
+    gpu = GPU(GPUConfig.default_sim(), obs=bus)
+    assert gpu.obs is bus and bus.ring.capacity == 256
     gpu_off = GPU(GPUConfig.default_sim())
     assert gpu_off.obs is None
     for sm in gpu_off.sms:

@@ -1,11 +1,12 @@
 """Persistent result cache: round trips, key invalidation, parallel sweeps."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from repro.config import GPUConfig
+from repro.config import CacheConfig, GPUConfig
 from repro.experiments import result_cache
 from repro.experiments import runner
 from repro.experiments.runner import run_scheme, run_sweep
@@ -14,6 +15,9 @@ from repro.stats.counters import (BlockSummary, RunResult, WarpSummary,
 
 SCALE = 0.25
 WL = "synthetic_imbalance"
+#: A second valid value of each string-valued ``GPUConfig`` field.
+OTHER_SPELLING = {"scheduler_name": "gto", "l1d_policy": "srrip",
+                  "cacp_mode": "static", "sampling": "blocks:0.5"}
 
 
 @pytest.fixture(autouse=True)
@@ -78,17 +82,23 @@ class TestKeyInvalidation:
         assert GPUConfig.default_sim().fingerprint() == "7a640cd6a2ca7459"
         assert GPUConfig.fermi_gtx480().fingerprint() == "dc923f8c647f33f2"
 
-    def test_fingerprint_excluded_set_is_pinned(self):
-        # The knobs whose product the parity suites enumerate; each entry
-        # is a column in every grid, so growing the set is a design change.
-        assert GPUConfig.FINGERPRINT_EXCLUDED == {"events"}
-
-    def test_excluded_knobs_do_not_change_fingerprint(self):
-        # They are timing-transparent (bit-identical results), so every
-        # combination must share one cache entry.
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(GPUConfig)])
+    def test_every_field_moves_the_fingerprint(self, name):
+        # No field is excluded: the config holds only what changes a
+        # result, so changing any one field is a different cache entry.
         cfg = GPUConfig.default_sim()
-        other = cfg.with_events("on")
-        assert cfg.fingerprint() == other.fingerprint()
+        value = getattr(cfg, name)
+        if isinstance(value, CacheConfig):
+            changed = dataclasses.replace(value, hit_latency=value.hit_latency + 1)
+        elif isinstance(value, bool):
+            changed = not value
+        elif isinstance(value, int):
+            changed = value * 2 or 1  # doubling keeps powers of two valid
+        else:
+            changed = OTHER_SPELLING[name]
+        other = dataclasses.replace(cfg, **{name: changed})
+        assert other.fingerprint() != cfg.fingerprint()
 
     def test_cycle_entry_served_for_skip_request(self):
         # An entry the retired per-cycle loop stored (it says so in its

@@ -5,11 +5,8 @@ Covers, per ISSUE 8's acceptance criteria:
 * one seeded-violation fixture tree per rule, each firing *exactly* its
   rule ID (``tests/fixtures/sanitize/<rule>/``);
 * the shipped ``src/repro`` tree is sanitize-clean (tier-1 gate);
-* deleting an entry from ``GPUConfig.FINGERPRINT_EXCLUDED`` (simulated
-  via doctored :class:`ConfigFacts`) makes FPR001 fail through the
-  stale-waiver check, and adding an unwaived excluded read fails too;
 * waiver comments suppress findings without hiding them;
-* the declared fingerprint constants are validated at import time;
+* the declared functional-fingerprint fields are validated at import time;
 * lint and sanitize share one registry/severity/report implementation.
 """
 
@@ -24,7 +21,6 @@ from repro.config import GPUConfig, _validate_fingerprint_spec
 from repro.errors import ConfigError
 from repro.sanitize import (
     RULES,
-    ConfigFacts,
     SanitizeFinding,
     SanitizeReport,
     default_root,
@@ -34,7 +30,6 @@ from repro.sanitize import (
 FIXTURES = Path(__file__).parent / "fixtures" / "sanitize"
 
 ALL_RULES = (
-    "FPR001",
     "DET001",
     "DET002",
     "DET003",
@@ -80,88 +75,12 @@ class TestLiveTree:
         )
 
     def test_waived_findings_are_still_reported(self):
-        # The shipped tree carries FPR001/DET002 waivers; each waived
-        # site must surface as a suppressed finding, not vanish.
+        # The shipped tree carries DET002 waivers; each waived site must
+        # surface as a suppressed finding, not vanish.
         report = sanitize_tree()
         waived = [f for f in report.findings if f.suppressed]
-        assert any(f.rule == "FPR001" for f in waived)
         assert any(f.rule == "DET002" for f in waived)
         assert all("(waived)" in str(f) for f in waived)
-
-
-# ----------------------------------------------------------------------
-# FPR001 exclusion-list coupling
-# ----------------------------------------------------------------------
-def live_facts() -> ConfigFacts:
-    return ConfigFacts(
-        fields=frozenset(f.name for f in dataclasses.fields(GPUConfig)),
-        excluded=frozenset(GPUConfig.FINGERPRINT_EXCLUDED),
-    )
-
-
-class TestFingerprintSoundness:
-    @pytest.mark.parametrize(
-        "entry", sorted(GPUConfig.FINGERPRINT_EXCLUDED))
-    def test_deleting_any_exclusion_entry_fails_fpr001(self, entry):
-        """Every excluded knob is read (waived) somewhere on the timing
-        path, so deleting its entry must turn a waiver stale and fail."""
-        facts = live_facts()
-        doctored = dataclasses.replace(
-            facts, excluded=facts.excluded - {entry}
-        )
-        report = sanitize_tree(rules=["FPR001"], config_facts=doctored)
-        assert not report.ok
-        stale = [f for f in report.findings if not f.suppressed]
-        assert stale
-        assert all(f.rule == "FPR001" for f in stale)
-        assert any("stale" in f.message for f in stale)
-
-    def test_unwaived_excluded_read_fails(self, tmp_path):
-        (tmp_path / "config.py").write_text(
-            (FIXTURES / "fpr001" / "config.py").read_text()
-        )
-        sm = tmp_path / "sm"
-        sm.mkdir()
-        (sm / "mod.py").write_text(
-            "def width(config):\n    return config.events\n"
-        )
-        report = sanitize_tree(tmp_path, rules=["FPR001"])
-        assert not report.ok
-        (sm / "mod.py").write_text(
-            "def width(config):\n"
-            "    # sanitize: waive FPR001 -- recording only, parity-gated\n"
-            "    return config.events\n"
-        )
-        report = sanitize_tree(tmp_path, rules=["FPR001"])
-        assert report.ok
-        assert len(report.findings) == 1 and report.findings[0].suppressed
-
-    def test_fingerprinted_reads_are_silent(self, tmp_path):
-        (tmp_path / "config.py").write_text(
-            (FIXTURES / "fpr001" / "config.py").read_text()
-        )
-        sm = tmp_path / "sm"
-        sm.mkdir()
-        (sm / "mod.py").write_text(
-            "def width(config):\n    return config.num_sms\n"
-        )
-        report = sanitize_tree(tmp_path, rules=["FPR001"])
-        assert report.ok and not report.findings
-
-    def test_stale_waiver_is_unwaivable(self, tmp_path):
-        """A waiver covering no excluded read fails even though the line
-        nominally waives FPR001 — a waiver cannot vouch for itself."""
-        (tmp_path / "config.py").write_text(
-            (FIXTURES / "fpr001" / "config.py").read_text()
-        )
-        sm = tmp_path / "sm"
-        sm.mkdir()
-        (sm / "mod.py").write_text(
-            "# sanitize: waive FPR001 -- stale: nothing excluded below\n"
-            "def width(config):\n    return config.num_sms\n"
-        )
-        report = sanitize_tree(tmp_path, rules=["FPR001"])
-        assert not report.ok
 
 
 # ----------------------------------------------------------------------
@@ -203,17 +122,6 @@ class TestWaivers:
 # Declared fingerprint constants (config.py satellite)
 # ----------------------------------------------------------------------
 class TestFingerprintConstants:
-    def test_exclusion_list_matches_field_names(self):
-        fields = {f.name for f in dataclasses.fields(GPUConfig)}
-        assert GPUConfig.FINGERPRINT_EXCLUDED <= fields
-
-    def test_validation_rejects_unknown_exclusion(self, monkeypatch):
-        monkeypatch.setattr(
-            GPUConfig, "FINGERPRINT_EXCLUDED", frozenset({"no_such_knob"})
-        )
-        with pytest.raises(ConfigError, match="no_such_knob"):
-            _validate_fingerprint_spec()
-
     def test_validation_rejects_unknown_functional_path(self, monkeypatch):
         monkeypatch.setattr(
             GPUConfig,
@@ -222,10 +130,6 @@ class TestFingerprintConstants:
         )
         with pytest.raises(ConfigError, match="bad"):
             _validate_fingerprint_spec()
-
-    def test_excluded_knobs_do_not_perturb_fingerprint(self):
-        base = GPUConfig.default_sim()
-        assert base.fingerprint() == base.with_events("on").fingerprint()
 
     def test_functional_fingerprint_follows_declared_fields(self):
         base = GPUConfig.default_sim()

@@ -156,8 +156,8 @@ class TestStreamIsTheOnlySource:
         while sm.busy:
             sm.tick_wake(cycle)
             for warp in warps:
-                held = [name for name, value in vars(warp).items()
-                        if isinstance(value, np.ndarray)]
+                held = [name for name in type(warp).__slots__
+                        if isinstance(getattr(warp, name), np.ndarray)]
                 assert not held, held
                 assert not hasattr(warp, "rf") and not hasattr(warp, "stack")
             cycle = max(cycle + 1.0, sm.next_wake_time(cycle))

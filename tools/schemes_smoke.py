@@ -60,9 +60,9 @@ def main():
     def in_place(workload, scheme, scale):
         """The cell on a GPU handed no trace: it records each launch in
         place and never touches the trace store."""
-        base = GPUConfig.default_sim().with_events("on")
+        base = GPUConfig.default_sim()
         cfg = apply_scheme(base, scheme)
-        bus = bus_from_spec(cfg.events)
+        bus = bus_from_spec("on")
         gpu = GPU(cfg, oracle=scheme_oracle(workload, scale, base, cfg), obs=bus)
         return make_workload(workload, scale=scale).run(gpu, scheme=scheme), bus
 
