@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all test-slow lint sanitize bench ledger ledger-pairs profile opcount sample-profile sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
+.PHONY: test test-all test-slow lint sanitize bench figures ledger ledger-pairs profile opcount sample-profile sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
 
 ## Packages (and the CLI dispatcher) held to the ruff + strict-mypy bar (CI
 ## `lint` job).
@@ -44,6 +44,11 @@ sanitize:
 ## Paper-reproduction benchmarks + perf smoke (pytest-benchmark).
 bench:
 	$(PYTEST) benchmarks/ -q -m "" --benchmark-only -s
+
+## The figure, table and ablation benchmarks alone: every paper shape the
+## reproduction asserts (17 figures + tables + ablations, ~30 s cold).
+figures:
+	$(PYTEST) benchmarks/test_fig*.py benchmarks/test_tables.py benchmarks/test_ablation_*.py -q -m "" --benchmark-only
 
 ## Performance-ledger smoke: the harness's own tests, then one short
 ## narrow_figs pass, one short wide_mem pass — the workload that drives

@@ -11,6 +11,7 @@ Run:  python examples/criticality_analysis.py
 """
 
 from repro import GPU, GPUConfig
+from repro.obs import EventBus
 from repro.stats.accuracy import CriticalityAccuracyTracker
 from repro.stats.disparity import (
     block_disparity,
@@ -23,10 +24,12 @@ from repro.workloads import make_workload
 
 
 def main() -> None:
-    gpu = GPU(GPUConfig.default_sim())
+    # The tracker reads CPL's periodic verdicts off the event bus (its own
+    # ring keeps a single record).
     tracker = CriticalityAccuracyTracker()
-    for sm in gpu.sms:
-        sm.issue_observers.append(tracker)
+    bus = EventBus(capacity=1)
+    bus.attach(tracker)
+    gpu = GPU(GPUConfig.default_sim(), obs=bus)
 
     workload = make_workload("bfs", scale=0.5)
     result = workload.run(gpu, scheme="rr")

@@ -113,14 +113,6 @@ class CriticalityPredictor:
             self.refresh_block(warp.block)
         return warp.is_critical_flag
 
-    def rank_in_block(self, warp: Warp) -> int:
-        """Criticality rank within the block (0 = least critical).
-
-        Used by the Figure 12 priority-over-time analysis.
-        """
-        peers = [w.criticality for w in warp.block.warps if not w.finished]
-        return sum(1 for c in peers if c < warp.criticality)
-
     def forget_block(self, block_id: int) -> None:
         """Drop cached state for a committed block."""
         self._block_threshold.pop(block_id, None)

@@ -3,70 +3,70 @@
 Under the criticality-oblivious RR baseline the eventual critical warp sits
 at an arbitrary, roughly uniform priority; under gCAWS its CPL rank climbs
 so the scheduler serves it more often.  We trace the CPL criticality rank
-of each block's eventually-critical warp at a fixed issue-sampling period
-for both schemes.
+of each block's eventually-critical warp at every refresh of its block's
+verdicts (every ``cpl_update_period`` = 64 issues of the block) for both
+schemes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..obs.events import Ev
+from ..obs.harness import record_events
 from ..stats.disparity import critical_warp_of
-from .runner import run_scheme
+
+_EV_CPL_VERDICT = int(Ev.CPL_VERDICT)
 
 
-class PriorityTraceObserver:
-    """SM issue observer recording per-warp CPL ranks over time."""
+class PriorityTrace:
+    """Bus collector recording per-warp CPL ranks at each verdict refresh.
 
-    def __init__(self, sample_period: int = 32) -> None:
-        self.sample_period = sample_period
-        self._issues: Dict[Tuple[int, int], int] = {}
+    A warp's rank is how many of its block's unfinished peers have a lower
+    criticality (0 = least critical).
+    """
+
+    def __init__(self) -> None:
         #: (sm, block) -> list of (cycle, {warp_id: rank})
         self.samples: Dict[Tuple[int, int], List] = {}
 
-    def on_issue(self, sm, warp, inst, now) -> None:
-        if sm.cpl is None:
+    def append(self, ev: tuple) -> None:
+        if ev[0] != _EV_CPL_VERDICT:
             return
-        key = (sm.sm_id, warp.block.block_id)
-        count = self._issues.get(key, 0) + 1
-        self._issues[key] = count
-        if count % self.sample_period:
-            return
+        warps = ev[4]
         snapshot = {
-            peer.warp_id_in_block: sm.cpl.rank_in_block(peer)
-            for peer in warp.block.warps
-            if not peer.finished
+            warp: sum(1 for _, peer, _ in warps if peer < criticality)
+            for warp, criticality, _ in warps
         }
-        self.samples.setdefault(key, []).append((now, snapshot))
+        self.samples.setdefault((ev[2], ev[3]), []).append((ev[1], snapshot))
+
+
+def critical_trace(result, samples: Dict[Tuple[int, int], List]) -> List[Tuple[float, int]]:
+    """``(cycle, rank)`` of the eventually-critical warp of the first
+    multi-warp block of ``result`` that ``samples`` (a
+    :attr:`PriorityTrace.samples`) has samples of."""
+    for block in result.blocks:
+        if block.num_warps < 2:
+            continue
+        critical = critical_warp_of(block).warp_id_in_block
+        for key, block_samples in samples.items():
+            if key[1] != block.block_id:
+                continue
+            points = [(cycle, snapshot[critical])
+                      for cycle, snapshot in block_samples if critical in snapshot]
+            if points:
+                return points
+            break
+    return []
 
 
 def run(scale: float = 1.0, config=None, workload: str = "bfs") -> Dict[str, List]:
     data = {}
     for scheme in ("rr", "gcaws"):
-        observer = PriorityTraceObserver()
-        result = run_scheme(
-            workload, scheme, scale=scale, config=config, use_cache=False,
-            observers=[observer],
-        )
-        # Pick the first multi-warp block with samples and trace its
-        # eventually-critical warp.
-        trace: List[Tuple[float, int]] = []
-        for block in result.blocks:
-            if block.num_warps < 2:
-                continue
-            critical = critical_warp_of(block).warp_id_in_block
-            for key, samples in observer.samples.items():
-                if key[1] != block.block_id:
-                    continue
-                trace = [
-                    (cycle, snapshot[critical])
-                    for cycle, snapshot in samples
-                    if critical in snapshot
-                ]
-                break
-            if trace:
-                break
-        data[scheme] = trace
+        trace = PriorityTrace()
+        result, _ = record_events(workload, scheme, scale=scale, config=config,
+                                  collectors=(trace,), events="ring:1")
+        data[scheme] = critical_trace(result, trace.samples)
     return data
 
 

@@ -2,7 +2,7 @@
 
 Results are memoized at two levels:
 
-* **per process** keyed on (workload, scheme, scale, observer set), because
+* **per process** keyed on (workload, scheme, scale, collector flags), because
   several figures slice the same underlying sweep (e.g. Fig 9's IPC and
   Fig 10's MPKI come from identical runs) — bounded, see :data:`_CACHE`;
 * **on disk** under ``.repro_cache/`` (see
@@ -165,7 +165,6 @@ def run_scheme(
     with_accuracy: bool = False,
     with_reuse: bool = False,
     use_cache: bool = True,
-    observers: Optional[list] = None,
     persistent: bool = True,
     **workload_kwargs,
 ) -> RunResult:
@@ -173,13 +172,13 @@ def run_scheme(
 
     The caching shell around :func:`simulate_cell`, which times the cell.
     ``with_accuracy`` attaches the Fig 11 CPL accuracy tracker;
-    ``with_reuse`` attaches the Fig 3 reuse-distance profiler.  Their
-    outputs land in ``result.extra``.  ``observers`` are additional SM
-    issue observers (e.g. the Fig 12 priority tracer).
+    ``with_reuse`` attaches the Fig 3 reuse-distance profiler.  Both are
+    collectors on one event bus, and their outputs land in
+    ``result.extra``.
 
     ``persistent`` enables the on-disk result cache for plain runs (no
-    workload kwargs, no observers, no reuse profiler — those carry live
-    objects that do not serialize).  Disk hits return results whose
+    workload kwargs, no reuse profiler — it is a live object that does not
+    serialize).  Disk hits return results whose
     ``blocks`` are :class:`~repro.stats.counters.BlockSummary` snapshots,
     which duck-type the live blocks for every analysis in this package.
     """
@@ -189,7 +188,7 @@ def run_scheme(
     # would alias to the same in-process entry.
     key = (workload, scheme, scale, with_accuracy, with_reuse,
            tuple(sorted(workload_kwargs.items())), base.fingerprint())
-    cacheable = use_cache and not workload_kwargs and observers is None
+    cacheable = use_cache and not workload_kwargs
     # ``check`` is not part of either key: a verified result serves every
     # caller.  One that no run verified is a miss for a checking caller,
     # who simulates (or replays a verified trace) and overwrites it.
@@ -209,20 +208,18 @@ def run_scheme(
             return cached
 
     accuracy_tracker = CriticalityAccuracyTracker() if with_accuracy else None
-    issue_observers = list(observers or ())
-    if accuracy_tracker is not None:
-        issue_observers.append(accuracy_tracker)
-    reuse_profiler = bus = None
-    if with_reuse:
-        # The profiler reads the L1 probe records off an event bus whose
-        # own ring keeps a single record.
-        reuse_profiler = ReuseDistanceProfiler()
+    reuse_profiler = ReuseDistanceProfiler() if with_reuse else None
+    bus = None
+    if with_accuracy or with_reuse:
+        # The collectors read their records off an event bus whose own
+        # ring keeps a single record.
         bus = EventBus(capacity=1)
-        bus.attach(reuse_profiler)
+        for collector in (accuracy_tracker, reuse_profiler):
+            if collector is not None:
+                bus.attach(collector)
 
     result = simulate_cell(workload, scheme, scale, base, check=check,
-                           observers=issue_observers, bus=bus,
-                           **workload_kwargs)
+                           bus=bus, **workload_kwargs)
     if accuracy_tracker is not None:
         result.extra["cpl_accuracy"] = accuracy_tracker.accuracy(result)
     if reuse_profiler is not None:
@@ -241,16 +238,14 @@ def simulate_cell(
     base: GPUConfig,
     *,
     check: bool,
-    observers: Iterable = (),
     bus: Optional[EventBus] = None,
     **workload_kwargs,
 ) -> RunResult:
     """Simulate one (workload, scheme) cell under ``base``, uncached.
 
     :func:`run_scheme` and :func:`repro.obs.harness.record_events` both
-    time a cell here, so they agree by construction.  ``observers`` (SM
-    issue observers) and ``bus`` (the event bus, if any) attach before the
-    first launch.
+    time a cell here, so they agree by construction.  ``bus`` (the event
+    bus, if any) is wired before the first launch.
 
     The cell replays the workload's stored trace, recorded first on a miss
     (``result.recorded``) — only its sampled subset under ``sampling !=
@@ -258,7 +253,6 @@ def simulate_cell(
     """
     cfg = apply_scheme(base, scheme)
     oracle = scheme_oracle(workload, scale, base, cfg, **workload_kwargs)
-    observers = list(observers)
     kwargs = dict(workload_kwargs) or None
     program = _load_program(workload, scale, cfg, kwargs, check)
     fresh = program is None
@@ -277,13 +271,11 @@ def simulate_cell(
             envelope, source = sampling_calibrate.envelope_for(
                 workload, cfg.sampling)
             return replay_sampled(
-                program, cfg, scheme=scheme, oracle=oracle,
-                observers=observers, bus=bus,
+                program, cfg, scheme=scheme, oracle=oracle, bus=bus,
                 envelope_rel=envelope, envelope_source=source,
             )
         return trace_mod.replay_program(
-            program, cfg, scheme=scheme, oracle=oracle,
-            observers=observers, bus=bus,
+            program, cfg, scheme=scheme, oracle=oracle, bus=bus,
         )[-1]
 
     # Timing is a replay either way; a cold cell's says so.
@@ -353,8 +345,7 @@ def load_or_record_program(
 #: ``run_scheme`` keyword parameters; anything else in ``run_sweep``'s
 #: ``**kwargs`` is a workload kwarg and disables disk-cache fan-out.
 _RUN_SCHEME_KWARGS = frozenset(
-    ("check", "with_accuracy", "with_reuse", "use_cache", "observers",
-     "persistent")
+    ("check", "with_accuracy", "with_reuse", "use_cache", "persistent")
 )
 
 
@@ -465,8 +456,8 @@ def run_sweep(
     """Run the full (workload x scheme) grid.
 
     Extra keyword arguments split two ways: names in
-    ``("check", "with_accuracy", "with_reuse", "use_cache", "observers",
-    "persistent")`` forward to :func:`run_scheme` as options;
+    ``("check", "with_accuracy", "with_reuse", "use_cache", "persistent")``
+    forward to :func:`run_scheme` as options;
     anything else forwards as a workload constructor kwarg (e.g.
     ``balanced=True`` for bfs).  A name that is neither raises
     :class:`TypeError` naming the offending key up front, instead of
@@ -489,8 +480,8 @@ def run_sweep(
     back deserialized — their ``blocks`` are
     :class:`~repro.stats.counters.BlockSummary` snapshots — and are entered
     into this process's memoization cache so follow-up ``run_scheme`` calls
-    hit.  Cells that need live observers cannot cross process boundaries;
-    passing ``observers`` forces the serial path.
+    hit.  A reuse profiler is a live object that cannot cross process
+    boundaries; ``with_reuse=True`` forces the serial path.
     """
     workloads = list(workloads)
     schemes = list(schemes)
@@ -520,9 +511,7 @@ def run_sweep(
         def _config_for(workload: str) -> GPUConfig:
             return base
 
-    serializable = (kwargs.get("observers") is None
-                    and not kwargs.get("with_reuse", False))
-    if parallel and len(grid) > 1 and serializable:
+    if parallel and len(grid) > 1 and not kwargs.get("with_reuse", False):
         import concurrent.futures
 
         use_cache = kwargs.get("use_cache", True)

@@ -2,7 +2,7 @@
 
 The ISA is deliberately small: enough arithmetic, predicate, branch, and
 memory operations to express the Rodinia/Parboil-style kernels the paper
-evaluates, while keeping the functional executor fast.  Registers are untyped
+evaluates, while keeping the functional pass fast.  Registers are untyped
 64-bit floats (bitwise operations cast through int64), predicates are
 booleans, and memory is a flat byte-addressed global space plus a per-block
 shared space.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class Opcode(enum.Enum):
@@ -161,10 +161,6 @@ class Decoded:
         srcs, dst, pred, pred_is_dst: the scoreboard operands the SM's
             readiness walk reads (``dst`` is ``None`` when nothing is
             written; WAW hazards stall issue too).
-        run: the reference executor's handler ``run(executor, warp, lanes)
-            -> ExecResult``; :class:`repro.simt.executor.FunctionalExecutor`
-            binds it (and checks the operand shapes) at the first
-            execution.  The timing path never reads it.
     """
 
     kind: int
@@ -173,7 +169,6 @@ class Decoded:
     dst: Optional[int]
     pred: Optional[int]
     pred_is_dst: bool
-    run: Optional[Callable] = None
 
 
 @dataclass(frozen=True)

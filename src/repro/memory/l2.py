@@ -59,20 +59,6 @@ class BankedL2:
                            1 if hit else 0, start - now))
         return hit, start, start + self.latency
 
-    def bank_busy_cycles(self, now: float) -> float:
-        """Total *remaining* busy cycles across banks as of ``now``.
-
-        Each bank contributes ``max(0, next_free - now)``: clamping per
-        bank guards the report against a clock that has already jumped
-        past some banks' free times (skip-clock boundaries), where the
-        old unclamped sum mixed stale negative backlogs into the total.
-        """
-        total = 0.0
-        for next_free in self._bank_next_free:
-            if next_free > now:
-                total += next_free - now
-        return total
-
     @property
     def stats(self):
         return self.cache.stats

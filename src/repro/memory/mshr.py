@@ -89,16 +89,6 @@ class MSHRFile:
         free = self._entries - len(completions)
         return free if free > 0 else 0
 
-    def is_full(self, now: float) -> bool:
-        """True when no MSHR entry is free at ``now``.
-
-        The SM gates issue of global memory instructions on this — the
-        back-pressure that makes warp schedulers arbitrate memory access
-        (and lets greedy/criticality-aware policies shrink the set of warps
-        competing for the L1).
-        """
-        return self.free_entries(now) == 0
-
     def next_free_time(self, now: float) -> float:
         """Smallest ``t >= now`` with ``free_entries(t) > 0``.
 

@@ -27,6 +27,8 @@ from collections import deque
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .events import event_from_json
+
 #: Default ring capacity (events) for ``events='on'`` / bare ``'ring'``.
 DEFAULT_CAPACITY = 1 << 20
 #: Events per spill chunk file.
@@ -89,7 +91,7 @@ class RingCollector:
     @staticmethod
     def _read_chunk(path: Path) -> List[tuple]:
         raw = zlib.decompress(path.read_bytes()).decode("utf-8")
-        return [tuple(ev) for ev in json.loads(raw)]
+        return [event_from_json(ev) for ev in json.loads(raw)]
 
     # -- reads ----------------------------------------------------------
     def events(self) -> List[tuple]:

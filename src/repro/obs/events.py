@@ -18,7 +18,10 @@ tripped by :mod:`repro.obs.store`, and rendered by
 or new trailing fields and bumping the version.  v2 appended warp
 attribution to the cache miss / fill / evict records: they are the one
 record of a cache decision, read by the bus collectors and by the
-co-design schedulers alike (:mod:`repro.feedback`).
+co-design schedulers alike (:mod:`repro.feedback`).  v3 added
+``CPL_VERDICT``, the one record of CPL's periodic slow-warp verdicts (the
+Fig 11 and Fig 12 collectors read it); its ``warps`` field is the one
+nested field of the schema.
 
 See ``docs/observability.md`` for the full schema table and the
 stall-reason taxonomy.
@@ -30,7 +33,7 @@ import enum
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Bump on any change to event kinds or their field lists.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: ``level`` field values for cache events.
 LEVEL_L1D = 0
@@ -65,6 +68,7 @@ class Ev(enum.IntEnum):
     CPL_DELTA = 40
     CACP_INSERT = 41
     CACP_PROMOTE = 42
+    CPL_VERDICT = 43
     # -- LSU --------------------------------------------------------------
     LSU_ISSUE = 50
 
@@ -122,6 +126,10 @@ EVENT_FIELDS: Dict[Ev, Tuple[str, ...]] = {
     Ev.CPL_DELTA: ("block", "warp", "delta", "criticality"),
     Ev.CACP_INSERT: ("signature", "critical", "rrpv"),
     Ev.CACP_PROMOTE: ("signature", "critical"),
+    # Emitted at the end of an issue that refreshed ``block``'s verdicts:
+    # ``warps`` is one ``(warp, criticality, critical)`` triple per
+    # unfinished warp of the block, in warp order (empty once it commits).
+    Ev.CPL_VERDICT: ("block", "warps"),
     Ev.LSU_ISSUE: ("block", "warp", "pc", "lines", "completion"),
 }
 
@@ -191,6 +199,13 @@ def validate_events(events: Iterable[Sequence]) -> int:
                     f"record #{count} has unknown stall reason {ev[5]!r}"
                 ) from None
     return count
+
+
+def event_from_json(record: Sequence) -> tuple:
+    """A record read back from JSON, as it was emitted: the record is a
+    tuple again, and so is a ``CPL_VERDICT``'s ``warps`` (of triples)."""
+    return tuple(tuple(map(tuple, field)) if isinstance(field, list) else field
+                 for field in record)
 
 
 def event_to_dict(ev: Sequence) -> Dict[str, object]:

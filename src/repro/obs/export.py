@@ -24,6 +24,7 @@ Timestamps are in microseconds per the trace format; we map **1 cycle ==
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from pathlib import Path
@@ -151,11 +152,12 @@ def events_csv(events: Iterable[Sequence]) -> str:
                 field_names.append(name)
     header = list(COMMON_FIELDS) + field_names
     buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
+    # Quoting keeps a CPL_VERDICT's ``warps`` tuple in one cell.
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for ev in events:
         row = event_to_dict(ev)
-        cells = [str(row.get(col, "")) for col in header]
-        buf.write(",".join(cells) + "\n")
+        writer.writerow([str(row.get(col, "")) for col in header])
     return buf.getvalue()
 
 

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import fslock
 from ..errors import ReproError
-from .events import SCHEMA_VERSION, validate_events
+from .events import SCHEMA_VERSION, event_from_json, validate_events
 
 #: Subdirectory of the repro cache holding event artifacts.
 EVENTS_SUBDIR = "events"
@@ -117,7 +117,7 @@ def load_events(path: Path) -> Tuple[List[tuple], Dict[str, object]]:
             f"{path} uses event schema v{envelope.get('schema_version')!r}, "
             f"this build speaks v{SCHEMA_VERSION}"
         )
-    events = [tuple(ev) for ev in envelope.get("events", [])]
+    events = [event_from_json(ev) for ev in envelope.get("events", [])]
     validate_events(events)
     return events, dict(envelope.get("meta", {}))
 

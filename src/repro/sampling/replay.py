@@ -49,14 +49,13 @@ def replay_sampled(
     scheme: str = "",
     oracle: Optional[dict] = None,
     max_cycles: float = 5e7,
-    observers: Optional[list] = None,
     bus=None,
     envelope_rel: Optional[float] = None,
     envelope_source: str = "default",
 ) -> SampledRunResult:
     """Replay the config-selected subset of ``program`` and extrapolate.
 
-    Observers attach to the sampled replay and therefore see only the
+    A bus attaches to the sampled replay and therefore sees only the
     selected subset — documented partial coverage (docs/sampling.md).
     Returns the estimate for the program's *last* launch, mirroring the
     runner's exact-path convention.
@@ -77,7 +76,6 @@ def replay_sampled(
         scheme=scheme,
         oracle=remap_oracle(oracle, plans[-1]),
         max_cycles=max_cycles,
-        observers=observers,
         bus=bus,
     )
     return estimate_sampled_result(

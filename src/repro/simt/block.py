@@ -1,16 +1,14 @@
 """Thread-block (CTA) life-cycle and barrier bookkeeping.
 
-All warps of a block are dispatched to an SM together, share the block's
-shared-memory segment and synchronization barrier, and the block only
-commits when its slowest (critical) warp exits — exactly the coupling that
-creates the warp-criticality problem the paper studies.
+All warps of a block are dispatched to an SM together and share the
+block's synchronization barrier, and the block only commits when its
+slowest (critical) warp exits — exactly the coupling that creates the
+warp-criticality problem the paper studies.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
-
-import numpy as np
 
 from ..errors import SimulationError
 
@@ -39,28 +37,12 @@ class ThreadBlock:
         #: kept books on but never issue.
         self.trace = trace
 
-        # Shared-memory values: the reference executor's, never timed.
-        words = max(1, kernel.shared_mem_bytes // 8)
-        self._shared = np.zeros(words, dtype=np.float64)
-
         self.dispatch_cycle: float = 0.0
         self.commit_cycle: Optional[float] = None
         self._finished_warps = 0
         self._barrier_waiting = 0
         #: Issues of this block's warps (CPL's verdict-refresh cadence).
         self.cpl_issues = 0
-
-    # -- shared memory -------------------------------------------------
-    def shared_load(self, addrs: np.ndarray, mask_bools: np.ndarray) -> np.ndarray:
-        idx = (addrs // 8) % len(self._shared)
-        values = self._shared[idx]
-        return np.where(mask_bools, values, 0.0)
-
-    def shared_store(self, addrs: np.ndarray, values: np.ndarray, mask_bools: np.ndarray) -> None:
-        idx = (addrs // 8) % len(self._shared)
-        # Serialize lane stores in lane order (deterministic conflict winner).
-        for lane in np.nonzero(mask_bools)[0]:
-            self._shared[idx[lane]] = values[lane]
 
     # -- barriers --------------------------------------------------------
     def barrier_arrive(self, warp) -> bool:

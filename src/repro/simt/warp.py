@@ -5,24 +5,20 @@ A timed :class:`Warp` follows a recorded stream
 a cursor, the three scoreboard lists, its barrier status, and the per-warp
 statistics (issue counts, stall cycles, criticality counter inputs) that
 feed the CAWA components.  It holds no lane values — registers, predicates
-and the reconvergence stack belong to whoever computes values (the recorder's
-functional pass, or the per-warp reference executor in
-:mod:`repro.simt.executor`) — and allocates no NumPy array.  The stream is
-optional: scheduler / CPL / LSU / statistics bookkeeping can be exercised
-on a warp that will never issue.
+and the reconvergence stack belong to the recorder's functional pass
+(:mod:`repro.trace.functional`), which computes every value before timing
+starts — and allocates no NumPy array.  The stream is optional:
+scheduler / CPL / LSU / statistics bookkeeping can be exercised on a warp
+that will never issue.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from array import array
 from typing import Optional
 
-import numpy as np
-
 from ..errors import TraceFormatError
-from ..isa.instructions import Special
 from .mask import full_mask
 
 #: ``n_lines`` of a memory record without line addresses (shared space, or
@@ -210,33 +206,6 @@ class Warp:
                     cpi = elapsed / idx
             value = self._criticality = self.cpl_inst_disparity * cpi + self.cpl_stall
         return value
-
-    def special_values(self, special: Special) -> np.ndarray:
-        """Lane values of a special register, computed on demand: the
-        timing model never asks, the reference executor does."""
-        block = self.block
-        lanes = np.arange(self.warp_size, dtype=np.float64)
-        tid = self.warp_id_in_block * self.warp_size + lanes
-        if special is Special.TID:
-            return tid
-        if special is Special.GTID:
-            return block.block_id * block.block_dim + tid
-        if special is Special.LANEID:
-            return lanes
-        return np.full(self.warp_size, float({
-            Special.CTAID: block.block_id,
-            Special.NTID: block.block_dim,
-            Special.NCTAID: block.grid_dim,
-            Special.WARPID: self.warp_id_in_block,
-        }[special]))
-
-    def issuable_at(self) -> float:
-        """Earliest cycle this warp could issue, or ``inf`` if blocked.
-
-        Accounts for operand readiness and the one-instruction-per-cycle
-        issue limit (but not MSHR back-pressure; the SM layers that on).
-        """
-        return self.ready_at if self.status is WarpStatus.RUNNING else math.inf
 
     def mark_finished(self, cycle: float) -> None:
         self.status = WarpStatus.FINISHED

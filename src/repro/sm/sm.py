@@ -56,6 +56,7 @@ _EV_WARP_START = int(Ev.WARP_START)
 _EV_WARP_ISSUE = int(Ev.WARP_ISSUE)
 _EV_WARP_STALL = int(Ev.WARP_STALL)
 _EV_WARP_FINISH = int(Ev.WARP_FINISH)
+_EV_CPL_VERDICT = int(Ev.CPL_VERDICT)
 _ST_SCOREBOARD = int(Stall.SCOREBOARD_DEP)
 _ST_NO_SLOT = int(Stall.NO_SLOT)
 _ST_MEM_PENDING = int(Stall.MEM_PENDING)
@@ -136,8 +137,6 @@ class StreamingMultiprocessor:
         self.stats = SMStats()
         self._next_dynamic_id = 0
         self._regs_in_use = 0
-        #: Observers notified of issue events (used by Fig 12's priority trace).
-        self.issue_observers: List = []
         #: Event bus (``repro.obs``), or ``None`` when events are disabled.
         #: The entire disabled-path cost is one ``is not None`` test per
         #: probe site — see ``docs/observability.md``.
@@ -392,6 +391,7 @@ class StreamingMultiprocessor:
                   warp._insts[pc].op.value))
 
         cpl = self.cpl
+        refreshed = False
         if cpl is not None:
             # Eq. 1's CPI inputs; the counter is derived from them and the
             # data-stall sum when read.  Only data stalls feed it: counting
@@ -408,6 +408,7 @@ class StreamingMultiprocessor:
             block.cpl_issues = count
             if count % cpl.update_period == 0:
                 cpl.refresh_block(block)
+                refreshed = True
 
         # ---- the record's effect: scoreboard write by kind -------------
         # Memory lines and branch outcomes come straight from the stream's
@@ -536,8 +537,14 @@ class StreamingMultiprocessor:
                     self._release_barrier(warp.block, now)
 
         scheduler.last = warp
-        for observer in self.issue_observers:
-            observer.on_issue(self, warp, warp._insts[pc], now)
+        if refreshed and obs is not None:
+            # The verdicts this issue latched, as it leaves them: after an
+            # EXIT retired the warp and a branch moved its counter.  A
+            # block that committed here reports no warp.
+            block = warp.block
+            obs.emit((_EV_CPL_VERDICT, now, self.sm_id, block.block_id,
+                      tuple((w.warp_id_in_block, w.criticality, w.is_critical_flag)
+                            for w in block.warps if not w.finished)))
 
     def _finish_warp(self, warp: Warp, scheduler: WarpScheduler, now: float) -> None:
         warp.mark_finished(now)

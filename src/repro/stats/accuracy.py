@@ -6,7 +6,9 @@ Two families live here:
   sample CPL verdicts during the run and check, after the block commits,
   how often the *actually* critical warp (slowest by measured execution
   time) had been flagged as a slow warp (criticality above the block
-  median).  Implemented as an SM issue observer.
+  median).  An event-bus collector: a sample is one ``CPL_VERDICT``
+  record, emitted at each refresh of a block's verdicts (every
+  ``cpl_update_period`` = 64 issues of the block).
 * Estimator error measures (:func:`relative_error`,
   :class:`EstimateError`) — shared by the sampling calibration harness
   (:mod:`repro.sampling.calibrate`) and the sampled-replay reports: how
@@ -20,7 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
+from ..obs.events import Ev
+
 BlockKey = Tuple[int, int]  # (sm_id, block_id)
+
+_EV_CPL_VERDICT = int(Ev.CPL_VERDICT)
 
 
 @dataclass
@@ -30,31 +36,24 @@ class _BlockSamples:
 
 
 class CriticalityAccuracyTracker:
-    """SM issue observer sampling CPL verdicts at a fixed issue period."""
+    """Bus collector counting, per block, CPL's verdict samples and how
+    often each warp was flagged slow in them."""
 
-    def __init__(self, sample_period: int = 64) -> None:
-        self.sample_period = sample_period
-        self._issues: Dict[BlockKey, int] = {}
+    def __init__(self) -> None:
         self._samples: Dict[BlockKey, _BlockSamples] = {}
 
-    # SM issue-observer interface ---------------------------------------
-    def on_issue(self, sm, warp, inst, now) -> None:
-        if sm.cpl is None:
+    # Event-bus collector interface --------------------------------------
+    def append(self, ev: tuple) -> None:
+        """``(CPL_VERDICT, cycle, sm, block, warps)`` records count; every
+        other record is ignored."""
+        if ev[0] != _EV_CPL_VERDICT:
             return
-        key = (sm.sm_id, warp.block.block_id)
-        count = self._issues.get(key, 0) + 1
-        self._issues[key] = count
-        if count % self.sample_period:
-            return
-        record = self._samples.setdefault(key, _BlockSamples())
+        record = self._samples.setdefault((ev[2], ev[3]), _BlockSamples())
         record.samples += 1
-        for peer in warp.block.warps:
-            if peer.finished:
-                continue
-            if sm.cpl.is_critical(peer):
-                record.flagged_slow[peer.warp_id_in_block] = (
-                    record.flagged_slow.get(peer.warp_id_in_block, 0) + 1
-                )
+        flagged = record.flagged_slow
+        for warp, _, critical in ev[4]:
+            if critical:
+                flagged[warp] = flagged.get(warp, 0) + 1
 
     # Post-run scoring ---------------------------------------------------
     def accuracy(self, result) -> float:

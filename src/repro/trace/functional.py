@@ -12,16 +12,17 @@ made ``G`` calls over ``warp_size``.
 Batching decides only *which warps step together*.  Each warp keeps its own
 reconvergence stack — the top entry in arrays (``pc`` / ``mask`` / ``lanes``
 / ``reconv``), the entries under it in a per-warp list — and moves through
-it exactly as :class:`repro.simt.stack.SIMTStack` does: ``advance`` with its
-reconvergence pops, ``diverge``, ``kill_lanes``.  Block barriers, per-block
-shared memory and EXIT-releases-a-barrier follow
-:class:`repro.simt.block.ThreadBlock`.  A warp's record sequence is
-therefore the one ``FunctionalExecutor`` + ``SIMTStack`` produce, and since
-no warp reads what another warp writes between barriers (the property
-:class:`_RaceCheck` enforces while the pass runs) it cannot depend on who
-it shared a step with.  Opcode semantics are not restated here: value
-instructions run the closures of :func:`repro.simt.executor.bind_compute`
-over the group's rows.
+it exactly as the per-warp reference stack (``tests/reference/stack.py``)
+does: ``advance`` with its reconvergence pops, ``diverge``, ``kill_lanes``.
+Block barriers and EXIT-releases-a-barrier follow
+:class:`repro.simt.block.ThreadBlock`, per-block shared memory the
+reference executor.  A warp's record sequence is
+therefore the one the reference's ``FunctionalExecutor`` + ``SIMTStack``
+produce (``tests/test_trace_functional.py``), and since no warp reads what
+another warp writes between barriers (the property :class:`_RaceCheck`
+enforces while the pass runs) it cannot depend on who it shared a step
+with.  Opcode semantics are not restated here: value instructions run the
+closures of :func:`repro.isa.semantics.bind_compute` over the group's rows.
 
 Records go to a step log that is scattered into the v2 per-warp columns
 (:class:`~repro.trace.format.WarpStream`) by a stable sort every few
@@ -37,12 +38,13 @@ import numpy as np
 
 from ..errors import DeadlockError, SimulationError, TraceInvarianceError
 from ..isa.instructions import MemSpace, Opcode, Special
+from ..isa.semantics import bind_compute
 from ..memory.data import GlobalMemory
-from ..simt.executor import bind_compute
 from ..simt.mask import bools_from_mask
-from ..simt.stack import NO_RECONV
 from .format import NO_LINES, LaunchTrace, WarpStream
 
+#: Reconvergence PC of a stack's base entry (never popped by PC match).
+NO_RECONV = -1
 #: ``pc`` of a warp that cannot step: parked at a barrier, or finished.
 _PARKED = np.iinfo(np.int64).max
 #: Line address of an inactive lane: sorts past every real line.
@@ -70,8 +72,8 @@ Step = Callable[[np.ndarray, object], None]
 
 
 class _Rows:
-    """``bank[r]`` narrowed to the current group: what the executor's
-    bindings index as ``rf.regs[r]`` / ``rf.preds[p]``."""
+    """``bank[r]`` narrowed to the current group: what
+    :func:`bind_compute`'s closures index as ``rf.regs[r]`` / ``rf.preds[p]``."""
 
     __slots__ = ("bank", "sel")
 
@@ -411,7 +413,7 @@ class _Pass:
         next_pc = inst.pc + 1
 
         def step(rows: np.ndarray, sel: object) -> None:
-            self._write(target, sel, compute(group, None, group), guard(sel))
+            self._write(target, sel, compute(group, group), guard(sel))
             self._advance(rows, sel, next_pc)
 
         return step

@@ -27,26 +27,21 @@ def replay_program(
     scheme: str = "",
     oracle: Optional[dict] = None,
     max_cycles: float = 5e7,
-    observers: Optional[list] = None,
     bus=None,
 ):
     """Replay every launch of ``program``; returns the list of results.
 
     The kernel and launch geometry come from the trace itself, so replay
     needs no workload rebuild (and performs no functional verification —
-    there are no computed values to verify).  ``observers`` join each SM's
-    ``issue_observers``.  ``bus`` is an optional
-    :class:`repro.obs.bus.EventBus` the replay wires in place of the
-    config-built one (callers attach collectors first, e.g. the Fig 3
-    reuse-distance profiler).
+    there are no computed values to verify).  ``bus`` is an optional
+    :class:`repro.obs.bus.EventBus` the replay's GPU is wired to (callers
+    attach collectors first, e.g. the Fig 3 reuse-distance profiler or the
+    Fig 11 accuracy tracker).
     """
     from ..gpu import GPU  # local: avoid a gpu <-> trace import cycle
 
     gpu = GPU(config or GPUConfig.default_sim(), oracle=oracle,
               max_cycles=max_cycles, trace=program, obs=bus)
-    for observer in observers or ():
-        for sm in gpu.sms:
-            sm.issue_observers.append(observer)
     results = []
     for launch in program.launches:
         results.append(

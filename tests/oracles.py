@@ -42,7 +42,7 @@ from repro.workloads import make_workload
 
 
 def run_in_place(workload, scheme, scale, config, *, check=True, bus=None,
-                 observers=(), **workload_kwargs):
+                 **workload_kwargs):
     """One cell without the trace store: build the workload and launch it
     on a GPU handed no trace, which records each launch in place and times
     that recording.  What ``runner.simulate_cell``'s replay of the stored
@@ -50,8 +50,6 @@ def run_in_place(workload, scheme, scale, config, *, check=True, bus=None,
     cfg = apply_scheme(config, scheme)
     oracle = scheme_oracle(workload, scale, config, cfg, **workload_kwargs)
     gpu = GPU(cfg, oracle=oracle, obs=bus)
-    for sm in gpu.sms:
-        sm.issue_observers.extend(observers)
     wl = make_workload(workload, scale=scale, **workload_kwargs)
     result = wl.run(gpu, scheme=scheme, check=check)
     result.verified = check

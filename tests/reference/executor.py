@@ -3,12 +3,12 @@
 This is the *reference* executor: it computes architectural results for the
 active lanes of one warp with numpy and owns that warp's lane state —
 register and predicate values and the reconvergence stack
-(:class:`WarpLanes`).  Nothing on the timing path calls it: the recorder's
-functional pass (:mod:`repro.trace.functional`) computes every value before
-timing starts, batched over all the warps at one PC, and
-``tests/test_trace_functional.py`` holds the pass to what this executor
-does warp by warp.  The two share one definition of the opcode semantics,
-:func:`bind_compute`.
+(:class:`WarpLanes`) — and each block's shared memory.  The simulator never
+calls it: the recorder's functional pass (:mod:`repro.trace.functional`)
+computes every value before timing starts, batched over all the warps at
+one PC, and ``tests/test_trace_functional.py`` holds the pass to what this
+executor does warp by warp.  The two share one definition of the opcode semantics,
+:func:`repro.isa.semantics.bind_compute`.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..errors import SimulationError
-from ..isa.instructions import CmpOp, Instruction, MemSpace, Opcode
-from .mask import bools_from_mask, mask_from_bools
+from repro.isa.instructions import Instruction, MemSpace, Opcode, Special
+from repro.isa.semantics import bind_compute
+from repro.simt.mask import bools_from_mask, mask_from_bools
+
 from .registers import WarpRegisterFile
 from .stack import SIMTStack
 
@@ -54,12 +55,36 @@ NO_EFFECT = ExecResult()
 class WarpLanes:
     """One warp's architectural state: lane values and where its lanes are."""
 
-    __slots__ = ("rf", "stack")
+    __slots__ = ("warp", "rf", "stack")
 
     def __init__(self, warp) -> None:
         kernel = warp.block.kernel
+        self.warp = warp
         self.rf = WarpRegisterFile(kernel.num_regs, kernel.num_preds, warp.warp_size)
         self.stack = SIMTStack(entry_pc=0, mask=warp.initial_mask)
+
+    def special_values(self, special: Special) -> np.ndarray:
+        """What :func:`bind_compute`'s SREG closure reads."""
+        return special_values(self.warp, special)
+
+
+def special_values(warp, special: Special) -> np.ndarray:
+    """Lane values of a special register of ``warp``, computed on demand."""
+    block = warp.block
+    lanes = np.arange(warp.warp_size, dtype=np.float64)
+    tid = warp.warp_id_in_block * warp.warp_size + lanes
+    if special is Special.TID:
+        return tid
+    if special is Special.GTID:
+        return block.block_id * block.block_dim + tid
+    if special is Special.LANEID:
+        return lanes
+    return np.full(warp.warp_size, float({
+        Special.CTAID: block.block_id,
+        Special.NTID: block.block_dim,
+        Special.NCTAID: block.grid_dim,
+        Special.WARPID: warp.warp_id_in_block,
+    }[special]))
 
 
 #: ``run(executor, warp, lanes) -> ExecResult``: one instruction's bound handler.
@@ -73,6 +98,11 @@ class FunctionalExecutor:
         self._mem = global_mem
         self._warp_size = warp_size
         self._lanes: Dict[object, WarpLanes] = {}
+        self._shared: Dict[object, np.ndarray] = {}
+        #: Bound handlers, one per static instruction, built at its first
+        #: execution.  The handler depends on the instruction's fields
+        #: only, so equal instructions share one.
+        self.handlers: Dict[Instruction, Handler] = {}
 
     def lanes(self, warp) -> WarpLanes:
         """``warp``'s lane state (created, zeroed, at first use)."""
@@ -83,11 +113,31 @@ class FunctionalExecutor:
 
     def execute(self, inst: Instruction, warp) -> ExecResult:
         """Execute ``inst`` for ``warp``'s currently active lanes."""
-        decoded = inst.decoded
-        run = decoded.run
+        run = self.handlers.get(inst)
         if run is None:
-            run = decoded.run = _bind(inst)
+            run = self.handlers[inst] = _bind(inst)
         return run(self, warp, self.lanes(warp))
+
+    # -- per-block shared memory -----------------------------------------
+    def shared(self, block) -> np.ndarray:
+        """``block``'s shared-memory words (created, zeroed, at first use)."""
+        words = self._shared.get(block)
+        if words is None:
+            words = self._shared[block] = np.zeros(
+                max(1, block.kernel.shared_mem_bytes // 8), dtype=np.float64)
+        return words
+
+    def shared_load(self, block, addrs: np.ndarray, mask_bools: np.ndarray) -> np.ndarray:
+        words = self.shared(block)
+        return np.where(mask_bools, words[(addrs // 8) % len(words)], 0.0)
+
+    def shared_store(self, block, addrs: np.ndarray, values: np.ndarray,
+                     mask_bools: np.ndarray) -> None:
+        words = self.shared(block)
+        idx = (addrs // 8) % len(words)
+        # Serialize lane stores in lane order (deterministic conflict winner).
+        for lane in np.nonzero(mask_bools)[0]:
+            words[idx[lane]] = values[lane]
 
     # ------------------------------------------------------------------
     def _guard_mask(self, lanes: WarpLanes, pred: Optional[int], neg: bool) -> int:
@@ -148,11 +198,11 @@ def _bind_memory(inst: Instruction) -> Handler:
         if effect_mask:
             where = bools_from_mask(effect_mask, ex._warp_size)
             if is_load:
-                values = (warp.block.shared_load(addrs, where) if shared
+                values = (ex.shared_load(warp.block, addrs, where) if shared
                           else ex._mem.load(addrs, where))
                 rf.write(dst, values, where)
             elif shared:
-                warp.block.shared_store(addrs, rf.regs[value_reg], where)
+                ex.shared_store(warp.block, addrs, rf.regs[value_reg], where)
             else:
                 ex._mem.store(addrs, rf.regs[value_reg], where)
         return ExecResult(mem_addrs=addrs, mem_mask=effect_mask)
@@ -161,7 +211,7 @@ def _bind_memory(inst: Instruction) -> Handler:
 
 
 def _bind_value(inst: Instruction, compute: Callable) -> Handler:
-    """Handler writing ``compute(rf, ex, warp)`` to ``dst`` under the guard."""
+    """Handler writing ``compute(rf, lanes)`` to ``dst`` under the guard."""
     pred, neg, dst = inst.pred, inst.pred_neg, inst.dst
     if inst.op is Opcode.SELP:
         pred = None  # the predicate selects; every active lane is written
@@ -173,125 +223,8 @@ def _bind_value(inst: Instruction, compute: Callable) -> Handler:
         if pred is not None:
             pvals = rf.preds[pred]
             where = where & ~pvals if neg else where & pvals
-        np.copyto((rf.preds if to_pred else rf.regs)[dst], compute(rf, ex, warp),
+        np.copyto((rf.preds if to_pred else rf.regs)[dst], compute(rf, lanes),
                   where=where)
         return NO_EFFECT
 
     return run
-
-
-def bind_compute(inst: Instruction) -> Callable:
-    """``compute(rf, ex, warp) -> lane values`` for a value-producing op.
-
-    Every binding is elementwise over whatever ``rf.regs[r]`` /
-    ``rf.preds[p]`` / ``warp.special_values(s)`` hand back, so the same
-    closures serve one warp's ``(warp_size,)`` rows here and a whole group
-    of warps' ``(G, warp_size)`` rows in the trace recorder's functional
-    pass (:mod:`repro.trace.functional`): opcode semantics live here only.
-    """
-    op, srcs, imm, pc = inst.op, inst.srcs, inst.imm, inst.pc
-    if op is Opcode.SREG:
-        special = inst.special
-        return lambda rf, ex, warp: warp.special_values(special)
-    if op is Opcode.MAD:
-        if imm is not None and len(srcs) == 2:
-            a, c, scale = srcs[0], srcs[1], np.float64(imm)
-            return lambda rf, ex, warp: rf.regs[a] * scale + rf.regs[c]
-        if len(srcs) == 3:
-            a, b, c = srcs
-            return lambda rf, ex, warp: rf.regs[a] * rf.regs[b] + rf.regs[c]
-        raise SimulationError(f"malformed MAD operands at pc={pc}")
-    fn = _UNARY.get(op)
-    if fn is not None:
-        if srcs:
-            a = srcs[0]
-            return lambda rf, ex, warp: fn(rf.regs[a])
-        if imm is None:
-            raise SimulationError(f"missing operand at pc={pc}")
-        const = np.float64(imm)  # broadcast over the lanes by the write
-        return lambda rf, ex, warp: fn(const)
-    select = op is Opcode.SELP
-    fn = _COMPARES[inst.cmp] if op is Opcode.SETP else _BINARY.get(op)
-    if fn is None and not select:
-        raise SimulationError(f"unimplemented opcode {op!r} at pc={pc}")
-    if len(srcs) == 2:
-        a, b, const = srcs[0], srcs[1], None
-    elif len(srcs) == 1 and imm is not None:
-        a, b, const = srcs[0], None, np.float64(imm)
-    else:
-        raise SimulationError(f"malformed operands at pc={pc}")
-    if select:
-        sel = inst.pred
-        return lambda rf, ex, warp: np.where(
-            rf.preds[sel], rf.regs[a], const if b is None else rf.regs[b])
-    return lambda rf, ex, warp: fn(rf.regs[a], const if b is None else rf.regs[b])
-
-
-def _to_int(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).astype(np.int64)
-
-
-def _safe_div(a: np.ndarray, b) -> np.ndarray:
-    b_arr = np.broadcast_to(np.asarray(b, dtype=np.float64), np.shape(a)).copy()
-    zero = b_arr == 0
-    b_arr[zero] = 1.0
-    out = a / b_arr
-    out = np.where(zero, 0.0, out)
-    return out
-
-
-def _safe_mod(a: np.ndarray, b) -> np.ndarray:
-    b_arr = np.broadcast_to(np.asarray(b, dtype=np.float64), np.shape(a)).copy()
-    zero = b_arr == 0
-    b_arr[zero] = 1.0
-    out = np.mod(a, b_arr)
-    return np.where(zero, 0.0, out)
-
-
-def _safe_unary(fn, domain_fix):
-    def wrapped(a: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            out = fn(domain_fix(a))
-        return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-
-    return wrapped
-
-
-_UNARY = {
-    Opcode.MOV: lambda a: a,
-    Opcode.ABS: np.abs,
-    Opcode.NEG: np.negative,
-    Opcode.NOT: lambda a: (~_to_int(a)).astype(np.float64),
-    Opcode.FLOOR: np.floor,
-    Opcode.SQRT: _safe_unary(np.sqrt, lambda a: np.maximum(a, 0.0)),
-    Opcode.RSQRT: _safe_unary(lambda a: 1.0 / np.sqrt(a), lambda a: np.maximum(a, 1e-300)),
-    Opcode.RCP: _safe_unary(lambda a: 1.0 / a, lambda a: np.where(a == 0, 1e-300, a)),
-    Opcode.EXP: _safe_unary(np.exp, lambda a: np.clip(a, -700, 700)),
-    Opcode.LOG: _safe_unary(np.log, lambda a: np.maximum(a, 1e-300)),
-    Opcode.SIN: np.sin,
-    Opcode.COS: np.cos,
-}
-
-_BINARY = {
-    Opcode.ADD: np.add,
-    Opcode.SUB: np.subtract,
-    Opcode.MUL: np.multiply,
-    Opcode.DIV: _safe_div,
-    Opcode.MOD: _safe_mod,
-    Opcode.MIN: np.minimum,
-    Opcode.MAX: np.maximum,
-    Opcode.AND: lambda a, b: (_to_int(a) & _to_int(b)).astype(np.float64),
-    Opcode.OR: lambda a, b: (_to_int(a) | _to_int(b)).astype(np.float64),
-    Opcode.XOR: lambda a, b: (_to_int(a) ^ _to_int(b)).astype(np.float64),
-    Opcode.SHL: lambda a, b: (_to_int(a) << np.clip(_to_int(b), 0, 62)).astype(np.float64),
-    Opcode.SHR: lambda a, b: (_to_int(a) >> np.clip(_to_int(b), 0, 62)).astype(np.float64),
-}
-
-_COMPARES = {
-    CmpOp.LT: np.less,
-    CmpOp.LE: np.less_equal,
-    CmpOp.GT: np.greater,
-    CmpOp.GE: np.greater_equal,
-    CmpOp.EQ: np.equal,
-    CmpOp.NE: np.not_equal,
-}

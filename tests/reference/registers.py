@@ -1,6 +1,6 @@
 """Per-warp register file with a ready-cycle scoreboard.
 
-The reference executor's (:mod:`repro.simt.executor`): lane values, plus
+The reference executor's (:mod:`tests.reference.executor`): lane values, plus
 the scoreboard walk written out as plain methods.  The scoreboard only
 tracks *when* each register's value would be available in hardware, which
 is what creates realistic stall behaviour (RAW hazards on long-latency

@@ -5,7 +5,8 @@ top-of-stack entry holds the warp's current PC and active mask.  On a
 divergent branch the current entry is replaced by a reconvergence entry (at
 the branch's reconvergence PC, with the merged mask) plus one entry per
 distinct outcome; paths execute serially and pop when they reach their
-reconvergence PC.
+reconvergence PC.  The recorder's functional pass keeps the same stack for
+a group of warps in arrays (:mod:`repro.trace.functional`).
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..errors import SimulationError
-
-#: Sentinel reconvergence PC for the base stack entry (never popped by PC match).
-NO_RECONV = -1
+from repro.errors import SimulationError
+from repro.trace.functional import NO_RECONV
 
 
 @dataclass(slots=True)

@@ -6,8 +6,10 @@ import pytest
 
 from repro import GPU, GPUConfig
 from repro.core.cpl import CriticalityPredictor
+from repro.experiments.fig12 import PriorityTrace
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.kernel import KernelBuilder
+from repro.obs.events import Ev
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp
 from repro.trace.recorder import TraceRecorder
@@ -199,12 +201,15 @@ class TestVerdicts:
         assert slow.is_critical_flag and not fast.is_critical_flag
 
     def test_rank_in_block(self):
-        cpl = CriticalityPredictor()
+        """Fig 12's rank: how many peers in a verdict record have a lower
+        criticality (0 = least critical)."""
         block = make_block_with_warps(4)
         for i, warp in enumerate(block.warps):
-            set_criticality(warp, float(i))
-        assert cpl.rank_in_block(block.warps[0]) == 0
-        assert cpl.rank_in_block(block.warps[3]) == 3
+            set_criticality(warp, float(i % 3))  # warps 0 and 3 tie
+        trace = PriorityTrace()
+        trace.append((int(Ev.CPL_VERDICT), 64.0, 0, block.block_id, tuple(
+            (w.warp_id_in_block, w.criticality, False) for w in block.warps)))
+        assert trace.samples == {(0, 0): [(64.0, {0: 0, 1: 2, 2: 3, 3: 0})]}
 
     def test_forget_block(self):
         cpl = CriticalityPredictor()

@@ -5,7 +5,7 @@ once — the recorder's scheduler-free functional pass — and every cell, the
 first included, is a replay; ``tests.oracles.run_in_place`` is the parity
 reference, which never consults the trace store: its GPU records every
 launch in place.  This file pins the economy of that default (one functional
-pass per workload, the per-warp reference executor never, on either path),
+pass per workload, and none on replay),
 its parity with the reference across the ways a cell can be asked for, and
 the three ways the
 default could otherwise go wrong: replaying a trace nobody verified,
@@ -29,7 +29,6 @@ from repro.experiments import runner
 from repro.experiments.runner import run_scheme, run_sweep
 from repro.obs import record_events
 from repro.obs.bus import EventBus, bus_from_spec
-from repro.simt.executor import FunctionalExecutor
 from repro.stats.accuracy import CriticalityAccuracyTracker
 from repro.stats.reuse import ReuseDistanceProfiler
 from repro.trace import functional as functional_mod
@@ -57,24 +56,19 @@ def _fresh_memo():
 class Functional:
     """Functional work from here on: ``passes`` holds the record count of
     every functional pass the recorder ran, ``in_place`` of every pass a
-    GPU without a trace ran for a launch of its own (``run_in_place``),
-    and ``executed`` counts ``FunctionalExecutor.execute`` calls — the
-    per-warp reference, which no path may reach."""
+    GPU without a trace ran for a launch of its own (``run_in_place``).
+    ``record_launch`` is the one entry point of functional execution, so a
+    replay adds to neither."""
 
     def __init__(self):
         self.passes = []
         self.in_place = []
-        self.executed = 0
 
 
 @pytest.fixture
 def executions(monkeypatch):
     seen = Functional()
-    execute, record_launch = FunctionalExecutor.execute, recorder_mod.record_launch
-
-    def counted(self, inst, warp):
-        seen.executed += 1
-        return execute(self, inst, warp)
+    record_launch = recorder_mod.record_launch
 
     def counting(into):
         def recorded(*args, **kwargs):
@@ -84,7 +78,6 @@ def executions(monkeypatch):
             return launch, steps
         return recorded
 
-    monkeypatch.setattr(FunctionalExecutor, "execute", counted)
     monkeypatch.setattr(recorder_mod, "record_launch", counting(seen.passes))
     # GPU.launch looks the pass up in its module at each launch.
     monkeypatch.setattr(functional_mod, "record_launch", counting(seen.in_place))
@@ -130,7 +123,7 @@ class TestDefaultPath:
         executions = request.getfixturevalue("executions")
         results = {s: run_scheme(workload, s, scale=SCALE) for s in SCHEMES}
         assert executions.passes == [_stored_records(workload)]
-        assert executions.executed == 0
+        assert executions.in_place == []
         assert [r.recorded for r in results.values()] == [True] + [False] * 3
         assert {r.frontend for r in results.values()} == {"trace"}
         assert len({r.trace_id for r in results.values()}) == 1
@@ -148,7 +141,7 @@ class TestDefaultPath:
         recorded = [cell for cell, r in results.items() if r.recorded]
         assert recorded == [(w, "gto") for w in workloads]
         assert executions.passes == [_stored_records(w, SMALL) for w in workloads]
-        assert executions.executed == 0
+        assert executions.in_place == []
 
     def test_events_on(self, executions):
         recorded, _ = record_events("bfs", "cawa", scale=SMALL)
@@ -165,10 +158,12 @@ class TestDefaultPath:
         run_scheme("bfs", "rr", scale=SMALL)  # record
         replayed = run_scheme("bfs", "cawa", scale=SMALL, with_accuracy=True,
                               with_reuse=True)
+        # Both read bus records: CPL_VERDICT and the L1 probes.
         tracker, theirs = CriticalityAccuracyTracker(), ReuseDistanceProfiler()
         bus = EventBus(capacity=1)
+        bus.attach(tracker)
         bus.attach(theirs)
-        reference = _reference("bfs", "cawa", SMALL, observers=[tracker], bus=bus)
+        reference = _reference("bfs", "cawa", SMALL, bus=bus)
         assert replayed.frontend == "trace"
         assert signature(replayed) == signature(reference)
         assert replayed.extra["cpl_accuracy"] == tracker.accuracy(reference)
@@ -188,7 +183,7 @@ class TestDefaultPath:
         reference = _reference("bfs", "gto", SMALL, seed=3, balanced=True)
         assert executions.in_place == [executions.passes[1]] == [_stored_records(
             "bfs", SMALL, seed=3, balanced=True)]
-        assert len(executions.passes) == 2 and executions.executed == 0
+        assert len(executions.passes) == 2
         assert signature(replayed) == signature(reference)
         assert signature(replayed) != signature(
             run_scheme("bfs", "gto", scale=SMALL))
@@ -230,7 +225,7 @@ class TestVerified:
             result = run_scheme(TINY, "cawa", scale=TINY_SCALE, check=check,
                                 use_cache=False)
             assert result.frontend == "trace" and not result.recorded
-        assert len(executions.passes) == 2 and executions.executed == 0
+        assert len(executions.passes) == 2 and executions.in_place == []
 
     def test_failing_verification_raises_even_with_a_trace_present(self, monkeypatch):
         from repro.workloads.base import LaunchSpec

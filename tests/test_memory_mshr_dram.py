@@ -32,10 +32,10 @@ class TestMSHR:
     def test_full_detection(self):
         mshr = MSHRFile(entries=2)
         mshr.register(0, 100.0)
-        assert not mshr.is_full(0.0)
+        assert mshr.free_entries(0.0) == 1
         mshr.register(128, 120.0)
-        assert mshr.is_full(0.0)
-        assert not mshr.is_full(101.0)  # entry 0 completed
+        assert mshr.free_entries(0.0) == 0
+        assert mshr.free_entries(101.0) == 1  # entry 0 completed
 
     def test_next_free_time(self):
         mshr = MSHRFile(entries=1)

@@ -291,7 +291,7 @@ class TestStore:
 
     def test_v1_stream_is_refused(self, tmp_path):
         # v1 cache records carry no warp attribution; v2 appended it.
-        assert SCHEMA_VERSION == 2
+        assert SCHEMA_VERSION == 3
         path = tmp_path / "v1.evt.z"
         payload = json.dumps({
             "format": "repro-events", "version": 1, "schema_version": 1,
@@ -300,6 +300,25 @@ class TestStore:
         path.write_bytes(zlib.compress(payload))
         with pytest.raises(EventStoreError, match="schema v1"):
             load_events(path)
+
+    def test_v2_stream_is_refused(self, tmp_path):
+        # v2 has no CPL_VERDICT; v3 added it.
+        path = tmp_path / "v2.evt.z"
+        payload = json.dumps({
+            "format": "repro-events", "version": 1, "schema_version": 2,
+            "events": [[int(Ev.CACHE_MISS), 3.0, 0, 0, 12, 0x80, 1, 0, 2]],
+        }).encode()
+        path.write_bytes(zlib.compress(payload))
+        with pytest.raises(EventStoreError, match="schema v2"):
+            load_events(path)
+
+    def test_cpl_verdict_round_trips(self, tmp_path):
+        verdict = (int(Ev.CPL_VERDICT), 128.0, 1, 3,
+                   ((0, 12.5, True), (2, 0.0, False)))
+        empty = (int(Ev.CPL_VERDICT), 192.0, 1, 3, ())
+        path = save_events(tmp_path / "v.evt.z", [verdict, empty])
+        assert load_events(path)[0] == [verdict, empty]
+        assert event_to_dict(verdict)["warps"] == verdict[4]
 
     def test_save_validates(self, tmp_path):
         with pytest.raises(SchemaError):

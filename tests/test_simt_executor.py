@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.isa.instructions import CmpOp, Instruction, MemSpace, Opcode, Special
 from repro.memory.data import GlobalMemory
-from repro.simt import executor as executor_mod
-from repro.simt.block import ThreadBlock
-from repro.simt.executor import NO_EFFECT, ExecResult, FunctionalExecutor
-from repro.simt.warp import Warp
+from repro.isa import semantics
 from repro.isa.kernel import KernelBuilder
+from repro.simt.block import ThreadBlock
+from repro.simt.warp import Warp
+from tests.reference import NO_EFFECT, ExecResult, FunctionalExecutor
 
 
 WARP = 32
@@ -238,20 +238,20 @@ class TestBinding:
 
     def test_unimplemented_opcode_names_the_pc(self, env, monkeypatch):
         _, execu, warp = env
-        table = dict(executor_mod._BINARY)
+        table = dict(semantics._BINARY)
         del table[Opcode.XOR]
-        monkeypatch.setattr(executor_mod, "_BINARY", table)
+        monkeypatch.setattr(semantics, "_BINARY", table)
         with pytest.raises(SimulationError, match=r"unimplemented opcode .*XOR.* at pc=7"):
             execu.execute(Instruction(Opcode.XOR, dst=2, srcs=(0, 1), pc=7), warp)
 
     def test_handler_is_bound_once(self, env):
         _, execu, warp = env
         inst = Instruction(Opcode.ADD, dst=2, srcs=(0, 1), pc=0)
-        assert inst.decoded.run is None
+        assert inst not in execu.handlers
         execu.execute(inst, warp)
-        run = inst.decoded.run
+        run = execu.handlers[inst]
         execu.execute(inst, warp)
-        assert run is not None and inst.decoded.run is run
+        assert execu.handlers == {inst: run}
 
     def test_payload_free_result_is_shared(self, env):
         _, execu, warp = env

@@ -1,8 +1,9 @@
-"""Tests for the warp register file and its scoreboard."""
+"""Tests for the reference warp register file and its scoreboard
+(``tests/reference/registers.py``)."""
 
 import numpy as np
 
-from repro.simt.registers import WarpRegisterFile
+from tests.reference import WarpRegisterFile
 
 
 def make_rf():

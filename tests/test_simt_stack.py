@@ -1,9 +1,10 @@
-"""Tests for the SIMT reconvergence stack."""
+"""Tests for the reference SIMT reconvergence stack (``tests/reference/stack.py``)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simt.stack import NO_RECONV, SIMTStack, StackEntry
+from repro.trace.functional import NO_RECONV
+from tests.reference import SIMTStack, StackEntry
 
 
 def test_initial_state():

@@ -1,4 +1,5 @@
-"""Tests for Warp and ThreadBlock runtime state."""
+"""Tests for Warp and ThreadBlock runtime state, and the lane values the
+reference executor (``tests/reference/executor.py``) computes for them."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from repro.isa.kernel import KernelBuilder
 from repro.isa.instructions import Special
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp, WarpStatus
+from tests.reference import FunctionalExecutor, special_values
 
 
 def make_block(block_dim=96, block_id=1, grid_dim=4, shared_bytes=0):
@@ -33,12 +35,12 @@ class TestWarpCreation:
         block = make_block(block_dim=96, block_id=2)
         warps = add_warps(block)
         w1 = warps[1]
-        tid = w1.special_values(Special.TID)
+        tid = special_values(w1, Special.TID)
         assert tid[0] == 32 and tid[31] == 63
-        gtid = w1.special_values(Special.GTID)
+        gtid = special_values(w1, Special.GTID)
         assert gtid[0] == 2 * 96 + 32
-        assert np.all(w1.special_values(Special.CTAID) == 2)
-        assert np.all(w1.special_values(Special.WARPID) == 1)
+        assert np.all(special_values(w1, Special.CTAID) == 2)
+        assert np.all(special_values(w1, Special.WARPID) == 1)
 
     def test_execution_time(self):
         block = make_block()
@@ -101,7 +103,9 @@ class TestBlockLifecycle:
         addrs[:4] = np.arange(4) * 8
         mask = np.zeros(32, dtype=bool)
         mask[:4] = True
-        block.shared_store(addrs, np.arange(32, dtype=float), mask)
-        values = block.shared_load(addrs, mask)
+        execu = FunctionalExecutor(None, 32)
+        execu.shared_store(block, addrs, np.arange(32, dtype=float), mask)
+        values = execu.shared_load(block, addrs, mask)
+        assert len(execu.shared(block)) == 256 // 8
         assert np.array_equal(values[:4], np.arange(4, dtype=float))
         assert np.all(values[4:] == 0.0)

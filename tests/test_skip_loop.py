@@ -3,10 +3,9 @@
 Covers the device event heap as the skip loop keeps it (same-cycle order,
 entries a dispatch replaces, past wakes, parking — asserted on the ticks
 ``GPU._run_skip_loop`` makes over scripted SMs, since the heap is one of
-its locals), the stale-``now`` clamping in the DRAM/L2 queue-delay
-accessors that skip boundaries exposed, and the skip counters on
+its locals) and the skip counters on
 :class:`~repro.stats.counters.RunResult`.  That skipped cycles were idle
-is checked tick by tick in ``tests/test_skip_clock_parity.py``.
+is checked tick by tick in ``tests/test_skip_loop_oracle.py``.
 """
 
 import math
@@ -14,11 +13,9 @@ import math
 import pytest
 
 from repro import GPU, KernelBuilder
-from repro.config import CacheConfig, GPUConfig
+from repro.config import GPUConfig
 from repro.errors import DeadlockError
 from repro.experiments.runner import run_scheme
-from repro.memory.dram import DRAMModel
-from repro.memory.l2 import BankedL2
 
 
 class ScriptedSM:
@@ -191,54 +188,6 @@ class TestDeviceEventHeap:
         for now, sm_id in log:
             per_cycle.setdefault(now, []).append(sm_id)
         assert [0, 1, 2] in per_cycle.values()
-
-
-class TestQueueDelayAtSkipBoundaries:
-    """Satellite fix: queue stats must clamp against a jumped clock."""
-
-    def test_dram_queue_delay_clamps_stale_now(self):
-        dram = DRAMModel(latency=100, service_interval=4)
-        dram.access(0.0)
-        dram.access(0.0)  # backlog: channel free at t=8
-        assert dram.queue_delay(2.0) == 6.0
-        # Clock skipped past the backlog: delay is zero, never negative.
-        assert dram.queue_delay(50.0) == 0.0
-
-    def test_dram_queue_delay_estimate_reports_mean_wait(self):
-        dram = DRAMModel(latency=100, service_interval=4)
-        dram.access(0.0)  # waits 0
-        dram.access(0.0)  # waits 4
-        # Mean *queueing* wait, not mean service occupancy.
-        assert dram.queue_delay_estimate() == 2.0
-        # Probed mid-backlog, the live queue is a floor on the estimate.
-        assert dram.queue_delay_estimate(now=0.0) == 8.0
-        # Probed long after the burst drained, the mean stands.
-        assert dram.queue_delay_estimate(now=100.0) == 2.0
-
-    def test_dram_queue_delay_estimate_empty(self):
-        dram = DRAMModel(latency=100, service_interval=4)
-        assert dram.queue_delay_estimate() == 0.0
-        assert dram.queue_delay_estimate(now=5.0) == 0.0
-
-    def _l2(self, num_banks=2):
-        return BankedL2(CacheConfig(sets=4, ways=2), num_banks=num_banks,
-                        latency=10, service_interval=4)
-
-    def test_l2_bank_busy_cycles_clamps_per_bank(self):
-        from repro.memory.request import MemRequest
-
-        l2 = self._l2()
-        # Two accesses to bank 0 (line 0), one to bank 1 (line 1).
-        for line in (0, 0, 1):
-            req = MemRequest(line_addr=line * 128, pc=0,
-                             warp_key=(0, 0, 0), is_load=True,
-                             is_critical=False, cycle=0.0)
-            l2.access(req, 0.0)
-        # bank0 free at 8, bank1 free at 4.
-        assert l2.bank_busy_cycles(0.0) == 12.0
-        # Clock jumped to t=6: bank1's stale backlog must not go negative.
-        assert l2.bank_busy_cycles(6.0) == 2.0
-        assert l2.bank_busy_cycles(100.0) == 0.0
 
 
 class TestSkipRunProvenance:

@@ -36,7 +36,6 @@ from repro.errors import SimulationError, TraceInvarianceError
 from repro.experiments import runner
 from repro.isa.instructions import CmpOp, IssueKind, MemSpace, Special
 from repro.simt.block import ThreadBlock
-from repro.simt.executor import FunctionalExecutor
 from repro.simt.warp import Warp, WarpStatus
 from repro.sm.lsu import coalesce_lines
 from repro.trace.format import WarpStream
@@ -45,6 +44,7 @@ from repro.trace.recorder import TraceRecorder
 from repro.workloads.registry import WORKLOADS
 from tests.fixtures import racy_workload
 from tests.oracles import run_in_place
+from tests.reference import FunctionalExecutor
 from tests.test_prop_programs import _blocks, _emit
 
 LINE = 128
