@@ -29,7 +29,8 @@ from .workloads import workload_names
 
 class CellOptions:
     """The options that pick one simulated cell, each defined here once: a
-    workload (flag or positional), a scheme, ``--scale`` and ``--fermi``.
+    workload (flag or positional), a scheme, ``--scale`` and ``--fermi``;
+    and ``--jobs``, the processes a grid of cells runs on.
 
     ``register`` functions get this class as ``common`` and add the
     options where their parser lists them; :meth:`cell` adds all four in
@@ -62,6 +63,13 @@ class CellOptions:
         parser.add_argument("--fermi", action="store_true",
                             help="use the full Table 1 GTX480 configuration (slow)")
 
+    @staticmethod
+    def jobs(parser: argparse._ActionsContainer) -> None:
+        parser.add_argument(
+            "--jobs", type=_at_least_one, default=None, metavar="N",
+            help="processes the grid runs on, this one included (default: "
+            "the usable cores; 1 runs it in this process)")
+
     @classmethod
     def cell(cls, parser: argparse._ActionsContainer, positional: bool = False,
              scheme: str = "rr", scheme_help: Optional[str] = None) -> None:
@@ -70,6 +78,13 @@ class CellOptions:
         cls.scheme(parser, positional, scheme, scheme_help)
         cls.scale(parser)
         cls.fermi(parser)
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,6 +30,7 @@ def register(subparsers, common) -> None:
     sub.add_argument("--metric", default="ipc", choices=["ipc", "mpki", "cycles"])
     common.scale(sub)
     common.fermi(sub)
+    common.jobs(sub)
     sub.add_argument(
         "--sampled", nargs="?", const=True, default=False, metavar="SPEC",
         help="statistical replay: estimate each cell from a sampled subset "
@@ -82,7 +83,7 @@ def register(subparsers, common) -> None:
     sub.add_argument("--workloads", default="",
                      help="comma-separated list for --compare")
     common.scale(sub)
-    sub.add_argument("--parallel", action="store_true")
+    common.jobs(sub)
     common.fermi(sub)
     sub.set_defaults(handler=cmd_schemes)
 
@@ -136,7 +137,8 @@ def cmd_sweep(args) -> int:
     sampled = False if args.exact else args.sampled
     start = runner.cells_simulated()
     results = runner.run_sweep(workloads, schemes, scale=args.scale,
-                               config=args.config, sampled=sampled)
+                               config=args.config, sampled=sampled,
+                               jobs=args.jobs)
     metric = {"ipc": lambda r: round(r.ipc, 3),
               "mpki": lambda r: round(r.l1_mpki, 2),
               "cycles": lambda r: int(r.cycles)}[args.metric]
@@ -160,8 +162,9 @@ def cmd_sweep(args) -> int:
             rows.append(row)
         print(f"\nsampled 95% CI half-width ({args.metric}):")
         print(format_table(["workload"] + schemes, rows))
-    # This invocation's work only: a cell the memo or the disk cache
-    # answered keeps the provenance of the run that made it.
+    # This invocation's work only, whichever process simulated it: a cell
+    # the memo or the disk cache answered keeps the provenance of the run
+    # that made it.
     ran = [r for r in results.values() if r.cell_serial > start]
     recorded = sum(r.recorded for r in ran)
     cached = len(results) - len(ran)
@@ -257,7 +260,7 @@ def cmd_schemes(args) -> int:
                      else list(schemes_table.DEFAULT_WORKLOADS))
         results = schemes_table.schemes_head_to_head(
             workloads, scale=args.scale, config=args.config,
-            parallel=args.parallel)
+            jobs=args.jobs)
         print(schemes_table.format_head_to_head(results, workloads))
         return 0
     print("Registered warp schedulers (see docs/schemes.md):")

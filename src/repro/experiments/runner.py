@@ -11,8 +11,9 @@ Results are memoized at two levels:
   on the full config fingerprint plus the package version and invalidate
   automatically when either changes.
 
-:func:`run_sweep` can additionally fan the (workload x scheme) grid over a
-process pool (``parallel=True``); workers share the disk cache.
+:func:`run_sweep` resolves a grid as one plan: cache hits, an alias simulated
+once, each missing trace recorded once, the rest spread over this process
+and ``jobs - 1`` forked helpers sharing the disk caches.
 
 A third layer sits under both: the persistent **trace** store
 (``.repro_cache/traces/``, keyed on the functional fingerprint only; see
@@ -27,20 +28,20 @@ verify its outputs, store it — and then replays it like any other cell.  Timin
 because traces ignore timing-only knobs a scheme sweep pays for one
 functional pass per workload.
 
-With ``config.sampling != "off"`` (see :mod:`repro.sampling` and
-``docs/sampling.md``) the trace path replays only the config-selected
-subset of blocks or warp intervals and returns a
-:class:`~repro.stats.sampling.SampledRunResult` — extrapolated metrics
-with per-metric 95% confidence intervals.  ``run_sweep(sampled=True)``
-drives this per workload from the calibrated safe-rate table
-(``repro sample calibrate``); sampled and exact results live under
-distinct result-cache keys because ``sampling`` is part of the config
-fingerprint.
+With ``config.sampling != "off"`` (:mod:`repro.sampling`,
+``docs/sampling.md``) a cell replays a subset of blocks or warp intervals
+and returns a :class:`~repro.stats.sampling.SampledRunResult` with 95%
+confidence intervals; ``sampling`` is in the config fingerprint, so
+sampled and exact results never share a cache entry.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
+import math
 import os
+import threading
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -70,12 +71,13 @@ _simulated = 0
 
 
 def cells_simulated() -> int:
-    """How many cells :func:`simulate_cell` has simulated in this process.
+    """How many cells :func:`simulate_cell` has simulated for this process
+    (a sweep's helpers included: their results are numbered on arrival).
 
-    Each result it makes carries its number as ``RunResult.cell_serial``,
-    which a memo or disk-cache hit keeps (0 when another process made it):
-    read before a call, this count tells the cells that call simulated
-    from the ones a cache answered.
+    Each result carries its number as ``RunResult.cell_serial``, which a
+    memo or disk-cache hit keeps (0 when another process made it): read
+    before a call, this count tells the cells it simulated from the ones a
+    cache answered.
     """
     return _simulated
 
@@ -87,13 +89,48 @@ def _numbered(result: RunResult) -> RunResult:
     return result
 
 
-def _memoised(key: Tuple, check: bool) -> Optional[RunResult]:
-    """The memo's entry for ``key`` if it may answer a ``check`` caller."""
-    cached = _CACHE.get(key)
-    if not _serves(cached, check):
-        return None
-    _CACHE.move_to_end(key)
-    return cached
+def _cache_keys(workload: str, scheme: str, scale: float, base: GPUConfig,
+                with_accuracy: bool = False, with_reuse: bool = False,
+                use_cache: bool = True, persistent: bool = True,
+                **workload_kwargs) -> Tuple[Optional[Tuple], Optional[str]]:
+    """A :func:`run_scheme` call's memo and result-cache keys, ``None``
+    where it does not cache.  The config fingerprint is in the memo key, or
+    runs differing only in, say, sampling would share an entry."""
+    if not use_cache or workload_kwargs:
+        return None, None
+    key = (workload, scheme, scale, with_accuracy, with_reuse, (),
+           base.fingerprint())
+    if not persistent or with_reuse:
+        return key, None
+    return key, result_cache.cache_key(
+        workload, scheme, scale, apply_scheme(base, scheme).fingerprint(),
+        with_accuracy)
+
+
+def _lookup(key: Optional[Tuple], disk_key: Optional[str],
+            check: bool) -> Optional[RunResult]:
+    """The memo's, else the result cache's (memoised), answer for a
+    ``check`` caller.  ``check`` is in neither key: a verified result
+    serves every caller, an unverified one is a checking caller's miss."""
+    cached = _CACHE.get(key)  # no entry is keyed None
+    if _serves(cached, check):
+        _CACHE.move_to_end(key)
+        return cached
+    if disk_key is not None:
+        cached = result_cache.load(disk_key)
+        if _serves(cached, check):
+            _memoise(key, cached)
+            return cached
+    return None
+
+
+def _keep(key: Optional[Tuple], disk_key: Optional[str],
+          result: RunResult) -> None:
+    """Memoise ``result`` and store it under whichever keys are given."""
+    if key is not None:
+        _memoise(key, result)
+    if disk_key is not None:
+        result_cache.store(disk_key, result)
 
 
 def _memoise(key: Tuple, result: RunResult) -> None:
@@ -183,29 +220,12 @@ def run_scheme(
     which duck-type the live blocks for every analysis in this package.
     """
     base = config or GPUConfig.default_sim()
-    # The config fingerprint is part of the memo key: without it, two runs
-    # differing only in fingerprinted knobs (cache geometry, sampling, ...)
-    # would alias to the same in-process entry.
-    key = (workload, scheme, scale, with_accuracy, with_reuse,
-           tuple(sorted(workload_kwargs.items())), base.fingerprint())
-    cacheable = use_cache and not workload_kwargs
-    # ``check`` is not part of either key: a verified result serves every
-    # caller.  One that no run verified is a miss for a checking caller,
-    # who simulates (or replays a verified trace) and overwrites it.
-    memoised = _memoised(key, check) if cacheable else None
-    if memoised is not None:
-        return memoised
-
-    disk_key = None
-    if cacheable and persistent and not with_reuse:
-        disk_key = result_cache.cache_key(
-            workload, scheme, scale, apply_scheme(base, scheme).fingerprint(),
-            with_accuracy,
-        )
-        cached = result_cache.load(disk_key)
-        if _serves(cached, check):
-            _memoise(key, cached)
-            return cached
+    key, disk_key = _cache_keys(workload, scheme, scale, base, with_accuracy,
+                                with_reuse, use_cache, persistent,
+                                **workload_kwargs)
+    cached = _lookup(key, disk_key, check)
+    if cached is not None:
+        return cached
 
     accuracy_tracker = CriticalityAccuracyTracker() if with_accuracy else None
     reuse_profiler = ReuseDistanceProfiler() if with_reuse else None
@@ -224,10 +244,7 @@ def run_scheme(
         result.extra["cpl_accuracy"] = accuracy_tracker.accuracy(result)
     if reuse_profiler is not None:
         result.extra["reuse_profiler"] = reuse_profiler
-    if cacheable:
-        _memoise(key, result)
-    if disk_key is not None:
-        result_cache.store(disk_key, result)
+    _keep(key, disk_key, result)
     return result
 
 
@@ -270,13 +287,11 @@ def simulate_cell(
             # conservative default.
             envelope, source = sampling_calibrate.envelope_for(
                 workload, cfg.sampling)
-            return replay_sampled(
-                program, cfg, scheme=scheme, oracle=oracle, bus=bus,
-                envelope_rel=envelope, envelope_source=source,
-            )
-        return trace_mod.replay_program(
-            program, cfg, scheme=scheme, oracle=oracle, bus=bus,
-        )[-1]
+            return replay_sampled(program, cfg, scheme=scheme, oracle=oracle,
+                                  bus=bus, envelope_rel=envelope,
+                                  envelope_source=source)
+        return trace_mod.replay_program(program, cfg, scheme=scheme,
+                                        oracle=oracle, bus=bus)[-1]
 
     # Timing is a replay either way; a cold cell's says so.
     result = trace_mod.replay_recorded(program, replay) if fresh else replay()
@@ -290,13 +305,8 @@ def _serves(cached: Optional[RunResult], check: bool) -> bool:
     return cached is not None and (cached.verified or not check)
 
 
-def _load_program(
-    workload: str,
-    scale: float,
-    cfg: GPUConfig,
-    kwargs: Optional[dict],
-    check: bool,
-):
+def _load_program(workload: str, scale: float, cfg: GPUConfig,
+                  kwargs: Optional[dict], check: bool):
     """The stored trace for one cell, or ``None`` when it must be
     (re-)recorded: a miss, or a ``check=True`` caller finding a trace
     whose functional pass skipped verification — replay computes no lane
@@ -307,14 +317,8 @@ def _load_program(
     return program
 
 
-def _record_program(
-    workload: str,
-    scheme: str,
-    scale: float,
-    cfg: GPUConfig,
-    kwargs: Optional[dict],
-    check: bool,
-):
+def _record_program(workload: str, scheme: str, scale: float, cfg: GPUConfig,
+                    kwargs: Optional[dict], check: bool):
     """What a trace miss (no trace, a stale or corrupt one, or one nobody
     verified when the caller asked for verification) costs: build the
     workload, run the functional pass, verify, store."""
@@ -324,13 +328,8 @@ def _record_program(
     return program
 
 
-def load_or_record_program(
-    workload: str,
-    scheme: str,
-    scale: float,
-    config: GPUConfig,
-    check: bool = True,
-):
+def load_or_record_program(workload: str, scheme: str, scale: float,
+                           config: GPUConfig, check: bool = True):
     """The stored trace of ``(workload, scale)``, recorded first if the
     store misses (or holds one ``check`` cannot accept).
 
@@ -343,7 +342,8 @@ def load_or_record_program(
 
 
 #: ``run_scheme`` keyword parameters; anything else in ``run_sweep``'s
-#: ``**kwargs`` is a workload kwarg and disables disk-cache fan-out.
+#: ``**kwargs`` is a workload kwarg, which keeps a cell out of the result
+#: caches.
 _RUN_SCHEME_KWARGS = frozenset(
     ("check", "with_accuracy", "with_reuse", "use_cache", "persistent")
 )
@@ -353,12 +353,10 @@ def _validate_sweep_kwargs(kwargs: Dict, workloads: List[str]) -> None:
     """Reject ``run_sweep`` kwargs that neither :func:`run_scheme` nor any
     swept workload constructor would accept.
 
-    Without this check a typo (``with_acuracy=True``) silently rides the
-    ``**workload_kwargs`` channel into every workload constructor and only
-    fails — confusingly, or not at all — deep inside ``make_workload``.
-    Validation is best-effort permissive: if any swept workload's factory
-    cannot be introspected or takes ``**kwargs`` itself, unknown names are
-    allowed through (the factory is the authority then).
+    Else a typo (``with_acuracy=True``) rides into every workload
+    constructor and fails, if at all, deep inside ``make_workload``.  A
+    factory that cannot be introspected or takes ``**kwargs`` lets unknown
+    names through (it is the authority then).
     """
     unknown = [k for k in kwargs if k not in _RUN_SCHEME_KWARGS]
     if not unknown:
@@ -389,58 +387,189 @@ def _validate_sweep_kwargs(kwargs: Dict, workloads: List[str]) -> None:
             f"run_sweep() got unexpected keyword argument(s) {names}: "
             f"not a run_scheme option ({sorted(_RUN_SCHEME_KWARGS)}) and not "
             f"a constructor parameter of any swept workload "
-            f"({sorted(set(workloads))})"
-        )
+            f"({sorted(set(workloads))})")
 
 
-def _dedupe_parallel_cells(
-    cells: List[Tuple[str, str]],
-    base_for,
-) -> List[List[Tuple[str, str]]]:
-    """Group grid cells that resolve to the same simulation execution.
-
-    Two cells share an execution when their workload matches and their
-    scheme names resolve — via :func:`~repro.core.cawa.apply_scheme` — to
-    configs with identical result-cache fingerprints (duplicate grid
-    entries, or scheme aliases).  Dispatching both would simulate the same
-    cell twice; the parallel sweep submits one representative per group
-    (the first cell, preserving grid order) and fans the shared result
-    back out.  This is the library-level half of the request coalescing
-    that :mod:`repro.serve` performs across tenants.
-
-    ``base_for`` maps a workload name to its base config — sampled sweeps
-    give each workload its own calibrated sampling rate, so the base is no
-    longer grid-wide.
-    """
-    groups: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
-    order: List[Tuple[str, str]] = []
-    fingerprints: Dict[Tuple[str, str], str] = {}
-    for workload, scheme in cells:
-        cell = (workload, scheme)
-        if cell not in fingerprints:
-            fingerprints[cell] = apply_scheme(
-                base_for(workload), scheme
-            ).fingerprint()
-        key = (workload, fingerprints[cell])
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [cell]
-            order.append(key)
-        elif cell not in group:
-            group.append(cell)
-    return [groups[key] for key in order]
+Cell = Tuple[str, str]
 
 
-def _sweep_worker(args: Tuple) -> Tuple[Tuple[str, str], Dict]:
-    """Process-pool worker: run one cell, return it in plain-dict form.
+def _dedupe(cells: Iterable[Cell], base_for) -> List[List[Cell]]:
+    """Group cells of one execution (a workload and equal
+    :func:`~repro.core.cawa.apply_scheme` fingerprints: duplicates, scheme
+    aliases) in grid order; a group's first cell is the one simulated.
+    ``base_for`` maps a workload to its (per-workload sampled) base."""
+    groups: Dict[Tuple[str, str], List[Cell]] = {}
+    for workload, scheme in dict.fromkeys(cells):
+        fingerprint = apply_scheme(base_for(workload), scheme).fingerprint()
+        groups.setdefault((workload, fingerprint), []).append((workload, scheme))
+    return list(groups.values())
 
-    Module-level (picklable by name); returns ``result.to_dict()`` rather
-    than the live :class:`RunResult` so heavy simulator objects never cross
-    the process boundary.  The worker also populates the shared disk cache.
-    """
-    workload, scheme, scale, config, kwargs = args
+
+class _Plan:
+    """A sweep's misses (:func:`_dedupe` groups) in the order they may run:
+    a ``caws`` unit waits for its workload's ``rr`` unit (the oracle's
+    profile).  A workload with no usable trace records it in its first
+    unit (as one process would), and its other units wait for that one."""
+
+    def __init__(self, units: List[List[Cell]], scale: float, base_for,
+                 workload_kwargs: Optional[dict], check: bool) -> None:
+        self.after: List[set] = [set() for _ in units]
+        self.recorders = set()
+        self.workload = [unit[0][0] for unit in units]
+        for workload in dict.fromkeys(self.workload):
+            indexes = [i for i, w in enumerate(self.workload) if w == workload]
+            base = base_for(workload)
+            rr = [i for i in indexes if (workload, "rr") in units[i]]
+            for i in indexes:
+                if rr and i != rr[0] and apply_scheme(
+                        base, units[i][0][1]).scheduler_name == "caws":
+                    self.after[i].add(rr[0])
+            if len(indexes) > 1 and _load_program(
+                    workload, scale, base, workload_kwargs, check) is None:
+                # The first miss, or the profile a caws first miss runs first.
+                first = next(iter(self.after[indexes[0]]), indexes[0])
+                self.recorders.add(first)
+                for i in indexes:
+                    self.after[i].update({first} - {i})
+        self.ready = [i for i, waits in enumerate(self.after) if not waits]
+        self.work: Dict[str, float] = {}  # a workload's costliest cell
+        self.left = len(units)
+        self.arrived: List[Tuple[int, concurrent.futures.Future]] = []
+        self.cv = threading.Condition()
+
+    def _take(self) -> Optional[int]:
+        """The next eligible unit: recording ones, then the costliest (else
+        unrun) workload's, so a sweep ends on its cheapest cells."""
+        if not self.ready:
+            return None
+        index = min(self.ready, key=lambda i: (
+            i not in self.recorders, -self.work.get(self.workload[i], math.inf), i))
+        self.ready.remove(index)
+        return index
+
+    def _done(self, index: int, work: float) -> None:
+        self.left -= 1
+        workload = self.workload[index]
+        self.work[workload] = max(self.work.get(workload, 0.0), work)
+        for i, waits in enumerate(self.after):
+            if index in waits:
+                waits.discard(index)
+                if not waits:
+                    self.ready.append(i)
+
+    def run(self, here, submit, arrive, helpers: int) -> None:
+        """Run each unit by ``here(index)`` in this thread, which waits only
+        when none is eligible, or by ``submit(pool, index)`` on one of
+        ``helpers`` forked processes, each handed its next unit by the
+        completion callback of its last; ``arrive`` takes in their values."""
+        pool = helpers and concurrent.futures.ProcessPoolExecutor(helpers)
+        self.idle = helpers
+
+        def returned(index: int, future: concurrent.futures.Future) -> None:
+            with self.cv:
+                self.arrived.append((index, future))
+                self.idle += 1
+                if not future.cancelled() and future.exception() is None:
+                    self._done(index, future.result()[-1])
+                self.cv.notify()
+            hand()
+
+        def hand() -> None:
+            while True:
+                with self.cv:
+                    index = self._take() if self.idle > 0 else None
+                    if index is None:
+                        return
+                    self.idle -= 1
+                submit(pool, index).add_done_callback(
+                    functools.partial(returned, index))
+
+        try:
+            while True:
+                with self.cv:
+                    self.cv.wait_for(
+                        lambda: self.ready or self.arrived or not self.left)
+                    arrived, self.arrived = self.arrived, []
+                    index, left = self._take(), self.left
+                for i, future in arrived:
+                    arrive(i, future.result())  # re-raises a helper's error
+                if index is not None:
+                    hand()
+                    work = here(index)
+                    with self.cv:
+                        self._done(index, work)
+                elif not left:
+                    return
+        finally:
+            with self.cv:
+                self.idle = -helpers  # hand no more
+            if pool:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _work(result: RunResult) -> float:
+    """A cell's replay cost, to order a sweep by: issues plus loop steps."""
+    return result.warp_instructions + result.cycles
+
+
+def _sweep_worker(workload: str, scheme: str, scale: float, config: GPUConfig,
+                  kwargs: Dict) -> Tuple[Dict, bool, float]:
+    """A helper's cell as plain data (no simulator object crosses processes),
+    whether this call simulated it, and its :func:`_work`."""
+    before = _simulated
     result = run_scheme(workload, scheme, scale=scale, config=config, **kwargs)
-    return (workload, scheme), result.to_dict()
+    return result.to_dict(), result.cell_serial > before, _work(result)
+
+
+def _resolve(cells: List[Cell], scale: float, base_for, jobs: Optional[int],
+             kwargs: Dict) -> Dict[Cell, RunResult]:
+    """Simulate a grid as one plan: cache hits, then the misses deduped
+    (:func:`_dedupe`) and drawn from one queue (:class:`_Plan`) by this
+    process, which memoises every result, and ``jobs - 1`` forked helpers.
+    It runs alone when ``jobs`` (capped at the misses) is 1, with a reuse
+    profiler (a live object) or with the disk cache off (a helper's trace
+    could not reach the other processes)."""
+    check = kwargs.get("check", True)
+    options = {k: v for k, v in kwargs.items() if k != "check"}
+    keys = {cell: _cache_keys(*cell, scale, base_for(cell[0]), **options)
+            for cell in dict.fromkeys(cells)}
+    results = {cell: _lookup(*keys[cell], check) for cell in keys}
+    units = _dedupe([c for c in keys if results[c] is None], base_for)
+    if jobs is None:  # the usable cores
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    helpers = (0 if kwargs.get("with_reuse") or not result_cache.enabled()
+               else min(jobs, len(units)) - 1)
+
+    def answer(index: int, result: RunResult, ran_here: bool) -> None:
+        for member, cell in enumerate(units[index]):
+            results[cell] = result
+            if member or not ran_here:  # run_scheme kept the cell it ran,
+                key, disk_key = keys[cell]  # a helper's its cache entry
+                _keep(key, disk_key if member else None, result)
+
+    def here(index: int) -> float:
+        workload, scheme = units[index][0]
+        result = run_scheme(workload, scheme, scale=scale,
+                            config=base_for(workload), **kwargs)
+        answer(index, result, True)
+        return _work(result)
+
+    def submit(pool, index: int) -> concurrent.futures.Future:
+        workload, scheme = units[index][0]
+        return pool.submit(_sweep_worker, workload, scheme, scale,
+                           base_for(workload), kwargs)
+
+    def arrive(index: int, returned: Tuple[Dict, bool, float]) -> None:
+        result = result_from_dict(returned[0])
+        answer(index, _numbered(result) if returned[1] else result, False)
+
+    if units:
+        workload_kwargs = {k: v for k, v in kwargs.items()
+                           if k not in _RUN_SCHEME_KWARGS} or None
+        _Plan(units, scale, base_for, workload_kwargs, check).run(
+            here, submit, arrive, helpers)
+    return results
 
 
 def run_sweep(
@@ -448,9 +577,8 @@ def run_sweep(
     schemes: Iterable[str],
     scale: float = 1.0,
     config: Optional[GPUConfig] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     sampled=False,
+    jobs: Optional[int] = None,
     **kwargs,
 ) -> Dict[Tuple[str, str], RunResult]:
     """Run the full (workload x scheme) grid.
@@ -461,146 +589,48 @@ def run_sweep(
     anything else forwards as a workload constructor kwarg (e.g.
     ``balanced=True`` for bfs).  A name that is neither raises
     :class:`TypeError` naming the offending key up front, instead of
-    surfacing later as an opaque constructor failure inside a worker.
+    surfacing later as an opaque constructor failure inside a helper.
 
     ``sampled`` selects statistical trace replay (:mod:`repro.sampling`):
-    ``True`` looks up each workload's calibrated safe rate from the
-    ``repro sample calibrate`` table (uncalibrated workloads use the
-    conservative :data:`~repro.sampling.calibrate.DEFAULT_SPEC`; workloads
-    whose calibration *failed* its error target run exactly — the escape
-    hatch ``sampled=False`` / CLI ``--exact`` forces exact runs
-    everywhere).  A spec string (``"blocks:0.25"``) applies one rate to
-    every workload.  Sampled cells return
-    :class:`~repro.stats.sampling.SampledRunResult` and compose with the
-    result cache and ``parallel=True`` dedupe.
+    ``True`` uses each workload's calibrated safe rate (``repro sample
+    calibrate``; uncalibrated workloads use the conservative
+    :data:`~repro.sampling.calibrate.DEFAULT_SPEC`, failed ones run
+    exactly), a spec string (``"blocks:0.25"``) one rate everywhere.
+    Sampled cells return :class:`~repro.stats.sampling.SampledRunResult`.
 
-    With ``parallel=True`` the grid fans out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor` (``max_workers``
-    defaults to ``min(len(grid), os.cpu_count())``).  Parallel results come
-    back deserialized — their ``blocks`` are
-    :class:`~repro.stats.counters.BlockSummary` snapshots — and are entered
-    into this process's memoization cache so follow-up ``run_scheme`` calls
-    hit.  A reuse profiler is a live object that cannot cross process
-    boundaries; ``with_reuse=True`` forces the serial path.
+    The grid is one plan (:func:`_resolve`) on ``jobs`` processes, this
+    one included: ``None`` means the usable cores, ``1`` this one only.  A
+    helper's result comes back with
+    :class:`~repro.stats.counters.BlockSummary` blocks, as a disk hit's.
     """
-    workloads = list(workloads)
-    schemes = list(schemes)
+    for knob in ("parallel", "max_workers"):
+        if knob in kwargs:
+            raise TypeError(
+                f"run_sweep() no longer takes {knob}=: pass jobs=N, the "
+                f"processes the sweep runs on (None: the usable cores)")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be None or at least 1, got {jobs!r}")
+    workloads, schemes = list(workloads), list(schemes)
     _validate_sweep_kwargs(kwargs, workloads)
-    grid = [(w, s) for w in workloads for s in schemes]
-    results: Dict[Tuple[str, str], RunResult] = {}
-
+    base = config or GPUConfig.default_sim()
+    configs = dict.fromkeys(workloads, base)
     if sampled:
         from ..sampling import calibrate as sampling_calibrate
 
-        base = config or GPUConfig.default_sim()
-        configs: Dict[str, GPUConfig] = {}
         for workload in workloads:
-            if isinstance(sampled, str):
-                spec: Optional[str] = sampled
-            else:
-                spec, _, _ = sampling_calibrate.lookup(workload)
-            if spec is None:
-                # Calibration failed its target for this workload: exact.
-                configs[workload] = base.with_sampling("off")
-            else:
-                configs[workload] = base.with_sampling(spec)
-        _config_for = configs.__getitem__
-    else:
-        base = config or GPUConfig.default_sim()
-
-        def _config_for(workload: str) -> GPUConfig:
-            return base
-
-    if parallel and len(grid) > 1 and not kwargs.get("with_reuse", False):
-        import concurrent.futures
-
-        use_cache = kwargs.get("use_cache", True)
-        with_accuracy = kwargs.get("with_accuracy", False)
-
-        def _cell_key(workload: str, scheme: str) -> Tuple:
-            return (workload, scheme, scale, with_accuracy,
-                    kwargs.get("with_reuse", False), (),
-                    _config_for(workload).fingerprint())
-
-        # Disk entries are read and written under the same conditions
-        # run_scheme itself uses for persistence.
-        fan_disk = (use_cache
-                    and kwargs.get("persistent", True)
-                    and not kwargs.get("with_reuse", False)
-                    and all(k in _RUN_SCHEME_KWARGS for k in kwargs))
-
-        def _disk_key(workload: str, scheme: str) -> str:
-            return result_cache.cache_key(
-                workload, scheme, scale,
-                apply_scheme(_config_for(workload), scheme).fingerprint(),
-                with_accuracy,
-            )
-
-        check = kwargs.get("check", True)
-        pending: List[Tuple[str, str]] = []
-        for workload, scheme in grid:
-            cell = (workload, scheme)
-            if cell in results or cell in pending:
-                continue
-            found = (_memoised(_cell_key(workload, scheme), check)
-                     if use_cache else None)
-            if found is None and fan_disk:
-                # A disk hit is a JSON read: this process does it, and
-                # only the misses are worth a worker.
-                found = result_cache.load(_disk_key(workload, scheme))
-                if _serves(found, check):
-                    _memoise(_cell_key(workload, scheme), found)
-                else:
-                    found = None
-            if found is not None:
-                results[cell] = found
-            else:
-                pending.append(cell)
-        if pending:
-            # Cells sharing an execution fingerprint (duplicates, scheme
-            # aliases) run once; every member of the group gets the result.
-            groups = _dedupe_parallel_cells(pending, _config_for)
-            submit = [(g[0][0], g[0][1], scale, _config_for(g[0][0]), kwargs)
-                      for g in groups]
-            workers = max_workers or min(len(submit), os.cpu_count() or 1)
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                for group, (cell, data) in zip(
-                    groups, pool.map(_sweep_worker, submit)
-                ):
-                    result = result_from_dict(data)
-                    for workload, scheme in group:
-                        results[(workload, scheme)] = result
-                        if use_cache:
-                            _memoise(_cell_key(workload, scheme), result)
-                        # Alias cells also get their own disk-cache entries
-                        # so later serial run_scheme calls hit.
-                        if fan_disk and (workload, scheme) != cell:
-                            result_cache.store(_disk_key(workload, scheme),
-                                               result)
-        return results
-
-    for workload, scheme in grid:
-        results[(workload, scheme)] = run_scheme(
-            workload, scheme, scale=scale, config=_config_for(workload),
-            **kwargs
-        )
-    return results
+            spec = (sampled if isinstance(sampled, str)
+                    else sampling_calibrate.lookup(workload)[0])
+            # No spec: calibration failed its target here, so exact.
+            configs[workload] = base.with_sampling(spec or "off")
+    grid = [(w, s) for w in workloads for s in schemes]
+    return _resolve(grid, scale, configs.__getitem__, jobs, kwargs)
 
 
-def sweep_table(
-    results: Dict[Tuple[str, str], RunResult],
-    workloads: List[str],
-    schemes: List[str],
-    metric,
-    header: str,
-) -> str:
+def sweep_table(results: Dict[Cell, RunResult], workloads: List[str],
+                schemes: List[str], metric, header: str) -> str:
     """Render a sweep as a workload-by-scheme text table."""
-    rows = []
-    for workload in workloads:
-        row = [workload]
-        for scheme in schemes:
-            row.append(metric(results[(workload, scheme)]))
-        rows.append(row)
+    rows = [[workload] + [metric(results[(workload, scheme)])
+                          for scheme in schemes] for workload in workloads]
     return format_table([header] + schemes, rows)
 
 

@@ -33,16 +33,18 @@ def schemes_head_to_head(
     workloads: Optional[Iterable[str]] = None,
     scale: float = 1.0,
     config: Optional[GPUConfig] = None,
-    parallel: bool = False,
+    jobs: Optional[int] = None,
 ) -> Dict[Tuple[str, str], RunResult]:
-    """Run the head-to-head grid; returns ``{(workload, scheme): result}``."""
+    """Run the head-to-head grid on ``jobs`` processes (see
+    :func:`~repro.experiments.runner.run_sweep`); returns
+    ``{(workload, scheme): result}``."""
     wl = list(workloads) if workloads is not None else list(DEFAULT_WORKLOADS)
     return run_sweep(
         wl,
         list(HEAD_TO_HEAD_SCHEMES),
         scale=scale,
         config=config,
-        parallel=parallel,
+        jobs=jobs,
     )
 
 

@@ -50,8 +50,8 @@ class ServerConfig:
             before being evicted oldest-first.
         cache_dir: explicit ``.repro_cache`` override handed to executor
             processes (``None``: workers inherit the server's resolution).
-        sweep_parallel: let sweep jobs fan out with
-            ``run_sweep(parallel=True)`` *inside* their executor process.
+        sweep_parallel: let a sweep job spread its grid over the usable
+            cores (``run_sweep(jobs=None)``) *inside* its executor process.
             Off by default: the worker pool is already the parallelism
             budget, and nesting pools multiplies processes.
     """

@@ -99,7 +99,7 @@ def _sweep_job(spec: JobSpec, writer: ProgressWriter,
 
         results = run_sweep(
             list(spec.workloads), list(spec.schemes), scale=spec.scale,
-            config=base, parallel=True, check=spec.check,
+            config=base, jobs=None, check=spec.check,
         )
         for (workload, scheme), result in results.items():
             writer.emit("cell", workload=workload, scheme=scheme,
@@ -108,8 +108,8 @@ def _sweep_job(spec: JobSpec, writer: ProgressWriter,
                           "result": result.to_dict()})
     else:
         # Serial grid with a progress record per finished cell; the
-        # in-process memo plus the shared disk cache give the same
-        # dedup/reuse behaviour as run_sweep.
+        # in-process memo plus the shared disk cache reuse what run_sweep
+        # would (only its alias dedupe is missing here).
         from ..experiments.runner import run_scheme
 
         for workload in spec.workloads:

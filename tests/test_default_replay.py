@@ -15,6 +15,7 @@ recorded.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import re
@@ -137,11 +138,24 @@ class TestDefaultPath:
 
     def test_sweep_records_once_per_workload(self, executions):
         workloads = ["bfs", TINY]
-        results = run_sweep(workloads, ["gto", "rr", "cawa"], scale=SMALL)
+        # One process, so that the spy sees every functional pass.
+        results = run_sweep(workloads, ["gto", "rr", "cawa"], scale=SMALL,
+                            jobs=1)
         recorded = [cell for cell, r in results.items() if r.recorded]
         assert recorded == [(w, "gto") for w in workloads]
         assert executions.passes == [_stored_records(w, SMALL) for w in workloads]
         assert executions.in_place == []
+
+    def test_sweep_on_two_processes_records_once_per_workload(self):
+        """The same claim where a helper process does part of the work:
+        its functional passes show in ``recorded`` and in the store."""
+        workloads = ["bfs", TINY]
+        results = run_sweep(workloads, ["gto", "rr", "cawa"], scale=SMALL,
+                            jobs=2)
+        recorded = [cell for cell, r in results.items() if r.recorded]
+        assert recorded == [(w, "gto") for w in workloads]
+        assert sorted(info.workload for _, info in trace_mod.list_traces()) \
+            == sorted(workloads)
 
     def test_events_on(self, executions):
         recorded, _ = record_events("bfs", "cawa", scale=SMALL)
@@ -300,29 +314,32 @@ class TestVerified:
         runner.clear_cache()
         with pytest.raises(AssertionError, match="verification failed"):
             run_scheme(TINY, "rr", scale=TINY_SCALE)
-        # The parallel sweep's own memo lookup goes through the same gate
-        # (its pool stubbed in-process: the patched ``verify`` must apply).
+        # A sweep on two processes goes through the same gate (its pool
+        # stubbed in-process: the patched ``verify`` must apply).
         class InProcessPool:
             def __init__(self, max_workers=None):
                 pass
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         memo = {s: run_scheme(TINY, s, scale=TINY_SCALE, check=False)
                 for s in ("rr", "gto")}
         assert memo["rr"].cycles == wrong.cycles and not memo["rr"].verified
-        served = run_sweep([TINY], ["rr", "gto"], scale=TINY_SCALE, parallel=True,
+        served = run_sweep([TINY], ["rr", "gto"], scale=TINY_SCALE, jobs=2,
                            check=False)
         assert all(served[(TINY, s)] is memo[s] for s in memo)
         with pytest.raises(AssertionError, match="verification failed"):
-            run_sweep([TINY], ["rr", "gto"], scale=TINY_SCALE, parallel=True)
+            run_sweep([TINY], ["rr", "gto"], scale=TINY_SCALE, jobs=2)
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +410,12 @@ class TestCliReportsThePathTaken:
     def test_sweep_footer_counts_both(self, capsys):
         assert main(["sweep", "--workloads", "synthetic_imbalance,synthetic_divergence",
                      "--schemes", "rr,gto,cawa", "--scale", "0.5"]) == 0
+        assert capsys.readouterr().out.strip().endswith("recorded 2, replayed 4")
+
+    def test_sweep_footer_counts_a_helpers_cells(self, capsys):
+        """A cell a helper process simulated counts as this sweep's work."""
+        assert main(["sweep", "--workloads", "synthetic_imbalance,synthetic_divergence",
+                     "--schemes", "rr,gto,cawa", "--scale", "0.5", "--jobs", "2"]) == 0
         assert capsys.readouterr().out.strip().endswith("recorded 2, replayed 4")
 
     def test_sweep_footer_counts_cache_hits_apart(self, capsys):

@@ -5,7 +5,7 @@ import pytest
 from repro.config import GPUConfig
 from repro.experiments import result_cache, runner
 from repro.experiments.runner import (
-    _dedupe_parallel_cells,
+    _dedupe,
     build_oracle,
     run_scheme,
     run_sweep,
@@ -120,7 +120,7 @@ class TestMemoIsBounded:
     def test_parallel_sweep_results_enter_the_same_bounded_memo(self, monkeypatch):
         monkeypatch.setattr(runner, "_CACHE_CAP", 2)
         results = run_sweep([self.TINY], ["rr", "gto", "cawa"], scale=SCALE,
-                            parallel=True, max_workers=2)
+                            jobs=2)
         assert len(results) == 3 and len(runner._CACHE) == 2
         assert run_scheme(self.TINY, "cawa", scale=SCALE) is results[(self.TINY, "cawa")]
 
@@ -200,14 +200,14 @@ class TestParallelSweepDedupe:
 
     def test_duplicate_cells_collapse_to_one_group(self):
         base = GPUConfig.default_sim()
-        groups = _dedupe_parallel_cells(
+        groups = _dedupe(
             [("bfs", "rr"), ("bfs", "rr"), ("bfs", "gto")], lambda _w: base
         )
         assert groups == [[("bfs", "rr")], [("bfs", "gto")]]
 
     def test_distinct_schemes_stay_separate(self):
         base = GPUConfig.default_sim()
-        groups = _dedupe_parallel_cells(
+        groups = _dedupe(
             [("bfs", "rr"), ("bfs", "cawa"), ("kmeans", "rr")], lambda _w: base
         )
         assert len(groups) == 3
@@ -220,7 +220,7 @@ class TestParallelSweepDedupe:
 
         monkeypatch.setitem(cawa.SCHEMES, "rr_alias", cawa.SCHEMES["rr"])
         base = GPUConfig.default_sim()
-        groups = _dedupe_parallel_cells(
+        groups = _dedupe(
             [("bfs", "rr"), ("bfs", "rr_alias")], lambda _w: base
         )
         assert groups == [[("bfs", "rr"), ("bfs", "rr_alias")]]
@@ -230,8 +230,7 @@ class TestParallelSweepDedupe:
 
         monkeypatch.setitem(cawa.SCHEMES, "rr_alias", cawa.SCHEMES["rr"])
         wl = "synthetic_imbalance"
-        results = run_sweep([wl], ["rr", "rr_alias"], scale=SCALE,
-                            parallel=True)
+        results = run_sweep([wl], ["rr", "rr_alias"], scale=SCALE, jobs=2)
         assert results[(wl, "rr")].cycles == results[(wl, "rr_alias")].cycles
         # Both cells got their own disk-cache entries, so later serial
         # calls under either name hit without re-simulating.
@@ -245,7 +244,7 @@ class TestParallelSweepDedupe:
 
     def test_parallel_sweep_with_duplicate_scheme_list(self):
         wl = "synthetic_imbalance"
-        results = run_sweep([wl], ["rr", "rr"], scale=SCALE, parallel=True)
+        results = run_sweep([wl], ["rr", "rr"], scale=SCALE, jobs=2)
         assert set(results) == {(wl, "rr")}
         assert results[(wl, "rr")].cycles > 0
 

@@ -209,7 +209,7 @@ class TestParallelSweep:
         serial = run_sweep([WL], ["rr", "gto"], scale=SCALE,
                            use_cache=False, persistent=False)
         parallel = run_sweep([WL, "synthetic_divergence"], ["rr", "gto"],
-                             scale=SCALE, parallel=True, max_workers=2)
+                             scale=SCALE, jobs=2)
         for cell in serial:
             assert parallel[cell].cycles == serial[cell].cycles
             assert (parallel[cell].l1_stats.misses
@@ -227,7 +227,7 @@ class TestParallelSweep:
             raise AssertionError("a disk-warm sweep forked a process pool")
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        warm = run_sweep(*grid, scale=SCALE, parallel=True, max_workers=2)
+        warm = run_sweep(*grid, scale=SCALE, jobs=2)
         assert list(warm) == list(cold)
         for cell in cold:
             assert _metrics(warm[cell]) == _metrics(cold[cell]), cell
@@ -235,8 +235,7 @@ class TestParallelSweep:
         assert run_scheme(WL, "gto", scale=SCALE) is warm[(WL, "gto")]
 
     def test_parallel_workers_populate_disk_cache(self):
-        run_sweep([WL], ["rr", "gto"], scale=SCALE, parallel=True,
-                  max_workers=2)
+        run_sweep([WL], ["rr", "gto"], scale=SCALE, jobs=2)
         names = [p.name for p in result_cache.cache_dir().glob("*.json")]
         assert any(name.startswith(f"{WL}-rr-") for name in names)
         assert any(name.startswith(f"{WL}-gto-") for name in names)
