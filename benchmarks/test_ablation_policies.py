@@ -1,14 +1,14 @@
 """Ablation: L1D replacement policies under a fixed scheduler.
 
 Not a paper figure — compares the replacement-policy zoo (LRU, SRRIP,
-DRRIP, SHiP) plus CACP's bypass extension on the cache-sensitive flagship
-workload, isolating the cache axis from the scheduling axis (scheduler
-fixed to GTO, as Section 5.4 does when studying CACP in isolation).
+DRRIP, SHiP) on the cache-sensitive flagship workload, isolating the
+cache axis from the scheduling axis (scheduler fixed to GTO, as Section
+5.4 does when studying CACP in isolation).
 """
 
 from conftest import run_once
 
-from repro import GPU, GPUConfig, apply_scheme
+from repro import GPU, GPUConfig
 from repro.stats.report import format_table
 from repro.workloads import make_workload
 
@@ -38,51 +38,3 @@ def test_ablation_l1_policies(benchmark):
     # All policies must be in a sane band of each other on this workload.
     assert max(ipcs) / min(ipcs) < 3.0
 
-
-def test_ablation_bypass_extension(benchmark):
-    def run_both():
-        a = make_workload("synthetic_memstress", passes=64).run(
-            GPU(apply_scheme(GPUConfig.default_sim(), "cawa")), scheme="cawa"
-        )
-        b = make_workload("synthetic_memstress", passes=64).run(
-            GPU(apply_scheme(GPUConfig.default_sim(), "cawa+bypass")),
-            scheme="cawa+bypass",
-        )
-        return a, b
-
-    plain, bypass = run_once(benchmark, run_both)
-    print(
-        f"\nAblation: L1 bypass extension on a pure stream — "
-        f"cawa evictions={plain.l1_stats.evictions}, "
-        f"cawa+bypass evictions={bypass.l1_stats.evictions} "
-        f"(bypasses={bypass.l1_stats.bypasses})"
-    )
-    assert bypass.l1_stats.bypasses > 0, "bypass must fire on a pure stream"
-    assert bypass.l1_stats.evictions < plain.l1_stats.evictions
-
-
-def test_ablation_mshr_reserve_extension(benchmark):
-    """Critical-MSHR reservation: measured as a *negative* result.
-
-    Reserving MLP for criticality verdicts that flap around the block
-    median idles entries and costs throughput on kmeans; the bench records
-    the comparison and asserts the extension stays within a sane band (it
-    must not deadlock or collapse).
-    """
-
-    def run_both():
-        a = make_workload(WORKLOAD).run(
-            GPU(apply_scheme(GPUConfig.default_sim(), "cawa")), scheme="cawa"
-        )
-        b = make_workload(WORKLOAD).run(
-            GPU(apply_scheme(GPUConfig.default_sim(), "cawa+mshr")),
-            scheme="cawa+mshr",
-        )
-        return a, b
-
-    plain, reserved = run_once(benchmark, run_both)
-    print(
-        f"\nAblation: MSHR reserve on {WORKLOAD} — "
-        f"cawa IPC={plain.ipc:.2f}, cawa+mshr IPC={reserved.ipc:.2f}"
-    )
-    assert reserved.ipc > 0.5 * plain.ipc

@@ -120,12 +120,6 @@ class GPUConfig:
     #: paper's strict 8-of-16 way split), or "dynamic" (UCP-style retuned
     #: split).  See :class:`repro.core.cacp.CACPPolicy`.
     cacp_mode: str = "priority"
-    #: Extension: bypass L1 allocation for non-critical no-reuse fills.
-    cacp_bypass: bool = False
-    #: Extension: MSHR entries reserved for critical warps.  Non-critical
-    #: warps may not start a new miss unless more than this many entries
-    #: are free, guaranteeing critical warps memory-level parallelism.
-    critical_mshr_reserve: int = 0
     use_cpl: bool = True
     cpl_update_period: int = 64
     #: Statistical sampling of the stored trace (:mod:`repro.sampling`):
@@ -155,6 +149,13 @@ class GPUConfig:
     FUNCTIONAL_FINGERPRINT_FIELDS: ClassVar[Dict[str, str]] = {
         "warp_size": "warp_size",
         "l1_line_size": "l1d.line_size",
+    }
+    #: Deleted fields, hashed at the defaults every surviving config had,
+    #: so each keeps its fingerprint, and with it its result-cache entries
+    #: and serve coalescing keys.
+    RETIRED_FINGERPRINT_DEFAULTS: ClassVar[Dict[str, object]] = {
+        "cacp_bypass": False,
+        "critical_mshr_reserve": 0,
     }
 
     def __post_init__(self) -> None:
@@ -299,7 +300,7 @@ class GPUConfig:
         # A flat walk, not ``dataclasses.asdict`` (which deep-copies every
         # leaf): the only nested values are CacheConfigs, whose fields are
         # scalars.  The JSON blob is the same byte for byte.
-        payload = {}
+        payload = dict(self.RETIRED_FINGERPRINT_DEFAULTS)
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, CacheConfig):

@@ -92,7 +92,6 @@ class CACPPolicy(ReplacementPolicy):
         table_size: int = 256,
         mode: str = "priority",
         min_critical_ways: int = 2,
-        bypass_no_reuse: bool = False,
     ) -> None:
         if not 0 < critical_ways < total_ways:
             raise ValueError(
@@ -106,11 +105,6 @@ class CACPPolicy(ReplacementPolicy):
         self.ccbp = CriticalCacheBlockPredictor(table_size=table_size)
         self.ship = _CACPShip(table_size=table_size)
         self.min_critical_ways = min_critical_ways
-        #: Extension beyond the paper (its Section 6.4 cites L1 bypassing
-        #: [13, 14, 39] as the adjacent line of work): when enabled,
-        #: non-critical fills whose signature shows no reuse skip L1
-        #: allocation entirely, so streams cannot evict anything.
-        self.bypass_no_reuse = bypass_no_reuse
         self._partition_hits = [0, 0]  # [critical partition, non-critical]
         self._tune_interval = 1024
         self._accesses_since_tune = 0
@@ -129,14 +123,6 @@ class CACPPolicy(ReplacementPolicy):
         wrongly-routed signatures via its eviction training).
         """
         return req.is_critical or self.ccbp.predicts_critical(req.signature)
-
-    def should_bypass(self, req: MemRequest) -> bool:
-        """Skip L1 allocation for non-critical, predicted-no-reuse fills."""
-        if not self.bypass_no_reuse:
-            return False
-        if self.classify_critical(req):
-            return False
-        return self.ship.insertion_rrpv(req.signature) >= RRPV_MAX
 
     def choose_way(self, lines: List, req: MemRequest, full: bool) -> int:
         # The eligible range is the partition the fill is routed to (the

@@ -25,10 +25,6 @@ SCHEMES: Dict[str, tuple] = {
     "rr+cacp": ("lrr", True),
     "gto+cacp": ("gto", True),
     "two_level+cacp": ("two_level", True),
-    # Extension: CAWA plus L1 bypass of non-critical no-reuse fills.
-    "cawa+bypass": ("gcaws", True),
-    # Extension: CAWA plus MSHR entries reserved for critical warps.
-    "cawa+mshr": ("gcaws", True),
     # Co-design schemes consuming L1 cache records (repro.feedback):
     # CCWS locality-aware throttling, WaSP prefetch-mimicking priority,
     # CIAO interference-aware throttling.  See docs/schemes.md.
@@ -42,15 +38,20 @@ SCHEMES: Dict[str, tuple] = {
 def apply_scheme(config: GPUConfig, scheme: str) -> GPUConfig:
     """Return ``config`` reconfigured for the named scheme.
 
-    Equal to ``config.with_scheduler(s).with_cacp(c)`` plus the extension
-    knobs, built with one ``replace`` so validation runs once.  Memoised:
-    configs are frozen, so one ``(config, scheme)`` returns one instance,
-    whose fingerprint is hashed once (a result-cache hit then costs no
-    rebuild).
+    Equal to ``config.with_scheduler(s).with_cacp(c)``, built with one
+    ``replace`` so validation runs once.  Memoised: configs are frozen, so
+    one ``(config, scheme)`` returns one instance, whose fingerprint is
+    hashed once (a result-cache hit then costs no rebuild).
     """
     try:
         scheduler, use_cacp = SCHEMES[scheme]
     except KeyError:
+        if scheme in ("cawa+bypass", "cawa+mshr"):
+            raise ValueError(
+                f"scheme {scheme!r} was removed: the L1 no-reuse bypass and "
+                "the critical-MSHR reserve measured IPC-neutral and negative "
+                "(EXPERIMENTS.md, Ablations); use 'cawa'"
+            ) from None
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {sorted(SCHEMES)}"
         ) from None
@@ -58,9 +59,4 @@ def apply_scheme(config: GPUConfig, scheme: str) -> GPUConfig:
     critical_ways = l1d.ways // 2 if use_cacp else 0
     if l1d.critical_ways != critical_ways:
         l1d = replace(l1d, critical_ways=critical_ways)
-    changes = dict(scheduler_name=scheduler, use_cacp=use_cacp, l1d=l1d)
-    if scheme.endswith("+bypass"):
-        changes["cacp_bypass"] = True
-    if scheme.endswith("+mshr"):
-        changes["critical_mshr_reserve"] = max(1, l1d.mshr_entries // 4)
-    return replace(config, **changes)
+    return replace(config, scheduler_name=scheduler, use_cacp=use_cacp, l1d=l1d)

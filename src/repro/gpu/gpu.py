@@ -136,7 +136,6 @@ class GPU:
                 critical_ways=critical_ways,
                 total_ways=self.config.l1d.ways,
                 mode=self.config.cacp_mode,
-                bypass_no_reuse=self.config.cacp_bypass,
             )
         if self.config.l1d_policy == "drrip":
             return make_policy(
@@ -243,9 +242,9 @@ class GPU:
         retunes are issue- and access-indexed, not cycle-indexed.  The one
         cross-SM waker is block dispatch after a commit, which refreshes
         the entry of every SM that received warps.  A wake may
-        *under*-estimate (an MSHR-reserve-gated warp, a scheduler declining
-        its ready set): the SM ticks without issuing and is rescheduled one
-        cycle later.  It must never *over*-estimate.
+        *under*-estimate (a scheduler declining its ready set): the SM
+        ticks without issuing and is rescheduled one cycle later.  It must
+        never *over*-estimate.
         ``tests/oracles.py::SkipOracle`` checks both halves of that claim
         on every tick — no warp of the SM could have issued since its last
         tick, and nothing but a dispatch changed the SM in between — and

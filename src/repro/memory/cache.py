@@ -36,7 +36,6 @@ _EV_CACHE_HIT = int(Ev.CACHE_HIT)
 _EV_CACHE_MISS = int(Ev.CACHE_MISS)
 _EV_CACHE_FILL = int(Ev.CACHE_FILL)
 _EV_CACHE_EVICT = int(Ev.CACHE_EVICT)
-_EV_CACHE_BYPASS = int(Ev.CACHE_BYPASS)
 
 
 @dataclass(slots=True)
@@ -81,7 +80,6 @@ class CacheStats:
     accesses: int = 0
     hits: int = 0
     misses: int = 0
-    bypasses: int = 0
     critical_accesses: int = 0
     critical_hits: int = 0
     evictions: int = 0
@@ -123,8 +121,6 @@ class Cache:
                  owner: int = -1, level: int = LEVEL_L1D) -> None:
         self.config = config
         self.policy = policy
-        #: The policy's optional L1-bypass predicate (CACP's extension).
-        self._should_bypass = getattr(policy, "should_bypass", None)
         self._line_size = config.line_size
         self._ways = config.ways
         #: Per-set way lists; ``()`` until the set's first fill.
@@ -192,19 +188,7 @@ class Cache:
                 self.level, req.pc, req.line_addr, 1 if critical else 0,
                 key[1], key[2],
             ))
-        if self._should_bypass is not None and self._should_bypass(req):
-            # Bypass: the request is serviced from L2/DRAM without
-            # allocating a line, so it cannot evict useful data.
-            stats.bypasses += 1
-            if obs is not None:
-                owner = self.owner
-                obs.emit((
-                    _EV_CACHE_BYPASS, req.cycle,
-                    owner if owner >= 0 else req.warp_key[0],
-                    self.level, req.line_addr,
-                ))
-        else:
-            self._fill(req)
+        self._fill(req)
         return False
 
     def _fill(self, req: MemRequest) -> None:

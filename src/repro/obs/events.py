@@ -21,7 +21,9 @@ record of a cache decision, read by the bus collectors and by the
 co-design schedulers alike (:mod:`repro.feedback`).  v3 added
 ``CPL_VERDICT``, the one record of CPL's periodic slow-warp verdicts (the
 Fig 11 and Fig 12 collectors read it); its ``warps`` field is the one
-nested field of the schema.
+nested field of the schema.  v4 removed kind 14, the L1 bypass record,
+with the bypass extension that was its only emitter; the value stays
+retired.
 
 See ``docs/observability.md`` for the full schema table and the
 stall-reason taxonomy.
@@ -33,7 +35,7 @@ import enum
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Bump on any change to event kinds or their field lists.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: ``level`` field values for cache events.
 LEVEL_L1D = 0
@@ -55,7 +57,7 @@ class Ev(enum.IntEnum):
     CACHE_MISS = 11
     CACHE_FILL = 12
     CACHE_EVICT = 13
-    CACHE_BYPASS = 14
+    # 14 was the L1 bypass record (schema v3 and older): never reuse it.
     # -- MSHR file ------------------------------------------------------
     MSHR_ALLOC = 20
     MSHR_MERGE = 21
@@ -116,7 +118,6 @@ EVENT_FIELDS: Dict[Ev, Tuple[str, ...]] = {
     Ev.CACHE_FILL: ("level", "line_addr", "critical", "block", "warp"),
     Ev.CACHE_EVICT: ("level", "line_addr", "reused", "victim_block",
                      "victim_warp", "evictor_block", "evictor_warp"),
-    Ev.CACHE_BYPASS: ("level", "line_addr"),
     Ev.MSHR_ALLOC: ("line_addr", "completion", "outstanding"),
     Ev.MSHR_MERGE: ("line_addr", "completion"),
     Ev.MSHR_FULL: ("outstanding", "free_at"),

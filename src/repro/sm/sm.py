@@ -118,8 +118,8 @@ class StreamingMultiprocessor:
         self.lsu = LoadStoreUnit(sm_id, self.l1d, self.mshr, hierarchy)
         self.schedulers = [scheduler_factory() for _ in range(config.num_schedulers_per_sm)]
         self.cpl = cpl
-        #: Warp-criticality query used by the MSHR-reserve gate and the LSU
-        #: issue path (``None`` without a CPL predictor).
+        #: Warp-criticality query used by the LSU issue path (``None``
+        #: without a CPL predictor).
         self._is_critical: Optional[Callable[[Warp], bool]] = (
             cpl.is_critical if cpl is not None else None)
         # Hot-loop locals: the per-cycle tick and per-instruction issue
@@ -127,7 +127,6 @@ class StreamingMultiprocessor:
         # ``config`` dataclass costs two attribute lookups each time.
         # Bound once here (the config is immutable, so binding at
         # construction is equivalent to binding at kernel launch).
-        self._reserve = config.critical_mshr_reserve
         self._alu_latency = config.alu_latency
         self._sfu_latency = config.sfu_latency
         self._num_slots = config.num_schedulers_per_sm
@@ -250,9 +249,8 @@ class StreamingMultiprocessor:
         next instruction needs no MSHR, its ungated sub-list) and hands the
         scheduler one of the two lists, so per-tick cost is O(newly awake)
         plus the scheduler's own walk: warps parked on full MSHRs are not
-        visited.  Only the critical-MSHR reserve, while it bites, filters
-        the pool warp by warp.  An issuing warp leaves the pool unless it is
-        ungated and ready again next cycle.
+        visited.  An issuing warp leaves the pool unless it is ungated and
+        ready again next cycle.
 
         ``next_wake`` is exactly what :meth:`next_wake_time` would answer
         after this tick, read off the heaps and lists the tick has just
@@ -260,8 +258,6 @@ class StreamingMultiprocessor:
         never asks twice.
         """
         issued = False
-        reserve = self._reserve
-        crit_fn = self._is_critical
         mshr = self.mshr
         slots = self._slots
         free_mshrs = -1  # computed lazily: only slots with candidates pay
@@ -281,16 +277,9 @@ class StreamingMultiprocessor:
                 continue
             if free_mshrs < 0:
                 free_mshrs = mshr.free_entries(now)
-            if free_mshrs <= 0:
-                # MSHRs full: only warps that need none are eligible.
-                ready = ungated
-            elif free_mshrs > reserve or crit_fn is None:
-                # No back-pressure: every pooled warp is eligible (the
-                # common case) and the pool is the list.
-                ready = pool
-            else:
-                # The remaining entries are reserved for critical warps.
-                ready = [w for w in pool if not w._needs_mem or crit_fn(w)]
+            # MSHRs full: only warps that need none are eligible; otherwise
+            # every pooled warp is (the common case) and the pool is the list.
+            ready = ungated if free_mshrs <= 0 else pool
             if not ready:
                 continue
             warp = scheduler.select(ready, now)
@@ -587,13 +576,12 @@ class StreamingMultiprocessor:
         barrier releases and block commits only happen during one of this
         SM's own issues.  Exact for scoreboard- and MSHR-gated warps
         (:meth:`MSHRFile.next_free_time` accounts for over-subscription); an
-        operand-ready warp that lost arbitration, was declined by a
-        throttling scheduler or is held back by the critical-MSHR reserve
-        reports ``now`` — an under-estimate the device loop turns into a
-        re-tick one cycle later.  Anything due earlier than ``now`` is
-        reported as ``now``: the loop clamps a wake into the future anyway,
-        and the clamped value is what :meth:`tick_wake` can answer without
-        walking its pools.
+        operand-ready warp that lost arbitration or was declined by a
+        throttling scheduler reports ``now`` — an under-estimate the device
+        loop turns into a re-tick one cycle later.  Anything due earlier
+        than ``now`` is reported as ``now``: the loop clamps a wake into the
+        future anyway, and the clamped value is what :meth:`tick_wake` can
+        answer without walking its pools.
         """
         wake = math.inf
         gated = False

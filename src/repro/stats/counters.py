@@ -27,17 +27,9 @@ def subtract_stats(now: CacheStats, before: CacheStats) -> CacheStats:
 def merge_cache_stats(parts: List[CacheStats]) -> CacheStats:
     """Sum per-SM cache counters into one aggregate."""
     total = CacheStats()
-    for part in parts:
-        total.accesses += part.accesses
-        total.hits += part.hits
-        total.misses += part.misses
-        total.bypasses += part.bypasses
-        total.critical_accesses += part.critical_accesses
-        total.critical_hits += part.critical_hits
-        total.evictions += part.evictions
-        total.zero_reuse_evictions += part.zero_reuse_evictions
-        total.critical_fill_evictions += part.critical_fill_evictions
-        total.critical_zero_reuse_evictions += part.critical_zero_reuse_evictions
+    for field_info in dataclasses.fields(CacheStats):
+        name = field_info.name
+        setattr(total, name, sum(getattr(part, name) for part in parts))
     return total
 
 
@@ -289,8 +281,8 @@ class RunResult:
             cycles=data["cycles"],
             thread_instructions=data["thread_instructions"],
             warp_instructions=data["warp_instructions"],
-            l1_stats=CacheStats(**data["l1_stats"]),
-            l2_stats=CacheStats(**data["l2_stats"]),
+            l1_stats=_load_cache_stats(data["l1_stats"]),
+            l2_stats=_load_cache_stats(data["l2_stats"]),
             blocks=blocks,
             dram_accesses=data["dram_accesses"],
             extra=dict(data.get("extra", {})),
@@ -307,6 +299,14 @@ class RunResult:
             sampling=data.get("sampling", "off"),
             verified=data.get("verified", False),
         )
+
+
+def _load_cache_stats(data: Dict) -> CacheStats:
+    """A stored :class:`CacheStats` dict, minus ``bypasses``: the retired
+    L1-bypass counter, which payloads stored before its removal carry."""
+    fields = dict(data)
+    fields.pop("bypasses", None)
+    return CacheStats(**fields)
 
 
 #: Headline counts :func:`result_from_dict` checks are numbers.

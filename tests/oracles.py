@@ -142,9 +142,9 @@ class SkipOracle(_LaunchOracle):
       last issue or its dispatch ``start_cycle``), no earlier than
       ``p + 1``, and — when its next instruction needs an MSHR — no earlier
       than the first cycle an entry is free (:func:`mshr_free_time`).
-      Throttling, arbitration and the critical-MSHR reserve only make a
-      warp issue *later*, so this bound is safe: the loop may tick an SM
-      early (an under-estimated wake), never late.
+      Throttling and arbitration only make a warp issue *later*, so this
+      bound is safe: the loop may tick an SM early (an under-estimated
+      wake), never late.
     * **frozen state** — :func:`sm_state` of ``s`` is what its previous
       tick left, except for a dispatch onto ``s``, which may only add
       warps.  MSHR fills that completed by ``t`` are not compared: a
@@ -240,7 +240,7 @@ class ReadySetOracle:
     Wraps every scheduler's ``select`` on one SM and asserts, on every
     call, that ``ready`` equals the list derived from scratch: RUNNING
     warps of that slot whose :func:`readiness_from_scratch` wake has
-    passed, minus those the MSHR / critical-reserve gate holds back, in
+    passed, minus those the full-MSHR gate holds back, in
     dispatch order — strictly ascending ``dynamic_id``, and still the same
     list when ``select`` returns (the contract that lets the SM hand over
     its own pool).  Every candidate's stored readiness must equal the
@@ -261,10 +261,8 @@ class ReadySetOracle:
         self.sm = sm
         self.select_calls = 0
         self.ticks = 0
-        # Candidates held back over all checks: no free MSHR / free entries
-        # inside the critical reserve and the warp is not critical.
+        # Candidates held back over all checks for want of a free MSHR.
         self.gated_full = 0
-        self.gated_reserve = 0
         self._next_slot = 0
         for slot, scheduler in enumerate(sm.schedulers):
             scheduler.select = self._checked_select(slot, scheduler.select)
@@ -307,8 +305,6 @@ class ReadySetOracle:
         sm = self.sm
         num_slots = len(sm.schedulers)
         free = sm.mshr.free_entries(now)
-        reserve = sm.config.critical_mshr_reserve
-        is_critical = sm._is_critical
         ready = []
         for warp in sm.warps:
             if warp.status is not WarpStatus.RUNNING:
@@ -318,14 +314,9 @@ class ReadySetOracle:
             wake, needs_mem = readiness_from_scratch(warp)
             if wake > now:
                 continue
-            if needs_mem:
-                if free <= 0:
-                    self.gated_full += 1
-                    continue
-                if (reserve and free <= reserve and is_critical is not None
-                        and not is_critical(warp)):
-                    self.gated_reserve += 1
-                    continue
+            if needs_mem and free <= 0:
+                self.gated_full += 1
+                continue
             ready.append(warp)
         ready.sort(key=lambda w: w.dynamic_id)
         return ready

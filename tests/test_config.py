@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,10 +250,45 @@ class TestRemovedEventsKnob:
         assert not hasattr(loaded, "events")
 
 
+class TestRemovedExtensions:
+    """The L1 no-reuse bypass and the critical-MSHR reserve are gone: their
+    knobs and schemes fail by name, and stored results that carry the
+    bypass counter still load."""
+
+    @pytest.mark.parametrize("knob,value", [("cacp_bypass", True),
+                                            ("critical_mshr_reserve", 2)])
+    def test_knob_is_not_a_config_field(self, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            GPUConfig.default_sim(**{knob: value})
+
+    @pytest.mark.parametrize("scheme", ["cawa+bypass", "cawa+mshr"])
+    def test_scheme_is_refused_by_name(self, scheme):
+        from repro import apply_scheme
+
+        with pytest.raises(ValueError,
+                           match=re.escape(f"scheme {scheme!r} was removed")):
+            apply_scheme(GPUConfig.default_sim(), scheme)
+
+    def test_result_payload_with_bypasses_loads(self):
+        from repro.experiments.runner import run_scheme
+        from repro.stats.counters import RunResult
+
+        result = run_scheme("synthetic_imbalance", "rr", scale=0.25,
+                            use_cache=False, persistent=False)
+        current = result.to_dict()
+        old = json.loads(json.dumps(current))
+        old["l1_stats"]["bypasses"] = 0
+        old["l2_stats"]["bypasses"] = 0
+        loaded = RunResult.from_dict(old)
+        assert loaded == RunResult.from_dict(current)
+        assert loaded.to_dict() == current
+
+
 def reference_fingerprint(cfg: GPUConfig) -> str:
     """The fingerprint formula before it was cached: ``asdict`` of every
-    field."""
-    payload = dataclasses.asdict(cfg)
+    field, plus the deleted fields at the defaults they were hashed with."""
+    payload = {"cacp_bypass": False, "critical_mshr_reserve": 0,
+               **dataclasses.asdict(cfg)}
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -286,7 +322,6 @@ def overrides(draw):
         "l2_banks": draw(st.integers(1, 8)),
         "use_cacp": draw(st.booleans()),
         "cacp_mode": draw(st.sampled_from(["priority", "static", "dynamic"])),
-        "cacp_bypass": draw(st.booleans()),
         "sampling": sampling,
         "sampling_seed": draw(st.integers(0, 9)),
     }

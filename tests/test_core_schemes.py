@@ -1,7 +1,5 @@
 """Tests for the scheme registry and configuration plumbing."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro import GPU, GPUConfig, apply_scheme
@@ -28,8 +26,6 @@ _EXPECTED_SCHEDULER_TYPES = {
     "rr+cacp": LRRScheduler,
     "gto+cacp": GTOScheduler,
     "two_level+cacp": TwoLevelScheduler,
-    "cawa+bypass": GCAWSScheduler,
-    "cawa+mshr": GCAWSScheduler,
     "ccws": CCWSScheduler,
     "wasp": WaSPScheduler,
     "ciao": CIAOScheduler,
@@ -56,23 +52,10 @@ def test_cacp_schemes_partition_half_the_ways():
     assert config.l1d.critical_ways == config.l1d.ways // 2
 
 
-def test_bypass_scheme_sets_flag():
-    assert apply_scheme(GPUConfig.default_sim(), "cawa+bypass").cacp_bypass
-    assert not apply_scheme(GPUConfig.default_sim(), "cawa").cacp_bypass
-    gpu = GPU(apply_scheme(GPUConfig.default_sim(), "cawa+bypass"))
-    assert gpu.sms[0].l1d.policy.bypass_no_reuse
-
-
 def _chained(config, scheme):
     """``apply_scheme`` as it was built before: one ``replace`` per knob."""
     scheduler, use_cacp = SCHEMES[scheme]
-    config = config.with_scheduler(scheduler).with_cacp(use_cacp)
-    if scheme.endswith("+bypass"):
-        config = replace(config, cacp_bypass=True)
-    if scheme.endswith("+mshr"):
-        reserve = max(1, config.l1d.mshr_entries // 4)
-        config = replace(config, critical_mshr_reserve=reserve)
-    return config
+    return config.with_scheduler(scheduler).with_cacp(use_cacp)
 
 
 _BASES = {
@@ -80,8 +63,7 @@ _BASES = {
     "fermi": GPUConfig.fermi_gtx480(),
     # Knobs a scheme leaves alone, or resets, already set on the base.
     "cacp_quarter": GPUConfig.default_sim().with_cacp(True, critical_ways=4),
-    "bypass_reserve": GPUConfig.default_sim(cacp_bypass=True,
-                                            critical_mshr_reserve=3),
+    "cacp_static": GPUConfig.default_sim(cacp_mode="static"),
 }
 
 

@@ -291,7 +291,7 @@ class TestStore:
 
     def test_v1_stream_is_refused(self, tmp_path):
         # v1 cache records carry no warp attribution; v2 appended it.
-        assert SCHEMA_VERSION == 3
+        assert SCHEMA_VERSION == 4
         path = tmp_path / "v1.evt.z"
         payload = json.dumps({
             "format": "repro-events", "version": 1, "schema_version": 1,
@@ -310,6 +310,18 @@ class TestStore:
         }).encode()
         path.write_bytes(zlib.compress(payload))
         with pytest.raises(EventStoreError, match="schema v2"):
+            load_events(path)
+
+    def test_v3_stream_is_refused(self, tmp_path):
+        # v3 still had kind 14, the L1 bypass record; v4 retired it.
+        assert 14 not in set(Ev)
+        path = tmp_path / "v3.evt.z"
+        payload = json.dumps({
+            "format": "repro-events", "version": 1, "schema_version": 3,
+            "events": [[14, 3.0, 0, 0, 0x80]],
+        }).encode()
+        path.write_bytes(zlib.compress(payload))
+        with pytest.raises(EventStoreError, match="schema v3"):
             load_events(path)
 
     def test_cpl_verdict_round_trips(self, tmp_path):

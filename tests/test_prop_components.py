@@ -174,10 +174,6 @@ class WayScanCache:
                 self.policy.on_hit(line, req)
                 return True
         stats.misses += 1
-        should_bypass = getattr(self.policy, "should_bypass", None)
-        if should_bypass is not None and should_bypass(req):
-            stats.bypasses += 1
-            return False
         way = self.policy.choose_way(lines, req, False)  # scans for an invalid way
         line = lines[way]
         if line.valid:
@@ -207,8 +203,7 @@ def _index_policy(name):
     if name.startswith("cacp"):
         policy = CACPPolicy(
             critical_ways=2, total_ways=4,
-            mode=name.split(":")[1].replace("+bypass", ""),
-            bypass_no_reuse=name.endswith("+bypass"),
+            mode=name.split(":")[1],
         )
         policy._tune_interval = 8  # so the dynamic boundary really moves
         return policy
@@ -232,7 +227,7 @@ _ACCESS = st.tuples(st.integers(0, 15), st.booleans(), st.integers(0, 3))
 @given(
     policy_name=st.sampled_from([
         "lru", "srrip", "ship", "drrip", "cacp:priority", "cacp:static",
-        "cacp:dynamic", "cacp:priority+bypass",
+        "cacp:dynamic",
     ]),
     # One step in sixteen is an invalidate_all (None).
     steps=st.lists(st.one_of(*15 * [_ACCESS], st.none()), min_size=30, max_size=120),

@@ -51,7 +51,6 @@ def _signature(result):
         result.l1_stats.accesses,
         result.l1_stats.hits,
         result.l1_stats.misses,
-        result.l1_stats.bypasses,
         result.l1_stats.critical_hits,
         result.l2_stats.misses,
         result.dram_accesses,

@@ -255,17 +255,16 @@ class TestMSHRBackPressure:
 
     @pytest.mark.parametrize("ticks", TICKS)
     @pytest.mark.parametrize(
-        "scheme,mshr_entries", [("rr", 2), ("gto", 2), ("cawa+mshr", 4)]
+        "scheme,mshr_entries", [("rr", 2), ("gto", 2), ("cawa", 2)]
     )
     def test_mshr_ready_sets_match_oracle(self, scheme, mshr_entries, ticks,
                                           replay=False):
         sm, result, oracle = self._run(scheme, mshr_entries, ticks, checked=True,
                                        replay=replay)
         # The check only means something if the gate engaged: candidates
-        # were held back (under cawa+mshr by the critical reserve as well).
+        # were held back.
         assert sm.mshr.stall_inducing_misses > 0
         assert oracle.gated_full > 0
-        assert (oracle.gated_reserve > 0) == (scheme == "cawa+mshr")
         assert oracle.select_calls >= result.warp_instructions
         # The oracle only observes, extra ticks change nothing, and replay
         # changes no cycle: a plain, unchecked run at the SMs' own wakes.
@@ -273,6 +272,6 @@ class TestMSHRBackPressure:
         assert result.cycles == plain.cycles
 
     @pytest.mark.parametrize("ticks", TICKS)
-    @pytest.mark.parametrize("scheme,mshr_entries", [("rr", 2), ("cawa+mshr", 4)])
+    @pytest.mark.parametrize("scheme,mshr_entries", [("rr", 2), ("cawa", 2)])
     def test_mshr_ready_sets_match_oracle_under_replay(self, scheme, mshr_entries, ticks):
         self.test_mshr_ready_sets_match_oracle(scheme, mshr_entries, ticks, replay=True)
