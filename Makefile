@@ -8,7 +8,7 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
 ## Packages (and the CLI dispatcher) held to the ruff + strict-mypy bar (CI
 ## `lint` job).
-TYPED_PACKAGES = src/repro/analysis src/repro/sanitize src/repro/obs src/repro/trace src/repro/feedback src/repro/cli.py
+TYPED_PACKAGES = src/repro/analysis src/repro/obs src/repro/trace src/repro/feedback src/repro/cli.py
 
 ## Tier-1 suite: fast correctness tests (excludes `slow`-marked suites).
 test:
@@ -35,11 +35,10 @@ lint:
 		$(PYTHON) -m mypy --strict $(TYPED_PACKAGES); \
 	else echo "mypy not installed; skipping"; fi
 
-## Sanitize the simulator's own source: determinism and probe
-## coverage rules
-## (docs/static_analysis.md, "Sanitizing the simulator").
+## The source rules over the simulator's own code: determinism and probe
+## coverage (docs/static_analysis.md, "Source rules").
 sanitize:
-	PYTHONPATH=src $(PYTHON) -m repro sanitize --all
+	$(PYTEST) -x -q tests/test_source_rules.py
 
 ## Paper-reproduction benchmarks + perf smoke (pytest-benchmark).
 bench:

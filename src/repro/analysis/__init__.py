@@ -17,18 +17,12 @@ simulation:
     liveness (dead-write detection), block-uniformity (divergence)
     analysis, and an affine abstract interpretation of address arithmetic.
 
-:mod:`repro.analysis.common`
-    Shared finding/report/registry machinery — stable rule IDs,
-    severities, waiver-aware pass/fail logic, text/JSON rendering — used
-    both by the kernel linter below and by :mod:`repro.sanitize`, the
-    static checker that points the same design at the simulator's own
-    source tree.
-
 :mod:`repro.analysis.lints`
-    A rule registry with stable IDs and severities: unreachable blocks,
+    A rule catalogue with stable IDs and severities: unreachable blocks,
     ill-nested reconvergence, barrier-divergence hazards, infinite-loop
     candidates, coalescing-hostile strides, out-of-bounds constant
-    addressing, and CPL path-size consistency.
+    addressing, and CPL path-size consistency — plus the findings and
+    waiver-aware reports (text/JSON) the linter produces.
 
 :mod:`repro.analysis.pathlen`
     Static min/max remaining-instruction bounds per PC (interval analysis
@@ -54,15 +48,10 @@ _EXPORTS = {
     "BranchSite": "cfg",
     "build_cfg": "cfg",
     "pc_successors": "cfg",
-    "BaseFinding": "common",
-    "ReportBase": "common",
-    "Rule": "common",
-    "RuleRegistry": "common",
     "DataflowResult": "dataflow",
     "analyze_dataflow": "dataflow",
     "Finding": "lints",
     "LintReport": "lints",
-    "LintRule": "lints",
     "RULES": "lints",
     "Severity": "lints",
     "lint_kernel": "lints",

@@ -26,11 +26,14 @@ PATH001    error     CPL Algorithm-2 path size outside static bounds
 Suppressions: ``KernelBuilder.waive_lint("DF002", reason=...)`` (or a
 ``lint_waivers`` attribute on a hand-built :class:`~repro.isa.kernel.Kernel`)
 marks a rule as acknowledged for the whole kernel.  Waived findings are
-still reported — with ``suppressed=True`` — but do not fail the lint.
+still reported — with ``suppressed=True``, rendered ``(waived)`` in text
+and ``"suppressed": true`` in JSON — but do not fail the lint.
 """
 
 from __future__ import annotations
 
+import enum
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,7 +50,6 @@ from typing import (
 
 from ..isa.instructions import Opcode
 from .cfg import CFG
-from .common import BaseFinding, ReportBase, Rule, RuleRegistry, Severity
 from .dataflow import DataflowResult, analyze_dataflow
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,7 +60,6 @@ __all__ = [
     "Severity",
     "Finding",
     "LintReport",
-    "LintRule",
     "LintContext",
     "RULES",
     "rule",
@@ -66,44 +67,92 @@ __all__ = [
 ]
 
 
+class Severity(enum.IntEnum):
+    """How bad a finding is.  Only ERROR findings fail a lint."""
+
+    INFO = 0
+    WARNING = 1
+    ERROR = 2
+
+    def __str__(self) -> str:  # "error", not "Severity.ERROR"
+        return self.name.lower()
+
+
 @dataclass(frozen=True)
-class Finding(BaseFinding):
+class Finding:
     """One lint hit, tied to a rule ID and a PC in one kernel."""
 
+    rule: str
+    severity: Severity
+    message: str
+    suppressed: bool = False
     kernel: str = ""
     pc: int = -1
     #: The offending source line, as rendered by ``Kernel.disassemble``.
     source: str = ""
 
-    def location(self) -> str:
-        return f"{self.kernel}:pc={self.pc}"
-
     def to_dict(self) -> Dict[str, object]:
-        out = super().to_dict()
-        out.update(kernel=self.kernel, pc=self.pc, source=self.source)
-        return out
+        return {
+            "rule": self.rule,
+            "severity": str(self.severity),
+            "message": self.message,
+            "suppressed": self.suppressed,
+            "kernel": self.kernel,
+            "pc": self.pc,
+            "source": self.source,
+        }
 
     def __str__(self) -> str:
+        mark = " (waived)" if self.suppressed else ""
         line = f" | {self.source}" if self.source else ""
-        return super().__str__() + line
+        return (f"{self.kernel}:pc={self.pc}: {self.severity} [{self.rule}]"
+                f"{mark} {self.message}{line}")
 
 
 @dataclass
-class LintReport(ReportBase):
+class LintReport:
     """All findings for one kernel, plus pass/fail summary logic."""
 
     kernel: str
     findings: List[Finding] = field(default_factory=list)
 
     @property
-    def subject(self) -> str:
-        return self.kernel
+    def errors(self) -> List[Finding]:
+        return [f for f in self.findings
+                if f.severity is Severity.ERROR and not f.suppressed]
+
+    @property
+    def warnings(self) -> List[Finding]:
+        return [f for f in self.findings
+                if f.severity is Severity.WARNING and not f.suppressed]
+
+    @property
+    def ok(self) -> bool:
+        """True when no unsuppressed ERROR finding exists."""
+        return not self.errors
+
+    def by_rule(self, rule_id: str) -> List[Finding]:
+        return [f for f in self.findings if f.rule == rule_id]
+
+    def format_text(self) -> str:
+        if not self.findings:
+            return f"{self.kernel}: clean"
+        lines = [str(f) for f in self.findings]
+        lines.append(f"{self.kernel}: {len(self.errors)} error(s), "
+                     f"{len(self.warnings)} warning(s)")
+        return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, object]:
-        out = super().to_dict()
-        # Historical key: lint reports name their subject "kernel".
-        out["kernel"] = out.pop("subject")
-        return out
+        return {
+            "ok": self.ok,
+            "errors": len(self.errors),
+            "warnings": len(self.warnings),
+            "findings": [f.to_dict() for f in self.findings],
+            "kernel": self.kernel,
+        }
+
+    def to_json(self, indent: Optional[int] = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
 
 
 # ----------------------------------------------------------------------
@@ -140,17 +189,32 @@ class LintContext:
 # ----------------------------------------------------------------------
 Checker = Callable[[LintContext], Iterator[Tuple[int, str]]]
 
-#: One registered rule: stable ID, severity, title, and its checker.
-LintRule = Rule
 
-_REGISTRY: RuleRegistry[Checker] = RuleRegistry("lint")
+@dataclass(frozen=True)
+class _Rule:
+    """One registered rule: stable ID, severity, title, and its checker."""
 
-#: The live rule catalogue, keyed by stable ID (aliases the registry's
-#: mapping — historical public name, used by tests and the CLI).
-RULES: Dict[str, Rule[Checker]] = _REGISTRY.rules
+    rule_id: str
+    severity: Severity
+    title: str
+    check: Checker
 
-#: Decorator registering a checker under a stable ID in :data:`RULES`.
-rule = _REGISTRY.rule
+
+#: The rule catalogue in registration order, keyed by stable ID.
+RULES: Dict[str, _Rule] = {}
+
+
+def rule(rule_id: str, severity: Severity,
+         title: str) -> Callable[[Checker], Checker]:
+    """Decorator registering a checker under a stable ID in :data:`RULES`."""
+
+    def register(fn: Checker) -> Checker:
+        if rule_id in RULES:
+            raise ValueError(f"duplicate lint rule id {rule_id!r}")
+        RULES[rule_id] = _Rule(rule_id, severity, title, fn)
+        return fn
+
+    return register
 
 
 # ----------------------------------------------------------------------

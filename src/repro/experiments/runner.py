@@ -43,7 +43,7 @@ import math
 import os
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import trace as trace_mod
 from ..config import GPUConfig
@@ -522,18 +522,23 @@ def _sweep_worker(workload: str, scheme: str, scale: float, config: GPUConfig,
 
 
 def _resolve(cells: List[Cell], scale: float, base_for, jobs: Optional[int],
-             kwargs: Dict) -> Dict[Cell, RunResult]:
+             kwargs: Dict, on_cell=None) -> Dict[Cell, RunResult]:
     """Simulate a grid as one plan: cache hits, then the misses deduped
     (:func:`_dedupe`) and drawn from one queue (:class:`_Plan`) by this
     process, which memoises every result, and ``jobs - 1`` forked helpers.
     It runs alone when ``jobs`` (capped at the misses) is 1, with a reuse
     profiler (a live object) or with the disk cache off (a helper's trace
-    could not reach the other processes)."""
+    could not reach the other processes).  ``on_cell(cell, result)`` is
+    called once per cell as its result is known, cache hits first."""
     check = kwargs.get("check", True)
     options = {k: v for k, v in kwargs.items() if k != "check"}
     keys = {cell: _cache_keys(*cell, scale, base_for(cell[0]), **options)
             for cell in dict.fromkeys(cells)}
     results = {cell: _lookup(*keys[cell], check) for cell in keys}
+    if on_cell is not None:
+        for cell, hit in results.items():
+            if hit is not None:
+                on_cell(cell, hit)
     units = _dedupe([c for c in keys if results[c] is None], base_for)
     if jobs is None:  # the usable cores
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -544,6 +549,8 @@ def _resolve(cells: List[Cell], scale: float, base_for, jobs: Optional[int],
     def answer(index: int, result: RunResult, ran_here: bool) -> None:
         for member, cell in enumerate(units[index]):
             results[cell] = result
+            if on_cell is not None:
+                on_cell(cell, result)
             if member or not ran_here:  # run_scheme kept the cell it ran,
                 key, disk_key = keys[cell]  # a helper's its cache entry
                 _keep(key, disk_key if member else None, result)
@@ -579,6 +586,7 @@ def run_sweep(
     config: Optional[GPUConfig] = None,
     sampled=False,
     jobs: Optional[int] = None,
+    on_cell: Optional[Callable[[Cell, RunResult], None]] = None,
     **kwargs,
 ) -> Dict[Tuple[str, str], RunResult]:
     """Run the full (workload x scheme) grid.
@@ -602,6 +610,7 @@ def run_sweep(
     one included: ``None`` means the usable cores, ``1`` this one only.  A
     helper's result comes back with
     :class:`~repro.stats.counters.BlockSummary` blocks, as a disk hit's.
+    ``on_cell(cell, result)`` sees each cell as soon as its result is known.
     """
     for knob in ("parallel", "max_workers"):
         if knob in kwargs:
@@ -623,7 +632,7 @@ def run_sweep(
             # No spec: calibration failed its target here, so exact.
             configs[workload] = base.with_sampling(spec or "off")
     grid = [(w, s) for w in workloads for s in schemes]
-    return _resolve(grid, scale, configs.__getitem__, jobs, kwargs)
+    return _resolve(grid, scale, configs.__getitem__, jobs, kwargs, on_cell)
 
 
 def sweep_table(results: Dict[Cell, RunResult], workloads: List[str],

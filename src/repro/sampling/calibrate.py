@@ -21,9 +21,10 @@ and is run exactly by sampled sweeps (the honest fallback).
 
 Speedups are recorded as the deterministic *replay fraction* (records
 replayed / records total) rather than host wall time: simulator source
-never reads the wall clock (sanitize rule DET002), and the fraction is
-the quantity a wall-clock measurement estimates anyway.  The CI benchmark
-(``benchmarks/``, outside the sanitized tree) measures real wall time.
+never reads the wall clock (source rule DET002,
+``tests/test_source_rules.py``), and the fraction is the quantity a
+wall-clock measurement estimates anyway.  The CI benchmark
+(``benchmarks/``, outside the checked tree) measures real wall time.
 """
 
 from __future__ import annotations

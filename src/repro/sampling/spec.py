@@ -14,8 +14,8 @@ machinery into the config import graph.
 All sampling randomness is routed through :func:`derive_rng`: a
 ``random.Random`` seeded from a SHA-256 over the sampling spec, the
 config-level sampling seed, and the trace identity — deterministic by
-construction, so the DET001 sanitize rule (unseeded randomness) stays
-clean with zero waivers and a given configuration always selects the
+construction, so the source rule DET001 (``tests/test_source_rules.py``;
+unseeded randomness) stays clean with zero waivers and a given configuration always selects the
 same subset.
 """
 

@@ -22,8 +22,6 @@ def register(subparsers, common) -> None:
                      help="admission bound on queued jobs (503 beyond)")
     sub.add_argument("--tenant-quota", type=int, default=8,
                      help="per-tenant in-flight job cap (429 beyond)")
-    sub.add_argument("--sweep-parallel", action="store_true",
-                     help="let sweep jobs fan out inside their worker")
     sub.set_defaults(handler=cmd_serve)
 
     sub = subparsers.add_parser(
@@ -90,7 +88,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         max_queue=args.max_queue,
         tenant_quota=args.tenant_quota,
-        sweep_parallel=args.sweep_parallel,
     )
     try:
         asyncio.run(run_server(config))
@@ -141,7 +138,7 @@ def cmd_client(args) -> int:
     client = ServeClient(args.server, tenant=args.tenant)
     try:
         if args.client_command == "submit":
-            submitted = time.perf_counter()  # sanitize: waive DET002 -- the caller's own wait, printed, never a result
+            submitted = time.perf_counter()
             job, coalesced = client.submit(_spec_from_args(args))
             verb = "coalesced into" if coalesced else "submitted"
             reused = (f", reused from {job['reused_from']}"
@@ -161,7 +158,7 @@ def cmd_client(args) -> int:
                 if payload.get("summary"):
                     print(payload["summary"])
                 if args.wait:
-                    total = time.perf_counter() - submitted  # sanitize: waive DET002 -- as above
+                    total = time.perf_counter() - submitted
                     print(f"queued {1e3 * final['queue_wait_s']:.1f} ms, "
                           f"ran {1e3 * final['exec_s']:.1f} ms, "
                           f"total {1e3 * total:.1f} ms")

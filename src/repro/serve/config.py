@@ -50,10 +50,6 @@ class ServerConfig:
             before being evicted oldest-first.
         cache_dir: explicit ``.repro_cache`` override handed to executor
             processes (``None``: workers inherit the server's resolution).
-        sweep_parallel: let a sweep job spread its grid over the usable
-            cores (``run_sweep(jobs=None)``) *inside* its executor process.
-            Off by default: the worker pool is already the parallelism
-            budget, and nesting pools multiplies processes.
     """
 
     host: str = "127.0.0.1"
@@ -64,7 +60,6 @@ class ServerConfig:
     progress_poll: float = 0.05
     keep_finished: int = 256
     cache_dir: Optional[str] = None
-    sweep_parallel: bool = False
 
     def __post_init__(self) -> None:
         if self.workers <= 0:

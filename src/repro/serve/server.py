@@ -301,11 +301,8 @@ class ReproServer:
 
     def _submit(self, job) -> asyncio.Future:
         """Hand ``job`` to the pool; a pool found broken is rebuilt first."""
-        payload = job.spec.to_payload()
-        if job.spec.kind == "sweep" and self.config.sweep_parallel:
-            payload["_sweep_parallel"] = True
-        args = (execute_job, payload, str(self._progress_path(job.id)),
-                self.config.cache_dir)
+        args = (execute_job, job.spec.to_payload(),
+                str(self._progress_path(job.id)), self.config.cache_dir)
         loop = asyncio.get_event_loop()
         try:
             return loop.run_in_executor(self._executor, *args)

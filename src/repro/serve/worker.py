@@ -43,9 +43,7 @@ def execute_job(
         if spec.kind == "run":
             result_payload = _run_job(spec, writer)
         elif spec.kind == "sweep":
-            result_payload = _sweep_job(
-                spec, writer, parallel=bool(payload.get("_sweep_parallel"))
-            )
+            result_payload = _sweep_job(spec, writer)
         else:
             result_payload = _figure_job(spec)
         writer.emit("finished")
@@ -90,39 +88,22 @@ def _run_job(spec: JobSpec, writer: ProgressWriter) -> dict:
     }
 
 
-def _sweep_job(spec: JobSpec, writer: ProgressWriter,
-               parallel: bool = False) -> dict:
-    base = spec.build_config()
-    cells = []
-    if parallel:
-        from ..experiments.runner import run_sweep
+def _sweep_job(spec: JobSpec, writer: ProgressWriter) -> dict:
+    from ..experiments.runner import run_sweep
 
-        results = run_sweep(
-            list(spec.workloads), list(spec.schemes), scale=spec.scale,
-            config=base, jobs=None, check=spec.check,
-        )
-        for (workload, scheme), result in results.items():
-            writer.emit("cell", workload=workload, scheme=scheme,
-                        cycles=result.cycles)
-            cells.append({"workload": workload, "scheme": scheme,
-                          "result": result.to_dict()})
-    else:
-        # Serial grid with a progress record per finished cell; the
-        # in-process memo plus the shared disk cache reuse what run_sweep
-        # would (only its alias dedupe is missing here).
-        from ..experiments.runner import run_scheme
+    def on_cell(cell, result) -> None:
+        writer.emit("cell", workload=cell[0], scheme=cell[1],
+                    cycles=result.cycles)
 
-        for workload in spec.workloads:
-            for scheme in spec.schemes:
-                result = run_scheme(
-                    workload, scheme, scale=spec.scale, config=base,
-                    check=spec.check,
-                )
-                writer.emit("cell", workload=workload, scheme=scheme,
-                            cycles=result.cycles)
-                cells.append({"workload": workload, "scheme": scheme,
-                              "result": result.to_dict()})
-    return {"kind": "sweep", "cells": cells}
+    # One process per job: the worker pool is the parallelism budget.
+    results = run_sweep(
+        list(spec.workloads), list(spec.schemes), scale=spec.scale,
+        config=spec.build_config(), jobs=1, on_cell=on_cell, check=spec.check,
+    )
+    return {"kind": "sweep", "cells": [
+        {"workload": workload, "scheme": scheme, "result": result.to_dict()}
+        for (workload, scheme), result in results.items()
+    ]}
 
 
 def _figure_job(spec: JobSpec) -> dict:

@@ -259,6 +259,13 @@ class TestBrokenKernelFixtures:
     def test_every_registered_rule_has_a_fixture(self):
         assert set(BROKEN) == set(RULES)
 
+    def test_duplicate_rule_id_rejected(self):
+        from repro.analysis.lints import rule
+
+        with pytest.raises(ValueError, match="duplicate"):
+            rule("CFG001", Severity.ERROR, "second")(lambda ctx: iter(()))
+        assert RULES["CFG001"].title == "unreachable basic block"
+
 
 class TestCleanKernels:
     def test_simple_stream_kernel_is_clean(self):

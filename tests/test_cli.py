@@ -84,8 +84,8 @@ def test_every_parser_renders_its_help(prog, capsys):
 
 def test_building_the_parser_leaves_the_heavy_packages_unloaded():
     """``repro list`` pays for what it uses: building the command line
-    does not import the HTTP client or the analyses behind ``lint`` and
-    ``sanitize`` (each handler imports its own)."""
+    does not import the HTTP client or the analyses behind ``lint`` (each
+    handler imports its own)."""
     import subprocess
     import sys
     from pathlib import Path
@@ -97,7 +97,7 @@ def test_building_the_parser_leaves_the_heavy_packages_unloaded():
         "from repro.cli import build_parser\n"
         "build_parser()\n"
         "loaded = [m for m in ('http.client', 'ssl', 'repro.serve.client',\n"
-        "                      'repro.analysis.lints', 'repro.sanitize.registry')\n"
+        "                      'repro.analysis.lints')\n"
         "          if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )

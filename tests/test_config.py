@@ -9,7 +9,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CacheConfig, GPUConfig
+from repro.config import CacheConfig, GPUConfig, _validate_fingerprint_spec
 from repro.errors import ConfigError
 from repro.scheduling.registry import SCHEDULERS
 
@@ -353,3 +353,28 @@ class TestFingerprintCache:
         cfg.fingerprint()
         assert cfg == twin and hash(cfg) == hash(twin)
         assert dataclasses.asdict(cfg) == dataclasses.asdict(twin)
+
+
+class TestFingerprintConstants:
+    def test_validation_rejects_unknown_functional_path(self, monkeypatch):
+        monkeypatch.setattr(
+            GPUConfig,
+            "FUNCTIONAL_FINGERPRINT_FIELDS",
+            {"bad": "l1d.no_such_field"},
+        )
+        with pytest.raises(ConfigError, match="bad"):
+            _validate_fingerprint_spec()
+
+    def test_functional_fingerprint_follows_declared_fields(self):
+        base = GPUConfig.default_sim()
+        assert set(GPUConfig.FUNCTIONAL_FINGERPRINT_FIELDS) == {
+            "warp_size",
+            "l1_line_size",
+        }
+        # Timing-only knobs do not move it; functional knobs do.
+        assert (
+            base.functional_fingerprint()
+            == base.with_scheduler("gto").functional_fingerprint()
+        )
+        wider = dataclasses.replace(base, warp_size=64)
+        assert base.functional_fingerprint() != wider.functional_fingerprint()

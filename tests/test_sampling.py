@@ -403,34 +403,3 @@ class TestSweepKwargs:
         results = runner.run_sweep([WORKLOAD], ["rr"], scale=SCALE,
                                    use_cache=False)
         assert (WORKLOAD, "rr") in results
-
-
-# ----------------------------------------------------------------------
-# Determinism tooling (satellite 2)
-# ----------------------------------------------------------------------
-class TestSanitizeCoupling:
-    def test_det001_catches_an_unseeded_sampler(self):
-        from pathlib import Path
-
-        from repro.sanitize import sanitize_tree
-
-        fixture = (Path(__file__).parent / "fixtures" / "sanitize"
-                   / "det001")
-        report = sanitize_tree(fixture, rules=["DET001"])
-        assert not report.ok
-        assert any(
-            "block_sampler.py" in f.path and "seed" in f.message
-            for f in report.findings if not f.suppressed
-        )
-
-    def test_shipped_sampling_tree_is_det001_clean(self):
-        from pathlib import Path
-
-        import repro.sampling
-        from repro.sanitize import sanitize_tree
-
-        root = Path(repro.sampling.__file__).parent
-        report = sanitize_tree(root, rules=["DET001"])
-        assert report.ok
-        # Zero new waivers: the sampler is seeded by construction.
-        assert not report.findings

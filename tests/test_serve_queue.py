@@ -374,6 +374,40 @@ class TestProgressChannel:
         assert records == [] and offset == 0
 
 
+class TestSweepJob:
+    """A sweep job run in-process, as an executor process runs it."""
+
+    def test_cell_records_arrive_before_finished_warm_or_cold(
+            self, tmp_path, monkeypatch):
+        from repro.experiments import result_cache, runner
+        from repro.serve.progress import read_new_records
+        from repro.serve.worker import execute_job
+
+        monkeypatch.setattr(result_cache, "_dir_override", None)
+        payload = {"kind": "sweep", "scale": 0.25,
+                   "workloads": ["synthetic_imbalance", "synthetic_divergence"],
+                   "schemes": ["rr", "gto"]}
+        answers = []
+        for run in ("cold", "warm"):
+            runner.clear_cache()  # the warm run reads the disk cache
+            progress = tmp_path / f"{run}.jsonl"
+            before = runner.cells_simulated()
+            answer = execute_job(payload, str(progress),
+                                 str(tmp_path / "cache"))
+            assert runner.cells_simulated() - before == (
+                4 if run == "cold" else 0)
+            records, _ = read_new_records(progress, 0)
+            kinds = [r["kind"] for r in records]
+            assert kinds == ["started"] + ["cell"] * 4 + ["finished"], run
+            cycles = {(c["workload"], c["scheme"]): c["result"]["cycles"]
+                      for c in answer["cells"]}
+            assert len(cycles) == 4
+            assert {(r["workload"], r["scheme"]): r["cycles"]
+                    for r in records[1:5]} == cycles
+            answers.append(answer)
+        assert answers[0] == answers[1]
+
+
 class TestLifecycle:
     def test_finish_success(self):
         q = JobQueue()
