@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all test-slow lint sanitize bench figures ledger ledger-pairs profile opcount sample-profile sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
+.PHONY: test test-all test-slow lint sanitize bench figures ledger ledger-pairs profile opcount sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
 
 ## Packages (and the CLI dispatcher) held to the ruff + strict-mypy bar (CI
 ## `lint` job).
@@ -70,9 +70,10 @@ PAIRS ?= 10
 ledger-pairs:
 	$(PYTHON) tools/ledger_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
-## Hot-spot profile of the reference cell (override: make profile ARGS="kmeans rr");
-## ends with the call-budget gauge CI gates (profiled calls per replayed
-## warp instruction, bfs x gto at scale 0.5).
+## Where the reference cell's replays spend CPU (override: make profile
+## ARGS="kmeans rr"): SIGPROF samples grouped by host layer, the hottest
+## functions by self and inclusive share, then the call-budget gauge CI
+## gates (profiled calls per replayed warp instruction, bfs x gto at 0.5).
 ARGS ?= bfs cawa
 profile:
 	PYTHONPATH=src $(PYTHON) -m repro profile $(ARGS)
@@ -84,14 +85,6 @@ profile:
 OPCOUNT_ARGS ?=
 opcount:
 	$(PYTHON) tools/opcount.py $(OPCOUNT_ARGS)
-
-## Where the replay kernel's CPU time goes: a SIGPROF stack sampler over the
-## same 15 cells, printing each function's self and inclusive share
-## (tools/sample_profile.py; statistical, a report).  One cell:
-## make sample-profile SAMPLE_ARGS="--budget-cell".
-SAMPLE_ARGS ?=
-sample-profile:
-	$(PYTHON) tools/sample_profile.py $(SAMPLE_ARGS)
 
 ## Full workload x scheme IPC sweep.
 sweep:

@@ -42,12 +42,11 @@ def register(subparsers, common) -> None:
                      help="force exact replay (overrides --sampled)")
     sub.set_defaults(handler=cmd_sweep)
 
-    sub = subparsers.add_parser("profile", help="cProfile one run")
+    sub = subparsers.add_parser(
+        "profile", help="sample one cell's replays: host time by layer and function")
     common.cell(sub, positional=True, scheme="cawa")
-    sub.add_argument("--sort", default="cumulative",
-                     choices=["cumulative", "tottime", "ncalls"])
     sub.add_argument("--top", type=int, default=25,
-                     help="number of profile rows to print")
+                     help="number of functions to print")
     sub.set_defaults(handler=cmd_profile)
 
     sub = subparsers.add_parser(
@@ -176,8 +175,8 @@ def cmd_sweep(args) -> int:
 def cmd_profile(args) -> int:
     from . import profiling
 
-    profiling.profile_run(args.workload, args.scheme, scale=args.scale,
-                          config=args.config, sort=args.sort, top=args.top)
+    profiling.profile(args.workload, args.scheme, scale=args.scale,
+                      config=args.config, top=args.top)
     return 0
 
 
@@ -218,6 +217,11 @@ def cmd_cache_gc(args) -> int:
         print("error: give --max-age-days and/or --max-entries",
               file=sys.stderr)
         return 2
+    for flag, value in (("--max-age-days", max_age),
+                        ("--max-entries", args.max_entries)):
+        if value is not None and value < 0:
+            print(f"error: {flag} must not be negative", file=sys.stderr)
+            return 2
     total = 0
     for name in names:
         removed = stores[name].gc(max_age_seconds=max_age,

@@ -170,18 +170,5 @@ def gc(
     lock: replaced entries carry fresh mtimes and unlinked entries simply
     miss on next load.
     """
-    directory = cache_dir()
-    if not directory.is_dir():
-        return 0
-    lock = fslock.lock_path(directory)
-    if blocking:
-        with fslock.locked(lock):
-            return fslock.gc_entries(
-                directory, "*.json", max_age_seconds, max_entries
-            )
-    with fslock.try_locked(lock) as acquired:
-        if not acquired:
-            return 0
-        return fslock.gc_entries(
-            directory, "*.json", max_age_seconds, max_entries
-        )
+    return fslock.collect(cache_dir(), "*.json", max_age_seconds,
+                          max_entries, blocking)

@@ -9,15 +9,12 @@ safe:
 * :func:`atomic_write_bytes` / :func:`atomic_write_json` — temp file in the
   destination directory + ``os.replace``, so a reader only ever sees either
   the old complete entry or the new complete entry, never a torn write.
-* :func:`locked` — a blocking advisory lock (``fcntl.flock`` where
-  available, a no-op elsewhere) held on a sidecar ``*.lock`` file.  Writers
-  of individual entries do **not** take locks (``os.replace`` already makes
-  them safe); locks exist for multi-file critical sections, i.e. garbage
-  collection, where "enumerate then delete" must not interleave with
-  another collector.
-* :func:`try_locked` — the non-blocking variant; returns ``None`` when the
-  lock is already held, letting callers skip rather than queue (two
-  concurrent ``repro cache gc`` runs need one winner, not a convoy).
+* :func:`locked` — an advisory lock (``fcntl.flock`` where available, a
+  no-op elsewhere) held on a sidecar ``*.lock`` file, blocking or not.
+  Writers of individual entries do **not** take locks (``os.replace``
+  already makes them safe); locks exist for multi-file critical sections,
+  i.e. garbage collection (:func:`collect`), where "enumerate then
+  delete" must not interleave with another collector.
 
 POSIX advisory locks are per-(process, file) — they do not exclude threads
 of the same process — which is exactly the granularity the stores need:
@@ -32,7 +29,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 try:  # pragma: no cover - import guard exercised only off-POSIX
     import fcntl
@@ -53,35 +50,16 @@ def lock_path(directory: os.PathLike, name: str = "gc") -> Path:
 
 
 @contextlib.contextmanager
-def locked(path: os.PathLike) -> Iterator[None]:
-    """Hold a blocking exclusive advisory lock on ``path``.
+def locked(path: os.PathLike, blocking: bool = True) -> Iterator[bool]:
+    """Hold an exclusive advisory lock on ``path``; yields whether it did.
 
-    Creates the lock file (and its directory) on demand.  Reduces to a
-    no-op where ``fcntl`` is unavailable — single-writer platforms lose
-    only GC mutual exclusion, never data integrity (entry writes stay
-    atomic regardless).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a+b") as handle:
-        if _HAVE_FCNTL:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            if _HAVE_FCNTL:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-
-@contextlib.contextmanager
-def try_locked(path: os.PathLike) -> Iterator[bool]:
-    """Non-blocking :func:`locked`; yields ``False`` if already held.
-
-    Usage::
-
-        with try_locked(lock_path(d)) as acquired:
-            if acquired:
-                ...critical section...
+    ``blocking=False`` yields ``False`` at once if the lock is already
+    held, letting a caller skip rather than queue (two concurrent
+    ``repro cache gc`` runs need one winner, not a convoy).  Creates the
+    lock file (and its directory) on demand.  Reduces to a no-op where
+    ``fcntl`` is unavailable — single-writer platforms lose only GC
+    mutual exclusion, never data integrity (entry writes stay atomic
+    regardless).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -89,8 +67,9 @@ def try_locked(path: os.PathLike) -> Iterator[bool]:
         acquired = True
         if _HAVE_FCNTL:
             try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
+                fcntl.flock(handle.fileno(),
+                            fcntl.LOCK_EX | (0 if blocking else fcntl.LOCK_NB))
+            except BlockingIOError:
                 acquired = False
         try:
             yield acquired
@@ -159,8 +138,8 @@ def gc_entries(
     ``max_age_seconds`` removes entries whose mtime is older than the
     cutoff; ``max_entries`` then removes the oldest entries beyond the
     cap.  Returns the number of files removed.  Callers are expected to
-    hold the directory's GC lock (:func:`locked` / :func:`try_locked`) so
-    two collectors never race each other; racing *writers* are safe
+    hold the directory's GC lock (:func:`collect` does) so two collectors
+    never race each other; racing *writers* are safe
     because a freshly replaced entry carries a fresh mtime and an unlinked
     entry simply misses on next read.
     """
@@ -199,3 +178,32 @@ def gc_entries(
         except OSError:
             pass
     return removed
+
+
+def collect(
+    directory: os.PathLike,
+    pattern: str,
+    max_age_seconds: Optional[float] = None,
+    max_entries: Optional[int] = None,
+    blocking: bool = True,
+    age_only: Tuple[str, ...] = (),
+) -> int:
+    """One store's lock-safe garbage collection.
+
+    Runs :func:`gc_entries` over ``directory``'s ``pattern``, then over
+    each ``age_only`` pattern (relative to ``directory``) with no entry
+    cap, all inside the directory's advisory GC lock.  With
+    ``blocking=False`` a held lock means another collector is already at
+    work, and this returns 0 at once.  Returns the number of files
+    removed.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        return 0
+    with locked(lock_path(directory), blocking) as acquired:
+        if not acquired:
+            return 0
+        removed = gc_entries(directory, pattern, max_age_seconds, max_entries)
+        for extra in age_only:
+            removed += gc_entries(directory, extra, max_age_seconds, None)
+        return removed

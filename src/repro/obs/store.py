@@ -3,7 +3,7 @@
 Recorded event streams are artifacts like traces: zlib-compressed JSON
 envelopes with a format marker, schema version, and provenance metadata
 (workload, scheme, config fingerprint, event count).  ``repro events
-record`` writes them; ``repro events stats|export`` read them back, so
+record`` writes them; ``repro events stats`` / ``export`` read them back, so
 an expensive run is recorded once and analyzed many times.
 
 Layout::
@@ -149,24 +149,5 @@ def gc(
 ) -> int:
     """Lock-safe garbage collection of stale event streams (and spill
     chunks), same contract as :func:`repro.experiments.result_cache.gc`."""
-    root = events_dir()
-    if not root.is_dir():
-        return 0
-    lock = fslock.lock_path(root)
-
-    def _collect() -> int:
-        removed = fslock.gc_entries(
-            root, f"*{SUFFIX}", max_age_seconds, max_entries
-        )
-        removed += fslock.gc_entries(
-            root / "spill", "*", max_age_seconds, None
-        )
-        return removed
-
-    if blocking:
-        with fslock.locked(lock):
-            return _collect()
-    with fslock.try_locked(lock) as acquired:
-        if not acquired:
-            return 0
-        return _collect()
+    return fslock.collect(events_dir(), f"*{SUFFIX}", max_age_seconds,
+                          max_entries, blocking, age_only=("spill/*",))

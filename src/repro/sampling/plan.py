@@ -104,12 +104,6 @@ class LaunchPlan:
     def replayed_records(self) -> int:
         return sum(self.kept_records.values())
 
-    def stratum_of(self, block_id: int) -> int:
-        for index, members in enumerate(self.strata):
-            if block_id in members:
-                return index
-        raise KeyError(block_id)
-
     def expansion(self, block_id: int) -> float:
         """Record expansion factor for one replayed block (>= 1)."""
         kept = self.kept_records.get(block_id, 0)

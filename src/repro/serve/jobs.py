@@ -568,10 +568,6 @@ class JobQueue:
         return sum(1 for j in self.jobs.values()
                    if j.state == RUNNING and j.priority == "batch")
 
-    def has_queued_interactive(self) -> bool:
-        return any(j.state == QUEUED and j.priority == "interactive"
-                   for j in self.jobs.values())
-
     def tenant_inflight(self, tenant: str) -> int:
         return sum(1 for j in self.jobs.values()
                    if j.tenant == tenant and j.state in (QUEUED, RUNNING))

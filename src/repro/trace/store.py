@@ -242,18 +242,5 @@ def gc(
     indistinguishable from a miss, which the runner answers by
     re-recording.
     """
-    directory = trace_dir()
-    if not directory.is_dir():
-        return 0
-    lock = fslock.lock_path(directory)
-    if blocking:
-        with fslock.locked(lock):
-            return fslock.gc_entries(
-                directory, f"*{TRACE_SUFFIX}", max_age_seconds, max_entries
-            )
-    with fslock.try_locked(lock) as acquired:
-        if not acquired:
-            return 0
-        return fslock.gc_entries(
-            directory, f"*{TRACE_SUFFIX}", max_age_seconds, max_entries
-        )
+    return fslock.collect(trace_dir(), f"*{TRACE_SUFFIX}", max_age_seconds,
+                          max_entries, blocking)

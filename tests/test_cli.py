@@ -182,25 +182,25 @@ class TestCommands:
     @staticmethod
     def _refused(capsys, *extra):
         # --compare went with the per-cycle loop, the only thing it
-        # compared: argparse refuses it before anything runs.
+        # compared; --repeats with it, and --sort with cProfile's listing:
+        # argparse refuses each before anything runs.
         with pytest.raises(SystemExit) as exc:
             main(["profile", "bfs", *extra])
         assert exc.value.code == 2
         assert "unrecognized arguments: " + extra[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["clock=cycle,skip"])
-    def test_profile_compare(self, capsys, spec):
+    def test_profile_refuses_removed_flags(self, capsys, spec):
         self._refused(capsys, "--compare", spec)
         self._refused(capsys, "--repeats", "1")
+        self._refused(capsys, "--sort", "tottime")
 
     @pytest.mark.parametrize(
-        "spec", ["core", "clock", "clock=skip", "shards=1,2", "backend=python,vector"]
+        "spec", ["core", "clock", "clock=skip", "shards=1,2", "backend=python,vector",
+                 "clock=cycle,warp"]
     )
-    def test_profile_compare_rejects_bad_spec(self, capsys, spec):
+    def test_profile_refuses_compare_with_any_spec(self, capsys, spec):
         self._refused(capsys, "--compare", spec)
-
-    def test_profile_compare_rejects_unknown_clock(self, capsys):
-        self._refused(capsys, "--compare", "clock=cycle,warp")
 
     def test_profile(self, capsys):
         code = main(["profile", "synthetic_imbalance", "rr", "--scale", "0.25",
@@ -291,6 +291,20 @@ class TestLintCommand:
         assert isinstance(payload, list) and len(payload) == 1
         assert payload[0]["kernel"]
         assert payload[0]["ok"] is True
+
+
+@pytest.mark.parametrize("flag", ["--max-entries", "--max-age-days"])
+def test_cache_gc_refuses_a_negative_limit(capsys, flag):
+    from repro.experiments.result_cache import cache_dir
+
+    directory = cache_dir()
+    directory.mkdir(parents=True)
+    entries = [directory / f"{name}.json" for name in ("a", "b")]
+    for entry in entries:
+        entry.write_text("{}")
+    assert main(["cache", "gc", "--what", "results", flag, "-1"]) == 2
+    assert f"{flag} must not be negative" in capsys.readouterr().err
+    assert all(entry.exists() for entry in entries)
 
 
 class TestEventsCommand:

@@ -158,14 +158,6 @@ class TestRemovedClockKnob:
         assert str(exc.value) == ("unsupported device knob(s): clock; "
                                   "supported: sampling")
 
-    def test_profile_compare_is_an_argparse_error(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as exc:
-            main(["profile", "bfs", "--compare", "clock=cycle,skip"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --compare" in capsys.readouterr().err
-
     def test_result_payload_with_clock_loads(self):
         from repro.experiments.runner import run_scheme
         from repro.stats.counters import RunResult

@@ -36,6 +36,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from repro.experiments import profiling, result_cache  # noqa: E402
+from repro.experiments.profiling import warm_replay, where  # noqa: E402
+
 HASH_SEED = "0"
 #: The performance ledger's ``narrow_figs`` cells (workload, scheme, scale)
 #: on the default 2-SM device, at each workload's default input seed.
@@ -72,31 +75,13 @@ def _counting_tracer(ops, calls):
 
 def count_cell(workload, scheme, scale, ops, calls):
     """Replay one cell under the counter; returns its warp instructions."""
-    from repro import trace as trace_mod
-    from repro.config import GPUConfig
-    from repro.core.cawa import apply_scheme
-    from repro.experiments import runner
-
-    cfg = GPUConfig.default_sim()
-    program = runner.load_or_record_program(workload, scheme, scale, cfg)
-    run_cfg = apply_scheme(cfg, scheme)
-    trace_mod.replay_program(program, run_cfg, scheme=scheme)
+    replay = warm_replay(workload, scheme, scale)
     sys.settrace(_counting_tracer(ops, calls))
     try:
-        results = trace_mod.replay_program(program, run_cfg, scheme=scheme)
+        results = replay()
     finally:
         sys.settrace(None)
     return sum(result.warp_instructions for result in results)
-
-
-def _where(code):
-    """``package/module.py:qualname`` relative to ``src/repro``."""
-    path = Path(code.co_filename)
-    try:
-        path = path.resolve().relative_to(SRC / "repro")
-    except ValueError:
-        path = Path(path.name)
-    return f"{path.as_posix()}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
 def report(cells):
@@ -121,7 +106,7 @@ def report(cells):
         })
     functions = {}
     for code, (count,) in ops.items():
-        entry = functions.setdefault(_where(code), [0, 0])
+        entry = functions.setdefault(where(code), [0, 0])
         entry[0] += count
         entry[1] += calls[code][0]
     total_ops, total_calls = totals()
@@ -174,8 +159,6 @@ def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
         os.environ["PYTHONHASHSEED"] = HASH_SEED
         os.execv(sys.executable, [sys.executable, __file__, *sys.argv[1:]])
-
-    from repro.experiments import profiling, result_cache
 
     cells = [profiling.CALL_BUDGET_CELL] if args.budget_cell else NARROW_CELLS
     with tempfile.TemporaryDirectory(prefix="opcount-") as scratch:
