@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all test-slow lint sanitize bench figures ledger ledger-pairs profile opcount sweep viz serve serve-smoke sample-smoke schemes-smoke clean-cache
+.PHONY: test test-all test-slow lint sanitize bench figures ledger ledger-pairs profile opcount sweep viz serve serve-smoke sample-smoke clean-cache
 
 ## Packages (and the CLI dispatcher) held to the ruff + strict-mypy bar (CI
 ## `lint` job).
@@ -111,12 +111,6 @@ serve-smoke:
 ## exact metric inside its sampled 95% CI (docs/sampling.md).
 sample-smoke:
 	$(PYTEST) benchmarks/test_sample_smoke.py -q -m slow --benchmark-only
-
-## Co-design scheme smoke: every feedback-consuming scheme on two tier-1
-## workloads, execute-vs-trace cycle + cache-record-stream identity, one trace
-## recording per workload reused across schemes (docs/schemes.md).
-schemes-smoke:
-	$(PYTHON) tools/schemes_smoke.py
 
 ## Drop the persistent result cache.
 clean-cache:

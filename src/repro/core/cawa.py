@@ -25,12 +25,24 @@ SCHEMES: Dict[str, tuple] = {
     "rr+cacp": ("lrr", True),
     "gto+cacp": ("gto", True),
     "two_level+cacp": ("two_level", True),
-    # Co-design schemes consuming L1 cache records (repro.feedback):
-    # CCWS locality-aware throttling, WaSP prefetch-mimicking priority,
-    # CIAO interference-aware throttling.  See docs/schemes.md.
+    # CCWS throttles on its SM's L1 cache records (docs/schemes.md).
     "ccws": ("ccws", False),
-    "wasp": ("wasp", False),
-    "ciao": ("ciao", False),
+}
+
+_CODESIGN_REMOVED = (
+    "the co-design scheme measured at or below GTO on the Table 2 "
+    "workloads (EXPERIMENTS.md, finding E); use 'gto' or 'ccws'"
+)
+
+#: Scheme names that are no longer modeled -> why; ``apply_scheme``
+#: refuses each by name instead of calling it unknown.
+REMOVED_SCHEMES: Dict[str, str] = {
+    "cawa+bypass": "the L1 no-reuse bypass measured IPC-neutral "
+    "(EXPERIMENTS.md, Ablations); use 'cawa'",
+    "cawa+mshr": "the critical-MSHR reserve measured negative "
+    "(EXPERIMENTS.md, Ablations); use 'cawa'",
+    "ciao": _CODESIGN_REMOVED,
+    "wasp": _CODESIGN_REMOVED,
 }
 
 
@@ -46,11 +58,9 @@ def apply_scheme(config: GPUConfig, scheme: str) -> GPUConfig:
     try:
         scheduler, use_cacp = SCHEMES[scheme]
     except KeyError:
-        if scheme in ("cawa+bypass", "cawa+mshr"):
+        if scheme in REMOVED_SCHEMES:
             raise ValueError(
-                f"scheme {scheme!r} was removed: the L1 no-reuse bypass and "
-                "the critical-MSHR reserve measured IPC-neutral and negative "
-                "(EXPERIMENTS.md, Ablations); use 'cawa'"
+                f"scheme {scheme!r} was removed: {REMOVED_SCHEMES[scheme]}"
             ) from None
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {sorted(SCHEMES)}"

@@ -77,13 +77,6 @@ def register(subparsers, common) -> None:
 
     sub = subparsers.add_parser(
         "schemes", help="list registered schedulers and their feedback subscriptions")
-    sub.add_argument("--compare", action="store_true", help="run the co-design "
-                     "head-to-head (IPC/MPKI vs gto/caws/cawa)")
-    sub.add_argument("--workloads", default="",
-                     help="comma-separated list for --compare")
-    common.scale(sub)
-    common.jobs(sub)
-    common.fermi(sub)
     sub.set_defaults(handler=cmd_schemes)
 
 
@@ -257,16 +250,6 @@ def cmd_schemes(args) -> int:
     from ..obs.events import Ev
     from ..scheduling.registry import SCHEDULERS
 
-    if args.compare:
-        from . import schemes_table
-
-        workloads = (args.workloads.split(",") if args.workloads
-                     else list(schemes_table.DEFAULT_WORKLOADS))
-        results = schemes_table.schemes_head_to_head(
-            workloads, scale=args.scale, config=args.config,
-            jobs=args.jobs)
-        print(schemes_table.format_head_to_head(results, workloads))
-        return 0
     print("Registered warp schedulers (see docs/schemes.md):")
     for name in sorted(SCHEDULERS):
         scheduler = SCHEDULERS[name]

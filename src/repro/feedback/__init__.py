@@ -4,9 +4,8 @@ A cache decision (miss, fill, eviction) has one record: the
 :mod:`repro.obs` ``CACHE_*`` event, whose schema v2 names the warps
 involved.  Schedulers subscribe to those records by declaring
 ``FEEDBACK_KINDS`` (``Ev`` codes) and receive them in ``on_signal``
-through their SM's L1 sink (:func:`l1_sink`).  CCWS, WaSP and CIAO
-(``repro.scheduling.{ccws,wasp,ciao}``) are pure consumers — see
-``docs/schemes.md``.
+through their SM's L1 sink (:func:`l1_sink`).  CCWS
+(``repro.scheduling.ccws``) is the one consumer — see ``docs/schemes.md``.
 
 The recording harness (:func:`record_signals`) pulls in the GPU and the
 experiment runner, so it is exposed via module ``__getattr__``.

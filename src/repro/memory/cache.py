@@ -19,7 +19,7 @@ What a probe, fill or eviction did reaches the rest of the simulator as
 one record per decision, handed to the cache's one sink (``obs``): the
 event bus, or an L1's scheduler fan-out (:mod:`repro.feedback`), which
 passes each record on to the bus.  The reuse-distance profiler (Fig 3) is
-an event-bus collector; CCWS, WaSP and CIAO read the same records.
+an event-bus collector; CCWS reads the same records.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class CacheLine:
     reuse_count: int = 0
     filled_by_critical: bool = False
     # Warp attribution of the fill (``req.warp_key[1:]``): lets eviction
-    # records name the *victim's* owner (CCWS victim tag arrays, CIAO
-    # interference scores).  -1 when unattributed.
+    # records name the *victim's* owner (CCWS victim tag arrays).  -1 when
+    # unattributed.
     fill_block: int = -1
     fill_warp: int = -1
     # CACP per-line flags (Algorithm 4).

@@ -14,12 +14,10 @@ from typing import Dict, Type
 from .base import WarpScheduler
 from .caws import OracleCAWSScheduler
 from .ccws import CCWSScheduler
-from .ciao import CIAOScheduler
 from .gcaws import GCAWSScheduler
 from .gto import GTOScheduler
 from .lrr import LRRScheduler
 from .two_level import TwoLevelScheduler
-from .wasp import WaSPScheduler
 
 SCHEDULERS: Dict[str, Type[WarpScheduler]] = {
     "lrr": LRRScheduler,
@@ -30,8 +28,6 @@ SCHEDULERS: Dict[str, Type[WarpScheduler]] = {
     "caws": OracleCAWSScheduler,
     "gcaws": GCAWSScheduler,
     "ccws": CCWSScheduler,
-    "wasp": WaSPScheduler,
-    "ciao": CIAOScheduler,
 }
 
 

@@ -637,34 +637,12 @@ def _ref_ccws(s, book, ready, now):
     return _round_robin(book, pool) if pool else None
 
 
-def _ref_ciao(s, book, ready, now):
-    table = s.warps
-    pool = [w for w in ready
-            if _key(w) not in table or not table[_key(w)].is_throttled(now)]
-    if not pool:
-        return min(ready, key=lambda w: (
-            table[_key(w)].score if _key(w) in table else 0.0, w.dynamic_id))
-    return _greedy_then(book, pool, _oldest)
-
-
-def _ref_wasp(s, book, ready, now):
-    floor = s._follower_floor()
-    if floor is not None:
-        limit = floor + s._max_lead
-        runners = [w for w in ready
-                   if w.dynamic_id % 4 == 0 and w.issued_instructions < limit]
-        if runners:
-            return _oldest(runners)
-    return _greedy_then(book, ready, _oldest)
-
-
 #: Every registered scheduler's ``select`` as it was written before it
 #: derived its order from ``last``: explicit ``min`` / ``max`` with keys over
 #: a :class:`SelectBook`, no ``ready[0]``.  ``reference(scheduler, book,
 #: ready, now)`` reads only scheme scores off the scheduler (``_allowed``,
-#: ``_bucket``, ``_criticality``, ``_follower_floor``, ``_max_lead``,
-#: ``warps``); call it after the real ``select`` at the same ``now``, so
-#: CIAO's lazily-decayed scores are already current.
+#: ``_bucket``, ``_criticality``); call it after the real ``select`` at the
+#: same ``now``.
 SELECT_REFERENCE = {
     "lrr": lambda s, book, ready, now: _round_robin(book, ready),
     "gto": lambda s, book, ready, now: _greedy_then(book, ready, _oldest),
@@ -674,8 +652,6 @@ SELECT_REFERENCE = {
     "gcaws": lambda s, book, ready, now: _greedy_then(book, ready, lambda r: max(
         r, key=lambda w: (s._bucket(w), -w.dynamic_id))),
     "ccws": _ref_ccws,
-    "ciao": _ref_ciao,
-    "wasp": _ref_wasp,
 }
 SELECT_REFERENCE["rr"] = SELECT_REFERENCE["lrr"]
 SELECT_REFERENCE["2lev"] = SELECT_REFERENCE["two_level"]

@@ -245,7 +245,7 @@ class TestRemovedEventsKnob:
 class TestRemovedExtensions:
     """The L1 no-reuse bypass and the critical-MSHR reserve are gone: their
     knobs and schemes fail by name, and stored results that carry the
-    bypass counter still load."""
+    bypass counter still load.  So do the CIAO and WaSP scheme names."""
 
     @pytest.mark.parametrize("knob,value", [("cacp_bypass", True),
                                             ("critical_mshr_reserve", 2)])
@@ -253,7 +253,7 @@ class TestRemovedExtensions:
         with pytest.raises(TypeError, match=knob):
             GPUConfig.default_sim(**{knob: value})
 
-    @pytest.mark.parametrize("scheme", ["cawa+bypass", "cawa+mshr"])
+    @pytest.mark.parametrize("scheme", ["cawa+bypass", "cawa+mshr", "ciao", "wasp"])
     def test_scheme_is_refused_by_name(self, scheme):
         from repro import apply_scheme
 

@@ -13,8 +13,6 @@ from repro.scheduling import (
     TwoLevelScheduler,
 )
 from repro.scheduling.ccws import CCWSScheduler
-from repro.scheduling.ciao import CIAOScheduler
-from repro.scheduling.wasp import WaSPScheduler
 
 _EXPECTED_SCHEDULER_TYPES = {
     "rr": LRRScheduler,
@@ -27,8 +25,6 @@ _EXPECTED_SCHEDULER_TYPES = {
     "gto+cacp": GTOScheduler,
     "two_level+cacp": TwoLevelScheduler,
     "ccws": CCWSScheduler,
-    "wasp": WaSPScheduler,
-    "ciao": CIAOScheduler,
 }
 
 

@@ -3,8 +3,8 @@
 The runtime contract (replayed = in-place stream identity, consumers included)
 lives in ``test_obs_parity.py``; this file covers the pieces in
 isolation: the v2 cache records schedulers read, the L1 sink and its
-fan-out, the eager config-time validation satellites, and the three
-feedback-consuming schedulers driven by hand-crafted records.
+fan-out, the eager config-time validation satellites, and CCWS, the
+feedback-consuming scheduler, driven by hand-crafted records.
 """
 
 import pytest
@@ -26,12 +26,8 @@ from repro.obs import (
 )
 from repro.obs.events import LEVEL_L1D, LEVEL_L2
 from repro.scheduling import ccws as ccws_mod
-from repro.scheduling import ciao as ciao_mod
-from repro.scheduling import wasp as wasp_mod
 from repro.scheduling.ccws import CCWSScheduler
-from repro.scheduling.ciao import CIAOScheduler
 from repro.scheduling.registry import SCHEDULERS, make_scheduler
-from repro.scheduling.wasp import WaSPScheduler
 from repro.simt.warp import WarpStatus
 
 # (kind, cycle, sm, level, pc, line_addr, critical, block, warp)
@@ -64,10 +60,10 @@ class TestSchema:
         with pytest.raises(SchemaError, match="CACHE_MISS"):
             validate_events([MISS[:7]])
 
-    def test_validate_signals_counts(self):
+    def test_validate_events_counts(self):
         assert validate_events([MISS, FILL, EVICT]) == 3
 
-    def test_signal_to_dict_names_fields(self):
+    def test_event_to_dict_names_evict_fields(self):
         d = event_to_dict(EVICT)
         assert d["kind"] == "CACHE_EVICT"
         assert d["cycle"] == 12.0
@@ -107,8 +103,8 @@ class _Subscriber:
         self.log.append((self.tag, record))
 
 
-class TestChannel:
-    def test_publish_dispatches_by_kind_in_subscription_order(self):
+class TestL1Sink:
+    def test_fanout_dispatches_by_kind_in_slot_order(self):
         got = []
         sink = l1_sink([_Subscriber((Ev.CACHE_MISS,), got, "first"),
                         _Subscriber((Ev.CACHE_MISS, Ev.CACHE_EVICT), got, "second")])
@@ -121,7 +117,7 @@ class TestChannel:
         with pytest.raises(ValueError):
             l1_sink([_Subscriber((99,), [], "bad")])
 
-    def test_tap_records_even_unsubscribed_kinds(self):
+    def test_bus_records_every_kind_after_the_handlers(self):
         # Handlers first, then the bus — which records every kind.
         order, bus = [], []
 
@@ -197,7 +193,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="bogus") as err:
             GPUConfig.default_sim().with_scheduler("bogus")
         # The error must list the registered names.
-        for name in ("gto", "ccws", "wasp", "ciao"):
+        for name in ("gto", "ccws"):
             assert name in str(err.value)
 
     def test_unknown_scheduler_fails_in_constructor_too(self):
@@ -229,8 +225,6 @@ class TestRegistry:
     def test_consumer_subscriptions(self):
         evict, miss = int(Ev.CACHE_EVICT), int(Ev.CACHE_MISS)
         assert set(SCHEDULERS["ccws"].FEEDBACK_KINDS) == {evict, miss}
-        assert set(SCHEDULERS["wasp"].FEEDBACK_KINDS) == {evict}
-        assert set(SCHEDULERS["ciao"].FEEDBACK_KINDS) == {evict}
         assert SCHEDULERS["gto"].FEEDBACK_KINDS == ()
 
 
@@ -252,12 +246,11 @@ class _StubWarp:
             warp_id_in_block if warp_id_in_block is not None else dynamic_id
         )
         self.status = WarpStatus.RUNNING
-        self.issued_instructions = 0
 
 
-def _evict(victim, evictor, line_addr, reused=0, cycle=1.0):
+def _evict(victim, evictor, line_addr, cycle=1.0):
     return (
-        int(Ev.CACHE_EVICT), cycle, 0, LEVEL_L1D, line_addr, reused,
+        int(Ev.CACHE_EVICT), cycle, 0, LEVEL_L1D, line_addr, 0,
         victim.block.block_id, victim.warp_id_in_block,
         evictor.block.block_id, evictor.warp_id_in_block,
     )
@@ -319,100 +312,3 @@ class TestCCWSUnit:
         stranger = _StubWarp(99, block_id=7)
         sched.on_signal(_miss(stranger, 0x400))  # other slot's warp
         assert sched.warps[(0, 0)].bonus == 0.0
-
-
-class TestWaSPUnit:
-    def _scheduler(self, n=8):
-        sched = WaSPScheduler()
-        warps = [_StubWarp(i) for i in range(n)]
-        for w in warps:
-            sched.notify_warp_added(w)
-        return sched, warps
-
-    def test_prefetchers_run_ahead_first(self):
-        sched, warps = self._scheduler()
-        # Warps 0 and 4 are prefetchers (stride 4); 0 is oldest.
-        assert sched.select(list(warps), 1.0) is warps[0]
-
-    def test_lead_limit_benches_runaway_prefetchers(self):
-        sched, warps = self._scheduler()
-        for w in warps:
-            if wasp_mod._is_prefetcher(w):
-                w.issued_instructions = wasp_mod.MAX_LEAD  # at the limit
-        # Prefetchers are out of lead; greedy/oldest takes over.
-        pick = sched.select([warps[1], warps[2], warps[5]], 1.0)
-        assert pick is warps[1]
-
-    def test_wasted_window_halves_the_lead(self):
-        sched, warps = self._scheduler()
-        assert sched._max_lead == wasp_mod.MAX_LEAD
-        for _ in range(wasp_mod.ADAPT_WINDOW):
-            sched.on_signal(_evict(warps[0], warps[1], 0x400, reused=0))
-        assert sched._max_lead == wasp_mod.MAX_LEAD // 2
-
-    def test_useful_window_grows_the_lead_back(self):
-        sched, warps = self._scheduler()
-        sched._max_lead = wasp_mod.MIN_LEAD
-        for _ in range(wasp_mod.ADAPT_WINDOW):
-            sched.on_signal(_evict(warps[0], warps[1], 0x400, reused=1))
-        assert sched._max_lead == wasp_mod.MIN_LEAD + wasp_mod.LEAD_STEP
-
-    def test_follower_evictions_do_not_adapt(self):
-        sched, warps = self._scheduler()
-        for _ in range(wasp_mod.ADAPT_WINDOW):
-            sched.on_signal(_evict(warps[1], warps[2], 0x400, reused=0))
-        assert sched._max_lead == wasp_mod.MAX_LEAD
-
-
-class TestCIAOUnit:
-    def _scheduler(self, n=2):
-        sched = CIAOScheduler()
-        warps = [_StubWarp(i) for i in range(n)]
-        for w in warps:
-            sched.notify_warp_added(w)
-        return sched, warps
-
-    def _saturate(self, sched, victim, evictor, cycle=1.0):
-        bumps = int(ciao_mod.SCORE_HI / ciao_mod.BUMP_REUSED)
-        for _ in range(bumps):
-            sched.on_signal(_evict(victim, evictor, 0x400, reused=1, cycle=cycle))
-
-    def test_interferer_is_throttled(self):
-        sched, (w0, w1) = self._scheduler()
-        self._saturate(sched, victim=w1, evictor=w0)
-        assert sched.select([w0, w1], 1.0) is w1
-
-    def test_all_throttled_still_makes_progress(self):
-        sched, (w0, w1) = self._scheduler()
-        self._saturate(sched, victim=w1, evictor=w0)
-        assert sched.select([w0], 1.0) is w0
-
-    def test_hysteresis_releases_after_decay(self):
-        sched, (w0, w1) = self._scheduler()
-        self._saturate(sched, victim=w1, evictor=w0, cycle=1.0)
-        entry = sched.warps[(0, 0)]
-        assert entry.is_throttled(1.0)
-        # Still benched above the low-water mark ...
-        mid = 1.0 + ciao_mod.DECAY_PERIOD * (
-            (ciao_mod.SCORE_HI - ciao_mod.SCORE_LO) / 2
-        )
-        assert entry.is_throttled(mid)
-        # ... released once decayed to SCORE_LO.
-        late = 1.0 + ciao_mod.DECAY_PERIOD * (
-            ciao_mod.SCORE_HI - ciao_mod.SCORE_LO
-        )
-        assert not entry.is_throttled(late)
-
-    def test_self_eviction_is_not_interference(self):
-        sched, (w0, w1) = self._scheduler()
-        sched.on_signal(_evict(w0, w0, 0x400, reused=1))
-        assert sched.warps[(0, 0)].score == 0.0
-
-    def test_unattributed_victim_ignored(self):
-        sched, (w0, w1) = self._scheduler()
-        record = (
-            int(Ev.CACHE_EVICT), 1.0, 0, LEVEL_L1D, 0x400, 0, -1, -1,
-            w0.block.block_id, w0.warp_id_in_block,
-        )
-        sched.on_signal(record)
-        assert sched.warps[(0, 0)].score == 0.0

@@ -1,13 +1,13 @@
 """Observability must never perturb timing — the subsystem's hard contract.
 
-One grid, every mode: {rr, gto, caws, cawa, ccws, wasp, ciao} x {recorded
+One grid, every mode: {rr, gto, caws, cawa, ccws} x {recorded
 in place, replayed from the stored trace}, with the event bus on (plus
 live collectors) and off.  Cycles, instruction counts, and cache counters
 must be bit-identical, and the *event stream itself* must be identical
 across the two paths (sorted canonically) — recording is part of the
-bit-identity contract, not an exception to it.  The co-design schemes
-(ccws, wasp, ciao) change issue decisions on the L1's cache records, which
-may reach them between their SM's ticks, so their replays also go under
+bit-identity contract, not an exception to it.  The co-design scheme
+ccws changes issue decisions on the L1's cache records, which may reach
+it between its SM's ticks, so its replays also go under
 :class:`~tests.oracles.SkipOracle`: the device loop must still skip only
 idle cycles.
 
@@ -26,7 +26,7 @@ from tests.oracles import SkipOracle, run_in_place
 
 WORKLOAD = "bfs"
 SCALE = 0.25
-CONSUMERS = ("ccws", "wasp", "ciao")
+CONSUMERS = ("ccws",)
 SCHEMES = ("rr", "gto", "caws", "cawa") + CONSUMERS
 CACHE_KINDS = {int(k) for k in Ev if k.name.startswith("CACHE_")}
 

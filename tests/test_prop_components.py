@@ -69,9 +69,9 @@ def test_every_registered_scheduler_has_a_select_reference():
 
 
 def _feedback(rng, num_warps, now):
-    """A burst of L1 feedback records: cross-warp evictions (repeated, so
-    CIAO's interference score can cross its threshold) and lost-locality
-    pairs (a warp's line evicted, then missed by it: CCWS's VTA hit)."""
+    """A burst of L1 feedback records: cross-warp evictions (repeated; they
+    fill CCWS's victim tag arrays) and lost-locality pairs (a warp's line
+    evicted, then missed by it: CCWS's VTA hit)."""
     records = []
     for _ in range(rng.randrange(5)):
         victim = rng.randrange(num_warps)

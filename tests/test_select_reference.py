@@ -22,7 +22,7 @@ from repro.workloads import make_workload, workload_names
 from tests.oracles import SelectReferenceOracle, SkipOracle
 
 #: One scheme per distinct registered scheduler (``rr`` runs ``lrr``).
-SCHEDULER_SCHEMES = ["rr", "gto", "two_level", "caws", "gcaws", "ccws", "wasp", "ciao"]
+SCHEDULER_SCHEMES = ["rr", "gto", "two_level", "caws", "gcaws", "ccws"]
 
 
 def run_checked(scheme, name="bfs", scale=0.5):
