@@ -8,7 +8,7 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
 ## Packages (and the CLI dispatcher) held to the ruff + strict-mypy bar (CI
 ## `lint` job).
-TYPED_PACKAGES = src/repro/analysis src/repro/obs src/repro/trace src/repro/feedback src/repro/cli.py
+TYPED_PACKAGES = src/repro/isa/cfg.py tests/kernel_lint src/repro/obs src/repro/trace src/repro/feedback src/repro/cli.py
 
 ## Tier-1 suite: fast correctness tests (excludes `slow`-marked suites).
 test:
@@ -22,11 +22,10 @@ test-all:
 test-slow:
 	$(PYTEST) -q -m slow
 
-## Static analysis: lint every registry kernel (docs/static_analysis.md),
-## resolve every annotation of the typed packages (stdlib only), then
-## ruff / strict mypy over them when installed.
+## Static checks of the typed packages: resolve every annotation (stdlib
+## only), then ruff / strict mypy over them when installed.  The kernel
+## linter runs in the tier-1 suite (tests/test_analysis_lints.py).
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro lint --all
 	PYTHONPATH=src $(PYTHON) tools/annotation_smoke.py $(TYPED_PACKAGES)
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check $(TYPED_PACKAGES); \

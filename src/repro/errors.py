@@ -17,16 +17,10 @@ class SimulationError(ReproError):
     """Raised when the simulator reaches an inconsistent state."""
 
 
-class LintError(ReproError):
-    """Raised when a kernel is finalized with ``lint="error"`` and the
-    static analyzer (:mod:`repro.analysis`) reports an unwaived
-    ERROR-severity finding."""
-
-
 class CPLBoundsError(SimulationError):
-    """Raised by :class:`repro.analysis.pathlen.CheckedCriticalityPredictor`
-    when the dynamic CPL ``nInst`` accounting escapes the static
-    path-length envelope computed by :mod:`repro.analysis.pathlen`."""
+    """Raised when a branch's dynamic CPL ``nInst`` delta escapes the
+    static path-length envelope of the instructions a warp can execute
+    between the branch and its reconvergence point."""
 
 
 class ConfigError(ReproError):

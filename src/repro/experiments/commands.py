@@ -3,11 +3,12 @@ the experiment harness's commands (registered by :mod:`repro.cli`)."""
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import sys
 
-from ..core.cawa import SCHEMES
+from ..core.cawa import REMOVED_SCHEMES, SCHEMES
 from ..stats.report import format_table
 from ..workloads import NON_SENS_WORKLOADS, SENS_WORKLOADS, workload_names
 from . import FIGURES, runner
@@ -24,9 +25,9 @@ def register(subparsers, common) -> None:
     sub.set_defaults(handler=cmd_run)
 
     sub = subparsers.add_parser("sweep", help="run a workload x scheme grid")
-    sub.add_argument("--workloads", default="",
+    sub.add_argument("--workloads", type=_workloads, default="",
                      help="comma-separated names (default: all of Table 2)")
-    sub.add_argument("--schemes", default="rr,gto,cawa")
+    sub.add_argument("--schemes", type=_schemes, default="rr,gto,cawa")
     sub.add_argument("--metric", default="ipc", choices=["ipc", "mpki", "cycles"])
     common.scale(sub)
     common.fermi(sub)
@@ -80,6 +81,30 @@ def register(subparsers, common) -> None:
     sub.set_defaults(handler=cmd_schemes)
 
 
+def _known(kind: str, name: str, known, removed=None) -> str:
+    """``name`` if it is in ``known``; else the argparse error naming it
+    (and, for a ``removed`` name, why it went)."""
+    if removed and name in removed:
+        raise argparse.ArgumentTypeError(
+            f"{kind} {name!r} was removed: {removed[name]}")
+    if name not in known:
+        raise argparse.ArgumentTypeError(
+            f"unknown {kind} {name!r}; expected one of {', '.join(known)}")
+    return name
+
+
+def _schemes(text: str) -> list:
+    return [_known("scheme", name, sorted(SCHEMES), REMOVED_SCHEMES)
+            for name in text.split(",")]
+
+
+def _workloads(text: str) -> list:
+    if not text:
+        return workload_names()
+    known = workload_names(include_synthetic=True)
+    return [_known("workload", name, known) for name in text.split(",")]
+
+
 def cmd_list(args) -> int:
     print("Workloads (Table 2):")
     for name in SENS_WORKLOADS:
@@ -124,8 +149,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    workloads = args.workloads.split(",") if args.workloads else workload_names()
-    schemes = args.schemes.split(",")
+    workloads, schemes = args.workloads, args.schemes
     sampled = False if args.exact else args.sampled
     start = runner.cells_simulated()
     results = runner.run_sweep(workloads, schemes, scale=args.scale,

@@ -7,7 +7,6 @@ reconvergence points so the SIMT core can model branch divergence exactly the
 way the paper's criticality analysis requires.
 """
 
-from .asm import format_kernel, parse_kernel
 from .instructions import CmpOp, FuncUnit, Instruction, MemSpace, Opcode, Special
 from .kernel import Kernel, KernelBuilder
 from .program import validate_kernel
@@ -21,7 +20,5 @@ __all__ = [
     "MemSpace",
     "Opcode",
     "Special",
-    "format_kernel",
-    "parse_kernel",
     "validate_kernel",
 ]

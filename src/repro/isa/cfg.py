@@ -2,9 +2,9 @@
 
 The ISA's control flow is intentionally simple — forward conditional
 branches with explicit reconvergence PCs, unconditional back edges, BAR,
-and EXIT — but hand-constructed kernels (tests, the assembler, fuzzing) can
-still produce graphs that corrupt the SIMT stack.  The CFG built here is the
-substrate for every analysis in :mod:`repro.analysis`:
+and EXIT — but hand-constructed kernels can still produce graphs that
+corrupt the SIMT stack.  :func:`~repro.isa.program.validate_kernel` builds
+this graph to check that every branch dominates its reconvergence point:
 
 * **leaders** are the kernel entry, every branch target, every instruction
   after a branch or EXIT, and every reconvergence PC (reconvergence points
@@ -12,7 +12,7 @@ substrate for every analysis in :mod:`repro.analysis`:
 * **successors** mirror the timing pipeline exactly: conditional branches
   have both the taken and fall-through edge, EXIT has none — the SM kills
   *all* active lanes at EXIT regardless of any guard predicate, so a
-  predicated EXIT is still a block terminator (and a lint, CTL001);
+  predicated EXIT is still a block terminator;
 * **dominators** use the classic iterative set intersection, which is
   plenty fast at kernel sizes (tens to a few hundred instructions).
 """
@@ -20,12 +20,12 @@ substrate for every analysis in :mod:`repro.analysis`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from ..isa.instructions import Instruction, Opcode
+from .instructions import Instruction, Opcode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..isa.kernel import Kernel
+    from .kernel import Kernel
 
 
 def pc_successors(inst: Instruction, n: int) -> Tuple[int, ...]:
@@ -88,39 +88,23 @@ class BasicBlock:
     succs: List[int] = field(default_factory=list)
     preds: List[int] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return self.end - self.start
-
     @property
     def pcs(self) -> range:
         return range(self.start, self.end)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BB{self.bid}[{self.start}:{self.end}] "
-            f"-> {self.succs or '(exit)'}"
-        )
 
 
 class CFG:
     """Control-flow graph plus the derived structural facts.
 
     Attributes:
-        kernel: the analyzed kernel.
         blocks: basic blocks in program order (``blocks[0]`` is the entry).
         block_of: PC -> block id.
         reachable: block ids reachable from the entry.
-        exit_blocks: reachable blocks terminated by EXIT.
-        reaches_exit: block ids with at least one path to an EXIT.
+        reaches_exit: block ids with at least one path to a reachable EXIT.
         branches: every conditional branch, as :class:`BranchSite`.
-        back_edges: CFG edges ``(src_bid, dst_bid)`` whose destination
-            dominates their source (natural loop back edges) or that jump
-            backwards in program order (retreating edges of irreducible,
-            hand-built graphs).
     """
 
     def __init__(self, kernel: "Kernel") -> None:
-        self.kernel = kernel
         insts: Sequence[Instruction] = kernel.instructions
         n = len(insts)
         if n == 0:
@@ -158,14 +142,11 @@ class CFG:
                     self.blocks[sid].preds.append(block.bid)
 
         # ---- reachability --------------------------------------------
-        self.reachable: FrozenSet[int] = self._forward_closure({0})
-        self.exit_blocks: FrozenSet[int] = frozenset(
-            b.bid
-            for b in self.blocks
-            if b.bid in self.reachable and insts[b.end - 1].op is Opcode.EXIT
-        )
-        self.reaches_exit: FrozenSet[int] = self._backward_closure(
-            set(self.exit_blocks)
+        self.reachable: FrozenSet[int] = self._closure({0}, lambda b: b.succs)
+        self.reaches_exit: FrozenSet[int] = self._closure(
+            {b.bid for b in self.blocks
+             if b.bid in self.reachable and insts[b.end - 1].op is Opcode.EXIT},
+            lambda b: b.preds,
         )
 
         # ---- branch sites --------------------------------------------
@@ -178,40 +159,18 @@ class CFG:
         # ---- dominators ----------------------------------------------
         self._dom: Dict[int, FrozenSet[int]] = self._compute_dominators()
 
-        # ---- back edges ----------------------------------------------
-        self.back_edges: List[Tuple[int, int]] = []
-        for block in self.blocks:
-            if block.bid not in self.reachable:
-                continue
-            for sid in block.succs:
-                if self.dominates(sid, block.bid) or (
-                    self.blocks[sid].start <= block.start
-                ):
-                    self.back_edges.append((block.bid, sid))
-
-    # ------------------------------------------------------------------
-    # Graph closures
-    # ------------------------------------------------------------------
-    def _forward_closure(self, seeds: set) -> FrozenSet[int]:
+    def _closure(self, seeds: Set[int],
+                 edges: Callable[[BasicBlock], List[int]]) -> FrozenSet[int]:
+        """``seeds`` plus every block reachable along ``edges`` (a block's
+        ``succs`` walks forward, its ``preds`` backward)."""
         seen = set(seeds)
         work = list(seeds)
         while work:
             bid = work.pop()
-            for sid in self.blocks[bid].succs:
-                if sid not in seen:
-                    seen.add(sid)
-                    work.append(sid)
-        return frozenset(seen)
-
-    def _backward_closure(self, seeds: set) -> FrozenSet[int]:
-        seen = set(seeds)
-        work = list(seeds)
-        while work:
-            bid = work.pop()
-            for pid in self.blocks[bid].preds:
-                if pid not in seen:
-                    seen.add(pid)
-                    work.append(pid)
+            for nid in edges(self.blocks[bid]):
+                if nid not in seen:
+                    seen.add(nid)
+                    work.append(nid)
         return frozenset(seen)
 
     # ------------------------------------------------------------------
@@ -219,22 +178,17 @@ class CFG:
     # ------------------------------------------------------------------
     def _compute_dominators(self) -> Dict[int, FrozenSet[int]]:
         reach = self.reachable
-        full = frozenset(reach)
-        dom: Dict[int, set] = {bid: set(full) for bid in reach}
+        dom: Dict[int, Set[int]] = {bid: set(reach) for bid in reach}
         dom[0] = {0}
         changed = True
         # Iterate in program order; structured kernels converge in 1-2 passes.
-        order = [b.bid for b in self.blocks if b.bid in reach]
+        order = [b.bid for b in self.blocks if b.bid in reach and b.bid != 0]
         while changed:
             changed = False
             for bid in order:
-                if bid == 0:
-                    continue
+                # Every reachable non-entry block has a reachable predecessor.
                 preds = [p for p in self.blocks[bid].preds if p in reach]
-                if preds:
-                    new = set.intersection(*(dom[p] for p in preds))
-                else:  # unreachable-from-entry but in reach? cannot happen
-                    new = set()
+                new = set.intersection(*(dom[p] for p in preds))
                 new.add(bid)
                 if new != dom[bid]:
                     dom[bid] = new
@@ -253,21 +207,6 @@ class CFG:
             return pc_a <= pc_b
         return self.dominates(ba, bb)
 
-    # ------------------------------------------------------------------
-    # Convenience queries
-    # ------------------------------------------------------------------
-    def block_at(self, pc: int) -> BasicBlock:
-        """The basic block containing ``pc``."""
-        return self.blocks[self.block_of[pc]]
-
-    def region_blocks(self, branch: BranchSite) -> List[int]:
-        """Block ids whose start PC lies inside ``branch``'s region."""
-        return [
-            b.bid
-            for b in self.blocks
-            if branch.pc < b.start < branch.reconv_pc
-        ]
-
     def divergence_region_of(self, pc: int) -> List[BranchSite]:
         """Every conditional branch whose region contains ``pc``."""
         return [b for b in self.branches if b.contains(pc)]
@@ -275,8 +214,3 @@ class CFG:
     @property
     def unreachable_blocks(self) -> List[BasicBlock]:
         return [b for b in self.blocks if b.bid not in self.reachable]
-
-
-def build_cfg(kernel: "Kernel") -> CFG:
-    """Construct the CFG of ``kernel`` (alias for ``CFG(kernel)``)."""
-    return CFG(kernel)

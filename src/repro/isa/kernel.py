@@ -11,12 +11,13 @@ edges are unconditional, so divergence bookkeeping stays simple and exact.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import KernelBuildError
 from .instructions import CmpOp, Decoded, Instruction, MemSpace, Opcode, Special
+from .program import validate_kernel
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,6 @@ class Kernel:
         num_regs: general registers per thread.
         num_preds: predicate registers per thread.
         shared_mem_bytes: per-block shared memory footprint.
-        lint_waivers: lint rule IDs acknowledged for this kernel, mapped to
-            the waiver reason (see :mod:`repro.analysis.lints`).
     """
 
     name: str
@@ -57,7 +56,6 @@ class Kernel:
     num_regs: int
     num_preds: int
     shared_mem_bytes: int = 0
-    lint_waivers: Dict[str, str] = dataclass_field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -141,7 +139,7 @@ class Kernel:
         return guard + text
 
     def source_line(self, pc: int) -> str:
-        """The disassembly line for ``pc`` (used by lint findings)."""
+        """The disassembly line for ``pc``."""
         return f"[{pc}] {self.format_instruction(self.instructions[pc])}"
 
     def disassemble(self) -> str:
@@ -240,7 +238,6 @@ class KernelBuilder:
         self._next_pred = 0
         self._next_label = 0
         self._open_frames: List[object] = []
-        self._lint_waivers: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Resource allocation
@@ -640,27 +637,8 @@ class KernelBuilder:
     # ------------------------------------------------------------------
     # Finalization
     # ------------------------------------------------------------------
-    def waive_lint(self, rule_id: str, reason: str = "") -> None:
-        """Acknowledge lint rule ``rule_id`` for this kernel.
-
-        Findings of a waived rule are still reported (marked suppressed)
-        but never fail a ``build(lint="error")`` or the ``repro lint`` CLI.
-        See ``docs/static_analysis.md`` for the rule catalogue.
-        """
-        self._lint_waivers[rule_id] = reason
-
-    def build(self, lint: str = "none") -> Kernel:
-        """Finalize: append EXIT, resolve labels, validate, freeze.
-
-        Args:
-            lint: run the static analyzer (:mod:`repro.analysis`) over the
-                finalized kernel: ``"none"`` (default) skips it, ``"warn"``
-                prints findings to stderr, ``"error"`` additionally raises
-                :class:`~repro.errors.LintError` on any unwaived
-                ERROR-severity finding.
-        """
-        from .program import validate_kernel  # local import to avoid a cycle
-
+    def build(self) -> Kernel:
+        """Finalize: append EXIT, resolve labels, validate, freeze."""
         if self._open_frames:
             raise KernelBuildError(
                 f"kernel {self.name!r} has {len(self._open_frames)} unclosed "
@@ -698,31 +676,6 @@ class KernelBuilder:
             num_regs=max(self._next_reg, 1),
             num_preds=max(self._next_pred, 1),
             shared_mem_bytes=self.shared_mem_bytes,
-            lint_waivers=dict(self._lint_waivers),
         )
         validate_kernel(kernel)
-        if lint not in ("none", "warn", "error"):
-            raise KernelBuildError(
-                f"build(lint=...) must be 'none', 'warn', or 'error', "
-                f"got {lint!r}"
-            )
-        if lint != "none":
-            import sys
-
-            from ..analysis import lint_kernel  # deferred: heavy subsystem
-            from ..errors import LintError
-
-            report = lint_kernel(kernel)
-            if report.findings:
-                print(report.format_text(), file=sys.stderr)
-            if lint == "error" and not report.ok:
-                raise LintError(
-                    f"kernel {kernel.name!r} failed lint with "
-                    f"{len(report.errors)} error(s); see stderr for the "
-                    "findings or run `repro lint`"
-                )
         return kernel
-
-    def finalize(self, lint: str = "none") -> Kernel:
-        """Alias for :meth:`build` (mirrors the paper-repo terminology)."""
-        return self.build(lint=lint)

@@ -8,6 +8,7 @@ fast instead of corrupting simulation state.
 from __future__ import annotations
 
 from ..errors import KernelValidationError
+from .cfg import CFG
 from .instructions import Opcode
 
 
@@ -127,10 +128,6 @@ def validate_kernel(kernel) -> None:
 
     # ---- reconvergence dominance (CFG-based) -------------------------
     if sites:
-        # Deferred import: repro.analysis depends on repro.isa, so the CFG
-        # machinery must only be pulled in at validation (call) time.
-        from ..analysis.cfg import CFG
-
         cfg = CFG(kernel)
         for site in cfg.branches:
             if site.is_loop_break:

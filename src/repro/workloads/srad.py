@@ -58,11 +58,6 @@ class SradWorkload(Workload):
         # instruction stream even though the simplified diffusion
         # coefficient only consumes the gradient term; the final
         # accumulation is therefore a (deliberate) dead write.
-        b.waive_lint(
-            "DF002",
-            "laplacian statistic kept for instruction-stream fidelity; "
-            "the simplified coefficient drops the term",
-        )
         tid = b.sreg(Special.GTID)
         in_range = b.pred()
         b.setp(in_range, CmpOp.LT, tid, float(n))

@@ -54,11 +54,6 @@ class TpacfWorkload(Workload):
         # Point-major (x, y, z) galaxy records give every lane a 24-byte
         # stride: deliberately coalescing-hostile, exactly like the real
         # TPACF AoS layout the paper's memory-divergence numbers rely on.
-        b.waive_lint(
-            "MEM001",
-            "AoS point-major layout is the workload's intended "
-            "stride-24 access pattern",
-        )
         tid = b.sreg(Special.GTID)
         in_range = b.pred()
         b.setp(in_range, CmpOp.LT, tid, float(n))

@@ -36,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..isa.instructions import Instruction, Opcode
-from .cfg import CFG
+from repro.isa.cfg import CFG
+from repro.isa.instructions import Instruction, Opcode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..isa.kernel import Kernel
+    from repro.isa.kernel import Kernel
 
 # Definite-assignment lattice: never / on-some-paths / on-all-paths.
 _BOT, _MAYBE, _DEF = 0, 1, 2

@@ -1,10 +1,10 @@
 """Lint rule registry and the :func:`lint_kernel` driver.
 
-Each rule has a **stable ID** (referenced by suppressions, tests, and CI
-baselines), a default :class:`Severity`, and a checker that walks the shared
-:class:`LintContext` (kernel + CFG + lazily-computed dataflow and path
-bounds) yielding findings.  The catalogue — documented in
-``docs/static_analysis.md`` — currently covers:
+Each rule has a **stable ID** (referenced by waivers and tests), a default
+:class:`Severity`, and a checker that walks the shared :class:`LintContext`
+(kernel + CFG + lazily-computed dataflow and path bounds) yielding findings.
+The catalogue — documented in ``docs/static_analysis.md`` — currently
+covers:
 
 =========  ========  =====================================================
 rule id    severity  what it catches
@@ -23,17 +23,20 @@ MEM002     error     out-of-bounds / negative constant address
 PATH001    error     CPL Algorithm-2 path size outside static bounds
 =========  ========  =====================================================
 
-Suppressions: ``KernelBuilder.waive_lint("DF002", reason=...)`` (or a
-``lint_waivers`` attribute on a hand-built :class:`~repro.isa.kernel.Kernel`)
-marks a rule as acknowledged for the whole kernel.  Waived findings are
-still reported — with ``suppressed=True``, rendered ``(waived)`` in text
-and ``"suppressed": true`` in JSON — but do not fail the lint.
+CFG002 and CFG004 report, over raw (unvalidated) kernels, the region
+nesting and branch-dominates-reconvergence invariants that
+:func:`repro.isa.program.validate_kernel` enforces on every build.
+
+Suppressions: ``lint_kernel(kernel, waived={"DF002"})`` marks a rule as
+acknowledged for the whole kernel (the registry's waivers are the
+``WAIVERS`` table of ``tests/test_analysis_lints.py``).  Waived findings are
+still reported — with ``suppressed=True``, rendered ``(waived)`` in text —
+but do not fail the lint.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,13 +51,14 @@ from typing import (
     Tuple,
 )
 
-from ..isa.instructions import Opcode
-from .cfg import CFG
+from repro.isa.cfg import CFG
+from repro.isa.instructions import Opcode
+
 from .dataflow import DataflowResult, analyze_dataflow
+from .pathlen import PathBounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..isa.kernel import Kernel
-    from .pathlen import PathBounds
+    from repro.isa.kernel import Kernel
 
 __all__ = [
     "Severity",
@@ -90,17 +94,6 @@ class Finding:
     pc: int = -1
     #: The offending source line, as rendered by ``Kernel.disassemble``.
     source: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "severity": str(self.severity),
-            "message": self.message,
-            "suppressed": self.suppressed,
-            "kernel": self.kernel,
-            "pc": self.pc,
-            "source": self.source,
-        }
 
     def __str__(self) -> str:
         mark = " (waived)" if self.suppressed else ""
@@ -142,18 +135,6 @@ class LintReport:
                      f"{len(self.warnings)} warning(s)")
         return "\n".join(lines)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "errors": len(self.errors),
-            "warnings": len(self.warnings),
-            "findings": [f.to_dict() for f in self.findings],
-            "kernel": self.kernel,
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 # ----------------------------------------------------------------------
 # Shared analysis context
@@ -172,16 +153,8 @@ class LintContext:
         return analyze_dataflow(self.kernel, self.cfg)
 
     @cached_property
-    def bounds(self) -> "PathBounds":
-        from .pathlen import compute_path_bounds  # deferred: keeps cycles out
-
-        return compute_path_bounds(self.kernel, self.cfg)
-
-    def source(self, pc: int) -> str:
-        line = getattr(self.kernel, "source_line", None)
-        if callable(line):
-            return line(pc)
-        return repr(self.kernel.instructions[pc])
+    def bounds(self) -> PathBounds:
+        return PathBounds(self.kernel)
 
 
 # ----------------------------------------------------------------------
@@ -431,6 +404,7 @@ def lint_kernel(
     warp_size: int = 32,
     line_size: int = 128,
     rules: Optional[Iterable[str]] = None,
+    waived: Iterable[str] = (),
 ) -> LintReport:
     """Run the lint rule catalogue over ``kernel``.
 
@@ -439,6 +413,8 @@ def lint_kernel(
         warp_size: lanes per warp (MEM001 span computation).
         line_size: cache line size in bytes (MEM001 span computation).
         rules: restrict to these rule IDs (default: every registered rule).
+        waived: rule IDs acknowledged for this kernel: their findings are
+            reported with ``suppressed=True`` and never fail the report.
 
     Returns:
         A :class:`LintReport`; ``report.ok`` is False when any unsuppressed
@@ -450,7 +426,7 @@ def lint_kernel(
         warp_size=warp_size,
         line_size=line_size,
     )
-    waivers = frozenset(getattr(kernel, "lint_waivers", ()) or ())
+    waivers = frozenset(waived)
     selected = RULES if rules is None else {
         rid: RULES[rid] for rid in rules if rid in RULES
     }
@@ -464,7 +440,7 @@ def lint_kernel(
                     kernel=kernel.name,
                     pc=pc,
                     message=message,
-                    source=ctx.source(pc),
+                    source=kernel.source_line(pc),
                     suppressed=rule_def.rule_id in waivers,
                 )
             )

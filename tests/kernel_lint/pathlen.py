@@ -16,7 +16,7 @@ execute, so this module computes per-region **static envelopes**:
 
 Two consumers:
 
-* the **PATH001 lint** (:mod:`repro.analysis.lints`) statically requires
+* the **PATH001 lint** (:mod:`.lints`) statically requires
   every Algorithm-2 arm size to lie inside its envelope, and
 * :class:`CheckedCriticalityPredictor`, a drop-in subclass of the CPL
   predictor (``tests/test_cpl_bounds_runtime.py`` installs it in place of
@@ -30,20 +30,20 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..core.cpl import CriticalityPredictor
-from ..errors import CPLBoundsError
-from .cfg import CFG, pc_successors
+from repro.core.cpl import CriticalityPredictor
+from repro.errors import CPLBoundsError
+from repro.isa.cfg import pc_successors
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..isa.instructions import Instruction
-    from ..isa.kernel import Kernel
-    from ..simt.warp import Warp
+    from repro.isa.instructions import Instruction
+    from repro.isa.kernel import Kernel
+    from repro.simt.warp import Warp
 
 _Region = Optional[Tuple[float, float]]
 
 
 class PathBounds:
-    """Static instruction-count bounds over one kernel's CFG.
+    """Static instruction-count bounds over one kernel's control flow.
 
     Attributes:
         min_to_exit: per-PC minimum instructions executed (inclusive of the
@@ -53,9 +53,8 @@ class PathBounds:
             loop (or no EXIT) is reachable.
     """
 
-    def __init__(self, kernel: "Kernel", cfg: Optional[CFG] = None) -> None:
+    def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
-        self.cfg = cfg or CFG(kernel)
         n = len(kernel.instructions)
         self._n = n
         #: instruction-level successor PCs; the virtual terminal is ``n``.
@@ -263,11 +262,6 @@ class PathBounds:
         return fall
 
 
-def compute_path_bounds(kernel: "Kernel", cfg: Optional[CFG] = None) -> PathBounds:
-    """Compute :class:`PathBounds` for ``kernel`` (alias for the ctor)."""
-    return PathBounds(kernel, cfg)
-
-
 class CheckedCriticalityPredictor(CriticalityPredictor):
     """CPL predictor that asserts the static path-length envelope at runtime.
 
@@ -295,7 +289,7 @@ class CheckedCriticalityPredictor(CriticalityPredictor):
         key = id(kernel)
         cached = self._bounds_cache.get(key)
         if cached is None or cached[0] is not kernel:
-            cached = (kernel, compute_path_bounds(kernel))
+            cached = (kernel, PathBounds(kernel))
             self._bounds_cache[key] = cached
         return cached[1]
 

@@ -1,10 +1,10 @@
-"""Tests for the basic-block CFG (``repro.analysis.cfg``)."""
+"""Tests for the basic-block CFG (``repro.isa.cfg``)."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analysis import CFG, build_cfg, pc_successors
+from repro.isa.cfg import CFG, pc_successors
 from repro.isa.instructions import CmpOp, Instruction, Opcode, Special
 from repro.isa.kernel import Kernel, KernelBuilder
 
@@ -12,9 +12,9 @@ from repro.isa.kernel import Kernel, KernelBuilder
 def raw_kernel(name, instrs, *, num_regs=4, num_preds=2, shared_mem_bytes=0):
     """Wrap hand-written instructions in a Kernel WITHOUT validation.
 
-    The analysis subsystem must cope with graphs the builder can never
-    emit (that is its whole point), so fixtures go straight to the Kernel
-    constructor.
+    The CFG must cope with graphs the builder can never emit (validation
+    and the test-side linter run over them), so fixtures go straight to
+    the Kernel constructor.
     """
     resolved = [replace(inst, pc=pc) for pc, inst in enumerate(instrs)]
     return Kernel(
@@ -25,6 +25,13 @@ def raw_kernel(name, instrs, *, num_regs=4, num_preds=2, shared_mem_bytes=0):
         num_preds=num_preds,
         shared_mem_bytes=shared_mem_bytes,
     )
+
+
+def back_edges(cfg):
+    """Edges ``(src, dst)`` that jump to a block starting at or before
+    their source."""
+    return [(b.bid, s) for b in cfg.blocks for s in b.succs
+            if cfg.blocks[s].start <= b.start]
 
 
 def build_if_else_kernel():
@@ -117,9 +124,7 @@ class TestCFGStructure:
             lp.break_if(p)
             b.add(j, j, 1.0)
         cfg = CFG(b.build())
-        assert cfg.back_edges, "loop back edge must be reported"
-        src, dst = cfg.back_edges[0]
-        assert cfg.blocks[dst].start <= cfg.blocks[src].start
+        assert back_edges(cfg), "loop back edge must be represented"
         # The loop break is the builder's target==reconv idiom.
         assert any(site.is_loop_break for site in cfg.branches)
 
@@ -136,7 +141,7 @@ class TestCFGStructure:
             ],
         )
         cfg = CFG(k)
-        assert cfg.back_edges
+        assert back_edges(cfg)
         assert cfg.reaches_exit == cfg.reachable
 
     def test_unreachable_block_after_unconditional_branch(self):
@@ -167,19 +172,14 @@ class TestCFGStructure:
         assert outer.contains(inner.pc)
         assert inner.reconv_pc <= outer.reconv_pc
         assert cfg.divergence_region_of(inner.pc + 1) == [outer, inner]
-        assert cfg.region_blocks(outer), "outer region spans blocks"
 
     def test_block_at_and_block_of_are_consistent(self):
         k = build_if_else_kernel()
         cfg = CFG(k)
-        for pc in range(len(k)):
-            block = cfg.block_at(pc)
-            assert block.start <= pc < block.end
-            assert cfg.block_of[pc] == block.bid
-
-    def test_build_cfg_alias(self):
-        k = build_if_else_kernel()
-        assert build_cfg(k).reachable == CFG(k).reachable
+        for bid, block in enumerate(cfg.blocks):
+            assert block.bid == bid
+            assert all(cfg.block_of[pc] == bid for pc in block.pcs)
+        assert [pc for b in cfg.blocks for pc in b.pcs] == list(range(len(k)))
 
 
 class TestDominance:

@@ -1,10 +1,10 @@
-"""Tests for the dataflow analyses (``repro.analysis.dataflow``)."""
+"""Tests for the dataflow analyses (``tests/kernel_lint/dataflow.py``)."""
 
 from __future__ import annotations
 
-from repro.analysis import analyze_dataflow
 from repro.isa.instructions import CmpOp, MemSpace, Special
 from repro.isa.kernel import KernelBuilder
+from tests.kernel_lint.dataflow import analyze_dataflow
 
 
 class TestDefiniteAssignment:

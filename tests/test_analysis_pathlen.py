@@ -1,4 +1,4 @@
-"""Tests for the static path-length bounds (``repro.analysis.pathlen``)."""
+"""Tests for the static path-length bounds (``tests/kernel_lint/pathlen.py``)."""
 
 from __future__ import annotations
 
@@ -6,13 +6,12 @@ import math
 
 import pytest
 
-from repro.analysis import PathBounds, compute_path_bounds
-from repro.analysis.pathlen import CheckedCriticalityPredictor
 from repro.errors import CPLBoundsError
 from repro.isa.instructions import CmpOp, Special
 from repro.isa.kernel import KernelBuilder
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp
+from tests.kernel_lint.pathlen import CheckedCriticalityPredictor, PathBounds
 
 
 def build_if_else():
@@ -51,7 +50,7 @@ class TestExitBounds:
 
     def test_if_else_min_max_differ_at_entry(self):
         k = build_if_else()
-        bounds = compute_path_bounds(k)
+        bounds = PathBounds(k)
         # Both arms have the same static length here, so compare at the
         # branch: min = shortest arm, max = longest simple path.
         site = [i for i in k.instructions if i.op.value == "bra" and i.pred is not None][0]
@@ -59,19 +58,19 @@ class TestExitBounds:
         assert not math.isinf(bounds.max_to_exit[0])
 
     def test_loop_makes_max_unbounded(self):
-        bounds = compute_path_bounds(build_loop())
+        bounds = PathBounds(build_loop())
         assert math.isinf(bounds.max_to_exit[0])
         assert not math.isinf(bounds.min_to_exit[0])
 
 
 class TestRegionBounds:
     def test_entry_equals_stop(self):
-        bounds = compute_path_bounds(build_if_else())
+        bounds = PathBounds(build_if_else())
         assert bounds.region_bounds(3, 3) == (0.0, 0.0)
 
     def test_if_else_arms(self):
         k = build_if_else()
-        bounds = compute_path_bounds(k)
+        bounds = PathBounds(k)
         site = [
             i
             for i in k.instructions
@@ -91,7 +90,7 @@ class TestRegionBounds:
 
     def test_unreachable_stop_is_none(self):
         k = build_if_else()
-        bounds = compute_path_bounds(k)
+        bounds = PathBounds(k)
         # From the reconvergence point backwards into the then-arm: never.
         site = [
             i
@@ -102,7 +101,7 @@ class TestRegionBounds:
 
     def test_loop_body_region_is_unbounded(self):
         k = build_loop()
-        bounds = compute_path_bounds(k)
+        bounds = PathBounds(k)
         site = [
             i
             for i in k.instructions
@@ -115,7 +114,7 @@ class TestRegionBounds:
         assert lo >= 1.0
 
     def test_region_cache_returns_same_object(self):
-        bounds = compute_path_bounds(build_if_else())
+        bounds = PathBounds(build_if_else())
         a = bounds.region_bounds(3, 9)
         assert bounds.region_bounds(3, 9) is a
 
@@ -130,7 +129,7 @@ class TestBranchEnvelope:
 
     def test_divergent_sums_both_arms(self):
         k = build_if_else()
-        bounds = compute_path_bounds(k)
+        bounds = PathBounds(k)
         s = self._site(k)
         fall = bounds.region_bounds(s.pc + 1, s.reconv_pc)
         taken = bounds.region_bounds(s.target_pc, s.reconv_pc)
@@ -141,7 +140,7 @@ class TestBranchEnvelope:
 
     def test_uniform_outcomes_pick_one_arm(self):
         k = build_if_else()
-        bounds = compute_path_bounds(k)
+        bounds = PathBounds(k)
         s = self._site(k)
         taken_env = bounds.branch_envelope(
             s.pc, s.target_pc, s.reconv_pc, diverged=False, all_taken=True
@@ -154,7 +153,7 @@ class TestBranchEnvelope:
 
     def test_loop_break_fall_arm_degrades_to_nonnegative(self):
         k = build_loop()
-        bounds = compute_path_bounds(k)
+        bounds = PathBounds(k)
         s = self._site(k)
         env = bounds.branch_envelope(
             s.pc, s.target_pc, s.reconv_pc, diverged=False, all_taken=False
@@ -163,7 +162,7 @@ class TestBranchEnvelope:
 
     def test_empty_taken_arm(self):
         k = build_loop()
-        bounds = compute_path_bounds(k)
+        bounds = PathBounds(k)
         s = self._site(k)  # loop break: target == reconv, empty taken arm
         env = bounds.branch_envelope(
             s.pc, s.target_pc, s.reconv_pc, diverged=False, all_taken=True

@@ -84,8 +84,8 @@ def test_every_parser_renders_its_help(prog, capsys):
 
 def test_building_the_parser_leaves_the_heavy_packages_unloaded():
     """``repro list`` pays for what it uses: building the command line
-    does not import the HTTP client or the analyses behind ``lint`` (each
-    handler imports its own)."""
+    does not import the HTTP client (the handlers that need it import it
+    themselves)."""
     import subprocess
     import sys
     from pathlib import Path
@@ -96,8 +96,7 @@ def test_building_the_parser_leaves_the_heavy_packages_unloaded():
         "import sys\n"
         "from repro.cli import build_parser\n"
         "build_parser()\n"
-        "loaded = [m for m in ('http.client', 'ssl', 'repro.serve.client',\n"
-        "                      'repro.analysis.lints')\n"
+        "loaded = [m for m in ('http.client', 'ssl', 'repro.serve.client')\n"
         "          if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
@@ -170,6 +169,24 @@ class TestCommands:
         ])
         assert code == 0
         assert "Speedup over rr" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("names, message", [
+        ("gto,magic", "unknown scheme 'magic'"),
+        ("ciao", "scheme 'ciao' was removed: the co-design scheme"),
+    ])
+    def test_sweep_refuses_a_bad_scheme(self, capsys, names, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--workloads", "synthetic_imbalance",
+                  "--schemes", names])
+        assert exc.value.code == 2
+        assert "argument --schemes: " + message in capsys.readouterr().err
+
+    def test_sweep_refuses_a_bad_workload(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--workloads", "bfs,magic", "--schemes", "gto"])
+        assert exc.value.code == 2
+        assert ("argument --workloads: unknown workload 'magic'"
+                in capsys.readouterr().err)
 
     def test_figure_unknown_number(self, capsys):
         assert main(["figure", "5"]) == 2
@@ -255,42 +272,6 @@ def test_client_submit_watch_streams_within_the_timeout(monkeypatch, capsys):
                  "--watch"]) == 0
     assert seen == {"watch": 7.0, "wait": 7.0}
     assert capsys.readouterr().out.splitlines()[1:] == ["  [done]", "summary line"]
-
-
-class TestLintCommand:
-    def test_requires_workload_or_all(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["lint"])
-
-    def test_workload_and_all_are_exclusive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["lint", "--workload", "bfs", "--all"])
-
-    def test_lint_single_workload(self, capsys):
-        assert main(["lint", "--workload", "synthetic_divergence"]) == 0
-        out = capsys.readouterr().out
-        assert "synthetic_divergence" in out
-        assert "clean" in out
-
-    def test_lint_waived_workload_stays_green(self, capsys):
-        # tpacf carries a MEM001 waiver (intended AoS stride): the waived
-        # finding is shown but the exit code stays 0.
-        assert main(["lint", "--workload", "tpacf", "--scale", "0.25"]) == 0
-        out = capsys.readouterr().out
-        assert "(waived)" in out
-        assert "MEM001" in out
-
-    def test_lint_json_format(self, capsys):
-        import json
-
-        code = main([
-            "lint", "--workload", "synthetic_imbalance", "--format", "json",
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert isinstance(payload, list) and len(payload) == 1
-        assert payload[0]["kernel"]
-        assert payload[0]["ok"] is True
 
 
 @pytest.mark.parametrize("flag", ["--max-entries", "--max-age-days"])

@@ -2,7 +2,7 @@
 
 The ``install_checked_predictor`` fixture (the "flag" of the test names)
 makes every SM's predictor a
-:class:`~repro.analysis.pathlen.CheckedCriticalityPredictor` by patching
+:class:`~tests.kernel_lint.pathlen.CheckedCriticalityPredictor` by patching
 the predictor class :mod:`repro.gpu.gpu` builds: each dynamic Algorithm-2
 branch delta must lie inside the static path-length envelope (the
 ``nInst`` counter is non-negative by construction).  These tests run real
@@ -16,11 +16,11 @@ from __future__ import annotations
 import pytest
 
 from repro import GPU, GPUConfig, apply_scheme
-from repro.analysis.pathlen import CheckedCriticalityPredictor
 from repro.core.cawa import SCHEMES
 from repro.core.cpl import CriticalityPredictor
 from repro.gpu import gpu as gpu_module
 from repro.workloads import make_workload, workload_names
+from tests.kernel_lint.pathlen import CheckedCriticalityPredictor
 
 #: Scales matching tests/test_workloads.py (each cell well under ~1s).
 FAST_SCALE = {

@@ -197,9 +197,9 @@ class TestValidateKernel:
 
 
 class TestValidateHardening:
-    """Structural invariants added with the static-analysis subsystem:
-    region nesting, duplicate reconvergence PCs, and branch-dominates-
-    reconvergence (all enforced by ``validate_kernel``)."""
+    """The SIMT stack's structural invariants on hand-built kernels:
+    forward reconvergence, region nesting, duplicate reconvergence PCs, and
+    branch-dominates-reconvergence (all enforced by ``validate_kernel``)."""
 
     @staticmethod
     def _raw(name, instrs, num_preds=1):
@@ -215,6 +215,18 @@ class TestValidateHardening:
         from repro.isa.instructions import Instruction
 
         return Instruction(Opcode.SETP, dst=0, imm=1.0, cmp=CmpOp.EQ)
+
+    def test_rejects_backward_reconv_pc(self):
+        from repro.isa.instructions import Instruction
+
+        insts = [
+            Instruction(Opcode.RECONV),
+            self._setp(),
+            Instruction(Opcode.BRA, pred=0, target_pc=3, reconv_pc=0),
+            Instruction(Opcode.EXIT),
+        ]
+        with pytest.raises(KernelValidationError, match="precedes branch target"):
+            validate_kernel(self._raw("backward", insts))
 
     def test_rejects_ill_nested_regions(self):
         from repro.isa.instructions import Instruction

@@ -54,7 +54,7 @@ class TestDocstrings:
         "module_name",
         [
             "repro", "repro.config", "repro.isa", "repro.isa.kernel",
-            "repro.isa.asm", "repro.simt", "repro.sm", "repro.gpu",
+            "repro.isa.cfg", "repro.simt", "repro.sm", "repro.gpu",
             "repro.memory", "repro.scheduling", "repro.core",
             "repro.core.cpl", "repro.core.cacp", "repro.workloads",
             "repro.stats", "repro.experiments", "repro.cli",

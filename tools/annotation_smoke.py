@@ -16,7 +16,7 @@ subscriptable at runtime before Python 3.12; older interpreters resolve
 
 Run::
 
-    PYTHONPATH=src python tools/annotation_smoke.py src/repro/analysis src/repro/cli.py ...
+    PYTHONPATH=src python tools/annotation_smoke.py src/repro/obs tests/kernel_lint ...
 
 Exits 1 and lists every unresolvable annotation, else prints a count.
 """
@@ -42,9 +42,16 @@ class _SubscriptableArray(array):  # type: ignore[type-arg]
 
 def _modules(path: str) -> Iterator[ModuleType]:
     """The package at ``path`` and every module under it, or the one
-    module a ``.py`` path names."""
-    parts = Path(path).with_suffix("").parts
-    name = ".".join(parts[parts.index("src") + 1:] if "src" in parts else parts)
+    module a ``.py`` path names.  Its dotted name starts below the nearest
+    enclosing directory that is not a package, which joins ``sys.path``
+    (``src`` for ``src/repro/obs``, the checkout for ``tests/kernel_lint``)."""
+    target = Path(path).resolve().with_suffix("")
+    root = target.parent
+    while (root / "__init__.py").exists():
+        root = root.parent
+    if str(root) not in sys.path:
+        sys.path.insert(0, str(root))
+    name = ".".join(target.relative_to(root).parts)
     package = importlib.import_module(name)
     yield package
     for info in pkgutil.walk_packages(getattr(package, "__path__", []), name + "."):
