@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-all test-slow lint sanitize bench figures ledger ledger-pairs profile opcount sweep viz serve serve-smoke sample-smoke clean-cache
+.PHONY: test test-all test-slow lint sanitize bench figures ledger ledger-pairs profile opcount sweep viz serve serve-smoke clean-cache
 
 ## Packages (and the CLI dispatcher) held to the ruff + strict-mypy bar (CI
 ## `lint` job).
@@ -104,12 +104,6 @@ serve:
 ## SSE obs progress, and draining shutdown through `repro client`.
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
-
-## Sampled-sweep acceptance gate: calibrate two workloads, then require
-## run_sweep(sampled=True) to beat the exact sweep by >= 10x with every
-## exact metric inside its sampled 95% CI (docs/sampling.md).
-sample-smoke:
-	$(PYTEST) benchmarks/test_sample_smoke.py -q -m slow --benchmark-only
 
 ## Drop the persistent result cache.
 clean-cache:

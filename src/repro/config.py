@@ -28,9 +28,6 @@ class CacheConfig:
         ways: associativity.
         line_size: block size in bytes (power of two).
         hit_latency: cycles from access to data on a hit.
-        replacement: replacement policy name understood by
-            :func:`repro.memory.replacement.make_policy`
-            (``"lru"``, ``"srrip"``, ``"ship"``).
         critical_ways: number of ways reserved for the critical partition
             when the cache runs under CACP (0 disables partitioning).
         mshr_entries: number of outstanding missed lines tracked.
@@ -40,7 +37,6 @@ class CacheConfig:
     ways: int
     line_size: int = 128
     hit_latency: int = 2
-    replacement: str = "lru"
     critical_ways: int = 0
     mshr_entries: int = 32
 
@@ -96,9 +92,6 @@ class GPUConfig:
     l1d: CacheConfig = field(
         default_factory=lambda: CacheConfig(sets=8, ways=16, line_size=128)
     )
-    l1i: CacheConfig = field(
-        default_factory=lambda: CacheConfig(sets=4, ways=4, line_size=128)
-    )
     # Table 1: 768KB unified L2, 64 sets x 16 ways x 6 banks.  The tag
     # array is modeled as one cache of 64*6 = 384 sets; the banks appear as
     # independent service queues in :class:`repro.memory.l2.BankedL2`.
@@ -123,22 +116,17 @@ class GPUConfig:
     use_cpl: bool = True
     cpl_update_period: int = 64
     #: Statistical sampling of the stored trace (:mod:`repro.sampling`):
-    #: ``"off"`` (default, exact simulation), ``"blocks:P"`` (seeded
-    #: stratified cluster sampling of thread blocks at rate ``P``), or
-    #: ``"intervals:P"`` (barrier-aligned truncation of every warp stream
-    #: to its leading fraction ``P``).  Sampled runs replay only the
-    #: selected subset through the unchanged timing model and extrapolate
-    #: the rest (:class:`repro.stats.sampling.SampledRunResult`), so it
-    #: **changes the reported numbers**, and :meth:`fingerprint` hashes
-    #: it like every field: sampled and exact results never share a
-    #: result-cache entry or a serve coalescing group.  Selection is deterministic given the config: the sampler's
-    #: RNG is seeded from ``(sampling, sampling_seed, trace identity)``.
-    #: See ``docs/sampling.md``.
+    #: ``"off"`` (default, exact simulation) or ``"blocks:P"`` (seeded
+    #: stratified cluster sampling of thread blocks at rate ``P``).
+    #: Sampled runs replay only the selected subset through the unchanged
+    #: timing model and extrapolate the rest
+    #: (:class:`repro.stats.sampling.SampledRunResult`), so it **changes
+    #: the reported numbers**, and :meth:`fingerprint` hashes it like
+    #: every field: sampled and exact results never share a result-cache
+    #: entry.  Selection is deterministic given the config: the sampler's
+    #: RNG is seeded from the spec and the trace identity.  See
+    #: ``docs/sampling.md``.
     sampling: str = "off"
-    #: Extra entropy for the sampling subset selection.  Fingerprinted,
-    #: like ``sampling`` itself: two seeds select different subsets and
-    #: therefore produce (slightly) different estimates.
-    sampling_seed: int = 0
 
     #: The *included* set for :meth:`functional_fingerprint`: payload key
     #: -> dotted field path.  Only parameters that change the recorded
@@ -152,11 +140,18 @@ class GPUConfig:
     }
     #: Deleted fields, hashed at the defaults every surviving config had,
     #: so each keeps its fingerprint, and with it its result-cache entries
-    #: and serve coalescing keys.
+    #: and serve coalescing keys.  ``l1i`` was never read: no instruction
+    #: cache is modelled.
     RETIRED_FINGERPRINT_DEFAULTS: ClassVar[Dict[str, object]] = {
         "cacp_bypass": False,
         "critical_mshr_reserve": 0,
+        "sampling_seed": 0,
+        "l1i": {"sets": 4, "ways": 4, "line_size": 128, "hit_latency": 2,
+                "replacement": "lru", "critical_ways": 0, "mshr_entries": 32},
     }
+    #: The same for the deleted ``CacheConfig`` field (never read: the
+    #: L1D's policy is :attr:`l1d_policy`), hashed into each cache's dict.
+    RETIRED_CACHE_DEFAULTS: ClassVar[Dict[str, object]] = {"replacement": "lru"}
 
     def __post_init__(self) -> None:
         if self.num_sms <= 0:
@@ -267,15 +262,9 @@ class GPUConfig:
             )
         return self
 
-    def with_sampling(self, sampling: str, seed: Optional[int] = None) -> "GPUConfig":
-        """Return a copy with trace-sampling spec ``sampling``; ``seed``
-        optionally re-seeds the subset selection (see :attr:`sampling_seed`).
-        """
-        return replace(
-            self,
-            sampling=sampling,
-            sampling_seed=self.sampling_seed if seed is None else seed,
-        )
+    def with_sampling(self, sampling: str) -> "GPUConfig":
+        """Return a copy with trace-sampling spec ``sampling``."""
+        return replace(self, sampling=sampling)
 
     def fingerprint(self) -> str:
         """Stable short hash of every timing-relevant parameter.
@@ -285,9 +274,9 @@ class GPUConfig:
         different fingerprint and therefore a cache miss.  Every field is
         hashed, so a new knob is fingerprinted by construction: the config
         holds only what can change a result (event recording is a call
-        argument, :func:`repro.obs.record_events`).  ``sampling`` (and
-        ``sampling_seed``) included: a sampled run reports statistical
-        estimates, so it never aliases an exact run's cache entry.
+        argument, :func:`repro.obs.record_events`).  ``sampling``
+        included: a sampled run reports statistical estimates, so it never
+        aliases an exact run's cache entry.
 
         Computed once per instance: the config is frozen, and the value is
         kept in the instance ``__dict__``, which the generated ``__eq__``,
@@ -304,7 +293,7 @@ class GPUConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, CacheConfig):
-                value = dict(vars(value))
+                value = {**self.RETIRED_CACHE_DEFAULTS, **vars(value)}
             payload[f.name] = value
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -17,12 +17,6 @@ class SimulationError(ReproError):
     """Raised when the simulator reaches an inconsistent state."""
 
 
-class CPLBoundsError(SimulationError):
-    """Raised when a branch's dynamic CPL ``nInst`` delta escapes the
-    static path-length envelope of the instructions a warp can execute
-    between the branch and its reconvergence point."""
-
-
 class ConfigError(ReproError):
     """Raised for invalid simulator configurations."""
 

@@ -32,15 +32,6 @@ def register(subparsers, common) -> None:
     common.scale(sub)
     common.fermi(sub)
     common.jobs(sub)
-    sub.add_argument(
-        "--sampled", nargs="?", const=True, default=False, metavar="SPEC",
-        help="statistical replay: estimate each cell from a sampled subset "
-        "of its trace with 95%% CIs (bare flag: per-workload calibrated "
-        "rates from 'repro sample calibrate'; a SPEC such as 'blocks:0.1' "
-        "forces one rate everywhere); see docs/sampling.md",
-    )
-    sub.add_argument("--exact", action="store_true",
-                     help="force exact replay (overrides --sampled)")
     sub.set_defaults(handler=cmd_sweep)
 
     sub = subparsers.add_parser(
@@ -150,11 +141,9 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     workloads, schemes = args.workloads, args.schemes
-    sampled = False if args.exact else args.sampled
     start = runner.cells_simulated()
     results = runner.run_sweep(workloads, schemes, scale=args.scale,
-                               config=args.config, sampled=sampled,
-                               jobs=args.jobs)
+                               config=args.config, jobs=args.jobs)
     metric = {"ipc": lambda r: round(r.ipc, 3),
               "mpki": lambda r: round(r.l1_mpki, 2),
               "cycles": lambda r: int(r.cycles)}[args.metric]
@@ -163,20 +152,6 @@ def cmd_sweep(args) -> int:
         rows = [[w] + [f"{results[(w, s)].ipc / results[(w, 'rr')].ipc:.2f}x"
                        for s in schemes] for w in workloads]
         print("\nSpeedup over rr:")
-        print(format_table(["workload"] + schemes, rows))
-    if sampled:
-        metric_key = {"ipc": "ipc", "mpki": "l1_mpki",
-                      "cycles": "cycles"}[args.metric]
-        rows = []
-        for workload in workloads:
-            row = [workload]
-            for scheme in schemes:
-                result = results[(workload, scheme)]
-                est = getattr(result, "ci", {}).get(metric_key)
-                row.append(f"+/-{100.0 * est.rel_half_width:.1f}%"
-                           if est is not None else "exact")
-            rows.append(row)
-        print(f"\nsampled 95% CI half-width ({args.metric}):")
         print(format_table(["workload"] + schemes, rows))
     # This invocation's work only, whichever process simulated it: a cell
     # the memo or the disk cache answered keeps the provenance of the run

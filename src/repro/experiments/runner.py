@@ -29,8 +29,8 @@ because traces ignore timing-only knobs a scheme sweep pays for one
 functional pass per workload.
 
 With ``config.sampling != "off"`` (:mod:`repro.sampling`,
-``docs/sampling.md``) a cell replays a subset of blocks or warp intervals
-and returns a :class:`~repro.stats.sampling.SampledRunResult` with 95%
+``docs/sampling.md``) a cell replays a subset of its thread blocks and
+returns a :class:`~repro.stats.sampling.SampledRunResult` with 95%
 confidence intervals; ``sampling`` is in the config fingerprint, so
 sampled and exact results never share a cache entry.
 """
@@ -156,10 +156,9 @@ def build_oracle(
     profile must be of that input (seed, balanced, ...), not the default's.
     """
     # The oracle must profile every warp of every block: a sampled
-    # profiling run would only know the sampled subset and, for blocks
-    # mode, under renumbered ids.  Always profile exactly; sampled CAWS
-    # replays remap the full oracle onto their subset
-    # (:func:`repro.sampling.replay.remap_oracle`).
+    # profiling run would only know the sampled subset, under renumbered
+    # ids.  Always profile exactly; sampled CAWS replays remap the full
+    # oracle onto their subset (:func:`repro.sampling.replay.remap_oracle`).
     config = (config or GPUConfig.default_sim()).with_sampling("off")
     # Per-warp times depend on the device profiled on and on the input, so
     # the profiling config's fingerprint and the workload kwargs are part
@@ -280,16 +279,10 @@ def simulate_cell(
 
     def replay() -> RunResult:
         if cfg.sampling != "off":
-            from ..sampling import calibrate as sampling_calibrate
             from ..sampling.replay import replay_sampled
 
-            # The workload's calibrated envelope at this rate, else the
-            # conservative default.
-            envelope, source = sampling_calibrate.envelope_for(
-                workload, cfg.sampling)
             return replay_sampled(program, cfg, scheme=scheme, oracle=oracle,
-                                  bus=bus, envelope_rel=envelope,
-                                  envelope_source=source)
+                                  bus=bus)
         return trace_mod.replay_program(program, cfg, scheme=scheme,
                                         oracle=oracle, bus=bus)[-1]
 
@@ -393,14 +386,13 @@ def _validate_sweep_kwargs(kwargs: Dict, workloads: List[str]) -> None:
 Cell = Tuple[str, str]
 
 
-def _dedupe(cells: Iterable[Cell], base_for) -> List[List[Cell]]:
+def _dedupe(cells: Iterable[Cell], base: GPUConfig) -> List[List[Cell]]:
     """Group cells of one execution (a workload and equal
     :func:`~repro.core.cawa.apply_scheme` fingerprints: duplicates, scheme
-    aliases) in grid order; a group's first cell is the one simulated.
-    ``base_for`` maps a workload to its (per-workload sampled) base."""
+    aliases) in grid order; a group's first cell is the one simulated."""
     groups: Dict[Tuple[str, str], List[Cell]] = {}
     for workload, scheme in dict.fromkeys(cells):
-        fingerprint = apply_scheme(base_for(workload), scheme).fingerprint()
+        fingerprint = apply_scheme(base, scheme).fingerprint()
         groups.setdefault((workload, fingerprint), []).append((workload, scheme))
     return list(groups.values())
 
@@ -411,14 +403,13 @@ class _Plan:
     profile).  A workload with no usable trace records it in its first
     unit (as one process would), and its other units wait for that one."""
 
-    def __init__(self, units: List[List[Cell]], scale: float, base_for,
+    def __init__(self, units: List[List[Cell]], scale: float, base: GPUConfig,
                  workload_kwargs: Optional[dict], check: bool) -> None:
         self.after: List[set] = [set() for _ in units]
         self.recorders = set()
         self.workload = [unit[0][0] for unit in units]
         for workload in dict.fromkeys(self.workload):
             indexes = [i for i, w in enumerate(self.workload) if w == workload]
-            base = base_for(workload)
             rr = [i for i in indexes if (workload, "rr") in units[i]]
             for i in indexes:
                 if rr and i != rr[0] and apply_scheme(
@@ -521,7 +512,7 @@ def _sweep_worker(workload: str, scheme: str, scale: float, config: GPUConfig,
     return result.to_dict(), result.cell_serial > before, _work(result)
 
 
-def _resolve(cells: List[Cell], scale: float, base_for, jobs: Optional[int],
+def _resolve(cells: List[Cell], scale: float, base: GPUConfig, jobs: Optional[int],
              kwargs: Dict, on_cell=None) -> Dict[Cell, RunResult]:
     """Simulate a grid as one plan: cache hits, then the misses deduped
     (:func:`_dedupe`) and drawn from one queue (:class:`_Plan`) by this
@@ -532,14 +523,14 @@ def _resolve(cells: List[Cell], scale: float, base_for, jobs: Optional[int],
     called once per cell as its result is known, cache hits first."""
     check = kwargs.get("check", True)
     options = {k: v for k, v in kwargs.items() if k != "check"}
-    keys = {cell: _cache_keys(*cell, scale, base_for(cell[0]), **options)
+    keys = {cell: _cache_keys(*cell, scale, base, **options)
             for cell in dict.fromkeys(cells)}
     results = {cell: _lookup(*keys[cell], check) for cell in keys}
     if on_cell is not None:
         for cell, hit in results.items():
             if hit is not None:
                 on_cell(cell, hit)
-    units = _dedupe([c for c in keys if results[c] is None], base_for)
+    units = _dedupe([c for c in keys if results[c] is None], base)
     if jobs is None:  # the usable cores
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
@@ -558,14 +549,14 @@ def _resolve(cells: List[Cell], scale: float, base_for, jobs: Optional[int],
     def here(index: int) -> float:
         workload, scheme = units[index][0]
         result = run_scheme(workload, scheme, scale=scale,
-                            config=base_for(workload), **kwargs)
+                            config=base, **kwargs)
         answer(index, result, True)
         return _work(result)
 
     def submit(pool, index: int) -> concurrent.futures.Future:
         workload, scheme = units[index][0]
         return pool.submit(_sweep_worker, workload, scheme, scale,
-                           base_for(workload), kwargs)
+                           base, kwargs)
 
     def arrive(index: int, returned: Tuple[Dict, bool, float]) -> None:
         result = result_from_dict(returned[0])
@@ -574,7 +565,7 @@ def _resolve(cells: List[Cell], scale: float, base_for, jobs: Optional[int],
     if units:
         workload_kwargs = {k: v for k, v in kwargs.items()
                            if k not in _RUN_SCHEME_KWARGS} or None
-        _Plan(units, scale, base_for, workload_kwargs, check).run(
+        _Plan(units, scale, base, workload_kwargs, check).run(
             here, submit, arrive, helpers)
     return results
 
@@ -584,7 +575,7 @@ def run_sweep(
     schemes: Iterable[str],
     scale: float = 1.0,
     config: Optional[GPUConfig] = None,
-    sampled=False,
+    sampled: Optional[str] = None,
     jobs: Optional[int] = None,
     on_cell: Optional[Callable[[Cell, RunResult], None]] = None,
     **kwargs,
@@ -599,12 +590,9 @@ def run_sweep(
     :class:`TypeError` naming the offending key up front, instead of
     surfacing later as an opaque constructor failure inside a helper.
 
-    ``sampled`` selects statistical trace replay (:mod:`repro.sampling`):
-    ``True`` uses each workload's calibrated safe rate (``repro sample
-    calibrate``; uncalibrated workloads use the conservative
-    :data:`~repro.sampling.calibrate.DEFAULT_SPEC`, failed ones run
-    exactly), a spec string (``"blocks:0.25"``) one rate everywhere.
-    Sampled cells return :class:`~repro.stats.sampling.SampledRunResult`.
+    ``sampled`` selects statistical trace replay (:mod:`repro.sampling`)
+    at one spec for every cell (``"blocks:0.25"``); sampled cells return
+    :class:`~repro.stats.sampling.SampledRunResult`.
 
     The grid is one plan (:func:`_resolve`) on ``jobs`` processes, this
     one included: ``None`` means the usable cores, ``1`` this one only.  A
@@ -621,18 +609,15 @@ def run_sweep(
         raise ValueError(f"jobs must be None or at least 1, got {jobs!r}")
     workloads, schemes = list(workloads), list(schemes)
     _validate_sweep_kwargs(kwargs, workloads)
+    if sampled and not isinstance(sampled, str):
+        raise TypeError(
+            f"run_sweep(sampled={sampled!r}): the per-workload calibrated "
+            "rates are gone; pass a spec such as 'blocks:0.25'")
     base = config or GPUConfig.default_sim()
-    configs = dict.fromkeys(workloads, base)
     if sampled:
-        from ..sampling import calibrate as sampling_calibrate
-
-        for workload in workloads:
-            spec = (sampled if isinstance(sampled, str)
-                    else sampling_calibrate.lookup(workload)[0])
-            # No spec: calibration failed its target here, so exact.
-            configs[workload] = base.with_sampling(spec or "off")
+        base = base.with_sampling(sampled)
     grid = [(w, s) for w in workloads for s in schemes]
-    return _resolve(grid, scale, configs.__getitem__, jobs, kwargs, on_cell)
+    return _resolve(grid, scale, base, jobs, kwargs, on_cell)
 
 
 def sweep_table(results: Dict[Cell, RunResult], workloads: List[str],

@@ -1,27 +1,25 @@
-"""``repro.sampling`` — statistical sampling frontend over the trace store.
+"""``repro.sampling`` — blocks-mode sampled replay over the trace store.
 
-Replays a config-selected subset of a recorded trace through the
-unchanged timing model and extrapolates full-run metrics with calibrated
-95% confidence intervals:
+Replays a config-selected subset of a recorded trace's thread blocks
+through the unchanged timing model and extrapolates full-run metrics,
+each with a 95% confidence interval, in three modules:
 
-* :mod:`~repro.sampling.spec` — the ``sampling='off'|'blocks:P'|
-  'intervals:P'`` knob grammar and the seeded RNG derivation every piece
-  of sampling randomness must route through;
+* :mod:`~repro.sampling.spec` — the ``sampling='off'|'blocks:P'`` knob
+  grammar and the seeded RNG derivation every piece of sampling
+  randomness must route through;
 * :mod:`~repro.sampling.plan` — stratified cluster selection of thread
-  blocks (strata = record-stream signatures) and barrier-aligned
-  warp-interval truncation;
+  blocks (strata = record-stream signatures);
 * :mod:`~repro.sampling.replay` — the orchestrator that derives the
   sub-program, replays it, and estimates
-  (:class:`~repro.stats.sampling.SampledRunResult`);
-* :mod:`~repro.sampling.calibrate` — the empirical error harness behind
-  ``repro sample calibrate`` and the persisted safe-rate table that
-  ``run_sweep(sampled=True)`` consumes.
+  (:class:`~repro.stats.sampling.SampledRunResult`).
 
-Only the leaf spec module is imported eagerly: :mod:`repro.config`
-parses the knob from ``__post_init__`` via ``repro.sampling.spec``, which
-initialises this package, so everything that pulls in the trace/replay
-machinery is exposed via module ``__getattr__`` instead (same idiom as
-:mod:`repro.obs`).  See ``docs/sampling.md``.
+What is left serves one caller, ``run_sweep(sampled="blocks:P")``; ROADMAP
+item 9 deletes it with that call.  Only the leaf spec module is imported
+eagerly: :mod:`repro.config` parses the knob from ``__post_init__`` via
+``repro.sampling.spec``, which initialises this package, so everything
+that pulls in the trace/replay machinery is exposed via module
+``__getattr__`` instead (same idiom as :mod:`repro.obs`).  See
+``docs/sampling.md``.
 """
 
 from __future__ import annotations
@@ -38,17 +36,9 @@ __all__ = [
     "LaunchPlan",
     "profile_program",
     "build_strata",
-    "subsample_launch",
     "subsample_program",
     "replay_sampled",
     "remap_oracle",
-    "load_table",
-    "save_table",
-    "table_path",
-    "safe_spec",
-    "lookup",
-    "envelope_for",
-    "DEFAULT_SPEC",
 ]
 
 _PLAN_NAMES = (
@@ -61,21 +51,6 @@ _PLAN_NAMES = (
     "subsample_program",
 )
 _REPLAY_NAMES = ("replay_sampled", "remap_oracle")
-# NB: the calibrate() *function* is not re-exported at package level — the
-# name would collide with the ``calibrate`` submodule, which Python binds
-# as a package attribute on first import.  Call
-# ``repro.sampling.calibrate.calibrate(...)`` instead.
-_CALIBRATE_NAMES = (
-    "load_table",
-    "save_table",
-    "table_path",
-    "safe_spec",
-    "lookup",
-    "envelope_for",
-    "DEFAULT_SPEC",
-    "DEFAULT_RATES",
-    "DEFAULT_TARGET",
-)
 
 
 def __getattr__(name: str):
@@ -87,8 +62,4 @@ def __getattr__(name: str):
         from . import replay
 
         return getattr(replay, name)
-    if name in _CALIBRATE_NAMES:
-        from . import calibrate
-
-        return getattr(calibrate, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

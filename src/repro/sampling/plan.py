@@ -6,46 +6,35 @@ it builds a smaller, fully valid program that the ordinary replay machinery
 consumes unchanged, plus a :class:`LaunchPlan` describing exactly what was
 kept so the estimators (:mod:`repro.stats.sampling`) can extrapolate.
 
-Two modes (see ``docs/sampling.md``):
+``blocks:P`` (see ``docs/sampling.md``) is stratified cluster sampling of
+whole thread blocks.  Strata start from each block's *stream signature* —
+the sorted tuple of its per-warp dynamic record counts.  Blocks sharing a
+signature executed the same dynamic path lengths (a strictly stronger
+grouping than the static CPL envelope), so within-stratum variance is
+what the jackknife has to measure and between-stratum structure is
+covered by sampling at least one block from every stratum.  Irregular
+workloads (bfs) can give every block a unique signature, and
+one-block-per-stratum would then select *everything*; signature groups
+are therefore merged — ordered by mean per-block work, so merged strata
+stay homogeneous — into at most ``floor(P * num_blocks)`` rank strata,
+which keeps the realized rate honest while preserving the work-size
+stratification.  Selected blocks are renumbered to a dense ``0..k-1``
+grid (ascending original id, preserving dispatch order) and the derived
+launch shares the original :class:`~repro.trace.format.WarpStream`
+columns — zero-copy.
 
-``blocks:P``
-    Stratified cluster sampling of whole thread blocks.  Strata start from
-    each block's *stream signature* — the sorted tuple of its per-warp
-    dynamic record counts.  Blocks sharing a signature executed
-    the same dynamic path lengths (a strictly stronger grouping than the
-    static CPL envelope), so within-stratum variance is what the jackknife
-    has to measure and between-stratum structure is covered by sampling at
-    least one block from every stratum.  Irregular workloads (bfs) can
-    give every block a unique signature, and one-block-per-stratum would
-    then select *everything*; signature groups are therefore merged —
-    ordered by mean per-block work, so merged strata stay homogeneous —
-    into at most ``floor(P * num_blocks)`` rank strata, which keeps the
-    realized rate honest while preserving the work-size stratification.
-    Selected blocks are renumbered to a dense ``0..k-1`` grid (ascending
-    original id, preserving dispatch order) and the derived launch shares
-    the original :class:`~repro.trace.format.WarpStream` columns —
-    zero-copy.
-
-``intervals:P``
-    Deterministic truncation of every warp's stream to its leading
-    fraction ``P``, aligned to *barrier epochs*: every warp of a block
-    keeps exactly the same number of BAR records, then the warp's true
-    terminal EXIT record is appended, so no warp can ever wait on a
-    barrier a peer no longer reaches.
-
-Both modes also compute the block-level functional totals (record counts
-and active-lane popcounts) for the *whole* trace in one linear scan —
-exact, cheap, and the anchor that lets the estimator report instruction
-counts with zero error and reduce everything else to timing ratios.
+The planner also computes the block-level functional totals (record
+counts and active-lane popcounts) for the *whole* trace in one linear
+scan — exact, cheap, and the anchor that lets the estimator report
+instruction counts with zero error and reduce everything else to timing
+ratios.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..isa.instructions import Opcode
 from ..trace.format import LaunchTrace, TraceProgram, WarpStream
 from .spec import SamplingSpec, derive_rng, parse_sampling_spec
 
@@ -59,7 +48,6 @@ class BlockProfile:
     """Exact functional totals for one recorded thread block."""
 
     block_id: int
-    num_warps: int
     records: int  # warp instructions = number of dynamic records
     threads: int  # thread instructions = sum of active-mask popcounts
     signature: Tuple  # sorted per-warp record counts (stratum key)
@@ -69,23 +57,15 @@ class BlockProfile:
 class LaunchPlan:
     """What the sampler kept from one launch, and at what weight."""
 
-    mode: str
     rate: float
-    seed: int
-    launch_index: int
     #: Original ids of the replayed blocks, ascending == their new dense
     #: ids (``selected[new_id] == original_id``).
     selected: List[int]
     #: Strata as lists of original block ids (every block of the launch
-    #: appears in exactly one stratum; blocks mode only — intervals mode
-    #: keeps one stratum holding every block).
+    #: appears in exactly one stratum).
     strata: List[List[int]]
     #: Exact per-block functional totals for *every* block of the launch.
     profiles: Dict[int, BlockProfile]
-    #: Records/threads actually replayed per selected block (equal to the
-    #: profile totals in blocks mode; smaller under interval truncation).
-    kept_records: Dict[int, int] = field(default_factory=dict)
-    kept_threads: Dict[int, int] = field(default_factory=dict)
 
     # -- derived totals -------------------------------------------------
     @property
@@ -102,14 +82,7 @@ class LaunchPlan:
 
     @property
     def replayed_records(self) -> int:
-        return sum(self.kept_records.values())
-
-    def expansion(self, block_id: int) -> float:
-        """Record expansion factor for one replayed block (>= 1)."""
-        kept = self.kept_records.get(block_id, 0)
-        if not kept:
-            return 1.0
-        return self.profiles[block_id].records / kept
+        return sum(self.profiles[b].records for b in self.selected)
 
     def original_id(self, new_id: int) -> int:
         return self.selected[new_id]
@@ -132,7 +105,6 @@ def profile_launch(launch: LaunchTrace) -> Dict[int, BlockProfile]:
         counts = [len(stream) for stream in warps.values()]
         profiles[block_id] = BlockProfile(
             block_id=block_id,
-            num_warps=len(warps),
             records=sum(counts),
             threads=sum(stream.threads() for stream in warps.values()),
             signature=tuple(sorted(counts)),
@@ -212,26 +184,14 @@ def subsample_launch(
     launch: LaunchTrace,
     profiles: Dict[int, BlockProfile],
     spec: SamplingSpec,
-    seed: int,
     launch_index: int,
 ) -> Tuple[LaunchTrace, LaunchPlan]:
     """Derive the sampled launch plus its plan for one recorded launch."""
-    if spec.mode == "blocks":
-        return _subsample_blocks(launch, profiles, spec, seed, launch_index)
-    if spec.mode == "intervals":
-        return _subsample_intervals(launch, profiles, spec, seed, launch_index)
-    raise ValueError(f"cannot subsample with sampling mode {spec.mode!r}")
-
-
-def _subsample_blocks(
-    launch: LaunchTrace,
-    profiles: Dict[int, BlockProfile],
-    spec: SamplingSpec,
-    seed: int,
-    launch_index: int,
-) -> Tuple[LaunchTrace, LaunchPlan]:
     strata = build_strata(profiles, spec.rate)
-    rng = derive_rng("blocks", spec.rate, seed, launch.kernel_fp, launch_index)
+    # The 0 is the one value the retired per-config sampling seed took:
+    # kept in the derivation so every configuration selects the subset it
+    # always did.
+    rng = derive_rng("blocks", spec.rate, 0, launch.kernel_fp, launch_index)
     selected = _select_blocks(strata, spec.rate, rng)
     per_block = _streams_by_block(launch)
     warps: Dict[Tuple[int, int], WarpStream] = {}
@@ -246,107 +206,10 @@ def _subsample_blocks(
         warps=warps,
     )
     plan = LaunchPlan(
-        mode="blocks",
         rate=spec.rate,
-        seed=seed,
-        launch_index=launch_index,
         selected=selected,
         strata=strata,
         profiles=profiles,
-        kept_records={b: profiles[b].records for b in selected},
-        kept_threads={b: profiles[b].threads for b in selected},
-    )
-    return derived, plan
-
-
-# ----------------------------------------------------------------------
-# Intervals mode: barrier-aligned truncation
-# ----------------------------------------------------------------------
-def _barrier_pcs(kernel) -> frozenset:
-    return frozenset(
-        inst.pc for inst in kernel.instructions if inst.op is Opcode.BAR
-    )
-
-
-def _interval_cuts(
-    block_warps: Dict[int, WarpStream], bar_pcs: frozenset, rate: float
-) -> Dict[int, int]:
-    """Per-warp cut index keeping the same barrier-epoch count block-wide.
-
-    Every warp's naive cut is ``ceil(P * len(stream))``; the block then
-    agrees on ``e`` — the minimum number of BAR records any naive cut
-    keeps — and each warp's cut is clamped so it keeps *exactly* ``e``
-    barriers.  A warp that stops after its ``e``-th barrier can never
-    strand a peer at barrier ``e+1``.
-    """
-    naive: Dict[int, int] = {}
-    bars: Dict[int, List[int]] = {}
-    for warp_id, stream in block_warps.items():
-        naive[warp_id] = max(1, math.ceil(rate * len(stream)))
-        bars[warp_id] = [
-            index for index, pc in enumerate(stream.pcs) if pc in bar_pcs
-        ]
-    epoch = min(
-        sum(1 for pos in bars[w] if pos < naive[w]) for w in block_warps
-    )
-    cuts: Dict[int, int] = {}
-    for warp_id, stream in block_warps.items():
-        hi = (
-            bars[warp_id][epoch]
-            if epoch < len(bars[warp_id])
-            else len(stream)
-        )
-        cuts[warp_id] = min(naive[warp_id], hi)
-    return cuts
-
-
-def _subsample_intervals(
-    launch: LaunchTrace,
-    profiles: Dict[int, BlockProfile],
-    spec: SamplingSpec,
-    seed: int,
-    launch_index: int,
-) -> Tuple[LaunchTrace, LaunchPlan]:
-    bar_pcs = _barrier_pcs(launch.kernel)
-    per_block = _streams_by_block(launch)
-    warps: Dict[Tuple[int, int], WarpStream] = {}
-    kept_records: Dict[int, int] = {}
-    kept_threads: Dict[int, int] = {}
-    for block_id in sorted(per_block):
-        block_warps = per_block[block_id]
-        cuts = _interval_cuts(block_warps, bar_pcs, spec.rate)
-        records_kept = 0
-        threads_kept = 0
-        for warp_id, stream in block_warps.items():
-            cut = cuts[warp_id]
-            if cut < len(stream):
-                # The warp's own terminal record is its EXIT; appending it
-                # turns the truncated stream into a complete, replayable
-                # warp without inventing any instruction the kernel lacks.
-                stream = stream.prefix_plus_last(cut, launch.aux_kinds)
-            warps[(block_id, warp_id)] = stream
-            records_kept += len(stream)
-            threads_kept += stream.threads()
-        kept_records[block_id] = records_kept
-        kept_threads[block_id] = threads_kept
-    selected = sorted(per_block)
-    derived = LaunchTrace(
-        kernel=launch.kernel,
-        grid_dim=launch.grid_dim,
-        block_dim=launch.block_dim,
-        kernel_fp=launch.kernel_fp,
-        warps=warps,
-    )
-    plan = LaunchPlan(
-        mode="intervals",
-        rate=spec.rate,
-        seed=seed,
-        launch_index=launch_index,
-        selected=selected,
-        strata=[selected],
-        profiles=profiles,
-        kept_records=kept_records,
-        kept_threads=kept_threads,
     )
     return derived, plan
 
@@ -355,10 +218,7 @@ def _subsample_intervals(
 # Whole-program derivation
 # ----------------------------------------------------------------------
 def subsample_program(
-    program: TraceProgram,
-    sampling: str,
-    seed: int = 0,
-    spec: Optional[SamplingSpec] = None,
+    program: TraceProgram, sampling: str
 ) -> Tuple[TraceProgram, List[LaunchPlan]]:
     """Derive the sampled program plus one :class:`LaunchPlan` per launch.
 
@@ -366,23 +226,20 @@ def subsample_program(
     recorded under the same functional config), so the ordinary replay
     validation accepts it; its ``meta`` records the provenance.
     """
-    parsed = spec or parse_sampling_spec(sampling)
+    parsed = parse_sampling_spec(sampling)
     if not parsed.enabled:
         raise ValueError("subsample_program called with sampling='off'")
     profiles = profile_program(program)
     launches: List[LaunchTrace] = []
     plans: List[LaunchPlan] = []
     for index, launch in enumerate(program.launches):
-        derived, plan = subsample_launch(
-            launch, profiles[index], parsed, seed, index
-        )
+        derived, plan = subsample_launch(launch, profiles[index], parsed, index)
         launches.append(derived)
         plans.append(plan)
     meta = dict(program.meta)
     meta.update({
         "sampled_from": program.trace_id,
         "sampling": str(parsed),
-        "sampling_seed": seed,
     })
     sampled = TraceProgram(
         functional_fingerprint=program.functional_fingerprint,

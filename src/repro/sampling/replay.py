@@ -2,8 +2,8 @@
 extrapolate.
 
 :func:`replay_sampled` is the sampling counterpart of
-:func:`repro.trace.replay.replay_program`: it derives the sub-program the
-config's ``sampling`` spec selects, replays it through the ordinary replay
+:func:`repro.trace.replay.replay_program`: it derives the sub-program of
+blocks the config's ``sampling`` spec selects, replays it through the ordinary replay
 machinery (any scheme), and hands the measured subset to
 the estimators
 (:func:`repro.stats.sampling.estimate_sampled_result`).  The timing model
@@ -19,7 +19,6 @@ from ..config import GPUConfig
 from ..stats.sampling import SampledRunResult, estimate_sampled_result
 from ..trace.format import TraceProgram
 from .plan import LaunchPlan, subsample_program
-from .spec import parse_sampling_spec
 
 
 def remap_oracle(
@@ -33,7 +32,7 @@ def remap_oracle(
     dropped; missing keys (an oracle profiled under a different subset)
     fall back to the scheduler's default behavior.
     """
-    if oracle is None or plan.mode != "blocks":
+    if oracle is None:
         return oracle
     remapped: Dict[Tuple[int, int], float] = {}
     for new_id, original in enumerate(plan.selected):
@@ -50,8 +49,6 @@ def replay_sampled(
     oracle: Optional[dict] = None,
     max_cycles: float = 5e7,
     bus=None,
-    envelope_rel: Optional[float] = None,
-    envelope_source: str = "default",
 ) -> SampledRunResult:
     """Replay the config-selected subset of ``program`` and extrapolate.
 
@@ -62,14 +59,7 @@ def replay_sampled(
     """
     from ..trace.replay import replay_program  # heavy; keep import local
 
-    spec = parse_sampling_spec(config.sampling)
-    if not spec.enabled:
-        raise ValueError(
-            "replay_sampled called with sampling='off'; use replay_program"
-        )
-    derived, plans = subsample_program(
-        program, config.sampling, seed=config.sampling_seed, spec=spec
-    )
+    derived, plans = subsample_program(program, config.sampling)
     results = replay_program(
         derived,
         config,
@@ -78,10 +68,4 @@ def replay_sampled(
         max_cycles=max_cycles,
         bus=bus,
     )
-    return estimate_sampled_result(
-        results[-1],
-        plans[-1],
-        spec=config.sampling,
-        envelope_rel=envelope_rel,
-        envelope_source=envelope_source,
-    )
+    return estimate_sampled_result(results[-1], plans[-1], spec=config.sampling)

@@ -4,7 +4,6 @@ The :attr:`repro.config.GPUConfig.sampling` knob is a compact string::
 
     "off"            # exact simulation (default)
     "blocks:P"       # stratified cluster sampling of thread blocks
-    "intervals:P"    # barrier-aligned truncation of every warp stream
 
 with ``0 < P <= 1`` the target sampling rate.  This module is a leaf
 (imports only :mod:`repro.errors`) so :class:`~repro.config.GPUConfig`
@@ -12,11 +11,10 @@ can validate the knob in ``__post_init__`` without pulling the trace
 machinery into the config import graph.
 
 All sampling randomness is routed through :func:`derive_rng`: a
-``random.Random`` seeded from a SHA-256 over the sampling spec, the
-config-level sampling seed, and the trace identity — deterministic by
-construction, so the source rule DET001 (``tests/test_source_rules.py``;
-unseeded randomness) stays clean with zero waivers and a given configuration always selects the
-same subset.
+``random.Random`` seeded from a SHA-256 over the sampling spec and the
+trace identity — deterministic by construction, so the source rule DET001
+(``tests/test_source_rules.py``; unseeded randomness) stays clean with
+zero waivers and a given configuration always selects the same subset.
 """
 
 from __future__ import annotations
@@ -29,14 +27,16 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 
 #: Recognized sampling modes (beyond the literal "off").
-MODES = ("blocks", "intervals")
+MODES = ("blocks",)
+#: Deleted modes, refused by name.
+REMOVED_MODES = ("intervals",)
 
 
 @dataclass(frozen=True)
 class SamplingSpec:
     """Parsed form of a ``GPUConfig.sampling`` string."""
 
-    mode: str  # "off", "blocks", or "intervals"
+    mode: str  # "off" or "blocks"
     rate: float = 1.0
 
     @property
@@ -53,7 +53,7 @@ def parse_sampling_spec(spec: str) -> SamplingSpec:
     """Parse and validate a sampling spec string.
 
     Raises :class:`~repro.errors.ConfigError` on anything that is not
-    ``off``, ``blocks:P``, or ``intervals:P`` with ``0 < P <= 1``.
+    ``off`` or ``blocks:P`` with ``0 < P <= 1``.
     """
     if not isinstance(spec, str):
         raise ConfigError(
@@ -62,9 +62,13 @@ def parse_sampling_spec(spec: str) -> SamplingSpec:
     if spec == "off":
         return SamplingSpec(mode="off")
     mode, sep, rate_text = spec.partition(":")
+    if mode in REMOVED_MODES:
+        raise ConfigError(
+            f"sampling mode {mode!r} was removed; use 'blocks:P' or 'off'"
+        )
     if not sep or mode not in MODES:
         raise ConfigError(
-            f"sampling must be 'off', 'blocks:P', or 'intervals:P', got {spec!r}"
+            f"sampling must be 'off' or 'blocks:P', got {spec!r}"
         )
     try:
         rate = float(rate_text)

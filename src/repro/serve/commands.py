@@ -49,10 +49,6 @@ def register(subparsers, common) -> None:
                      "the result cache: recording runs always simulate)")
     sub.add_argument("--priority", choices=["auto", "interactive", "batch"],
                      default="auto")
-    sub.add_argument("--sampling", default=None, metavar="SPEC",
-                     help="sampled replay spec for run jobs, e.g. "
-                     "'blocks:0.25' (changes the answer: never "
-                     "coalesces with exact jobs)")
     sub.add_argument("--watch", action="store_true",
                      help="stream progress, then print the summary")
     sub.add_argument("--wait", action="store_true",
@@ -118,8 +114,6 @@ def _spec_from_args(args) -> dict:
         spec["events"] = True
     if args.priority != "auto":
         spec["priority"] = args.priority
-    if args.sampling:
-        spec["device"] = {"sampling": args.sampling}
     return spec
 
 

@@ -2,8 +2,8 @@
 
 Kept separate from :class:`repro.config.GPUConfig` on purpose: a
 :class:`ServerConfig` describes the *service* (bind address, worker pool,
-admission limits), never the simulated device — device knobs arrive per
-job inside the request payload (see :class:`repro.serve.jobs.JobSpec`).
+admission limits), never the simulated device — a job's payload picks
+its device (``fermi``; see :class:`repro.serve.jobs.JobSpec`).
 """
 
 from __future__ import annotations

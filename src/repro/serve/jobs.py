@@ -51,13 +51,6 @@ KINDS = ("run", "sweep", "figure")
 PRIORITIES = ("interactive", "batch")
 #: Numeric priority values (lower dispatches first).
 _PRIORITY_VALUE = {"interactive": 0, "batch": 10}
-#: Device knobs a job payload may override on the base GPUConfig.
-#: ``sampling`` trades accuracy for speed, changes the reported numbers,
-#: and is therefore part of the config fingerprint — jobs differing only
-#: in ``sampling`` never coalesce (the coalescing fingerprint is built
-#: from config fingerprints).  Every job replays against the server's
-#: trace store, recording on a miss.
-DEVICE_KNOBS = ("sampling",)
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -93,7 +86,6 @@ class JobSpec:
     check: bool = True
     events: bool = False
     priority: str = "interactive"
-    device: Tuple[Tuple[str, object], ...] = ()
 
     @classmethod
     def from_payload(cls, payload: dict) -> "JobSpec":
@@ -107,9 +99,14 @@ class JobSpec:
 
         if not isinstance(payload, dict):
             raise JobSpecError("job payload must be a JSON object")
+        if "device" in payload:
+            raise JobSpecError(
+                "the 'device' field was removed: its one knob, sampling, "
+                "is no longer a job option; jobs run the base device "
+                "('fermi' picks Table 1's)")
         known = {"kind", "workload", "workloads", "scheme", "schemes",
                  "scale", "figure", "fermi", "check", "events", "priority",
-                 "device", "tenant"}
+                 "tenant"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise JobSpecError(f"unknown job field(s): {', '.join(unknown)}")
@@ -192,18 +189,7 @@ class JobSpec:
                 f"got {priority!r}"
             )
 
-        device_raw = payload.get("device", {})
-        if not isinstance(device_raw, dict):
-            raise JobSpecError("'device' must be an object of config knobs")
-        bad = sorted(set(device_raw) - set(DEVICE_KNOBS))
-        if bad:
-            raise JobSpecError(
-                f"unsupported device knob(s): {', '.join(bad)}; "
-                f"supported: {', '.join(DEVICE_KNOBS)}"
-            )
-        device = tuple(sorted(device_raw.items()))
-
-        spec = cls(
+        return cls(
             kind=kind,
             workloads=workloads,
             schemes=schemes,
@@ -213,23 +199,11 @@ class JobSpec:
             check=bool(payload.get("check", True)),
             events=bool(payload.get("events", False)),
             priority=priority,
-            device=device,
         )
-        spec.build_config()  # validate device knobs eagerly (ConfigError -> 400)
-        return spec
 
     def build_config(self) -> GPUConfig:
         """Materialize the base :class:`GPUConfig` for this job."""
-        from ..errors import ConfigError
-
-        cfg = GPUConfig.fermi_gtx480() if self.fermi else GPUConfig.default_sim()
-        try:
-            for knob, value in self.device:
-                if knob == "sampling":
-                    cfg = cfg.with_sampling(str(value))
-        except (ConfigError, ValueError, TypeError) as exc:
-            raise JobSpecError(f"invalid device knob: {exc}") from exc
-        return cfg
+        return GPUConfig.fermi_gtx480() if self.fermi else GPUConfig.default_sim()
 
     @property
     def priority_value(self) -> int:
@@ -242,9 +216,7 @@ class JobSpec:
         so "identical request" here means exactly "identical simulated
         outcome".  Tenant and priority are deliberately excluded — two
         tenants asking the same question share one execution (that is the
-        multi-tenant shared cache).  ``sampling`` is captured
-        automatically: it lives in the config fingerprint this identity
-        is built from.  The ``events`` flag *is* included:
+        multi-tenant shared cache).  The ``events`` flag *is* included:
         subscribers of an obs-streaming job are promised obs records in
         their SSE feed, which a non-streaming execution would not emit.
         """
@@ -278,7 +250,6 @@ class JobSpec:
             "check": self.check,
             "events": self.events,
             "priority": self.priority,
-            "device": dict(self.device),
         }
         if self.kind == "figure":
             out["figure"] = self.figure

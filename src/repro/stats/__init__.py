@@ -1,47 +1,29 @@
 """Measurement and analysis utilities for simulator runs."""
 
-from .accuracy import (
-    CriticalityAccuracyTracker,
-    EstimateError,
-    compare_results,
-    interval_covers,
-    max_rel_error,
-    relative_error,
-)
+from .accuracy import CriticalityAccuracyTracker
 from .counters import RunResult, merge_cache_stats, result_from_dict
 from .disparity import block_disparity, max_block_disparity, warp_time_profile
 from .reuse import ReuseDistanceProfiler
-from .report import format_ci, format_estimate_table, format_table
+from .report import format_table
 from .sampling import (
-    REPORT_METRICS,
     MetricEstimate,
     SampledRunResult,
     SamplingInfo,
     estimate_sampled_result,
-    metric_value,
 )
 
 __all__ = [
     "CriticalityAccuracyTracker",
-    "EstimateError",
     "MetricEstimate",
-    "REPORT_METRICS",
     "ReuseDistanceProfiler",
     "RunResult",
     "SampledRunResult",
     "SamplingInfo",
     "block_disparity",
-    "compare_results",
     "estimate_sampled_result",
-    "format_ci",
-    "format_estimate_table",
     "format_table",
-    "interval_covers",
     "max_block_disparity",
-    "max_rel_error",
     "merge_cache_stats",
-    "metric_value",
-    "relative_error",
     "result_from_dict",
     "warp_time_profile",
 ]

@@ -1,26 +1,18 @@
-"""Accuracy metrics: CPL prediction scoring and estimator error measures.
+"""Accuracy metrics: CPL prediction scoring.
 
-Two families live here:
-
-* :class:`CriticalityAccuracyTracker` — the paper's Figure 11 protocol:
-  sample CPL verdicts during the run and check, after the block commits,
-  how often the *actually* critical warp (slowest by measured execution
-  time) had been flagged as a slow warp (criticality above the block
-  median).  An event-bus collector: a sample is one ``CPL_VERDICT``
-  record, emitted at each refresh of a block's verdicts (every
-  ``cpl_update_period`` = 64 issues of the block).
-* Estimator error measures (:func:`relative_error`,
-  :class:`EstimateError`) — shared by the sampling calibration harness
-  (:mod:`repro.sampling.calibrate`) and the sampled-replay reports: how
-  far a :class:`~repro.stats.sampling.SampledRunResult` estimate landed
-  from the exact run, and whether the exact value fell inside the
-  estimate's confidence interval.
+:class:`CriticalityAccuracyTracker` is the paper's Figure 11 protocol:
+sample CPL verdicts during the run and check, after the block commits, how
+often the *actually* critical warp (slowest by measured execution time)
+had been flagged as a slow warp (criticality above the block median).  An
+event-bus collector: a sample is one ``CPL_VERDICT`` record, emitted at
+each refresh of a block's verdicts (every ``cpl_update_period`` = 64
+issues of the block).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from ..obs.events import Ev
 
@@ -79,97 +71,3 @@ class CriticalityAccuracyTracker:
                 else:
                     correct += record.flagged_slow.get(critical_id, 0)
         return correct / total_samples if total_samples else 1.0
-
-
-# ----------------------------------------------------------------------
-# Estimator error measures (sampled replay calibration)
-# ----------------------------------------------------------------------
-def relative_error(estimate: float, exact: float) -> float:
-    """``|estimate - exact| / |exact|``, with the zero-denominator edge.
-
-    An exact value of zero scores 0.0 when the estimate agrees and
-    ``inf`` otherwise — an infinite relative error can never pass a
-    calibration target, which is the safe failure mode.
-    """
-    if exact == 0:
-        return 0.0 if estimate == 0 else float("inf")
-    return abs(estimate - exact) / abs(exact)
-
-
-def interval_covers(lo: float, hi: float, exact: float) -> bool:
-    """True when ``exact`` lies inside the closed interval ``[lo, hi]``."""
-    return lo <= exact <= hi
-
-
-@dataclass
-class EstimateError:
-    """One metric's sampled-vs-exact comparison (JSON round-trippable)."""
-
-    metric: str
-    exact: float
-    estimate: float
-    lo: float
-    hi: float
-
-    @property
-    def rel_error(self) -> float:
-        return relative_error(self.estimate, self.exact)
-
-    @property
-    def covered(self) -> bool:
-        return interval_covers(self.lo, self.hi, self.exact)
-
-    def to_dict(self) -> Dict:
-        return {
-            "metric": self.metric,
-            "exact": self.exact,
-            "estimate": self.estimate,
-            "lo": self.lo,
-            "hi": self.hi,
-            "rel_error": self.rel_error,
-            "covered": self.covered,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "EstimateError":
-        return cls(
-            metric=data["metric"],
-            exact=data["exact"],
-            estimate=data["estimate"],
-            lo=data["lo"],
-            hi=data["hi"],
-        )
-
-
-def compare_results(
-    sampled, exact, metrics: Iterable[str]
-) -> Dict[str, EstimateError]:
-    """Per-metric :class:`EstimateError` for a sampled/exact result pair.
-
-    ``sampled`` is a :class:`~repro.stats.sampling.SampledRunResult`
-    (metrics answered from its ``ci`` point estimates and intervals);
-    ``exact`` is any :class:`~repro.stats.counters.RunResult`.
-    """
-    from .sampling import metric_value
-
-    errors: Dict[str, EstimateError] = {}
-    for name in metrics:
-        estimate = metric_value(sampled, name)
-        ci = getattr(sampled, "ci", {}).get(name)
-        lo = ci.lo if ci is not None else estimate
-        hi = ci.hi if ci is not None else estimate
-        errors[name] = EstimateError(
-            metric=name,
-            exact=metric_value(exact, name),
-            estimate=estimate,
-            lo=lo,
-            hi=hi,
-        )
-    return errors
-
-
-def max_rel_error(errors: Dict[str, EstimateError]) -> float:
-    """Largest relative error across a comparison set (0.0 when empty)."""
-    if not errors:
-        return 0.0
-    return max(err.rel_error for err in errors.values())

@@ -1,17 +1,9 @@
-"""Plain-text table formatting for the experiment harness output.
-
-Besides the fixed-width :func:`format_table` used by every figure script,
-this module renders the confidence-interval columns of sampled runs
-(:func:`format_ci`, :func:`format_estimate_table`): a
-:class:`~repro.stats.sampling.SampledRunResult` reports each metric as
-``estimate [lo, hi]`` with its relative half-width and estimation method,
-so a reader can tell at a glance which numbers are exact and how much the
-extrapolated ones should be trusted.
-"""
+"""Plain-text table formatting for the experiment harness output: the
+fixed-width :func:`format_table` every figure script prints through."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 
 def _fmt(value) -> str:
@@ -32,38 +24,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def _sig(value: float) -> str:
-    """Compact numeric formatting for CI columns (4 significant digits)."""
-    if value == int(value) and abs(value) < 1e12:
-        return str(int(value))
-    return f"{value:.4g}"
-
-
-def format_ci(value: float, lo: float, hi: float) -> str:
-    """Render one estimate with its interval: ``123.4 [120.1, 126.7]``."""
-    return f"{_sig(value)} [{_sig(lo)}, {_sig(hi)}]"
-
-
-def format_estimate_table(
-    ci: Mapping[str, object], order: Optional[Sequence[str]] = None
-) -> str:
-    """Per-metric CI table for one sampled run.
-
-    ``ci`` maps metric name to an estimate object exposing ``value``,
-    ``lo``, ``hi``, ``rel_half_width`` and ``method`` (duck-typed
-    :class:`~repro.stats.sampling.MetricEstimate`).  ``order`` fixes the
-    row order; by default metrics appear sorted by name.
-    """
-    names = list(order) if order is not None else sorted(ci)
-    rows = []
-    for name in names:
-        est = ci[name]
-        rows.append([
-            name,
-            format_ci(est.value, est.lo, est.hi),
-            f"{100.0 * est.rel_half_width:.1f}%",
-            est.method,
-        ])
-    return format_table(["metric", "estimate [95% CI]", "+/-", "method"], rows)

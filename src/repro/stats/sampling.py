@@ -14,8 +14,7 @@ Estimator structure (see ``docs/sampling.md`` for the derivation):
   no estimation, zero-width intervals.
 * **Cycles use a stratified ratio estimator.**  Each replayed block
   contributes its measured serial execution time ``e_b`` (commit −
-  dispatch), expanded by its stratum weight ``N_h/n_h`` and, under
-  interval truncation, its record expansion factor ``f_b``.  The
+  dispatch), expanded by its stratum weight ``N_h/n_h``.  The
   stratified total ``S`` estimates the whole grid's serial block time;
   multiplying by the *observed* parallelism factor ``kappa = C_s / sum
   e_b`` (sampled wall cycles over sampled serial time) converts it to
@@ -26,15 +25,11 @@ Estimator structure (see ``docs/sampling.md`` for the derivation):
   rates equal to their sampled values — intensive quantities that cluster
   sampling estimates directly.
 * **Error bars: delete-one-block jackknife over strata, folded with a
-  calibrated envelope.**  The jackknife measures within-stratum spread of
-  the expansion estimator; strata with a single sampled block contribute
+  fixed envelope.**  The jackknife measures within-stratum spread of the
+  expansion estimator; strata with a single sampled block contribute
   nothing (counted as ``degenerate_strata``).  The final half-width is
-  ``max(1.96*SE, envelope_rel * |estimate|)`` where the envelope comes
-  from the calibration table (:mod:`repro.sampling.calibrate`) or a
-  conservative default — metrics with no per-block decomposition (MPKI,
-  DRAM) carry the envelope alone.  Envelopes are per-metric (calibration
-  measures each metric's own worst error): a noisy stall attribution does
-  not widen the cycles interval.
+  ``max(1.96*SE, DEFAULT_ENVELOPE_REL * |estimate|)`` — metrics with no
+  per-block decomposition (MPKI, DRAM) carry the envelope alone.
 """
 
 from __future__ import annotations
@@ -54,26 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: approximately normal for the block counts we sample).
 Z95 = 1.96
 
-#: Relative half-width assumed when no calibration entry covers a
-#: workload.  Deliberately wide — see docs/sampling.md ("when not to
-#: trust sampled numbers").
+#: Relative half-width every sampled interval is at least.  Deliberately
+#: wide — see docs/sampling.md ("when not to trust sampled numbers").
 DEFAULT_ENVELOPE_REL = 0.10
-
-#: Metrics reported with confidence intervals.  ``exact`` metrics have
-#: zero-width intervals by construction.
-REPORT_METRICS = (
-    "cycles",
-    "ipc",
-    "l1_mpki",
-    "l1_misses",
-    "l2_misses",
-    "dram_accesses",
-    "total_stall_cycles",
-    "mem_stall_cycles",
-    "sched_stall_cycles",
-    "warp_instructions",
-    "thread_instructions",
-)
 
 
 @dataclass
@@ -87,23 +65,16 @@ class MetricEstimate:
     #: "exact", "jackknife+envelope", or "envelope".
     method: str = "envelope"
 
-    def covers(self, exact: float) -> bool:
-        return self.lo <= exact <= self.hi
-
-    @property
-    def half_width(self) -> float:
-        return (self.hi - self.lo) / 2.0
-
-    @property
-    def rel_half_width(self) -> float:
-        return self.half_width / abs(self.value) if self.value else 0.0
-
 
 @dataclass
 class SamplingInfo:
     """Provenance and coverage of one sampled run."""
 
     spec: str
+    # ``mode``, ``seed`` and the envelope pair are constants now ("blocks",
+    # 0, the fixed envelope, "default"), kept so a stored result keeps its
+    # payload shape; an older payload may carry a per-metric envelope
+    # mapping and another source, and loads as stored.
     mode: str
     rate: float
     seed: int
@@ -113,8 +84,6 @@ class SamplingInfo:
     degenerate_strata: int
     records_total: int
     records_replayed: int
-    #: A single relative envelope, or a per-metric mapping (the shape the
-    #: calibration table persists).
     envelope_rel: object = DEFAULT_ENVELOPE_REL
     envelope_source: str = "default"
 
@@ -124,12 +93,6 @@ class SamplingInfo:
         if not self.records_total:
             return 1.0
         return self.records_replayed / self.records_total
-
-    @property
-    def estimated_speedup(self) -> float:
-        """Deterministic speedup proxy: 1 / replay_fraction."""
-        fraction = self.replay_fraction
-        return 1.0 / fraction if fraction else 1.0
 
 
 @dataclass
@@ -172,50 +135,6 @@ class SampledRunResult(RunResult):
             info=SamplingInfo(**info_data) if info_data else None,
         )
         return result
-
-
-# ----------------------------------------------------------------------
-# Metric accessors (shared by calibration and reporting)
-# ----------------------------------------------------------------------
-def _stall_sum(result: RunResult, attr: str) -> float:
-    return sum(
-        getattr(w, attr) for b in result.blocks for w in b.warps
-    )
-
-
-_ACCESSORS = {
-    "cycles": lambda r: float(r.cycles),
-    "ipc": lambda r: r.ipc,
-    "l1_mpki": lambda r: r.l1_mpki,
-    "l1_misses": lambda r: float(r.l1_stats.misses),
-    "l2_misses": lambda r: float(r.l2_stats.misses),
-    "dram_accesses": lambda r: float(r.dram_accesses),
-    "total_stall_cycles": lambda r: _stall_sum(r, "total_stall_cycles"),
-    "mem_stall_cycles": lambda r: _stall_sum(r, "mem_stall_cycles"),
-    "sched_stall_cycles": lambda r: _stall_sum(r, "sched_stall_cycles"),
-    "warp_instructions": lambda r: float(r.warp_instructions),
-    "thread_instructions": lambda r: float(r.thread_instructions),
-}
-
-
-def metric_value(result: RunResult, name: str) -> float:
-    """Uniform metric accessor for exact *and* sampled results.
-
-    Sampled results answer from their ``ci`` point estimates (their
-    ``blocks`` hold only the replayed subset, so summing over them would
-    not be the extrapolated value); exact results compute directly.
-    """
-    ci = getattr(result, "ci", None)
-    if ci and name in ci:
-        return ci[name].value
-    try:
-        accessor = _ACCESSORS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown sampling metric {name!r}; expected one of "
-            f"{sorted(_ACCESSORS)}"
-        ) from None
-    return accessor(result)
 
 
 # ----------------------------------------------------------------------
@@ -285,13 +204,8 @@ def _scale_cache_stats(stats: CacheStats, factor: float) -> CacheStats:
     return scaled
 
 
-def _estimate(
-    value: float,
-    se: float,
-    envelope_rel: float,
-    method: str,
-) -> MetricEstimate:
-    half = max(Z95 * se, envelope_rel * abs(value))
+def _estimate(value: float, se: float, method: str) -> MetricEstimate:
+    half = max(Z95 * se, DEFAULT_ENVELOPE_REL * abs(value))
     return MetricEstimate(
         value=value, lo=value - half, hi=value + half, se=se, method=method
     )
@@ -301,11 +215,7 @@ def _estimate(
 # The estimator
 # ----------------------------------------------------------------------
 def estimate_sampled_result(
-    replay_result: RunResult,
-    plan: "LaunchPlan",
-    spec: str,
-    envelope_rel=None,
-    envelope_source: str = "default",
+    replay_result: RunResult, plan: "LaunchPlan", spec: str
 ) -> SampledRunResult:
     """Extrapolate one sampled replay to a full-run estimate with CIs.
 
@@ -314,24 +224,7 @@ def estimate_sampled_result(
     the replayed result are the dense renumbered ids — they are mapped
     back to the original grid here, so downstream block-level analyses
     see original identities.
-
-    ``envelope_rel`` is a single relative envelope, a per-metric mapping
-    (missing metrics fall back to :data:`DEFAULT_ENVELOPE_REL`), or
-    ``None`` for the default everywhere.
     """
-    if envelope_rel is None:
-        envelope_rel = DEFAULT_ENVELOPE_REL
-    if isinstance(envelope_rel, dict):
-        _envelopes = envelope_rel
-
-        def _env(name: str) -> float:
-            return float(_envelopes.get(name, DEFAULT_ENVELOPE_REL))
-    else:
-        _flat = float(envelope_rel)
-
-        def _env(name: str) -> float:
-            return _flat
-
     # Per-replayed-block measurements, keyed by original block id.
     selected_set = set(plan.selected)
     sizes = [
@@ -344,33 +237,29 @@ def estimate_sampled_result(
         for block in members
     }
     blocks: List[BlockSummary] = []
-    exec_contribs: List[Tuple[int, float]] = []  # f_b * e_b
+    exec_contribs: List[Tuple[int, float]] = []  # e_b
     stall_contribs: Dict[str, List[Tuple[int, float]]] = {
         "total_stall_cycles": [],
         "mem_stall_cycles": [],
         "sched_stall_cycles": [],
     }
     sampled_exec = 0.0
-    for position, block in enumerate(replay_result.blocks):
+    for block in replay_result.blocks:
         summary = (
             block
             if isinstance(block, BlockSummary)
             else BlockSummary.from_block(block)
         )
-        if plan.mode == "blocks":
-            original = plan.original_id(summary.block_id)
-        else:
-            original = summary.block_id
+        original = plan.original_id(summary.block_id)
         summary = dataclasses.replace(summary, block_id=original)
         blocks.append(summary)
         stratum = stratum_index[original]
         exec_time = summary.execution_time or 0.0
-        expansion = plan.expansion(original)
         sampled_exec += exec_time
-        exec_contribs.append((stratum, expansion * exec_time))
+        exec_contribs.append((stratum, exec_time))
         for name in stall_contribs:
             attr_sum = sum(getattr(w, name) for w in summary.warps)
-            stall_contribs[name].append((stratum, expansion * attr_sum))
+            stall_contribs[name].append((stratum, attr_sum))
     blocks.sort(key=lambda b: b.block_id)
 
     sampled_cycles = float(replay_result.cycles)
@@ -387,9 +276,7 @@ def estimate_sampled_result(
     se_cycles, degenerate = _jackknife_se(
         exec_contribs, sizes, lambda s: kappa * s
     )
-    ci["cycles"] = _estimate(
-        cycles_hat, se_cycles, _env("cycles"), "jackknife+envelope"
-    )
+    ci["cycles"] = _estimate(cycles_hat, se_cycles, "jackknife+envelope")
     ci["ipc"] = _estimate(
         threads_total / cycles_hat if cycles_hat else 0.0,
         _jackknife_se(
@@ -397,28 +284,21 @@ def estimate_sampled_result(
             sizes,
             lambda s: threads_total / (kappa * s) if s else 0.0,
         )[0],
-        _env("ipc"),
         "jackknife+envelope",
     )
     for name, contribs in stall_contribs.items():
         total = _weighted_total(contribs, sizes)
         se, _ = _jackknife_se(contribs, sizes, lambda s: s)
-        ci[name] = _estimate(total, se, _env(name), "jackknife+envelope")
+        ci[name] = _estimate(total, se, "jackknife+envelope")
 
     l1_hat = _scale_cache_stats(replay_result.l1_stats, scale_threads)
     l2_hat = _scale_cache_stats(replay_result.l2_stats, scale_threads)
     dram_hat = round(replay_result.dram_accesses * scale_threads)
     mpki_hat = 1000.0 * l1_hat.misses / threads_total if threads_total else 0.0
-    ci["l1_misses"] = _estimate(
-        float(l1_hat.misses), 0.0, _env("l1_misses"), "envelope"
-    )
-    ci["l2_misses"] = _estimate(
-        float(l2_hat.misses), 0.0, _env("l2_misses"), "envelope"
-    )
-    ci["dram_accesses"] = _estimate(
-        float(dram_hat), 0.0, _env("dram_accesses"), "envelope"
-    )
-    ci["l1_mpki"] = _estimate(mpki_hat, 0.0, _env("l1_mpki"), "envelope")
+    ci["l1_misses"] = _estimate(float(l1_hat.misses), 0.0, "envelope")
+    ci["l2_misses"] = _estimate(float(l2_hat.misses), 0.0, "envelope")
+    ci["dram_accesses"] = _estimate(float(dram_hat), 0.0, "envelope")
+    ci["l1_mpki"] = _estimate(mpki_hat, 0.0, "envelope")
     ci["warp_instructions"] = MetricEstimate(
         value=records_total, lo=records_total, hi=records_total,
         method="exact",
@@ -430,17 +310,15 @@ def estimate_sampled_result(
 
     info = SamplingInfo(
         spec=spec,
-        mode=plan.mode,
+        mode="blocks",
         rate=plan.rate,
-        seed=plan.seed,
+        seed=0,
         total_blocks=plan.total_blocks,
         sampled_blocks=len(plan.selected),
         strata=len(plan.strata),
         degenerate_strata=degenerate,
         records_total=plan.total_records,
         records_replayed=plan.replayed_records,
-        envelope_rel=envelope_rel,
-        envelope_source=envelope_source,
     )
     extra = dict(replay_result.extra)
     extra["sampling_replay_fraction"] = info.replay_fraction

@@ -248,31 +248,6 @@ class WarpStream:
                     yield pc, mask, (aux[pos], aux[pos + 2:pos + 2 + count].tolist())
                     pos += 2 + count
 
-    def prefix_plus_last(self, cut: int, kinds: Sequence[int]) -> "WarpStream":
-        """The first ``cut`` records followed by the stream's terminal one.
-
-        The terminal record of a warp is its EXIT, which carries no aux
-        payload, so the derived aux column is the prefix's alone.
-        """
-        if kinds[self.pcs[-1]] != AUX_NONE:
-            raise TraceFormatError(
-                f"warp stream ends at pc={self.pcs[-1]}, which is not an EXIT"
-            )
-        aux = self.aux
-        pos = 0
-        for pc in self.pcs[:cut]:
-            kind = kinds[pc]
-            if kind == AUX_BRANCH:
-                pos += 1
-            elif kind == AUX_MEM:
-                count = aux[pos + 1]
-                pos += 2 if count == NO_LINES else 2 + count
-        return WarpStream(
-            self.pcs[:cut] + self.pcs[-1:],
-            self.masks[:cut] + self.masks[-1:],
-            aux[:pos],
-        )
-
 
 @dataclass
 class LaunchTrace:

@@ -31,7 +31,7 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.cpl import CriticalityPredictor
-from repro.errors import CPLBoundsError
+from repro.errors import SimulationError
 from repro.isa.cfg import pc_successors
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,6 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simt.warp import Warp
 
 _Region = Optional[Tuple[float, float]]
+
+
+class CPLBoundsError(SimulationError):
+    """Raised when a branch's dynamic CPL ``nInst`` delta escapes the
+    static path-length envelope of the instructions a warp can execute
+    between the branch and its reconvergence point."""
 
 
 class PathBounds:
@@ -270,7 +276,7 @@ class CheckedCriticalityPredictor(CriticalityPredictor):
     warp's ``nInst`` disparity counter is compared against the static
     envelope of the committed path(s).  (The counter cannot go negative:
     the warp derives it clamped at zero.)  Violations raise
-    :class:`~repro.errors.CPLBoundsError` immediately, turning silent
+    :class:`CPLBoundsError` immediately, turning silent
     criticality-accounting drift into a hard failure.  Purely observational
     otherwise: scheduling decisions are bit-identical to
     :class:`CriticalityPredictor`.

@@ -6,12 +6,15 @@ import math
 
 import pytest
 
-from repro.errors import CPLBoundsError
 from repro.isa.instructions import CmpOp, Special
 from repro.isa.kernel import KernelBuilder
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp
-from tests.kernel_lint.pathlen import CheckedCriticalityPredictor, PathBounds
+from tests.kernel_lint.pathlen import (
+    CheckedCriticalityPredictor,
+    CPLBoundsError,
+    PathBounds,
+)
 
 
 def build_if_else():

@@ -155,8 +155,7 @@ class TestRemovedClockKnob:
         with pytest.raises(JobSpecError) as exc:
             JobSpec.from_payload({"kind": "run", "workload": "bfs",
                                   "device": {"clock": "cycle"}})
-        assert str(exc.value) == ("unsupported device knob(s): clock; "
-                                  "supported: sampling")
+        assert str(exc.value).startswith("the 'device' field was removed")
 
     def test_result_payload_with_clock_loads(self):
         from repro.experiments.runner import run_scheme
@@ -197,8 +196,7 @@ class TestRemovedFrontendKnob:
         with pytest.raises(JobSpecError) as exc:
             JobSpec.from_payload({"kind": "run", "workload": "bfs",
                                   "device": {"frontend": "execute"}})
-        assert str(exc.value) == ("unsupported device knob(s): frontend; "
-                                  "supported: sampling")
+        assert str(exc.value).startswith("the 'device' field was removed")
 
     def test_result_payload_recorded_in_place_loads(self):
         from repro.experiments.runner import run_scheme
@@ -245,13 +243,29 @@ class TestRemovedEventsKnob:
 class TestRemovedExtensions:
     """The L1 no-reuse bypass and the critical-MSHR reserve are gone: their
     knobs and schemes fail by name, and stored results that carry the
-    bypass counter still load.  So do the CIAO and WaSP scheme names."""
+    bypass counter still load.  So do the CIAO and WaSP scheme names, the
+    sampling seed, and the two cache fields nothing read (``l1i`` and
+    ``CacheConfig.replacement``)."""
 
-    @pytest.mark.parametrize("knob,value", [("cacp_bypass", True),
-                                            ("critical_mshr_reserve", 2)])
+    @pytest.mark.parametrize("knob,value", [
+        ("cacp_bypass", True),
+        ("critical_mshr_reserve", 2),
+        pytest.param("sampling_seed", 7, id="sampling_seed-7"),
+        pytest.param("l1i", CacheConfig(sets=4, ways=4), id="l1i-CacheConfig"),
+    ])
     def test_knob_is_not_a_config_field(self, knob, value):
         with pytest.raises(TypeError, match=knob):
             GPUConfig.default_sim(**{knob: value})
+
+    def test_replacement_is_not_a_cache_field(self):
+        with pytest.raises(TypeError, match="replacement"):
+            CacheConfig(sets=8, ways=16, replacement="srrip")
+        # The L1D policy knob that works is the GPUConfig one.
+        assert GPUConfig.default_sim().with_l1d_policy("srrip").l1d_policy == "srrip"
+
+    def test_with_sampling_takes_no_seed(self):
+        with pytest.raises(TypeError, match="seed"):
+            GPUConfig.default_sim().with_sampling("blocks:0.5", seed=7)
 
     @pytest.mark.parametrize("scheme", ["cawa+bypass", "cawa+mshr", "ciao", "wasp"])
     def test_scheme_is_refused_by_name(self, scheme):
@@ -278,9 +292,17 @@ class TestRemovedExtensions:
 
 def reference_fingerprint(cfg: GPUConfig) -> str:
     """The fingerprint formula before it was cached: ``asdict`` of every
-    field, plus the deleted fields at the defaults they were hashed with."""
+    field, plus the deleted fields at the defaults they were hashed with
+    (``replacement`` in every cache's dict)."""
+    fields = dataclasses.asdict(cfg)
+    for name in ("l1d", "l2"):
+        fields[name]["replacement"] = "lru"
     payload = {"cacp_bypass": False, "critical_mshr_reserve": 0,
-               **dataclasses.asdict(cfg)}
+               "sampling_seed": 0,
+               "l1i": {"sets": 4, "ways": 4, "line_size": 128, "hit_latency": 2,
+                       "replacement": "lru", "critical_ways": 0,
+                       "mshr_entries": 32},
+               **fields}
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -293,7 +315,6 @@ def caches(draw):
         ways=ways,
         line_size=draw(st.sampled_from([32, 64, 128, 256])),
         hit_latency=draw(st.integers(1, 8)),
-        replacement=draw(st.sampled_from(["lru", "srrip", "ship"])),
         critical_ways=draw(st.integers(0, ways)),
         mshr_entries=draw(st.integers(1, 64)),
     )
@@ -302,7 +323,7 @@ def caches(draw):
 @st.composite
 def overrides(draw):
     """A valid set of ``GPUConfig.default_sim`` overrides."""
-    sampling = draw(st.sampled_from(["off", "blocks:0.5", "intervals:0.25"]))
+    sampling = draw(st.sampled_from(["off", "blocks:0.5", "blocks:0.25"]))
     return {
         "scheduler_name": draw(st.sampled_from(sorted(SCHEDULERS))),
         "alu_latency": draw(st.integers(1, 32)),
@@ -315,7 +336,6 @@ def overrides(draw):
         "use_cacp": draw(st.booleans()),
         "cacp_mode": draw(st.sampled_from(["priority", "static", "dynamic"])),
         "sampling": sampling,
-        "sampling_seed": draw(st.integers(0, 9)),
     }
 
 

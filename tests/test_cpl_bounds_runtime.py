@@ -7,7 +7,8 @@ the predictor class :mod:`repro.gpu.gpu` builds: each dynamic Algorithm-2
 branch delta must lie inside the static path-length envelope (the
 ``nInst`` counter is non-negative by construction).  These tests run real
 workloads end-to-end under it — if CPL accounting ever drifts from what the
-CFG allows, they fail with a :class:`CPLBoundsError` instead of a silently
+CFG allows, they fail with a
+:class:`~tests.kernel_lint.pathlen.CPLBoundsError` instead of a silently
 mis-ranked warp.
 """
 

@@ -200,16 +200,12 @@ class TestParallelSweepDedupe:
 
     def test_duplicate_cells_collapse_to_one_group(self):
         base = GPUConfig.default_sim()
-        groups = _dedupe(
-            [("bfs", "rr"), ("bfs", "rr"), ("bfs", "gto")], lambda _w: base
-        )
+        groups = _dedupe([("bfs", "rr"), ("bfs", "rr"), ("bfs", "gto")], base)
         assert groups == [[("bfs", "rr")], [("bfs", "gto")]]
 
     def test_distinct_schemes_stay_separate(self):
         base = GPUConfig.default_sim()
-        groups = _dedupe(
-            [("bfs", "rr"), ("bfs", "cawa"), ("kmeans", "rr")], lambda _w: base
-        )
+        groups = _dedupe([("bfs", "rr"), ("bfs", "cawa"), ("kmeans", "rr")], base)
         assert len(groups) == 3
         assert all(len(g) == 1 for g in groups)
 
@@ -220,9 +216,7 @@ class TestParallelSweepDedupe:
 
         monkeypatch.setitem(cawa.SCHEMES, "rr_alias", cawa.SCHEMES["rr"])
         base = GPUConfig.default_sim()
-        groups = _dedupe(
-            [("bfs", "rr"), ("bfs", "rr_alias")], lambda _w: base
-        )
+        groups = _dedupe([("bfs", "rr"), ("bfs", "rr_alias")], base)
         assert groups == [[("bfs", "rr"), ("bfs", "rr_alias")]]
 
     def test_parallel_sweep_fans_alias_results_out(self, monkeypatch):

@@ -78,8 +78,11 @@ class TestKeyInvalidation:
     def test_fingerprints_are_pinned(self):
         # On-disk result-cache keys and serve coalescing keys embed these:
         # adding or deleting a fingerprint-excluded field must not move them.
+        # So must deleting a field hashed at its old default
+        # (``GPUConfig.RETIRED_FINGERPRINT_DEFAULTS``).
         assert GPUConfig.default_sim().fingerprint() == "7a640cd6a2ca7459"
         assert GPUConfig.fermi_gtx480().fingerprint() == "dc923f8c647f33f2"
+        assert GPUConfig().fingerprint() == "dc923f8c647f33f2"
 
     @pytest.mark.parametrize(
         "name", [f.name for f in dataclasses.fields(GPUConfig)])

@@ -95,22 +95,13 @@ class TestBasicApi:
         with pytest.raises(ServeClientError) as exc:
             client.submit({"kind": "run", "workload": "bfs", "bogus": 1})
         assert exc.value.status == 400
-        with pytest.raises(ServeClientError) as exc:
-            client.submit({"kind": "run", "workload": "bfs",
-                           "device": {"backend": "vector"}})
-        assert exc.value.status == 400
-        assert "unsupported device knob(s): backend" in str(exc.value)
-        with pytest.raises(ServeClientError) as exc:
-            client.submit({"kind": "run", "workload": "bfs",
-                           "device": {"shards": 2}})
-        assert exc.value.status == 400
-        assert "unsupported device knob(s): shards" in str(exc.value)
-        assert "supported: sampling" in str(exc.value)
-        with pytest.raises(ServeClientError) as exc:
-            client.submit({"kind": "run", "workload": "bfs",
-                           "device": {"frontend": "execute"}})
-        assert exc.value.status == 400
-        assert "unsupported device knob(s): frontend" in str(exc.value)
+        for knob, value in (("backend", "vector"), ("shards", 2),
+                            ("frontend", "execute"), ("sampling", "blocks:0.25")):
+            with pytest.raises(ServeClientError) as exc:
+                client.submit({"kind": "run", "workload": "bfs",
+                               "device": {knob: value}})
+            assert exc.value.status == 400
+            assert "the 'device' field was removed" in str(exc.value)
 
     def test_cancel_queued_job(self, serve_factory):
         client = ServeClient(serve_factory().base_url)

@@ -10,7 +10,6 @@ import pytest
 
 from repro.serve.jobs import (
     CANCELLED,
-    DEVICE_KNOBS,
     DONE,
     FAILED,
     QUEUED,
@@ -76,10 +75,6 @@ class TestJobSpecValidation:
         ({"kind": "figure", "figure": 999}, "no module"),
         ({"kind": "run", "workload": "bfs", "device": ["clock"]},
          "device"),
-        ({"kind": "run", "workload": "bfs",
-          "device": {"warps": 64}}, "device knob"),
-        ({"kind": "run", "workload": "bfs",
-          "device": {"sampling": "quantum"}}, "invalid device knob"),
     ])
     def test_bad_payloads_rejected(self, payload, fragment):
         with pytest.raises(JobSpecError, match=fragment):
@@ -87,18 +82,17 @@ class TestJobSpecValidation:
 
     @pytest.mark.parametrize("knob, value", [("backend", "vector"),
                                              ("shards", 2),
-                                             ("frontend", "execute")])
+                                             ("frontend", "execute"),
+                                             ("sampling", "blocks:0.25")])
     def test_removed_knob_is_a_named_error(self, knob, value):
         # One engine, one process per simulation, one path (the trace
-        # store): the knob is rejected, not silently ignored, and the error
-        # lists what is still selectable (``clock``: tests/test_config.py).
-        with pytest.raises(JobSpecError) as exc:
+        # store), no sampled jobs: the ``device`` field that carried these
+        # knobs is gone, and a payload with it is refused by name, not
+        # silently run on the base device (``clock``: tests/test_config.py).
+        with pytest.raises(JobSpecError,
+                           match="the 'device' field was removed"):
             spec(device={knob: value})
-        message = str(exc.value)
-        assert f"unsupported device knob(s): {knob}" in message
-        for kept in DEVICE_KNOBS:
-            assert kept in message
-        assert DEVICE_KNOBS == ("sampling",)
+        assert "device" not in spec().to_payload()
 
     def test_non_dict_payload_rejected(self):
         with pytest.raises(JobSpecError):

@@ -86,7 +86,7 @@ def test_a_cold_sweep_records_each_trace_once(jobs):
 
 def test_the_calling_process_works(parent_cells):
     results = run_sweep(WORKLOADS, SCHEMES, scale=SCALE, jobs=2)
-    executions = len(_dedupe(results, lambda _w: GPUConfig.default_sim()))
+    executions = len(_dedupe(results, GPUConfig.default_sim()))
     assert 1 <= len(parent_cells) < executions
 
 
@@ -161,8 +161,8 @@ def test_the_plan_orders_recording_and_profiling_first():
     wl, warm = WORKLOADS
     run_sweep([warm], ["rr"], scale=SCALE, jobs=1)  # warm has its trace
     cells = [(wl, "caws"), (wl, "gto"), (wl, "rr"), (warm, "gto"), (warm, "caws")]
-    units = _dedupe(cells, lambda _w: GPUConfig.default_sim())
-    plan = _Plan(units, SCALE, lambda _w: GPUConfig.default_sim(), None, True)
+    units = _dedupe(cells, GPUConfig.default_sim())
+    plan = _Plan(units, SCALE, GPUConfig.default_sim(), None, True)
     # rr records wl's trace (the caws cell waits for it as its profile),
     # so every other cell of wl waits for it; warm's cells need nothing
     # but warm's own rr, which is not in this grid.
