@@ -113,7 +113,6 @@ class GPUConfig:
     #: paper's strict 8-of-16 way split), or "dynamic" (UCP-style retuned
     #: split).  See :class:`repro.core.cacp.CACPPolicy`.
     cacp_mode: str = "priority"
-    use_cpl: bool = True
     cpl_update_period: int = 64
     #: Statistical sampling of the stored trace (:mod:`repro.sampling`):
     #: ``"off"`` (default, exact simulation) or ``"blocks:P"`` (seeded
@@ -146,6 +145,7 @@ class GPUConfig:
         "cacp_bypass": False,
         "critical_mshr_reserve": 0,
         "sampling_seed": 0,
+        "use_cpl": True,
         "l1i": {"sets": 4, "ways": 4, "line_size": 128, "hit_latency": 2,
                 "replacement": "lru", "critical_ways": 0, "mshr_entries": 32},
     }

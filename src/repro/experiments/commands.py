@@ -53,7 +53,7 @@ def register(subparsers, common) -> None:
     sub.add_argument("--max-entries", type=int, default=None,
                      help="keep at most this many newest entries per store")
     sub.add_argument("--what", default=None,
-                     help="comma-separated stores (results,traces,events); "
+                     help="comma-separated stores (results,traces); "
                      "default all")
     sub.set_defaults(handler=cmd_cache_gc)
 
@@ -173,12 +173,10 @@ def cmd_profile(args) -> int:
 
 
 def _stores() -> dict:
-    from ..obs import store as event_store
     from ..trace import store as trace_store
     from . import result_cache
 
-    return {"results": result_cache, "traces": trace_store,
-            "events": event_store}
+    return {"results": result_cache, "traces": trace_store}
 
 
 def cmd_cache_stats(args) -> int:

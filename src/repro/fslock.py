@@ -1,7 +1,7 @@
 """Advisory file locking and atomic-write helpers for the on-disk stores.
 
-The persistent stores under ``.repro_cache/`` (results, traces, event
-streams) are shared by concurrent writers: parallel sweep workers and —
+The two persistent stores under ``.repro_cache/`` (results and traces)
+are shared by concurrent writers: parallel sweep workers and —
 with :mod:`repro.serve` — a long-lived server's executor processes, all
 racing against interactive CLI invocations.  Three primitives keep that
 safe:
@@ -29,7 +29,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 try:  # pragma: no cover - import guard exercised only off-POSIX
     import fcntl
@@ -186,13 +186,11 @@ def collect(
     max_age_seconds: Optional[float] = None,
     max_entries: Optional[int] = None,
     blocking: bool = True,
-    age_only: Tuple[str, ...] = (),
 ) -> int:
     """One store's lock-safe garbage collection.
 
-    Runs :func:`gc_entries` over ``directory``'s ``pattern``, then over
-    each ``age_only`` pattern (relative to ``directory``) with no entry
-    cap, all inside the directory's advisory GC lock.  With
+    Runs :func:`gc_entries` over ``directory``'s ``pattern`` inside the
+    directory's advisory GC lock.  With
     ``blocking=False`` a held lock means another collector is already at
     work, and this returns 0 at once.  Returns the number of files
     removed.
@@ -203,7 +201,4 @@ def collect(
     with locked(lock_path(directory), blocking) as acquired:
         if not acquired:
             return 0
-        removed = gc_entries(directory, pattern, max_age_seconds, max_entries)
-        for extra in age_only:
-            removed += gc_entries(directory, extra, max_age_seconds, None)
-        return removed
+        return gc_entries(directory, pattern, max_age_seconds, max_entries)

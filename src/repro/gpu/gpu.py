@@ -94,11 +94,6 @@ class GPU:
             trace.validate(self.config.functional_fingerprint())
         self.sms: List[StreamingMultiprocessor] = []
         for sm_id in range(self.config.num_sms):
-            cpl = (
-                CriticalityPredictor(self.config.cpl_update_period)
-                if self.config.use_cpl
-                else None
-            )
             self.sms.append(
                 StreamingMultiprocessor(
                     sm_id=sm_id,
@@ -106,7 +101,7 @@ class GPU:
                     hierarchy=self.hierarchy,
                     scheduler_factory=self._scheduler_factory,
                     l1_policy_factory=self._l1_policy_factory,
-                    cpl=cpl,
+                    cpl=CriticalityPredictor(self.config.cpl_update_period),
                 )
             )
         #: Observability event bus (:mod:`repro.obs`), or ``None``: callers

@@ -3,13 +3,13 @@
 A typed, versioned event schema (:mod:`~repro.obs.events`), a
 near-zero-cost probe/event bus (:mod:`~repro.obs.bus`), bounded
 collectors and the canonical event order (:mod:`~repro.obs.collect`),
-per-warp stall attribution (:mod:`~repro.obs.stalls`), a persistent store
-(:mod:`~repro.obs.store`), and Chrome-trace / CSV exporters
-(:mod:`~repro.obs.export`).  See ``docs/observability.md``.
+per-warp stall attribution (:mod:`~repro.obs.stalls`), and Chrome-trace /
+CSV exporters (:mod:`~repro.obs.export`).  Streams are recorded on
+demand, never stored.  See ``docs/observability.md``.
 
 Only the leaf modules are imported eagerly — the recording harness
-(:func:`record_events`, :func:`record_stalls`) pulls in the GPU and the
-experiment runner, so it is exposed via module ``__getattr__`` instead.
+(:func:`record_events`) pulls in the GPU and the experiment runner, so it
+is exposed via module ``__getattr__`` instead.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .events import (
     validate_events,
     validate_schema,
 )
-from .export import chrome_trace, events_csv, kind_counts, write_chrome_trace
-from .stalls import StallAccounting, format_top_reasons
+from .export import KindCounter, chrome_trace, events_csv, write_chrome_trace
+from .stalls import StallAccounting
 
 __all__ = [
     "Ev",
@@ -49,19 +49,17 @@ __all__ = [
     "RingCollector",
     "sort_events",
     "StallAccounting",
-    "format_top_reasons",
     "chrome_trace",
     "write_chrome_trace",
     "events_csv",
-    "kind_counts",
+    "KindCounter",
     "record_events",
-    "record_stalls",
 ]
 
 
 def __getattr__(name: str):
-    if name in ("record_events", "record_stalls"):
-        from . import harness
+    if name == "record_events":
+        from .harness import record_events
 
-        return getattr(harness, name)
+        return record_events
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

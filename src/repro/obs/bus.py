@@ -29,9 +29,11 @@ Buffer specs (``record_events(events=...)``):
 ``"off"``        no bus; every ``obs`` stays ``None`` (the default)
 ``"on"``         ring buffer with the default capacity (1 Mi events)
 ``"ring[:N]"``   drop-oldest ring of N events
-``"spill[:N]"``  unbounded recording; chunks of min(N, 64Ki) events are
-                 zlib-spilled under ``.repro_cache/events/spill/``
 ===============  ======================================================
+
+A ring keeps only the most recent events, so whole-run totals come from
+attached collectors (``repro events stats`` attaches its accounting and
+keeps a ring of one).
 """
 
 from __future__ import annotations
@@ -42,24 +44,28 @@ from ..errors import ConfigError
 from .collect import DEFAULT_CAPACITY, RingCollector
 
 #: Spec keywords accepted by :func:`parse_spec` (besides ``off``).
-SPEC_KINDS = ("on", "ring", "spill")
+SPEC_KINDS = ("on", "ring")
 
 
 def parse_spec(spec: str):
     """Parse an events spec; returns ``(kind, capacity)`` or raises.
 
-    ``kind`` is ``"off"``, ``"ring"`` or ``"spill"``; ``capacity`` is the
-    buffer/chunk size in events.  The one parser: :func:`bus_from_spec`
-    builds every bus through it.
+    ``kind`` is ``"off"`` or ``"ring"``; ``capacity`` is the ring size in
+    events.  The one parser: :func:`bus_from_spec` builds every bus
+    through it.
     """
     spec = (spec or "off").strip()
     if spec == "off":
         return "off", 0
     head, _, tail = spec.partition(":")
+    if head == "spill":
+        raise ConfigError(
+            f"events spec {spec!r}: spill mode was removed; record with "
+            "'on' or 'ring[:N]' and attach collectors for whole-run totals"
+        )
     if head not in SPEC_KINDS:
         raise ConfigError(
-            f"events spec must be 'off', 'on', 'ring[:N]' or 'spill[:N]', "
-            f"got {spec!r}"
+            f"events spec must be 'off', 'on' or 'ring[:N]', got {spec!r}"
         )
     if head == "on":
         if tail:
@@ -81,12 +87,10 @@ def parse_spec(spec: str):
 class EventBus:
     """Fan-out point for event records; owns the primary ring collector."""
 
-    __slots__ = ("ring", "spec", "_sinks")
+    __slots__ = ("ring", "_sinks")
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 spill_dir=None, spec: str = "on") -> None:
-        self.ring = RingCollector(capacity, spill_dir=spill_dir)
-        self.spec = spec
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+        self.ring = RingCollector(capacity)
         self._sinks: List = [self.ring]
 
     # -- hot path -------------------------------------------------------
@@ -125,18 +129,12 @@ class EventBus:
 def bus_from_spec(spec: str) -> Optional[EventBus]:
     """Build an :class:`EventBus` from an events buffer spec.
 
-    Returns ``None`` for ``"off"``.  Spill mode resolves its directory
-    lazily through :func:`repro.obs.store.spill_dir` (kept out of module
-    scope to avoid the ``repro`` package-init import cycle).
+    Returns ``None`` for ``"off"``.
     """
     kind, capacity = parse_spec(spec)
     if kind == "off":
         return None
-    if kind == "spill":
-        from .store import spill_dir  # lazy: store -> result_cache -> repro
-
-        return EventBus(capacity, spill_dir=spill_dir(), spec=spec)
-    return EventBus(capacity, spec=spec)
+    return EventBus(capacity)
 
 
 # ----------------------------------------------------------------------
@@ -152,9 +150,8 @@ def wire_gpu(gpu, bus: EventBus) -> None:
         sm.lsu.obs = bus
         sm.mshr.obs = bus
         sm.mshr.obs_owner = sm.sm_id
-        if sm.cpl is not None:
-            sm.cpl.obs = bus
-            sm.cpl.obs_owner = sm.sm_id
+        sm.cpl.obs = bus
+        sm.cpl.obs_owner = sm.sm_id
         policy = sm.l1d.policy
         if getattr(policy, "name", "") == "cacp":
             policy.obs = bus

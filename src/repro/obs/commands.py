@@ -1,17 +1,17 @@
-"""``repro events``: record, summarize, export, or describe observability
-event streams (registered by :mod:`repro.cli`)."""
+"""``repro events``: summarize, export, or describe observability event
+streams (registered by :mod:`repro.cli`).  Each command records its cell
+afresh: nothing is stored."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
-from . import store
 from .events import SCHEMA_VERSION, event_to_dict, schema_table, validate_schema
-from .export import chrome_trace, events_csv, kind_counts, write_chrome_trace
+from .export import KindCounter, chrome_trace, events_csv, write_chrome_trace
+from .harness import record_events
 from .stalls import StallAccounting
 
 
@@ -24,19 +24,9 @@ def register(subparsers: Any, common: Any) -> None:
     events_sub = sub.add_subparsers(dest="events_command", required=True)
 
     sub = events_sub.add_parser(
-        "record", help="run one cell with the event bus on and store the stream")
-    common.cell(sub, positional=True)
-    sub.add_argument("--no-store", action="store_true",
-                     help="print the summary without persisting the stream")
-    sub.set_defaults(handler=cmd_record)
-
-    sub = events_sub.add_parser(
         "stats", help="per-reason stall breakdown (Fig 2c-style) for one cell")
     common.cell(sub, positional=True)
     sub.add_argument("--format", choices=["text", "json"], default="text")
-    sub.add_argument("--force", action="store_true",
-                     help="re-record even if a stored stream exists")
-    sub.add_argument("--no-store", action="store_true")
     sub.set_defaults(handler=cmd_stats)
 
     sub = events_sub.add_parser(
@@ -47,8 +37,6 @@ def register(subparsers: Any, common: Any) -> None:
     sub.add_argument("-o", "--output", default=None,
                      help="output path (default: <wl>-<scheme>.trace.json "
                      "for chrome, stdout otherwise)")
-    sub.add_argument("--force", action="store_true")
-    sub.add_argument("--no-store", action="store_true")
     sub.set_defaults(handler=cmd_export)
 
     sub = events_sub.add_parser(
@@ -57,60 +45,32 @@ def register(subparsers: Any, common: Any) -> None:
                      help="validate schema consistency and exit")
     sub.set_defaults(handler=cmd_schema)
 
-    sub = events_sub.add_parser("info", help="list stored event recordings")
-    sub.set_defaults(handler=cmd_info)
-
-
-def _load_or_record(
-    args: argparse.Namespace, record: bool = False,
-) -> Tuple[List[tuple], Dict[str, object], Any, Path]:
-    """``(events, meta, result, path)`` of the cell: unless ``record`` or
-    ``--force``, its stored recording when there is one (``result`` is then
-    ``None``), else a fresh one, stored at ``path`` unless ``--no-store``."""
-    from ..core.cawa import apply_scheme
-    from .harness import record_events
-
-    cfg = apply_scheme(args.config, args.scheme)
-    path = store.event_path(store.event_key(args.workload, args.scheme,
-                                            args.scale, cfg.fingerprint()))
-    if not record and path.exists() and not args.force:
-        events, meta = store.load_events(path)
-        return events, meta, None, path
-
-    result: Any
-    result, bus = record_events(args.workload, args.scheme, scale=args.scale,
-                                config=args.config)
-    events = bus.events()
-    meta = {
-        "workload": args.workload, "scheme": args.scheme, "scale": args.scale,
-        "cycles": result.cycles, "frontend": result.frontend,
-        "sampling": cfg.sampling, "fingerprint": cfg.fingerprint(),
-    }
-    if not args.no_store:
-        store.save_events(path, events, meta)
-    return events, meta, result, path
-
-
-def cmd_record(args: argparse.Namespace) -> int:
-    events, _meta, result, path = _load_or_record(args, record=True)
-    print(result.summary())
-    print(f"recorded {len(events)} events"
-          + ("" if args.no_store else f" -> {path}"))
-    for name, count in kind_counts(events).items():
-        print(f"  {name:<16} {count}")
-    return 0
-
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    events, meta = _load_or_record(args)[:2]
-    acct = StallAccounting().extend(events)
+    # The totals come from collectors that see every event: the bus's
+    # ring keeps only the most recent, so it holds just one here.
+    acct, kinds = StallAccounting(), KindCounter()
+    result, bus = record_events(args.workload, args.scheme, scale=args.scale,
+                                config=args.config, collectors=(acct, kinds),
+                                events="ring:1")
     if args.format == "json":
-        payload = acct.to_dict()
-        payload["kind_counts"] = kind_counts(events)
-        payload["meta"] = dict(meta)
+        from ..core.cawa import apply_scheme
+
+        cfg = apply_scheme(args.config, args.scheme)
+        payload: Dict[str, Any] = acct.to_dict()
+        payload["kind_counts"] = kinds.named()
+        payload["meta"] = {
+            "workload": args.workload, "scheme": args.scheme,
+            "scale": args.scale, "cycles": result.cycles,
+            "frontend": result.frontend, "sampling": cfg.sampling,
+            "fingerprint": cfg.fingerprint(),
+        }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    print(f"{args.workload} / {args.scheme}: {len(events)} events")
+    print(result.summary())
+    print(f"recorded {bus.emitted} events")
+    for name, count in kinds.named().items():
+        print(f"  {name:<16} {count}")
     print(acct.format_table())
     key, breakdown = acct.critical_warp()
     cells = "  ".join(f"{n}={c:.0f}" for n, c in sorted(
@@ -120,7 +80,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    events = _load_or_record(args)[0]
+    _result, bus = record_events(args.workload, args.scheme, scale=args.scale,
+                                 config=args.config)
+    events = bus.events()
+    if bus.ring.dropped:
+        print(f"the ring kept the last {len(events)} of {bus.emitted} events",
+              file=sys.stderr)
     out = args.output
     if args.format == "chrome":
         out = out or f"{args.workload}-{args.scheme}.trace.json"
@@ -152,14 +117,4 @@ def cmd_schema(args: argparse.Namespace) -> int:
     print(f"event schema v{SCHEMA_VERSION} (common fields: kind, cycle, sm)")
     for name, code, fields in schema_table():
         print(f"  {code:>3}  {name:<16} {', '.join(fields)}")
-    return 0
-
-
-def cmd_info(args: argparse.Namespace) -> int:
-    entries = store.list_events()
-    if not entries:
-        print(f"no event recordings under {store.events_dir()}")
-        return 0
-    for key, path in entries:
-        print(f"{key:<48} {path}")
     return 0

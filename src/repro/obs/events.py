@@ -9,13 +9,12 @@ where ``kind`` is an :class:`Ev` code, ``cycle`` the device cycle the event
 is stamped with, and ``sm_id`` the originating SM (``-1`` for device-level
 components such as the shared L2 tag array).  Tuples — not dataclasses —
 keep emission near-free on the hot path and make records trivially
-JSON-serializable (persistent store, Chrome-trace export).
+JSON-serializable (Chrome-trace and JSON export).
 
 The schema is *versioned* (:data:`SCHEMA_VERSION`): the per-kind field
-lists below are a contract checked by :func:`validate_events`, round-
-tripped by :mod:`repro.obs.store`, and rendered by
-:mod:`repro.obs.export`.  Extending the schema means appending new kinds
-or new trailing fields and bumping the version.  v2 appended warp
+lists below are a contract checked by :func:`validate_events` and
+rendered by :mod:`repro.obs.export`.  Extending the schema means
+appending new kinds or new trailing fields and bumping the version.  v2 appended warp
 attribution to the cache miss / fill / evict records: they are the one
 record of a cache decision, read by the bus collectors and by the
 co-design schedulers alike (:mod:`repro.feedback`).  v3 added
@@ -168,8 +167,7 @@ def validate_events(events: Iterable[Sequence]) -> int:
     """Check every record against the schema; returns the record count.
 
     Raises :class:`SchemaError` on the first unknown kind, wrong arity, or
-    non-numeric cycle/sm field.  Used by the store on load and by
-    ``repro events schema --validate``.
+    non-numeric cycle/sm field.
     """
     count = 0
     for ev in events:
@@ -200,13 +198,6 @@ def validate_events(events: Iterable[Sequence]) -> int:
                     f"record #{count} has unknown stall reason {ev[5]!r}"
                 ) from None
     return count
-
-
-def event_from_json(record: Sequence) -> tuple:
-    """A record read back from JSON, as it was emitted: the record is a
-    tuple again, and so is a ``CPL_VERDICT``'s ``warps`` (of triples)."""
-    return tuple(tuple(map(tuple, field)) if isinstance(field, list) else field
-                 for field in record)
 
 
 def event_to_dict(ev: Sequence) -> Dict[str, object]:

@@ -161,15 +161,21 @@ def events_csv(events: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def kind_counts(events: Iterable[Sequence]) -> Dict[str, int]:
-    """Event count per kind name (``repro events stats`` summary)."""
-    counts: Dict[int, int] = {}
-    for ev in events:
+class KindCounter:
+    """Bus collector: events per kind over the whole run (a ring keeps
+    only the most recent, so counts read from it undercount)."""
+
+    def __init__(self) -> None:
+        #: kind code -> events.
+        self.counts: Dict[int, int] = {}
+
+    def append(self, ev: Sequence) -> None:
+        counts = self.counts
         counts[ev[0]] = counts.get(ev[0], 0) + 1
-    return {
-        Ev(code).name: n
-        for code, n in sorted(counts.items())
-    }
+
+    def named(self) -> Dict[str, int]:
+        """Count per kind name, in kind-code order."""
+        return {Ev(code).name: n for code, n in sorted(self.counts.items())}
 
 
 #: Re-export for exporters' callers.
@@ -177,7 +183,7 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "events_csv",
-    "kind_counts",
+    "KindCounter",
     "DEVICE_PID",
     "LEVEL_NAMES",
 ]

@@ -1,8 +1,8 @@
 """One-call event recording: run a (workload, scheme) cell with a bus.
 
-:func:`record_events` is the programmatic counterpart of ``repro events
-record``: it builds an event bus from a buffer spec, attaches any caller
-collectors to it *before* launch, runs the cell through
+:func:`record_events` is what ``repro events stats|export`` run: it
+builds an event bus from a buffer spec, attaches any caller collectors to
+it *before* launch, runs the cell through
 :func:`repro.experiments.runner.simulate_cell` — the routine
 :func:`~repro.experiments.runner.run_scheme` runs it with — and hands back
 ``(result, bus)``.
@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Tuple
 from ..config import GPUConfig
 from ..errors import ConfigError
 from .bus import EventBus, bus_from_spec
-from .stalls import StallAccounting
 
 
 def record_events(
@@ -34,7 +33,7 @@ def record_events(
     """Run one cell with the event bus live; return ``(result, bus)``.
 
     ``events`` is the bus's buffer spec (:func:`~repro.obs.bus.parse_spec`:
-    ``"on"``, ``"ring:N"`` or ``"spill:N"``); a spec that does not parse,
+    ``"on"`` or ``"ring:N"``); a spec that does not parse,
     or ``"off"``, raises :class:`~repro.errors.ConfigError`.  The result
     is the one :func:`~repro.experiments.runner.run_scheme` returns for
     the cell, provenance included.
@@ -42,8 +41,7 @@ def record_events(
     With ``config.sampling != "off"`` the bus observes the *sampled*
     replay: the stream covers only the selected subset (under renumbered
     block ids in blocks mode) and the returned result is a
-    :class:`~repro.stats.sampling.SampledRunResult`.  Persisted event
-    streams carry the sampling spec in their provenance metadata.
+    :class:`~repro.stats.sampling.SampledRunResult`.
     """
     from ..experiments.runner import simulate_cell
 
@@ -55,24 +53,3 @@ def record_events(
     base = config or GPUConfig.default_sim()
     return simulate_cell(workload, scheme, scale, base, check=check,
                          bus=bus), bus
-
-
-def record_stalls(
-    workload: str,
-    scheme: str,
-    scale: float = 1.0,
-    config: Optional[GPUConfig] = None,
-    check: bool = True,
-) -> Tuple[object, StallAccounting]:
-    """Convenience wrapper: record with a stall aggregator attached.
-
-    Returns ``(result, stall_accounting)`` — the Fig 2c breakdown for one
-    cell in a single call (used by ``repro profile --compare``'s stall
-    columns and ``repro events stats``).
-    """
-    stalls = StallAccounting()
-    result, _bus = record_events(
-        workload, scheme, scale=scale, config=config,
-        collectors=(stalls,), check=check,
-    )
-    return result, stalls

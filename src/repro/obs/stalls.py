@@ -57,7 +57,7 @@ class StallAccounting:
             self.finishes[(ev[2], ev[3], ev[4])] = ev[1]
 
     def extend(self, events: Iterable[Sequence]) -> "StallAccounting":
-        """Feed a pre-recorded stream (store/export round trips)."""
+        """Feed a recorded stream."""
         for ev in events:
             self.append(ev)
         return self
@@ -167,17 +167,9 @@ class StallAccounting:
         return "\n".join(lines)
 
 
-def format_top_reasons(top: List[Tuple[str, float, float]]) -> str:
-    """Compact ``name share%`` rendering for table cells."""
-    if not top:
-        return "-"
-    return "  ".join(f"{name} {share:.0%}" for name, _cycles, share in top)
-
-
 #: Re-exported for collectors that want to name reasons themselves.
 __all__ = [
     "StallAccounting",
     "Stall",
     "STALL_NAMES",
-    "format_top_reasons",
 ]

@@ -9,7 +9,7 @@ its device (``fermi``; see :class:`repro.serve.jobs.JobSpec`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigError

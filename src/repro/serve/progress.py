@@ -30,7 +30,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional
+
+from ..obs.events import Ev
+from ..obs.export import KindCounter
+
+_ISSUE = int(Ev.WARP_ISSUE)
+_STALL = int(Ev.WARP_STALL)
 
 
 class ProgressWriter:
@@ -60,63 +65,54 @@ class ProgressWriter:
             pass
 
 
-class ObsProgressCollector:
+class ObsProgressCollector(KindCounter):
     """Event-bus collector that periodically snapshots run progress.
 
     Attached to the job's :class:`repro.obs.bus.EventBus` alongside the
     primary ring (collectors never perturb timing — the obs parity suite
-    pins that), it counts events as they are emitted and every
+    pins that), it counts events per kind as they are emitted and every
     ``interval`` events writes an ``obs`` progress record: total events,
     the cycle stamp of the triggering event, and how many issue/stall
     events arrived since the previous snapshot.  This is what makes the
     server's SSE feed carry live *simulation* progress rather than just
-    queue transitions.
+    queue transitions.  The counts cover the whole run, so the job's bus
+    needs no ring of its own beyond one event.
     """
 
     def __init__(self, writer: ProgressWriter, interval: int = 20000) -> None:
-        from ..obs.events import Ev
-
+        super().__init__()
         self._writer = writer
         self._interval = max(1, interval)
-        self._issue_kind = int(Ev.WARP_ISSUE)
-        self._stall_kind = int(Ev.WARP_STALL)
         self.seen = 0
-        self._issues = 0
-        self._stalls = 0
         self.snapshots = 0
+        #: Issue and stall counts at the previous snapshot.
+        self._last = (0, 0)
 
     def append(self, ev: tuple) -> None:
-        kind = ev[0]
-        if kind == self._issue_kind:
-            self._issues += 1
-        elif kind == self._stall_kind:
-            self._stalls += 1
+        counts = self.counts
+        counts[ev[0]] = counts.get(ev[0], 0) + 1
         self.seen += 1
         if self.seen % self._interval == 0:
             self._snapshot(cycle=ev[1])
 
     def _snapshot(self, cycle) -> None:
         self.snapshots += 1
+        issues = self.counts.get(_ISSUE, 0)
+        stalls = self.counts.get(_STALL, 0)
         self._writer.emit(
             "obs",
             events=self.seen,
             cycle=cycle,
-            issues=self._issues,
-            stalls=self._stalls,
+            issues=issues - self._last[0],
+            stalls=stalls - self._last[1],
         )
-        self._issues = 0
-        self._stalls = 0
+        self._last = (issues, stalls)
 
-    def finalize(self, events: Optional[list] = None) -> None:
+    def finalize(self) -> None:
         """Flush a final snapshot plus per-kind totals."""
         if self.seen and (self.seen % self._interval) != 0:
             self._snapshot(cycle=None)
-        summary = {"events": self.seen}
-        if events is not None:
-            from ..obs.export import kind_counts
-
-            summary["kinds"] = kind_counts(events)
-        self._writer.emit("obs_summary", **summary)
+        self._writer.emit("obs_summary", events=self.seen, kinds=self.named())
 
 
 def read_new_records(path: os.PathLike, offset: int):

@@ -573,7 +573,6 @@ class ReproServer:
 
     def _stats(self) -> dict:
         from ..experiments import result_cache
-        from ..obs import store as event_store
         from ..trace import store as trace_store
 
         stats = self.queue.stats()
@@ -592,7 +591,6 @@ class ReproServer:
         stats["cache"] = {
             "results": result_cache.stats(),
             "traces": trace_store.stats(),
-            "events": event_store.stats(),
         }
         return stats
 

@@ -67,11 +67,11 @@ def _run_job(spec: JobSpec, writer: ProgressWriter) -> dict:
         from ..obs import harness
 
         collector = ObsProgressCollector(writer)
-        result, bus = harness.record_events(
+        result, _bus = harness.record_events(
             workload, scheme, scale=spec.scale, config=base,
-            collectors=(collector,), check=spec.check,
+            collectors=(collector,), check=spec.check, events="ring:1",
         )
-        collector.finalize(bus.events())
+        collector.finalize()
     else:
         from ..experiments.runner import run_scheme
 

@@ -109,7 +109,7 @@ class StreamingMultiprocessor:
         hierarchy: MemoryHierarchy,
         scheduler_factory: Callable[[], WarpScheduler],
         l1_policy_factory: Callable[[], object],
-        cpl=None,
+        cpl,
     ) -> None:
         self.sm_id = sm_id
         self.config = config
@@ -118,10 +118,8 @@ class StreamingMultiprocessor:
         self.lsu = LoadStoreUnit(sm_id, self.l1d, self.mshr, hierarchy)
         self.schedulers = [scheduler_factory() for _ in range(config.num_schedulers_per_sm)]
         self.cpl = cpl
-        #: Warp-criticality query used by the LSU issue path (``None``
-        #: without a CPL predictor).
-        self._is_critical: Optional[Callable[[Warp], bool]] = (
-            cpl.is_critical if cpl is not None else None)
+        #: Warp-criticality query used by the LSU issue path.
+        self._is_critical: Callable[[Warp], bool] = cpl.is_critical
         # Hot-loop locals: the per-cycle tick and per-instruction issue
         # paths read these every iteration, and going through the frozen
         # ``config`` dataclass costs two attribute lookups each time.
@@ -381,23 +379,22 @@ class StreamingMultiprocessor:
 
         cpl = self.cpl
         refreshed = False
-        if cpl is not None:
-            # Eq. 1's CPI inputs; the counter is derived from them and the
-            # data-stall sum when read.  Only data stalls feed it: counting
-            # scheduler-induced wait would promote starved-but-ready warps
-            # under a greedy scheduler, dissolving the working-set
-            # concentration gCAWS inherits from GTO (DESIGN.md).  The
-            # block's verdicts refresh here, before the LSU reads this
-            # warp's and before a branch moves its counter.
-            warp._cpl_idx = idx
-            warp._cpl_prev_issue = warp.last_issue_cycle
-            warp._criticality = None
-            block = warp.block
-            count = block.cpl_issues + 1
-            block.cpl_issues = count
-            if count % cpl.update_period == 0:
-                cpl.refresh_block(block)
-                refreshed = True
+        # Eq. 1's CPI inputs; the counter is derived from them and the
+        # data-stall sum when read.  Only data stalls feed it: counting
+        # scheduler-induced wait would promote starved-but-ready warps
+        # under a greedy scheduler, dissolving the working-set
+        # concentration gCAWS inherits from GTO (DESIGN.md).  The
+        # block's verdicts refresh here, before the LSU reads this
+        # warp's and before a branch moves its counter.
+        warp._cpl_idx = idx
+        warp._cpl_prev_issue = warp.last_issue_cycle
+        warp._criticality = None
+        block = warp.block
+        count = block.cpl_issues + 1
+        block.cpl_issues = count
+        if count % cpl.update_period == 0:
+            cpl.refresh_block(block)
+            refreshed = True
 
         # ---- the record's effect: scoreboard write by kind -------------
         # Memory lines and branch outcomes come straight from the stream's
@@ -426,10 +423,9 @@ class StreamingMultiprocessor:
                     "payload; trace is corrupt"
                 ) from None
             warp._aux_pos = end
-            crit_fn = self._is_critical
             completion, _ = self.lsu.issue(
                 warp, warp._insts[pc], mem_mask, now,
-                crit_fn(warp) if crit_fn is not None else False, lines,
+                self._is_critical(warp), lines,
             )
             if kind == _K_LOAD:
                 warp.reg_ready[decoded.dst] = completion
@@ -460,9 +456,8 @@ class StreamingMultiprocessor:
                         diverged = True
                         warp.divergent_branches += 1
                         stats.divergent_branches += 1
-                if cpl is not None:
-                    cpl.on_branch(warp, inst, diverged=diverged,
-                                  all_taken=all_taken, now=now)
+                cpl.on_branch(warp, inst, diverged=diverged,
+                              all_taken=all_taken, now=now)
         elif kind == _K_PRED:
             warp.pred_ready[decoded.dst] = now + self._alu_latency
         elif kind == _K_SFU:
@@ -559,8 +554,7 @@ class StreamingMultiprocessor:
         stats.issue_events = stats.warp_instructions
         self._regs_in_use -= block.kernel.num_regs * block.block_dim
         self.warps = [w for w in self.warps if w.block is not block]
-        if self.cpl is not None:
-            self.cpl.forget_block(block.block_id)
+        self.cpl.forget_block(block.block_id)
         if self.on_commit is not None:
             self.on_commit(self)
 

@@ -45,7 +45,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import zlib
 from array import array
 from dataclasses import dataclass, field
@@ -53,6 +52,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import TraceFormatError, TraceMismatchError
+from ..fslock import atomic_write_bytes
 from ..isa.instructions import CmpOp, Instruction, IssueKind, MemSpace, Opcode, Special
 from ..isa.kernel import Kernel
 from ..simt.warp import NO_LINES  # the timed warp's: it reads the aux column
@@ -460,19 +460,7 @@ class TraceProgram:
 
     def save(self, path: os.PathLike) -> None:
         """Atomically write this trace to ``path`` (temp file + rename)."""
-        directory = os.path.dirname(os.fspath(path)) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(self.to_bytes())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write_bytes(path, self.to_bytes())
 
     @classmethod
     def load(

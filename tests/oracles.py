@@ -96,9 +96,8 @@ def sm_state(sm):
                                  tuple(w.pred_ready))
                   for w in sm.warps},
         "mshr": dict(sm.mshr._inflight),
-        "cpl": None if cpl is None else (dict(cpl._block_threshold),
-                                         {b.block_id: b.cpl_issues for b in sm.blocks
-                                          if b.cpl_issues}),
+        "cpl": (dict(cpl._block_threshold),
+                {b.block_id: b.cpl_issues for b in sm.blocks if b.cpl_issues}),
         "cacp": ((policy.critical_ways, tuple(policy._partition_hits),
                   policy._accesses_since_tune)
                  if isinstance(policy, CACPPolicy) else None),
@@ -437,8 +436,6 @@ class CPLReferenceOracle(_LaunchOracle):
         self._refresh_due = None
         for sm in gpu.sms:
             cpl = sm.cpl
-            if cpl is None:
-                continue
             sm._issue = self._checked_issue(cpl, sm._issue)
             cpl.on_branch = self._checked_branch(cpl.on_branch)
             cpl.refresh_block = self._checked_refresh(cpl.refresh_block)

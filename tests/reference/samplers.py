@@ -47,8 +47,6 @@ class IssueCounter:
         self._issues: Dict[Tuple[int, int], int] = {}
 
     def due(self, sm, warp) -> bool:
-        if sm.cpl is None:
-            return False
         key = (sm.sm_id, warp.block.block_id)
         count = self._issues.get(key, 0) + 1
         self._issues[key] = count

@@ -302,18 +302,13 @@ class TestEventsCommand:
         assert "OK" in capsys.readouterr().out
 
     def test_record_and_stats(self, capsys):
-        code = main([
-            "events", "record", "synthetic_imbalance", "rr", "--scale", "0.5",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "recorded" in out and "WARP_ISSUE" in out
-
-        # stats reuses the stored stream (same cache dir within this test).
+        # stats records the cell afresh: the run summary and the per-kind
+        # counts come first, then the stall breakdown.
         assert main([
             "events", "stats", "synthetic_imbalance", "rr", "--scale", "0.5",
         ]) == 0
         out = capsys.readouterr().out
+        assert "cycles=" in out and "recorded" in out and "WARP_ISSUE" in out
         assert "bucket" in out and "critical warp" in out
 
     def test_stats_json(self, capsys):
@@ -321,13 +316,49 @@ class TestEventsCommand:
 
         code = main([
             "events", "stats", "synthetic_imbalance", "rr", "--scale", "0.5",
-            "--format", "json", "--no-store",
+            "--format", "json",
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["issue_cycles"] > 0
         assert payload["kind_counts"]["WARP_ISSUE"] > 0
         assert len(payload["top_reasons"]) <= 3
+
+    def test_stats_totals_survive_a_ring_overflow(self, monkeypatch, capsys):
+        # The totals must cover the whole run, not the most recent events a
+        # full ring kept: they must equal a collector's that saw every one.
+        import json
+        from collections import Counter
+
+        import repro.obs.bus as obs_bus
+        from repro.obs import Ev, StallAccounting, record_events
+
+        seen = []
+        record_events("synthetic_imbalance", "rr", scale=0.5, collectors=(seen,))
+        monkeypatch.setattr(obs_bus, "DEFAULT_CAPACITY", 64)
+        assert main([
+            "events", "stats", "synthetic_imbalance", "rr", "--scale", "0.5",
+            "--format", "json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        live = StallAccounting().extend(seen)
+        assert len(seen) > 64
+        assert payload["kind_counts"] == Counter(Ev(ev[0]).name for ev in seen)
+        assert payload["issue_cycles"] == live.issue_cycles()
+        assert payload["warp_cycles"] == live.warp_cycles()
+        assert payload["reason_totals"] == live.reason_totals()
+
+    def test_export_reports_a_ring_overflow(self, monkeypatch, capsys):
+        import repro.obs.bus as obs_bus
+
+        monkeypatch.setattr(obs_bus, "DEFAULT_CAPACITY", 64)
+        assert main([
+            "events", "export", "--format", "csv",
+            "synthetic_imbalance", "rr", "--scale", "0.5",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert re.search(r"the ring kept the last 64 of \d+ events", captured.err)
+        assert len(captured.out.splitlines()) == 65  # header + the 64 kept
 
     def test_export_chrome(self, tmp_path, capsys):
         import json
@@ -336,7 +367,7 @@ class TestEventsCommand:
         code = main([
             "events", "export", "--format", "chrome",
             "synthetic_imbalance", "rr", "--scale", "0.5",
-            "-o", str(out_path), "--no-store",
+            "-o", str(out_path),
         ])
         assert code == 0
         doc = json.loads(out_path.read_text())
@@ -347,22 +378,20 @@ class TestEventsCommand:
     def test_export_csv_to_stdout(self, capsys):
         code = main([
             "events", "export", "--format", "csv",
-            "synthetic_imbalance", "rr", "--scale", "0.5", "--no-store",
+            "synthetic_imbalance", "rr", "--scale", "0.5",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("kind,cycle,sm")
 
-    def test_info_empty(self, capsys):
-        assert main(["events", "info"]) == 0
-        assert "no event recordings" in capsys.readouterr().out
-
     def test_read_only_commands_write_nothing(self, capsys):
         from repro.experiments.result_cache import cache_dir
 
-        assert main(["events", "info"]) == 0
+        assert main(["events", "schema"]) == 0
         assert main(["cache", "stats"]) == 0
-        capsys.readouterr()
+        stores = [line.split()[0] for line in
+                  capsys.readouterr().out.splitlines()[-2:]]
+        assert stores == ["results", "traces"]
         assert not cache_dir().exists()
 
 

@@ -251,6 +251,7 @@ class TestRemovedExtensions:
         ("cacp_bypass", True),
         ("critical_mshr_reserve", 2),
         pytest.param("sampling_seed", 7, id="sampling_seed-7"),
+        ("use_cpl", False),
         pytest.param("l1i", CacheConfig(sets=4, ways=4), id="l1i-CacheConfig"),
     ])
     def test_knob_is_not_a_config_field(self, knob, value):
@@ -298,7 +299,7 @@ def reference_fingerprint(cfg: GPUConfig) -> str:
     for name in ("l1d", "l2"):
         fields[name]["replacement"] = "lru"
     payload = {"cacp_bypass": False, "critical_mshr_reserve": 0,
-               "sampling_seed": 0,
+               "sampling_seed": 0, "use_cpl": True,
                "l1i": {"sets": 4, "ways": 4, "line_size": 128, "hit_latency": 2,
                        "replacement": "lru", "critical_ways": 0,
                        "mshr_entries": 32},

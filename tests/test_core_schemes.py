@@ -93,11 +93,6 @@ def test_cpl_attached_to_every_sm():
     assert all(sm.cpl is not None for sm in gpu.sms)
 
 
-def test_cpl_can_be_disabled():
-    gpu = GPU(GPUConfig.default_sim(use_cpl=False))
-    assert all(sm.cpl is None for sm in gpu.sms)
-
-
 def test_fermi_config_runs_a_small_kernel():
     import numpy as np
 

@@ -22,7 +22,6 @@ from repro import trace as trace_mod
 from repro.experiments import fig12, runner
 from repro.obs import chrome_trace, events_csv, record_events, validate_events
 from repro.obs.events import Ev
-from repro.obs.store import load_events, save_events
 from repro.stats.accuracy import CriticalityAccuracyTracker
 from tests.reference.samplers import AccuracySampler, PriorityTraceSampler, on_every_issue
 
@@ -79,13 +78,10 @@ class TestTheRecord:
         # reports that sample, with no warp in it (4 of kmeans' 388).
         assert any(ev[4] == () for ev in records)
 
-    def test_store_validate_and_exports_round_trip(self, tmp_path):
+    def test_validate_and_exports_round_trip(self):
         _, bus = record_events("bfs", "cawa", scale=SMALL)
         records = verdicts(bus.events())
-        path = save_events(tmp_path / "verdicts.evt.z", records)
-        loaded, _ = load_events(path)
-        assert loaded == records  # tuples of triples again, not lists
-        assert validate_events(loaded) == len(records)
+        assert validate_events(records) == len(records)
         exported = [e for e in chrome_trace(records)["traceEvents"]
                     if e["name"] == "CPL_VERDICT"]
         assert len(exported) == len(records)

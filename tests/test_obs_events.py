@@ -1,13 +1,12 @@
 """Unit tests for the observability subsystem's leaf layers.
 
-Schema integrity, event validation, spec parsing, ring/spill collectors,
-deterministic stream merging, stall accounting arithmetic, and the
-persistent event store's round trip and failure modes.  Everything here is
-synthetic — no simulation runs (those live in ``test_obs_parity.py``).
+Schema integrity, event validation, spec parsing, the ring collector,
+deterministic stream merging, and stall accounting arithmetic.  Everything
+here is synthetic — no simulation runs (those live in
+``test_obs_parity.py``).
 """
 
 import json
-import zlib
 
 import pytest
 
@@ -24,21 +23,13 @@ from repro.obs import (
     StallAccounting,
     bus_from_spec,
     event_to_dict,
-    format_top_reasons,
+    KindCounter,
     parse_spec,
     record_events,
     schema_table,
     sort_events,
     validate_events,
     validate_schema,
-)
-from repro.obs.store import (
-    EventStoreError,
-    event_key,
-    event_path,
-    list_events,
-    load_events,
-    save_events,
 )
 
 
@@ -104,6 +95,13 @@ class TestSchema:
         with pytest.raises(SchemaError):
             validate_events([tuple(bad)])
 
+    def test_cpl_verdict_validates_and_names_its_warps(self):
+        verdict = (int(Ev.CPL_VERDICT), 128.0, 1, 3,
+                   ((0, 12.5, True), (2, 0.0, False)))
+        empty = (int(Ev.CPL_VERDICT), 192.0, 1, 3, ())
+        assert validate_events([verdict, empty]) == 2
+        assert event_to_dict(verdict)["warps"] == verdict[4]
+
 
 class TestSpecParsing:
     @pytest.mark.parametrize("spec,kind,capacity", [
@@ -111,7 +109,6 @@ class TestSpecParsing:
         ("on", "ring", 1 << 20),
         ("ring", "ring", 1 << 20),
         ("ring:128", "ring", 128),
-        ("spill:4096", "spill", 4096),
     ])
     def test_valid_specs(self, spec, kind, capacity):
         assert parse_spec(spec) == (kind, capacity)
@@ -128,6 +125,11 @@ class TestSpecParsing:
         with pytest.raises(ConfigError):
             record_events("bfs", "cawa", scale=0.25, events=spec)
 
+    @pytest.mark.parametrize("spec", ["spill", "spill:4096"])
+    def test_spill_is_refused_by_name(self, spec):
+        with pytest.raises(ConfigError, match="spill mode was removed"):
+            parse_spec(spec)
+
     def test_bus_from_spec_off_is_none(self):
         assert bus_from_spec("off") is None
 
@@ -140,21 +142,23 @@ class TestRingCollector:
         assert ring.total == 5 and ring.dropped == 2
         assert [ev[1] for ev in ring.events()] == [2.0, 3.0, 4.0]
 
-    def test_spill_mode_round_trip(self, tmp_path):
-        ring = RingCollector(capacity=4, spill_dir=tmp_path / "spill")
-        events = [ev_issue(float(i)) for i in range(10)]
-        for ev in events:
-            ring.append(ev)
-        assert ring.dropped == 0
-        assert ring.events() == events
-        assert list((tmp_path / "spill").glob("*.evz"))
-
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             RingCollector(capacity=0)
 
 
 class TestBus:
+    def test_kind_counter_sees_what_the_ring_drops(self):
+        bus = EventBus(capacity=2)
+        counter = KindCounter()
+        bus.attach(counter)
+        bus.emit((int(Ev.WARP_START), 0.0, 0, 0, 0))
+        for i in range(4):
+            bus.emit(ev_issue(float(i + 1)))
+        assert counter.named() == {"WARP_START": 1, "WARP_ISSUE": 4}
+        assert [ev[0] for ev in bus.events()] == [int(Ev.WARP_ISSUE)] * 2
+        assert bus.ring.dropped == 3 and bus.emitted == 5
+
     def test_emit_reaches_attached_collectors(self):
         bus = EventBus(capacity=16)
         seen = []
@@ -214,7 +218,6 @@ class TestStallAccounting:
         top = self.build().top_reasons()
         assert [name for name, _c, _s in top] == [
             "mem_pending", "scoreboard_dep", "no_slot"]
-        assert format_top_reasons(top).startswith("mem_pending")
 
     def test_critical_warp(self):
         key, breakdown = self.build().critical_warp()
@@ -224,7 +227,7 @@ class TestStallAccounting:
     def test_empty_accounting(self):
         acct = StallAccounting()
         assert acct.shares() == {}
-        assert format_top_reasons(acct.top_reasons()) == "-"
+        assert acct.top_reasons() == []
         with pytest.raises(ValueError):
             acct.critical_warp()
 
@@ -234,104 +237,3 @@ class TestStallAccounting:
     def test_format_table_sums_to_total(self):
         text = self.build().format_table()
         assert "100.0%" in text and "issue" in text
-
-
-class TestStore:
-    def test_round_trip(self):
-        path = event_path(event_key("bfs", "rr", 0.25, "deadbeefcafe0123"))
-        save_events(path, SAMPLE, {"workload": "bfs"})
-        events, meta = load_events(path)
-        assert events == [tuple(ev) for ev in SAMPLE]
-        assert meta == {"workload": "bfs"}
-        assert any(key.startswith("bfs-rr-0p25-") for key, _ in list_events())
-
-    def test_reads_do_not_create_the_store(self, tmp_path):
-        # stats / list / gc are read-only: on a cache directory that has
-        # never stored a stream they must leave the disk untouched (they
-        # used to mkdir <cache>/events/ and crash on a read-only checkout).
-        from repro.experiments.result_cache import cache_dir
-        from repro.obs import store
-
-        cache_dir().mkdir(parents=True)
-        assert store.list_events() == []
-        assert store.stats()["entries"] == 0
-        assert store.gc(max_age_seconds=0.0) == 0
-        assert bus_from_spec("spill:16") is not None  # nothing spilled yet
-        assert list(cache_dir().iterdir()) == []
-        # The write paths still create it on demand.
-        save_events(event_path("k"), SAMPLE)
-        assert store.stats()["entries"] == 1
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(EventStoreError, match="no event stream"):
-            load_events(tmp_path / "nope.evt.z")
-
-    def test_corrupt_payload(self, tmp_path):
-        path = tmp_path / "bad.evt.z"
-        path.write_bytes(b"not zlib at all")
-        with pytest.raises(EventStoreError, match="corrupt"):
-            load_events(path)
-
-    def test_wrong_format_marker(self, tmp_path):
-        path = tmp_path / "other.evt.z"
-        payload = json.dumps({"format": "something-else"}).encode()
-        path.write_bytes(zlib.compress(payload))
-        with pytest.raises(EventStoreError, match="not a repro-events"):
-            load_events(path)
-
-    def test_schema_version_mismatch(self, tmp_path):
-        path = tmp_path / "old.evt.z"
-        payload = json.dumps({
-            "format": "repro-events", "version": 1,
-            "schema_version": SCHEMA_VERSION + 1, "events": [],
-        }).encode()
-        path.write_bytes(zlib.compress(payload))
-        with pytest.raises(EventStoreError, match="schema"):
-            load_events(path)
-
-    def test_v1_stream_is_refused(self, tmp_path):
-        # v1 cache records carry no warp attribution; v2 appended it.
-        assert SCHEMA_VERSION == 4
-        path = tmp_path / "v1.evt.z"
-        payload = json.dumps({
-            "format": "repro-events", "version": 1, "schema_version": 1,
-            "events": [[int(Ev.CACHE_MISS), 3.0, 0, 0, 12, 0x80, 1]],
-        }).encode()
-        path.write_bytes(zlib.compress(payload))
-        with pytest.raises(EventStoreError, match="schema v1"):
-            load_events(path)
-
-    def test_v2_stream_is_refused(self, tmp_path):
-        # v2 has no CPL_VERDICT; v3 added it.
-        path = tmp_path / "v2.evt.z"
-        payload = json.dumps({
-            "format": "repro-events", "version": 1, "schema_version": 2,
-            "events": [[int(Ev.CACHE_MISS), 3.0, 0, 0, 12, 0x80, 1, 0, 2]],
-        }).encode()
-        path.write_bytes(zlib.compress(payload))
-        with pytest.raises(EventStoreError, match="schema v2"):
-            load_events(path)
-
-    def test_v3_stream_is_refused(self, tmp_path):
-        # v3 still had kind 14, the L1 bypass record; v4 retired it.
-        assert 14 not in set(Ev)
-        path = tmp_path / "v3.evt.z"
-        payload = json.dumps({
-            "format": "repro-events", "version": 1, "schema_version": 3,
-            "events": [[14, 3.0, 0, 0, 0x80]],
-        }).encode()
-        path.write_bytes(zlib.compress(payload))
-        with pytest.raises(EventStoreError, match="schema v3"):
-            load_events(path)
-
-    def test_cpl_verdict_round_trips(self, tmp_path):
-        verdict = (int(Ev.CPL_VERDICT), 128.0, 1, 3,
-                   ((0, 12.5, True), (2, 0.0, False)))
-        empty = (int(Ev.CPL_VERDICT), 192.0, 1, 3, ())
-        path = save_events(tmp_path / "v.evt.z", [verdict, empty])
-        assert load_events(path)[0] == [verdict, empty]
-        assert event_to_dict(verdict)["warps"] == verdict[4]
-
-    def test_save_validates(self, tmp_path):
-        with pytest.raises(SchemaError):
-            save_events(tmp_path / "x.evt.z", [(999, 0.0, 0)])

@@ -12,7 +12,7 @@ streams, including a full golden file.
 
 import json
 
-from repro.obs import Ev, Stall, chrome_trace, events_csv, kind_counts, write_chrome_trace
+from repro.obs import Ev, KindCounter, Stall, chrome_trace, events_csv, write_chrome_trace
 from repro.obs.export import DEVICE_PID, MEM_TID
 
 EVENTS = [
@@ -120,6 +120,9 @@ class TestCsvAndCounts:
         assert any("WARP_ISSUE" in line for line in lines[1:])
 
     def test_kind_counts(self):
-        counts = kind_counts(EVENTS)
+        counter = KindCounter()
+        for ev in EVENTS:
+            counter.append(ev)
+        counts = counter.named()
         assert counts["WARP_ISSUE"] == 3
         assert counts["CACHE_MISS"] == 1

@@ -170,7 +170,7 @@ class TestPlanning:
         # rate: never more than one extra block over the naive target.
         assert len(plan.selected) <= max(1, int(0.25 * plan.total_blocks)) + 1
 
-    def test_selection_is_deterministic_in_the_seed(self, config):
+    def test_same_spec_selects_the_same_blocks(self, config):
         # The seed is derived from the spec and the trace identity alone.
         program = _program(config=config)
         _d1, p1 = subsample_program(program, "blocks:0.5")
@@ -263,10 +263,9 @@ class TestSampledRun:
 # ----------------------------------------------------------------------
 # The sampled sweep
 # ----------------------------------------------------------------------
-class TestCalibration:
-    """What the sampled sweep kept when calibration went: one explicit
-    spec for every cell, the fixed envelope, and a named refusal of the
-    calibrated-rate form."""
+class TestSampledSweep:
+    """``run_sweep(sampled=)``: one explicit spec for every cell, the
+    fixed envelope, and a named refusal of the calibrated-rate form."""
 
     def test_sweep_refuses_calibrated_rates(self):
         with pytest.raises(TypeError, match="'blocks:0.25'"):

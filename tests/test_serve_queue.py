@@ -348,6 +348,28 @@ class TestProgressChannel:
         more, _ = read_new_records(path, offset)
         assert [r["kind"] for r in more] == ["finished"]
 
+    def test_obs_collector_counts_the_whole_run(self, tmp_path):
+        # Snapshots carry issue/stall counts since the previous snapshot;
+        # the summary counts every kind of the run, not a ring's tail.
+        from repro.obs import Ev
+        from repro.serve.progress import (
+            ObsProgressCollector, ProgressWriter, read_new_records)
+
+        path = tmp_path / "job.progress.jsonl"
+        writer = ProgressWriter(path)
+        collector = ObsProgressCollector(writer, interval=3)
+        issue = (int(Ev.WARP_ISSUE), 1.0, 0, 0, 0, 4, "ADD")
+        stall = (int(Ev.WARP_STALL), 2.0, 0, 0, 0, 0, 1.0, 1.0)
+        for ev in (issue, stall, issue, issue, issue):
+            collector.append(ev)
+        collector.finalize()
+        writer.close()
+        records, _ = read_new_records(path, 0)
+        assert [(r["kind"], r.get("issues"), r.get("stalls")) for r in records] == [
+            ("obs", 2, 1), ("obs", 2, 0), ("obs_summary", None, None)]
+        assert records[-1]["events"] == 5
+        assert records[-1]["kinds"] == {"WARP_ISSUE": 4, "WARP_STALL": 1}
+
     def test_partial_trailing_line_left_for_next_poll(self, tmp_path):
         from repro.serve.progress import read_new_records
 
