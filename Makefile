@@ -101,7 +101,8 @@ serve:
 	PYTHONPATH=src $(PYTHON) -m repro serve
 
 ## End-to-end service smoke: boot `repro serve`, exercise coalescing,
-## SSE obs progress, and draining shutdown through `repro client`.
+## SSE obs progress, warm repeats, admission type checks and draining
+## shutdown through `repro client`.
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .config import GPUConfig
 from .core.cawa import SCHEMES
-from .workloads import workload_names
+from .workloads import positive_scale, workload_names
 
 
 class CellOptions:
@@ -56,7 +56,7 @@ class CellOptions:
 
     @staticmethod
     def scale(parser: argparse._ActionsContainer) -> None:
-        parser.add_argument("--scale", type=float, default=1.0)
+        parser.add_argument("--scale", type=_scale, default=1.0)
 
     @staticmethod
     def fermi(parser: argparse._ActionsContainer) -> None:
@@ -85,6 +85,14 @@ def _at_least_one(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _scale(text: str) -> float:
+    try:
+        return positive_scale(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

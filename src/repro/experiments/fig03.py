@@ -5,7 +5,8 @@ slower-running (critical) warps are evicted before the re-reference, using
 a 16KB 4-way/128B cache for the analysis.  We run the reuse-distance
 profiler on bfs's L1 access stream and report, per criticality class, the
 fraction of re-references whose stack distance exceeds that cache's line
-capacity (so they would miss).
+capacity (so they would miss).  The profiler is a collector on the cell's
+event bus (:func:`repro.obs.harness.record_events`).
 
 The same profiler data reproduces Figure 8's per-PC reuse breakdown (the
 memory instructions of the bfs kernel have very different reuse behaviour).
@@ -15,16 +16,18 @@ from __future__ import annotations
 
 from typing import Dict
 
+from ..obs.harness import record_events
 from ..stats.report import format_table
-from .runner import run_scheme
+from ..stats.reuse import ReuseDistanceProfiler
 
 #: The paper's footnote-1 analysis cache: 16KB, 4-way, 128B lines.
 ANALYSIS_CAPACITY_LINES = (16 * 1024) // 128
 
 
 def run(scale: float = 1.0, config=None) -> Dict[str, object]:
-    result = run_scheme("bfs", "rr", scale=scale, config=config, with_reuse=True)
-    profiler = result.extra["reuse_profiler"]
+    profiler = ReuseDistanceProfiler()
+    record_events("bfs", "rr", scale=scale, config=config,
+                  collectors=(profiler,), events="ring:1")
     per_pc = {
         pc: {
             "references": profile.references,

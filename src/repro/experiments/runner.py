@@ -52,17 +52,14 @@ from ..obs.bus import EventBus
 from ..stats.accuracy import CriticalityAccuracyTracker
 from ..stats.counters import RunResult, result_from_dict
 from ..stats.report import format_table
-from ..stats.reuse import ReuseDistanceProfiler
 from . import result_cache
 
-#: The per-process memo, bounded twice over so that a long-lived process (a
-#: ``repro serve`` pool worker never calls :func:`clear_cache`) cannot grow
-#: with the number of distinct cells it has run: an entry holds
-#: :class:`~repro.stats.counters.BlockSummary` snapshots — what a disk-cache
-#: hit returns, a few KB — never the launch's live ``ThreadBlock`` / ``Warp``
-#: graph (~0.6 MB for bfs @ 0.5), and the least recently used entry goes
-#: once there are more than :data:`_CACHE_CAP` (the 17 figures share far
-#: fewer cells than that).
+#: The per-process memo, bounded so that a long-lived process (a ``repro
+#: serve`` pool worker never calls :func:`clear_cache`) cannot grow with
+#: the number of distinct cells it has run: an entry is plain data (its
+#: blocks are :class:`~repro.stats.counters.BlockSummary` snapshots, a few
+#: KB), and the least recently used entry goes once there are more than
+#: :data:`_CACHE_CAP` (the 17 figures share far fewer cells than that).
 _CACHE: "OrderedDict[Tuple, RunResult]" = OrderedDict()
 _CACHE_CAP = 512
 _ORACLE_CACHE: Dict[Tuple, Dict] = {}
@@ -90,7 +87,7 @@ def _numbered(result: RunResult) -> RunResult:
 
 
 def _cache_keys(workload: str, scheme: str, scale: float, base: GPUConfig,
-                with_accuracy: bool = False, with_reuse: bool = False,
+                with_accuracy: bool = False,
                 use_cache: bool = True, persistent: bool = True,
                 **workload_kwargs) -> Tuple[Optional[Tuple], Optional[str]]:
     """A :func:`run_scheme` call's memo and result-cache keys, ``None``
@@ -98,9 +95,8 @@ def _cache_keys(workload: str, scheme: str, scale: float, base: GPUConfig,
     runs differing only in, say, sampling would share an entry."""
     if not use_cache or workload_kwargs:
         return None, None
-    key = (workload, scheme, scale, with_accuracy, with_reuse, (),
-           base.fingerprint())
-    if not persistent or with_reuse:
+    key = (workload, scheme, scale, with_accuracy, base.fingerprint())
+    if not persistent:
         return key, None
     return key, result_cache.cache_key(
         workload, scheme, scale, apply_scheme(base, scheme).fingerprint(),
@@ -134,7 +130,6 @@ def _keep(key: Optional[Tuple], disk_key: Optional[str],
 
 
 def _memoise(key: Tuple, result: RunResult) -> None:
-    result.blocks = result.block_summaries()
     _CACHE[key] = result
     _CACHE.move_to_end(key)
     while len(_CACHE) > _CACHE_CAP:
@@ -199,7 +194,6 @@ def run_scheme(
     config: Optional[GPUConfig] = None,
     check: bool = True,
     with_accuracy: bool = False,
-    with_reuse: bool = False,
     use_cache: bool = True,
     persistent: bool = True,
     **workload_kwargs,
@@ -207,42 +201,34 @@ def run_scheme(
     """Run one (workload, scheme) cell and return its :class:`RunResult`.
 
     The caching shell around :func:`simulate_cell`, which times the cell.
-    ``with_accuracy`` attaches the Fig 11 CPL accuracy tracker;
-    ``with_reuse`` attaches the Fig 3 reuse-distance profiler.  Both are
-    collectors on one event bus, and their outputs land in
-    ``result.extra``.
+    ``with_accuracy`` attaches the Fig 11 CPL accuracy tracker as a
+    collector on an event bus; its score lands in ``result.extra``.  (Any
+    other collector, such as Fig 3's reuse-distance profiler, rides
+    :func:`repro.obs.harness.record_events`, which times the cell here too.)
 
     ``persistent`` enables the on-disk result cache for plain runs (no
-    workload kwargs, no reuse profiler — it is a live object that does not
-    serialize).  Disk hits return results whose
-    ``blocks`` are :class:`~repro.stats.counters.BlockSummary` snapshots,
-    which duck-type the live blocks for every analysis in this package.
+    workload kwargs).  A result is plain data however it was made: its
+    ``blocks`` are :class:`~repro.stats.counters.BlockSummary` snapshots.
     """
     base = config or GPUConfig.default_sim()
     key, disk_key = _cache_keys(workload, scheme, scale, base, with_accuracy,
-                                with_reuse, use_cache, persistent,
-                                **workload_kwargs)
+                                use_cache, persistent, **workload_kwargs)
     cached = _lookup(key, disk_key, check)
     if cached is not None:
         return cached
 
-    accuracy_tracker = CriticalityAccuracyTracker() if with_accuracy else None
-    reuse_profiler = ReuseDistanceProfiler() if with_reuse else None
     bus = None
-    if with_accuracy or with_reuse:
-        # The collectors read their records off an event bus whose own
-        # ring keeps a single record.
+    if with_accuracy:
+        # The tracker reads its records off an event bus whose own ring
+        # keeps a single record.
+        tracker = CriticalityAccuracyTracker()
         bus = EventBus(capacity=1)
-        for collector in (accuracy_tracker, reuse_profiler):
-            if collector is not None:
-                bus.attach(collector)
+        bus.attach(tracker)
 
     result = simulate_cell(workload, scheme, scale, base, check=check,
                            bus=bus, **workload_kwargs)
-    if accuracy_tracker is not None:
-        result.extra["cpl_accuracy"] = accuracy_tracker.accuracy(result)
-    if reuse_profiler is not None:
-        result.extra["reuse_profiler"] = reuse_profiler
+    if with_accuracy:
+        result.extra["cpl_accuracy"] = tracker.accuracy(result)
     _keep(key, disk_key, result)
     return result
 
@@ -338,7 +324,7 @@ def load_or_record_program(workload: str, scheme: str, scale: float,
 #: ``**kwargs`` is a workload kwarg, which keeps a cell out of the result
 #: caches.
 _RUN_SCHEME_KWARGS = frozenset(
-    ("check", "with_accuracy", "with_reuse", "use_cache", "persistent")
+    ("check", "with_accuracy", "use_cache", "persistent")
 )
 
 
@@ -517,10 +503,10 @@ def _resolve(cells: List[Cell], scale: float, base: GPUConfig, jobs: Optional[in
     """Simulate a grid as one plan: cache hits, then the misses deduped
     (:func:`_dedupe`) and drawn from one queue (:class:`_Plan`) by this
     process, which memoises every result, and ``jobs - 1`` forked helpers.
-    It runs alone when ``jobs`` (capped at the misses) is 1, with a reuse
-    profiler (a live object) or with the disk cache off (a helper's trace
-    could not reach the other processes).  ``on_cell(cell, result)`` is
-    called once per cell as its result is known, cache hits first."""
+    It runs alone when ``jobs`` (capped at the misses) is 1 or with the
+    disk cache off (a helper's trace could not reach the other processes).
+    ``on_cell(cell, result)`` is called once per cell as its result is
+    known, cache hits first."""
     check = kwargs.get("check", True)
     options = {k: v for k, v in kwargs.items() if k != "check"}
     keys = {cell: _cache_keys(*cell, scale, base, **options)
@@ -534,8 +520,7 @@ def _resolve(cells: List[Cell], scale: float, base: GPUConfig, jobs: Optional[in
     if jobs is None:  # the usable cores
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-    helpers = (0 if kwargs.get("with_reuse") or not result_cache.enabled()
-               else min(jobs, len(units)) - 1)
+    helpers = min(jobs, len(units)) - 1 if result_cache.enabled() else 0
 
     def answer(index: int, result: RunResult, ran_here: bool) -> None:
         for member, cell in enumerate(units[index]):
@@ -583,7 +568,7 @@ def run_sweep(
     """Run the full (workload x scheme) grid.
 
     Extra keyword arguments split two ways: names in
-    ``("check", "with_accuracy", "with_reuse", "use_cache", "persistent")``
+    ``("check", "with_accuracy", "use_cache", "persistent")``
     forward to :func:`run_scheme` as options;
     anything else forwards as a workload constructor kwarg (e.g.
     ``balanced=True`` for bfs).  A name that is neither raises
@@ -596,9 +581,9 @@ def run_sweep(
 
     The grid is one plan (:func:`_resolve`) on ``jobs`` processes, this
     one included: ``None`` means the usable cores, ``1`` this one only.  A
-    helper's result comes back with
-    :class:`~repro.stats.counters.BlockSummary` blocks, as a disk hit's.
-    ``on_cell(cell, result)`` sees each cell as soon as its result is known.
+    helper's result comes back through :meth:`RunResult.to_dict`, equal to
+    the one this process would have made.  ``on_cell(cell, result)`` sees
+    each cell as soon as its result is known.
     """
     for knob in ("parallel", "max_workers"):
         if knob in kwargs:

@@ -33,7 +33,8 @@ from ..memory.replacement import make_policy
 from ..scheduling.registry import make_scheduler
 from ..sm.dispatcher import BlockDispatcher
 from ..sm.sm import StreamingMultiprocessor
-from ..stats.counters import RunResult, merge_cache_stats, replace_stats, subtract_stats
+from ..stats.counters import (BlockSummary, RunResult, merge_cache_stats,
+                              replace_stats, subtract_stats)
 
 
 def check_launch(config: GPUConfig, kernel, grid_dim: int, block_dim: int) -> None:
@@ -329,9 +330,11 @@ class GPU:
         }
 
     def _collect(self, kernel_name: str, scheme: str, cycles: float, snap) -> RunResult:
-        blocks = []
-        for sm, done_before in zip(self.sms, snap["blocks"]):
-            blocks.extend(sm.completed_blocks[done_before:])
+        """The launch's :class:`RunResult`: counter deltas, and a
+        :class:`BlockSummary` of each block it committed, in id order."""
+        blocks = [BlockSummary.from_block(block)
+                  for sm, done_before in zip(self.sms, snap["blocks"])
+                  for block in sm.completed_blocks[done_before:]]
         blocks.sort(key=lambda b: b.block_id)
         l1_now = merge_cache_stats([sm.l1d.stats for sm in self.sms])
         l1_before = merge_cache_stats(snap["l1"])

@@ -18,7 +18,7 @@ each warp's active lifetime exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .events import Ev, STALL_NAMES, Stall
 
@@ -55,12 +55,6 @@ class StallAccounting:
             buckets[reason] = buckets.get(reason, 0.0) + ev[6]
         elif kind == _FINISH:
             self.finishes[(ev[2], ev[3], ev[4])] = ev[1]
-
-    def extend(self, events: Iterable[Sequence]) -> "StallAccounting":
-        """Feed a recorded stream."""
-        for ev in events:
-            self.append(ev)
-        return self
 
     # -- aggregation ------------------------------------------------------
     def reason_totals(self) -> Dict[str, float]:

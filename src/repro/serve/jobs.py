@@ -95,7 +95,7 @@ class JobSpec:
         any problem; never lets a malformed payload reach the simulator.
         """
         from ..core.cawa import SCHEMES
-        from ..workloads import workload_names
+        from ..workloads import positive_scale, workload_names
 
         if not isinstance(payload, dict):
             raise JobSpecError("job payload must be a JSON object")
@@ -141,8 +141,9 @@ class JobSpec:
         figure = 0
         if kind == "figure":
             figure = payload.get("figure")
-            if not isinstance(figure, int):
-                raise JobSpecError("figure jobs need an integer 'figure'")
+            if isinstance(figure, bool) or not isinstance(figure, int):
+                raise JobSpecError(
+                    f"figure jobs need an integer 'figure', got {figure!r}")
             from ..experiments import FIGURES
 
             if figure not in FIGURES:
@@ -174,9 +175,15 @@ class JobSpec:
             if name not in valid_schemes:
                 raise JobSpecError(f"unknown scheme {name!r}")
 
-        scale = payload.get("scale", 1.0)
-        if not isinstance(scale, (int, float)) or scale <= 0:
-            raise JobSpecError(f"scale must be a positive number, got {scale!r}")
+        try:
+            scale = positive_scale(payload.get("scale", 1.0))
+        except ValueError as exc:
+            raise JobSpecError(str(exc)) from None
+        flags = {name: payload.get(name, default) for name, default
+                 in (("fermi", False), ("check", True), ("events", False))}
+        for name, value in flags.items():
+            if not isinstance(value, bool):
+                raise JobSpecError(f"{name!r} must be true or false, got {value!r}")
 
         priority = payload.get("priority", "auto")
         if priority == "auto":
@@ -193,12 +200,10 @@ class JobSpec:
             kind=kind,
             workloads=workloads,
             schemes=schemes,
-            scale=float(scale),
+            scale=scale,
             figure=figure,
-            fermi=bool(payload.get("fermi", False)),
-            check=bool(payload.get("check", True)),
-            events=bool(payload.get("events", False)),
             priority=priority,
+            **flags,
         )
 
     def build_config(self) -> GPUConfig:

@@ -92,16 +92,6 @@ class ThreadBlock:
     def done(self) -> bool:
         return self._finished_warps >= self.num_warps
 
-    @property
-    def execution_time(self) -> Optional[float]:
-        if self.commit_cycle is None:
-            return None
-        return self.commit_cycle - self.dispatch_cycle
-
-    def warp_execution_times(self) -> List[float]:
-        """Per-warp execution times (block dispatch to warp exit)."""
-        return [w.execution_time for w in self.warps]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ThreadBlock(id={self.block_id}, warps={self.num_warps}, "

@@ -76,22 +76,11 @@ _DISPATCH_ORDER = attrgetter("dynamic_id")
 
 @dataclass
 class SMStats:
-    """Issue/stall counters for one SM.
-
-    ``warp_instructions`` / ``thread_instructions`` / ``issue_events`` are
-    the sums of the committed blocks' per-warp counters, added at block
-    commit; the rest are bumped by the issue arm that sees the event.
-    """
+    """Instruction counters for one SM: the sums of the committed blocks'
+    per-warp counters, added at block commit."""
 
     warp_instructions: int = 0
     thread_instructions: int = 0
-    loads: int = 0
-    stores: int = 0
-    branches: int = 0
-    divergent_branches: int = 0
-    barriers: int = 0
-    blocks_committed: int = 0
-    issue_events: int = 0
 
 
 class StreamingMultiprocessor:
@@ -399,7 +388,6 @@ class StreamingMultiprocessor:
         # ---- the record's effect: scoreboard write by kind -------------
         # Memory lines and branch outcomes come straight from the stream's
         # aux column, consumed in issue order.
-        stats = self.stats
         if kind == _K_ALU:
             warp.reg_ready[decoded.dst] = now + self._alu_latency
             warp.reg_from_load[decoded.dst] = False
@@ -430,11 +418,7 @@ class StreamingMultiprocessor:
             if kind == _K_LOAD:
                 warp.reg_ready[decoded.dst] = completion
                 warp.reg_from_load[decoded.dst] = True
-                stats.loads += 1
-            else:
-                stats.stores += 1
         elif kind == _K_BRANCH:
-            stats.branches += 1
             inst = warp._insts[pc]
             if inst.pred is not None:
                 pos = warp._aux_pos
@@ -455,7 +439,6 @@ class StreamingMultiprocessor:
                     elif inst.target_pc != pc + 1:
                         diverged = True
                         warp.divergent_branches += 1
-                        stats.divergent_branches += 1
                 cpl.on_branch(warp, inst, diverged=diverged,
                               all_taken=all_taken, now=now)
         elif kind == _K_PRED:
@@ -516,7 +499,6 @@ class StreamingMultiprocessor:
             warp.ready_at = ready if ready > floor else floor
             warp._needs_mem = decoded.needs_global_mem
             if kind == _K_BARRIER:
-                stats.barriers += 1
                 if warp.block.barrier_arrive(warp):
                     self._release_barrier(warp.block, now)
 
@@ -547,11 +529,9 @@ class StreamingMultiprocessor:
         self.blocks.remove(block)
         self.completed_blocks.append(block)
         stats = self.stats
-        stats.blocks_committed += 1
         for warp in block.warps:
             stats.warp_instructions += warp.issued_instructions
             stats.thread_instructions += warp.thread_instructions
-        stats.issue_events = stats.warp_instructions
         self._regs_in_use -= block.kernel.num_regs * block.block_dim
         self.warps = [w for w in self.warps if w.block is not block]
         self.cpl.forget_block(block.block_id)

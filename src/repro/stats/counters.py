@@ -1,4 +1,11 @@
-"""Run-level results: IPC, MPKI, and aggregated cache statistics."""
+"""Run-level results: IPC, MPKI, and aggregated cache statistics.
+
+A :class:`RunResult` is plain data whoever made it — a launch, the memo,
+the disk cache, a sweep helper or the sampler: ``GPU._collect`` snapshots
+each committed block into a :class:`BlockSummary` once, so a fresh result
+equals its own :meth:`~RunResult.to_dict` / :meth:`~RunResult.from_dict`
+round trip.
+"""
 
 from __future__ import annotations
 
@@ -35,12 +42,8 @@ def merge_cache_stats(parts: List[CacheStats]) -> CacheStats:
 
 @dataclass
 class WarpSummary:
-    """Picklable / JSON-serializable snapshot of one committed warp.
-
-    Carries every per-warp field the analysis layers (disparity, figure
-    scripts, the CAWS oracle) read from live :class:`~repro.simt.warp.Warp`
-    objects, so cached or cross-process results duck-type cleanly.
-    """
+    """Snapshot of one committed warp: every per-warp field the analyses
+    (disparity, figure scripts, the CAWS oracle) read."""
 
     warp_id_in_block: int
     execution_time: float
@@ -69,7 +72,7 @@ class WarpSummary:
 
 @dataclass
 class BlockSummary:
-    """Serializable snapshot of one committed thread block."""
+    """Snapshot of one committed thread block, taken as it is collected."""
 
     block_id: int
     num_warps: int
@@ -87,6 +90,12 @@ class BlockSummary:
             warps=[WarpSummary.from_warp(w) for w in block.warps],
         )
 
+    @classmethod
+    def from_dict(cls, data: Dict) -> "BlockSummary":
+        fields = dict(data)
+        fields["warps"] = [WarpSummary(**w) for w in data["warps"]]
+        return cls(**fields)
+
     @property
     def execution_time(self) -> Optional[float]:
         if self.commit_cycle is None:
@@ -94,22 +103,20 @@ class BlockSummary:
         return self.commit_cycle - self.dispatch_cycle
 
     def warp_execution_times(self) -> List[float]:
+        """Per-warp execution times (block dispatch to warp exit)."""
         return [w.execution_time for w in self.warps]
-
-
-def _jsonable(value) -> bool:
-    """True for plain scalars that survive a JSON round trip unchanged."""
-    return isinstance(value, (bool, int, float, str)) or value is None
 
 
 @dataclass
 class RunResult:
-    """Everything a launch produced, ready for the experiment harness.
+    """Everything a launch produced, as plain data.
 
-    ``blocks`` keeps the committed :class:`~repro.simt.block.ThreadBlock`
-    objects (with their warps) so disparity and criticality analyses can be
-    run after the fact; ``extra`` carries observer outputs such as reuse
-    profiles or the Fig 12 priority trace.
+    ``blocks`` holds a :class:`BlockSummary` per committed block, snapshot
+    when the launch is collected, so disparity and criticality analyses
+    run after the fact on any result, fresh or loaded; ``extra`` carries
+    scalar observer outputs such as the Fig 11 CPL accuracy.
+    :meth:`to_dict` / :meth:`from_dict` walk the fields, so a new field
+    serializes with no edit here.
     """
 
     kernel_name: str
@@ -119,9 +126,7 @@ class RunResult:
     warp_instructions: int
     l1_stats: CacheStats
     l2_stats: CacheStats
-    blocks: List = field(default_factory=list)
     dram_accesses: int = 0
-    extra: Dict[str, object] = field(default_factory=dict)
 
     #: Lanes per warp, used by :attr:`simd_efficiency` (set at collection).
     warp_size: int = 32
@@ -148,7 +153,8 @@ class RunResult:
     #: Which cell this process simulated to make the result
     #: (:func:`repro.experiments.runner.cells_simulated`); 0 when it was
     #: read from the disk cache.  Host bookkeeping, never stored.
-    cell_serial: int = field(default=0, compare=False)
+    cell_serial: int = field(default=0, compare=False,
+                             metadata={"stored": False})
 
     #: Clock-advance telemetry of the device loop: ``skip_jumps`` is the
     #: number of clock advances larger than one cycle, ``cycles_skipped``
@@ -172,6 +178,9 @@ class RunResult:
     #: stored payload with no ``"verified"`` key predates the field and
     #: loads as unverified.
     verified: bool = False
+    # The nested values come last, where stored payloads keep them.
+    blocks: List[BlockSummary] = field(default_factory=list)
+    extra: Dict[str, object] = field(default_factory=dict)
 
     @property
     def ipc(self) -> float:
@@ -220,85 +229,29 @@ class RunResult:
     # ------------------------------------------------------------------
     # Serialization (persistent result cache, cross-process sweeps)
     # ------------------------------------------------------------------
-    def block_summaries(self) -> List[BlockSummary]:
-        """``blocks`` as :class:`BlockSummary` snapshots: everything the
-        analyses read, none of the launch's ``ThreadBlock`` / ``Warp``
-        graph."""
-        return [
-            b if isinstance(b, BlockSummary) else BlockSummary.from_block(b)
-            for b in self.blocks
-        ]
-
     def to_dict(self) -> Dict:
-        """Plain-data form of this result (JSON- and pickle-friendly).
-
-        Live :class:`~repro.simt.block.ThreadBlock` objects are reduced to
-        :class:`BlockSummary`; ``extra`` entries that are not plain scalars
-        (e.g. profiler objects) are dropped.
-        """
-        blocks = self.block_summaries()
-        return {
-            "kernel_name": self.kernel_name,
-            "scheme": self.scheme,
-            "cycles": self.cycles,
-            "thread_instructions": self.thread_instructions,
-            "warp_instructions": self.warp_instructions,
-            "l1_stats": dataclasses.asdict(self.l1_stats),
-            "l2_stats": dataclasses.asdict(self.l2_stats),
-            "dram_accesses": self.dram_accesses,
-            "warp_size": self.warp_size,
-            "frontend": self.frontend,
-            "trace_id": self.trace_id,
-            "recorded": self.recorded,
-            "record_s": self.record_s,
-            "replay_s": self.replay_s,
-            "record_steps": self.record_steps,
-            "record_warps": self.record_warps,
-            "cycles_skipped": self.cycles_skipped,
-            "skip_jumps": self.skip_jumps,
-            "sampling": self.sampling,
-            "verified": self.verified,
-            "blocks": [dataclasses.asdict(b) for b in blocks],
-            "extra": {k: v for k, v in self.extra.items() if _jsonable(v)},
-        }
+        """Plain-data form of this result (JSON- and pickle-friendly):
+        every stored :class:`RunResult` field, in field order."""
+        data = dataclasses.asdict(self)  # nested dataclasses become dicts
+        return {f.name: data[f.name] for f in _STORED}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunResult":
-        """Rebuild a result whose blocks are :class:`BlockSummary` objects."""
-        blocks = [
-            BlockSummary(
-                block_id=b["block_id"],
-                num_warps=b["num_warps"],
-                dispatch_cycle=b["dispatch_cycle"],
-                commit_cycle=b["commit_cycle"],
-                warps=[WarpSummary(**w) for w in b["warps"]],
-            )
-            for b in data["blocks"]
-        ]
-        return cls(
-            kernel_name=data["kernel_name"],
-            scheme=data["scheme"],
-            cycles=data["cycles"],
-            thread_instructions=data["thread_instructions"],
-            warp_instructions=data["warp_instructions"],
-            l1_stats=_load_cache_stats(data["l1_stats"]),
-            l2_stats=_load_cache_stats(data["l2_stats"]),
-            blocks=blocks,
-            dram_accesses=data["dram_accesses"],
-            extra=dict(data.get("extra", {})),
-            warp_size=data.get("warp_size", 32),
-            frontend=data.get("frontend", "execute"),
-            trace_id=data.get("trace_id"),
-            recorded=data.get("recorded", False),
-            record_s=data.get("record_s", 0.0),
-            replay_s=data.get("replay_s", 0.0),
-            record_steps=data.get("record_steps", 0),
-            record_warps=data.get("record_warps", 0),
-            cycles_skipped=data.get("cycles_skipped", 0.0),
-            skip_jumps=data.get("skip_jumps", 0),
-            sampling=data.get("sampling", "off"),
-            verified=data.get("verified", False),
-        )
+        """Rebuild a result from :meth:`to_dict`'s form.  A field the
+        payload lacks (it predates the field) takes its default; a key no
+        field has (``clock`` of the retired per-cycle loop) is ignored."""
+        values = {f.name: data[f.name] for f in _STORED if f.name in data}
+        values["l1_stats"] = _load_cache_stats(data["l1_stats"])
+        values["l2_stats"] = _load_cache_stats(data["l2_stats"])
+        values["blocks"] = [BlockSummary.from_dict(b) for b in data["blocks"]]
+        values["extra"] = dict(data.get("extra", {}))
+        return cls(**values)
+
+
+#: The fields :meth:`RunResult.to_dict` writes: all but host bookkeeping
+#: of the process that made the result (``metadata={"stored": False}``).
+_STORED = tuple(f for f in dataclasses.fields(RunResult)
+                if f.metadata.get("stored", True))
 
 
 def _load_cache_stats(data: Dict) -> CacheStats:

@@ -99,7 +99,7 @@ class SamplingInfo:
 class SampledRunResult(RunResult):
     """A :class:`RunResult` whose headline numbers are extrapolations.
 
-    Duck-types the exact result everywhere (figures, tables, caches):
+    Stands in for the exact result everywhere (figures, tables, caches):
     ``cycles``/``l1_stats``/... hold the point estimates and ``blocks``
     the replayed subset's summaries with their *original* block ids.
     ``ci`` adds the per-metric intervals and ``info`` the sampling frame.
@@ -120,20 +120,12 @@ class SampledRunResult(RunResult):
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SampledRunResult":
-        base = RunResult.from_dict(data)
+        result = super().from_dict(data)
         sampled = data.get("sampled") or {}
+        result.ci = {name: MetricEstimate(**est)
+                     for name, est in sampled.get("ci", {}).items()}
         info_data = sampled.get("info")
-        result = cls(
-            **{
-                f.name: getattr(base, f.name)
-                for f in dataclasses.fields(RunResult)
-            },
-            ci={
-                name: MetricEstimate(**est)
-                for name, est in sampled.get("ci", {}).items()
-            },
-            info=SamplingInfo(**info_data) if info_data else None,
-        )
+        result.info = SamplingInfo(**info_data) if info_data else None
         return result
 
 
@@ -245,13 +237,8 @@ def estimate_sampled_result(
     }
     sampled_exec = 0.0
     for block in replay_result.blocks:
-        summary = (
-            block
-            if isinstance(block, BlockSummary)
-            else BlockSummary.from_block(block)
-        )
-        original = plan.original_id(summary.block_id)
-        summary = dataclasses.replace(summary, block_id=original)
+        original = plan.original_id(block.block_id)
+        summary = dataclasses.replace(block, block_id=original)
         blocks.append(summary)
         stratum = stratum_index[original]
         exec_time = summary.execution_time or 0.0

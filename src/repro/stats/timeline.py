@@ -15,14 +15,13 @@ timeline from ``WARP_START`` / ``WARP_ISSUE`` / ``WARP_FINISH`` events::
     bus.attach(profiler)
     gpu = GPU(config, obs=bus)
 
-or feed a stored recording after the fact with :meth:`TimelineProfiler.extend`
-(``docs/observability.md``).
+(``docs/observability.md`` has the bus and its collector protocol).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.events import Ev
 
@@ -70,12 +69,6 @@ class TimelineProfiler:
             timeline = self.timelines.get((ev[2], ev[3], ev[4]))
             if timeline is not None:
                 timeline.finish_cycle = ev[1]
-
-    def extend(self, events: Iterable[Sequence]) -> "TimelineProfiler":
-        """Rebuild timelines from a pre-recorded event stream."""
-        for ev in events:
-            self.append(ev)
-        return self
 
     # ------------------------------------------------------------------
     def block_keys(self) -> List[Tuple[int, int]]:

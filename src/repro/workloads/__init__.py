@@ -12,6 +12,7 @@ from .registry import (
     SENS_WORKLOADS,
     WORKLOADS,
     make_workload,
+    positive_scale,
     workload_names,
 )
 
@@ -22,5 +23,6 @@ __all__ = [
     "WORKLOADS",
     "Workload",
     "make_workload",
+    "positive_scale",
     "workload_names",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, Dict, List
 
@@ -69,6 +70,17 @@ def workload_names(include_synthetic: bool = False) -> List[str]:
     if include_synthetic:
         return list(WORKLOADS)
     return SENS_WORKLOADS + NON_SENS_WORKLOADS
+
+
+def positive_scale(value: object) -> float:
+    """``value`` as a workload scale, the one rule for the CLI's
+    ``--scale`` and serve's ``"scale"``: a positive finite number.  A
+    boolean is not one; NaN, an infinity, zero or a negative is refused,
+    not clamped to the smallest input every size shares."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ValueError(f"scale must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 def make_workload(name: str, **kwargs) -> Workload:

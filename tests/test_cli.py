@@ -206,6 +206,15 @@ class TestCommands:
         assert exc.value.code == 2
         assert "unrecognized arguments: " + extra[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "big"])
+    def test_run_refuses_a_scale_that_is_not_positive_and_finite(self, capsys, scale):
+        # The rule serve's JobSpec applies too (repro.workloads.positive_scale).
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--workload", "bfs", "--scale", scale])
+        assert exc.value.code == 2
+        assert (f"argument --scale: must be a positive finite number, got "
+                f"{scale!r}") in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["clock=cycle,skip"])
     def test_profile_refuses_removed_flags(self, capsys, spec):
         self._refused(capsys, "--compare", spec)
@@ -333,15 +342,15 @@ class TestEventsCommand:
         import repro.obs.bus as obs_bus
         from repro.obs import Ev, StallAccounting, record_events
 
-        seen = []
-        record_events("synthetic_imbalance", "rr", scale=0.5, collectors=(seen,))
+        seen, live = [], StallAccounting()
+        record_events("synthetic_imbalance", "rr", scale=0.5,
+                      collectors=(seen, live))
         monkeypatch.setattr(obs_bus, "DEFAULT_CAPACITY", 64)
         assert main([
             "events", "stats", "synthetic_imbalance", "rr", "--scale", "0.5",
             "--format", "json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        live = StallAccounting().extend(seen)
         assert len(seen) > 64
         assert payload["kind_counts"] == Counter(Ev(ev[0]).name for ev in seen)
         assert payload["issue_cycles"] == live.issue_cycles()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 
 import pytest
 
@@ -64,11 +65,11 @@ class TestTheHookIsGone:
 
 class TestTheRecord:
     def test_one_record_per_refresh_in_warp_order(self):
-        result, bus = record_events("kmeans", "cawa", scale=0.5)
+        _, bus = record_events("kmeans", "cawa", scale=0.5)
         records = verdicts(bus.events())
         period = GPUConfig.default_sim().cpl_update_period
-        assert len(records) == sum(block.cpl_issues // period
-                                   for block in result.blocks) > 0
+        issues = Counter(ev[3] for ev in bus.events() if ev[0] == Ev.WARP_ISSUE)
+        assert len(records) == sum(n // period for n in issues.values()) > 0
         validate_events(records)
         for _, _, _, _, warps in records:
             assert [w for w, _, _ in warps] == sorted(w for w, _, _ in warps)
@@ -113,6 +114,5 @@ def test_fig11_cell_is_the_collectors_score(monkeypatch):
     reference = AccuracySampler()
     on_every_issue(monkeypatch, reference)
     result = runner.run_scheme("bfs", "cawa", scale=SMALL, with_accuracy=True,
-                               with_reuse=True, use_cache=False)
+                               use_cache=False)
     assert result.extra["cpl_accuracy"] == reference.accuracy(result)
-    assert result.extra["reuse_profiler"].critical.references > 0

@@ -170,8 +170,10 @@ class TestDefaultPath:
 
     def test_accuracy_and_reuse_observers(self):
         run_scheme("bfs", "rr", scale=SMALL)  # record
-        replayed = run_scheme("bfs", "cawa", scale=SMALL, with_accuracy=True,
-                              with_reuse=True)
+        replayed = run_scheme("bfs", "cawa", scale=SMALL, with_accuracy=True)
+        ours = ReuseDistanceProfiler()
+        record_events("bfs", "cawa", scale=SMALL, collectors=(ours,),
+                      events="ring:1")
         # Both read bus records: CPL_VERDICT and the L1 probes.
         tracker, theirs = CriticalityAccuracyTracker(), ReuseDistanceProfiler()
         bus = EventBus(capacity=1)
@@ -181,7 +183,6 @@ class TestDefaultPath:
         assert replayed.frontend == "trace"
         assert signature(replayed) == signature(reference)
         assert replayed.extra["cpl_accuracy"] == tracker.accuracy(reference)
-        ours = replayed.extra["reuse_profiler"]
         assert ours.critical == theirs.critical
         assert ours.non_critical == theirs.non_critical
         assert ours.by_pc == theirs.by_pc and ours.by_pc

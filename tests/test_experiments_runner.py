@@ -11,6 +11,8 @@ from repro.experiments.runner import (
     run_sweep,
     sweep_table,
 )
+from repro.obs import record_events
+from repro.stats.reuse import ReuseDistanceProfiler
 
 
 @pytest.fixture(autouse=True)
@@ -50,10 +52,12 @@ class TestRunScheme:
         assert 0.0 <= result.extra["cpl_accuracy"] <= 1.0
 
     def test_reuse_profiler_attaches(self):
-        result = run_scheme("synthetic_memstress", "rr", scale=SCALE,
-                            with_reuse=True)
-        profiler = result.extra["reuse_profiler"]
+        profiler = ReuseDistanceProfiler()
+        result, _ = record_events("synthetic_memstress", "rr", scale=SCALE,
+                                  collectors=(profiler,), events="ring:1")
         assert profiler.critical.references + profiler.non_critical.references > 0
+        assert result.cycles == run_scheme("synthetic_memstress", "rr",
+                                           scale=SCALE).cycles
 
 
 class TestMemoIsBounded:

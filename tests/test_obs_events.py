@@ -190,7 +190,7 @@ class TestMerging:
 class TestStallAccounting:
     def build(self):
         acct = StallAccounting()
-        acct.extend([
+        for ev in [
             ev_issue(1.0),
             ev_stall(4.0, reason=Stall.SCOREBOARD_DEP, stalled=2.0, start=2.0),
             ev_issue(4.0),
@@ -199,7 +199,8 @@ class TestStallAccounting:
             ev_issue(10.0),
             ev_issue(2.0, warp=1),
             (int(Ev.WARP_FINISH), 10.0, 0, 0, 0),
-        ])
+        ]:
+            acct.append(ev)
         return acct
 
     def test_reason_totals(self):

@@ -93,8 +93,8 @@ def test_parity_grid(scheme, monkeypatch):
 
 def test_stall_accounting_identity_on_real_run():
     """issue + stall buckets == warp lifetime + 1 (inclusive), per warp."""
-    result, bus = record_events(WORKLOAD, "cawa", scale=SCALE)
-    acct = StallAccounting().extend(bus.events())
+    acct = StallAccounting()
+    result, _ = record_events(WORKLOAD, "cawa", scale=SCALE, collectors=(acct,))
     per_warp = acct.per_warp()
     blocks = {b.block_id: b for b in result.blocks}
     assert per_warp

@@ -95,6 +95,16 @@ class TestBasicApi:
         with pytest.raises(ServeClientError) as exc:
             client.submit({"kind": "run", "workload": "bfs", "bogus": 1})
         assert exc.value.status == 400
+        # A value of the wrong type is refused, not coerced.
+        for bad in ({"fermi": "no"}, {"scale": float("nan")},
+                    {"scale": float("inf")}, {"scale": True}, {"events": 1}):
+            with pytest.raises(ServeClientError) as exc:
+                client.submit({"kind": "run", "workload": "bfs", **bad})
+            assert exc.value.status == 400
+            assert next(iter(bad)) in str(exc.value)
+        with pytest.raises(ServeClientError) as exc:
+            client.submit({"kind": "figure", "figure": True})
+        assert exc.value.status == 400
         for knob, value in (("backend", "vector"), ("shards", 2),
                             ("frontend", "execute"), ("sampling", "blocks:0.25")):
             with pytest.raises(ServeClientError) as exc:

@@ -75,6 +75,14 @@ class TestJobSpecValidation:
         ({"kind": "figure", "figure": 999}, "no module"),
         ({"kind": "run", "workload": "bfs", "device": ["clock"]},
          "device"),
+        # Values of the wrong type are refused by name, never coerced.
+        ({"kind": "run", "workload": "bfs", "fermi": "no"}, "'fermi'"),
+        ({"kind": "run", "workload": "bfs", "check": 0}, "'check'"),
+        ({"kind": "run", "workload": "bfs", "events": "yes"}, "'events'"),
+        ({"kind": "run", "workload": "bfs", "scale": float("nan")}, "scale"),
+        ({"kind": "run", "workload": "bfs", "scale": float("inf")}, "scale"),
+        ({"kind": "run", "workload": "bfs", "scale": True}, "scale"),
+        ({"kind": "figure", "figure": True}, "figure"),
     ])
     def test_bad_payloads_rejected(self, payload, fragment):
         with pytest.raises(JobSpecError, match=fragment):

@@ -95,7 +95,7 @@ class TestBlockLifecycle:
         block.dispatch_cycle = 0.0
         warps[0].mark_finished(10.0)
         warps[1].mark_finished(50.0)
-        assert block.warp_execution_times() == [10.0, 50.0]
+        assert [w.execution_time for w in warps] == [10.0, 50.0]
 
     def test_shared_memory_roundtrip(self):
         block = make_block(shared_bytes=256)

@@ -5,7 +5,7 @@ import pytest
 
 from repro import GPU, GPUConfig, KernelBuilder
 from repro.config import CacheConfig
-from repro.isa.instructions import CmpOp, Special
+from repro.isa.instructions import CmpOp, Opcode, Special
 from repro.simt.warp import WarpStatus
 
 
@@ -123,8 +123,8 @@ class TestWarpScheduleCache:
         out = gpu.memory.alloc_array(np.zeros(n))
         from tests.conftest import build_copy_kernel
 
-        result = gpu.launch(build_copy_kernel(n, src, out), 1, 32)
-        warp = result.blocks[0].warps[0]
+        gpu.launch(build_copy_kernel(n, src, out), 1, 32)
+        warp = gpu.sms[0].completed_blocks[0].warps[0]
         assert warp.status is WarpStatus.FINISHED
         sm = gpu.sms[0]
         sm._enqueue(warp)  # a finished warp is never queued for a wake
@@ -178,10 +178,14 @@ class TestStreamIsTheOnlySource:
             sm.tick_wake(cycle)
             cycle = max(cycle + 1.0, sm.next_wake_time(cycle))
         stats = sm.stats
-        assert stats.blocks_committed == 1
-        assert stats.warp_instructions == stats.issue_events == trace.record_count
+        assert len(sm.completed_blocks) == 1
+        assert stats.warp_instructions == trace.record_count
         assert stats.thread_instructions == sum(w.thread_instructions for w in warps)
-        assert stats.loads + stats.stores + stats.branches > 0
+        # The stream's loads, stores and branches all went through issue.
+        program = sm.completed_blocks[0].kernel.instructions
+        ops = {program[pc].op for stream in trace.warps.values() for pc in stream.pcs}
+        assert {Opcode.LD, Opcode.ST, Opcode.BRA} <= ops
+        assert sm.l1d.stats.accesses > 0
 
     def test_timing_packages_name_no_value_machinery(self):
         """``grep`` as a test: nothing under ``sm/`` or ``gpu/`` (nor the

@@ -8,7 +8,7 @@ from repro.memory.cache import CacheStats
 from repro.obs.events import Ev
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp
-from repro.stats.counters import RunResult, merge_cache_stats
+from repro.stats.counters import BlockSummary, RunResult, merge_cache_stats
 from repro.stats.disparity import (
     block_disparity,
     critical_warp_of,
@@ -22,7 +22,7 @@ from repro.stats.report import format_table
 from repro.stats.reuse import BUCKETS, ReuseDistanceProfiler, ReuseProfile
 
 
-def make_block(times):
+def make_live_block(times):
     b = KernelBuilder("t")
     b.nop()
     kernel = b.build()
@@ -34,6 +34,11 @@ def make_block(times):
         warp.start_cycle = 0.0
         warp.mark_finished(t)
     return block
+
+
+def make_block(times):
+    """A committed block as a result holds it."""
+    return BlockSummary.from_block(make_live_block(times))
 
 
 def probe(line_addr, pc=0, critical=False, hit=False, level=0):
@@ -76,7 +81,7 @@ class TestDisparity:
         assert critical_warp_of(block).warp_id_in_block == 1
 
     def test_stall_shares(self):
-        block = make_block([100.0])
+        block = make_live_block([100.0])
         warp = block.warps[0]
         # 51 issues over cycles 0..100: 50 stall cycles, 40 of them
         # waiting on loads, the other 10 scheduler stall.

@@ -137,15 +137,10 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("the sweep forked helpers")
 
 
-@pytest.mark.parametrize("why", ["with_reuse", "disk_cache_off"])
-def test_stays_in_process(why, monkeypatch, parent_cells):
+def test_stays_in_process_with_the_disk_cache_off(monkeypatch, parent_cells):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
-    kwargs = {}
-    if why == "with_reuse":
-        kwargs["with_reuse"] = True
-    else:
-        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-    results = run_sweep(WORKLOADS, ["rr", "gto"], scale=SCALE, jobs=2, **kwargs)
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    results = run_sweep(WORKLOADS, ["rr", "gto"], scale=SCALE, jobs=2)
     assert sorted(parent_cells) == sorted(results)
 
 

@@ -27,6 +27,7 @@ from repro import trace as trace_mod
 from repro.config import GPUConfig
 from repro.errors import TraceFormatError
 from repro.experiments import runner
+from repro.gpu import GPU
 from repro.isa.instructions import CmpOp, Special
 from repro.isa.kernel import KernelBuilder
 from repro.trace.format import (
@@ -328,12 +329,15 @@ class TestFootprint:
 
     def test_replay_drops_a_warps_columns_when_it_retires(self, config):
         _, program = trace_mod.record_workload("bfs", scale=SCALE, config=config)
-        result = trace_mod.replay_program(program, config, scheme="rr")[-1]
-        warps = [w for b in result.blocks for w in b.warps]
+        gpu = GPU(config, trace=program)
+        (launch,) = program.launches
+        result = gpu.launch(launch.kernel, launch.grid_dim, launch.block_dim)
+        blocks = [b for sm in gpu.sms for b in sm.completed_blocks]
+        warps = [w for b in blocks for w in b.warps]
         assert warps and all(
             w.finished and w._stream is None and not w._pcs and not w._aux
             for w in warps)
-        assert all(b.trace is None for b in result.blocks)
+        assert all(b.trace is None for b in blocks)
         assert sum(w.thread_instructions for w in warps) == result.thread_instructions > 0
 
 

@@ -140,7 +140,9 @@ class TestWakeQueueInvariants:
         while sm.busy and cycle < 1000:
             sm.tick_wake(cycle)
             cycle = max(cycle + 1.0, sm.next_wake_time(cycle))
-        assert not sm.busy and sm.stats.barriers == 2
+        # Both warps issued their whole stream: const, add, bar, add, exit.
+        assert not sm.busy
+        assert [w.issued_instructions for w in block.warps] == [5, 5]
         assert oracle.ticks > 0
 
     def test_warp_ready_next_cycle_stays_pooled(self):
@@ -189,7 +191,7 @@ class TestBarrierWake:
             cycle = max(cycle + 1.0, sm.next_wake_time(cycle))
         assert saw_parked, "barrier kernel never parked a warp"
         assert not sm.busy
-        assert sm.stats.barriers == 2
+        assert [w.issued_instructions for w in block.warps] == [5, 5]
 
     @pytest.mark.parametrize("ticks", TICKS)
     @pytest.mark.parametrize("num_slots", [1, 2])
@@ -205,7 +207,7 @@ class TestBarrierWake:
         gpu.launch(kernel, 1, 128)
         # Every released warp went through a checked select after the
         # barrier: 4 warps x (const + add + bar + add + exit).
-        assert gpu.sms[0].stats.barriers == 4
+        assert gpu.sms[0].stats.warp_instructions == 4 * 5
         assert oracle.select_calls == gpu.sms[0].stats.warp_instructions
         assert oracle.ticks >= oracle.select_calls / num_slots
 

@@ -87,8 +87,8 @@ class TestCriticalityStructure:
 
     def test_divergence_workload_diverges(self):
         gpu = GPU(GPUConfig.default_sim())
-        make_workload("synthetic_divergence").run(gpu)
-        assert sum(sm.stats.divergent_branches for sm in gpu.sms) > 0
+        result = make_workload("synthetic_divergence").run(gpu)
+        assert sum(w.divergent_branches for b in result.blocks for w in b.warps) > 0
 
     def test_memstress_workload_misses(self):
         gpu = GPU(GPUConfig.default_sim())

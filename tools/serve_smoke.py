@@ -15,7 +15,10 @@ service's headline guarantees end to end:
    submit response is already ``done``, with ``reused_from`` naming the
    finished twin, and carries the result payload — and the whole submit
    -> wait -> result round trip is back within 50 ms;
-4. a draining shutdown finishes every admitted job and the server
+4. admission checks value types: a payload with ``"fermi": "no"`` and one
+   with ``"scale": NaN`` each get HTTP 400, and ``/stats`` ``submitted``
+   does not move;
+5. a draining shutdown finishes every admitted job and the server
    process exits cleanly.
 
 Usage::
@@ -98,13 +101,15 @@ def warm_round_trip(api, spec, twin):
 
 
 def post_job(url, spec):
-    """The raw ``POST /jobs`` answer, read without :class:`ServeClient`."""
+    """The raw ``POST /jobs`` status and answer, read without
+    :class:`ServeClient`."""
     split = urlsplit(url)
     conn = http.client.HTTPConnection(split.hostname, split.port, timeout=60)
     try:
         conn.request("POST", "/jobs", body=json.dumps(spec).encode("utf-8"),
                      headers={"Content-Type": "application/json"})
-        return json.load(conn.getresponse())
+        response = conn.getresponse()
+        return response.status, json.load(response)
     finally:
         conn.close()
 
@@ -176,7 +181,7 @@ def main() -> int:
         # -- a finished cell comes back at the cost of a lookup --------
         spec = {"kind": "run", "workload": "synthetic_imbalance",
                 "scheme": "gto", "scale": float(SCALE)}
-        answer = post_job(url, spec)
+        _, answer = post_job(url, spec)
         assert answer["job"]["reused_from"] == distinct, answer["job"]
         assert answer.get("payload") == api.result(distinct)["payload"], \
             f"the repeat's submit response carries no payload: {sorted(answer)}"
@@ -185,6 +190,15 @@ def main() -> int:
         assert warm < WARM_CEILING, \
             f"warm round trip {1e3 * warm:.1f} ms >= {1e3 * WARM_CEILING:.0f} ms"
         print(f"serve-smoke: warm round trip {1e3 * warm:.1f} ms")
+
+        # -- admission checks value types -----------------------------
+        submitted = json.loads(client(env, url, "stats"))["counters"]["submitted"]
+        for bad in ({"fermi": "no"}, {"scale": float("nan")}):
+            status, answer = post_job(url, {**spec, **bad})
+            assert status == 400, f"{bad} was admitted ({status}): {answer}"
+        counters = json.loads(client(env, url, "stats"))["counters"]
+        assert counters["submitted"] == submitted, counters
+        print("serve-smoke: a non-boolean fermi and a NaN scale get 400")
 
         # -- graceful drain -------------------------------------------
         client(env, url, "shutdown")
