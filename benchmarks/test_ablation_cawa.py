@@ -38,11 +38,16 @@ def test_ablation_greedy_time_slice(benchmark):
     """
 
     def disable_greedy(gpu):
-        # The slice is ``WarpScheduler.greedy``: a slot that never finds its
-        # last warp among the candidates picks by criticality every time.
+        # The slice is "the warp issued last, if it is a candidate again":
+        # a slot that forgets its last warp before each pick picks by
+        # criticality every time.
         for sm in gpu.sms:
             for sched in sm.schedulers:
-                sched.greedy = lambda ready: None
+                def select(ready, now, sched=sched, pick=sched.select):
+                    sched.last = None
+                    return pick(ready, now)
+
+                sched.select = select
 
     def run_both():
         full = _run_with("gcaws")

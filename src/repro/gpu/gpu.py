@@ -193,7 +193,6 @@ class GPU:
                                      config.warp_size, launch_trace)
         start_cycle = self.now
         snapshots = self._snapshot_stats()
-        events_before = self.obs.emitted if self.obs is not None else 0
         dispatcher.try_dispatch(self.sms, start_cycle)
 
         # Block commits are reported by the SMs via a callback flag, so the
@@ -210,10 +209,7 @@ class GPU:
                 sm.on_commit = None
 
         self.now = cycle + 1
-        result = self._collect(kernel.name, scheme, cycle - start_cycle, snapshots)
-        if self.obs is not None:
-            result.extra["events_recorded"] = self.obs.emitted - events_before
-        return result
+        return self._collect(kernel.name, scheme, cycle - start_cycle, snapshots)
 
     # ------------------------------------------------------------------
     # The run loop

@@ -36,6 +36,8 @@ _EV_CACHE_HIT = int(Ev.CACHE_HIT)
 _EV_CACHE_MISS = int(Ev.CACHE_MISS)
 _EV_CACHE_FILL = int(Ev.CACHE_FILL)
 _EV_CACHE_EVICT = int(Ev.CACHE_EVICT)
+#: The base policy's ``on_evict``, a no-op a fill does not call.
+_NO_EVICT_LESSON = ReplacementPolicy.on_evict
 
 
 @dataclass(slots=True)
@@ -60,17 +62,6 @@ class CacheLine:
     c_reuse: bool = False
     nc_reuse: bool = False
     in_critical_partition: bool = False
-
-    def reset_for_fill(self, line_addr: int, req: MemRequest) -> None:
-        self.valid = True
-        self.line_addr = line_addr
-        self.reuse_count = 0
-        self.filled_by_critical = req.is_critical
-        self.fill_block = req.warp_key[1]
-        self.fill_warp = req.warp_key[2]
-        self.c_reuse = False
-        self.nc_reuse = False
-        self.signature = req.signature
 
 
 @dataclass
@@ -192,6 +183,8 @@ class Cache:
         return False
 
     def _fill(self, req: MemRequest) -> None:
+        """Fill ``req``'s line into the way the policy chooses, evicting
+        (and counting) the line that held it."""
         line_addr = req.line_addr
         sets = self._sets
         set_idx = (line_addr // self._line_size) % len(sets)
@@ -203,44 +196,51 @@ class Cache:
         valid_ways = self._valid_ways
         way = policy.choose_way(lines, req, valid_ways[set_idx] == ways)
         line = lines[way]
+        key = req.warp_key
+        obs = self.obs
+        critical = req.is_critical
         if line.valid:
-            self._evict(line, req)
+            victim = line.line_addr
+            del self._index[victim]
+            stats = self.stats
+            stats.evictions += 1
+            reused = line.reuse_count
+            if not reused:
+                stats.zero_reuse_evictions += 1
+            if line.filled_by_critical:
+                stats.critical_fill_evictions += 1
+                if not reused:
+                    stats.critical_zero_reuse_evictions += 1
+            if type(policy).on_evict is not _NO_EVICT_LESSON:
+                policy.on_evict(line, req)
+            if obs is not None:
+                # Dual attribution: the victim's filler (from the line) and
+                # the evicting requester (from the fill request).
+                owner = self.owner
+                obs.emit((
+                    _EV_CACHE_EVICT, req.cycle, owner if owner >= 0 else key[0],
+                    self.level, victim, 1 if reused else 0,
+                    line.fill_block, line.fill_warp, key[1], key[2],
+                ))
         else:
+            line.valid = True
             valid_ways[set_idx] += 1
-        line.reset_for_fill(line_addr, req)
+        line.line_addr = line_addr
+        line.reuse_count = 0
+        line.filled_by_critical = critical
+        line.fill_block = key[1]
+        line.fill_warp = key[2]
+        line.c_reuse = line.nc_reuse = False
+        line.signature = req.signature
         self._index[line_addr] = line
         # Read per fill: CACP's dynamic mode retunes its boundary.
         line.in_critical_partition = way < policy.critical_ways
         policy.on_fill(line, req)
-        if self.obs is not None:
-            key = req.warp_key
+        if obs is not None:
             owner = self.owner
-            self.obs.emit((
+            obs.emit((
                 _EV_CACHE_FILL, req.cycle, owner if owner >= 0 else key[0],
-                self.level, line_addr, 1 if req.is_critical else 0,
-                key[1], key[2],
-            ))
-
-    def _evict(self, line: CacheLine, req: MemRequest) -> None:
-        del self._index[line.line_addr]
-        stats = self.stats
-        stats.evictions += 1
-        if line.reuse_count == 0:
-            stats.zero_reuse_evictions += 1
-        if line.filled_by_critical:
-            stats.critical_fill_evictions += 1
-            if line.reuse_count == 0:
-                stats.critical_zero_reuse_evictions += 1
-        self.policy.on_evict(line, req)
-        if self.obs is not None:
-            # Dual attribution: the victim's filler (from the line) and the
-            # evicting requester (from the fill request being serviced).
-            key = req.warp_key
-            owner = self.owner
-            self.obs.emit((
-                _EV_CACHE_EVICT, req.cycle, owner if owner >= 0 else key[0],
-                self.level, line.line_addr, 1 if line.reuse_count > 0 else 0,
-                line.fill_block, line.fill_warp, key[1], key[2],
+                self.level, line_addr, 1 if critical else 0, key[1], key[2],
             ))
 
     def invalidate_all(self) -> None:

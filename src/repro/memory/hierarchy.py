@@ -38,12 +38,12 @@ class MemoryHierarchy:
         the line's data is available.  A miss to a line already in flight
         merges with its fill (``mshr.merged_misses`` counts those)."""
         l1_latency = self._l1_latency
-        merged_completion = mshr.lookup(req.line_addr, now)
-        if merged_completion is not None:
+        merged, at = mshr.merge_or_start(req.line_addr, now)
+        if merged:
             floor = now + l1_latency
-            return merged_completion if merged_completion > floor else floor
+            return at if at > floor else floor
 
-        start = mshr.earliest_start(now) + l1_latency
+        start = at + l1_latency
         l2_hit, queued_start, l2_ready = self.l2.access(req, start)
         completion = (l2_ready if l2_hit
                       else self.dram.access(queued_start, req.warp_key[0]))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..obs.events import Ev
 
@@ -54,8 +54,11 @@ class MSHRFile:
             retired += 1
         del completions[:retired]
 
-    def lookup(self, line_addr: int, now: float) -> Optional[float]:
-        """Completion time of an in-flight fill of ``line_addr``, if any."""
+    def merge_or_start(self, line_addr: int, now: float) -> Tuple[bool, float]:
+        """A miss to ``line_addr`` at ``now``: ``(True, completion)`` when it
+        merges with the line's in-flight fill, else ``(False, start)``, the
+        earliest cycle a new fill may begin service (``now`` unless the
+        file is full: then the first in-flight completion)."""
         completions = self._completions
         if completions and completions[0][0] <= now:
             self._purge(now)
@@ -65,35 +68,21 @@ class MSHRFile:
             if self.obs is not None:
                 self.obs.emit((_EV_MSHR_MERGE, now, self.obs_owner,
                                line_addr, completion))
-        return completion
-
-    def earliest_start(self, now: float) -> float:
-        """Earliest time a new miss may begin service (capacity limit)."""
-        completions = self._completions
-        if completions and completions[0][0] <= now:
-            self._purge(now)
+            return True, completion
         if len(completions) < self._entries:
-            return now
+            return False, now
         self.stall_inducing_misses += 1
         free_at = completions[0][0] if completions else now
         if self.obs is not None:
             self.obs.emit((_EV_MSHR_FULL, now, self.obs_owner,
                            len(completions), free_at))
-        return free_at
-
-    def free_entries(self, now: float) -> int:
-        """Number of unoccupied MSHR entries at ``now``."""
-        completions = self._completions
-        if completions and completions[0][0] <= now:
-            self._purge(now)
-        free = self._entries - len(completions)
-        return free if free > 0 else 0
+        return False, free_at
 
     def next_free_time(self, now: float) -> float:
-        """Smallest ``t >= now`` with ``free_entries(t) > 0``.
+        """Smallest ``t >= now`` at which the file has a free entry.
 
         ``now`` while an entry is free.  Otherwise the file may be
-        *over*-subscribed: :meth:`earliest_start` delays a miss that finds
+        *over*-subscribed: :meth:`merge_or_start` delays a miss that finds
         the file full but :meth:`register` still admits it, so with
         ``entries + k`` fills in flight an entry frees only at the
         ``(k + 1)``-th completion, not the first.

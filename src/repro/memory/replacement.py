@@ -65,7 +65,8 @@ class ReplacementPolicy:
         """Promote a line on a hit."""
 
     def on_evict(self, line, req: MemRequest) -> None:
-        """Learn from an eviction (used by SHiP)."""
+        """Learn from an eviction (SHiP, CACP).  A cache does not call a
+        policy that keeps this no-op."""
 
 
 class LRUPolicy(ReplacementPolicy):

@@ -18,8 +18,8 @@ from .stalls import StallAccounting
 def register(subparsers: Any, common: Any) -> None:
     sub = subparsers.add_parser(
         "events",
-        help="record, summarize, and export observability event streams "
-        "(see docs/observability.md)",
+        help="summarize and export a cell's observability event stream, "
+        "recorded afresh (see docs/observability.md)",
     )
     events_sub = sub.add_subparsers(dest="events_command", required=True)
 

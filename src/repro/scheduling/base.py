@@ -13,15 +13,27 @@ def warp_key(warp: Warp) -> Tuple[int, int]:
     return warp.block.block_id, warp.warp_id_in_block
 
 
+def rotate(ready: List[Warp], last: Optional[Warp]) -> Warp:
+    """Round robin: the first candidate past ``last`` (the warp the slot
+    issued last), else the oldest."""
+    if last is not None:
+        last_id = last.dynamic_id
+        for warp in ready:
+            if warp.dynamic_id > last_id:
+                return warp
+    return ready[0]
+
+
 class WarpScheduler:
     """Selects which ready warp issues next on one SM scheduler slot.
 
     The SM calls :meth:`select` once per issue opportunity with the warps
     whose next instruction has all operands ready, and writes :attr:`last`
     when the selected warp issues.  A scheme is a filter plus a pick over
-    what the base keeps: :meth:`greedy` and :meth:`rotate` derive greedy
-    and round-robin order from :attr:`last`, and :attr:`warps` holds the
-    slot's resident warps (or the per-warp state ``TRACK`` builds).
+    what the base keeps: greedy order (``last`` if it is a candidate
+    again) and round-robin order (:func:`rotate`) derive from
+    :attr:`last`, and :attr:`warps` holds the slot's resident warps (or
+    the per-warp state ``TRACK`` builds).
 
     ``ready`` is in ascending ``dynamic_id`` (dispatch) order, so the
     oldest candidate is ``ready[0]``, an order-preserving filter of it is
@@ -65,22 +77,6 @@ class WarpScheduler:
         """Pick one warp from ``ready`` (non-empty, ascending
         ``dynamic_id``, read-only) to issue at ``now``."""
         raise NotImplementedError
-
-    def greedy(self, ready: List[Warp]) -> Optional[Warp]:
-        """The warp issued last, if it is a candidate again."""
-        last = self.last
-        return last if last in ready else None
-
-    def rotate(self, ready: List[Warp]) -> Warp:
-        """Round robin: the first candidate past the warp issued last,
-        else the oldest."""
-        last = self.last
-        if last is not None:
-            last_id = last.dynamic_id
-            for warp in ready:
-                if warp.dynamic_id > last_id:
-                    return warp
-        return ready[0]
 
     def notify_warp_added(self, warp: Warp) -> None:
         """Called when a block dispatch makes ``warp`` resident."""

@@ -24,7 +24,7 @@ from typing import List, Optional, Set, Tuple
 
 from ..obs.events import Ev
 from ..simt.warp import Warp, WarpStatus
-from .base import WarpScheduler, warp_key
+from .base import WarpScheduler, rotate, warp_key
 
 #: Every live warp's floor score; the cutoff is BASE_SCORE x live warps,
 #: so with no lost locality anywhere the prefix covers all warps and CCWS
@@ -143,4 +143,4 @@ class CCWSScheduler(WarpScheduler):
                 return None
         # Round-robin over the allowed warps (filtered in order, so still
         # ascending).
-        return self.rotate(pool)
+        return rotate(pool, self.last)

@@ -22,6 +22,7 @@ from .base import WarpScheduler
 #: oldest-first tie-break and gCAWS keeps GTO's working-set concentration.
 RATIO = 2.0
 _LOG_RATIO = math.log(RATIO)
+_log = math.log
 
 
 class GCAWSScheduler(WarpScheduler):
@@ -36,11 +37,15 @@ class GCAWSScheduler(WarpScheduler):
     DESCRIPTION = "CAWA's online CPL criticality priority + GTO greedy slice"
 
     def _bucket(self, warp: Warp) -> int:
-        # Criticality only outranks age once the warp's block is in its
-        # tail phase (at least half the warps already finished).  Early in
-        # a block every warp still has bulk work and the best schedule is
-        # GTO-style concentration; at the tail, the laggards' remaining
-        # latency is exactly the block's commit delay, so they get boosted.
+        """``warp``'s rank, from scratch — the definition :meth:`select`
+        computes inline.
+
+        Criticality only outranks age once the warp's block is in its
+        tail phase (at least half the warps already finished).  Early in
+        a block every warp still has bulk work and the best schedule is
+        GTO-style concentration; at the tail, the laggards' remaining
+        latency is exactly the block's commit delay, so they get boosted.
+        """
         block = warp.block
         if block.live_warps > max(1, block.num_warps // 2):
             return 0
@@ -50,5 +55,20 @@ class GCAWSScheduler(WarpScheduler):
         return int(math.log(criticality) / _LOG_RATIO) + 1
 
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
+        last = self.last
+        if last in ready:  # the greedy slice
+            return last
         # Highest bucket first; the first maximum is the oldest on ties.
-        return self.greedy(ready) or max(ready, key=self._bucket)
+        # Bucket 0 unless the block is in its tail phase (its flag, kept
+        # by the block) and the counter is at least 1.
+        best = ready[0]
+        top = 0
+        for warp in ready:
+            if warp.block.tail:
+                criticality = warp.criticality
+                if criticality >= 1.0:
+                    bucket = int(_log(criticality) / _LOG_RATIO) + 1
+                    if bucket > top:
+                        best = warp
+                        top = bucket
+        return best

@@ -18,4 +18,5 @@ class GTOScheduler(WarpScheduler):
     DESCRIPTION = "greedy-then-oldest: issue one warp until it stalls, then oldest"
 
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
-        return self.greedy(ready) or ready[0]  # oldest: dispatch order
+        last = self.last
+        return last if last in ready else ready[0]  # oldest: dispatch order

@@ -18,4 +18,11 @@ class LRRScheduler(WarpScheduler):
     DESCRIPTION = "loose round-robin: fair turns, criticality-oblivious baseline"
 
     def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
-        return self.rotate(ready)
+        # base.rotate, inlined: this select runs once per issue.
+        last = self.last
+        if last is not None:
+            last_id = last.dynamic_id
+            for warp in ready:
+                if warp.dynamic_id > last_id:
+                    return warp
+        return ready[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..simt.warp import Warp
-from .base import WarpScheduler
+from .base import WarpScheduler, rotate
 
 #: Warps per fetch group, by dynamic id.
 FETCH_GROUP_SIZE = 8
@@ -33,4 +33,4 @@ class TwoLevelScheduler(WarpScheduler):
         # ready, rotate to the group owning the oldest ready warp.
         last = self.last
         in_active = _in_group(ready, last) if last is not None else None
-        return self.rotate(in_active or _in_group(ready, ready[0]))
+        return rotate(in_active or _in_group(ready, ready[0]), last)

@@ -40,6 +40,12 @@ class ThreadBlock:
         self.dispatch_cycle: float = 0.0
         self.commit_cycle: Optional[float] = None
         self._finished_warps = 0
+        #: Live warps at or below which the block is in its *tail phase*
+        #: (half its warps, at least one, still running): gCAWS ranks a
+        #: warp by criticality only then.
+        self._tail_at = max(1, self.num_warps // 2)
+        #: Whether the block is in its tail phase; set as warps finish.
+        self.tail = self.num_warps <= self._tail_at
         self._barrier_waiting = 0
         #: Issues of this block's warps (CPL's verdict-refresh cadence).
         self.cpl_issues = 0
@@ -75,6 +81,8 @@ class ThreadBlock:
         # A finishing warp can also release a barrier the rest already
         # reached: the SM polls ``barrier_pending_release`` for that.
         self._finished_warps += 1
+        if self.num_warps - self._finished_warps <= self._tail_at:
+            self.tail = True
         if self._finished_warps == self.num_warps:
             self.commit_cycle = cycle
 

@@ -19,14 +19,16 @@ entries, a *ready pool* — the warps whose wake time has passed by the SM's
 next tick, as a list in ascending ``dynamic_id`` order, which is also the
 candidate list the scheduler is handed when nothing gates it — and the
 pool's *ungated* sub-list: the pooled warps whose next instruction needs no
-MSHR, which is the candidate list while the MSHRs are full.  ``tick_wake``
-only pops newly-awake warps, picks the list, and returns the SM's next wake
-along with whether it issued; ``next_wake_time`` answers the same question
-from scratch (a heap peek and two emptiness tests per slot).  See
-``docs/timing_model.md`` ("Event-driven issue loop") for the invariants;
-``tests/test_wake_queue.py`` checks every tick's candidate list, ungated
-sub-list, stored readiness and returned wake against a from-scratch scan of
-``warps``.
+MSHR, which is the candidate list while the MSHRs are full.  A warp whose
+next instruction needs an MSHR sleeps in the heap until the file has a
+free entry, so a full file costs no tick; a warp that issued and is ready
+next cycle stays pooled.  ``tick_wake`` only pops newly-awake warps, picks
+the list, and returns the SM's next wake along with whether it issued;
+``next_wake_time`` answers the same question from scratch (a heap peek and
+two emptiness tests per slot).  See ``docs/timing_model.md`` ("Event-driven
+issue loop") for the invariants; ``tests/test_wake_queue.py`` checks every
+tick's candidate list, ungated sub-list, stored readiness, heap entries and
+returned wake against a from-scratch scan of ``warps``.
 """
 
 from __future__ import annotations
@@ -235,19 +237,27 @@ class StreamingMultiprocessor:
         Pops newly-awake warps into the slot's ready pool (and, when their
         next instruction needs no MSHR, its ungated sub-list) and hands the
         scheduler one of the two lists, so per-tick cost is O(newly awake)
-        plus the scheduler's own walk: warps parked on full MSHRs are not
-        visited.  An issuing warp leaves the pool unless it is ungated and
-        ready again next cycle.
+        plus the scheduler's own walk.  A warp that needs an MSHR and pops
+        while the file is full goes back on the heap at the cycle an entry
+        frees instead: while the file is full no such warp issues, so no
+        fill is registered and that cycle cannot move earlier.  An issuing
+        warp ready again next cycle stays pooled (leaving or joining the
+        ungated sub-list as its next instruction needs); any other leaves
+        the pool, and is queued at its ``ready_at`` — or, if its next
+        instruction needs an MSHR, at the first cycle from then on that
+        the file has a free entry.
 
         ``next_wake`` is exactly what :meth:`next_wake_time` would answer
         after this tick, read off the heaps and lists the tick has just
-        handled (and the MSHR occupancy it already knows), so the skip loop
-        never asks twice.
+        handled (and the MSHR free time it already knows), so the skip
+        loop never asks twice.  The MSHR file is asked one question,
+        ``next_free_time(now)`` (``now`` while an entry is free), at most
+        once per tick and once more after each issue that walked it.
         """
         issued = False
-        mshr = self.mshr
+        next_free_time = self.mshr.next_free_time
         slots = self._slots
-        free_mshrs = -1  # computed lazily: only slots with candidates pay
+        free_at = -1.0  # next_free_time(now); negative while not known
         for scheduler, heap, pool, ungated in slots:
             while heap and heap[0][0] <= now:
                 warp = heappop(heap)[2]
@@ -255,48 +265,64 @@ class StreamingMultiprocessor:
                 if warp.status is not _RUNNING:
                     continue  # finished/barrier entry invalidated lazily
                 # The readiness stored at the warp's last issue (or its
-                # dispatch) is current, and it is what the entry was
-                # pushed with: nothing else moves it.
-                insort(pool, warp, key=_DISPATCH_ORDER)
-                if not warp._needs_mem:
+                # dispatch) is current: nothing else moves it.
+                if warp._needs_mem:
+                    if free_at < 0.0:
+                        free_at = next_free_time(now)
+                    if free_at > now:  # sleep until an entry frees
+                        warp._queued = True
+                        heappush(heap, (free_at, warp.dynamic_id, warp))
+                        continue
+                else:
                     insort(ungated, warp, key=_DISPATCH_ORDER)
+                insort(pool, warp, key=_DISPATCH_ORDER)
             if not pool:
                 continue
-            if free_mshrs < 0:
-                free_mshrs = mshr.free_entries(now)
-            # MSHRs full: only warps that need none are eligible; otherwise
-            # every pooled warp is (the common case) and the pool is the list.
-            ready = ungated if free_mshrs <= 0 else pool
-            if not ready:
-                continue
+            # Every pooled warp is a candidate unless some need an MSHR and
+            # the file is full: then only the ungated sub-list is.
+            if ungated == pool:  # no pooled warp needs an MSHR
+                ready = pool
+            else:
+                if free_at < 0.0:
+                    free_at = next_free_time(now)
+                ready = ungated if free_at > now else pool
+                if not ready:
+                    continue
             warp = scheduler.select(ready, now)
             if warp is None:
                 continue
             was_gated = warp._needs_mem
             self._issue(warp, scheduler, now)
             if was_gated:
-                free_mshrs = -1  # a global LD/ST moved MSHR occupancy
+                free_at = -1.0  # a global LD/ST moved MSHR occupancy
             issued = True
             # Re-queue unless the warp finished, parked at a barrier, or was
             # re-queued by a barrier release this very issue triggered; a
-            # warp ungated and ready next cycle just stays pooled.
-            requeue = warp.status is _RUNNING and not warp._queued
-            if requeue and warp.ready_at == now + 1 and not warp._needs_mem:
-                if was_gated:
-                    insort(ungated, warp, key=_DISPATCH_ORDER)
-                continue
+            # warp ready next cycle just stays pooled.
+            if warp.status is _RUNNING and not warp._queued:
+                wake = warp.ready_at
+                if wake == now + 1:
+                    if warp._needs_mem:
+                        if not was_gated:
+                            ungated.remove(warp)
+                    elif was_gated:
+                        insort(ungated, warp, key=_DISPATCH_ORDER)
+                    continue
+                if warp._needs_mem:
+                    if free_at < 0.0:
+                        free_at = next_free_time(now)
+                    if free_at > wake:
+                        wake = free_at
+                warp._queued = True
+                heappush(heap, (wake, warp.dynamic_id, warp))
             pool.remove(warp)
             if not was_gated:
                 ungated.remove(warp)
-            if requeue:
-                warp._queued = True
-                heappush(heap, (warp.ready_at, warp.dynamic_id, warp))
         # The next wake, as next_wake_time() derives it.  Pooled warps are
         # ready by the next tick, so an ungated one can issue then and
-        # gated ones when an MSHR frees (``free_mshrs`` is -1 when not
-        # known; next_free_time answers ``now`` while an entry is free).  A
-        # heap entry may be due already — a barrier release queues warps on
-        # slots this tick has passed — hence the clamp.
+        # gated ones when an MSHR frees.  A heap entry may be due already —
+        # a barrier release queues warps on slots this tick has passed —
+        # hence the clamp.
         wake = math.inf
         gated = False
         for _, heap, pool, ungated in slots:
@@ -307,9 +333,10 @@ class StreamingMultiprocessor:
             if heap and heap[0][0] < wake:
                 wake = heap[0][0]
         if gated:
-            mshr_wake = now if free_mshrs > 0 else mshr.next_free_time(now)
-            if mshr_wake < wake:
-                wake = mshr_wake
+            if free_at < 0.0:
+                free_at = next_free_time(now)
+            if free_at < wake:
+                wake = free_at
         return issued, wake if wake > now else now
 
     def _issue(self, warp: Warp, scheduler: WarpScheduler, now: float) -> None:
@@ -545,17 +572,20 @@ class StreamingMultiprocessor:
 
         A heap peek per slot plus two emptiness tests: pooled warps are
         operand-ready by the next tick, so an ungated one can issue then
-        (reported as ``now``) and the gated ones once an MSHR is free.  Warps
-        parked at a barrier sit in no structure and contribute nothing;
-        barrier releases and block commits only happen during one of this
-        SM's own issues.  Exact for scoreboard- and MSHR-gated warps
-        (:meth:`MSHRFile.next_free_time` accounts for over-subscription); an
-        operand-ready warp that lost arbitration or was declined by a
-        throttling scheduler reports ``now`` — an under-estimate the device
-        loop turns into a re-tick one cycle later.  Anything due earlier
-        than ``now`` is reported as ``now``: the loop clamps a wake into the
-        future anyway, and the clamped value is what :meth:`tick_wake` can
-        answer without walking its pools.
+        (reported as ``now``) and the gated ones once an MSHR is free.  A
+        heap entry is its warp's ``ready_at``, or for a warp whose next
+        instruction needs an MSHR, at most the first cycle from then on
+        that the file has a free entry.  Warps parked at a barrier sit in
+        no structure and contribute nothing; barrier releases and block
+        commits only happen during one of this SM's own issues.  Exact for
+        scoreboard- and MSHR-gated warps (:meth:`MSHRFile.next_free_time`
+        accounts for over-subscription); an operand-ready warp that lost
+        arbitration or was declined by a throttling scheduler reports
+        ``now`` — an under-estimate the device loop turns into a re-tick one
+        cycle later.  Anything due earlier than ``now`` is reported as
+        ``now``: the loop clamps a wake into the future anyway, and the
+        clamped value is what :meth:`tick_wake` can answer without walking
+        its pools.
         """
         wake = math.inf
         gated = False

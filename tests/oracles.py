@@ -250,7 +250,10 @@ class ReadySetOracle:
     end of every tick each slot's ungated sub-list must be its pool minus
     the warps whose next instruction needs an MSHR, in pool order, every
     pooled warp must be RUNNING, unqueued and ready by the next tick, and
-    every wake-heap entry must carry its warp's stored wake time.  At the end of
+    every wake-heap entry must carry its warp's stored wake time — or, for
+    a warp whose next instruction needs an MSHR, lie between that time and
+    the first cycle from it on at which the file, as it stands, has a free
+    entry (asleep until an entry frees, never later).  At the end of
     every tick the wake ``tick_wake`` returned must equal
     ``next_wake_time(now)`` — both clamped: never before ``now`` — and must
     not lie past the earliest from-scratch wake of any RUNNING warp.
@@ -303,7 +306,7 @@ class ReadySetOracle:
     def expected(self, slot, now):
         sm = self.sm
         num_slots = len(sm.schedulers)
-        free = sm.mshr.free_entries(now)
+        full = mshr_free_time(sm.mshr, now) > now
         ready = []
         for warp in sm.warps:
             if warp.status is not WarpStatus.RUNNING:
@@ -313,7 +316,7 @@ class ReadySetOracle:
             wake, needs_mem = readiness_from_scratch(warp)
             if wake > now:
                 continue
-            if needs_mem and free <= 0:
+            if needs_mem and full:
                 self.gated_full += 1
                 continue
             ready.append(warp)
@@ -336,11 +339,22 @@ class ReadySetOracle:
                 )
         for heap in sm._wake_heaps:
             for wake, _, warp in heap:
-                if warp.status is WarpStatus.RUNNING:
+                if warp.status is not WarpStatus.RUNNING:
+                    continue
+                if not warp._needs_mem:
                     assert wake == warp.ready_at, (
                         f"cycle {now}: warp {warp.dynamic_id} is queued for "
                         f"{wake} but ready at {warp.ready_at}"
                     )
+                    continue
+                # Gated: asleep until an MSHR frees, never past the first
+                # cycle from ready_at on that the file has a free entry.
+                free = mshr_free_time(sm.mshr, warp.ready_at)
+                assert warp.ready_at <= wake <= free, (
+                    f"cycle {now}: warp {warp.dynamic_id}, needing an MSHR, "
+                    f"is queued for {wake} but ready at {warp.ready_at} and "
+                    f"an entry is free at {free}"
+                )
 
     def _expect_skipped(self, upto, now):
         """Slots ``[_next_slot, upto)`` got no ``select`` call this tick."""
@@ -730,19 +744,14 @@ class HeapMSHR:
             if done is not None and done <= now:
                 del inflight[line_addr]
 
-    def lookup(self, line_addr, now):
+    def merge_or_start(self, line_addr, now):
         self._purge(now)
-        return self._inflight.get(line_addr)
-
-    def earliest_start(self, now):
-        self._purge(now)
+        completion = self._inflight.get(line_addr)
+        if completion is not None:
+            return True, completion
         if len(self._inflight) < self._entries:
-            return now
-        return self._completions[0][0] if self._completions else now
-
-    def free_entries(self, now):
-        self._purge(now)
-        return max(0, self._entries - len(self._inflight))
+            return False, now
+        return False, self._completions[0][0] if self._completions else now
 
     def next_free_time(self, now):
         self._purge(now)
@@ -765,13 +774,13 @@ class MSHRReferenceOracle(_LaunchOracle):
 
     Gives every SM's file a :class:`HeapMSHR` shadow and wraps the file's
     methods on the instance, before launch: each ``register`` is mirrored
-    into the shadow, and each answer of ``lookup``, ``earliest_start``,
-    ``free_entries`` and ``next_free_time`` must equal the shadow's to the
+    into the shadow, and each answer of ``merge_or_start`` and
+    ``next_free_time`` must equal the shadow's to the
     same call — the same cycles, so both retire the same fills, including
     at the LSU's per-line cycles, which run ahead of the SM's tick.
     """
 
-    QUERIES = ("lookup", "earliest_start", "free_entries", "next_free_time")
+    QUERIES = ("merge_or_start", "next_free_time")
 
     def __init__(self, gpu):
         super().__init__(gpu)

@@ -158,15 +158,16 @@ class TestDefaultPath:
             == sorted(workloads)
 
     def test_events_on(self, executions):
-        recorded, _ = record_events("bfs", "cawa", scale=SMALL)
-        replayed, _ = record_events("bfs", "cawa", scale=SMALL)
-        reference = _reference("bfs", "cawa", SMALL, bus=bus_from_spec("on"))
+        recorded, recorded_bus = record_events("bfs", "cawa", scale=SMALL)
+        replayed, replayed_bus = record_events("bfs", "cawa", scale=SMALL)
+        reference_bus = bus_from_spec("on")
+        reference = _reference("bfs", "cawa", SMALL, bus=reference_bus)
         assert (recorded.recorded, replayed.recorded) == (True, False)
         assert recorded.frontend == replayed.frontend == "trace"
         assert len(executions.passes) == 1
         assert signature(recorded) == signature(replayed) == signature(reference)
-        assert (recorded.extra["events_recorded"] == replayed.extra["events_recorded"]
-                == reference.extra["events_recorded"] > 0)
+        assert (recorded_bus.emitted == replayed_bus.emitted
+                == reference_bus.emitted > 0)
 
     def test_accuracy_and_reuse_observers(self):
         run_scheme("bfs", "rr", scale=SMALL)  # record

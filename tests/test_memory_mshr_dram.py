@@ -17,25 +17,32 @@ def req(line_addr, cycle=0.0):
                       make_signature(0, line_addr))
 
 
+def has_free_entry(mshr, t):
+    """Whether a new miss at ``t`` would start at once (no full-file
+    delay), asked of a copy: the query retires fills and counts stalls."""
+    return copy.deepcopy(mshr).merge_or_start(-128, t) == (False, t)
+
+
 class TestMSHR:
     def test_lookup_merges_inflight(self):
         mshr = MSHRFile(entries=4)
         mshr.register(0, completion=100.0)
-        assert mshr.lookup(0, now=50.0) == 100.0
+        assert mshr.merge_or_start(0, now=50.0) == (True, 100.0)
         assert mshr.merged_misses == 1
 
     def test_lookup_misses_completed(self):
         mshr = MSHRFile(entries=4)
         mshr.register(0, completion=100.0)
-        assert mshr.lookup(0, now=150.0) is None
+        assert mshr.merge_or_start(0, now=150.0) == (False, 150.0)
+        assert mshr.merged_misses == 0
 
     def test_full_detection(self):
         mshr = MSHRFile(entries=2)
         mshr.register(0, 100.0)
-        assert mshr.free_entries(0.0) == 1
+        assert has_free_entry(mshr, 0.0)
         mshr.register(128, 120.0)
-        assert mshr.free_entries(0.0) == 0
-        assert mshr.free_entries(101.0) == 1  # entry 0 completed
+        assert not has_free_entry(mshr, 0.0)
+        assert has_free_entry(mshr, 101.0)  # entry 0 completed
 
     def test_next_free_time(self):
         mshr = MSHRFile(entries=1)
@@ -44,16 +51,16 @@ class TestMSHR:
         assert mshr.next_free_time(5.0) == 100.0
 
     def test_next_free_time_when_over_subscribed(self):
-        # earliest_start delays a miss that finds the file full, but
+        # merge_or_start delays a miss that finds the file full, but
         # register still admits it: with entries + k fills in flight an
         # entry frees at the (k + 1)-th completion, not the first.
         mshr = MSHRFile(entries=2)
         for line, done in enumerate([100.0, 110.0, 120.0, 130.0]):
             mshr.register(line * 128, done)
         assert mshr.next_free_time(5.0) == 120.0
-        assert mshr.free_entries(110.0) == 0  # two fills done, still full
+        assert not has_free_entry(mshr, 110.0)  # two fills done, still full
         assert mshr.next_free_time(110.0) == 120.0
-        assert mshr.free_entries(120.0) == 1
+        assert has_free_entry(mshr, 120.0)
         assert mshr.next_free_time(125.0) == 125.0
 
     @settings(max_examples=200, deadline=None)
@@ -61,7 +68,7 @@ class TestMSHR:
         entries=st.integers(1, 4),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["register", "lookup", "earliest_start", "wait"]),
+                st.sampled_from(["register", "merge_or_start", "wait"]),
                 st.integers(0, 7),    # line index
                 st.integers(1, 40),   # fill latency / cycles waited
             ),
@@ -74,22 +81,19 @@ class TestMSHR:
         for op, line, amount in ops:
             if op == "register":  # admitted even when the file is full
                 mshr.register(line * 128, now + amount)
-            elif op == "lookup":
-                mshr.lookup(line * 128, now)
-            elif op == "earliest_start":
-                mshr.earliest_start(now)
+            elif op == "merge_or_start":
+                mshr.merge_or_start(line * 128, now)
             else:
                 now += amount
-            # free_entries purges, so probe future cycles on copies.
             candidates = [now] + sorted(t for t in mshr._inflight.values() if t > now)
-            expected = next(t for t in candidates
-                            if copy.deepcopy(mshr).free_entries(t) > 0)
+            expected = next(t for t in candidates if has_free_entry(mshr, t))
             assert mshr.next_free_time(now) == expected
 
     def test_earliest_start_throttles_when_full(self):
         mshr = MSHRFile(entries=1)
         mshr.register(0, 100.0)
-        assert mshr.earliest_start(10.0) == 100.0
+        assert mshr.merge_or_start(128, 10.0) == (False, 100.0)
+        assert mshr.stall_inducing_misses == 1
 
     def test_outstanding_count(self):
         mshr = MSHRFile(entries=8)

@@ -27,7 +27,7 @@ def run_checked(name="bfs", scheme="gto", scale=0.25):
 def test_the_oracle_checks_every_query():
     oracle, result = run_checked()
     assert set(oracle.queries) == set(MSHRReferenceOracle.QUERIES)
-    assert oracle.queries["lookup"] >= result.l1_stats.misses > 0
+    assert oracle.queries["merge_or_start"] >= result.l1_stats.misses > 0
     # The cell over-subscribes its files, so an entry frees at a later
     # completion than the first: the case a wrong position gets wrong.
     assert oracle.over_subscribed > 0
@@ -38,9 +38,9 @@ def test_the_heap_reference_answers_like_the_old_file():
     for line, done in enumerate([100.0, 110.0, 120.0, 130.0]):
         heap.register(line * 128, done)
     assert heap.next_free_time(5.0) == 120.0
-    assert heap.earliest_start(5.0) == 100.0
-    assert heap.lookup(128, 105.0) == 110.0
-    assert heap.free_entries(120.0) == 1
+    assert heap.merge_or_start(1024, 5.0) == (False, 100.0)
+    assert heap.merge_or_start(128, 105.0) == (True, 110.0)
+    assert heap.next_free_time(120.0) == 120.0
 
 
 def test_next_free_time_at_the_first_completion_is_named(monkeypatch):

@@ -56,7 +56,6 @@ def test_parity_grid(scheme, monkeypatch):
     baseline; event streams identical across the paths."""
     baseline = run_in_place(WORKLOAD, scheme, SCALE, GPUConfig.default_sim())
     assert baseline.frontend == "execute"
-    assert "events_recorded" not in baseline.extra
 
     streams = {}
     for frontend in ("execute", "trace"):
@@ -71,7 +70,9 @@ def test_parity_grid(scheme, monkeypatch):
         what = f"{scheme}/{frontend}"
         assert result.frontend == frontend, what
         assert_same_timing(result, baseline, what)
-        assert result.extra["events_recorded"] == bus.emitted > 0, what
+        assert bus.emitted > 0, what
+        # A result does not depend on whether a bus was attached.
+        assert result.extra == baseline.extra, what
         # Collectors saw the full stream.
         acct, profiler = collectors
         assert acct.issue_cycles() == result.warp_instructions, what
@@ -112,13 +113,15 @@ def test_stall_accounting_identity_on_real_run():
 def test_recording_runs_bypass_result_caches():
     """A recording simulates: a cached result could not carry its stream."""
     runner.clear_cache()
-    result, _ = record_events(WORKLOAD, "rr", scale=SCALE)
-    assert result.extra["events_recorded"] > 0
+    result, bus = record_events(WORKLOAD, "rr", scale=SCALE)
+    assert bus.emitted > 0
     assert runner._CACHE == {}
-    # The same cell without a bus is cacheable.
+    # The same cell without a bus is cacheable, and its result is the
+    # recording run's.
     off = runner.run_scheme(WORKLOAD, "rr", scale=SCALE)
-    assert "events_recorded" not in off.extra
     assert runner._CACHE
+    assert off.extra == result.extra
+    assert_same_timing(off, result, "rr")
 
 
 def test_gpu_takes_a_bus_never_a_spec():

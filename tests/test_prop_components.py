@@ -115,8 +115,10 @@ def test_prop_select_matches_its_min_max_formulation(scheduler_name, seed):
     now = 0.0
     for _ in range(rng.randint(1, 30)):
         now += rng.choice([0.0, 1.0, 40.0, 700.0])
-        # Tail phase for gCAWS: some warps of the block have finished.
-        block._finished_warps = rng.randrange(num_warps)
+        # Tail phase for gCAWS: some more warps of the block finish,
+        # counted the way the SM counts them (which sets the tail flag).
+        for _ in range(rng.randrange(num_warps - block._finished_warps)):
+            block.note_warp_finished(None, now)
         for warp in live:
             set_criticality(warp, rng.choice([0.0, 0.5, 1.0, 3.0, 64.0, 1e4]))
             warp.issued_instructions = rng.randint(0, 200)
@@ -183,7 +185,13 @@ class WayScanCache:
                 stats.critical_fill_evictions += 1
                 stats.critical_zero_reuse_evictions += line.reuse_count == 0
             self.policy.on_evict(line, req)
-        line.reset_for_fill(req.line_addr, req)
+        line.valid = True
+        line.line_addr = req.line_addr
+        line.reuse_count = 0
+        line.filled_by_critical = req.is_critical
+        line.fill_block, line.fill_warp = req.warp_key[1:]
+        line.c_reuse = line.nc_reuse = False
+        line.signature = req.signature
         line.in_critical_partition = way < self.policy.critical_ways
         self.policy.on_fill(line, req)
         return False
@@ -382,7 +390,7 @@ def test_prop_mshr_backpressure_and_merging(events):
 
     The MSHR permits transient registration bursts beyond capacity (a
     single warp instruction may touch many lines); the invariant is that
-    ``earliest_start`` pushes each excess registration behind an existing
+    ``merge_or_start`` pushes each excess registration behind an existing
     completion, so service start times are monotonically consistent with
     the backlog rather than the dict size being hard-bounded.
     """
@@ -392,11 +400,10 @@ def test_prop_mshr_backpressure_and_merging(events):
     for token, delay in events:
         now += 1.0
         line = token * 128
-        existing = mshr.lookup(line, now)
-        if existing is not None:
-            assert existing > now  # merged fills are still in flight
+        merged, start = mshr.merge_or_start(line, now)
+        if merged:
+            assert start > now  # merged fills are still in flight
             continue
-        start = mshr.earliest_start(now)
         assert start >= now
         if start > now:
             # Forced waits must never move backwards in time.
@@ -404,4 +411,5 @@ def test_prop_mshr_backpressure_and_merging(events):
             last_forced_start = start
         mshr.register(line, start + delay)
     # After all fills complete, the file drains completely.
-    assert mshr.free_entries(now + 1000.0) == 4
+    assert mshr.next_free_time(now + 1000.0) == now + 1000.0
+    assert mshr.outstanding == 0

@@ -16,7 +16,9 @@ import pytest
 
 from repro import GPU, GPUConfig, apply_scheme
 from repro.experiments.runner import clear_cache, run_scheme
-from repro.scheduling.base import WarpScheduler
+from repro.scheduling.base import rotate
+from repro.scheduling.gto import GTOScheduler
+from repro.scheduling.lrr import LRRScheduler
 from repro.scheduling.two_level import TwoLevelScheduler, _in_group
 from repro.workloads import make_workload, workload_names
 from tests.oracles import SelectReferenceOracle, SkipOracle
@@ -42,7 +44,7 @@ def test_the_oracle_checks_every_select(scheme):
 
 
 def test_rotate_must_skip_the_last_warp(monkeypatch):
-    def rotate_from_last(self, ready):
+    def rotate_from_last(self, ready, now):
         last = self.last
         if last is not None:
             for warp in ready:
@@ -50,20 +52,21 @@ def test_rotate_must_skip_the_last_warp(monkeypatch):
                     return warp
         return ready[0]
 
-    monkeypatch.setattr(WarpScheduler, "rotate", rotate_from_last)
+    monkeypatch.setattr(LRRScheduler, "select", rotate_from_last)
     with pytest.raises(AssertionError, match=r"select of SM\d slot \d \(lrr\)"):
         run_checked("rr")
 
 
 def test_greedy_must_test_membership(monkeypatch):
-    monkeypatch.setattr(WarpScheduler, "greedy", lambda self, ready: self.last)
+    monkeypatch.setattr(GTOScheduler, "select",
+                        lambda self, ready, now: self.last or ready[0])
     with pytest.raises(AssertionError, match=r"select of SM\d slot \d \(gto\)"):
         run_checked("gto")
 
 
 def test_two_level_must_keep_its_group(monkeypatch):
     def oldest_group(self, ready, now):
-        return self.rotate(_in_group(ready, ready[0]))
+        return rotate(_in_group(ready, ready[0]), self.last)
 
     monkeypatch.setattr(TwoLevelScheduler, "select", oldest_group)
     with pytest.raises(AssertionError, match=r"select of SM\d slot \d \(two_level\)"):

@@ -5,7 +5,13 @@ Examples::
 
     python tools/ab_replay.py ../parent .                  # 15 narrow cells, 6 reps
     python tools/ab_replay.py ../parent . --cells wide --reps 4
+    python tools/ab_replay.py ../parent . --cells paper --reps 5
     python tools/ab_replay.py . .                          # an A/A run: the noise floor
+
+``--cells paper`` times three cells at the paper's width — kmeans x cawa,
+kmeans x gto and bfs x cawa at scale 34 on the 15-SM ``fermi_gtx480()``
+device, three waves of blocks — where a replay costs seconds, not tenths:
+recording takes a few minutes and each rep a minute or more.
 
 Separate ledger runs of one commit disagree by more than most replay-kernel
 changes are worth: whole-process runs pick up a different host state each
@@ -41,14 +47,19 @@ import time
 from pathlib import Path
 
 #: The performance ledger's ``narrow_figs`` cells on the default 2-SM
-#: device: ``(workload, scheme, scale, num_sms)``.
+#: device: ``(workload, scheme, scale, device)``, where the device is
+#: ``None`` (``default_sim()``), an SM count (``default_sim(num_sms=N)``)
+#: or ``"gtx480"`` (``fermi_gtx480()``, the paper's Table 1).
 NARROW = tuple((w, s, 0.5, None)
                for w in ("bfs", "kmeans", "needle", "strcltr_small", "backprop")
                for s in ("rr", "gto", "cawa"))
 #: The ledger's ``wide_mem`` cells: 64- and 160-SM memory-stalled devices.
 WIDE = (("strcltr_mid", "rr", 4.0, 64), ("strcltr_mid", "cawa", 4.0, 64),
         ("synthetic_memstress", "gto", 6.0, 160))
-CELLS = {"narrow": NARROW, "wide": WIDE}
+#: Paper width: 15 SMs, three waves of blocks.
+PAPER = (("kmeans", "cawa", 34.0, "gtx480"), ("kmeans", "gto", 34.0, "gtx480"),
+         ("bfs", "cawa", 34.0, "gtx480"))
+CELLS = {"narrow": NARROW, "wide": WIDE, "paper": PAPER}
 SIDES = ("parent", "change")
 
 
@@ -73,14 +84,16 @@ class Side:
         result_cache.set_cache_dir(str(Path(scratch) / "cache" / name))
         self.programs = {}
 
-    def _config(self, num_sms):
+    def _config(self, device):
         GPUConfig = self.config.GPUConfig
-        return (GPUConfig.default_sim() if num_sms is None
-                else GPUConfig.default_sim(num_sms=num_sms))
+        if device == "gtx480":
+            return GPUConfig.fermi_gtx480()
+        return (GPUConfig.default_sim() if device is None
+                else GPUConfig.default_sim(num_sms=device))
 
     def record(self, cell):
-        workload, scheme, scale, num_sms = cell
-        base = self._config(num_sms)
+        workload, scheme, scale, device = cell
+        base = self._config(device)
         program = self.runner.load_or_record_program(workload, scheme, scale, base)
         self.programs[cell] = (program, self.cawa.apply_scheme(base, scheme))
 
@@ -98,8 +111,10 @@ class Side:
 
 
 def label(cell):
-    workload, scheme, scale, num_sms = cell
-    return f"{workload}/{scheme}@{scale}" + (f"x{num_sms}SM" if num_sms else "")
+    workload, scheme, scale, device = cell
+    if device == "gtx480":
+        return f"{workload}/{scheme}@{scale} on gtx480"
+    return f"{workload}/{scheme}@{scale}" + (f"x{device}SM" if device else "")
 
 
 def main() -> int:
