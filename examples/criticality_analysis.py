@@ -53,7 +53,7 @@ def main() -> None:
         rows,
     ))
     print(f"\nCPL would have identified the critical warp as a slow warp in "
-          f"{tracker.accuracy(result):.0%} of its periodic verdicts.")
+          f"{tracker.report(result):.0%} of its periodic verdicts.")
     print("This is the execution-time gap CAWA attacks: see "
           "examples/scheduler_comparison.py for the fix.")
 

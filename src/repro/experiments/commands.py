@@ -186,7 +186,9 @@ def cmd_cache_stats(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"{'store':<8} {'entries':>8} {'bytes':>12}  dir")
-    for name, info in payload.items():
+    results = payload["results"]
+    reports = dict(results["reports"], dir=results["dir"])
+    for name, info in (*payload.items(), ("reports", reports)):
         print(f"{name:<8} {info['entries']:>8} {info['bytes']:>12}  "
               f"{info['dir']}")
     return 0

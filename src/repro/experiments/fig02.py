@@ -27,7 +27,7 @@ def _block_profile(result, block_index: int = 0):
 def run(scale: float = 1.0, config=None, block_index: int = 0) -> Dict[str, List]:
     unbalanced = run_scheme("bfs", "rr", scale=scale, config=config)
     balanced = run_scheme("bfs", "rr", scale=scale, config=config,
-                          use_cache=False, balanced=True)
+                          balanced=True)
 
     _, warps_a = _block_profile(unbalanced, block_index)
     _, warps_b = _block_profile(balanced, block_index)

@@ -6,7 +6,7 @@ a 16KB 4-way/128B cache for the analysis.  We run the reuse-distance
 profiler on bfs's L1 access stream and report, per criticality class, the
 fraction of re-references whose stack distance exceeds that cache's line
 capacity (so they would miss).  The profiler is a collector on the cell's
-event bus (:func:`repro.obs.harness.record_events`).
+event bus; its report is cached (:func:`repro.experiments.runner.cell_report`).
 
 The same profiler data reproduces Figure 8's per-PC reuse breakdown (the
 memory instructions of the bfs kernel have very different reuse behaviour).
@@ -16,37 +16,13 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..obs.harness import record_events
 from ..stats.report import format_table
 from ..stats.reuse import ReuseDistanceProfiler
-
-#: The paper's footnote-1 analysis cache: 16KB, 4-way, 128B lines.
-ANALYSIS_CAPACITY_LINES = (16 * 1024) // 128
+from .runner import cell_report
 
 
 def run(scale: float = 1.0, config=None) -> Dict[str, object]:
-    profiler = ReuseDistanceProfiler()
-    record_events("bfs", "rr", scale=scale, config=config,
-                  collectors=(profiler,), events="ring:1")
-    per_pc = {
-        pc: {
-            "references": profile.references,
-            "rereferences": profile.rereferences,
-            "beyond_capacity": profile.fraction_beyond(ANALYSIS_CAPACITY_LINES),
-        }
-        for pc, profile in sorted(profiler.by_pc.items())
-        if profile.references > 50
-    }
-    return {
-        "critical_evicted_before_reuse": profiler.critical.fraction_beyond(
-            ANALYSIS_CAPACITY_LINES
-        ),
-        "noncritical_evicted_before_reuse": profiler.non_critical.fraction_beyond(
-            ANALYSIS_CAPACITY_LINES
-        ),
-        "critical_histogram": list(profiler.critical.histogram),
-        "per_pc": per_pc,
-    }
+    return cell_report("bfs", "rr", scale, config, ReuseDistanceProfiler)
 
 
 def render(data: Dict[str, object]) -> str:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..stats.accuracy import CriticalityAccuracyTracker
 from ..stats.report import format_table
 from ..workloads import SENS_WORKLOADS
-from .runner import run_scheme
+from .runner import cell_report
 
 
 def run(
@@ -20,13 +21,9 @@ def run(
     config=None,
     workloads: Optional[List[str]] = None,
 ) -> Dict[str, float]:
-    names = workloads or SENS_WORKLOADS
-    data = {}
-    for name in names:
-        result = run_scheme(name, "cawa", scale=scale, config=config,
-                            with_accuracy=True)
-        data[name] = result.extra["cpl_accuracy"]
-    return data
+    return {name: cell_report(name, "cawa", scale, config,
+                              CriticalityAccuracyTracker)
+            for name in workloads or SENS_WORKLOADS}
 
 
 def render(data: Dict[str, float]) -> str:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..obs.events import Ev
-from ..obs.harness import record_events
 from ..stats.disparity import critical_warp_of
+from .runner import cell_report
 
 _EV_CPL_VERDICT = int(Ev.CPL_VERDICT)
 
@@ -40,34 +40,28 @@ class PriorityTrace:
         }
         self.samples.setdefault((ev[2], ev[3]), []).append((ev[1], snapshot))
 
-
-def critical_trace(result, samples: Dict[Tuple[int, int], List]) -> List[Tuple[float, int]]:
-    """``(cycle, rank)`` of the eventually-critical warp of the first
-    multi-warp block of ``result`` that ``samples`` (a
-    :attr:`PriorityTrace.samples`) has samples of."""
-    for block in result.blocks:
-        if block.num_warps < 2:
-            continue
-        critical = critical_warp_of(block).warp_id_in_block
-        for key, block_samples in samples.items():
-            if key[1] != block.block_id:
+    def report(self, result) -> List[List]:
+        """The cell's Fig 12 trace: ``[cycle, rank]`` of the eventually-
+        critical warp of the first multi-warp block of ``result`` that has
+        samples."""
+        for block in result.blocks:
+            if block.num_warps < 2:
                 continue
-            points = [(cycle, snapshot[critical])
-                      for cycle, snapshot in block_samples if critical in snapshot]
-            if points:
-                return points
-            break
-    return []
+            critical = critical_warp_of(block).warp_id_in_block
+            for key, block_samples in self.samples.items():
+                if key[1] != block.block_id:
+                    continue
+                points = [[cycle, snapshot[critical]] for cycle, snapshot
+                          in block_samples if critical in snapshot]
+                if points:
+                    return points
+                break
+        return []
 
 
 def run(scale: float = 1.0, config=None, workload: str = "bfs") -> Dict[str, List]:
-    data = {}
-    for scheme in ("rr", "gcaws"):
-        trace = PriorityTrace()
-        result, _ = record_events(workload, scheme, scale=scale, config=config,
-                                  collectors=(trace,), events="ring:1")
-        data[scheme] = critical_trace(result, trace.samples)
-    return data
+    return {scheme: cell_report(workload, scheme, scale, config, PriorityTrace)
+            for scheme in ("rr", "gcaws")}
 
 
 def render(data: Dict[str, List]) -> str:

@@ -7,11 +7,13 @@ module stores serialized results as JSON files under ``.repro_cache/``.
 
 Key design:
 
-* The cache key hashes workload, scheme, scale, the accuracy-tracker flag,
-  the **full config fingerprint** (:meth:`repro.config.GPUConfig.fingerprint`
-  — every timing parameter except the issue-core selector, since both cores
-  are bit-identical), and the package version.  Any config or version change
-  therefore misses cleanly instead of returning stale numbers.
+* The cache key hashes workload, scheme, scale, the workload kwargs, the
+  **full config fingerprint** (:meth:`repro.config.GPUConfig.fingerprint`)
+  and the package version.  Any config or version change therefore misses
+  cleanly instead of returning stale numbers.
+* Collector reports (:func:`repro.experiments.runner.cell_report`) are
+  ``*.json`` entries beside the results, so :func:`clear` and :func:`gc`
+  cover them too; :func:`stats` counts them apart.
 * Entries are written atomically (temp file + ``os.replace`` via
   :mod:`repro.fslock`) so concurrent sweep workers — and the
   :mod:`repro.serve` executor processes — can share one cache directory
@@ -33,11 +35,11 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .. import __version__
 from .. import fslock
-from ..stats.counters import RunResult, result_from_dict
+from ..stats.counters import result_from_dict
 
 #: Environment variable overriding the cache directory.
 ENV_DIR = "REPRO_CACHE_DIR"
@@ -74,13 +76,14 @@ def cache_key(
     scheme: str,
     scale: float,
     config_fingerprint: str,
-    with_accuracy: bool = False,
+    workload_kwargs: Optional[dict] = None,
 ) -> str:
     """Deterministic key for one run cell.
 
     Hashes every input that changes the simulated outcome plus the package
     version, so upgrading the simulator or tweaking any config field
-    invalidates old entries.
+    invalidates old entries.  ``workload_kwargs`` as in
+    :func:`repro.trace.store.trace_key`.
     """
     payload = json.dumps(
         {
@@ -88,11 +91,12 @@ def cache_key(
             "scheme": scheme,
             "scale": scale,
             "config": config_fingerprint,
-            "with_accuracy": with_accuracy,
+            "kwargs": sorted((workload_kwargs or {}).items()),
             "version": __version__,
             "format": FORMAT_VERSION,
         },
         sort_keys=True,
+        default=str,
     )
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
     return f"{workload}-{scheme}-{digest}"
@@ -102,15 +106,16 @@ def _entry_path(key: str) -> Path:
     return cache_dir() / f"{key}.json"
 
 
-def load(key: str) -> Optional[RunResult]:
-    """Return the cached result for ``key``, or ``None`` on miss/corruption."""
+def load(key: str, decode: Callable[[Any], Any] = result_from_dict) -> Any:
+    """Return the cached entry for ``key`` as ``decode`` makes it from the
+    stored JSON (a result by default), or ``None`` on miss/corruption."""
     if not enabled():
         return None
     path = _entry_path(key)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        return result_from_dict(data)
+        return decode(data)
     except FileNotFoundError:
         return None
     except (OSError, ValueError, KeyError, TypeError):
@@ -122,12 +127,13 @@ def load(key: str) -> Optional[RunResult]:
         return None
 
 
-def store(key: str, result: RunResult) -> None:
-    """Persist ``result`` under ``key`` (atomic; safe across processes)."""
+def store(key: str, entry: Any) -> None:
+    """Persist the plain JSON ``entry`` (a result's ``to_dict()``, or a
+    report) under ``key`` (atomic; safe across processes)."""
     if not enabled():
         return
     try:
-        fslock.atomic_write_json(_entry_path(key), result.to_dict())
+        fslock.atomic_write_json(_entry_path(key), entry)
     except OSError:
         # A read-only or full filesystem must never break a simulation run.
         pass
@@ -148,11 +154,14 @@ def clear() -> int:
 
 
 def stats() -> dict:
-    """Entry count and byte total for the result-cache directory."""
+    """Result entry count and byte total of the result-cache directory, and
+    the same for its report entries under ``"reports"`` (their names carry
+    the collector after a dot; a result's name has no dot)."""
     directory = cache_dir()
-    out = fslock.dir_stats(directory, "*.json")
-    out["dir"] = str(directory)
-    return out
+    reports = fslock.dir_stats(directory, "*.*.json")
+    every = fslock.dir_stats(directory, "*.json")
+    return dict({name: every[name] - reports[name] for name in every},
+                reports=reports, dir=str(directory))
 
 
 def gc(

@@ -2,14 +2,14 @@
 
 Results are memoized at two levels:
 
-* **per process** keyed on (workload, scheme, scale, collector flags), because
-  several figures slice the same underlying sweep (e.g. Fig 9's IPC and
-  Fig 10's MPKI come from identical runs) — bounded, see :data:`_CACHE`;
+* **per process** keyed on the cell (workload, kwargs, scheme, scale,
+  config), because several figures slice the same underlying sweep (e.g.
+  Fig 9's IPC and Fig 10's MPKI come from identical runs) — bounded;
 * **on disk** under ``.repro_cache/`` (see
   :mod:`repro.experiments.result_cache`), so repeated benchmark/figure
-  invocations across processes skip re-simulation.  Disk entries are keyed
-  on the full config fingerprint plus the package version and invalidate
-  automatically when either changes.
+  invocations across processes skip re-simulation.  Disk entries add the
+  package version.  A collector's output is a cached report of the cell
+  (:func:`cell_report`), never part of its result.
 
 :func:`run_sweep` resolves a grid as one plan: cache hits, an alias simulated
 once, each missing trace recorded once, the rest spread over this process
@@ -19,9 +19,9 @@ A third layer sits under both: the persistent **trace** store
 (``.repro_cache/traces/``, keyed on the functional fingerprint only; see
 :mod:`repro.trace` and ``docs/trace_driven.md``).  A result-cache miss
 simulates the cell through :func:`simulate_cell`, the one routine that
-times a cell — :func:`repro.obs.harness.record_events` calls it too, so a
-cell's numbers cannot depend on who asked.  It looks in the trace store
-first.  A trace hit replays the recorded per-warp streams through the
+times a cell — :func:`cell_report` and
+:func:`repro.obs.harness.record_events` call it too.  It looks in the trace
+store first.  A trace hit replays the recorded per-warp streams through the
 timing model; a trace miss first makes the trace — build the workload,
 run the scheduler-free functional pass (:mod:`repro.trace.functional`),
 verify its outputs, store it — and then replays it like any other cell.  Timing is therefore always a replay, and
@@ -39,8 +39,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import hashlib
+import inspect
 import math
 import os
+import sys
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -49,7 +52,6 @@ from .. import trace as trace_mod
 from ..config import GPUConfig
 from ..core.cawa import apply_scheme
 from ..obs.bus import EventBus
-from ..stats.accuracy import CriticalityAccuracyTracker
 from ..stats.counters import RunResult, result_from_dict
 from ..stats.report import format_table
 from . import result_cache
@@ -62,7 +64,6 @@ from . import result_cache
 #: :data:`_CACHE_CAP` (the 17 figures share far fewer cells than that).
 _CACHE: "OrderedDict[Tuple, RunResult]" = OrderedDict()
 _CACHE_CAP = 512
-_ORACLE_CACHE: Dict[Tuple, Dict] = {}
 #: Cells :func:`simulate_cell` has simulated in this process.
 _simulated = 0
 
@@ -87,20 +88,20 @@ def _numbered(result: RunResult) -> RunResult:
 
 
 def _cache_keys(workload: str, scheme: str, scale: float, base: GPUConfig,
-                with_accuracy: bool = False,
                 use_cache: bool = True, persistent: bool = True,
                 **workload_kwargs) -> Tuple[Optional[Tuple], Optional[str]]:
-    """A :func:`run_scheme` call's memo and result-cache keys, ``None``
-    where it does not cache.  The config fingerprint is in the memo key, or
-    runs differing only in, say, sampling would share an entry."""
-    if not use_cache or workload_kwargs:
+    """A :func:`run_scheme` call's memo and result-cache keys (the cell's),
+    ``None`` where it does not cache.  The config fingerprint is in the memo
+    key, or runs differing only in, say, sampling would share an entry."""
+    if not use_cache:
         return None, None
-    key = (workload, scheme, scale, with_accuracy, base.fingerprint())
+    kwargs = repr(sorted(workload_kwargs.items()))  # values may not hash
+    key = (workload, scheme, scale, kwargs, base.fingerprint())
     if not persistent:
         return key, None
     return key, result_cache.cache_key(
         workload, scheme, scale, apply_scheme(base, scheme).fingerprint(),
-        with_accuracy)
+        workload_kwargs)
 
 
 def _lookup(key: Optional[Tuple], disk_key: Optional[str],
@@ -126,7 +127,7 @@ def _keep(key: Optional[Tuple], disk_key: Optional[str],
     if key is not None:
         _memoise(key, result)
     if disk_key is not None:
-        result_cache.store(disk_key, result)
+        result_cache.store(disk_key, result.to_dict())
 
 
 def _memoise(key: Tuple, result: RunResult) -> None:
@@ -155,21 +156,12 @@ def build_oracle(
     # ids.  Always profile exactly; sampled CAWS replays remap the full
     # oracle onto their subset (:func:`repro.sampling.replay.remap_oracle`).
     config = (config or GPUConfig.default_sim()).with_sampling("off")
-    # Per-warp times depend on the device profiled on and on the input, so
-    # the profiling config's fingerprint and the workload kwargs are part
-    # of the key (as in run_scheme's memo).
-    key = (workload, scale, config.fingerprint(),
-           tuple(sorted(workload_kwargs.items())))
-    if key in _ORACLE_CACHE:
-        return _ORACLE_CACHE[key]
+    # The profiling run is a cell of its own (device and input in its keys),
+    # so run_scheme's caches keep the profile.
     result = run_scheme(workload, "rr", scale=scale, config=config,
                         **workload_kwargs)
-    oracle: Dict[Tuple[int, int], float] = {}
-    for block in result.blocks:
-        for warp in block.warps:
-            oracle[(block.block_id, warp.warp_id_in_block)] = warp.execution_time
-    _ORACLE_CACHE[key] = oracle
-    return oracle
+    return {(block.block_id, warp.warp_id_in_block): warp.execution_time
+            for block in result.blocks for warp in block.warps}
 
 
 def scheme_oracle(
@@ -193,7 +185,6 @@ def run_scheme(
     scale: float = 1.0,
     config: Optional[GPUConfig] = None,
     check: bool = True,
-    with_accuracy: bool = False,
     use_cache: bool = True,
     persistent: bool = True,
     **workload_kwargs,
@@ -201,36 +192,52 @@ def run_scheme(
     """Run one (workload, scheme) cell and return its :class:`RunResult`.
 
     The caching shell around :func:`simulate_cell`, which times the cell.
-    ``with_accuracy`` attaches the Fig 11 CPL accuracy tracker as a
-    collector on an event bus; its score lands in ``result.extra``.  (Any
-    other collector, such as Fig 3's reuse-distance profiler, rides
-    :func:`repro.obs.harness.record_events`, which times the cell here too.)
-
-    ``persistent`` enables the on-disk result cache for plain runs (no
-    workload kwargs).  A result is plain data however it was made: its
-    ``blocks`` are :class:`~repro.stats.counters.BlockSummary` snapshots.
+    ``persistent`` enables the on-disk result cache.  A result is plain
+    data however it was made: its ``blocks`` are
+    :class:`~repro.stats.counters.BlockSummary` snapshots.
     """
     base = config or GPUConfig.default_sim()
-    key, disk_key = _cache_keys(workload, scheme, scale, base, with_accuracy,
-                                use_cache, persistent, **workload_kwargs)
+    key, disk_key = _cache_keys(workload, scheme, scale, base, use_cache,
+                                persistent, **workload_kwargs)
     cached = _lookup(key, disk_key, check)
     if cached is not None:
         return cached
-
-    bus = None
-    if with_accuracy:
-        # The tracker reads its records off an event bus whose own ring
-        # keeps a single record.
-        tracker = CriticalityAccuracyTracker()
-        bus = EventBus(capacity=1)
-        bus.attach(tracker)
-
     result = simulate_cell(workload, scheme, scale, base, check=check,
-                           bus=bus, **workload_kwargs)
-    if with_accuracy:
-        result.extra["cpl_accuracy"] = tracker.accuracy(result)
+                           **workload_kwargs)
     _keep(key, disk_key, result)
     return result
+
+
+def cell_report(workload: str, scheme: str, scale: float,
+                config: Optional[GPUConfig], collector_cls: type):
+    """``collector_cls()``'s plain-JSON ``report(result)`` of one cell,
+    cached beside its result (:func:`_report_suffix`).  A miss also keeps
+    the result under :func:`run_scheme`'s keys (a bus does not change it)."""
+    base = config or GPUConfig.default_sim()
+    key, disk_key = _cache_keys(workload, scheme, scale, base)
+    report_key = disk_key + _report_suffix(collector_cls)
+    cached = result_cache.load(report_key, lambda data: data["report"])
+    if cached is not None:
+        return cached
+    collector = collector_cls()
+    bus = EventBus(capacity=1)  # the collector keeps what it needs
+    bus.attach(collector)
+    result = simulate_cell(workload, scheme, scale, base, check=True, bus=bus)
+    report = collector.report(result)
+    result_cache.store(report_key, {"report": report})
+    _keep(key, disk_key, result)
+    return report
+
+
+@functools.lru_cache(maxsize=None)
+def _report_suffix(collector_cls: type) -> str:
+    """``.<module>.<Class>.<digest>``; the digest hashes the source of every
+    module defining ``collector_cls`` or a base, so an edit to a ``report``
+    (or to what it reads beside it) misses the cache."""
+    modules = dict.fromkeys(c.__module__ for c in collector_cls.__mro__[:-1])
+    source = "".join(inspect.getsource(sys.modules[m]) for m in modules)
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
+    return f".{collector_cls.__module__}.{collector_cls.__qualname__}.{digest}"
 
 
 def simulate_cell(
@@ -245,9 +252,9 @@ def simulate_cell(
 ) -> RunResult:
     """Simulate one (workload, scheme) cell under ``base``, uncached.
 
-    :func:`run_scheme` and :func:`repro.obs.harness.record_events` both
-    time a cell here, so they agree by construction.  ``bus`` (the event
-    bus, if any) is wired before the first launch.
+    :func:`run_scheme`, :func:`cell_report` and
+    :func:`repro.obs.harness.record_events` all time a cell here, so they
+    agree by construction.  ``bus`` is wired before the first launch.
 
     The cell replays the workload's stored trace, recorded first on a miss
     (``result.recorded``) — only its sampled subset under ``sampling !=
@@ -321,18 +328,15 @@ def load_or_record_program(workload: str, scheme: str, scale: float,
 
 
 #: ``run_scheme`` keyword parameters; anything else in ``run_sweep``'s
-#: ``**kwargs`` is a workload kwarg, which keeps a cell out of the result
-#: caches.
-_RUN_SCHEME_KWARGS = frozenset(
-    ("check", "with_accuracy", "use_cache", "persistent")
-)
+#: ``**kwargs`` is a workload kwarg, part of each cell's cache keys.
+_RUN_SCHEME_KWARGS = frozenset(("check", "use_cache", "persistent"))
 
 
 def _validate_sweep_kwargs(kwargs: Dict, workloads: List[str]) -> None:
     """Reject ``run_sweep`` kwargs that neither :func:`run_scheme` nor any
     swept workload constructor would accept.
 
-    Else a typo (``with_acuracy=True``) rides into every workload
+    Else a typo (``use_cahce=False``) rides into every workload
     constructor and fails, if at all, deep inside ``make_workload``.  A
     factory that cannot be introspected or takes ``**kwargs`` lets unknown
     names through (it is the authority then).
@@ -568,7 +572,7 @@ def run_sweep(
     """Run the full (workload x scheme) grid.
 
     Extra keyword arguments split two ways: names in
-    ``("check", "with_accuracy", "use_cache", "persistent")``
+    ``("check", "use_cache", "persistent")``
     forward to :func:`run_scheme` as options;
     anything else forwards as a workload constructor kwarg (e.g.
     ``balanced=True`` for bfs).  A name that is neither raises
@@ -614,15 +618,14 @@ def sweep_table(results: Dict[Cell, RunResult], workloads: List[str],
 
 
 def clear_cache(disk: bool = False) -> None:
-    """Drop everything memoized in this process: results, oracles and
-    decoded trace programs (tests use this for isolation).
+    """Drop everything memoized in this process: results and decoded trace
+    programs (tests use this for isolation).
 
     ``disk=True`` also wipes the persistent on-disk result cache *and* the
     trace store; by default only the in-process memoization is dropped so a
     deliberate cache warmup (e.g. from a sweep) survives.
     """
     _CACHE.clear()
-    _ORACLE_CACHE.clear()
     trace_mod.store.forget()
     if disk:
         result_cache.clear()

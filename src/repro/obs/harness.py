@@ -35,8 +35,9 @@ def record_events(
     ``events`` is the bus's buffer spec (:func:`~repro.obs.bus.parse_spec`:
     ``"on"`` or ``"ring:N"``); a spec that does not parse,
     or ``"off"``, raises :class:`~repro.errors.ConfigError`.  The result
-    is the one :func:`~repro.experiments.runner.run_scheme` returns for
-    the cell, provenance included.
+    equals :func:`~repro.experiments.runner.run_scheme`'s for the cell,
+    provenance included.  Nothing is cached; a collector's cached view of
+    a cell is :func:`~repro.experiments.runner.cell_report`'s.
 
     With ``config.sampling != "off"`` the bus observes the *sampled*
     replay: the stream covers only the selected subset (under renumbered

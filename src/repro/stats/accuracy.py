@@ -48,8 +48,8 @@ class CriticalityAccuracyTracker:
                 flagged[warp] = flagged.get(warp, 0) + 1
 
     # Post-run scoring ---------------------------------------------------
-    def accuracy(self, result) -> float:
-        """Fraction of samples in which the true critical warp was flagged.
+    def report(self, result) -> float:
+        """Fig 11: the fraction of samples flagging the true critical warp.
 
         Blocks with fewer than two warps are trivially predicted (the
         paper's footnote on needle: 100% accuracy when a block has only one

@@ -113,8 +113,7 @@ class RunResult:
 
     ``blocks`` holds a :class:`BlockSummary` per committed block, snapshot
     when the launch is collected, so disparity and criticality analyses
-    run after the fact on any result, fresh or loaded; ``extra`` carries
-    scalar observer outputs such as the Fig 11 CPL accuracy.
+    run after the fact on any result, fresh or loaded.
     :meth:`to_dict` / :meth:`from_dict` walk the fields, so a new field
     serializes with no edit here.
     """
@@ -180,7 +179,6 @@ class RunResult:
     verified: bool = False
     # The nested values come last, where stored payloads keep them.
     blocks: List[BlockSummary] = field(default_factory=list)
-    extra: Dict[str, object] = field(default_factory=dict)
 
     @property
     def ipc(self) -> float:
@@ -239,12 +237,11 @@ class RunResult:
     def from_dict(cls, data: Dict) -> "RunResult":
         """Rebuild a result from :meth:`to_dict`'s form.  A field the
         payload lacks (it predates the field) takes its default; a key no
-        field has (``clock`` of the retired per-cycle loop) is ignored."""
+        field has (retired ``clock`` or ``extra``) is ignored."""
         values = {f.name: data[f.name] for f in _STORED if f.name in data}
         values["l1_stats"] = _load_cache_stats(data["l1_stats"])
         values["l2_stats"] = _load_cache_stats(data["l2_stats"])
         values["blocks"] = [BlockSummary.from_dict(b) for b in data["blocks"]]
-        values["extra"] = dict(data.get("extra", {}))
         return cls(**values)
 
 

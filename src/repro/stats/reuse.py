@@ -24,6 +24,8 @@ _EV_CACHE_MISS = int(Ev.CACHE_MISS)
 #: Histogram bucket upper bounds (in distinct lines); the last bucket is
 #: unbounded and "no reuse" is tracked separately.
 BUCKETS = (8, 16, 32, 64, 128, 256, 512)
+#: The paper's footnote-1 analysis cache (Fig 3): 16KB, 4-way, 128B lines.
+ANALYSIS_CAPACITY_LINES = (16 * 1024) // 128
 
 
 @dataclass
@@ -96,6 +98,26 @@ class ReuseDistanceProfiler:
         while len(self._stack) > 65536:
             old, _ = self._stack.popitem(last=False)
             self._first_pc.pop(old, None)
+
+    def report(self, result) -> Dict[str, object]:
+        """Fig 3's numbers: the share of each class's re-references beyond
+        the analysis cache, the critical histogram, and per insertion PC
+        with over 50 references (Fig 8's companion) the same share."""
+        def beyond(profile: ReuseProfile) -> float:
+            return profile.fraction_beyond(ANALYSIS_CAPACITY_LINES)
+
+        return {
+            "critical_evicted_before_reuse": beyond(self.critical),
+            "noncritical_evicted_before_reuse": beyond(self.non_critical),
+            "critical_histogram": list(self.critical.histogram),
+            "per_pc": {
+                str(pc): {"references": profile.references,
+                          "rereferences": profile.rereferences,
+                          "beyond_capacity": beyond(profile)}
+                for pc, profile in sorted(self.by_pc.items())
+                if profile.references > 50
+            },
+        }
 
     def _distance(self, addr: int) -> int:
         # Position from the MRU end of the stack.

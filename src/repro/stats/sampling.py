@@ -307,8 +307,6 @@ def estimate_sampled_result(
         records_total=plan.total_records,
         records_replayed=plan.replayed_records,
     )
-    extra = dict(replay_result.extra)
-    extra["sampling_replay_fraction"] = info.replay_fraction
     return SampledRunResult(
         kernel_name=replay_result.kernel_name,
         scheme=replay_result.scheme,
@@ -319,7 +317,6 @@ def estimate_sampled_result(
         l2_stats=l2_hat,
         blocks=blocks,
         dram_accesses=dram_hat,
-        extra=extra,
         warp_size=replay_result.warp_size,
         frontend="trace",
         trace_id=replay_result.trace_id,

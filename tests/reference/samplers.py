@@ -14,8 +14,9 @@ what the ``CPL_VERDICT`` records carry; the priority sampler samples every
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
+from repro.experiments.fig12 import PriorityTrace
 from repro.sm.sm import StreamingMultiprocessor
 from repro.stats.accuracy import CriticalityAccuracyTracker, _BlockSamples
 
@@ -54,7 +55,7 @@ class IssueCounter:
 
 
 class AccuracySampler(CriticalityAccuracyTracker):
-    """Fig 11's tracker as it sampled: scored by the same ``accuracy``."""
+    """Fig 11's tracker as it sampled: scored by the same ``report``."""
 
     def __init__(self, sample_period: int = 64) -> None:
         super().__init__()
@@ -75,13 +76,13 @@ class AccuracySampler(CriticalityAccuracyTracker):
                 )
 
 
-class PriorityTraceSampler:
-    """Fig 12's priority tracer as it sampled: per-warp ranks."""
+class PriorityTraceSampler(PriorityTrace):
+    """Fig 12's priority tracer as it sampled: per-warp ranks, reported by
+    the same ``report``."""
 
     def __init__(self, sample_period: int = 32) -> None:
+        super().__init__()
         self._counter = IssueCounter(sample_period)
-        #: (sm, block) -> list of (cycle, {warp_id: rank})
-        self.samples: Dict[Tuple[int, int], List] = {}
 
     def on_issue(self, sm, warp, now) -> None:
         if not self._counter.due(sm, warp):

@@ -399,8 +399,8 @@ class TestEventsCommand:
         assert main(["events", "schema"]) == 0
         assert main(["cache", "stats"]) == 0
         stores = [line.split()[0] for line in
-                  capsys.readouterr().out.splitlines()[-2:]]
-        assert stores == ["results", "traces"]
+                  capsys.readouterr().out.splitlines()[-3:]]
+        assert stores == ["results", "traces", "reports"]
         assert not cache_dir().exists()
 
 

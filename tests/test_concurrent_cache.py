@@ -43,9 +43,9 @@ def _ctx():
 def _result_writer(cache_dir, seed, keys, rounds, errors):
     try:
         result_cache.set_cache_dir(cache_dir)
-        result = RunResult.from_dict(seed)
+        entry = RunResult.from_dict(seed).to_dict()
         for i in range(rounds):
-            result_cache.store(keys[i % len(keys)], result)
+            result_cache.store(keys[i % len(keys)], entry)
     except Exception:
         errors.put("writer: " + traceback.format_exc())
 
@@ -208,9 +208,9 @@ class TestGcSemantics:
     def test_gc_respects_max_entries(self, tmp_path):
         result_cache.set_cache_dir(tmp_path / "c")
         try:
-            result = run_scheme("synthetic_imbalance", "rr", scale=SCALE)
+            entry = run_scheme("synthetic_imbalance", "rr", scale=SCALE).to_dict()
             for i in range(5):
-                result_cache.store(f"k{i}", result)
+                result_cache.store(f"k{i}", entry)
             removed = result_cache.gc(max_entries=2)
             assert removed == 3
             assert result_cache.stats()["entries"] == 2
@@ -223,9 +223,9 @@ class TestGcSemantics:
 
         result_cache.set_cache_dir(tmp_path / "c")
         try:
-            result = run_scheme("synthetic_imbalance", "rr", scale=SCALE)
-            result_cache.store("old", result)
-            result_cache.store("new", result)
+            entry = run_scheme("synthetic_imbalance", "rr", scale=SCALE).to_dict()
+            result_cache.store("old", entry)
+            result_cache.store("new", entry)
             old_path = result_cache.cache_dir() / "old.json"
             past = time.time() - 3600
             os.utime(old_path, (past, past))
@@ -241,9 +241,9 @@ class TestGcSemantics:
 
         result_cache.set_cache_dir(tmp_path / "c")
         try:
-            result = run_scheme("synthetic_imbalance", "rr", scale=SCALE)
+            entry = run_scheme("synthetic_imbalance", "rr", scale=SCALE).to_dict()
             for i in range(4):
-                result_cache.store(f"k{i}", result)
+                result_cache.store(f"k{i}", entry)
             lock = fslock.lock_path(result_cache.cache_dir())
             with fslock.locked(lock):
                 # Another collector holds the lock: the non-blocking

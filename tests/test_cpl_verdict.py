@@ -101,18 +101,21 @@ def test_figs_11_and_12_match_the_per_issue_samplers(monkeypatch, workload, scal
                               collectors=(tracker, trace), events="ring:1")
 
     assert tracker._samples == accuracy_reference._samples
-    assert tracker.accuracy(result) == accuracy_reference.accuracy(result)
+    assert tracker.report(result) == accuracy_reference.report(result)
     assert trace.samples == {key: samples[1::2] for key, samples
                              in priority_reference.samples.items() if samples[1::2]}
-    ours = fig12.critical_trace(result, trace.samples)
-    assert ours and ours == fig12.critical_trace(result, priority_reference.samples)[1::2]
+    ours = trace.report(result)
+    assert ours and ours == priority_reference.report(result)[1::2]
 
 
 def test_fig11_cell_is_the_collectors_score(monkeypatch):
-    """``run_scheme(with_accuracy=True)`` scores the bus collector, and the
-    per-issue sampler agrees on the same cell."""
+    """Fig 11's cell report scores the bus collector, and the per-issue
+    sampler agrees on the same cell."""
     reference = AccuracySampler()
     on_every_issue(monkeypatch, reference)
-    result = runner.run_scheme("bfs", "cawa", scale=SMALL, with_accuracy=True,
-                               use_cache=False)
-    assert result.extra["cpl_accuracy"] == reference.accuracy(result)
+    accuracy = runner.cell_report("bfs", "cawa", SMALL, None,
+                                  CriticalityAccuracyTracker)
+    before = runner.cells_simulated()
+    result = runner.run_scheme("bfs", "cawa", scale=SMALL)  # the report's run
+    assert runner.cells_simulated() == before
+    assert accuracy == reference.report(result)

@@ -171,7 +171,9 @@ class TestDefaultPath:
 
     def test_accuracy_and_reuse_observers(self):
         run_scheme("bfs", "rr", scale=SMALL)  # record
-        replayed = run_scheme("bfs", "cawa", scale=SMALL, with_accuracy=True)
+        accuracy = runner.cell_report("bfs", "cawa", SMALL, None,
+                                      CriticalityAccuracyTracker)
+        replayed = run_scheme("bfs", "cawa", scale=SMALL)  # the report's run
         ours = ReuseDistanceProfiler()
         record_events("bfs", "cawa", scale=SMALL, collectors=(ours,),
                       events="ring:1")
@@ -183,7 +185,7 @@ class TestDefaultPath:
         reference = _reference("bfs", "cawa", SMALL, bus=bus)
         assert replayed.frontend == "trace"
         assert signature(replayed) == signature(reference)
-        assert replayed.extra["cpl_accuracy"] == tracker.accuracy(reference)
+        assert accuracy == tracker.report(reference)
         assert ours.critical == theirs.critical
         assert ours.non_critical == theirs.non_critical
         assert ours.by_pc == theirs.by_pc and ours.by_pc

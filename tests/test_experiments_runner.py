@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.experiments import result_cache, runner
+from repro.experiments.fig12 import PriorityTrace
 from repro.experiments.runner import (
     _dedupe,
     build_oracle,
@@ -12,6 +13,7 @@ from repro.experiments.runner import (
     sweep_table,
 )
 from repro.obs import record_events
+from repro.stats.accuracy import CriticalityAccuracyTracker
 from repro.stats.reuse import ReuseDistanceProfiler
 
 
@@ -41,15 +43,15 @@ class TestRunScheme:
         b = run_scheme("synthetic_imbalance", "gto", scale=SCALE)
         assert a is not b
 
-    def test_workload_kwargs_bypass_cache(self):
+    def test_workload_kwargs_key_the_cache(self):
         a = run_scheme("bfs", "rr", scale=SCALE)
         b = run_scheme("bfs", "rr", scale=SCALE, balanced=True)
         assert a is not b
 
     def test_accuracy_tracker_attaches(self):
-        result = run_scheme("synthetic_imbalance", "cawa", scale=SCALE,
-                            with_accuracy=True)
-        assert 0.0 <= result.extra["cpl_accuracy"] <= 1.0
+        accuracy = runner.cell_report("synthetic_imbalance", "cawa", SCALE,
+                                      None, CriticalityAccuracyTracker)
+        assert 0.0 <= accuracy <= 1.0
 
     def test_reuse_profiler_attaches(self):
         profiler = ReuseDistanceProfiler()
@@ -58,6 +60,76 @@ class TestRunScheme:
         assert profiler.critical.references + profiler.non_critical.references > 0
         assert result.cycles == run_scheme("synthetic_memstress", "rr",
                                            scale=SCALE).cycles
+
+
+class TestCellReport:
+    """``cell_report``: a collector's report of a cell, cached beside the
+    cell's result, which it does not change."""
+
+    CELL = ("synthetic_imbalance", "cawa", SCALE)
+
+    def _report(self):
+        return runner.cell_report(*self.CELL, None, PriorityTrace)
+
+    @staticmethod
+    def _entries():
+        return sorted(result_cache.cache_dir().glob(
+            f"*.{PriorityTrace.__qualname__}.*.json"))
+
+    def test_a_miss_keeps_the_result(self):
+        workload, scheme, scale = self.CELL
+        before = runner.cells_simulated()
+        report = self._report()
+        assert report and runner.cells_simulated() == before + 1
+        result = run_scheme(workload, scheme, scale=scale)
+        assert runner.cells_simulated() == before + 1
+        assert result.cell_serial == before + 1
+        runner.clear_cache()
+        assert run_scheme(workload, scheme, scale=scale) == result
+        assert runner.cells_simulated() == before + 1
+
+    def test_a_warm_report_simulates_nothing(self):
+        cold = self._report()
+        runner.clear_cache()
+        before = runner.cells_simulated()
+        assert self._report() == cold
+        assert runner.cells_simulated() == before
+
+    @pytest.mark.parametrize("corrupt", ["{not json", "[[1, 2]]"])
+    def test_a_corrupt_entry_is_a_miss(self, monkeypatch, corrupt):
+        cold = self._report()
+        [entry] = self._entries()
+        entry.write_text(corrupt, encoding="utf-8")
+        runner.clear_cache()
+        before = runner.cells_simulated()
+        # Nothing is stored again, so what is left on disk is the miss's doing.
+        monkeypatch.setattr(result_cache, "store", lambda key, entry: None)
+        assert self._report() == cold
+        assert runner.cells_simulated() == before + 1
+        assert not entry.exists()
+
+    def test_an_edited_collector_misses(self, monkeypatch):
+        cold = self._report()
+        runner.clear_cache()
+        source = runner.inspect.getsource
+        monkeypatch.setattr(runner.inspect, "getsource",
+                            lambda module: source(module) + "# edited\n")
+        runner._report_suffix.cache_clear()
+        before = runner.cells_simulated()
+        try:
+            assert self._report() == cold
+        finally:
+            runner._report_suffix.cache_clear()
+        assert runner.cells_simulated() == before + 1
+        assert len(self._entries()) == 2
+
+    def test_stats_count_reports_apart(self):
+        self._report()
+        stats = result_cache.stats()
+        assert stats["entries"] == 1
+        assert stats["reports"]["entries"] == 1
+        [entry] = self._entries()
+        assert stats["reports"]["bytes"] == entry.stat().st_size
 
 
 class TestMemoIsBounded:
@@ -151,9 +223,11 @@ class TestOracle:
         profiled = run_scheme("synthetic_imbalance", "rr", scale=SCALE, config=narrow)
         warp = profiled.blocks[0].warps[0]
         assert slow[(0, 0)] == warp.execution_time != default[(0, 0)]
-        # Sampling still shares one profile.
+        # Sampling still shares one profile: no second profiling run.
+        before = runner.cells_simulated()
         assert build_oracle("synthetic_imbalance", SCALE,
-                            narrow.with_sampling("blocks:0.5")) is slow
+                            narrow.with_sampling("blocks:0.5")) == slow
+        assert runner.cells_simulated() == before
 
     def test_oracle_profiles_the_workload_variant_being_run(self, monkeypatch):
         """Workload kwargs reach the profiling run: the oracle the caws
@@ -328,3 +402,17 @@ class TestFigureModules:
         from repro.experiments import tables
         assert "Table 1" in tables.table1()
         assert "Table 2" in tables.table2()
+
+
+def test_a_warm_figure_simulates_nothing():
+    """Figs 2, 3, 11 and 12 (workload kwargs, and reports of three
+    collectors) come back from the disk cache: a second pass with the memo
+    cleared simulates no cell and gives equal data."""
+    from repro.experiments import fig02, fig03, fig11, fig12
+
+    figures = (fig02, fig03, fig11, fig12)
+    cold = [figure.run(scale=SCALE) for figure in figures]
+    runner.clear_cache()
+    before = runner.cells_simulated()
+    assert [figure.run(scale=SCALE) for figure in figures] == cold
+    assert runner.cells_simulated() == before

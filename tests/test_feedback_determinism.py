@@ -60,7 +60,7 @@ class TestSignalStreamFast:
         assert sum(1 for r in exec_signals if r[0] == int(Ev.CACHE_MISS)
                    and r[3] == LEVEL_L1D) == exec_result.l1_stats.misses
 
-    def test_in_place_and_stored_identical(self, monkeypatch):
+    def test_replay_under_skip_oracle_matches_plain_gpu(self, monkeypatch):
         # A throttling consumer, fed between ticks, replayed under the
         # oracle: the stream matches the plain GPU's and no cycle the
         # device loop skipped could have issued.

@@ -24,13 +24,13 @@ def has_free_entry(mshr, t):
 
 
 class TestMSHR:
-    def test_lookup_merges_inflight(self):
+    def test_merge_or_start_merges_inflight(self):
         mshr = MSHRFile(entries=4)
         mshr.register(0, completion=100.0)
         assert mshr.merge_or_start(0, now=50.0) == (True, 100.0)
         assert mshr.merged_misses == 1
 
-    def test_lookup_misses_completed(self):
+    def test_merge_or_start_starts_after_completion(self):
         mshr = MSHRFile(entries=4)
         mshr.register(0, completion=100.0)
         assert mshr.merge_or_start(0, now=150.0) == (False, 150.0)
@@ -89,7 +89,7 @@ class TestMSHR:
             expected = next(t for t in candidates if has_free_entry(mshr, t))
             assert mshr.next_free_time(now) == expected
 
-    def test_earliest_start_throttles_when_full(self):
+    def test_merge_or_start_throttles_when_full(self):
         mshr = MSHRFile(entries=1)
         mshr.register(0, 100.0)
         assert mshr.merge_or_start(128, 10.0) == (False, 100.0)

@@ -71,8 +71,6 @@ def test_parity_grid(scheme, monkeypatch):
         assert result.frontend == frontend, what
         assert_same_timing(result, baseline, what)
         assert bus.emitted > 0, what
-        # A result does not depend on whether a bus was attached.
-        assert result.extra == baseline.extra, what
         # Collectors saw the full stream.
         acct, profiler = collectors
         assert acct.issue_cycles() == result.warp_instructions, what
@@ -120,7 +118,6 @@ def test_recording_runs_bypass_result_caches():
     # recording run's.
     off = runner.run_scheme(WORKLOAD, "rr", scale=SCALE)
     assert runner._CACHE
-    assert off.extra == result.extra
     assert_same_timing(off, result, "rr")
 
 

@@ -198,7 +198,9 @@ class TestKeyInvalidation:
         base = result_cache.cache_key(WL, "rr", 1.0, fp)
         assert result_cache.cache_key(WL, "rr", 0.5, fp) != base
         assert result_cache.cache_key(WL, "gto", 1.0, fp) != base
-        assert result_cache.cache_key(WL, "rr", 1.0, fp, with_accuracy=True) != base
+        assert result_cache.cache_key(WL, "rr", 1.0, fp, {"seed": 3}) != base
+        assert (result_cache.cache_key(WL, "rr", 1.0, fp, {"seed": 3, "balanced": True})
+                == result_cache.cache_key(WL, "rr", 1.0, fp, {"balanced": True, "seed": 3}))
 
     def test_stale_version_entry_misses(self, monkeypatch):
         run_scheme(WL, "rr", scale=SCALE)  # populate under current version
@@ -270,7 +272,7 @@ class TestRobustness:
         assert not list(result_cache.cache_dir().glob("*.json"))
 
     def test_non_cacheable_runs_do_not_touch_disk(self):
-        run_scheme("bfs", "rr", scale=SCALE, balanced=True)  # workload kwargs
+        run_scheme("bfs", "rr", scale=SCALE, use_cache=False, balanced=True)
         run_scheme(WL, "rr", scale=SCALE, persistent=False)
         assert not list(result_cache.cache_dir().glob("*.json"))
 

@@ -24,6 +24,7 @@ from repro.sampling import (
     profile_program,
     subsample_program,
 )
+from repro.stats.counters import result_from_dict
 from repro.stats.sampling import SampledRunResult
 
 from tests.conftest import record_once
@@ -242,7 +243,8 @@ class TestSampledRun:
         assert info.rate == 0.5
         assert 0 < info.sampled_blocks <= info.total_blocks
         assert 0.0 < info.replay_fraction <= 1.0
-        assert result.extra["sampling_replay_fraction"] == info.replay_fraction
+        assert result_from_dict(result.to_dict()).info.replay_fraction \
+            == info.replay_fraction
         # Functional totals are exact by construction.
         assert result.ci["warp_instructions"].method == "exact"
         assert result.ci["warp_instructions"].lo == result.warp_instructions

@@ -58,9 +58,9 @@ def test_runner_and_harnesses_agree(scheme):
     events, bus = record_events(WORKLOAD, scheme, scale=SCALE)
     signals, _ = record_signals(WORKLOAD, scheme, scale=SCALE)
     assert bus.emitted > 0
-    assert signature(events) == signature(exact)
-    assert signature(signals) == signature(exact)
-    assert exact.verified and events.verified and signals.verified
+    # Whole results: a bus changes nothing a result holds.
+    assert events == exact and signals == exact
+    assert exact.verified
 
 
 def test_sampled_estimates_agree():

@@ -86,7 +86,7 @@ class TestSkipParityFast:
     barrier, divergence and dispatch-wave paths."""
 
     @pytest.mark.parametrize("scheme", GRID_SCHEMES)
-    def test_in_place(self, oracles, scheme):
+    def test_plain_gpu(self, oracles, scheme):
         _assert_checked(oracles, _plain("synthetic_imbalance", scheme))
 
     @pytest.mark.parametrize("scheme", GRID_SCHEMES)

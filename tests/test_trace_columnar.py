@@ -360,7 +360,7 @@ def test_recorder_refuses_masks_wider_than_the_columns():
         trace_mod.TraceRecorder(GPUConfig.default_sim(warp_size=128))
 
 
-def test_in_place_reference_never_consults_the_store(config, monkeypatch):
+def test_plain_gpu_reference_never_consults_the_store(config, monkeypatch):
     """What the parity tests compare replays with is not a replay."""
     for name in ("load_program", "store_program", "replay_program"):
         monkeypatch.setattr(trace_mod, name, lambda *a, **k: pytest.fail(name))

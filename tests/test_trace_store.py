@@ -20,6 +20,7 @@ from repro import trace as trace_mod
 from repro.config import GPUConfig
 from repro.errors import TraceFormatError, TraceMismatchError
 from repro.experiments import runner
+from repro.stats.accuracy import CriticalityAccuracyTracker
 from repro.stats.counters import RunResult, result_from_dict
 from repro.trace.format import (
     TRACE_FORMAT_VERSION,
@@ -331,7 +332,7 @@ class TestRunnerIntegration:
         assert second.frontend == "trace" and not second.recorded
         assert second.trace_id == first.trace_id
 
-    def test_replay_matches_in_place(self, config):
+    def test_replay_matches_plain_gpu(self, config):
         """The runner replays; ``run_in_place`` is the reference that never
         touches the store."""
         runner.run_scheme("bfs", "rr", scale=SCALE, config=config,
@@ -348,11 +349,11 @@ class TestRunnerIntegration:
     def test_accuracy_observer_rides_replay(self, config):
         runner.run_scheme("bfs", "rr", scale=SCALE, config=config,
                           use_cache=False, persistent=False)  # record
-        rep = runner.run_scheme("bfs", "cawa", scale=SCALE, config=config,
-                                with_accuracy=True,
-                                use_cache=False, persistent=False)
-        assert rep.frontend == "trace"
-        assert "cpl_accuracy" in rep.extra
+        accuracy = runner.cell_report("bfs", "cawa", SCALE, config,
+                                      CriticalityAccuracyTracker)
+        rep = runner.run_scheme("bfs", "cawa", scale=SCALE, config=config)
+        assert rep.frontend == "trace" and not rep.recorded
+        assert 0.0 <= accuracy <= 1.0
 
     def test_clear_cache_disk_wipes_traces(self, config):
         runner.run_scheme("bfs", "rr", scale=SCALE, config=config,
