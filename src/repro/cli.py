@@ -8,7 +8,9 @@ shared cell options through ``common`` (:class:`CellOptions`).  Adding a
 command edits its package, never this module; a package deleted takes its
 commands with it.  Handlers take the parsed arguments and return the exit
 code; ``args.config`` is the :class:`~repro.config.GPUConfig` that
-``--fermi`` picks.
+``--fermi`` picks.  A trace refused at record, load or replay
+(:class:`~repro.errors.TraceError`) ends any command with exit code 2 and
+``error: <message>`` on stderr.
 
 ``python -m repro --help`` lists the commands; README.md shows them at
 work.
@@ -24,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .config import GPUConfig
 from .core.cawa import SCHEMES
+from .errors import TraceError
 from .workloads import positive_scale, workload_names
 
 
@@ -113,7 +116,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.config = (GPUConfig.fermi_gtx480() if getattr(args, "fermi", False)
                    else GPUConfig.default_sim())
     handler: Callable[[Any], int] = args.handler
-    return handler(args)
+    try:
+        return handler(args)
+    except TraceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

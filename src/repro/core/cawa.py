@@ -25,13 +25,11 @@ SCHEMES: Dict[str, tuple] = {
     "rr+cacp": ("lrr", True),
     "gto+cacp": ("gto", True),
     "two_level+cacp": ("two_level", True),
-    # CCWS throttles on its SM's L1 cache records (docs/schemes.md).
-    "ccws": ("ccws", False),
 }
 
 _CODESIGN_REMOVED = (
     "the co-design scheme measured at or below GTO on the Table 2 "
-    "workloads (EXPERIMENTS.md, finding E); use 'gto' or 'ccws'"
+    "workloads (EXPERIMENTS.md, finding E); use 'gto'"
 )
 
 #: Scheme names that are no longer modeled -> why; ``apply_scheme``
@@ -43,6 +41,9 @@ REMOVED_SCHEMES: Dict[str, str] = {
     "(EXPERIMENTS.md, Ablations); use 'cawa'",
     "ciao": _CODESIGN_REMOVED,
     "wasp": _CODESIGN_REMOVED,
+    "ccws": "the locality throttle is not a scheme the paper evaluates, and "
+    "its geomean measured within 3% of GTO's on the Table 2 workloads "
+    "(EXPERIMENTS.md, finding E); use 'gto'",
 }
 
 

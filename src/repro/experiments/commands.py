@@ -1,4 +1,4 @@
-"""``repro list | run | sweep | profile | figure | tables | schemes | cache``:
+"""``repro list | run | sweep | profile | figure | tables | cache``:
 the experiment harness's commands (registered by :mod:`repro.cli`)."""
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import json
 import sys
 
 from ..core.cawa import REMOVED_SCHEMES, SCHEMES
+from ..scheduling.registry import SCHEDULERS
 from ..stats.report import format_table
 from ..workloads import NON_SENS_WORKLOADS, SENS_WORKLOADS, workload_names
 from . import FIGURES, runner
@@ -67,10 +68,6 @@ def register(subparsers, common) -> None:
     common.fermi(sub)
     sub.set_defaults(handler=cmd_tables)
 
-    sub = subparsers.add_parser(
-        "schemes", help="list registered schedulers and their feedback subscriptions")
-    sub.set_defaults(handler=cmd_schemes)
-
 
 def _known(kind: str, name: str, known, removed=None) -> str:
     """``name`` if it is in ``known``; else the argparse error naming it
@@ -102,10 +99,10 @@ def cmd_list(args) -> int:
         print(f"  {name:<16} [Sens]")
     for name in NON_SENS_WORKLOADS:
         print(f"  {name:<16} [Non-sens]")
-    print("\nSchemes:")
+    print("\nSchemes (name, scheduler [+ CACP], what the scheduler does):")
     for scheme, (scheduler, cacp) in SCHEMES.items():
-        cacp_note = " + CACP" if cacp else ""
-        print(f"  {scheme:<16} scheduler={scheduler}{cacp_note}")
+        pick = scheduler + (" + CACP" if cacp else "")
+        print(f"  {scheme:<16} {pick:<17} {SCHEDULERS[scheduler].DESCRIPTION}")
     print(f"\nFigures: {', '.join(str(f) for f in FIGURES)} (plus 'tables')")
     return 0
 
@@ -244,22 +241,3 @@ def cmd_tables(args) -> int:
     print(tables.table2())
     return 0
 
-
-def cmd_schemes(args) -> int:
-    from ..obs.events import Ev
-    from ..scheduling.registry import SCHEDULERS
-
-    print("Registered warp schedulers (see docs/schemes.md):")
-    for name in sorted(SCHEDULERS):
-        scheduler = SCHEDULERS[name]
-        if name != scheduler.name:
-            print(f"  {name:<10} alias of {scheduler.name}")
-            continue
-        kinds = scheduler.FEEDBACK_KINDS
-        subscription = (
-            "subscribes: " + ",".join(Ev(k).name for k in kinds)
-            if kinds else "no feedback subscription"
-        )
-        print(f"  {name:<10} {scheduler.DESCRIPTION}")
-        print(f"  {'':<10} {subscription}")
-    return 0

@@ -1,9 +1,9 @@
 """One-call recording of a cell's cache records.
 
 :func:`record_signals` is :func:`repro.obs.harness.record_events` filtered
-to the three cache decisions schedulers subscribe to: miss, fill and
-eviction, at both levels.  Kept in its own module (exported lazily from
-``repro.feedback``) because it imports the GPU and the experiment runner.
+to the three cache decisions: miss, fill and eviction, at both levels.
+Kept in its own module (exported lazily from ``repro.feedback``) because
+it imports the GPU and the experiment runner.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from ..config import GPUConfig
 from ..core.cacp import CACPPolicy
 from ..core.cpl import CriticalityPredictor
 from ..errors import DeadlockError, LaunchError, TraceMismatchError
-from ..feedback import l1_sink
 from ..memory.data import GlobalMemory
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.replacement import make_policy
@@ -113,10 +112,6 @@ class GPU:
             from ..obs.bus import wire_gpu
 
             wire_gpu(self, obs)
-        # Scheduler–cache co-design coupling (repro.feedback): each L1's
-        # records go to its subscribing schedulers, then the bus.
-        for sm in self.sms:
-            sm.l1d.obs = l1_sink(sm.schedulers, obs)
 
     # ------------------------------------------------------------------
     def _scheduler_factory(self):
@@ -234,9 +229,8 @@ class GPU:
         retunes are issue- and access-indexed, not cycle-indexed.  The one
         cross-SM waker is block dispatch after a commit, which refreshes
         the entry of every SM that received warps.  A wake may
-        *under*-estimate (a scheduler declining its ready set): the SM
-        ticks without issuing and is rescheduled one cycle later.  It must
-        never *over*-estimate.
+        *under*-estimate: the SM ticks without issuing and is rescheduled
+        one cycle later.  It must never *over*-estimate.
         ``tests/oracles.py::SkipOracle`` checks both halves of that claim
         on every tick — no warp of the SM could have issued since its last
         tick, and nothing but a dispatch changed the SM in between — and

@@ -16,10 +16,8 @@ set's :class:`CacheLine` objects are made at its first fill — a wide device
 builds hundreds of caches, most of whose sets a small kernel never touches.
 
 What a probe, fill or eviction did reaches the rest of the simulator as
-one record per decision, handed to the cache's one sink (``obs``): the
-event bus, or an L1's scheduler fan-out (:mod:`repro.feedback`), which
-passes each record on to the bus.  The reuse-distance profiler (Fig 3) is
-an event-bus collector; CCWS reads the same records.
+one record per decision, handed to the cache's event bus (``obs``).  The
+reuse-distance profiler (Fig 3) is an event-bus collector.
 """
 
 from __future__ import annotations
@@ -54,8 +52,7 @@ class CacheLine:
     reuse_count: int = 0
     filled_by_critical: bool = False
     # Warp attribution of the fill (``req.warp_key[1:]``): lets eviction
-    # records name the *victim's* owner (CCWS victim tag arrays).  -1 when
-    # unattributed.
+    # records name the *victim's* owner.  -1 when unattributed.
     fill_block: int = -1
     fill_warp: int = -1
     # CACP per-line flags (Algorithm 4).
@@ -121,9 +118,8 @@ class Cache:
         #: Valid ways per set; a set at ``config.ways`` has no invalid way.
         self._valid_ways: List[int] = [0] * config.sets
         self.stats = CacheStats()
-        #: The sink of the cache's records — the event bus (``repro.obs``),
-        #: an L1's scheduler fan-out (:func:`repro.feedback.l1_sink`) or
-        #: ``None``, the disabled cost being one pointer test per record.
+        #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.  The
+        #: disabled cost is one pointer test per record.
         self.obs = None
         #: SM id stamped on records, or -1 to derive it from the request's
         #: ``warp_key`` (the shared L2 serves every SM).
@@ -169,9 +165,8 @@ class Cache:
         stats.misses += 1
         obs = self.obs
         if obs is not None:
-            # Emitted *before* the fill so a subscriber probes its victim
-            # tag state as it stood when the miss was detected (the fill's
-            # own eviction lands after this record).
+            # Emitted *before* the fill: the fill's own eviction record
+            # follows the miss that caused it.
             key = req.warp_key
             owner = self.owner
             obs.emit((

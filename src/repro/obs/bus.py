@@ -141,12 +141,12 @@ def bus_from_spec(spec: str) -> Optional[EventBus]:
 # Wiring
 # ----------------------------------------------------------------------
 def wire_gpu(gpu, bus: EventBus) -> None:
-    """Point every probe on the device at ``bus``: per SM (SM, LSU, MSHR,
-    CPL, CACP) and on the shared hierarchy (L2 banks + tag array, DRAM
-    channel).  Each L1D's sink is :func:`repro.feedback.l1_sink`'s to
-    decide: the bus, or a scheduler fan-out in front of it."""
+    """Point every probe on the device at ``bus``: per SM (SM, L1D, LSU,
+    MSHR, CPL, CACP) and on the shared hierarchy (L2 banks + tag array,
+    DRAM channel)."""
     for sm in gpu.sms:
         sm.obs = bus
+        sm.l1d.obs = bus
         sm.lsu.obs = bus
         sm.mshr.obs = bus
         sm.mshr.obs_owner = sm.sm_id

@@ -16,8 +16,8 @@ lists below are a contract checked by :func:`validate_events` and
 rendered by :mod:`repro.obs.export`.  Extending the schema means
 appending new kinds or new trailing fields and bumping the version.  v2 appended warp
 attribution to the cache miss / fill / evict records: they are the one
-record of a cache decision, read by the bus collectors and by the
-co-design schedulers alike (:mod:`repro.feedback`).  v3 added
+record of a cache decision (:func:`repro.feedback.record_signals` keeps
+them).  v3 added
 ``CPL_VERDICT``, the one record of CPL's periodic slow-warp verdicts (the
 Fig 11 and Fig 12 collectors read it); its ``warps`` field is the one
 nested field of the schema.  v4 removed kind 14, the L1 bypass record,

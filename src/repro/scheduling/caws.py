@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..simt.warp import Warp
-from .base import WarpScheduler, warp_key
+from .base import WarpScheduler
 
 OracleTable = Dict[Tuple[int, int], float]
 
@@ -28,8 +28,8 @@ class OracleCAWSScheduler(WarpScheduler):
         self.oracle: OracleTable = oracle or {}
 
     def _criticality(self, warp: Warp) -> float:
-        return self.oracle.get(warp_key(warp), 0.0)
+        return self.oracle.get((warp.block.block_id, warp.warp_id_in_block), 0.0)
 
-    def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
+    def select(self, ready: List[Warp], now: float) -> Warp:
         # Most critical first; the first maximum is the oldest on ties.
         return max(ready, key=self._criticality)

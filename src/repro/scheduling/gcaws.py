@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from typing import List, Optional
+from typing import List
 
 from ..simt.warp import Warp
 from .base import WarpScheduler
@@ -54,7 +54,7 @@ class GCAWSScheduler(WarpScheduler):
             return 0
         return int(math.log(criticality) / _LOG_RATIO) + 1
 
-    def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
+    def select(self, ready: List[Warp], now: float) -> Warp:
         last = self.last
         if last in ready:  # the greedy slice
             return last

@@ -7,7 +7,7 @@ GTO alleviates L1 thrashing for streaming workloads (Section 5.1).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..simt.warp import Warp
 from .base import WarpScheduler
@@ -17,6 +17,6 @@ class GTOScheduler(WarpScheduler):
     name = "gto"
     DESCRIPTION = "greedy-then-oldest: issue one warp until it stalls, then oldest"
 
-    def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
+    def select(self, ready: List[Warp], now: float) -> Warp:
         last = self.last
         return last if last in ready else ready[0]  # oldest: dispatch order

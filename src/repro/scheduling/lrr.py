@@ -7,7 +7,7 @@ Figure 4 of the paper measures the extra wait it imposes on critical warps.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..simt.warp import Warp
 from .base import WarpScheduler
@@ -17,7 +17,7 @@ class LRRScheduler(WarpScheduler):
     name = "lrr"
     DESCRIPTION = "loose round-robin: fair turns, criticality-oblivious baseline"
 
-    def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
+    def select(self, ready: List[Warp], now: float) -> Warp:
         # base.rotate, inlined: this select runs once per issue.
         last = self.last
         if last is not None:

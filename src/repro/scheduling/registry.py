@@ -13,7 +13,6 @@ from typing import Dict, Type
 
 from .base import WarpScheduler
 from .caws import OracleCAWSScheduler
-from .ccws import CCWSScheduler
 from .gcaws import GCAWSScheduler
 from .gto import GTOScheduler
 from .lrr import LRRScheduler
@@ -27,7 +26,6 @@ SCHEDULERS: Dict[str, Type[WarpScheduler]] = {
     "2lev": TwoLevelScheduler,
     "caws": OracleCAWSScheduler,
     "gcaws": GCAWSScheduler,
-    "ccws": CCWSScheduler,
 }
 
 

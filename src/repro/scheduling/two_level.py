@@ -9,7 +9,7 @@ prevents all warps from stalling simultaneously.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..simt.warp import Warp
 from .base import WarpScheduler, rotate
@@ -28,7 +28,7 @@ class TwoLevelScheduler(WarpScheduler):
     name = "two_level"
     DESCRIPTION = "two-level fetch groups: round-robin inside one active group"
 
-    def select(self, ready: List[Warp], now: float) -> Optional[Warp]:
+    def select(self, ready: List[Warp], now: float) -> Warp:
         # The active group is the last issued warp's; when none of it is
         # ready, rotate to the group owning the oldest ready warp.
         last = self.last

@@ -193,7 +193,6 @@ class StreamingMultiprocessor:
                 self.obs.emit(
                     (_EV_WARP_START, now, self.sm_id, block.block_id, w)
                 )
-            self.schedulers[warp.dynamic_id % self._num_slots].notify_warp_added(warp)
             self._enqueue(warp)
 
     # ------------------------------------------------------------------
@@ -289,8 +288,6 @@ class StreamingMultiprocessor:
                 if not ready:
                     continue
             warp = scheduler.select(ready, now)
-            if warp is None:
-                continue
             was_gated = warp._needs_mem
             self._issue(warp, scheduler, now)
             if was_gated:
@@ -488,7 +485,7 @@ class StreamingMultiprocessor:
                     f"warp={warp.warp_id_in_block}) has no record {idx}: it "
                     "ends without its terminal EXIT; trace is corrupt"
                 ) from None
-            self._finish_warp(warp, scheduler, now)
+            self._finish_warp(warp, now)
         else:
             # The scoreboard was written and the cursor moved just above:
             # this is where the next instruction's readiness is known, and
@@ -539,13 +536,12 @@ class StreamingMultiprocessor:
                       tuple((w.warp_id_in_block, w.criticality, w.is_critical_flag)
                             for w in block.warps if not w.finished)))
 
-    def _finish_warp(self, warp: Warp, scheduler: WarpScheduler, now: float) -> None:
+    def _finish_warp(self, warp: Warp, now: float) -> None:
         warp.mark_finished(now)
         self._unfinished -= 1
         if self.obs is not None:
             self.obs.emit((_EV_WARP_FINISH, now, self.sm_id,
                            warp.block.block_id, warp.warp_id_in_block))
-        scheduler.notify_warp_finished(warp)
         block = warp.block
         if block.barrier_pending_release:
             self._release_barrier(block, now)
@@ -580,12 +576,11 @@ class StreamingMultiprocessor:
         commits only happen during one of this SM's own issues.  Exact for
         scoreboard- and MSHR-gated warps (:meth:`MSHRFile.next_free_time`
         accounts for over-subscription); an operand-ready warp that lost
-        arbitration or was declined by a throttling scheduler reports
-        ``now`` — an under-estimate the device loop turns into a re-tick one
-        cycle later.  Anything due earlier than ``now`` is reported as
-        ``now``: the loop clamps a wake into the future anyway, and the
-        clamped value is what :meth:`tick_wake` can answer without walking
-        its pools.
+        arbitration reports ``now`` — an under-estimate the device loop
+        turns into a re-tick one cycle later.  Anything due earlier than
+        ``now`` is reported as ``now``: the loop clamps a wake into the
+        future anyway, and the clamped value is what :meth:`tick_wake` can
+        answer without walking its pools.
         """
         wake = math.inf
         gated = False

@@ -25,7 +25,6 @@ from .format import (
     TRACE_FORMAT_VERSION,
     TRACE_MAGIC,
     LaunchTrace,
-    TraceInfo,
     TraceProgram,
     WarpStream,
     kernel_fingerprint,
@@ -39,7 +38,6 @@ from .recorder import (
 from .replay import replay_program
 from .store import (
     clear,
-    list_traces,
     load_program,
     store_program,
     trace_dir,
@@ -50,13 +48,11 @@ __all__ = [
     "TRACE_FORMAT_VERSION",
     "TRACE_MAGIC",
     "LaunchTrace",
-    "TraceInfo",
     "TraceProgram",
     "TraceRecorder",
     "WarpStream",
     "clear",
     "kernel_fingerprint",
-    "list_traces",
     "load_program",
     "record_program",
     "record_workload",

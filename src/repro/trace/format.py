@@ -35,8 +35,6 @@ On disk (format v2) a trace is three sections, written atomically::
               masks, then every warp's aux — little-endian, warps in
               length-table order
     crc       4 bytes, big-endian CRC-32 of everything before it
-
-The header is readable without inflating a column (:func:`read_info`).
 """
 
 from __future__ import annotations
@@ -312,18 +310,6 @@ def _trace_id(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class TraceInfo:
-    """A stored trace's header: what ``repro trace info`` lists."""
-
-    workload: str
-    scale: float
-    trace_id: str
-    launches: int
-    record_count: int
-    meta: Dict
-
-
 @dataclass
 class TraceProgram:
     """A complete recorded run: header + ordered launch traces."""
@@ -365,7 +351,8 @@ class TraceProgram:
                 "trace was recorded under functional fingerprint "
                 f"{self.functional_fingerprint} but the current configuration "
                 f"fingerprints to {expected_functional_fp} (warp size or L1 "
-                "line size changed); re-record with `repro trace record`"
+                "line size changed); the runner takes a stored trace refused "
+                "this way for a miss and re-records it"
             )
 
     # ------------------------------------------------------------------
@@ -477,29 +464,6 @@ class TraceProgram:
         if expected_functional_fp is not None:
             program.validate(expected_functional_fp)
         return program
-
-
-def read_info(path: os.PathLike) -> TraceInfo:
-    """A stored trace's header, checked but without inflating a column."""
-    with open(path, "rb") as handle:
-        header, _ = _split(handle.read())
-    try:
-        launches = header["launches"]
-        counts = [sum(entry[2] for entry in lt["warps"]) for lt in launches]
-        return TraceInfo(
-            workload=header.get("workload", ""),
-            scale=header.get("scale", 1.0),
-            trace_id=_trace_id(
-                header["functional_fingerprint"], header.get("workload", ""),
-                header.get("scale", 1.0),
-                [lt["kernel_fp"] for lt in launches], counts,
-            ),
-            launches=len(launches),
-            record_count=sum(counts),
-            meta=dict(header.get("meta", {})),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise TraceFormatError(f"malformed trace header: {exc!r}") from exc
 
 
 def _unpack_section(

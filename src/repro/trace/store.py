@@ -11,10 +11,9 @@ generated kernel and data, and so is the package version: an upgrade that
 changes a workload's generator or the ISA must not replay the old streams.
 
 Stale traces (wrong format version, wrong functional fingerprint, corrupt
-bytes) are refused by :mod:`repro.trace.format` at load; the non-strict
-:func:`load_program` used by the auto-record path converts that refusal
-into a miss (and drops the dead file) so the runner transparently
-re-records.
+bytes) are refused by :mod:`repro.trace.format` at load; :func:`load_program`
+converts that refusal into a miss (and drops the dead file) so the runner
+transparently re-records.
 
 ``REPRO_DISK_CACHE=0`` disables the disk half, as it does for the result
 cache: nothing under ``traces/`` is read or written, and the in-process
@@ -27,13 +26,13 @@ import hashlib
 import json
 from collections import OrderedDict
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .. import __version__, fslock
 from ..config import GPUConfig
-from ..errors import TraceError, TraceFormatError, TraceMismatchError
+from ..errors import TraceFormatError, TraceMismatchError
 from ..experiments.result_cache import cache_dir, enabled
-from .format import TraceInfo, TraceProgram, read_info
+from .format import TraceProgram
 
 #: Subdirectory of the result cache holding trace files.
 TRACE_SUBDIR = "traces"
@@ -117,15 +116,11 @@ def load_program(
     scale: float,
     config: GPUConfig,
     workload_kwargs: Optional[dict] = None,
-    strict: bool = False,
 ) -> Optional[TraceProgram]:
     """Load the stored trace for one workload cell, or ``None`` on miss.
 
-    Non-strict (the auto-record path): a corrupt, version-incompatible, or
-    fingerprint-mismatched file is deleted and reported as a miss so the
-    caller re-records.  Strict (``repro trace replay``): those conditions
-    raise the underlying :class:`~repro.errors.TraceError` with its precise
-    explanation instead of silently re-simulating.
+    A corrupt, version-incompatible, or fingerprint-mismatched file is
+    deleted and reported as a miss so the caller re-records.
     """
     path = trace_path(workload, scale, config, workload_kwargs)
     file_id = _file_id(path)  # before the read: never newer than the bytes
@@ -135,32 +130,20 @@ def load_program(
             _PROGRAM_MEMO.move_to_end(str(path))
             return cached[1]
         del _PROGRAM_MEMO[str(path)]
-    try:
-        if file_id is None:
-            raise FileNotFoundError(path)
-        program = TraceProgram.load(path, config.functional_fingerprint())
-        _remember(path, file_id, program)
-        return program
-    except FileNotFoundError:
-        if strict:
-            raise TraceMismatchError(
-                f"no recorded trace for workload {workload!r} at scale {scale} "
-                f"(expected {path}); record one with `repro trace record "
-                f"--workload {workload}`"
-            ) from None
+    if file_id is None:
         return None
+    try:
+        program = TraceProgram.load(path, config.functional_fingerprint())
     except (TraceFormatError, TraceMismatchError):
-        if strict:
-            raise
         try:
             path.unlink()
         except OSError:
             pass
         return None
     except OSError:
-        if strict:
-            raise
         return None
+    _remember(path, file_id, program)
+    return program
 
 
 def store_program(
@@ -184,20 +167,6 @@ def store_program(
             pass
     _remember(path, _file_id(path) if written else None, program)
     return path if written else None
-
-
-def list_traces() -> List[Tuple[Path, Union[TraceInfo, TraceError]]]:
-    """``(path, TraceInfo | TraceError)`` for every stored trace file,
-    from the headers alone."""
-    directory = trace_dir()
-    entries: List[Tuple[Path, Union[TraceInfo, TraceError]]] = []
-    if directory.is_dir():
-        for path in sorted(directory.glob(f"*{TRACE_SUFFIX}")):
-            try:
-                entries.append((path, read_info(path)))
-            except TraceError as exc:
-                entries.append((path, exc))
-    return entries
 
 
 def forget() -> None:

@@ -86,8 +86,8 @@ def sm_state(sm):
     """What a tick of ``sm`` may change and nothing between its ticks may:
     per warp its status, cursor, stored wake and scoreboard lists; the
     MSHR's fills; the CPL's block thresholds and the blocks' issue counts
-    (a freshly dispatched block has none); the CACP policy's tune counters.  Scheduler state is left out: L2 feedback may
-    legitimately reach a scheduler between its SM's ticks."""
+    (a freshly dispatched block has none); the CACP policy's tune counters;
+    the warp each scheduler slot issued last."""
     cpl = sm.cpl
     policy = sm.l1d.policy
     return {
@@ -102,6 +102,8 @@ def sm_state(sm):
                   policy._accesses_since_tune)
                  if isinstance(policy, CACPPolicy) else None),
         "next_dynamic_id": sm._next_dynamic_id,
+        "last": tuple(None if s.last is None else s.last.dynamic_id
+                      for s in sm.schedulers),
     }
 
 
@@ -610,10 +612,6 @@ def _dyn(warp):
     return warp.dynamic_id
 
 
-def _key(warp):
-    return (warp.block.block_id, warp.warp_id_in_block)
-
-
 def _oldest(ready):
     return min(ready, key=_dyn)
 
@@ -640,20 +638,11 @@ def _ref_two_level(s, book, ready, now):
     return _round_robin(book, in_active)
 
 
-def _ref_ccws(s, book, ready, now):
-    allowed = s._allowed(now)
-    if allowed is None:
-        return _round_robin(book, ready)
-    pool = [w for w in ready if _key(w) in allowed]
-    return _round_robin(book, pool) if pool else None
-
-
 #: Every registered scheduler's ``select`` as it was written before it
 #: derived its order from ``last``: explicit ``min`` / ``max`` with keys over
 #: a :class:`SelectBook`, no ``ready[0]``.  ``reference(scheduler, book,
-#: ready, now)`` reads only scheme scores off the scheduler (``_allowed``,
-#: ``_bucket``, ``_criticality``); call it after the real ``select`` at the
-#: same ``now``.
+#: ready, now)`` reads only scheme scores off the scheduler (``_bucket``,
+#: ``_criticality``); call it after the real ``select`` at the same ``now``.
 SELECT_REFERENCE = {
     "lrr": lambda s, book, ready, now: _round_robin(book, ready),
     "gto": lambda s, book, ready, now: _greedy_then(book, ready, _oldest),
@@ -662,7 +651,6 @@ SELECT_REFERENCE = {
         ready, key=lambda w: (s._criticality(w), -w.dynamic_id)),
     "gcaws": lambda s, book, ready, now: _greedy_then(book, ready, lambda r: max(
         r, key=lambda w: (s._bucket(w), -w.dynamic_id))),
-    "ccws": _ref_ccws,
 }
 SELECT_REFERENCE["rr"] = SELECT_REFERENCE["lrr"]
 SELECT_REFERENCE["2lev"] = SELECT_REFERENCE["two_level"]
@@ -672,12 +660,12 @@ class SelectReferenceOracle(_LaunchOracle):
     """The schedulers' eager bookkeeping, kept as a reference for the
     order they derive from the slot's last issue.
 
-    Wraps every scheduler's ``select`` and ``notify_warp_finished`` on the
-    instances, before launch, and gives each slot a :class:`SelectBook`.
-    After every real ``select`` it asserts that the scheme's
-    :data:`SELECT_REFERENCE` formulation over the book picks the very same
-    warp (or declines too), then books the pick as issued — the SM issues
-    every warp ``select`` returns.  A warp's exit clears the book's greedy
+    Wraps every scheduler's ``select`` and each SM's ``_finish_warp`` on
+    the instances, before launch, and gives each slot a
+    :class:`SelectBook`.  After every real ``select`` it asserts that the
+    scheme's :data:`SELECT_REFERENCE` formulation over the book picks the
+    very same warp, then books the pick as issued — the SM issues every
+    warp ``select`` returns.  A warp's exit clears its slot's greedy
     target, as the schedulers once did.
     """
 
@@ -685,13 +673,14 @@ class SelectReferenceOracle(_LaunchOracle):
         super().__init__(gpu)
         self.selects = 0
         for sm in gpu.sms:
+            books = []
             for slot, scheduler in enumerate(sm.schedulers):
                 book = SelectBook()
+                books.append(book)
                 scheduler.select = self._checked_select(
                     f"SM{sm.sm_id} slot {slot} ({scheduler.name})",
                     scheduler, book, scheduler.select)
-                scheduler.notify_warp_finished = self._booked_finish(
-                    book, scheduler.notify_warp_finished)
+            sm._finish_warp = self._booked_finish(books, sm._finish_warp)
 
     def _checked_select(self, where, scheduler, book, real_select):
         reference = SELECT_REFERENCE[scheduler.name]
@@ -701,23 +690,23 @@ class SelectReferenceOracle(_LaunchOracle):
             want = reference(scheduler, book, ready, now)
             assert got is want, (
                 f"select of {where} at cycle {now}: picked "
-                f"{got and got.dynamic_id}, the eager reference "
-                f"{want and want.dynamic_id} from {[w.dynamic_id for w in ready]}"
+                f"{got.dynamic_id}, the eager reference "
+                f"{want.dynamic_id} from {[w.dynamic_id for w in ready]}"
             )
-            if got is not None:
-                book.issued(got)
+            book.issued(got)
             self.selects += 1
             return got
 
         return select
 
     @staticmethod
-    def _booked_finish(book, real_finish):
-        def notify_warp_finished(warp):
-            book.finished(warp)
-            real_finish(warp)
+    def _booked_finish(books, real_finish):
+        def finish_warp(warp, now):
+            # A warp lives on slot dynamic_id % slots, as the SM deals them.
+            books[warp.dynamic_id % len(books)].finished(warp)
+            real_finish(warp, now)
 
-        return notify_warp_finished
+        return finish_warp
 
 # ----------------------------------------------------------------------
 # The MSHR file against the completion heap it once kept

@@ -68,7 +68,7 @@ def test_parser_matches_its_golden_dump():
 
 
 with open(PARSER_FIXTURE) as _handle:
-    #: Every command path, ``"repro"`` and ``"repro trace record"`` alike.
+    #: Every command path, ``"repro"`` and ``"repro cache stats"`` alike.
     PROGS = sorted(json.load(_handle))
 
 
@@ -137,12 +137,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "bfs" in out and "cawa" in out and "Non-sens" in out
 
-    def test_schemes_names_aliases_by_their_canonical_scheduler(self, capsys):
-        assert main(["schemes"]) == 0
+    def test_list_gives_each_scheme_its_schedulers_description(self, capsys):
+        from repro.core.cawa import SCHEMES
+        from repro.scheduling.registry import SCHEDULERS
+
+        assert main(["list"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert "  2lev       alias of two_level" in lines
-        assert "  rr         alias of lrr" in lines
-        assert sum("alias of" in line for line in lines) == 2
+        for scheme, (scheduler, cacp) in SCHEMES.items():
+            (line,) = [line for line in lines if line.split()[:1] == [scheme]]
+            assert line.split()[1] == scheduler
+            assert ("+ CACP" in line) == cacp
+            assert line.endswith(" " + SCHEDULERS[scheduler].DESCRIPTION), line
+
+    @pytest.mark.parametrize("command", ["schemes", "trace"])
+    def test_removed_commands_are_argparse_errors(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     def test_run_synthetic(self, capsys):
         code = main([
@@ -173,6 +185,7 @@ class TestCommands:
     @pytest.mark.parametrize("names, message", [
         ("gto,magic", "unknown scheme 'magic'"),
         ("ciao", "scheme 'ciao' was removed: the co-design scheme"),
+        ("gto,ccws", "scheme 'ccws' was removed: the locality throttle"),
     ])
     def test_sweep_refuses_a_bad_scheme(self, capsys, names, message):
         with pytest.raises(SystemExit) as exc:
@@ -235,21 +248,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "synthetic_imbalance x rr: " in out and "cycles/s" in out
         assert "call budget" in out
-
-
-def _cycles(out):
-    return float(re.search(r"cycles=\s*(\d+)", out).group(1))
-
-
-def test_trace_record_replays_caws_with_its_oracle(capsys):
-    """``trace record --scheme caws`` prints the cell ``run`` prints: its
-    replay schedules with the CAWS oracle like every other caws cell."""
-    cell = ["--workload", "synthetic_imbalance", "--scheme", "caws",
-            "--scale", "0.25"]
-    assert main(["trace", "record", *cell]) == 0
-    recorded = _cycles(capsys.readouterr().out)
-    assert main(["run", *cell]) == 0
-    assert recorded == _cycles(capsys.readouterr().out)
 
 
 def test_client_submit_watch_streams_within_the_timeout(monkeypatch, capsys):

@@ -268,13 +268,16 @@ class TestRemovedExtensions:
         with pytest.raises(TypeError, match="seed"):
             GPUConfig.default_sim().with_sampling("blocks:0.5", seed=7)
 
-    @pytest.mark.parametrize("scheme", ["cawa+bypass", "cawa+mshr", "ciao", "wasp"])
+    @pytest.mark.parametrize("scheme", ["cawa+bypass", "cawa+mshr", "ciao", "wasp",
+                                        "ccws"])
     def test_scheme_is_refused_by_name(self, scheme):
         from repro import apply_scheme
 
         with pytest.raises(ValueError,
-                           match=re.escape(f"scheme {scheme!r} was removed")):
+                           match=re.escape(f"scheme {scheme!r} was removed")) as exc:
             apply_scheme(GPUConfig.default_sim(), scheme)
+        # ... and says why: each reason cites the measurement that removed it.
+        assert "(EXPERIMENTS.md, " in str(exc.value)
 
     def test_result_payload_with_bypasses_loads(self):
         from repro.experiments.runner import run_scheme

@@ -12,7 +12,6 @@ from repro.scheduling import (
     OracleCAWSScheduler,
     TwoLevelScheduler,
 )
-from repro.scheduling.ccws import CCWSScheduler
 
 _EXPECTED_SCHEDULER_TYPES = {
     "rr": LRRScheduler,
@@ -24,7 +23,6 @@ _EXPECTED_SCHEDULER_TYPES = {
     "rr+cacp": LRRScheduler,
     "gto+cacp": GTOScheduler,
     "two_level+cacp": TwoLevelScheduler,
-    "ccws": CCWSScheduler,
 }
 
 

@@ -154,8 +154,9 @@ class TestDefaultPath:
                             jobs=2)
         recorded = [cell for cell, r in results.items() if r.recorded]
         assert recorded == [(w, "gto") for w in workloads]
-        assert sorted(info.workload for _, info in trace_mod.list_traces()) \
-            == sorted(workloads)
+        assert trace_store.stats()["entries"] == len(workloads)
+        assert all(trace_mod.trace_path(w, SMALL, GPUConfig.default_sim()).exists()
+                   for w in workloads)
 
     def test_events_on(self, executions):
         recorded, recorded_bus = record_events("bfs", "cawa", scale=SMALL)
@@ -206,7 +207,7 @@ class TestDefaultPath:
         assert signature(replayed) != signature(
             run_scheme("bfs", "gto", scale=SMALL))
         assert plain.warp_instructions != variant.warp_instructions
-        assert len(trace_mod.list_traces()) == 2
+        assert trace_store.stats()["entries"] == 2
 
     def test_sampled_config_records_the_whole_trace_once(self, executions):
         cfg = GPUConfig.default_sim().with_sampling("blocks:0.5")
@@ -227,17 +228,19 @@ class TestVerified:
     def test_unverified_trace_is_rerecorded_for_a_checking_caller(self, executions):
         first = run_scheme(TINY, "rr", scale=TINY_SCALE, check=False, use_cache=False)
         assert len(executions.passes) == 1
-        ((_, info),) = trace_mod.list_traces()
-        assert info.meta["verified"] is False
+        assert trace_store.stats()["entries"] == 1
+        cfg = GPUConfig.default_sim()
+        assert trace_mod.load_program(TINY, TINY_SCALE, cfg).meta["verified"] is False
         # check=False callers replay it...
         again = run_scheme(TINY, "gto", scale=TINY_SCALE, check=False, use_cache=False)
         assert not again.recorded and len(executions.passes) == 1
         # ...a check=True caller records again, verifies and overwrites.
         checked = run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False)
         assert checked.recorded and len(executions.passes) == 2
-        ((_, info),) = trace_mod.list_traces()
-        assert info.meta["verified"] is True
-        assert info.trace_id == first.trace_id
+        assert trace_store.stats()["entries"] == 1
+        program = trace_mod.load_program(TINY, TINY_SCALE, cfg)
+        assert program.meta["verified"] is True
+        assert program.trace_id == first.trace_id
         # From here on everybody replays.
         for check in (True, False):
             result = run_scheme(TINY, "cawa", scale=TINY_SCALE, check=check,
@@ -250,7 +253,7 @@ class TestVerified:
 
         monkeypatch.setattr(LaunchSpec, "verify", lambda self, gpu: False)
         run_scheme(TINY, "rr", scale=TINY_SCALE, check=False, use_cache=False)
-        assert len(trace_mod.list_traces()) == 1
+        assert trace_store.stats()["entries"] == 1
         with pytest.raises(AssertionError, match="verification failed"):
             run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False)
         # The harnesses that drive replay themselves go through the same gate.
@@ -356,12 +359,12 @@ def test_disk_cache_disabled_means_no_trace_files(monkeypatch, tmp_path, executi
     assert [r.recorded for r in results.values()] == [True, False, False]
     assert executions.passes == [results[(TINY, "rr")].warp_instructions]
     assert not cache.exists() or not [p for p in cache.rglob("*") if p.is_file()]
-    assert trace_mod.list_traces() == []
+    assert trace_store.stats()["entries"] == 0
     # A trace on disk is not read either.
     monkeypatch.delenv("REPRO_DISK_CACHE")
     runner.clear_cache()
     run_scheme(TINY, "rr", scale=TINY_SCALE, use_cache=False)
-    assert len(trace_mod.list_traces()) == 1
+    assert trace_store.stats()["entries"] == 1
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     trace_store.forget()
     assert trace_mod.load_program(TINY, TINY_SCALE, GPUConfig.default_sim()) is None
@@ -380,7 +383,7 @@ def test_version_bump_misses_and_rerecords(monkeypatch, executions):
     assert trace_mod.trace_path(TINY, TINY_SCALE, cfg) != old_path
     result = run_scheme(TINY, "gto", scale=TINY_SCALE, use_cache=False)
     assert result.recorded and len(executions.passes) == 2
-    assert len(trace_mod.list_traces()) == 2
+    assert trace_store.stats()["entries"] == 2
 
 
 def test_memo_hands_a_recording_to_the_next_cell_without_a_decode(monkeypatch):
@@ -438,15 +441,3 @@ class TestCliReportsThePathTaken:
         runner.clear_cache()  # a new process: the disk cache answers
         assert footer("rr,gto") == "recorded 0, replayed 0, cached 4"
         assert footer("rr,gto,cawa") == "recorded 0, replayed 2, cached 4"
-
-    def test_trace_info_lists_headers(self, capsys):
-        assert main(["run", *self.ARGS, "--no-check"]) == 0
-        capsys.readouterr()
-        assert main(["trace", "info"]) == 0
-        out = capsys.readouterr().out
-        assert "synthetic_imbalance" in out and "verified" in out
-        header, row = (line.split() for line in out.strip().splitlines()[::2])
-        cell = dict(zip(header, row))
-        assert cell["verified"] == "no"
-        assert float(cell["warps/step"]) == pytest.approx(
-            int(cell["records"]) / int(cell["steps"]), abs=0.05)

@@ -1,15 +1,11 @@
 """Observability must never perturb timing — the subsystem's hard contract.
 
-One grid, every mode: {rr, gto, caws, cawa, ccws} x {recorded
-in place, replayed from the stored trace}, with the event bus on (plus
-live collectors) and off.  Cycles, instruction counts, and cache counters
-must be bit-identical, and the *event stream itself* must be identical
-across the two paths (sorted canonically) — recording is part of the
-bit-identity contract, not an exception to it.  The co-design scheme
-ccws changes issue decisions on the L1's cache records, which may reach
-it between its SM's ticks, so its replays also go under
-:class:`~tests.oracles.SkipOracle`: the device loop must still skip only
-idle cycles.
+One grid, every mode: {rr, gto, caws, cawa} x {recorded in place,
+replayed from the stored trace}, with the event bus on (plus live
+collectors) and off.  Cycles, instruction counts, and cache counters must
+be bit-identical, and the *event stream itself* must be identical across
+the two paths (sorted canonically) — recording is part of the
+bit-identity contract, not an exception to it.
 
 Also pins the stall-accounting identity on a real run (accounted
 warp-cycles == warp lifetime) and the cache-bypass rule for recording runs.
@@ -22,12 +18,11 @@ from repro.experiments import runner
 from repro.obs import Ev, StallAccounting, bus_from_spec, record_events, sort_events
 from repro.obs.events import LEVEL_L1D
 from repro.stats.timeline import TimelineProfiler
-from tests.oracles import SkipOracle, run_in_place
+from tests.oracles import run_in_place
 
 WORKLOAD = "bfs"
 SCALE = 0.25
-CONSUMERS = ("ccws",)
-SCHEMES = ("rr", "gto", "caws", "cawa") + CONSUMERS
+SCHEMES = ("rr", "gto", "caws", "cawa")
 CACHE_KINDS = {int(k) for k in Ev if k.name.startswith("CACHE_")}
 
 
@@ -51,7 +46,7 @@ def assert_same_timing(a, b, what):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_parity_grid(scheme, monkeypatch):
+def test_parity_grid(scheme):
     """events-on runs (both paths, collectors attached) == events-off
     baseline; event streams identical across the paths."""
     baseline = run_in_place(WORKLOAD, scheme, SCALE, GPUConfig.default_sim())
@@ -63,8 +58,6 @@ def test_parity_grid(scheme, monkeypatch):
         if frontend == "execute":
             result, bus = record_in_place(scheme, collectors)
         else:
-            if scheme in CONSUMERS:
-                oracles = SkipOracle.on_every_launch(monkeypatch)
             result, bus = record_events(WORKLOAD, scheme, scale=SCALE,
                                         collectors=collectors)
         what = f"{scheme}/{frontend}"
@@ -86,8 +79,6 @@ def test_parity_grid(scheme, monkeypatch):
     # The event stream is part of the bit-identity contract: identical
     # across the paths once canonically sorted.
     assert streams["trace"] == streams["execute"], f"{scheme} event stream diverged"
-    if scheme in CONSUMERS:
-        assert sum(o.jumps for o in oracles) > 0
 
 
 def test_stall_accounting_identity_on_real_run():

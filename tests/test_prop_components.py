@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.config import CacheConfig
-from repro.obs.events import LEVEL_L1D, Ev
 from repro.isa.kernel import KernelBuilder
 from repro.memory.cache import Cache, CacheLine, CacheStats
 from repro.memory.mshr import MSHRFile
@@ -68,35 +67,15 @@ def test_every_registered_scheduler_has_a_select_reference():
     assert set(SELECT_REFERENCE) == set(SCHEDULERS)
 
 
-def _feedback(rng, num_warps, now):
-    """A burst of L1 feedback records: cross-warp evictions (repeated; they
-    fill CCWS's victim tag arrays) and lost-locality pairs (a warp's line
-    evicted, then missed by it: CCWS's VTA hit)."""
-    records = []
-    for _ in range(rng.randrange(5)):
-        victim = rng.randrange(num_warps)
-        line = 128 * rng.randrange(6)
-        if rng.random() < 0.5:
-            evictor = rng.randrange(num_warps)
-            reused = rng.randrange(2)
-            records += rng.randint(1, 6) * [
-                (int(Ev.CACHE_EVICT), now, 0, LEVEL_L1D, line, reused, 0, victim, 0, evictor)]
-        else:
-            records += [
-                (int(Ev.CACHE_EVICT), now, 0, LEVEL_L1D, line, 0, 0, victim, 0, victim),
-                (int(Ev.CACHE_MISS), now, 0, LEVEL_L1D, 7, line, 0, 0, victim)]
-    return records
-
-
 @pytest.mark.parametrize("scheduler_name", sorted(set(SELECT_REFERENCE) - {"rr", "2lev"}))
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_prop_select_matches_its_min_max_formulation(scheduler_name, seed):
     """A scheduler driven at random — criticalities, oracle times, issues,
-    exits, block tail phases, eviction / miss feedback — picks from random
-    ascending candidate lists what its min/max formulation picks over the
-    eager bookkeeping of a :class:`SelectBook`.  As on an SM, a warp that
-    exited is never a candidate again.  (One drawn seed, then ``random``: a
+    exits, block tail phases — picks from random ascending candidate lists
+    what its min/max formulation picks over the eager bookkeeping of a
+    :class:`SelectBook`.  As on an SM, a warp that exited is never a
+    candidate again, and only the book hears of its exit.  (One drawn seed, then ``random``: a
     step is ~40 draws and hypothesis's cost per draw would make this the
     slowest test of the tier.)"""
     rng = random.Random(seed)
@@ -107,8 +86,6 @@ def test_prop_select_matches_its_min_max_formulation(scheduler_name, seed):
               for w in warps if rng.random() < 0.5}
     kwargs = {"oracle": oracle} if scheduler_name == "caws" else {}
     scheduler = make_scheduler(scheduler_name, **kwargs)
-    for warp in warps:
-        scheduler.notify_warp_added(warp)
     book = SelectBook()
     reference = SELECT_REFERENCE[scheduler_name]
     live = list(warps)
@@ -124,9 +101,6 @@ def test_prop_select_matches_its_min_max_formulation(scheduler_name, seed):
             warp.issued_instructions = rng.randint(0, 200)
             warp.status = rng.choice(
                 [WarpStatus.RUNNING, WarpStatus.RUNNING, WarpStatus.AT_BARRIER])
-        for record in _feedback(rng, num_warps, now):
-            if record[0] in scheduler.FEEDBACK_KINDS:
-                scheduler.on_signal(record)
         ready = sorted(rng.sample(live, rng.randint(1, len(live))), key=_dyn)
         handed = list(ready)
         got = scheduler.select(handed, now)
@@ -134,17 +108,15 @@ def test_prop_select_matches_its_min_max_formulation(scheduler_name, seed):
         want = reference(scheduler, book, ready, now)
         assert got is want, (
             f"{scheduler_name}: select picked "
-            f"{got and got.dynamic_id}, the min/max formulation "
-            f"{want and want.dynamic_id} from {[w.dynamic_id for w in ready]}"
+            f"{got.dynamic_id}, the min/max formulation "
+            f"{want.dynamic_id} from {[w.dynamic_id for w in ready]}"
         )
-        if got is not None:
-            scheduler.last = got
-            book.issued(got)
-            if rng.randrange(10) == 0 and len(live) > 1:
-                got.status = WarpStatus.FINISHED
-                live.remove(got)
-                scheduler.notify_warp_finished(got)
-                book.finished(got)
+        scheduler.last = got
+        book.issued(got)
+        if rng.randrange(10) == 0 and len(live) > 1:
+            got.status = WarpStatus.FINISHED
+            live.remove(got)
+            book.finished(got)
 
 
 # ----------------------------------------------------------------------

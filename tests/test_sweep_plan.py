@@ -21,6 +21,7 @@ from repro.config import GPUConfig
 from repro.core import cawa
 from repro.experiments import result_cache, runner
 from repro.experiments.runner import _dedupe, _Plan, run_sweep
+from repro.trace import store as trace_store
 
 SCALE = 0.5
 WORKLOADS = ["synthetic_imbalance", "synthetic_divergence"]
@@ -80,8 +81,9 @@ def test_a_cold_sweep_records_each_trace_once(jobs):
     recorded = [cell for cell, r in results.items() if r.recorded]
     # rr is each workload's first cell; its alias shares the result.
     assert recorded == [(w, s) for w in WORKLOADS for s in ("rr", "rr_alias")]
-    assert sorted(info.workload for _, info in trace_mod.list_traces()) \
-        == sorted(WORKLOADS)
+    assert trace_store.stats()["entries"] == len(WORKLOADS)
+    assert all(trace_mod.trace_path(w, SCALE, GPUConfig.default_sim()).exists()
+               for w in WORKLOADS)
 
 
 def test_the_calling_process_works(parent_cells):

@@ -38,6 +38,7 @@ from repro.isa.instructions import CmpOp, IssueKind, MemSpace, Special
 from repro.simt.block import ThreadBlock
 from repro.simt.warp import Warp, WarpStatus
 from repro.sm.lsu import coalesce_lines
+from repro.trace import store as trace_store
 from repro.trace.format import WarpStream
 from repro.trace.functional import record_launch
 from repro.trace.recorder import TraceRecorder
@@ -557,13 +558,13 @@ class TestInvariance:
         assert gpu.now == 0.0  # refused before the clock started
         with pytest.raises(TraceInvarianceError, match=self.MESSAGE):
             run_in_place(racy_workload.NAME, "rr", 1.0, GPUConfig.default_sim())
-        assert trace_mod.list_traces() == []
+        assert trace_store.stats()["entries"] == 0
 
     def test_refused_from_run_scheme_and_nothing_is_stored(self, monkeypatch):
         racy_workload.register(monkeypatch)
         with pytest.raises(TraceInvarianceError, match=self.MESSAGE):
             runner.run_scheme(racy_workload.NAME, "gto")
-        assert trace_mod.list_traces() == []
+        assert trace_store.stats()["entries"] == 0
         assert trace_mod.load_program(
             racy_workload.NAME, 1.0, GPUConfig.default_sim()) is None
 
@@ -576,11 +577,11 @@ class TestInvariance:
         from repro import cli
 
         racy_workload.register(monkeypatch)
-        code = cli.main(["trace", "record", "--workload", racy_workload.NAME])
+        code = cli.main(["run", "--workload", racy_workload.NAME, "--scheme", "gto"])
         assert code == 2
         err = capsys.readouterr().err
         assert "racy_shift" in err and "warp" in err and "address 0x" in err
-        assert trace_mod.list_traces() == []
+        assert trace_store.stats()["entries"] == 0
 
     def test_barrier_separates_accesses_of_one_block(self):
         """Ping-pong through global memory inside a block (pathfinder's

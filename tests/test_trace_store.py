@@ -17,6 +17,7 @@ import zlib
 import pytest
 
 from repro import trace as trace_mod
+from repro.trace import store as trace_store
 from repro.config import GPUConfig
 from repro.errors import TraceFormatError, TraceMismatchError
 from repro.experiments import runner
@@ -197,10 +198,6 @@ class TestStore:
     def test_miss_returns_none(self, config):
         assert trace_mod.load_program("bfs", SCALE, config) is None
 
-    def test_strict_miss_raises(self, config):
-        with pytest.raises(TraceMismatchError, match="trace record"):
-            trace_mod.load_program("bfs", SCALE, config, strict=True)
-
     def test_corrupt_file_evicted(self, config):
         _, program = _record(config=config)
         path = trace_mod.store_program(program, "bfs", SCALE, config)
@@ -239,13 +236,11 @@ class TestStore:
 
     def test_list_and_clear(self, config):
         _, program = _record(config=config)
-        trace_mod.store_program(program, "bfs", SCALE, config)
-        entries = trace_mod.list_traces()
-        assert len(entries) == 1
-        path, loaded = entries[0]
-        assert loaded.workload == "bfs"
+        path = trace_mod.store_program(program, "bfs", SCALE, config)
+        assert trace_store.stats()["entries"] == 1
+        assert path == trace_mod.trace_path("bfs", SCALE, config)
         assert trace_mod.clear() == 1
-        assert trace_mod.list_traces() == []
+        assert trace_store.stats()["entries"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -358,9 +353,9 @@ class TestRunnerIntegration:
     def test_clear_cache_disk_wipes_traces(self, config):
         runner.run_scheme("bfs", "rr", scale=SCALE, config=config,
                           use_cache=False, persistent=False)
-        assert trace_mod.list_traces()
+        assert trace_store.stats()["entries"] == 1
         runner.clear_cache(disk=True)
-        assert trace_mod.list_traces() == []
+        assert trace_store.stats()["entries"] == 0
 
 
 # ----------------------------------------------------------------------
