@@ -44,7 +44,8 @@ bench:
 	$(PYTEST) benchmarks/ -q -m "" --benchmark-only -s
 
 ## The figure, table and ablation benchmarks alone: every paper shape the
-## reproduction asserts (17 figures + tables + ablations, ~30 s cold).
+## reproduction asserts (17 figures + tables + ablations; ~22 s cold and
+## ~5 s warm on 2 vCPUs, a grid figure's cells spread over the usable cores).
 figures:
 	$(PYTEST) benchmarks/test_fig*.py benchmarks/test_tables.py benchmarks/test_ablation_*.py -q -m "" --benchmark-only
 

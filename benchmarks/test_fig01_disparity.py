@@ -7,11 +7,11 @@ applications exhibit more of it than a uniform workload would.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig01
+from repro.experiments import fig01, run_figure
 
 
 def test_fig01_disparity(benchmark):
-    data = run_once(benchmark, fig01.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 1, scale=BENCH_SCALE)
     print("\n" + fig01.render(data))
     average = sum(data.values()) / len(data)
     assert 0.15 <= average <= 0.95, "average disparity should be substantial"

@@ -8,11 +8,11 @@ and the memory-stall share is non-trivial.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig02
+from repro.experiments import fig02, run_figure
 
 
 def test_fig02_bfs_case_study(benchmark):
-    data = run_once(benchmark, fig02.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 2, scale=BENCH_SCALE)
     print("\n" + fig02.render(data))
     times_a = data["a_exec_time"]
     times_b = data["b_exec_time"]

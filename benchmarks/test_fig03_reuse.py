@@ -8,11 +8,11 @@ profiles (Figure 8 companion) show heterogeneous reuse.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig03
+from repro.experiments import fig03, run_figure
 
 
 def test_fig03_reuse_distance(benchmark):
-    data = run_once(benchmark, fig03.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 3, scale=BENCH_SCALE)
     print("\n" + fig03.render(data))
     assert data["critical_evicted_before_reuse"] >= 0.0
     assert sum(data["critical_histogram"]) > 0, "critical reuse must be observed"

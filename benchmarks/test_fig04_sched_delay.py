@@ -8,11 +8,11 @@ not selected.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig04
+from repro.experiments import fig04, run_figure
 
 
 def test_fig04_scheduler_delay(benchmark):
-    data = run_once(benchmark, fig04.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 4, scale=BENCH_SCALE)
     print("\n" + fig04.render(data))
     assert data["rr"] > 0.1, "RR must impose visible scheduling delay"
     assert all(share >= 0.0 for share in data.values())

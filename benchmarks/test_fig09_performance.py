@@ -9,12 +9,12 @@ Sens speedup.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig09
+from repro.experiments import fig09, run_figure
 from repro.workloads import SENS_WORKLOADS
 
 
 def test_fig09_performance(benchmark):
-    data = run_once(benchmark, fig09.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 9, scale=BENCH_SCALE)
     print("\n" + fig09.render(data))
     summary = fig09.summarize(data)
 

@@ -8,12 +8,12 @@ the lowest (or tied-lowest) mean MPKI over the Sens set.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig10
+from repro.experiments import fig10, run_figure
 from repro.workloads import SENS_WORKLOADS
 
 
 def test_fig10_mpki(benchmark):
-    data = run_once(benchmark, fig10.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 10, scale=BENCH_SCALE)
     print("\n" + fig10.render(data))
 
     assert data[("kmeans", "cawa")] < 0.8 * data[("kmeans", "rr")], (

@@ -7,11 +7,11 @@ needle is perfectly predicted.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig11
+from repro.experiments import fig11, run_figure
 
 
 def test_fig11_cpl_accuracy(benchmark):
-    data = run_once(benchmark, fig11.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 11, scale=BENCH_SCALE)
     print("\n" + fig11.render(data))
     average = sum(data.values()) / len(data)
     assert average > 0.5, "CPL must beat the 50% chance level on average"

@@ -9,11 +9,11 @@ acceleration worked) or it spends time at the top rank.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig12
+from repro.experiments import fig12, run_figure
 
 
 def test_fig12_priority_trace(benchmark):
-    data = run_once(benchmark, fig12.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 12, scale=BENCH_SCALE)
     print("\n" + fig12.render(data))
     for scheme in ("rr", "gcaws"):
         assert len(data[scheme]) > 5, f"{scheme}: trace must have samples"

@@ -9,12 +9,12 @@ prefers gCAWS/CAWA over the oracle.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig13
+from repro.experiments import fig13, run_figure
 from repro.workloads import SENS_WORKLOADS
 
 
 def test_fig13_scheduler_compare(benchmark):
-    data = run_once(benchmark, fig13.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 13, scale=BENCH_SCALE)
     print("\n" + fig13.render(data))
     means = {
         scheme: sum(data[(n, scheme)] for n in SENS_WORKLOADS) / len(SENS_WORKLOADS)

@@ -8,12 +8,12 @@ its strongest case.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig14
+from repro.experiments import fig14, run_figure
 from repro.workloads import SENS_WORKLOADS
 
 
 def test_fig14_critical_hit_rate(benchmark):
-    data = run_once(benchmark, fig14.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 14, scale=BENCH_SCALE)
     print("\n" + fig14.render(data))
     cawa_mean = sum(data[(n, "cawa")] for n in SENS_WORKLOADS) / len(SENS_WORKLOADS)
     assert cawa_mean > 1.1, "CAWA must lift critical-warp hit rates on average"

@@ -7,12 +7,12 @@ the baseline wastes a visible fraction and CAWA reduces the mean fraction.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig15
+from repro.experiments import fig15, run_figure
 from repro.workloads import SENS_WORKLOADS
 
 
 def test_fig15_zero_reuse(benchmark):
-    data = run_once(benchmark, fig15.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 15, scale=BENCH_SCALE)
     print("\n" + fig15.render(data))
     rr_mean = sum(data[(n, "rr")] for n in SENS_WORKLOADS) / len(SENS_WORKLOADS)
     cawa_mean = sum(data[(n, "cawa")] for n in SENS_WORKLOADS) / len(SENS_WORKLOADS)

@@ -7,7 +7,7 @@ MPKI, and it reduces kmeans' MPKI under the baseline scheduler.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig16
+from repro.experiments import fig16, run_figure
 from repro.workloads import SENS_WORKLOADS
 
 
@@ -16,7 +16,7 @@ def _mean(data, scheme):
 
 
 def test_fig16_cacp_mpki(benchmark):
-    data = run_once(benchmark, fig16.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 16, scale=BENCH_SCALE)
     print("\n" + fig16.render(data))
     for base_scheme, cacp_scheme in fig16.PAIRINGS:
         assert _mean(data, cacp_scheme) < 1.25 * _mean(data, base_scheme), (

@@ -8,12 +8,12 @@ and the full CAWA achieves the best mean IPC among the CACP pairings.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import fig16, fig17
+from repro.experiments import fig16, fig17, run_figure
 from repro.workloads import SENS_WORKLOADS
 
 
 def test_fig17_cacp_ipc(benchmark):
-    data = run_once(benchmark, fig17.run, scale=BENCH_SCALE)
+    data = run_once(benchmark, run_figure, 17, scale=BENCH_SCALE)
     print("\n" + fig17.render(data))
     gains = fig17.cacp_gains(data)
     assert max(gains.values()) > 0.0, "CACP must help at least one scheduler"

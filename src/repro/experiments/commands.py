@@ -4,7 +4,6 @@ the experiment harness's commands (registered by :mod:`repro.cli`)."""
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 
@@ -12,7 +11,7 @@ from ..core.cawa import REMOVED_SCHEMES, SCHEMES
 from ..scheduling.registry import SCHEDULERS
 from ..stats.report import format_table
 from ..workloads import NON_SENS_WORKLOADS, SENS_WORKLOADS, workload_names
-from . import FIGURES, runner
+from . import FIGURES, figure_module, run_figure, runner
 
 
 def register(subparsers, common) -> None:
@@ -223,13 +222,13 @@ def cmd_cache_gc(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    if args.number not in FIGURES:
-        print(f"no module for figure {args.number}; available: {FIGURES}",
-              file=sys.stderr)
+    try:
+        module = figure_module(args.number)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    module = importlib.import_module(f".fig{args.number:02d}", __package__)
-    data = module.run(scale=args.scale, config=args.config)
-    print(module.render(data))
+    print(module.render(run_figure(args.number, scale=args.scale,
+                                   config=args.config)))
     return 0
 
 

@@ -12,17 +12,18 @@ from typing import Dict, List, Optional
 from ..stats.disparity import max_block_disparity
 from ..stats.report import format_table
 from ..workloads import NON_SENS_WORKLOADS, SENS_WORKLOADS
-from .runner import run_scheme
+from .runner import Cell
 
 
-def run(scale: float = 1.0, config=None, workloads: Optional[List[str]] = None) -> Dict[str, float]:
+def cells(workloads: Optional[List[str]] = None) -> List[Cell]:
+    return [(name, "rr")
+            for name in workloads or (SENS_WORKLOADS + NON_SENS_WORKLOADS)]
+
+
+def reduce(results) -> Dict[str, float]:
     """Max per-block warp execution-time disparity under the baseline RR."""
-    names = workloads or (SENS_WORKLOADS + NON_SENS_WORKLOADS)
-    data = {}
-    for name in names:
-        result = run_scheme(name, "rr", scale=scale, config=config)
-        data[name] = max_block_disparity(result)
-    return data
+    return {name: max_block_disparity(result)
+            for (name, _), result in results.items()}
 
 
 def render(data: Dict[str, float]) -> str:
@@ -32,11 +33,3 @@ def render(data: Dict[str, float]) -> str:
     return "Figure 1: max warp execution time disparity (baseline RR)\n" + format_table(
         ["benchmark", "disparity"], rows
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -65,11 +65,3 @@ def render(data: Dict[str, List]) -> str:
         f"{_gap([float(x) for x in data['b_inst_count']]):.1%}"
     )
     return "Figure 2: bfs warp criticality case study\n" + header + summary
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

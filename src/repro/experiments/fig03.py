@@ -42,11 +42,3 @@ def render(data: Dict[str, object]) -> str:
     ]
     lines.append(format_table(["insertion PC", "refs", "reuses", "beyond cap"], rows))
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,19 +8,22 @@ scheduler-induced-wait share of each block's critical warp.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..stats.disparity import critical_warp_of, scheduler_stall_share
 from ..stats.report import format_table
-from .runner import run_scheme
+from .runner import Cell
 
 SCHEDULERS = ["rr", "two_level", "gto", "gcaws"]
 
 
-def run(scale: float = 1.0, config=None, workload: str = "bfs") -> Dict[str, float]:
+def cells(workload: str = "bfs") -> List[Cell]:
+    return [(workload, scheme) for scheme in SCHEDULERS]
+
+
+def reduce(results) -> Dict[str, float]:
     data = {}
-    for scheme in SCHEDULERS:
-        result = run_scheme(workload, scheme, scale=scale, config=config)
+    for (_, scheme), result in results.items():
         shares = [
             scheduler_stall_share(critical_warp_of(block))
             for block in result.blocks
@@ -36,11 +39,3 @@ def render(data: Dict[str, float]) -> str:
         "Figure 4: scheduler-induced wait share of the critical warp (bfs)\n"
         + format_table(["scheduler", "critical-warp wait share"], rows)
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,26 +12,23 @@ from typing import Dict, List, Optional, Tuple
 
 from ..stats.report import format_table
 from ..workloads import NON_SENS_WORKLOADS, SENS_WORKLOADS
-from .runner import run_scheme
+from .runner import Cell
 
 SCHEMES = ["two_level", "gto", "cawa"]
 
 
-def run(
-    scale: float = 1.0,
-    config=None,
-    workloads: Optional[List[str]] = None,
-    schemes: Optional[List[str]] = None,
-) -> Dict[Tuple[str, str], float]:
-    """Speedup over RR for every (workload, scheme) pair."""
-    names = workloads or (SENS_WORKLOADS + NON_SENS_WORKLOADS)
-    data = {}
-    for name in names:
-        base = run_scheme(name, "rr", scale=scale, config=config)
-        for scheme in schemes or SCHEMES:
-            result = run_scheme(name, scheme, scale=scale, config=config)
-            data[(name, scheme)] = result.speedup_over(base)
-    return data
+def cells(workloads: Optional[List[str]] = None,
+          schemes: Optional[List[str]] = None) -> List[Cell]:
+    """Each workload under ``rr``, the baseline, then under ``schemes``."""
+    return [(name, scheme)
+            for name in workloads or (SENS_WORKLOADS + NON_SENS_WORKLOADS)
+            for scheme in ["rr"] + (schemes or SCHEMES)]
+
+
+def reduce(results) -> Dict[Tuple[str, str], float]:
+    """Speedup over RR for every (workload, scheme) pair but the baseline's."""
+    return {(name, scheme): result.speedup_over(results[(name, "rr")])
+            for (name, scheme), result in results.items() if scheme != "rr"}
 
 
 def summarize(data: Dict[Tuple[str, str], float]) -> Dict[Tuple[str, str], float]:
@@ -66,11 +63,3 @@ def render(data: Dict[Tuple[str, str], float]) -> str:
         lines.append(f"{label:<9} {scheme:<10} mean speedup: {value:.2f}x "
                      f"({value - 1:+.1%})")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

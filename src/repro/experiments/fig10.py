@@ -12,23 +12,19 @@ from typing import Dict, List, Optional, Tuple
 
 from ..stats.report import format_table
 from ..workloads import NON_SENS_WORKLOADS, SENS_WORKLOADS
-from .runner import run_scheme
+from .runner import Cell
 
 SCHEMES = ["rr", "two_level", "gto", "cawa"]
 
 
-def run(
-    scale: float = 1.0,
-    config=None,
-    workloads: Optional[List[str]] = None,
-) -> Dict[Tuple[str, str], float]:
-    names = workloads or (SENS_WORKLOADS + NON_SENS_WORKLOADS)
-    data = {}
-    for name in names:
-        for scheme in SCHEMES:
-            result = run_scheme(name, scheme, scale=scale, config=config)
-            data[(name, scheme)] = result.l1_mpki
-    return data
+def cells(workloads: Optional[List[str]] = None) -> List[Cell]:
+    return [(name, scheme)
+            for name in workloads or (SENS_WORKLOADS + NON_SENS_WORKLOADS)
+            for scheme in SCHEMES]
+
+
+def reduce(results) -> Dict[Tuple[str, str], float]:
+    return {cell: result.l1_mpki for cell, result in results.items()}
 
 
 def render(data: Dict[Tuple[str, str], float]) -> str:
@@ -44,11 +40,3 @@ def render(data: Dict[Tuple[str, str], float]) -> str:
         change = 1 - data[("kmeans", "cawa")] / data[("kmeans", "rr")]
         kmeans_delta = f"\nkmeans MPKI reduction under CAWA: {change:.1%}"
     return "Figure 10: L1D MPKI per scheduler\n" + table + kmeans_delta
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

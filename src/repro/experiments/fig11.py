@@ -33,11 +33,3 @@ def render(data: Dict[str, float]) -> str:
     return "Figure 11: CPL criticality prediction accuracy\n" + format_table(
         ["benchmark", "accuracy"], rows
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -80,11 +80,3 @@ def render(data: Dict[str, List]) -> str:
         spark = "".join(str(min(9, r)) for _, r in trace[:72])
         lines.append(f"       rank trace: {spark}")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

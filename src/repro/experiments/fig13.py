@@ -14,24 +14,18 @@ from typing import Dict, List, Optional, Tuple
 
 from ..stats.report import format_table
 from ..workloads import SENS_WORKLOADS
-from .runner import run_scheme
+from . import fig09
+from .runner import Cell
 
 SCHEMES = ["caws", "gcaws", "cawa"]
 
 
-def run(
-    scale: float = 1.0,
-    config=None,
-    workloads: Optional[List[str]] = None,
-) -> Dict[Tuple[str, str], float]:
-    names = workloads or SENS_WORKLOADS
-    data = {}
-    for name in names:
-        base = run_scheme(name, "rr", scale=scale, config=config)
-        for scheme in SCHEMES:
-            result = run_scheme(name, scheme, scale=scale, config=config)
-            data[(name, scheme)] = result.speedup_over(base)
-    return data
+def cells(workloads: Optional[List[str]] = None) -> List[Cell]:
+    return fig09.cells(workloads or SENS_WORKLOADS, SCHEMES)
+
+
+#: Speedup over RR, as in Figure 9.
+reduce = fig09.reduce
 
 
 def render(data: Dict[Tuple[str, str], float]) -> str:
@@ -48,11 +42,3 @@ def render(data: Dict[Tuple[str, str], float]) -> str:
         "Figure 13: oracle CAWS vs gCAWS vs CAWA (speedup over RR)\n"
         + format_table(["benchmark"] + SCHEMES, rows)
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

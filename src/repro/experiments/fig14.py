@@ -11,25 +11,20 @@ from typing import Dict, List, Optional, Tuple
 
 from ..stats.report import format_table
 from ..workloads import SENS_WORKLOADS
-from .runner import run_scheme
+from . import fig09
+from .runner import Cell
 
 SCHEMES = ["two_level", "gto", "cawa"]
 
 
-def run(
-    scale: float = 1.0,
-    config=None,
-    workloads: Optional[List[str]] = None,
-) -> Dict[Tuple[str, str], float]:
-    names = workloads or SENS_WORKLOADS
-    data = {}
-    for name in names:
-        base = run_scheme(name, "rr", scale=scale, config=config)
-        base_rate = base.critical_hit_rate or 1e-9
-        for scheme in SCHEMES:
-            result = run_scheme(name, scheme, scale=scale, config=config)
-            data[(name, scheme)] = result.critical_hit_rate / base_rate
-    return data
+def cells(workloads: Optional[List[str]] = None) -> List[Cell]:
+    return fig09.cells(workloads or SENS_WORKLOADS, SCHEMES)
+
+
+def reduce(results) -> Dict[Tuple[str, str], float]:
+    return {(name, scheme): result.critical_hit_rate
+            / (results[(name, "rr")].critical_hit_rate or 1e-9)
+            for (name, scheme), result in results.items() if scheme != "rr"}
 
 
 def render(data: Dict[Tuple[str, str], float]) -> str:
@@ -44,11 +39,3 @@ def render(data: Dict[Tuple[str, str], float]) -> str:
         "Figure 14: critical-warp L1D hit rate normalized to baseline RR\n"
         + format_table(["benchmark"] + SCHEMES, rows)
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,23 +11,19 @@ from typing import Dict, List, Optional, Tuple
 
 from ..stats.report import format_table
 from ..workloads import SENS_WORKLOADS
-from .runner import run_scheme
+from .runner import Cell
 
 SCHEMES = ["rr", "cawa"]
 
 
-def run(
-    scale: float = 1.0,
-    config=None,
-    workloads: Optional[List[str]] = None,
-) -> Dict[Tuple[str, str], float]:
-    names = workloads or SENS_WORKLOADS
-    data = {}
-    for name in names:
-        for scheme in SCHEMES:
-            result = run_scheme(name, scheme, scale=scale, config=config)
-            data[(name, scheme)] = result.l1_stats.critical_zero_reuse_fraction
-    return data
+def cells(workloads: Optional[List[str]] = None) -> List[Cell]:
+    return [(name, scheme) for name in workloads or SENS_WORKLOADS
+            for scheme in SCHEMES]
+
+
+def reduce(results) -> Dict[Tuple[str, str], float]:
+    return {cell: result.l1_stats.critical_zero_reuse_fraction
+            for cell, result in results.items()}
 
 
 def render(data: Dict[Tuple[str, str], float]) -> str:
@@ -42,11 +38,3 @@ def render(data: Dict[Tuple[str, str], float]) -> str:
         "Figure 15: critical-warp lines evicted with zero reuse\n"
         + format_table(["benchmark", "baseline RR", "CAWA"], rows)
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..stats.report import format_table
 from ..workloads import SENS_WORKLOADS
-from .runner import run_scheme
+from .runner import Cell
 
 PAIRINGS = [
     ("rr", "rr+cacp"),
@@ -21,25 +21,14 @@ PAIRINGS = [
 ]
 
 
-def run(
-    scale: float = 1.0,
-    config=None,
-    workloads: Optional[List[str]] = None,
-    metric: str = "mpki",
-) -> Dict[Tuple[str, str], float]:
-    """Per (workload, scheme) metric for every scheduler with/without CACP.
+def cells(workloads: Optional[List[str]] = None) -> List[Cell]:
+    """Every scheduler with and without CACP (Figure 17's cells too)."""
+    return [(name, scheme) for name in workloads or SENS_WORKLOADS
+            for pair in PAIRINGS for scheme in pair]
 
-    ``metric`` is ``"mpki"`` (Figure 16) or ``"ipc"`` (Figure 17).
-    """
-    names = workloads or SENS_WORKLOADS
-    data = {}
-    for name in names:
-        for base_scheme, cacp_scheme in PAIRINGS:
-            for scheme in (base_scheme, cacp_scheme):
-                result = run_scheme(name, scheme, scale=scale, config=config)
-                value = result.l1_mpki if metric == "mpki" else result.ipc
-                data[(name, scheme)] = value
-    return data
+
+def reduce(results) -> Dict[Tuple[str, str], float]:
+    return {cell: result.l1_mpki for cell, result in results.items()}
 
 
 def render(data: Dict[Tuple[str, str], float], metric: str = "mpki") -> str:
@@ -55,11 +44,3 @@ def render(data: Dict[Tuple[str, str], float], metric: str = "mpki") -> str:
     return f"{title} with CACP under different schedulers\n" + format_table(
         ["benchmark"] + schemes, rows
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -7,20 +7,15 @@ scheduler gains 2%-16.5% IPC in the paper, with the fully coordinated CAWA
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..stats.report import format_table
-from ..workloads import SENS_WORKLOADS
 from . import fig16
-from .runner import run_scheme
+
+cells = fig16.cells
 
 
-def run(
-    scale: float = 1.0,
-    config=None,
-    workloads: Optional[List[str]] = None,
-) -> Dict[Tuple[str, str], float]:
-    return fig16.run(scale=scale, config=config, workloads=workloads, metric="ipc")
+def reduce(results) -> Dict[Tuple[str, str], float]:
+    return {cell: result.ipc for cell, result in results.items()}
 
 
 def cacp_gains(data: Dict[Tuple[str, str], float]) -> Dict[str, float]:
@@ -44,11 +39,3 @@ def render(data: Dict[Tuple[str, str], float]) -> str:
     for scheduler, gain in cacp_gains(data).items():
         lines.append(f"  {scheduler:<10} {gain:+.1%}")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

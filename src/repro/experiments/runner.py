@@ -511,6 +511,8 @@ def _resolve(cells: List[Cell], scale: float, base: GPUConfig, jobs: Optional[in
     disk cache off (a helper's trace could not reach the other processes).
     ``on_cell(cell, result)`` is called once per cell as its result is
     known, cache hits first."""
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be None or at least 1, got {jobs!r}")
     check = kwargs.get("check", True)
     options = {k: v for k, v in kwargs.items() if k != "check"}
     keys = {cell: _cache_keys(*cell, scale, base, **options)
@@ -594,8 +596,6 @@ def run_sweep(
             raise TypeError(
                 f"run_sweep() no longer takes {knob}=: pass jobs=N, the "
                 f"processes the sweep runs on (None: the usable cores)")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be None or at least 1, got {jobs!r}")
     workloads, schemes = list(workloads), list(schemes)
     _validate_sweep_kwargs(kwargs, workloads)
     if sampled and not isinstance(sampled, str):

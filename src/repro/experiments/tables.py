@@ -46,13 +46,3 @@ def table2() -> str:
     return "Table 2: benchmarks and data sets\n" + format_table(
         ["benchmark", "data set", "category"], rows
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(table1())
-    print()
-    print(table2())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

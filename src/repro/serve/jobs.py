@@ -94,7 +94,7 @@ class JobSpec:
         Raises :class:`JobSpecError` with a client-addressable message on
         any problem; never lets a malformed payload reach the simulator.
         """
-        from ..core.cawa import SCHEMES
+        from ..core.cawa import REMOVED_SCHEMES, SCHEMES
         from ..workloads import positive_scale, workload_names
 
         if not isinstance(payload, dict):
@@ -144,12 +144,12 @@ class JobSpec:
             if isinstance(figure, bool) or not isinstance(figure, int):
                 raise JobSpecError(
                     f"figure jobs need an integer 'figure', got {figure!r}")
-            from ..experiments import FIGURES
+            from ..experiments import figure_module
 
-            if figure not in FIGURES:
-                raise JobSpecError(
-                    f"no module for figure {figure}; available: {FIGURES}"
-                )
+            try:
+                figure_module(figure)
+            except ValueError as exc:
+                raise JobSpecError(str(exc)) from None
             workloads: Tuple[str, ...] = ()
             schemes: Tuple[str, ...] = ()
         elif kind == "run":
@@ -172,6 +172,9 @@ class JobSpec:
             if name not in valid_workloads:
                 raise JobSpecError(f"unknown workload {name!r}")
         for name in schemes:
+            if name in REMOVED_SCHEMES:
+                raise JobSpecError(
+                    f"scheme {name!r} was removed: {REMOVED_SCHEMES[name]}")
             if name not in valid_schemes:
                 raise JobSpecError(f"unknown scheme {name!r}")
 

@@ -524,12 +524,16 @@ class ReproServer:
             self._kick()
             return 200, {"paused": False}
         if method == "POST" and path == "/shutdown":
-            drain = True
-            if body:
-                try:
-                    drain = bool(json.loads(body).get("drain", True))
-                except ValueError:
-                    pass
+            try:
+                request = json.loads(body or b"{}")
+            except ValueError:
+                return 400, {"error": "body is not JSON"}
+            if not isinstance(request, dict):
+                return 400, {"error": "shutdown body must be a JSON object"}
+            drain = request.get("drain", True)
+            if not isinstance(drain, bool):
+                return 400, {"error": f"'drain' must be true or false, "
+                                      f"got {drain!r}"}
             asyncio.ensure_future(self.shutdown(drain=drain))
             return 202, {"shutting_down": True, "drain": drain}
         return 404, {"error": f"no route {method} {path}"}

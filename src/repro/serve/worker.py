@@ -45,7 +45,7 @@ def execute_job(
         elif spec.kind == "sweep":
             result_payload = _sweep_job(spec, writer)
         else:
-            result_payload = _figure_job(spec)
+            result_payload = _figure_job(spec, writer)
         writer.emit("finished")
         return result_payload
     except Exception as exc:
@@ -88,17 +88,25 @@ def _run_job(spec: JobSpec, writer: ProgressWriter) -> dict:
     }
 
 
-def _sweep_job(spec: JobSpec, writer: ProgressWriter) -> dict:
-    from ..experiments.runner import run_sweep
-
+def _cell_reporter(writer: ProgressWriter):
+    """The ``on_cell`` of a sweep or figure job: one ``cell`` record per
+    cell, written as its result is known."""
     def on_cell(cell, result) -> None:
         writer.emit("cell", workload=cell[0], scheme=cell[1],
                     cycles=result.cycles)
 
-    # One process per job: the worker pool is the parallelism budget.
+    return on_cell
+
+
+# Sweep and figure jobs resolve their cells on one process (``jobs=1``):
+# the worker pool is the parallelism budget.
+def _sweep_job(spec: JobSpec, writer: ProgressWriter) -> dict:
+    from ..experiments.runner import run_sweep
+
     results = run_sweep(
         list(spec.workloads), list(spec.schemes), scale=spec.scale,
-        config=spec.build_config(), jobs=1, on_cell=on_cell, check=spec.check,
+        config=spec.build_config(), jobs=1, on_cell=_cell_reporter(writer),
+        check=spec.check,
     )
     return {"kind": "sweep", "cells": [
         {"workload": workload, "scheme": scheme, "result": result.to_dict()}
@@ -106,15 +114,14 @@ def _sweep_job(spec: JobSpec, writer: ProgressWriter) -> dict:
     ]}
 
 
-def _figure_job(spec: JobSpec) -> dict:
-    import importlib
+def _figure_job(spec: JobSpec, writer: ProgressWriter) -> dict:
+    from ..experiments import figure_module, run_figure
 
-    module = importlib.import_module(
-        f"repro.experiments.fig{spec.figure:02d}"
-    )
-    data = module.run(scale=spec.scale, config=spec.build_config())
+    data = run_figure(spec.figure, scale=spec.scale,
+                      config=spec.build_config(), jobs=1,
+                      on_cell=_cell_reporter(writer))
     return {
         "kind": "figure",
         "figure": spec.figure,
-        "text": module.render(data),
+        "text": figure_module(spec.figure).render(data),
     }

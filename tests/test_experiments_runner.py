@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import GPUConfig
-from repro.experiments import result_cache, runner
+from repro.experiments import result_cache, run_figure, runner
 from repro.experiments.fig12 import PriorityTrace
 from repro.experiments.runner import (
     _dedupe,
@@ -322,80 +322,80 @@ class TestParallelSweepDedupe:
 
 
 class TestFigureModules:
-    """Smoke tests: every figure module runs at tiny scale and renders."""
+    """Smoke tests: every figure runs through ``run_figure`` at tiny scale
+    and renders."""
 
     def test_fig01(self):
         from repro.experiments import fig01
-        data = fig01.run(scale=SCALE, workloads=["synthetic_imbalance"])
+        data = run_figure(1, scale=SCALE, workloads=["synthetic_imbalance"])
         assert "synthetic_imbalance" in data
         assert "Figure 1" in fig01.render(data)
 
     def test_fig04(self):
         from repro.experiments import fig04
-        data = fig04.run(scale=SCALE, workload="synthetic_imbalance")
+        data = run_figure(4, scale=SCALE, workload="synthetic_imbalance")
         assert set(data) == set(fig04.SCHEDULERS)
         assert "Figure 4" in fig04.render(data)
 
     def test_fig09_and_summary(self):
         from repro.experiments import fig09
-        data = fig09.run(scale=SCALE, workloads=["kmeans"], schemes=["gto"])
-        assert ("kmeans", "gto") in data
+        data = run_figure(9, scale=SCALE, workloads=["kmeans"],
+                          schemes=["gto"])
+        assert set(data) == {("kmeans", "gto")}
         summary = fig09.summarize(data)
         assert ("Sens", "gto") in summary
 
     def test_fig11(self):
-        from repro.experiments import fig11
-        data = fig11.run(scale=SCALE, workloads=["needle"])
+        data = run_figure(11, scale=SCALE, workloads=["needle"])
         assert data["needle"] == 1.0
 
     def test_fig15(self):
-        from repro.experiments import fig15
-        data = fig15.run(scale=SCALE, workloads=["kmeans"])
+        data = run_figure(15, scale=SCALE, workloads=["kmeans"])
         assert ("kmeans", "rr") in data and ("kmeans", "cawa") in data
 
     def test_fig02(self):
         from repro.experiments import fig02
-        data = fig02.run(scale=SCALE)
+        data = run_figure(2, scale=SCALE)
         assert len(data["a_exec_time"]) >= 2
         assert "Figure 2" in fig02.render(data)
 
     def test_fig03(self):
         from repro.experiments import fig03
-        data = fig03.run(scale=SCALE)
+        data = run_figure(3, scale=SCALE)
         assert 0.0 <= data["critical_evicted_before_reuse"] <= 1.0
         assert "Figure 3" in fig03.render(data)
 
     def test_fig10(self):
         from repro.experiments import fig10
-        data = fig10.run(scale=SCALE, workloads=["kmeans"])
+        data = run_figure(10, scale=SCALE, workloads=["kmeans"])
         assert all(value >= 0 for value in data.values())
         assert "Figure 10" in fig10.render(data)
 
     def test_fig12(self):
         from repro.experiments import fig12
-        data = fig12.run(scale=SCALE)
+        data = run_figure(12, scale=SCALE)
         assert set(data) == {"rr", "gcaws"}
         assert "Figure 12" in fig12.render(data)
 
     def test_fig13(self):
         from repro.experiments import fig13
-        data = fig13.run(scale=SCALE, workloads=["needle"])
+        data = run_figure(13, scale=SCALE, workloads=["needle"])
         assert set(s for _, s in data) == set(fig13.SCHEMES)
         assert "Figure 13" in fig13.render(data)
 
     def test_fig14(self):
         from repro.experiments import fig14
-        data = fig14.run(scale=SCALE, workloads=["kmeans"])
+        data = run_figure(14, scale=SCALE, workloads=["kmeans"])
         assert all(value > 0 for value in data.values())
         assert "Figure 14" in fig14.render(data)
 
     def test_fig16_and_17(self):
         from repro.experiments import fig16, fig17
-        data = fig17.run(scale=SCALE, workloads=["kmeans"])
+        data = run_figure(17, scale=SCALE, workloads=["kmeans"])
         gains = fig17.cacp_gains(data)
         assert set(gains) == {pair[0] for pair in fig16.PAIRINGS}
         assert "Figure 17" in fig17.render(data)
-        mpki = fig16.run(scale=SCALE, workloads=["kmeans"])
+        mpki = run_figure(16, scale=SCALE, workloads=["kmeans"])
         assert "Figure 16" in fig16.render(mpki)
 
     def test_tables(self):
@@ -408,11 +408,9 @@ def test_a_warm_figure_simulates_nothing():
     """Figs 2, 3, 11 and 12 (workload kwargs, and reports of three
     collectors) come back from the disk cache: a second pass with the memo
     cleared simulates no cell and gives equal data."""
-    from repro.experiments import fig02, fig03, fig11, fig12
-
-    figures = (fig02, fig03, fig11, fig12)
-    cold = [figure.run(scale=SCALE) for figure in figures]
+    figures = (2, 3, 11, 12)
+    cold = [run_figure(number, scale=SCALE) for number in figures]
     runner.clear_cache()
     before = runner.cells_simulated()
-    assert [figure.run(scale=SCALE) for figure in figures] == cold
+    assert [run_figure(number, scale=SCALE) for number in figures] == cold
     assert runner.cells_simulated() == before

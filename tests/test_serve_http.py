@@ -242,6 +242,19 @@ class TestShutdown:
         assert drained.state == "done"
         assert drained.result["result"]["cycles"] > 0
 
+    @pytest.mark.parametrize("body", [[1], "x", {"drain": "false"},
+                                      {"drain": 0}])
+    def test_bad_body_is_a_400_and_the_server_keeps_running(
+            self, serve_factory, body):
+        handle = serve_factory()
+        client = ServeClient(handle.base_url)
+        status, data = client._request("POST", "/shutdown", payload=body)
+        assert status == 400, data
+        assert not handle.server.draining
+        assert client.healthz() == {"ok": True}
+        job, _ = client.submit(spec())
+        assert client.wait(job["id"], timeout=120)["state"] == "done"
+
     def test_drain_releases_paused_queue(self, serve_factory):
         handle = serve_factory()
         client = ServeClient(handle.base_url)

@@ -83,6 +83,10 @@ class TestJobSpecValidation:
         ({"kind": "run", "workload": "bfs", "scale": float("inf")}, "scale"),
         ({"kind": "run", "workload": "bfs", "scale": True}, "scale"),
         ({"kind": "figure", "figure": True}, "figure"),
+        # A removed scheme is refused with the reason it went.
+        ({"kind": "run", "workload": "bfs", "scheme": "ccws"}, "was removed"),
+        ({"kind": "run", "workload": "bfs", "scheme": "ciao"}, "was removed"),
+        ({"kind": "sweep", "schemes": ["rr", "cawa+bypass"]}, "was removed"),
     ])
     def test_bad_payloads_rejected(self, payload, fragment):
         with pytest.raises(JobSpecError, match=fragment):
@@ -399,7 +403,7 @@ class TestProgressChannel:
 
 
 class TestSweepJob:
-    """A sweep job run in-process, as an executor process runs it."""
+    """A sweep or figure job run in-process, as an executor process runs it."""
 
     def test_cell_records_arrive_before_finished_warm_or_cold(
             self, tmp_path, monkeypatch):
@@ -430,6 +434,23 @@ class TestSweepJob:
                     for r in records[1:5]} == cycles
             answers.append(answer)
         assert answers[0] == answers[1]
+
+    def test_a_figure_job_reports_each_cell_of_its_grid(
+            self, tmp_path, monkeypatch):
+        from repro.experiments import fig04, result_cache, run_figure
+        from repro.serve.progress import read_new_records
+        from repro.serve.worker import execute_job
+
+        monkeypatch.setattr(result_cache, "_dir_override", None)
+        progress = tmp_path / "figure.jsonl"
+        answer = execute_job({"kind": "figure", "figure": 4, "scale": 0.25},
+                             str(progress), str(tmp_path / "cache"))
+        records, _ = read_new_records(progress, 0)
+        assert [r["kind"] for r in records] == (
+            ["started"] + ["cell"] * 4 + ["finished"])
+        assert [(r["workload"], r["scheme"])
+                for r in records[1:5]] == fig04.cells()
+        assert answer["text"] == fig04.render(run_figure(4, scale=0.25))
 
 
 class TestLifecycle:

@@ -5,7 +5,7 @@
 draws the rest from one queue on ``jobs`` processes, the calling one
 included.  These tests pin that ``jobs`` changes none of the numbers,
 that the calling process works rather than waits, and when the plan stays
-in one process.
+in one process.  A grid figure's cells are such a plan too.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from repro import trace as trace_mod
 from repro.config import GPUConfig
 from repro.core import cawa
-from repro.experiments import result_cache, runner
+from repro.experiments import result_cache, run_figure, runner
 from repro.experiments.runner import _dedupe, _Plan, run_sweep
 from repro.trace import store as trace_store
 
@@ -179,3 +179,21 @@ def test_removed_knobs_name_jobs():
             run_sweep(WORKLOADS, ["rr"], scale=SCALE, **knob)
     with pytest.raises(ValueError, match="jobs"):
         run_sweep(WORKLOADS, ["rr"], scale=SCALE, jobs=0)
+
+
+def test_a_figure_is_the_same_on_one_and_two_processes(tmp_path, monkeypatch):
+    def cold_figure(jobs):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"jobs{jobs}"))
+        runner.clear_cache()
+        return run_figure(16, scale=0.25, workloads=["kmeans"], jobs=jobs)
+
+    assert cold_figure(1) == cold_figure(2)
+
+
+def test_figure_10_reuses_figure_9s_grid():
+    start = runner.cells_simulated()
+    run_figure(9, scale=SCALE, workloads=WORKLOADS)
+    assert runner.cells_simulated() - start == 2 * 4
+    start = runner.cells_simulated()
+    run_figure(10, scale=SCALE, workloads=WORKLOADS)
+    assert runner.cells_simulated() == start
