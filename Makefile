@@ -44,8 +44,9 @@ bench:
 	$(PYTEST) benchmarks/ -q -m "" --benchmark-only -s
 
 ## The figure, table and ablation benchmarks alone: every paper shape the
-## reproduction asserts (17 figures + tables + ablations; ~22 s cold and
-## ~5 s warm on 2 vCPUs, a grid figure's cells spread over the usable cores).
+## reproduction asserts (17 figures + tables + ablations, 19 benchmarks; ~16 s
+## cold and ~4 s warm on 2 vCPUs, a grid figure's cells spread over the usable
+## cores).
 figures:
 	$(PYTEST) benchmarks/test_fig*.py benchmarks/test_tables.py benchmarks/test_ablation_*.py -q -m "" --benchmark-only
 

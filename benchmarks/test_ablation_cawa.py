@@ -5,7 +5,7 @@ and of our documented deviations:
 
 * gCAWS greedy time slice vs. pure criticality priority;
 * CACP partition modes: priority (default) vs. the paper's static 8/16
-  way split vs. the UCP-style dynamic split;
+  way split;
 * CPL instruction-term-only vs. full Eq. 1 (stall term included).
 """
 
@@ -13,15 +13,14 @@ import pytest
 from conftest import run_once
 
 from repro import GPU, GPUConfig, apply_scheme
-from repro.core.cacp import CACPPolicy
 from repro.simt.warp import Warp
 from repro.workloads import make_workload
 
 WORKLOAD = "kmeans"
 
 
-def _run_with(scheme, configure=None):
-    cfg = apply_scheme(GPUConfig.default_sim(), scheme)
+def _run_with(scheme, configure=None, **overrides):
+    cfg = apply_scheme(GPUConfig.default_sim(**overrides), scheme)
     gpu = GPU(cfg)
     if configure is not None:
         configure(gpu)
@@ -63,16 +62,10 @@ def test_ablation_greedy_time_slice(benchmark):
     assert 0.5 <= full.ipc / no_greedy.ipc <= 2.0
 
 
-@pytest.mark.parametrize("mode", ["priority", "static", "dynamic"])
+@pytest.mark.parametrize("mode", ["priority", "static"])
 def test_ablation_cacp_partition_modes(benchmark, mode):
-    """All three partition modes must run and stay within sane bounds."""
-
-    def set_mode(gpu):
-        for sm in gpu.sms:
-            if isinstance(sm.l1d.policy, CACPPolicy):
-                sm.l1d.policy.mode = mode
-
-    result = run_once(benchmark, _run_with, "cawa", set_mode)
+    """Both partition modes must run and stay within sane bounds."""
+    result = run_once(benchmark, _run_with, "cawa", cacp_mode=mode)
     print(f"\nAblation (CACP mode={mode}, {WORKLOAD}): IPC={result.ipc:.3f} "
           f"MPKI={result.l1_mpki:.2f}")
     assert result.ipc > 0

@@ -107,11 +107,11 @@ class GPUConfig:
     alu_latency: int = 4
     sfu_latency: int = 16
     scheduler_name: str = "lrr"
-    l1d_policy: str = "lru"
+    #: The L1D policy: CACP when set, else LRU (the GPGPU-sim baseline).
     use_cacp: bool = False
-    #: CACP partition mode: "priority" (logical, default), "static" (the
-    #: paper's strict 8-of-16 way split), or "dynamic" (UCP-style retuned
-    #: split).  See :class:`repro.core.cacp.CACPPolicy`.
+    #: CACP partition mode: "priority" (logical, default) or "static" (the
+    #: paper's strict 8-of-16 way split).  See
+    #: :class:`repro.core.cacp.CACPPolicy`.
     cacp_mode: str = "priority"
     cpl_update_period: int = 64
     #: Statistical sampling of the stored trace (:mod:`repro.sampling`):
@@ -140,17 +140,20 @@ class GPUConfig:
     #: Deleted fields, hashed at the defaults every surviving config had,
     #: so each keeps its fingerprint, and with it its result-cache entries
     #: and serve coalescing keys.  ``l1i`` was never read: no instruction
-    #: cache is modelled.
+    #: cache is modelled.  The L1D policy selector chose among LRU and four
+    #: RRIP/SHiP policies that all measured below LRU; the scheme now picks
+    #: the L1D policy (:attr:`use_cacp`).
     RETIRED_FINGERPRINT_DEFAULTS: ClassVar[Dict[str, object]] = {
         "cacp_bypass": False,
         "critical_mshr_reserve": 0,
         "sampling_seed": 0,
         "use_cpl": True,
+        "l1d_policy": "lru",
         "l1i": {"sets": 4, "ways": 4, "line_size": 128, "hit_latency": 2,
                 "replacement": "lru", "critical_ways": 0, "mshr_entries": 32},
     }
     #: The same for the deleted ``CacheConfig`` field (never read: the
-    #: L1D's policy is :attr:`l1d_policy`), hashed into each cache's dict.
+    #: L1D's policy is :attr:`use_cacp`'s), hashed into each cache's dict.
     RETIRED_CACHE_DEFAULTS: ClassVar[Dict[str, object]] = {"replacement": "lru"}
 
     def __post_init__(self) -> None:
@@ -181,6 +184,21 @@ class GPUConfig:
             raise ConfigError(
                 f"unknown scheduler {self.scheduler_name!r}; expected one "
                 f"of {sorted(SCHEDULERS)}"
+            )
+        # The same for the CACP partition mode (read only by CACP, but
+        # hashed under every scheme: an unknown mode would otherwise key
+        # its own results).
+        from .core.cacp import PARTITION_MODES, REMOVED_PARTITION_MODES
+
+        if self.cacp_mode not in PARTITION_MODES:
+            if self.cacp_mode in REMOVED_PARTITION_MODES:
+                raise ConfigError(
+                    f"cacp_mode {self.cacp_mode!r} was removed: "
+                    f"{REMOVED_PARTITION_MODES[self.cacp_mode]}"
+                )
+            raise ConfigError(
+                f"unknown cacp_mode {self.cacp_mode!r}; expected one of "
+                f"{list(PARTITION_MODES)}"
             )
         # Validate the sampling spec through its one parser (local import:
         # repro.sampling.spec is a leaf; the heavy sampling machinery never
@@ -241,10 +259,6 @@ class GPUConfig:
         else:
             l1d = replace(self.l1d, critical_ways=0)
         return replace(self, use_cacp=enabled, l1d=l1d)
-
-    def with_l1d_policy(self, policy: str) -> "GPUConfig":
-        """Return a copy using L1D replacement policy ``policy``."""
-        return replace(self, l1d_policy=policy)
 
     def with_frontend(self, frontend: str) -> "GPUConfig":
         """Shim for the removed ``frontend`` knob: ``"trace"``, the one

@@ -7,21 +7,19 @@ the requesting warp is itself critical; a modified SHiP predictor picks the
 SRRIP insertion position so only lines with expected reuse are retained.
 Hits and evictions train both predictors per Algorithm 4.
 
-Three partition modes are provided:
+Two partition modes are provided:
 
 * ``"priority"`` (default) — logical partitioning: critical lines insert at
   a protected RRPV and non-critical lines at SHiP-guided (long/distant)
   RRPV, with victim selection over the whole set.  Critical data ages out
   last without giving up any capacity.
 * ``"static"`` — the paper's strict way partition (8 of 16 ways reserved).
-* ``"dynamic"`` — strict way partition whose boundary retunes at runtime
-  from per-partition hit shares (the UCP-style extension the paper cites
-  [31] as an integration path).
 
-The strict modes reproduce the paper's hardware proposal exactly; the
+The static mode reproduces the paper's hardware proposal exactly; the
 priority mode is the variant that wins at this simulator's scale (16 warps
 per SM rather than 48, so fill-side capacity restrictions bite harder than
-inter-warp interference).  The ablation benches compare all three.
+inter-warp interference).  ``benchmarks/test_ablation_cawa.py`` compares
+the two.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from __future__ import annotations
 from typing import List
 
 from ..memory.replacement import (
+    RRPV_LONG,
     RRPV_MAX,
     RRPV_NEAR,
     ReplacementPolicy,
@@ -45,7 +44,13 @@ _EV_CACP_PROMOTE = int(Ev.CACP_PROMOTE)
 #: Insertion RRPV for critical-classified lines (closer than SHiP's "long").
 RRPV_PROTECTED = 1
 
-PARTITION_MODES = ("priority", "static", "dynamic")
+PARTITION_MODES = ("priority", "static")
+#: Partition modes no longer modeled -> why; ``GPUConfig`` refuses each by
+#: name instead of calling it unknown.
+REMOVED_PARTITION_MODES = {
+    "dynamic": "the UCP-style retuned way split measured below the default "
+    "'priority' mode on kmeans (EXPERIMENTS.md, Ablations); use 'priority'",
+}
 
 
 class _CACPShip:
@@ -67,7 +72,7 @@ class _CACPShip:
 
     def insertion_rrpv(self, signature: int) -> int:
         """Long (2) when reuse is predicted, distant (3) otherwise."""
-        return 2 if self.table[self._index(signature)] > 0 else RRPV_MAX
+        return RRPV_LONG if self.table[self._index(signature)] > 0 else RRPV_MAX
 
     def increment(self, signature: int) -> None:
         idx = self._index(signature)
@@ -91,7 +96,6 @@ class CACPPolicy(ReplacementPolicy):
         total_ways: int,
         table_size: int = 256,
         mode: str = "priority",
-        min_critical_ways: int = 2,
     ) -> None:
         if not 0 < critical_ways < total_ways:
             raise ValueError(
@@ -104,10 +108,6 @@ class CACPPolicy(ReplacementPolicy):
         self.total_ways = total_ways
         self.ccbp = CriticalCacheBlockPredictor(table_size=table_size)
         self.ship = _CACPShip(table_size=table_size)
-        self.min_critical_ways = min_critical_ways
-        self._partition_hits = [0, 0]  # [critical partition, non-critical]
-        self._tune_interval = 1024
-        self._accesses_since_tune = 0
         #: Event bus (``repro.obs``) or ``None``; set by ``wire_gpu``.
         self.obs = None
 
@@ -176,15 +176,9 @@ class CACPPolicy(ReplacementPolicy):
         if req.is_critical:
             line.c_reuse = True
             self.ccbp.train_critical_reuse(line.signature)
-            self.ship.increment(line.signature)
         else:
             line.nc_reuse = True
-            self.ship.increment(line.signature)
-        if self.mode == "dynamic":
-            self._partition_hits[0 if line.in_critical_partition else 1] += 1
-            self._accesses_since_tune += 1
-            if self._accesses_since_tune >= self._tune_interval:
-                self._retune()
+        self.ship.increment(line.signature)
 
     # ------------------------------------------------------------------
     # EvictLine in Algorithm 4
@@ -199,17 +193,3 @@ class CACPPolicy(ReplacementPolicy):
             # lines are usually victims of churn (the thing CACP exists to
             # stop), not evidence the signature is streaming.
             self.ship.decrement(line.signature)
-
-    # ------------------------------------------------------------------
-    def _retune(self) -> None:
-        """UCP-style boundary adjustment from per-partition hit shares."""
-        critical_hits, noncritical_hits = self._partition_hits
-        total = critical_hits + noncritical_hits
-        if total:
-            share = critical_hits / total
-            target = round(share * self.total_ways)
-            self.critical_ways = int(
-                min(self.total_ways - 1, max(self.min_critical_ways, target))
-            )
-        self._partition_hits = [0, 0]
-        self._accesses_since_tune = 0

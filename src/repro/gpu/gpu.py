@@ -28,7 +28,7 @@ from ..core.cpl import CriticalityPredictor
 from ..errors import DeadlockError, LaunchError, TraceMismatchError
 from ..memory.data import GlobalMemory
 from ..memory.hierarchy import MemoryHierarchy
-from ..memory.replacement import make_policy
+from ..memory.replacement import LRUPolicy
 from ..scheduling.registry import make_scheduler
 from ..sm.dispatcher import BlockDispatcher
 from ..sm.sm import StreamingMultiprocessor
@@ -128,13 +128,7 @@ class GPU:
                 total_ways=self.config.l1d.ways,
                 mode=self.config.cacp_mode,
             )
-        if self.config.l1d_policy == "drrip":
-            return make_policy(
-                "drrip",
-                sets=self.config.l1d.sets,
-                line_size=self.config.l1d.line_size,
-            )
-        return make_policy(self.config.l1d_policy)
+        return LRUPolicy()
 
     # ------------------------------------------------------------------
     def _next_launch_trace(self, kernel, grid_dim: int, block_dim: int):

@@ -228,7 +228,8 @@ class Cache:
         line.c_reuse = line.nc_reuse = False
         line.signature = req.signature
         self._index[line_addr] = line
-        # Read per fill: CACP's dynamic mode retunes its boundary.
+        # Ways [0, critical_ways) are CACP's static partition; its priority
+        # mode overwrites the flag with its own verdict in ``on_fill``.
         line.in_critical_partition = way < policy.critical_ways
         policy.on_fill(line, req)
         if obs is not None:

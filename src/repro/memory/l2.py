@@ -7,7 +7,7 @@ from typing import List
 from ..config import CacheConfig
 from ..obs.events import LEVEL_L2, Ev
 from .cache import Cache
-from .replacement import make_policy
+from .replacement import LRUPolicy
 from .request import MemRequest
 
 _EV_L2_BANK = int(Ev.L2_BANK)
@@ -26,9 +26,8 @@ class BankedL2:
         num_banks: int,
         latency: int,
         service_interval: int,
-        policy_name: str = "lru",
     ) -> None:
-        self.cache = Cache(config, make_policy(policy_name), level=LEVEL_L2)
+        self.cache = Cache(config, LRUPolicy(), level=LEVEL_L2)
         self._line_size = config.line_size
         self.num_banks = num_banks
         self.latency = latency

@@ -187,6 +187,11 @@ class JobSpec:
         for name, value in flags.items():
             if not isinstance(value, bool):
                 raise JobSpecError(f"{name!r} must be true or false, got {value!r}")
+        if kind == "figure" and not flags["check"]:
+            # The figure runner verifies every cell; an unverified figure
+            # job would be the same computation under another fingerprint.
+            raise JobSpecError("figure jobs always verify their cells; "
+                               "drop \"check\": false")
 
         priority = payload.get("priority", "auto")
         if priority == "auto":

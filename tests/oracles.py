@@ -86,8 +86,8 @@ def sm_state(sm):
     """What a tick of ``sm`` may change and nothing between its ticks may:
     per warp its status, cursor, stored wake and scoreboard lists; the
     MSHR's fills; the CPL's block thresholds and the blocks' issue counts
-    (a freshly dispatched block has none); the CACP policy's tune counters;
-    the warp each scheduler slot issued last."""
+    (a freshly dispatched block has none); the CACP policy's CCBP and SHiP
+    tables; the warp each scheduler slot issued last."""
     cpl = sm.cpl
     policy = sm.l1d.policy
     return {
@@ -98,8 +98,7 @@ def sm_state(sm):
         "mshr": dict(sm.mshr._inflight),
         "cpl": (dict(cpl._block_threshold),
                 {b.block_id: b.cpl_issues for b in sm.blocks if b.cpl_issues}),
-        "cacp": ((policy.critical_ways, tuple(policy._partition_hits),
-                  policy._accesses_since_tune)
+        "cacp": ((tuple(policy.ccbp.table), tuple(policy.ship.table))
                  if isinstance(policy, CACPPolicy) else None),
         "next_dynamic_id": sm._next_dynamic_id,
         "last": tuple(None if s.last is None else s.last.dynamic_id
@@ -220,7 +219,7 @@ class SkipOracle(_LaunchOracle):
         live_after = {line: done for line, done in after["mshr"].items() if done > now}
         assert live_before == live_after, f"{where}: MSHR fills changed"
         assert before["cpl"] == after["cpl"], f"{where}: CPL state changed"
-        assert before["cacp"] == after["cacp"], f"{where}: CACP tune counters changed"
+        assert before["cacp"] == after["cacp"], f"{where}: CACP predictor tables changed"
 
 
 def tick_every_cycle(gpu):

@@ -92,10 +92,6 @@ class TestGPUConfig:
         assert not cfg.use_cacp
         assert cfg.l1d.critical_ways == 0
 
-    def test_with_l1d_policy(self):
-        cfg = GPUConfig.default_sim().with_l1d_policy("ship")
-        assert cfg.l1d_policy == "ship"
-
     def test_rejects_bad_warp_size(self):
         with pytest.raises(ConfigError):
             GPUConfig(warp_size=33)
@@ -103,6 +99,21 @@ class TestGPUConfig:
     def test_rejects_zero_sms(self):
         with pytest.raises(ConfigError):
             GPUConfig(num_sms=0)
+
+    def test_rejects_unknown_cacp_mode(self):
+        # Refused when the config is built, under every scheme: the mode
+        # is hashed even where CACP is off, so a typo would key its own
+        # results (and fail only at device build under CACP).
+        with pytest.raises(ConfigError, match=r"\['priority', 'static'\]"):
+            GPUConfig.default_sim(cacp_mode="bogus")
+        with pytest.raises(ConfigError, match="bogus"):
+            dataclasses.replace(GPUConfig.default_sim(), cacp_mode="bogus")
+        # The removed UCP-style mode is refused by name, with its reason.
+        with pytest.raises(ConfigError,
+                           match=r"'dynamic' was removed: .*\(EXPERIMENTS.md, Ablations\)"):
+            GPUConfig.default_sim(cacp_mode="dynamic")
+        for mode in ("priority", "static"):
+            assert GPUConfig.default_sim(cacp_mode=mode).cacp_mode == mode
 
 
 class TestRemovedBackendKnob:
@@ -244,14 +255,16 @@ class TestRemovedExtensions:
     """The L1 no-reuse bypass and the critical-MSHR reserve are gone: their
     knobs and schemes fail by name, and stored results that carry the
     bypass counter still load.  So do the CIAO and WaSP scheme names, the
-    sampling seed, and the two cache fields nothing read (``l1i`` and
-    ``CacheConfig.replacement``)."""
+    sampling seed, the two cache fields nothing read (``l1i`` and
+    ``CacheConfig.replacement``) and the L1D policy selector
+    (``l1d_policy``): the scheme picks the L1D policy."""
 
     @pytest.mark.parametrize("knob,value", [
         ("cacp_bypass", True),
         ("critical_mshr_reserve", 2),
         pytest.param("sampling_seed", 7, id="sampling_seed-7"),
         ("use_cpl", False),
+        ("l1d_policy", "srrip"),
         pytest.param("l1i", CacheConfig(sets=4, ways=4), id="l1i-CacheConfig"),
     ])
     def test_knob_is_not_a_config_field(self, knob, value):
@@ -261,8 +274,6 @@ class TestRemovedExtensions:
     def test_replacement_is_not_a_cache_field(self):
         with pytest.raises(TypeError, match="replacement"):
             CacheConfig(sets=8, ways=16, replacement="srrip")
-        # The L1D policy knob that works is the GPUConfig one.
-        assert GPUConfig.default_sim().with_l1d_policy("srrip").l1d_policy == "srrip"
 
     def test_with_sampling_takes_no_seed(self):
         with pytest.raises(TypeError, match="seed"):
@@ -302,7 +313,7 @@ def reference_fingerprint(cfg: GPUConfig) -> str:
     for name in ("l1d", "l2"):
         fields[name]["replacement"] = "lru"
     payload = {"cacp_bypass": False, "critical_mshr_reserve": 0,
-               "sampling_seed": 0, "use_cpl": True,
+               "sampling_seed": 0, "use_cpl": True, "l1d_policy": "lru",
                "l1i": {"sets": 4, "ways": 4, "line_size": 128, "hit_latency": 2,
                        "replacement": "lru", "critical_ways": 0,
                        "mshr_entries": 32},
@@ -338,7 +349,7 @@ def overrides(draw):
         "l2": draw(caches()),
         "l2_banks": draw(st.integers(1, 8)),
         "use_cacp": draw(st.booleans()),
-        "cacp_mode": draw(st.sampled_from(["priority", "static", "dynamic"])),
+        "cacp_mode": draw(st.sampled_from(["priority", "static"])),
         "sampling": sampling,
     }
 

@@ -56,6 +56,8 @@ class TestCACPModes:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             CACPPolicy(critical_ways=8, total_ways=16, mode="magic")
+        with pytest.raises(ValueError):  # the removed UCP-style mode
+            CACPPolicy(critical_ways=8, total_ways=16, mode="dynamic")
 
     @staticmethod
     def full_set(distant_ways):
@@ -150,13 +152,3 @@ class TestCACPInCache:
         for i in range(3):
             cache.access(req(i * 128, critical=False))
         assert cache.stats.evictions == 0
-
-    def test_dynamic_mode_retunes_boundary(self):
-        policy = CACPPolicy(critical_ways=8, total_ways=16, mode="dynamic")
-        policy._tune_interval = 4
-        cfg = CacheConfig(sets=1, ways=16, line_size=128, critical_ways=8)
-        cache = Cache(cfg, policy)
-        cache.access(req(0, critical=True))
-        for _ in range(6):
-            cache.access(req(0, critical=True))  # critical-partition hits
-        assert policy.critical_ways > 8

@@ -1,18 +1,11 @@
-"""Tests for the set-associative cache and replacement policies."""
+"""Tests for the set-associative cache, LRU and SRRIP's victim search."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
-from repro.memory.cache import Cache
-from repro.memory.replacement import (
-    LRUPolicy,
-    RRPV_MAX,
-    SHiPPolicy,
-    SRRIPPolicy,
-    make_policy,
-)
+from repro.memory.cache import Cache, CacheLine
+from repro.memory.replacement import LRUPolicy, RRPV_MAX, srrip_victim
 from repro.memory.request import MemRequest, make_signature
 
 
@@ -28,9 +21,9 @@ def req(line_addr, pc=0, critical=False, load=True, cycle=0.0):
     )
 
 
-def small_cache(policy="lru", sets=2, ways=2):
+def small_cache(sets=2, ways=2):
     cfg = CacheConfig(sets=sets, ways=ways, line_size=128)
-    return Cache(cfg, make_policy(policy))
+    return Cache(cfg, LRUPolicy())
 
 
 class TestBasicBehaviour:
@@ -110,57 +103,17 @@ class TestBasicBehaviour:
 
 
 class TestSRRIP:
-    def test_insert_long_promote_near(self):
-        cache = small_cache("srrip")
-        cache.access(req(0))
-        line = cache.lookup(0)
-        assert line.rrpv == 2
-        cache.access(req(0))
-        assert line.rrpv == 0
+    """SRRIP's victim search, shared by CACP's fills (``memory/replacement``)."""
 
     def test_victim_prefers_distant(self):
-        cache = small_cache("srrip")
-        cache.access(req(0))
-        cache.access(req(256))
-        cache.access(req(0))  # promote line 0 to rrpv 0
-        cache.access(req(512))  # must evict line 256 (older rrpv)
-        assert cache.lookup(0) is not None
-        assert cache.lookup(256) is None
-
-
-class TestSHiP:
-    def test_learns_no_reuse_signature(self):
-        policy = SHiPPolicy(table_size=16, initial=1)
-        cfg = CacheConfig(sets=1, ways=2, line_size=128)
-        cache = Cache(cfg, policy)
-        # Stream many distinct lines with the same pc: all evicted with no
-        # reuse -> signature trained towards zero -> distant insertion.
-        for i in range(8):
-            cache.access(req(i * 128, pc=7))
-        sig_counters = set()
-        for i in range(8):
-            sig = make_signature(7, i * 128)
-            sig_counters.add(policy.table[policy._index(sig)])
-        assert 0 in sig_counters  # at least one signature flipped to no-reuse
-
-    def test_reuse_keeps_long_insertion(self):
-        policy = SHiPPolicy(table_size=16, initial=1)
-        assert policy.insertion_rrpv(3) == 2
-        policy.train_no_reuse(3)
-        assert policy.insertion_rrpv(3) == RRPV_MAX
-        policy.train_hit(3)
-        assert policy.insertion_rrpv(3) == 2
-
-
-class TestPolicyRegistry:
-    def test_make_policy_names(self):
-        assert isinstance(make_policy("lru"), LRUPolicy)
-        assert isinstance(make_policy("srrip"), SRRIPPolicy)
-        assert isinstance(make_policy("ship"), SHiPPolicy)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("mru")
+        lines = [CacheLine(valid=True, rrpv=rrpv) for rrpv in (0, 2, 1, 2)]
+        # No way is distant yet: the range ages one step to bring the
+        # first way at the old maximum to RRPV_MAX, and that way goes.
+        assert srrip_victim(lines, 0, 4) == 1
+        assert [line.rrpv for line in lines] == [1, RRPV_MAX, 2, RRPV_MAX]
+        # A distant way in the range is taken as it is, nothing ages.
+        assert srrip_victim(lines, 2, 4) == 3
+        assert [line.rrpv for line in lines] == [1, RRPV_MAX, 2, RRPV_MAX]
 
 
 class _RefLRU:

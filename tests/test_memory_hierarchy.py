@@ -13,7 +13,7 @@ from repro.config import CacheConfig, GPUConfig
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.mshr import MSHRFile
-from repro.memory.replacement import make_policy
+from repro.memory.replacement import LRUPolicy
 from repro.memory.request import MemRequest, make_signature
 
 
@@ -35,7 +35,7 @@ def walk(hierarchy, l1, mshr, request, now):
 def env():
     config = GPUConfig.default_sim()
     hierarchy = MemoryHierarchy(config)
-    l1 = Cache(config.l1d, make_policy("lru"))
+    l1 = Cache(config.l1d, LRUPolicy())
     mshr = MSHRFile(config.l1d.mshr_entries)
     return config, hierarchy, l1, mshr
 

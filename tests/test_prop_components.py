@@ -11,7 +11,7 @@ from repro.config import CacheConfig
 from repro.isa.kernel import KernelBuilder
 from repro.memory.cache import Cache, CacheLine, CacheStats
 from repro.memory.mshr import MSHRFile
-from repro.memory.replacement import RRPV_MAX, make_policy, srrip_victim
+from repro.memory.replacement import RRPV_MAX, LRUPolicy, srrip_victim
 from repro.memory.request import MemRequest, make_signature
 from repro.core.cacp import CACPPolicy
 from repro.scheduling import make_scheduler
@@ -181,15 +181,8 @@ _INDEX_CONFIG = CacheConfig(sets=2, ways=4, line_size=128, critical_ways=2)
 
 def _index_policy(name):
     if name.startswith("cacp"):
-        policy = CACPPolicy(
-            critical_ways=2, total_ways=4,
-            mode=name.split(":")[1],
-        )
-        policy._tune_interval = 8  # so the dynamic boundary really moves
-        return policy
-    if name == "drrip":
-        return make_policy("drrip", sets=2, line_size=128, leader_sets=1)
-    return make_policy(name)
+        return CACPPolicy(critical_ways=2, total_ways=4, mode=name.split(":")[1])
+    return LRUPolicy()
 
 
 def _tags(sets, ways=None):
@@ -205,10 +198,7 @@ _ACCESS = st.tuples(st.integers(0, 15), st.booleans(), st.integers(0, 3))
 
 @settings(max_examples=60, deadline=None)
 @given(
-    policy_name=st.sampled_from([
-        "lru", "srrip", "ship", "drrip", "cacp:priority", "cacp:static",
-        "cacp:dynamic",
-    ]),
+    policy_name=st.sampled_from(["lru", "cacp:priority", "cacp:static"]),
     # One step in sixteen is an invalidate_all (None).
     steps=st.lists(st.one_of(*15 * [_ACCESS], st.none()), min_size=30, max_size=120),
 )
@@ -266,23 +256,20 @@ def _way_range(draw, ways):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), ways=st.integers(1, 16),
-       policy_name=st.sampled_from(["range", "srrip", "cacp"]))
+       policy_name=st.sampled_from(["range", "cacp"]))
 def test_prop_one_step_srrip_aging_matches_the_loop(data, ways, policy_name):
     """One aging step by ``RRPV_MAX - max`` picks the loop's victim and
     leaves every line — inside the range and out — at the loop's RRPV
     (ties among ways at the maximum are common: four values, 16 ways).
-    ``range``: the shared search over any way range; ``srrip``: a full
-    set through ``SRRIPPolicy``; ``cacp``: a full set through a static
-    ``CACPPolicy``, whose range is the partition the fill is routed to."""
+    ``range``: the search over any way range; ``cacp``: a full set
+    through a static ``CACPPolicy``, whose range is the partition the
+    fill is routed to."""
     rrpvs = data.draw(st.lists(st.integers(0, RRPV_MAX), min_size=ways, max_size=ways))
     lines = [CacheLine(valid=True, rrpv=rrpv) for rrpv in rrpvs]
     twin = [CacheLine(valid=True, rrpv=rrpv) for rrpv in rrpvs]
     if policy_name == "range":
         lo, hi = data.draw(_way_range(ways))
         victim = srrip_victim(lines, lo, hi)
-    elif policy_name == "srrip":
-        lo, hi = 0, ways
-        victim = make_policy("srrip").choose_way(lines, None, True)
     else:
         assume(ways >= 2)
         boundary = data.draw(st.integers(1, ways - 1))
@@ -297,12 +284,12 @@ def test_prop_one_step_srrip_aging_matches_the_loop(data, ways, policy_name):
 @settings(max_examples=30, deadline=None)
 @given(
     tokens=st.lists(st.integers(0, 63), min_size=1, max_size=300),
-    policy_name=st.sampled_from(["lru", "srrip", "ship", "brrip"]),
+    policy_name=st.sampled_from(["lru", "cacp:priority", "cacp:static"]),
 )
 def test_prop_cache_invariants(tokens, policy_name):
     """No duplicate tags, bounded occupancy, and hits only after fills."""
-    cfg = CacheConfig(sets=4, ways=4, line_size=128)
-    cache = Cache(cfg, make_policy(policy_name))
+    cfg = CacheConfig(sets=4, ways=4, line_size=128, critical_ways=2)
+    cache = Cache(cfg, _index_policy(policy_name))
     resident = set()
     for token in tokens:
         line = token * 128

@@ -19,8 +19,8 @@ from repro.workloads import make_workload
 SCALE = 0.25
 WL = "synthetic_imbalance"
 #: A second valid value of each string-valued ``GPUConfig`` field.
-OTHER_SPELLING = {"scheduler_name": "gto", "l1d_policy": "srrip",
-                  "cacp_mode": "static", "sampling": "blocks:0.5"}
+OTHER_SPELLING = {"scheduler_name": "gto", "cacp_mode": "static",
+                  "sampling": "blocks:0.5"}
 
 
 @pytest.fixture(autouse=True)

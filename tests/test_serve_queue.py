@@ -87,6 +87,10 @@ class TestJobSpecValidation:
         ({"kind": "run", "workload": "bfs", "scheme": "ccws"}, "was removed"),
         ({"kind": "run", "workload": "bfs", "scheme": "ciao"}, "was removed"),
         ({"kind": "sweep", "schemes": ["rr", "cawa+bypass"]}, "was removed"),
+        # A figure job always verifies, so an unchecked one is refused
+        # rather than keyed apart from the checked one.
+        ({"kind": "figure", "figure": 4, "check": False},
+         "always verify their cells"),
     ])
     def test_bad_payloads_rejected(self, payload, fragment):
         with pytest.raises(JobSpecError, match=fragment):

@@ -10,7 +10,7 @@ from repro.isa.kernel import KernelBuilder
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.mshr import MSHRFile
-from repro.memory.replacement import make_policy
+from repro.memory.replacement import LRUPolicy
 from repro.simt.block import ThreadBlock
 from repro.simt.mask import full_mask
 from repro.simt.warp import Warp
@@ -21,7 +21,7 @@ from repro.sm.lsu import LoadStoreUnit, coalesce_lines
 def env():
     config = GPUConfig.default_sim()
     hierarchy = MemoryHierarchy(config)
-    l1 = Cache(config.l1d, make_policy("lru"))
+    l1 = Cache(config.l1d, LRUPolicy())
     mshr = MSHRFile(config.l1d.mshr_entries)
     lsu = LoadStoreUnit(0, l1, mshr, hierarchy)
     b = KernelBuilder("t")
@@ -92,7 +92,7 @@ class TestIssueTiming:
         assert n1 == 1
         # New LSU for a clean queue.
         hierarchy = MemoryHierarchy(config)
-        l1 = Cache(config.l1d, make_policy("lru"))
+        l1 = Cache(config.l1d, LRUPolicy())
         lsu2 = LoadStoreUnit(0, l1, MSHRFile(32), hierarchy)
         scattered = recorded_lines(lsu, np.arange(32, dtype=np.int64) * 128)
         c32, n32 = lsu2.issue(warp, load_inst(), full_mask(32), 0.0, False, scattered)
